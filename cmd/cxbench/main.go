@@ -12,7 +12,7 @@
 // Experiments: table2, table4, table5, fig4, fig5, fig6, fig7a, fig7b,
 // fig8, fig9a, fig9b, protocols (extension: 2PC and CE in the comparison),
 // metarates (extension: eager vs lazy commitment vs WAL group commit vs
-// pipelined dispatch on the update-dominated mix; -pipeline/-linger/-adaptive
+// pipelined dispatch on the update-dominated mix; -pipeline/-linger
 // size it and -json FILE dumps the rows for CI artifacts),
 // chaos (fault-injection run: crashes, crash-points, partitions, lossy
 // links; prints the nemesis schedule and a deterministic fingerprint —
@@ -61,7 +61,6 @@ func main() {
 		fltRate  = flag.Float64("faultrate", 1.0, "chaos: scale factor on the lossy-link probabilities")
 		pipeline = flag.Int("pipeline", 0, "client dispatch depth for metarates/chaos (0 or 1 = classic closed loop)")
 		linger   = flag.Duration("linger", 0, "WAL group-commit linger window (0 = flush each append directly)")
-		adaptive = flag.Bool("adaptive", false, "metarates: add the adaptive-lazy-period row")
 		jsonOut  = flag.String("json", "", "metarates/replay: also write the rows as JSON to this file")
 		workload = flag.String("workload", "s3d", "replay: trace profile to bench")
 		seeds    = flag.String("seeds", "", "replay: comma-separated seed matrix (default the fixed trajectory matrix)")
@@ -77,7 +76,7 @@ func main() {
 	cfg := harness.Config{Scale: *scale, Servers: *servers, Seed: *seed, Obs: obsv}
 	ccfg := chaos.Config{Seed: *seed, Duration: *duration, FaultRate: *fltRate,
 		Pipeline: *pipeline, GroupLinger: *linger}
-	bo := benchOpts{pipeline: *pipeline, linger: *linger, adaptive: *adaptive, jsonOut: *jsonOut,
+	bo := benchOpts{pipeline: *pipeline, linger: *linger, jsonOut: *jsonOut,
 		workload: *workload, minRatio: *minratio}
 	if *seeds != "" {
 		for _, s := range strings.Split(*seeds, ",") {
@@ -118,7 +117,6 @@ func main() {
 type benchOpts struct {
 	pipeline int
 	linger   time.Duration
-	adaptive bool
 	jsonOut  string
 	workload string
 	seeds    []int64
@@ -144,7 +142,7 @@ func run(id string, cfg harness.Config, ccfg chaos.Config, bo benchOpts) error {
 		}
 	case "metarates":
 		rows, tbl := harness.MetaratesGroupCommit(cfg, harness.MetaratesGCOpts{
-			Pipeline: bo.pipeline, Linger: bo.linger, Adaptive: bo.adaptive})
+			Pipeline: bo.pipeline, Linger: bo.linger})
 		fmt.Println(tbl)
 		if bo.jsonOut != "" {
 			if err := writeRowsJSON(bo.jsonOut, rows); err != nil {

@@ -365,7 +365,7 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 					sendPart()
 				}
 				if lcomSent {
-					d.host.Send(wire.Msg{Type: wire.MsgLCom, To: coord, Op: op.ID, ReplyProc: op.ID.Proc})
+					d.host.Send(wire.Msg{Type: wire.MsgLCom, To: coord, Op: op.ID, Peer: part, ReplyProc: op.ID.Proc})
 				}
 				continue
 			}
@@ -417,7 +417,7 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 			if conflicted != nil {
 				*conflicted = true
 			}
-			d.host.Send(wire.Msg{Type: wire.MsgLCom, To: coord, Op: op.ID, ReplyProc: op.ID.Proc})
+			d.host.Send(wire.Msg{Type: wire.MsgLCom, To: coord, Op: op.ID, Peer: part, ReplyProc: op.ID.Proc})
 		}
 	}
 }

@@ -22,36 +22,29 @@ func (s *Server) requestCommit(op types.OpID, lcom bool) {
 	s.requestCommitFrom(op, lcom, -1)
 }
 
-// requestCommitFrom is requestCommit with the requester recorded, so a
-// request for an operation this server never learns about can expire into
-// a presumed abort answered back to the requester.
-func (s *Server) requestCommitFrom(op types.OpID, lcom bool, from types.NodeID) {
+// requestCommitFrom is requestCommit with the operation's participant
+// recorded when the requester names it (a C-NOTIFY comes from it, an L-COM
+// carries it as Peer; -1 otherwise), so a request for an operation this
+// server aborted, or never learns about and presumes aborted, can be
+// answered to the participant as well.
+func (s *Server) requestCommitFrom(op types.OpID, lcom bool, part types.NodeID) {
 	if co := s.pendingCoord[op]; co != nil {
 		if lcom {
 			co.lcom = true
 		}
 		if !co.committing {
-			s.stats.ImmediateCommits++
 			s.kick.Send(kickReq{ops: []types.OpID{op}})
 		}
 		return
 	}
 	if po := s.pendingPart[op]; po != nil {
 		if !po.committing {
-			s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: po.coordinator, Op: op})
+			s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: po.peer, Op: op})
 		}
 		return
 	}
 	if s.tombstones[op] {
-		if lcom {
-			// Already aborted here: the L-COM's answer is ALL-NO, or the
-			// client would retry until its attempt budget drains.
-			s.Send(wire.Msg{Type: wire.MsgAllNo, To: op.Proc.Client, Op: op})
-		} else if from >= 0 {
-			// Answer the nudging participant so it can abort its side too.
-			s.Send(wire.Msg{Type: wire.MsgCommitReq, To: from, Op: op,
-				Decisions: []wire.Decision{{Op: op, Commit: false}}})
-		}
+		s.answerAborted(op, lcom, part)
 		return
 	}
 	if len(s.wantCommit) > 4096 {
@@ -59,13 +52,39 @@ func (s *Server) requestCommitFrom(op types.OpID, lcom bool, from types.NodeID) 
 	}
 	e, ok := s.wantCommit[op]
 	if !ok {
-		e = wantEntry{at: s.Sim.Now(), from: from}
+		e = wantEntry{at: s.Sim.Now(), part: part}
 	}
 	e.lcom = e.lcom || lcom
-	if from >= 0 {
-		e.from = from
+	if part >= 0 {
+		e.part = part
 	}
 	s.wantCommit[op] = e
+}
+
+// answerAborted answers a commitment request for an operation already
+// aborted here. A nudging participant gets the abort decision so it can
+// roll its side back. An L-COM gets ALL-NO — or the client would retry
+// until its attempt budget drains — but only once the participant has
+// acknowledged the abort: ALL-NO tells the process every execution is gone,
+// and its next operation on the same object must not meet a leftover one.
+func (s *Server) answerAborted(op types.OpID, lcom bool, part types.NodeID) {
+	abort := []wire.Decision{{Op: op, Commit: false}}
+	switch {
+	case !lcom:
+		if part >= 0 {
+			s.Send(wire.Msg{Type: wire.MsgCommitReq, To: part, Op: op, Decisions: abort})
+		}
+	case part < 0:
+		s.Send(wire.Msg{Type: wire.MsgAllNo, To: op.Proc.Client, Op: op})
+	case s.ackResp[op] == nil: // else a retransmitted L-COM: the round is under way
+		boot := s.Boot()
+		s.Sim.Spawn("cx/abort-lcom", func(p *simrt.Proc) {
+			s.rpcAck(p, boot, part, []types.OpID{op}, abort)
+			if !s.Gone(boot) {
+				s.Send(wire.Msg{Type: wire.MsgAllNo, To: op.Proc.Client, Op: op})
+			}
+		})
+	}
 }
 
 // expireWantCommit presumes-abort any remembered commitment request whose
@@ -89,33 +108,38 @@ func (s *Server) expireWantCommit() {
 		delete(s.wantCommit, op)
 		s.tombstone(op)
 		s.stats.OpsAborted++
-		if e.lcom {
-			s.Send(wire.Msg{Type: wire.MsgAllNo, To: op.Proc.Client, Op: op})
-		} else if e.from >= 0 {
-			s.Send(wire.Msg{Type: wire.MsgCommitReq, To: e.from, Op: op,
-				Decisions: []wire.Decision{{Op: op, Commit: false}}})
-		}
+		s.answerAborted(op, e.lcom, e.part)
 	}
 }
 
 // commitDaemon serializes commitment batches: it wakes on immediate kicks,
-// on the timeout trigger, and on log-full pressure.
+// on the lazy triggers (timeout, threshold, idle, log pressure), and merges
+// every request queued at that moment into the one batch it then runs — a
+// burst of C-NOTIFYs is one batch, not one batch per message.
 func (s *Server) commitDaemon(p *simrt.Proc) {
 	for {
 		var req kickReq
-		var got bool
 		if s.cfg.Timeout > 0 {
-			req, got = s.kick.RecvTimeout(p, s.adaptivePeriod())
-			if !got {
+			var got bool
+			if req, got = s.kick.RecvTimeout(p, s.cfg.Timeout); !got {
 				req = kickReq{lazy: true}
-				s.stats.LazyBatches++
 			}
 		} else {
 			var ok bool
-			req, ok = s.kick.RecvOK(p)
-			if !ok {
+			if req, ok = s.kick.RecvOK(p); !ok {
 				return
 			}
+		}
+		for {
+			more, ok := s.kick.TryRecv()
+			if !ok {
+				break
+			}
+			req.lazy = req.lazy || more.lazy
+			req.ops = append(req.ops, more.ops...)
+		}
+		if req.lazy {
+			s.lazyQueued = false
 		}
 		if s.Crashed() {
 			continue
@@ -127,9 +151,7 @@ func (s *Server) commitDaemon(p *simrt.Proc) {
 			// executions that have waited a full trigger period (their
 			// coordinator may have crashed before learning of the op).
 			s.expireWantCommit()
-			s.nudgeStaleParts(func(po *partOp) bool {
-				return s.Sim.Now()-po.since > s.lazyPeriod()
-			})
+			s.nudgeStaleParts(s.lazyPeriod())
 		}
 	}
 }
@@ -143,129 +165,157 @@ func (s *Server) lazyPeriod() time.Duration {
 	return s.cfg.VoteWait
 }
 
-// adaptivePeriod is the commit daemon's wait for its next lazy tick. With
-// AdaptiveLazy off it is the fixed Timeout of §IV.A. With it on, the period
-// tracks log pressure: near the prune threshold the daemon shrinks toward an
-// eager cadence, because the alternative is new-arrival appends stalling on
-// a full log; with nothing pending and a quiet log it stretches, because a
-// lazy batch over an empty table is pure wakeup overhead.
-func (s *Server) adaptivePeriod() time.Duration {
-	base := s.cfg.Timeout
-	if !s.cfg.AdaptiveLazy {
-		return base
+// addIdle indexes a freshly registered, not yet committing pendingCoord
+// entry under its participant.
+func (s *Server) addIdle(co *coordOp) {
+	for int(co.peer) >= len(s.idleCoord) {
+		s.idleCoord = append(s.idleCoord, nil)
 	}
-	if max := s.WAL.MaxBytes(); max > 0 {
-		live := s.WAL.LiveBytes()
-		switch {
-		case live*4 >= max*3: // >= 75% of the prune threshold
-			s.stats.AdaptiveShrinks++
-			return base / 8
-		case live*2 >= max: // >= 50%
-			s.stats.AdaptiveShrinks++
-			return base / 2
-		}
-	}
-	if len(s.pendingCoord) == 0 && len(s.pendingPart) == 0 && len(s.flushQ) == 0 {
-		s.stats.AdaptiveStretches++
-		return base * 2
-	}
-	return base
+	s.idleCoord[co.peer] = append(s.idleCoord[co.peer], co)
 }
 
-// runCommit executes one commitment batch.
-func (s *Server) runCommit(p *simrt.Proc, req kickReq) {
-	var targets []*coordOp
-	if req.ops != nil {
-		seen := make(map[types.OpID]bool)
-		parts := make(map[types.NodeID]bool)
-		for _, id := range req.ops {
-			if co := s.pendingCoord[id]; co != nil && !co.committing {
-				targets = append(targets, co)
-				seen[id] = true
-				parts[co.participant] = true
-			}
-		}
-		// Piggyback: an immediate commitment's VOTE/COMMIT-REQ/append can
-		// carry every other pending operation bound for the same
-		// participant at no extra message or log-write cost — they would
-		// have needed their own batch later anyway, so conflicts stop
-		// multiplying individual log writes.
-		if !s.cfg.NoPiggyback {
-			for _, co := range s.pendingCoord {
-				if !co.committing && !seen[co.id] && parts[co.participant] {
-					targets = append(targets, co)
-					seen[co.id] = true
-				}
-			}
-		}
-	} else {
-		for _, co := range s.pendingCoord {
-			if !co.committing {
-				targets = append(targets, co)
-			}
+// dropIdle removes one entry from the index (an invalidated execution, or a
+// single target of the no-piggyback ablation).
+func (s *Server) dropIdle(co *coordOp) {
+	list := s.idleCoord[co.peer]
+	for i, c := range list {
+		if c == co {
+			s.idleCoord[co.peer] = append(list[:i], list[i+1:]...)
+			return
 		}
 	}
-	// The piggyback and lazy paths collect from map iteration; order the
-	// batch deterministically so a seed replays to the same message trace.
-	sort.Slice(targets, func(i, j int) bool { return opLess(targets[i].id, targets[j].id) })
+}
+
+// takeIdle hands a batch every indexed entry bound for participant part.
+func (s *Server) takeIdle(part types.NodeID) []*coordOp {
+	list := s.idleCoord[part]
+	s.idleCoord[part] = nil
+	return list
+}
+
+// runCommit executes one commitment batch: the targets, grouped by
+// participant, each group one VOTE / COMMIT-REQ / ACK round; a lazy batch
+// then writes back and prunes. A request that finds no target and (lazy) no
+// write-back to do is not a batch: it neither runs nor counts.
+func (s *Server) runCommit(p *simrt.Proc, req kickReq) {
+	// Groups form in ascending participant order (lazy) or request order
+	// (immediate), each in registration order, so a seed replays to the
+	// same message trace.
+	var groups [][]*coordOp
+	targets := 0
+	take := func(cops []*coordOp) {
+		if len(cops) == 0 {
+			return
+		}
+		for _, co := range cops {
+			co.committing = true
+		}
+		groups = append(groups, cops)
+		targets += len(cops)
+	}
+	switch {
+	case req.lazy:
+		for part := range s.idleCoord {
+			take(s.takeIdle(types.NodeID(part)))
+		}
+	default:
+		for _, id := range req.ops {
+			co := s.pendingCoord[id]
+			if co == nil || co.committing {
+				continue
+			}
+			if s.cfg.NoPiggyback {
+				s.dropIdle(co)
+				take([]*coordOp{co})
+				continue
+			}
+			// Piggyback: an immediate commitment's VOTE/COMMIT-REQ/append
+			// can carry every other pending operation bound for the same
+			// participant at no extra message or log-write cost — they
+			// would have needed their own batch later anyway, so conflicts
+			// stop multiplying individual log writes.
+			take(s.takeIdle(co.peer))
+		}
+	}
+	if targets == 0 && !(req.lazy && len(s.flushQ) > 0) {
+		return
+	}
+	if req.lazy {
+		s.stats.LazyBatches++
+	} else {
+		s.stats.ImmediateCommits++
+	}
 	if s.cfg.Obs.TraceOn() {
 		now := s.Sim.Now()
-		if req.lazy && (len(targets) > 0 || len(s.flushQ) > 0) {
+		if req.lazy {
 			s.cfg.Obs.Emit(now, int(s.ID), types.NilOp, obs.PhaseCommitLazy,
-				fmt.Sprintf("batch=%d flush=%d", len(targets), len(s.flushQ)))
-		} else if !req.lazy && len(targets) > 0 {
-			s.cfg.Obs.Emit(now, int(s.ID), targets[0].id, obs.PhaseCommitImmediate,
-				fmt.Sprintf("batch=%d", len(targets)))
+				fmt.Sprintf("batch=%d flush=%d", targets, len(s.flushQ)))
+		} else {
+			s.cfg.Obs.Emit(now, int(s.ID), groups[0][0].id, obs.PhaseCommitImmediate,
+				fmt.Sprintf("batch=%d", targets))
 		}
-	}
-	// Group by participant; each group is one VOTE / COMMIT-REQ / ACK round.
-	groups := make(map[types.NodeID][]*coordOp)
-	var order []types.NodeID
-	for _, co := range targets {
-		co.committing = true
-		if _, seen := groups[co.participant]; !seen {
-			order = append(order, co.participant)
-		}
-		groups[co.participant] = append(groups[co.participant], co)
 	}
 	boot := s.Boot()
 	g := simrt.NewGroup(s.Sim)
-	g.Add(len(order))
-	for _, part := range order {
-		part, cops := part, groups[part]
+	g.Add(len(groups))
+	for _, cops := range groups {
+		cops := cops
 		s.Sim.Spawn("cx/commit-group", func(gp *simrt.Proc) {
 			defer g.Done()
-			s.groupCommit(gp, boot, part, cops)
+			s.groupCommit(gp, boot, cops[0].peer, cops)
 		})
 	}
 	g.Wait(p)
 
 	if req.lazy {
-		s.drainFlushQ(p)
+		s.drainFlushQ(p, boot)
 	}
 }
 
 // drainFlushQ writes back the database pages of every committed (or
 // aborted-and-rolled-back) operation in one merged burst — "submitting
 // batched modifications into BDB" (§IV.C.1) — and only then prunes their
-// log records, so recovery can always redo from the log.
-func (s *Server) drainFlushQ(p *simrt.Proc) {
-	if len(s.flushQ) == 0 {
+// log records, so recovery can always redo from the log. An operation with
+// a row that an execution in flight has written, but not yet logged, stays
+// queued for the next batch together with its records: writing that page
+// now would put the unlogged execution on disk with nothing to undo it.
+// A write-back that a crash interrupts settled no page and prunes nothing.
+func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
+	if len(s.flushQ) == 0 || s.Gone(boot) {
 		return
 	}
 	ops := s.flushQ
 	s.flushQ = nil
 	var rows []string
+	ready := ops[:0]
 	for _, fe := range ops {
+		if s.anyUnlogged(fe.rows) {
+			s.flushQ = append(s.flushQ, fe)
+			continue
+		}
+		ready = append(ready, fe)
 		rows = append(rows, fe.rows...)
 	}
-	s.KV.FlushKeys(p, rows)
-	if s.Crashed() {
+	if !s.KV.FlushKeys(p, rows) || s.Gone(boot) {
 		return
 	}
-	for _, fe := range ops {
+	for _, fe := range ready {
 		s.WAL.Prune(fe.id)
 	}
+}
+
+// anyUnlogged reports whether an execution in flight has written one of
+// rows without its Result-Record being durable yet.
+func (s *Server) anyUnlogged(rows []string) bool {
+	if len(s.unlogged) == 0 {
+		return false
+	}
+	for _, r := range rows {
+		if s.unlogged[r] > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // groupCommit runs the commitment phase (§III.B steps 3-7) for a batch of
@@ -335,7 +385,7 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 	}
 	for i, co := range cops {
 		delete(s.pendingCoord, co.id)
-		s.cacheReply(co.id, finalReply(co.id, co.lastResp, decisions[i].Commit, co.client))
+		s.cacheReply(co.id, co.finalReply(decisions[i].Commit))
 		s.completeOp(co.id, co.sub)
 		// Database write-back is deferred: the decision records are
 		// durable, so the pages join the flush queue and drain with the
@@ -534,9 +584,16 @@ func (s *Server) canInvalidate(op types.OpID) bool {
 // decisions for operations already finished here are re-ACKed blindly.
 func (s *Server) handleCommitReq(p *simrt.Proc, m wire.Msg) {
 	boot := s.Boot()
+	// done lists the executions this request finishes, with what each needs
+	// once the decision records are durable.
+	type finished struct {
+		po        *partOp
+		committed bool
+		rows      []string
+	}
 	recs := make([]wal.Record, 0, len(m.Decisions))
-	done := make([]*partOp, 0, len(m.Decisions))
-	doneRows := make([][]string, 0, len(m.Decisions))
+	done := make([]finished, 0, len(m.Decisions))
+	var inflight []types.OpID // aborted ops whose sub-op is mid-execution here
 	for _, d := range m.Decisions {
 		po := s.pendingPart[d.Op]
 		if po == nil {
@@ -546,6 +603,9 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m wire.Msg) {
 				s.tombstone(d.Op)
 				if br := s.blockedOf[d.Op]; br != nil {
 					s.unblock(br)
+				}
+				if s.localInflight[d.Op] {
+					inflight = append(inflight, d.Op)
 				}
 			}
 			continue
@@ -562,8 +622,7 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m wire.Msg) {
 			}
 			s.tombstone(d.Op)
 		}
-		done = append(done, po)
-		doneRows = append(doneRows, rows)
+		done = append(done, finished{po: po, committed: d.Commit, rows: rows})
 	}
 	s.WAL.AppendBatchPriority(p, recs)
 	cpOp := m.Op
@@ -573,22 +632,36 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m wire.Msg) {
 	if s.CrashPoint(CPPartBeforeAck, cpOp) || s.Gone(boot) {
 		return
 	}
-	for i, po := range done {
+	// The ACK tells the coordinator the abort has been applied here, and it
+	// will answer its client ALL-NO on the strength of it. An execution of
+	// the aborted operation still inside its Result-Record append has not
+	// been rolled back yet (it does that itself when the append returns and
+	// it finds the tombstone): wait for it, or the client's next operation
+	// on the same object runs against the leftover.
+	for _, op := range inflight {
+		for s.localInflight[op] {
+			s.waitChan(s.arrivalSig, op).RecvTimeout(p, s.cfg.RetryInterval)
+			if s.Gone(boot) {
+				return
+			}
+		}
+	}
+	for _, f := range done {
 		// A Commit/Abort-Record on the participant ends the operation
 		// (§III.A); followers release immediately, and the page write-back
 		// joins the flush queue for the next lazy batch.
-		committed := false
-		for _, d := range m.Decisions {
-			if d.Op == po.id {
-				committed = d.Commit
-			}
-		}
+		po := f.po
 		delete(s.pendingPart, po.id)
-		s.cacheReply(po.id, finalReply(po.id, po.lastResp, committed, po.client))
+		s.cacheReply(po.id, po.finalReply(f.committed))
 		s.completeOp(po.id, po.sub)
-		s.flushQ = append(s.flushQ, flushEntry{id: po.id, rows: doneRows[i]})
+		s.flushQ = append(s.flushQ, flushEntry{id: po.id, rows: f.rows})
 	}
 	s.Send(wire.Msg{Type: wire.MsgAck, To: m.From, Op: m.Op, Ops: m.Ops})
+	// The decisions turned log records nothing here could free into
+	// prunable ones: if the log is short of space, now a round can help.
+	if len(done) > 0 && s.underPressure() {
+		s.pressureRound()
+	}
 }
 
 // finalReply picks the response a duplicate request should receive after
@@ -597,15 +670,26 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m wire.Msg) {
 // recovery has no recorded response (it died with the volatile state); a
 // synthesized YES stands in — telling a retrying client "aborted" for an
 // operation that committed would corrupt its view of the namespace.
-func finalReply(id types.OpID, last wire.Msg, committed bool, client types.NodeID) wire.Msg {
-	if committed {
-		if last.Type != 0 {
-			return last
-		}
-		return wire.Msg{Type: wire.MsgSubOpResp, To: client, Op: id, OK: true, Epoch: 1}
+func (e *pendingExec) finalReply(committed bool) wire.Msg {
+	if committed && e.replied {
+		return e.reply()
 	}
-	return wire.Msg{Type: wire.MsgSubOpResp, To: client, Op: id,
-		OK: false, Err: types.ErrAborted.Error(), Epoch: last.Epoch + 1}
+	m := sealedReply(e.id, committed)
+	m.To = e.client
+	if e.replied {
+		m.Epoch = e.epoch + 1 // an abort supersedes the recorded response
+	}
+	return m
+}
+
+// sealedReply is the final response for an operation recovery found already
+// decided in the log, of which no execution state survives.
+func sealedReply(id types.OpID, committed bool) wire.Msg {
+	if committed {
+		return wire.Msg{Type: wire.MsgSubOpResp, To: id.Proc.Client, Op: id, OK: true, Epoch: 1}
+	}
+	return wire.Msg{Type: wire.MsgSubOpResp, To: id.Proc.Client, Op: id,
+		OK: false, Err: types.ErrAborted.Error(), Epoch: 1}
 }
 
 // rollback reverses an execution: live operations carry a compensating

@@ -10,7 +10,9 @@
 // immediately. If both answers agree the process considers the operation
 // complete; the commitment — VOTE, COMMIT-REQ/ABORT-REQ, ACK, then a
 // Complete-Record — is deferred and batched with other pending commitments,
-// launched by a timeout or threshold trigger (§IV.A) or when the log fills.
+// launched by a timeout or threshold trigger (§IV.A) or by log pressure: a
+// background round starts at ¾ of the log limit, before arrivals have to
+// wait for a full log (the paper commits "when the log fills").
 // If the answers disagree, the process sends L-COM and the coordinator runs
 // an immediate commitment that aborts the successful side and replies
 // ALL-NO.
@@ -42,6 +44,10 @@
 //   - Aborted operations leave a bounded tombstone set so a late-arriving
 //     or re-queued sub-op of an aborted operation cannot execute after the
 //     fact.
+//   - A full log is not waited for: log-pressure rounds (pressureRound)
+//     commit, write back and prune in the background from ¾ of the limit,
+//     and the §III.D hold on new arrivals sits in front of execution, never
+//     between an execution and its Result-Record.
 package core
 
 import (
@@ -83,13 +89,6 @@ type Config struct {
 	// operations on an immediate commitment's round — an ablation knob for
 	// benchmarks; production keeps it off (piggybacking on).
 	NoPiggyback bool
-	// AdaptiveLazy makes the commit daemon's lazy period track log
-	// pressure: the wait shrinks toward an eager cadence as the log nears
-	// its prune threshold (so pruning starts before appends stall on a full
-	// log) and stretches when the server is idle with nothing pending (so a
-	// quiet server burns no batches). Off by default; Timeout stays the
-	// fixed period of the paper's §IV.A trigger.
-	AdaptiveLazy bool
 	// RecoveryFreeze models the fixed phase of §V recovery: the failure
 	// detection subsystem confirms the crash, the rebooted node informs
 	// every collaborating server to enter the recovery state, and the file
@@ -121,54 +120,79 @@ func DefaultConfig() Config {
 
 // Stats counts protocol events for the harness.
 type Stats struct {
-	Conflicts         uint64 // sub-ops blocked on an active object
-	ImmediateCommits  uint64 // commitment batches launched by conflict/L-COM/log-full
-	LazyBatches       uint64 // commitment batches launched by a trigger
+	Conflicts uint64 // sub-ops blocked on an active object
+	// ImmediateCommits and LazyBatches count the commitment batches that
+	// ran: each batch with at least one operation to commit or (lazy only)
+	// pages to write back counts exactly once, in whichever the daemon ran
+	// it as. A request that finds nothing to do counts in neither.
+	ImmediateCommits  uint64 // batches launched by a conflict, L-COM or recovery
+	LazyBatches       uint64 // batches launched by a trigger: timeout, threshold, idle, log pressure
 	OpsCommitted      uint64
 	OpsAborted        uint64
 	Invalidations     uint64
 	VoteTimeouts      uint64
 	LateInvalidations uint64 // invalidation notices for ops a client completed (must stay 0)
 	Renames           uint64 // committed rename transactions (extension)
-	AdaptiveShrinks   uint64 // lazy periods shortened by log pressure
-	AdaptiveStretches uint64 // lazy periods stretched by idleness
 	Lookups           uint64 // LookupReq served (leased read path)
 	LeasesGranted     uint64 // read leases stamped on lookup replies
 	LeaseRevocations  uint64 // revocation notices sent to lease holders
 }
 
-// coordOp is a pending cross-server operation on its coordinator.
-type coordOp struct {
-	id          types.OpID
-	sub         types.SubOp
-	ok          bool
-	undo        *namespace.Undo
-	beforeImgs  []types.RowImage // recovery-rebuilt ops roll back via images
-	rows        []string
-	participant types.NodeID
-	client      types.NodeID
-	epoch       uint32
-	committing  bool
-	lcom        bool     // client asked for ALL-NO
-	reqMsg      wire.Msg // original request, for re-queue after invalidation
-	lastResp    wire.Msg // recorded response, for duplicate suppression
+// pendingExec is one executed-but-uncommitted sub-operation as its pending
+// table remembers it: what a vote, a rollback, a duplicate request or a
+// re-queue after invalidation needs, and nothing else — the tables hold up
+// to a log's worth of entries under log pressure, so the request and
+// response messages themselves are not kept.
+type pendingExec struct {
+	id         types.OpID
+	sub        types.SubOp
+	ok         bool
+	undo       *namespace.Undo
+	beforeImgs []types.RowImage // recovery-rebuilt ops roll back via images
+	rows       []string
+	peer       types.NodeID // the operation's other server
+	client     types.NodeID
+	epoch      uint32
+	committing bool
+
+	// The recorded response, for duplicate suppression. Recovery-rebuilt
+	// entries have none (replied is false): the response died with the
+	// volatile state.
+	replied bool
+	hint    types.OpID
+	errStr  string
+	attr    types.Inode
 }
 
-// partOp is a pending cross-server operation on its participant.
+// reply rebuilds the response this execution was (or will be) answered with.
+func (e *pendingExec) reply() wire.Msg {
+	return wire.Msg{Type: wire.MsgSubOpResp, To: e.client, Op: e.id,
+		OK: e.ok, Err: e.errStr, Hint: e.hint, Epoch: e.epoch, Attr: e.attr}
+}
+
+// request rebuilds the sub-op request that produced this execution, for
+// re-queueing it after an invalidation.
+func (e *pendingExec) request(self types.NodeID) wire.Msg {
+	return wire.Msg{Type: wire.MsgSubOpReq, From: e.client, To: self, Op: e.id,
+		Sub: e.sub, Peer: e.peer, ReplyProc: e.id.Proc}
+}
+
+// coordOp is a pending cross-server operation on its coordinator; peer is
+// the participant.
+type coordOp struct {
+	pendingExec
+	lcom bool // client asked for ALL-NO
+}
+
+// partOp is a pending cross-server operation on its participant; peer is
+// the coordinator.
 type partOp struct {
-	id          types.OpID
-	sub         types.SubOp
-	ok          bool
-	undo        *namespace.Undo
-	beforeImgs  []types.RowImage
-	rows        []string
-	coordinator types.NodeID
-	client      types.NodeID
-	epoch       uint32
-	committing  bool
-	reqMsg      wire.Msg
-	lastResp    wire.Msg
-	since       time.Duration // execution time, for staleness nudges
+	pendingExec
+	since time.Duration // execution time, for staleness nudges
+	// named is set once a log-pressure round has asked the coordinator to
+	// commit this execution; later rounds do not ask again (the lazy tick's
+	// staleness nudge covers a lost request).
+	named bool
 }
 
 // flushEntry is an operation whose outcome is durable in the log but whose
@@ -192,14 +216,15 @@ type blockedReq struct {
 // wantEntry is one remembered commitment request for a not-yet-seen op.
 type wantEntry struct {
 	lcom bool
-	from types.NodeID // who asked (participant for C-NOTIFY, client for L-COM)
+	part types.NodeID // the op's participant, if a requester named it (-1 otherwise)
 	at   time.Duration
 }
 
-// kickReq asks the commit daemon to run.
+// kickReq asks the commit daemon to run. The daemon merges every request
+// queued when it wakes into one batch.
 type kickReq struct {
-	ops  []types.OpID // immediate targets; nil = lazy batch of everything
-	lazy bool
+	ops  []types.OpID // immediate targets
+	lazy bool         // commit everything pending, write back, prune
 }
 
 // Server is one Cx metadata server.
@@ -211,6 +236,20 @@ type Server struct {
 	pendingCoord map[types.OpID]*coordOp
 	pendingPart  map[types.OpID]*partOp
 	flushQ       []flushEntry
+	// idleCoord indexes the pendingCoord entries no batch has taken yet, by
+	// participant and in registration order, so a batch collects its targets
+	// without scanning (and sorting) the whole table.
+	idleCoord [][]*coordOp
+	// unnamedParts lists participant executions registered since the last
+	// log-pressure round, i.e. the ones that round has yet to name to their
+	// coordinators.
+	unnamedParts []types.OpID
+	// unlogged counts, per row, the executions that have written the row's
+	// volatile image but whose Result-Record is not durable yet. Write-back
+	// leaves such rows (and the log records of every operation waiting on
+	// them) for the next batch: a page must never land ahead of the record
+	// that can undo it.
+	unlogged map[string]int
 
 	active     map[types.ObjKey]types.OpID // executed-pending op holding each object
 	waiters    map[types.OpID][]*blockedReq
@@ -221,6 +260,9 @@ type Server struct {
 	completeSig map[types.OpID][]*simrt.Chan[struct{}]
 
 	kick *simrt.Chan[kickReq]
+	// lazyQueued is set while a lazy kick sits in the queue the daemon has
+	// not picked up: further lazy triggers coalesce into it.
+	lazyQueued bool
 	// voteResp/ackResp route batched VOTE and ACK replies back to the
 	// rpcVotes/rpcAck round that sent the request, keyed by the batch's
 	// first operation. Keying by participant instead would cross-wire two
@@ -248,7 +290,7 @@ type Server struct {
 	// operations so a duplicate (retried) sub-op request is answered
 	// instead of re-executed — at-most-once execution for retrying
 	// clients. Bounded FIFO.
-	replyCache map[types.OpID]wire.Msg
+	replyCache map[types.OpID]cachedReply
 	replyOrder []types.OpID
 	// localInflight marks OpReq operations currently executing on the
 	// local (colocated/rename) path, so a retried duplicate is dropped
@@ -287,11 +329,12 @@ func NewServer(base *node.Base, pl namespace.Placement, cfg Config) *Server {
 		tombstones:    make(map[types.OpID]bool),
 		arrivalSig:    make(map[types.OpID][]*simrt.Chan[struct{}]),
 		completeSig:   make(map[types.OpID][]*simrt.Chan[struct{}]),
+		unlogged:      make(map[string]int),
 		kick:          simrt.NewChan[kickReq](base.Sim),
 		voteResp:      make(map[types.OpID]*simrt.Chan[wire.Msg]),
 		ackResp:       make(map[types.OpID]*simrt.Chan[wire.Msg]),
 		wantCommit:    make(map[types.OpID]wantEntry),
-		replyCache:    make(map[types.OpID]wire.Msg),
+		replyCache:    make(map[types.OpID]cachedReply),
 		localInflight: make(map[types.OpID]bool),
 		leases:        NewLeaseTable(leaseTableCap),
 	}
@@ -326,16 +369,16 @@ func (s *Server) BlockedReqs() int {
 // DebugOp reports an op's state on this server (diagnostics).
 func (s *Server) DebugOp(op types.OpID) string {
 	if co := s.pendingCoord[op]; co != nil {
-		return fmt.Sprintf("pendingCoord committing=%v participant=%v lcom=%v", co.committing, co.participant, co.lcom)
+		return fmt.Sprintf("pendingCoord committing=%v participant=%v lcom=%v", co.committing, co.peer, co.lcom)
 	}
 	if po := s.pendingPart[op]; po != nil {
-		return fmt.Sprintf("pendingPart committing=%v coordinator=%v", po.committing, po.coordinator)
+		return fmt.Sprintf("pendingPart committing=%v coordinator=%v", po.committing, po.peer)
 	}
 	if s.tombstones[op] {
 		return "tombstoned"
 	}
 	if we, ok := s.wantCommit[op]; ok {
-		return fmt.Sprintf("wantCommit lcom=%v from=%v at=%v", we.lcom, we.from, we.at)
+		return fmt.Sprintf("wantCommit lcom=%v participant=%v at=%v", we.lcom, we.part, we.at)
 	}
 	return "absent"
 }
@@ -345,10 +388,10 @@ func (s *Server) DebugOp(op types.OpID) string {
 func (s *Server) DebugPending() []string {
 	var out []string
 	for id, co := range s.pendingCoord {
-		out = append(out, fmt.Sprintf("coord op=%v committing=%v lcom=%v participant=%v", id, co.committing, co.lcom, co.participant))
+		out = append(out, fmt.Sprintf("coord op=%v committing=%v lcom=%v participant=%v", id, co.committing, co.lcom, co.peer))
 	}
 	for id, po := range s.pendingPart {
-		out = append(out, fmt.Sprintf("part op=%v committing=%v coordinator=%v since=%v", id, po.committing, po.coordinator, po.since))
+		out = append(out, fmt.Sprintf("part op=%v committing=%v coordinator=%v since=%v", id, po.committing, po.peer, po.since))
 	}
 	sort.Strings(out)
 	return out
@@ -364,7 +407,7 @@ func (s *Server) DebugBlocked() []string {
 			if co := s.pendingCoord[holder]; co != nil {
 				state = fmt.Sprintf("coord committing=%v", co.committing)
 			} else if po := s.pendingPart[holder]; po != nil {
-				state = fmt.Sprintf("part committing=%v coord=%v", po.committing, po.coordinator)
+				state = fmt.Sprintf("part committing=%v coord=%v", po.committing, po.peer)
 			} else if s.tombstones[holder] {
 				state = "tombstoned"
 			}
@@ -375,40 +418,112 @@ func (s *Server) DebugBlocked() []string {
 }
 
 // nudgeStaleParts sends C-NOTIFY to the coordinator of every
-// not-yet-committing participant execution matched by pred, in a
+// not-yet-committing participant execution older than age, in a
 // deterministic operation order (map iteration order must not leak into
 // the message sequence).
-func (s *Server) nudgeStaleParts(pred func(*partOp) bool) {
+func (s *Server) nudgeStaleParts(age time.Duration) {
+	now := s.Sim.Now()
 	var ids []types.OpID
 	for _, po := range s.pendingPart {
-		if !po.committing && pred(po) {
+		if !po.committing && now-po.since > age {
 			ids = append(ids, po.id)
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return opLess(ids[i], ids[j]) })
 	for _, id := range ids {
-		po := s.pendingPart[id]
-		s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: po.coordinator, Op: po.id})
+		s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: s.pendingPart[id].peer, Op: id})
 	}
 }
 
-// KickCommit launches a lazy commitment batch immediately, as the harness's
-// quiesce step and the log-full handler do.
+// KickCommit launches a lazy commitment batch, as the harness's quiesce
+// step and every lazy trigger do. Triggers coalesce: while one lazy kick is
+// queued and not yet picked up, further ones are dropped.
 func (s *Server) KickCommit() {
+	if s.lazyQueued {
+		return
+	}
+	s.lazyQueued = true
 	s.kick.Send(kickReq{lazy: true})
+}
+
+// Log-pressure rounds start when the log's live bytes reach
+// pressureNum/pressureDen of its limit. Measured on the s3d replay at
+// bench size: ½ and ¼ commit in smaller write-back bursts and gain less,
+// ⅞ gains slightly more on s3d but leaves too little room on the
+// update-dominated Metarates mix, whose arrivals then park at the limit.
+const pressureNum, pressureDen = 3, 4
+
+// underPressure reports whether the log has reached the pressure mark.
+func (s *Server) underPressure() bool {
+	max := s.WAL.MaxBytes()
+	return max > 0 && s.WAL.LiveBytes()*pressureDen >= max*pressureNum
+}
+
+// pressureRound starts one background round of log reclamation: a lazy
+// batch here (commit what this server coordinates, write back, prune), and
+// one C-NOTIFY per coordinator naming the participant executions whose
+// records only that coordinator's commitment can free. Called whenever log
+// space is short and something could free it — after every append at or over
+// the pressure mark — so both halves coalesce: the kick into the one already
+// queued, the naming to the executions registered since the last call, each
+// named once. (Naming them as they register, not once per batch, matters:
+// holding them back for the next batch's start measured 14% slower on s3d.)
+func (s *Server) pressureRound() {
+	if s.Crashed() || s.recovering {
+		return
+	}
+	s.KickCommit()
+	if len(s.unnamedParts) == 0 {
+		return
+	}
+	byCoord := make(map[types.NodeID][]types.OpID)
+	var order []types.NodeID
+	for _, id := range s.unnamedParts {
+		po := s.pendingPart[id]
+		if po == nil || po.committing || po.named {
+			continue
+		}
+		po.named = true
+		if _, seen := byCoord[po.peer]; !seen {
+			order = append(order, po.peer)
+		}
+		byCoord[po.peer] = append(byCoord[po.peer], id)
+	}
+	s.unnamedParts = s.unnamedParts[:0]
+	for _, coord := range order {
+		ids := byCoord[coord]
+		for len(ids) > 0 {
+			n := min(len(ids), wire.MaxBatch)
+			s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: coord, Ops: ids[:n]})
+			ids = ids[n:]
+		}
+	}
+}
+
+// joinPressureRound answers a peer's log-pressure C-NOTIFY: the named
+// operations' records fill the peer's log until this server commits them.
+// Rather than commit only those, the coordinator runs a full lazy batch of
+// its own — the round is going to pay the commitment messages and the disk
+// pass anyway, and everything else pending here rides along.
+func (s *Server) joinPressureRound(m wire.Msg) {
+	for _, op := range m.Ops {
+		if s.pendingCoord[op] == nil {
+			// In flight, finished or aborted here: the per-op path remembers
+			// or answers it.
+			s.requestCommitFrom(op, false, m.From)
+		}
+	}
+	s.KickCommit()
 }
 
 // Start launches the inbox loop and the commitment trigger daemon.
 func (s *Server) Start() {
 	s.Base.Start(s.handle)
-	s.WAL.SetFullHandler(func() {
-		// The log is full: force commitments so pruning can free space —
-		// both the operations this server coordinates and, via C-NOTIFY,
-		// the participant-role backlog whose coordinators are idle.
-		s.stats.ImmediateCommits++
-		s.kick.Send(kickReq{lazy: true})
-		s.nudgeStaleParts(func(po *partOp) bool { return true })
-	})
+	// The log is full and an arrival is parked: the same round a crossing
+	// of the pressure mark starts. A backstop — rounds normally keep the
+	// log under its limit — for the case where nothing appends (so nothing
+	// re-checks the mark) while arrivals wait.
+	s.WAL.SetFullHandler(s.pressureRound)
 	s.Sim.Spawn("cx/commitd", s.commitDaemon)
 	if s.cfg.IdleTrigger > 0 {
 		s.Sim.Spawn("cx/idled", s.idleDaemon)
@@ -431,8 +546,7 @@ func (s *Server) idleDaemon(p *simrt.Proc) {
 		if s.Sim.Now()-s.lastArrive < period {
 			continue
 		}
-		s.stats.LazyBatches++
-		s.kick.Send(kickReq{lazy: true})
+		s.KickCommit()
 	}
 }
 
@@ -463,8 +577,12 @@ func (s *Server) handle(p *simrt.Proc, m wire.Msg) {
 		if s.cfg.Obs.TraceOn() {
 			s.cfg.Obs.Emit(s.Sim.Now(), int(s.ID), m.Op, obs.PhaseLCom, "")
 		}
-		s.requestCommitFrom(m.Op, true, m.From)
+		s.requestCommitFrom(m.Op, true, m.Peer)
 	case wire.MsgConflictNotify:
+		if len(m.Ops) > 0 {
+			s.joinPressureRound(m)
+			return
+		}
 		s.requestCommitFrom(m.Op, false, m.From)
 	case wire.MsgVote:
 		if len(m.Ops) == 0 && m.Sub.Action != types.ActNone {
@@ -525,6 +643,18 @@ func (s *Server) fire(m map[types.OpID][]*simrt.Chan[struct{}], op types.OpID) {
 	delete(m, op)
 }
 
+// cachedReply is a finished operation's final response as the reply cache
+// keeps it: the fields a SUBOP/OP response carries, not the whole message
+// (the cache holds 8192 per server and is rewritten once per operation).
+type cachedReply struct {
+	typ   wire.MsgType
+	ok    bool
+	epoch uint32
+	hint  types.OpID
+	err   string
+	attr  types.Inode
+}
+
 // cacheReply retains a completed operation's response for duplicate
 // suppression (bounded FIFO).
 func (s *Server) cacheReply(op types.OpID, m wire.Msg) {
@@ -537,7 +667,18 @@ func (s *Server) cacheReply(op types.OpID, m wire.Msg) {
 		}
 		s.replyOrder = append(s.replyOrder, op)
 	}
-	s.replyCache[op] = m
+	s.replyCache[op] = cachedReply{typ: m.Type, ok: m.OK, epoch: m.Epoch, hint: m.Hint, err: m.Err, attr: m.Attr}
+}
+
+// replayCached answers a duplicate request for a finished operation from
+// the reply cache and reports whether it could.
+func (s *Server) replayCached(op types.OpID, to types.NodeID) bool {
+	r, ok := s.replyCache[op]
+	if ok {
+		s.Send(wire.Msg{Type: r.typ, To: to, Op: op, OK: r.ok, Err: r.err,
+			Hint: r.hint, Epoch: r.epoch, Attr: r.attr})
+	}
+	return ok
 }
 
 // tombstone records an aborted op so late sub-ops cannot execute.

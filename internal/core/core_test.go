@@ -436,11 +436,15 @@ func TestParticipantCrashDuringCommitmentRetries(t *testing.T) {
 	}
 }
 
-// --- Log-full behavior ------------------------------------------------------
+// --- Log-pressure behavior -------------------------------------------------
 
-func TestLogFullForcesCommitmentAndUnblocks(t *testing.T) {
+func TestLogPressureCommitsBeforeTheLogFills(t *testing.T) {
+	// A tiny log and no lazy trigger but log pressure (the timeout is an
+	// hour): the rounds that start at the pressure mark must commit, write
+	// back and prune early enough that a one-process stream never meets the
+	// limit.
 	c := build(4, func(o *cluster.Options) {
-		o.Hardware.LogMaxBytes = 2 << 10 // tiny: a handful of records
+		o.Hardware.LogMaxBytes = 2 << 10 // a handful of records
 	})
 	defer c.Shutdown()
 	c.Sim.Spawn("t", func(p *simrt.Proc) {
@@ -450,24 +454,25 @@ func TestLogFullForcesCommitmentAndUnblocks(t *testing.T) {
 				t.Errorf("create %d: %v", i, err)
 			}
 		}
-		var stalls, imm uint64
+		var stalls, rounds, pruned uint64
 		for _, b := range c.Bases {
 			stalls += b.WAL.Stats().FullStalls
+			pruned += b.WAL.Stats().Pruned
 		}
 		for _, srv := range c.CxSrv {
-			imm += srv.Stats().ImmediateCommits
+			rounds += srv.Stats().LazyBatches
 		}
-		if stalls == 0 {
-			t.Error("2KB log never filled across 40 creates")
+		if rounds == 0 || pruned == 0 {
+			t.Errorf("log pressure launched %d rounds that pruned %d ops across 40 creates into 2KB logs", rounds, pruned)
 		}
-		if imm == 0 {
-			t.Error("log-full handler never launched a commitment")
+		if stalls != 0 {
+			t.Errorf("%d arrivals met a full log behind a single sequential process", stalls)
 		}
 		c.Sim.Stop()
 	})
 	c.Sim.RunUntil(time.Hour)
 	if !c.Sim.Stopped() {
-		t.Fatal("log-full path deadlocked")
+		t.Fatal("log-pressure path deadlocked")
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cxfs/internal/namespace"
 	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
@@ -15,23 +14,30 @@ import (
 func (s *Server) handleSubOp(p *simrt.Proc, m wire.Msg) {
 	s.lastArrive = s.Sim.Now()
 	sub := m.Sub
+	// §III.D: at the log limit new arrivals wait for pruning. They wait
+	// here, before anything has executed, and only the arrivals that can:
+	// a participant half is never held, because the VOTE that frees the
+	// space may be waiting for exactly that half.
+	if sub.Role != types.RoleParticipant && (sub.Kind.CrossServer() || sub.Action.Mutating()) {
+		if !s.admit(p) {
+			return
+		}
+	}
 	// Duplicate suppression: a retried request for an operation still
 	// pending here (or recently completed) is answered from the recorded
 	// response, never re-executed.
-	if cached, ok := s.replyCache[sub.Op]; ok {
-		cached.To = m.From
-		s.Send(cached)
+	if s.replayCached(sub.Op, m.From) {
 		return
 	}
 	if co := s.pendingCoord[sub.Op]; co != nil && sub.Role == types.RoleCoordinator {
-		if co.lastResp.Type != 0 { // recovery-rebuilt entries have no response yet
-			s.Send(co.lastResp)
+		if co.replied { // recovery-rebuilt entries have no response yet
+			s.Send(co.reply())
 		}
 		return
 	}
 	if po := s.pendingPart[sub.Op]; po != nil && sub.Role == types.RoleParticipant {
-		if po.lastResp.Type != 0 {
-			s.Send(po.lastResp)
+		if po.replied {
+			s.Send(po.reply())
 		}
 		return
 	}
@@ -62,6 +68,56 @@ func (s *Server) handleSubOp(p *simrt.Proc, m wire.Msg) {
 		}
 	}
 	s.execSubOp(p, m, types.NilOp, 1)
+}
+
+// admit holds a new arrival while the log is at its limit and reports
+// whether the server is still the incarnation that received it. The hold
+// comes before execution so that nothing a held request wrote can reach a
+// page ahead of its Result-Record.
+func (s *Server) admit(p *simrt.Proc) bool {
+	boot := s.Boot()
+	s.WAL.AwaitSpace(p)
+	return !s.Gone(boot)
+}
+
+// logResults makes the Result-Records of an execution that has just written
+// the volatile image durable, and reports whether the server is still the
+// incarnation boot. The hold for log space happened before the execution
+// (admit), so the append is ungated; until it returns, the rows the records
+// can restore are marked unlogged and write-back leaves them alone.
+func (s *Server) logResults(p *simrt.Proc, boot uint64, recs []wal.Record) bool {
+	for i := range recs {
+		s.markUnlogged(recs[i].After)
+	}
+	s.WAL.AppendBatchPriority(p, recs)
+	if s.Gone(boot) {
+		return false
+	}
+	for i := range recs {
+		s.clearUnlogged(recs[i].After)
+	}
+	return true
+}
+
+// markUnlogged notes that an execution has written rows whose Result-Record
+// is not durable yet; clearUnlogged takes the note back once it is. after is
+// the record's After images, i.e. the rows recovery restores from the log;
+// the commutative parent counter that rides along is recomputed by fsck and
+// needs no such care.
+func (s *Server) markUnlogged(after []types.RowImage) {
+	for i := range after {
+		s.unlogged[after[i].Key]++
+	}
+}
+
+func (s *Server) clearUnlogged(after []types.RowImage) {
+	for i := range after {
+		if k := after[i].Key; s.unlogged[k] <= 1 {
+			delete(s.unlogged, k)
+		} else {
+			s.unlogged[k]--
+		}
+	}
 }
 
 // block parks a sub-op behind the pending operation holding its object and
@@ -144,8 +200,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m wire.Msg, hint types.OpID, epoch uin
 			rec.Peer, rec.HasPeer = m.Peer, true
 		}
 		appendStart := s.Sim.Now()
-		s.WAL.Append(p, rec)
-		if s.CrashPoint(CPExecAppend, sub.Op) || s.Gone(boot) {
+		if !s.logResults(p, boot, []wal.Record{rec}) || s.CrashPoint(CPExecAppend, sub.Op) {
 			return
 		}
 		if s.cfg.Obs.TraceOn() {
@@ -173,30 +228,40 @@ func (s *Server) execSubOp(p *simrt.Proc, m wire.Msg, hint types.OpID, epoch uin
 		}
 		s.Send(wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op,
 			OK: false, Err: types.ErrAborted.Error(), Epoch: epoch})
+		// An abort decision may be holding its ACK for this rollback.
+		delete(s.localInflight, sub.Op)
+		s.fire(s.arrivalSig, sub.Op)
 		return
 	}
 
+	reply := wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op,
+		OK: res.OK, Hint: hint, Epoch: epoch, Attr: res.Inode}
+	if res.Err != nil {
+		reply.Err = res.Err.Error()
+	}
+	// pending is the entry a cross-server execution leaves in its pending
+	// table; it records the response for duplicate suppression.
+	pending := func() pendingExec {
+		return pendingExec{
+			id: sub.Op, sub: sub, ok: res.OK, undo: res.Undo, rows: res.Rows,
+			peer: m.Peer, client: m.From, epoch: epoch,
+			replied: true, hint: hint, errStr: reply.Err, attr: res.Inode,
+		}
+	}
 	switch {
 	case cross && sub.Role == types.RoleCoordinator:
-		co := &coordOp{
-			id: sub.Op, sub: sub, ok: res.OK, undo: res.Undo, rows: res.Rows,
-			participant: m.Peer, client: m.From, epoch: epoch, reqMsg: m,
-		}
+		co := &coordOp{pendingExec: pending()}
 		s.pendingCoord[sub.Op] = co
+		s.addIdle(co)
 		if we, want := s.wantCommit[sub.Op]; want {
 			delete(s.wantCommit, sub.Op)
 			s.requestCommit(sub.Op, we.lcom)
 		} else if s.cfg.Threshold > 0 && len(s.pendingCoord) >= s.cfg.Threshold {
-			s.stats.LazyBatches++ // threshold trigger counts as a lazy batch
-			s.kick.Send(kickReq{lazy: true})
+			s.KickCommit()
 		}
 	case cross && sub.Role == types.RoleParticipant:
-		po := &partOp{
-			id: sub.Op, sub: sub, ok: res.OK, undo: res.Undo, rows: res.Rows,
-			coordinator: m.Peer, client: m.From, epoch: epoch, reqMsg: m,
-			since: s.Sim.Now(),
-		}
-		s.pendingPart[sub.Op] = po
+		s.pendingPart[sub.Op] = &partOp{pendingExec: pending(), since: s.Sim.Now()}
+		s.unnamedParts = append(s.unnamedParts, sub.Op)
 		// A conflicting request may have demanded this op's commitment
 		// while the Result-Record append was in flight (the object was
 		// already active); replay the remembered demand now that the
@@ -210,21 +275,8 @@ func (s *Server) execSubOp(p *simrt.Proc, m wire.Msg, hint types.OpID, epoch uin
 		// Single-server update: logged above, flushed by the next batch.
 		s.flushQ = append(s.flushQ, flushEntry{id: sub.Op, rows: res.Rows})
 	}
-
-	reply := wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op,
-		OK: res.OK, Hint: hint, Epoch: epoch, Attr: res.Inode}
-	if res.Err != nil {
-		reply.Err = res.Err.Error()
-	}
-	// Record the response for duplicate suppression while pending.
-	if cross {
-		if sub.Role == types.RoleCoordinator {
-			if co := s.pendingCoord[sub.Op]; co != nil {
-				co.lastResp = reply
-			}
-		} else if po := s.pendingPart[sub.Op]; po != nil {
-			po.lastResp = reply
-		}
+	if (cross || sub.Action.Mutating()) && s.underPressure() {
+		s.pressureRound()
 	}
 	if s.cfg.Obs.TraceOn() {
 		detail := "yes"
@@ -325,19 +377,18 @@ func (s *Server) redispatch(p *simrt.Proc, br *blockedReq, released types.OpID) 
 // its client is notified that the earlier response is void, and the sub-op
 // re-queues behind afterOp with a bumped epoch.
 func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID) bool {
-	var sub types.SubOp
-	var undo *undoRef
+	var pe pendingExec
 	if po := s.pendingPart[victim]; po != nil && !po.committing {
-		sub = po.sub
-		undo = &undoRef{u: po.undo, imgs: po.beforeImgs, ok: po.ok, epoch: po.epoch, req: po.reqMsg, client: po.client}
+		pe = po.pendingExec
 		delete(s.pendingPart, victim)
 	} else if co := s.pendingCoord[victim]; co != nil && !co.committing {
-		sub = co.sub
-		undo = &undoRef{u: co.undo, imgs: co.beforeImgs, ok: co.ok, epoch: co.epoch, req: co.reqMsg, client: co.client}
+		pe = co.pendingExec
 		delete(s.pendingCoord, victim)
+		s.dropIdle(co)
 	} else {
 		return false
 	}
+	sub := pe.sub
 	s.stats.Invalidations++
 	if s.cfg.Obs.TraceOn() {
 		// invalidate is only reached from the Enforce branch of vote
@@ -347,33 +398,23 @@ func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID
 			"enforced after "+afterOp.String())
 		s.cfg.Obs.Emit(now, int(s.ID), victim, obs.PhaseInvalidate, sub.Kind.String())
 	}
-	if undo.ok {
-		s.rollback(undo.u, undo.imgs)
+	if pe.ok {
+		s.rollback(pe.undo, pe.beforeImgs)
 	}
 	s.releaseKeys(sub, victim)
 	s.WAL.AppendBatchPriority(p, []wal.Record{{Type: wal.RecInvalidate, Op: victim, Role: sub.Role}})
 	if s.CrashPoint(CPInvalidateMid, victim) {
 		return false
 	}
-	newEpoch := undo.epoch + 1
+	newEpoch := pe.epoch + 1
 	// Invalidation notice: the client must not complete the operation on the
 	// superseded response; a fresh response follows after re-execution.
-	s.Send(wire.Msg{Type: wire.MsgSubOpResp, To: undo.client, Op: victim,
+	s.Send(wire.Msg{Type: wire.MsgSubOpResp, To: pe.client, Op: victim,
 		OK: false, Err: types.ErrInvalidated.Error(), Hint: afterOp, Epoch: newEpoch})
-	br := &blockedReq{msg: undo.req, holder: afterOp, epoch: newEpoch}
+	br := &blockedReq{msg: pe.request(s.ID), holder: afterOp, epoch: newEpoch}
 	s.waiters[afterOp] = append(s.waiters[afterOp], br)
 	s.blockedOf[victim] = br
 	return true
-}
-
-// undoRef carries what invalidate needs from either pending table.
-type undoRef struct {
-	u      *namespace.Undo
-	imgs   []types.RowImage
-	ok     bool
-	epoch  uint32
-	req    wire.Msg
-	client types.NodeID
 }
 
 // handleLocalOp executes an operation whose coordinator and participant
@@ -392,9 +433,10 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m wire.Msg) {
 		return
 	}
 	if op.Kind.Mutating() {
-		if cached, ok := s.replyCache[op.ID]; ok {
-			cached.To = m.From
-			s.Send(cached)
+		if !s.admit(p) { // the log-limit hold, as in handleSubOp
+			return
+		}
+		if s.replayCached(op.ID, m.From) {
 			return
 		}
 		if s.localInflight[op.ID] || s.blockedOf[op.ID] != nil || s.pendingCoord[op.ID] != nil {
@@ -489,14 +531,16 @@ func (s *Server) runLocalOp(p *simrt.Proc, m wire.Msg) {
 	}
 
 	if len(recs) > 0 {
-		s.WAL.AppendBatch(p, recs)
-		if s.Gone(boot) {
+		if !s.logResults(p, boot, recs) {
 			return
 		}
 		s.flushQ = append(s.flushQ, flushEntry{id: op.ID, rows: rows})
 		// Durable state was created: retries must get this reply back, not
 		// a re-execution (which would wrongly fail, e.g. with ErrExists).
 		s.cacheReply(op.ID, reply)
+		if s.underPressure() {
+			s.pressureRound()
+		}
 	}
 	s.Send(reply)
 }

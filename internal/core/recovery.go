@@ -53,6 +53,9 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	s.blockedOf = make(map[types.OpID]*blockedReq)
 	s.arrivalSig = make(map[types.OpID][]*simrt.Chan[struct{}])
 	s.flushQ = nil
+	s.idleCoord = nil
+	s.unnamedParts = nil
+	s.unlogged = make(map[string]int)
 	s.wantCommit = make(map[types.OpID]wantEntry)
 	s.localInflight = make(map[types.OpID]bool)
 	// Leases granted by the previous incarnation are dead: the rebuilt
@@ -151,7 +154,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			}
 			// Retried requests for this op must see its sealed outcome, not
 			// a fresh execution.
-			s.cacheReply(id, finalReply(id, wire.Msg{}, st.committed, id.Proc.Client))
+			s.cacheReply(id, sealedReply(id, st.committed))
 			s.WAL.Prune(id)
 			continue
 		}
@@ -173,7 +176,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 					s.Shard.InstallImages(r.before)
 				}
 			}
-			s.cacheReply(id, finalReply(id, wire.Msg{}, st.committed, id.Proc.Client))
+			s.cacheReply(id, sealedReply(id, st.committed))
 			switch {
 			case local:
 				s.WAL.Prune(id) // single-server transaction: decision is final
@@ -225,12 +228,11 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			if last.hasPeer {
 				part = last.peer
 			}
-			req := wire.Msg{Type: wire.MsgSubOpReq, From: client, To: s.ID, Op: id,
-				Sub: last.sub, Peer: part, ReplyProc: id.Proc}
-			co := &coordOp{id: id, sub: last.sub, ok: last.ok,
+			co := &coordOp{pendingExec: pendingExec{id: id, sub: last.sub, ok: last.ok,
 				beforeImgs: last.before, rows: imageKeys(last.after),
-				participant: part, client: client, epoch: 1, reqMsg: req}
+				peer: part, client: client, epoch: 1}}
 			s.pendingCoord[id] = co
+			s.addIdle(co)
 			if last.ok {
 				s.hold(last.sub)
 			}
@@ -240,13 +242,11 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			if last.hasPeer {
 				coordID = last.peer
 			}
-			req := wire.Msg{Type: wire.MsgSubOpReq, From: client, To: s.ID, Op: id,
-				Sub: last.sub, Peer: coordID, ReplyProc: id.Proc}
-			po := &partOp{id: id, sub: last.sub, ok: last.ok,
+			s.pendingPart[id] = &partOp{pendingExec: pendingExec{id: id, sub: last.sub, ok: last.ok,
 				beforeImgs: last.before, rows: imageKeys(last.after),
-				coordinator: coordID, client: client, epoch: 1, reqMsg: req,
+				peer: coordID, client: client, epoch: 1},
 				since: s.Sim.Now()}
-			s.pendingPart[id] = po
+			s.unnamedParts = append(s.unnamedParts, id)
 			if last.ok {
 				s.hold(last.sub)
 			}
@@ -281,13 +281,12 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 
 	// Undecided coordinator operations: run an immediate commitment batch.
 	if len(undecidedCoord) > 0 {
-		s.stats.ImmediateCommits++
 		s.kick.Send(kickReq{ops: undecidedCoord})
 	}
 	// Undecided participant operations: nudge their coordinators.
 	for _, id := range undecidedPart {
 		if po := s.pendingPart[id]; po != nil {
-			s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: po.coordinator, Op: id})
+			s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: po.peer, Op: id})
 		}
 	}
 	// Wait until every undecided operation's fate is sealed here. The commit
@@ -301,7 +300,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			ch := s.waitChan(s.completeSig, id)
 			if _, ok := ch.RecvTimeout(p, s.lazyPeriod()); !ok {
 				if po := s.pendingPart[id]; po != nil && !po.committing {
-					s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: po.coordinator, Op: id})
+					s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: po.peer, Op: id})
 				}
 			}
 		}

@@ -80,15 +80,14 @@ func (s *Server) handleRename(p *simrt.Proc, m wire.Msg) {
 		return
 	}
 	s.hold(srcSub)
-	s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator,
-		OK: true, Sub: srcSub, Before: resSrc.Before, After: resSrc.After, Peer: dst, HasPeer: true})
-	if s.Gone(boot) {
+	if !s.logResults(p, boot, []wal.Record{{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator,
+		OK: true, Sub: srcSub, Before: resSrc.Before, After: resSrc.After, Peer: dst, HasPeer: true}}) {
 		return
 	}
 	// Register as a committing coordinator op so C-NOTIFY/L-COM find it and
 	// the lazy daemon leaves it alone.
-	co := &coordOp{id: op.ID, sub: srcSub, ok: true, undo: resSrc.Undo, rows: resSrc.Rows,
-		participant: dst, client: m.From, epoch: 1, committing: true, reqMsg: m}
+	co := &coordOp{pendingExec: pendingExec{id: op.ID, sub: srcSub, ok: true, undo: resSrc.Undo,
+		rows: resSrc.Rows, peer: dst, client: m.From, epoch: 1, committing: true}}
 	s.pendingCoord[op.ID] = co
 
 	var dstOK bool
@@ -256,15 +255,14 @@ func (s *Server) renameExecInsert(p *simrt.Proc, boot uint64, op types.Op, dstSu
 		return false, res.Err.Error(), false
 	}
 	s.hold(dstSub)
-	s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: dstSub.Op, Role: types.RoleParticipant,
-		OK: true, Sub: dstSub, Before: res.Before, After: res.After, Peer: coordNode, HasPeer: true})
-	if s.Gone(boot) {
+	if !s.logResults(p, boot, []wal.Record{{Type: wal.RecResult, Op: dstSub.Op, Role: types.RoleParticipant,
+		OK: true, Sub: dstSub, Before: res.Before, After: res.After, Peer: coordNode, HasPeer: true}}) {
 		return false, "", false
 	}
 	if coordNode != s.ID {
-		s.pendingPart[dstSub.Op] = &partOp{id: dstSub.Op, sub: dstSub, ok: true,
-			undo: res.Undo, rows: res.Rows, coordinator: coordNode,
-			client: dstSub.Op.Proc.Client, epoch: 1, committing: true,
+		s.pendingPart[dstSub.Op] = &partOp{pendingExec: pendingExec{id: dstSub.Op, sub: dstSub, ok: true,
+			undo: res.Undo, rows: res.Rows, peer: coordNode,
+			client: dstSub.Op.Proc.Client, epoch: 1, committing: true},
 			since: s.Sim.Now()}
 		return true, "", true
 	}

@@ -17,7 +17,6 @@ type MetaratesGCRow struct {
 	Mix        string        `json:"mix"`
 	Pipeline   int           `json:"pipeline"`
 	Linger     time.Duration `json:"linger_ns"`
-	Adaptive   bool          `json:"adaptive"`
 	Ops        int           `json:"ops"`
 	Throughput float64       `json:"ops_per_sec"`
 	WALAppends uint64        `json:"wal_appends"`
@@ -31,7 +30,6 @@ type MetaratesGCOpts struct {
 	OpsPerProc int           // per-process operations (default 40)
 	Pipeline   int           // depth for the pipelined rows (default 8)
 	Linger     time.Duration // group-commit linger (default 1ms)
-	Adaptive   bool          // add an adaptive-lazy-period row
 }
 
 func (o MetaratesGCOpts) withDefaults() MetaratesGCOpts {
@@ -63,17 +61,12 @@ func MetaratesGroupCommit(cfg Config, o MetaratesGCOpts) ([]MetaratesGCRow, *sta
 		linger   time.Duration
 		pipeline int
 		eager    bool
-		adaptive bool
 	}
 	variants := []variant{
 		{name: "eager", eager: true},
 		{name: "lazy"},
 		{name: "lazy+group-commit", linger: o.Linger},
 		{name: "lazy+group-commit+pipeline", linger: o.Linger, pipeline: o.Pipeline},
-	}
-	if o.Adaptive {
-		variants = append(variants, variant{name: "lazy+gc+pipe+adaptive",
-			linger: o.Linger, pipeline: o.Pipeline, adaptive: true})
 	}
 
 	var rows []MetaratesGCRow
@@ -90,7 +83,6 @@ func MetaratesGroupCommit(cfg Config, o MetaratesGCOpts) ([]MetaratesGCRow, *sta
 		if v.eager {
 			co.Cx.Threshold = 1
 		}
-		co.Cx.AdaptiveLazy = v.adaptive
 		c := cluster.MustNew(co)
 		res := metarates.Run(c, metarates.Config{
 			Mix: metarates.UpdateDominated, OpsPerProc: o.OpsPerProc, Pipeline: v.pipeline})
@@ -105,7 +97,7 @@ func MetaratesGroupCommit(cfg Config, o MetaratesGCOpts) ([]MetaratesGCRow, *sta
 
 		row := MetaratesGCRow{
 			Setting: v.name, Mix: metarates.UpdateDominated.Name,
-			Pipeline: v.pipeline, Linger: v.linger, Adaptive: v.adaptive,
+			Pipeline: v.pipeline, Linger: v.linger,
 			Ops: res.Ops, Throughput: res.Throughput,
 			WALAppends: appends, WALRecords: records,
 			Coalesce: coalesce, Errors: res.Errors,

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cxfs/internal/cluster"
 )
 
 // tiny keeps harness tests fast; the full-shape assertions run in the
@@ -133,6 +135,36 @@ func TestFig7aSmallerLogSlower(t *testing.T) {
 	if rows[0].ReplayTime <= rows[1].ReplayTime {
 		t.Errorf("8KB log (%v) should replay slower than unlimited (%v)",
 			rows[0].ReplayTime, rows[1].ReplayTime)
+	}
+}
+
+// The paper's claim pinned where it used to break: a log small enough that
+// every server must reclaim it several times during the replay. Commitment,
+// write-back and pruning then run continuously, and Cx must still replay the
+// trace no slower than serial execution does.
+func TestCxNoSlowerThanSEUnderLogPressure(t *testing.T) {
+	cfg := Config{Scale: 0.03, Servers: 8, Seed: 1}
+	const logMax = 128 << 10
+	cx, c := cfg.replay("s3d", cluster.ProtoCx, func(o *cluster.Options) {
+		o.Hardware.LogMaxBytes = logMax
+	}, 0, nil)
+	for i, b := range c.Bases {
+		if turns := float64(b.WAL.Stats().BytesWritten) / logMax; turns < 3 {
+			t.Errorf("server %d wrote only %.1f log capacities: the replay is not under log pressure", i, turns)
+		}
+	}
+	if bad := c.CheckInvariants(); len(bad) != 0 {
+		t.Errorf("invariants after the small-log replay: %v", bad)
+	}
+	c.Shutdown()
+	se, c := cfg.replay("s3d", cluster.ProtoSE, nil, 0, nil)
+	c.Shutdown()
+	if cx.HardErrors != 0 {
+		t.Errorf("%d operations failed under log pressure", cx.HardErrors)
+	}
+	if cx.ReplayTime > se.ReplayTime {
+		t.Errorf("Cx replays s3d in %v with a %d KB log, SE in %v: Cx must be no slower",
+			cx.ReplayTime, logMax>>10, se.ReplayTime)
 	}
 }
 

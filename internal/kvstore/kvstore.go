@@ -20,10 +20,19 @@
 // read and write, and the durable image that reflects completed page writes.
 // Crash discards the volatile image; Recover reloads it from the durable
 // one. The protocol layers use this to verify crash-consistency invariants.
+//
+// A page write carries the row as it was when the write was submitted: a
+// row rewritten while the disk works stays dirty for the next flush, and a
+// write-back that a crash overtakes leaves the durable image untouched. The
+// write-ahead rule itself — submit a row only once the log can undo what it
+// holds — is the protocol layer's to keep.
 package kvstore
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -96,6 +105,10 @@ type Store struct {
 	shards [NumShards]kvShard
 	slots  map[string]int64 // key -> page slot, assigned at first write
 	next   int64            // next free page slot
+
+	// gen is the incarnation of the volatile image, bumped by Crash: a page
+	// write submitted under an older gen settles nothing.
+	gen uint64
 
 	// Synchronous-mode machinery: BDB-style transaction journal plus a
 	// periodic checkpointer writing journaled pages in place. syncMu is
@@ -195,10 +208,14 @@ func (st *Store) SyncKeys(p *simrt.Proc, keys []string) {
 	size := int64(len(keys)) * JournalRecBytes
 	off := st.journalBase + st.journalTail
 	st.journalTail += size
+	var few [4]pageWrite // a sub-op's rows: keep the capture off the heap
+	gen, pages := st.gen, st.capture(few[:0], keys)
 	st.dsk.Access(p, off, size, true)
+	if !st.settle(gen, pages) {
+		return
+	}
 	for _, k := range keys {
 		st.stats.SyncWrites++
-		st.settle(k)
 		st.ckptPending[k] = true
 	}
 }
@@ -260,26 +277,16 @@ func (st *Store) FlushDirty(p *simrt.Proc) int {
 			keys = append(keys, k)
 		}
 	}
-	// Deterministic submission order (ascending slot = disk layout order).
-	sort.Slice(keys, func(i, j int) bool { return st.slots[keys[i]] < st.slots[keys[j]] })
-	chans := make([]*simrt.Chan[struct{}], len(keys))
-	for i, k := range keys {
-		chans[i] = st.dsk.Submit(st.pageOffset(k), PageSize, true)
-	}
-	for _, c := range chans {
-		c.Recv(p)
-	}
-	for _, k := range keys {
-		st.settle(k)
-	}
-	st.stats.Flushes++
-	st.stats.FlushPages += uint64(len(keys))
+	st.writeBack(p, keys)
 	return len(keys)
 }
 
 // FlushKeys flushes only the named keys (used when a commitment flushes the
-// objects of its batch rather than the whole cache).
-func (st *Store) FlushKeys(p *simrt.Proc, keys []string) {
+// objects of its batch rather than the whole cache). It reports whether the
+// write-back settled: false means the store crashed while the pages were in
+// flight, none of them counts as written, and the caller must not prune the
+// log records that can still redo them.
+func (st *Store) FlushKeys(p *simrt.Proc, keys []string) bool {
 	pending := keys[:0]
 	for _, k := range keys {
 		if st.shards[shardOf(k)].dirty[k] {
@@ -287,35 +294,79 @@ func (st *Store) FlushKeys(p *simrt.Proc, keys []string) {
 		}
 	}
 	if len(pending) == 0 {
-		return
+		return true
 	}
-	sort.Slice(pending, func(i, j int) bool { return st.slots[pending[i]] < st.slots[pending[j]] })
-	chans := make([]*simrt.Chan[struct{}], len(pending))
-	for i, k := range pending {
-		chans[i] = st.dsk.Submit(st.pageOffset(k), PageSize, true)
+	return st.writeBack(p, pending)
+}
+
+// writeBack submits one page write per key in disk-layout order (ascending
+// slot, which is also what makes the submission order deterministic), waits
+// for all of them and settles the rows as captured at submission.
+func (st *Store) writeBack(p *simrt.Proc, keys []string) bool {
+	gen, pages := st.gen, st.capture(make([]pageWrite, 0, len(keys)), keys)
+	// Sorted on slots looked up once: a write-back burst under log pressure
+	// is thousands of pages, and looking each slot up again per comparison
+	// was most of its host cost.
+	for i := range pages {
+		pages[i].slot = st.slot(pages[i].key)
+	}
+	slices.SortFunc(pages, func(a, b pageWrite) int { return cmp.Compare(a.slot, b.slot) })
+	chans := make([]*simrt.Chan[struct{}], len(pages))
+	for i := range pages {
+		chans[i] = st.dsk.Submit(st.base+pages[i].slot*PageSize, PageSize, true)
 	}
 	for _, c := range chans {
 		c.Recv(p)
 	}
-	for _, k := range pending {
-		st.settle(k)
+	if !st.settle(gen, pages) {
+		return false
 	}
 	st.stats.Flushes++
-	st.stats.FlushPages += uint64(len(pending))
+	st.stats.FlushPages += uint64(len(pages))
+	return true
 }
 
-// settle moves key's volatile value into the durable image and clears its
-// dirty mark.
-func (st *Store) settle(key string) {
-	sh := &st.shards[shardOf(key)]
-	delete(sh.dirty, key)
-	if v, ok := sh.mem[key]; ok {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		sh.durable[key] = cp
-	} else {
-		delete(sh.durable, key)
+// pageWrite is one row as a write captured it at submission. Row values are
+// never modified in place (Put installs a fresh copy), so holding the slice
+// is holding the value.
+type pageWrite struct {
+	key     string
+	val     []byte
+	present bool
+	slot    int64 // page slot; filled in by writeBack only
+}
+
+// capture appends to pages the volatile value of each key, for a write about
+// to be submitted.
+func (st *Store) capture(pages []pageWrite, keys []string) []pageWrite {
+	for _, k := range keys {
+		v, ok := st.shards[shardOf(k)].mem[k]
+		pages = append(pages, pageWrite{key: k, val: v, present: ok})
 	}
+	return pages
+}
+
+// settle moves completed page writes into the durable image, and clears the
+// dirty mark of each row the volatile image has not changed since the write
+// was submitted. It settles nothing, and says so, if the store crashed after
+// submission: the volatile image those pages came from is gone, and what the
+// disk holds of them is not to be trusted over the log.
+func (st *Store) settle(gen uint64, pages []pageWrite) bool {
+	if gen != st.gen {
+		return false
+	}
+	for _, pw := range pages {
+		sh := &st.shards[shardOf(pw.key)]
+		if pw.present {
+			sh.durable[pw.key] = pw.val
+		} else {
+			delete(sh.durable, pw.key)
+		}
+		if v, ok := sh.mem[pw.key]; ok == pw.present && bytes.Equal(v, pw.val) {
+			delete(sh.dirty, pw.key)
+		}
+	}
+	return true
 }
 
 func (st *Store) pageOffset(key string) int64 {
@@ -325,6 +376,7 @@ func (st *Store) pageOffset(key string) int64 {
 // Crash discards the volatile image, simulating a server power loss: the
 // store's contents revert to the durable image on the next Recover.
 func (st *Store) Crash() {
+	st.gen++
 	for i := range st.shards {
 		st.shards[i].mem = nil
 		st.shards[i].dirty = make(map[string]bool)

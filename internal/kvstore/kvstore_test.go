@@ -357,3 +357,87 @@ func TestRangeVisitsAllRows(t *testing.T) {
 		_ = st.Stats()
 	})
 }
+
+// A row rewritten while its page write is on the disk: the page carries the
+// value captured at submission, and the newer value — whose log record the
+// caller may not have made durable yet — stays dirty for the next flush.
+func TestFlushWritesRowAsCapturedAtSubmission(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		st.Put("k", []byte("old"))
+		st.Put("gone", []byte("x"))
+		st.sim.Spawn("writer", func(wp *simrt.Proc) {
+			wp.Sleep(time.Microsecond) // the pages are submitted, not yet written
+			st.Put("k", []byte("new"))
+			st.Delete("gone")
+		})
+		if !st.FlushKeys(p, []string{"k", "gone"}) {
+			t.Fatal("flush without a crash reported unsettled")
+		}
+		d := st.DurableSnapshot()
+		if string(d["k"]) != "old" || string(d["gone"]) != "x" {
+			t.Errorf("durable image %q holds values written after submission", d)
+		}
+		if st.DirtyCount() != 2 {
+			t.Errorf("dirty=%d, want both rewritten rows still dirty", st.DirtyCount())
+		}
+		st.FlushKeys(p, []string{"k", "gone"})
+		d = st.DurableSnapshot()
+		if _, ok := d["gone"]; string(d["k"]) != "new" || ok {
+			t.Errorf("second flush left durable image %q", d)
+		}
+		if st.DirtyCount() != 0 {
+			t.Errorf("dirty=%d after flushing the quiescent rows", st.DirtyCount())
+		}
+	})
+}
+
+// A crash, or a crash and reboot, that overtakes a write-back in flight:
+// no page settles (in particular no durable row is deleted because the
+// volatile image is gone), and the caller is told so it prunes nothing.
+func TestFlushInFlightAcrossCrashSettlesNothing(t *testing.T) {
+	for _, reboot := range []bool{false, true} {
+		withStore(t, func(p *simrt.Proc, st *Store) {
+			st.Put("a", []byte("1"))
+			st.Put("b", []byte("1"))
+			st.FlushDirty(p)
+			st.Put("a", []byte("2"))
+			st.Delete("b")
+			st.sim.Spawn("nemesis", func(np *simrt.Proc) {
+				np.Sleep(time.Microsecond)
+				st.Crash()
+				if reboot {
+					st.Recover()
+				}
+			})
+			if st.FlushKeys(p, []string{"a", "b"}) {
+				t.Errorf("reboot=%v: write-back overtaken by a crash reported settled", reboot)
+			}
+			d := st.DurableSnapshot()
+			if string(d["a"]) != "1" || string(d["b"]) != "1" {
+				t.Errorf("reboot=%v: durable image %q changed by a write-back that crashed in flight", reboot, d)
+			}
+			if st.Stats().FlushPages != 2 {
+				t.Errorf("reboot=%v: FlushPages=%d counts pages that never settled", reboot, st.Stats().FlushPages)
+			}
+		})
+	}
+}
+
+// The synchronous path captures at submission too: the journal record holds
+// what the transaction wrote, not what a later one put in the row.
+func TestSyncKeysSettlesCapturedValue(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		st.Put("k", []byte("txn1"))
+		st.sim.Spawn("writer", func(wp *simrt.Proc) {
+			wp.Sleep(SyncCommitCPU + time.Microsecond) // past the DB thread, journal write in flight
+			st.Put("k", []byte("txn2"))
+		})
+		st.SyncKeys(p, []string{"k"})
+		if d := st.DurableSnapshot(); string(d["k"]) != "txn1" {
+			t.Errorf("durable k=%q, want the value the synced transaction wrote", d["k"])
+		}
+		if st.DirtyCount() != 1 {
+			t.Error("row rewritten during the journal write lost its dirty mark")
+		}
+	})
+}

@@ -85,6 +85,9 @@ type Base struct {
 	boot          uint64 // incarnation number, bumped at every Reboot
 	needsRecovery bool
 	crashFn       CrashPointFn
+	// procNames holds the debug name of the handler proc spawned per
+	// message, by message type, built once instead of per message.
+	procNames [wire.NumMsgTypes]string
 
 	stats Stats
 }
@@ -130,6 +133,9 @@ func NewBase(s *simrt.Sim, net *transport.Net, id types.NodeID, hw HardwareParam
 		HW:    hw,
 		inbox: net.Register(id),
 	}
+	for t := range b.procNames {
+		b.procNames[t] = fmt.Sprintf("server%d/%v", id, wire.MsgType(t))
+	}
 	return b
 }
 
@@ -162,7 +168,11 @@ func (b *Base) loop(p *simrt.Proc) {
 			continue
 		}
 		msg := m
-		b.Sim.Spawn(fmt.Sprintf("server%d/%v", b.ID, m.Type), func(hp *simrt.Proc) {
+		name := "server/invalid"
+		if int(m.Type) < len(b.procNames) {
+			name = b.procNames[m.Type]
+		}
+		b.Sim.Spawn(name, func(hp *simrt.Proc) {
 			if b.crashed {
 				return
 			}

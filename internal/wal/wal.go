@@ -21,8 +21,10 @@
 // When the log reaches its upper limit, appends block until pruning frees
 // space (§III.D: "a server must block the new-arrival sub-op requests and
 // perform pruning"); a registered full-handler lets the protocol launch the
-// commitments that make pruning possible. Pruning drops all records of an
-// operation once its terminal record is durable.
+// commitments that make pruning possible. A protocol that must not hold a
+// request between executing it and logging it (Cx) waits with AwaitSpace
+// before it executes and then appends ungated. Pruning drops all records of
+// an operation once its terminal record is durable.
 package wal
 
 import (
@@ -159,8 +161,8 @@ func New(s *simrt.Sim, d *disk.Disk, base, maxBytes int64) *WAL {
 }
 
 // SetFullHandler registers fn to be invoked (in simulation context, without
-// blocking) whenever an append must wait for space. The Cx core uses it to
-// kick an immediate batch commitment so pruning can proceed.
+// blocking) whenever an appender or AwaitSpace caller must wait for space.
+// The Cx core uses it as the backstop that starts a log-pressure round.
 func (w *WAL) SetFullHandler(fn func()) { w.fullHandler = fn }
 
 // SetPruneHook registers fn to be invoked after each successful prune with
@@ -183,8 +185,8 @@ func (w *WAL) GroupLinger() time.Duration { return w.linger }
 // and the bytes of the single disk request. Observability wiring.
 func (w *WAL) SetFlushHook(fn func(batches, records int, bytes int64)) { w.flushHook = fn }
 
-// MaxBytes returns the log's live-byte limit (0 = unlimited); the commit
-// daemon's adaptive lazy period reads it to gauge log pressure.
+// MaxBytes returns the log's live-byte limit (0 = unlimited); the Cx core
+// compares LiveBytes with it to start commitment before the log fills.
 func (w *WAL) MaxBytes() int64 { return w.max }
 
 // Stats returns a snapshot of accumulated statistics.
@@ -336,7 +338,9 @@ func (w *WAL) waitForSpace(p *simrt.Proc, need int64) {
 	if w.max <= 0 || need > w.max {
 		return
 	}
-	for w.live+w.winBytes+need > w.max {
+	// A crash releases every waiter; its server is gone, so it must not
+	// queue up again behind the dead incarnation's log.
+	for gen := w.gen; gen == w.gen && w.live+w.winBytes+need > w.max; {
 		w.stats.FullStalls++
 		ch := simrt.NewChan[struct{}](w.sim)
 		w.waiters = append(w.waiters, fullWaiter{need: need, ch: ch})
@@ -347,6 +351,12 @@ func (w *WAL) waitForSpace(p *simrt.Proc, need int64) {
 		ch.Recv(p)
 	}
 }
+
+// AwaitSpace blocks while the log is at or over its limit: the §III.D hold
+// on new arrivals, for a caller that waits before it executes the request
+// and then appends with AppendBatchPriority. Returns at once on an unlimited
+// log, and when the server crashes while the caller waits.
+func (w *WAL) AwaitSpace(p *simrt.Proc) { w.waitForSpace(p, 1) }
 
 // admit updates the index for a durable record.
 func (w *WAL) admit(rec Record, size int64) {

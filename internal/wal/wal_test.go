@@ -126,6 +126,48 @@ func TestFullLogBlocksUntilPrune(t *testing.T) {
 	}
 }
 
+// AwaitSpace is the hold for callers that wait before they execute: closed
+// while the log is at or over its limit (ungated appends may have pushed it
+// past), opened by the prune that brings it under, and released — for good —
+// by a crash.
+func TestAwaitSpaceHoldsAtLimitUntilPruneOrCrash(t *testing.T) {
+	rec := resultRec(1, "xxxx")
+	for _, crash := range []bool{false, true} {
+		s := simrt.New(1)
+		w := New(s, disk.New(s, "d", disk.DefaultParams()), 0, EncodedSize(rec))
+		handlerCalls := 0
+		w.SetFullHandler(func() { handlerCalls++ })
+		var released time.Duration
+		s.Spawn("arrival", func(p *simrt.Proc) {
+			w.AwaitSpace(p) // empty log: no wait
+			if p.Now() != 0 {
+				t.Error("AwaitSpace waited on an empty log")
+			}
+			w.AppendBatchPriority(p, []Record{rec, resultRec(2, "yyyy")}) // overshoots
+			w.AwaitSpace(p)
+			released = p.Now()
+		})
+		s.Spawn("freer", func(p *simrt.Proc) {
+			p.Sleep(time.Second)
+			w.Prune(opID(2)) // back to exactly the limit: still closed
+			p.Sleep(time.Second)
+			if crash {
+				w.Crash()
+			} else {
+				w.Prune(opID(1))
+			}
+		})
+		s.Run()
+		s.Shutdown()
+		if released != 2*time.Second {
+			t.Errorf("crash=%v: hold released at %v, want 2s", crash, released)
+		}
+		if handlerCalls == 0 || w.Stats().FullStalls == 0 {
+			t.Errorf("crash=%v: the hold neither called the full handler nor counted a stall", crash)
+		}
+	}
+}
+
 func TestUnlimitedLogNeverStalls(t *testing.T) {
 	withWAL(t, 0, func(p *simrt.Proc, w *WAL) {
 		for i := 0; i < 1000; i++ {
