@@ -8,6 +8,7 @@
 //	cxbench -exp table5 -servers 8
 //	cxbench -exp fig5 -hist -trace /tmp/fig5.trace
 //	cxbench -exp chaos -seed 7 -duration 2s -faultrate 1.5
+//	cxbench -exp fig5 -scale 0.05 -cpuprofile cpu.prof -memprofile allocs.prof
 //
 // Experiments: table2, table4, table5, fig4, fig5, fig6, fig7a, fig7b,
 // fig8, fig9a, fig9b, protocols (extension: 2PC and CE in the comparison),
@@ -27,6 +28,11 @@
 // written as Chrome trace_event JSON (load in chrome://tracing or Perfetto);
 // a deterministic disordered-conflict probe runs last so the file always
 // contains the invalidation and lazy-commitment paths.
+//
+// -cpuprofile FILE and -memprofile FILE wrap whichever experiments run in a
+// CPU profile and an allocation profile (every allocation since start, for
+// `go tool pprof -sample_index=alloc_space`). Performance claims are measured
+// with bench/, not here; the profiles say where the time and bytes go.
 package main
 
 import (
@@ -34,7 +40,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -50,8 +57,15 @@ import (
 )
 
 func main() {
+	if err := realMain(); err != nil {
+		fmt.Fprintf(os.Stderr, "cxbench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func realMain() (err error) {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table2|table4|table5|fig4|fig5|fig6|fig7a|fig7b|fig8|fig9a|fig9b|protocols|metarates|statstorm|latency|triggers|chaos|replay|all)")
+		exp      = flag.String("exp", "all", "experiment id (table2|table4|table5|fig4|fig5|fig6|fig7a|fig7b|fig8|fig9a|fig9b|protocols|metarates|statstorm|latency|triggers|chaos|all)")
 		scale    = flag.Float64("scale", 0.004, "fraction of each paper trace's op count to replay")
 		servers  = flag.Int("servers", 8, "metadata servers for trace-driven experiments")
 		seed     = flag.Int64("seed", 1, "simulation seed")
@@ -61,12 +75,37 @@ func main() {
 		fltRate  = flag.Float64("faultrate", 1.0, "chaos: scale factor on the lossy-link probabilities")
 		pipeline = flag.Int("pipeline", 0, "client dispatch depth for metarates/chaos (0 or 1 = classic closed loop)")
 		linger   = flag.Duration("linger", 0, "WAL group-commit linger window (0 = flush each append directly)")
-		jsonOut  = flag.String("json", "", "metarates/replay: also write the rows as JSON to this file")
-		workload = flag.String("workload", "s3d", "replay: trace profile to bench")
-		seeds    = flag.String("seeds", "", "replay: comma-separated seed matrix (default the fixed trajectory matrix)")
+		jsonOut  = flag.String("json", "", "metarates: also write the rows as JSON to this file")
 		minratio = flag.Float64("minratio", 0, "statstorm: fail unless the cache's message reduction is at least this factor (0 = no gate)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiments to this file")
+		memProf  = flag.String("memprofile", "", "write an allocation profile (all allocations since start) to this file")
 	)
 	flag.Parse()
+
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	if *memProf != "" {
+		runtime.MemProfileRate = 4096 // the default 512 KB misses small hot sites on short runs
+		defer func() {
+			if werr := writeAllocProfile(*memProf); err == nil {
+				err = werr
+			}
+		}()
+	}
 
 	var obsv *obs.Observer
 	if *hist || *traceOut != "" {
@@ -76,18 +115,7 @@ func main() {
 	cfg := harness.Config{Scale: *scale, Servers: *servers, Seed: *seed, Obs: obsv}
 	ccfg := chaos.Config{Seed: *seed, Duration: *duration, FaultRate: *fltRate,
 		Pipeline: *pipeline, GroupLinger: *linger}
-	bo := benchOpts{pipeline: *pipeline, linger: *linger, jsonOut: *jsonOut,
-		workload: *workload, minRatio: *minratio}
-	if *seeds != "" {
-		for _, s := range strings.Split(*seeds, ",") {
-			v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cxbench: bad -seeds entry %q: %v\n", s, err)
-				os.Exit(1)
-			}
-			bo.seeds = append(bo.seeds, v)
-		}
-	}
+	bo := benchOpts{pipeline: *pipeline, linger: *linger, jsonOut: *jsonOut, minRatio: *minratio}
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
 		ids = []string{"table2", "table4", "table5", "fig4", "fig5", "fig6", "fig7a", "fig7b", "fig8", "fig9a", "fig9b", "protocols", "metarates", "statstorm", "latency", "triggers"}
@@ -95,8 +123,7 @@ func main() {
 	for _, id := range ids {
 		start := time.Now()
 		if err := run(id, cfg, ccfg, bo); err != nil {
-			fmt.Fprintf(os.Stderr, "cxbench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Printf("[%s completed in %v wall time]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
@@ -106,10 +133,24 @@ func main() {
 	}
 	if *traceOut != "" {
 		if err := writeTrace(obsv, *traceOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "cxbench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 	}
+	return nil
+}
+
+// writeAllocProfile dumps the allocs profile after a GC, so it is complete.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // benchOpts carries the group-commit/pipelining knobs into experiments
@@ -118,28 +159,11 @@ type benchOpts struct {
 	pipeline int
 	linger   time.Duration
 	jsonOut  string
-	workload string
-	seeds    []int64
 	minRatio float64
 }
 
 func run(id string, cfg harness.Config, ccfg chaos.Config, bo benchOpts) error {
 	switch id {
-	case "replay":
-		seeds := bo.seeds
-		if len(seeds) == 0 {
-			seeds = harness.DefaultBenchSeeds
-		}
-		res := harness.ReplayBench(cfg, bo.workload, seeds)
-		fmt.Println(res.Table())
-		fmt.Printf("replay: mean %.0f ops/s, %.1f allocs/op over %d seeds\n",
-			res.MeanOpsPerSec, res.MeanAllocsPerOp, len(res.Seeds))
-		if bo.jsonOut != "" {
-			if err := writeRowsJSON(bo.jsonOut, res); err != nil {
-				return err
-			}
-			fmt.Printf("replay: bench artifact -> %s\n", bo.jsonOut)
-		}
 	case "metarates":
 		rows, tbl := harness.MetaratesGroupCommit(cfg, harness.MetaratesGCOpts{
 			Pipeline: bo.pipeline, Linger: bo.linger})

@@ -110,13 +110,12 @@ func rpcCall(p *simrt.Proc, host *node.Host, rp types.RetryPolicy, route *simrt.
 // servers (their correctness depends on exclusive access for the duration
 // of the transaction; Cx instead uses the active-object table).
 type lockTable struct {
-	sim  *simrt.Sim
 	held map[types.ObjKey]bool
-	q    map[types.ObjKey][]*simrt.Chan[struct{}]
+	q    map[types.ObjKey][]*simrt.Signal
 }
 
-func newLockTable(s *simrt.Sim) *lockTable {
-	return &lockTable{sim: s, held: make(map[types.ObjKey]bool), q: make(map[types.ObjKey][]*simrt.Chan[struct{}])}
+func newLockTable() *lockTable {
+	return &lockTable{held: make(map[types.ObjKey]bool), q: make(map[types.ObjKey][]*simrt.Signal)}
 }
 
 // acquire takes all keys in a canonical order (avoiding deadlock between
@@ -126,9 +125,9 @@ func (lt *lockTable) acquire(p *simrt.Proc, keys []types.ObjKey) {
 	sort.Slice(ordered, func(i, j int) bool { return objKeyLess(ordered[i], ordered[j]) })
 	for _, k := range ordered {
 		for lt.held[k] {
-			ch := simrt.NewChan[struct{}](lt.sim)
-			lt.q[k] = append(lt.q[k], ch)
-			ch.Recv(p)
+			free := new(simrt.Signal)
+			lt.q[k] = append(lt.q[k], free)
+			free.Wait(p)
 		}
 		lt.held[k] = true
 	}
@@ -143,7 +142,7 @@ func (lt *lockTable) release(keys []types.ObjKey) {
 		lt.held[k] = false
 		if ws := lt.q[k]; len(ws) > 0 {
 			lt.q[k] = ws[1:]
-			ws[0].Send(struct{}{})
+			ws[0].Fire()
 		}
 	}
 }

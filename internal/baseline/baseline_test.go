@@ -10,7 +10,7 @@ import (
 
 func TestLockTableExcludes(t *testing.T) {
 	s := simrt.New(1)
-	lt := newLockTable(s)
+	lt := newLockTable()
 	key := []types.ObjKey{types.InodeKey(1)}
 	inside, maxInside := 0, 0
 	g := simrt.NewGroup(s)
@@ -40,7 +40,7 @@ func TestLockTableMultiKeyNoDeadlock(t *testing.T) {
 	// Two procs acquiring overlapping key sets in opposite order must not
 	// deadlock thanks to the canonical ordering.
 	s := simrt.New(1)
-	lt := newLockTable(s)
+	lt := newLockTable()
 	a, b := types.InodeKey(1), types.InodeKey(2)
 	g := simrt.NewGroup(s)
 	g.Add(2)
@@ -71,7 +71,7 @@ func TestLockTableMultiKeyNoDeadlock(t *testing.T) {
 
 func TestLockTableReleaseWakesOne(t *testing.T) {
 	s := simrt.New(1)
-	lt := newLockTable(s)
+	lt := newLockTable()
 	key := []types.ObjKey{types.DentryKey(1, "x")}
 	order := []int{}
 	s.Spawn("holder", func(p *simrt.Proc) {

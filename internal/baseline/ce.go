@@ -34,7 +34,7 @@ type CEServer struct {
 func NewCEServer(base *node.Base, pl namespace.Placement) *CEServer {
 	return &CEServer{
 		Base: base, pl: pl,
-		locks:     newLockTable(base.Sim),
+		locks:     newLockTable(),
 		migrateCh: make(map[types.OpID]*simrt.Chan[wire.Msg]),
 		migrated:  make(map[types.OpID][]types.ObjKey),
 		guard:     newDupGuard(),

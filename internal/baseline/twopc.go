@@ -45,7 +45,7 @@ type pendingExec struct {
 func NewTwoPCServer(base *node.Base, pl namespace.Placement) *TwoPCServer {
 	return &TwoPCServer{
 		Base: base, pl: pl,
-		locks:       newLockTable(base.Sim),
+		locks:       newLockTable(),
 		voteCh:      make(map[types.OpID]*simrt.Chan[wire.Msg]),
 		ackCh:       make(map[types.OpID]*simrt.Chan[wire.Msg]),
 		pendingPart: make(map[types.OpID]*pendingExec),

@@ -149,6 +149,10 @@ type Report struct {
 	// log (0 with an unlimited log): how often the least-loaded server had
 	// to reclaim its whole log. Not part of String or the fingerprint.
 	MinLogTurnover float64
+
+	// Events is how many events the simulation kernel dispatched. Not part
+	// of String or the fingerprint; the golden test pins it.
+	Events uint64
 }
 
 // Consistent reports whether the run completed with no violations.
@@ -314,6 +318,7 @@ func Run(cfg Config) *Report {
 		rep.Elapsed = c.Sim.Now()
 	}
 	rep.Net = c.Net.Stats()
+	rep.Events = c.Sim.EventsRun()
 	for i, b := range c.Bases {
 		ws := b.WAL.Stats()
 		rep.WALAppends += ws.Appends

@@ -69,7 +69,7 @@ func (pl *Pipeline) Submit(p *simrt.Proc, op types.Op) *Pending {
 	pe := &Pending{Op: op}
 	pl.inflight++
 	pl.sim.Spawn("pipeline-op", func(wp *simrt.Proc) {
-		pe.Attr, pe.Err = pl.d.Do(wp, op)
+		pe.Attr, pe.Err = pl.d.Do(wp, pe.Op)
 		pe.done = true
 		pl.compc.Send(pe)
 	})

@@ -22,8 +22,9 @@
 package disk
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"cxfs/internal/simrt"
@@ -76,7 +77,7 @@ type Request struct {
 	Offset int64
 	Size   int64
 	Write  bool
-	done   *simrt.Chan[struct{}]
+	done   simrt.Signal
 }
 
 // Stats aggregates disk activity for the harness.
@@ -96,6 +97,7 @@ type Disk struct {
 	params Params
 
 	queue   []*Request
+	spare   []*Request            // the batch before last, emptied, for reuse
 	pending *simrt.Chan[struct{}] // kicked when work arrives
 	head    int64                 // current head byte position
 
@@ -125,22 +127,22 @@ func (d *Disk) Access(p *simrt.Proc, offset, size int64, write bool) {
 	if size <= 0 {
 		return
 	}
-	req := &Request{Offset: offset, Size: size, Write: write, done: simrt.NewChan[struct{}](d.sim)}
+	req := &Request{Offset: offset, Size: size, Write: write}
 	d.enqueue(req)
-	req.done.Recv(p)
+	req.done.Wait(p)
 }
 
-// Submit enqueues a request without waiting. The returned channel receives
-// one value when the access completes. Used by batched writers that issue
-// several requests and then wait for all of them.
-func (d *Disk) Submit(offset, size int64, write bool) *simrt.Chan[struct{}] {
-	done := simrt.NewChan[struct{}](d.sim)
+// Submit enqueues a request without waiting. The returned signal fires
+// when the access completes. Used by batched writers that issue several
+// requests and then wait for all of them.
+func (d *Disk) Submit(offset, size int64, write bool) *simrt.Signal {
+	req := &Request{Offset: offset, Size: size, Write: write}
 	if size <= 0 {
-		done.Send(struct{}{})
-		return done
+		req.done.Fire()
+	} else {
+		d.enqueue(req)
 	}
-	d.enqueue(&Request{Offset: offset, Size: size, Write: write, done: done})
-	return done
+	return &req.done
 }
 
 func (d *Disk) enqueue(req *Request) {
@@ -159,8 +161,8 @@ func (d *Disk) serve(p *simrt.Proc) {
 			continue
 		}
 		batch := d.queue
-		d.queue = nil
-		sort.SliceStable(batch, func(i, j int) bool { return batch[i].Offset < batch[j].Offset })
+		d.queue, d.spare = d.spare, nil
+		slices.SortStableFunc(batch, func(a, b *Request) int { return cmp.Compare(a.Offset, b.Offset) })
 		for i := 0; i < len(batch); {
 			// Grow a merged run while gaps stay within the window.
 			run := batch[i : i+1]
@@ -176,6 +178,8 @@ func (d *Disk) serve(p *simrt.Proc) {
 			d.serviceRun(p, run, end)
 			i = j
 		}
+		clear(batch)
+		d.spare = batch[:0]
 	}
 }
 
@@ -192,7 +196,7 @@ func (d *Disk) serviceRun(p *simrt.Proc, run []*Request, end int64) {
 	d.head = end
 	p.Sleep(cost)
 	for _, r := range run {
-		r.done.Send(struct{}{})
+		r.done.Fire()
 	}
 }
 

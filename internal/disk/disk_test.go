@@ -64,12 +64,12 @@ func TestElevatorMergesAdjacentQueuedWrites(t *testing.T) {
 	d, _ := runDisk(t, pp, func(p *simrt.Proc, d *Disk) {
 		base := pp.Capacity / 4
 		start := p.Now()
-		chans := make([]*simrt.Chan[struct{}], n)
+		chans := make([]*simrt.Signal, n)
 		for i := 0; i < n; i++ {
 			chans[i] = d.Submit(base+int64(i)*4096, 4096, true)
 		}
 		for _, c := range chans {
-			c.Recv(p)
+			c.Wait(p)
 		}
 		batched = p.Now() - start
 	})
@@ -100,9 +100,9 @@ func TestMergeWindowRespected(t *testing.T) {
 		a := d.Submit(0, 512, true)
 		b := d.Submit(600, 512, true)           // gap 88 bytes -> merges
 		c := d.Submit(1_000_000_000, 512, true) // far away -> separate pass
-		a.Recv(p)
-		b.Recv(p)
-		c.Recv(p)
+		a.Wait(p)
+		b.Wait(p)
+		c.Wait(p)
 	})
 	st := d.Stats()
 	if st.MechOps != 2 {
@@ -123,12 +123,14 @@ func TestZeroSizeAccessIsFree(t *testing.T) {
 }
 
 func TestSubmitZeroSizeCompletesImmediately(t *testing.T) {
-	runDisk(t, DefaultParams(), func(p *simrt.Proc, d *Disk) {
-		c := d.Submit(0, 0, false)
-		if _, ok := c.TryRecv(); !ok {
-			t.Error("zero-size Submit did not complete immediately")
-		}
+	completed := false
+	_, end := runDisk(t, DefaultParams(), func(p *simrt.Proc, d *Disk) {
+		d.Submit(0, 0, false).Wait(p)
+		completed = true
 	})
+	if !completed || end != 0 {
+		t.Errorf("zero-size Submit: completed=%v at %v, want at once", completed, end)
+	}
 }
 
 func TestReadsAndWritesShareQueue(t *testing.T) {
@@ -136,8 +138,8 @@ func TestReadsAndWritesShareQueue(t *testing.T) {
 	d, _ := runDisk(t, pp, func(p *simrt.Proc, d *Disk) {
 		w := d.Submit(4096, 4096, true)
 		r := d.Submit(0, 4096, false)
-		w.Recv(p)
-		r.Recv(p)
+		w.Wait(p)
+		r.Wait(p)
 	})
 	st := d.Stats()
 	if st.Requests != 2 {

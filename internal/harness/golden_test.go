@@ -1,0 +1,88 @@
+package harness
+
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+	"time"
+
+	"cxfs/internal/chaos"
+	"cxfs/internal/cluster"
+	"cxfs/internal/metarates"
+)
+
+// golden is what one fixed run must reproduce bit for bit: the virtual
+// clock at the end, the messages sent, the events the kernel dispatched and
+// a digest of everything the run reports. The determinism tests elsewhere
+// compare two runs of one binary; this table compares the binary with the
+// commit that last changed the model. A host-only change (the simulation
+// kernel, allocation work, a refactor) must pass it untouched. A change to
+// the model, the protocol or the cost parameters updates the rows it moves
+// — the failure message prints the new row — and says why in the commit.
+type golden struct {
+	now    time.Duration
+	msgs   uint64
+	events uint64
+	digest string
+}
+
+func digest(v any) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", v)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+func replayGolden(proto cluster.Protocol) func() golden {
+	return func() golden {
+		res, c := Config{Scale: 0.02, Servers: 8, Seed: 1}.replay("s3d", proto, nil, 0, nil)
+		defer c.Shutdown()
+		return golden{c.Sim.Now(), c.Net.Stats().Messages, c.Sim.EventsRun(), digest(res)}
+	}
+}
+
+func metaratesGolden() golden {
+	o := cluster.DefaultOptions(4, cluster.ProtoCx)
+	o.ClientHosts, o.ProcsPerHost, o.Seed, o.GroupLinger = 16, 2, 1, time.Millisecond
+	c := cluster.MustNew(o)
+	defer c.Shutdown()
+	res := metarates.Run(c, metarates.Config{Mix: metarates.UpdateDominated, OpsPerProc: 40, Pipeline: 8})
+	return golden{c.Sim.Now(), c.Net.Stats().Messages, c.Sim.EventsRun(), digest(res)}
+}
+
+func chaosGolden(cfg chaos.Config) func() golden {
+	return func() golden {
+		rep := chaos.Run(cfg)
+		return golden{rep.Elapsed, rep.Net.Messages, rep.Events, rep.Fingerprint()}
+	}
+}
+
+// TestGoldenRuns pins the values captured on the commit before the
+// baton-passing kernel (PR 15) went in.
+func TestGoldenRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func() golden
+		want golden
+	}{
+		{"s3d/cx", replayGolden(cluster.ProtoCx), golden{1074186467, 42285, 177038, "5df2f9027a81265f"}},
+		{"s3d/se", replayGolden(cluster.ProtoSE), golden{1513573425, 41862, 207144, "f69da3b7256bdfd4"}},
+		{"s3d/se-batched", replayGolden(cluster.ProtoSEBatched), golden{1782609412, 41864, 179986, "8e6f6b023d3cfad2"}},
+		{"s3d/2pc", replayGolden(cluster.Proto2PC), golden{10487349936, 54824, 325390, "b06b70931d0d043a"}},
+		{"s3d/ce", replayGolden(cluster.ProtoCE), golden{5429229509, 54830, 278134, "ab332feb79b56ed2"}},
+		{"metarates/gc+pipeline", metaratesGolden, golden{536672284, 4274, 18141, "242edcf7f8594532"}},
+		{"chaos/seed1", chaosGolden(chaos.Config{Seed: 1}), golden{1177534917, 2056, 8605, "384475ff482bd152"}},
+		{"chaos/seed1/pipeline8", chaosGolden(chaos.Config{Seed: 1, Pipeline: 8}), golden{2100567382, 9403, 43351, "864f4ba3dd190654"}},
+		{"chaos/seed34", chaosGolden(chaos.Config{Seed: 34}), golden{1028178707, 1966, 8393, "e5805f21b639c3c8"}},
+		{"chaos/seed34/pipeline8", chaosGolden(chaos.Config{Seed: 34, Pipeline: 8}), golden{1776625391, 9980, 46847, "926ef71a8a2af18e"}},
+		{"chaos/seed5/smalllog", chaosGolden(chaos.Config{Seed: 5, Pipeline: 4, LogMaxBytes: 2 << 10}), golden{1801838923, 7114, 33461, "b86541abc31c6e95"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			if got := tc.run(); got != tc.want {
+				t.Errorf("%s moved off its golden values\n got: golden{%d, %d, %d, %q}\nwant: golden{%d, %d, %d, %q}",
+					tc.name, got.now, got.msgs, got.events, got.digest,
+					tc.want.now, tc.want.msgs, tc.want.events, tc.want.digest)
+			}
+		})
+	}
+}

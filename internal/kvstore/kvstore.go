@@ -243,12 +243,12 @@ func (st *Store) Checkpoint(p *simrt.Proc) int {
 	}
 	st.ckptPending = make(map[string]bool)
 	sort.Slice(keys, func(i, j int) bool { return st.slots[keys[i]] < st.slots[keys[j]] })
-	chans := make([]*simrt.Chan[struct{}], len(keys))
+	done := make([]*simrt.Signal, len(keys))
 	for i, k := range keys {
-		chans[i] = st.dsk.Submit(st.pageOffset(k), PageSize, true)
+		done[i] = st.dsk.Submit(st.pageOffset(k), PageSize, true)
 	}
-	for _, c := range chans {
-		c.Recv(p)
+	for _, d := range done {
+		d.Wait(p)
 	}
 	st.stats.FlushPages += uint64(len(keys))
 	return len(keys)
@@ -311,12 +311,12 @@ func (st *Store) writeBack(p *simrt.Proc, keys []string) bool {
 		pages[i].slot = st.slot(pages[i].key)
 	}
 	slices.SortFunc(pages, func(a, b pageWrite) int { return cmp.Compare(a.slot, b.slot) })
-	chans := make([]*simrt.Chan[struct{}], len(pages))
+	done := make([]*simrt.Signal, len(pages))
 	for i := range pages {
-		chans[i] = st.dsk.Submit(st.base+pages[i].slot*PageSize, PageSize, true)
+		done[i] = st.dsk.Submit(st.base+pages[i].slot*PageSize, PageSize, true)
 	}
-	for _, c := range chans {
-		c.Recv(p)
+	for _, d := range done {
+		d.Wait(p)
 	}
 	if !st.settle(gen, pages) {
 		return false

@@ -88,8 +88,31 @@ type Base struct {
 	// procNames holds the debug name of the handler proc spawned per
 	// message, by message type, built once instead of per message.
 	procNames [wire.NumMsgTypes]string
+	idle      []*handling // recycled hand-over records
 
 	stats Stats
+}
+
+// handling carries one message from the inbox loop to the handler proc
+// spawned for it. Records are pooled and hold their proc body as a method
+// value made once, so a handled message costs neither a closure nor a heap
+// copy of the message.
+type handling struct {
+	base *Base
+	msg  wire.Msg
+	body func(*simrt.Proc)
+}
+
+// run is the handler proc's body: take the message, give the record back,
+// handle.
+func (h *handling) run(p *simrt.Proc) {
+	b, m := h.base, h.msg
+	h.msg = wire.Msg{}
+	b.idle = append(b.idle, h)
+	if b.crashed {
+		return
+	}
+	b.handler(p, m)
 }
 
 // CrashPointFn decides whether the server should crash at a named protocol
@@ -167,17 +190,20 @@ func (b *Base) loop(p *simrt.Proc) {
 			b.Send(wire.Msg{Type: wire.MsgPong, To: m.From, Op: m.Op})
 			continue
 		}
-		msg := m
 		name := "server/invalid"
 		if int(m.Type) < len(b.procNames) {
 			name = b.procNames[m.Type]
 		}
-		b.Sim.Spawn(name, func(hp *simrt.Proc) {
-			if b.crashed {
-				return
-			}
-			b.handler(hp, msg)
-		})
+		var h *handling
+		if k := len(b.idle); k > 0 {
+			h = b.idle[k-1]
+			b.idle = b.idle[:k-1]
+		} else {
+			h = &handling{base: b}
+			h.body = h.run
+		}
+		h.msg = m
+		b.Sim.Spawn(name, h.body)
 	}
 }
 
@@ -276,33 +302,29 @@ type Host struct {
 	Sim *simrt.Sim
 	Net *transport.Net
 
-	inbox  *simrt.Chan[wire.Msg]
 	routes map[types.OpID]*simrt.Chan[wire.Msg]
+	idle   []*simrt.Chan[wire.Msg] // closed routes, emptied, for the next Open
 	notify func(wire.Msg) bool
 }
 
-// NewHost builds a client host and starts its dispatcher.
+// NewHost builds a client host and starts its dispatcher. Dispatching never
+// blocks, so it needs no Proc: the inbox serves each message straight to
+// dispatch.
 func NewHost(s *simrt.Sim, net *transport.Net, id types.NodeID) *Host {
-	h := &Host{ID: id, Sim: s, Net: net, inbox: net.Register(id), routes: make(map[types.OpID]*simrt.Chan[wire.Msg])}
-	s.Spawn(fmt.Sprintf("host%d/dispatch", id), h.dispatch)
+	h := &Host{ID: id, Sim: s, Net: net, routes: make(map[types.OpID]*simrt.Chan[wire.Msg])}
+	net.Register(id).Serve(h.dispatch)
 	return h
 }
 
-func (h *Host) dispatch(p *simrt.Proc) {
-	for {
-		m, ok := h.inbox.RecvOK(p)
-		if !ok {
-			return
-		}
-		if h.notify != nil && h.notify(m) {
-			continue
-		}
-		if ch, ok := h.routes[m.Op]; ok {
-			ch.Send(m)
-		}
-		// Responses for unrouted ops are stale (the op already completed,
-		// e.g. a superseded pre-invalidation reply) and are dropped.
+func (h *Host) dispatch(m wire.Msg) {
+	if h.notify != nil && h.notify(m) {
+		return
 	}
+	if ch, ok := h.routes[m.Op]; ok {
+		ch.Send(m)
+	}
+	// Responses for unrouted ops are stale (the op already completed,
+	// e.g. a superseded pre-invalidation reply) and are dropped.
 }
 
 // SetNotify installs an out-of-band inbound-message hook, consulted before
@@ -316,14 +338,29 @@ func (h *Host) SetNotify(fn func(wire.Msg) bool) { h.notify = fn }
 // Open registers a response route for op and returns the channel its
 // messages arrive on. Close it with Done when the op completes.
 func (h *Host) Open(op types.OpID) *simrt.Chan[wire.Msg] {
-	ch := simrt.NewChan[wire.Msg](h.Sim)
+	var ch *simrt.Chan[wire.Msg]
+	if k := len(h.idle); k > 0 {
+		ch = h.idle[k-1]
+		h.idle = h.idle[:k-1]
+	} else {
+		ch = simrt.NewChan[wire.Msg](h.Sim)
+	}
 	h.routes[op] = ch
 	return ch
 }
 
-// Done removes the route for op.
+// Done removes the route for op. The channel must not be used afterwards:
+// it is emptied of unread duplicates and handed to a later Open.
 func (h *Host) Done(op types.OpID) {
+	ch, ok := h.routes[op]
+	if !ok {
+		return
+	}
 	delete(h.routes, op)
+	for ch.Len() > 0 {
+		ch.TryRecv()
+	}
+	h.idle = append(h.idle, ch)
 }
 
 // Send transmits m with From filled in.

@@ -174,3 +174,42 @@ func TestExecCPUAdvancesTimeAndCounts(t *testing.T) {
 		t.Errorf("SubOpsRun=%d", b.Stats().SubOpsRun)
 	}
 }
+
+// TestHostReusesRoutesClean: Done hands the route channel to the next Open,
+// emptied — a duplicate reply left unread by one operation must not turn
+// up as the first reply of the next.
+func TestHostReusesRoutesClean(t *testing.T) {
+	s, _, b, h := build(t)
+	b.Start(func(p *simrt.Proc, m wire.Msg) {
+		for i := 0; i < 2; i++ { // every request is answered twice
+			b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
+		}
+	})
+	var seen []types.OpID
+	var routes []*simrt.Chan[wire.Msg]
+	s.Spawn("client", func(p *simrt.Proc) {
+		for seq := uint64(1); seq <= 3; seq++ {
+			id := types.OpID{Proc: types.ProcID{Client: 100}, Seq: seq}
+			route := h.Open(id)
+			routes = append(routes, route)
+			h.Send(wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id})
+			seen = append(seen, route.Recv(p).Op)
+			p.Sleep(time.Millisecond) // the duplicate lands in the route
+			h.Done(id)
+		}
+		s.Stop()
+	})
+	s.RunUntil(time.Minute)
+	s.Shutdown()
+	if len(seen) != 3 {
+		t.Fatalf("saw %d replies, want 3", len(seen))
+	}
+	for i, id := range seen {
+		if id.Seq != uint64(i+1) {
+			t.Errorf("operation %d received the reply of operation %d", i+1, id.Seq)
+		}
+	}
+	if routes[1] != routes[0] || routes[2] != routes[0] {
+		t.Error("sequential operations did not share one route channel")
+	}
+}

@@ -1,44 +1,50 @@
 package simrt
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
 
-// TestEventFreelistRecycles proves dispatched events return to the freelist
-// and get reused: a chain of sequential timers must not leave the freelist
-// empty, and the heap must not retain popped events.
-func TestEventFreelistRecycles(t *testing.T) {
-	s := New(1)
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < 100 {
-			s.After(time.Microsecond, tick)
+// TestEventHeapOrder checks the concrete heap against its specification
+// under mixed pushes and pops: every pop returns the least (at, seq) held.
+func TestEventHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h eventHeap
+	var held []event // the same multiset, unordered
+	pops := 0
+	for seq := uint64(1); seq <= 3000 || len(h) > 0; seq++ {
+		if seq <= 3000 && (len(h) == 0 || rng.Intn(3) > 0) {
+			e := event{at: time.Duration(rng.Intn(40)), seq: seq}
+			h.push(e)
+			held = append(held, e)
+			continue
 		}
+		least := 0
+		for i := range held {
+			if held[i].before(&held[least]) {
+				least = i
+			}
+		}
+		if got, want := h.pop(), held[least]; got.at != want.at || got.seq != want.seq {
+			t.Fatalf("pop %d = (%v,%d), want (%v,%d)", pops, got.at, got.seq, want.at, want.seq)
+		}
+		held[least] = held[len(held)-1]
+		held = held[:len(held)-1]
+		pops++
 	}
-	s.After(0, tick)
-	s.Run()
-	if n != 100 {
-		t.Fatalf("ran %d ticks, want 100", n)
-	}
-	if len(s.free) == 0 {
-		t.Error("freelist empty after run; events are not being recycled")
-	}
-	if len(s.free) > maxFreeEvents {
-		t.Errorf("freelist %d exceeds bound %d", len(s.free), maxFreeEvents)
+	if len(held) != 0 || pops < 1000 {
+		t.Fatalf("drained with %d events unaccounted for after %d pops", len(held), pops)
 	}
 }
 
 // TestScheduleSteadyStateNoAlloc measures the schedule+dispatch cycle with a
 // pre-built closure: after warm-up, the event machinery itself must be
-// allocation-free (the freelist supplies the struct, the heap reuses its
-// backing array, and boxing a pointer into an interface does not allocate).
+// allocation-free (events live by value in the heap's backing array).
 func TestScheduleSteadyStateNoAlloc(t *testing.T) {
 	s := New(1)
 	fn := func() {}
-	for i := 0; i < 64; i++ { // warm the freelist and heap capacity
+	for i := 0; i < 64; i++ { // warm the heap capacity
 		s.After(0, fn)
 	}
 	s.Run()
@@ -106,5 +112,131 @@ func TestChanLongLivedQueueCompacts(t *testing.T) {
 	}
 	if c.Len() != 16 {
 		t.Errorf("Len = %d, want 16", c.Len())
+	}
+}
+
+// The pins below hold the kernel's steady state to zero allocations per
+// operation. Each drives a warmed-up simulation one step per call from
+// outside (RunUntil or Run), so AllocsPerRun sees every goroutine involved.
+
+func TestSleepSteadyStateNoAlloc(t *testing.T) {
+	s := New(1)
+	defer s.Shutdown()
+	s.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(time.Millisecond)
+		}
+	})
+	s.RunUntil(10 * time.Millisecond)
+	allocs := testing.AllocsPerRun(1000, func() { s.RunUntil(s.Now() + time.Millisecond) })
+	if allocs > 0 {
+		t.Errorf("Proc.Sleep allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+func TestChanSendToParkedRecvNoAlloc(t *testing.T) {
+	s := New(1)
+	defer s.Shutdown()
+	c := NewChan[[4]uint64](s)
+	var sum uint64
+	s.Spawn("recv", func(p *Proc) {
+		for {
+			sum += c.Recv(p)[0]
+		}
+	})
+	s.Run() // the receiver parks
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Send([4]uint64{1})
+		s.Run()
+	})
+	if allocs > 0 {
+		t.Errorf("Send to a parked Recv allocates %.1f objects/op, want 0", allocs)
+	}
+	if sum != 1001 {
+		t.Errorf("receiver saw %d values, want 1001", sum)
+	}
+}
+
+func TestRecvTimeoutNoAlloc(t *testing.T) {
+	s := New(1)
+	defer s.Shutdown()
+	c := NewChan[int](s)
+	expired := 0
+	s.Spawn("recv", func(p *Proc) {
+		for {
+			if _, ok := c.RecvTimeout(p, time.Millisecond); !ok {
+				expired++
+			}
+		}
+	})
+	s.RunUntil(10 * time.Millisecond)
+	allocs := testing.AllocsPerRun(1000, func() { s.RunUntil(s.Now() + time.Millisecond) })
+	if allocs > 0 {
+		t.Errorf("an expiring RecvTimeout allocates %.1f objects/op, want 0", allocs)
+	}
+	if expired < 1000 {
+		t.Errorf("only %d timeouts fired", expired)
+	}
+}
+
+func TestSpawnWarmPoolNoAlloc(t *testing.T) {
+	s := New(1)
+	defer s.Shutdown()
+	ran := 0
+	body := func(p *Proc) { p.Sleep(time.Microsecond); ran++ }
+	s.Spawn("short", body)
+	s.Run() // one worker now idles in the pool
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.Spawn("short", body)
+		s.Run()
+	})
+	if allocs > 0 {
+		t.Errorf("Spawn with a warm pool allocates %.1f objects/op, want 0", allocs)
+	}
+	if ran != 1002 || len(s.workers) != 1 {
+		t.Errorf("ran %d bodies on %d workers, want 1002 on 1", ran, len(s.workers))
+	}
+}
+
+func TestMutexHandOffNoAlloc(t *testing.T) {
+	s := New(1)
+	defer s.Shutdown()
+	m := NewMutex(s)
+	for i := 0; i < 2; i++ {
+		s.Spawn("locker", func(p *Proc) {
+			for {
+				m.Lock(p)
+				p.Sleep(time.Millisecond) // the other locker queues up meanwhile
+				m.Unlock()
+			}
+		})
+	}
+	s.RunUntil(10 * time.Millisecond)
+	allocs := testing.AllocsPerRun(1000, func() { s.RunUntil(s.Now() + time.Millisecond) })
+	if allocs > 0 {
+		t.Errorf("Mutex hand-off allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+func TestGroupAndSignalNoAlloc(t *testing.T) {
+	s := New(1)
+	defer s.Shutdown()
+	g := NewGroup(s)
+	var sig Signal
+	done, fire := g.Done, sig.Fire
+	s.Spawn("waiter", func(p *Proc) {
+		for {
+			g.Add(1)
+			s.After(time.Millisecond, done)
+			g.Wait(p)
+			sig = Signal{}
+			s.After(time.Millisecond, fire)
+			sig.Wait(p)
+		}
+	})
+	s.RunUntil(10 * time.Millisecond)
+	allocs := testing.AllocsPerRun(1000, func() { s.RunUntil(s.Now() + 2*time.Millisecond) })
+	if allocs > 0 {
+		t.Errorf("a Group.Wait + Signal.Wait round allocates %.1f objects, want 0", allocs)
 	}
 }

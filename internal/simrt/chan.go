@@ -2,12 +2,29 @@ package simrt
 
 import "time"
 
-// waiter is one Proc parked on a Chan receive.
+// waiter is one Proc parked on a Chan receive. It is on its Chan's waiters
+// list until a Send hands it val (ok), a Close releases it, or its
+// RecvTimeout deadline passes.
 type waiter[T any] struct {
-	proc      *Proc
-	val       T
-	delivered bool
-	timedOut  bool
+	c    *Chan[T]
+	proc *Proc
+	val  T
+	ok   bool
+}
+
+// expire is the deadline of a timed receive passing: the waiter leaves the
+// list, so no Send picks it and no Close finds it.
+func (w *waiter[T]) expire() {
+	c := w.c
+	for i := c.whead; i < len(c.waiters); i++ {
+		if c.waiters[i] == w {
+			last := len(c.waiters) - 1
+			copy(c.waiters[i:], c.waiters[i+1:])
+			c.waiters[last] = nil
+			c.waiters = c.waiters[:last]
+			return
+		}
+	}
 }
 
 // Chan is an unbounded FIFO message queue inside a simulation. Send never
@@ -15,7 +32,7 @@ type waiter[T any] struct {
 // building block for server mailboxes, RPC reply futures, and disk queues.
 //
 // Chans must only be touched from inside the simulation (Proc bodies or
-// scheduled event functions); the scheduler serializes all access, so no
+// scheduled event functions); the baton serializes all access, so no
 // locking is needed or provided.
 type Chan[T any] struct {
 	sim *Sim
@@ -27,7 +44,16 @@ type Chan[T any] struct {
 	head    int
 	waiters []*waiter[T]
 	whead   int
-	closed  bool
+	// own is the waiter of the first Proc to park here (proc == nil while it
+	// is free): a Chan with one receiver at a time — a mailbox, a reply
+	// future — never allocates one. Concurrent extra receivers get their own.
+	own    waiter[T]
+	closed bool
+
+	// drain, when set, is the event that feeds the Chan's Serve function,
+	// which receives instead of any Proc; draining is whether it is queued.
+	drain    func()
+	draining bool
 }
 
 // NewChan creates a Chan bound to s.
@@ -57,6 +83,21 @@ func (c *Chan[T]) popBuf() T {
 	return v
 }
 
+// popWaiter removes and returns the oldest parked receiver, or nil.
+func (c *Chan[T]) popWaiter() *waiter[T] {
+	if c.whead == len(c.waiters) {
+		return nil
+	}
+	w := c.waiters[c.whead]
+	c.waiters[c.whead] = nil
+	c.whead++
+	if c.whead == len(c.waiters) {
+		c.waiters = c.waiters[:0]
+		c.whead = 0
+	}
+	return w
+}
+
 // Send enqueues v, waking the oldest parked receiver if any. The woken
 // receiver resumes at the current virtual time, after the sender's event
 // completes.
@@ -64,24 +105,34 @@ func (c *Chan[T]) Send(v T) {
 	if c.closed {
 		panic("simrt: send on closed Chan")
 	}
-	for c.whead < len(c.waiters) {
-		w := c.waiters[c.whead]
-		c.waiters[c.whead] = nil
-		c.whead++
-		if c.whead == len(c.waiters) {
-			c.waiters = c.waiters[:0]
-			c.whead = 0
-		}
-		if w.timedOut {
-			continue
-		}
-		w.val = v
-		w.delivered = true
-		s := c.sim
-		s.schedule(s.now, func() { s.resume(w.proc, wakeMsg{}) })
+	if w := c.popWaiter(); w != nil {
+		w.val, w.ok = v, true
+		w.proc.timedWait = nil
+		c.sim.ready(w.proc)
 		return
 	}
 	c.buf = append(c.buf, v)
+	if c.drain != nil && !c.draining {
+		c.draining = true
+		c.sim.schedule(c.sim.now, event{fn: c.drain})
+	}
+}
+
+// Serve makes fn the Chan's only receiver, in place of a Proc looping on
+// Recv: fn gets every value, in order, from an event scheduled exactly
+// where that Proc's wake-up would be — one event per burst of Sends, which
+// drains everything buffered by the time it runs — and the first such event
+// is scheduled now, where the Proc would have started. fn runs inline in
+// the dispatch loop and must not block. Recv on a served Chan is an error.
+func (c *Chan[T]) Serve(fn func(T)) {
+	c.drain = func() {
+		for c.Len() > 0 {
+			fn(c.popBuf())
+		}
+		c.draining = false
+	}
+	c.draining = true
+	c.sim.schedule(c.sim.now, event{fn: c.drain})
 }
 
 // Close marks the channel closed; parked and future receivers return the
@@ -91,15 +142,12 @@ func (c *Chan[T]) Close() {
 		return
 	}
 	c.closed = true
-	s := c.sim
-	for _, w := range c.waiters[c.whead:] {
-		if w.timedOut {
-			continue
-		}
-		w := w
-		s.schedule(s.now, func() { s.resume(w.proc, wakeMsg{}) })
+	for w := c.popWaiter(); w != nil; w = c.popWaiter() {
+		// Clearing timedWait makes a pending RecvTimeout timer stale, so
+		// the Proc is resumed once, by this event.
+		w.proc.timedWait = nil
+		c.sim.ready(w.proc)
 	}
-	c.waiters, c.whead = nil, 0
 }
 
 // Recv returns the next value, parking p until one is available. It panics
@@ -115,21 +163,7 @@ func (c *Chan[T]) Recv(p *Proc) T {
 // RecvOK returns the next value and true, or the zero value and false if the
 // Chan is closed and drained.
 func (c *Chan[T]) RecvOK(p *Proc) (T, bool) {
-	if c.Len() > 0 {
-		return c.popBuf(), true
-	}
-	if c.closed {
-		var zero T
-		return zero, false
-	}
-	w := &waiter[T]{proc: p}
-	c.waiters = append(c.waiters, w)
-	p.park()
-	if !w.delivered {
-		var zero T
-		return zero, false // closed while parked
-	}
-	return w.val, true
+	return c.recv(p, -1)
 }
 
 // TryRecv returns the next value without blocking, or ok=false if none is
@@ -143,37 +177,77 @@ func (c *Chan[T]) TryRecv() (T, bool) {
 }
 
 // RecvTimeout is Recv with a deadline: it returns ok=false if no value
-// arrives within d of virtual time.
+// arrives within d of virtual time (or the Chan closes first).
 func (c *Chan[T]) RecvTimeout(p *Proc, d time.Duration) (T, bool) {
+	if d < 0 {
+		d = 0
+	}
+	return c.recv(p, d)
+}
+
+// recv is the one receive path; timeout < 0 waits forever.
+func (c *Chan[T]) recv(p *Proc, timeout time.Duration) (T, bool) {
 	if c.Len() > 0 {
 		return c.popBuf(), true
 	}
+	var zero T
 	if c.closed {
-		var zero T
 		return zero, false
 	}
-	w := &waiter[T]{proc: p}
+	if c.drain != nil {
+		panic("simrt: receive on a served Chan")
+	}
+	w := &c.own
+	if w.proc != nil {
+		w = new(waiter[T])
+	}
+	w.c, w.proc, w.ok = c, p, false
 	c.waiters = append(c.waiters, w)
-	s := c.sim
-	s.schedule(s.now+d, func() {
-		if w.delivered || w.timedOut {
-			return
-		}
-		w.timedOut = true
-		s.resume(w.proc, wakeMsg{})
-	})
+	if timeout >= 0 {
+		// The timer event carries the number of this wait; once the wait is
+		// over (delivered, closed, or the Proc moved on to a later timed
+		// wait) the event finds a different number, or none, and does
+		// nothing. Only a live deadline resumes the Proc.
+		p.timedSeq++
+		p.timedWait = w
+		c.sim.schedule(c.sim.now+timeout, event{proc: p, timed: p.timedSeq})
+	}
 	p.park()
-	if w.timedOut {
-		var zero T
-		return zero, false
+	v, ok := w.val, w.ok
+	w.proc, w.val = nil, zero
+	return v, ok
+}
+
+// Signal is a one-shot completion latch for one waiting Proc: Fire sets it,
+// Wait returns once it is set, in either order. The zero value is ready to
+// use, so a request struct embeds its completion instead of allocating a
+// Chan, a waiter and two slices for a single hand-off. It schedules exactly
+// like a Chan[struct{}] used the same way: Fire on a parked waiter resumes
+// it at the current instant, Wait after Fire returns at once.
+type Signal struct {
+	fired  bool
+	waiter *Proc
+}
+
+// Fire sets the latch, resuming the waiting Proc if there is one.
+func (g *Signal) Fire() {
+	g.fired = true
+	if p := g.waiter; p != nil {
+		g.waiter = nil
+		p.sim.ready(p)
 	}
-	if !w.delivered {
-		var zero T
-		return zero, false // closed while parked
+}
+
+// Wait parks p until the latch is set.
+func (g *Signal) Wait(p *Proc) {
+	if g.fired {
+		return
 	}
-	// Delivered before the timeout fired; the stale timeout event will see
-	// delivered==true and do nothing.
-	return w.val, true
+	if g.waiter != nil {
+		panic("simrt: Signal has a waiter already")
+	}
+	g.waiter = p
+	p.park()
 }
 
 // Group counts outstanding work, like sync.WaitGroup but for Procs. The
@@ -200,13 +274,11 @@ func (g *Group) Done() {
 		panic("simrt: Group counter went negative")
 	}
 	if g.count == 0 {
-		s := g.sim
-		ws := g.waiters
-		g.waiters = nil
-		for _, p := range ws {
-			p := p
-			s.schedule(s.now, func() { s.resume(p, wakeMsg{}) })
+		for i, p := range g.waiters {
+			g.sim.ready(p)
+			g.waiters[i] = nil
 		}
+		g.waiters = g.waiters[:0]
 	}
 }
 
@@ -220,10 +292,10 @@ func (g *Group) Wait(p *Proc) {
 	p.park()
 }
 
-// Mutex is a simulated mutual-exclusion lock. Because the scheduler runs one
-// Proc at a time, a Mutex is only needed to protect invariants across
-// *blocking* calls (a critical section containing a Sleep, Recv, or disk
-// write). Lock parks the Proc if the mutex is held.
+// Mutex is a simulated mutual-exclusion lock. Because only one Proc runs at
+// a time, a Mutex is only needed to protect invariants across *blocking*
+// calls (a critical section containing a Sleep, Recv, or disk write). Lock
+// parks the Proc if the mutex is held.
 type Mutex struct {
 	sim     *Sim
 	held    bool
@@ -258,12 +330,14 @@ func (m *Mutex) Unlock() {
 	if !m.held {
 		panic("simrt: Unlock of unlocked Mutex")
 	}
-	if len(m.waiters) == 0 {
+	n := len(m.waiters)
+	if n == 0 {
 		m.held = false
 		return
 	}
 	p := m.waiters[0]
-	m.waiters = m.waiters[1:]
-	s := m.sim
-	s.schedule(s.now, func() { s.resume(p, wakeMsg{}) })
+	copy(m.waiters, m.waiters[1:]) // short list; keeps the array for reuse
+	m.waiters[n-1] = nil
+	m.waiters = m.waiters[:n-1]
+	m.sim.ready(p)
 }

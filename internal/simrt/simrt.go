@@ -2,88 +2,138 @@
 //
 // It substitutes for the paper's 32-node cluster: every simulated entity (an
 // application process, a metadata-server request handler, a disk, a
-// commitment trigger daemon) is a real goroutine — a Proc — that blocks only
-// on simulated primitives: virtual Sleep, receive on a virtual Chan, waits on
-// a Group. A single scheduler runs exactly one Proc at a time and advances a
-// virtual clock between events, so:
+// commitment trigger daemon) is a Proc whose body is ordinary blocking Go
+// and blocks only on simulated primitives: virtual Sleep, receive on a
+// virtual Chan, waits on a Group, Mutex or Signal. Exactly one goroutine
+// runs at a time and a virtual clock advances between events, so protocol
+// code needs no callback inversion and every run is fully deterministic for
+// a given seed: there is no true parallelism and event ties break by
+// insertion order.
 //
-//   - protocol code is ordinary blocking Go (no callback inversion), and
-//   - every run is fully deterministic for a given seed, because there is no
-//     true parallelism and event ties break by insertion order.
+// The baton. There is no scheduler goroutine. One goroutine at a time holds
+// the baton: the right to touch the Sim and to run its dispatch loop. Run
+// takes it for its caller. A Proc that blocks (or whose body returns) keeps
+// it and dispatches itself: it pops events in (time, insertion) order, runs
+// callback events inline, and stops at the first event that resumes a Proc.
+// If that is itself — the usual case for a Sleep that charges CPU time — it
+// returns into its body without a goroutine switch; otherwise it wakes the
+// target on the target's 1-buffered wake channel and blocks on its own: one
+// switch where a scheduler goroutine needs two. When the run is over, whoever
+// holds the baton hands it back to the caller of Run. Every hand-off is a
+// channel operation, so Sim state is ordered without a lock. Callback
+// events (After, a Chan's Serve function, a Net delivery) therefore run on
+// whatever goroutine holds the baton, usually some parked Proc's: they must
+// not block. Events are typed — callback, "resume p", "expire p's timed
+// receive" — so blocking primitives schedule without allocating a closure.
+// Their order is the order of the (at, seq) keys, handed out at schedule
+// time; which goroutine runs the loop has no influence on the simulation.
 //
-// The handshake: the scheduler pops the next event, resumes the target Proc
-// by sending on its wake channel, then blocks until that Proc either parks
-// (in a blocking primitive) or finishes. Shutdown kills all parked Procs by
-// waking them with a kill flag; blocking primitives then panic with an
-// internal sentinel that the Proc wrapper recovers, so no goroutines leak
-// across the thousands of simulations a test run performs.
+// Workers. A Proc is carried by a worker: a goroutine and its wake channel.
+// When a body returns the worker goes onto the Sim's idle list and the next
+// Spawn reuses it, grown stack included, so a simulation creates as many
+// goroutines as it ever has live Procs at once. A *Proc is valid only
+// inside its body; afterwards the same value carries some later body.
+// Shutdown kills every worker, parked or idle, one after the other: a
+// parked body unwinds with a sentinel panic the worker recovers (deferred
+// calls run, still serialized), so no goroutines leak across the thousands
+// of simulations a test run performs.
 package simrt
 
 import (
-	"container/heap"
+	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 )
 
 // errKilled is the sentinel panic value used to unwind a Proc's stack when
 // the simulation shuts down while the Proc is parked.
-type killedError struct{}
+var errKilled = errors.New("simrt: proc killed by Shutdown")
 
-func (killedError) Error() string { return "simrt: proc killed by Shutdown" }
-
-var errKilled = killedError{}
-
+// event is one scheduled occurrence: a callback (fn != nil), the expiry of
+// proc's timed receive number timed (timed != 0), or a plain resume of proc.
 type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
+	at    time.Duration
+	seq   uint64
+	fn    func()
+	proc  *Proc
+	timed uint64
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-func (h eventHeap) peek() *event { return h[0] }
-
-type wakeMsg struct {
-	kill bool
+	return e.seq < o.seq
 }
 
-// Sim is one simulation instance. It is not safe for concurrent use from
-// multiple OS threads except as documented: all API calls must come either
-// from the goroutine that calls Run, before/after Run, or from within a Proc
-// or scheduled event (which the scheduler serializes).
+// eventHeap is a binary min-heap of events by (at, seq), held by value: no
+// per-event allocation, no interface dispatch.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+	*h = q
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the references
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = last
+	return top
+}
+
+// Sim is one simulation instance. It is not safe for concurrent use: all
+// API calls must come either from the goroutine that calls Run (before,
+// between or after runs) or from within a Proc or scheduled event, which
+// the baton serializes.
 type Sim struct {
 	now     time.Duration
 	seq     uint64
 	events  eventHeap
-	free    []*event // recycled event structs; chaos/replay runs schedule millions
-	cur     *Proc
-	parkCh  chan struct{}
+	horizon time.Duration // of the run in progress (RunUntil sets it); < 0 means none
 	stopped bool
 	killed  bool
 	rng     *rand.Rand
-	wg      sync.WaitGroup
 
-	mu    sync.Mutex // guards procs (touched from exiting proc goroutines)
-	procs map[*Proc]struct{}
+	// root stands for the caller of Run in the hand-off protocol: the run
+	// ends by waking it. Shutdown reuses its wake channel for exit notices.
+	root    Proc
+	workers []*Proc // every worker ever started, for Shutdown
+	idle    []*Proc // workers whose body has returned, ready for reuse
 
 	// Stats counters maintained by the runtime for harness reporting.
 	eventsRun uint64
@@ -92,11 +142,9 @@ type Sim struct {
 // New creates a simulation with the given random seed. The same seed yields
 // the same event trace.
 func New(seed int64) *Sim {
-	return &Sim{
-		parkCh: make(chan struct{}),
-		rng:    rand.New(rand.NewSource(seed)),
-		procs:  make(map[*Proc]struct{}),
-	}
+	s := &Sim{rng: rand.New(rand.NewSource(seed))}
+	s.root = Proc{sim: s, name: "run", wake: make(chan bool, 1)}
+	return s
 }
 
 // Now returns the current virtual time (elapsed since simulation start).
@@ -106,45 +154,29 @@ func (s *Sim) Now() time.Duration { return s.now }
 // random decision inside the simulation to keep runs reproducible.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// EventsRun returns how many events the scheduler has dispatched.
+// EventsRun returns how many events have been dispatched.
 func (s *Sim) EventsRun() uint64 { return s.eventsRun }
 
-// schedule enqueues fn to run at absolute virtual time at. Event structs
-// come from the freelist when available, so steady-state scheduling does not
-// allocate beyond the caller's closure.
-func (s *Sim) schedule(at time.Duration, fn func()) {
+// schedule enqueues e at absolute virtual time at, behind everything
+// already scheduled for that instant.
+func (s *Sim) schedule(at time.Duration, e event) {
 	if at < s.now {
 		at = s.now
 	}
 	s.seq++
-	var e *event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		e.at, e.seq, e.fn = at, s.seq, fn
-	} else {
-		e = &event{at: at, seq: s.seq, fn: fn}
-	}
-	heap.Push(&s.events, e)
+	e.at, e.seq = at, s.seq
+	s.events.push(e)
 }
 
-// maxFreeEvents bounds the freelist so a burst does not pin memory forever.
-const maxFreeEvents = 4096
+// ready schedules p to resume at the current virtual time, after the event
+// in progress and everything already queued for this instant.
+func (s *Sim) ready(p *Proc) { s.schedule(s.now, event{proc: p}) }
 
-// recycle returns a dispatched event to the freelist, dropping the closure
-// reference so the GC can collect captured state.
-func (s *Sim) recycle(e *event) {
-	e.fn = nil
-	if len(s.free) < maxFreeEvents {
-		s.free = append(s.free, e)
-	}
-}
-
-// After schedules fn to run in scheduler context d from now. fn must not
-// block; it may send on Chans, spawn Procs, and schedule further events.
+// After schedules fn to run d from now, inline on whichever goroutine holds
+// the baton then. fn must not block; it may send on Chans, spawn Procs, and
+// schedule further events.
 func (s *Sim) After(d time.Duration, fn func()) {
-	s.schedule(s.now+d, fn)
+	s.schedule(s.now+d, event{fn: fn})
 }
 
 // Proc is one simulated process. All blocking primitives take the Proc so
@@ -152,7 +184,17 @@ func (s *Sim) After(d time.Duration, fn func()) {
 type Proc struct {
 	sim  *Sim
 	name string
-	wake chan wakeMsg
+	body func(*Proc)
+	// wake carries the baton to this worker; true means "exit" (Shutdown).
+	// One slot, so the sender never waits for the receiver to get there.
+	wake chan bool
+	// parked is set while the Proc waits for a resume event (or, for a new
+	// Proc, for its start); dispatch refuses to resume a Proc without it.
+	parked bool
+	// timedWait is the timed receive in progress, if any, and timedSeq its
+	// number; a timer event for any other number is stale.
+	timedWait interface{ expire() }
+	timedSeq  uint64
 }
 
 // Name returns the Proc's debug name.
@@ -173,70 +215,99 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAfter starts fn as a new Proc whose first instruction runs d after
 // the current virtual time.
 func (s *Sim) SpawnAfter(d time.Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, wake: make(chan wakeMsg)}
-	s.mu.Lock()
-	s.procs[p] = struct{}{}
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go p.main(fn)
-	s.schedule(s.now+d, func() { s.resume(p, wakeMsg{}) })
+	var p *Proc
+	if n := len(s.idle); n > 0 {
+		p = s.idle[n-1]
+		s.idle[n-1] = nil
+		s.idle = s.idle[:n-1]
+	} else {
+		p = &Proc{sim: s, wake: make(chan bool, 1)}
+		s.workers = append(s.workers, p)
+		go p.work()
+	}
+	p.name, p.body, p.parked = name, fn, true
+	s.schedule(s.now+d, event{proc: p})
 	return p
 }
 
-// main is the Proc goroutine body: wait for first wake, run fn, and notify
-// the scheduler on exit.
-func (p *Proc) main(fn func(*Proc)) {
+// work is the worker goroutine: run one body per start event until killed.
+// Between bodies the worker sits on the idle list; having the baton when its
+// body returns, it passes it on like any parked Proc.
+func (p *Proc) work() {
 	s := p.sim
-	defer s.wg.Done()
-	first := <-p.wake
-	if first.kill {
-		s.dropProc(p)
-		return
+	for kill := <-p.wake; !kill; kill = s.dispatch(p) {
+		if p.run() {
+			break
+		}
+		p.body, p.timedWait = nil, nil // the name stays, for dispatch's diagnostic
+		s.idle = append(s.idle, p)
 	}
-	killed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killedError); ok {
-					killed = true
-					return
-				}
+	s.root.wake <- true // exit notice for Shutdown
+}
+
+// run executes the body and reports whether Shutdown killed it. Any other
+// panic is re-raised and takes the program down with its original value.
+func (p *Proc) run() (killed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != errKilled {
 				panic(r)
 			}
-		}()
-		fn(p)
+			killed = true
+		}
 	}()
-	s.dropProc(p)
-	if !killed {
-		// Normal completion during a live run: hand control back to the
-		// scheduler exactly like a park.
-		s.parkCh <- struct{}{}
+	p.body(p)
+	return false
+}
+
+// dispatch runs the event loop on the calling goroutine, which holds the
+// baton and is the worker of self (or the caller of Run, for the root). It
+// returns when an event resumes self — at once if self's own event comes up
+// first, otherwise after handing the baton to another goroutine and getting
+// it back — and reports whether self was killed instead of resumed.
+func (s *Sim) dispatch(self *Proc) (kill bool) {
+	for {
+		next := &s.root // the run is over: the baton goes back to Run
+		if !s.stopped && len(s.events) > 0 && (s.horizon < 0 || s.events[0].at <= s.horizon) {
+			e := s.events.pop()
+			s.now = e.at
+			s.eventsRun++
+			if e.fn != nil {
+				e.fn()
+				continue
+			}
+			next = e.proc
+			if e.timed != 0 {
+				if next.timedWait == nil || next.timedSeq != e.timed {
+					continue // that receive is over; the timer is stale
+				}
+				next.timedWait.expire()
+				next.timedWait = nil
+			}
+			if !next.parked {
+				panic(fmt.Sprintf("simrt: resume of proc %q, which is not parked", next.name))
+			}
+			next.parked = false
+		}
+		if next == self {
+			return false
+		}
+		next.wake <- false
+		return <-self.wake
 	}
 }
 
-func (s *Sim) dropProc(p *Proc) {
-	s.mu.Lock()
-	delete(s.procs, p)
-	s.mu.Unlock()
-}
-
-// resume hands control to p and blocks until p parks or exits. Called only
-// from scheduler context.
-func (s *Sim) resume(p *Proc, m wakeMsg) {
-	prev := s.cur
-	s.cur = p
-	p.wake <- m
-	<-s.parkCh
-	s.cur = prev
-}
-
-// park blocks the calling Proc until resumed. Must be called from p's own
-// goroutine. Panics with the kill sentinel if the simulation is shutting
+// park blocks the calling Proc until an event resumes it. Must be called
+// from p's own goroutine with a resume already scheduled or a waker
+// holding p. Panics with the kill sentinel if the simulation is shutting
 // down.
 func (p *Proc) park() {
-	p.sim.parkCh <- struct{}{}
-	m := <-p.wake
-	if m.kill {
+	s := p.sim
+	if s.killed {
+		panic(errKilled) // a deferred call of a killed body tried to block
+	}
+	p.parked = true
+	if s.dispatch(p) {
 		panic(errKilled)
 	}
 }
@@ -247,7 +318,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		d = 0
 	}
 	s := p.sim
-	s.schedule(s.now+d, func() { s.resume(p, wakeMsg{}) })
+	s.schedule(s.now+d, event{proc: p})
 	p.park()
 }
 
@@ -266,17 +337,10 @@ func (s *Sim) Run() time.Duration {
 // It returns the current virtual time when it stops. Events exactly at the
 // horizon still run.
 func (s *Sim) RunUntil(horizon time.Duration) time.Duration {
-	for !s.stopped && s.events.Len() > 0 {
-		if horizon >= 0 && s.events.peek().at > horizon {
-			s.now = horizon
-			return s.now
-		}
-		e := heap.Pop(&s.events).(*event)
-		s.now = e.at
-		s.eventsRun++
-		fn := e.fn
-		s.recycle(e) // safe: e is unreferenced once popped, fn saved locally
-		fn()
+	s.horizon = horizon
+	s.dispatch(&s.root)
+	if !s.stopped && len(s.events) > 0 {
+		s.now = horizon // the next event lies beyond it
 	}
 	return s.now
 }
@@ -292,23 +356,14 @@ func (s *Sim) Stopped() bool { return s.stopped }
 // that drive one simulation through several measured phases.
 func (s *Sim) Rearm() { s.stopped = false }
 
-// Shutdown kills every remaining Proc so their goroutines exit. Call it
-// after Run returns; the Sim must not be used afterwards.
+// Shutdown kills every worker — parked mid-body, not yet started, or idle —
+// and returns once their goroutines have exited. Call it after Run returns;
+// the Sim must not be used afterwards.
 func (s *Sim) Shutdown() {
 	s.killed = true
-	s.mu.Lock()
-	live := make([]*Proc, 0, len(s.procs))
-	for p := range s.procs {
-		live = append(live, p)
+	for i := 0; i < len(s.workers); i++ { // a dying body's defers may Spawn
+		s.workers[i].wake <- true
+		<-s.root.wake
 	}
-	s.mu.Unlock()
-	for _, p := range live {
-		p.wake <- wakeMsg{kill: true}
-	}
-	s.wg.Wait()
-}
-
-// String summarizes scheduler state for debugging.
-func (s *Sim) String() string {
-	return fmt.Sprintf("sim{t=%v events=%d dispatched=%d}", s.now, s.events.Len(), s.eventsRun)
+	s.workers, s.idle = nil, nil
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"cxfs/internal/cluster"
@@ -74,11 +75,24 @@ type recentCreate struct {
 	proc int
 }
 
-// fileName renders the stable name of a symbolic file.
-func fileName(id int) string { return fmt.Sprintf("f%08d", id) }
+// fileName renders the stable name of a symbolic file: "f%08d".
+func fileName(id int) string { return paddedName("f", id, 8) }
 
-// dirName renders the stable name of a symbolic directory.
-func dirName(id int) string { return fmt.Sprintf("dir%05d", id) }
+// dirName renders the stable name of a symbolic directory: "dir%05d".
+func dirName(id int) string { return paddedName("dir", id, 5) }
+
+// paddedName is prefix followed by id (>= 0) zero-padded to width digits,
+// built with one allocation: the replay makes a name per create.
+func paddedName(prefix string, id, width int) string {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(id), 10)
+	b := make([]byte, 0, 32)
+	b = append(b, prefix...)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}
 
 // Run replays the trace and returns its result. It must be called from
 // outside the simulation; it spawns the replay processes, runs the
@@ -202,9 +216,10 @@ func (r *Replayer) playOne(p *simrt.Proc, pr *cluster.Process, rec Rec, res *Res
 	switch rec.Kind {
 	case CreateOwn:
 		var ino types.InodeID
-		ino, err = pr.Create(p, dir, fileName(rec.File))
+		name := fileName(rec.File)
+		ino, err = pr.Create(p, dir, name)
 		if err == nil {
-			r.files[rec.File] = fileBinding{dir: dir, name: fileName(rec.File), ino: ino}
+			r.files[rec.File] = fileBinding{dir: dir, name: name, ino: ino}
 			r.recent = append(r.recent, recentCreate{id: rec.File, proc: rec.Proc})
 			if len(r.recent) > 64 {
 				r.recent = r.recent[1:]

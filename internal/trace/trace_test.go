@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -199,4 +200,23 @@ func TestInjectedConflictsIncreaseRatio(t *testing.T) {
 	if boosted <= base {
 		t.Errorf("injection did not raise conflicts: base=%.4f boosted=%.4f", base, boosted)
 	}
+}
+
+// TestNameFormatPinned holds the strconv name builders to the Sprintf
+// formats they replaced (names are namespace row keys: a format drift would
+// move every placement), and to one allocation per name.
+func TestNameFormatPinned(t *testing.T) {
+	for _, id := range []int{0, 1, 9, 10, 99999, 100000, 12345678, 99999999, 100000000, 1 << 40} {
+		if got, want := fileName(id), fmt.Sprintf("f%08d", id); got != want {
+			t.Errorf("fileName(%d) = %q, want %q", id, got, want)
+		}
+		if got, want := dirName(id), fmt.Sprintf("dir%05d", id); got != want {
+			t.Errorf("dirName(%d) = %q, want %q", id, got, want)
+		}
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = fileName(1234567) }); n > 1 {
+		t.Errorf("fileName allocates %.0f objects, want 1 (the string)", n)
+	}
+	_ = sink
 }

@@ -139,6 +139,31 @@ type Net struct {
 	defaultFaults Faults
 	linkFaults    map[link]Faults
 	cuts          map[link]bool
+
+	idle []*delivery // recycled in-flight records
+}
+
+// delivery is one message copy in flight. Records are pooled and carry
+// their arrival callback as a method value made once, so putting a message
+// on the wire costs neither a closure nor a heap copy of the message.
+type delivery struct {
+	net    *Net
+	box    *simrt.Chan[wire.Msg]
+	msg    wire.Msg
+	arrive func()
+}
+
+// land is the arrival event: the message is dropped if the destination is
+// down by now, and the record goes back to the pool.
+func (d *delivery) land() {
+	n := d.net
+	if n.down[d.msg.To] {
+		n.stats.DroppedDown++ // dropped at the dead NIC
+	} else {
+		d.box.Send(d.msg)
+	}
+	d.box, d.msg = nil, wire.Msg{}
+	n.idle = append(n.idle, d)
 }
 
 // SetTap installs an observer invoked (synchronously, in simulation
@@ -285,11 +310,14 @@ func (n *Net) Send(msg wire.Msg) {
 // deliver schedules one copy of msg after delay, dropping it if the
 // destination is down at arrival time.
 func (n *Net) deliver(box *simrt.Chan[wire.Msg], msg wire.Msg, delay time.Duration) {
-	n.sim.After(delay, func() {
-		if n.down[msg.To] {
-			n.stats.DroppedDown++ // dropped at the dead NIC
-			return
-		}
-		box.Send(msg)
-	})
+	var d *delivery
+	if k := len(n.idle); k > 0 {
+		d = n.idle[k-1]
+		n.idle = n.idle[:k-1]
+	} else {
+		d = &delivery{net: n}
+		d.arrive = d.land
+	}
+	d.box, d.msg = box, msg
+	n.sim.After(delay, d.arrive)
 }

@@ -275,3 +275,34 @@ func TestSendDropsUnencodableMessage(t *testing.T) {
 		t.Errorf("Messages = %d; invalid sends must not be counted as traffic", st.Messages)
 	}
 }
+
+// TestSendToAttendedInboxNoAlloc pins the message path's steady state: a
+// Send, its delivery event and the hand-over to a parked receiver allocate
+// nothing (the in-flight record and the receiver's waiter are reused).
+func TestSendToAttendedInboxNoAlloc(t *testing.T) {
+	s := simrt.New(1)
+	defer s.Shutdown()
+	n := New(s, DefaultParams())
+	box := n.Register(1)
+	got := 0
+	s.Spawn("recv", func(p *simrt.Proc) {
+		for {
+			box.Recv(p)
+			got++
+		}
+	})
+	msg := wire.Msg{Type: wire.MsgSubOpReq, From: 0, To: 1, Op: types.OpID{Seq: 1},
+		Sub: types.SubOp{Name: "f00000001"}}
+	n.Send(msg)
+	s.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		n.Send(msg)
+		s.Run()
+	})
+	if allocs > 0 {
+		t.Errorf("Send into an attended inbox allocates %.1f objects/op, want 0", allocs)
+	}
+	if got != 1002 {
+		t.Errorf("delivered %d messages, want 1002", got)
+	}
+}

@@ -102,7 +102,7 @@ func bit(t RecType) uint8 { return 1 << uint(t) }
 // fullWaiter is an appender blocked on log space.
 type fullWaiter struct {
 	need int64
-	ch   *simrt.Chan[struct{}]
+	ok   *simrt.Signal
 }
 
 // Stats aggregates WAL activity.
@@ -120,7 +120,7 @@ type Stats struct {
 type flushReq struct {
 	recs  []Record
 	total int64
-	done  *simrt.Chan[struct{}]
+	done  *simrt.Signal
 }
 
 // WAL is one server's operation log.
@@ -276,14 +276,14 @@ func (w *WAL) appendBatch(p *simrt.Proc, recs []Record, priority bool) {
 // the flusher has written it (or the server crashed with it in flight). The
 // first batch into an empty window spawns the flusher.
 func (w *WAL) groupAppend(p *simrt.Proc, recs []Record, total int64) {
-	done := simrt.NewChan[struct{}](w.sim)
+	done := new(simrt.Signal)
 	w.window = append(w.window, flushReq{recs: recs, total: total, done: done})
 	w.winBytes += total
 	if !w.flusherOn {
 		w.flusherOn = true
 		w.sim.Spawn("wal-flusher", w.flusher)
 	}
-	done.Recv(p)
+	done.Wait(p)
 }
 
 // flusher is the single group-commit writer: sleep out the linger, then
@@ -323,7 +323,7 @@ func (w *WAL) flusher(p *simrt.Proc) {
 			}
 		}
 		for _, fr := range batch {
-			fr.done.Send(struct{}{})
+			fr.done.Fire()
 		}
 	}
 	w.flusherOn = false
@@ -342,13 +342,13 @@ func (w *WAL) waitForSpace(p *simrt.Proc, need int64) {
 	// queue up again behind the dead incarnation's log.
 	for gen := w.gen; gen == w.gen && w.live+w.winBytes+need > w.max; {
 		w.stats.FullStalls++
-		ch := simrt.NewChan[struct{}](w.sim)
-		w.waiters = append(w.waiters, fullWaiter{need: need, ch: ch})
+		ok := new(simrt.Signal)
+		w.waiters = append(w.waiters, fullWaiter{need: need, ok: ok})
 		if w.fullHandler != nil {
 			h := w.fullHandler
 			w.sim.After(0, h)
 		}
-		ch.Recv(p)
+		ok.Wait(p)
 	}
 }
 
@@ -409,7 +409,7 @@ func (w *WAL) wakeWaiters() {
 	remaining := w.waiters[:0]
 	for _, fw := range w.waiters {
 		if w.live+w.winBytes+fw.need <= w.max {
-			fw.ch.Send(struct{}{})
+			fw.ok.Fire()
 		} else {
 			remaining = append(remaining, fw)
 		}
@@ -426,11 +426,11 @@ func (w *WAL) Crash() {
 	w.crashed = true
 	w.gen++
 	for _, fw := range w.waiters {
-		fw.ch.Send(struct{}{})
+		fw.ok.Fire()
 	}
 	w.waiters = nil
 	for _, fr := range w.window {
-		fr.done.Send(struct{}{})
+		fr.done.Fire()
 	}
 	w.window = nil
 	w.winBytes = 0
