@@ -57,24 +57,33 @@ func chaosGolden(cfg chaos.Config) func() golden {
 }
 
 // TestGoldenRuns pins the values captured on the commit before the
-// baton-passing kernel (PR 15) went in.
+// baton-passing kernel (PR 15) went in, re-pinned where the leaf-page
+// database model (PR 16) moved them. That change is to disk cost only, so
+// no row's message count may move without a timing reason: s3d/se and
+// metarates did not move at all (no in-place write inside either run);
+// s3d/cx and s3d/se-batched moved in the clock only and s3d/ce in clock and
+// events (the final Quiesce flush and CE's checkpoints are shorter; digest,
+// which covers the replay window, and messages unchanged); s3d/2pc moved in
+// clock, events and digest (a checkpoint falls inside its 10 s window),
+// messages unchanged. The chaos rows moved in all four: shorter write-backs
+// shift every later crash, retry and timeout of the schedule.
 func TestGoldenRuns(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		run  func() golden
 		want golden
 	}{
-		{"s3d/cx", replayGolden(cluster.ProtoCx), golden{1074186467, 42285, 177038, "5df2f9027a81265f"}},
+		{"s3d/cx", replayGolden(cluster.ProtoCx), golden{1074147404, 42285, 177038, "5df2f9027a81265f"}},
 		{"s3d/se", replayGolden(cluster.ProtoSE), golden{1513573425, 41862, 207144, "f69da3b7256bdfd4"}},
-		{"s3d/se-batched", replayGolden(cluster.ProtoSEBatched), golden{1782609412, 41864, 179986, "8e6f6b023d3cfad2"}},
-		{"s3d/2pc", replayGolden(cluster.Proto2PC), golden{10487349936, 54824, 325390, "b06b70931d0d043a"}},
-		{"s3d/ce", replayGolden(cluster.ProtoCE), golden{5429229509, 54830, 278134, "ab332feb79b56ed2"}},
+		{"s3d/se-batched", replayGolden(cluster.ProtoSEBatched), golden{1418742223, 41864, 179986, "8e6f6b023d3cfad2"}},
+		{"s3d/2pc", replayGolden(cluster.Proto2PC), golden{10453539005, 54824, 325395, "1309b7599a1867e9"}},
+		{"s3d/ce", replayGolden(cluster.ProtoCE), golden{4863579474, 54830, 278052, "ab332feb79b56ed2"}},
 		{"metarates/gc+pipeline", metaratesGolden, golden{536672284, 4274, 18141, "242edcf7f8594532"}},
-		{"chaos/seed1", chaosGolden(chaos.Config{Seed: 1}), golden{1177534917, 2056, 8605, "384475ff482bd152"}},
-		{"chaos/seed1/pipeline8", chaosGolden(chaos.Config{Seed: 1, Pipeline: 8}), golden{2100567382, 9403, 43351, "864f4ba3dd190654"}},
-		{"chaos/seed34", chaosGolden(chaos.Config{Seed: 34}), golden{1028178707, 1966, 8393, "e5805f21b639c3c8"}},
-		{"chaos/seed34/pipeline8", chaosGolden(chaos.Config{Seed: 34, Pipeline: 8}), golden{1776625391, 9980, 46847, "926ef71a8a2af18e"}},
-		{"chaos/seed5/smalllog", chaosGolden(chaos.Config{Seed: 5, Pipeline: 4, LogMaxBytes: 2 << 10}), golden{1801838923, 7114, 33461, "b86541abc31c6e95"}},
+		{"chaos/seed1", chaosGolden(chaos.Config{Seed: 1}), golden{1067119840, 1999, 8514, "0151d935ae01d3e3"}},
+		{"chaos/seed1/pipeline8", chaosGolden(chaos.Config{Seed: 1, Pipeline: 8}), golden{1817255793, 9233, 43252, "ec8b8dd69f6b070b"}},
+		{"chaos/seed34", chaosGolden(chaos.Config{Seed: 34}), golden{1025580009, 2001, 8670, "a7fec9ccd09028a6"}},
+		{"chaos/seed34/pipeline8", chaosGolden(chaos.Config{Seed: 34, Pipeline: 8}), golden{2213118316, 10259, 47639, "1ace7b356e7c0aca"}},
+		{"chaos/seed5/smalllog", chaosGolden(chaos.Config{Seed: 5, Pipeline: 4, LogMaxBytes: 2 << 10}), golden{1685988005, 6969, 32731, "e46c9220d8cde4d3"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()

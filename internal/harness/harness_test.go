@@ -140,9 +140,10 @@ func TestFig7aSmallerLogSlower(t *testing.T) {
 
 // The paper's claim pinned where it used to break: a log small enough that
 // every server must reclaim it several times during the replay. Commitment,
-// write-back and pruning then run continuously, and Cx must still replay the
-// trace no slower than serial execution does.
-func TestCxNoSlowerThanSEUnderLogPressure(t *testing.T) {
+// write-back and pruning then run continuously, and Cx must keep most of the
+// paper's 0.50 gain over serial execution (0.47 measured, seeds 1, 2 and 13;
+// 0.26 while write-back cost a page per row).
+func TestCxGainOverSEUnderLogPressure(t *testing.T) {
 	cfg := Config{Scale: 0.03, Servers: 8, Seed: 1}
 	const logMax = 128 << 10
 	cx, c := cfg.replay("s3d", cluster.ProtoCx, func(o *cluster.Options) {
@@ -162,9 +163,9 @@ func TestCxNoSlowerThanSEUnderLogPressure(t *testing.T) {
 	if cx.HardErrors != 0 {
 		t.Errorf("%d operations failed under log pressure", cx.HardErrors)
 	}
-	if cx.ReplayTime > se.ReplayTime {
-		t.Errorf("Cx replays s3d in %v with a %d KB log, SE in %v: Cx must be no slower",
-			cx.ReplayTime, logMax>>10, se.ReplayTime)
+	if gain := 1 - float64(cx.ReplayTime)/float64(se.ReplayTime); gain < 0.40 {
+		t.Errorf("Cx replays s3d in %v with a %d KB log, SE in %v: gain %.2f, want at least 0.40",
+			cx.ReplayTime, logMax>>10, se.ReplayTime, gain)
 	}
 }
 

@@ -4,22 +4,27 @@
 //
 // It supports the two write disciplines the paper compares:
 //
-//   - synchronous: every Put/Delete pays a page write to the disk model
+//   - synchronous: every sub-op pays a journal append to the disk model
 //     before returning (plain OFS: "synchronously writing the updated
-//     objects into BDB for every sub-op"), and
-//   - batched write-back: mutations dirty in-memory pages; Flush later
-//     submits all dirty pages to the disk in one burst, where the elevator
-//     merges adjacent pages (OFS-batched and OFS-Cx).
+//     objects into BDB for every sub-op") and a checkpointer writes the
+//     journaled rows' pages in place later, and
+//   - batched write-back: mutations dirty in-memory rows; a flush later
+//     writes the pages that hold them in one burst (OFS-batched and OFS-Cx).
 //
-// Page placement models OrangeFS's observation that metadata objects of a
-// single directory are "sequentially placed on disk": pages are allocated in
-// first-write order, so a stream of creates into one directory lands on
-// adjacent pages and batched flushes merge into long sequential passes.
+// Both write the same database: rows live in 4 KB leaf pages, packed by
+// their byte footprint in first-write order — OrangeFS's observation that
+// metadata objects of a single directory are "sequentially placed on disk".
+// A stream of creates into one directory fills adjacent pages, every
+// in-place write costs one disk request per run of adjacent dirty pages
+// however many rows dirtied them, and a dirty row that is back at its
+// durable state (created and removed between two flushes) costs nothing.
 //
+// The page is the unit of disk cost; the row stays the unit of durability.
 // The store tracks two images of the data: the volatile image that requests
-// read and write, and the durable image that reflects completed page writes.
-// Crash discards the volatile image; Recover reloads it from the durable
-// one. The protocol layers use this to verify crash-consistency invariants.
+// read and write, and the durable image that reflects completed writes, row
+// by row: a flush makes durable the rows it was asked for, not their page
+// neighbours. Crash discards the volatile image; Recover reloads it from
+// the durable one.
 //
 // A page write carries the row as it was when the write was submitted: a
 // row rewritten while the disk works stays dirty for the next flush, and a
@@ -33,25 +38,32 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"cxfs/internal/disk"
 	"cxfs/internal/simrt"
 )
 
-// PageSize is the database page size charged per dirtied key (BDB default
-// is 4KB; metadata rows are small so one row maps to one page here).
+// PageSize is the size of a database leaf page (BDB's default, 4KB): what
+// one in-place write of any of the rows packed into it moves.
 const PageSize = 4096
+
+// rowOverhead is what a key/data pair occupies in a BDB btree leaf page
+// beyond its own bytes: two 2-byte page-index slots and two 3-byte item
+// headers, each item padded to a 4-byte boundary — 10 to 16 bytes. The upper
+// end is charged.
+const rowOverhead = 16
 
 // Stats aggregates store activity.
 type Stats struct {
 	Puts       uint64
 	Deletes    uint64
 	Gets       uint64
-	SyncWrites uint64 // pages written synchronously
+	SyncWrites uint64 // rows journaled synchronously
 	Flushes    uint64 // batched flush calls
-	FlushPages uint64 // pages written by batched flushes
+	FlushRows  uint64 // rows written in place by flushes and checkpoints
+	FlushPages uint64 // distinct pages those writes moved, each once per call
+	Absorbed   uint64 // dirty rows found at their durable state: cleaned, no I/O
 }
 
 // JournalRecBytes is the database-journal cost charged per synchronously
@@ -103,12 +115,15 @@ type Store struct {
 	base int64 // disk offset of the database region
 
 	shards [NumShards]kvShard
-	slots  map[string]int64 // key -> page slot, assigned at first write
-	next   int64            // next free page slot
+	slots  map[string]int64 // row -> leaf page, assigned at first write
+	next   int64            // the open page, which rows first written now join
+	fill   int              // bytes of the open page in use
 
 	// gen is the incarnation of the volatile image, bumped by Crash: a page
-	// write submitted under an older gen settles nothing.
-	gen uint64
+	// write submitted under an older gen settles nothing. inflight counts the
+	// writes submitted and not settled yet: the durable image may still move.
+	gen      uint64
+	inflight int
 
 	// Synchronous-mode machinery: BDB-style transaction journal plus a
 	// periodic checkpointer writing journaled pages in place. syncMu is
@@ -158,7 +173,7 @@ func (st *Store) Get(key string) ([]byte, bool) {
 	return v, ok
 }
 
-// Put stores key=val in the volatile image and marks the page dirty.
+// Put stores key=val in the volatile image and marks the row dirty.
 func (st *Store) Put(key string, val []byte) {
 	st.stats.Puts++
 	cp := make([]byte, len(val))
@@ -169,7 +184,7 @@ func (st *Store) Put(key string, val []byte) {
 	st.slot(key)
 }
 
-// Delete removes key from the volatile image and marks the page dirty (a
+// Delete removes key from the volatile image and marks the row dirty (a
 // deletion still rewrites the page holding the row).
 func (st *Store) Delete(key string) {
 	st.stats.Deletes++
@@ -179,15 +194,33 @@ func (st *Store) Delete(key string) {
 	st.slot(key)
 }
 
-// slot returns the page slot for key, allocating in first-write order.
+// slot returns the leaf page of key's row. A row without one is appended to
+// the open page by the footprint of its volatile value — first-write order —
+// and keeps that page, whatever is written to it, until release.
 func (st *Store) slot(key string) int64 {
 	if s, ok := st.slots[key]; ok {
 		return s
 	}
-	s := st.next
-	st.next++
-	st.slots[key] = s
-	return s
+	size := len(key) + len(st.shards[shardOf(key)].mem[key]) + rowOverhead
+	if st.fill > 0 && st.fill+size > PageSize {
+		st.next++
+		st.fill = 0
+	}
+	st.fill += size
+	st.slots[key] = st.next
+	return st.next
+}
+
+// release drops the placement of a row that is gone for good: deleted, the
+// deletion durable, and no page write owed for it. A name created again is
+// placed afresh, so the table holds live rows, not every name ever written.
+func (st *Store) release(key string) {
+	sh := &st.shards[shardOf(key)]
+	_, live := sh.mem[key]
+	_, durable := sh.durable[key]
+	if !live && !durable && !sh.dirty[key] && !st.ckptPending[key] {
+		delete(st.slots, key)
+	}
 }
 
 // SyncKeys makes the given rows durable synchronously, the way a BDB
@@ -210,6 +243,7 @@ func (st *Store) SyncKeys(p *simrt.Proc, keys []string) {
 	st.journalTail += size
 	var few [4]pageWrite // a sub-op's rows: keep the capture off the heap
 	gen, pages := st.gen, st.capture(few[:0], keys)
+	st.inflight++
 	st.dsk.Access(p, off, size, true)
 	if !st.settle(gen, pages) {
 		return
@@ -232,29 +266,27 @@ func (st *Store) StartCheckpointer(interval time.Duration) {
 	})
 }
 
-// Checkpoint writes all journaled-but-not-checkpointed pages in place.
+// Checkpoint writes the pages of all journaled-but-not-checkpointed rows in
+// place and returns how many rows that was. The rows are durable already
+// (SyncKeys settled them): the checkpoint only pays the page writes.
 func (st *Store) Checkpoint(p *simrt.Proc) int {
 	if len(st.ckptPending) == 0 {
 		return 0
 	}
-	keys := make([]string, 0, len(st.ckptPending))
+	rows := make([]pageWrite, 0, len(st.ckptPending))
 	for k := range st.ckptPending {
-		keys = append(keys, k)
+		rows = append(rows, pageWrite{key: k, page: st.slot(k)})
 	}
-	st.ckptPending = make(map[string]bool)
-	sort.Slice(keys, func(i, j int) bool { return st.slots[keys[i]] < st.slots[keys[j]] })
-	done := make([]*simrt.Signal, len(keys))
-	for i, k := range keys {
-		done[i] = st.dsk.Submit(st.pageOffset(k), PageSize, true)
+	clear(st.ckptPending)
+	st.stats.FlushPages += st.writePages(p, rows)
+	st.stats.FlushRows += uint64(len(rows))
+	for _, pw := range rows {
+		st.release(pw.key)
 	}
-	for _, d := range done {
-		d.Wait(p)
-	}
-	st.stats.FlushPages += uint64(len(keys))
-	return len(keys)
+	return len(rows)
 }
 
-// DirtyCount returns the number of dirty pages awaiting flush.
+// DirtyCount returns the number of dirty rows awaiting flush.
 func (st *Store) DirtyCount() int {
 	n := 0
 	for i := range st.shards {
@@ -263,9 +295,8 @@ func (st *Store) DirtyCount() int {
 	return n
 }
 
-// FlushDirty submits every dirty page to the disk in one burst and waits
-// for all of them; the elevator merges adjacent pages. This is the batched
-// write-back path of OFS-batched and OFS-Cx.
+// FlushDirty writes back every dirty row in one burst and returns how many
+// there were. This is the batched write-back path of OFS-batched and OFS-Cx.
 func (st *Store) FlushDirty(p *simrt.Proc) int {
 	n := st.DirtyCount()
 	if n == 0 {
@@ -277,53 +308,78 @@ func (st *Store) FlushDirty(p *simrt.Proc) int {
 			keys = append(keys, k)
 		}
 	}
-	st.writeBack(p, keys)
-	return len(keys)
+	st.FlushKeys(p, keys)
+	return n
 }
 
-// FlushKeys flushes only the named keys (used when a commitment flushes the
-// objects of its batch rather than the whole cache). It reports whether the
-// write-back settled: false means the store crashed while the pages were in
-// flight, none of them counts as written, and the caller must not prune the
-// log records that can still redo them.
+// FlushKeys writes back the dirty rows among keys, and only those (used when
+// a commitment flushes the objects of its batch rather than the whole
+// cache). A row whose volatile state is its durable state again — created
+// and removed since the last flush, or rewritten to the same image — is
+// absorbed: cleaned with no I/O. The rest are written as captured here and
+// settled when the disk is done. It reports whether the write-back settled:
+// false means the store crashed while the pages were in flight, none of the
+// rows counts as written, and the caller must not prune the log records
+// that can still redo them.
 func (st *Store) FlushKeys(p *simrt.Proc, keys []string) bool {
-	pending := keys[:0]
+	rows := make([]pageWrite, 0, len(keys))
 	for _, k := range keys {
-		if st.shards[shardOf(k)].dirty[k] {
-			pending = append(pending, k)
+		sh := &st.shards[shardOf(k)]
+		if !sh.dirty[k] {
+			continue
 		}
+		v, ok := sh.mem[k]
+		// With a write in flight the durable image may be about to change
+		// under the comparison; such a row takes the disk path.
+		if d, dok := sh.durable[k]; st.inflight == 0 && ok == dok && bytes.Equal(v, d) {
+			delete(sh.dirty, k)
+			st.stats.Absorbed++
+			st.release(k)
+			continue
+		}
+		rows = append(rows, pageWrite{key: k, val: v, present: ok, page: st.slot(k)})
 	}
-	if len(pending) == 0 {
+	if len(rows) == 0 {
 		return true
 	}
-	return st.writeBack(p, pending)
+	gen := st.gen
+	st.inflight++
+	pages := st.writePages(p, rows)
+	if !st.settle(gen, rows) {
+		return false
+	}
+	st.stats.Flushes++
+	st.stats.FlushRows += uint64(len(rows))
+	st.stats.FlushPages += pages
+	for _, pw := range rows {
+		if !pw.present {
+			st.release(pw.key)
+		}
+	}
+	return true
 }
 
-// writeBack submits one page write per key in disk-layout order (ascending
-// slot, which is also what makes the submission order deterministic), waits
-// for all of them and settles the rows as captured at submission.
-func (st *Store) writeBack(p *simrt.Proc, keys []string) bool {
-	gen, pages := st.gen, st.capture(make([]pageWrite, 0, len(keys)), keys)
-	// Sorted on slots looked up once: a write-back burst under log pressure
-	// is thousands of pages, and looking each slot up again per comparison
-	// was most of its host cost.
-	for i := range pages {
-		pages[i].slot = st.slot(pages[i].key)
-	}
-	slices.SortFunc(pages, func(a, b pageWrite) int { return cmp.Compare(a.slot, b.slot) })
-	done := make([]*simrt.Signal, len(pages))
-	for i := range pages {
-		done[i] = st.dsk.Submit(st.base+pages[i].slot*PageSize, PageSize, true)
+// writePages is the one in-place write path: it writes the distinct pages of
+// rows in disk-layout order (which is also what makes the submission order
+// deterministic), one disk request per run of adjacent pages, waits for all
+// of them and returns the number of pages written.
+func (st *Store) writePages(p *simrt.Proc, rows []pageWrite) (pages uint64) {
+	slices.SortFunc(rows, func(a, b pageWrite) int { return cmp.Compare(a.page, b.page) })
+	var few [8]*simrt.Signal // a burst is a handful of runs
+	done := few[:0]
+	for i := 0; i < len(rows); {
+		first, last := rows[i].page, rows[i].page
+		for i++; i < len(rows) && rows[i].page <= last+1; i++ {
+			last = rows[i].page
+		}
+		n := last - first + 1
+		done = append(done, st.dsk.Submit(st.base+first*PageSize, n*PageSize, true))
+		pages += uint64(n)
 	}
 	for _, d := range done {
 		d.Wait(p)
 	}
-	if !st.settle(gen, pages) {
-		return false
-	}
-	st.stats.Flushes++
-	st.stats.FlushPages += uint64(len(pages))
-	return true
+	return pages
 }
 
 // pageWrite is one row as a write captured it at submission. Row values are
@@ -333,7 +389,7 @@ type pageWrite struct {
 	key     string
 	val     []byte
 	present bool
-	slot    int64 // page slot; filled in by writeBack only
+	page    int64 // the row's leaf page; in-place writes only
 }
 
 // capture appends to pages the volatile value of each key, for a write about
@@ -352,6 +408,7 @@ func (st *Store) capture(pages []pageWrite, keys []string) []pageWrite {
 // submission: the volatile image those pages came from is gone, and what the
 // disk holds of them is not to be trusted over the log.
 func (st *Store) settle(gen uint64, pages []pageWrite) bool {
+	st.inflight--
 	if gen != st.gen {
 		return false
 	}
@@ -369,17 +426,17 @@ func (st *Store) settle(gen uint64, pages []pageWrite) bool {
 	return true
 }
 
-func (st *Store) pageOffset(key string) int64 {
-	return st.base + st.slot(key)*PageSize
-}
-
 // Crash discards the volatile image, simulating a server power loss: the
 // store's contents revert to the durable image on the next Recover.
 func (st *Store) Crash() {
 	st.gen++
 	for i := range st.shards {
-		st.shards[i].mem = nil
-		st.shards[i].dirty = make(map[string]bool)
+		sh := &st.shards[i]
+		lost := sh.dirty
+		sh.mem, sh.dirty = nil, make(map[string]bool)
+		for k := range lost {
+			st.release(k) // a row that never became durable keeps no page
+		}
 	}
 }
 
@@ -431,6 +488,7 @@ func (st *Store) Forget(key string) {
 	delete(sh.mem, key)
 	delete(sh.dirty, key)
 	delete(sh.durable, key)
+	st.release(key)
 }
 
 // Range calls fn for every volatile row until fn returns false. Iteration

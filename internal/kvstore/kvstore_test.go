@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -15,11 +16,17 @@ import (
 // end time.
 func withStore(t *testing.T, fn func(p *simrt.Proc, st *Store)) time.Duration {
 	t.Helper()
+	return withDisk(t, func(p *simrt.Proc, st *Store, _ *disk.Disk) { fn(p, st) })
+}
+
+// withDisk is withStore for tests that also read the disk's counters.
+func withDisk(t *testing.T, fn func(p *simrt.Proc, st *Store, d *disk.Disk)) time.Duration {
+	t.Helper()
 	s := simrt.New(1)
 	d := disk.New(s, "d", disk.DefaultParams())
 	st := New(s, d, 1<<30)
 	s.Spawn("driver", func(p *simrt.Proc) {
-		fn(p, st)
+		fn(p, st, d)
 		s.Stop()
 	})
 	end := s.Run()
@@ -144,21 +151,201 @@ func TestBatchedFlushFasterThanSyncWrites(t *testing.T) {
 	}
 }
 
-func TestFlushMergesAdjacentPages(t *testing.T) {
-	s := simrt.New(1)
-	d := disk.New(s, "d", disk.DefaultParams())
-	st := New(s, d, 1<<30)
-	s.Spawn("driver", func(p *simrt.Proc) {
-		for i := 0; i < 32; i++ {
-			st.Put(fmt.Sprintf("k%02d", i), []byte("x"))
+// putRows writes n rows of a 32-byte footprint (8-byte key, 8-byte value,
+// rowOverhead), 128 to a page, and returns their keys in placement order.
+func putRows(st *Store, prefix string, n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%s%07d", prefix, i)
+		st.Put(keys[i], make([]byte, 8))
+	}
+	return keys
+}
+
+const rowsPerPage = PageSize / (8 + 8 + rowOverhead)
+
+func TestRowsPackIntoLeafPagesByFootprint(t *testing.T) {
+	withDisk(t, func(p *simrt.Proc, st *Store, d *disk.Disk) {
+		const n = 1000
+		keys := putRows(st, "k", n)
+		wantPages := (n*(8+8+rowOverhead) + PageSize - 1) / PageSize
+		if got := st.slot(keys[n-1]) + 1; got != int64(wantPages) {
+			t.Errorf("%d rows of 32 bytes occupy %d pages, want %d", n, got, wantPages)
+		}
+		if st.slot(keys[rowsPerPage-1]) != 0 || st.slot(keys[rowsPerPage]) != 1 {
+			t.Error("a page holds exactly the rows that fit in it, in first-write order")
+		}
+		// All of them dirty: one request covering the run of pages, and the
+		// flush counts pages once however many rows dirtied them.
+		st.FlushDirty(p)
+		ds, ks := d.Stats(), st.Stats()
+		if ds.Requests != 1 || ds.BytesMoved != int64(wantPages)*PageSize {
+			t.Errorf("flush of %d adjacent pages: %d requests moving %d bytes, want 1 of %d",
+				wantPages, ds.Requests, ds.BytesMoved, wantPages*PageSize)
+		}
+		if ks.FlushRows != n || ks.FlushPages != uint64(wantPages) || ks.Flushes != 1 {
+			t.Errorf("stats %+v, want %d rows on %d pages in 1 flush", ks, n, wantPages)
+		}
+	})
+}
+
+func TestDirtyRowsOfOnePageCostOneRequest(t *testing.T) {
+	withDisk(t, func(p *simrt.Proc, st *Store, d *disk.Disk) {
+		keys := putRows(st, "k", 3*rowsPerPage)
+		st.FlushDirty(p)
+		before := d.Stats()
+		for _, k := range keys[rowsPerPage+5 : rowsPerPage+45] { // 40 rows of page 1
+			st.Put(k, []byte("changed!"))
 		}
 		st.FlushDirty(p)
-		s.Stop()
+		ds := d.Stats()
+		if ds.Requests-before.Requests != 1 || ds.BytesMoved-before.BytesMoved != PageSize {
+			t.Errorf("40 dirty rows of one page: %d requests moving %d bytes, want 1 of %d",
+				ds.Requests-before.Requests, ds.BytesMoved-before.BytesMoved, PageSize)
+		}
+		if d := st.DurableSnapshot(); string(d[keys[rowsPerPage+5]]) != "changed!" || len(d[keys[0]]) != 8 {
+			t.Error("durable image after the page write is not the rows written")
+		}
 	})
-	s.Run()
-	s.Shutdown()
-	if d.Stats().Merged == 0 {
-		t.Errorf("flush of sequentially allocated pages did not merge: %+v", d.Stats())
+}
+
+// A dirty row that is back at its durable state needs no write: created and
+// removed between two flushes, or rewritten to the image the disk holds.
+func TestFlushAbsorbsRowsAtTheirDurableState(t *testing.T) {
+	withDisk(t, func(p *simrt.Proc, st *Store, d *disk.Disk) {
+		st.Put("short-lived", []byte("x"))
+		st.Delete("short-lived")
+		if !st.FlushKeys(p, []string{"short-lived"}) || st.DirtyCount() != 0 {
+			t.Errorf("absorbed flush: dirty=%d", st.DirtyCount())
+		}
+		st.Put("kept", []byte("v"))
+		st.FlushDirty(p)
+		before := d.Stats().Requests
+		st.Put("kept", []byte("w"))
+		st.Put("kept", []byte("v"))
+		st.FlushDirty(p)
+		if got := d.Stats().Requests; got != 1 || before != 1 {
+			t.Errorf("%d disk requests, want only the one that made \"kept\" durable", got)
+		}
+		if ks := st.Stats(); ks.Absorbed != 2 || ks.FlushRows != 1 || st.DirtyCount() != 0 {
+			t.Errorf("stats %+v dirty=%d, want 2 rows absorbed and 1 written", ks, st.DirtyCount())
+		}
+		if _, placed := st.slots["short-lived"]; placed {
+			t.Error("a row that never became durable kept its placement")
+		}
+	})
+}
+
+// Absorption compares with the durable image, which a write in flight is
+// about to change: a row with one takes the disk path, behind it.
+func TestFlushDoesNotAbsorbUnderAWriteInFlight(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		st.Put("k", []byte("v0"))
+		st.FlushDirty(p)
+		st.Put("k", []byte("v1"))
+		g := simrt.NewGroup(st.sim)
+		g.Add(1)
+		st.sim.Spawn("second", func(sp *simrt.Proc) {
+			sp.Sleep(time.Microsecond) // v1 is on its way to the disk
+			st.Put("k", []byte("v0"))
+			st.FlushKeys(sp, []string{"k"})
+			g.Done()
+		})
+		st.FlushKeys(p, []string{"k"})
+		g.Wait(p)
+		if d := st.DurableSnapshot(); string(d["k"]) != "v0" || st.DirtyCount() != 0 {
+			t.Errorf("durable k=%q dirty=%d: the flush of v0 was absorbed against an image v1 then replaced",
+				d["k"], st.DirtyCount())
+		}
+	})
+}
+
+// The placement table holds live rows, not every name ever written.
+func TestPlacementDroppedOnceDeletionSettles(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		st.Put("parent", []byte("dir"))
+		for i := 0; i < 100000; i++ {
+			k := fmt.Sprintf("f%06d", i)
+			st.Put(k, []byte("inode"))
+			st.Put("parent", []byte{byte(i)})
+			st.FlushKeys(p, []string{k, "parent"})
+			st.Delete(k)
+			st.FlushKeys(p, []string{k})
+		}
+		if len(st.slots) != 1 {
+			t.Errorf("%d placements after 1e5 create/remove cycles, want the 1 live row", len(st.slots))
+		}
+		// The synchronous path owes a page write until the checkpoint.
+		for i := 0; i < 100; i++ {
+			k := fmt.Sprintf("s%06d", i)
+			st.Put(k, []byte("inode"))
+			st.SyncKeys(p, []string{k})
+			st.Delete(k)
+			st.SyncKeys(p, []string{k})
+		}
+		if len(st.slots) != 101 {
+			t.Errorf("%d placements before the checkpoint, want 101", len(st.slots))
+		}
+		st.Checkpoint(p)
+		if len(st.slots) != 1 {
+			t.Errorf("%d placements after the checkpoint, want 1", len(st.slots))
+		}
+		// A name created again joins the open page; a crash takes the
+		// placement of a row that never became durable with it.
+		st.Put("f000000", []byte("inode"))
+		if st.slot("f000000") != st.next {
+			t.Error("re-created row was not placed in the open page")
+		}
+		st.Crash()
+		st.Recover()
+		if _, live := st.Get("parent"); !live || len(st.slots) != 1 {
+			t.Errorf("%d placements after a crash, want the 1 durable row", len(st.slots))
+		}
+	})
+}
+
+// The checkpointer and the batched flush are one write path: the same rows —
+// on runs of 3, 1 and 2 pages — cost the same disk requests, one per run. The
+// runs are far enough apart that the elevator merges nothing, so the disk's
+// counters give the number of requests and the sum of their sizes, and the
+// head position where the last one ended.
+func TestCheckpointAndFlushWriteTheSamePages(t *testing.T) {
+	type cost struct {
+		requests, passes, rows, pages uint64
+		bytes                         int64
+		head                          string
+	}
+	measure := func(write func(p *simrt.Proc, st *Store, keys []string)) (c cost) {
+		withDisk(t, func(p *simrt.Proc, st *Store, d *disk.Disk) {
+			all := putRows(st, "k", 300*rowsPerPage)
+			st.FlushDirty(p)
+			var keys []string
+			for _, pg := range []int{3, 4, 5, 100, 250, 251} {
+				for _, k := range all[pg*rowsPerPage+7:][:3] {
+					st.Put(k, []byte("changed!"))
+					keys = append(keys, k)
+				}
+			}
+			d0, k0 := d.Stats(), st.Stats()
+			write(p, st, keys)
+			d1, k1 := d.Stats(), st.Stats()
+			head, _, _ := strings.Cut(d.String(), " queued")
+			c = cost{d1.Requests - d0.Requests, d1.MechOps - d0.MechOps,
+				k1.FlushRows - k0.FlushRows, k1.FlushPages - k0.FlushPages, d1.BytesMoved - d0.BytesMoved, head}
+		})
+		return c
+	}
+	flush := measure(func(p *simrt.Proc, st *Store, keys []string) { st.FlushKeys(p, keys) })
+	ckpt := measure(func(p *simrt.Proc, st *Store, keys []string) {
+		st.SyncKeys(p, keys)
+		st.Checkpoint(p)
+	})
+	ckpt.requests, ckpt.passes, ckpt.bytes = ckpt.requests-1, ckpt.passes-1, ckpt.bytes-18*JournalRecBytes // the journal append
+	if want := (cost{requests: 3, passes: 3, rows: 18, pages: 6, bytes: 6 * PageSize, head: flush.head}); flush != want {
+		t.Errorf("flush cost %+v, want %+v", flush, want)
+	}
+	if flush != ckpt {
+		t.Errorf("FlushKeys cost %+v, SyncKeys+Checkpoint cost %+v for the same rows", flush, ckpt)
 	}
 }
 
@@ -266,9 +453,9 @@ func TestCheckpointWritesJournaledPages(t *testing.T) {
 	s.Run()
 	s.Shutdown()
 	if wrote != 2 {
-		t.Errorf("checkpoint wrote %d pages, want 2", wrote)
+		t.Errorf("checkpoint wrote %d rows, want 2", wrote)
 	}
-	if d.Stats().Requests < 3 { // journal + 2 pages (maybe merged)
+	if d.Stats().Requests != 2 { // journal + the one page both rows share
 		t.Errorf("disk requests=%d", d.Stats().Requests)
 	}
 }
@@ -416,8 +603,8 @@ func TestFlushInFlightAcrossCrashSettlesNothing(t *testing.T) {
 			if string(d["a"]) != "1" || string(d["b"]) != "1" {
 				t.Errorf("reboot=%v: durable image %q changed by a write-back that crashed in flight", reboot, d)
 			}
-			if st.Stats().FlushPages != 2 {
-				t.Errorf("reboot=%v: FlushPages=%d counts pages that never settled", reboot, st.Stats().FlushPages)
+			if ks := st.Stats(); ks.FlushRows != 2 || ks.FlushPages != 1 {
+				t.Errorf("reboot=%v: %+v counts rows or pages that never settled", reboot, ks)
 			}
 		})
 	}
