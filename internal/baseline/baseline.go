@@ -21,89 +21,80 @@
 //
 // Each protocol provides a Server (embedding node.Base) and a Driver with
 // the same Do signature as the Cx driver, so the cluster layer and the
-// harness treat all four interchangeably.
+// harness treat all four interchangeably. Everything that is not protocol —
+// at-most-once execution of retried requests, the lease service, reply
+// routes between servers, the retrying client RPC — is the chassis's
+// (internal/node), the same code Cx runs on.
 package baseline
 
 import (
 	"sort"
 
+	"cxfs/internal/namespace"
 	"cxfs/internal/node"
+	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
 )
 
-// dupGuard gives a baseline server at-most-once semantics for retried
-// client requests: a completed operation answers from a bounded reply
-// cache, and a duplicate of one still executing is dropped (the original
-// owns the eventual reply). Cx has richer pending-state to consult; the
-// baselines just need this.
-type dupGuard struct {
-	inflight map[types.OpID]bool
-	replies  map[types.OpID]wire.Msg
-	order    []types.OpID
-}
-
-const dupCacheCap = 8192
-
-func newDupGuard() *dupGuard {
-	return &dupGuard{inflight: make(map[types.OpID]bool), replies: make(map[types.OpID]wire.Msg)}
-}
-
-// cached returns the recorded reply of a completed operation.
-func (g *dupGuard) cached(op types.OpID) (wire.Msg, bool) {
-	m, ok := g.replies[op]
-	return m, ok
-}
-
-// begin marks op executing; false means a duplicate (already inflight).
-func (g *dupGuard) begin(op types.OpID) bool {
-	if g.inflight[op] {
-		return false
+// serveSingle executes a single-server operation the way 2PC and CE both do
+// — synchronously through the database journal — and answers with reply
+// filled in. crashPoint names the step after the execution.
+func serveSingle(p *simrt.Proc, b *node.Base, op types.Op, reply wire.Msg, crashPoint string) {
+	sub := types.SingleSubOp(op)
+	b.ExecCPU(p)
+	res := b.Shard.Exec(sub, b.NowNanos())
+	reply.OK, reply.Attr = res.OK, res.Inode
+	if res.Err != nil {
+		reply.Err = res.Err.Error()
 	}
-	g.inflight[op] = true
-	return true
+	if res.OK && sub.Action.Mutating() {
+		b.KV.SyncKeys(p, res.Rows)
+	}
+	if b.CrashPoint(crashPoint, op.ID) {
+		return
+	}
+	if op.Kind.Mutating() {
+		b.CacheReply(op.ID, reply)
+	}
+	b.Send(reply)
 }
 
-// finish records the final reply and clears the inflight mark.
-func (g *dupGuard) finish(op types.OpID, reply wire.Msg) {
-	delete(g.inflight, op)
-	if _, exists := g.replies[op]; !exists {
-		if len(g.order) >= dupCacheCap {
-			drop := g.order[0]
-			g.order = g.order[1:]
-			delete(g.replies, drop)
-		}
-		g.order = append(g.order, op)
-	}
-	g.replies[op] = reply
+// CoordDriver is the client of the coordinator-driven protocols, 2PC and
+// CE: one request to the operation's coordinator, one response when it has
+// fully committed or aborted.
+type CoordDriver struct {
+	host  *node.Host
+	pl    namespace.Placement
+	retry types.RetryPolicy
+	obsv  *obs.Observer
+	proto string
 }
 
-// abandon clears the inflight mark without caching (crash mid-execution);
-// a retry after recovery re-executes. Safe to call after finish.
-func (g *dupGuard) abandon(op types.OpID) { delete(g.inflight, op) }
-
-// reset drops all volatile guard state (server reboot).
-func (g *dupGuard) reset() {
-	g.inflight = make(map[types.OpID]bool)
-	g.replies = make(map[types.OpID]wire.Msg)
-	g.order = nil
+// NewCoordDriver builds a 2PC/CE driver bound to a client host.
+func NewCoordDriver(host *node.Host, pl namespace.Placement) *CoordDriver {
+	return &CoordDriver{host: host, pl: pl}
 }
 
-// rpcCall sends req and waits for a reply on route, retransmitting per the
-// retry policy; false means the attempt budget ran out (outcome unknown).
-func rpcCall(p *simrt.Proc, host *node.Host, rp types.RetryPolicy, route *simrt.Chan[wire.Msg], req wire.Msg) (wire.Msg, bool) {
-	if !rp.Enabled() {
-		host.Send(req)
-		return route.Recv(p), true
+// SetRetry installs the per-RPC timeout/retry policy (zero disables).
+func (d *CoordDriver) SetRetry(rp types.RetryPolicy) { d.retry = rp }
+
+// SetObserver attaches the observability layer; client-observed latencies
+// are recorded under proto. Nil (the default) records nothing.
+func (d *CoordDriver) SetObserver(o *obs.Observer, proto string) { d.obsv, d.proto = o, proto }
+
+// Do executes one metadata operation through the coordinator.
+func (d *CoordDriver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
+	start, self := d.host.Sim.Now(), int(d.host.ID)
+	d.obsv.OpIssued(start, self, op.ID, op.Kind)
+	server := d.pl.CoordinatorFor(op.Parent, op.Name)
+	if !op.Kind.CrossServer() {
+		server = singleServer(d.pl, op)
 	}
-	for attempt := 0; attempt < rp.MaxAttempts(); attempt++ {
-		host.Send(req)
-		if m, ok := route.RecvTimeout(p, rp.WaitFor(attempt)); ok {
-			return m, true
-		}
-	}
-	return wire.Msg{}, false
+	ino, err := localOpCall(p, d.host, op, server, d.retry)
+	d.obsv.OpDone(d.proto, self, op.ID, op.Kind, start, d.host.Sim.Now(), err, false)
+	return ino, err
 }
 
 // lockTable serializes conflicting operations inside the 2PC and CE

@@ -96,15 +96,15 @@ func TestLockTableReleaseWakesOne(t *testing.T) {
 
 func TestErrStringMapping(t *testing.T) {
 	for _, known := range []error{types.ErrExists, types.ErrNotFound, types.ErrNotEmpty} {
-		err := errString("insert x: " + known.Error())
+		err := types.WireError("insert x: " + known.Error())
 		if err == nil {
 			t.Fatalf("nil for %v", known)
 		}
 	}
-	if errString("") == nil {
+	if types.WireError("") == nil {
 		t.Error("empty message should map to an error")
 	}
-	if errString("weird failure") == nil {
+	if types.WireError("weird failure") == nil {
 		t.Error("unknown message should map to an error")
 	}
 }

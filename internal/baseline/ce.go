@@ -23,21 +23,15 @@ type CEServer struct {
 	pl    namespace.Placement
 	locks *lockTable
 
-	migrateCh map[types.OpID]*simrt.Chan[wire.Msg] // coordinator awaiting rows/acks
-	migrated  map[types.OpID][]types.ObjKey        // participant: keys lent out
-
-	// guard suppresses duplicate (retried) client operations.
-	guard *dupGuard
+	migrated map[types.OpID][]types.ObjKey // participant: keys lent out
 }
 
 // NewCEServer builds a CE server.
 func NewCEServer(base *node.Base, pl namespace.Placement) *CEServer {
 	return &CEServer{
 		Base: base, pl: pl,
-		locks:     newLockTable(),
-		migrateCh: make(map[types.OpID]*simrt.Chan[wire.Msg]),
-		migrated:  make(map[types.OpID][]types.ObjKey),
-		guard:     newDupGuard(),
+		locks:    newLockTable(),
+		migrated: make(map[types.OpID][]types.ObjKey),
 	}
 }
 
@@ -55,9 +49,7 @@ func (s *CEServer) handle(p *simrt.Proc, m wire.Msg) {
 	case wire.MsgMigrateReq:
 		s.lendRows(p, m)
 	case wire.MsgMigrateResp, wire.MsgMigrateAck:
-		if ch := s.migrateCh[m.Op]; ch != nil {
-			ch.Send(m)
-		}
+		s.Deliver(m)
 	case wire.MsgMigrateBack:
 		s.reinstallRows(p, m)
 	}
@@ -71,36 +63,15 @@ func (s *CEServer) coordinate(p *simrt.Proc, m wire.Msg) {
 		return
 	}
 	if op.Kind.Mutating() {
-		if cached, ok := s.guard.cached(op.ID); ok {
-			cached.To = m.From
-			s.Send(cached)
+		if !s.Begin(op.ID, m.From) {
 			return
 		}
-		if !s.guard.begin(op.ID) {
-			return // duplicate of an operation still executing
-		}
-		defer s.guard.abandon(op.ID)
+		defer s.End(op.ID)
 	}
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
 
 	if !op.Kind.CrossServer() {
-		sub := types.SingleSubOp(op)
-		s.ExecCPU(p)
-		res := s.Shard.Exec(sub, s.NowNanos())
-		reply.OK, reply.Attr = res.OK, res.Inode
-		if res.Err != nil {
-			reply.Err = res.Err.Error()
-		}
-		if res.OK && sub.Action.Mutating() {
-			s.KV.SyncKeys(p, res.Rows)
-		}
-		if s.CrashPoint("ce:after-exec", op.ID) {
-			return
-		}
-		if op.Kind.Mutating() {
-			s.guard.finish(op.ID, reply)
-		}
-		s.Send(reply)
+		serveSingle(p, s.Base, op, reply, "ce:after-exec")
 		return
 	}
 
@@ -116,19 +87,16 @@ func (s *CEServer) coordinate(p *simrt.Proc, m wire.Msg) {
 	defer s.locks.release(keys)
 
 	// Migrate the participant's rows here.
-	var migratedRows []wire.Row
 	partRows := subRowKeys(pSub)
 	if !local {
-		ch := simrt.NewChan[wire.Msg](s.Sim)
-		s.migrateCh[op.ID] = ch
+		ch, done := s.Await(wire.MsgMigrateResp, op.ID, false)
 		s.Send(wire.Msg{Type: wire.MsgMigrateReq, To: part, Op: op.ID, Keys: partRows})
 		mr := ch.Recv(p)
-		delete(s.migrateCh, op.ID)
+		done()
 		if s.Crashed() {
 			return
 		}
-		migratedRows = mr.Rows
-		for _, r := range migratedRows {
+		for _, r := range mr.Rows {
 			if r.Val != nil {
 				s.KV.Put(r.Key, r.Val)
 			}
@@ -165,22 +133,16 @@ func (s *CEServer) coordinate(p *simrt.Proc, m wire.Msg) {
 
 	// Migrate the (possibly updated) rows back.
 	if !local {
-		back := make([]wire.Row, 0, len(partRows))
+		back := s.copyRows(partRows)
 		for _, key := range partRows {
-			if v, okRow := s.KV.Get(key); okRow {
-				cp := make([]byte, len(v))
-				copy(cp, v)
-				back = append(back, wire.Row{Key: key, Val: cp})
-			} else {
-				back = append(back, wire.Row{Key: key, Val: nil})
-			}
 			s.KV.Forget(key) // the row goes home; drop the local copy
 		}
-		ch := simrt.NewChan[wire.Msg](s.Sim)
-		s.migrateCh[op.ID] = ch
+		// Only the MIGRATE-ACK says the participant has the rows durable; a
+		// duplicated MIGRATE-RESP arriving meanwhile routes elsewhere.
+		ch, done := s.Await(wire.MsgMigrateAck, op.ID, false)
 		s.Send(wire.Msg{Type: wire.MsgMigrateBack, To: part, Op: op.ID, Rows: back})
 		ch.Recv(p)
-		delete(s.migrateCh, op.ID)
+		done()
 		if s.Crashed() {
 			return
 		}
@@ -199,7 +161,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m wire.Msg) {
 	} else {
 		reply.Attr = resC.Inode
 	}
-	s.guard.finish(op.ID, reply)
+	s.CacheReply(op.ID, reply)
 	s.Send(reply)
 }
 
@@ -209,17 +171,7 @@ func (s *CEServer) lendRows(p *simrt.Proc, m wire.Msg) {
 	if _, lent := s.migrated[m.Op]; lent {
 		// Retransmitted MigrateReq: the rows are already lent out; resend the
 		// current copies without re-acquiring the locks the loan holds.
-		rows := make([]wire.Row, 0, len(m.Keys))
-		for _, key := range m.Keys {
-			if v, ok := s.KV.Get(key); ok {
-				cp := make([]byte, len(v))
-				copy(cp, v)
-				rows = append(rows, wire.Row{Key: key, Val: cp})
-			} else {
-				rows = append(rows, wire.Row{Key: key, Val: nil})
-			}
-		}
-		s.Send(wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: rows})
+		s.Send(wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: s.copyRows(m.Keys)})
 		return
 	}
 	// Row-key strings are what travel; the lock table works on ObjKeys, so
@@ -227,17 +179,21 @@ func (s *CEServer) lendRows(p *simrt.Proc, m wire.Msg) {
 	objKeys := rowLockKeys(m.Keys)
 	s.locks.acquire(p, objKeys)
 	s.migrated[m.Op] = objKeys
-	rows := make([]wire.Row, 0, len(m.Keys))
-	for _, key := range m.Keys {
+	s.Send(wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: s.copyRows(m.Keys)})
+}
+
+// copyRows reads the rows named keys out of the database as they travel in
+// a migration: a private copy of each value, nil for an absent row.
+func (s *CEServer) copyRows(keys []string) []wire.Row {
+	rows := make([]wire.Row, 0, len(keys))
+	for _, key := range keys {
+		var val []byte
 		if v, ok := s.KV.Get(key); ok {
-			cp := make([]byte, len(v))
-			copy(cp, v)
-			rows = append(rows, wire.Row{Key: key, Val: cp})
-		} else {
-			rows = append(rows, wire.Row{Key: key, Val: nil})
+			val = append(make([]byte, 0, len(v)), v...)
 		}
+		rows = append(rows, wire.Row{Key: key, Val: val})
 	}
-	s.Send(wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: rows})
+	return rows
 }
 
 // reinstallRows takes the updated rows back, persists them synchronously,
@@ -280,30 +236,4 @@ func rowLockKeys(rows []string) []types.ObjKey {
 		out = append(out, types.ObjKey{Kind: types.ObjInode, Name: r})
 	}
 	return out
-}
-
-// CEDriver is the CE client: like 2PC, one round trip to the coordinator.
-type CEDriver struct {
-	host  *node.Host
-	pl    namespace.Placement
-	retry types.RetryPolicy
-	observed
-}
-
-// NewCEDriver builds a CE driver.
-func NewCEDriver(host *node.Host, pl namespace.Placement) *CEDriver {
-	return &CEDriver{host: host, pl: pl}
-}
-
-// SetRetry installs the per-RPC timeout/retry policy (zero disables).
-func (d *CEDriver) SetRetry(rp types.RetryPolicy) { d.retry = rp }
-
-// Do executes one metadata operation through the coordinator.
-func (d *CEDriver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	return d.record(d.host, op, func() (types.Inode, error) {
-		if !op.Kind.CrossServer() {
-			return singleServerOp(p, d.host, d.pl, d.retry, op)
-		}
-		return localOpCall(p, d.host, op, d.pl.CoordinatorFor(op.Parent, op.Name), d.retry)
-	})
 }

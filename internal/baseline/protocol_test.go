@@ -11,6 +11,7 @@ import (
 
 	"cxfs/internal/cluster"
 	"cxfs/internal/simrt"
+	"cxfs/internal/transport"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
 )
@@ -239,5 +240,86 @@ func TestSEBatchedFlushDaemonDrains(t *testing.T) {
 	c.Sim.RunUntil(time.Hour)
 	if !done {
 		t.Fatal("hung")
+	}
+}
+
+// TestCEAckNotImpersonatedByDuplicateMigrateResp: with every MIGRATE-REQ
+// duplicated, the participant answers the retransmission with a second
+// MIGRATE-RESP, which can land while the coordinator waits for the
+// MIGRATE-ACK. Taken as the ack, it lets the client complete (and the
+// coordinator prune its log record) before the participant has persisted
+// the rows. The client's RESP must never precede the first MIGRATE-ACK.
+func TestCEAckNotImpersonatedByDuplicateMigrateResp(t *testing.T) {
+	for _, seed := range []int64{2, 3, 7, 8} {
+		o := cluster.DefaultOptions(4, cluster.ProtoCE)
+		o.ClientHosts, o.ProcsPerHost, o.Seed = 1, 1, seed
+		c := cluster.MustNew(o)
+		var respAt, ackAt time.Duration
+		c.Net.SetTap(func(m wire.Msg) {
+			switch {
+			case m.Type == wire.MsgOpResp && respAt == 0:
+				respAt = c.Sim.Now()
+			case m.Type == wire.MsgMigrateAck && ackAt == 0:
+				ackAt = c.Sim.Now()
+			}
+		})
+		c.Sim.Spawn("t", func(p *simrt.Proc) {
+			pr := c.Proc(0)
+			name, ino, coord, part := crossPlacement(c, pr, "dup")
+			c.Net.SetLinkFaults(coord, part, transport.Faults{DupProb: 1, DelayMax: 11 * time.Millisecond})
+			if _, err := pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
+				Parent: types.RootInode, Name: name, Ino: ino, Type: types.FileRegular}); err != nil {
+				t.Errorf("seed %d: create: %v", seed, err)
+			}
+			c.Sim.Stop()
+		})
+		c.Sim.RunUntil(time.Hour)
+		c.Shutdown()
+		if ackAt == 0 || respAt < ackAt {
+			t.Errorf("seed %d: client RESP at %v, first MIGRATE-ACK at %v: acknowledged before the participant was durable",
+				seed, respAt, ackAt)
+		}
+	}
+}
+
+// TestSingleServerPathsUnderEveryBaseline drives what the baselines share
+// outside their cross-server protocol: stat and setattr at the inode's
+// server, lookup (leased, where the protocol has the cache) and readdir.
+func TestSingleServerPathsUnderEveryBaseline(t *testing.T) {
+	for _, proto := range []cluster.Protocol{cluster.ProtoSE, cluster.ProtoSEBatched, cluster.Proto2PC, cluster.ProtoCE} {
+		o := cluster.DefaultOptions(4, proto)
+		o.ClientHosts, o.ProcsPerHost, o.CacheTTL = 1, 1, time.Second
+		c := cluster.MustNew(o)
+		c.Sim.Spawn("t", func(p *simrt.Proc) {
+			defer c.Sim.Stop()
+			pr := c.Proc(0)
+			ino, err := pr.Create(p, types.RootInode, "f")
+			if err != nil {
+				t.Errorf("%s: create: %v", proto, err)
+				return
+			}
+			if err := pr.SetAttr(p, ino); err != nil {
+				t.Errorf("%s: setattr: %v", proto, err)
+			}
+			if in, err := pr.Stat(p, ino); err != nil || in.Ino != ino {
+				t.Errorf("%s: stat: ino=%d err=%v", proto, in.Ino, err)
+			}
+			for range 2 { // the second lookup is a cache hit under SE
+				if in, err := pr.Lookup(p, types.RootInode, "f"); err != nil || in.Ino != ino {
+					t.Errorf("%s: lookup: ino=%d err=%v", proto, in.Ino, err)
+				}
+			}
+			if _, err := pr.Lookup(p, types.RootInode, "absent"); !errors.Is(err, types.ErrNotFound) {
+				t.Errorf("%s: lookup of an absent name: %v", proto, err)
+			}
+			if ents, err := pr.Readdir(p, types.RootInode); err != nil || len(ents) != 1 || ents[0].Ino != ino {
+				t.Errorf("%s: readdir: %v err=%v", proto, ents, err)
+			}
+		})
+		c.Sim.RunUntil(time.Hour)
+		c.Shutdown()
+		if granted, _ := c.LeaseStats(); (granted > 0) != (proto == cluster.ProtoSE || proto == cluster.ProtoSEBatched) {
+			t.Errorf("%s: %d leases granted", proto, granted)
+		}
 	}
 }

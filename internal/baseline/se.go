@@ -8,6 +8,7 @@ import (
 	"cxfs/internal/core"
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
+	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
@@ -36,15 +37,9 @@ type SEServer struct {
 	// localOps await the batched flush (batched mode only).
 	localOps []localFlush
 
-	// guard suppresses duplicate (retried) mutating requests.
-	guard *dupGuard
-
-	// Leased read path (optional; mirrors core's so the stat-storm
+	// leaseTTL enables the leased read path (optional, so the stat-storm
 	// experiment can compare cache on/off across protocols).
-	leases       *core.LeaseTable
-	leaseTTL     time.Duration
-	leaseGrants  uint64
-	leaseRevokes uint64
+	leaseTTL time.Duration
 }
 
 type localFlush struct {
@@ -63,8 +58,6 @@ func NewSEServer(base *node.Base, pl namespace.Placement, batched bool, flushTim
 	return &SEServer{
 		Base: base, pl: pl, batched: batched, flushT: flushTimeout,
 		pendingUndo: make(map[types.OpID]*namespace.Undo),
-		guard:       newDupGuard(),
-		leases:      core.NewLeaseTable(4096),
 	}
 }
 
@@ -135,36 +128,7 @@ func (s *SEServer) handleLookup(p *simrt.Proc, m wire.Msg) {
 	if s.Crashed() {
 		return
 	}
-	in, found := s.Shard.ResolveEntry(m.Dir, m.Path)
-	reply := wire.Msg{Type: wire.MsgLookupResp, To: m.From, Op: m.Op,
-		OK: found, Dir: m.Dir, Path: m.Path, Attr: in}
-	if !found {
-		reply.Err = types.ErrNotFound.Error()
-	}
-	if s.leaseTTL > 0 {
-		reply.LeaseEpoch = s.Boot() + 1
-		reply.LeaseTTL = s.leaseTTL
-		s.leases.Grant(m.Dir, m.Path, m.From, s.Sim.Now(), s.leaseTTL)
-		s.leaseGrants++
-	}
-	s.Send(reply)
-}
-
-// revokeLeases notifies lease holders that (dir, name) is changing.
-func (s *SEServer) revokeLeases(dir types.InodeID, name string, op types.OpID) {
-	for _, h := range s.leases.Revoke(dir, name) {
-		s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: h, Op: op,
-			Dir: dir, Path: name, LeaseEpoch: s.Boot() + 1})
-		s.leaseRevokes++
-	}
-}
-
-// LeasesOutstanding reports unexpired leased entries on this server.
-func (s *SEServer) LeasesOutstanding() int { return s.leases.Outstanding(s.Sim.Now()) }
-
-// LeaseStats returns cumulative grant and revocation counts.
-func (s *SEServer) LeaseStats() (granted, revoked uint64) {
-	return s.leaseGrants, s.leaseRevokes
+	s.AnswerLookup(m, s.leaseTTL)
 }
 
 // maybeRevoke fires the lease revocation when an executed sub-op mutated a
@@ -172,7 +136,7 @@ func (s *SEServer) LeaseStats() (granted, revoked uint64) {
 func (s *SEServer) maybeRevoke(sub types.SubOp) {
 	switch sub.Action {
 	case types.ActInsertEntry, types.ActRemoveEntry:
-		s.revokeLeases(sub.Parent, sub.Name, sub.Op)
+		s.RevokeLeases(sub.Parent, sub.Name, sub.Op)
 	}
 }
 
@@ -196,15 +160,10 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m wire.Msg) {
 	sub := m.Sub
 	mutating := sub.Action.Mutating()
 	if mutating {
-		if cached, ok := s.guard.cached(sub.Op); ok {
-			cached.To = m.From
-			s.Send(cached)
+		if !s.Begin(sub.Op, m.From) {
 			return
 		}
-		if !s.guard.begin(sub.Op) {
-			return // duplicate of an execution still in flight
-		}
-		defer s.guard.abandon(sub.Op)
+		defer s.End(sub.Op)
 	}
 	s.ExecCPU(p)
 	res := s.Shard.Exec(sub, s.NowNanos())
@@ -223,7 +182,7 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m wire.Msg) {
 		reply.Err = res.Err.Error()
 	}
 	if mutating {
-		s.guard.finish(sub.Op, reply)
+		s.CacheReply(sub.Op, reply)
 	}
 	s.Send(reply)
 }
@@ -266,15 +225,10 @@ func (s *SEServer) handleLocalOp(p *simrt.Proc, m wire.Msg) {
 		return
 	}
 	if op.Kind.Mutating() {
-		if cached, ok := s.guard.cached(op.ID); ok {
-			cached.To = m.From
-			s.Send(cached)
+		if !s.Begin(op.ID, m.From) {
 			return
 		}
-		if !s.guard.begin(op.ID) {
-			return
-		}
-		defer s.guard.abandon(op.ID)
+		defer s.End(op.ID)
 	}
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
 	s.ExecCPU(p)
@@ -315,7 +269,7 @@ func (s *SEServer) handleLocalOp(p *simrt.Proc, m wire.Msg) {
 		return
 	}
 	if op.Kind.Mutating() {
-		s.guard.finish(op.ID, reply)
+		s.CacheReply(op.ID, reply)
 	}
 	s.Send(reply)
 }
@@ -327,7 +281,8 @@ type SEDriver struct {
 	pl    namespace.Placement
 	retry types.RetryPolicy
 	cache *core.Cache
-	observed
+	obsv  *obs.Observer
+	proto string
 }
 
 // NewSEDriver builds an SE driver bound to a client host.
@@ -338,63 +293,28 @@ func NewSEDriver(host *node.Host, pl namespace.Placement) *SEDriver {
 // SetRetry installs the per-RPC timeout/retry policy (zero = block forever).
 func (d *SEDriver) SetRetry(rp types.RetryPolicy) { d.retry = rp }
 
-// SetCache attaches a leased metadata cache (shared Cache implementation
-// from core) and installs the host's revocation hook.
-func (d *SEDriver) SetCache(c *core.Cache) {
-	d.cache = c
-	if c == nil {
-		return
-	}
-	d.host.SetNotify(func(m wire.Msg) bool {
-		if m.Type == wire.MsgConflictNotify && m.Path != "" {
-			c.Revoke(m.Dir, m.Path, m.From, m.LeaseEpoch)
-			return true
-		}
-		return false
-	})
-}
+// SetObserver attaches the observability layer; client-observed latencies
+// are recorded under proto. Nil (the default) records nothing.
+func (d *SEDriver) SetObserver(o *obs.Observer, proto string) { d.obsv, d.proto = o, proto }
 
-// FlushCache drops every cached entry.
-func (d *SEDriver) FlushCache() {
-	if d.cache != nil {
-		d.cache.Flush()
-	}
-}
-
-// doLookup serves a lookup from the cache under lease, or round-trips a
-// LookupReq and installs the granted lease.
-func (d *SEDriver) doLookup(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	if attr, found, _, ok := d.cache.Get(d.host.Sim.Now(), op.Parent, op.Name); ok {
-		if !found {
-			return types.Inode{}, types.ErrNotFound
-		}
-		return attr, nil
-	}
-	route := d.host.Open(op.ID)
-	defer d.host.Done(op.ID)
-	issued := d.host.Sim.Now()
-	m, ok := rpcCall(p, d.host, d.retry, route, wire.Msg{Type: wire.MsgLookupReq,
-		To: d.pl.CoordinatorFor(op.Parent, op.Name), Op: op.ID,
-		Dir: op.Parent, Path: op.Name, ReplyProc: op.ID.Proc})
-	if !ok {
-		return types.Inode{}, types.ErrTimeout
-	}
-	d.cache.Put(issued, d.host.Sim.Now(), m)
-	if m.OK {
-		return m.Attr, nil
-	}
-	return types.Inode{}, errString(m.Err)
-}
+// SetCache attaches a leased metadata cache (core's, already attached to
+// the host).
+func (d *SEDriver) SetCache(c *core.Cache) { d.cache = c }
 
 // Do executes one metadata operation serially.
 func (d *SEDriver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	return d.record(d.host, op, func() (types.Inode, error) { return d.do(p, op) })
+	start, self := d.host.Sim.Now(), int(d.host.ID)
+	d.obsv.OpIssued(start, self, op.ID, op.Kind)
+	ino, err := d.do(p, op)
+	d.obsv.OpDone(d.proto, self, op.ID, op.Kind, start, d.host.Sim.Now(), err, false)
+	return ino, err
 }
 
 func (d *SEDriver) do(p *simrt.Proc, op types.Op) (types.Inode, error) {
 	if d.cache != nil {
 		if op.Kind == types.OpLookup {
-			return d.doLookup(p, op)
+			attr, _, _, _, err := d.cache.Lookup(p, d.host, d.retry, d.pl.CoordinatorFor(op.Parent, op.Name), op)
+			return attr, err
 		}
 		if op.Kind.Mutating() {
 			d.cache.Invalidate(op.Parent, op.Name)
@@ -404,7 +324,7 @@ func (d *SEDriver) do(p *simrt.Proc, op types.Op) (types.Inode, error) {
 		}
 	}
 	if !op.Kind.CrossServer() {
-		return singleServerOp(p, d.host, d.pl, d.retry, op)
+		return localOpCall(p, d.host, op, singleServer(d.pl, op), d.retry)
 	}
 	coord := d.pl.CoordinatorFor(op.Parent, op.Name)
 	part := d.pl.ParticipantFor(op.Ino)
@@ -416,76 +336,39 @@ func (d *SEDriver) do(p *simrt.Proc, op types.Op) (types.Inode, error) {
 	defer d.host.Done(op.ID)
 
 	// Step 1: participant executes first.
-	m, ok := seCall(p, d.host, d.retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
+	m, _, ok := d.host.Call(p, d.retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
 	if !ok {
 		return types.Inode{}, types.ErrTimeout
 	}
 	if !m.OK {
-		return types.Inode{}, errString(m.Err)
+		return types.Inode{}, types.WireError(m.Err)
 	}
 	// Step 2: then the coordinator.
-	m, ok = seCall(p, d.host, d.retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
+	m, _, ok = d.host.Call(p, d.retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
 	if !ok {
 		// The participant's half may be durable with no withdrawal possible:
 		// exactly SE's documented orphan window. Best-effort CLEAR.
-		seCall(p, d.host, d.retry, route, wire.Msg{Type: wire.MsgClear, To: part, Op: op.ID, ReplyProc: op.ID.Proc})
+		d.host.Call(p, d.retry, route, wire.Msg{Type: wire.MsgClear, To: part, Op: op.ID, ReplyProc: op.ID.Proc})
 		return types.Inode{}, types.ErrTimeout
 	}
 	if m.OK {
 		return m.Attr, nil
 	}
 	// Compensate: CLEAR the participant's execution.
-	err := errString(m.Err)
-	seCall(p, d.host, d.retry, route, wire.Msg{Type: wire.MsgClear, To: part, Op: op.ID, ReplyProc: op.ID.Proc})
+	err := types.WireError(m.Err)
+	d.host.Call(p, d.retry, route, wire.Msg{Type: wire.MsgClear, To: part, Op: op.ID, ReplyProc: op.ID.Proc})
 	return types.Inode{}, err
-}
-
-// seCall sends req and awaits the reply from the addressed server,
-// retransmitting per the policy and discarding stray responses from the
-// operation's other leg (late duplicates under faults).
-func seCall(p *simrt.Proc, host *node.Host, rp types.RetryPolicy, route *simrt.Chan[wire.Msg], req wire.Msg) (wire.Msg, bool) {
-	if !rp.Enabled() {
-		host.Send(req)
-		for {
-			m := route.Recv(p)
-			if m.From == req.To {
-				return m, true
-			}
-		}
-	}
-	for attempt := 0; attempt < rp.MaxAttempts(); attempt++ {
-		host.Send(req)
-		deadline := p.Now() + rp.WaitFor(attempt)
-		for {
-			remaining := deadline - p.Now()
-			if remaining <= 0 {
-				break
-			}
-			m, ok := route.RecvTimeout(p, remaining)
-			if !ok {
-				break
-			}
-			if m.From == req.To {
-				return m, true
-			}
-		}
-	}
-	return wire.Msg{}, false
 }
 
 // Shared client helpers -----------------------------------------------------
 
-// singleServerOp routes a read or single-server update to its owner server
-// as an OpReq (SE, 2PC, and CE all use the plain local path for these).
-func singleServerOp(p *simrt.Proc, host *node.Host, pl namespace.Placement, rp types.RetryPolicy, op types.Op) (types.Inode, error) {
-	var target types.NodeID
-	switch op.Kind {
-	case types.OpLookup:
-		target = pl.CoordinatorFor(op.Parent, op.Name)
-	default:
-		target = pl.ParticipantFor(op.Ino)
+// singleServer is the owner a read or single-server update is routed to as
+// an OpReq (SE, 2PC, and CE all use the plain local path for these).
+func singleServer(pl namespace.Placement, op types.Op) types.NodeID {
+	if op.Kind == types.OpLookup {
+		return pl.CoordinatorFor(op.Parent, op.Name)
 	}
-	return localOpCall(p, host, op, target, rp)
+	return pl.ParticipantFor(op.Ino)
 }
 
 // localOpCall sends a whole op to one server and awaits the response,
@@ -493,14 +376,14 @@ func singleServerOp(p *simrt.Proc, host *node.Host, pl namespace.Placement, rp t
 func localOpCall(p *simrt.Proc, host *node.Host, op types.Op, server types.NodeID, rp types.RetryPolicy) (types.Inode, error) {
 	route := host.Open(op.ID)
 	defer host.Done(op.ID)
-	m, ok := rpcCall(p, host, rp, route, wire.Msg{Type: wire.MsgOpReq, To: server, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
+	m, _, ok := host.Call(p, rp, route, wire.Msg{Type: wire.MsgOpReq, To: server, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
 	if !ok {
 		return types.Inode{}, types.ErrTimeout
 	}
 	if m.OK {
 		return m.Attr, nil
 	}
-	return types.Inode{}, errString(m.Err)
+	return types.Inode{}, types.WireError(m.Err)
 }
 
 // Readdir fans the listing out to every server and unions the partitions;
@@ -516,7 +399,7 @@ func Readdir(p *simrt.Proc, host *node.Host, servers int, id types.OpID, dir typ
 	for got := 0; got < servers; got++ {
 		m := route.Recv(p)
 		if !m.OK {
-			return nil, errString(m.Err)
+			return nil, types.WireError(m.Err)
 		}
 		for _, r := range m.Rows {
 			if len(r.Val) == 8 {
@@ -534,21 +417,4 @@ func decodeIno(v []byte) types.InodeID {
 		x = x<<8 | uint64(v[i])
 	}
 	return types.InodeID(x)
-}
-
-// errString maps a response error back to the shared sentinel errors.
-func errString(msg string) error {
-	if msg == "" {
-		return types.ErrAborted
-	}
-	for _, known := range []error{
-		types.ErrExists, types.ErrNotFound, types.ErrNotEmpty,
-		types.ErrNotDir, types.ErrIsDir, types.ErrAborted,
-	} {
-		if msg == known.Error() || len(msg) > len(known.Error()) &&
-			msg[len(msg)-len(known.Error()):] == known.Error() {
-			return fmt.Errorf("%s: %w", msg, known)
-		}
-	}
-	return fmt.Errorf("%s", msg)
 }

@@ -22,15 +22,8 @@ type TwoPCServer struct {
 	pl    namespace.Placement
 	locks *lockTable
 
-	// Per-operation reply routing for the coordinator's blocking RPCs.
-	voteCh map[types.OpID]*simrt.Chan[wire.Msg]
-	ackCh  map[types.OpID]*simrt.Chan[wire.Msg]
-
 	// Participant-side pending executions awaiting the decision.
 	pendingPart map[types.OpID]*pendingExec
-
-	// guard suppresses duplicate (retried) client transactions.
-	guard *dupGuard
 }
 
 type pendingExec struct {
@@ -46,10 +39,7 @@ func NewTwoPCServer(base *node.Base, pl namespace.Placement) *TwoPCServer {
 	return &TwoPCServer{
 		Base: base, pl: pl,
 		locks:       newLockTable(),
-		voteCh:      make(map[types.OpID]*simrt.Chan[wire.Msg]),
-		ackCh:       make(map[types.OpID]*simrt.Chan[wire.Msg]),
 		pendingPart: make(map[types.OpID]*pendingExec),
-		guard:       newDupGuard(),
 	}
 }
 
@@ -66,16 +56,10 @@ func (s *TwoPCServer) handle(p *simrt.Proc, m wire.Msg) {
 		s.coordinate(p, m)
 	case wire.MsgVote:
 		s.participantVote(p, m)
-	case wire.MsgVoteResp:
-		if ch := s.voteCh[m.Op]; ch != nil {
-			ch.Send(m)
-		}
 	case wire.MsgCommitReq:
 		s.participantDecide(p, m)
-	case wire.MsgAck:
-		if ch := s.ackCh[m.Op]; ch != nil {
-			ch.Send(m)
-		}
+	case wire.MsgVoteResp, wire.MsgAck:
+		s.Deliver(m)
 	}
 }
 
@@ -87,36 +71,15 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m wire.Msg) {
 		return
 	}
 	if op.Kind.Mutating() {
-		if cached, ok := s.guard.cached(op.ID); ok {
-			cached.To = m.From
-			s.Send(cached)
-			return
+		if !s.Begin(op.ID, m.From) {
+			return // a transaction still running (or queued on locks), or finished
 		}
-		if !s.guard.begin(op.ID) {
-			return // duplicate of a transaction still running (or queued on locks)
-		}
-		defer s.guard.abandon(op.ID)
+		defer s.End(op.ID)
 	}
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
 
 	if !op.Kind.CrossServer() {
-		sub := types.SingleSubOp(op)
-		s.ExecCPU(p)
-		res := s.Shard.Exec(sub, s.NowNanos())
-		reply.OK, reply.Attr = res.OK, res.Inode
-		if res.Err != nil {
-			reply.Err = res.Err.Error()
-		}
-		if res.OK && sub.Action.Mutating() {
-			s.KV.SyncKeys(p, res.Rows)
-		}
-		if s.CrashPoint("2pc:after-exec", op.ID) {
-			return
-		}
-		if op.Kind.Mutating() {
-			s.guard.finish(op.ID, reply)
-		}
-		s.Send(reply)
+		serveSingle(p, s.Base, op, reply, "2pc:after-exec")
 		return
 	}
 
@@ -143,12 +106,10 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m wire.Msg) {
 				OK: true, Sub: pSub, Before: resP.Before, After: resP.After})
 		}
 	} else {
-		ch := simrt.NewChan[wire.Msg](s.Sim)
-		s.voteCh[op.ID] = ch
+		ch, done := s.Await(wire.MsgVoteResp, op.ID, false)
 		s.Send(wire.Msg{Type: wire.MsgVote, To: part, Op: op.ID, Sub: pSub, ReplyProc: m.ReplyProc})
-		vm := ch.Recv(p)
-		delete(s.voteCh, op.ID)
-		partOK = vm.OK
+		partOK = ch.Recv(p).OK
+		done()
 	}
 	if s.Crashed() {
 		return
@@ -178,12 +139,11 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m wire.Msg) {
 	if local {
 		s.applyDecision(p, op.ID, commit)
 	} else if partOK {
-		ch := simrt.NewChan[wire.Msg](s.Sim)
-		s.ackCh[op.ID] = ch
+		ch, done := s.Await(wire.MsgAck, op.ID, false)
 		s.Send(wire.Msg{Type: wire.MsgCommitReq, To: part, Op: op.ID,
 			Decisions: []wire.Decision{{Op: op.ID, Commit: commit}}})
 		ch.Recv(p)
-		delete(s.ackCh, op.ID)
+		done()
 	}
 	if s.Crashed() {
 		return
@@ -214,7 +174,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m wire.Msg) {
 	} else {
 		reply.Attr = resC.Inode
 	}
-	s.guard.finish(op.ID, reply)
+	s.CacheReply(op.ID, reply)
 	s.Send(reply)
 }
 
@@ -278,31 +238,4 @@ func (s *TwoPCServer) applyDecision(p *simrt.Proc, id types.OpID, commit bool) {
 	s.WAL.Append(p, wal.Record{Type: decType, Op: id, Role: types.RoleParticipant})
 	s.WAL.Prune(id)
 	s.locks.release(pe.keys)
-}
-
-// TwoPCDriver is the 2PC client: one request to the coordinator, one
-// response when the transaction has fully committed or aborted.
-type TwoPCDriver struct {
-	host  *node.Host
-	pl    namespace.Placement
-	retry types.RetryPolicy
-	observed
-}
-
-// NewTwoPCDriver builds a 2PC driver.
-func NewTwoPCDriver(host *node.Host, pl namespace.Placement) *TwoPCDriver {
-	return &TwoPCDriver{host: host, pl: pl}
-}
-
-// SetRetry installs the per-RPC timeout/retry policy (zero disables).
-func (d *TwoPCDriver) SetRetry(rp types.RetryPolicy) { d.retry = rp }
-
-// Do executes one metadata operation through the coordinator.
-func (d *TwoPCDriver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	return d.record(d.host, op, func() (types.Inode, error) {
-		if !op.Kind.CrossServer() {
-			return singleServerOp(p, d.host, d.pl, d.retry, op)
-		}
-		return localOpCall(p, d.host, op, d.pl.CoordinatorFor(op.Parent, op.Name), d.retry)
-	})
 }

@@ -120,8 +120,7 @@ type Cluster struct {
 	Placement namespace.Placement
 
 	Bases   []*node.Base
-	CxSrv   []*core.Server       // non-nil only under ProtoCx
-	SESrv   []*baseline.SEServer // non-nil only under ProtoSE / ProtoSEBatched
+	CxSrv   []*core.Server // non-nil only under ProtoCx
 	Hosts   []*node.Host
 	drivers []Driver      // one per host
 	caches  []*core.Cache // one per host when Opts.CacheTTL > 0
@@ -196,16 +195,10 @@ func New(opts Options) (*Cluster, error) {
 			srv := core.NewServer(base, pl, opts.Cx)
 			srv.Start()
 			c.CxSrv = append(c.CxSrv, srv)
-		case ProtoSE:
-			srv := baseline.NewSEServer(base, pl, false, opts.SEFlush)
+		case ProtoSE, ProtoSEBatched:
+			srv := baseline.NewSEServer(base, pl, opts.Protocol == ProtoSEBatched, opts.SEFlush)
 			srv.SetLeaseTTL(opts.CacheTTL)
 			srv.Start()
-			c.SESrv = append(c.SESrv, srv)
-		case ProtoSEBatched:
-			srv := baseline.NewSEServer(base, pl, true, opts.SEFlush)
-			srv.SetLeaseTTL(opts.CacheTTL)
-			srv.Start()
-			c.SESrv = append(c.SESrv, srv)
 		case Proto2PC:
 			baseline.NewTwoPCServer(base, pl).Start()
 		case ProtoCE:
@@ -226,6 +219,7 @@ func New(opts Options) (*Cluster, error) {
 		newCache := func() *core.Cache {
 			cc := core.NewCache(opts.CacheCap)
 			cc.SetObserver(opts.Obs)
+			cc.Attach(host)
 			c.caches = append(c.caches, cc)
 			return cc
 		}
@@ -246,13 +240,8 @@ func New(opts Options) (*Cluster, error) {
 				d.SetCache(newCache())
 			}
 			c.drivers = append(c.drivers, d)
-		case Proto2PC:
-			d := baseline.NewTwoPCDriver(host, pl)
-			d.SetObserver(opts.Obs, string(opts.Protocol))
-			d.SetRetry(opts.Retry)
-			c.drivers = append(c.drivers, d)
-		case ProtoCE:
-			d := baseline.NewCEDriver(host, pl)
+		case Proto2PC, ProtoCE:
+			d := baseline.NewCoordDriver(host, pl)
 			d.SetObserver(opts.Obs, string(opts.Protocol))
 			d.SetRetry(opts.Retry)
 			c.drivers = append(c.drivers, d)
@@ -479,27 +468,14 @@ func (c *Cluster) CacheStats() core.CacheStats {
 // LeasesOutstanding reports how many unexpired leases server i currently
 // tracks (0 for protocols without leasing). The lease-aware nemesis targets
 // the server holding the most.
-func (c *Cluster) LeasesOutstanding(i int) int {
-	switch {
-	case i < len(c.CxSrv):
-		return c.CxSrv[i].LeasesOutstanding()
-	case i < len(c.SESrv):
-		return c.SESrv[i].LeasesOutstanding()
-	}
-	return 0
-}
+func (c *Cluster) LeasesOutstanding(i int) int { return c.Bases[i].LeasesOutstanding() }
 
 // LeaseStats sums lease-side counters (grants, revocations) across servers.
 func (c *Cluster) LeaseStats() (granted, revoked uint64) {
-	for _, srv := range c.CxSrv {
-		st := srv.Stats()
+	for _, b := range c.Bases {
+		st := b.Stats()
 		granted += st.LeasesGranted
 		revoked += st.LeaseRevocations
-	}
-	for _, srv := range c.SESrv {
-		g, r := srv.LeaseStats()
-		granted += g
-		revoked += r
 	}
 	return granted, revoked
 }

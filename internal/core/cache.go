@@ -3,7 +3,9 @@ package core
 import (
 	"time"
 
+	"cxfs/internal/node"
 	"cxfs/internal/obs"
+	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
 )
@@ -72,6 +74,45 @@ func NewCache(capacity int) *Cache {
 		entries: make(map[cacheKey]*cacheEntry),
 		epochs:  make(map[types.NodeID]uint64),
 	}
+}
+
+// Attach installs the cache's revocation hook on its client host:
+// MsgConflictNotify with a Path is a lease revocation for this client,
+// consumed before the per-op reply routes (it must never leak into an op's
+// reply channel when its ID collides with an open route).
+func (c *Cache) Attach(host *node.Host) {
+	host.SetNotify(func(m wire.Msg) bool {
+		if m.Type == wire.MsgConflictNotify && m.Path != "" {
+			c.Revoke(m.Dir, m.Path, m.From, m.LeaseEpoch)
+			return true
+		}
+		return false
+	})
+}
+
+// Lookup resolves the lookup op through the cache: locally while a lease
+// covers the entry (cached is true), otherwise by one LookupReq round trip
+// to server — the entry's owner under the caller's protocol — whose grant
+// fills the cache. grant is the issue time of the request backing the
+// answer (for the staleness oracle), retries the retransmissions made; err
+// is ErrTimeout when no reply came.
+func (c *Cache) Lookup(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, server types.NodeID, op types.Op) (attr types.Inode, grant time.Duration, cached bool, retries int, err error) {
+	issued := host.Sim.Now()
+	if attr, found, grant, ok := c.Get(issued, op.Parent, op.Name); ok {
+		if !found {
+			return types.Inode{}, grant, true, 0, types.ErrNotFound
+		}
+		return attr, grant, true, 0, nil
+	}
+	route := host.Open(op.ID)
+	defer host.Done(op.ID)
+	m, retries, ok := host.Call(p, retry, route, wire.Msg{Type: wire.MsgLookupReq, To: server, Op: op.ID,
+		Dir: op.Parent, Path: op.Name, ReplyProc: op.ID.Proc})
+	if !ok {
+		return types.Inode{}, 0, false, retries, types.ErrTimeout
+	}
+	c.Put(issued, host.Sim.Now(), m)
+	return m.Attr, issued, false, retries, errFrom(m)
 }
 
 // SetObserver mirrors cache counters into the observability layer

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"cxfs/internal/namespace"
@@ -71,23 +70,8 @@ func (d *Driver) SetObserver(o *obs.Observer, proto string) {
 // server-side duplicate suppression keeps retransmissions at-most-once.
 func (d *Driver) SetRetry(rp types.RetryPolicy) { d.retry = rp }
 
-// SetCache attaches the leased metadata cache and installs the host's
-// revocation hook: MsgConflictNotify with a Path is a lease revocation for
-// this client, consumed before the per-op reply routes (it must never leak
-// into an op's reply channel when its ID collides with an open route).
-func (d *Driver) SetCache(c *Cache) {
-	d.cache = c
-	if c == nil {
-		return
-	}
-	d.host.SetNotify(func(m wire.Msg) bool {
-		if m.Type == wire.MsgConflictNotify && m.Path != "" {
-			c.Revoke(m.Dir, m.Path, m.From, m.LeaseEpoch)
-			return true
-		}
-		return false
-	})
-}
+// SetCache attaches a leased metadata cache (already attached to the host).
+func (d *Driver) SetCache(c *Cache) { d.cache = c }
 
 // Cache returns the attached cache (nil when caching is off).
 func (d *Driver) Cache() *Cache { return d.cache }
@@ -132,69 +116,23 @@ func (d *Driver) TakeLookup(id types.OpID) (cached bool, grant time.Duration, ok
 	return r.cached, r.grant, ok
 }
 
-// call sends req and waits for a reply on route, retransmitting per the
-// retry policy. The second return is false when the attempt budget is
-// exhausted: the operation's outcome is unknown.
-func (d *Driver) call(p *simrt.Proc, route *simrt.Chan[wire.Msg], req wire.Msg) (wire.Msg, bool) {
-	if !d.retry.Enabled() {
-		d.host.Send(req)
-		return route.Recv(p), true
-	}
-	for attempt := 0; attempt < d.retry.MaxAttempts(); attempt++ {
-		if attempt > 0 {
-			d.stats.Retries++
-		}
-		d.host.Send(req)
-		if m, ok := route.RecvTimeout(p, d.retry.WaitFor(attempt)); ok {
-			return m, true
-		}
-	}
-	d.stats.Timeouts++
-	return wire.Msg{}, false
-}
-
 // errFrom converts a response's error string back into a typed error.
 func errFrom(m wire.Msg) error {
 	if m.OK {
 		return nil
 	}
-	if m.Err == "" {
-		return types.ErrAborted
-	}
-	for _, known := range []error{
-		types.ErrExists, types.ErrNotFound, types.ErrNotEmpty,
-		types.ErrNotDir, types.ErrIsDir, types.ErrAborted, types.ErrInvalidated,
-	} {
-		if m.Err == known.Error() || len(m.Err) > len(known.Error()) &&
-			m.Err[len(m.Err)-len(known.Error()):] == known.Error() {
-			return fmt.Errorf("%s: %w", m.Err, known)
-		}
-	}
-	return errors.New(m.Err)
+	return types.WireError(m.Err)
 }
 
 // Do executes one metadata operation and blocks until it is complete from
 // the process's perspective. The returned inode carries stat/lookup
 // payloads.
 func (d *Driver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	if d.obsv == nil {
-		return d.do(p, op, nil)
-	}
-	start := d.host.Sim.Now()
-	if d.obsv.TraceOn() {
-		d.obsv.Emit(start, int(d.host.ID), op.ID, obs.PhaseIssue, op.Kind.String())
-	}
+	start, self := d.host.Sim.Now(), int(d.host.ID)
+	d.obsv.OpIssued(start, self, op.ID, op.Kind)
 	var conflicted bool
 	ino, err := d.do(p, op, &conflicted)
-	out := obs.OutcomeComplete
-	switch {
-	case err != nil:
-		out = obs.OutcomeAborted
-	case conflicted:
-		out = obs.OutcomeConflicted
-	}
-	d.obsv.RecordOp(op.Kind, d.proto, out, op.ID, int(d.host.ID),
-		start, d.host.Sim.Now()-start)
+	d.obsv.OpDone(d.proto, self, op.ID, op.Kind, start, d.host.Sim.Now(), err, conflicted)
 	return ino, err
 }
 
@@ -243,11 +181,19 @@ func (d *Driver) doSingle(p *simrt.Proc, op types.Op) (types.Inode, error) {
 	default: // stat, setattr live with the inode
 		target = d.pl.ParticipantFor(op.Ino)
 	}
-	route := d.host.Open(op.ID)
-	defer d.host.Done(op.ID)
-	m, ok := d.call(p, route, wire.Msg{Type: wire.MsgSubOpReq, To: target, Op: op.ID,
+	return d.roundTrip(p, wire.Msg{Type: wire.MsgSubOpReq, To: target, Op: op.ID,
 		Sub: types.SingleSubOp(op), ReplyProc: op.ID.Proc})
+}
+
+// roundTrip runs an operation that is one request to one server: the
+// retrying call on the operation's own route, and the reply mapped back.
+func (d *Driver) roundTrip(p *simrt.Proc, req wire.Msg) (types.Inode, error) {
+	route := d.host.Open(req.Op)
+	defer d.host.Done(req.Op)
+	m, retries, ok := d.host.Call(p, d.retry, route, req)
+	d.stats.Retries += uint64(retries)
 	if !ok {
+		d.stats.Timeouts++
 		d.stats.Failures++
 		return types.Inode{}, types.ErrTimeout
 	}
@@ -257,58 +203,34 @@ func (d *Driver) doSingle(p *simrt.Proc, op types.Op) (types.Inode, error) {
 	return m.Attr, errFrom(m)
 }
 
-// doLookup is the leased read path: serve (Parent, Name) from the cache
-// when a valid lease covers it, otherwise round-trip a MsgLookupReq to the
-// dentry's coordinator and install the granted lease.
+// doLookup is the leased read path: the cache serves (Parent, Name) while a
+// valid lease covers it, and otherwise asks the dentry's coordinator and
+// installs the granted lease.
 func (d *Driver) doLookup(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	now := d.host.Sim.Now()
-	if attr, found, grant, ok := d.cache.Get(now, op.Parent, op.Name); ok {
-		d.lastCached, d.lastGrant = true, grant
-		if d.lookupLog != nil {
-			d.lookupLog[op.ID] = lookupRec{cached: true, grant: grant}
+	attr, grant, cached, retries, err := d.cache.Lookup(p, d.host, d.retry,
+		d.pl.CoordinatorFor(op.Parent, op.Name), op)
+	timedOut := errors.Is(err, types.ErrTimeout)
+	d.lastCached, d.lastGrant = cached, grant
+	if d.lookupLog != nil && !timedOut {
+		d.lookupLog[op.ID] = lookupRec{cached: cached, grant: grant}
+	}
+	if !cached {
+		d.stats.SingleServer++
+		d.stats.Retries += uint64(retries)
+		if timedOut {
+			d.stats.Timeouts++
 		}
-		if !found {
-			return types.Inode{}, types.ErrNotFound
+		if err != nil {
+			d.stats.Failures++
 		}
-		return attr, nil
 	}
-	d.lastCached, d.lastGrant = false, 0
-	d.stats.SingleServer++
-	target := d.pl.CoordinatorFor(op.Parent, op.Name)
-	route := d.host.Open(op.ID)
-	defer d.host.Done(op.ID)
-	issued := d.host.Sim.Now()
-	m, ok := d.call(p, route, wire.Msg{Type: wire.MsgLookupReq, To: target, Op: op.ID,
-		Dir: op.Parent, Path: op.Name, ReplyProc: op.ID.Proc})
-	if !ok {
-		d.stats.Failures++
-		return types.Inode{}, types.ErrTimeout
-	}
-	d.cache.Put(issued, d.host.Sim.Now(), m)
-	d.lastGrant = issued
-	if d.lookupLog != nil {
-		d.lookupLog[op.ID] = lookupRec{cached: false, grant: issued}
-	}
-	if !m.OK {
-		d.stats.Failures++
-	}
-	return m.Attr, errFrom(m)
+	return attr, err
 }
 
 // doLocal routes a colocated cross-server operation as one local
 // transaction.
 func (d *Driver) doLocal(p *simrt.Proc, op types.Op, server types.NodeID) (types.Inode, error) {
-	route := d.host.Open(op.ID)
-	defer d.host.Done(op.ID)
-	m, ok := d.call(p, route, wire.Msg{Type: wire.MsgOpReq, To: server, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
-	if !ok {
-		d.stats.Failures++
-		return types.Inode{}, types.ErrTimeout
-	}
-	if !m.OK {
-		d.stats.Failures++
-	}
-	return m.Attr, errFrom(m)
+	return d.roundTrip(p, wire.Msg{Type: wire.MsgOpReq, To: server, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
 }
 
 // respState tracks the freshest response from one server.
@@ -378,10 +300,10 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 			// 7b: every successful execution was aborted.
 			d.stats.Failures++
 			if rc.have && !rc.ok && rc.err != "" && rc.err != types.ErrInvalidated.Error() {
-				return types.Inode{}, errFrom(wire.Msg{Err: rc.err})
+				return types.Inode{}, types.WireError(rc.err)
 			}
 			if rp.have && !rp.ok && rp.err != "" && rp.err != types.ErrInvalidated.Error() {
-				return types.Inode{}, errFrom(wire.Msg{Err: rp.err})
+				return types.Inode{}, types.WireError(rp.err)
 			}
 			return types.Inode{}, types.ErrAborted
 		case wire.MsgSubOpResp:
@@ -406,9 +328,9 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 			// Agreement on failure: complete, commitment happens lazily.
 			d.stats.Failures++
 			if rc.err != "" {
-				return types.Inode{}, errFrom(wire.Msg{Err: rc.err})
+				return types.Inode{}, types.WireError(rc.err)
 			}
-			return types.Inode{}, errFrom(wire.Msg{Err: rp.err})
+			return types.Inode{}, types.WireError(rp.err)
 		default:
 			// Disagreement: ask the coordinator for an immediate
 			// commitment; ALL-NO completes the operation (§III.B step 2b).

@@ -76,7 +76,7 @@ func (s *Server) answerAborted(op types.OpID, lcom bool, part types.NodeID) {
 		}
 	case part < 0:
 		s.Send(wire.Msg{Type: wire.MsgAllNo, To: op.Proc.Client, Op: op})
-	case s.ackResp[op] == nil: // else a retransmitted L-COM: the round is under way
+	case !s.Awaiting(wire.MsgAck, op, true): // else a retransmitted L-COM: the round is under way
 		boot := s.Boot()
 		s.Sim.Spawn("cx/abort-lcom", func(p *simrt.Proc) {
 			s.rpcAck(p, boot, part, []types.OpID{op}, abort)
@@ -385,7 +385,7 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 	}
 	for i, co := range cops {
 		delete(s.pendingCoord, co.id)
-		s.cacheReply(co.id, co.finalReply(decisions[i].Commit))
+		s.CacheReply(co.id, co.finalReply(decisions[i].Commit))
 		s.completeOp(co.id, co.sub)
 		// Database write-back is deferred: the decision records are
 		// durable, so the pages join the flush queue and drain with the
@@ -406,13 +406,8 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 // rpcVotes sends a batched VOTE and returns the participant's votes,
 // retrying across participant crashes.
 func (s *Server) rpcVotes(p *simrt.Proc, boot uint64, part types.NodeID, ids, enforce []types.OpID) map[types.OpID]bool {
-	ch := simrt.NewChan[wire.Msg](s.Sim)
-	s.voteResp[ids[0]] = ch
-	defer func() {
-		if s.voteResp[ids[0]] == ch {
-			delete(s.voteResp, ids[0])
-		}
-	}()
+	ch, done := s.Await(wire.MsgVoteResp, ids[0], true)
+	defer done()
 	for {
 		s.Send(wire.Msg{Type: wire.MsgVote, To: part, Ops: ids, Enforce: enforce})
 		m, ok := ch.RecvTimeout(p, s.cfg.RetryInterval+s.cfg.VoteWait)
@@ -448,13 +443,8 @@ func (s *Server) rpcVotes(p *simrt.Proc, boot uint64, part types.NodeID, ids, en
 // retrying across participant crashes. The participant's handler is
 // idempotent.
 func (s *Server) rpcAck(p *simrt.Proc, boot uint64, part types.NodeID, ids []types.OpID, decisions []wire.Decision) {
-	ch := simrt.NewChan[wire.Msg](s.Sim)
-	s.ackResp[ids[0]] = ch
-	defer func() {
-		if s.ackResp[ids[0]] == ch {
-			delete(s.ackResp, ids[0])
-		}
-	}()
+	ch, done := s.Await(wire.MsgAck, ids[0], true)
+	defer done()
 	for {
 		s.Send(wire.Msg{Type: wire.MsgCommitReq, To: part, Ops: ids, Decisions: decisions})
 		if len(ids) > 0 && s.CrashPoint(CPCommitMidFanout, ids[0]) {
@@ -604,7 +594,7 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m wire.Msg) {
 				if br := s.blockedOf[d.Op]; br != nil {
 					s.unblock(br)
 				}
-				if s.localInflight[d.Op] {
+				if s.Executing(d.Op) {
 					inflight = append(inflight, d.Op)
 				}
 			}
@@ -639,7 +629,7 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m wire.Msg) {
 	// it finds the tombstone): wait for it, or the client's next operation
 	// on the same object runs against the leftover.
 	for _, op := range inflight {
-		for s.localInflight[op] {
+		for s.Executing(op) {
 			s.waitChan(s.arrivalSig, op).RecvTimeout(p, s.cfg.RetryInterval)
 			if s.Gone(boot) {
 				return
@@ -652,7 +642,7 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m wire.Msg) {
 		// joins the flush queue for the next lazy batch.
 		po := f.po
 		delete(s.pendingPart, po.id)
-		s.cacheReply(po.id, po.finalReply(f.committed))
+		s.CacheReply(po.id, po.finalReply(f.committed))
 		s.completeOp(po.id, po.sub)
 		s.flushQ = append(s.flushQ, flushEntry{id: po.id, rows: f.rows})
 	}

@@ -28,6 +28,14 @@
 // executed operation in that set (undo + Invalidate-Record + re-queue with
 // a bumped execution epoch), then executes the voted operation.
 //
+// This package is that protocol and nothing else. What any metadata server
+// or client needs whatever its protocol — hardware, inbox loop, crash and
+// reboot, at-most-once execution of retried requests, the lease service,
+// reply routes between servers, the retrying client RPC — is the chassis in
+// internal/node, which the baselines run on unchanged; Cx adds to its
+// duplicate suppression only the checks against its own pending tables,
+// parked requests and tombstones.
+//
 // # Departures from the paper's text (documented in DESIGN.md)
 //
 //   - Conflict hints are carried exactly as described, but operation
@@ -134,8 +142,8 @@ type Stats struct {
 	LateInvalidations uint64 // invalidation notices for ops a client completed (must stay 0)
 	Renames           uint64 // committed rename transactions (extension)
 	Lookups           uint64 // LookupReq served (leased read path)
-	LeasesGranted     uint64 // read leases stamped on lookup replies
-	LeaseRevocations  uint64 // revocation notices sent to lease holders
+	LeasesGranted     uint64 // read leases stamped on lookup replies (the chassis counts)
+	LeaseRevocations  uint64 // revocation notices sent to lease holders (the chassis counts)
 }
 
 // pendingExec is one executed-but-uncommitted sub-operation as its pending
@@ -263,19 +271,6 @@ type Server struct {
 	// lazyQueued is set while a lazy kick sits in the queue the daemon has
 	// not picked up: further lazy triggers coalesce into it.
 	lazyQueued bool
-	// voteResp/ackResp route batched VOTE and ACK replies back to the
-	// rpcVotes/rpcAck round that sent the request, keyed by the batch's
-	// first operation. Keying by participant instead would cross-wire two
-	// concurrent rounds for the same participant — recovery's resume loop
-	// runs while the commit daemon drives rebuilt operations — leaving one
-	// round retrying forever against a deregistered channel.
-	voteResp map[types.OpID]*simrt.Chan[wire.Msg]
-	ackResp  map[types.OpID]*simrt.Chan[wire.Msg]
-
-	// Per-operation reply routes for rename transactions (lazily built).
-	renameVote map[types.OpID]*simrt.Chan[wire.Msg]
-	renameAck  map[types.OpID]*simrt.Chan[wire.Msg]
-
 	// wantCommit remembers commitment requests (C-NOTIFY/L-COM) for ops
 	// whose coordinator sub-op has not executed here yet. If the sub-op
 	// never materializes (it died with a coordinator crash), the entry
@@ -285,23 +280,6 @@ type Server struct {
 
 	recovering bool
 	lastArrive time.Duration // most recent sub-op arrival, for the idle trigger
-
-	// replyCache retains the final response of recently completed
-	// operations so a duplicate (retried) sub-op request is answered
-	// instead of re-executed — at-most-once execution for retrying
-	// clients. Bounded FIFO.
-	replyCache map[types.OpID]cachedReply
-	replyOrder []types.OpID
-	// localInflight marks OpReq operations currently executing on the
-	// local (colocated/rename) path, so a retried duplicate is dropped
-	// instead of re-executed.
-	localInflight map[types.OpID]bool
-
-	// leases tracks which clients hold read leases on this server's
-	// directory entries; mutations revoke through it (piggybacked on
-	// C-NOTIFY). Wiped on recovery — a rebooted server's grants carry a
-	// higher lease epoch, and clients fence out the old incarnation's.
-	leases *LeaseTable
 
 	stats Stats
 }
@@ -318,31 +296,30 @@ func NewServer(base *node.Base, pl namespace.Placement, cfg Config) *Server {
 		cfg.TombstoneCap = 8192
 	}
 	s := &Server{
-		Base:          base,
-		cfg:           cfg,
-		pl:            pl,
-		pendingCoord:  make(map[types.OpID]*coordOp),
-		pendingPart:   make(map[types.OpID]*partOp),
-		active:        make(map[types.ObjKey]types.OpID),
-		waiters:       make(map[types.OpID][]*blockedReq),
-		blockedOf:     make(map[types.OpID]*blockedReq),
-		tombstones:    make(map[types.OpID]bool),
-		arrivalSig:    make(map[types.OpID][]*simrt.Chan[struct{}]),
-		completeSig:   make(map[types.OpID][]*simrt.Chan[struct{}]),
-		unlogged:      make(map[string]int),
-		kick:          simrt.NewChan[kickReq](base.Sim),
-		voteResp:      make(map[types.OpID]*simrt.Chan[wire.Msg]),
-		ackResp:       make(map[types.OpID]*simrt.Chan[wire.Msg]),
-		wantCommit:    make(map[types.OpID]wantEntry),
-		replyCache:    make(map[types.OpID]cachedReply),
-		localInflight: make(map[types.OpID]bool),
-		leases:        NewLeaseTable(leaseTableCap),
+		Base:         base,
+		cfg:          cfg,
+		pl:           pl,
+		pendingCoord: make(map[types.OpID]*coordOp),
+		pendingPart:  make(map[types.OpID]*partOp),
+		active:       make(map[types.ObjKey]types.OpID),
+		waiters:      make(map[types.OpID][]*blockedReq),
+		blockedOf:    make(map[types.OpID]*blockedReq),
+		tombstones:   make(map[types.OpID]bool),
+		arrivalSig:   make(map[types.OpID][]*simrt.Chan[struct{}]),
+		completeSig:  make(map[types.OpID][]*simrt.Chan[struct{}]),
+		unlogged:     make(map[string]int),
+		kick:         simrt.NewChan[kickReq](base.Sim),
+		wantCommit:   make(map[types.OpID]wantEntry),
 	}
 	return s
 }
 
 // Stats returns a snapshot of protocol counters.
-func (s *Server) Stats() Stats { return s.stats }
+func (s *Server) Stats() Stats {
+	st, chassis := s.stats, s.Base.Stats()
+	st.LeasesGranted, st.LeaseRevocations = chassis.LeasesGranted, chassis.LeaseRevocations
+	return st
+}
 
 // PendingOps returns how many cross-server operations await commitment here
 // as coordinator (the paper's threshold-trigger quantity).
@@ -355,16 +332,6 @@ func (s *Server) ValidBytes() int64 { return s.WAL.LiveBytes() }
 // ActiveObjects returns how many objects are currently active (held by
 // executed-but-uncommitted operations); zero after quiescence.
 func (s *Server) ActiveObjects() int { return len(s.active) }
-
-// BlockedReqs counts sub-ops currently parked behind active objects
-// (diagnostics).
-func (s *Server) BlockedReqs() int {
-	n := 0
-	for _, ws := range s.waiters {
-		n += len(ws)
-	}
-	return n
-}
 
 // DebugOp reports an op's state on this server (diagnostics).
 func (s *Server) DebugOp(op types.OpID) string {
@@ -381,40 +348,6 @@ func (s *Server) DebugOp(op types.OpID) string {
 		return fmt.Sprintf("wantCommit lcom=%v participant=%v at=%v", we.lcom, we.part, we.at)
 	}
 	return "absent"
-}
-
-// DebugPending lists every pending operation and its protocol state here
-// (diagnostics).
-func (s *Server) DebugPending() []string {
-	var out []string
-	for id, co := range s.pendingCoord {
-		out = append(out, fmt.Sprintf("coord op=%v committing=%v lcom=%v participant=%v", id, co.committing, co.lcom, co.peer))
-	}
-	for id, po := range s.pendingPart {
-		out = append(out, fmt.Sprintf("part op=%v committing=%v coordinator=%v since=%v", id, po.committing, po.peer, po.since))
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DebugBlocked describes each parked request and its holder's state
-// (diagnostics).
-func (s *Server) DebugBlocked() []string {
-	var out []string
-	for holder, ws := range s.waiters {
-		for _, br := range ws {
-			state := "unknown"
-			if co := s.pendingCoord[holder]; co != nil {
-				state = fmt.Sprintf("coord committing=%v", co.committing)
-			} else if po := s.pendingPart[holder]; po != nil {
-				state = fmt.Sprintf("part committing=%v coord=%v", po.committing, po.peer)
-			} else if s.tombstones[holder] {
-				state = "tombstoned"
-			}
-			out = append(out, fmt.Sprintf("blocked op=%v kind=%v behind holder=%v (%s)", br.msg.Sub.Op, br.msg.Sub.Kind, holder, state))
-		}
-	}
-	return out
 }
 
 // nudgeStaleParts sends C-NOTIFY to the coordinator of every
@@ -590,32 +523,12 @@ func (s *Server) handle(p *simrt.Proc, m wire.Msg) {
 			return
 		}
 		s.handleVote(p, m)
-	case wire.MsgVoteResp:
-		if len(m.Ops) > 0 { // batched reply: echoes the round's op set
-			if ch := s.voteResp[m.Ops[0]]; ch != nil {
-				ch.Send(m)
-			}
-			return
-		}
-		if s.renameVote != nil {
-			if ch := s.renameVote[m.Op]; ch != nil {
-				ch.Send(m)
-			}
-		}
 	case wire.MsgCommitReq:
 		s.handleCommitReq(p, m)
-	case wire.MsgAck:
-		if len(m.Ops) > 0 { // batched reply: echoes the round's op set
-			if ch := s.ackResp[m.Ops[0]]; ch != nil {
-				ch.Send(m)
-			}
-			return
-		}
-		if s.renameAck != nil {
-			if ch := s.renameAck[m.Op]; ch != nil {
-				ch.Send(m)
-			}
-		}
+	case wire.MsgVoteResp, wire.MsgAck:
+		// A batched round's reply echoes the round's op set and routes by its
+		// first; a rename's per-operation reply routes by its operation.
+		s.Deliver(m)
 	}
 }
 
@@ -641,44 +554,6 @@ func (s *Server) fire(m map[types.OpID][]*simrt.Chan[struct{}], op types.OpID) {
 		ch.Send(struct{}{})
 	}
 	delete(m, op)
-}
-
-// cachedReply is a finished operation's final response as the reply cache
-// keeps it: the fields a SUBOP/OP response carries, not the whole message
-// (the cache holds 8192 per server and is rewritten once per operation).
-type cachedReply struct {
-	typ   wire.MsgType
-	ok    bool
-	epoch uint32
-	hint  types.OpID
-	err   string
-	attr  types.Inode
-}
-
-// cacheReply retains a completed operation's response for duplicate
-// suppression (bounded FIFO).
-func (s *Server) cacheReply(op types.OpID, m wire.Msg) {
-	const cap = 8192
-	if _, exists := s.replyCache[op]; !exists {
-		if len(s.replyOrder) >= cap {
-			drop := s.replyOrder[0]
-			s.replyOrder = s.replyOrder[1:]
-			delete(s.replyCache, drop)
-		}
-		s.replyOrder = append(s.replyOrder, op)
-	}
-	s.replyCache[op] = cachedReply{typ: m.Type, ok: m.OK, epoch: m.Epoch, hint: m.Hint, err: m.Err, attr: m.Attr}
-}
-
-// replayCached answers a duplicate request for a finished operation from
-// the reply cache and reports whether it could.
-func (s *Server) replayCached(op types.OpID, to types.NodeID) bool {
-	r, ok := s.replyCache[op]
-	if ok {
-		s.Send(wire.Msg{Type: r.typ, To: to, Op: op, OK: r.ok, Err: r.err,
-			Hint: r.hint, Epoch: r.epoch, Attr: r.attr})
-	}
-	return ok
 }
 
 // tombstone records an aborted op so late sub-ops cannot execute.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cxfs/internal/namespace"
 	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
@@ -26,7 +27,7 @@ func (s *Server) handleSubOp(p *simrt.Proc, m wire.Msg) {
 	// Duplicate suppression: a retried request for an operation still
 	// pending here (or recently completed) is answered from the recorded
 	// response, never re-executed.
-	if s.replayCached(sub.Op, m.From) {
+	if s.ReplayCached(sub.Op, m.From) {
 		return
 	}
 	if co := s.pendingCoord[sub.Op]; co != nil && sub.Role == types.RoleCoordinator {
@@ -44,7 +45,7 @@ func (s *Server) handleSubOp(p *simrt.Proc, m wire.Msg) {
 	if s.blockedOf[sub.Op] != nil {
 		return // original request is parked; its response will come
 	}
-	if s.localInflight[sub.Op] {
+	if s.Executing(sub.Op) {
 		// A duplicate delivery (network dup, or a retransmission racing the
 		// original) while the first copy is still executing: the pending
 		// entry registers only after the Result-Record append, so none of
@@ -160,11 +161,10 @@ func (s *Server) unblock(br *blockedReq) {
 // replies with the conflict hint and execution epoch.
 func (s *Server) execSubOp(p *simrt.Proc, m wire.Msg, hint types.OpID, epoch uint32) {
 	sub := m.Sub
-	if s.localInflight[sub.Op] {
+	if !s.Begin(sub.Op, m.From) {
 		return // a copy of this sub-op is already mid-execution
 	}
-	s.localInflight[sub.Op] = true
-	defer delete(s.localInflight, sub.Op)
+	defer s.End(sub.Op)
 	boot := s.Boot()
 	execStart := s.Sim.Now()
 	s.ExecCPU(p)
@@ -229,7 +229,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m wire.Msg, hint types.OpID, epoch uin
 		s.Send(wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op,
 			OK: false, Err: types.ErrAborted.Error(), Epoch: epoch})
 		// An abort decision may be holding its ACK for this rollback.
-		delete(s.localInflight, sub.Op)
+		s.End(sub.Op)
 		s.fire(s.arrivalSig, sub.Op)
 		return
 	}
@@ -301,7 +301,7 @@ func (s *Server) hold(sub types.SubOp) {
 	}
 	switch sub.Action {
 	case types.ActInsertEntry, types.ActRemoveEntry:
-		s.revokeLeases(sub.Parent, sub.Name, sub.Op)
+		s.RevokeLeases(sub.Parent, sub.Name, sub.Op)
 	}
 }
 
@@ -422,10 +422,9 @@ func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID
 // sub-ops run locally as one transaction: Result-Records and a Commit-Record
 // land in one batched append, the rows flush with the next lazy batch.
 //
-// At-most-once for retrying clients: a completed operation answers from the
-// reply cache; a duplicate of one still executing (inflight) or parked
-// behind a conflict (blockedOf) or being re-driven by recovery
-// (pendingCoord) is dropped — the original owns the eventual reply.
+// At-most-once for retrying clients, beyond the chassis's Begin: a duplicate
+// of an operation parked behind a conflict (blockedOf) or being re-driven by
+// recovery (pendingCoord) is dropped — the original owns the eventual reply.
 func (s *Server) handleLocalOp(p *simrt.Proc, m wire.Msg) {
 	op := m.FullOp
 	if op.Kind == types.OpReaddir {
@@ -436,12 +435,10 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m wire.Msg) {
 		if !s.admit(p) { // the log-limit hold, as in handleSubOp
 			return
 		}
-		if s.replayCached(op.ID, m.From) {
+		if s.blockedOf[op.ID] != nil || s.pendingCoord[op.ID] != nil || !s.Begin(op.ID, m.From) {
 			return
 		}
-		if s.localInflight[op.ID] || s.blockedOf[op.ID] != nil || s.pendingCoord[op.ID] != nil {
-			return
-		}
+		defer s.End(op.ID)
 	}
 	s.runLocalOp(p, m)
 }
@@ -452,10 +449,6 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m wire.Msg) {
 func (s *Server) runLocalOp(p *simrt.Proc, m wire.Msg) {
 	boot := s.Boot()
 	op := m.FullOp
-	if op.Kind.Mutating() {
-		s.localInflight[op.ID] = true
-		defer delete(s.localInflight, op.ID)
-	}
 	if op.Kind == types.OpRename {
 		s.handleRename(p, m)
 		return
@@ -481,20 +474,19 @@ func (s *Server) runLocalOp(p *simrt.Proc, m wire.Msg) {
 			return
 		}
 		resC := s.Shard.Exec(cSub, s.NowNanos())
-		var resP namespaceResult
+		var resP namespace.Result
 		if resC.OK {
-			r := s.Shard.Exec(pSub, s.NowNanos())
-			resP = namespaceResult{ok: r.OK, err: r.Err, rows: r.Rows, before: r.Before, after: r.After}
-			if !r.OK {
+			resP = s.Shard.Exec(pSub, s.NowNanos())
+			if !resP.OK {
 				s.Shard.ApplyUndo(resC.Undo)
 			}
 		}
-		if !resC.OK || !resP.ok {
+		if !resC.OK || !resP.OK {
 			reply.OK = false
 			if resC.Err != nil {
 				reply.Err = resC.Err.Error()
-			} else if resP.err != nil {
-				reply.Err = resP.err.Error()
+			} else if resP.Err != nil {
+				reply.Err = resP.Err.Error()
 			}
 			s.Send(reply)
 			return
@@ -503,14 +495,14 @@ func (s *Server) runLocalOp(p *simrt.Proc, m wire.Msg) {
 		// batched append below), but the dentry mutation still voids leases.
 		switch cSub.Action {
 		case types.ActInsertEntry, types.ActRemoveEntry:
-			s.revokeLeases(cSub.Parent, cSub.Name, op.ID)
+			s.RevokeLeases(cSub.Parent, cSub.Name, op.ID)
 		}
 		recs = append(recs,
 			wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator, OK: true, Sub: cSub, Before: resC.Before, After: resC.After},
-			wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant, OK: true, Sub: pSub, Before: resP.before, After: resP.after},
+			wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant, OK: true, Sub: pSub, Before: resP.Before, After: resP.After},
 			wal.Record{Type: wal.RecCommit, Op: op.ID, Role: types.RoleCoordinator},
 		)
-		rows = append(append(rows, resC.Rows...), resP.rows...)
+		rows = append(append(rows, resC.Rows...), resP.Rows...)
 	} else {
 		// Single-server simple op routed as OpReq (reads use SubOpReq).
 		sub := types.SingleSubOp(op)
@@ -537,19 +529,10 @@ func (s *Server) runLocalOp(p *simrt.Proc, m wire.Msg) {
 		s.flushQ = append(s.flushQ, flushEntry{id: op.ID, rows: rows})
 		// Durable state was created: retries must get this reply back, not
 		// a re-execution (which would wrongly fail, e.g. with ErrExists).
-		s.cacheReply(op.ID, reply)
+		s.CacheReply(op.ID, reply)
 		if s.underPressure() {
 			s.pressureRound()
 		}
 	}
 	s.Send(reply)
-}
-
-// namespaceResult mirrors the fields of namespace.Result used locally.
-type namespaceResult struct {
-	ok     bool
-	err    error
-	rows   []string
-	before []types.RowImage
-	after  []types.RowImage
 }

@@ -1,128 +1,10 @@
 package core
 
 import (
-	"time"
-
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
 )
-
-// The leased read path (ROADMAP item 5). A client resolves (dir, name) with
-// MsgLookupReq; the dentry's coordinator answers from its shard and stamps a
-// read lease: an epoch tying the grant to this server incarnation and a TTL
-// bounding how long the client may serve the entry from cache. The server
-// remembers the grant in a LeaseTable and, whenever a mutation makes the
-// entry active (provisional execution, rename, colocated transaction),
-// piggybacks a revocation on the MsgConflictNotify vocabulary — the same
-// message the conflict machinery already uses, distinguished by a non-empty
-// Path. Correctness does not depend on revocation delivery: a lost
-// revocation only lets a client serve the entry until the TTL lapses, and
-// the model oracle's staleness bound (internal/model.CheckStalenessBound)
-// permits exactly that window. Recovery wipes the table; a rebooted
-// server's grants carry a higher lease epoch (Boot()+1), so clients fence
-// out entries granted by the previous incarnation.
-
-// leaseTableCap bounds the lease table. Eviction is silent (no revocation):
-// a client holding an evicted lease just loses revocation coverage and
-// falls back to the TTL bound, the same exposure as a lost message.
-const leaseTableCap = 8192
-
-type leaseKey struct {
-	dir  types.InodeID
-	name string
-}
-
-type leaseEntry struct {
-	// holders is insertion-ordered so revocation fan-out is deterministic
-	// (map iteration order must never leak into the message sequence).
-	holders []types.NodeID
-	expire  time.Duration // sim time the newest grant lapses
-}
-
-// LeaseTable tracks which clients hold read leases on this server's
-// directory entries. It is exported so the SE baseline server reuses it for
-// the cache-on comparison rows.
-type LeaseTable struct {
-	cap     int
-	entries map[leaseKey]*leaseEntry
-	order   []leaseKey // FIFO for capacity eviction
-}
-
-// NewLeaseTable builds a lease table bounded at capacity entries.
-func NewLeaseTable(capacity int) *LeaseTable {
-	return &LeaseTable{cap: capacity, entries: make(map[leaseKey]*leaseEntry)}
-}
-
-// Grant records that client holds a lease on (dir, name) until now+ttl.
-func (t *LeaseTable) Grant(dir types.InodeID, name string, client types.NodeID, now time.Duration, ttl time.Duration) {
-	k := leaseKey{dir: dir, name: name}
-	e := t.entries[k]
-	if e == nil {
-		if len(t.order) >= t.cap {
-			drop := t.order[0]
-			t.order = t.order[1:]
-			delete(t.entries, drop)
-		}
-		e = &leaseEntry{}
-		t.entries[k] = e
-		t.order = append(t.order, k)
-	}
-	held := false
-	for _, h := range e.holders {
-		if h == client {
-			held = true
-			break
-		}
-	}
-	if !held {
-		e.holders = append(e.holders, client)
-	}
-	if exp := now + ttl; exp > e.expire {
-		e.expire = exp
-	}
-}
-
-// Revoke forgets every lease on (dir, name) and returns the holders that
-// need a revocation notice. Expired grants are returned too — notifying a
-// client whose lease already lapsed is harmless.
-func (t *LeaseTable) Revoke(dir types.InodeID, name string) []types.NodeID {
-	k := leaseKey{dir: dir, name: name}
-	e := t.entries[k]
-	if e == nil {
-		return nil
-	}
-	delete(t.entries, k)
-	for i, ok := range t.order {
-		if ok == k {
-			t.order = append(t.order[:i:i], t.order[i+1:]...)
-			break
-		}
-	}
-	return e.holders
-}
-
-// Outstanding returns how many entries currently carry unexpired leases.
-func (t *LeaseTable) Outstanding(now time.Duration) int {
-	n := 0
-	for _, e := range t.entries {
-		if e.expire > now {
-			n++
-		}
-	}
-	return n
-}
-
-// Reset wipes the table (crash recovery: the new incarnation grants with a
-// higher lease epoch, and old grants die by epoch fence or TTL).
-func (t *LeaseTable) Reset() {
-	t.entries = make(map[leaseKey]*leaseEntry)
-	t.order = nil
-}
-
-// leaseEpoch is the epoch stamped on this incarnation's grants and
-// revocations. Boot()+1 keeps epoch 0 meaning "no lease" on the wire.
-func (s *Server) leaseEpoch() uint64 { return s.Boot() + 1 }
 
 // lookupSub is the read sub-op a LookupReq conflicts on: the same dentry
 // key the mutation path holds active, so a lookup racing an uncommitted
@@ -135,11 +17,10 @@ func lookupSub(m wire.Msg) types.SubOp {
 	}
 }
 
-// handleLookup serves the leased read path: resolve (Dir, Path) against the
-// local shard and answer with the inode plus a lease. Negative results are
-// leased too (the client may cache the absence). A lookup touching an
-// active object parks behind the holder exactly like a sub-op would —
-// redispatch re-enters here once the holder commits.
+// handleLookup serves the leased read path (internal/node/lease.go). A
+// lookup touching an active object parks behind the holder exactly like a
+// sub-op would — redispatch re-enters here once the holder commits — and the
+// mutation paths revoke the moment an entry becomes active (hold).
 func (s *Server) handleLookup(p *simrt.Proc, m wire.Msg) {
 	sub := lookupSub(m)
 	if key, ok := conflictKey(sub); ok {
@@ -156,38 +37,5 @@ func (s *Server) handleLookup(p *simrt.Proc, m wire.Msg) {
 		return
 	}
 	s.stats.Lookups++
-	in, found := s.Shard.ResolveEntry(m.Dir, m.Path)
-	reply := wire.Msg{Type: wire.MsgLookupResp, To: m.From, Op: m.Op,
-		OK: found, Dir: m.Dir, Path: m.Path, Attr: in}
-	if !found {
-		reply.Err = types.ErrNotFound.Error()
-	}
-	if s.cfg.LeaseTTL > 0 {
-		reply.LeaseEpoch = s.leaseEpoch()
-		reply.LeaseTTL = s.cfg.LeaseTTL
-		s.leases.Grant(m.Dir, m.Path, m.From, s.Sim.Now(), s.cfg.LeaseTTL)
-		s.stats.LeasesGranted++
-	}
-	s.Send(reply)
-}
-
-// revokeLeases notifies every lease holder of (dir, name) that the entry is
-// changing. Piggybacked on the MsgConflictNotify vocabulary; the client host
-// recognizes the revocation by its non-empty Path. Called the moment a
-// mutation's provisional execution lands (hold) — before commitment —
-// because the old value may be unservable the instant the mutation becomes
-// visible to anyone.
-func (s *Server) revokeLeases(dir types.InodeID, name string, op types.OpID) {
-	holders := s.leases.Revoke(dir, name)
-	for _, h := range holders {
-		s.stats.LeaseRevocations++
-		s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: h, Op: op,
-			Dir: dir, Path: name, LeaseEpoch: s.leaseEpoch()})
-	}
-}
-
-// LeasesOutstanding reports unexpired leased entries (the chaos nemesis
-// targets the server holding the most).
-func (s *Server) LeasesOutstanding() int {
-	return s.leases.Outstanding(s.Sim.Now())
+	s.AnswerLookup(m, s.cfg.LeaseTTL)
 }

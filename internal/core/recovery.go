@@ -57,11 +57,10 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	s.unnamedParts = nil
 	s.unlogged = make(map[string]int)
 	s.wantCommit = make(map[types.OpID]wantEntry)
-	s.localInflight = make(map[types.OpID]bool)
-	// Leases granted by the previous incarnation are dead: the rebuilt
-	// table starts empty, and this incarnation's grants carry a higher
-	// lease epoch, so clients fence out anything stamped before the crash.
-	s.leases.Reset()
+	// So are its executing marks and the leases it granted: the lease table
+	// starts empty, and this incarnation's grants carry a higher lease
+	// epoch, so clients fence out anything stamped before the crash.
+	s.ForgetClients()
 
 	// Fixed phase: confirm the crash and freeze the file system (§V: "it
 	// informs all other collaborating servers to go into the recovery
@@ -154,7 +153,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			}
 			// Retried requests for this op must see its sealed outcome, not
 			// a fresh execution.
-			s.cacheReply(id, sealedReply(id, st.committed))
+			s.CacheReply(id, sealedReply(id, st.committed))
 			s.WAL.Prune(id)
 			continue
 		}
@@ -176,7 +175,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 					s.Shard.InstallImages(r.before)
 				}
 			}
-			s.cacheReply(id, sealedReply(id, st.committed))
+			s.CacheReply(id, sealedReply(id, st.committed))
 			switch {
 			case local:
 				s.WAL.Prune(id) // single-server transaction: decision is final

@@ -29,16 +29,6 @@ import (
 // re-drives the commitment through the standard batch machinery, whose
 // VOTE the destination answers from the same table.
 
-// renameVoteCh/renameAckCh route per-operation replies (batch commitment
-// replies route per-peer instead).
-func (s *Server) renameRoutes() (map[types.OpID]*simrt.Chan[wire.Msg], map[types.OpID]*simrt.Chan[wire.Msg]) {
-	if s.renameVote == nil {
-		s.renameVote = make(map[types.OpID]*simrt.Chan[wire.Msg])
-		s.renameAck = make(map[types.OpID]*simrt.Chan[wire.Msg])
-	}
-	return s.renameVote, s.renameAck
-}
-
 // handleRename coordinates one rename transaction; m.FullOp carries the
 // operation, and this server owns the source entry.
 func (s *Server) handleRename(p *simrt.Proc, m wire.Msg) {
@@ -147,7 +137,7 @@ func (s *Server) handleRename(p *simrt.Proc, m wire.Msg) {
 	}
 	// The outcome is sealed: retried requests must see this reply, never a
 	// re-execution.
-	s.cacheReply(op.ID, reply)
+	s.CacheReply(op.ID, reply)
 	s.Send(reply)
 }
 
@@ -160,14 +150,8 @@ func (s *Server) renameLocalInsert(p *simrt.Proc, boot uint64, op types.Op, dstS
 // renameRemoteInsert drives the VOTE round against the destination server,
 // retrying across its crashes.
 func (s *Server) renameRemoteInsert(p *simrt.Proc, boot uint64, op types.Op, dstSub types.SubOp, dst types.NodeID) (bool, string) {
-	votes, _ := s.renameRoutes()
-	ch := simrt.NewChan[wire.Msg](s.Sim)
-	votes[op.ID] = ch
-	defer func() {
-		if votes[op.ID] == ch {
-			delete(votes, op.ID)
-		}
-	}()
+	ch, done := s.Await(wire.MsgVoteResp, op.ID, false)
+	defer done()
 	for {
 		s.Send(wire.Msg{Type: wire.MsgVote, To: dst, Op: op.ID, Sub: dstSub,
 			Peer: s.ID, ReplyProc: op.ID.Proc})
@@ -182,14 +166,8 @@ func (s *Server) renameRemoteInsert(p *simrt.Proc, boot uint64, op types.Op, dst
 
 // renameDecision delivers the commit/abort to the destination until acked.
 func (s *Server) renameDecision(p *simrt.Proc, boot uint64, id types.OpID, dst types.NodeID, commit bool) {
-	_, acks := s.renameRoutes()
-	ch := simrt.NewChan[wire.Msg](s.Sim)
-	acks[id] = ch
-	defer func() {
-		if acks[id] == ch {
-			delete(acks, id)
-		}
-	}()
+	ch, done := s.Await(wire.MsgAck, id, false)
+	defer done()
 	for {
 		s.Send(wire.Msg{Type: wire.MsgCommitReq, To: dst, Op: id,
 			Decisions: []wire.Decision{{Op: id, Commit: commit}}})

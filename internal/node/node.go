@@ -1,7 +1,11 @@
-// Package node provides the chassis shared by every protocol's metadata
-// server — the simulated hardware (disk, log, database, namespace shard),
-// the inbox loop, crash/reboot plumbing — and the client-side host that
-// routes server responses back to the issuing process.
+// Package node provides the chassis shared by every protocol, so that Cx
+// and the baselines differ in their protocol and in nothing else. Base is
+// the server side: the simulated hardware (disk, log, database, namespace
+// shard), the inbox loop, crash/reboot plumbing, at-most-once execution for
+// retried requests (once.go), the lease service behind the leased read path
+// (lease.go) and the routes server-to-server replies come back on
+// (routes.go). Host is the client side: it routes server responses back to
+// the issuing process and owns the one retrying RPC (Call).
 //
 // A protocol (internal/core for Cx, internal/baseline for SE/2PC/CE) embeds
 // Base and registers a message handler. The inbox loop spawns a Proc per
@@ -63,8 +67,10 @@ type Handler func(p *simrt.Proc, m wire.Msg)
 
 // Stats aggregates chassis-level activity.
 type Stats struct {
-	MsgsHandled uint64
-	SubOpsRun   uint64
+	MsgsHandled      uint64
+	SubOpsRun        uint64
+	LeasesGranted    uint64 // read leases stamped on lookup replies
+	LeaseRevocations uint64 // revocation notices sent to lease holders
 }
 
 // Base is the protocol-independent part of a metadata server.
@@ -89,6 +95,12 @@ type Base struct {
 	// message, by message type, built once instead of per message.
 	procNames [wire.NumMsgTypes]string
 	idle      []*handling // recycled hand-over records
+
+	executing  map[types.OpID]bool        // once.go
+	replies    map[types.OpID]cachedReply // once.go (FIFO by replyOrder)
+	replyOrder []types.OpID
+	leases     *LeaseTable                        // lease.go
+	routes     map[routeKey]*simrt.Chan[wire.Msg] // routes.go
 
 	stats Stats
 }
@@ -155,6 +167,11 @@ func NewBase(s *simrt.Sim, net *transport.Net, id types.NodeID, hw HardwareParam
 		Shard: namespace.NewShard(kv),
 		HW:    hw,
 		inbox: net.Register(id),
+
+		executing: make(map[types.OpID]bool),
+		replies:   make(map[types.OpID]cachedReply),
+		leases:    NewLeaseTable(leaseTableCap),
+		routes:    make(map[routeKey]*simrt.Chan[wire.Msg]),
 	}
 	for t := range b.procNames {
 		b.procNames[t] = fmt.Sprintf("server%d/%v", id, wire.MsgType(t))
@@ -265,6 +282,14 @@ func (b *Base) Reboot() {
 	b.Net.SetDown(b.ID, false)
 }
 
+// ForgetClients drops what the previous incarnation knew about its clients
+// — which requests were executing, who holds which lease — for a protocol
+// whose recovery rebuilds its state from the log. The reply cache stays.
+func (b *Base) ForgetClients() {
+	b.executing = make(map[types.OpID]bool)
+	b.leases.Reset()
+}
+
 // Boot returns the server's incarnation number.
 func (b *Base) Boot() uint64 { return b.boot }
 
@@ -367,4 +392,35 @@ func (h *Host) Done(op types.OpID) {
 func (h *Host) Send(m wire.Msg) {
 	m.From = h.ID
 	h.Net.Send(m)
+}
+
+// Call sends req and awaits, on route, the reply from the node it is
+// addressed to, retransmitting per rp; strays from another node (late
+// duplicates of the operation's other leg under faults) are discarded
+// without using up an attempt. retries counts the retransmissions made;
+// ok is false when the attempt budget ran out and the outcome is unknown.
+// The zero policy sends once and blocks until the reply comes.
+func (h *Host) Call(p *simrt.Proc, rp types.RetryPolicy, route *simrt.Chan[wire.Msg], req wire.Msg) (reply wire.Msg, retries int, ok bool) {
+	if !rp.Enabled() {
+		h.Send(req)
+		for {
+			if m := route.Recv(p); m.From == req.To {
+				return m, 0, true
+			}
+		}
+	}
+	for attempt := 0; attempt < rp.MaxAttempts(); attempt++ {
+		h.Send(req)
+		deadline := p.Now() + rp.WaitFor(attempt)
+		for remaining := deadline - p.Now(); remaining > 0; remaining = deadline - p.Now() {
+			m, got := route.RecvTimeout(p, remaining)
+			if !got {
+				break
+			}
+			if m.From == req.To {
+				return m, attempt, true
+			}
+		}
+	}
+	return wire.Msg{}, rp.MaxAttempts() - 1, false
 }

@@ -5,11 +5,7 @@
 // linger.
 package obs
 
-import (
-	"math/bits"
-
-	"cxfs/internal/stats"
-)
+import "math/bits"
 
 // flushBuckets is the log2-scaled window-size bucket count: bucket i covers
 // window sizes [2^i, 2^(i+1)) caller batches, topping out above 2^15.
@@ -69,45 +65,4 @@ func (o *Observer) FlushStats() FlushStats {
 		return FlushStats{}
 	}
 	return o.flush
-}
-
-// FlushTable renders the flush-window size histogram and coalesce ratio.
-func (o *Observer) FlushTable() *stats.Table {
-	tbl := stats.NewTable("WAL group-commit flush windows",
-		"window (batches)", "flushes")
-	if o == nil || o.flush.Flushes == 0 {
-		return tbl
-	}
-	for i, n := range o.flush.Window {
-		if n == 0 {
-			continue
-		}
-		lo := 1 << i
-		hi := 1<<(i+1) - 1
-		label := ""
-		if lo == hi {
-			label = itoa(lo)
-		} else {
-			label = itoa(lo) + "-" + itoa(hi)
-		}
-		tbl.Add(label, n)
-	}
-	tbl.Add("coalesce ratio", o.flush.CoalesceRatio())
-	return tbl
-}
-
-// itoa is a dependency-free positive-int formatter (this file keeps obs
-// free of fmt on the hot path).
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

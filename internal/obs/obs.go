@@ -290,6 +290,28 @@ func (o *Observer) RecordOp(kind types.OpKind, proto string, out Outcome, op typ
 	}
 }
 
+// OpIssued marks a client handing operation op to its protocol driver at t.
+// Nil-safe; no-op unless tracing.
+func (o *Observer) OpIssued(t time.Duration, node int, op types.OpID, kind types.OpKind) {
+	if o.TraceOn() {
+		o.Emit(t, node, op, PhaseIssue, kind.String())
+	}
+}
+
+// OpDone records the client-observed latency of the operation issued at
+// start and finished at end, under the outcome err and conflicted (the
+// operation went through the protocol's conflict machinery) give. Nil-safe.
+func (o *Observer) OpDone(proto string, node int, op types.OpID, kind types.OpKind, start, end time.Duration, err error, conflicted bool) {
+	out := OutcomeComplete
+	switch {
+	case err != nil:
+		out = OutcomeAborted
+	case conflicted:
+		out = OutcomeConflicted
+	}
+	o.RecordOp(kind, proto, out, op, node, start, end-start)
+}
+
 // Emit records one instant event. Nil-safe; no-op unless tracing.
 func (o *Observer) Emit(t time.Duration, node int, op types.OpID, ph Phase, detail string) {
 	if o == nil || !o.opts.Trace {
@@ -347,19 +369,6 @@ func (o *Observer) Counter(name string) uint64 {
 		return 0
 	}
 	return o.counters[name]
-}
-
-// CounterNames lists the recorded counters, sorted. Nil-safe.
-func (o *Observer) CounterNames() []string {
-	if o == nil {
-		return nil
-	}
-	names := make([]string, 0, len(o.counters))
-	for n := range o.counters {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	return names
 }
 
 // Series returns the named sample series (nil if absent). Nil-safe.

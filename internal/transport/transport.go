@@ -196,9 +196,6 @@ func (n *Net) Stats() Stats { return n.stats }
 // by timeout.
 func (n *Net) SetDown(node types.NodeID, down bool) { n.down[node] = down }
 
-// Down reports whether a node is marked crashed.
-func (n *Net) Down(node types.NodeID) bool { return n.down[node] }
-
 // SetDefaultFaults installs a fault spec applied to every link that has no
 // per-link override. Pass the zero Faults to clear.
 func (n *Net) SetDefaultFaults(f Faults) { n.defaultFaults = f }

@@ -12,6 +12,7 @@ package types
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -284,6 +285,22 @@ var (
 	// it as a definite failure.
 	ErrTimeout = errors.New("operation timed out (outcome unknown)")
 )
+
+// WireError maps the error text of a failed response back to the sentinel
+// it ends with (servers wrap the sentinels with context), so that callers
+// can match it with errors.Is. An empty text is a bare abort.
+func WireError(msg string) error {
+	if msg == "" {
+		return ErrAborted
+	}
+	for _, known := range []error{ErrExists, ErrNotFound, ErrNotEmpty,
+		ErrNotDir, ErrIsDir, ErrAborted, ErrInvalidated} {
+		if strings.HasSuffix(msg, known.Error()) {
+			return fmt.Errorf("%s: %w", msg, known)
+		}
+	}
+	return errors.New(msg)
+}
 
 // RetryPolicy governs client-side RPC timeouts and retries. The zero value
 // disables retries entirely: the client blocks until a reply arrives, which

@@ -24,7 +24,7 @@ func benchMsgs() []Msg {
 }
 
 // BenchmarkEncode measures the allocating encode path (fresh buffer per
-// frame) — what the transport paid before EncodeTo existed.
+// frame).
 func BenchmarkEncode(b *testing.B) {
 	msgs := benchMsgs()
 	b.ReportAllocs()
@@ -36,7 +36,7 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 // BenchmarkEncodeTo measures the zero-alloc encode path: append into a
-// reused buffer, as MsgConn.WriteMsg does with the frame pool.
+// reused buffer.
 func BenchmarkEncodeTo(b *testing.B) {
 	msgs := benchMsgs()
 	buf := make([]byte, 0, 4096)
@@ -47,22 +47,6 @@ func BenchmarkEncodeTo(b *testing.B) {
 			b.Fatal(err)
 		}
 		buf = out[:0]
-	}
-}
-
-// BenchmarkEncodeToPooled measures the pooled variant including pool
-// round-trips, the exact WriteMsg discipline.
-func BenchmarkEncodeToPooled(b *testing.B) {
-	msgs := benchMsgs()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fb := GetBuffer()
-		out, err := EncodeTo(fb.B, &msgs[i%len(msgs)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		fb.B = out
-		PutBuffer(fb)
 	}
 }
 

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"time"
 
 	"cxfs/internal/types"
@@ -18,7 +17,7 @@ import (
 // be non-zero for the message's type, and Size(m) == len(Encode(m)) for
 // every message that passes Validate. Decode(Encode(m)) == m for all valid
 // messages (tested with testing/quick). The simulated network charges
-// transfer time using Size; the TCP transport writes these exact bytes.
+// transfer time using Size.
 //
 // Strings carry a u16 length prefix and batches a u16 count, so a name of
 // 64KiB or a batch of 65536 entries cannot be represented. Validate (run
@@ -325,36 +324,13 @@ func Encode(m *Msg) ([]byte, error) {
 }
 
 // EncodeTo appends m's framed encoding to buf and returns the extended
-// slice, allocating only if buf lacks capacity. Combined with the Buffer
-// pool this makes the send path allocation-free in steady state.
+// slice, allocating only if buf lacks capacity, so a caller that reuses its
+// buffer encodes allocation-free in steady state.
 func EncodeTo(buf []byte, m *Msg) ([]byte, error) {
 	if err := Validate(m); err != nil {
 		return buf, err
 	}
 	return appendMsg(buf, m), nil
-}
-
-// Buffer is a pooled frame-encoding scratch buffer.
-type Buffer struct{ B []byte }
-
-// bufferPool recycles frame buffers across WriteMsg calls; 512 bytes covers
-// the common single-op messages without a regrow.
-var bufferPool = sync.Pool{New: func() any { return &Buffer{B: make([]byte, 0, 512)} }}
-
-// GetBuffer takes a scratch buffer from the pool (length 0).
-func GetBuffer() *Buffer {
-	b := bufferPool.Get().(*Buffer)
-	b.B = b.B[:0]
-	return b
-}
-
-// PutBuffer returns a buffer to the pool. Oversized buffers (a huge CE
-// migration frame) are dropped instead of pinning their backing arrays.
-func PutBuffer(b *Buffer) {
-	if cap(b.B) > 1<<20 {
-		return
-	}
-	bufferPool.Put(b)
 }
 
 // Decode parses one framed message.

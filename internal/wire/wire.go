@@ -26,8 +26,7 @@
 // coordinator to launch the immediate commitment.
 //
 // Every message has a deterministic encoded size; the simulated network
-// charges transfer time by that size, and the TCP transport frames exactly
-// these bytes.
+// charges transfer time by that size.
 package wire
 
 import (
