@@ -97,6 +97,28 @@ func (d *CoordDriver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
 	return ino, err
 }
 
+// pendingExec is what a server keeps of a successful participant execution
+// it may have to take back — SE until the CLEAR window closes, 2PC until the
+// decision: the undo, the rows to persist again either way (those the
+// execution wrote) and, in 2PC, the locks it holds (none when the coordinator,
+// running the sub-op locally, holds them itself).
+type pendingExec struct {
+	undo namespace.Undo
+	rows []string
+	keys []types.ObjKey
+}
+
+// lockKeys lists the objects a 2PC or CE coordinator locks for a transaction:
+// its own sub-op's, and the participant's too when that runs here.
+func lockKeys(cSub, pSub types.SubOp, local bool) []types.ObjKey {
+	ck, _ := cSub.Key()
+	if !local {
+		return []types.ObjKey{ck}
+	}
+	pk, _ := pSub.Key()
+	return []types.ObjKey{ck, pk}
+}
+
 // lockTable serializes conflicting operations inside the 2PC and CE
 // servers (their correctness depends on exclusive access for the duration
 // of the transaction; Cx instead uses the active-object table).

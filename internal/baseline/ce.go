@@ -79,15 +79,13 @@ func (s *CEServer) coordinate(p *simrt.Proc, m wire.Msg) {
 	part := s.pl.ParticipantFor(op.Ino)
 	local := part == s.ID
 
-	keys := cSub.Keys()
-	if local {
-		keys = append(keys, pSub.Keys()...)
-	}
+	keys := lockKeys(cSub, pSub, local)
 	s.locks.acquire(p, keys)
 	defer s.locks.release(keys)
 
 	// Migrate the participant's rows here.
-	partRows := subRowKeys(pSub)
+	pKey, _ := pSub.Key()
+	partRows := []string{namespace.RowKey(pKey)}
 	if !local {
 		ch, done := s.Await(wire.MsgMigrateResp, op.ID, false)
 		s.Send(wire.Msg{Type: wire.MsgMigrateReq, To: part, Op: op.ID, Keys: partRows})
@@ -183,15 +181,13 @@ func (s *CEServer) lendRows(p *simrt.Proc, m wire.Msg) {
 }
 
 // copyRows reads the rows named keys out of the database as they travel in
-// a migration: a private copy of each value, nil for an absent row.
-func (s *CEServer) copyRows(keys []string) []wire.Row {
-	rows := make([]wire.Row, 0, len(keys))
+// a migration: the image of each (stored values are never modified, so the
+// store's own slice is one), nil for an absent row.
+func (s *CEServer) copyRows(keys []string) []types.RowImage {
+	rows := make([]types.RowImage, 0, len(keys))
 	for _, key := range keys {
-		var val []byte
-		if v, ok := s.KV.Get(key); ok {
-			val = append(make([]byte, 0, len(v)), v...)
-		}
-		rows = append(rows, wire.Row{Key: key, Val: val})
+		val, _ := s.KV.Get(key)
+		rows = append(rows, types.RowImage{Key: key, Val: val})
 	}
 	return rows
 }
@@ -217,16 +213,6 @@ func (s *CEServer) reinstallRows(p *simrt.Proc, m wire.Msg) {
 		s.locks.release(keys)
 	}
 	s.Send(wire.Msg{Type: wire.MsgMigrateAck, To: m.From, Op: m.Op})
-}
-
-// subRowKeys returns the kvstore row keys a sub-op touches.
-func subRowKeys(sub types.SubOp) []string {
-	keys := sub.Keys()
-	rows := make([]string, 0, len(keys))
-	for _, k := range keys {
-		rows = append(rows, namespace.RowKey(k))
-	}
-	return rows
 }
 
 // rowLockKeys adapts row-key strings to lock-table keys.

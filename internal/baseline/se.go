@@ -26,12 +26,11 @@ type SEServer struct {
 	batched bool
 	flushT  time.Duration
 
-	// pendingUndo retains the rollback for participant sub-ops until the
-	// client's CLEAR can no longer come. SE has no protocol completion
-	// signal, so the set is bounded: oldest entries are discarded — exactly
-	// the window in which a crashed client leaves orphans (§II.B's
-	// acknowledged weakness of SE).
-	pendingUndo map[types.OpID]*namespace.Undo
+	// pendingUndo retains the participant executions a CLEAR may still take
+	// back. SE has no protocol completion signal, so the set is bounded:
+	// oldest entries are discarded — exactly the window in which a crashed
+	// client leaves orphans (§II.B's acknowledged weakness of SE).
+	pendingUndo map[types.OpID]pendingExec
 	undoOrder   []types.OpID
 
 	// localOps await the batched flush (batched mode only).
@@ -57,7 +56,7 @@ func NewSEServer(base *node.Base, pl namespace.Placement, batched bool, flushTim
 	}
 	return &SEServer{
 		Base: base, pl: pl, batched: batched, flushT: flushTimeout,
-		pendingUndo: make(map[types.OpID]*namespace.Undo),
+		pendingUndo: make(map[types.OpID]pendingExec),
 	}
 }
 
@@ -174,7 +173,7 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m wire.Msg) {
 			return
 		}
 		if sub.Kind.CrossServer() && sub.Role == types.RoleParticipant {
-			s.retainUndo(sub.Op, res.Undo)
+			s.retainUndo(sub.Op, pendingExec{undo: res.Undo, rows: res.Rows})
 		}
 	}
 	reply := wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op, OK: res.OK, Attr: res.Inode, Epoch: 1}
@@ -187,13 +186,13 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m wire.Msg) {
 	s.Send(reply)
 }
 
-func (s *SEServer) retainUndo(id types.OpID, u *namespace.Undo) {
+func (s *SEServer) retainUndo(id types.OpID, e pendingExec) {
 	if len(s.undoOrder) >= seUndoCap {
 		drop := s.undoOrder[0]
 		s.undoOrder = s.undoOrder[1:]
 		delete(s.pendingUndo, drop)
 	}
-	s.pendingUndo[id] = u
+	s.pendingUndo[id] = e
 	s.undoOrder = append(s.undoOrder, id)
 }
 
@@ -201,13 +200,13 @@ func (s *SEServer) retainUndo(id types.OpID, u *namespace.Undo) {
 // failed (§II.B: "the process withdraws the former sub-ops by sending a
 // CLEAR message").
 func (s *SEServer) handleClear(p *simrt.Proc, m wire.Msg) {
-	if u, ok := s.pendingUndo[m.Op]; ok {
+	if e, ok := s.pendingUndo[m.Op]; ok {
 		delete(s.pendingUndo, m.Op)
-		s.Shard.ApplyUndo(u)
+		s.Shard.ApplyUndo(e.undo)
 		if !s.batched {
-			s.KV.SyncKeys(p, u.Keys())
+			s.KV.SyncKeys(p, e.rows)
 		} else {
-			s.localOps = append(s.localOps, localFlush{id: m.Op, rows: u.Keys()})
+			s.localOps = append(s.localOps, localFlush{id: m.Op, rows: e.rows})
 		}
 		if s.Crashed() {
 			return
@@ -402,19 +401,11 @@ func Readdir(p *simrt.Proc, host *node.Host, servers int, id types.OpID, dir typ
 			return nil, types.WireError(m.Err)
 		}
 		for _, r := range m.Rows {
-			if len(r.Val) == 8 {
-				out = append(out, namespace.DirEntry{Name: r.Key, Ino: decodeIno(r.Val)})
+			if ino, ok := namespace.DentryIno(r.Val); ok {
+				out = append(out, namespace.DirEntry{Name: r.Key, Ino: ino})
 			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
-}
-
-func decodeIno(v []byte) types.InodeID {
-	var x uint64
-	for i := 7; i >= 0; i-- {
-		x = x<<8 | uint64(v[i])
-	}
-	return types.InodeID(x)
 }

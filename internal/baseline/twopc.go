@@ -23,15 +23,7 @@ type TwoPCServer struct {
 	locks *lockTable
 
 	// Participant-side pending executions awaiting the decision.
-	pendingPart map[types.OpID]*pendingExec
-}
-
-type pendingExec struct {
-	sub  types.SubOp
-	ok   bool
-	undo *namespace.Undo
-	rows []string
-	keys []types.ObjKey
+	pendingPart map[types.OpID]pendingExec
 }
 
 // NewTwoPCServer builds a 2PC server.
@@ -39,7 +31,7 @@ func NewTwoPCServer(base *node.Base, pl namespace.Placement) *TwoPCServer {
 	return &TwoPCServer{
 		Base: base, pl: pl,
 		locks:       newLockTable(),
-		pendingPart: make(map[types.OpID]*pendingExec),
+		pendingPart: make(map[types.OpID]pendingExec),
 	}
 }
 
@@ -87,10 +79,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m wire.Msg) {
 	part := s.pl.ParticipantFor(op.Ino)
 	local := part == s.ID
 
-	keys := cSub.Keys()
-	if local {
-		keys = append(keys, pSub.Keys()...)
-	}
+	keys := lockKeys(cSub, pSub, local)
 	s.locks.acquire(p, keys)
 	defer s.locks.release(keys)
 
@@ -101,7 +90,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m wire.Msg) {
 		resP := s.Shard.Exec(pSub, s.NowNanos())
 		partOK = resP.OK
 		if resP.OK {
-			s.pendingPart[op.ID] = &pendingExec{sub: pSub, ok: true, undo: resP.Undo, rows: resP.Rows}
+			s.pendingPart[op.ID] = pendingExec{undo: resP.Undo, rows: resP.Rows}
 			s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant,
 				OK: true, Sub: pSub, Before: resP.Before, After: resP.After})
 		}
@@ -151,12 +140,10 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m wire.Msg) {
 
 	// Apply the coordinator's side synchronously.
 	if resC.OK {
-		if commit {
-			s.KV.SyncKeys(p, resC.Rows)
-		} else {
+		if !commit {
 			s.Shard.ApplyUndo(resC.Undo)
-			s.KV.SyncKeys(p, resC.Undo.Keys())
 		}
+		s.KV.SyncKeys(p, resC.Rows)
 	}
 	s.WAL.Append(p, wal.Record{Type: wal.RecComplete, Op: op.ID, Role: types.RoleCoordinator})
 	if s.Crashed() {
@@ -180,19 +167,20 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m wire.Msg) {
 
 // participantVote executes the assigned sub-op, logs, and votes (phase 1).
 func (s *TwoPCServer) participantVote(p *simrt.Proc, m wire.Msg) {
-	if pe := s.pendingPart[m.Op]; pe != nil {
-		// Retransmitted VOTE: answer from the pending execution instead of
-		// re-acquiring locks it already holds.
-		s.Send(wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, OK: pe.ok})
+	if _, pending := s.pendingPart[m.Op]; pending {
+		// Retransmitted VOTE: answer from the pending execution (only a
+		// successful one is kept) instead of re-acquiring locks it holds.
+		s.Send(wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, OK: true})
 		return
 	}
 	sub := m.Sub
-	keys := sub.Keys()
+	key, _ := sub.Key()
+	keys := []types.ObjKey{key}
 	s.locks.acquire(p, keys)
 	s.ExecCPU(p)
 	res := s.Shard.Exec(sub, s.NowNanos())
 	if res.OK {
-		s.pendingPart[m.Op] = &pendingExec{sub: sub, ok: true, undo: res.Undo, rows: res.Rows, keys: keys}
+		s.pendingPart[m.Op] = pendingExec{undo: res.Undo, rows: res.Rows, keys: keys}
 		s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: m.Op, Role: types.RoleParticipant,
 			OK: true, Sub: sub, Before: res.Before, After: res.After})
 	} else {
@@ -219,19 +207,17 @@ func (s *TwoPCServer) participantDecide(p *simrt.Proc, m wire.Msg) {
 }
 
 func (s *TwoPCServer) applyDecision(p *simrt.Proc, id types.OpID, commit bool) {
-	pe := s.pendingPart[id]
-	if pe == nil {
+	pe, pending := s.pendingPart[id]
+	if !pending {
 		return
 	}
 	delete(s.pendingPart, id)
-	decType := wal.RecAbort
-	if commit {
-		decType = wal.RecCommit
-		s.KV.SyncKeys(p, pe.rows)
-	} else {
+	decType := wal.RecCommit
+	if !commit {
+		decType = wal.RecAbort
 		s.Shard.ApplyUndo(pe.undo)
-		s.KV.SyncKeys(p, pe.undo.Keys())
 	}
+	s.KV.SyncKeys(p, pe.rows)
 	if s.Crashed() {
 		return
 	}

@@ -13,8 +13,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"cxfs/internal/baseline"
@@ -93,8 +91,6 @@ type Options struct {
 	// leasing entirely. Applies to ProtoCx and the SE baselines (2PC/CE
 	// have no lookup fast path).
 	CacheTTL time.Duration
-	// CacheCap bounds each driver's cache (0 = core.DefaultCacheCap).
-	CacheCap int
 }
 
 // DefaultOptions mirrors the paper's setup for n servers.
@@ -217,7 +213,7 @@ func New(opts Options) (*Cluster, error) {
 		host := node.NewHost(sim, net, c.hostID(i))
 		c.Hosts = append(c.Hosts, host)
 		newCache := func() *core.Cache {
-			cc := core.NewCache(opts.CacheCap)
+			cc := core.NewCache(0) // core.DefaultCacheCap
 			cc.SetObserver(opts.Obs)
 			cc.Attach(host)
 			c.caches = append(c.caches, cc)
@@ -528,40 +524,18 @@ func (c *Cluster) CheckInvariants() []string {
 	var dents []dent
 	inodes := make(map[types.InodeID]types.Inode)
 	for _, b := range c.Bases {
-		b.KV.Range(func(key string, val []byte) bool {
-			// Dentry rows are "d/<dir>/<name>". Split on the first two
-			// slashes only: a name may itself contain spaces or slashes, so
-			// token-based parsing (Sscanf's %s stops at whitespace) would
-			// truncate it and mask real violations.
-			if rest, ok := strings.CutPrefix(key, "d/"); ok {
-				dirStr, name, found := strings.Cut(rest, "/")
-				dir, err := strconv.ParseUint(dirStr, 10, 64)
-				if !found || err != nil {
-					return true
-				}
-				if len(val) == 8 {
-					var v uint64
-					for i := 7; i >= 0; i-- {
-						v = v<<8 | uint64(val[i])
-					}
-					dents = append(dents, dent{types.InodeID(dir), name, types.InodeID(v)})
-				}
-				return true
+		b.Shard.Walk(func(dir types.InodeID, e namespace.DirEntry) {
+			dents = append(dents, dent{dir, e.Name, e.Ino})
+		}, func(in types.Inode) {
+			// An inode counts as its placement server holds it, wherever a
+			// copy of the row was met.
+			home := c.Bases[c.Placement.ParticipantFor(in.Ino)].Shard
+			if held, ok := home.GetInode(in.Ino); ok {
+				inodes[in.Ino] = held
 			}
-			if inoStr, ok := strings.CutPrefix(key, "i/"); ok {
-				ino, err := strconv.ParseUint(inoStr, 10, 64)
-				if err != nil {
-					return true
-				}
-				sh := c.Bases[c.Placement.ParticipantFor(types.InodeID(ino))].Shard
-				if in, ok := sh.GetInode(types.InodeID(ino)); ok {
-					inodes[in.Ino] = in
-				}
-			}
-			return true
 		})
 	}
-	// KV.Range iterates a map; sort the gathered dentries so violation
+	// Walk follows the store's order; sort the gathered dentries so violation
 	// output is deterministic.
 	sort.Slice(dents, func(i, j int) bool {
 		if dents[i].dir != dents[j].dir {

@@ -76,13 +76,6 @@ func (d *Driver) SetCache(c *Cache) { d.cache = c }
 // Cache returns the attached cache (nil when caching is off).
 func (d *Driver) Cache() *Cache { return d.cache }
 
-// FlushCache drops every cached entry; verification reads then hit servers.
-func (d *Driver) FlushCache() {
-	if d.cache != nil {
-		d.cache.Flush()
-	}
-}
-
 // LastLookup reports whether this driver's most recent lookup was served
 // from the cache, and the lease grant timestamp backing it. Only meaningful
 // when read immediately after the Lookup returns (see the field comment).

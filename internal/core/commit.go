@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"cxfs/internal/namespace"
 	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
@@ -347,18 +346,14 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 	// back aborted local executions, and flush this batch's rows together.
 	recs := make([]wal.Record, 0, len(cops))
 	decisions := make([]wire.Decision, 0, len(cops))
-	flushRowsOf := make([][]string, len(cops))
-	for i, co := range cops {
+	for _, co := range cops {
 		commit := votes[co.id] && co.ok
 		decisions = append(decisions, wire.Decision{Op: co.id, Commit: commit})
 		if commit {
 			recs = append(recs, wal.Record{Type: wal.RecCommit, Op: co.id, Role: types.RoleCoordinator})
-			flushRowsOf[i] = co.rows
 		} else {
 			recs = append(recs, wal.Record{Type: wal.RecAbort, Op: co.id, Role: types.RoleCoordinator})
-			if co.ok {
-				flushRowsOf[i] = s.rollback(co.undo, co.beforeImgs)
-			}
+			s.Shard.ApplyUndo(co.undo)
 			s.tombstone(co.id)
 		}
 	}
@@ -388,9 +383,10 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 		s.CacheReply(co.id, co.finalReply(decisions[i].Commit))
 		s.completeOp(co.id, co.sub)
 		// Database write-back is deferred: the decision records are
-		// durable, so the pages join the flush queue and drain with the
-		// next lazy batch; the log records prune only after that flush.
-		s.flushQ = append(s.flushQ, flushEntry{id: co.id, rows: flushRowsOf[i]})
+		// durable, so the pages — of the rows the execution wrote, as
+		// committed or as rolled back — join the flush queue and drain with
+		// the next lazy batch; the log records prune only after that flush.
+		s.flushQ = append(s.flushQ, flushEntry{id: co.id, rows: co.rows})
 		if decisions[i].Commit {
 			s.stats.OpsCommitted++
 		} else {
@@ -579,7 +575,6 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m wire.Msg) {
 	type finished struct {
 		po        *partOp
 		committed bool
-		rows      []string
 	}
 	recs := make([]wal.Record, 0, len(m.Decisions))
 	done := make([]finished, 0, len(m.Decisions))
@@ -601,18 +596,14 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m wire.Msg) {
 			continue
 		}
 		po.committing = true
-		var rows []string
 		if d.Commit {
 			recs = append(recs, wal.Record{Type: wal.RecCommit, Op: d.Op, Role: types.RoleParticipant})
-			rows = po.rows
 		} else {
 			recs = append(recs, wal.Record{Type: wal.RecAbort, Op: d.Op, Role: types.RoleParticipant})
-			if po.ok {
-				rows = s.rollback(po.undo, po.beforeImgs)
-			}
+			s.Shard.ApplyUndo(po.undo)
 			s.tombstone(d.Op)
 		}
-		done = append(done, finished{po: po, committed: d.Commit, rows: rows})
+		done = append(done, finished{po: po, committed: d.Commit})
 	}
 	s.WAL.AppendBatchPriority(p, recs)
 	cpOp := m.Op
@@ -644,7 +635,7 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m wire.Msg) {
 		delete(s.pendingPart, po.id)
 		s.CacheReply(po.id, po.finalReply(f.committed))
 		s.completeOp(po.id, po.sub)
-		s.flushQ = append(s.flushQ, flushEntry{id: po.id, rows: f.rows})
+		s.flushQ = append(s.flushQ, flushEntry{id: po.id, rows: po.rows})
 	}
 	s.Send(wire.Msg{Type: wire.MsgAck, To: m.From, Op: m.Op, Ops: m.Ops})
 	// The decisions turned log records nothing here could free into
@@ -680,16 +671,4 @@ func sealedReply(id types.OpID, committed bool) wire.Msg {
 	}
 	return wire.Msg{Type: wire.MsgSubOpResp, To: id.Proc.Client, Op: id,
 		OK: false, Err: types.ErrAborted.Error(), Epoch: 1}
-}
-
-// rollback reverses an execution: live operations carry a compensating
-// undo; recovery-rebuilt operations carry before-images instead. Returns
-// the row keys to flush.
-func (s *Server) rollback(undo *namespace.Undo, imgs []types.RowImage) []string {
-	if undo != nil {
-		s.Shard.ApplyUndo(undo)
-		return undo.Keys()
-	}
-	s.Shard.InstallImages(imgs)
-	return imageKeys(imgs)
 }

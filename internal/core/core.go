@@ -91,8 +91,6 @@ type Config struct {
 	// RetryInterval paces VOTE/COMMIT-REQ retransmission to a crashed or
 	// slow peer.
 	RetryInterval time.Duration
-	// TombstoneCap bounds the aborted-operation tombstone set.
-	TombstoneCap int
 	// NoPiggyback disables carrying other same-participant pending
 	// operations on an immediate commitment's round — an ablation knob for
 	// benchmarks; production keeps it off (piggybacking on).
@@ -121,7 +119,6 @@ func DefaultConfig() Config {
 		Threshold:      0,
 		VoteWait:       2 * time.Second,
 		RetryInterval:  3 * time.Second,
-		TombstoneCap:   8192,
 		RecoveryFreeze: 500 * time.Millisecond,
 	}
 }
@@ -150,13 +147,16 @@ type Stats struct {
 // table remembers it: what a vote, a rollback, a duplicate request or a
 // re-queue after invalidation needs, and nothing else — the tables hold up
 // to a log's worth of entries under log pressure, so the request and
-// response messages themselves are not kept.
+// response messages themselves are not kept. What the execution wrote and
+// how to put it back is said once — rows to write back whatever the outcome,
+// undo to apply on abort or invalidation — and is the same value whether the
+// execution ran in this incarnation or recovery rebuilt the entry from its
+// Result-Record (namespace.UndoOf).
 type pendingExec struct {
 	id         types.OpID
 	sub        types.SubOp
 	ok         bool
-	undo       *namespace.Undo
-	beforeImgs []types.RowImage // recovery-rebuilt ops roll back via images
+	undo       namespace.Undo
 	rows       []string
 	peer       types.NodeID // the operation's other server
 	client     types.NodeID
@@ -291,9 +291,6 @@ func NewServer(base *node.Base, pl namespace.Placement, cfg Config) *Server {
 	}
 	if cfg.RetryInterval <= 0 {
 		cfg.RetryInterval = 3 * time.Second
-	}
-	if cfg.TombstoneCap <= 0 {
-		cfg.TombstoneCap = 8192
 	}
 	s := &Server{
 		Base:         base,
@@ -532,15 +529,6 @@ func (s *Server) handle(p *simrt.Proc, m wire.Msg) {
 	}
 }
 
-// conflictKey returns the single object key a sub-op conflicts on.
-func conflictKey(sub types.SubOp) (types.ObjKey, bool) {
-	keys := sub.Keys()
-	if len(keys) == 0 {
-		return types.ObjKey{}, false
-	}
-	return keys[0], true
-}
-
 // signal helpers ------------------------------------------------------------
 
 func (s *Server) waitChan(m map[types.OpID][]*simrt.Chan[struct{}], op types.OpID) *simrt.Chan[struct{}] {
@@ -556,9 +544,12 @@ func (s *Server) fire(m map[types.OpID][]*simrt.Chan[struct{}], op types.OpID) {
 	delete(m, op)
 }
 
+// tombstoneCap bounds the aborted-operation tombstone set.
+const tombstoneCap = 8192
+
 // tombstone records an aborted op so late sub-ops cannot execute.
 func (s *Server) tombstone(op types.OpID) {
-	if len(s.tombstones) >= s.cfg.TombstoneCap {
+	if len(s.tombstones) >= tombstoneCap {
 		// Bounded memory: drop the whole generation. A lost tombstone can
 		// only matter for a message still in flight, which the cap keeps
 		// wildly improbable; correctness degradation is an orphaned row,

@@ -62,11 +62,9 @@ func (s *Server) handleSubOp(p *simrt.Proc, m wire.Msg) {
 			Err: types.ErrAborted.Error(), Epoch: 1})
 		return
 	}
-	if key, ok := conflictKey(sub); ok {
-		if holder, held := s.active[key]; held && holder.Proc != sub.Op.Proc {
-			s.block(m, holder, 1)
-			return
-		}
+	if holder, held := s.heldBy(sub); held {
+		s.block(m, holder, 1)
+		return
 	}
 	s.execSubOp(p, m, types.NilOp, 1)
 }
@@ -218,10 +216,10 @@ func (s *Server) execSubOp(p *simrt.Proc, m wire.Msg, hint types.OpID, epoch uin
 		// has already aborted. Undo the effects, seal the abort in the log
 		// so recovery agrees, and answer aborted.
 		if res.OK {
-			rows := s.rollback(res.Undo, res.Before)
+			s.Shard.ApplyUndo(res.Undo)
 			s.releaseKeys(sub, sub.Op)
 			s.WAL.AppendBatchPriority(p, []wal.Record{{Type: wal.RecAbort, Op: sub.Op, Role: sub.Role}})
-			s.flushQ = append(s.flushQ, flushEntry{id: sub.Op, rows: rows})
+			s.flushQ = append(s.flushQ, flushEntry{id: sub.Op, rows: res.Rows})
 			if s.Crashed() {
 				return
 			}
@@ -292,11 +290,19 @@ func (s *Server) execSubOp(p *simrt.Proc, m wire.Msg, hint types.OpID, epoch uin
 	s.CrashPoint(CPExecAfterReply, sub.Op)
 }
 
-// hold marks the sub-op's conflict key active. A dentry becoming active
-// also revokes any read leases on it: the cached value may be stale the
-// moment this execution commits.
+// heldBy returns the pending operation of another process that holds the
+// sub-op's object active, if one does: the conflict of §III.C.
+func (s *Server) heldBy(sub types.SubOp) (types.OpID, bool) {
+	key, _ := sub.Key()
+	holder, held := s.active[key]
+	return holder, held && holder.Proc != sub.Op.Proc
+}
+
+// hold marks the sub-op's object active. A dentry becoming active also
+// revokes any read leases on it: the cached value may be stale the moment
+// this execution commits.
 func (s *Server) hold(sub types.SubOp) {
-	if key, ok := conflictKey(sub); ok {
+	if key, ok := sub.Key(); ok {
 		s.active[key] = sub.Op
 	}
 	switch sub.Action {
@@ -305,12 +311,10 @@ func (s *Server) hold(sub types.SubOp) {
 	}
 }
 
-// releaseKeys clears every active entry held by op.
+// releaseKeys clears the active entry op holds for the sub-op's object.
 func (s *Server) releaseKeys(sub types.SubOp, op types.OpID) {
-	if key, ok := conflictKey(sub); ok {
-		if s.active[key] == op {
-			delete(s.active, key)
-		}
+	if key, ok := sub.Key(); ok && s.active[key] == op {
+		delete(s.active, key)
 	}
 }
 
@@ -347,17 +351,15 @@ func (s *Server) redispatch(p *simrt.Proc, br *blockedReq, released types.OpID) 
 	if s.tombstones[sub.Op] {
 		return // its operation was aborted while it was parked
 	}
-	if key, ok := conflictKey(sub); ok {
-		if holder, held := s.active[key]; held && holder.Proc != sub.Op.Proc {
-			br.holder = holder
-			s.waiters[holder] = append(s.waiters[holder], br)
-			if sub.Kind.CrossServer() {
-				s.blockedOf[sub.Op] = br
-				s.fire(s.arrivalSig, sub.Op)
-			}
-			s.requestCommit(holder, false)
-			return
+	if holder, held := s.heldBy(sub); held {
+		br.holder = holder
+		s.waiters[holder] = append(s.waiters[holder], br)
+		if sub.Kind.CrossServer() {
+			s.blockedOf[sub.Op] = br
+			s.fire(s.arrivalSig, sub.Op)
 		}
+		s.requestCommit(holder, false)
+		return
 	}
 	if br.msg.Type == wire.MsgOpReq {
 		// A blocked colocated compound op re-runs through the local path.
@@ -398,9 +400,7 @@ func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID
 			"enforced after "+afterOp.String())
 		s.cfg.Obs.Emit(now, int(s.ID), victim, obs.PhaseInvalidate, sub.Kind.String())
 	}
-	if pe.ok {
-		s.rollback(pe.undo, pe.beforeImgs)
-	}
+	s.Shard.ApplyUndo(pe.undo)
 	s.releaseKeys(sub, victim)
 	s.WAL.AppendBatchPriority(p, []wal.Record{{Type: wal.RecInvalidate, Op: victim, Role: sub.Role}})
 	if s.CrashPoint(CPInvalidateMid, victim) {
@@ -462,11 +462,9 @@ func (s *Server) runLocalOp(p *simrt.Proc, m wire.Msg) {
 		// Local conflict check still applies: this op must not read or
 		// overwrite another process's uncommitted objects.
 		for _, sub := range []types.SubOp{cSub, pSub} {
-			if key, ok := conflictKey(sub); ok {
-				if holder, held := s.active[key]; held && holder.Proc != op.ID.Proc {
-					s.block(wire.Msg{Type: wire.MsgOpReq, From: m.From, To: s.ID, Op: op.ID, FullOp: op, Sub: sub}, holder, 1)
-					return
-				}
+			if holder, held := s.heldBy(sub); held {
+				s.block(wire.Msg{Type: wire.MsgOpReq, From: m.From, To: s.ID, Op: op.ID, FullOp: op, Sub: sub}, holder, 1)
+				return
 			}
 		}
 		s.ExecCPU(p)

@@ -23,13 +23,11 @@ func lookupSub(m wire.Msg) types.SubOp {
 // mutation paths revoke the moment an entry becomes active (hold).
 func (s *Server) handleLookup(p *simrt.Proc, m wire.Msg) {
 	sub := lookupSub(m)
-	if key, ok := conflictKey(sub); ok {
-		if holder, held := s.active[key]; held && holder.Proc != sub.Op.Proc {
-			lm := m
-			lm.Sub = sub
-			s.block(lm, holder, 1)
-			return
-		}
+	if holder, held := s.heldBy(sub); held {
+		lm := m
+		lm.Sub = sub
+		s.block(lm, holder, 1)
+		return
 	}
 	boot := s.Boot()
 	s.ExecCPU(p)

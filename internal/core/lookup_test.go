@@ -98,9 +98,9 @@ func TestLeasedLookupPath(t *testing.T) {
 		if ds := drvA.Stats(); ds.Ops == 0 {
 			t.Error("driver counted no ops")
 		}
-		drvA.FlushCache()
+		drvA.Cache().Flush()
 		if drvA.Cache().Len() != 0 {
-			t.Error("FlushCache left entries behind")
+			t.Error("Flush left entries behind")
 		}
 		c.Quiesce(p)
 	})

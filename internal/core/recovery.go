@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"cxfs/internal/namespace"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
@@ -217,38 +218,34 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			s.WAL.Prune(id)
 			continue
 		}
+		// Redo the provisional execution and rebuild its entry with the undo
+		// the execution itself would have left: the record's before-image,
+		// the parent compensation its action implies.
+		pe := pendingExec{id: id, sub: last.sub, ok: last.ok, peer: last.peer,
+			client: id.Proc.Client, epoch: 1}
 		if last.ok {
-			s.Shard.InstallImages(last.after) // redo the provisional execution
+			s.Shard.InstallImages(last.after)
+			pe.undo = namespace.UndoOf(last.sub, last.before)
+			for _, img := range last.after {
+				pe.rows = append(pe.rows, img.Key)
+			}
+			s.hold(last.sub)
 		}
-		client := id.Proc.Client
 		switch last.role {
 		case types.RoleCoordinator:
-			part := s.pl.ParticipantFor(last.sub.Ino)
-			if last.hasPeer {
-				part = last.peer
+			if !last.hasPeer {
+				pe.peer = s.pl.ParticipantFor(last.sub.Ino)
 			}
-			co := &coordOp{pendingExec: pendingExec{id: id, sub: last.sub, ok: last.ok,
-				beforeImgs: last.before, rows: imageKeys(last.after),
-				peer: part, client: client, epoch: 1}}
+			co := &coordOp{pendingExec: pe}
 			s.pendingCoord[id] = co
 			s.addIdle(co)
-			if last.ok {
-				s.hold(last.sub)
-			}
 			undecidedCoord = append(undecidedCoord, id)
 		case types.RoleParticipant:
-			coordID := s.pl.CoordinatorFor(last.sub.Parent, last.sub.Name)
-			if last.hasPeer {
-				coordID = last.peer
+			if !last.hasPeer {
+				pe.peer = s.pl.CoordinatorFor(last.sub.Parent, last.sub.Name)
 			}
-			s.pendingPart[id] = &partOp{pendingExec: pendingExec{id: id, sub: last.sub, ok: last.ok,
-				beforeImgs: last.before, rows: imageKeys(last.after),
-				peer: coordID, client: client, epoch: 1},
-				since: s.Sim.Now()}
+			s.pendingPart[id] = &partOp{pendingExec: pe, since: s.Sim.Now()}
 			s.unnamedParts = append(s.unnamedParts, id)
-			if last.ok {
-				s.hold(last.sub)
-			}
 			undecidedPart = append(undecidedPart, id)
 		}
 	}
@@ -319,15 +316,4 @@ func opLess(a, b types.OpID) bool {
 		return a.Proc.Index < b.Proc.Index
 	}
 	return a.Seq < b.Seq
-}
-
-// imageKeys extracts the row keys of an image set.
-func imageKeys(imgs []types.RowImage) []string {
-	out := make([]string, 0, len(imgs))
-	for _, img := range imgs {
-		if img.Key != "" {
-			out = append(out, img.Key)
-		}
-	}
-	return out
 }

@@ -50,12 +50,10 @@ func (s *Server) handleRename(p *simrt.Proc, m wire.Msg) {
 
 	// Conflict check on the source entry: block behind a pending operation
 	// like any sub-op would.
-	if key, ok := conflictKey(srcSub); ok {
-		if holder, held := s.active[key]; held && holder.Proc != op.ID.Proc {
-			s.block(wire.Msg{Type: wire.MsgOpReq, From: m.From, To: s.ID, Op: op.ID,
-				FullOp: op, Sub: srcSub, ReplyProc: m.ReplyProc}, holder, 1)
-			return
-		}
+	if holder, held := s.heldBy(srcSub); held {
+		s.block(wire.Msg{Type: wire.MsgOpReq, From: m.From, To: s.ID, Op: op.ID,
+			FullOp: op, Sub: srcSub, ReplyProc: m.ReplyProc}, holder, 1)
+		return
 	}
 
 	// Provisional source removal.
@@ -83,7 +81,7 @@ func (s *Server) handleRename(p *simrt.Proc, m wire.Msg) {
 	var dstOK bool
 	var dstErr string
 	if local {
-		dstOK, dstErr = s.renameLocalInsert(p, boot, op, dstSub)
+		dstOK, dstErr = s.renameExecInsert(p, boot, dstSub, s.ID)
 	} else {
 		dstOK, dstErr = s.renameRemoteInsert(p, boot, op, dstSub, dst)
 	}
@@ -100,11 +98,8 @@ func (s *Server) handleRename(p *simrt.Proc, m wire.Msg) {
 	if s.Gone(boot) {
 		return
 	}
-	var flushRows []string
-	if commit {
-		flushRows = co.rows
-	} else {
-		flushRows = s.rollback(co.undo, co.beforeImgs)
+	if !commit {
+		s.Shard.ApplyUndo(co.undo)
 		s.tombstone(op.ID)
 	}
 
@@ -122,7 +117,7 @@ func (s *Server) handleRename(p *simrt.Proc, m wire.Msg) {
 	}
 	delete(s.pendingCoord, op.ID)
 	s.completeOp(op.ID, srcSub)
-	s.flushQ = append(s.flushQ, flushEntry{id: op.ID, rows: flushRows})
+	s.flushQ = append(s.flushQ, flushEntry{id: op.ID, rows: co.rows})
 	if commit {
 		s.stats.OpsCommitted++
 		s.stats.Renames++
@@ -139,12 +134,6 @@ func (s *Server) handleRename(p *simrt.Proc, m wire.Msg) {
 	// re-execution.
 	s.CacheReply(op.ID, reply)
 	s.Send(reply)
-}
-
-// renameLocalInsert executes the destination insert on this same server.
-func (s *Server) renameLocalInsert(p *simrt.Proc, boot uint64, op types.Op, dstSub types.SubOp) (bool, string) {
-	ok, err, _ := s.renameExecInsert(p, boot, op, dstSub, s.ID)
-	return ok, err
 }
 
 // renameRemoteInsert drives the VOTE round against the destination server,
@@ -192,60 +181,56 @@ func (s *Server) handleRenameVote(p *simrt.Proc, m wire.Msg) {
 		return
 	}
 	boot := s.Boot()
-	op := types.Op{ID: id, Kind: types.OpRename}
-	ok, errStr, registered := s.renameExecInsert(p, boot, op, m.Sub, m.From)
+	ok, errStr := s.renameExecInsert(p, boot, m.Sub, m.From)
 	if s.Gone(boot) {
 		return
 	}
-	resp := wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: id, OK: ok, Err: errStr}
-	_ = registered
-	s.Send(resp)
+	s.Send(wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: id, OK: ok, Err: errStr})
 }
 
 // renameExecInsert performs the destination insert with conflict
 // resolution; on success the execution registers in pendingPart (remote
 // coordinator case) so COMMIT-REQ/recovery complete it.
-func (s *Server) renameExecInsert(p *simrt.Proc, boot uint64, op types.Op, dstSub types.SubOp, coordNode types.NodeID) (bool, string, bool) {
+func (s *Server) renameExecInsert(p *simrt.Proc, boot uint64, dstSub types.SubOp, coordNode types.NodeID) (bool, string) {
 	deadline := s.Sim.Now() + s.cfg.VoteWait
 	for {
-		key, _ := conflictKey(dstSub)
-		holder, held := s.active[key]
-		if !held || holder.Proc == dstSub.Op.Proc {
+		holder, held := s.heldBy(dstSub)
+		if !held {
 			break
 		}
 		s.requestCommit(holder, false)
 		remaining := deadline - s.Sim.Now()
 		if remaining <= 0 {
-			return false, fmt.Sprintf("rename destination busy: %v", types.ErrAborted), false
+			return false, fmt.Sprintf("rename destination busy: %v", types.ErrAborted)
 		}
 		ch := s.waitChan(s.completeSig, holder)
 		ch.RecvTimeout(p, remaining)
 		if s.Gone(boot) {
-			return false, "", false
+			return false, ""
 		}
 	}
 	s.ExecCPU(p)
 	if s.Gone(boot) {
-		return false, "", false
+		return false, ""
 	}
 	res := s.Shard.Exec(dstSub, s.NowNanos())
 	if !res.OK {
-		return false, res.Err.Error(), false
+		return false, res.Err.Error()
 	}
 	s.hold(dstSub)
 	if !s.logResults(p, boot, []wal.Record{{Type: wal.RecResult, Op: dstSub.Op, Role: types.RoleParticipant,
 		OK: true, Sub: dstSub, Before: res.Before, After: res.After, Peer: coordNode, HasPeer: true}}) {
-		return false, "", false
+		return false, ""
 	}
 	if coordNode != s.ID {
 		s.pendingPart[dstSub.Op] = &partOp{pendingExec: pendingExec{id: dstSub.Op, sub: dstSub, ok: true,
 			undo: res.Undo, rows: res.Rows, peer: coordNode,
 			client: dstSub.Op.Proc.Client, epoch: 1, committing: true},
 			since: s.Sim.Now()}
-		return true, "", true
+		return true, ""
 	}
 	// Local: the caller owns completion; stage rows directly.
 	s.flushQ = append(s.flushQ, flushEntry{id: dstSub.Op, rows: res.Rows})
 	defer s.completeOp(dstSub.Op, dstSub)
-	return true, "", false
+	return true, ""
 }

@@ -26,6 +26,11 @@
 // neighbours. Crash discards the volatile image; Recover reloads it from
 // the durable one.
 //
+// Everything the store knows about a row — both values, whether a write-back
+// or a checkpoint is owed for it, its leaf page — is one record in one table
+// (row), so the images cannot disagree about which rows exist, and a row
+// that is gone for good is gone from all of them at once (keep).
+//
 // A page write carries the row as it was when the write was submitted: a
 // row rewritten while the disk works stays dirty for the next flush, and a
 // write-back that a crash overtakes leaves the durable image untouched. The
@@ -80,32 +85,15 @@ const JournalRecBytes = 1024
 // by ~15% in the paper despite both paying one sync log write per sub-op.
 const SyncCommitCPU = 300 * time.Microsecond
 
-// NumShards is the fan-out of the row images. Rows hash over the shards by
-// key (FNV-1a), so the dentry and inode maps of a busy server stop funneling
-// every access through one big map: each map stays small (better probe
-// behavior, cheaper growth) and concurrent MDS handler procs touch disjoint
-// shards for disjoint key ranges.
-const NumShards = 16
-
-// kvShard holds one shard of the row images.
-type kvShard struct {
-	mem     map[string][]byte // volatile image
-	durable map[string][]byte // image implied by completed page writes
-	dirty   map[string]bool   // keys with volatile changes not yet written
-}
-
-// shardOf hashes a row key onto a shard (inlined FNV-1a, no allocation).
-func shardOf(key string) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return int(h & (NumShards - 1))
+// row is everything the store knows about one row. A record exists while any
+// of its flags is set.
+type row struct {
+	val, dur []byte // volatile and durable values; nil unless live / durable
+	page     int64  // leaf page, assigned at first write and kept while the record is
+	live     bool   // in the volatile image
+	durable  bool   // in the image implied by completed writes
+	dirty    bool   // volatile change not yet written
+	owed     bool   // journaled; the checkpointer owes the in-place page write
 }
 
 // Store is one server's metadata database.
@@ -114,10 +102,9 @@ type Store struct {
 	dsk  *disk.Disk
 	base int64 // disk offset of the database region
 
-	shards [NumShards]kvShard
-	slots  map[string]int64 // row -> leaf page, assigned at first write
-	next   int64            // the open page, which rows first written now join
-	fill   int              // bytes of the open page in use
+	rows map[string]row
+	next int64 // the open page, which rows first written now join
+	fill int   // bytes of the open page in use
 
 	// gen is the incarnation of the volatile image, bumped by Crash: a page
 	// write submitted under an older gen settles nothing. inflight counts the
@@ -125,40 +112,20 @@ type Store struct {
 	gen      uint64
 	inflight int
 
-	// Synchronous-mode machinery: BDB-style transaction journal plus a
-	// periodic checkpointer writing journaled pages in place. syncMu is
-	// the Trove-style single DB thread.
-	journalBase int64
+	// Synchronous-mode machinery: BDB-style transaction journal (between the
+	// operation log and the page region, at base/2) plus a periodic
+	// checkpointer writing journaled pages in place. syncMu is the Trove-style
+	// single DB thread.
 	journalTail int64
-	ckptPending map[string]bool
 	syncMu      *simrt.Mutex
 
 	stats Stats
 }
 
-// New creates a store whose pages live at disk offset base and whose
-// transaction journal (used only by the synchronous write path) lives at
-// journalBase.
+// New creates a store whose pages live at disk offset base; the transaction
+// journal of the synchronous write path lives at base/2.
 func New(s *simrt.Sim, d *disk.Disk, base int64) *Store {
-	return NewWithJournal(s, d, base, base/2)
-}
-
-// NewWithJournal places the journal region explicitly.
-func NewWithJournal(s *simrt.Sim, d *disk.Disk, base, journalBase int64) *Store {
-	st := &Store{
-		sim: s, dsk: d, base: base, journalBase: journalBase,
-		slots:       make(map[string]int64),
-		ckptPending: make(map[string]bool),
-		syncMu:      simrt.NewMutex(s),
-	}
-	for i := range st.shards {
-		st.shards[i] = kvShard{
-			mem:     make(map[string][]byte),
-			durable: make(map[string][]byte),
-			dirty:   make(map[string]bool),
-		}
-	}
-	return st
+	return &Store{sim: s, dsk: d, base: base, rows: make(map[string]row), syncMu: simrt.NewMutex(s)}
 }
 
 // Stats returns a snapshot of accumulated counters.
@@ -166,60 +133,64 @@ func (st *Store) Stats() Stats { return st.stats }
 
 // Get returns the volatile value for key. The database cache is assumed
 // warm (the paper sizes workloads so metadata fits server memory), so reads
-// cost no disk time.
+// cost no disk time. The slice is the store's own and is never modified
+// (Put installs a fresh copy): holding it is holding the row's image.
 func (st *Store) Get(key string) ([]byte, bool) {
 	st.stats.Gets++
-	v, ok := st.shards[shardOf(key)].mem[key]
-	return v, ok
+	r := st.rows[key]
+	return r.val, r.live
 }
 
-// Put stores key=val in the volatile image and marks the row dirty.
-func (st *Store) Put(key string, val []byte) {
+// Put stores a copy of val as key's volatile value, marks the row dirty and
+// returns the copy — the image of the row as written.
+func (st *Store) Put(key string, val []byte) []byte {
 	st.stats.Puts++
-	cp := make([]byte, len(val))
-	copy(cp, val)
-	sh := &st.shards[shardOf(key)]
-	sh.mem[key] = cp
-	sh.dirty[key] = true
-	st.slot(key)
+	r, held := st.rows[key]
+	if !held {
+		r.page = st.place(len(key) + len(val))
+	}
+	r.val = make([]byte, len(val))
+	copy(r.val, val)
+	r.live, r.dirty = true, true
+	st.rows[key] = r
+	return r.val
 }
 
 // Delete removes key from the volatile image and marks the row dirty (a
 // deletion still rewrites the page holding the row).
 func (st *Store) Delete(key string) {
 	st.stats.Deletes++
-	sh := &st.shards[shardOf(key)]
-	delete(sh.mem, key)
-	sh.dirty[key] = true
-	st.slot(key)
+	r, held := st.rows[key]
+	if !held {
+		r.page = st.place(len(key))
+	}
+	r.val, r.live, r.dirty = nil, false, true
+	st.rows[key] = r
 }
 
-// slot returns the leaf page of key's row. A row without one is appended to
-// the open page by the footprint of its volatile value — first-write order —
-// and keeps that page, whatever is written to it, until release.
-func (st *Store) slot(key string) int64 {
-	if s, ok := st.slots[key]; ok {
-		return s
-	}
-	size := len(key) + len(st.shards[shardOf(key)].mem[key]) + rowOverhead
+// place returns the leaf page for a row the table does not hold yet: it is
+// appended to the open page by the footprint of the key and value about to be
+// written — first-write order — and keeps that page, whatever is written to
+// it, while its record exists.
+func (st *Store) place(size int) int64 {
+	size += rowOverhead
 	if st.fill > 0 && st.fill+size > PageSize {
 		st.next++
 		st.fill = 0
 	}
 	st.fill += size
-	st.slots[key] = st.next
 	return st.next
 }
 
-// release drops the placement of a row that is gone for good: deleted, the
-// deletion durable, and no page write owed for it. A name created again is
-// placed afresh, so the table holds live rows, not every name ever written.
-func (st *Store) release(key string) {
-	sh := &st.shards[shardOf(key)]
-	_, live := sh.mem[key]
-	_, durable := sh.durable[key]
-	if !live && !durable && !sh.dirty[key] && !st.ckptPending[key] {
-		delete(st.slots, key)
+// keep writes key's record back, or drops it and with it the row's placement
+// once the row is gone for good: deleted, the deletion durable, and no page
+// write owed for it. A name created again is placed afresh, so the table
+// holds live rows, not every name ever written.
+func (st *Store) keep(key string, r row) {
+	if r.live || r.durable || r.dirty || r.owed {
+		st.rows[key] = r
+	} else {
+		delete(st.rows, key)
 	}
 }
 
@@ -239,18 +210,19 @@ func (st *Store) SyncKeys(p *simrt.Proc, keys []string) {
 	p.Sleep(time.Duration(len(keys)) * SyncCommitCPU)
 	st.syncMu.Unlock()
 	size := int64(len(keys)) * JournalRecBytes
-	off := st.journalBase + st.journalTail
+	off := st.base/2 + st.journalTail
 	st.journalTail += size
 	var few [4]pageWrite // a sub-op's rows: keep the capture off the heap
-	gen, pages := st.gen, st.capture(few[:0], keys)
+	writes := few[:0]
+	for _, k := range keys {
+		r := st.rows[k]
+		writes = append(writes, pageWrite{key: k, val: r.val, present: r.live})
+	}
+	gen := st.gen
 	st.inflight++
 	st.dsk.Access(p, off, size, true)
-	if !st.settle(gen, pages) {
-		return
-	}
-	for _, k := range keys {
-		st.stats.SyncWrites++
-		st.ckptPending[k] = true
+	if st.settle(gen, writes, true) {
+		st.stats.SyncWrites += uint64(len(keys))
 	}
 }
 
@@ -270,27 +242,32 @@ func (st *Store) StartCheckpointer(interval time.Duration) {
 // place and returns how many rows that was. The rows are durable already
 // (SyncKeys settled them): the checkpoint only pays the page writes.
 func (st *Store) Checkpoint(p *simrt.Proc) int {
-	if len(st.ckptPending) == 0 {
+	var writes []pageWrite
+	for k, r := range st.rows {
+		if r.owed {
+			writes = append(writes, pageWrite{key: k, page: r.page})
+			r.owed = false
+			st.rows[k] = r
+		}
+	}
+	if len(writes) == 0 {
 		return 0
 	}
-	rows := make([]pageWrite, 0, len(st.ckptPending))
-	for k := range st.ckptPending {
-		rows = append(rows, pageWrite{key: k, page: st.slot(k)})
+	st.stats.FlushPages += st.writePages(p, writes)
+	st.stats.FlushRows += uint64(len(writes))
+	for _, pw := range writes {
+		st.keep(pw.key, st.rows[pw.key])
 	}
-	clear(st.ckptPending)
-	st.stats.FlushPages += st.writePages(p, rows)
-	st.stats.FlushRows += uint64(len(rows))
-	for _, pw := range rows {
-		st.release(pw.key)
-	}
-	return len(rows)
+	return len(writes)
 }
 
 // DirtyCount returns the number of dirty rows awaiting flush.
 func (st *Store) DirtyCount() int {
 	n := 0
-	for i := range st.shards {
-		n += len(st.shards[i].dirty)
+	for _, r := range st.rows {
+		if r.dirty {
+			n++
+		}
 	}
 	return n
 }
@@ -298,18 +275,14 @@ func (st *Store) DirtyCount() int {
 // FlushDirty writes back every dirty row in one burst and returns how many
 // there were. This is the batched write-back path of OFS-batched and OFS-Cx.
 func (st *Store) FlushDirty(p *simrt.Proc) int {
-	n := st.DirtyCount()
-	if n == 0 {
-		return 0
-	}
-	keys := make([]string, 0, n)
-	for i := range st.shards {
-		for k := range st.shards[i].dirty {
+	var keys []string
+	for k, r := range st.rows {
+		if r.dirty {
 			keys = append(keys, k)
 		}
 	}
 	st.FlushKeys(p, keys)
-	return n
+	return len(keys)
 }
 
 // FlushKeys writes back the dirty rows among keys, and only those (used when
@@ -322,40 +295,34 @@ func (st *Store) FlushDirty(p *simrt.Proc) int {
 // rows counts as written, and the caller must not prune the log records
 // that can still redo them.
 func (st *Store) FlushKeys(p *simrt.Proc, keys []string) bool {
-	rows := make([]pageWrite, 0, len(keys))
+	writes := make([]pageWrite, 0, len(keys))
 	for _, k := range keys {
-		sh := &st.shards[shardOf(k)]
-		if !sh.dirty[k] {
+		r := st.rows[k]
+		if !r.dirty {
 			continue
 		}
-		v, ok := sh.mem[k]
 		// With a write in flight the durable image may be about to change
 		// under the comparison; such a row takes the disk path.
-		if d, dok := sh.durable[k]; st.inflight == 0 && ok == dok && bytes.Equal(v, d) {
-			delete(sh.dirty, k)
+		if st.inflight == 0 && r.live == r.durable && bytes.Equal(r.val, r.dur) {
+			r.dirty = false
 			st.stats.Absorbed++
-			st.release(k)
+			st.keep(k, r)
 			continue
 		}
-		rows = append(rows, pageWrite{key: k, val: v, present: ok, page: st.slot(k)})
+		writes = append(writes, pageWrite{key: k, val: r.val, present: r.live, page: r.page})
 	}
-	if len(rows) == 0 {
+	if len(writes) == 0 {
 		return true
 	}
 	gen := st.gen
 	st.inflight++
-	pages := st.writePages(p, rows)
-	if !st.settle(gen, rows) {
+	pages := st.writePages(p, writes)
+	if !st.settle(gen, writes, false) {
 		return false
 	}
 	st.stats.Flushes++
-	st.stats.FlushRows += uint64(len(rows))
+	st.stats.FlushRows += uint64(len(writes))
 	st.stats.FlushPages += pages
-	for _, pw := range rows {
-		if !pw.present {
-			st.release(pw.key)
-		}
-	}
 	return true
 }
 
@@ -392,113 +359,90 @@ type pageWrite struct {
 	page    int64 // the row's leaf page; in-place writes only
 }
 
-// capture appends to pages the volatile value of each key, for a write about
-// to be submitted.
-func (st *Store) capture(pages []pageWrite, keys []string) []pageWrite {
-	for _, k := range keys {
-		v, ok := st.shards[shardOf(k)].mem[k]
-		pages = append(pages, pageWrite{key: k, val: v, present: ok})
-	}
-	return pages
-}
-
-// settle moves completed page writes into the durable image, and clears the
-// dirty mark of each row the volatile image has not changed since the write
-// was submitted. It settles nothing, and says so, if the store crashed after
-// submission: the volatile image those pages came from is gone, and what the
-// disk holds of them is not to be trusted over the log.
-func (st *Store) settle(gen uint64, pages []pageWrite) bool {
+// settle moves completed writes into the durable image, clears the dirty
+// mark of each row the volatile image has not changed since the write was
+// submitted, and notes the page write a journaled row is now owed. It settles
+// nothing, and says so, if the store crashed after submission: the volatile
+// image those pages came from is gone, and what the disk holds of them is
+// not to be trusted over the log.
+func (st *Store) settle(gen uint64, writes []pageWrite, journaled bool) bool {
 	st.inflight--
 	if gen != st.gen {
 		return false
 	}
-	for _, pw := range pages {
-		sh := &st.shards[shardOf(pw.key)]
-		if pw.present {
-			sh.durable[pw.key] = pw.val
-		} else {
-			delete(sh.durable, pw.key)
+	for _, pw := range writes {
+		r, held := st.rows[pw.key]
+		if !held {
+			if !pw.present && !journaled {
+				continue // gone for good meanwhile: named twice in this write, or by an overlapping one
+			}
+			r.page = st.place(len(pw.key) + len(pw.val))
 		}
-		if v, ok := sh.mem[pw.key]; ok == pw.present && bytes.Equal(v, pw.val) {
-			delete(sh.dirty, pw.key)
+		r.dur, r.durable = pw.val, pw.present
+		if r.live == pw.present && bytes.Equal(r.val, pw.val) {
+			r.dirty = false
 		}
+		r.owed = r.owed || journaled
+		st.keep(pw.key, r)
 	}
 	return true
 }
 
 // Crash discards the volatile image, simulating a server power loss: the
-// store's contents revert to the durable image on the next Recover.
+// store's contents revert to the durable image on the next Recover. A row
+// that never became durable keeps no page.
 func (st *Store) Crash() {
 	st.gen++
-	for i := range st.shards {
-		sh := &st.shards[i]
-		lost := sh.dirty
-		sh.mem, sh.dirty = nil, make(map[string]bool)
-		for k := range lost {
-			st.release(k) // a row that never became durable keeps no page
-		}
+	for k, r := range st.rows {
+		r.val, r.live, r.dirty = nil, false, false
+		st.keep(k, r)
 	}
 }
 
 // Recover reloads the volatile image from the durable one after a crash.
 func (st *Store) Recover() {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mem = make(map[string][]byte, len(sh.durable))
-		for k, v := range sh.durable {
-			cp := make([]byte, len(v))
-			copy(cp, v)
-			sh.mem[k] = cp
-		}
+	for k, r := range st.rows {
+		r.val, r.live = r.dur, r.durable
+		st.rows[k] = r
 	}
 }
 
 // Snapshot returns a copy of the volatile image; invariant checkers use it
 // to compare cross-server state after quiescence.
 func (st *Store) Snapshot() map[string][]byte {
-	out := make(map[string][]byte, st.Len())
-	for i := range st.shards {
-		for k, v := range st.shards[i].mem {
-			cp := make([]byte, len(v))
-			copy(cp, v)
-			out[k] = cp
-		}
-	}
+	out := make(map[string][]byte)
+	st.Range(func(k string, v []byte) bool {
+		out[k] = bytes.Clone(v)
+		return true
+	})
 	return out
 }
 
 // DurableSnapshot returns a copy of the durable image.
 func (st *Store) DurableSnapshot() map[string][]byte {
 	out := make(map[string][]byte)
-	for i := range st.shards {
-		for k, v := range st.shards[i].durable {
-			cp := make([]byte, len(v))
-			copy(cp, v)
-			out[k] = cp
+	for k, r := range st.rows {
+		if r.durable {
+			out[k] = bytes.Clone(r.dur)
 		}
 	}
 	return out
 }
 
-// Forget drops a key from the volatile image without scheduling a disk
-// write — used by CE when a migrated row returns to its home server and the
-// temporary local copy must vanish without becoming durable here.
+// Forget drops a key from both images without scheduling a disk write — used
+// by CE when a migrated row returns to its home server and the temporary
+// local copy must vanish without becoming durable here.
 func (st *Store) Forget(key string) {
-	sh := &st.shards[shardOf(key)]
-	delete(sh.mem, key)
-	delete(sh.dirty, key)
-	delete(sh.durable, key)
-	st.release(key)
+	r := st.rows[key]
+	st.keep(key, row{page: r.page, owed: r.owed})
 }
 
 // Range calls fn for every volatile row until fn returns false. Iteration
 // order is unspecified; callers needing determinism must sort.
 func (st *Store) Range(fn func(key string, val []byte) bool) {
-	for i := range st.shards {
-		for k, v := range st.shards[i].mem {
-			if !fn(k, v) {
-				return
-			}
+	for k, r := range st.rows {
+		if r.live && !fn(k, r.val) {
+			return
 		}
 	}
 }
@@ -506,13 +450,15 @@ func (st *Store) Range(fn func(key string, val []byte) bool) {
 // Len returns the number of volatile rows.
 func (st *Store) Len() int {
 	n := 0
-	for i := range st.shards {
-		n += len(st.shards[i].mem)
+	for _, r := range st.rows {
+		if r.live {
+			n++
+		}
 	}
 	return n
 }
 
 // String renders store state for debugging.
 func (st *Store) String() string {
-	return fmt.Sprintf("kv{rows=%d dirty=%d shards=%d}", st.Len(), st.DirtyCount(), NumShards)
+	return fmt.Sprintf("kv{rows=%d dirty=%d}", st.Len(), st.DirtyCount())
 }

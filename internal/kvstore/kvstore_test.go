@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -169,10 +170,10 @@ func TestRowsPackIntoLeafPagesByFootprint(t *testing.T) {
 		const n = 1000
 		keys := putRows(st, "k", n)
 		wantPages := (n*(8+8+rowOverhead) + PageSize - 1) / PageSize
-		if got := st.slot(keys[n-1]) + 1; got != int64(wantPages) {
+		if got := st.rows[keys[n-1]].page + 1; got != int64(wantPages) {
 			t.Errorf("%d rows of 32 bytes occupy %d pages, want %d", n, got, wantPages)
 		}
-		if st.slot(keys[rowsPerPage-1]) != 0 || st.slot(keys[rowsPerPage]) != 1 {
+		if st.rows[keys[rowsPerPage-1]].page != 0 || st.rows[keys[rowsPerPage]].page != 1 {
 			t.Error("a page holds exactly the rows that fit in it, in first-write order")
 		}
 		// All of them dirty: one request covering the run of pages, and the
@@ -230,7 +231,7 @@ func TestFlushAbsorbsRowsAtTheirDurableState(t *testing.T) {
 		if ks := st.Stats(); ks.Absorbed != 2 || ks.FlushRows != 1 || st.DirtyCount() != 0 {
 			t.Errorf("stats %+v dirty=%d, want 2 rows absorbed and 1 written", ks, st.DirtyCount())
 		}
-		if _, placed := st.slots["short-lived"]; placed {
+		if _, placed := st.rows["short-lived"]; placed {
 			t.Error("a row that never became durable kept its placement")
 		}
 	})
@@ -272,8 +273,8 @@ func TestPlacementDroppedOnceDeletionSettles(t *testing.T) {
 			st.Delete(k)
 			st.FlushKeys(p, []string{k})
 		}
-		if len(st.slots) != 1 {
-			t.Errorf("%d placements after 1e5 create/remove cycles, want the 1 live row", len(st.slots))
+		if len(st.rows) != 1 {
+			t.Errorf("%d placements after 1e5 create/remove cycles, want the 1 live row", len(st.rows))
 		}
 		// The synchronous path owes a page write until the checkpoint.
 		for i := 0; i < 100; i++ {
@@ -283,23 +284,23 @@ func TestPlacementDroppedOnceDeletionSettles(t *testing.T) {
 			st.Delete(k)
 			st.SyncKeys(p, []string{k})
 		}
-		if len(st.slots) != 101 {
-			t.Errorf("%d placements before the checkpoint, want 101", len(st.slots))
+		if len(st.rows) != 101 {
+			t.Errorf("%d placements before the checkpoint, want 101", len(st.rows))
 		}
 		st.Checkpoint(p)
-		if len(st.slots) != 1 {
-			t.Errorf("%d placements after the checkpoint, want 1", len(st.slots))
+		if len(st.rows) != 1 {
+			t.Errorf("%d placements after the checkpoint, want 1", len(st.rows))
 		}
 		// A name created again joins the open page; a crash takes the
 		// placement of a row that never became durable with it.
 		st.Put("f000000", []byte("inode"))
-		if st.slot("f000000") != st.next {
+		if st.rows["f000000"].page != st.next {
 			t.Error("re-created row was not placed in the open page")
 		}
 		st.Crash()
 		st.Recover()
-		if _, live := st.Get("parent"); !live || len(st.slots) != 1 {
-			t.Errorf("%d placements after a crash, want the 1 durable row", len(st.slots))
+		if _, live := st.Get("parent"); !live || len(st.rows) != 1 {
+			t.Errorf("%d placements after a crash, want the 1 durable row", len(st.rows))
 		}
 	})
 }
@@ -370,11 +371,11 @@ func TestFlushKeysSubset(t *testing.T) {
 func TestSlotAllocationStableAcrossRewrites(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
 		st.Put("k", []byte("1"))
-		first := st.slot("k")
+		first := st.rows["k"].page
 		st.Put("k", []byte("2"))
 		st.Delete("k")
 		st.Put("k", []byte("3"))
-		if st.slot("k") != first {
+		if st.rows["k"].page != first {
 			t.Error("key changed page slot across rewrites")
 		}
 	})
@@ -391,48 +392,214 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	})
 }
 
+// TestQuickVolatileSemantics is the model test of the one-record table: a
+// random sequence of every operation that moves a row between the images,
+// run against a reference that keeps the two images, the dirty and
+// checkpoint-owed sets and the placements as the separate maps the store used
+// to be. After every step the store must answer exactly as the reference
+// does, place every row where the reference does, and hold a record only for
+// a row that something still needs.
 func TestQuickVolatileSemantics(t *testing.T) {
-	// Property: a sequence of Put/Delete applied to the store matches a
-	// plain map, and after FlushDirty the durable image matches too.
 	type step struct {
-		Key    uint8
-		Val    uint8
-		Delete bool
+		Op   uint8
+		Key  uint8
+		Val  uint8
+		Mask uint16 // the keys a FlushKeys / SyncKeys step names; bit 8: each of them twice
 	}
+	const nkeys = 8
+	keyOf := func(i int) string { return fmt.Sprintf("k%d", i) }
 	f := func(steps []step) bool {
 		ok := true
 		withStore(t, func(p *simrt.Proc, st *Store) {
-			model := map[string][]byte{}
-			for _, sp := range steps {
-				k := fmt.Sprintf("k%d", sp.Key%16)
-				if sp.Delete {
-					st.Delete(k)
-					delete(model, k)
-				} else {
-					v := []byte{sp.Val}
-					st.Put(k, v)
-					model[k] = v
-				}
-			}
-			st.FlushDirty(p)
-			snap := st.Snapshot()
-			dur := st.DurableSnapshot()
-			if len(snap) != len(model) || len(dur) != len(model) {
-				ok = false
-				return
-			}
-			for k, v := range model {
-				if !bytes.Equal(snap[k], v) || !bytes.Equal(dur[k], v) {
-					ok = false
+			mem, dur, dirty := map[string][]byte{}, map[string][]byte{}, map[string]bool{}
+			owed := map[string]bool{} // journaled rows the next checkpoint writes in place
+			slots, next, fill := map[string]int64{}, int64(0), 0
+			place := func(k string, valLen int) { // first write of a row the table does not hold
+				if _, placed := slots[k]; placed {
 					return
 				}
+				size := len(k) + valLen + rowOverhead
+				if fill > 0 && fill+size > PageSize {
+					next, fill = next+1, 0
+				}
+				fill += size
+				slots[k] = next
+			}
+			settle := func(keys []string) { // a completed write of keys, as they are now
+				for _, k := range keys {
+					if v, live := mem[k]; live {
+						dur[k] = v
+					} else {
+						delete(dur, k)
+					}
+					delete(dirty, k)
+				}
+			}
+			check := func(when string) {
+				for i := 0; i < nkeys; i++ {
+					v, live := st.Get(keyOf(i))
+					if w, wlive := mem[keyOf(i)]; live != wlive || !bytes.Equal(v, w) {
+						t.Errorf("%s: Get(%s) = %v,%v, want %v,%v", when, keyOf(i), v, live, w, wlive)
+					}
+				}
+				if st.Len() != len(mem) || st.DirtyCount() != len(dirty) {
+					t.Errorf("%s: Len=%d DirtyCount=%d, want %d and %d", when, st.Len(), st.DirtyCount(), len(mem), len(dirty))
+				}
+				if snap := st.Snapshot(); !reflect.DeepEqual(snap, mem) {
+					t.Errorf("%s: Snapshot %v, want %v", when, snap, mem)
+				}
+				if snap := st.DurableSnapshot(); !reflect.DeepEqual(snap, dur) {
+					t.Errorf("%s: DurableSnapshot %v, want %v", when, snap, dur)
+				}
+				for k := range slots { // gone for good: the placement goes too
+					_, live := mem[k]
+					_, durable := dur[k]
+					if !live && !durable && !dirty[k] && !owed[k] {
+						delete(slots, k)
+					}
+				}
+				if len(st.rows) != len(slots) || st.next != next || st.fill != fill {
+					t.Errorf("%s: %d records, open page %d filled to %d; want %d, %d, %d",
+						when, len(st.rows), st.next, st.fill, len(slots), next, fill)
+				}
+				for k, r := range st.rows {
+					if page, placed := slots[k]; !placed || r.page != page {
+						t.Errorf("%s: record of %s on page %d, want %d (needed: %v)", when, k, r.page, page, placed)
+					}
+					if r.live != (r.val != nil) || r.durable != (r.dur != nil) || r.dirty != dirty[k] || r.owed != owed[k] {
+						t.Errorf("%s: record of %s is %+v; want dirty=%v owed=%v and flags that agree with the values",
+							when, k, r, dirty[k], owed[k])
+					}
+				}
+				ok = ok && !t.Failed()
+			}
+			for step, sp := range steps {
+				k := keyOf(int(sp.Key % nkeys))
+				// The rows a write names are rows the table holds, as in the
+				// protocols (which flush and journal what they have written).
+				var named []string
+				for i := 0; i < nkeys; i++ {
+					if _, held := slots[keyOf(i)]; held && sp.Mask&(1<<i) != 0 {
+						named = append(named, keyOf(i))
+					}
+				}
+				if sp.Mask&(1<<nkeys) != 0 {
+					named = append(named, named...)
+				}
+				// Half the steps write a row, a quarter write back or journal.
+				switch [12]int{0, 0, 0, 0, 1, 1, 2, 2, 3, 4, 5, 6}[sp.Op%12] {
+				case 0:
+					v := bytes.Repeat([]byte{sp.Val}, 1+3*int(sp.Val)) // up to a fifth of a page
+					st.Put(k, v)
+					mem[k], dirty[k] = v, true
+					place(k, len(v))
+				case 1:
+					st.Delete(k)
+					delete(mem, k)
+					dirty[k] = true
+					place(k, 0)
+				case 2:
+					if !st.FlushKeys(p, named) {
+						t.Error("FlushKeys did not settle with no crash")
+					}
+					for _, k := range named {
+						if dirty[k] {
+							settle([]string{k})
+						}
+					}
+				case 3:
+					st.SyncKeys(p, named)
+					settle(named)
+					for _, k := range named {
+						owed[k] = true
+					}
+				case 4: // pays the page writes owed, whatever became of the rows since; moves no image
+					if n := st.Checkpoint(p); n != len(owed) {
+						t.Errorf("step %d: checkpoint wrote %d rows, want the %d journaled since the last", step, n, len(owed))
+					}
+					clear(owed)
+				case 5:
+					st.Crash()
+					if st.Len() != 0 || st.DirtyCount() != 0 {
+						t.Errorf("step %d: Len=%d DirtyCount=%d between Crash and Recover", step, st.Len(), st.DirtyCount())
+					}
+					st.Recover()
+					mem, dirty = map[string][]byte{}, map[string]bool{}
+					for k, v := range dur {
+						mem[k] = v
+					}
+				case 6:
+					st.Forget(k)
+					delete(mem, k)
+					delete(dur, k)
+					delete(dirty, k)
+				}
+				check(fmt.Sprintf("step %d (%+v)", step, sp))
+				if !ok {
+					return
+				}
+			}
+			// Quiescence: everything written back, every checkpoint paid. The
+			// durable image is the volatile one and the table is exactly it.
+			st.FlushDirty(p)
+			st.Checkpoint(p)
+			for k := range dirty {
+				settle([]string{k})
+			}
+			clear(owed)
+			check("quiescence")
+			if len(st.rows) != len(mem) || !reflect.DeepEqual(mem, dur) {
+				t.Errorf("quiescence: %d records for %d rows (durable %d)", len(st.rows), len(mem), len(dur))
+				ok = false
 			}
 		})
 		return ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestImageLifeCycle drives the full volatile/durable life cycle of a
+// store's worth of rows: write, flush, overwrite and delete, crash, recover.
+func TestImageLifeCycle(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		keys := make([]string, 64)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("d/%d/f%02d", i%4, i)
+			st.Put(keys[i], []byte{byte(i)})
+		}
+		if st.Len() != 64 || st.DirtyCount() != 64 {
+			t.Fatalf("Len=%d Dirty=%d, want 64/64", st.Len(), st.DirtyCount())
+		}
+		if n := st.FlushDirty(p); n != 64 {
+			t.Fatalf("flushed %d rows, want 64", n)
+		}
+		if st.DirtyCount() != 0 {
+			t.Fatalf("dirty after flush: %d", st.DirtyCount())
+		}
+		// Post-flush mutations must vanish on crash, then recover durably.
+		st.Put(keys[0], []byte{0xFF})
+		st.Delete(keys[1])
+		st.Crash()
+		st.Recover()
+		if v, ok := st.Get(keys[0]); !ok || v[0] != 0 {
+			t.Errorf("key %q after crash = %v,%v; want durable image {0}", keys[0], v, ok)
+		}
+		if _, ok := st.Get(keys[1]); !ok {
+			t.Errorf("key %q lost: delete was volatile and must not survive crash", keys[1])
+		}
+		snap := st.Snapshot()
+		dur := st.DurableSnapshot()
+		if len(snap) != 64 || len(dur) != 64 {
+			t.Errorf("snapshots sized %d/%d, want 64/64", len(snap), len(dur))
+		}
+		for k, v := range snap {
+			if string(dur[k]) != string(v) {
+				t.Errorf("volatile and durable disagree on %q after recover", k)
+			}
+		}
+	})
 }
 
 func TestCheckpointWritesJournaledPages(t *testing.T) {

@@ -10,9 +10,18 @@
 // (the paper's Metarates setup exploits exactly this), and an operation is
 // cross-server whenever the two placements land on different servers.
 //
-// Execution produces a before-image undo for every mutation, which is what
-// the Cx abort path and the SE CLEAR path replay to roll a provisional
-// sub-operation back.
+// The package owns the row format — how a dentry and an inode are keyed and
+// encoded in the store — and nothing outside it parses a row: Walk decodes a
+// shard for whoever needs to see all of it, AppendIno/DentryIno are the
+// dentry value as it also travels in a readdir reply.
+//
+// Every sub-op has one object (types.SubOp.Key), so one row: Exec resolves
+// the key once, reads the row once, and returns the row's images before and
+// after. Those are the store's own slices — values are never modified in
+// place, kvstore.Put installs a fresh copy — so holding one is holding the
+// image. The same before-image is the Undo, which every rollback applies: the
+// Cx abort and invalidation paths, SE's CLEAR, 2PC's abort, and (rebuilt from
+// the Result-Record by UndoOf) an abort after crash recovery.
 package namespace
 
 import (
@@ -77,9 +86,11 @@ func (a *InodeAlloc) Next(server types.NodeID) types.InodeID {
 // of types.Inode so wire payloads and shard rows share one definition.
 type Inode = types.Inode
 
-// encodeInode serializes an inode row.
-func encodeInode(in Inode) []byte {
-	buf := make([]byte, 0, 8+1+4+8+8+8)
+// inodeLen is the encoded size of an inode row.
+const inodeLen = 8 + 1 + 4 + 8 + 8 + 8
+
+// appendInode appends the encoding of an inode row to buf.
+func appendInode(buf []byte, in Inode) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(in.Ino))
 	buf = append(buf, byte(in.Type))
 	buf = binary.LittleEndian.AppendUint32(buf, in.Nlink)
@@ -89,25 +100,40 @@ func encodeInode(in Inode) []byte {
 	return buf
 }
 
-// decodeInode parses an inode row.
-func decodeInode(b []byte) (Inode, error) {
-	var in Inode
-	if len(b) != 37 {
-		return in, fmt.Errorf("namespace: bad inode row length %d", len(b))
+// decodeInode parses an inode row read from the store.
+func decodeInode(b []byte) Inode {
+	if len(b) != inodeLen { // corruption is a bug, not a runtime condition
+		panic(fmt.Sprintf("namespace: bad inode row length %d", len(b)))
 	}
+	var in Inode
 	in.Ino = types.InodeID(binary.LittleEndian.Uint64(b[0:8]))
 	in.Type = types.FileType(b[8])
 	in.Nlink = binary.LittleEndian.Uint32(b[9:13])
 	in.Size = binary.LittleEndian.Uint64(b[13:21])
 	in.Ctime = binary.LittleEndian.Uint64(b[21:29])
 	in.Mtime = binary.LittleEndian.Uint64(b[29:37])
-	return in, nil
+	return in
 }
 
-// Row keys. Dentries and inodes share the store with distinct prefixes.
-// Built with strconv appends rather than fmt.Sprintf: key construction runs
-// on every sub-op execution and lookup, and Sprintf's interface boxing plus
-// format parsing dominated the namespace profile at replay scale.
+// AppendIno appends the value of a dentry row — the inode number the entry
+// names, 8 bytes little-endian — to buf; DentryIno parses one.
+func AppendIno(buf []byte, ino types.InodeID) []byte {
+	return binary.LittleEndian.AppendUint64(buf, uint64(ino))
+}
+
+// DentryIno parses the value of a dentry row.
+func DentryIno(val []byte) (types.InodeID, bool) {
+	if len(val) != 8 {
+		return 0, false
+	}
+	return types.InodeID(binary.LittleEndian.Uint64(val)), true
+}
+
+// Row keys. Dentries ("d/<dir>/<name>") and inodes ("i/<ino>") share the
+// store with distinct prefixes. Built with strconv appends rather than
+// fmt.Sprintf: key construction runs on every sub-op execution and lookup,
+// and Sprintf's interface boxing plus format parsing dominated the namespace
+// profile at replay scale.
 func dentryRow(dir types.InodeID, name string) string {
 	b := make([]byte, 0, 2+20+1+len(name))
 	b = append(b, 'd', '/')
@@ -124,8 +150,7 @@ func inodeRow(ino types.InodeID) string {
 	return string(b)
 }
 
-// RowKey returns the kvstore row key for an object key; the protocols use
-// it to flush exactly the objects a commitment batch touched.
+// RowKey returns the kvstore row key for an object key.
 func RowKey(k types.ObjKey) string {
 	switch k.Kind {
 	case types.ObjDentry:
@@ -136,39 +161,44 @@ func RowKey(k types.ObjKey) string {
 	panic("namespace: RowKey on invalid ObjKey")
 }
 
-// Undo rolls back one sub-operation. Primary objects (the dentry or inode
-// the sub-op targets) are restored from before-images; the parent-inode
+// Undo rolls back one sub-operation. The one row it wrote (the dentry or
+// inode it targets) is restored from its before-image; the parent-inode
 // attribute bump that rides along with entry insertion/removal is undone by
 // a *compensating* adjustment instead, because concurrent operations on the
 // same directory update it commutatively and a before-image would clobber
-// their effects.
+// their effects. The zero Undo (a read, a failed execution) restores nothing.
 type Undo struct {
-	rows    map[string][]byte // before-images; nil value = row did not exist
-	adjusts []parentAdjust
+	before types.RowImage // Key "" = nothing to restore
+	dir    types.InodeID  // the parent directory whose entry count moved
+	delta  int64          // what to add to it to take that back; 0 = nothing
 }
 
-// parentAdjust compensates the "update parent inode" piggyback.
-type parentAdjust struct {
-	dir       types.InodeID
-	sizeDelta int64
+// Empty reports whether the undo has nothing to restore.
+func (u Undo) Empty() bool { return u.before.Key == "" }
+
+// parentBump is what an action adds to the entry count of the directory it
+// works in.
+func parentBump(a types.SubOpAction) int64 {
+	switch a {
+	case types.ActInsertEntry:
+		return +1
+	case types.ActRemoveEntry:
+		return -1
+	}
+	return 0
 }
 
-// Empty reports whether the undo has nothing to restore (read-only sub-op).
-func (u *Undo) Empty() bool { return u == nil || (len(u.rows) == 0 && len(u.adjusts) == 0) }
-
-// Keys returns the row keys the undo touches (for flushing after an abort).
-func (u *Undo) Keys() []string {
-	if u == nil {
-		return nil
+// UndoOf rebuilds the undo of an execution from its Result-Record, for a
+// server that lost the live one in a crash: the before-image is the record's,
+// the parent compensation follows from the action. (The live undo compensates
+// only if the shard held the parent inode when the sub-op ran; this one
+// whenever it holds it at rollback, which is the same shard unless the
+// directory itself came or went in between.)
+func UndoOf(sub types.SubOp, before []types.RowImage) Undo {
+	if len(before) == 0 {
+		return Undo{}
 	}
-	out := make([]string, 0, len(u.rows)+len(u.adjusts))
-	for k := range u.rows {
-		out = append(out, k)
-	}
-	for _, a := range u.adjusts {
-		out = append(out, inodeRow(a.dir))
-	}
-	return out
+	return Undo{before: before[0], dir: sub.Parent, delta: -parentBump(sub.Action)}
 }
 
 // Result is the outcome of executing a sub-operation.
@@ -176,14 +206,14 @@ type Result struct {
 	OK    bool
 	Err   error    // why the sub-op failed (nil when OK)
 	Inode Inode    // stat/lookup payload
-	Rows  []string // row keys written (for persistence)
-	Undo  *Undo    // runtime rollback (nil for reads)
+	Rows  []string // row keys written (for persistence): the row, then the parent inode's if bumped
+	Undo  Undo     // runtime rollback (empty for reads)
 	Freed bool     // DecLink dropped nlink to zero and freed the inode
 
-	// Before and After are images of the *primary* rows the sub-op wrote
-	// (the targeted dentry or inode; not the commutative parent counter).
-	// They travel in the Result-Record so crash recovery can redo a commit
-	// or undo an abort idempotently by installing images.
+	// Before and After are the images of the row the sub-op wrote (the
+	// targeted dentry or inode; not the commutative parent counter), one
+	// each. They travel in the Result-Record so crash recovery can redo a
+	// commit or undo an abort idempotently by installing images.
 	Before []types.RowImage
 	After  []types.RowImage
 }
@@ -201,21 +231,17 @@ func (sh *Shard) Store() *kvstore.Store { return sh.kv }
 
 // InitRoot installs the root directory inode on the shard that owns it.
 func (sh *Shard) InitRoot() {
-	sh.kv.Put(inodeRow(types.RootInode), encodeInode(Inode{
-		Ino: types.RootInode, Type: types.FileDir, Nlink: 2,
-	}))
+	sh.SeedInode(Inode{Ino: types.RootInode, Type: types.FileDir, Nlink: 2})
 }
 
 // SeedInode force-installs an inode row (test and trace-bootstrap helper).
 func (sh *Shard) SeedInode(in Inode) {
-	sh.kv.Put(inodeRow(in.Ino), encodeInode(in))
+	sh.kv.Put(inodeRow(in.Ino), appendInode(nil, in))
 }
 
 // SeedDentry force-installs a directory entry (test and bootstrap helper).
 func (sh *Shard) SeedDentry(dir types.InodeID, name string, ino types.InodeID) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(ino))
-	sh.kv.Put(dentryRow(dir, name), b[:])
+	sh.kv.Put(dentryRow(dir, name), AppendIno(nil, ino))
 }
 
 // GetInode reads an inode row.
@@ -224,20 +250,13 @@ func (sh *Shard) GetInode(ino types.InodeID) (Inode, bool) {
 	if !ok {
 		return Inode{}, false
 	}
-	in, err := decodeInode(raw)
-	if err != nil {
-		panic(err) // corruption is a bug, not a runtime condition
-	}
-	return in, true
+	return decodeInode(raw), true
 }
 
 // LookupEntry resolves (dir, name) to an inode number.
 func (sh *Shard) LookupEntry(dir types.InodeID, name string) (types.InodeID, bool) {
-	raw, ok := sh.kv.Get(dentryRow(dir, name))
-	if !ok {
-		return 0, false
-	}
-	return types.InodeID(binary.LittleEndian.Uint64(raw)), true
+	raw, _ := sh.kv.Get(dentryRow(dir, name))
+	return DentryIno(raw)
 }
 
 // ResolveEntry resolves (dir, name) to the full inode for the leased read
@@ -260,40 +279,157 @@ func (sh *Shard) ResolveEntry(dir types.InodeID, name string) (Inode, bool) {
 // result and undo. now is the virtual timestamp for ctime/mtime fields.
 // Exec never touches the disk; persistence (sync or batched) is the
 // caller's protocol decision.
+//
+// The sub-op's object is one row: its key is built and the row read once,
+// the action checks what it found and says what the row becomes, and one
+// tail writes it and describes the write — images, rows, undo.
 func (sh *Shard) Exec(sub types.SubOp, now uint64) Result {
-	primary := sh.primaryRow(sub)
-	before := sh.imageOf(primary)
-	res := sh.exec(sub, now)
-	if res.OK && res.Undo != nil && primary != "" {
-		res.Before = []types.RowImage{before}
-		res.After = []types.RowImage{sh.imageOf(primary)}
+	obj, ok := sub.Key()
+	if !ok {
+		return Result{Err: fmt.Errorf("namespace: unknown action %v", sub.Action)}
+	}
+	row := RowKey(obj)
+	old, exists := sh.kv.Get(row)
+	var in Inode
+	if exists && obj.Kind == types.ObjInode {
+		in = decodeInode(old)
+	}
+	var (
+		buf   [inodeLen]byte // the new value is encoded here; Put copies it
+		val   []byte         // what the row becomes; nil = deleted
+		freed bool
+	)
+	switch sub.Action {
+	case types.ActReadEntry:
+		if !exists {
+			return Result{Err: fmt.Errorf("lookup %s: %w", sub.Name, types.ErrNotFound)}
+		}
+		ino, _ := DentryIno(old)
+		return Result{OK: true, Inode: Inode{Ino: ino}}
+	case types.ActReadInode:
+		if !exists {
+			return Result{Err: fmt.Errorf("stat %d: %w", sub.Ino, types.ErrNotFound)}
+		}
+		return Result{OK: true, Inode: in}
+	case types.ActInsertEntry:
+		if exists {
+			return Result{Err: fmt.Errorf("insert %s: %w", sub.Name, types.ErrExists)}
+		}
+		val = AppendIno(buf[:0], sub.Ino)
+	case types.ActRemoveEntry:
+		if !exists {
+			return Result{Err: fmt.Errorf("remove %s: %w", sub.Name, types.ErrNotFound)}
+		}
+	case types.ActAddInode:
+		if exists {
+			return Result{Err: fmt.Errorf("add inode %d: %w", sub.Ino, types.ErrExists)}
+		}
+		in = Inode{Ino: sub.Ino, Type: sub.Type, Nlink: 1, Ctime: now, Mtime: now}
+		if sub.Type == types.FileDir {
+			in.Nlink = 2
+		}
+		val = appendInode(buf[:0], in)
+	case types.ActDecLink:
+		if !exists {
+			return Result{Err: fmt.Errorf("declink %d: %w", sub.Ino, types.ErrNotFound)}
+		}
+		if sub.Kind == types.OpRmdir && in.Type == types.FileDir && in.Size > 0 {
+			return Result{Err: fmt.Errorf("rmdir %d: %w", sub.Ino, types.ErrNotEmpty)}
+		}
+		dec := uint32(1)
+		if in.Type == types.FileDir {
+			dec = 2 // dropping "." and the parent link together
+		}
+		if freed = in.Nlink <= dec; !freed {
+			in.Nlink -= dec
+			in.Mtime = now
+			val = appendInode(buf[:0], in)
+		}
+	case types.ActIncLink:
+		if !exists {
+			return Result{Err: fmt.Errorf("inclink %d: %w", sub.Ino, types.ErrNotFound)}
+		}
+		if in.Type == types.FileDir {
+			return Result{Err: fmt.Errorf("inclink %d: %w", sub.Ino, types.ErrIsDir)}
+		}
+		in.Nlink++
+		in.Ctime = now
+		val = appendInode(buf[:0], in)
+	case types.ActTouchInode:
+		if !exists {
+			return Result{Err: fmt.Errorf("setattr %d: %w", sub.Ino, types.ErrNotFound)}
+		}
+		in.Mtime = now
+		val = appendInode(buf[:0], in)
+	}
+
+	imgs := &[2]types.RowImage{{Key: row, Val: old}, {Key: row}}
+	if val == nil {
+		sh.kv.Delete(row)
+	} else {
+		imgs[1].Val = sh.kv.Put(row, val)
+	}
+	rows := make([]string, 1, 2) // room for the parent inode's
+	rows[0] = row
+	res := Result{OK: true, Freed: freed, Rows: rows,
+		Before: imgs[:1:1], After: imgs[1:], Undo: Undo{before: imgs[0]}}
+	// "and update parent inode", undone by compensation, not before-image.
+	if bump := parentBump(sub.Action); bump != 0 {
+		if prow, held := sh.bumpParent(sub.Parent, bump, now, true); held {
+			res.Rows = append(res.Rows, prow)
+			res.Undo.dir, res.Undo.delta = sub.Parent, -bump
+		}
 	}
 	return res
 }
 
-// primaryRow names the row a sub-op targets (excluding the parent counter).
-func (sh *Shard) primaryRow(sub types.SubOp) string {
-	switch sub.Action {
-	case types.ActInsertEntry, types.ActRemoveEntry:
-		return dentryRow(sub.Parent, sub.Name)
-	case types.ActAddInode, types.ActDecLink, types.ActIncLink, types.ActTouchInode:
-		return inodeRow(sub.Ino)
+// bumpParent adds delta to the entry count of directory dir if this shard
+// holds its inode, and reports the inode's row and whether it did. Large
+// striped directories keep the inode on another server; the paper folds the
+// update into the coordinator sub-op, so it applies only where the inode is.
+// An execution also stamps mtime; a rollback's compensation does not (it
+// takes back a count, not the fact that the directory was touched).
+func (sh *Shard) bumpParent(dir types.InodeID, delta int64, now uint64, exec bool) (string, bool) {
+	row := inodeRow(dir)
+	raw, held := sh.kv.Get(row)
+	if !held {
+		return row, false
 	}
-	return ""
+	parent := decodeInode(raw)
+	if exec {
+		parent.Mtime = now
+	}
+	if delta < 0 && parent.Size < uint64(-delta) {
+		parent.Size = 0
+	} else {
+		parent.Size = uint64(int64(parent.Size) + delta)
+	}
+	var buf [inodeLen]byte
+	sh.kv.Put(row, appendInode(buf[:0], parent))
+	return row, true
 }
 
-// imageOf snapshots one row.
-func (sh *Shard) imageOf(row string) types.RowImage {
-	if row == "" {
-		return types.RowImage{}
+// ApplyUndo restores the before-image captured by a prior Exec and applies
+// the compensating parent adjustment, if the parent inode is (still) here.
+func (sh *Shard) ApplyUndo(u Undo) {
+	sh.InstallImages([]types.RowImage{u.before})
+	if u.delta != 0 {
+		sh.bumpParent(u.dir, u.delta, 0, false)
 	}
-	img := types.RowImage{Key: row}
-	if v, ok := sh.kv.Get(row); ok {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		img.Val = cp
+}
+
+// InstallImages force-installs row images (an image without a key is no
+// image); recovery redo/undo path.
+func (sh *Shard) InstallImages(imgs []types.RowImage) {
+	for _, img := range imgs {
+		switch {
+		case img.Key == "":
+		case img.Val == nil:
+			sh.kv.Delete(img.Key)
+		default:
+			sh.kv.Put(img.Key, img.Val)
+		}
 	}
-	return img
 }
 
 // DirEntry is one readdir result.
@@ -302,21 +438,37 @@ type DirEntry struct {
 	Ino  types.InodeID
 }
 
+// Walk decodes every row of the shard, calling dentry for each directory
+// entry with its directory, and inode (if not nil) for each inode. It is the
+// one parser of stored rows. Iteration order is the store's, i.e.
+// unspecified; callers needing determinism must sort.
+func (sh *Shard) Walk(dentry func(dir types.InodeID, e DirEntry), inode func(Inode)) {
+	sh.kv.Range(func(key string, val []byte) bool {
+		// "d/<dir>/<name>": split on the first two slashes only — a name may
+		// itself contain slashes or spaces, and must not be truncated.
+		if rest, ok := strings.CutPrefix(key, "d/"); ok {
+			dirStr, name, _ := strings.Cut(rest, "/")
+			dir, err := strconv.ParseUint(dirStr, 10, 64)
+			if ino, ok := DentryIno(val); ok && err == nil {
+				dentry(types.InodeID(dir), DirEntry{Name: name, Ino: ino})
+			}
+		} else if strings.HasPrefix(key, "i/") && inode != nil {
+			inode(decodeInode(val))
+		}
+		return true
+	})
+}
+
 // ListDir scans this shard's partition of directory dir. Directories are
 // striped across servers by entry hash, so a full readdir unions the
 // ListDir of every server (the OrangeFS model).
 func (sh *Shard) ListDir(dir types.InodeID) []DirEntry {
-	prefix := dentryRow(dir, "")
 	var out []DirEntry
-	sh.kv.Range(func(key string, val []byte) bool {
-		if len(key) > len(prefix) && key[:len(prefix)] == prefix && len(val) == 8 {
-			out = append(out, DirEntry{
-				Name: key[len(prefix):],
-				Ino:  types.InodeID(binary.LittleEndian.Uint64(val)),
-			})
+	sh.Walk(func(d types.InodeID, e DirEntry) {
+		if d == dir {
+			out = append(out, e)
 		}
-		return true
-	})
+	}, nil)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -327,252 +479,19 @@ func (sh *Shard) ListDir(dir types.InodeID) []DirEntry {
 // protected by row images. It returns the number of corrected inodes.
 func (sh *Shard) Fsck() int {
 	counts := make(map[types.InodeID]uint64)
-	var dirs []types.InodeID
-	sh.kv.Range(func(key string, _ []byte) bool {
-		// "d/<dir>/<name>": split on the first two slashes only, so names
-		// containing spaces (which Sscanf's %s would truncate) still count.
-		if rest, ok := strings.CutPrefix(key, "d/"); ok {
-			dirStr, _, found := strings.Cut(rest, "/")
-			if dir, err := strconv.ParseUint(dirStr, 10, 64); found && err == nil {
-				counts[types.InodeID(dir)]++
-			}
+	var dirs []Inode
+	sh.Walk(func(dir types.InodeID, _ DirEntry) { counts[dir]++ }, func(in Inode) {
+		if in.Type == types.FileDir {
+			dirs = append(dirs, in)
 		}
-		return true
-	})
-	sh.kv.Range(func(key string, _ []byte) bool {
-		if inoStr, ok := strings.CutPrefix(key, "i/"); ok {
-			if ino, err := strconv.ParseUint(inoStr, 10, 64); err == nil {
-				dirs = append(dirs, types.InodeID(ino))
-			}
-		}
-		return true
 	})
 	fixed := 0
-	for _, ino := range dirs {
-		in, ok := sh.GetInode(ino)
-		if !ok || in.Type != types.FileDir {
-			continue
-		}
-		if want := counts[ino]; in.Size != want {
+	for _, in := range dirs {
+		if want := counts[in.Ino]; in.Size != want {
 			in.Size = want
-			sh.kv.Put(inodeRow(ino), encodeInode(in))
+			sh.SeedInode(in)
 			fixed++
 		}
 	}
 	return fixed
-}
-
-// InstallImages force-installs row images; recovery redo/undo path.
-func (sh *Shard) InstallImages(imgs []types.RowImage) {
-	for _, img := range imgs {
-		if img.Key == "" {
-			continue
-		}
-		if img.Val == nil {
-			sh.kv.Delete(img.Key)
-		} else {
-			sh.kv.Put(img.Key, img.Val)
-		}
-	}
-}
-
-func (sh *Shard) exec(sub types.SubOp, now uint64) Result {
-	switch sub.Action {
-	case types.ActInsertEntry:
-		return sh.insertEntry(sub, now)
-	case types.ActRemoveEntry:
-		return sh.removeEntry(sub, now)
-	case types.ActAddInode:
-		return sh.addInode(sub, now)
-	case types.ActDecLink:
-		return sh.decLink(sub, now)
-	case types.ActIncLink:
-		return sh.incLink(sub, now)
-	case types.ActReadInode:
-		return sh.readInode(sub)
-	case types.ActReadEntry:
-		return sh.readEntry(sub)
-	case types.ActTouchInode:
-		return sh.touchInode(sub, now)
-	}
-	return Result{OK: false, Err: fmt.Errorf("namespace: unknown action %v", sub.Action)}
-}
-
-// ApplyUndo restores the before-images captured by a prior Exec and applies
-// the compensating parent adjustments.
-func (sh *Shard) ApplyUndo(u *Undo) {
-	if u == nil {
-		return
-	}
-	for row, img := range u.rows {
-		if img == nil {
-			sh.kv.Delete(row)
-		} else {
-			sh.kv.Put(row, img)
-		}
-	}
-	for _, a := range u.adjusts {
-		parent, ok := sh.GetInode(a.dir)
-		if !ok {
-			continue
-		}
-		if a.sizeDelta < 0 && parent.Size < uint64(-a.sizeDelta) {
-			parent.Size = 0
-		} else {
-			parent.Size = uint64(int64(parent.Size) + a.sizeDelta)
-		}
-		sh.kv.Put(inodeRow(a.dir), encodeInode(parent))
-	}
-}
-
-// capture records row's current image into u before it is overwritten.
-func (sh *Shard) capture(u *Undo, row string) {
-	if _, done := u.rows[row]; done {
-		return
-	}
-	if v, ok := sh.kv.Get(row); ok {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		u.rows[row] = cp
-	} else {
-		u.rows[row] = nil
-	}
-}
-
-func newUndo() *Undo { return &Undo{rows: make(map[string][]byte)} }
-
-func (sh *Shard) insertEntry(sub types.SubOp, now uint64) Result {
-	row := dentryRow(sub.Parent, sub.Name)
-	if _, exists := sh.kv.Get(row); exists {
-		return Result{Err: fmt.Errorf("insert %s: %w", sub.Name, types.ErrExists)}
-	}
-	u := newUndo()
-	sh.capture(u, row)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(sub.Ino))
-	sh.kv.Put(row, b[:])
-	rows := []string{row}
-	// "and update parent inode": bump mtime/size when we hold the parent
-	// inode row (large striped directories keep it on another server; the
-	// paper folds that update into the coordinator sub-op, so we only apply
-	// it when present). Undone by compensation, not before-image.
-	if parent, ok := sh.GetInode(sub.Parent); ok {
-		prow := inodeRow(sub.Parent)
-		parent.Mtime = now
-		parent.Size++
-		sh.kv.Put(prow, encodeInode(parent))
-		rows = append(rows, prow)
-		u.adjusts = append(u.adjusts, parentAdjust{dir: sub.Parent, sizeDelta: -1})
-	}
-	return Result{OK: true, Rows: rows, Undo: u}
-}
-
-func (sh *Shard) removeEntry(sub types.SubOp, now uint64) Result {
-	row := dentryRow(sub.Parent, sub.Name)
-	if _, exists := sh.kv.Get(row); !exists {
-		return Result{Err: fmt.Errorf("remove %s: %w", sub.Name, types.ErrNotFound)}
-	}
-	u := newUndo()
-	sh.capture(u, row)
-	sh.kv.Delete(row)
-	rows := []string{row}
-	if parent, ok := sh.GetInode(sub.Parent); ok {
-		prow := inodeRow(sub.Parent)
-		parent.Mtime = now
-		if parent.Size > 0 {
-			parent.Size--
-		}
-		sh.kv.Put(prow, encodeInode(parent))
-		rows = append(rows, prow)
-		u.adjusts = append(u.adjusts, parentAdjust{dir: sub.Parent, sizeDelta: +1})
-	}
-	return Result{OK: true, Rows: rows, Undo: u}
-}
-
-func (sh *Shard) addInode(sub types.SubOp, now uint64) Result {
-	row := inodeRow(sub.Ino)
-	if _, exists := sh.kv.Get(row); exists {
-		return Result{Err: fmt.Errorf("add inode %d: %w", sub.Ino, types.ErrExists)}
-	}
-	u := newUndo()
-	sh.capture(u, row)
-	nlink := uint32(1)
-	if sub.Type == types.FileDir {
-		nlink = 2
-	}
-	sh.kv.Put(row, encodeInode(Inode{
-		Ino: sub.Ino, Type: sub.Type, Nlink: nlink, Ctime: now, Mtime: now,
-	}))
-	return Result{OK: true, Rows: []string{row}, Undo: u}
-}
-
-func (sh *Shard) decLink(sub types.SubOp, now uint64) Result {
-	in, ok := sh.GetInode(sub.Ino)
-	if !ok {
-		return Result{Err: fmt.Errorf("declink %d: %w", sub.Ino, types.ErrNotFound)}
-	}
-	if sub.Kind == types.OpRmdir && in.Type == types.FileDir && in.Size > 0 {
-		return Result{Err: fmt.Errorf("rmdir %d: %w", sub.Ino, types.ErrNotEmpty)}
-	}
-	row := inodeRow(sub.Ino)
-	u := newUndo()
-	sh.capture(u, row)
-	dec := uint32(1)
-	if in.Type == types.FileDir {
-		dec = 2 // dropping "." and the parent link together
-	}
-	if in.Nlink <= dec {
-		sh.kv.Delete(row)
-		return Result{OK: true, Rows: []string{row}, Undo: u, Freed: true}
-	}
-	in.Nlink -= dec
-	in.Mtime = now
-	sh.kv.Put(row, encodeInode(in))
-	return Result{OK: true, Rows: []string{row}, Undo: u}
-}
-
-func (sh *Shard) incLink(sub types.SubOp, now uint64) Result {
-	in, ok := sh.GetInode(sub.Ino)
-	if !ok {
-		return Result{Err: fmt.Errorf("inclink %d: %w", sub.Ino, types.ErrNotFound)}
-	}
-	if in.Type == types.FileDir {
-		return Result{Err: fmt.Errorf("inclink %d: %w", sub.Ino, types.ErrIsDir)}
-	}
-	row := inodeRow(sub.Ino)
-	u := newUndo()
-	sh.capture(u, row)
-	in.Nlink++
-	in.Ctime = now
-	sh.kv.Put(row, encodeInode(in))
-	return Result{OK: true, Rows: []string{row}, Undo: u}
-}
-
-func (sh *Shard) readInode(sub types.SubOp) Result {
-	in, ok := sh.GetInode(sub.Ino)
-	if !ok {
-		return Result{Err: fmt.Errorf("stat %d: %w", sub.Ino, types.ErrNotFound)}
-	}
-	return Result{OK: true, Inode: in}
-}
-
-func (sh *Shard) readEntry(sub types.SubOp) Result {
-	ino, ok := sh.LookupEntry(sub.Parent, sub.Name)
-	if !ok {
-		return Result{Err: fmt.Errorf("lookup %s: %w", sub.Name, types.ErrNotFound)}
-	}
-	return Result{OK: true, Inode: Inode{Ino: ino}}
-}
-
-func (sh *Shard) touchInode(sub types.SubOp, now uint64) Result {
-	in, ok := sh.GetInode(sub.Ino)
-	if !ok {
-		return Result{Err: fmt.Errorf("setattr %d: %w", sub.Ino, types.ErrNotFound)}
-	}
-	row := inodeRow(sub.Ino)
-	u := newUndo()
-	sh.capture(u, row)
-	in.Mtime = now
-	sh.kv.Put(row, encodeInode(in))
-	return Result{OK: true, Rows: []string{row}, Undo: u}
 }

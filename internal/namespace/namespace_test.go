@@ -1,8 +1,11 @@
 package namespace
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -207,7 +210,7 @@ func TestStatAndLookup(t *testing.T) {
 	if !res.OK || res.Inode.Ino != 10 {
 		t.Errorf("lookup: %+v", res)
 	}
-	if res.Undo != nil && !res.Undo.Empty() {
+	if !res.Undo.Empty() {
 		t.Error("read produced an undo")
 	}
 }
@@ -233,12 +236,17 @@ func TestInodeCodecRoundTrip(t *testing.T) {
 			ft = types.FileDir
 		}
 		in := Inode{Ino: types.InodeID(ino), Type: ft, Nlink: nlink, Size: size, Ctime: ct, Mtime: mt}
-		got, err := decodeInode(encodeInode(in))
-		return err == nil && got == in
+		return decodeInode(appendInode(nil, in)) == in
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a truncated inode row decoded")
+		}
+	}()
+	decodeInode(make([]byte, inodeLen-1))
 }
 
 func TestPlacementDeterministicAndInRange(t *testing.T) {
@@ -365,13 +373,6 @@ func TestInstallImagesRedoAndUndo(t *testing.T) {
 }
 
 func TestUndoHelpers(t *testing.T) {
-	var nilUndo *Undo
-	if !nilUndo.Empty() {
-		t.Error("nil undo not empty")
-	}
-	if nilUndo.Keys() != nil {
-		t.Error("nil undo has keys")
-	}
 	sh, done := newShard(t)
 	defer done()
 	sh.InitRoot()
@@ -379,9 +380,12 @@ func TestUndoHelpers(t *testing.T) {
 	if res.Undo.Empty() {
 		t.Error("mutating op produced empty undo")
 	}
-	keys := res.Undo.Keys()
-	if len(keys) < 2 { // dentry row + parent adjust row
-		t.Errorf("undo keys=%v", keys)
+	if len(res.Rows) != 2 || res.Rows[0] != "d/1/u" || res.Rows[1] != "i/1" { // dentry row, then the parent's
+		t.Errorf("rows=%v", res.Rows)
+	}
+	sh.ApplyUndo(Undo{}) // the undo of a read or a failed execution: nothing happens
+	if _, ok := sh.LookupEntry(types.RootInode, "u"); !ok {
+		t.Error("the empty undo removed a row")
 	}
 }
 
@@ -445,5 +449,166 @@ func TestRowKeySingleAlloc(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(200, func() { _ = inodeRow(12345) }); a > 1 {
 		t.Errorf("inodeRow allocates %.1f objects, want <=1", a)
+	}
+}
+
+// mutations is one sub-op of every mutating action, each against a shard
+// prepared by seedFor.
+var mutations = []types.SubOp{
+	sub(types.OpCreate, types.ActInsertEntry, 5, "new", 10, 0),
+	sub(types.OpRemove, types.ActRemoveEntry, 5, "old", 11, 0),
+	sub(types.OpCreate, types.ActAddInode, 5, "new", 10, types.FileRegular),
+	sub(types.OpUnlink, types.ActDecLink, 5, "old", 11, 0), // nlink 1: frees the inode
+	sub(types.OpUnlink, types.ActDecLink, 5, "two", 12, 0), // nlink 2: rewrites it
+	sub(types.OpLink, types.ActIncLink, 5, "two", 12, 0),
+	sub(types.OpSetAttr, types.ActTouchInode, 0, "", 12, 0),
+}
+
+// seedFor installs what the mutations need: directory 5 with two entries
+// (its inode only if withParent), inode 11 with one link and 12 with two.
+func seedFor(sh *Shard, withParent bool) {
+	if withParent {
+		sh.SeedInode(Inode{Ino: 5, Type: types.FileDir, Nlink: 2, Size: 2, Mtime: 1})
+	}
+	sh.SeedDentry(5, "old", 11)
+	sh.SeedDentry(5, "two", 12)
+	sh.SeedInode(Inode{Ino: 11, Type: types.FileRegular, Nlink: 1})
+	sh.SeedInode(Inode{Ino: 12, Type: types.FileRegular, Nlink: 2})
+}
+
+// The undo a recovering server rebuilds from the Result-Record must put back
+// exactly what the live one does — the parent's entry count included: on twin
+// shards, with and without the parent inode, ApplyUndo(UndoOf(sub, Before))
+// and ApplyUndo(res.Undo) leave the same rows, and they are the rows from
+// before the execution (but for the parent's mtime, which no undo restores).
+func TestRebuiltUndoAgreesWithLiveUndo(t *testing.T) {
+	for _, withParent := range []bool{true, false} {
+		for _, m := range mutations {
+			live, doneL := newShard(t)
+			rebuilt, doneR := newShard(t)
+			seedFor(live, withParent)
+			seedFor(rebuilt, withParent)
+			resL, resR := live.Exec(m, 9), rebuilt.Exec(m, 9)
+			if !resL.OK || !resR.OK {
+				t.Fatalf("%v: %v %v", m, resL.Err, resR.Err)
+			}
+			if parentBump(m.Action) != 0 && withParent != (len(resL.Rows) == 2) {
+				t.Errorf("%v parent=%v: rows %v", m, withParent, resL.Rows)
+			}
+			live.ApplyUndo(resL.Undo)
+			rebuilt.ApplyUndo(UndoOf(m, resR.Before))
+			got, want := rebuilt.Store().Snapshot(), live.Store().Snapshot()
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v parent=%v: rebuilt undo left %v, live undo %v", m, withParent, got, want)
+			}
+			fresh, doneF := newShard(t)
+			seedFor(fresh, withParent)
+			if withParent && parentBump(m.Action) != 0 {
+				fresh.SeedInode(Inode{Ino: 5, Type: types.FileDir, Nlink: 2, Size: 2, Mtime: 9})
+			}
+			if before := fresh.Store().Snapshot(); !reflect.DeepEqual(want, before) {
+				t.Errorf("%v parent=%v: undo left %v, want the state before the execution %v", m, withParent, want, before)
+			}
+			doneL()
+			doneR()
+			doneF()
+		}
+	}
+	if u := UndoOf(mutations[0], nil); !u.Empty() {
+		t.Error("a record without images (failed execution) rebuilt a non-empty undo")
+	}
+}
+
+// Images are the store's own slices, which is safe because the store never
+// modifies a value in place: whatever is later written to the row, an image
+// taken by Exec keeps the bytes it had.
+func TestImagesUnchangedByLaterWrites(t *testing.T) {
+	sh, done := newShard(t)
+	defer done()
+	seedFor(sh, true)
+	type held struct {
+		img  types.RowImage
+		want []byte
+	}
+	var imgs []held
+	// Three rounds over the same two rows, every write a different value.
+	for round := uint64(1); round <= 3; round++ {
+		for _, m := range []types.SubOp{
+			sub(types.OpCreate, types.ActInsertEntry, 5, "new", types.InodeID(100*round), 0),
+			sub(types.OpSetAttr, types.ActTouchInode, 0, "", 12, 0),
+			sub(types.OpLink, types.ActIncLink, 0, "", 12, 0),
+			sub(types.OpRemove, types.ActRemoveEntry, 5, "new", 0, 0),
+			sub(types.OpUnlink, types.ActDecLink, 0, "", 12, 0),
+		} {
+			res := sh.Exec(m, round)
+			if !res.OK {
+				t.Fatalf("%v: %v", m, res.Err)
+			}
+			for _, img := range []types.RowImage{res.Before[0], res.After[0]} {
+				imgs = append(imgs, held{img, bytes.Clone(img.Val)})
+			}
+		}
+	}
+	sh.Store().Delete("i/12")
+	for _, h := range imgs {
+		if !bytes.Equal(h.img.Val, h.want) || (h.img.Val == nil) != (h.want == nil) {
+			t.Errorf("image of %s changed under later writes: %v, was %v", h.img.Key, h.img.Val, h.want)
+		}
+	}
+}
+
+// TestExecAllocCeiling pins what an execution allocates: the row key, the
+// stored copy of the new value, the row list and the image pair — plus the
+// same for the parent inode where it is colocated. (The undo is a value, the
+// before-image is the slice the store already held, and nothing is encoded
+// into a buffer only to be copied.)
+func TestExecAllocCeiling(t *testing.T) {
+	sh, done := newShard(t)
+	defer done()
+	sh.InitRoot()
+	ins := sub(types.OpCreate, types.ActInsertEntry, types.RootInode, "file-0001", 10, 0)
+	rem := sub(types.OpRemove, types.ActRemoveEntry, types.RootInode, "file-0001", 10, 0)
+	if a := testing.AllocsPerRun(200, func() {
+		if !sh.Exec(ins, 1).OK || !sh.Exec(rem, 2).OK {
+			t.Fatal("exec failed")
+		}
+	}); a > 20 {
+		t.Errorf("insert+remove of one entry under a colocated parent: %.0f allocs, want <= 20", a)
+	}
+	add := sub(types.OpCreate, types.ActAddInode, 0, "", 10, types.FileRegular)
+	dec := sub(types.OpRemove, types.ActDecLink, 0, "", 10, 0)
+	if a := testing.AllocsPerRun(200, func() {
+		if !sh.Exec(add, 1).OK || !sh.Exec(dec, 2).OK {
+			t.Fatal("exec failed")
+		}
+	}); a > 10 {
+		t.Errorf("add-inode+dec-link: %.0f allocs, want <= 10", a)
+	}
+}
+
+// Walk is the one decoder of stored rows: every entry with its directory
+// (names with slashes and spaces intact), every inode, nothing else.
+func TestWalkDecodesEveryRow(t *testing.T) {
+	sh, done := newShard(t)
+	defer done()
+	seedFor(sh, true)
+	sh.SeedDentry(7, "a b/c", 13)
+	sh.Store().Put("x/unknown", []byte("ignored"))
+	dents := map[string]types.InodeID{}
+	var inos []types.InodeID
+	sh.Walk(func(dir types.InodeID, e DirEntry) { dents[fmt.Sprintf("%d:%s", dir, e.Name)] = e.Ino },
+		func(in Inode) { inos = append(inos, in.Ino) })
+	if want := map[string]types.InodeID{"5:old": 11, "5:two": 12, "7:a b/c": 13}; !reflect.DeepEqual(dents, want) {
+		t.Errorf("dentries %v, want %v", dents, want)
+	}
+	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+	if !reflect.DeepEqual(inos, []types.InodeID{5, 11, 12}) {
+		t.Errorf("inodes %v", inos)
+	}
+	if ino, ok := DentryIno(AppendIno(nil, 1<<40+3)); !ok || ino != 1<<40+3 {
+		t.Errorf("dentry value round trip: %d %v", ino, ok)
+	}
+	if _, ok := DentryIno([]byte("short")); ok {
+		t.Error("a 5-byte value parsed as a dentry")
 	}
 }

@@ -16,7 +16,6 @@
 package node
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -33,13 +32,6 @@ import (
 // HardwareParams sizes one server's simulated hardware.
 type HardwareParams struct {
 	Disk disk.Params
-	// LogBase/JournalBase/DBBase are the disk offsets of the operation
-	// log, the database's transaction journal, and the database page
-	// regions; spreading them apart models the separate on-disk layout
-	// (and the seeks between them).
-	LogBase     int64
-	JournalBase int64
-	DBBase      int64
 	// LogMaxBytes is the operation-log upper limit (paper default 1MB);
 	// 0 = unlimited.
 	LogMaxBytes int64
@@ -53,14 +45,20 @@ type HardwareParams struct {
 func DefaultHardware() HardwareParams {
 	return HardwareParams{
 		Disk:        disk.DefaultParams(),
-		LogBase:     0,
-		JournalBase: 32 << 20, // BDB txn journal between log and pages
-		DBBase:      64 << 20, // DB page region
-		LogMaxBytes: 1 << 20,  // 1MB log, the paper's default
+		LogMaxBytes: 1 << 20, // 1MB log, the paper's default
 		CPUPerSubOp: 15 * time.Microsecond,
 		CPUPerMsg:   3 * time.Microsecond,
 	}
 }
+
+// The on-disk layout: the operation log at the start of the disk, the
+// database pages 64 MB in, and the database's transaction journal between
+// them (kvstore puts it at half the page offset). Spreading the regions
+// apart models the seeks between them.
+const (
+	logBase = 0
+	dbBase  = 64 << 20
+)
 
 // Handler processes one inbound message in its own Proc.
 type Handler func(p *simrt.Proc, m wire.Msg)
@@ -158,11 +156,11 @@ func (b *Base) CrashPoint(point string, op types.OpID) bool {
 // NewBase builds a server's hardware and registers its inbox.
 func NewBase(s *simrt.Sim, net *transport.Net, id types.NodeID, hw HardwareParams) *Base {
 	d := disk.New(s, fmt.Sprintf("srv%d", id), hw.Disk)
-	kv := kvstore.NewWithJournal(s, d, hw.DBBase, hw.JournalBase)
+	kv := kvstore.New(s, d, dbBase)
 	b := &Base{
 		ID: id, Sim: s, Net: net,
 		Disk:  d,
-		WAL:   wal.New(s, d, hw.LogBase, hw.LogMaxBytes),
+		WAL:   wal.New(s, d, logBase, hw.LogMaxBytes),
 		KV:    kv,
 		Shard: namespace.NewShard(kv),
 		HW:    hw,
@@ -310,11 +308,9 @@ func (b *Base) Gone(boot uint64) bool { return b.crashed || b.boot != boot }
 // conflict machinery covers only per-object accesses.
 func (b *Base) ServeReaddir(m wire.Msg) {
 	entries := b.Shard.ListDir(m.FullOp.Parent)
-	rows := make([]wire.Row, 0, len(entries))
+	rows := make([]types.RowImage, 0, len(entries))
 	for _, e := range entries {
-		var v [8]byte
-		binary.LittleEndian.PutUint64(v[:], uint64(e.Ino))
-		rows = append(rows, wire.Row{Key: e.Name, Val: v[:]})
+		rows = append(rows, types.RowImage{Key: e.Name, Val: namespace.AppendIno(nil, e.Ino)})
 	}
 	b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, OK: true, Rows: rows})
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -69,38 +68,4 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// jsonEvent is the line format of WriteJSON.
-type jsonEvent struct {
-	TNanos   int64  `json:"t_ns"`
-	DurNanos int64  `json:"dur_ns,omitempty"`
-	Run      int    `json:"run"`
-	Node     int    `json:"node"`
-	Op       string `json:"op,omitempty"`
-	Phase    string `json:"phase"`
-	Detail   string `json:"detail,omitempty"`
-}
-
-// WriteJSON writes the retained events as JSON lines (one event object per
-// line), the grep-friendly raw form. Nil-safe (writes nothing).
-func (o *Observer) WriteJSON(w io.Writer) error {
-	if o == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, ev := range o.Events() {
-		je := jsonEvent{
-			TNanos: ev.T.Nanoseconds(), DurNanos: ev.Dur.Nanoseconds(),
-			Run: ev.Run, Node: ev.Node, Phase: ev.Phase.String(), Detail: ev.Detail,
-		}
-		if !ev.Op.IsNil() {
-			je.Op = ev.Op.String()
-		}
-		if err := enc.Encode(je); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

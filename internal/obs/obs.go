@@ -16,7 +16,9 @@
 package obs
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"time"
 
 	"cxfs/internal/stats"
@@ -241,9 +243,6 @@ func New(o Options) *Observer {
 	}
 }
 
-// HistOn reports whether latency histograms are enabled. Nil-safe.
-func (o *Observer) HistOn() bool { return o != nil && o.opts.Hist }
-
 // TraceOn reports whether the event trace is enabled. Nil-safe.
 func (o *Observer) TraceOn() bool { return o != nil && o.opts.Trace }
 
@@ -379,19 +378,6 @@ func (o *Observer) Series(name string) *stats.Series {
 	return o.series[name]
 }
 
-// SeriesNames lists the recorded series, sorted.
-func (o *Observer) SeriesNames() []string {
-	if o == nil {
-		return nil
-	}
-	names := make([]string, 0, len(o.series))
-	for n := range o.series {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	return names
-}
-
 // Events returns the retained trace events in chronological (retention)
 // order. Nil-safe.
 func (o *Observer) Events() []Event {
@@ -442,7 +428,9 @@ func (o *Observer) Keys() []Key {
 	for k := range o.hists {
 		keys = append(keys, k)
 	}
-	sortKeys(keys)
+	slices.SortFunc(keys, func(a, b Key) int {
+		return cmp.Or(cmp.Compare(a.Protocol, b.Protocol), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Outcome, b.Outcome))
+	})
 	return keys
 }
 
@@ -471,31 +459,4 @@ func (o *Observer) PhaseTable() *stats.Table {
 		}
 	}
 	return tbl
-}
-
-// small local sorts (avoiding a sort import elsewhere) ---------------------
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func sortKeys(ks []Key) {
-	less := func(a, b Key) bool {
-		if a.Protocol != b.Protocol {
-			return a.Protocol < b.Protocol
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Outcome < b.Outcome
-	}
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && less(ks[j], ks[j-1]); j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ func TestNilObserverIsSafe(t *testing.T) {
 	var o *Observer
 	// Every method on the nil default must be a harmless no-op — this is
 	// the contract that lets the engines call unconditionally.
-	if o.HistOn() || o.TraceOn() || o.SamplingOn() {
+	if o.TraceOn() || o.SamplingOn() {
 		t.Error("nil observer reports something enabled")
 	}
 	o.BeginRun("x")
@@ -25,15 +26,12 @@ func TestNilObserverIsSafe(t *testing.T) {
 	if o.Events() != nil || o.Dropped() != 0 || o.PhaseCount(PhaseExec) != 0 {
 		t.Error("nil observer retained data")
 	}
-	if o.Series("s") != nil || o.SeriesNames() != nil || o.Keys() != nil {
+	if o.Series("s") != nil || o.Keys() != nil {
 		t.Error("nil observer returned series/keys")
 	}
 	var buf bytes.Buffer
 	if err := o.WriteChromeTrace(&buf); err != nil {
 		t.Errorf("nil WriteChromeTrace: %v", err)
-	}
-	if err := o.WriteJSON(&buf); err != nil {
-		t.Errorf("nil WriteJSON: %v", err)
 	}
 }
 
@@ -128,6 +126,14 @@ func TestRecordOpFeedsHistAndTrace(t *testing.T) {
 	if got := o.HistTable().String(); !strings.Contains(got, "p99") || !strings.Contains(got, "conflicted") {
 		t.Errorf("hist table:\n%s", got)
 	}
+	// Tables list histograms by protocol, then kind, then outcome.
+	o.RecordOp(types.OpCreate, "cx", OutcomeComplete, op, 3, time.Second, time.Millisecond)
+	o.RecordOp(types.OpStat, "cx", OutcomeComplete, op, 3, time.Second, time.Millisecond)
+	o.RecordOp(types.OpStat, "2pc", OutcomeComplete, op, 3, time.Second, time.Millisecond)
+	want := []Key{{types.OpStat, "2pc", OutcomeComplete}, {types.OpCreate, "cx", OutcomeComplete}, k, {types.OpStat, "cx", OutcomeComplete}}
+	if got := o.Keys(); !slices.Equal(got, want) {
+		t.Errorf("keys %v, want %v", got, want)
+	}
 }
 
 func TestSampling(t *testing.T) {
@@ -142,9 +148,8 @@ func TestSampling(t *testing.T) {
 	if s == nil || s.Peak() != 20 {
 		t.Errorf("series: %+v", s)
 	}
-	names := o.SeriesNames()
-	if len(names) != 2 || names[0] != "pending-ops" {
-		t.Errorf("names=%v", names)
+	if s := o.Series("pending-ops"); s == nil || s.Peak() != 1 || o.Series("unsampled") != nil {
+		t.Errorf("series are not kept apart by name: %+v", s)
 	}
 }
 
@@ -173,31 +178,6 @@ func TestWriteChromeTraceShape(t *testing.T) {
 	}
 	if inst["ph"] != "i" || inst["name"] != "invalidate" {
 		t.Errorf("instant: %v", inst)
-	}
-}
-
-func TestWriteJSONLines(t *testing.T) {
-	o := New(Options{Trace: true})
-	o.BeginRun("cx")
-	o.Emit(time.Millisecond, 1, types.OpID{Seq: 2}, PhaseLCom, "")
-	o.Emit(2*time.Millisecond, 2, types.OpID{Seq: 3}, PhasePrune, "64B")
-	var buf bytes.Buffer
-	if err := o.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("%d lines, want 2", len(lines))
-	}
-	var ev struct {
-		Phase string `json:"phase"`
-		TNS   int64  `json:"t_ns"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Phase != "l-com" || ev.TNS != int64(time.Millisecond) {
-		t.Errorf("first line: %+v", ev)
 	}
 }
 

@@ -229,7 +229,7 @@ func TestBigMessagePaysTransferTime(t *testing.T) {
 	s.Spawn("send", func(p *simrt.Proc) {
 		n.Send(wire.Msg{Type: wire.MsgAck, From: 0, To: 1})
 		p.Sleep(time.Second)
-		rows := []wire.Row{{Key: "k", Val: make([]byte, 10<<20)}}
+		rows := []types.RowImage{{Key: "k", Val: make([]byte, 10<<20)}}
 		n.Send(wire.Msg{Type: wire.MsgMigrateResp, From: 0, To: 1, Rows: rows})
 	})
 	s.Run()

@@ -110,27 +110,29 @@ func (s SubOp) String() string {
 	return fmt.Sprintf("%s/%s %s dir=%d name=%q ino=%d", s.Op, s.Role, s.Action, s.Parent, s.Name, s.Ino)
 }
 
-// Keys returns the metadata object keys the sub-op conflicts on. These feed
-// the Cx active-object table: a pending cross-server operation marks exactly
-// these keys active on the executing server, and another process touching an
-// active key raises a conflict (§III.C).
+// Key returns the one metadata object the sub-op reads or writes (Table I
+// gives every sub-op exactly one), and false for an action that names none.
+// It is the row the sub-op executes against and the key it conflicts on: a
+// pending cross-server operation marks exactly this key active on the
+// executing server, and another process touching an active key raises a
+// conflict (§III.C).
 //
 // The parent-inode attribute update that rides along with entry insertion
-// and removal (Table I: "and update parent inode") is deliberately NOT a
-// conflict key: it is a commutative counter/mtime bump, and treating it as a
+// and removal (Table I: "and update parent inode") is deliberately NOT part
+// of the key: it is a commutative counter/mtime bump, and treating it as a
 // conflict object would make every pair of creates into a shared directory
 // conflict — contradicting the paper's measured conflict ratios (Table II),
 // where checkpoint workloads creating into one common directory conflict on
 // well under 1% of operations. Its rollback is compensating (namespace.Undo)
 // rather than before-image for the same reason.
-func (s SubOp) Keys() []ObjKey {
+func (s SubOp) Key() (ObjKey, bool) {
 	switch s.Action {
 	case ActInsertEntry, ActRemoveEntry, ActReadEntry:
-		return []ObjKey{DentryKey(s.Parent, s.Name)}
+		return DentryKey(s.Parent, s.Name), true
 	case ActAddInode, ActDecLink, ActIncLink, ActReadInode, ActTouchInode:
-		return []ObjKey{InodeKey(s.Ino)}
+		return InodeKey(s.Ino), true
 	}
-	return nil
+	return ObjKey{}, false
 }
 
 // Split decomposes a cross-server operation into its coordinator and

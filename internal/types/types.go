@@ -245,10 +245,11 @@ type Inode struct {
 }
 
 // RowImage is a point-in-time image of one database row: Val == nil means
-// the row is absent. Result-Records carry before/after images of the rows a
+// the row is absent. Result-Records carry the before/after image of the row a
 // sub-operation wrote, so crash recovery can redo a committed operation or
 // undo an aborted one idempotently by installing images instead of
-// re-running non-idempotent logic.
+// re-running non-idempotent logic. It is also the one {key, value} pair on
+// the wire: a migrated row (CE), a readdir entry (name, dentry value).
 type RowImage struct {
 	Key string
 	Val []byte // nil = row absent

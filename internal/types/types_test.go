@@ -101,13 +101,14 @@ func TestSingleSubOp(t *testing.T) {
 func TestConflictKeysExcludeParentInode(t *testing.T) {
 	op := Op{ID: OpID{Seq: 3}, Kind: OpCreate, Parent: 7, Name: "f", Ino: 42}
 	coord, part := Split(op)
-	ck := coord.Keys()
-	if len(ck) != 1 || ck[0] != DentryKey(7, "f") {
-		t.Errorf("coord keys = %v; the parent-inode counter must not be a conflict key", ck)
+	if ck, ok := coord.Key(); !ok || ck != DentryKey(7, "f") {
+		t.Errorf("coord key = %v; the parent-inode counter must not be a conflict key", ck)
 	}
-	pk := part.Keys()
-	if len(pk) != 1 || pk[0] != InodeKey(42) {
-		t.Errorf("part keys = %v", pk)
+	if pk, ok := part.Key(); !ok || pk != InodeKey(42) {
+		t.Errorf("part key = %v", pk)
+	}
+	if _, ok := (SubOp{}).Key(); ok {
+		t.Error("a sub-op with no action names an object")
 	}
 }
 

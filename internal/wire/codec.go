@@ -396,7 +396,7 @@ func DecodeBody(body []byte) (Msg, error) {
 		}
 	}
 	if n := d.count(6); n > 0 { // min row: empty key (2) + empty val (4)
-		m.Rows = make([]Row, n)
+		m.Rows = make([]types.RowImage, n)
 		for i := range m.Rows {
 			m.Rows[i].Key = d.str()
 			m.Rows[i].Val = d.bytes()

@@ -49,7 +49,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Type: MsgVote, From: 0, To: 1, Ops: []types.OpID{{Seq: 1}, {Seq: 2}, {Seq: 3}}, Enforce: []types.OpID{{Seq: 9}}},
 		{Type: MsgVoteResp, From: 1, To: 0, Votes: []Vote{{Op: types.OpID{Seq: 1}, OK: true}, {Op: types.OpID{Seq: 2}}}},
 		{Type: MsgCommitReq, From: 0, To: 1, Decisions: []Decision{{Op: types.OpID{Seq: 9}, Commit: true}}},
-		{Type: MsgMigrateResp, From: 1, To: 0, Rows: []Row{{Key: "i/42", Val: []byte{1, 2, 3}}, {Key: "d/1/f", Val: nil}}},
+		{Type: MsgMigrateResp, From: 1, To: 0, Rows: []types.RowImage{{Key: "i/42", Val: []byte{1, 2, 3}}, {Key: "d/1/f", Val: nil}}},
 		{Type: MsgMigrateReq, From: 0, To: 1, Keys: []string{"i/42", "d/1/f"}},
 		{Type: MsgOpResp, From: 0, To: 101, Err: "entry exists"},
 		{Type: MsgLookupReq, From: 101, To: 0, Op: types.OpID{Seq: 5}, Dir: 9, Path: "checkpoint.000123"},
@@ -83,7 +83,7 @@ func TestSizeMatchesEncodedLength(t *testing.T) {
 	for _, m := range []Msg{
 		sampleMsg(),
 		{Type: MsgVote, Ops: make([]types.OpID, 100)},
-		{Type: MsgMigrateResp, Rows: []Row{{Key: "abc", Val: make([]byte, 37)}}},
+		{Type: MsgMigrateResp, Rows: []types.RowImage{{Key: "abc", Val: make([]byte, 37)}}},
 		{},
 	} {
 		if got, want := Size(&m), int64(len(mustEncode(t, &m))); got != want {
@@ -115,7 +115,7 @@ func quickMsgValues(vals []reflect.Value, r *rand.Rand) {
 		m.Ops = append(m.Ops, types.OpID{Seq: r.Uint64()})
 		m.Votes = append(m.Votes, Vote{Op: types.OpID{Seq: r.Uint64()}, OK: r.Intn(2) == 0})
 		m.Decisions = append(m.Decisions, Decision{Op: types.OpID{Seq: r.Uint64()}, Commit: r.Intn(2) == 0})
-		m.Rows = append(m.Rows, Row{Key: randStr(r, 10), Val: []byte(randStr(r, 50))})
+		m.Rows = append(m.Rows, types.RowImage{Key: randStr(r, 10), Val: []byte(randStr(r, 50))})
 		m.Keys = append(m.Keys, randStr(r, 10))
 	}
 	vals[0] = reflect.ValueOf(m)
@@ -249,11 +249,11 @@ func TestEncodeLimitBoundaries(t *testing.T) {
 		"enforce":   {Type: MsgVote, Enforce: make([]types.OpID, MaxBatch+1)},
 		"votes":     {Type: MsgVoteResp, Votes: make([]Vote, MaxBatch+1)},
 		"decisions": {Type: MsgCommitReq, Decisions: make([]Decision, MaxBatch+1)},
-		"rows":      {Type: MsgMigrateResp, Rows: make([]Row, MaxBatch+1)},
+		"rows":      {Type: MsgMigrateResp, Rows: make([]types.RowImage, MaxBatch+1)},
 		"keys":      {Type: MsgMigrateReq, Keys: make([]string, MaxBatch+1)},
 		"err-text":  {Type: MsgOpResp, Err: strings.Repeat("e", MaxString+1)},
 		"path":      {Type: MsgLookupReq, Path: strings.Repeat("p", MaxString+1)},
-		"row-key":   {Type: MsgMigrateResp, Rows: []Row{{Key: strings.Repeat("k", MaxString+1)}}},
+		"row-key":   {Type: MsgMigrateResp, Rows: []types.RowImage{{Key: strings.Repeat("k", MaxString+1)}}},
 	} {
 		m := m
 		if _, err := Encode(&m); err == nil {

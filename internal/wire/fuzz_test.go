@@ -39,8 +39,8 @@ func seedMsgs() []Msg {
 		{Type: MsgAck, From: 1, To: 0, Ops: []types.OpID{id(1)}},
 		{Type: MsgConflictNotify, From: 1, To: 0, Op: id(5), Hint: id(6)},
 		{Type: MsgMigrateReq, From: 0, To: 1, Keys: []string{"i/42", "d/1/f0001"}},
-		{Type: MsgMigrateResp, From: 1, To: 0, Rows: []Row{{Key: "i/42", Val: []byte{1, 2, 3}}}},
-		{Type: MsgMigrateBack, From: 0, To: 1, Rows: []Row{{Key: "i/42", Val: []byte{4}}}},
+		{Type: MsgMigrateResp, From: 1, To: 0, Rows: []types.RowImage{{Key: "i/42", Val: []byte{1, 2, 3}}}},
+		{Type: MsgMigrateBack, From: 0, To: 1, Rows: []types.RowImage{{Key: "i/42", Val: []byte{4}}}},
 		{Type: MsgMigrateAck, From: 1, To: 0},
 		{Type: MsgPing, From: 0, To: 1},
 		{Type: MsgPong, From: 1, To: 0},

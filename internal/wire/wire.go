@@ -115,12 +115,6 @@ type Decision struct {
 	Commit bool
 }
 
-// Row is one migrated kvstore row (CE).
-type Row struct {
-	Key string
-	Val []byte
-}
-
 // Msg is one message. A single flat struct (rather than one type per
 // message) keeps the codec total and the simulated network allocation-free;
 // only the fields relevant to Type are populated.
@@ -175,10 +169,10 @@ type Msg struct {
 	// listed here are unrelated at the coordinator and are resolved by
 	// committing them first (ordered conflict).
 	Enforce   []types.OpID
-	Votes     []Vote     // VOTE-RESP
-	Decisions []Decision // COMMIT/ABORT-REQ
-	Rows      []Row      // MIGRATE-RESP, MIGRATE-BACK
-	Keys      []string   // MIGRATE-REQ
+	Votes     []Vote           // VOTE-RESP
+	Decisions []Decision       // COMMIT/ABORT-REQ
+	Rows      []types.RowImage // MIGRATE-RESP, MIGRATE-BACK (CE); readdir entries
+	Keys      []string         // MIGRATE-REQ
 }
 
 // String renders a message compactly for debugging.
