@@ -10,11 +10,15 @@
 //	cxbench -exp chaos -seed 7 -duration 2s -faultrate 1.5
 //	cxbench -exp fig5 -scale 0.05 -cpuprofile cpu.prof -memprofile allocs.prof
 //
-// Experiments: table2, table4, table5, fig4, fig5, fig6, fig7a, fig7b,
-// fig8, fig9a, fig9b, protocols (extension: 2PC and CE in the comparison),
-// metarates (extension: eager vs lazy commitment vs WAL group commit vs
-// pipelined dispatch on the update-dominated mix; -pipeline/-linger
-// size it and -json FILE dumps the rows for CI artifacts),
+// Experiments are the ids of harness.Experiments, the one table this
+// command and cxd dispatch from: table2, table4, table5, fig4, fig5, fig6,
+// fig7a, fig7b, fig8, fig9a, fig9b, protocols (extension: 2PC and CE in the
+// comparison), metarates (extension: eager vs lazy commitment vs WAL group
+// commit vs pipelined dispatch on the update-dominated mix; -pipeline/-linger
+// size it and -json FILE dumps the rows for CI artifacts), statstorm
+// (extension: the leased client cache off vs on; -minratio gates it),
+// latency and triggers (extensions: per-protocol latency distribution,
+// commitment-trigger comparison); and, here only,
 // chaos (fault-injection run: crashes, crash-points, partitions, lossy
 // links; prints the nemesis schedule and a deterministic fingerprint —
 // the same seed and flags always reproduce the identical report; -pipeline
@@ -50,8 +54,6 @@ import (
 	"cxfs/internal/harness"
 	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
-	"cxfs/internal/stats"
-	"cxfs/internal/trace"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
 )
@@ -65,7 +67,7 @@ func main() {
 
 func realMain() (err error) {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table2|table4|table5|fig4|fig5|fig6|fig7a|fig7b|fig8|fig9a|fig9b|protocols|metarates|statstorm|latency|triggers|chaos|all)")
+		exp      = flag.String("exp", "all", "experiment id ("+strings.Join(harness.ExperimentIDs(), "|")+"|chaos|all)")
 		scale    = flag.Float64("scale", 0.004, "fraction of each paper trace's op count to replay")
 		servers  = flag.Int("servers", 8, "metadata servers for trace-driven experiments")
 		seed     = flag.Int64("seed", 1, "simulation seed")
@@ -118,7 +120,7 @@ func realMain() (err error) {
 	bo := benchOpts{pipeline: *pipeline, linger: *linger, jsonOut: *jsonOut, minRatio: *minratio}
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
-		ids = []string{"table2", "table4", "table5", "fig4", "fig5", "fig6", "fig7a", "fig7b", "fig8", "fig9a", "fig9b", "protocols", "metarates", "statstorm", "latency", "triggers"}
+		ids = harness.ExperimentIDs()
 	}
 	for _, id := range ids {
 		start := time.Now()
@@ -181,48 +183,6 @@ func run(id string, cfg harness.Config, ccfg chaos.Config, bo benchOpts) error {
 		if !rep.Consistent() {
 			return fmt.Errorf("chaos run with seed %d is inconsistent (schedule above)", ccfg.Seed)
 		}
-	case "table2":
-		_, tbl := harness.Table2(cfg)
-		fmt.Println(tbl)
-	case "table4":
-		_, tbl := harness.Table4(cfg)
-		fmt.Println(tbl)
-	case "table5":
-		_, tbl := harness.Table5(cfg)
-		fmt.Println(tbl)
-	case "fig4":
-		fmt.Println(harness.Fig4(cfg))
-	case "fig5":
-		_, tbl := harness.Fig5(cfg, nil)
-		fmt.Println(tbl)
-	case "fig6":
-		_, tbl := harness.Fig6(cfg, nil, 0)
-		fmt.Println(tbl)
-	case "fig7a":
-		_, tbl := harness.Fig7a(cfg, nil)
-		fmt.Println(tbl)
-	case "fig7b":
-		series, tbl := harness.Fig7b(cfg, 0)
-		fmt.Println(tbl)
-		fmt.Printf("peak=%.0f bytes, pruning drops=%d\n\n", series.Peak(), series.Drops(0.3))
-	case "fig8":
-		_, base, tbl := harness.Fig8(cfg, nil)
-		fmt.Println(tbl)
-		fmt.Printf("OFS baseline replay: %v\n\n", base.Round(time.Millisecond))
-	case "fig9a":
-		_, tbl := harness.Fig9a(cfg, nil)
-		fmt.Println(tbl)
-	case "fig9b":
-		_, tbl := harness.Fig9b(cfg, nil)
-		fmt.Println(tbl)
-	case "protocols":
-		fmt.Println(protocolsExtension(cfg))
-	case "latency":
-		_, tbl := harness.Latency(cfg, "s3d")
-		fmt.Println(tbl)
-	case "triggers":
-		_, tbl := harness.Triggers(cfg)
-		fmt.Println(tbl)
 	case "statstorm":
 		_, tbl, worst := harness.StatStorm(cfg)
 		fmt.Println(tbl)
@@ -231,35 +191,13 @@ func run(id string, cfg harness.Config, ccfg chaos.Config, bo benchOpts) error {
 			return fmt.Errorf("statstorm: cache reduction %.1fx below the -minratio gate %.1fx", worst, bo.minRatio)
 		}
 	default:
-		return fmt.Errorf("unknown experiment %q", id)
+		e, ok := harness.ExperimentByID(id)
+		if !ok {
+			return fmt.Errorf("unknown experiment %q", id)
+		}
+		fmt.Println(e.Run(cfg))
 	}
 	return nil
-}
-
-// protocolsExtension compares all five protocols on one trace — beyond the
-// paper, which describes 2PC and CE (§II.B, Fig 1) but only evaluates the
-// OFS variants.
-func protocolsExtension(cfg harness.Config) *stats.Table {
-	tbl := stats.NewTable("Extension: all five protocols on s3d (replay time)",
-		"Protocol", "Replay", "Messages", "vs OFS")
-	p, _ := trace.ProfileByName("s3d")
-	var base time.Duration
-	for _, proto := range cluster.Protocols {
-		tr := trace.Generate(p, cfg.Scale, cfg.Seed)
-		o := cluster.DefaultOptions(cfg.Servers, proto)
-		o.ClientHosts = 16
-		o.ProcsPerHost = 8
-		o.Seed = cfg.Seed
-		o.Obs = cfg.Obs
-		c := cluster.MustNew(o)
-		res := (&trace.Replayer{Trace: tr, C: c}).Run()
-		c.Shutdown()
-		if proto == cluster.ProtoSE {
-			base = res.ReplayTime
-		}
-		tbl.Add(string(proto), res.ReplayTime, res.Messages, stats.Pct(stats.Improvement(base, res.ReplayTime)))
-	}
-	return tbl
 }
 
 // writeRowsJSON dumps an experiment's rows or artifact for CI.

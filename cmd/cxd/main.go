@@ -18,6 +18,11 @@
 //	{"cmd":"report"}
 //
 // Responses: {"ok":true,"output":...} or {"ok":false,"error":"..."}.
+//
+// "run" takes any id "experiments" lists — harness.Experiments, the table
+// cxbench dispatches from too — and runs exactly what `cxbench -exp ID`
+// runs at that scale, servers and seed. fig6 is therefore the full
+// {4,8,16,32}-server sweep: 12–15 s of wall time on the reference host.
 package main
 
 import (
@@ -165,7 +170,7 @@ func (s *server) dispatch(req Request) (string, error) {
 	case "ping":
 		return "pong", nil
 	case "experiments":
-		return "table2 table4 table5 fig4 fig5 fig6 fig7a fig7b fig8 fig9a fig9b", nil
+		return strings.Join(harness.ExperimentIDs(), " "), nil
 	case "run":
 		return s.runExperiment(req)
 	case "replay":
@@ -197,44 +202,13 @@ func (s *server) report() (string, error) {
 }
 
 func (s *server) runExperiment(req Request) (string, error) {
+	e, ok := harness.ExperimentByID(req.Exp)
+	if !ok {
+		return "", fmt.Errorf("unknown experiment %q", req.Exp)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cfg := harness.Config{Scale: req.Scale, Servers: req.Servers, Seed: req.Seed, Obs: s.beginObs()}
-	switch req.Exp {
-	case "table2":
-		_, tbl := harness.Table2(cfg)
-		return tbl.String(), nil
-	case "table4":
-		_, tbl := harness.Table4(cfg)
-		return tbl.String(), nil
-	case "table5":
-		_, tbl := harness.Table5(cfg)
-		return tbl.String(), nil
-	case "fig4":
-		return harness.Fig4(cfg).String(), nil
-	case "fig5":
-		_, tbl := harness.Fig5(cfg, nil)
-		return tbl.String(), nil
-	case "fig6":
-		_, tbl := harness.Fig6(cfg, []int{2, 4, 8}, 30)
-		return tbl.String(), nil
-	case "fig7a":
-		_, tbl := harness.Fig7a(cfg, nil)
-		return tbl.String(), nil
-	case "fig7b":
-		_, tbl := harness.Fig7b(cfg, 0)
-		return tbl.String(), nil
-	case "fig8":
-		_, _, tbl := harness.Fig8(cfg, nil)
-		return tbl.String(), nil
-	case "fig9a":
-		_, tbl := harness.Fig9a(cfg, nil)
-		return tbl.String(), nil
-	case "fig9b":
-		_, tbl := harness.Fig9b(cfg, nil)
-		return tbl.String(), nil
-	}
-	return "", fmt.Errorf("unknown experiment %q", req.Exp)
+	return e.Run(harness.Config{Scale: req.Scale, Servers: req.Servers, Seed: req.Seed, Obs: s.beginObs()}), nil
 }
 
 func (s *server) runReplay(req Request) (string, error) {

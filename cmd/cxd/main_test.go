@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cxfs/internal/harness"
 )
 
 func TestDispatchCommands(t *testing.T) {
@@ -14,8 +16,24 @@ func TestDispatchCommands(t *testing.T) {
 	if out, err := s.dispatch(Request{Cmd: "ping"}); err != nil || out != "pong" {
 		t.Errorf("ping: %q %v", out, err)
 	}
-	if out, err := s.dispatch(Request{Cmd: "experiments"}); err != nil || !strings.Contains(out, "fig5") {
+	out, err := s.dispatch(Request{Cmd: "experiments"})
+	if err != nil || !strings.Contains(out, "fig5") {
 		t.Errorf("experiments: %q %v", out, err)
+	}
+	// Every id the daemon lists is one `run` accepts (by lookup: running all
+	// of them takes minutes), and the cheapest one does run.
+	for _, id := range strings.Fields(out) {
+		if _, ok := harness.ExperimentByID(id); !ok {
+			t.Errorf("experiments lists %q, which run would refuse", id)
+		}
+	}
+	for _, id := range []string{"protocols", "latency", "triggers", "metarates", "statstorm"} {
+		if !strings.Contains(" "+out+" ", " "+id+" ") {
+			t.Errorf("experiments does not list %q", id)
+		}
+	}
+	if tbl, err := s.dispatch(Request{Cmd: "run", Exp: "fig4", Scale: 0.0005}); err != nil || !strings.Contains(tbl, "Figure 4") {
+		t.Errorf("run fig4: %q %v", tbl, err)
 	}
 	if _, err := s.dispatch(Request{Cmd: "nope"}); err == nil {
 		t.Error("unknown command accepted")

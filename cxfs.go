@@ -184,24 +184,11 @@ func (fs *FS) rearm() {
 func (fs *FS) Elapsed() time.Duration { return fs.elapsed }
 
 // Messages returns the total messages the deployment has sent.
-func (fs *FS) Messages() uint64 { return fs.c.MsgStats().Messages }
+func (fs *FS) Messages() uint64 { return fs.c.Counters().Net.Messages }
 
 // CxStats aggregates the Cx protocol counters across servers (zero values
 // under other protocols).
-func (fs *FS) CxStats() core.Stats {
-	var total core.Stats
-	for _, srv := range fs.c.CxSrv {
-		st := srv.Stats()
-		total.Conflicts += st.Conflicts
-		total.ImmediateCommits += st.ImmediateCommits
-		total.LazyBatches += st.LazyBatches
-		total.OpsCommitted += st.OpsCommitted
-		total.OpsAborted += st.OpsAborted
-		total.Invalidations += st.Invalidations
-		total.VoteTimeouts += st.VoteTimeouts
-	}
-	return total
-}
+func (fs *FS) CxStats() core.Stats { return fs.c.Counters().Core }
 
 // CheckConsistency verifies the paper's correctness goal after a Run:
 // cross-server atomicity and namespace coherence. It returns a list of

@@ -3,6 +3,7 @@ package cxfs_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -178,7 +179,51 @@ func TestFacadeRenameAndReaddir(t *testing.T) {
 			t.Errorf("dst listing: %+v err=%v", dstEntries, err)
 		}
 	})
+	if n := fs.CxStats().Renames; n != 1 {
+		t.Errorf("CxStats().Renames = %d after one committed rename", n)
+	}
 	if bad := fs.CheckConsistency(); len(bad) != 0 {
 		t.Errorf("inconsistent: %v", bad)
+	}
+}
+
+// CxStats is the servers' counters, whole: whatever field some server made
+// non-zero, the facade shows (it used to copy seven fields by hand and read
+// 0 for everything added to core.Stats since).
+func TestCxStatsDropsNoCounter(t *testing.T) {
+	fs := cxfs.New(cxfs.Options{Servers: 4, Protocol: cxfs.Cx})
+	defer fs.Close()
+	fs.RunN(4, func(ctx *cxfs.Ctx, i int) {
+		for j := 0; j < 6; j++ {
+			name := fmt.Sprintf("c-%d-%d", i, j)
+			ino, err := ctx.Create(cxfs.Root, name)
+			if err != nil {
+				t.Errorf("create: %v", err)
+				continue
+			}
+			if err := ctx.Rename(cxfs.Root, name, ino, cxfs.Root, name+".mv"); err != nil {
+				t.Errorf("rename: %v", err)
+			}
+			if err := ctx.Remove(cxfs.Root, name+".mv", ino); err != nil {
+				t.Errorf("remove: %v", err)
+			}
+		}
+	})
+	total := reflect.ValueOf(fs.CxStats())
+	counted := 0
+	for _, srv := range fs.Cluster().CxSrv {
+		st := reflect.ValueOf(srv.Stats())
+		for f := 0; f < st.NumField(); f++ {
+			if st.Field(f).Uint() == 0 {
+				continue
+			}
+			counted++
+			if total.Field(f).Uint() == 0 {
+				t.Errorf("a server counted %s, CxStats() reads 0", st.Type().Field(f).Name)
+			}
+		}
+	}
+	if counted == 0 {
+		t.Error("no server counted anything")
 	}
 }

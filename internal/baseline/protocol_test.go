@@ -318,7 +318,7 @@ func TestSingleServerPathsUnderEveryBaseline(t *testing.T) {
 		})
 		c.Sim.RunUntil(time.Hour)
 		c.Shutdown()
-		if granted, _ := c.LeaseStats(); (granted > 0) != (proto == cluster.ProtoSE || proto == cluster.ProtoSEBatched) {
+		if granted := c.Counters().Node.LeasesGranted; (granted > 0) != (proto == cluster.ProtoSE || proto == cluster.ProtoSEBatched) {
 			t.Errorf("%s: %d leases granted", proto, granted)
 		}
 	}

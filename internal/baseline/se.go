@@ -312,7 +312,7 @@ func (d *SEDriver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
 func (d *SEDriver) do(p *simrt.Proc, op types.Op) (types.Inode, error) {
 	if d.cache != nil {
 		if op.Kind == types.OpLookup {
-			attr, _, _, _, err := d.cache.Lookup(p, d.host, d.retry, d.pl.CoordinatorFor(op.Parent, op.Name), op)
+			attr, _, _, err := d.cache.Lookup(p, d.host, d.retry, d.pl.CoordinatorFor(op.Parent, op.Name), op)
 			return attr, err
 		}
 		if op.Kind.Mutating() {

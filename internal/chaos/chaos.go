@@ -317,21 +317,18 @@ func Run(cfg Config) *Report {
 			"run did not complete within the simulated horizon (hang)")
 		rep.Elapsed = c.Sim.Now()
 	}
-	rep.Net = c.Net.Stats()
-	rep.Events = c.Sim.EventsRun()
+	ct := c.Counters()
+	rep.Net, rep.Events = ct.Net, ct.Events
+	rep.WALAppends, rep.WALGroupFlushes = ct.WAL.Appends, ct.WAL.GroupFlushes
+	rep.CacheHits, rep.CacheMisses = ct.Cache.Hits, ct.Cache.Misses
+	rep.LeaseGrants, rep.LeaseRevocations = ct.Node.LeasesGranted, ct.Node.LeaseRevocations
 	for i, b := range c.Bases {
-		ws := b.WAL.Stats()
-		rep.WALAppends += ws.Appends
-		rep.WALGroupFlushes += ws.GroupFlushes
 		if max := b.WAL.MaxBytes(); max > 0 {
-			if t := float64(ws.BytesWritten) / float64(max); i == 0 || t < rep.MinLogTurnover {
+			if t := float64(c.ServerCounters(i).WAL.BytesWritten) / float64(max); i == 0 || t < rep.MinLogTurnover {
 				rep.MinLogTurnover = t
 			}
 		}
 	}
-	cs := c.CacheStats()
-	rep.CacheHits, rep.CacheMisses = cs.Hits, cs.Misses
-	rep.LeaseGrants, rep.LeaseRevocations = c.LeaseStats()
 	c.Shutdown()
 	return rep
 }

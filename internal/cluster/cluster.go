@@ -8,6 +8,13 @@
 // pending commitments, and a cross-server invariant checker that verifies
 // the paper's correctness goal — atomicity of every cross-server operation
 // — after a run.
+//
+// It is also the one place a run is read (counters.go): the only package
+// that sees every layer sums their Stats into one Counters value — for the
+// cluster or for one server — that subtracts, and Measure runs a setup and
+// N workers as one measured Window of three readings. Every runner (trace
+// replay, Metarates, the stat storm) and every experiment takes its numbers
+// from those; none reads a layer's Stats or re-counts what a layer counts.
 package cluster
 
 import (
@@ -172,12 +179,6 @@ func New(opts Options) (*Cluster, error) {
 		c.Bases = append(c.Bases, base)
 		if opts.GroupLinger > 0 {
 			base.WAL.SetGroupCommit(opts.GroupLinger)
-			if opts.Obs != nil {
-				o := opts.Obs
-				base.WAL.SetFlushHook(func(batches, records int, bytes int64) {
-					o.RecordFlush(batches, records, bytes)
-				})
-			}
 		}
 		if opts.Obs.TraceOn() {
 			nodeID := int(base.ID)
@@ -214,7 +215,6 @@ func New(opts Options) (*Cluster, error) {
 		c.Hosts = append(c.Hosts, host)
 		newCache := func() *core.Cache {
 			cc := core.NewCache(0) // core.DefaultCacheCap
-			cc.SetObserver(opts.Obs)
 			cc.Attach(host)
 			c.caches = append(c.caches, cc)
 			return cc
@@ -264,39 +264,6 @@ func MustNew(opts Options) *Cluster {
 		panic(err)
 	}
 	return c
-}
-
-// SamplerProc returns a Proc body that periodically samples cluster-wide
-// resource series into Opts.Obs: pending operations awaiting commitment,
-// WAL live bytes, and cumulative disk busy time. It generalizes the
-// valid-records sampling of the paper's Figure 7b. The caller spawns it
-// (the trace replayer does so automatically when sampling is on); it runs
-// until the simulation shuts down.
-func (c *Cluster) SamplerProc() func(*simrt.Proc) {
-	return func(p *simrt.Proc) {
-		o := c.Opts.Obs
-		interval := o.SampleInterval()
-		if interval <= 0 {
-			return
-		}
-		for {
-			p.Sleep(interval)
-			now := c.Sim.Now()
-			pending := 0
-			for _, srv := range c.CxSrv {
-				pending += srv.PendingOps()
-			}
-			var walLive int64
-			var busy time.Duration
-			for _, b := range c.Bases {
-				walLive += b.WAL.LiveBytes()
-				busy += b.Disk.Stats().BusyTime
-			}
-			o.Sample("pending-ops", now, float64(pending))
-			o.Sample("wal-live-bytes", now, float64(walLive))
-			o.Sample("disk-busy-seconds", now, busy.Seconds())
-		}
-	}
 }
 
 // NumProcs returns the total application process count.
@@ -430,9 +397,6 @@ func (pr *Process) SetAttr(p *simrt.Proc, ino types.InodeID) error {
 	return err
 }
 
-// MsgStats snapshots the network counters.
-func (c *Cluster) MsgStats() transport.Stats { return c.Net.Stats() }
-
 // Driver returns the protocol driver backing this process (chaos harnesses
 // type-assert it for cache introspection such as LastLookup).
 func (pr *Process) Driver() Driver { return pr.driver }
@@ -445,36 +409,10 @@ func (c *Cluster) FlushCaches() {
 	}
 }
 
-// CacheStats sums cache counters across every driver.
-func (c *Cluster) CacheStats() core.CacheStats {
-	var total core.CacheStats
-	for _, cc := range c.caches {
-		s := cc.Stats()
-		total.Hits += s.Hits
-		total.Misses += s.Misses
-		total.Invalidations += s.Invalidations
-		total.Revocations += s.Revocations
-		total.Expirations += s.Expirations
-		total.EpochFences += s.EpochFences
-		total.Evictions += s.Evictions
-	}
-	return total
-}
-
 // LeasesOutstanding reports how many unexpired leases server i currently
 // tracks (0 for protocols without leasing). The lease-aware nemesis targets
 // the server holding the most.
 func (c *Cluster) LeasesOutstanding(i int) int { return c.Bases[i].LeasesOutstanding() }
-
-// LeaseStats sums lease-side counters (grants, revocations) across servers.
-func (c *Cluster) LeaseStats() (granted, revoked uint64) {
-	for _, b := range c.Bases {
-		st := b.Stats()
-		granted += st.LeasesGranted
-		revoked += st.LeaseRevocations
-	}
-	return granted, revoked
-}
 
 // Quiesce drives every pending Cx commitment to completion and flushes all
 // servers, so invariant checks compare settled state. For the baselines it

@@ -427,7 +427,7 @@ func TestDeterministicReplay(t *testing.T) {
 				pr.Create(p, types.RootInode, fmt.Sprintf("d-%d-%d", idx, j))
 			}
 		})
-		return d, c.MsgStats().Messages
+		return d, c.Counters().Net.Messages
 	}
 	d1, m1 := run()
 	d2, m2 := run()
@@ -492,7 +492,7 @@ func TestMessageCountsSane(t *testing.T) {
 			pr.Create(p, types.RootInode, fmt.Sprintf("m-%d-%d", idx, j))
 		}
 	})
-	st := c.MsgStats()
+	st := c.Counters().Net
 	if st.Messages == 0 || st.Bytes == 0 {
 		t.Fatalf("no traffic recorded: %+v", st)
 	}

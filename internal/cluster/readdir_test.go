@@ -82,31 +82,3 @@ func TestReaddirEmptyAndRootDirectories(t *testing.T) {
 		}
 	})
 }
-
-func TestReportCountsActivity(t *testing.T) {
-	c := MustNew(smallOptions(ProtoCx))
-	defer c.Shutdown()
-	runWorkload(t, c, func(p *simrt.Proc, pr *Process, idx int) {
-		for j := 0; j < 10; j++ {
-			pr.Create(p, types.RootInode, fmt.Sprintf("rep-%d-%d", idx, j))
-		}
-	})
-	reports := c.Report()
-	if len(reports) != c.Opts.Servers {
-		t.Fatalf("reports=%d", len(reports))
-	}
-	var totalMsgs, totalCommits uint64
-	for _, r := range reports {
-		totalMsgs += r.MsgsHandled
-		totalCommits += r.Committed
-		if r.Pending != 0 {
-			t.Errorf("server %d: %d pending after quiesce", r.Server, r.Pending)
-		}
-	}
-	if totalMsgs == 0 || totalCommits == 0 {
-		t.Errorf("empty report: msgs=%d commits=%d", totalMsgs, totalCommits)
-	}
-	if out := c.ReportTable().String(); len(out) < 100 {
-		t.Errorf("report table too short:\n%s", out)
-	}
-}

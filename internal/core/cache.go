@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"cxfs/internal/node"
-	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
@@ -32,7 +31,6 @@ type Cache struct {
 	epochs  map[types.NodeID]uint64 // highest lease epoch seen per server
 
 	stats CacheStats
-	obsv  *obs.Observer
 }
 
 type cacheKey struct {
@@ -94,30 +92,25 @@ func (c *Cache) Attach(host *node.Host) {
 // covers the entry (cached is true), otherwise by one LookupReq round trip
 // to server — the entry's owner under the caller's protocol — whose grant
 // fills the cache. grant is the issue time of the request backing the
-// answer (for the staleness oracle), retries the retransmissions made; err
-// is ErrTimeout when no reply came.
-func (c *Cache) Lookup(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, server types.NodeID, op types.Op) (attr types.Inode, grant time.Duration, cached bool, retries int, err error) {
+// answer (for the staleness oracle); err is ErrTimeout when no reply came.
+func (c *Cache) Lookup(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, server types.NodeID, op types.Op) (attr types.Inode, grant time.Duration, cached bool, err error) {
 	issued := host.Sim.Now()
 	if attr, found, grant, ok := c.Get(issued, op.Parent, op.Name); ok {
 		if !found {
-			return types.Inode{}, grant, true, 0, types.ErrNotFound
+			return types.Inode{}, grant, true, types.ErrNotFound
 		}
-		return attr, grant, true, 0, nil
+		return attr, grant, true, nil
 	}
 	route := host.Open(op.ID)
 	defer host.Done(op.ID)
-	m, retries, ok := host.Call(p, retry, route, wire.Msg{Type: wire.MsgLookupReq, To: server, Op: op.ID,
+	m, _, ok := host.Call(p, retry, route, wire.Msg{Type: wire.MsgLookupReq, To: server, Op: op.ID,
 		Dir: op.Parent, Path: op.Name, ReplyProc: op.ID.Proc})
 	if !ok {
-		return types.Inode{}, 0, false, retries, types.ErrTimeout
+		return types.Inode{}, 0, false, types.ErrTimeout
 	}
 	c.Put(issued, host.Sim.Now(), m)
-	return m.Attr, issued, false, retries, errFrom(m)
+	return m.Attr, issued, false, errFrom(m)
 }
-
-// SetObserver mirrors cache counters into the observability layer
-// (cache.hit / cache.miss / cache.invalidate / ...). Nil disables.
-func (c *Cache) SetObserver(o *obs.Observer) { c.obsv = o }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
@@ -133,7 +126,6 @@ func (c *Cache) Get(now time.Duration, dir types.InodeID, name string) (types.In
 	e := c.entries[cacheKey{dir: dir, name: name}]
 	if e == nil {
 		c.stats.Misses++
-		c.obsv.Inc("cache.miss", 1)
 		return types.Inode{}, false, 0, false
 	}
 	if e.epoch < c.epochs[e.server] {
@@ -142,20 +134,15 @@ func (c *Cache) Get(now time.Duration, dir types.InodeID, name string) (types.In
 		c.drop(cacheKey{dir: dir, name: name})
 		c.stats.EpochFences++
 		c.stats.Misses++
-		c.obsv.Inc("cache.fence", 1)
-		c.obsv.Inc("cache.miss", 1)
 		return types.Inode{}, false, 0, false
 	}
 	if now >= e.expire {
 		c.drop(cacheKey{dir: dir, name: name})
 		c.stats.Expirations++
 		c.stats.Misses++
-		c.obsv.Inc("cache.expire", 1)
-		c.obsv.Inc("cache.miss", 1)
 		return types.Inode{}, false, 0, false
 	}
 	c.stats.Hits++
-	c.obsv.Inc("cache.hit", 1)
 	return e.attr, e.found, e.grant, true
 }
 
@@ -179,7 +166,6 @@ func (c *Cache) Put(issued, now time.Duration, m wire.Msg) {
 			c.order = c.order[1:]
 			delete(c.entries, drop)
 			c.stats.Evictions++
-			c.obsv.Inc("cache.evict", 1)
 		}
 		e = &cacheEntry{}
 		c.entries[k] = e
@@ -197,7 +183,6 @@ func (c *Cache) Invalidate(dir types.InodeID, name string) {
 	if c.entries[k] != nil {
 		c.drop(k)
 		c.stats.Invalidations++
-		c.obsv.Inc("cache.invalidate", 1)
 	}
 }
 
@@ -211,7 +196,6 @@ func (c *Cache) Revoke(dir types.InodeID, name string, server types.NodeID, epoc
 	if c.entries[k] != nil {
 		c.drop(k)
 		c.stats.Revocations++
-		c.obsv.Inc("cache.revoke", 1)
 	}
 }
 

@@ -33,30 +33,12 @@ type Driver struct {
 	lastCached bool
 	lastGrant  time.Duration
 	lookupLog  map[types.OpID]lookupRec // per-op dispositions (TrackLookups)
-
-	stats DriverStats
-}
-
-// DriverStats counts client-side protocol events.
-type DriverStats struct {
-	Ops           uint64
-	CrossServer   uint64
-	Colocated     uint64
-	SingleServer  uint64
-	Disagreements uint64 // L-COM rounds
-	Failures      uint64
-	Supersedes    uint64 // responses replaced by a higher epoch
-	Retries       uint64 // request retransmissions after a reply timeout
-	Timeouts      uint64 // operations abandoned with ErrTimeout
 }
 
 // NewDriver builds a Cx driver bound to a client host.
 func NewDriver(host *node.Host, pl namespace.Placement) *Driver {
 	return &Driver{host: host, pl: pl}
 }
-
-// Stats returns a snapshot of driver counters.
-func (d *Driver) Stats() DriverStats { return d.stats }
 
 // SetObserver attaches the observability layer; client-observed latencies
 // are recorded under proto. Nil (the default) records nothing.
@@ -130,7 +112,6 @@ func (d *Driver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
 }
 
 func (d *Driver) do(p *simrt.Proc, op types.Op, conflicted *bool) (types.Inode, error) {
-	d.stats.Ops++
 	if d.cache != nil {
 		if op.Kind == types.OpLookup {
 			return d.doLookup(p, op)
@@ -157,16 +138,13 @@ func (d *Driver) do(p *simrt.Proc, op types.Op, conflicted *bool) (types.Inode, 
 	coord := d.pl.CoordinatorFor(op.Parent, op.Name)
 	part := d.pl.ParticipantFor(op.Ino)
 	if coord == part {
-		d.stats.Colocated++
 		return d.doLocal(p, op, coord)
 	}
-	d.stats.CrossServer++
 	return d.doCross(p, op, coord, part, conflicted)
 }
 
 // doSingle routes a read or single-server update to its owner.
 func (d *Driver) doSingle(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	d.stats.SingleServer++
 	var target types.NodeID
 	switch op.Kind {
 	case types.OpLookup:
@@ -183,15 +161,9 @@ func (d *Driver) doSingle(p *simrt.Proc, op types.Op) (types.Inode, error) {
 func (d *Driver) roundTrip(p *simrt.Proc, req wire.Msg) (types.Inode, error) {
 	route := d.host.Open(req.Op)
 	defer d.host.Done(req.Op)
-	m, retries, ok := d.host.Call(p, d.retry, route, req)
-	d.stats.Retries += uint64(retries)
+	m, _, ok := d.host.Call(p, d.retry, route, req)
 	if !ok {
-		d.stats.Timeouts++
-		d.stats.Failures++
 		return types.Inode{}, types.ErrTimeout
-	}
-	if !m.OK {
-		d.stats.Failures++
 	}
 	return m.Attr, errFrom(m)
 }
@@ -200,22 +172,11 @@ func (d *Driver) roundTrip(p *simrt.Proc, req wire.Msg) (types.Inode, error) {
 // valid lease covers it, and otherwise asks the dentry's coordinator and
 // installs the granted lease.
 func (d *Driver) doLookup(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	attr, grant, cached, retries, err := d.cache.Lookup(p, d.host, d.retry,
+	attr, grant, cached, err := d.cache.Lookup(p, d.host, d.retry,
 		d.pl.CoordinatorFor(op.Parent, op.Name), op)
-	timedOut := errors.Is(err, types.ErrTimeout)
 	d.lastCached, d.lastGrant = cached, grant
-	if d.lookupLog != nil && !timedOut {
+	if d.lookupLog != nil && !errors.Is(err, types.ErrTimeout) {
 		d.lookupLog[op.ID] = lookupRec{cached: cached, grant: grant}
-	}
-	if !cached {
-		d.stats.SingleServer++
-		d.stats.Retries += uint64(retries)
-		if timedOut {
-			d.stats.Timeouts++
-		}
-		if err != nil {
-			d.stats.Failures++
-		}
 	}
 	return attr, err
 }
@@ -266,11 +227,8 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 			if !got {
 				attempt++
 				if attempt >= d.retry.MaxAttempts() {
-					d.stats.Timeouts++
-					d.stats.Failures++
 					return types.Inode{}, types.ErrTimeout
 				}
-				d.stats.Retries++
 				// Retransmit whatever is still outstanding; servers answer
 				// duplicates from their pending state or reply cache.
 				if !rc.have || rc.voided {
@@ -291,7 +249,6 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 		switch m.Type {
 		case wire.MsgAllNo:
 			// 7b: every successful execution was aborted.
-			d.stats.Failures++
 			if rc.have && !rc.ok && rc.err != "" && rc.err != types.ErrInvalidated.Error() {
 				return types.Inode{}, types.WireError(rc.err)
 			}
@@ -304,7 +261,7 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 			if m.From == part {
 				st = &rp
 			}
-			d.absorb(st, m)
+			st.absorb(m)
 			// Any invalidation notice or re-executed (epoch > 1) response
 			// means this operation went through conflict machinery.
 			if conflicted != nil && (st.voided || st.epoch > 1) {
@@ -319,7 +276,6 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 			return rc.attr, nil
 		case !rc.ok && !rp.ok:
 			// Agreement on failure: complete, commitment happens lazily.
-			d.stats.Failures++
 			if rc.err != "" {
 				return types.Inode{}, types.WireError(rc.err)
 			}
@@ -327,7 +283,6 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 		default:
 			// Disagreement: ask the coordinator for an immediate
 			// commitment; ALL-NO completes the operation (§III.B step 2b).
-			d.stats.Disagreements++
 			lcomSent = true
 			if conflicted != nil {
 				*conflicted = true
@@ -340,13 +295,10 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 // absorb folds a response into the per-server state, honoring epochs: an
 // invalidation notice voids the state until the re-execution response (same
 // or higher epoch) arrives; stale lower-epoch responses are dropped.
-func (d *Driver) absorb(st *respState, m wire.Msg) {
+func (st *respState) absorb(m wire.Msg) {
 	invalid := m.Err == types.ErrInvalidated.Error()
 	if st.have && m.Epoch < st.epoch {
 		return // stale
-	}
-	if st.have && m.Epoch > st.epoch {
-		d.stats.Supersedes++
 	}
 	if invalid {
 		st.have = true

@@ -34,7 +34,7 @@ func digest(v any) string {
 
 func replayGolden(proto cluster.Protocol) func() golden {
 	return func() golden {
-		res, c := Config{Scale: 0.02, Servers: 8, Seed: 1}.replay("s3d", proto, nil, 0, nil)
+		res, c := Config{Scale: 0.02, Servers: 8, Seed: 1}.replay("s3d", proto, nil, 0)
 		defer c.Shutdown()
 		return golden{c.Sim.Now(), c.Net.Stats().Messages, c.Sim.EventsRun(), digest(res)}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"cxfs/internal/cluster"
 	"cxfs/internal/metarates"
-	"cxfs/internal/obs"
 	"cxfs/internal/stats"
 )
 
@@ -73,12 +72,11 @@ func MetaratesGroupCommit(cfg Config, o MetaratesGCOpts) ([]MetaratesGCRow, *sta
 	tbl := stats.NewTable("Metarates: group commit and pipelined dispatch (update-dominated, 4 servers)",
 		"Setting", "ops/s", "WAL appends", "WAL records", "Coalesce", "Errors")
 	for _, v := range variants {
-		obsv := obs.New(obs.Options{})
 		co := cluster.DefaultOptions(4, cluster.ProtoCx)
 		co.ClientHosts = 16
 		co.ProcsPerHost = 2
 		co.Seed = cfg.Seed
-		co.Obs = obsv
+		co.Obs = cfg.Obs
 		co.GroupLinger = v.linger
 		if v.eager {
 			co.Cx.Threshold = 1
@@ -86,20 +84,20 @@ func MetaratesGroupCommit(cfg Config, o MetaratesGCOpts) ([]MetaratesGCRow, *sta
 		c := cluster.MustNew(co)
 		res := metarates.Run(c, metarates.Config{
 			Mix: metarates.UpdateDominated, OpsPerProc: o.OpsPerProc, Pipeline: v.pipeline})
-		var appends, records uint64
-		for _, b := range c.Bases {
-			ws := b.WAL.Stats()
-			appends += ws.Appends
-			records += ws.Records
-		}
-		coalesce := obsv.FlushStats().CoalesceRatio()
+		ws := c.Counters().WAL
 		c.Shutdown()
+		// Caller append requests per group-commit disk write; 0 with group
+		// commit off.
+		var coalesce float64
+		if ws.GroupFlushes > 0 {
+			coalesce = float64(ws.GroupedReqs) / float64(ws.GroupFlushes)
+		}
 
 		row := MetaratesGCRow{
 			Setting: v.name, Mix: metarates.UpdateDominated.Name,
 			Pipeline: v.pipeline, Linger: v.linger,
 			Ops: res.Ops, Throughput: res.Throughput,
-			WALAppends: appends, WALRecords: records,
+			WALAppends: ws.Appends, WALRecords: ws.Records,
 			Coalesce: coalesce, Errors: res.Errors,
 		}
 		rows = append(rows, row)

@@ -55,14 +55,14 @@ func (cfg Config) clusterFor(proto cluster.Protocol, mutate func(*cluster.Option
 }
 
 // replay generates and replays one workload on one protocol.
-func (cfg Config) replay(name string, proto cluster.Protocol, mutate func(*cluster.Options), extraReads float64, background []func(*simrt.Proc)) (trace.Result, *cluster.Cluster) {
+func (cfg Config) replay(name string, proto cluster.Protocol, mutate func(*cluster.Options), extraReads float64) (trace.Result, *cluster.Cluster) {
 	p, err := trace.ProfileByName(name)
 	if err != nil {
 		panic(err)
 	}
 	tr := trace.Generate(p, cfg.Scale, cfg.Seed)
 	c := cfg.clusterFor(proto, mutate)
-	r := &trace.Replayer{Trace: tr, C: c, ExtraSharedReads: extraReads, Background: background}
+	r := &trace.Replayer{Trace: tr, C: c, ExtraSharedReads: extraReads}
 	res := r.Run()
 	return res, c
 }
@@ -95,7 +95,7 @@ func Table2(cfg Config) ([]Table2Row, *stats.Table) {
 	tbl := stats.NewTable("Table II: conflict ratio in various workloads",
 		"Trace", "Total Ops", "Conflict", "Paper Ops", "Paper Conflict")
 	for _, p := range trace.Profiles() {
-		res, c := cfg.replay(p.Name, cluster.ProtoCx, nil, 0, nil)
+		res, c := cfg.replay(p.Name, cluster.ProtoCx, nil, 0)
 		c.Shutdown()
 		row := Table2Row{
 			Workload: p.Name, TotalOps: res.Ops, PaperOps: paperTotalOps[p.Name],
@@ -127,9 +127,9 @@ func Table4(cfg Config) ([]Table4Row, *stats.Table) {
 		"home2": 0.031, "deasna2": 0.024, "lair62b": 0.023,
 	}
 	for _, p := range trace.Profiles() {
-		resOFS, cA := cfg.replay(p.Name, cluster.ProtoSE, nil, 0, nil)
+		resOFS, cA := cfg.replay(p.Name, cluster.ProtoSE, nil, 0)
 		cA.Shutdown()
-		resCx, cB := cfg.replay(p.Name, cluster.ProtoCx, nil, 0, nil)
+		resCx, cB := cfg.replay(p.Name, cluster.ProtoCx, nil, 0)
 		cB.Shutdown()
 		row := Table4Row{
 			Workload: p.Name, MsgsOFS: resOFS.Messages, MsgsCx: resCx.Messages,
@@ -251,11 +251,11 @@ func Fig5(cfg Config, workloads []string) ([]Fig5Row, *stats.Table) {
 	tbl := stats.NewTable("Figure 5: trace-driven evaluation (replay time)",
 		"Trace", "OFS", "OFS-batched", "OFS-Cx", "Cx vs OFS", "Cx vs batched")
 	for _, name := range workloads {
-		resSE, cA := cfg.replay(name, cluster.ProtoSE, nil, 0, nil)
+		resSE, cA := cfg.replay(name, cluster.ProtoSE, nil, 0)
 		cA.Shutdown()
-		resB, cB := cfg.replay(name, cluster.ProtoSEBatched, nil, 0, nil)
+		resB, cB := cfg.replay(name, cluster.ProtoSEBatched, nil, 0)
 		cB.Shutdown()
-		resCx, cC := cfg.replay(name, cluster.ProtoCx, nil, 0, nil)
+		resCx, cC := cfg.replay(name, cluster.ProtoCx, nil, 0)
 		cC.Shutdown()
 		row := Fig5Row{
 			Workload: name, OFS: resSE.ReplayTime, OFSBatched: resB.ReplayTime, OFSCx: resCx.ReplayTime,
@@ -334,7 +334,7 @@ func Fig7a(cfg Config, limits []int64) ([]Fig7aRow, *stats.Table) {
 		lim := lim
 		res, c := cfg.replay("home2", cluster.ProtoCx, func(o *cluster.Options) {
 			o.Hardware.LogMaxBytes = lim
-		}, 0, nil)
+		}, 0)
 		c.Shutdown()
 		label := "unlimited"
 		if lim > 0 {
@@ -351,8 +351,7 @@ func Fig7a(cfg Config, limits []int64) ([]Fig7aRow, *stats.Table) {
 // drops at every timeout-triggered batch commitment). The sampling runs
 // through the generic observability layer: a dedicated observer with
 // SampleEvery set, whose "wal-live-bytes" series is exactly the paper's
-// valid-records quantity (the replayer spawns the cluster sampler
-// automatically).
+// valid-records quantity (cluster.Measure runs the sampler).
 func Fig7b(cfg Config, interval time.Duration) (*stats.Series, *stats.Table) {
 	if interval <= 0 {
 		interval = 200 * time.Millisecond
@@ -364,7 +363,7 @@ func Fig7b(cfg Config, interval time.Duration) (*stats.Series, *stats.Table) {
 		o.Hardware.LogMaxBytes = 0
 		o.Cx.Timeout = 2 * time.Second // scaled-down 10s trigger
 		o.Obs = obsv
-	}, 0, nil)
+	}, 0)
 	c.Shutdown()
 
 	series := obsv.Series("wal-live-bytes")
@@ -394,14 +393,14 @@ func Fig8(cfg Config, rates []float64) ([]Fig8Row, time.Duration, *stats.Table) 
 	if rates == nil {
 		rates = []float64{0, 0.05, 0.12, 0.25, 0.5, 0.9}
 	}
-	resOFS, cO := cfg.replay("home2", cluster.ProtoSE, nil, 0, nil)
+	resOFS, cO := cfg.replay("home2", cluster.ProtoSE, nil, 0)
 	cO.Shutdown()
 	var rows []Fig8Row
 	tbl := stats.NewTable(
 		fmt.Sprintf("Figure 8: impact of conflict ratios (home2; OFS baseline %v)", resOFS.ReplayTime.Round(time.Millisecond)),
 		"Injected", "Conflict ratio", "Cx replay", "Msg overhead", "Beats OFS")
 	for _, rate := range rates {
-		res, c := cfg.replay("home2", cluster.ProtoCx, nil, rate, nil)
+		res, c := cfg.replay("home2", cluster.ProtoCx, nil, rate)
 		c.Shutdown()
 		row := Fig8Row{
 			InjectRate:    rate,
@@ -438,7 +437,7 @@ func Fig9a(cfg Config, timeouts []time.Duration) ([]Fig9Row, *stats.Table) {
 		res, c := cfg.replay("home2", cluster.ProtoCx, func(o *cluster.Options) {
 			o.Hardware.LogMaxBytes = 0
 			o.Cx.Timeout = to
-		}, 0, nil)
+		}, 0)
 		c.Shutdown()
 		rows = append(rows, Fig9Row{Setting: to.String(), ReplayTime: res.ReplayTime})
 		tbl.Add(to, res.ReplayTime)
@@ -460,7 +459,7 @@ func Fig9b(cfg Config, thresholds []int) ([]Fig9Row, *stats.Table) {
 			o.Hardware.LogMaxBytes = 0
 			o.Cx.Timeout = 0
 			o.Cx.Threshold = th
-		}, 0, nil)
+		}, 0)
 		c.Shutdown()
 		rows = append(rows, Fig9Row{Setting: fmt.Sprintf("%d", th), ReplayTime: res.ReplayTime})
 		tbl.Add(th, res.ReplayTime)

@@ -1,11 +1,15 @@
 package harness
 
 import (
+	"fmt"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"cxfs/internal/cluster"
+	"cxfs/internal/obs"
 )
 
 // tiny keeps harness tests fast; the full-shape assertions run in the
@@ -148,7 +152,7 @@ func TestCxGainOverSEUnderLogPressure(t *testing.T) {
 	const logMax = 128 << 10
 	cx, c := cfg.replay("s3d", cluster.ProtoCx, func(o *cluster.Options) {
 		o.Hardware.LogMaxBytes = logMax
-	}, 0, nil)
+	}, 0)
 	for i, b := range c.Bases {
 		if turns := float64(b.WAL.Stats().BytesWritten) / logMax; turns < 3 {
 			t.Errorf("server %d wrote only %.1f log capacities: the replay is not under log pressure", i, turns)
@@ -158,7 +162,7 @@ func TestCxGainOverSEUnderLogPressure(t *testing.T) {
 		t.Errorf("invariants after the small-log replay: %v", bad)
 	}
 	c.Shutdown()
-	se, c := cfg.replay("s3d", cluster.ProtoSE, nil, 0, nil)
+	se, c := cfg.replay("s3d", cluster.ProtoSE, nil, 0)
 	c.Shutdown()
 	if cx.HardErrors != 0 {
 		t.Errorf("%d operations failed under log pressure", cx.HardErrors)
@@ -260,5 +264,68 @@ func TestTriggersExtension(t *testing.T) {
 	slack := byName["timeout-10s"].ReplayTime + byName["timeout-10s"].ReplayTime/4
 	if byName["idle-200ms"].ReplayTime > slack {
 		t.Errorf("idle trigger (%v) far off the optimum (%v)", byName["idle-200ms"].ReplayTime, byName["timeout-10s"].ReplayTime)
+	}
+}
+
+// The group-commit experiment records into the session's observer like every
+// other — it used to build a private one, so `cxbench -exp metarates -hist`
+// printed an empty table — and its coalesce column, now GroupedReqs over
+// GroupFlushes of wal.Stats, is still the one EXPERIMENTS.md tabulates.
+func TestMetaratesGroupCommitUsesSessionObserver(t *testing.T) {
+	o := obs.New(obs.Options{Hist: true})
+	MetaratesGroupCommit(Config{Seed: 1, Obs: o}, MetaratesGCOpts{OpsPerProc: 5})
+	if len(o.Keys()) == 0 {
+		t.Error("the experiment recorded no latency histogram into cfg.Obs")
+	}
+	rows, _ := MetaratesGroupCommit(Config{Seed: 1}, MetaratesGCOpts{})
+	want := []string{"0.00", "0.00", "6.66", "36.98"}
+	if len(rows) != len(want) {
+		t.Fatalf("rows=%d, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		if got := fmt.Sprintf("%.2f", r.Coalesce); got != want[i] {
+			t.Errorf("%s: coalesce %s, want %s", r.Setting, got, want[i])
+		}
+	}
+}
+
+// Every experiment id is listed once, and the table's protocols entry (moved
+// here from cxbench) still compares all five protocols.
+func TestExperimentsTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, id := range ExperimentIDs() {
+		if e, ok := ExperimentByID(id); !ok || e.ID != id || e.Run == nil || seen[id] {
+			t.Errorf("experiment %q: found=%v duplicate=%v", id, ok, seen[id])
+		}
+		seen[id] = true
+	}
+	if _, ok := ExperimentByID("chaos"); ok {
+		t.Error("chaos takes flags only cxbench has; it must not be in the table")
+	}
+	e, _ := ExperimentByID("protocols")
+	out := e.Run(tiny())
+	for _, proto := range cluster.Protocols {
+		if !strings.Contains(out, "\n"+string(proto)+" ") {
+			t.Errorf("protocols table lacks %s:\n%s", proto, out)
+		}
+	}
+}
+
+// The prose lists of experiment ids — README and cxbench's usage comment —
+// name every entry of the table (flag help and cxd's answer are generated).
+func TestDocsNameEveryExperiment(t *testing.T) {
+	for _, path := range []string{"../../README.md", "../../cmd/cxbench/main.go"} {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := strings.FieldsFunc(string(doc), func(r rune) bool {
+			return !(r >= 'a' && r <= 'z' || r >= '0' && r <= '9')
+		})
+		for _, id := range ExperimentIDs() {
+			if !slices.Contains(words, id) {
+				t.Errorf("%s does not name experiment %q", path, id)
+			}
+		}
 	}
 }

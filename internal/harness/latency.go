@@ -91,11 +91,8 @@ func Triggers(cfg Config) ([]TriggerRow, *stats.Table) {
 		res, c := cfg.replay("home2", cluster.ProtoCx, func(o *cluster.Options) {
 			o.Hardware.LogMaxBytes = 0
 			st.mutate(o)
-		}, 0, nil)
-		var batches uint64
-		for _, srv := range c.CxSrv {
-			batches += srv.Stats().LazyBatches
-		}
+		}, 0)
+		batches := c.Counters().Core.LazyBatches
 		c.Shutdown()
 		rows = append(rows, TriggerRow{Name: st.name, ReplayTime: res.ReplayTime, Batches: batches})
 		tbl.Add(st.name, res.ReplayTime, batches)

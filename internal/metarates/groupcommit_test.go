@@ -5,19 +5,15 @@ import (
 	"time"
 
 	"cxfs/internal/cluster"
-	"cxfs/internal/obs"
 )
 
 // acceptanceCluster sizes a run at the acceptance geometry: 4 servers with
 // 4+ concurrent client processes per server.
-func acceptanceCluster(linger time.Duration, o2 func(*cluster.Options)) *cluster.Cluster {
+func acceptanceCluster(linger time.Duration) *cluster.Cluster {
 	o := cluster.DefaultOptions(4, cluster.ProtoCx)
 	o.ClientHosts = 8
 	o.ProcsPerHost = 2 // 16 procs -> 4 concurrent clients per server
 	o.GroupLinger = linger
-	if o2 != nil {
-		o2(&o)
-	}
 	return cluster.MustNew(o)
 }
 
@@ -38,12 +34,12 @@ func walAppends(c *cluster.Cluster) (appends, records uint64) {
 func TestGroupCommitCutsServerDiskRequests(t *testing.T) {
 	cfg := Config{Mix: UpdateDominated, OpsPerProc: 40}
 
-	cDirect := acceptanceCluster(0, nil)
+	cDirect := acceptanceCluster(0)
 	resDirect := Run(cDirect, cfg)
 	directAppends, directRecords := walAppends(cDirect)
 	cDirect.Shutdown()
 
-	cGroup := acceptanceCluster(time.Millisecond, nil)
+	cGroup := acceptanceCluster(time.Millisecond)
 	resGroup := Run(cGroup, cfg)
 	groupAppends, groupRecords := walAppends(cGroup)
 	cGroup.Shutdown()
@@ -63,30 +59,23 @@ func TestGroupCommitCutsServerDiskRequests(t *testing.T) {
 	}
 }
 
-// TestGroupCommitObservabilityReportsCoalescing wires an observer through
-// the cluster and checks the flush-window histogram shows real coalescing
-// under concurrent load.
+// TestGroupCommitObservabilityReportsCoalescing checks that the cluster's
+// counters show real coalescing under concurrent load: more caller requests
+// than group flushes means some flush carried more than one batch.
 func TestGroupCommitObservabilityReportsCoalescing(t *testing.T) {
-	o := obs.New(obs.Options{})
-	c := acceptanceCluster(time.Millisecond, func(opts *cluster.Options) { opts.Obs = o })
+	c := acceptanceCluster(time.Millisecond)
 	defer c.Shutdown()
 	res := Run(c, Config{Mix: UpdateDominated, OpsPerProc: 30})
 	if res.Errors != 0 {
 		t.Fatalf("errors: %d", res.Errors)
 	}
-	fs := o.FlushStats()
-	if fs.Flushes == 0 {
-		t.Fatal("observer saw no group-commit flushes")
+	ws := c.Counters().WAL
+	if ws.GroupFlushes == 0 {
+		t.Fatal("no group-commit flushes counted")
 	}
-	if fs.CoalesceRatio() <= 1.0 {
-		t.Errorf("coalesce ratio %.2f; need > 1 under 4 clients/server", fs.CoalesceRatio())
-	}
-	multi := uint64(0)
-	for i := 1; i < len(fs.Window); i++ {
-		multi += fs.Window[i]
-	}
-	if multi == 0 {
-		t.Error("window histogram shows no multi-batch flushes")
+	if ws.GroupedReqs <= ws.GroupFlushes {
+		t.Errorf("%d requests in %d group flushes; need some flush to coalesce under 4 clients/server",
+			ws.GroupedReqs, ws.GroupFlushes)
 	}
 }
 
@@ -96,7 +85,7 @@ func TestGroupCommitObservabilityReportsCoalescing(t *testing.T) {
 // invariant-clean.
 func TestPipelinedDispatchImprovesThroughput(t *testing.T) {
 	run := func(pipeline int) Result {
-		c := acceptanceCluster(0, nil)
+		c := acceptanceCluster(0)
 		defer c.Shutdown()
 		res := Run(c, Config{Mix: UpdateDominated, OpsPerProc: 40, Pipeline: pipeline})
 		if res.Errors != 0 {
@@ -124,14 +113,14 @@ func TestPipelinedDispatchImprovesThroughput(t *testing.T) {
 // throughput than the sequential closed loop.
 func TestPipelinePlusGroupCommitComposes(t *testing.T) {
 	base := func() (Result, uint64) {
-		c := acceptanceCluster(0, nil)
+		c := acceptanceCluster(0)
 		defer c.Shutdown()
 		res := Run(c, Config{Mix: UpdateDominated, OpsPerProc: 30})
 		a, _ := walAppends(c)
 		return res, a
 	}
 	full := func() (Result, uint64) {
-		c := acceptanceCluster(time.Millisecond, nil)
+		c := acceptanceCluster(time.Millisecond)
 		defer c.Shutdown()
 		res := Run(c, Config{Mix: UpdateDominated, OpsPerProc: 30, Pipeline: 8})
 		a, _ := walAppends(c)
@@ -194,7 +183,7 @@ func TestGroupCommitAppliesToEveryProtocol(t *testing.T) {
 // throughput and WAL stats.
 func TestPipelinedRunIsDeterministic(t *testing.T) {
 	run := func() (Result, uint64) {
-		c := acceptanceCluster(500*time.Microsecond, nil)
+		c := acceptanceCluster(500 * time.Microsecond)
 		defer c.Shutdown()
 		res := Run(c, Config{Mix: UpdateDominated, OpsPerProc: 25, Pipeline: 6})
 		a, _ := walAppends(c)

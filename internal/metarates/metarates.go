@@ -17,6 +17,11 @@
 // only files it created itself, matching the paper's observation that the
 // benchmark raises essentially no conflicts while still driving every
 // server.
+//
+// Run and RunStorm are each one cluster.Measure window: a setup, one worker
+// per process, and a Result filled from the window's readings — elapsed
+// time from the timed window, messages and cache hits through the final
+// quiesce.
 package metarates
 
 import (
@@ -71,8 +76,10 @@ type Result struct {
 	Messages   uint64
 }
 
-// Run executes the benchmark on an existing cluster and returns the result.
-// The cluster must be freshly built (Run drives the simulation itself).
+// Run executes the benchmark as one measured window (cluster.Measure) and
+// returns the result. The cluster must be freshly built: the shared
+// directory and the prepopulation are the window's setup, every process one
+// worker.
 func Run(c *cluster.Cluster, cfg Config) Result {
 	nProcs := c.NumProcs()
 	res := Result{
@@ -81,21 +88,12 @@ func Run(c *cluster.Cluster, cfg Config) Result {
 	}
 
 	var dirIno types.InodeID
-	var start, end time.Duration
-	var msgs0 uint64
-
-	gate := simrt.NewChan[struct{}](c.Sim)
-	g := simrt.NewGroup(c.Sim)
-	g.Add(nProcs)
-
-	c.Sim.Spawn("metarates/setup", func(p *simrt.Proc) {
-		pr := c.Proc(0)
-		ino, err := pr.Mkdir(p, types.RootInode, "metarates")
+	win := c.Measure(func(p *simrt.Proc) {
+		ino, err := c.Proc(0).Mkdir(p, types.RootInode, "metarates")
 		if err != nil {
 			panic(fmt.Sprintf("metarates: mkdir: %v", err))
 		}
 		dirIno = ino
-		// Prepopulation happens before the measured window.
 		if cfg.Prepopulate > 0 {
 			pg := simrt.NewGroup(c.Sim)
 			pg.Add(nProcs)
@@ -111,40 +109,19 @@ func Run(c *cluster.Cluster, cfg Config) Result {
 			}
 			pg.Wait(p)
 		}
-		c.Quiesce(p)
-		start = p.Now()
-		msgs0 = c.Net.Stats().Messages
-		for i := 0; i < nProcs; i++ {
-			gate.Send(struct{}{})
+	}, nProcs, func(p *simrt.Proc, i int) {
+		if cfg.Pipeline > 1 {
+			res.Errors += pipelinedWorker(p, c, c.Proc(i), &dirIno, cfg, i)
+		} else {
+			res.Errors += sequentialWorker(p, c, c.Proc(i), &dirIno, cfg, i)
 		}
 	})
 
-	for i := 0; i < nProcs; i++ {
-		i := i
-		pr := c.Proc(i)
-		c.Sim.Spawn(fmt.Sprintf("metarates/p%d", i), func(p *simrt.Proc) {
-			gate.Recv(p)
-			if cfg.Pipeline > 1 {
-				res.Errors += pipelinedWorker(p, c, pr, &dirIno, cfg, i)
-			} else {
-				res.Errors += sequentialWorker(p, c, pr, &dirIno, cfg, i)
-			}
-			g.Done()
-		})
-	}
-	c.Sim.Spawn("metarates/controller", func(p *simrt.Proc) {
-		g.Wait(p)
-		end = p.Now()
-		c.Quiesce(p)
-		c.Sim.Stop()
-	})
-	c.Sim.Run()
-
-	res.Elapsed = end - start
+	res.Elapsed = win.End.Sub(win.Start).At
 	if res.Elapsed > 0 {
 		res.Throughput = float64(res.Ops) / res.Elapsed.Seconds()
 	}
-	res.Messages = c.Net.Stats().Messages - msgs0
+	res.Messages = win.Settled.Sub(win.Start).Net.Messages
 	return res
 }
 

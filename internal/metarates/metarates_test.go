@@ -2,8 +2,10 @@ package metarates
 
 import (
 	"testing"
+	"time"
 
 	"cxfs/internal/cluster"
+	"cxfs/internal/obs"
 )
 
 // smallCluster keeps benchmark tests fast: paper ratios of clients to
@@ -32,6 +34,20 @@ func TestRunProducesThroughput(t *testing.T) {
 	}
 	if bad := c.CheckInvariants(); len(bad) != 0 {
 		t.Errorf("invariants: %v", bad)
+	}
+}
+
+// The resource sampler belongs to the measured window, not to one runner:
+// with sampling on it runs under Metarates as it does under a trace replay.
+func TestRunSamplesResources(t *testing.T) {
+	o := cluster.DefaultOptions(2, cluster.ProtoCx)
+	o.ClientHosts, o.ProcsPerHost = 2, 2
+	o.Obs = obs.New(obs.Options{SampleEvery: 10 * time.Millisecond})
+	c := cluster.MustNew(o)
+	defer c.Shutdown()
+	Run(c, Config{Mix: UpdateDominated, OpsPerProc: 10})
+	if s := o.Obs.Series("wal-live-bytes"); s == nil || s.Peak() == 0 {
+		t.Errorf("no wal-live-bytes series sampled under metarates.Run: %+v", s)
 	}
 }
 

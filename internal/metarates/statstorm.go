@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cxfs/internal/cluster"
-	"cxfs/internal/core"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 )
@@ -37,10 +36,11 @@ type StormResult struct {
 	CacheMisses   uint64
 }
 
-// RunStorm builds the tree, quiesces, then measures cfg.Walks full
-// recursive walks per process: every directory component is resolved by
-// name and every file in every level is looked up, exactly the round-trip
-// pattern of a recursive stat sweep. The cluster must be freshly built.
+// RunStorm builds the tree as the setup of one measured window
+// (cluster.Measure), then measures cfg.Walks full recursive walks per
+// process: every directory component is resolved by name and every file in
+// every level is looked up, exactly the round-trip pattern of a recursive
+// stat sweep. The cluster must be freshly built.
 func RunStorm(c *cluster.Cluster, cfg StormConfig) StormResult {
 	nProcs := c.NumProcs()
 	res := StormResult{
@@ -53,18 +53,9 @@ func RunStorm(c *cluster.Cluster, cfg StormConfig) StormResult {
 	// that level.
 	dirName := func(lvl int) string { return fmt.Sprintf("d%d", lvl) }
 	fileName := func(lvl, i int) string { return fmt.Sprintf("s%d.f%d", lvl, i) }
+	errs := make([]int, nProcs)
 
-	var start, end time.Duration
-	var msgs0 uint64
-	var cs0 core.CacheStats
-	var errs []int
-
-	gate := simrt.NewChan[struct{}](c.Sim)
-	g := simrt.NewGroup(c.Sim)
-	g.Add(nProcs)
-	errs = make([]int, nProcs)
-
-	c.Sim.Spawn("storm/setup", func(p *simrt.Proc) {
+	win := c.Measure(func(p *simrt.Proc) {
 		pr := c.Proc(0)
 		dir, err := pr.Mkdir(p, types.RootInode, "storm")
 		if err != nil {
@@ -84,61 +75,40 @@ func RunStorm(c *cluster.Cluster, cfg StormConfig) StormResult {
 		}
 		// The builder's own cache must not subsidize the measured walks.
 		c.FlushCaches()
-		c.Quiesce(p)
-		start = p.Now()
-		msgs0 = c.Net.Stats().Messages
-		cs0 = c.CacheStats()
-		for i := 0; i < nProcs; i++ {
-			gate.Send(struct{}{})
+	}, nProcs, func(p *simrt.Proc, i int) {
+		pr := c.Proc(i)
+		for w := 0; w < cfg.Walks; w++ {
+			dir := types.RootInode
+			in, err := pr.Lookup(p, dir, "storm")
+			res.Lookups++
+			if err != nil {
+				errs[i]++
+				continue
+			}
+			dir = in.Ino
+			for lvl := 0; lvl < cfg.Depth; lvl++ {
+				for j := 0; j < cfg.Files; j++ {
+					res.Lookups++
+					if _, err := pr.Lookup(p, dir, fileName(lvl, j)); err != nil {
+						errs[i]++
+					}
+				}
+				res.Lookups++
+				next, err := pr.Lookup(p, dir, dirName(lvl+1))
+				if err != nil {
+					errs[i]++
+					break
+				}
+				dir = next.Ino
+			}
 		}
 	})
 
-	for i := 0; i < nProcs; i++ {
-		i := i
-		pr := c.Proc(i)
-		c.Sim.Spawn(fmt.Sprintf("storm/p%d", i), func(p *simrt.Proc) {
-			gate.Recv(p)
-			for w := 0; w < cfg.Walks; w++ {
-				dir := types.RootInode
-				in, err := pr.Lookup(p, dir, "storm")
-				res.Lookups++
-				if err != nil {
-					errs[i]++
-					continue
-				}
-				dir = in.Ino
-				for lvl := 0; lvl < cfg.Depth; lvl++ {
-					for j := 0; j < cfg.Files; j++ {
-						res.Lookups++
-						if _, err := pr.Lookup(p, dir, fileName(lvl, j)); err != nil {
-							errs[i]++
-						}
-					}
-					res.Lookups++
-					next, err := pr.Lookup(p, dir, dirName(lvl+1))
-					if err != nil {
-						errs[i]++
-						break
-					}
-					dir = next.Ino
-				}
-			}
-			g.Done()
-		})
-	}
-	c.Sim.Spawn("storm/controller", func(p *simrt.Proc) {
-		g.Wait(p)
-		end = p.Now()
-		c.Quiesce(p)
-		c.Sim.Stop()
-	})
-	c.Sim.Run()
-
-	res.Elapsed = end - start
-	res.Messages = c.Net.Stats().Messages - msgs0
-	cs := c.CacheStats()
-	res.CacheHits = cs.Hits - cs0.Hits
-	res.CacheMisses = cs.Misses - cs0.Misses
+	res.Elapsed = win.End.Sub(win.Start).At
+	whole := win.Settled.Sub(win.Start)
+	res.Messages = whole.Net.Messages
+	res.CacheHits = whole.Cache.Hits
+	res.CacheMisses = whole.Cache.Misses
 	for _, e := range errs {
 		res.Errors += e
 	}

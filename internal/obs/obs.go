@@ -6,7 +6,8 @@
 // The paper's evaluation is entirely about where time goes — sub-op
 // execution vs. synchronous log appends vs. deferred commitment (§IV) —
 // and this package makes that visible per run instead of only as
-// end-of-run counters.
+// end-of-run counters. It keeps no counters of its own: how often a layer
+// did something is that layer's Stats, read through cluster.Counters.
 //
 // Every recording method is nil-safe: a nil *Observer is the disabled
 // default, and the hot path pays exactly one nil check. The simulation is
@@ -221,10 +222,8 @@ type Observer struct {
 	dropped uint64
 
 	phaseCount [numPhases]uint64
-	flush      FlushStats
 
-	series   map[string]*stats.Series
-	counters map[string]uint64
+	series map[string]*stats.Series
 
 	run       int
 	runLabels []string
@@ -236,10 +235,9 @@ func New(o Options) *Observer {
 		o.TraceCap = 1 << 18
 	}
 	return &Observer{
-		opts:     o,
-		hists:    make(map[Key]*Histogram),
-		series:   make(map[string]*stats.Series),
-		counters: make(map[string]uint64),
+		opts:   o,
+		hists:  make(map[Key]*Histogram),
+		series: make(map[string]*stats.Series),
 	}
 }
 
@@ -351,23 +349,6 @@ func (o *Observer) Sample(name string, t time.Duration, v float64) {
 		o.series[name] = s
 	}
 	s.Add(t, v)
-}
-
-// Inc adds delta to the named monotonic counter (cache hits, lease
-// revocations, ...). Nil-safe.
-func (o *Observer) Inc(name string, delta uint64) {
-	if o == nil {
-		return
-	}
-	o.counters[name] += delta
-}
-
-// Counter returns the named counter's value (0 if absent). Nil-safe.
-func (o *Observer) Counter(name string) uint64 {
-	if o == nil {
-		return 0
-	}
-	return o.counters[name]
 }
 
 // Series returns the named sample series (nil if absent). Nil-safe.

@@ -33,6 +33,19 @@ func TestNilObserverIsSafe(t *testing.T) {
 	if err := o.WriteChromeTrace(&buf); err != nil {
 		t.Errorf("nil WriteChromeTrace: %v", err)
 	}
+	// "Observer off" costs the engines nothing: no recording method
+	// allocates on the nil default.
+	if allocs := testing.AllocsPerRun(100, func() {
+		o.BeginRun("x")
+		o.RecordOp(types.OpCreate, "cx", OutcomeComplete, types.OpID{}, 0, 0, time.Millisecond)
+		o.OpIssued(0, 0, types.OpID{}, types.OpCreate)
+		o.OpDone("cx", 0, types.OpID{}, types.OpCreate, 0, time.Millisecond, nil, false)
+		o.Emit(0, 0, types.OpID{}, PhaseExec, "")
+		o.Span(0, time.Millisecond, 0, types.OpID{}, PhaseExec, "")
+		o.Sample("s", 0, 1)
+	}); allocs != 0 {
+		t.Errorf("recording on a nil observer allocates %.1f times per op, want 0", allocs)
+	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {

@@ -22,8 +22,8 @@ type Result struct {
 	Bytes      int64
 	Conflicts  uint64 // Cx only: sub-ops blocked on active objects
 
-	// Resource deltas measured across the replay window only (setup and
-	// quiesce excluded), for the harness's breakdowns.
+	// Resource deltas across the replay window only (setup and the final
+	// quiesce excluded).
 	DiskBusy   time.Duration
 	DiskPasses uint64
 	WALAppends uint64
@@ -58,10 +58,6 @@ type Replayer struct {
 	// KindLat, when non-nil, collects per-kind operation latencies for
 	// diagnostics and the harness's latency breakdowns.
 	KindLat map[Kind][]time.Duration
-	// Background procs are spawned alongside the workload — samplers for
-	// the Figure 7b valid-record series run here. They are killed when the
-	// simulation shuts down.
-	Background []func(p *simrt.Proc)
 
 	dirs   map[int]types.InodeID
 	files  map[int]fileBinding
@@ -94,9 +90,10 @@ func paddedName(prefix string, id, width int) string {
 	return string(append(b, d...))
 }
 
-// Run replays the trace and returns its result. It must be called from
-// outside the simulation; it spawns the replay processes, runs the
-// simulation to completion, quiesces, and checks nothing leaked.
+// Run replays the trace as one measured window (cluster.Measure) and returns
+// its result. It must be called from outside the simulation, on a freshly
+// built cluster: the static directories are the window's setup, every trace
+// process is one worker.
 func (r *Replayer) Run() Result {
 	t, c := r.Trace, r.C
 	if t.Profile.Procs > c.NumProcs() {
@@ -115,31 +112,7 @@ func (r *Replayer) Run() Result {
 		static += t.Profile.Procs
 	}
 
-	var start, end time.Duration
-	var msgStart = c.Net.Stats()
-	snapshot := func() (busy time.Duration, passes, appends, syncs, flushed uint64) {
-		for _, b := range c.Bases {
-			ds := b.Disk.Stats()
-			busy += ds.BusyTime
-			passes += ds.MechOps
-			appends += b.WAL.Stats().Appends
-			syncs += b.KV.Stats().SyncWrites
-			flushed += b.KV.Stats().FlushPages
-		}
-		return
-	}
-	var busy0 time.Duration
-	var passes0, app0, sync0, flush0 uint64
-
-	g := simrt.NewGroup(c.Sim)
-	g.Add(t.Profile.Procs)
-
-	if c.Opts.Obs.SamplingOn() {
-		c.Sim.Spawn("replay/sampler", c.SamplerProc())
-	}
-
-	setup := simrt.NewChan[struct{}](c.Sim)
-	c.Sim.Spawn("replay/setup", func(p *simrt.Proc) {
+	win := c.Measure(func(p *simrt.Proc) {
 		pr := c.Proc(0)
 		for d := 0; d < static; d++ {
 			ino, err := pr.Mkdir(p, types.RootInode, dirName(d))
@@ -148,60 +121,33 @@ func (r *Replayer) Run() Result {
 			}
 			r.dirs[d] = ino
 		}
-		c.Quiesce(p) // settle setup so it does not pollute measurements
-		start = p.Now()
-		msgStart = c.Net.Stats()
-		busy0, passes0, app0, sync0, flush0 = snapshot()
-		for i := 0; i < t.Profile.Procs; i++ {
-			setup.Send(struct{}{})
+	}, t.Profile.Procs, func(p *simrt.Proc, pi int) {
+		pr := c.Proc(pi)
+		for _, rec := range t.PerProc[pi] {
+			opStart := p.Now()
+			r.playOne(p, pr, rec, &res)
+			if r.KindLat != nil {
+				r.KindLat[rec.Kind] = append(r.KindLat[rec.Kind], p.Now()-opStart)
+			}
+			if r.ExtraSharedReads > 0 {
+				// Deterministic per-op injection using the sim RNG.
+				if c.Sim.Rand().Float64() < r.ExtraSharedReads {
+					r.injectSharedRead(p, pr, pi, &res)
+				}
+			}
 		}
 	})
 
-	for pi := 0; pi < t.Profile.Procs; pi++ {
-		pi := pi
-		pr := c.Proc(pi)
-		c.Sim.Spawn(fmt.Sprintf("replay/p%d", pi), func(p *simrt.Proc) {
-			setup.Recv(p)
-			for _, rec := range t.PerProc[pi] {
-				opStart := p.Now()
-				r.playOne(p, pr, rec, &res)
-				if r.KindLat != nil {
-					r.KindLat[rec.Kind] = append(r.KindLat[rec.Kind], p.Now()-opStart)
-				}
-				if r.ExtraSharedReads > 0 {
-					// Deterministic per-op injection using the sim RNG.
-					if c.Sim.Rand().Float64() < r.ExtraSharedReads {
-						r.injectSharedRead(p, pr, pi, &res)
-					}
-				}
-			}
-			g.Done()
-		})
-	}
-	for i, bg := range r.Background {
-		c.Sim.Spawn(fmt.Sprintf("replay/bg%d", i), bg)
-	}
-	c.Sim.Spawn("replay/controller", func(p *simrt.Proc) {
-		g.Wait(p)
-		end = p.Now()
-		busy1, passes1, app1, sync1, flush1 := snapshot()
-		res.DiskBusy = busy1 - busy0
-		res.DiskPasses = passes1 - passes0
-		res.WALAppends = app1 - app0
-		res.KVSyncs = sync1 - sync0
-		res.KVFlushed = flush1 - flush0
-		c.Quiesce(p)
-		c.Sim.Stop()
-	})
-	c.Sim.Run()
-
-	res.ReplayTime = end - start
-	st := c.Net.Stats().Sub(msgStart)
-	res.Messages = st.Messages
-	res.Bytes = st.Bytes
-	for _, srv := range c.CxSrv {
-		res.Conflicts += srv.Stats().Conflicts
-	}
+	timed, whole := win.End.Sub(win.Start), win.Settled.Sub(win.Start)
+	res.ReplayTime = timed.At
+	res.DiskBusy = timed.Disk.BusyTime
+	res.DiskPasses = timed.Disk.MechOps
+	res.WALAppends = timed.WAL.Appends
+	res.KVSyncs = timed.KV.SyncWrites
+	res.KVFlushed = timed.KV.FlushPages
+	res.Messages = whole.Net.Messages
+	res.Bytes = whole.Net.Bytes
+	res.Conflicts = win.Settled.Core.Conflicts // whole run, setup included
 	return res
 }
 

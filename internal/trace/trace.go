@@ -20,7 +20,9 @@
 // A trace is a per-process list of operations over a symbolic file
 // namespace; the Replayer binds symbols to real inodes at run time and
 // drives one closed-loop simulated process per trace process, exactly like
-// the paper's trace replays.
+// the paper's trace replays. A replay is one cluster.Measure window: replay
+// time and the resource deltas are taken at the last process's finish,
+// messages and bytes after the final quiesce.
 package trace
 
 import (

@@ -77,28 +77,6 @@ type Stats struct {
 	Delayed uint64
 }
 
-// Total returns the total message count (convenience for Table IV).
-func (s Stats) Total() uint64 { return s.Messages }
-
-// Sub returns s minus earlier, for before/after snapshots.
-func (s Stats) Sub(earlier Stats) Stats {
-	out := Stats{
-		Messages:          s.Messages - earlier.Messages,
-		Bytes:             s.Bytes - earlier.Bytes,
-		DroppedDown:       s.DroppedDown - earlier.DroppedDown,
-		DroppedUnroutable: s.DroppedUnroutable - earlier.DroppedUnroutable,
-		DroppedInvalid:    s.DroppedInvalid - earlier.DroppedInvalid,
-		DroppedFault:      s.DroppedFault - earlier.DroppedFault,
-		DroppedPartition:  s.DroppedPartition - earlier.DroppedPartition,
-		Duplicated:        s.Duplicated - earlier.Duplicated,
-		Delayed:           s.Delayed - earlier.Delayed,
-	}
-	for i := range s.ByType {
-		out.ByType[i] = s.ByType[i] - earlier.ByType[i]
-	}
-	return out
-}
-
 // Faults is the per-link fault model. Probabilities are in [0,1] and are
 // drawn independently per message in a fixed order (drop, then duplicate,
 // then delay) from the simulation RNG, so a seed fully determines the

@@ -81,20 +81,6 @@ func TestStatsCountByType(t *testing.T) {
 	}
 }
 
-func TestStatsSub(t *testing.T) {
-	a := Stats{Messages: 10, Bytes: 100, DroppedDown: 5, DroppedUnroutable: 3}
-	a.ByType[wire.MsgVote] = 4
-	b := Stats{Messages: 3, Bytes: 30, DroppedDown: 2, DroppedUnroutable: 1}
-	b.ByType[wire.MsgVote] = 1
-	d := a.Sub(b)
-	if d.Messages != 7 || d.Bytes != 70 || d.ByType[wire.MsgVote] != 3 {
-		t.Errorf("diff=%+v", d)
-	}
-	if d.DroppedDown != 3 || d.DroppedUnroutable != 2 {
-		t.Errorf("drop counters not subtracted: %+v", d)
-	}
-}
-
 func TestDownNodeDropsMessages(t *testing.T) {
 	s := simrt.New(1)
 	n := New(s, DefaultParams())

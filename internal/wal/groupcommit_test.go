@@ -91,9 +91,6 @@ func TestGroupCommitFlushHookAndLingerBound(t *testing.T) {
 	if w.GroupLinger() != linger {
 		t.Fatalf("GroupLinger=%v", w.GroupLinger())
 	}
-	var hookBatches, hookRecords int
-	var hookBytes int64
-	w.SetFlushHook(func(b, r int, bytes int64) { hookBatches += b; hookRecords += r; hookBytes += bytes })
 	var done time.Duration
 	for i := 0; i < 4; i++ {
 		client := types.NodeID(i)
@@ -106,11 +103,9 @@ func TestGroupCommitFlushHookAndLingerBound(t *testing.T) {
 	}
 	s.Run()
 	s.Shutdown()
-	if hookBatches != 4 || hookRecords != 4 {
-		t.Errorf("flush hook saw batches=%d records=%d, want 4/4", hookBatches, hookRecords)
-	}
-	if hookBytes != w.Stats().BytesWritten {
-		t.Errorf("flush hook bytes=%d, stats say %d", hookBytes, w.Stats().BytesWritten)
+	// Every caller request and every record is counted in a group flush.
+	if st := w.Stats(); st.GroupedReqs != 4 || st.Records != 4 || st.GroupFlushes == 0 || st.GroupFlushes != st.Appends {
+		t.Errorf("stats after 4 grouped appends: %+v, want GroupedReqs=4 Records=4 and every append a group flush", st)
 	}
 	// The appenders must not park longer than linger + one disk write.
 	if ceiling := linger + 4*SyncDelay(d); done > ceiling {

@@ -149,7 +149,6 @@ type WAL struct {
 	window    []flushReq
 	winBytes  int64 // bytes parked in the window, counted by the space gate
 	flusherOn bool
-	flushHook func(batches, records int, bytes int64)
 
 	stats Stats
 }
@@ -179,11 +178,6 @@ func (w *WAL) SetGroupCommit(linger time.Duration) { w.linger = linger }
 
 // GroupLinger returns the configured group-commit linger (0 = disabled).
 func (w *WAL) GroupLinger() time.Duration { return w.linger }
-
-// SetFlushHook registers fn to be invoked after each successful group-commit
-// flush with the number of caller batches coalesced, the records written,
-// and the bytes of the single disk request. Observability wiring.
-func (w *WAL) SetFlushHook(fn func(batches, records int, bytes int64)) { w.flushHook = fn }
 
 // MaxBytes returns the log's live-byte limit (0 = unlimited); the Cx core
 // compares LiveBytes with it to start commitment before the log fills.
@@ -318,9 +312,6 @@ func (w *WAL) flusher(p *simrt.Proc) {
 			w.stats.BytesWritten += total
 			w.stats.GroupFlushes++
 			w.stats.GroupedReqs += uint64(len(batch))
-			if w.flushHook != nil {
-				w.flushHook(len(batch), records, total)
-			}
 		}
 		for _, fr := range batch {
 			fr.done.Fire()
