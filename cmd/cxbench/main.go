@@ -52,6 +52,7 @@ import (
 	"cxfs/internal/chaos"
 	"cxfs/internal/cluster"
 	"cxfs/internal/harness"
+	"cxfs/internal/node"
 	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
@@ -297,7 +298,7 @@ func disorderProbe(obsv *obs.Observer, seed int64) error {
 		// the lazy commitment and WAL pruning run too.
 		g := simrt.NewGroup(c.Sim)
 		g.Add(2)
-		drain := func(route *simrt.Chan[wire.Msg]) func(*simrt.Proc) {
+		drain := func(route *node.Route) func(*simrt.Proc) {
 			return func(dp *simrt.Proc) {
 				defer g.Done()
 				(&probeCollector{route: route, coord: coord}).run(dp, 30*time.Second)
@@ -337,7 +338,7 @@ func findSharedPlacement(c *cluster.Cluster, pr *cluster.Process) (name string, 
 // probeCollector drains one raw client's response route until the op
 // settles (both sub-op replies present and not voided) or the deadline.
 type probeCollector struct {
-	route    *simrt.Chan[wire.Msg]
+	route    *node.Route
 	coord    types.NodeID
 	haveC    bool
 	haveP    bool

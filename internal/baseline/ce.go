@@ -35,14 +35,14 @@ func NewCEServer(base *node.Base, pl namespace.Placement) *CEServer {
 	}
 }
 
-// Start launches the inbox loop and the database checkpointer (CE applies
+// Start serves the inbox and launches the database checkpointer (CE applies
 // synchronously through the journal).
 func (s *CEServer) Start() {
 	s.Base.Start(s.handle)
 	s.KV.StartCheckpointer(10 * time.Second)
 }
 
-func (s *CEServer) handle(p *simrt.Proc, m wire.Msg) {
+func (s *CEServer) handle(p *simrt.Proc, m *wire.Msg) {
 	switch m.Type {
 	case wire.MsgOpReq:
 		s.coordinate(p, m)
@@ -56,7 +56,7 @@ func (s *CEServer) handle(p *simrt.Proc, m wire.Msg) {
 }
 
 // coordinate migrates, executes locally, migrates back, responds.
-func (s *CEServer) coordinate(p *simrt.Proc, m wire.Msg) {
+func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	op := m.FullOp
 	if op.Kind == types.OpReaddir {
 		s.ServeReaddir(m)
@@ -165,7 +165,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m wire.Msg) {
 
 // lendRows ships the requested rows to the coordinator and locks them here
 // until they come back.
-func (s *CEServer) lendRows(p *simrt.Proc, m wire.Msg) {
+func (s *CEServer) lendRows(p *simrt.Proc, m *wire.Msg) {
 	if _, lent := s.migrated[m.Op]; lent {
 		// Retransmitted MigrateReq: the rows are already lent out; resend the
 		// current copies without re-acquiring the locks the loan holds.
@@ -194,7 +194,7 @@ func (s *CEServer) copyRows(keys []string) []types.RowImage {
 
 // reinstallRows takes the updated rows back, persists them synchronously,
 // and unlocks.
-func (s *CEServer) reinstallRows(p *simrt.Proc, m wire.Msg) {
+func (s *CEServer) reinstallRows(p *simrt.Proc, m *wire.Msg) {
 	var dirty []string
 	for _, r := range m.Rows {
 		if r.Val == nil {

@@ -65,7 +65,7 @@ func NewSEServer(base *node.Base, pl namespace.Placement, batched bool, flushTim
 // without a lease.
 func (s *SEServer) SetLeaseTTL(ttl time.Duration) { s.leaseTTL = ttl }
 
-// Start launches the inbox loop plus the write-back daemon: the batched
+// Start serves the inbox and launches the write-back daemon: the batched
 // flush daemon in OFS-batched mode, or the database checkpointer in plain
 // sync mode (BDB journal appends defer the in-place page writes to it).
 func (s *SEServer) Start() {
@@ -106,7 +106,7 @@ func (s *SEServer) flushLocal(p *simrt.Proc) {
 	}
 }
 
-func (s *SEServer) handle(p *simrt.Proc, m wire.Msg) {
+func (s *SEServer) handle(p *simrt.Proc, m *wire.Msg) {
 	switch m.Type {
 	case wire.MsgSubOpReq:
 		s.handleSubOp(p, m)
@@ -122,7 +122,7 @@ func (s *SEServer) handle(p *simrt.Proc, m wire.Msg) {
 // handleLookup serves the leased read path. SE executes serially and
 // persists before replying, so resolving straight from the shard is safe;
 // there is no active-object table to park behind.
-func (s *SEServer) handleLookup(p *simrt.Proc, m wire.Msg) {
+func (s *SEServer) handleLookup(p *simrt.Proc, m *wire.Msg) {
 	s.ExecCPU(p)
 	if s.Crashed() {
 		return
@@ -155,7 +155,7 @@ func (s *SEServer) persist(p *simrt.Proc, id types.OpID, sub types.SubOp, res na
 	s.localOps = append(s.localOps, localFlush{id: id, rows: res.Rows})
 }
 
-func (s *SEServer) handleSubOp(p *simrt.Proc, m wire.Msg) {
+func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	sub := m.Sub
 	mutating := sub.Action.Mutating()
 	if mutating {
@@ -199,7 +199,7 @@ func (s *SEServer) retainUndo(id types.OpID, e pendingExec) {
 // handleClear compensates a participant sub-op whose coordinator-side
 // failed (§II.B: "the process withdraws the former sub-ops by sending a
 // CLEAR message").
-func (s *SEServer) handleClear(p *simrt.Proc, m wire.Msg) {
+func (s *SEServer) handleClear(p *simrt.Proc, m *wire.Msg) {
 	if e, ok := s.pendingUndo[m.Op]; ok {
 		delete(s.pendingUndo, m.Op)
 		s.Shard.ApplyUndo(e.undo)
@@ -217,7 +217,7 @@ func (s *SEServer) handleClear(p *simrt.Proc, m wire.Msg) {
 
 // handleLocalOp executes a colocated cross-server op or a single-server
 // update locally.
-func (s *SEServer) handleLocalOp(p *simrt.Proc, m wire.Msg) {
+func (s *SEServer) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	op := m.FullOp
 	if op.Kind == types.OpReaddir {
 		s.ServeReaddir(m)

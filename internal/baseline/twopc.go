@@ -35,14 +35,14 @@ func NewTwoPCServer(base *node.Base, pl namespace.Placement) *TwoPCServer {
 	}
 }
 
-// Start launches the inbox loop and the database checkpointer (2PC applies
+// Start serves the inbox and launches the database checkpointer (2PC applies
 // synchronously through the journal).
 func (s *TwoPCServer) Start() {
 	s.Base.Start(s.handle)
 	s.KV.StartCheckpointer(10 * time.Second)
 }
 
-func (s *TwoPCServer) handle(p *simrt.Proc, m wire.Msg) {
+func (s *TwoPCServer) handle(p *simrt.Proc, m *wire.Msg) {
 	switch m.Type {
 	case wire.MsgOpReq:
 		s.coordinate(p, m)
@@ -56,7 +56,7 @@ func (s *TwoPCServer) handle(p *simrt.Proc, m wire.Msg) {
 }
 
 // coordinate runs the whole transaction for one client operation.
-func (s *TwoPCServer) coordinate(p *simrt.Proc, m wire.Msg) {
+func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	op := m.FullOp
 	if op.Kind == types.OpReaddir {
 		s.ServeReaddir(m)
@@ -166,7 +166,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m wire.Msg) {
 }
 
 // participantVote executes the assigned sub-op, logs, and votes (phase 1).
-func (s *TwoPCServer) participantVote(p *simrt.Proc, m wire.Msg) {
+func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
 	if _, pending := s.pendingPart[m.Op]; pending {
 		// Retransmitted VOTE: answer from the pending execution (only a
 		// successful one is kept) instead of re-acquiring locks it holds.
@@ -197,7 +197,7 @@ func (s *TwoPCServer) participantVote(p *simrt.Proc, m wire.Msg) {
 }
 
 // participantDecide applies the coordinator's decision (phase 2).
-func (s *TwoPCServer) participantDecide(p *simrt.Proc, m wire.Msg) {
+func (s *TwoPCServer) participantDecide(p *simrt.Proc, m *wire.Msg) {
 	commit := len(m.Decisions) > 0 && m.Decisions[0].Commit
 	s.applyDecision(p, m.Op, commit)
 	if s.CrashPoint("2pc:before-ack", m.Op) {

@@ -21,19 +21,20 @@ import (
 // bytes, dirty rows, outstanding leases — are not here; read them where
 // they live.
 type Counters struct {
-	At     time.Duration // virtual time of the reading
-	Events uint64        // simulator events dispatched
-	Net    transport.Stats
-	Node   node.Stats
-	Core   core.Stats // zero under the baselines
-	Cache  core.CacheStats
-	WAL    wal.Stats
-	KV     kvstore.Stats
-	Disk   disk.Stats
+	At      time.Duration // virtual time of the reading
+	Events  uint64        // simulator events dispatched
+	Resumes uint64        // of which switched to a proc (host cost, not model)
+	Net     transport.Stats
+	Node    node.Stats
+	Core    core.Stats // zero under the baselines
+	Cache   core.CacheStats
+	WAL     wal.Stats
+	KV      kvstore.Stats
+	Disk    disk.Stats
 }
 
-// ServerCounters reads server i alone. At, Events, Net and Cache belong to
-// no one server and stay zero.
+// ServerCounters reads server i alone. At, Events, Resumes, Net and Cache
+// belong to no one server and stay zero.
 func (c *Cluster) ServerCounters(i int) Counters {
 	b := c.Bases[i]
 	out := Counters{Node: b.Stats(), WAL: b.WAL.Stats(), KV: b.KV.Stats(), Disk: b.Disk.Stats()}
@@ -46,7 +47,8 @@ func (c *Cluster) ServerCounters(i int) Counters {
 // Counters reads the whole cluster: every server's counters summed, plus
 // the network, the client caches and the simulator's event count.
 func (c *Cluster) Counters() Counters {
-	out := Counters{At: c.Sim.Now(), Events: c.Sim.EventsRun(), Net: c.Net.Stats(), Cache: c.CacheStats()}
+	out := Counters{At: c.Sim.Now(), Events: c.Sim.EventsRun(), Resumes: c.Sim.Resumes(),
+		Net: c.Net.Stats(), Cache: c.CacheStats()}
 	for i := range c.Bases {
 		accumulate(&out, c.ServerCounters(i), 1)
 	}

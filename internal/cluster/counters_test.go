@@ -97,7 +97,8 @@ func TestCountersAreTheSumOfTheirParts(t *testing.T) {
 	got := c.Counters()
 
 	// The definition: every server's reading, plus what no one server owns.
-	want := Counters{At: c.Sim.Now(), Events: c.Sim.EventsRun(), Net: c.Net.Stats(), Cache: c.CacheStats()}
+	want := Counters{At: c.Sim.Now(), Events: c.Sim.EventsRun(), Resumes: c.Sim.Resumes(),
+		Net: c.Net.Stats(), Cache: c.CacheStats()}
 	for i := range c.Bases {
 		accumulate(&want, c.ServerCounters(i), 1)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cxfs/internal/simrt"
+	"cxfs/internal/transport"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
 )
@@ -51,29 +52,12 @@ func NewFailureDetector(c *Cluster, interval, timeout time.Duration) *FailureDet
 	}
 	// The detector node sits after every server and client host.
 	d.id = types.NodeID(c.Opts.Servers + c.Opts.ClientHosts + 1)
-	inbox := c.Net.Register(d.id)
 	now := c.Sim.Now()
 	for srv := 0; srv < c.Opts.Servers; srv++ {
 		d.lastPong[types.NodeID(srv)] = now
 	}
-	c.Sim.Spawn("failure-detector/recv", func(p *simrt.Proc) {
-		for {
-			m, ok := inbox.RecvOK(p)
-			if !ok {
-				return
-			}
-			if m.Type != wire.MsgPong {
-				continue
-			}
-			d.lastPong[m.From] = p.Now()
-			if d.suspected[m.From] {
-				d.suspected[m.From] = false
-				if d.OnRecover != nil {
-					d.OnRecover(m.From, p.Now())
-				}
-			}
-		}
-	})
+	// Taking a pong never blocks, so the inbox is served, not read by a proc.
+	c.Net.Register(d.id).Serve(d.receive)
 	c.Sim.Spawn("failure-detector/ping", func(p *simrt.Proc) {
 		for {
 			for srv := 0; srv < c.Opts.Servers; srv++ {
@@ -97,6 +81,23 @@ func NewFailureDetector(c *Cluster, interval, timeout time.Duration) *FailureDet
 		}
 	})
 	return d
+}
+
+// receive notes a pong: the server is alive now, and no longer suspected.
+func (d *FailureDetector) receive(pk *transport.Packet) {
+	from, pong := pk.From, pk.Type == wire.MsgPong
+	pk.Release()
+	if !pong {
+		return
+	}
+	now := d.c.Sim.Now()
+	d.lastPong[from] = now
+	if d.suspected[from] {
+		d.suspected[from] = false
+		if d.OnRecover != nil {
+			d.OnRecover(from, now)
+		}
+	}
 }
 
 // Suspected reports whether the detector currently believes srv is down.

@@ -79,7 +79,7 @@ func NewCache(capacity int) *Cache {
 // consumed before the per-op reply routes (it must never leak into an op's
 // reply channel when its ID collides with an open route).
 func (c *Cache) Attach(host *node.Host) {
-	host.SetNotify(func(m wire.Msg) bool {
+	host.SetNotify(func(m *wire.Msg) bool {
 		if m.Type == wire.MsgConflictNotify && m.Path != "" {
 			c.Revoke(m.Dir, m.Path, m.From, m.LeaseEpoch)
 			return true

@@ -475,7 +475,7 @@ func opSetEqual(a, b []types.OpID) bool {
 // handleVote answers a batched VOTE (§III.B step 4): each vote reflects the
 // Result-Record of the corresponding sub-op, resolving blocked or in-flight
 // sub-ops first per the conflict rules.
-func (s *Server) handleVote(p *simrt.Proc, m wire.Msg) {
+func (s *Server) handleVote(p *simrt.Proc, m *wire.Msg) {
 	boot := s.Boot()
 	enforce := make(map[types.OpID]bool, len(m.Enforce))
 	for _, id := range m.Enforce {
@@ -527,7 +527,7 @@ func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce 
 						return false
 					}
 					s.unblock(br)
-					s.execSubOp(p, br.msg, types.NilOp, br.epoch)
+					s.execSubOp(p, &br.msg, types.NilOp, br.epoch)
 					if s.Gone(boot) {
 						return false
 					}
@@ -568,7 +568,7 @@ func (s *Server) canInvalidate(op types.OpID) bool {
 // Commit/Abort-Records land in one batched append, aborted executions roll
 // back, the batch's rows flush together, and followers release. Idempotent:
 // decisions for operations already finished here are re-ACKed blindly.
-func (s *Server) handleCommitReq(p *simrt.Proc, m wire.Msg) {
+func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	boot := s.Boot()
 	// done lists the executions this request finishes, with what each needs
 	// once the decision records are durable.

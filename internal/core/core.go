@@ -29,7 +29,7 @@
 // a bumped execution epoch), then executes the voted operation.
 //
 // This package is that protocol and nothing else. What any metadata server
-// or client needs whatever its protocol — hardware, inbox loop, crash and
+// or client needs whatever its protocol — hardware, served inbox, crash and
 // reboot, at-most-once execution of retried requests, the lease service,
 // reply routes between servers, the retrying client RPC — is the chassis in
 // internal/node, which the baselines run on unchanged; Cx adds to its
@@ -435,7 +435,7 @@ func (s *Server) pressureRound() {
 // Rather than commit only those, the coordinator runs a full lazy batch of
 // its own — the round is going to pay the commitment messages and the disk
 // pass anyway, and everything else pending here rides along.
-func (s *Server) joinPressureRound(m wire.Msg) {
+func (s *Server) joinPressureRound(m *wire.Msg) {
 	for _, op := range m.Ops {
 		if s.pendingCoord[op] == nil {
 			// In flight, finished or aborted here: the per-op path remembers
@@ -446,7 +446,7 @@ func (s *Server) joinPressureRound(m wire.Msg) {
 	s.KickCommit()
 }
 
-// Start launches the inbox loop and the commitment trigger daemon.
+// Start serves the inbox and launches the commitment trigger daemon.
 func (s *Server) Start() {
 	s.Base.Start(s.handle)
 	// The log is full and an arrival is parked: the same round a crossing
@@ -486,7 +486,7 @@ func (s *Server) idleDaemon(p *simrt.Proc) {
 // persisted — and keeps dropping *client* traffic until the whole §V
 // recovery finishes ("the whole file system stops responding new
 // requests"). Peers retry VOTE and COMMIT-REQ, so nothing is lost.
-func (s *Server) handle(p *simrt.Proc, m wire.Msg) {
+func (s *Server) handle(p *simrt.Proc, m *wire.Msg) {
 	if s.NeedsRecovery() {
 		return
 	}

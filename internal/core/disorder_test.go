@@ -10,6 +10,7 @@ import (
 
 	"cxfs/internal/cluster"
 	"cxfs/internal/core"
+	"cxfs/internal/node"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
@@ -33,7 +34,7 @@ func findSharedPlacement(c *cluster.Cluster, pr *cluster.Process) (name string, 
 // collectCross emulates one client process's response collection for a
 // cross-server op issued raw: returns ok and the number of responses seen.
 type collector struct {
-	route      *simrt.Chan[wire.Msg]
+	route      *node.Route
 	coord      types.NodeID
 	haveC      bool
 	haveP      bool

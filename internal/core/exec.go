@@ -12,7 +12,7 @@ import (
 // handleSubOp is step 2 of the basic protocol: check for conflicts, execute,
 // log the Result-Record, and answer YES/NO immediately.
 
-func (s *Server) handleSubOp(p *simrt.Proc, m wire.Msg) {
+func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	s.lastArrive = s.Sim.Now()
 	sub := m.Sub
 	// §III.D: at the log limit new arrivals wait for pruning. They wait
@@ -121,13 +121,13 @@ func (s *Server) clearUnlogged(after []types.RowImage) {
 
 // block parks a sub-op behind the pending operation holding its object and
 // launches an immediate commitment for that operation (§III.C step 2).
-func (s *Server) block(m wire.Msg, holder types.OpID, epoch uint32) {
+func (s *Server) block(m *wire.Msg, holder types.OpID, epoch uint32) {
 	s.stats.Conflicts++
 	if s.cfg.Obs.TraceOn() {
 		s.cfg.Obs.Emit(s.Sim.Now(), int(s.ID), m.Sub.Op, obs.PhaseConflictOrdered,
 			"behind "+holder.String())
 	}
-	br := &blockedReq{msg: m, holder: holder, epoch: epoch}
+	br := &blockedReq{msg: *m, holder: holder, epoch: epoch}
 	s.waiters[holder] = append(s.waiters[holder], br)
 	if m.Sub.Kind.CrossServer() {
 		s.blockedOf[m.Sub.Op] = br
@@ -157,7 +157,7 @@ func (s *Server) unblock(br *blockedReq) {
 
 // execSubOp executes one sub-op, logs it, registers pending state, and
 // replies with the conflict hint and execution epoch.
-func (s *Server) execSubOp(p *simrt.Proc, m wire.Msg, hint types.OpID, epoch uint32) {
+func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, hint types.OpID, epoch uint32) {
 	sub := m.Sub
 	if !s.Begin(sub.Op, m.From) {
 		return // a copy of this sub-op is already mid-execution
@@ -363,15 +363,15 @@ func (s *Server) redispatch(p *simrt.Proc, br *blockedReq, released types.OpID) 
 	}
 	if br.msg.Type == wire.MsgOpReq {
 		// A blocked colocated compound op re-runs through the local path.
-		s.handleLocalOp(p, br.msg)
+		s.handleLocalOp(p, &br.msg)
 		return
 	}
 	if br.msg.Type == wire.MsgLookupReq {
 		// A parked leased read re-resolves now that the holder committed.
-		s.handleLookup(p, br.msg)
+		s.handleLookup(p, &br.msg)
 		return
 	}
-	s.execSubOp(p, br.msg, released, br.epoch)
+	s.execSubOp(p, &br.msg, released, br.epoch)
 }
 
 // invalidate undoes an executed-but-uncommitted operation at this server
@@ -425,7 +425,7 @@ func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID
 // At-most-once for retrying clients, beyond the chassis's Begin: a duplicate
 // of an operation parked behind a conflict (blockedOf) or being re-driven by
 // recovery (pendingCoord) is dropped — the original owns the eventual reply.
-func (s *Server) handleLocalOp(p *simrt.Proc, m wire.Msg) {
+func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	op := m.FullOp
 	if op.Kind == types.OpReaddir {
 		s.ServeReaddir(m)
@@ -446,7 +446,7 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m wire.Msg) {
 // runLocalOp is handleLocalOp past the duplicate gate; redispatch of a
 // previously parked OpReq re-enters here through handleLocalOp (its gate
 // entries were cleared on release).
-func (s *Server) runLocalOp(p *simrt.Proc, m wire.Msg) {
+func (s *Server) runLocalOp(p *simrt.Proc, m *wire.Msg) {
 	boot := s.Boot()
 	op := m.FullOp
 	if op.Kind == types.OpRename {
@@ -463,7 +463,7 @@ func (s *Server) runLocalOp(p *simrt.Proc, m wire.Msg) {
 		// overwrite another process's uncommitted objects.
 		for _, sub := range []types.SubOp{cSub, pSub} {
 			if holder, held := s.heldBy(sub); held {
-				s.block(wire.Msg{Type: wire.MsgOpReq, From: m.From, To: s.ID, Op: op.ID, FullOp: op, Sub: sub}, holder, 1)
+				s.block(&wire.Msg{Type: wire.MsgOpReq, From: m.From, To: s.ID, Op: op.ID, FullOp: op, Sub: sub}, holder, 1)
 				return
 			}
 		}

@@ -10,7 +10,7 @@ import (
 // key the mutation path holds active, so a lookup racing an uncommitted
 // create/remove blocks behind it (and forces its commitment) instead of
 // leasing a provisional value.
-func lookupSub(m wire.Msg) types.SubOp {
+func lookupSub(m *wire.Msg) types.SubOp {
 	return types.SubOp{
 		Op: m.Op, Kind: types.OpLookup, Role: types.RoleCoordinator,
 		Action: types.ActReadEntry, Parent: m.Dir, Name: m.Path,
@@ -21,12 +21,11 @@ func lookupSub(m wire.Msg) types.SubOp {
 // lookup touching an active object parks behind the holder exactly like a
 // sub-op would — redispatch re-enters here once the holder commits — and the
 // mutation paths revoke the moment an entry becomes active (hold).
-func (s *Server) handleLookup(p *simrt.Proc, m wire.Msg) {
+func (s *Server) handleLookup(p *simrt.Proc, m *wire.Msg) {
 	sub := lookupSub(m)
 	if holder, held := s.heldBy(sub); held {
-		lm := m
-		lm.Sub = sub
-		s.block(lm, holder, 1)
+		m.Sub = sub // the parked copy conflicts on it again at redispatch
+		s.block(m, holder, 1)
 		return
 	}
 	boot := s.Boot()

@@ -31,7 +31,7 @@ import (
 
 // handleRename coordinates one rename transaction; m.FullOp carries the
 // operation, and this server owns the source entry.
-func (s *Server) handleRename(p *simrt.Proc, m wire.Msg) {
+func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 	boot := s.Boot()
 	op := m.FullOp
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
@@ -51,7 +51,7 @@ func (s *Server) handleRename(p *simrt.Proc, m wire.Msg) {
 	// Conflict check on the source entry: block behind a pending operation
 	// like any sub-op would.
 	if holder, held := s.heldBy(srcSub); held {
-		s.block(wire.Msg{Type: wire.MsgOpReq, From: m.From, To: s.ID, Op: op.ID,
+		s.block(&wire.Msg{Type: wire.MsgOpReq, From: m.From, To: s.ID, Op: op.ID,
 			FullOp: op, Sub: srcSub, ReplyProc: m.ReplyProc}, holder, 1)
 		return
 	}
@@ -169,7 +169,7 @@ func (s *Server) renameDecision(p *simrt.Proc, boot uint64, id types.OpID, dst t
 // handleRenameVote is the destination side: execute the insert (resolving
 // conflicts like any sub-op) and vote. Registered in pendingPart so the
 // standard decision and recovery paths finish the job.
-func (s *Server) handleRenameVote(p *simrt.Proc, m wire.Msg) {
+func (s *Server) handleRenameVote(p *simrt.Proc, m *wire.Msg) {
 	id := m.Op
 	if po := s.pendingPart[id]; po != nil {
 		// Retransmitted vote: answer from the existing execution.

@@ -98,6 +98,7 @@ type Disk struct {
 
 	queue   []*Request
 	spare   []*Request            // the batch before last, emptied, for reuse
+	free    []*Request            // requests of finished Access calls, for reuse
 	pending *simrt.Chan[struct{}] // kicked when work arrives
 	head    int64                 // current head byte position
 
@@ -127,9 +128,19 @@ func (d *Disk) Access(p *simrt.Proc, offset, size int64, write bool) {
 	if size <= 0 {
 		return
 	}
-	req := &Request{Offset: offset, Size: size, Write: write}
+	// The request lives exactly as long as this call: serve does not touch
+	// it again after firing done, so it goes back on the free list here.
+	var req *Request
+	if k := len(d.free); k > 0 {
+		req = d.free[k-1]
+		d.free = d.free[:k-1]
+	} else {
+		req = new(Request)
+	}
+	*req = Request{Offset: offset, Size: size, Write: write}
 	d.enqueue(req)
 	req.done.Wait(p)
+	d.free = append(d.free, req)
 }
 
 // Submit enqueues a request without waiting. The returned signal fires

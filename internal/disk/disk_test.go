@@ -204,3 +204,37 @@ func TestInvalidParamsPanic(t *testing.T) {
 	defer s.Shutdown()
 	New(s, "bad", Params{})
 }
+
+// TestAccessWarmNoAlloc pins the blocking access path: the request a parked
+// caller waits on comes from the disk's free list and goes back after the
+// wait, so a warm Access allocates nothing — also with several callers
+// queued at once, whose requests the elevator merges into one pass.
+func TestAccessWarmNoAlloc(t *testing.T) {
+	s := simrt.New(1)
+	defer s.Shutdown()
+	d := New(s, "t", DefaultParams())
+	done := 0
+	for i := 0; i < 3; i++ {
+		off := int64(i) << 20
+		s.Spawn("writer", func(p *simrt.Proc) {
+			for {
+				d.Access(p, off, 4096, true)
+				done++
+				p.Sleep(time.Second) // all three queue up again at one instant
+			}
+		})
+	}
+	s.RunUntil(10 * time.Second)
+	before := done
+	// Ten seconds a run: nine or ten rounds each (AllocsPerRun rounds down).
+	allocs := testing.AllocsPerRun(100, func() { s.RunUntil(s.Now() + 10*time.Second) })
+	if allocs > 0 {
+		t.Errorf("ten warm rounds of 3 Access calls allocate %.1f objects, want 0", allocs)
+	}
+	if done-before < 3*900 {
+		t.Errorf("%d accesses completed in the measured rounds, want >= 2700", done-before)
+	}
+	if len(d.free) > 3 {
+		t.Errorf("free list holds %d requests for 3 concurrent callers", len(d.free))
+	}
+}

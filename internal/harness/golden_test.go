@@ -95,3 +95,47 @@ func TestGoldenRuns(t *testing.T) {
 		})
 	}
 }
+
+// TestResumesPerOp pins the kernel's host-side number on the golden s3d
+// input: how many events per op cost a switch to a proc's coroutine
+// (Sim.Resumes; a proc taking its own resume in park is not one). It is
+// exact for a given binary and repeats, like the rows above, but it is not
+// part of the model: a host-side change may lower it. Before procs became
+// coroutines and the server inbox loop a served state machine, the same
+// input resumed a proc 118,601 times under cx (8.18 per op; 2,400 of them
+// the baton's free self-resume, the rest channel hand-offs) and 146,975
+// times under se (10.14 per op; 6,455 free), counted with a scratch counter
+// in the old Sim.dispatch; the ceiling is 0.75 of that.
+func TestResumesPerOp(t *testing.T) {
+	for _, tc := range []struct {
+		proto   cluster.Protocol
+		resumes uint64
+		parent  uint64
+	}{
+		{cluster.ProtoCx, 80250, 118601},
+		{cluster.ProtoSE, 105967, 146975},
+	} {
+		t.Run(string(tc.proto), func(t *testing.T) {
+			t.Parallel()
+			var got [2]uint64
+			for i := range got {
+				res, c := Config{Scale: 0.02, Servers: 8, Seed: 1}.replay("s3d", tc.proto, nil, 0)
+				got[i] = c.Counters().Resumes
+				c.Shutdown()
+				if res.Ops != 14496 {
+					t.Fatalf("replayed %d ops, want the golden input's 14496", res.Ops)
+				}
+			}
+			t.Logf("%s: %d resumes, %.2f per op", tc.proto, got[0], float64(got[0])/14496)
+			if got[0] != got[1] {
+				t.Errorf("resumes differ between two runs: %d and %d", got[0], got[1])
+			}
+			if got[0] != tc.resumes {
+				t.Errorf("%d resumes (%.2f per op), pinned at %d", got[0], float64(got[0])/14496, tc.resumes)
+			}
+			if limit := tc.parent * 3 / 4; got[0] > limit {
+				t.Errorf("%d resumes, want at most %d (0.75 of the channel kernel's %d)", got[0], limit, tc.parent)
+			}
+		})
+	}
+}

@@ -114,7 +114,7 @@ func TestForgetClientsKeepsTheReplyCache(t *testing.T) {
 	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, _ *[]wire.Msg) {
 		b.Begin(opID(1), 100)
 		b.CacheReply(opID(2), wire.Msg{Type: wire.MsgOpResp, OK: true})
-		b.AnswerLookup(wire.Msg{From: 100, Op: opID(3), Dir: types.RootInode, Path: "f"}, time.Second)
+		b.AnswerLookup(&wire.Msg{From: 100, Op: opID(3), Dir: types.RootInode, Path: "f"}, time.Second)
 		b.Crash()
 		b.Reboot()
 		b.ForgetClients()
@@ -132,10 +132,10 @@ func TestAnswerLookupLeasesAndRevokeNotifiesInGrantOrder(t *testing.T) {
 		b.Shard.SeedDentry(types.RootInode, "f", 42)
 		ttl := 50 * time.Millisecond
 
-		b.AnswerLookup(wire.Msg{From: 102, Op: opID(1), Dir: types.RootInode, Path: "f"}, ttl)
-		b.AnswerLookup(wire.Msg{From: 101, Op: opID(2), Dir: types.RootInode, Path: "f"}, ttl)
-		b.AnswerLookup(wire.Msg{From: 101, Op: opID(3), Dir: types.RootInode, Path: "gone"}, ttl) // negative
-		b.AnswerLookup(wire.Msg{From: 103, Op: opID(4), Dir: types.RootInode, Path: "f"}, 0)      // no lease
+		b.AnswerLookup(&wire.Msg{From: 102, Op: opID(1), Dir: types.RootInode, Path: "f"}, ttl)
+		b.AnswerLookup(&wire.Msg{From: 101, Op: opID(2), Dir: types.RootInode, Path: "f"}, ttl)
+		b.AnswerLookup(&wire.Msg{From: 101, Op: opID(3), Dir: types.RootInode, Path: "gone"}, ttl) // negative
+		b.AnswerLookup(&wire.Msg{From: 103, Op: opID(4), Dir: types.RootInode, Path: "f"}, 0)      // no lease
 		r := *sent
 		if len(r) != 4 {
 			t.Errorf("%d replies, want 4", len(r))
@@ -186,11 +186,11 @@ func TestReplyRoutesAreTypedAndBatchedKeysDoNotCross(t *testing.T) {
 		round, doneRound := b.Await(wire.MsgAck, op, true)
 		single, doneSingle := b.Await(wire.MsgAck, op, false)
 
-		b.Deliver(wire.Msg{Type: wire.MsgMigrateResp, Op: op})                              // to resp only
-		b.Deliver(wire.Msg{Type: wire.MsgAck, Ops: []types.OpID{op, opID(2)}})              // to round only
-		b.Deliver(wire.Msg{Type: wire.MsgAck, Op: op})                                      // to single only
-		b.Deliver(wire.Msg{Type: wire.MsgVoteResp, Op: op})                                 // nobody awaits: dropped
-		b.Deliver(wire.Msg{Type: wire.MsgAck, Op: opID(2), Ops: []types.OpID{opID(2), op}}) // keyed by its first op: dropped
+		b.Deliver(&wire.Msg{Type: wire.MsgMigrateResp, Op: op})                              // to resp only
+		b.Deliver(&wire.Msg{Type: wire.MsgAck, Ops: []types.OpID{op, opID(2)}})              // to round only
+		b.Deliver(&wire.Msg{Type: wire.MsgAck, Op: op})                                      // to single only
+		b.Deliver(&wire.Msg{Type: wire.MsgVoteResp, Op: op})                                 // nobody awaits: dropped
+		b.Deliver(&wire.Msg{Type: wire.MsgAck, Op: opID(2), Ops: []types.OpID{opID(2), op}}) // keyed by its first op: dropped
 		if resp.Len() != 1 || ack.Len() != 0 || round.Len() != 1 || single.Len() != 1 {
 			t.Errorf("delivered resp=%d ack=%d round=%d single=%d, want 1 0 1 1",
 				resp.Len(), ack.Len(), round.Len(), single.Len())
@@ -203,7 +203,7 @@ func TestReplyRoutesAreTypedAndBatchedKeysDoNotCross(t *testing.T) {
 		// must not tear the new route down.
 		ack2, doneAck2 := b.Await(wire.MsgMigrateAck, op, false)
 		doneAck()
-		b.Deliver(wire.Msg{Type: wire.MsgMigrateAck, Op: op})
+		b.Deliver(&wire.Msg{Type: wire.MsgMigrateAck, Op: op})
 		if ack.Len() != 0 || ack2.Len() != 1 {
 			t.Errorf("after a take-over old=%d new=%d, want 0 1", ack.Len(), ack2.Len())
 		}
@@ -211,7 +211,7 @@ func TestReplyRoutesAreTypedAndBatchedKeysDoNotCross(t *testing.T) {
 		doneResp()
 		doneRound()
 		doneSingle()
-		b.Deliver(wire.Msg{Type: wire.MsgMigrateAck, Op: op})
+		b.Deliver(&wire.Msg{Type: wire.MsgMigrateAck, Op: op})
 		if ack2.Len() != 1 || len(b.routes) != 0 {
 			t.Errorf("a finished route still receives (len=%d) or is still registered (%d left)", ack2.Len(), len(b.routes))
 		}
@@ -221,7 +221,7 @@ func TestReplyRoutesAreTypedAndBatchedKeysDoNotCross(t *testing.T) {
 // echo starts b answering every request after delay, from itself and —
 // first — with a stray copy from node 1.
 func echo(s *simrt.Sim, b *Base, delay time.Duration, served *int) {
-	b.Start(func(p *simrt.Proc, m wire.Msg) {
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		*served++
 		p.Sleep(delay)
 		b.Net.Send(wire.Msg{Type: wire.MsgOpResp, From: 1, To: m.From, Op: m.Op})

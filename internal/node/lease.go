@@ -125,7 +125,7 @@ func (b *Base) leaseEpoch() uint64 { return b.boot + 1 }
 // results are leased too (the client may cache the absence). What must come
 // first — the execution charge, Cx's wait behind an active object — is the
 // protocol's business.
-func (b *Base) AnswerLookup(m wire.Msg, ttl time.Duration) {
+func (b *Base) AnswerLookup(m *wire.Msg, ttl time.Duration) {
 	in, found := b.Shard.ResolveEntry(m.Dir, m.Path)
 	reply := wire.Msg{Type: wire.MsgLookupResp, To: m.From, Op: m.Op,
 		OK: found, Dir: m.Dir, Path: m.Path, Attr: in}

@@ -1,18 +1,22 @@
 // Package node provides the chassis shared by every protocol, so that Cx
 // and the baselines differ in their protocol and in nothing else. Base is
 // the server side: the simulated hardware (disk, log, database, namespace
-// shard), the inbox loop, crash/reboot plumbing, at-most-once execution for
+// shard), the served inbox, crash/reboot plumbing, at-most-once execution for
 // retried requests (once.go), the lease service behind the leased read path
 // (lease.go) and the routes server-to-server replies come back on
 // (routes.go). Host is the client side: it routes server responses back to
 // the issuing process and owns the one retrying RPC (Call).
 //
 // A protocol (internal/core for Cx, internal/baseline for SE/2PC/CE) embeds
-// Base and registers a message handler. The inbox loop spawns a Proc per
-// message so a handler blocked on the disk or on a peer never stalls the
-// server; the simulation runtime serializes all state access between
-// blocking points, which mirrors a coarse-grained-locked multithreaded
-// server.
+// Base and registers a message handler. The inbox is served, not looped
+// over by a Proc: an arrival holds it for the receive-side CPU charge, then
+// a Proc is spawned for the message — so a handler blocked on the disk or on
+// a peer never stalls the server — and the next arrival is taken. The
+// message travels in the network's one pooled record (transport.Packet) from
+// Net.Send to the handler's return and is handed down by pointer; a handler
+// that keeps it longer copies what it keeps. The simulation runtime
+// serializes all state access between blocking points, which mirrors a
+// coarse-grained-locked multithreaded server.
 package node
 
 import (
@@ -60,8 +64,9 @@ const (
 	dbBase  = 64 << 20
 )
 
-// Handler processes one inbound message in its own Proc.
-type Handler func(p *simrt.Proc, m wire.Msg)
+// Handler processes one inbound message in its own Proc. m is valid until
+// the handler returns.
+type Handler func(p *simrt.Proc, m *wire.Msg)
 
 // Stats aggregates chassis-level activity.
 type Stats struct {
@@ -83,7 +88,7 @@ type Base struct {
 	Shard *namespace.Shard
 
 	HW            HardwareParams
-	inbox         *simrt.Chan[wire.Msg]
+	inbox         *simrt.Chan[*transport.Packet]
 	handler       Handler
 	crashed       bool
 	boot          uint64 // incarnation number, bumped at every Reboot
@@ -92,7 +97,11 @@ type Base struct {
 	// procNames holds the debug name of the handler proc spawned per
 	// message, by message type, built once instead of per message.
 	procNames [wire.NumMsgTypes]string
-	idle      []*handling // recycled hand-over records
+	// arrived is the message being charged CPUPerMsg, the inbox held behind
+	// it; accepted and handle are accept and run as method values made once.
+	arrived  *transport.Packet
+	accepted func()
+	handle   func(*simrt.Proc, *transport.Packet)
 
 	executing  map[types.OpID]bool        // once.go
 	replies    map[types.OpID]cachedReply // once.go (FIFO by replyOrder)
@@ -101,28 +110,6 @@ type Base struct {
 	routes     map[routeKey]*simrt.Chan[wire.Msg] // routes.go
 
 	stats Stats
-}
-
-// handling carries one message from the inbox loop to the handler proc
-// spawned for it. Records are pooled and hold their proc body as a method
-// value made once, so a handled message costs neither a closure nor a heap
-// copy of the message.
-type handling struct {
-	base *Base
-	msg  wire.Msg
-	body func(*simrt.Proc)
-}
-
-// run is the handler proc's body: take the message, give the record back,
-// handle.
-func (h *handling) run(p *simrt.Proc) {
-	b, m := h.base, h.msg
-	h.msg = wire.Msg{}
-	b.idle = append(b.idle, h)
-	if b.crashed {
-		return
-	}
-	b.handler(p, m)
 }
 
 // CrashPointFn decides whether the server should crash at a named protocol
@@ -180,46 +167,57 @@ func NewBase(s *simrt.Sim, net *transport.Net, id types.NodeID, hw HardwareParam
 // Stats returns chassis counters.
 func (b *Base) Stats() Stats { return b.stats }
 
-// Start begins the inbox loop with the given handler. Call once.
+// Start begins serving the inbox with the given handler. Call once.
 func (b *Base) Start(h Handler) {
-	b.handler = h
-	b.Sim.Spawn(fmt.Sprintf("server%d/loop", b.ID), b.loop)
+	b.handler, b.accepted, b.handle = h, b.accept, b.run
+	b.inbox.Serve(b.arrive)
 }
 
-func (b *Base) loop(p *simrt.Proc) {
-	for {
-		m, ok := b.inbox.RecvOK(p)
-		if !ok {
-			return
-		}
-		if b.crashed {
-			continue // dead servers drop traffic that raced past the NIC
-		}
-		if b.HW.CPUPerMsg > 0 {
-			p.Sleep(b.HW.CPUPerMsg)
-		}
-		b.stats.MsgsHandled++
-		if m.Type == wire.MsgPing {
-			// Liveness is answered by the chassis so the failure detector
-			// works identically under every protocol.
-			b.Send(wire.Msg{Type: wire.MsgPong, To: m.From, Op: m.Op})
-			continue
-		}
-		name := "server/invalid"
-		if int(m.Type) < len(b.procNames) {
-			name = b.procNames[m.Type]
-		}
-		var h *handling
-		if k := len(b.idle); k > 0 {
-			h = b.idle[k-1]
-			b.idle = b.idle[:k-1]
-		} else {
-			h = &handling{base: b}
-			h.body = h.run
-		}
-		h.msg = m
-		b.Sim.Spawn(name, h.body)
+// arrive takes one message off the inbox and charges the receive-side CPU
+// time, holding the inbox meanwhile as a busy server thread would.
+func (b *Base) arrive(pk *transport.Packet) {
+	if b.crashed {
+		pk.Release() // dead servers drop traffic that raced past the NIC
+		return
 	}
+	b.arrived = pk
+	if b.HW.CPUPerMsg == 0 {
+		b.accept()
+		return
+	}
+	b.inbox.Hold()
+	b.Sim.After(b.HW.CPUPerMsg, b.accepted)
+}
+
+// accept gives the arrived message a handler proc of its own and takes the
+// next one.
+func (b *Base) accept() {
+	pk := b.arrived
+	b.stats.MsgsHandled++
+	if pk.Type == wire.MsgPing {
+		// Liveness is answered by the chassis so the failure detector
+		// works identically under every protocol.
+		b.Send(wire.Msg{Type: wire.MsgPong, To: pk.From, Op: pk.Op})
+		pk.Release()
+	} else {
+		name := "server/invalid"
+		if int(pk.Type) < len(b.procNames) {
+			name = b.procNames[pk.Type]
+		}
+		b.Sim.Spawn(name, pk.Body(b.handle))
+	}
+	if b.HW.CPUPerMsg > 0 {
+		b.inbox.Release() // what arrive held
+	}
+}
+
+// run is the handler proc's body; the record goes back to the pool when the
+// handler returns.
+func (b *Base) run(p *simrt.Proc, pk *transport.Packet) {
+	if !b.crashed {
+		b.handler(p, &pk.Msg)
+	}
+	pk.Release()
 }
 
 // Send transmits m with From filled in; crashed servers send nothing.
@@ -306,7 +304,7 @@ func (b *Base) Gone(boot uint64) bool { return b.crashed || b.boot != boot }
 // design (it reflects the volatile image, including this server's
 // uncommitted executions), matching OrangeFS semantics; the paper's
 // conflict machinery covers only per-object accesses.
-func (b *Base) ServeReaddir(m wire.Msg) {
+func (b *Base) ServeReaddir(m *wire.Msg) {
 	entries := b.Shard.ListDir(m.FullOp.Parent)
 	rows := make([]types.RowImage, 0, len(entries))
 	for _, e := range entries {
@@ -323,29 +321,57 @@ type Host struct {
 	Sim *simrt.Sim
 	Net *transport.Net
 
-	routes map[types.OpID]*simrt.Chan[wire.Msg]
-	idle   []*simrt.Chan[wire.Msg] // closed routes, emptied, for the next Open
-	notify func(wire.Msg) bool
+	routes map[types.OpID]*Route
+	idle   []*Route // closed routes, emptied, for the next Open
+	notify func(*wire.Msg) bool
+}
+
+// Route is where one operation's replies arrive: the network's records
+// themselves, so a reply is copied once, out of its record, by the receive
+// that takes it.
+type Route simrt.Chan[*transport.Packet]
+
+func (r *Route) ch() *simrt.Chan[*transport.Packet] { return (*simrt.Chan[*transport.Packet])(r) }
+
+// take copies the message out of a received record and releases the record.
+func take(pk *transport.Packet, ok bool) (m wire.Msg, _ bool) {
+	if ok {
+		m = pk.Msg
+		pk.Release()
+	}
+	return m, ok
+}
+
+// Recv returns the next reply, parking p until one arrives.
+func (r *Route) Recv(p *simrt.Proc) wire.Msg {
+	m, _ := take(r.ch().Recv(p), true)
+	return m
+}
+
+// RecvTimeout is Recv with a deadline; ok is false if d passes with no reply.
+func (r *Route) RecvTimeout(p *simrt.Proc, d time.Duration) (wire.Msg, bool) {
+	return take(r.ch().RecvTimeout(p, d))
 }
 
 // NewHost builds a client host and starts its dispatcher. Dispatching never
 // blocks, so it needs no Proc: the inbox serves each message straight to
 // dispatch.
 func NewHost(s *simrt.Sim, net *transport.Net, id types.NodeID) *Host {
-	h := &Host{ID: id, Sim: s, Net: net, routes: make(map[types.OpID]*simrt.Chan[wire.Msg])}
+	h := &Host{ID: id, Sim: s, Net: net, routes: make(map[types.OpID]*Route)}
 	net.Register(id).Serve(h.dispatch)
 	return h
 }
 
-func (h *Host) dispatch(m wire.Msg) {
-	if h.notify != nil && h.notify(m) {
-		return
+func (h *Host) dispatch(pk *transport.Packet) {
+	if h.notify == nil || !h.notify(&pk.Msg) {
+		if r, ok := h.routes[pk.Op]; ok {
+			r.ch().Send(pk)
+			return
+		}
 	}
-	if ch, ok := h.routes[m.Op]; ok {
-		ch.Send(m)
-	}
-	// Responses for unrouted ops are stale (the op already completed,
-	// e.g. a superseded pre-invalidation reply) and are dropped.
+	// Consumed by the hook, or stale: the op already completed (e.g. a
+	// superseded pre-invalidation reply) and closed its route.
+	pk.Release()
 }
 
 // SetNotify installs an out-of-band inbound-message hook, consulted before
@@ -354,34 +380,34 @@ func (h *Host) dispatch(m wire.Msg) {
 // arrives with no open route and would otherwise be dropped; it must also
 // never leak into an op's reply channel when its ID collides with an open
 // route.
-func (h *Host) SetNotify(fn func(wire.Msg) bool) { h.notify = fn }
+func (h *Host) SetNotify(fn func(*wire.Msg) bool) { h.notify = fn }
 
 // Open registers a response route for op and returns the channel its
 // messages arrive on. Close it with Done when the op completes.
-func (h *Host) Open(op types.OpID) *simrt.Chan[wire.Msg] {
-	var ch *simrt.Chan[wire.Msg]
+func (h *Host) Open(op types.OpID) *Route {
+	var r *Route
 	if k := len(h.idle); k > 0 {
-		ch = h.idle[k-1]
+		r = h.idle[k-1]
 		h.idle = h.idle[:k-1]
 	} else {
-		ch = simrt.NewChan[wire.Msg](h.Sim)
+		r = (*Route)(simrt.NewChan[*transport.Packet](h.Sim))
 	}
-	h.routes[op] = ch
-	return ch
+	h.routes[op] = r
+	return r
 }
 
 // Done removes the route for op. The channel must not be used afterwards:
 // it is emptied of unread duplicates and handed to a later Open.
 func (h *Host) Done(op types.OpID) {
-	ch, ok := h.routes[op]
+	r, ok := h.routes[op]
 	if !ok {
 		return
 	}
 	delete(h.routes, op)
-	for ch.Len() > 0 {
-		ch.TryRecv()
+	for r.ch().Len() > 0 {
+		take(r.ch().TryRecv())
 	}
-	h.idle = append(h.idle, ch)
+	h.idle = append(h.idle, r)
 }
 
 // Send transmits m with From filled in.
@@ -396,12 +422,12 @@ func (h *Host) Send(m wire.Msg) {
 // without using up an attempt. retries counts the retransmissions made;
 // ok is false when the attempt budget ran out and the outcome is unknown.
 // The zero policy sends once and blocks until the reply comes.
-func (h *Host) Call(p *simrt.Proc, rp types.RetryPolicy, route *simrt.Chan[wire.Msg], req wire.Msg) (reply wire.Msg, retries int, ok bool) {
+func (h *Host) Call(p *simrt.Proc, rp types.RetryPolicy, route *Route, req wire.Msg) (reply wire.Msg, retries int, ok bool) {
 	if !rp.Enabled() {
 		h.Send(req)
 		for {
-			if m := route.Recv(p); m.From == req.To {
-				return m, 0, true
+			if reply = route.Recv(p); reply.From == req.To {
+				return reply, 0, true
 			}
 		}
 	}

@@ -22,7 +22,7 @@ func build(t *testing.T) (*simrt.Sim, *transport.Net, *Base, *Host) {
 func TestInboxDispatchesToHandlerProc(t *testing.T) {
 	s, _, b, h := build(t)
 	var got []wire.MsgType
-	b.Start(func(p *simrt.Proc, m wire.Msg) {
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		got = append(got, m.Type)
 		b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
 	})
@@ -50,7 +50,7 @@ func TestHandlersRunConcurrently(t *testing.T) {
 	// Two slow handlers must overlap in virtual time: the inbox loop spawns
 	// a Proc per message rather than serializing.
 	s, _, b, h := build(t)
-	b.Start(func(p *simrt.Proc, m wire.Msg) {
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		p.Sleep(10 * time.Millisecond)
 		b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
 	})
@@ -78,7 +78,7 @@ func TestHandlersRunConcurrently(t *testing.T) {
 
 func TestCrashSilencesSendsAndDropsInbox(t *testing.T) {
 	s, _, b, h := build(t)
-	b.Start(func(p *simrt.Proc, m wire.Msg) {
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
 	})
 	var got int
@@ -133,7 +133,7 @@ func TestCrashDiscardsVolatileState(t *testing.T) {
 
 func TestHostDropsUnroutedResponses(t *testing.T) {
 	s, _, b, h := build(t)
-	b.Start(func(p *simrt.Proc, m wire.Msg) {
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
 	})
 	finished := false
@@ -180,13 +180,13 @@ func TestExecCPUAdvancesTimeAndCounts(t *testing.T) {
 // up as the first reply of the next.
 func TestHostReusesRoutesClean(t *testing.T) {
 	s, _, b, h := build(t)
-	b.Start(func(p *simrt.Proc, m wire.Msg) {
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		for i := 0; i < 2; i++ { // every request is answered twice
 			b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
 		}
 	})
 	var seen []types.OpID
-	var routes []*simrt.Chan[wire.Msg]
+	var routes []*Route
 	s.Spawn("client", func(p *simrt.Proc) {
 		for seq := uint64(1); seq <= 3; seq++ {
 			id := types.OpID{Proc: types.ProcID{Client: 100}, Seq: seq}

@@ -42,14 +42,14 @@ func (b *Base) Awaiting(typ wire.MsgType, op types.OpID, batched bool) bool {
 	return b.routes[routeKey{typ, op, batched}] != nil
 }
 
-// Deliver hands reply m to the proc awaiting it; a reply nobody awaits (a
-// duplicate, or one to a round that gave up) is dropped.
-func (b *Base) Deliver(m wire.Msg) {
+// Deliver hands a copy of reply m to the proc awaiting it; a reply nobody
+// awaits (a duplicate, or one to a round that gave up) is dropped.
+func (b *Base) Deliver(m *wire.Msg) {
 	k := routeKey{typ: m.Type, op: m.Op}
 	if len(m.Ops) > 0 {
 		k.op, k.batched = m.Ops[0], true
 	}
 	if ch := b.routes[k]; ch != nil {
-		ch.Send(m)
+		ch.Send(*m)
 	}
 }

@@ -32,7 +32,7 @@ func (w *waiter[T]) expire() {
 // building block for server mailboxes, RPC reply futures, and disk queues.
 //
 // Chans must only be touched from inside the simulation (Proc bodies or
-// scheduled event functions); the baton serializes all access, so no
+// scheduled event functions); the dispatcher serializes all access, so no
 // locking is needed or provided.
 type Chan[T any] struct {
 	sim *Sim
@@ -51,9 +51,11 @@ type Chan[T any] struct {
 	closed bool
 
 	// drain, when set, is the event that feeds the Chan's Serve function,
-	// which receives instead of any Proc; draining is whether it is queued.
+	// which receives instead of any Proc; draining is whether it is queued,
+	// or stands in for one that is: held, the function is busy until Release.
 	drain    func()
 	draining bool
+	held     bool
 }
 
 // NewChan creates a Chan bound to s.
@@ -123,17 +125,25 @@ func (c *Chan[T]) Send(v T) {
 // where that Proc's wake-up would be — one event per burst of Sends, which
 // drains everything buffered by the time it runs — and the first such event
 // is scheduled now, where the Proc would have started. fn runs inline in
-// the dispatch loop and must not block. Recv on a served Chan is an error.
+// the dispatcher and must not block. Recv on a served Chan is an error.
 func (c *Chan[T]) Serve(fn func(T)) {
 	c.drain = func() {
-		for c.Len() > 0 {
+		for c.held = false; !c.held && c.Len() > 0; {
 			fn(c.popBuf())
 		}
-		c.draining = false
+		c.draining = c.held
 	}
 	c.draining = true
 	c.sim.schedule(c.sim.now, event{fn: c.drain})
 }
+
+// Hold, called by the Serve function, stands for the receiver Proc spending
+// time on the value it just took: until Release, a Send only buffers.
+func (c *Chan[T]) Hold() { c.held = true }
+
+// Release ends a Hold, from the event where that Proc's wait would have
+// ended, and serves what was buffered meanwhile as its next Recv would.
+func (c *Chan[T]) Release() { c.drain() }
 
 // Close marks the channel closed; parked and future receivers return the
 // zero value with ok=false from RecvOK. Recv panics on a closed empty Chan.

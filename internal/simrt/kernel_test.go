@@ -200,8 +200,8 @@ func TestShutdownLeaksNoGoroutines(t *testing.T) {
 		s.Run()
 		s.Shutdown()
 	}
-	// Shutdown waits for each worker's exit notice, which it sends as its
-	// last act; give the runtime a moment to retire the goroutines.
+	// Shutdown returns once every worker's coroutine has ended; give the
+	// runtime a moment to retire their goroutines.
 	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
 		time.Sleep(time.Millisecond)
 	}
@@ -233,9 +233,9 @@ func TestKilledBodyCannotBlockInDefer(t *testing.T) {
 }
 
 // TestRunResumesWhereAProcLeftTheBaton: Stop+Rearm and RunUntil horizons
-// end a run while a Proc's goroutine — parked or finished — holds the
-// baton, not the caller of Run; the next run must pick up from the queue
-// exactly where that one stopped.
+// end a run from inside a Proc — one that parks, or finishes, with its own
+// next event still queued; the next run must pick up from the queue exactly
+// where that one stopped.
 func TestRunResumesWhereAProcLeftTheBaton(t *testing.T) {
 	s := New(1)
 	ticks := 0
@@ -261,8 +261,8 @@ func TestRunResumesWhereAProcLeftTheBaton(t *testing.T) {
 	if at := s.RunUntil(9 * time.Second); ticks != 9 || at != 9*time.Second {
 		t.Fatalf("run to an event's own instant ended at %v with %d ticks, want 9s and 9", at, ticks)
 	}
-	// The ticker finishes at 10 s holding the baton; the horizon then ends
-	// the run from its (now idle) worker.
+	// The ticker finishes at 10 s; the horizon then ends the run with its
+	// worker idle.
 	if at := s.RunUntil(time.Hour); ticks != 10 || at != time.Hour {
 		t.Fatalf("run past the ticker's end stopped at %v with %d ticks", at, ticks)
 	}
@@ -276,58 +276,101 @@ func TestRunResumesWhereAProcLeftTheBaton(t *testing.T) {
 }
 
 // TestServeMatchesAReceiverProc: a served Chan consumes the same events, at
-// the same instants and in the same order, as a Proc looping on Recv.
+// the same instants and in the same order, as a Proc looping on Recv — also
+// when the receiver spends d on each value, the Proc by sleeping after Recv,
+// the Serve function by Hold, After(d) and Release. A burst of k Sends at one
+// instant t is then served at t+d, t+2d, ... t+kd, and a Send that finds the
+// Chan held schedules nothing.
 func TestServeMatchesAReceiverProc(t *testing.T) {
 	type obs struct {
 		v  int
 		at time.Duration
 		n  uint64 // events dispatched when the value was consumed
 	}
-	run := func(serve bool) (seen []obs, events uint64) {
+	// unit scales the sender's pauses: with a paced receiver they are of
+	// the order of d, so Sends arrive before, during and after a Hold.
+	run := func(serve bool, d, unit time.Duration) (seen []obs, events uint64) {
 		s := New(1)
 		c := NewChan[int](s)
 		take := func(v int) { seen = append(seen, obs{v, s.Now(), s.EventsRun()}) }
 		c.Send(-1) // buffered before the receiver exists
-		if serve {
-			c.Serve(take)
-		} else {
+		switch {
+		case !serve:
 			s.Spawn("recv", func(p *Proc) {
 				for {
-					take(c.Recv(p))
+					v := c.Recv(p)
+					if d > 0 {
+						p.Sleep(d)
+					}
+					take(v)
 				}
+			})
+		case d == 0:
+			c.Serve(take)
+		default:
+			var cur int
+			done := func() { take(cur); c.Release() }
+			c.Serve(func(v int) {
+				cur = v
+				c.Hold()
+				s.After(d, done)
 			})
 		}
 		s.Spawn("send", func(p *Proc) {
 			for i := 0; i < 20; i++ {
+				queued := len(s.events)
 				c.Send(i) // a burst of 1-3 per instant
-				if i%3 != 1 {
-					p.Sleep(time.Duration(i%4) * time.Millisecond)
+				if c.held && len(s.events) != queued {
+					t.Errorf("Send %d while held scheduled an event", i)
 				}
+				if i%3 != 1 {
+					p.Sleep(time.Duration(i%4) * unit)
+				}
+			}
+			p.Sleep(time.Second) // the receiver is idle again by now
+			for i := 100; i < 105; i++ {
+				c.Send(i) // a burst of five at one instant
 			}
 		})
 		s.Run()
 		s.Shutdown()
 		return seen, s.EventsRun()
 	}
-	proc, procEvents := run(false)
-	served, servedEvents := run(true)
-	if len(proc) != 21 || len(served) != 21 {
-		t.Fatalf("consumed %d and %d values, want 21 each", len(proc), len(served))
-	}
-	for i := range proc {
-		if proc[i] != served[i] {
-			t.Errorf("value %d: proc consumed %+v, Serve consumed %+v", i, proc[i], served[i])
-		}
-	}
-	if procEvents != servedEvents {
-		t.Errorf("events dispatched: %d with a receiver proc, %d with Serve", procEvents, servedEvents)
+	for _, tc := range []struct {
+		name    string
+		d, unit time.Duration
+	}{
+		{"unpaced", 0, time.Millisecond},
+		{"paced", 3 * time.Microsecond, 2 * time.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			proc, procEvents := run(false, tc.d, tc.unit)
+			served, servedEvents := run(true, tc.d, tc.unit)
+			if len(proc) != 26 || len(served) != 26 {
+				t.Fatalf("consumed %d and %d values, want 26 each", len(proc), len(served))
+			}
+			for i := range proc {
+				if proc[i] != served[i] {
+					t.Errorf("value %d: proc consumed %+v, Serve consumed %+v", i, proc[i], served[i])
+				}
+			}
+			if procEvents != servedEvents {
+				t.Errorf("events dispatched: %d with a receiver proc, %d with Serve", procEvents, servedEvents)
+			}
+			burst := served[21:]
+			for i, o := range burst {
+				if want := burst[0].at + time.Duration(i)*tc.d; o.v != 100+i || o.at != want {
+					t.Errorf("burst value %d served as %d at %v, want %d at %v", i, o.v, o.at, 100+i, want)
+				}
+			}
+		})
 	}
 }
 
 // TestCrashesAreLoud re-runs the test binary once per way a simulation can
 // go wrong and checks the process dies with the original panic value — not
-// a hang, not a different error. A panic on a worker goroutine cannot be
-// recovered by the test, hence the subprocess.
+// a hang, not a different error. Nothing recovers a panic between a worker
+// and the caller of Run, hence the subprocess.
 func TestCrashesAreLoud(t *testing.T) {
 	if mode := os.Getenv("SIMRT_CRASH"); mode != "" {
 		crash(mode)
@@ -336,7 +379,7 @@ func TestCrashesAreLoud(t *testing.T) {
 	for mode, want := range map[string]string{
 		"body":     "panic: boom-body",
 		"callback": "panic: boom-callback",
-		"inline":   "panic: boom-inline", // a callback run by a parked Proc's goroutine
+		"inline":   "panic: boom-inline", // a callback run while a Proc is parked
 		"ghost":    `resume of proc "ghost", which is not parked`,
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestCrashesAreLoud$", "-test.timeout=20s")

@@ -10,38 +10,38 @@
 // a given seed: there is no true parallelism and event ties break by
 // insertion order.
 //
-// The baton. There is no scheduler goroutine. One goroutine at a time holds
-// the baton: the right to touch the Sim and to run its dispatch loop. Run
-// takes it for its caller. A Proc that blocks (or whose body returns) keeps
-// it and dispatches itself: it pops events in (time, insertion) order, runs
-// callback events inline, and stops at the first event that resumes a Proc.
-// If that is itself — the usual case for a Sleep that charges CPU time — it
-// returns into its body without a goroutine switch; otherwise it wakes the
-// target on the target's 1-buffered wake channel and blocks on its own: one
-// switch where a scheduler goroutine needs two. When the run is over, whoever
-// holds the baton hands it back to the caller of Run. Every hand-off is a
-// channel operation, so Sim state is ordered without a lock. Callback
-// events (After, a Chan's Serve function, a Net delivery) therefore run on
-// whatever goroutine holds the baton, usually some parked Proc's: they must
-// not block. Events are typed — callback, "resume p", "expire p's timed
-// receive" — so blocking primitives schedule without allocating a closure.
-// Their order is the order of the (at, seq) keys, handed out at schedule
-// time; which goroutine runs the loop has no influence on the simulation.
+// The dispatcher. One goroutine pops events: the one that called Run or
+// RunUntil. It takes them in (time, insertion) order, runs callback events
+// (After, a Chan's Serve function, a Net delivery) inline — they must not
+// block — and resumes the Proc an event names by switching to it. A Proc is
+// a coroutine (iter.Pull): the switch is a direct hand-over of the thread
+// that bypasses the Go scheduler, about half the cost of a channel wake-up,
+// and the Proc runs until it parks (yield) or its body ends, which switches
+// straight back. A coroutine can only return to whoever resumed it, so there
+// is no Proc-to-Proc transfer: every hop goes through the dispatcher, a round
+// trip of two switches. One hop is free: a Proc that parks while the next
+// event is its own plain resume (the usual case for a Sleep that charges CPU
+// time on a quiet cluster) takes that event itself and carries on without
+// switching at all. Events are typed — callback, "resume p", "expire p's
+// timed receive" — so blocking primitives schedule without allocating a
+// closure. Their order is the order of the (at, seq) keys, handed out at
+// schedule time; who pops an event has no influence on the simulation.
 //
-// Workers. A Proc is carried by a worker: a goroutine and its wake channel.
-// When a body returns the worker goes onto the Sim's idle list and the next
-// Spawn reuses it, grown stack included, so a simulation creates as many
-// goroutines as it ever has live Procs at once. A *Proc is valid only
-// inside its body; afterwards the same value carries some later body.
-// Shutdown kills every worker, parked or idle, one after the other: a
-// parked body unwinds with a sentinel panic the worker recovers (deferred
-// calls run, still serialized), so no goroutines leak across the thousands
-// of simulations a test run performs.
+// Workers. A Proc is carried by a worker: one coroutine. When a body returns
+// the worker goes onto the Sim's idle list and the next Spawn reuses it,
+// grown stack included, so a simulation creates as many coroutines as it
+// ever has live Procs at once. A *Proc is valid only inside its body;
+// afterwards the same value carries some later body. Shutdown stops every
+// worker, parked or idle, one after the other: a parked body unwinds with a
+// sentinel panic the worker recovers (deferred calls run, still serialized),
+// so no goroutines leak across the thousands of simulations a test run
+// performs. Any other panic in a body comes out of Run with its own value.
 package simrt
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"time"
 )
@@ -119,7 +119,7 @@ func (h *eventHeap) pop() event {
 // Sim is one simulation instance. It is not safe for concurrent use: all
 // API calls must come either from the goroutine that calls Run (before,
 // between or after runs) or from within a Proc or scheduled event, which
-// the baton serializes.
+// the dispatcher serializes.
 type Sim struct {
 	now     time.Duration
 	seq     uint64
@@ -129,22 +129,18 @@ type Sim struct {
 	killed  bool
 	rng     *rand.Rand
 
-	// root stands for the caller of Run in the hand-off protocol: the run
-	// ends by waking it. Shutdown reuses its wake channel for exit notices.
-	root    Proc
 	workers []*Proc // every worker ever started, for Shutdown
 	idle    []*Proc // workers whose body has returned, ready for reuse
 
 	// Stats counters maintained by the runtime for harness reporting.
 	eventsRun uint64
+	resumes   uint64
 }
 
 // New creates a simulation with the given random seed. The same seed yields
 // the same event trace.
 func New(seed int64) *Sim {
-	s := &Sim{rng: rand.New(rand.NewSource(seed))}
-	s.root = Proc{sim: s, name: "run", wake: make(chan bool, 1)}
-	return s
+	return &Sim{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time (elapsed since simulation start).
@@ -156,6 +152,10 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // EventsRun returns how many events have been dispatched.
 func (s *Sim) EventsRun() uint64 { return s.eventsRun }
+
+// Resumes returns how many events cost a switch to a Proc's coroutine and
+// back; a Proc taking its own resume in park is an event but not a resume.
+func (s *Sim) Resumes() uint64 { return s.resumes }
 
 // schedule enqueues e at absolute virtual time at, behind everything
 // already scheduled for that instant.
@@ -172,24 +172,25 @@ func (s *Sim) schedule(at time.Duration, e event) {
 // in progress and everything already queued for this instant.
 func (s *Sim) ready(p *Proc) { s.schedule(s.now, event{proc: p}) }
 
-// After schedules fn to run d from now, inline on whichever goroutine holds
-// the baton then. fn must not block; it may send on Chans, spawn Procs, and
-// schedule further events.
+// After schedules fn to run d from now, inline in the dispatcher. fn must
+// not block; it may send on Chans, spawn Procs, and schedule further events.
 func (s *Sim) After(d time.Duration, fn func()) {
 	s.schedule(s.now+d, event{fn: fn})
 }
 
 // Proc is one simulated process. All blocking primitives take the Proc so
-// the runtime knows which goroutine to park.
+// the runtime knows which coroutine to park.
 type Proc struct {
 	sim  *Sim
 	name string
 	body func(*Proc)
-	// wake carries the baton to this worker; true means "exit" (Shutdown).
-	// One slot, so the sender never waits for the receiver to get there.
-	wake chan bool
+	// next switches to the worker's coroutine until it parks or its body ends;
+	// yield is the way back, and returns false if stop ends the wait instead.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 	// parked is set while the Proc waits for a resume event (or, for a new
-	// Proc, for its start); dispatch refuses to resume a Proc without it.
+	// Proc, for its start); the dispatcher refuses to resume a Proc without it.
 	parked bool
 	// timedWait is the timed receive in progress, if any, and timedSeq its
 	// number; a timer event for any other number is stale.
@@ -221,32 +222,31 @@ func (s *Sim) SpawnAfter(d time.Duration, name string, fn func(p *Proc)) *Proc {
 		s.idle[n-1] = nil
 		s.idle = s.idle[:n-1]
 	} else {
-		p = &Proc{sim: s, wake: make(chan bool, 1)}
+		p = &Proc{sim: s}
+		p.next, p.stop = iter.Pull(p.work)
 		s.workers = append(s.workers, p)
-		go p.work()
 	}
 	p.name, p.body, p.parked = name, fn, true
 	s.schedule(s.now+d, event{proc: p})
 	return p
 }
 
-// work is the worker goroutine: run one body per start event until killed.
-// Between bodies the worker sits on the idle list; having the baton when its
-// body returns, it passes it on like any parked Proc.
-func (p *Proc) work() {
-	s := p.sim
-	for kill := <-p.wake; !kill; kill = s.dispatch(p) {
-		if p.run() {
-			break
+// work is the worker coroutine: run one body per start event until stopped.
+// Between bodies the worker sits on the idle list.
+func (p *Proc) work(yield func(struct{}) bool) {
+	p.yield = yield
+	for !p.run() {
+		p.body, p.timedWait = nil, nil // the name stays, for the dispatcher's diagnostic
+		p.sim.idle = append(p.sim.idle, p)
+		if !yield(struct{}{}) {
+			return
 		}
-		p.body, p.timedWait = nil, nil // the name stays, for dispatch's diagnostic
-		s.idle = append(s.idle, p)
 	}
-	s.root.wake <- true // exit notice for Shutdown
 }
 
 // run executes the body and reports whether Shutdown killed it. Any other
-// panic is re-raised and takes the program down with its original value.
+// panic is re-raised and comes out of the dispatcher's next with its
+// original value.
 func (p *Proc) run() (killed bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -260,54 +260,26 @@ func (p *Proc) run() (killed bool) {
 	return false
 }
 
-// dispatch runs the event loop on the calling goroutine, which holds the
-// baton and is the worker of self (or the caller of Run, for the root). It
-// returns when an event resumes self — at once if self's own event comes up
-// first, otherwise after handing the baton to another goroutine and getting
-// it back — and reports whether self was killed instead of resumed.
-func (s *Sim) dispatch(self *Proc) (kill bool) {
-	for {
-		next := &s.root // the run is over: the baton goes back to Run
-		if !s.stopped && len(s.events) > 0 && (s.horizon < 0 || s.events[0].at <= s.horizon) {
-			e := s.events.pop()
-			s.now = e.at
-			s.eventsRun++
-			if e.fn != nil {
-				e.fn()
-				continue
-			}
-			next = e.proc
-			if e.timed != 0 {
-				if next.timedWait == nil || next.timedSeq != e.timed {
-					continue // that receive is over; the timer is stale
-				}
-				next.timedWait.expire()
-				next.timedWait = nil
-			}
-			if !next.parked {
-				panic(fmt.Sprintf("simrt: resume of proc %q, which is not parked", next.name))
-			}
-			next.parked = false
-		}
-		if next == self {
-			return false
-		}
-		next.wake <- false
-		return <-self.wake
-	}
-}
-
 // park blocks the calling Proc until an event resumes it. Must be called
-// from p's own goroutine with a resume already scheduled or a waker
-// holding p. Panics with the kill sentinel if the simulation is shutting
-// down.
+// from p's own coroutine with a resume already scheduled or a waker holding
+// p. Panics with the kill sentinel if the simulation is shutting down.
 func (p *Proc) park() {
 	s := p.sim
 	if s.killed {
 		panic(errKilled) // a deferred call of a killed body tried to block
 	}
+	// The next event is this Proc's own plain resume: take it here and save
+	// the round trip through the dispatcher.
+	if s.runnable() {
+		if e := &s.events[0]; e.proc == p && e.timed == 0 {
+			s.now = e.at
+			s.eventsRun++
+			s.events.pop()
+			return
+		}
+	}
 	p.parked = true
-	if s.dispatch(p) {
+	if !p.yield(struct{}{}) {
 		panic(errKilled)
 	}
 }
@@ -338,11 +310,38 @@ func (s *Sim) Run() time.Duration {
 // horizon still run.
 func (s *Sim) RunUntil(horizon time.Duration) time.Duration {
 	s.horizon = horizon
-	s.dispatch(&s.root)
+	for s.runnable() {
+		e := s.events.pop()
+		s.now = e.at
+		s.eventsRun++
+		if e.fn != nil {
+			e.fn()
+			continue
+		}
+		p := e.proc
+		if e.timed != 0 {
+			if p.timedWait == nil || p.timedSeq != e.timed {
+				continue // that receive is over; the timer is stale
+			}
+			p.timedWait.expire()
+			p.timedWait = nil
+		}
+		if !p.parked {
+			panic(fmt.Sprintf("simrt: resume of proc %q, which is not parked", p.name))
+		}
+		p.parked = false
+		s.resumes++
+		p.next()
+	}
 	if !s.stopped && len(s.events) > 0 {
 		s.now = horizon // the next event lies beyond it
 	}
 	return s.now
+}
+
+// runnable reports whether the run in progress may take the next event.
+func (s *Sim) runnable() bool {
+	return !s.stopped && len(s.events) > 0 && (s.horizon < 0 || s.events[0].at <= s.horizon)
 }
 
 // Stop makes Run return after the currently executing event completes. It
@@ -356,14 +355,13 @@ func (s *Sim) Stopped() bool { return s.stopped }
 // that drive one simulation through several measured phases.
 func (s *Sim) Rearm() { s.stopped = false }
 
-// Shutdown kills every worker — parked mid-body, not yet started, or idle —
-// and returns once their goroutines have exited. Call it after Run returns;
+// Shutdown stops every worker — parked mid-body, not yet started, or idle —
+// and returns once their coroutines have ended. Call it after Run returns;
 // the Sim must not be used afterwards.
 func (s *Sim) Shutdown() {
 	s.killed = true
 	for i := 0; i < len(s.workers); i++ { // a dying body's defers may Spawn
-		s.workers[i].wake <- true
-		<-s.root.wake
+		s.workers[i].stop()
 	}
 	s.workers, s.idle = nil, nil
 }

@@ -109,7 +109,7 @@ type link struct{ from, to types.NodeID }
 type Net struct {
 	sim    *simrt.Sim
 	params Params
-	boxes  map[types.NodeID]*simrt.Chan[wire.Msg]
+	boxes  map[types.NodeID]*simrt.Chan[*Packet]
 	down   map[types.NodeID]bool
 	stats  Stats
 	tap    func(wire.Msg)
@@ -118,30 +118,47 @@ type Net struct {
 	linkFaults    map[link]Faults
 	cuts          map[link]bool
 
-	idle []*delivery // recycled in-flight records
+	idle []*Packet // released records
 }
 
-// delivery is one message copy in flight. Records are pooled and carry
-// their arrival callback as a method value made once, so putting a message
-// on the wire costs neither a closure nor a heap copy of the message.
-type delivery struct {
+// Packet is one message from Send to the end of its handling: Send makes the
+// only copy, the arrival event puts the record itself into the destination's
+// inbox, and whoever takes it out owns it until Release. Records are pooled
+// and carry their arrival callback and handler-proc body as method values
+// made once, so a message costs neither a closure nor a heap copy.
+type Packet struct {
+	wire.Msg
 	net    *Net
-	box    *simrt.Chan[wire.Msg]
-	msg    wire.Msg
+	box    *simrt.Chan[*Packet]
 	arrive func()
+	body   func(*simrt.Proc)
+	handle func(*simrt.Proc, *Packet)
 }
 
 // land is the arrival event: the message is dropped if the destination is
-// down by now, and the record goes back to the pool.
-func (d *delivery) land() {
-	n := d.net
-	if n.down[d.msg.To] {
-		n.stats.DroppedDown++ // dropped at the dead NIC
-	} else {
-		d.box.Send(d.msg)
+// down by now.
+func (pk *Packet) land() {
+	if pk.net.down[pk.To] {
+		pk.net.stats.DroppedDown++ // dropped at the dead NIC
+		pk.Release()
+		return
 	}
-	d.box, d.msg = nil, wire.Msg{}
-	n.idle = append(n.idle, d)
+	pk.box.Send(pk)
+}
+
+// Body returns the body of a proc that calls handle with the packet.
+func (pk *Packet) Body(handle func(*simrt.Proc, *Packet)) func(*simrt.Proc) {
+	pk.handle = handle
+	return pk.body
+}
+
+func (pk *Packet) run(p *simrt.Proc) { pk.handle(p, pk) }
+
+// Release gives the record back to the pool. It is emptied first, so a
+// pointer kept past this call reads an empty message, not a later one.
+func (pk *Packet) Release() {
+	pk.Msg, pk.box, pk.handle = wire.Msg{}, nil, nil
+	pk.net.idle = append(pk.net.idle, pk)
 }
 
 // SetTap installs an observer invoked (synchronously, in simulation
@@ -152,16 +169,16 @@ func (n *Net) SetTap(fn func(wire.Msg)) { n.tap = fn }
 
 // New creates a network on s.
 func New(s *simrt.Sim, p Params) *Net {
-	return &Net{sim: s, params: p, boxes: make(map[types.NodeID]*simrt.Chan[wire.Msg]), down: make(map[types.NodeID]bool)}
+	return &Net{sim: s, params: p, boxes: make(map[types.NodeID]*simrt.Chan[*Packet]), down: make(map[types.NodeID]bool)}
 }
 
 // Register creates (or returns) the inbox for node. Servers and client
-// hosts each own one inbox and service it from their own Procs.
-func (n *Net) Register(node types.NodeID) *simrt.Chan[wire.Msg] {
+// hosts each own one inbox and serve it; what they take out they Release.
+func (n *Net) Register(node types.NodeID) *simrt.Chan[*Packet] {
 	if b, ok := n.boxes[node]; ok {
 		return b
 	}
-	b := simrt.NewChan[wire.Msg](n.sim)
+	b := simrt.NewChan[*Packet](n.sim)
 	n.boxes[node] = b
 	return b
 }
@@ -272,27 +289,27 @@ func (n *Net) Send(msg wire.Msg) {
 			if f.DelayMax > 0 {
 				extra = time.Duration(rng.Int63n(int64(f.DelayMax)))
 			}
-			n.deliver(box, msg, delay+extra)
+			n.deliver(box, &msg, delay+extra)
 		}
 		if f.DelayProb > 0 && f.DelayMax > 0 && rng.Float64() < f.DelayProb {
 			n.stats.Delayed++
 			delay += time.Duration(rng.Int63n(int64(f.DelayMax)))
 		}
 	}
-	n.deliver(box, msg, delay)
+	n.deliver(box, &msg, delay)
 }
 
 // deliver schedules one copy of msg after delay, dropping it if the
 // destination is down at arrival time.
-func (n *Net) deliver(box *simrt.Chan[wire.Msg], msg wire.Msg, delay time.Duration) {
-	var d *delivery
+func (n *Net) deliver(box *simrt.Chan[*Packet], msg *wire.Msg, delay time.Duration) {
+	var pk *Packet
 	if k := len(n.idle); k > 0 {
-		d = n.idle[k-1]
+		pk = n.idle[k-1]
 		n.idle = n.idle[:k-1]
 	} else {
-		d = &delivery{net: n}
-		d.arrive = d.land
+		pk = &Packet{net: n}
+		pk.arrive, pk.body = pk.land, pk.run
 	}
-	d.box, d.msg = box, msg
-	n.sim.After(delay, d.arrive)
+	pk.box, pk.Msg = box, *msg
+	n.sim.After(delay, pk.arrive)
 }

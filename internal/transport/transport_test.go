@@ -273,7 +273,7 @@ func TestSendToAttendedInboxNoAlloc(t *testing.T) {
 	got := 0
 	s.Spawn("recv", func(p *simrt.Proc) {
 		for {
-			box.Recv(p)
+			box.Recv(p).Release()
 			got++
 		}
 	})
@@ -290,5 +290,44 @@ func TestSendToAttendedInboxNoAlloc(t *testing.T) {
 	}
 	if got != 1002 {
 		t.Errorf("delivered %d messages, want 1002", got)
+	}
+}
+
+// TestPacketIsOneRecordFromSendToRelease follows one pooled record through
+// its life: Send's copy arrives in the inbox as the record itself, Body makes
+// it the body of the proc that handles it, Release empties it and the next
+// Send reuses it; a record whose destination is down when it lands goes
+// straight back to the pool.
+func TestPacketIsOneRecordFromSendToRelease(t *testing.T) {
+	s := simrt.New(1)
+	defer s.Shutdown()
+	n := New(s, DefaultParams())
+	box := n.Register(1)
+	n.Send(wire.Msg{Type: wire.MsgPing, From: 0, To: 1, Op: types.OpID{Seq: 7}})
+	s.Run()
+	first, ok := box.TryRecv()
+	if !ok || first.Type != wire.MsgPing || first.Op.Seq != 7 {
+		t.Fatalf("inbox holds %+v, %v; want the ping", first, ok)
+	}
+	var handled *Packet
+	s.Spawn("handler", first.Body(func(p *simrt.Proc, pk *Packet) { handled = pk }))
+	s.Run()
+	if handled != first {
+		t.Error("the proc made by Body was not handed its own record")
+	}
+	first.Release()
+	if first.Type != 0 || first.Op.Seq != 0 || len(n.idle) != 1 {
+		t.Errorf("released record reads %+v with %d records pooled; want it empty and pooled", first.Msg, len(n.idle))
+	}
+
+	n.Send(wire.Msg{Type: wire.MsgPong, From: 0, To: 1})
+	if len(n.idle) != 0 {
+		t.Error("Send did not take the pooled record")
+	}
+	n.SetDown(1, true) // the destination dies with the message on the wire
+	s.Run()
+	if box.Len() != 0 || len(n.idle) != 1 || n.idle[0] != first || n.Stats().DroppedDown != 1 {
+		t.Errorf("after landing on a dead NIC: inbox %d, pooled %d, DroppedDown %d; want 0, the same record, 1",
+			box.Len(), len(n.idle), n.Stats().DroppedDown)
 	}
 }

@@ -90,11 +90,11 @@ func (r Record) String() string {
 	return fmt.Sprintf("%s %s %s ok=%v", r.Type, r.Op, r.Role, r.OK)
 }
 
-// opEntry is the per-operation index entry.
+// opEntry is the per-operation index entry, held by value in the index: an
+// op with no entry reads as the zero entry, and a new op costs no allocation.
 type opEntry struct {
-	bytes    int64 // live bytes this op holds in the log
-	types    uint8 // bitmask of record types present
-	invalids int   // count of invalidate records
+	bytes int64 // live bytes this op holds in the log
+	types uint8 // bitmask of record types present
 }
 
 func bit(t RecType) uint8 { return 1 << uint(t) }
@@ -132,7 +132,7 @@ type WAL struct {
 
 	head    int64 // next append offset relative to base
 	live    int64 // bytes of un-pruned records
-	index   map[types.OpID]*opEntry
+	index   map[types.OpID]opEntry
 	ordered []Record // durable records in append order, minus pruned ops
 
 	waiters     []fullWaiter
@@ -156,7 +156,7 @@ type WAL struct {
 // New creates a WAL writing sequentially at disk offset base. maxBytes
 // limits live (un-pruned) record bytes; 0 means unlimited.
 func New(s *simrt.Sim, d *disk.Disk, base, maxBytes int64) *WAL {
-	return &WAL{sim: s, dsk: d, base: base, max: maxBytes, index: make(map[types.OpID]*opEntry)}
+	return &WAL{sim: s, dsk: d, base: base, max: maxBytes, index: make(map[types.OpID]opEntry)}
 }
 
 // SetFullHandler registers fn to be invoked (in simulation context, without
@@ -192,16 +192,12 @@ func (w *WAL) LiveBytes() int64 { return w.live }
 
 // OpBytes returns the live bytes attributed to one operation.
 func (w *WAL) OpBytes(op types.OpID) int64 {
-	if e := w.index[op]; e != nil {
-		return e.bytes
-	}
-	return 0
+	return w.index[op].bytes
 }
 
 // Has reports whether the log holds a record of type t for op.
 func (w *WAL) Has(op types.OpID, t RecType) bool {
-	e := w.index[op]
-	return e != nil && e.types&bit(t) != 0
+	return w.index[op].types&bit(t) != 0
 }
 
 // Append synchronously writes one record, blocking until durable. If the
@@ -352,15 +348,9 @@ func (w *WAL) AwaitSpace(p *simrt.Proc) { w.waitForSpace(p, 1) }
 // admit updates the index for a durable record.
 func (w *WAL) admit(rec Record, size int64) {
 	e := w.index[rec.Op]
-	if e == nil {
-		e = &opEntry{}
-		w.index[rec.Op] = e
-	}
 	e.bytes += size
 	e.types |= bit(rec.Type)
-	if rec.Type == RecInvalidate {
-		e.invalids++
-	}
+	w.index[rec.Op] = e
 	w.live += size
 	w.ordered = append(w.ordered, rec)
 }
@@ -370,8 +360,8 @@ func (w *WAL) admit(rec Record, size int64) {
 // whose terminal record (Complete on the coordinator, Commit/Abort on the
 // participant) is durable; that discipline lives in the protocol layer.
 func (w *WAL) Prune(op types.OpID) {
-	e := w.index[op]
-	if e == nil {
+	e, ok := w.index[op]
+	if !ok {
 		return
 	}
 	w.live -= e.bytes

@@ -406,3 +406,36 @@ func TestStringersAndSyncDelay(t *testing.T) {
 	_ = resultRec(1, "x").String()
 	s.Shutdown()
 }
+
+// TestAppendFreshOpWarmNoAlloc pins what one logged op costs the heap once
+// the log is warm: its index entry lives by value in the map and the disk
+// request comes from the disk's free list, so appending the first record of
+// a new op and pruning it later allocates nothing.
+func TestAppendFreshOpWarmNoAlloc(t *testing.T) {
+	s := simrt.New(1)
+	defer s.Shutdown()
+	w := New(s, disk.New(s, "d", disk.DefaultParams()), 0, 1<<20)
+	seq := uint64(0)
+	s.Spawn("appender", func(p *simrt.Proc) {
+		recs := make([]Record, 1)
+		for {
+			seq++
+			recs[0] = resultRec(seq, "f")
+			w.AppendBatchPriority(p, recs)
+			if seq > 8 {
+				w.Prune(opID(seq - 8)) // eight ops stay live
+			}
+			p.Sleep(time.Second)
+		}
+	})
+	s.RunUntil(100 * time.Second)
+	before := seq
+	// Ten seconds a run: nine or ten ops each (AllocsPerRun rounds down).
+	allocs := testing.AllocsPerRun(100, func() { s.RunUntil(s.Now() + 10*time.Second) })
+	if allocs > 0 {
+		t.Errorf("appending and pruning ten fresh ops allocates %.1f objects, want 0", allocs)
+	}
+	if seq-before < 900 || len(w.LiveOps()) != 8 {
+		t.Errorf("%d ops appended in the measured rounds, %d live; want >= 900 and 8", seq-before, len(w.LiveOps()))
+	}
+}
