@@ -14,9 +14,9 @@ import (
 	"fmt"
 	"os"
 
+	"cxfs/internal/harness"
 	"cxfs/internal/stats"
 	"cxfs/internal/trace"
-	"cxfs/internal/types"
 )
 
 func main() {
@@ -70,26 +70,15 @@ func main() {
 	}
 
 	if *dist {
-		kinds := []types.OpKind{types.OpCreate, types.OpRemove, types.OpMkdir, types.OpRmdir,
-			types.OpLink, types.OpUnlink, types.OpStat, types.OpLookup, types.OpSetAttr}
-		header := []string{"Trace", "Ops"}
-		for _, k := range kinds {
-			header = append(header, k.String())
-		}
-		tbl := stats.NewTable("Figure 4: metadata operation distribution", header...)
+		var traces []*trace.Trace
 		for _, p := range profiles {
 			tr := loaded
 			if tr == nil {
 				tr = trace.Generate(p, *scale, *seed)
 			}
-			d := tr.Distribution()
-			cells := []any{p.Name, tr.Total}
-			for _, k := range kinds {
-				cells = append(cells, stats.Pct(float64(d[k])/float64(tr.Total)))
-			}
-			tbl.Add(cells...)
+			traces = append(traces, tr)
 		}
-		fmt.Println(tbl)
+		fmt.Println(harness.DistributionTable(traces))
 	}
 
 	if *stat {

@@ -136,8 +136,9 @@ func (c *Cluster) hostID(i int) types.NodeID {
 }
 
 // Size bounds on Options: a cluster build allocates goroutines and buffers
-// proportional to these, and Options can arrive from a network request
-// (cxd), so absurd values must fail cleanly instead of exhausting memory.
+// proportional to these, and Options can arrive from a command line
+// (cxbench -servers), so absurd values must fail cleanly instead of
+// exhausting memory.
 const (
 	maxServers      = 1024
 	maxClientHosts  = 1 << 14
@@ -145,8 +146,8 @@ const (
 )
 
 // New builds and starts a cluster inside a fresh simulation. It validates
-// the topology and protocol so a caller fed untrusted options (the cxd
-// daemon) gets an error instead of a panic.
+// the topology and protocol so a caller fed untrusted options gets an error
+// instead of a panic.
 func New(opts Options) (*Cluster, error) {
 	if opts.Servers <= 0 || opts.Servers > maxServers {
 		return nil, fmt.Errorf("cluster: servers must be in [1,%d], got %d", maxServers, opts.Servers)

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"os"
 	"slices"
 	"strings"
@@ -12,80 +11,58 @@ import (
 	"cxfs/internal/obs"
 )
 
-// tiny keeps harness tests fast; the full-shape assertions run in the
-// top-level benchmarks.
+// tiny keeps the shape tests fast: they check what holds at any size, on
+// sweeps of two points. The claims at full size are TestEvidence's.
 func tiny() Config {
 	return Config{Scale: 0.0012, Servers: 4, Seed: 1}
 }
 
+// bounds fails the test for every bound of res that does not hold. The shape
+// tests below run an experiment away from its default size, mostly on sweeps
+// of two points, and ask that the bounds it keeps at full size hold there too.
+func bounds(t *testing.T, res Result) {
+	t.Helper()
+	for _, c := range res.Failed() {
+		t.Errorf("%s", c)
+	}
+}
+
 func TestTable2ShapesAndOrdering(t *testing.T) {
-	cfg := tiny()
-	rows, tbl := Table2(cfg)
+	rows, res := Table2(tiny())
 	if len(rows) != 6 {
 		t.Fatalf("want 6 workloads, got %d", len(rows))
 	}
-	byName := map[string]Table2Row{}
 	for _, r := range rows {
-		byName[r.Workload] = r
 		if r.TotalOps <= 0 {
 			t.Errorf("%s: no ops", r.Workload)
 		}
-		if r.ConflictRatio > 0.10 {
-			t.Errorf("%s: conflict ratio %.3f implausibly high", r.Workload, r.ConflictRatio)
-		}
 	}
-	// Table II ordering: supercomputing traces conflict less than deasna2.
-	if byName["CTH"].ConflictRatio >= byName["deasna2"].ConflictRatio {
-		t.Errorf("CTH (%.4f) should conflict less than deasna2 (%.4f)",
-			byName["CTH"].ConflictRatio, byName["deasna2"].ConflictRatio)
-	}
-	if !strings.Contains(tbl.String(), "deasna2") {
+	bounds(t, res)
+	if !strings.Contains(res.String(), "deasna2") {
 		t.Error("table missing workloads")
 	}
 }
 
 func TestTable4OverheadSmall(t *testing.T) {
-	cfg := tiny()
-	rows, _ := Table4(cfg)
+	rows, res := Table4(tiny())
 	for _, r := range rows {
 		if r.MsgsCx == 0 || r.MsgsOFS == 0 {
 			t.Errorf("%s: zero messages", r.Workload)
 		}
-		// Paper: <= ~3.1% at their scale; batching keeps it single-digit
-		// even on tiny replays where lazy batches are small.
-		if r.Overhead > 0.15 {
-			t.Errorf("%s: message overhead %.1f%% too high", r.Workload, r.Overhead*100)
-		}
-		if r.Overhead < -0.05 {
-			t.Errorf("%s: Cx sent notably fewer messages (%.1f%%) — accounting bug?", r.Workload, r.Overhead*100)
-		}
 	}
+	bounds(t, res)
 }
 
 func TestTable5MonotoneSublinear(t *testing.T) {
-	cfg := tiny()
-	rows, _ := Table5(cfg)
+	rows, res := Table5(tiny())
 	if len(rows) != 6 {
 		t.Fatalf("rows=%d", len(rows))
 	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].RecoveryTime < rows[i-1].RecoveryTime {
-			t.Errorf("recovery time not monotone: %v@%dKB < %v@%dKB",
-				rows[i].RecoveryTime, rows[i].ValidKB, rows[i-1].RecoveryTime, rows[i-1].ValidKB)
-		}
-	}
-	// Paper shape: 100x backlog (10KB->1000KB) grows recovery <3x thanks to
-	// the fixed freeze phase; allow modest slack for the simulator's
-	// different fixed/variable balance.
-	t10, t1000 := rows[1].RecoveryTime, rows[5].RecoveryTime
-	if t10 > 0 && float64(t1000) > 4*float64(t10) {
-		t.Errorf("recovery growth superlinear: %v -> %v for 100x backlog", t10, t1000)
-	}
+	bounds(t, res)
 }
 
 func TestFig4AllWorkloadsPresent(t *testing.T) {
-	tbl := Fig4(tiny())
-	out := tbl.String()
+	out := Fig4(tiny()).String()
 	for _, w := range []string{"CTH", "s3d", "alegra", "home2", "deasna2", "lair62b"} {
 		if !strings.Contains(out, w) {
 			t.Errorf("missing %s", w)
@@ -93,6 +70,8 @@ func TestFig4AllWorkloadsPresent(t *testing.T) {
 	}
 }
 
+// Two traces at three quarters of the default size: the margin over OFS is
+// allowed to be thinner than the 38% kept at full size, not absent.
 func TestFig5PaperInequalities(t *testing.T) {
 	cfg := tiny()
 	cfg.Scale = 0.003
@@ -109,37 +88,19 @@ func TestFig5PaperInequalities(t *testing.T) {
 }
 
 func TestFig6GainAndScaling(t *testing.T) {
-	cfg := tiny()
-	rows, _ := Fig6(cfg, []int{2, 4}, 25)
-	byKey := map[string]Fig6Row{}
-	for _, r := range rows {
-		byKey[r.Mix+string(rune(r.Servers))] = r
-		if r.CxGain <= 0 {
-			t.Errorf("%s@%d servers: Cx gain %.2f, must be positive", r.Mix, r.Servers, r.CxGain)
-		}
-		if r.OFSCx <= r.OFS {
-			t.Errorf("%s@%d: Cx throughput below OFS", r.Mix, r.Servers)
-		}
+	rows, res := Fig6(tiny(), []int{2, 4}, 25)
+	if len(rows) != 4 {
+		t.Fatalf("rows=%d, want two mixes at two sizes", len(rows))
 	}
-	// Scaling: 4 servers beat 2 for every system.
-	for _, mix := range []string{"update-dominated", "read-dominated"} {
-		r2, r4 := byKey[mix+string(rune(2))], byKey[mix+string(rune(4))]
-		if r4.OFSCx <= r2.OFSCx {
-			t.Errorf("%s: Cx did not scale 2->4 servers (%.0f -> %.0f)", mix, r2.OFSCx, r4.OFSCx)
-		}
-	}
+	bounds(t, res)
 }
 
 func TestFig7aSmallerLogSlower(t *testing.T) {
-	cfg := tiny()
-	rows, _ := Fig7a(cfg, []int64{8 << 10, 0})
+	rows, res := Fig7a(tiny(), []int64{8 << 10, 0})
 	if len(rows) != 2 {
 		t.Fatal("want 2 rows")
 	}
-	if rows[0].ReplayTime <= rows[1].ReplayTime {
-		t.Errorf("8KB log (%v) should replay slower than unlimited (%v)",
-			rows[0].ReplayTime, rows[1].ReplayTime)
-	}
+	bounds(t, res)
 }
 
 // The paper's claim pinned where it used to break: a log small enough that
@@ -176,116 +137,145 @@ func TestCxGainOverSEUnderLogPressure(t *testing.T) {
 func TestFig7bSeriesHasPeakAndDrops(t *testing.T) {
 	cfg := tiny()
 	cfg.Scale = 0.002
-	series, _ := Fig7b(cfg, 50*time.Millisecond)
+	series, res := Fig7b(cfg, 50*time.Millisecond)
 	if len(series.Points) < 5 {
 		t.Fatalf("too few samples: %d", len(series.Points))
 	}
-	if series.Peak() <= 0 {
-		t.Error("valid-record size never rose")
-	}
-	if series.Drops(0.3) == 0 {
-		t.Error("no pruning drops observed; timeout trigger not visible in the series")
-	}
+	bounds(t, res)
 }
 
 func TestFig8ConflictsDegradeCx(t *testing.T) {
-	cfg := tiny()
-	rows, ofs, _ := Fig8(cfg, []float64{0, 0.9})
+	rows, res := Fig8(tiny(), []float64{0, 0.9})
 	if len(rows) != 2 {
 		t.Fatal("want 2 rows")
 	}
-	if rows[1].ConflictRatio <= rows[0].ConflictRatio {
-		t.Errorf("injection did not raise conflicts: %.4f -> %.4f",
-			rows[0].ConflictRatio, rows[1].ConflictRatio)
-	}
-	if rows[1].CxReplay <= rows[0].CxReplay {
-		t.Errorf("higher conflicts should slow Cx: %v -> %v", rows[0].CxReplay, rows[1].CxReplay)
-	}
-	if rows[0].CxReplay >= ofs {
-		t.Errorf("at base conflicts Cx (%v) must beat OFS (%v)", rows[0].CxReplay, ofs)
-	}
+	bounds(t, res)
 }
 
 func TestFig9LongerTimeoutFaster(t *testing.T) {
-	cfg := tiny()
-	rows, _ := Fig9a(cfg, []time.Duration{20 * time.Millisecond, 10 * time.Second})
-	if rows[1].ReplayTime >= rows[0].ReplayTime {
-		t.Errorf("long timeout (%v) should be faster than short (%v)",
-			rows[1].ReplayTime, rows[0].ReplayTime)
-	}
-	rowsB, _ := Fig9b(cfg, []int{2, 4096})
-	if rowsB[1].ReplayTime >= rowsB[0].ReplayTime {
-		t.Errorf("large threshold (%v) should be faster than tiny (%v)",
-			rowsB[1].ReplayTime, rowsB[0].ReplayTime)
-	}
+	_, res := Fig9a(tiny(), []time.Duration{20 * time.Millisecond, 10 * time.Second})
+	bounds(t, res)
+	_, res = Fig9b(tiny(), []int{2, 4096})
+	bounds(t, res)
 }
 
 func TestLatencyExtensionShape(t *testing.T) {
-	cfg := tiny()
-	rows, tbl := Latency(cfg, "CTH")
+	rows, res := Latency(tiny(), "CTH")
 	if len(rows) != 3 {
 		t.Fatalf("rows=%d", len(rows))
 	}
-	byProto := map[string]LatencyRow{}
 	for _, r := range rows {
-		byProto[string(r.Protocol)] = r
 		if r.Mean <= 0 || r.P99 < r.P50 {
 			t.Errorf("%s: implausible distribution %+v", r.Protocol, r)
 		}
 	}
-	// Concurrent execution must cut the median against serial execution.
-	if byProto["cx"].P50 >= byProto["se"].P50 {
-		t.Errorf("Cx p50 (%v) not below SE p50 (%v)", byProto["cx"].P50, byProto["se"].P50)
-	}
-	if !strings.Contains(tbl.String(), "p99") {
+	bounds(t, res)
+	if !strings.Contains(res.String(), "p99") {
 		t.Error("table malformed")
 	}
 }
 
 func TestTriggersExtension(t *testing.T) {
-	cfg := tiny()
-	rows, _ := Triggers(cfg)
+	rows, res := Triggers(tiny())
 	if len(rows) != 5 {
 		t.Fatalf("rows=%d", len(rows))
 	}
-	byName := map[string]TriggerRow{}
+	byName := map[string]SweepRow{}
 	for _, r := range rows {
-		byName[r.Name] = r
+		byName[r.Setting] = r
 		if r.ReplayTime <= 0 {
-			t.Errorf("%s: no replay time", r.Name)
+			t.Errorf("%s: no replay time", r.Setting)
 		}
 	}
-	// A fast timeout forces many small batches and must be slower than the
-	// long-timeout optimum; the idle trigger should land near the optimum
-	// (the replay has no long quiet periods, so it rarely fires mid-run).
+	// A fast timeout forces many small batches and, at this size, is slower
+	// than the long-timeout optimum (at the default size its early batches
+	// hide behind the replay and it is 3 ms ahead, so this is no claim); the
+	// idle trigger lands near the optimum at any size, which is the bound.
 	if byName["timeout-100ms"].ReplayTime < byName["timeout-10s"].ReplayTime {
 		t.Errorf("fast timeout (%v) beat slow (%v)", byName["timeout-100ms"].ReplayTime, byName["timeout-10s"].ReplayTime)
 	}
-	slack := byName["timeout-10s"].ReplayTime + byName["timeout-10s"].ReplayTime/4
-	if byName["idle-200ms"].ReplayTime > slack {
-		t.Errorf("idle trigger (%v) far off the optimum (%v)", byName["idle-200ms"].ReplayTime, byName["timeout-10s"].ReplayTime)
-	}
+	bounds(t, res)
 }
 
 // The group-commit experiment records into the session's observer like every
 // other — it used to build a private one, so `cxbench -exp metarates -hist`
-// printed an empty table — and its coalesce column, now GroupedReqs over
-// GroupFlushes of wal.Stats, is still the one EXPERIMENTS.md tabulates.
+// printed an empty table — and nothing else of the Config reaches it: its
+// geometry is fixed, so a Config with no Servers or Scale runs it all the
+// same. (TestEvidence asks the first of every experiment, at full size.)
 func TestMetaratesGroupCommitUsesSessionObserver(t *testing.T) {
 	o := obs.New(obs.Options{Hist: true})
-	MetaratesGroupCommit(Config{Seed: 1, Obs: o}, MetaratesGCOpts{OpsPerProc: 5})
+	rows, _ := MetaratesGroupCommit(Config{Seed: 1, Obs: o})
 	if len(o.Keys()) == 0 {
 		t.Error("the experiment recorded no latency histogram into cfg.Obs")
 	}
-	rows, _ := MetaratesGroupCommit(Config{Seed: 1}, MetaratesGCOpts{})
-	want := []string{"0.00", "0.00", "6.66", "36.98"}
-	if len(rows) != len(want) {
-		t.Fatalf("rows=%d, want %d", len(rows), len(want))
+	if len(rows) != 4 {
+		t.Fatalf("rows=%d, want 4", len(rows))
 	}
-	for i, r := range rows {
-		if got := fmt.Sprintf("%.2f", r.Coalesce); got != want[i] {
-			t.Errorf("%s: coalesce %s, want %s", r.Setting, got, want[i])
-		}
+}
+
+// evidencePath is the committed stdout of `cxbench -exp all`.
+const evidencePath = "../../EXPERIMENTS.out"
+
+// TestEvidence re-runs every experiment at DefaultConfig and holds it against
+// EXPERIMENTS.out: the section it renders is the committed one line for line,
+// and no claim fails. It runs them with a recording observer attached, where
+// cxbench wrote the file with none, so it also shows that observing changes
+// nothing and that every experiment that builds a cluster records into the
+// session's observer — `-hist` and `-trace` used to come out empty for the
+// ones that built theirs by hand.
+func TestEvidence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three minutes under the race detector: CI's race job passes -short, its evidence job is the plain run")
+	}
+	file, err := os.ReadFile(evidencePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(file)
+	var all strings.Builder
+	for _, e := range Experiments {
+		t.Run(e.ID, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Obs = obs.New(obs.Options{Hist: true, Trace: true, TraceCap: 1 << 10})
+			res := e.Run(cfg)
+			for _, c := range res.Failed() {
+				t.Errorf("%s", c)
+			}
+			got := res.String() + "\n"
+			all.WriteString(got)
+
+			title := res.Table.Title + "\n"
+			at := strings.Index(want, title)
+			if at < 0 {
+				t.Fatalf("%s has no section titled %q; regenerate it: go run ./cmd/cxbench -exp all 2>/dev/null > EXPERIMENTS.out", evidencePath, res.Table.Title)
+			}
+			section := want[at:]
+			for i, line := range strings.SplitAfter(got, "\n") {
+				if !strings.HasPrefix(section, line) {
+					committed, _, _ := strings.Cut(section, "\n")
+					t.Fatalf("line %d of the %s section differs from %s\n     now: %q\ncommitted: %q\nif the change is meant, regenerate: go run ./cmd/cxbench -exp all 2>/dev/null > EXPERIMENTS.out",
+						i+1, e.ID, evidencePath, strings.TrimSuffix(line, "\n"), committed)
+				}
+				section = section[len(line):]
+			}
+
+			switch e.ID {
+			case "fig4": // builds no cluster
+			case "fig7b": // samples into an observer of its own, by design (see Fig7b)
+			case "disorder": // raw sub-op requests, no driver: phase events, not latency histograms
+				if cfg.Obs.PhaseCount(obs.PhaseInvalidate) == 0 {
+					t.Error("the experiment emitted no invalidate event into a tracing cfg.Obs")
+				}
+			default:
+				if len(cfg.Obs.Keys()) == 0 {
+					t.Error("the experiment recorded no latency histogram into cfg.Obs")
+				}
+			}
+		})
+	}
+	if !t.Failed() && all.String() != want {
+		t.Errorf("%s (%d bytes) is not exactly the experiments' sections in table order (%d bytes); regenerate it: go run ./cmd/cxbench -exp all 2>/dev/null > EXPERIMENTS.out",
+			evidencePath, len(want), all.Len())
 	}
 }
 
@@ -303,7 +293,7 @@ func TestExperimentsTable(t *testing.T) {
 		t.Error("chaos takes flags only cxbench has; it must not be in the table")
 	}
 	e, _ := ExperimentByID("protocols")
-	out := e.Run(tiny())
+	out := e.Run(tiny()).String()
 	for _, proto := range cluster.Protocols {
 		if !strings.Contains(out, "\n"+string(proto)+" ") {
 			t.Errorf("protocols table lacks %s:\n%s", proto, out)
@@ -311,10 +301,10 @@ func TestExperimentsTable(t *testing.T) {
 	}
 }
 
-// The prose lists of experiment ids — README and cxbench's usage comment —
-// name every entry of the table (flag help and cxd's answer are generated).
+// The prose lists of experiment ids — README, EXPERIMENTS.md and cxbench's
+// usage comment — name every entry of the table (the flag help is generated).
 func TestDocsNameEveryExperiment(t *testing.T) {
-	for _, path := range []string{"../../README.md", "../../cmd/cxbench/main.go"} {
+	for _, path := range []string{"../../README.md", "../../EXPERIMENTS.md", "../../cmd/cxbench/main.go"} {
 		doc, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

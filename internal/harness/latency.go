@@ -23,10 +23,7 @@ type LatencyRow struct {
 // on one trace. Cx's concurrent execution should cut the median roughly in
 // half against serial execution, while its conflict handling shows up in
 // the tail.
-func Latency(cfg Config, workload string) ([]LatencyRow, *stats.Table) {
-	if workload == "" {
-		workload = "s3d"
-	}
+func Latency(cfg Config, workload string) ([]LatencyRow, Result) {
 	p, err := trace.ProfileByName(workload)
 	if err != nil {
 		panic(err)
@@ -57,25 +54,18 @@ func Latency(cfg Config, workload string) ([]LatencyRow, *stats.Table) {
 		rows = append(rows, row)
 		tbl.Add(string(proto), row.Mean, row.P50, row.P99, row.Max)
 	}
-	return rows, tbl
-}
-
-// TriggerRow is one commitment-trigger configuration's outcome.
-type TriggerRow struct {
-	Name       string
-	ReplayTime time.Duration
-	Batches    uint64
+	se, cx := rows[0], rows[2]
+	return rows, Result{Table: tbl, Claims: []Claim{
+		bound(cx.P50 < se.P50, "latency: concurrent execution cuts the median response time against serial execution",
+			"p50 %s against %s", us(cx.P50), us(se.P50)),
+	}}
 }
 
 // Triggers compares the paper's two batched-commitment triggers with the
 // idle-time trigger it names as future work (§IV.A), all on home2 with an
 // unlimited log. The idle trigger matches the long-timeout optimum while
 // never leaving work pending across quiet periods.
-func Triggers(cfg Config) ([]TriggerRow, *stats.Table) {
-	type setting struct {
-		name   string
-		mutate func(*cluster.Options)
-	}
+func Triggers(cfg Config) ([]SweepRow, Result) {
 	settings := []setting{
 		{"timeout-100ms", func(o *cluster.Options) { o.Cx.Timeout = 100 * time.Millisecond }},
 		{"timeout-10s", func(o *cluster.Options) { o.Cx.Timeout = 10 * time.Second }},
@@ -83,19 +73,22 @@ func Triggers(cfg Config) ([]TriggerRow, *stats.Table) {
 		{"idle-20ms", func(o *cluster.Options) { o.Cx.Timeout = 0; o.Cx.IdleTrigger = 20 * time.Millisecond }},
 		{"idle-200ms", func(o *cluster.Options) { o.Cx.Timeout = 0; o.Cx.IdleTrigger = 200 * time.Millisecond }},
 	}
-	var rows []TriggerRow
+	for i, trigger := range settings {
+		settings[i].mutate = func(o *cluster.Options) {
+			o.Hardware.LogMaxBytes = 0
+			trigger.mutate(o)
+		}
+	}
+	rows := cfg.home2Sweep(settings, 0)
 	tbl := stats.NewTable("Extension: commitment trigger comparison (home2, unlimited log)",
 		"Trigger", "Replay time", "Lazy batches")
-	for _, st := range settings {
-		st := st
-		res, c := cfg.replay("home2", cluster.ProtoCx, func(o *cluster.Options) {
-			o.Hardware.LogMaxBytes = 0
-			st.mutate(o)
-		}, 0)
-		batches := c.Counters().Core.LazyBatches
-		c.Shutdown()
-		rows = append(rows, TriggerRow{Name: st.name, ReplayTime: res.ReplayTime, Batches: batches})
-		tbl.Add(st.name, res.ReplayTime, batches)
+	for _, r := range rows {
+		tbl.Add(r.Setting, r.ReplayTime, r.Batches)
 	}
-	return rows, tbl
+	optimum, idle := rows[1], rows[4]
+	return rows, Result{Table: tbl, Claims: []Claim{
+		bound(idle.ReplayTime <= optimum.ReplayTime+optimum.ReplayTime/4,
+			"triggers: the idle trigger replays within 25% of the long-timeout optimum",
+			"%s at %s against %s at %s", us(idle.ReplayTime), idle.Setting, us(optimum.ReplayTime), optimum.Setting),
+	}}
 }

@@ -427,17 +427,3 @@ func (o *Observer) HistTable() *stats.Table {
 	}
 	return tbl
 }
-
-// PhaseTable renders per-phase event counts.
-func (o *Observer) PhaseTable() *stats.Table {
-	tbl := stats.NewTable("Protocol-phase event counts", "phase", "events")
-	if o == nil {
-		return tbl
-	}
-	for ph := Phase(0); ph < numPhases; ph++ {
-		if n := o.phaseCount[ph]; n > 0 {
-			tbl.Add(ph.String(), n)
-		}
-	}
-	return tbl
-}
