@@ -207,7 +207,6 @@ func TestSEBatchedFlushDaemonDrains(t *testing.T) {
 	o := cluster.DefaultOptions(2, cluster.ProtoSEBatched)
 	o.ClientHosts = 1
 	o.ProcsPerHost = 1
-	o.SEFlush = 100 * time.Millisecond
 	c := cluster.MustNew(o)
 	defer c.Shutdown()
 	done := false
@@ -225,7 +224,7 @@ func TestSEBatchedFlushDaemonDrains(t *testing.T) {
 		if dirtyBefore == 0 {
 			t.Error("no dirty pages right after batched writes")
 		}
-		p.Sleep(400 * time.Millisecond) // several flush periods
+		p.Sleep(25 * time.Second) // several flush periods
 		for i, b := range c.Bases {
 			if n := b.KV.DirtyCount(); n != 0 {
 				t.Errorf("server %d still has %d dirty pages", i, n)

@@ -24,7 +24,6 @@ type SEServer struct {
 	*node.Base
 	pl      namespace.Placement
 	batched bool
-	flushT  time.Duration
 
 	// pendingUndo retains the participant executions a CLEAR may still take
 	// back. SE has no protocol completion signal, so the set is bounded:
@@ -48,14 +47,15 @@ type localFlush struct {
 
 const seUndoCap = 4096
 
+// seFlushPeriod paces the write-back daemon: the batched flush of
+// OFS-batched, the database checkpointer of plain OFS. The paper's 10 s, the
+// only value any run has used.
+const seFlushPeriod = 10 * time.Second
+
 // NewSEServer builds an SE server; batched selects OFS-batched behavior.
-// flushTimeout paces the batched flush daemon (ignored in sync mode).
-func NewSEServer(base *node.Base, pl namespace.Placement, batched bool, flushTimeout time.Duration) *SEServer {
-	if flushTimeout <= 0 {
-		flushTimeout = 10 * time.Second
-	}
+func NewSEServer(base *node.Base, pl namespace.Placement, batched bool) *SEServer {
 	return &SEServer{
-		Base: base, pl: pl, batched: batched, flushT: flushTimeout,
+		Base: base, pl: pl, batched: batched,
 		pendingUndo: make(map[types.OpID]pendingExec),
 	}
 }
@@ -73,13 +73,13 @@ func (s *SEServer) Start() {
 	if s.batched {
 		s.Sim.Spawn(fmt.Sprintf("se%d/flushd", s.ID), s.flushDaemon)
 	} else {
-		s.KV.StartCheckpointer(s.flushT)
+		s.KV.StartCheckpointer(seFlushPeriod)
 	}
 }
 
 func (s *SEServer) flushDaemon(p *simrt.Proc) {
 	for {
-		p.Sleep(s.flushT)
+		p.Sleep(seFlushPeriod)
 		if s.Crashed() {
 			continue
 		}

@@ -23,15 +23,15 @@ type TwoPCServer struct {
 	locks *lockTable
 
 	// Participant-side pending executions awaiting the decision.
-	pendingPart map[types.OpID]pendingExec
+	prepared map[types.OpID]pendingExec
 }
 
 // NewTwoPCServer builds a 2PC server.
 func NewTwoPCServer(base *node.Base, pl namespace.Placement) *TwoPCServer {
 	return &TwoPCServer{
 		Base: base, pl: pl,
-		locks:       newLockTable(),
-		pendingPart: make(map[types.OpID]pendingExec),
+		locks:    newLockTable(),
+		prepared: make(map[types.OpID]pendingExec),
 	}
 }
 
@@ -90,7 +90,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		resP := s.Shard.Exec(pSub, s.NowNanos())
 		partOK = resP.OK
 		if resP.OK {
-			s.pendingPart[op.ID] = pendingExec{undo: resP.Undo, rows: resP.Rows}
+			s.prepared[op.ID] = pendingExec{undo: resP.Undo, rows: resP.Rows}
 			s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant,
 				OK: true, Sub: pSub, Before: resP.Before, After: resP.After})
 		}
@@ -167,7 +167,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 
 // participantVote executes the assigned sub-op, logs, and votes (phase 1).
 func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
-	if _, pending := s.pendingPart[m.Op]; pending {
+	if _, pending := s.prepared[m.Op]; pending {
 		// Retransmitted VOTE: answer from the pending execution (only a
 		// successful one is kept) instead of re-acquiring locks it holds.
 		s.Send(wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, OK: true})
@@ -180,7 +180,7 @@ func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
 	s.ExecCPU(p)
 	res := s.Shard.Exec(sub, s.NowNanos())
 	if res.OK {
-		s.pendingPart[m.Op] = pendingExec{undo: res.Undo, rows: res.Rows, keys: keys}
+		s.prepared[m.Op] = pendingExec{undo: res.Undo, rows: res.Rows, keys: keys}
 		s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: m.Op, Role: types.RoleParticipant,
 			OK: true, Sub: sub, Before: res.Before, After: res.After})
 	} else {
@@ -207,11 +207,11 @@ func (s *TwoPCServer) participantDecide(p *simrt.Proc, m *wire.Msg) {
 }
 
 func (s *TwoPCServer) applyDecision(p *simrt.Proc, id types.OpID, commit bool) {
-	pe, pending := s.pendingPart[id]
+	pe, pending := s.prepared[id]
 	if !pending {
 		return
 	}
-	delete(s.pendingPart, id)
+	delete(s.prepared, id)
 	decType := wal.RecCommit
 	if !commit {
 		decType = wal.RecAbort

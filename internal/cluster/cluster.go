@@ -73,8 +73,6 @@ type Options struct {
 	Hardware node.HardwareParams
 	Net      transport.Params
 	Cx       core.Config
-	// SEFlush paces the OFS-batched flush daemon.
-	SEFlush time.Duration
 	// GroupLinger enables cross-proc WAL group commit on every server:
 	// concurrent appends park in a flush window for up to this long and one
 	// flusher writes the coalesced window as a single sequential disk
@@ -111,7 +109,6 @@ func DefaultOptions(n int, proto Protocol) Options {
 		Hardware:     node.DefaultHardware(),
 		Net:          transport.DefaultParams(),
 		Cx:           core.DefaultConfig(),
-		SEFlush:      10 * time.Second,
 	}
 }
 
@@ -194,7 +191,7 @@ func New(opts Options) (*Cluster, error) {
 			srv.Start()
 			c.CxSrv = append(c.CxSrv, srv)
 		case ProtoSE, ProtoSEBatched:
-			srv := baseline.NewSEServer(base, pl, opts.Protocol == ProtoSEBatched, opts.SEFlush)
+			srv := baseline.NewSEServer(base, pl, opts.Protocol == ProtoSEBatched)
 			srv.SetLeaseTTL(opts.CacheTTL)
 			srv.Start()
 		case Proto2PC:
@@ -449,7 +446,8 @@ func (c *Cluster) Quiesce(p *simrt.Proc) {
 //  1. every dentry points at an inode that exists with nlink >= 1,
 //  2. every regular file's nlink equals the number of dentries referencing
 //     it (directories are checked for existence only), and
-//  3. no server still marks objects active (Cx only).
+//  3. no server still marks objects active, and every server's op table
+//     agrees with itself (core.Server.CheckState; Cx only).
 //
 // It returns a list of violations (empty = consistent).
 func (c *Cluster) CheckInvariants() []string {
@@ -516,6 +514,9 @@ func (c *Cluster) CheckInvariants() []string {
 	for i, srv := range c.CxSrv {
 		if n := srv.ActiveObjects(); n != 0 {
 			bad = append(bad, fmt.Sprintf("server %d still holds %d active objects", i, n))
+		}
+		for _, v := range srv.CheckState() {
+			bad = append(bad, fmt.Sprintf("server %d op table: %s", i, v))
 		}
 	}
 	return bad

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"cxfs/internal/obs"
@@ -16,48 +16,35 @@ import (
 // L-COM, or C-NOTIFY). If this server coordinates op, the commit daemon is
 // kicked; if it participates, the coordinator is notified; if op is not yet
 // known here (its sub-op is still in flight), the request is remembered and
-// replayed when the sub-op executes.
-func (s *Server) requestCommit(op types.OpID, lcom bool) {
-	s.requestCommitFrom(op, lcom, -1)
-}
-
-// requestCommitFrom is requestCommit with the operation's participant
-// recorded when the requester names it (a C-NOTIFY comes from it, an L-COM
-// carries it as Peer; -1 otherwise), so a request for an operation this
-// server aborted, or never learns about and presumes aborted, can be
-// answered to the participant as well.
-func (s *Server) requestCommitFrom(op types.OpID, lcom bool, part types.NodeID) {
-	if co := s.pendingCoord[op]; co != nil {
-		if lcom {
-			co.lcom = true
+// replayed when the sub-op executes. part is the operation's participant
+// when the requester names it (a C-NOTIFY comes from it, an L-COM carries it
+// as Peer; -1 otherwise), so a request for an operation this server aborted,
+// or never learns about and presumes aborted, can be answered there as well.
+func (s *Server) requestCommit(op types.OpID, lcom bool, part types.NodeID) {
+	st := s.ops[op]
+	switch {
+	case st != nil && st.phase != phaseNone:
+		st.lcom = st.lcom || lcom
+		if st.phase != phasePending {
+			return // a round already has it
 		}
-		if !co.committing {
+		if st.coordinator() {
 			s.kick.Send(kickReq{ops: []types.OpID{op}})
+		} else {
+			s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: st.peer, Op: op})
 		}
-		return
-	}
-	if po := s.pendingPart[op]; po != nil {
-		if !po.committing {
-			s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: po.peer, Op: op})
-		}
-		return
-	}
-	if s.tombstones[op] {
+	case st != nil && st.aborted:
 		s.answerAborted(op, lcom, part)
-		return
+	default:
+		if st = s.entry(op); !st.wanted {
+			st.wanted, st.wantAt, st.wantPart, st.lcom = true, s.Sim.Now(), part, lcom
+			return
+		}
+		st.lcom = st.lcom || lcom
+		if part >= 0 {
+			st.wantPart = part
+		}
 	}
-	if len(s.wantCommit) > 4096 {
-		s.wantCommit = make(map[types.OpID]wantEntry) // bounded backstop
-	}
-	e, ok := s.wantCommit[op]
-	if !ok {
-		e = wantEntry{at: s.Sim.Now(), part: part}
-	}
-	e.lcom = e.lcom || lcom
-	if part >= 0 {
-		e.part = part
-	}
-	s.wantCommit[op] = e
 }
 
 // answerAborted answers a commitment request for an operation already
@@ -93,21 +80,11 @@ func (s *Server) answerAborted(op types.OpID, lcom bool, part types.NodeID) {
 // arrival of the sub-op must see it aborted.
 func (s *Server) expireWantCommit() {
 	now := s.Sim.Now()
-	// Deterministic expiry order: map iteration order must not leak into
-	// the message sequence (seed-exact replay depends on it).
-	var expired []types.OpID
-	for op, e := range s.wantCommit {
-		if now-e.at > s.cfg.VoteWait {
-			expired = append(expired, op)
-		}
-	}
-	sort.Slice(expired, func(i, j int) bool { return opLess(expired[i], expired[j]) })
-	for _, op := range expired {
-		e := s.wantCommit[op]
-		delete(s.wantCommit, op)
-		s.tombstone(op)
+	for _, st := range s.inOrder(func(st *opState) bool { return st.wanted && now-st.wantAt > s.cfg.VoteWait }) {
+		st.wanted = false
+		s.markAborted(st.id())
 		s.stats.OpsAborted++
-		s.answerAborted(op, e.lcom, e.part)
+		s.answerAborted(st.id(), st.lcom, st.wantPart)
 	}
 }
 
@@ -117,17 +94,11 @@ func (s *Server) expireWantCommit() {
 // burst of C-NOTIFYs is one batch, not one batch per message.
 func (s *Server) commitDaemon(p *simrt.Proc) {
 	for {
-		var req kickReq
-		if s.cfg.Timeout > 0 {
-			var got bool
-			if req, got = s.kick.RecvTimeout(p, s.cfg.Timeout); !got {
-				req = kickReq{lazy: true}
-			}
-		} else {
-			var ok bool
-			if req, ok = s.kick.RecvOK(p); !ok {
-				return
-			}
+		req := kickReq{lazy: true} // the timeout trigger, unless a kick comes first
+		if s.cfg.Timeout <= 0 {
+			req = s.kick.Recv(p)
+		} else if r, got := s.kick.RecvTimeout(p, s.cfg.Timeout); got {
+			req = r
 		}
 		for {
 			more, ok := s.kick.TryRecv()
@@ -164,34 +135,6 @@ func (s *Server) lazyPeriod() time.Duration {
 	return s.cfg.VoteWait
 }
 
-// addIdle indexes a freshly registered, not yet committing pendingCoord
-// entry under its participant.
-func (s *Server) addIdle(co *coordOp) {
-	for int(co.peer) >= len(s.idleCoord) {
-		s.idleCoord = append(s.idleCoord, nil)
-	}
-	s.idleCoord[co.peer] = append(s.idleCoord[co.peer], co)
-}
-
-// dropIdle removes one entry from the index (an invalidated execution, or a
-// single target of the no-piggyback ablation).
-func (s *Server) dropIdle(co *coordOp) {
-	list := s.idleCoord[co.peer]
-	for i, c := range list {
-		if c == co {
-			s.idleCoord[co.peer] = append(list[:i], list[i+1:]...)
-			return
-		}
-	}
-}
-
-// takeIdle hands a batch every indexed entry bound for participant part.
-func (s *Server) takeIdle(part types.NodeID) []*coordOp {
-	list := s.idleCoord[part]
-	s.idleCoord[part] = nil
-	return list
-}
-
 // runCommit executes one commitment batch: the targets, grouped by
 // participant, each group one VOTE / COMMIT-REQ / ACK round; a lazy batch
 // then writes back and prunes. A request that finds no target and (lazy) no
@@ -200,14 +143,14 @@ func (s *Server) runCommit(p *simrt.Proc, req kickReq) {
 	// Groups form in ascending participant order (lazy) or request order
 	// (immediate), each in registration order, so a seed replays to the
 	// same message trace.
-	var groups [][]*coordOp
+	var groups [][]*opState
 	targets := 0
-	take := func(cops []*coordOp) {
+	take := func(cops []*opState) {
 		if len(cops) == 0 {
 			return
 		}
 		for _, co := range cops {
-			co.committing = true
+			co.take()
 		}
 		groups = append(groups, cops)
 		targets += len(cops)
@@ -219,13 +162,13 @@ func (s *Server) runCommit(p *simrt.Proc, req kickReq) {
 		}
 	default:
 		for _, id := range req.ops {
-			co := s.pendingCoord[id]
-			if co == nil || co.committing {
+			co := s.ops[id]
+			if co == nil || co.phase != phasePending || !co.coordinator() {
 				continue
 			}
 			if s.cfg.NoPiggyback {
 				s.dropIdle(co)
-				take([]*coordOp{co})
+				take([]*opState{co})
 				continue
 			}
 			// Piggyback: an immediate commitment's VOTE/COMMIT-REQ/append
@@ -250,7 +193,7 @@ func (s *Server) runCommit(p *simrt.Proc, req kickReq) {
 			s.cfg.Obs.Emit(now, int(s.ID), types.NilOp, obs.PhaseCommitLazy,
 				fmt.Sprintf("batch=%d flush=%d", targets, len(s.flushQ)))
 		} else {
-			s.cfg.Obs.Emit(now, int(s.ID), groups[0][0].id, obs.PhaseCommitImmediate,
+			s.cfg.Obs.Emit(now, int(s.ID), groups[0][0].id(), obs.PhaseCommitImmediate,
 				fmt.Sprintf("batch=%d", targets))
 		}
 	}
@@ -288,7 +231,7 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 	var rows []string
 	ready := ops[:0]
 	for _, fe := range ops {
-		if s.anyUnlogged(fe.rows) {
+		if len(s.unlogged) > 0 && slices.ContainsFunc(fe.rows, func(r string) bool { return s.unlogged[r] > 0 }) {
 			s.flushQ = append(s.flushQ, fe)
 			continue
 		}
@@ -303,32 +246,18 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 	}
 }
 
-// anyUnlogged reports whether an execution in flight has written one of
-// rows without its Result-Record being durable yet.
-func (s *Server) anyUnlogged(rows []string) bool {
-	if len(s.unlogged) == 0 {
-		return false
-	}
-	for _, r := range rows {
-		if s.unlogged[r] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // groupCommit runs the commitment phase (§III.B steps 3-7) for a batch of
 // operations sharing one participant. boot is the coordinator incarnation
 // this batch belongs to: a crash+reboot mid-phase orphans the proc, and it
 // must stop touching the rebuilt state (recovery re-drives the batch).
-func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops []*coordOp) {
+func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops []*opState) {
 	ids := make([]types.OpID, len(cops))
 	var enforce []types.OpID
 	for i, co := range cops {
-		ids[i] = co.id
+		ids[i] = co.id()
 		// The coordinator's execution order: every cross-server sub-op
 		// blocked here behind this operation follows it.
-		for _, br := range s.waiters[co.id] {
+		for br := co.followers; br != nil; br = br.next {
 			if br.msg.Sub.Kind.CrossServer() {
 				enforce = append(enforce, br.msg.Sub.Op)
 			}
@@ -343,19 +272,12 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 	}
 
 	// Step 5: decide, log Commit/Abort-Records in one batched append, roll
-	// back aborted local executions, and flush this batch's rows together.
-	recs := make([]wal.Record, 0, len(cops))
-	decisions := make([]wire.Decision, 0, len(cops))
-	for _, co := range cops {
-		commit := votes[co.id] && co.ok
-		decisions = append(decisions, wire.Decision{Op: co.id, Commit: commit})
-		if commit {
-			recs = append(recs, wal.Record{Type: wal.RecCommit, Op: co.id, Role: types.RoleCoordinator})
-		} else {
-			recs = append(recs, wal.Record{Type: wal.RecAbort, Op: co.id, Role: types.RoleCoordinator})
-			s.Shard.ApplyUndo(co.undo)
-			s.tombstone(co.id)
-		}
+	// back aborted local executions.
+	recs := make([]wal.Record, len(cops))
+	decisions := make([]wire.Decision, len(cops))
+	for i, co := range cops {
+		decisions[i] = wire.Decision{Op: co.id(), Commit: votes[co.id()] && co.ok}
+		recs[i] = s.decide(co, decisions[i].Commit)
 	}
 	s.WAL.AppendBatchPriority(p, recs)
 	if s.CrashPoint(CPCommitAfterDecision, ids[0]) || s.Gone(boot) {
@@ -368,33 +290,19 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 		return
 	}
 
-	// Step 7: Complete-Records, prune, release followers, answer ALL-NO for
-	// aborted operations.
-	comp := make([]wal.Record, 0, len(cops))
-	for _, co := range cops {
-		comp = append(comp, wal.Record{Type: wal.RecComplete, Op: co.id, Role: types.RoleCoordinator})
-	}
-	s.WAL.AppendBatchPriority(p, comp)
+	// Step 7: Complete-Records, release followers, answer ALL-NO for aborted
+	// operations.
+	s.complete(p, ids)
 	if s.Gone(boot) {
 		return
 	}
-	for i, co := range cops {
-		delete(s.pendingCoord, co.id)
-		s.CacheReply(co.id, co.finalReply(decisions[i].Commit))
-		s.completeOp(co.id, co.sub)
-		// Database write-back is deferred: the decision records are
-		// durable, so the pages — of the rows the execution wrote, as
-		// committed or as rolled back — join the flush queue and drain with
-		// the next lazy batch; the log records prune only after that flush.
-		s.flushQ = append(s.flushQ, flushEntry{id: co.id, rows: co.rows})
-		if decisions[i].Commit {
-			s.stats.OpsCommitted++
-		} else {
-			s.stats.OpsAborted++
+	for _, co := range cops {
+		s.finish(co, co.finalReply())
+		if !co.commit {
 			// 7b: ALL-NO tells the process every successful execution was
 			// aborted. Sent on every abort so an L-COM racing a lazy batch
 			// still gets its answer; completed clients drop it.
-			s.Send(wire.Msg{Type: wire.MsgAllNo, To: co.client, Op: co.id})
+			s.Send(wire.Msg{Type: wire.MsgAllNo, To: co.id().Proc.Client, Op: co.id()})
 		}
 	}
 }
@@ -421,14 +329,7 @@ func (s *Server) rpcVotes(p *simrt.Proc, boot uint64, part types.NodeID, ids, en
 			// Accept it only if it votes on this round's entire op set: a
 			// missing vote would otherwise read as NO and abort an operation
 			// the participant actually holds a YES execution for.
-			complete := true
-			for _, id := range ids {
-				if _, voted := votes[id]; !voted {
-					complete = false
-					break
-				}
-			}
-			if complete {
+			if !slices.ContainsFunc(ids, func(id types.OpID) bool { _, voted := votes[id]; return !voted }) {
 				return votes
 			}
 		}
@@ -453,23 +354,10 @@ func (s *Server) rpcAck(p *simrt.Proc, boot uint64, part types.NodeID, ids []typ
 		// Same head-op routing hazard as rpcVotes: only an ACK echoing this
 		// round's exact op set confirms the participant applied these
 		// decisions; a stale ACK from an earlier round must not.
-		if ok && opSetEqual(m.Ops, ids) {
+		if ok && slices.Equal(m.Ops, ids) {
 			return
 		}
 	}
-}
-
-// opSetEqual reports whether a reply's echoed op list matches the round's.
-func opSetEqual(a, b []types.OpID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // handleVote answers a batched VOTE (§III.B step 4): each vote reflects the
@@ -477,13 +365,9 @@ func opSetEqual(a, b []types.OpID) bool {
 // sub-ops first per the conflict rules.
 func (s *Server) handleVote(p *simrt.Proc, m *wire.Msg) {
 	boot := s.Boot()
-	enforce := make(map[types.OpID]bool, len(m.Enforce))
-	for _, id := range m.Enforce {
-		enforce[id] = true
-	}
 	votes := make([]wire.Vote, len(m.Ops))
 	for i, id := range m.Ops {
-		votes[i] = wire.Vote{Op: id, OK: s.resolveVote(p, boot, id, enforce)}
+		votes[i] = wire.Vote{Op: id, OK: s.resolveVote(p, boot, id, m.Enforce)}
 		if s.Gone(boot) {
 			return
 		}
@@ -497,71 +381,56 @@ func (s *Server) handleVote(p *simrt.Proc, m *wire.Msg) {
 // flight (wait for arrival). A bounded wait backstops pathological chains;
 // timing out votes NO, which is safe because an operation that has not
 // executed here cannot have been completed by its client.
-func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce map[types.OpID]bool) bool {
+func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce []types.OpID) bool {
 	deadline := s.Sim.Now() + s.cfg.VoteWait
 	for {
-		if po := s.pendingPart[id]; po != nil {
-			po.committing = true
-			return po.ok
-		}
-		if s.tombstones[id] {
+		st := s.ops[id]
+		switch {
+		case st == nil:
+		case st.phase != phaseNone:
+			st.take()
+			return st.ok
+		case st.aborted:
 			return false
 		}
 		remaining := deadline - s.Sim.Now()
 		if remaining <= 0 {
 			s.stats.VoteTimeouts++
-			s.tombstone(id) // the sub-op must not execute after this NO
-			if br := s.blockedOf[id]; br != nil {
-				s.unblock(br)
+			s.markAborted(id) // the sub-op must not execute after this NO
+			if br := s.parkedReq(id); br != nil {
+				s.unpark(br)
 			}
 			return false
 		}
-		if br := s.blockedOf[id]; br != nil {
+		if br := s.parkedReq(id); br != nil {
 			holder := br.holder
-			if enforce[holder] && s.canInvalidate(holder) {
+			if slices.Contains(enforce, holder) && s.invalidate(p, holder, id) {
 				// Disordered conflict: the coordinator ordered id before
-				// holder, but we executed holder first. Invalidate it and
+				// holder, but we executed holder first. It is invalidated;
 				// execute id now (§III.C step 4).
-				if s.invalidate(p, holder, id) {
-					if s.Gone(boot) {
-						return false
-					}
-					s.unblock(br)
-					s.execSubOp(p, &br.msg, types.NilOp, br.epoch)
-					if s.Gone(boot) {
-						return false
-					}
-					continue
+				if s.Gone(boot) {
+					return false
 				}
+				s.unpark(br)
+				s.execSubOp(p, &br.msg, types.NilOp, br.epoch)
+				if s.Gone(boot) {
+					return false
+				}
+				s.settle(id)
+				continue
 			}
 			// Ordered conflict: commit the holder first, then id executes
 			// with holder as its hint (via the release path).
-			s.requestCommit(holder, false)
-			ch := s.waitChan(s.completeSig, holder)
-			ch.RecvTimeout(p, remaining)
-			if s.Gone(boot) {
-				return false
-			}
-			continue
+			s.requestCommit(holder, false, -1)
+			s.await(p, holder, false, remaining)
+		} else {
+			// Not arrived yet: wait for execution or timeout.
+			s.await(p, id, true, remaining)
 		}
-		// Not arrived yet: wait for execution or timeout.
-		ch := s.waitChan(s.arrivalSig, id)
-		ch.RecvTimeout(p, remaining)
 		if s.Gone(boot) {
 			return false
 		}
 	}
-}
-
-// canInvalidate reports whether op is pending here and not yet committing.
-func (s *Server) canInvalidate(op types.OpID) bool {
-	if po := s.pendingPart[op]; po != nil {
-		return !po.committing
-	}
-	if co := s.pendingCoord[op]; co != nil {
-		return !co.committing
-	}
-	return false
 }
 
 // handleCommitReq applies the coordinator's decisions (§III.B step 6):
@@ -570,24 +439,18 @@ func (s *Server) canInvalidate(op types.OpID) bool {
 // decisions for operations already finished here are re-ACKed blindly.
 func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	boot := s.Boot()
-	// done lists the executions this request finishes, with what each needs
-	// once the decision records are durable.
-	type finished struct {
-		po        *partOp
-		committed bool
-	}
 	recs := make([]wal.Record, 0, len(m.Decisions))
-	done := make([]finished, 0, len(m.Decisions))
-	var inflight []types.OpID // aborted ops whose sub-op is mid-execution here
+	done := make([]*opState, 0, len(m.Decisions)) // the executions this request finishes
+	var inflight []types.OpID                     // aborted ops whose sub-op is mid-execution here
 	for _, d := range m.Decisions {
-		po := s.pendingPart[d.Op]
-		if po == nil {
+		st := s.pending(d.Op)
+		if st == nil {
 			if !d.Commit {
 				// Abort for an operation we never executed (vote timeout or
 				// in-flight sub-op): poison it and cancel any blocked copy.
-				s.tombstone(d.Op)
-				if br := s.blockedOf[d.Op]; br != nil {
-					s.unblock(br)
+				s.markAborted(d.Op)
+				if br := s.parkedReq(d.Op); br != nil {
+					s.unpark(br)
 				}
 				if s.Executing(d.Op) {
 					inflight = append(inflight, d.Op)
@@ -595,15 +458,8 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 			}
 			continue
 		}
-		po.committing = true
-		if d.Commit {
-			recs = append(recs, wal.Record{Type: wal.RecCommit, Op: d.Op, Role: types.RoleParticipant})
-		} else {
-			recs = append(recs, wal.Record{Type: wal.RecAbort, Op: d.Op, Role: types.RoleParticipant})
-			s.Shard.ApplyUndo(po.undo)
-			s.tombstone(d.Op)
-		}
-		done = append(done, finished{po: po, committed: d.Commit})
+		recs = append(recs, s.decide(st, d.Commit))
+		done = append(done, st)
 	}
 	s.WAL.AppendBatchPriority(p, recs)
 	cpOp := m.Op
@@ -617,25 +473,20 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	// will answer its client ALL-NO on the strength of it. An execution of
 	// the aborted operation still inside its Result-Record append has not
 	// been rolled back yet (it does that itself when the append returns and
-	// it finds the tombstone): wait for it, or the client's next operation
+	// it finds the abort mark): wait for it, or the client's next operation
 	// on the same object runs against the leftover.
 	for _, op := range inflight {
 		for s.Executing(op) {
-			s.waitChan(s.arrivalSig, op).RecvTimeout(p, s.cfg.RetryInterval)
+			s.await(p, op, true, s.cfg.RetryInterval)
 			if s.Gone(boot) {
 				return
 			}
 		}
 	}
-	for _, f := range done {
+	for _, st := range done {
 		// A Commit/Abort-Record on the participant ends the operation
-		// (§III.A); followers release immediately, and the page write-back
-		// joins the flush queue for the next lazy batch.
-		po := f.po
-		delete(s.pendingPart, po.id)
-		s.CacheReply(po.id, po.finalReply(f.committed))
-		s.completeOp(po.id, po.sub)
-		s.flushQ = append(s.flushQ, flushEntry{id: po.id, rows: po.rows})
+		// (§III.A): followers release immediately.
+		s.finish(st, st.finalReply())
 	}
 	s.Send(wire.Msg{Type: wire.MsgAck, To: m.From, Op: m.Op, Ops: m.Ops})
 	// The decisions turned log records nothing here could free into
@@ -643,32 +494,4 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	if len(done) > 0 && s.underPressure() {
 		s.pressureRound()
 	}
-}
-
-// finalReply picks the response a duplicate request should receive after
-// the operation's fate is sealed: the recorded execution response when it
-// committed, an aborted NO otherwise. A committed operation rebuilt by
-// recovery has no recorded response (it died with the volatile state); a
-// synthesized YES stands in — telling a retrying client "aborted" for an
-// operation that committed would corrupt its view of the namespace.
-func (e *pendingExec) finalReply(committed bool) wire.Msg {
-	if committed && e.replied {
-		return e.reply()
-	}
-	m := sealedReply(e.id, committed)
-	m.To = e.client
-	if e.replied {
-		m.Epoch = e.epoch + 1 // an abort supersedes the recorded response
-	}
-	return m
-}
-
-// sealedReply is the final response for an operation recovery found already
-// decided in the log, of which no execution state survives.
-func sealedReply(id types.OpID, committed bool) wire.Msg {
-	if committed {
-		return wire.Msg{Type: wire.MsgSubOpResp, To: id.Proc.Client, Op: id, OK: true, Epoch: 1}
-	}
-	return wire.Msg{Type: wire.MsgSubOpResp, To: id.Proc.Client, Op: id,
-		OK: false, Err: types.ErrAborted.Error(), Epoch: 1}
 }

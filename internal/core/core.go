@@ -33,34 +33,21 @@
 // reboot, at-most-once execution of retried requests, the lease service,
 // reply routes between servers, the retrying client RPC — is the chassis in
 // internal/node, which the baselines run on unchanged; Cx adds to its
-// duplicate suppression only the checks against its own pending tables,
-// parked requests and tombstones.
+// duplicate suppression only the checks against its own op table.
 //
-// # Departures from the paper's text (documented in DESIGN.md)
+// What the server knows about one operation is one entry of that table
+// (optable.go), and the entry's phase changes in five transitions only —
+// register, take, invalidate, decide, finish — one per durable record of
+// §III.B; the handlers in exec.go, commit.go, rename.go and recovery.go look
+// an operation up once and act on its phase.
 //
-//   - Conflict hints are carried exactly as described, but operation
-//     completion is driven by explicit invalidation notices plus execution
-//     epochs rather than hint equality alone: hint equality as the sole
-//     rule deadlocks when two operations conflict on only one of their two
-//     servers (the paper's figures only cover the both-server overlap).
-//   - A participant voting on an operation it has not yet executed (the
-//     sub-op is in flight or blocked) resolves the vote by waiting for
-//     arrival, waiting for the blocking operation's commitment, or applying
-//     the Enforce rule; a bounded wait (Config.VoteWait) backstops the rare
-//     wait-cycle, aborting an operation whose client cannot yet have
-//     considered it complete.
-//   - Aborted operations leave a bounded tombstone set so a late-arriving
-//     or re-queued sub-op of an aborted operation cannot execute after the
-//     fact.
-//   - A full log is not waited for: log-pressure rounds (pressureRound)
-//     commit, write back and prune in the background from ¾ of the limit,
-//     and the §III.D hold on new arrivals sits in front of execution, never
-//     between an execution and its Result-Record.
+// Where this departs from the paper's text — completion driven by
+// invalidation notices and execution epochs rather than hint equality alone,
+// bounded vote waits, abort marks, log-pressure rounds instead of waiting
+// for a full log — is listed with the reasons in DESIGN.md §5.
 package core
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"cxfs/internal/namespace"
@@ -143,66 +130,6 @@ type Stats struct {
 	LeaseRevocations  uint64 // revocation notices sent to lease holders (the chassis counts)
 }
 
-// pendingExec is one executed-but-uncommitted sub-operation as its pending
-// table remembers it: what a vote, a rollback, a duplicate request or a
-// re-queue after invalidation needs, and nothing else — the tables hold up
-// to a log's worth of entries under log pressure, so the request and
-// response messages themselves are not kept. What the execution wrote and
-// how to put it back is said once — rows to write back whatever the outcome,
-// undo to apply on abort or invalidation — and is the same value whether the
-// execution ran in this incarnation or recovery rebuilt the entry from its
-// Result-Record (namespace.UndoOf).
-type pendingExec struct {
-	id         types.OpID
-	sub        types.SubOp
-	ok         bool
-	undo       namespace.Undo
-	rows       []string
-	peer       types.NodeID // the operation's other server
-	client     types.NodeID
-	epoch      uint32
-	committing bool
-
-	// The recorded response, for duplicate suppression. Recovery-rebuilt
-	// entries have none (replied is false): the response died with the
-	// volatile state.
-	replied bool
-	hint    types.OpID
-	errStr  string
-	attr    types.Inode
-}
-
-// reply rebuilds the response this execution was (or will be) answered with.
-func (e *pendingExec) reply() wire.Msg {
-	return wire.Msg{Type: wire.MsgSubOpResp, To: e.client, Op: e.id,
-		OK: e.ok, Err: e.errStr, Hint: e.hint, Epoch: e.epoch, Attr: e.attr}
-}
-
-// request rebuilds the sub-op request that produced this execution, for
-// re-queueing it after an invalidation.
-func (e *pendingExec) request(self types.NodeID) wire.Msg {
-	return wire.Msg{Type: wire.MsgSubOpReq, From: e.client, To: self, Op: e.id,
-		Sub: e.sub, Peer: e.peer, ReplyProc: e.id.Proc}
-}
-
-// coordOp is a pending cross-server operation on its coordinator; peer is
-// the participant.
-type coordOp struct {
-	pendingExec
-	lcom bool // client asked for ALL-NO
-}
-
-// partOp is a pending cross-server operation on its participant; peer is
-// the coordinator.
-type partOp struct {
-	pendingExec
-	since time.Duration // execution time, for staleness nudges
-	// named is set once a log-pressure round has asked the coordinator to
-	// commit this execution; later rounds do not ask again (the lazy tick's
-	// staleness nudge covers a lost request).
-	named bool
-}
-
 // flushEntry is an operation whose outcome is durable in the log but whose
 // database pages have not been written back yet. Entries drain at the next
 // lazy batch: one merged flush, then the log records prune. Immediate
@@ -211,21 +138,6 @@ type partOp struct {
 type flushEntry struct {
 	id   types.OpID
 	rows []string
-}
-
-// blockedReq is a sub-op parked behind an active object.
-type blockedReq struct {
-	msg    wire.Msg
-	holder types.OpID // pending op whose commitment it awaits
-	epoch  uint32
-	hint   types.OpID // set when released
-}
-
-// wantEntry is one remembered commitment request for a not-yet-seen op.
-type wantEntry struct {
-	lcom bool
-	part types.NodeID // the op's participant, if a requester named it (-1 otherwise)
-	at   time.Duration
 }
 
 // kickReq asks the commit daemon to run. The daemon merges every request
@@ -241,17 +153,22 @@ type Server struct {
 	cfg Config
 	pl  namespace.Placement
 
-	pendingCoord map[types.OpID]*coordOp
-	pendingPart  map[types.OpID]*partOp
-	flushQ       []flushEntry
-	// idleCoord indexes the pendingCoord entries no batch has taken yet, by
-	// participant and in registration order, so a batch collects its targets
-	// without scanning (and sorting) the whole table.
-	idleCoord [][]*coordOp
+	// ops is the op table (optable.go): what this server knows about each
+	// operation. The four fields after it are derived from it and maintained
+	// by its transitions only.
+	ops          map[types.OpID]*opState
+	coordPending int // coordinator executions in the table
+	abortMarks   int // entries carrying the abort mark
+	// idleCoord indexes the pending coordinator executions no batch has taken
+	// yet, by participant and in registration order, so a batch collects its
+	// targets without scanning (and sorting) the whole table.
+	idleCoord [][]*opState
 	// unnamedParts lists participant executions registered since the last
 	// log-pressure round, i.e. the ones that round has yet to name to their
 	// coordinators.
 	unnamedParts []types.OpID
+
+	flushQ []flushEntry
 	// unlogged counts, per row, the executions that have written the row's
 	// volatile image but whose Result-Record is not durable yet. Write-back
 	// leaves such rows (and the log records of every operation waiting on
@@ -259,24 +176,12 @@ type Server struct {
 	// that can undo it.
 	unlogged map[string]int
 
-	active     map[types.ObjKey]types.OpID // executed-pending op holding each object
-	waiters    map[types.OpID][]*blockedReq
-	blockedOf  map[types.OpID]*blockedReq // cross-server sub-op blocked here, by its op
-	tombstones map[types.OpID]bool
-
-	arrivalSig  map[types.OpID][]*simrt.Chan[struct{}]
-	completeSig map[types.OpID][]*simrt.Chan[struct{}]
+	active map[types.ObjKey]types.OpID // executed-pending op holding each object
 
 	kick *simrt.Chan[kickReq]
 	// lazyQueued is set while a lazy kick sits in the queue the daemon has
 	// not picked up: further lazy triggers coalesce into it.
 	lazyQueued bool
-	// wantCommit remembers commitment requests (C-NOTIFY/L-COM) for ops
-	// whose coordinator sub-op has not executed here yet. If the sub-op
-	// never materializes (it died with a coordinator crash), the entry
-	// expires into a presumed abort — safe, because without a coordinator
-	// execution the client cannot have completed the operation.
-	wantCommit map[types.OpID]wantEntry
 
 	recovering bool
 	lastArrive time.Duration // most recent sub-op arrival, for the idle trigger
@@ -286,29 +191,23 @@ type Server struct {
 
 // NewServer builds a Cx server on the given chassis.
 func NewServer(base *node.Base, pl namespace.Placement, cfg Config) *Server {
+	// A zero VoteWait or RetryInterval means the default, not "never".
+	def := DefaultConfig()
 	if cfg.VoteWait <= 0 {
-		cfg.VoteWait = 2 * time.Second
+		cfg.VoteWait = def.VoteWait
 	}
 	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = 3 * time.Second
+		cfg.RetryInterval = def.RetryInterval
 	}
-	s := &Server{
-		Base:         base,
-		cfg:          cfg,
-		pl:           pl,
-		pendingCoord: make(map[types.OpID]*coordOp),
-		pendingPart:  make(map[types.OpID]*partOp),
-		active:       make(map[types.ObjKey]types.OpID),
-		waiters:      make(map[types.OpID][]*blockedReq),
-		blockedOf:    make(map[types.OpID]*blockedReq),
-		tombstones:   make(map[types.OpID]bool),
-		arrivalSig:   make(map[types.OpID][]*simrt.Chan[struct{}]),
-		completeSig:  make(map[types.OpID][]*simrt.Chan[struct{}]),
-		unlogged:     make(map[string]int),
-		kick:         simrt.NewChan[kickReq](base.Sim),
-		wantCommit:   make(map[types.OpID]wantEntry),
+	return &Server{
+		Base:     base,
+		cfg:      cfg,
+		pl:       pl,
+		ops:      make(map[types.OpID]*opState),
+		active:   make(map[types.ObjKey]types.OpID),
+		unlogged: make(map[string]int),
+		kick:     simrt.NewChan[kickReq](base.Sim),
 	}
-	return s
 }
 
 // Stats returns a snapshot of protocol counters.
@@ -320,7 +219,7 @@ func (s *Server) Stats() Stats {
 
 // PendingOps returns how many cross-server operations await commitment here
 // as coordinator (the paper's threshold-trigger quantity).
-func (s *Server) PendingOps() int { return len(s.pendingCoord) }
+func (s *Server) PendingOps() int { return s.coordPending }
 
 // ValidBytes returns the log bytes held by operations still awaiting
 // commitment — the paper's "valid-records size" (Figure 7b, Table V).
@@ -330,38 +229,14 @@ func (s *Server) ValidBytes() int64 { return s.WAL.LiveBytes() }
 // executed-but-uncommitted operations); zero after quiescence.
 func (s *Server) ActiveObjects() int { return len(s.active) }
 
-// DebugOp reports an op's state on this server (diagnostics).
-func (s *Server) DebugOp(op types.OpID) string {
-	if co := s.pendingCoord[op]; co != nil {
-		return fmt.Sprintf("pendingCoord committing=%v participant=%v lcom=%v", co.committing, co.peer, co.lcom)
-	}
-	if po := s.pendingPart[op]; po != nil {
-		return fmt.Sprintf("pendingPart committing=%v coordinator=%v", po.committing, po.peer)
-	}
-	if s.tombstones[op] {
-		return "tombstoned"
-	}
-	if we, ok := s.wantCommit[op]; ok {
-		return fmt.Sprintf("wantCommit lcom=%v participant=%v at=%v", we.lcom, we.part, we.at)
-	}
-	return "absent"
-}
-
 // nudgeStaleParts sends C-NOTIFY to the coordinator of every
-// not-yet-committing participant execution older than age, in a
-// deterministic operation order (map iteration order must not leak into
-// the message sequence).
+// not-yet-committing participant execution older than age.
 func (s *Server) nudgeStaleParts(age time.Duration) {
 	now := s.Sim.Now()
-	var ids []types.OpID
-	for _, po := range s.pendingPart {
-		if !po.committing && now-po.since > age {
-			ids = append(ids, po.id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return opLess(ids[i], ids[j]) })
-	for _, id := range ids {
-		s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: s.pendingPart[id].peer, Op: id})
+	for _, st := range s.inOrder(func(st *opState) bool {
+		return st.phase == phasePending && !st.coordinator() && now-st.since > age
+	}) {
+		s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: st.peer, Op: st.id()})
 	}
 }
 
@@ -409,15 +284,15 @@ func (s *Server) pressureRound() {
 	byCoord := make(map[types.NodeID][]types.OpID)
 	var order []types.NodeID
 	for _, id := range s.unnamedParts {
-		po := s.pendingPart[id]
-		if po == nil || po.committing || po.named {
+		st := s.ops[id]
+		if st == nil || st.phase != phasePending || st.coordinator() || st.named {
 			continue
 		}
-		po.named = true
-		if _, seen := byCoord[po.peer]; !seen {
-			order = append(order, po.peer)
+		st.named = true
+		if _, seen := byCoord[st.peer]; !seen {
+			order = append(order, st.peer)
 		}
-		byCoord[po.peer] = append(byCoord[po.peer], id)
+		byCoord[st.peer] = append(byCoord[st.peer], id)
 	}
 	s.unnamedParts = s.unnamedParts[:0]
 	for _, coord := range order {
@@ -437,10 +312,10 @@ func (s *Server) pressureRound() {
 // pass anyway, and everything else pending here rides along.
 func (s *Server) joinPressureRound(m *wire.Msg) {
 	for _, op := range m.Ops {
-		if s.pendingCoord[op] == nil {
+		if st := s.pending(op); st == nil || !st.coordinator() {
 			// In flight, finished or aborted here: the per-op path remembers
 			// or answers it.
-			s.requestCommitFrom(op, false, m.From)
+			s.requestCommit(op, false, m.From)
 		}
 	}
 	s.KickCommit()
@@ -467,16 +342,10 @@ func (s *Server) idleDaemon(p *simrt.Proc) {
 	period := s.cfg.IdleTrigger
 	for {
 		p.Sleep(period / 2)
-		if s.Crashed() || s.recovering {
-			continue
+		busy := s.Sim.Now()-s.lastArrive < period
+		if work := s.coordPending > 0 || len(s.flushQ) > 0; work && !busy && !s.Crashed() && !s.recovering {
+			s.KickCommit()
 		}
-		if len(s.pendingCoord) == 0 && len(s.flushQ) == 0 {
-			continue
-		}
-		if s.Sim.Now()-s.lastArrive < period {
-			continue
-		}
-		s.KickCommit()
 	}
 }
 
@@ -507,13 +376,13 @@ func (s *Server) handle(p *simrt.Proc, m *wire.Msg) {
 		if s.cfg.Obs.TraceOn() {
 			s.cfg.Obs.Emit(s.Sim.Now(), int(s.ID), m.Op, obs.PhaseLCom, "")
 		}
-		s.requestCommitFrom(m.Op, true, m.Peer)
+		s.requestCommit(m.Op, true, m.Peer)
 	case wire.MsgConflictNotify:
 		if len(m.Ops) > 0 {
 			s.joinPressureRound(m)
 			return
 		}
-		s.requestCommitFrom(m.Op, false, m.From)
+		s.requestCommit(m.Op, false, m.From)
 	case wire.MsgVote:
 		if len(m.Ops) == 0 && m.Sub.Action != types.ActNone {
 			s.handleRenameVote(p, m) // per-op 2PC vote (rename extension)
@@ -527,34 +396,4 @@ func (s *Server) handle(p *simrt.Proc, m *wire.Msg) {
 		// first; a rename's per-operation reply routes by its operation.
 		s.Deliver(m)
 	}
-}
-
-// signal helpers ------------------------------------------------------------
-
-func (s *Server) waitChan(m map[types.OpID][]*simrt.Chan[struct{}], op types.OpID) *simrt.Chan[struct{}] {
-	ch := simrt.NewChan[struct{}](s.Sim)
-	m[op] = append(m[op], ch)
-	return ch
-}
-
-func (s *Server) fire(m map[types.OpID][]*simrt.Chan[struct{}], op types.OpID) {
-	for _, ch := range m[op] {
-		ch.Send(struct{}{})
-	}
-	delete(m, op)
-}
-
-// tombstoneCap bounds the aborted-operation tombstone set.
-const tombstoneCap = 8192
-
-// tombstone records an aborted op so late sub-ops cannot execute.
-func (s *Server) tombstone(op types.OpID) {
-	if len(s.tombstones) >= tombstoneCap {
-		// Bounded memory: drop the whole generation. A lost tombstone can
-		// only matter for a message still in flight, which the cap keeps
-		// wildly improbable; correctness degradation is an orphaned row,
-		// the same exposure SE has by design.
-		s.tombstones = make(map[types.OpID]bool)
-	}
-	s.tombstones[op] = true
 }

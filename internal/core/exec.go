@@ -30,32 +30,27 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	if s.ReplayCached(sub.Op, m.From) {
 		return
 	}
-	if co := s.pendingCoord[sub.Op]; co != nil && sub.Role == types.RoleCoordinator {
-		if co.replied { // recovery-rebuilt entries have no response yet
-			s.Send(co.reply())
+	st := s.ops[sub.Op]
+	switch {
+	case st == nil:
+	case st.phase != phaseNone:
+		if st.replied { // recovery-rebuilt executions have no response yet
+			s.Send(st.reply())
 		}
 		return
-	}
-	if po := s.pendingPart[sub.Op]; po != nil && sub.Role == types.RoleParticipant {
-		if po.replied {
-			s.Send(po.reply())
-		}
-		return
-	}
-	if s.blockedOf[sub.Op] != nil {
+	case st.parked != nil:
 		return // original request is parked; its response will come
 	}
 	if s.Executing(sub.Op) {
 		// A duplicate delivery (network dup, or a retransmission racing the
-		// original) while the first copy is still executing: the pending
-		// entry registers only after the Result-Record append, so none of
-		// the guards above catch this window, and the active-object check
-		// below exempts same-process ops. Re-executing would double-apply
-		// the sub-op; drop the copy — the original answers, and later
-		// retries hit the pending entry or the reply cache.
+		// original) while the first copy is still executing: it registers
+		// only after its Result-Record append, so no guard above catches this
+		// window, and the active-object check below exempts same-process
+		// ops. Drop the copy — the original answers — or the sub-op would be
+		// applied twice.
 		return
 	}
-	if s.tombstones[sub.Op] {
+	if st != nil && st.aborted {
 		// The operation was aborted before this sub-op arrived (immediate
 		// commitment raced the request). Refuse execution.
 		s.Send(wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op, OK: false,
@@ -85,38 +80,25 @@ func (s *Server) admit(p *simrt.Proc) bool {
 // (admit), so the append is ungated; until it returns, the rows the records
 // can restore are marked unlogged and write-back leaves them alone.
 func (s *Server) logResults(p *simrt.Proc, boot uint64, recs []wal.Record) bool {
+	// Only the After images count — the rows recovery restores from the log;
+	// the commutative parent counter that rides along is recomputed by fsck.
 	for i := range recs {
-		s.markUnlogged(recs[i].After)
+		for _, img := range recs[i].After {
+			s.unlogged[img.Key]++
+		}
 	}
 	s.WAL.AppendBatchPriority(p, recs)
 	if s.Gone(boot) {
 		return false
 	}
 	for i := range recs {
-		s.clearUnlogged(recs[i].After)
-	}
-	return true
-}
-
-// markUnlogged notes that an execution has written rows whose Result-Record
-// is not durable yet; clearUnlogged takes the note back once it is. after is
-// the record's After images, i.e. the rows recovery restores from the log;
-// the commutative parent counter that rides along is recomputed by fsck and
-// needs no such care.
-func (s *Server) markUnlogged(after []types.RowImage) {
-	for i := range after {
-		s.unlogged[after[i].Key]++
-	}
-}
-
-func (s *Server) clearUnlogged(after []types.RowImage) {
-	for i := range after {
-		if k := after[i].Key; s.unlogged[k] <= 1 {
-			delete(s.unlogged, k)
-		} else {
-			s.unlogged[k]--
+		for _, img := range recs[i].After {
+			if s.unlogged[img.Key]--; s.unlogged[img.Key] <= 0 {
+				delete(s.unlogged, img.Key)
+			}
 		}
 	}
+	return true
 }
 
 // block parks a sub-op behind the pending operation holding its object and
@@ -127,32 +109,8 @@ func (s *Server) block(m *wire.Msg, holder types.OpID, epoch uint32) {
 		s.cfg.Obs.Emit(s.Sim.Now(), int(s.ID), m.Sub.Op, obs.PhaseConflictOrdered,
 			"behind "+holder.String())
 	}
-	br := &blockedReq{msg: *m, holder: holder, epoch: epoch}
-	s.waiters[holder] = append(s.waiters[holder], br)
-	if m.Sub.Kind.CrossServer() {
-		s.blockedOf[m.Sub.Op] = br
-		// A vote handler may be parked waiting for this sub-op to arrive;
-		// wake it so it can see the blocked state and apply the conflict
-		// rules instead of timing out.
-		s.fire(s.arrivalSig, m.Sub.Op)
-	}
-	s.requestCommit(holder, false)
-}
-
-// unblock removes a parked request from its queues.
-func (s *Server) unblock(br *blockedReq) {
-	ws := s.waiters[br.holder]
-	for i, w := range ws {
-		if w == br {
-			s.waiters[br.holder] = append(ws[:i:i], ws[i+1:]...)
-			break
-		}
-	}
-	if br.msg.Sub.Kind.CrossServer() {
-		if s.blockedOf[br.msg.Sub.Op] == br {
-			delete(s.blockedOf, br.msg.Sub.Op)
-		}
-	}
+	s.park(&blockedReq{msg: *m, holder: holder, epoch: epoch})
+	s.requestCommit(holder, false, -1)
 }
 
 // execSubOp executes one sub-op, logs it, registers pending state, and
@@ -207,28 +165,27 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, hint types.OpID, epoch ui
 		}
 	}
 
-	if cross && s.tombstones[sub.Op] {
+	if cross && s.isAborted(sub.Op) {
 		// The operation was aborted while this execution was in flight —
-		// typically a vote handler timed out waiting for this very sub-op
-		// (mid-append, arrivalSig not yet fired) and promised NO to the
-		// coordinator. Honor that promise: the execution must not become
-		// visible, or the client could complete an operation the cluster
-		// has already aborted. Undo the effects, seal the abort in the log
-		// so recovery agrees, and answer aborted.
-		if res.OK {
-			s.Shard.ApplyUndo(res.Undo)
-			s.releaseKeys(sub, sub.Op)
-			s.WAL.AppendBatchPriority(p, []wal.Record{{Type: wal.RecAbort, Op: sub.Op, Role: sub.Role}})
-			s.flushQ = append(s.flushQ, flushEntry{id: sub.Op, rows: res.Rows})
-			if s.Crashed() {
-				return
-			}
+		// typically a vote handler timed out waiting for this very sub-op,
+		// mid-append, and promised NO to the coordinator. Honor the promise,
+		// or the client could complete an operation the cluster has already
+		// aborted: undo the effects, seal the abort in the log so recovery
+		// agrees (and the records prune), and answer aborted.
+		rec := s.rollBack(&execution{sub: sub, undo: res.Undo})
+		s.releaseKeys(sub, sub.Op)
+		st := s.entry(sub.Op)
+		s.release(st) // the object is free again: nothing waits for the Abort-Record
+		s.WAL.AppendBatchPriority(p, []wal.Record{rec})
+		s.flushQ = append(s.flushQ, flushEntry{id: sub.Op, rows: res.Rows})
+		if s.Crashed() {
+			return
 		}
 		s.Send(wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op,
 			OK: false, Err: types.ErrAborted.Error(), Epoch: epoch})
 		// An abort decision may be holding its ACK for this rollback.
 		s.End(sub.Op)
-		s.fire(s.arrivalSig, sub.Op)
+		st.fire(true)
 		return
 	}
 
@@ -237,38 +194,15 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, hint types.OpID, epoch ui
 	if res.Err != nil {
 		reply.Err = res.Err.Error()
 	}
-	// pending is the entry a cross-server execution leaves in its pending
-	// table; it records the response for duplicate suppression.
-	pending := func() pendingExec {
-		return pendingExec{
-			id: sub.Op, sub: sub, ok: res.OK, undo: res.Undo, rows: res.Rows,
-			peer: m.Peer, client: m.From, epoch: epoch,
-			replied: true, hint: hint, errStr: reply.Err, attr: res.Inode,
-		}
-	}
 	switch {
-	case cross && sub.Role == types.RoleCoordinator:
-		co := &coordOp{pendingExec: pending()}
-		s.pendingCoord[sub.Op] = co
-		s.addIdle(co)
-		if we, want := s.wantCommit[sub.Op]; want {
-			delete(s.wantCommit, sub.Op)
-			s.requestCommit(sub.Op, we.lcom)
-		} else if s.cfg.Threshold > 0 && len(s.pendingCoord) >= s.cfg.Threshold {
-			s.KickCommit()
-		}
-	case cross && sub.Role == types.RoleParticipant:
-		s.pendingPart[sub.Op] = &partOp{pendingExec: pending(), since: s.Sim.Now()}
-		s.unnamedParts = append(s.unnamedParts, sub.Op)
-		// A conflicting request may have demanded this op's commitment
-		// while the Result-Record append was in flight (the object was
-		// already active); replay the remembered demand now that the
-		// pending entry exists, so the C-NOTIFY reaches the coordinator.
-		if we, want := s.wantCommit[sub.Op]; want {
-			delete(s.wantCommit, sub.Op)
-			s.requestCommit(sub.Op, we.lcom)
-		}
-		s.fire(s.arrivalSig, sub.Op)
+	case cross:
+		// The execution awaits its commitment; its entry records the response
+		// for duplicate suppression. A conflicting request may have demanded
+		// the commitment while the Result-Record append was in flight (the
+		// object was already active): register replays it.
+		s.register(execution{sub: sub, ok: res.OK, undo: res.Undo, rows: res.Rows,
+			peer: m.Peer, epoch: epoch,
+			replied: true, hint: hint, errStr: reply.Err, attr: res.Inode}, phasePending)
 	case sub.Action.Mutating():
 		// Single-server update: logged above, flushed by the next batch.
 		s.flushQ = append(s.flushQ, flushEntry{id: sub.Op, rows: res.Rows})
@@ -318,47 +252,24 @@ func (s *Server) releaseKeys(sub types.SubOp, op types.OpID) {
 	}
 }
 
-// completeOp finishes one operation on this server: the object becomes
-// inactive, blocked followers re-dispatch with this op as their conflict
-// hint, and vote handlers parked on the completion are woken.
-func (s *Server) completeOp(op types.OpID, sub types.SubOp) {
-	s.releaseKeys(sub, op)
-	ws := s.waiters[op]
-	delete(s.waiters, op)
-	for _, br := range ws {
-		br := br
-		if br.msg.Sub.Kind.CrossServer() {
-			if s.blockedOf[br.msg.Sub.Op] == br {
-				delete(s.blockedOf, br.msg.Sub.Op)
-			}
-		}
-		s.Sim.Spawn("cx/redispatch", func(p *simrt.Proc) {
-			s.redispatch(p, br, op)
-		})
-	}
-	s.fire(s.completeSig, op)
-	delete(s.wantCommit, op)
-}
-
 // redispatch re-runs a released sub-op: it may conflict again with a newer
-// holder, be dead (tombstoned by an abort), or execute with the released
-// operation as its hint.
+// holder, be dead (its operation aborted meanwhile), or execute with the
+// released operation as its hint.
 func (s *Server) redispatch(p *simrt.Proc, br *blockedReq, released types.OpID) {
 	if s.Crashed() {
 		return
 	}
 	sub := br.msg.Sub
-	if s.tombstones[sub.Op] {
+	// The entry the parked request kept for its execution: gone again if
+	// none follows.
+	defer s.settle(sub.Op)
+	if s.isAborted(sub.Op) {
 		return // its operation was aborted while it was parked
 	}
 	if holder, held := s.heldBy(sub); held {
 		br.holder = holder
-		s.waiters[holder] = append(s.waiters[holder], br)
-		if sub.Kind.CrossServer() {
-			s.blockedOf[sub.Op] = br
-			s.fire(s.arrivalSig, sub.Op)
-		}
-		s.requestCommit(holder, false)
+		s.park(br)
+		s.requestCommit(holder, false, -1)
 		return
 	}
 	if br.msg.Type == wire.MsgOpReq {
@@ -374,163 +285,86 @@ func (s *Server) redispatch(p *simrt.Proc, br *blockedReq, released types.OpID) 
 	s.execSubOp(p, &br.msg, released, br.epoch)
 }
 
-// invalidate undoes an executed-but-uncommitted operation at this server
-// (§III.C step 4): its effects roll back, an Invalidate-Record is logged,
-// its client is notified that the earlier response is void, and the sub-op
-// re-queues behind afterOp with a bumped epoch.
-func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID) bool {
-	var pe pendingExec
-	if po := s.pendingPart[victim]; po != nil && !po.committing {
-		pe = po.pendingExec
-		delete(s.pendingPart, victim)
-	} else if co := s.pendingCoord[victim]; co != nil && !co.committing {
-		pe = co.pendingExec
-		delete(s.pendingCoord, victim)
-		s.dropIdle(co)
-	} else {
-		return false
-	}
-	sub := pe.sub
-	s.stats.Invalidations++
-	if s.cfg.Obs.TraceOn() {
-		// invalidate is only reached from the Enforce branch of vote
-		// resolution, so it marks the disordered-conflict path of §III.C.
-		now := s.Sim.Now()
-		s.cfg.Obs.Emit(now, int(s.ID), victim, obs.PhaseConflictDisordered,
-			"enforced after "+afterOp.String())
-		s.cfg.Obs.Emit(now, int(s.ID), victim, obs.PhaseInvalidate, sub.Kind.String())
-	}
-	s.Shard.ApplyUndo(pe.undo)
-	s.releaseKeys(sub, victim)
-	s.WAL.AppendBatchPriority(p, []wal.Record{{Type: wal.RecInvalidate, Op: victim, Role: sub.Role}})
-	if s.CrashPoint(CPInvalidateMid, victim) {
-		return false
-	}
-	newEpoch := pe.epoch + 1
-	// Invalidation notice: the client must not complete the operation on the
-	// superseded response; a fresh response follows after re-execution.
-	s.Send(wire.Msg{Type: wire.MsgSubOpResp, To: pe.client, Op: victim,
-		OK: false, Err: types.ErrInvalidated.Error(), Hint: afterOp, Epoch: newEpoch})
-	br := &blockedReq{msg: pe.request(s.ID), holder: afterOp, epoch: newEpoch}
-	s.waiters[afterOp] = append(s.waiters[afterOp], br)
-	s.blockedOf[victim] = br
-	return true
-}
-
 // handleLocalOp executes an operation whose coordinator and participant
-// placements landed on the same server (or a single-server compound). Both
-// sub-ops run locally as one transaction: Result-Records and a Commit-Record
-// land in one batched append, the rows flush with the next lazy batch.
+// placements landed on the same server. Both sub-ops run locally as one
+// transaction: Result-Records and a Commit-Record land in one batched append,
+// the rows flush with the next lazy batch.
 //
 // At-most-once for retrying clients, beyond the chassis's Begin: a duplicate
-// of an operation parked behind a conflict (blockedOf) or being re-driven by
-// recovery (pendingCoord) is dropped — the original owns the eventual reply.
+// of an operation parked behind a conflict or being re-driven by recovery
+// (pending) is dropped — the original owns the eventual reply.
 func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	op := m.FullOp
 	if op.Kind == types.OpReaddir {
 		s.ServeReaddir(m)
 		return
 	}
-	if op.Kind.Mutating() {
-		if !s.admit(p) { // the log-limit hold, as in handleSubOp
-			return
-		}
-		if s.blockedOf[op.ID] != nil || s.pendingCoord[op.ID] != nil || !s.Begin(op.ID, m.From) {
-			return
-		}
-		defer s.End(op.ID)
+	if !op.Kind.CrossServer() {
+		return // reads and single-server updates travel as SUBOP-REQ
 	}
-	s.runLocalOp(p, m)
-}
-
-// runLocalOp is handleLocalOp past the duplicate gate; redispatch of a
-// previously parked OpReq re-enters here through handleLocalOp (its gate
-// entries were cleared on release).
-func (s *Server) runLocalOp(p *simrt.Proc, m *wire.Msg) {
+	if !s.admit(p) { // the log-limit hold, as in handleSubOp
+		return
+	}
+	if s.parkedReq(op.ID) != nil || s.pending(op.ID) != nil || !s.Begin(op.ID, m.From) {
+		return
+	}
+	defer s.End(op.ID)
 	boot := s.Boot()
-	op := m.FullOp
 	if op.Kind == types.OpRename {
 		s.handleRename(p, m)
 		return
 	}
-	var recs []wal.Record
-	var rows []string
-	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
-
-	if op.Kind.CrossServer() {
-		cSub, pSub := types.Split(op)
-		// Local conflict check still applies: this op must not read or
-		// overwrite another process's uncommitted objects.
-		for _, sub := range []types.SubOp{cSub, pSub} {
-			if holder, held := s.heldBy(sub); held {
-				s.block(&wire.Msg{Type: wire.MsgOpReq, From: m.From, To: s.ID, Op: op.ID, FullOp: op, Sub: sub}, holder, 1)
-				return
-			}
-		}
-		s.ExecCPU(p)
-		if s.Gone(boot) {
+	cSub, pSub := types.Split(op)
+	// Local conflict check still applies: this op must not read or
+	// overwrite another process's uncommitted objects.
+	for _, sub := range []types.SubOp{cSub, pSub} {
+		if holder, held := s.heldBy(sub); held {
+			s.block(&wire.Msg{Type: wire.MsgOpReq, From: m.From, To: s.ID, Op: op.ID, FullOp: op, Sub: sub}, holder, 1)
 			return
-		}
-		resC := s.Shard.Exec(cSub, s.NowNanos())
-		var resP namespace.Result
-		if resC.OK {
-			resP = s.Shard.Exec(pSub, s.NowNanos())
-			if !resP.OK {
-				s.Shard.ApplyUndo(resC.Undo)
-			}
-		}
-		if !resC.OK || !resP.OK {
-			reply.OK = false
-			if resC.Err != nil {
-				reply.Err = resC.Err.Error()
-			} else if resP.Err != nil {
-				reply.Err = resP.Err.Error()
-			}
-			s.Send(reply)
-			return
-		}
-		// The colocated path never marks objects active (it commits in one
-		// batched append below), but the dentry mutation still voids leases.
-		switch cSub.Action {
-		case types.ActInsertEntry, types.ActRemoveEntry:
-			s.RevokeLeases(cSub.Parent, cSub.Name, op.ID)
-		}
-		recs = append(recs,
-			wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator, OK: true, Sub: cSub, Before: resC.Before, After: resC.After},
-			wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant, OK: true, Sub: pSub, Before: resP.Before, After: resP.After},
-			wal.Record{Type: wal.RecCommit, Op: op.ID, Role: types.RoleCoordinator},
-		)
-		rows = append(append(rows, resC.Rows...), resP.Rows...)
-	} else {
-		// Single-server simple op routed as OpReq (reads use SubOpReq).
-		sub := types.SingleSubOp(op)
-		s.ExecCPU(p)
-		if s.Gone(boot) {
-			return
-		}
-		res := s.Shard.Exec(sub, s.NowNanos())
-		reply.OK = res.OK
-		reply.Attr = res.Inode
-		if res.Err != nil {
-			reply.Err = res.Err.Error()
-		}
-		if res.OK && sub.Action.Mutating() {
-			recs = append(recs, wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator, OK: true, Sub: sub, Before: res.Before, After: res.After})
-			rows = res.Rows
 		}
 	}
-
-	if len(recs) > 0 {
-		if !s.logResults(p, boot, recs) {
-			return
+	s.ExecCPU(p)
+	if s.Gone(boot) {
+		return
+	}
+	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
+	resC := s.Shard.Exec(cSub, s.NowNanos())
+	var resP namespace.Result
+	if resC.OK {
+		resP = s.Shard.Exec(pSub, s.NowNanos())
+		if !resP.OK {
+			s.Shard.ApplyUndo(resC.Undo)
 		}
-		s.flushQ = append(s.flushQ, flushEntry{id: op.ID, rows: rows})
-		// Durable state was created: retries must get this reply back, not
-		// a re-execution (which would wrongly fail, e.g. with ErrExists).
-		s.CacheReply(op.ID, reply)
-		if s.underPressure() {
-			s.pressureRound()
+	}
+	if !resC.OK || !resP.OK {
+		reply.OK = false
+		if resC.Err != nil {
+			reply.Err = resC.Err.Error()
+		} else if resP.Err != nil {
+			reply.Err = resP.Err.Error()
 		}
+		s.Send(reply)
+		return
+	}
+	// The colocated path never marks objects active (it commits in one
+	// batched append below), but the dentry mutation still voids leases.
+	switch cSub.Action {
+	case types.ActInsertEntry, types.ActRemoveEntry:
+		s.RevokeLeases(cSub.Parent, cSub.Name, op.ID)
+	}
+	if !s.logResults(p, boot, []wal.Record{
+		{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator, OK: true, Sub: cSub, Before: resC.Before, After: resC.After},
+		{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant, OK: true, Sub: pSub, Before: resP.Before, After: resP.After},
+		commitRecord(op.ID, types.RoleCoordinator),
+	}) {
+		return
+	}
+	s.flushQ = append(s.flushQ, flushEntry{id: op.ID, rows: append(append([]string(nil), resC.Rows...), resP.Rows...)})
+	// Durable state was created: retries must get this reply back, not a
+	// re-execution (which would wrongly fail, e.g. with ErrExists).
+	s.CacheReply(op.ID, reply)
+	if s.underPressure() {
+		s.pressureRound()
 	}
 	s.Send(reply)
 }

@@ -171,13 +171,13 @@ func TestLogLimitHoldsArrivalsBeforeTheyExecute(t *testing.T) {
 			done.Send(err)
 		})
 		p.Sleep(50 * time.Millisecond)
-		if r.srv[1].pendingPart[op.ID] == nil {
+		if r.srv[1].pending(op.ID) == nil {
 			t.Error("participant half was held at the log limit")
 		}
 		if _, ok := r.srv[0].Shard.LookupEntry(op.Parent, op.Name); ok {
 			t.Error("coordinator half executed while the log was at its limit")
 		}
-		if len(r.srv[0].pendingCoord) != 0 || done.Len() != 0 {
+		if r.srv[0].coordPending != 0 || done.Len() != 0 {
 			t.Error("coordinator half was not held at the log limit")
 		}
 		if r.srv[0].WAL.Stats().FullStalls == 0 {
@@ -213,7 +213,7 @@ func TestWriteBackAcrossCrashPrunesNothing(t *testing.T) {
 			// The batch has committed everything and taken the flush queue:
 			// it is now waiting for the disk inside the write-back.
 			if !await(p, func() bool {
-				return len(s.pendingCoord) == 0 && len(s.flushQ) == 0 && s.stats.OpsCommitted > 0
+				return s.coordPending == 0 && len(s.flushQ) == 0 && s.stats.OpsCommitted > 0
 			}) {
 				t.Error("lazy batch never reached its write-back")
 				return
@@ -260,10 +260,9 @@ func TestWriteBackDefersRowsWithUnloggedWrites(t *testing.T) {
 		}
 		row := namespace.RowKey(types.ObjKey{Kind: types.ObjDentry, Dir: op.Parent, Name: op.Name})
 		// A same-process follower has rewritten the dentry and is mid-append.
-		unlogged := []types.RowImage{{Key: row}}
-		s.markUnlogged(unlogged)
+		s.unlogged[row]++
 		s.KickCommit()
-		await(p, func() bool { return len(s.pendingCoord) == 0 && s.stats.LazyBatches > 0 })
+		await(p, func() bool { return s.coordPending == 0 && s.stats.LazyBatches > 0 })
 		p.Sleep(100 * time.Millisecond)
 		if len(s.flushQ) != 1 || s.WAL.OpBytes(op.ID) == 0 {
 			t.Errorf("operation with an unlogged row written back: flushQ=%d log bytes=%d",
@@ -273,7 +272,7 @@ func TestWriteBackDefersRowsWithUnloggedWrites(t *testing.T) {
 		if _, ok := s.KV.DurableSnapshot()[row]; ok {
 			t.Error("page landed ahead of the Result-Record of the execution that wrote it")
 		}
-		s.clearUnlogged(unlogged)
+		delete(s.unlogged, row)
 		s.KickCommit()
 		await(p, func() bool { return len(s.flushQ) == 0 })
 		p.Sleep(100 * time.Millisecond)

@@ -45,19 +45,11 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	defer func() { s.recovering = false }()
 
 	// Discard volatile protocol state from before the crash: the rebuilt
-	// truth comes from the log. Blocked requests and signal waiters from
-	// the previous incarnation are dead (their clients must reissue).
-	s.pendingCoord = make(map[types.OpID]*coordOp)
-	s.pendingPart = make(map[types.OpID]*partOp)
+	// truth comes from the log.
+	s.wipe()
 	s.active = make(map[types.ObjKey]types.OpID)
-	s.waiters = make(map[types.OpID][]*blockedReq)
-	s.blockedOf = make(map[types.OpID]*blockedReq)
-	s.arrivalSig = make(map[types.OpID][]*simrt.Chan[struct{}])
-	s.flushQ = nil
-	s.idleCoord = nil
-	s.unnamedParts = nil
 	s.unlogged = make(map[string]int)
-	s.wantCommit = make(map[types.OpID]wantEntry)
+	s.flushQ = nil
 	// So are its executing marks and the leases it granted: the lease table
 	// starts empty, and this incarnation's grants carry a higher lease
 	// epoch, so clients fence out anything stamped before the crash.
@@ -73,46 +65,32 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	recs := s.WAL.RecoverScan(p)
 
 	type result struct {
-		role    types.Role
-		ok      bool
-		sub     types.SubOp
-		before  []types.RowImage
-		after   []types.RowImage
-		valid   bool // not invalidated by a later Invalidate-Record
-		peer    types.NodeID
-		hasPeer bool
+		*wal.Record
+		valid bool // not invalidated by a later Invalidate-Record
 	}
-	type opState struct {
-		id        types.OpID
+	type logged struct {
 		results   []result
 		decided   bool
 		committed bool
 		completed bool
 	}
-	states := make(map[types.OpID]*opState)
+	states := make(map[types.OpID]*logged)
 	var order []types.OpID
-	get := func(id types.OpID) *opState {
-		st := states[id]
+	for i := range recs {
+		r := &recs[i]
+		st := states[r.Op]
 		if st == nil {
-			st = &opState{id: id}
-			states[id] = st
-			order = append(order, id)
+			st = &logged{}
+			states[r.Op] = st
+			order = append(order, r.Op)
 		}
-		return st
-	}
-	for _, r := range recs {
-		st := get(r.Op)
 		switch r.Type {
 		case wal.RecResult:
-			st.results = append(st.results, result{
-				role: r.Role, ok: r.OK, sub: r.Sub,
-				before: r.Before, after: r.After, valid: true,
-				peer: r.Peer, hasPeer: r.HasPeer,
-			})
+			st.results = append(st.results, result{r, true})
 		case wal.RecInvalidate:
 			// Invalidation voids the most recent result of that role.
 			for i := len(st.results) - 1; i >= 0; i-- {
-				if st.results[i].role == r.Role && st.results[i].valid {
+				if st.results[i].Role == r.Role && st.results[i].valid {
 					st.results[i].valid = false
 					break
 				}
@@ -137,117 +115,77 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 
 	for _, id := range order {
 		st := states[id]
-		if st.completed {
-			// The records are still in the log, which means the operation's
-			// database write-back had not drained when the server died (the
-			// flush queue is volatile; prune follows flush). Redo from the
-			// images before pruning, or the committed rows are lost.
+		// The last valid result, and the last the coordinator role logged.
+		var last, coord *wal.Record
+		participated := false
+		for _, r := range st.results {
+			if r.valid {
+				last = r.Record
+			}
+			if r.Role == types.RoleCoordinator {
+				coord = r.Record
+			} else {
+				participated = true
+			}
+		}
+		if st.completed || st.decided {
+			// Redo (commit) or undo (abort) from images; idempotent. Even a
+			// completed operation needs it: its records are still in the log,
+			// so its database write-back had not drained when the server died
+			// (the flush queue is volatile; prune follows flush).
 			for _, r := range st.results {
-				if !r.valid || !r.ok {
+				if !r.valid || !r.OK {
 					continue
 				}
 				if st.committed {
-					s.Shard.InstallImages(r.after)
+					s.Shard.InstallImages(r.After)
 				} else {
-					s.Shard.InstallImages(r.before)
+					s.Shard.InstallImages(r.Before)
 				}
 			}
 			// Retried requests for this op must see its sealed outcome, not
 			// a fresh execution.
 			s.CacheReply(id, sealedReply(id, st.committed))
-			s.WAL.Prune(id)
-			continue
-		}
-		roles := make(map[types.Role]bool)
-		for _, r := range st.results {
-			roles[r.role] = true
-		}
-		local := roles[types.RoleCoordinator] && roles[types.RoleParticipant]
-
-		if st.decided {
-			// Redo (commit) or undo (abort) from images; idempotent.
-			for _, r := range st.results {
-				if !r.valid || !r.ok {
-					continue
-				}
-				if st.committed {
-					s.Shard.InstallImages(r.after)
-				} else {
-					s.Shard.InstallImages(r.before)
-				}
-			}
-			s.CacheReply(id, sealedReply(id, st.committed))
-			switch {
-			case local:
-				s.WAL.Prune(id) // single-server transaction: decision is final
-			case roles[types.RoleCoordinator]:
-				var csub types.SubOp
-				part := types.NodeID(-1)
-				for _, r := range st.results {
-					if r.role == types.RoleCoordinator {
-						csub = r.sub
-						if r.hasPeer {
-							part = r.peer
-						}
-					}
-				}
-				if part < 0 {
-					part = s.pl.ParticipantFor(csub.Ino)
-				}
-				resume = append(resume, resumeDecided{id: id, committed: st.committed, participant: part})
-			default:
-				s.WAL.Prune(id) // participant with durable decision: finished
+			if !st.completed && coord != nil && !participated {
+				// The coordinator's decision, not known to have reached the
+				// participant.
+				resume = append(resume, resumeDecided{id: id, committed: st.committed, participant: s.peerOf(coord)})
+			} else {
+				// Finished here: completed, a participant's durable decision,
+				// or a single-server transaction, whose decision is final.
+				s.WAL.Prune(id)
 			}
 			continue
 		}
 
 		// Undecided: rebuild pending state from the last valid result.
-		var last *result
-		for i := len(st.results) - 1; i >= 0; i-- {
-			if st.results[i].valid {
-				last = &st.results[i]
-				break
-			}
-		}
 		if last == nil {
 			// Executed then invalidated, never re-executed: nothing pending
 			// here; the re-queued request died with the crash and the
 			// client will see the operation aborted by the coordinator's
 			// vote timeout. Poison locally.
-			s.tombstone(id)
+			s.markAborted(id)
 			s.WAL.Prune(id)
 			continue
 		}
 		// Redo the provisional execution and rebuild its entry with the undo
 		// the execution itself would have left: the record's before-image,
 		// the parent compensation its action implies.
-		pe := pendingExec{id: id, sub: last.sub, ok: last.ok, peer: last.peer,
-			client: id.Proc.Client, epoch: 1}
-		if last.ok {
-			s.Shard.InstallImages(last.after)
-			pe.undo = namespace.UndoOf(last.sub, last.before)
-			for _, img := range last.after {
-				pe.rows = append(pe.rows, img.Key)
+		e := execution{sub: last.Sub, ok: last.OK, peer: s.peerOf(last), epoch: 1}
+		if last.OK {
+			s.Shard.InstallImages(last.After)
+			e.undo = namespace.UndoOf(last.Sub, last.Before)
+			for _, img := range last.After {
+				e.rows = append(e.rows, img.Key)
 			}
-			s.hold(last.sub)
+			s.hold(last.Sub)
 		}
-		switch last.role {
-		case types.RoleCoordinator:
-			if !last.hasPeer {
-				pe.peer = s.pl.ParticipantFor(last.sub.Ino)
-			}
-			co := &coordOp{pendingExec: pe}
-			s.pendingCoord[id] = co
-			s.addIdle(co)
+		if last.Role == types.RoleCoordinator {
 			undecidedCoord = append(undecidedCoord, id)
-		case types.RoleParticipant:
-			if !last.hasPeer {
-				pe.peer = s.pl.CoordinatorFor(last.sub.Parent, last.sub.Name)
-			}
-			s.pendingPart[id] = &partOp{pendingExec: pe, since: s.Sim.Now()}
-			s.unnamedParts = append(s.unnamedParts, id)
+		} else {
 			undecidedPart = append(undecidedPart, id)
 		}
+		s.register(e, phasePending)
 	}
 
 	// Rebuild complete: the server may answer the recovery dialogue
@@ -265,13 +203,13 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	for _, r := range resume {
 		decisions := []wire.Decision{{Op: r.id, Commit: r.committed}}
 		s.rpcAck(p, boot, r.participant, []types.OpID{r.id}, decisions)
-		s.WAL.AppendBatchPriority(p, []wal.Record{{Type: wal.RecComplete, Op: r.id, Role: types.RoleCoordinator}})
+		s.complete(p, []types.OpID{r.id})
 		s.WAL.Prune(r.id)
 		if r.committed {
 			s.stats.OpsCommitted++
 		} else {
 			s.stats.OpsAborted++
-			s.tombstone(r.id)
+			s.markAborted(r.id)
 		}
 	}
 
@@ -281,22 +219,21 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	}
 	// Undecided participant operations: nudge their coordinators.
 	for _, id := range undecidedPart {
-		if po := s.pendingPart[id]; po != nil {
-			s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: po.peer, Op: id})
+		if st := s.pending(id); st != nil {
+			s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: st.peer, Op: id})
 		}
 	}
 	// Wait until every undecided operation's fate is sealed here. The commit
 	// daemon runs concurrently and may finish a rebuilt operation while this
-	// proc is still in the resume loop above — before a one-shot completion
-	// signal could be registered — so poll the pending tables and use the
-	// signal only as a wakeup, re-nudging a participant op whose C-NOTIFY
-	// (or its answer) was lost to link faults.
+	// proc is still in the resume loop above — before a completion wait could
+	// be registered — so poll the table and use the signal only as a wakeup,
+	// re-nudging a participant op whose C-NOTIFY (or its answer) was lost to
+	// link faults.
 	for _, id := range append(append([]types.OpID{}, undecidedCoord...), undecidedPart...) {
-		for s.pendingCoord[id] != nil || s.pendingPart[id] != nil {
-			ch := s.waitChan(s.completeSig, id)
-			if _, ok := ch.RecvTimeout(p, s.lazyPeriod()); !ok {
-				if po := s.pendingPart[id]; po != nil && !po.committing {
-					s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: po.peer, Op: id})
+		for s.pending(id) != nil {
+			if !s.await(p, id, false, s.lazyPeriod()) {
+				if st := s.pending(id); st != nil && st.phase == phasePending && !st.coordinator() {
+					s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: st.peer, Op: id})
 				}
 			}
 		}
@@ -305,6 +242,18 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	s.KV.FlushDirty(p)
 
 	return s.Sim.Now() - start
+}
+
+// peerOf returns the other server of the operation r is a Result-Record of:
+// the recorded one, or by placement where the record names none.
+func (s *Server) peerOf(r *wal.Record) types.NodeID {
+	switch {
+	case r.HasPeer:
+		return r.Peer
+	case r.Role == types.RoleCoordinator:
+		return s.pl.ParticipantFor(r.Sub.Ino)
+	}
+	return s.pl.CoordinatorFor(r.Sub.Parent, r.Sub.Name)
 }
 
 // opLess is a deterministic total order on OpIDs for recovery iteration.

@@ -22,8 +22,8 @@ import (
 //
 // Both provisional entries are held active for the duration, so ordinary
 // Cx operations conflict-block against an in-flight rename and vice versa.
-// The destination side registers in the same pendingPart table as a normal
-// participant execution, which makes crash recovery compose: a crashed
+// The destination side registers in the op table like a normal participant
+// execution, which makes crash recovery compose: a crashed
 // destination rebuilds the pending insert from its Result-Record and nudges
 // the coordinator; a crashed coordinator rebuilds the pending remove and
 // re-drives the commitment through the standard batch machinery, whose
@@ -35,7 +35,7 @@ func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 	boot := s.Boot()
 	op := m.FullOp
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
-	if s.tombstones[op.ID] {
+	if s.isAborted(op.ID) {
 		reply.OK, reply.Err = false, types.ErrAborted.Error()
 		s.Send(reply)
 		return
@@ -74,9 +74,8 @@ func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 	}
 	// Register as a committing coordinator op so C-NOTIFY/L-COM find it and
 	// the lazy daemon leaves it alone.
-	co := &coordOp{pendingExec: pendingExec{id: op.ID, sub: srcSub, ok: true, undo: resSrc.Undo,
-		rows: resSrc.Rows, peer: dst, client: m.From, epoch: 1, committing: true}}
-	s.pendingCoord[op.ID] = co
+	co := s.register(execution{sub: srcSub, ok: true, undo: resSrc.Undo,
+		rows: resSrc.Rows, peer: dst, epoch: 1}, phaseCommitting)
 
 	var dstOK bool
 	var dstErr string
@@ -89,40 +88,25 @@ func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 		return
 	}
 
-	commit := dstOK
-	decType := wal.RecAbort
-	if commit {
-		decType = wal.RecCommit
-	}
-	s.WAL.AppendBatchPriority(p, []wal.Record{{Type: decType, Op: op.ID, Role: types.RoleCoordinator}})
+	s.WAL.AppendBatchPriority(p, []wal.Record{s.decide(co, dstOK)})
 	if s.Gone(boot) {
 		return
 	}
-	if !commit {
-		s.Shard.ApplyUndo(co.undo)
-		s.tombstone(op.ID)
-	}
-
 	if !local {
 		// Deliver the decision until acknowledged.
-		s.renameDecision(p, boot, op.ID, dst, commit)
+		s.renameDecision(p, boot, op.ID, dst, co.commit)
 		if s.Gone(boot) {
 			return
 		}
 	}
 
-	s.WAL.AppendBatchPriority(p, []wal.Record{{Type: wal.RecComplete, Op: op.ID, Role: types.RoleCoordinator}})
+	s.complete(p, []types.OpID{op.ID})
 	if s.Gone(boot) {
 		return
 	}
-	delete(s.pendingCoord, op.ID)
-	s.completeOp(op.ID, srcSub)
-	s.flushQ = append(s.flushQ, flushEntry{id: op.ID, rows: co.rows})
-	if commit {
-		s.stats.OpsCommitted++
+	if co.commit {
 		s.stats.Renames++
 	} else {
-		s.stats.OpsAborted++
 		reply.OK = false
 		if dstErr != "" {
 			reply.Err = dstErr
@@ -132,7 +116,7 @@ func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 	}
 	// The outcome is sealed: retried requests must see this reply, never a
 	// re-execution.
-	s.CacheReply(op.ID, reply)
+	s.finish(co, reply)
 	s.Send(reply)
 }
 
@@ -167,16 +151,16 @@ func (s *Server) renameDecision(p *simrt.Proc, boot uint64, id types.OpID, dst t
 }
 
 // handleRenameVote is the destination side: execute the insert (resolving
-// conflicts like any sub-op) and vote. Registered in pendingPart so the
+// conflicts like any sub-op) and vote. Registered in the op table so the
 // standard decision and recovery paths finish the job.
 func (s *Server) handleRenameVote(p *simrt.Proc, m *wire.Msg) {
 	id := m.Op
-	if po := s.pendingPart[id]; po != nil {
+	if st := s.pending(id); st != nil {
 		// Retransmitted vote: answer from the existing execution.
-		s.Send(wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: id, OK: po.ok})
+		s.Send(wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: id, OK: st.ok})
 		return
 	}
-	if s.tombstones[id] {
+	if s.isAborted(id) {
 		s.Send(wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: id, OK: false, Err: types.ErrAborted.Error()})
 		return
 	}
@@ -189,8 +173,8 @@ func (s *Server) handleRenameVote(p *simrt.Proc, m *wire.Msg) {
 }
 
 // renameExecInsert performs the destination insert with conflict
-// resolution; on success the execution registers in pendingPart (remote
-// coordinator case) so COMMIT-REQ/recovery complete it.
+// resolution; on success the execution registers (remote coordinator case)
+// so COMMIT-REQ/recovery complete it.
 func (s *Server) renameExecInsert(p *simrt.Proc, boot uint64, dstSub types.SubOp, coordNode types.NodeID) (bool, string) {
 	deadline := s.Sim.Now() + s.cfg.VoteWait
 	for {
@@ -198,13 +182,12 @@ func (s *Server) renameExecInsert(p *simrt.Proc, boot uint64, dstSub types.SubOp
 		if !held {
 			break
 		}
-		s.requestCommit(holder, false)
+		s.requestCommit(holder, false, -1)
 		remaining := deadline - s.Sim.Now()
 		if remaining <= 0 {
 			return false, fmt.Sprintf("rename destination busy: %v", types.ErrAborted)
 		}
-		ch := s.waitChan(s.completeSig, holder)
-		ch.RecvTimeout(p, remaining)
+		s.await(p, holder, false, remaining)
 		if s.Gone(boot) {
 			return false, ""
 		}
@@ -223,14 +206,12 @@ func (s *Server) renameExecInsert(p *simrt.Proc, boot uint64, dstSub types.SubOp
 		return false, ""
 	}
 	if coordNode != s.ID {
-		s.pendingPart[dstSub.Op] = &partOp{pendingExec: pendingExec{id: dstSub.Op, sub: dstSub, ok: true,
-			undo: res.Undo, rows: res.Rows, peer: coordNode,
-			client: dstSub.Op.Proc.Client, epoch: 1, committing: true},
-			since: s.Sim.Now()}
+		s.register(execution{sub: dstSub, ok: true, undo: res.Undo, rows: res.Rows,
+			peer: coordNode, epoch: 1}, phaseCommitting)
 		return true, ""
 	}
-	// Local: the caller owns completion; stage rows directly.
-	s.flushQ = append(s.flushQ, flushEntry{id: dstSub.Op, rows: res.Rows})
-	defer s.completeOp(dstSub.Op, dstSub)
+	// Local: the coordinator's entry stands for the operation and its caller
+	// decides; the destination half is over here.
+	s.completeOp(s.entry(dstSub.Op), dstSub, res.Rows)
 	return true, ""
 }

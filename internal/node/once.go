@@ -9,8 +9,8 @@ import (
 // is executing is dropped (the original owns the eventual reply), and one
 // whose operation finished is answered from a bounded FIFO reply cache,
 // never re-executed. The protocols add only what they alone know (Cx: its
-// pending tables, parked requests and tombstones). The cache is not wiped
-// by Crash; see DESIGN.md §5.
+// op table — pending executions, parked requests, abort marks). The cache is
+// not wiped by Crash; see DESIGN.md §5.
 
 // replyCap bounds the reply cache.
 const replyCap = 8192
