@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cxfs/internal/namespace"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 )
@@ -123,5 +124,33 @@ func TestObjKeyLessTotalOrder(t *testing.T) {
 				t.Errorf("ordering not antisymmetric for %v, %v", a, b)
 			}
 		}
+	}
+}
+
+// SE's undo window is a FIFO at seUndoCap: after cap+1 retained executions
+// exactly the first is gone and every other one can still be taken back by a
+// CLEAR, and once around the ring the evictions stay oldest first.
+func TestSEUndoWindowIsFIFOAtTheCap(t *testing.T) {
+	s := NewSEServer(nil, namespace.Placement{Servers: 1}, false)
+	op := func(seq int) types.OpID { return types.OpID{Proc: types.ProcID{Client: 7}, Seq: uint64(seq)} }
+	for seq := 1; seq <= seUndoCap+1; seq++ {
+		s.retainUndo(op(seq), pendingExec{})
+	}
+	if _, ok := s.pendingUndo[op(1)]; ok {
+		t.Error("oldest execution survived eviction at the cap")
+	}
+	for seq := 2; seq <= seUndoCap+1; seq++ {
+		if _, ok := s.pendingUndo[op(seq)]; !ok {
+			t.Fatalf("eviction dropped op %d as well as the oldest", seq)
+		}
+	}
+	for seq := seUndoCap + 2; seq <= 2*seUndoCap+1; seq++ {
+		s.retainUndo(op(seq), pendingExec{})
+		if _, ok := s.pendingUndo[op(seq-seUndoCap)]; ok {
+			t.Fatalf("insert %d did not evict op %d", seq, seq-seUndoCap)
+		}
+	}
+	if len(s.pendingUndo) != seUndoCap {
+		t.Errorf("window holds %d executions, want %d", len(s.pendingUndo), seUndoCap)
 	}
 }

@@ -186,7 +186,7 @@ func (s *CEServer) lendRows(p *simrt.Proc, m *wire.Msg) {
 func (s *CEServer) copyRows(keys []string) []types.RowImage {
 	rows := make([]types.RowImage, 0, len(keys))
 	for _, key := range keys {
-		val, _ := s.KV.Get(key)
+		_, val, _ := s.KV.Get(key)
 		rows = append(rows, types.RowImage{Key: key, Val: val})
 	}
 	return rows

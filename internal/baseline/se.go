@@ -30,7 +30,7 @@ type SEServer struct {
 	// oldest entries are discarded — exactly the window in which a crashed
 	// client leaves orphans (§II.B's acknowledged weakness of SE).
 	pendingUndo map[types.OpID]pendingExec
-	undoOrder   []types.OpID
+	undoOrder   node.OpRing
 
 	// localOps await the batched flush (batched mode only).
 	localOps []localFlush
@@ -187,13 +187,10 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 }
 
 func (s *SEServer) retainUndo(id types.OpID, e pendingExec) {
-	if len(s.undoOrder) >= seUndoCap {
-		drop := s.undoOrder[0]
-		s.undoOrder = s.undoOrder[1:]
-		delete(s.pendingUndo, drop)
+	if oldest, full := s.undoOrder.Push(id, seUndoCap); full {
+		delete(s.pendingUndo, oldest)
 	}
 	s.pendingUndo[id] = e
-	s.undoOrder = append(s.undoOrder, id)
 }
 
 // handleClear compensates a participant sub-op whose coordinator-side

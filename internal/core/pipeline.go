@@ -42,6 +42,14 @@ type Pipeline struct {
 	inflight int
 	compc    *simrt.Chan[*Pending]
 	ready    []*Pending
+
+	// starting holds the submitted operations whose procs have not started
+	// yet, oldest at started; body, bound once, is every such proc's body.
+	// A Submit therefore allocates its Pending and nothing else: no closure
+	// per op carries the Pending to its proc.
+	starting []*Pending
+	started  int
+	body     func(*simrt.Proc)
 }
 
 // NewPipeline builds a pipeline of the given depth over a driver. Depth
@@ -50,7 +58,9 @@ func NewPipeline(sim *simrt.Sim, d Doer, depth int) *Pipeline {
 	if depth < 1 {
 		depth = 1
 	}
-	return &Pipeline{sim: sim, d: d, depth: depth, compc: simrt.NewChan[*Pending](sim)}
+	pl := &Pipeline{sim: sim, d: d, depth: depth, compc: simrt.NewChan[*Pending](sim)}
+	pl.body = pl.run
+	return pl
 }
 
 // Depth returns the configured in-flight limit.
@@ -68,12 +78,24 @@ func (pl *Pipeline) Submit(p *simrt.Proc, op types.Op) *Pending {
 	}
 	pe := &Pending{Op: op}
 	pl.inflight++
-	pl.sim.Spawn("pipeline-op", func(wp *simrt.Proc) {
-		pe.Attr, pe.Err = pl.d.Do(wp, pe.Op)
-		pe.done = true
-		pl.compc.Send(pe)
-	})
+	pl.starting = append(pl.starting, pe)
+	pl.sim.Spawn("pipeline-op", pl.body)
 	return pe
+}
+
+// run is the body of a pipeline proc. Procs start in the order they were
+// spawned — each start is scheduled at the instant of its Spawn, behind
+// everything already queued — so the proc starting now is the oldest
+// submitted operation's.
+func (pl *Pipeline) run(wp *simrt.Proc) {
+	pe := pl.starting[pl.started]
+	pl.starting[pl.started] = nil
+	if pl.started++; pl.started == len(pl.starting) {
+		pl.starting, pl.started = pl.starting[:0], 0
+	}
+	pe.Attr, pe.Err = pl.d.Do(wp, pe.Op)
+	pe.done = true
+	pl.compc.Send(pe)
 }
 
 func (pl *Pipeline) harvest(pe *Pending) {

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"testing"
 	"time"
 
@@ -135,6 +136,51 @@ func TestResumesPerOp(t *testing.T) {
 			}
 			if limit := tc.parent * 3 / 4; got[0] > limit {
 				t.Errorf("%d resumes, want at most %d (0.75 of the channel kernel's %d)", got[0], limit, tc.parent)
+			}
+		})
+	}
+}
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// TestAllocsPerOp pins the host's heap allocations per op on the golden s3d
+// input: runtime.MemStats.Mallocs across one replay — trace generation,
+// cluster build and the 14,496 ops — over the op count. It is a host number
+// like resumes, not part of the model, and repeats to within a few hundred
+// allocations (map iteration order moves some). Before row keys were the
+// store's own, an execution described its write in one object and one-record
+// log appends stayed on the stack, the same input allocated 8.73 per op under
+// cx and 6.39 under se (measured on that parent); the ceiling is this tree's
+// measurement plus a small margin, and at most 0.6 of the parent's.
+func TestAllocsPerOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes the count")
+	}
+	for _, tc := range []struct {
+		proto           cluster.Protocol
+		ceiling, parent float64
+	}{
+		{cluster.ProtoCx, 4.8, 8.73},
+		{cluster.ProtoSE, 3.4, 6.39},
+	} {
+		// Not parallel: Mallocs counts the whole process.
+		t.Run(string(tc.proto), func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, c := Config{Scale: 0.02, Servers: 8, Seed: 1}.replay("s3d", tc.proto, nil, 0)
+			runtime.ReadMemStats(&after)
+			c.Shutdown()
+			if res.Ops != 14496 {
+				t.Fatalf("replayed %d ops, want the golden input's 14496", res.Ops)
+			}
+			perOp := float64(after.Mallocs-before.Mallocs) / float64(res.Ops)
+			t.Logf("%s: %.3f allocations per op", tc.proto, perOp)
+			if perOp > tc.ceiling {
+				t.Errorf("%.3f allocations per op, pinned at most %.2f", perOp, tc.ceiling)
+			}
+			if limit := 0.6 * tc.parent; perOp > limit {
+				t.Errorf("%.3f allocations per op, want at most %.2f (0.6 of the parent's %.2f)", perOp, limit, tc.parent)
 			}
 		})
 	}

@@ -31,6 +31,12 @@
 // (row), so the images cannot disagree about which rows exist, and a row
 // that is gone for good is gone from all of them at once (keep).
 //
+// The record also holds the table's own copy of the row's key, which Get
+// hands out: a caller looks a row up under a key it built anywhere (the
+// namespace builds them on its stack) and keeps the store's string instead,
+// so a row's key is allocated once, when the row is first written, and every
+// image, row list and page write of it shares that string.
+//
 // A page write carries the row as it was when the write was submitted: a
 // row rewritten while the disk works stays dirty for the next flush, and a
 // write-back that a crash overtakes leaves the durable image untouched. The
@@ -88,6 +94,7 @@ const SyncCommitCPU = 300 * time.Microsecond
 // row is everything the store knows about one row. A record exists while any
 // of its flags is set.
 type row struct {
+	key      string // the table's own copy of the key, handed out by Get
 	val, dur []byte // volatile and durable values; nil unless live / durable
 	page     int64  // leaf page, assigned at first write and kept while the record is
 	live     bool   // in the volatile image
@@ -131,28 +138,36 @@ func New(s *simrt.Sim, d *disk.Disk, base int64) *Store {
 // Stats returns a snapshot of accumulated counters.
 func (st *Store) Stats() Stats { return st.stats }
 
-// Get returns the volatile value for key. The database cache is assumed
-// warm (the paper sizes workloads so metadata fits server memory), so reads
-// cost no disk time. The slice is the store's own and is never modified
-// (Put installs a fresh copy): holding it is holding the row's image.
-func (st *Store) Get(key string) ([]byte, bool) {
+// Get returns the volatile value for key, and own, the store's own copy of
+// the key, if the table holds a record of the row ("" if not; a deleted row
+// whose deletion is not durable yet is still held). The database cache is
+// assumed warm (the paper sizes workloads so metadata fits server memory), so
+// reads cost no disk time.
+//
+// Get does not retain key: a caller may look up a key built in a buffer of
+// its own and keep own instead — what the store hands out for a row it holds
+// costs nothing, and every holder of the row's key shares one string. The
+// value is the store's own too and is never modified (Put installs a fresh
+// copy): holding it is holding the row's image.
+func (st *Store) Get(key string) (own string, val []byte, ok bool) {
 	st.stats.Gets++
 	r := st.rows[key]
-	return r.val, r.live
+	return r.key, r.val, r.live
 }
 
 // Put stores a copy of val as key's volatile value, marks the row dirty and
-// returns the copy — the image of the row as written.
+// returns the copy — the image of the row as written. For a row the table
+// does not hold, key itself becomes the table's key.
 func (st *Store) Put(key string, val []byte) []byte {
 	st.stats.Puts++
 	r, held := st.rows[key]
 	if !held {
-		r.page = st.place(len(key) + len(val))
+		r.key, r.page = key, st.place(len(key)+len(val))
 	}
 	r.val = make([]byte, len(val))
 	copy(r.val, val)
 	r.live, r.dirty = true, true
-	st.rows[key] = r
+	st.rows[r.key] = r
 	return r.val
 }
 
@@ -162,10 +177,10 @@ func (st *Store) Delete(key string) {
 	st.stats.Deletes++
 	r, held := st.rows[key]
 	if !held {
-		r.page = st.place(len(key))
+		r.key, r.page = key, st.place(len(key))
 	}
 	r.val, r.live, r.dirty = nil, false, true
-	st.rows[key] = r
+	st.rows[r.key] = r
 }
 
 // place returns the leaf page for a row the table does not hold yet: it is
@@ -182,15 +197,16 @@ func (st *Store) place(size int) int64 {
 	return st.next
 }
 
-// keep writes key's record back, or drops it and with it the row's placement
+// keep writes a record back, or drops it and with it the row's placement
 // once the row is gone for good: deleted, the deletion durable, and no page
 // write owed for it. A name created again is placed afresh, so the table
-// holds live rows, not every name ever written.
-func (st *Store) keep(key string, r row) {
+// holds live rows, not every name ever written. A record is always written
+// under its own key: the map's key and r.key are one string.
+func (st *Store) keep(r row) {
 	if r.live || r.durable || r.dirty || r.owed {
-		st.rows[key] = r
+		st.rows[r.key] = r
 	} else {
-		delete(st.rows, key)
+		delete(st.rows, r.key)
 	}
 }
 
@@ -216,7 +232,7 @@ func (st *Store) SyncKeys(p *simrt.Proc, keys []string) {
 	writes := few[:0]
 	for _, k := range keys {
 		r := st.rows[k]
-		writes = append(writes, pageWrite{key: k, val: r.val, present: r.live})
+		writes = append(writes, pageWrite{key: cmp.Or(r.key, k), val: r.val, present: r.live})
 	}
 	gen := st.gen
 	st.inflight++
@@ -243,11 +259,11 @@ func (st *Store) StartCheckpointer(interval time.Duration) {
 // (SyncKeys settled them): the checkpoint only pays the page writes.
 func (st *Store) Checkpoint(p *simrt.Proc) int {
 	var writes []pageWrite
-	for k, r := range st.rows {
+	for _, r := range st.rows {
 		if r.owed {
-			writes = append(writes, pageWrite{key: k, page: r.page})
+			writes = append(writes, pageWrite{key: r.key, page: r.page})
 			r.owed = false
-			st.rows[k] = r
+			st.rows[r.key] = r
 		}
 	}
 	if len(writes) == 0 {
@@ -256,7 +272,7 @@ func (st *Store) Checkpoint(p *simrt.Proc) int {
 	st.stats.FlushPages += st.writePages(p, writes)
 	st.stats.FlushRows += uint64(len(writes))
 	for _, pw := range writes {
-		st.keep(pw.key, st.rows[pw.key])
+		st.keep(st.rows[pw.key])
 	}
 	return len(writes)
 }
@@ -295,7 +311,7 @@ func (st *Store) FlushDirty(p *simrt.Proc) int {
 // rows counts as written, and the caller must not prune the log records
 // that can still redo them.
 func (st *Store) FlushKeys(p *simrt.Proc, keys []string) bool {
-	writes := make([]pageWrite, 0, len(keys))
+	var writes []pageWrite // allocated at the first row that needs the disk
 	for _, k := range keys {
 		r := st.rows[k]
 		if !r.dirty {
@@ -306,10 +322,13 @@ func (st *Store) FlushKeys(p *simrt.Proc, keys []string) bool {
 		if st.inflight == 0 && r.live == r.durable && bytes.Equal(r.val, r.dur) {
 			r.dirty = false
 			st.stats.Absorbed++
-			st.keep(k, r)
+			st.keep(r)
 			continue
 		}
-		writes = append(writes, pageWrite{key: k, val: r.val, present: r.live, page: r.page})
+		if writes == nil {
+			writes = make([]pageWrite, 0, len(keys))
+		}
+		writes = append(writes, pageWrite{key: r.key, val: r.val, present: r.live, page: r.page})
 	}
 	if len(writes) == 0 {
 		return true
@@ -351,7 +370,8 @@ func (st *Store) writePages(p *simrt.Proc, rows []pageWrite) (pages uint64) {
 
 // pageWrite is one row as a write captured it at submission. Row values are
 // never modified in place (Put installs a fresh copy), so holding the slice
-// is holding the value.
+// is holding the value; the key is the table's own, so a row placed afresh
+// when the write settles keeps the key it had.
 type pageWrite struct {
 	key     string
 	val     []byte
@@ -376,14 +396,14 @@ func (st *Store) settle(gen uint64, writes []pageWrite, journaled bool) bool {
 			if !pw.present && !journaled {
 				continue // gone for good meanwhile: named twice in this write, or by an overlapping one
 			}
-			r.page = st.place(len(pw.key) + len(pw.val))
+			r.key, r.page = pw.key, st.place(len(pw.key)+len(pw.val))
 		}
 		r.dur, r.durable = pw.val, pw.present
 		if r.live == pw.present && bytes.Equal(r.val, pw.val) {
 			r.dirty = false
 		}
 		r.owed = r.owed || journaled
-		st.keep(pw.key, r)
+		st.keep(r)
 	}
 	return true
 }
@@ -393,17 +413,17 @@ func (st *Store) settle(gen uint64, writes []pageWrite, journaled bool) bool {
 // that never became durable keeps no page.
 func (st *Store) Crash() {
 	st.gen++
-	for k, r := range st.rows {
+	for _, r := range st.rows {
 		r.val, r.live, r.dirty = nil, false, false
-		st.keep(k, r)
+		st.keep(r)
 	}
 }
 
 // Recover reloads the volatile image from the durable one after a crash.
 func (st *Store) Recover() {
-	for k, r := range st.rows {
+	for _, r := range st.rows {
 		r.val, r.live = r.dur, r.durable
-		st.rows[k] = r
+		st.rows[r.key] = r
 	}
 }
 
@@ -434,7 +454,7 @@ func (st *Store) DurableSnapshot() map[string][]byte {
 // local copy must vanish without becoming durable here.
 func (st *Store) Forget(key string) {
 	r := st.rows[key]
-	st.keep(key, row{page: r.page, owed: r.owed})
+	st.keep(row{key: r.key, page: r.page, owed: r.owed})
 }
 
 // Range calls fn for every volatile row until fn returns false. Iteration

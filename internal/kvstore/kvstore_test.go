@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"cxfs/internal/disk"
 	"cxfs/internal/simrt"
@@ -38,11 +39,11 @@ func withDisk(t *testing.T, fn func(p *simrt.Proc, st *Store, d *disk.Disk)) tim
 func TestPutGetDelete(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
 		st.Put("a", []byte("1"))
-		if v, ok := st.Get("a"); !ok || string(v) != "1" {
+		if _, v, ok := st.Get("a"); !ok || string(v) != "1" {
 			t.Errorf("Get(a)=%q,%v", v, ok)
 		}
 		st.Delete("a")
-		if _, ok := st.Get("a"); ok {
+		if _, _, ok := st.Get("a"); ok {
 			t.Error("deleted key still present")
 		}
 	})
@@ -53,7 +54,7 @@ func TestPutCopiesValue(t *testing.T) {
 		buf := []byte("abc")
 		st.Put("k", buf)
 		buf[0] = 'X'
-		if v, _ := st.Get("k"); string(v) != "abc" {
+		if _, v, _ := st.Get("k"); string(v) != "abc" {
 			t.Errorf("store aliased caller buffer: %q", v)
 		}
 	})
@@ -83,10 +84,10 @@ func TestCrashRevertsToDurable(t *testing.T) {
 		st.Put("volatile", []byte("v"))
 		st.Crash()
 		st.Recover()
-		if _, ok := st.Get("volatile"); ok {
+		if _, _, ok := st.Get("volatile"); ok {
 			t.Error("unsynced key survived crash")
 		}
-		if v, ok := st.Get("stable"); !ok || string(v) != "s" {
+		if _, v, ok := st.Get("stable"); !ok || string(v) != "s" {
 			t.Errorf("synced key lost: %q %v", v, ok)
 		}
 	})
@@ -99,7 +100,7 @@ func TestCrashRevertsDeletes(t *testing.T) {
 		st.Delete("k") // not flushed
 		st.Crash()
 		st.Recover()
-		if v, ok := st.Get("k"); !ok || string(v) != "v" {
+		if _, v, ok := st.Get("k"); !ok || string(v) != "v" {
 			t.Error("unsynced delete should revert on crash")
 		}
 	})
@@ -299,7 +300,7 @@ func TestPlacementDroppedOnceDeletionSettles(t *testing.T) {
 		}
 		st.Crash()
 		st.Recover()
-		if _, live := st.Get("parent"); !live || len(st.rows) != 1 {
+		if _, _, live := st.Get("parent"); !live || len(st.rows) != 1 {
 			t.Errorf("%d placements after a crash, want the 1 durable row", len(st.rows))
 		}
 	})
@@ -386,7 +387,7 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 		st.Put("k", []byte("abc"))
 		snap := st.Snapshot()
 		snap["k"][0] = 'Z'
-		if v, _ := st.Get("k"); string(v) != "abc" {
+		if _, v, _ := st.Get("k"); string(v) != "abc" {
 			t.Error("snapshot aliases store memory")
 		}
 	})
@@ -437,7 +438,7 @@ func TestQuickVolatileSemantics(t *testing.T) {
 			}
 			check := func(when string) {
 				for i := 0; i < nkeys; i++ {
-					v, live := st.Get(keyOf(i))
+					_, v, live := st.Get(keyOf(i))
 					if w, wlive := mem[keyOf(i)]; live != wlive || !bytes.Equal(v, w) {
 						t.Errorf("%s: Get(%s) = %v,%v, want %v,%v", when, keyOf(i), v, live, w, wlive)
 					}
@@ -583,10 +584,10 @@ func TestImageLifeCycle(t *testing.T) {
 		st.Delete(keys[1])
 		st.Crash()
 		st.Recover()
-		if v, ok := st.Get(keys[0]); !ok || v[0] != 0 {
+		if _, v, ok := st.Get(keys[0]); !ok || v[0] != 0 {
 			t.Errorf("key %q after crash = %v,%v; want durable image {0}", keys[0], v, ok)
 		}
-		if _, ok := st.Get(keys[1]); !ok {
+		if _, _, ok := st.Get(keys[1]); !ok {
 			t.Errorf("key %q lost: delete was volatile and must not survive crash", keys[1])
 		}
 		snap := st.Snapshot()
@@ -677,7 +678,7 @@ func TestForgetRemovesAllImages(t *testing.T) {
 		st.Put("k", []byte("v"))
 		st.FlushDirty(p)
 		st.Forget("k")
-		if _, ok := st.Get("k"); ok {
+		if _, _, ok := st.Get("k"); ok {
 			t.Error("volatile survived Forget")
 		}
 		if _, ok := st.DurableSnapshot()["k"]; ok {
@@ -792,6 +793,66 @@ func TestSyncKeysSettlesCapturedValue(t *testing.T) {
 		}
 		if st.DirtyCount() != 1 {
 			t.Error("row rewritten during the journal write lost its dirty mark")
+		}
+	})
+}
+
+// The key Get hands out for a held row is the table's own string — the one
+// the row was first written under, not the string looked up — and equals the
+// key looked up: through rewrites and a deletion under equal strings of
+// their own, a flush, a row placed afresh when its journal write settles
+// after a Forget, a Crash and Recover, and a Forget that keeps the record.
+func TestGetReturnsTheTablesOwnKey(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		key := strings.Clone("d/1/f")
+		same := func() string { return strings.Clone(key) }
+		check := func(stage string) {
+			t.Helper()
+			own, _, _ := st.Get(same())
+			if own != key || unsafe.StringData(own) != unsafe.StringData(key) {
+				t.Errorf("%s: Get returned %q at %p, want the table's %q at %p",
+					stage, own, unsafe.StringData(own), key, unsafe.StringData(key))
+			}
+		}
+		st.Put(key, []byte("1"))
+		check("put")
+		st.Put(same(), []byte("2"))
+		check("rewrite")
+		st.Delete(same())
+		check("delete")
+		st.Put(same(), []byte("3"))
+		st.FlushKeys(p, []string{same()})
+		check("flush")
+		st.Put(same(), []byte("4"))
+		st.sim.Spawn("forgetter", func(wp *simrt.Proc) {
+			wp.Sleep(SyncCommitCPU + time.Microsecond) // captured, journal write in flight
+			st.Forget(same())
+		})
+		st.SyncKeys(p, []string{same()})
+		if d := st.DurableSnapshot(); string(d[key]) != "4" {
+			t.Fatalf("row not re-placed by the settling journal write: durable %q", d)
+		}
+		check("re-placed in settle")
+		st.Crash()
+		st.Recover()
+		check("crash+recover")
+		st.Forget(same()) // owed a checkpoint: the record stays
+		check("forget")
+		if own, _, ok := st.Get("d/1/other"); own != "" || ok {
+			t.Errorf("a row never written has key %q", own)
+		}
+	})
+}
+
+// A write-back of rows that are all clean — or not held — costs nothing.
+func TestFlushKeysOfCleanRowsAllocatesNothing(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		st.Put("a", []byte("1"))
+		st.Put("b", []byte("2"))
+		st.FlushDirty(p)
+		keys := []string{"a", "b", "never-written"}
+		if a := testing.AllocsPerRun(100, func() { st.FlushKeys(p, keys) }); a != 0 {
+			t.Errorf("all-clean flush allocates %.1f objects, want 0", a)
 		}
 	})
 }

@@ -15,13 +15,16 @@
 // shard for whoever needs to see all of it, AppendIno/DentryIno are the
 // dentry value as it also travels in a readdir reply.
 //
-// Every sub-op has one object (types.SubOp.Key), so one row: Exec resolves
-// the key once, reads the row once, and returns the row's images before and
-// after. Those are the store's own slices — values are never modified in
-// place, kvstore.Put installs a fresh copy — so holding one is holding the
-// image. The same before-image is the Undo, which every rollback applies: the
-// Cx abort and invalidation paths, SE's CLEAR, 2PC's abort, and (rebuilt from
-// the Result-Record by UndoOf) an abort after crash recovery.
+// Every sub-op has one object (types.SubOp.Key), so one row: Exec builds the
+// key once on its stack, reads the row once, and returns the row's images
+// before and after, in one object with the rows it wrote. Values and keys
+// are the store's own — values are never modified in place, kvstore.Put
+// installs a fresh copy, and kvstore.Get hands back the table's copy of a
+// held row's key — so holding an image is holding the row as it was, and
+// only a row new to the store pays for a key string. The same before-image
+// is the Undo, which every rollback applies: the Cx abort and invalidation
+// paths, SE's CLEAR, 2PC's abort, and (rebuilt from the Result-Record by
+// UndoOf) an abort after crash recovery.
 package namespace
 
 import (
@@ -31,6 +34,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"cxfs/internal/kvstore"
 	"cxfs/internal/types"
@@ -130,35 +134,43 @@ func DentryIno(val []byte) (types.InodeID, bool) {
 }
 
 // Row keys. Dentries ("d/<dir>/<name>") and inodes ("i/<ino>") share the
-// store with distinct prefixes. Built with strconv appends rather than
-// fmt.Sprintf: key construction runs on every sub-op execution and lookup,
-// and Sprintf's interface boxing plus format parsing dominated the namespace
-// profile at replay scale.
-func dentryRow(dir types.InodeID, name string) string {
-	b := make([]byte, 0, 2+20+1+len(name))
-	b = append(b, 'd', '/')
-	b = strconv.AppendUint(b, uint64(dir), 10)
-	b = append(b, '/')
-	b = append(b, name...)
-	return string(b)
-}
-
-func inodeRow(ino types.InodeID) string {
-	b := make([]byte, 0, 2+20)
-	b = append(b, 'i', '/')
-	b = strconv.AppendUint(b, uint64(ino), 10)
-	return string(b)
-}
-
-// RowKey returns the kvstore row key for an object key.
-func RowKey(k types.ObjKey) string {
+// store with distinct prefixes. appendRow builds one into a buffer the
+// caller chooses, with strconv appends rather than fmt.Sprintf: it runs on
+// every sub-op and lookup. A lookup builds it on its stack and keeps the
+// store's own copy (lookup), so only a row the store does not hold yet pays
+// for a key string, which becomes the table's key.
+func appendRow(buf []byte, k types.ObjKey) []byte {
 	switch k.Kind {
 	case types.ObjDentry:
-		return dentryRow(k.Dir, k.Name)
+		buf = append(buf, 'd', '/')
+		buf = strconv.AppendUint(buf, uint64(k.Dir), 10)
+		buf = append(buf, '/')
+		return append(buf, k.Name...)
 	case types.ObjInode:
-		return inodeRow(k.Ino)
+		buf = append(buf, 'i', '/')
+		return strconv.AppendUint(buf, uint64(k.Ino), 10)
 	}
 	panic("namespace: RowKey on invalid ObjKey")
+}
+
+// keyBuf is the stack room for a row key: an inode key always fits, a dentry
+// key whenever its name is up to 40 bytes; a longer one spills to the heap.
+const keyBuf = 64
+
+// RowKey returns the kvstore row key for an object key, as a new string.
+func RowKey(k types.ObjKey) string {
+	var buf [keyBuf]byte
+	return string(appendRow(buf[:0], k))
+}
+
+// lookup reads the row of object k: its value and whether it is live, and
+// the store's own copy of its key if the store holds a record of it ("" if
+// not). The key is built on the stack and looked up as it stands — the store
+// does not retain it — so a lookup allocates nothing.
+func (sh *Shard) lookup(k types.ObjKey) (own string, val []byte, ok bool) {
+	var buf [keyBuf]byte
+	b := appendRow(buf[:0], k)
+	return sh.kv.Get(unsafe.String(unsafe.SliceData(b), len(b)))
 }
 
 // Undo rolls back one sub-operation. The one row it wrote (the dentry or
@@ -236,17 +248,17 @@ func (sh *Shard) InitRoot() {
 
 // SeedInode force-installs an inode row (test and trace-bootstrap helper).
 func (sh *Shard) SeedInode(in Inode) {
-	sh.kv.Put(inodeRow(in.Ino), appendInode(nil, in))
+	sh.kv.Put(RowKey(types.InodeKey(in.Ino)), appendInode(nil, in))
 }
 
 // SeedDentry force-installs a directory entry (test and bootstrap helper).
 func (sh *Shard) SeedDentry(dir types.InodeID, name string, ino types.InodeID) {
-	sh.kv.Put(dentryRow(dir, name), AppendIno(nil, ino))
+	sh.kv.Put(RowKey(types.DentryKey(dir, name)), AppendIno(nil, ino))
 }
 
 // GetInode reads an inode row.
 func (sh *Shard) GetInode(ino types.InodeID) (Inode, bool) {
-	raw, ok := sh.kv.Get(inodeRow(ino))
+	_, raw, ok := sh.lookup(types.InodeKey(ino))
 	if !ok {
 		return Inode{}, false
 	}
@@ -255,7 +267,7 @@ func (sh *Shard) GetInode(ino types.InodeID) (Inode, bool) {
 
 // LookupEntry resolves (dir, name) to an inode number.
 func (sh *Shard) LookupEntry(dir types.InodeID, name string) (types.InodeID, bool) {
-	raw, _ := sh.kv.Get(dentryRow(dir, name))
+	_, raw, _ := sh.lookup(types.DentryKey(dir, name))
 	return DentryIno(raw)
 }
 
@@ -288,8 +300,7 @@ func (sh *Shard) Exec(sub types.SubOp, now uint64) Result {
 	if !ok {
 		return Result{Err: fmt.Errorf("namespace: unknown action %v", sub.Action)}
 	}
-	row := RowKey(obj)
-	old, exists := sh.kv.Get(row)
+	key, old, exists := sh.lookup(obj)
 	var in Inode
 	if exists && obj.Kind == types.ObjInode {
 		in = decodeInode(old)
@@ -363,16 +374,17 @@ func (sh *Shard) Exec(sub types.SubOp, now uint64) Result {
 		val = appendInode(buf[:0], in)
 	}
 
-	imgs := &[2]types.RowImage{{Key: row, Val: old}, {Key: row}}
-	if val == nil {
-		sh.kv.Delete(row)
-	} else {
-		imgs[1].Val = sh.kv.Put(row, val)
+	if key == "" {
+		key = RowKey(obj) // a row the store does not hold: this key becomes the table's
 	}
-	rows := make([]string, 1, 2) // room for the parent inode's
-	rows[0] = row
-	res := Result{OK: true, Freed: freed, Rows: rows,
-		Before: imgs[:1:1], After: imgs[1:], Undo: Undo{before: imgs[0]}}
+	w := &write{imgs: [2]types.RowImage{{Key: key, Val: old}, {Key: key}}, rows: [2]string{key}}
+	if val == nil {
+		sh.kv.Delete(key)
+	} else {
+		w.imgs[1].Val = sh.kv.Put(key, val)
+	}
+	res := Result{OK: true, Freed: freed, Rows: w.rows[:1],
+		Before: w.imgs[:1:1], After: w.imgs[1:], Undo: Undo{before: w.imgs[0]}}
 	// "and update parent inode", undone by compensation, not before-image.
 	if bump := parentBump(sub.Action); bump != 0 {
 		if prow, held := sh.bumpParent(sub.Parent, bump, now, true); held {
@@ -383,6 +395,14 @@ func (sh *Shard) Exec(sub types.SubOp, now uint64) Result {
 	return res
 }
 
+// write is what Exec allocates to describe a write, in one object: the
+// row's images before and after, and the rows written — the row, then the
+// parent inode's if bumped. Result's Before, After and Rows are its slices.
+type write struct {
+	imgs [2]types.RowImage
+	rows [2]string
+}
+
 // bumpParent adds delta to the entry count of directory dir if this shard
 // holds its inode, and reports the inode's row and whether it did. Large
 // striped directories keep the inode on another server; the paper folds the
@@ -390,10 +410,9 @@ func (sh *Shard) Exec(sub types.SubOp, now uint64) Result {
 // An execution also stamps mtime; a rollback's compensation does not (it
 // takes back a count, not the fact that the directory was touched).
 func (sh *Shard) bumpParent(dir types.InodeID, delta int64, now uint64, exec bool) (string, bool) {
-	row := inodeRow(dir)
-	raw, held := sh.kv.Get(row)
+	row, raw, held := sh.lookup(types.InodeKey(dir))
 	if !held {
-		return row, false
+		return "", false
 	}
 	parent := decodeInode(raw)
 	if exec {

@@ -91,8 +91,8 @@ func TestReplyCacheIsFIFOAtTheCap(t *testing.T) {
 		// Overwriting an entry (an abort superseding the recorded response)
 		// takes no new slot and does not renew its turn.
 		b.CacheReply(opID(1), wire.Msg{Type: wire.MsgOpResp, OK: false})
-		if len(b.replyOrder) != replyCap || len(b.replies) != replyCap {
-			t.Errorf("cache holds %d/%d entries after an overwrite, want %d", len(b.replies), len(b.replyOrder), replyCap)
+		if len(b.replyOrder.ids) != replyCap || len(b.replies) != replyCap {
+			t.Errorf("cache holds %d/%d entries after an overwrite, want %d", len(b.replies), len(b.replyOrder.ids), replyCap)
 		}
 		if r := b.replies[opID(1)]; r.ok {
 			t.Error("overwrite kept the old reply")
@@ -101,8 +101,17 @@ func TestReplyCacheIsFIFOAtTheCap(t *testing.T) {
 		if b.ReplayCached(opID(1), 100) {
 			t.Error("oldest entry survived eviction at the cap")
 		}
-		if !b.ReplayCached(opID(2), 100) || !b.ReplayCached(opID(replyCap+1), 100) {
-			t.Error("eviction dropped more than the oldest entry")
+		for seq := uint64(2); seq <= replyCap+1; seq++ {
+			if !b.ReplayCached(opID(seq), 100) {
+				t.Fatalf("eviction dropped op %d as well as the oldest entry", seq)
+			}
+		}
+		// Once around the ring again: the evictions stay oldest first.
+		for seq := uint64(replyCap + 2); seq <= 2*replyCap+1; seq++ {
+			b.CacheReply(opID(seq), wire.Msg{Type: wire.MsgOpResp, OK: true})
+			if b.ReplayCached(opID(seq-replyCap), 100) || !b.ReplayCached(opID(seq-replyCap+1), 100) {
+				t.Fatalf("insert %d did not evict exactly op %d", seq, seq-replyCap)
+			}
 		}
 		if len(b.replies) != replyCap {
 			t.Errorf("cache holds %d entries, want %d", len(b.replies), replyCap)

@@ -105,7 +105,7 @@ type Base struct {
 
 	executing  map[types.OpID]bool        // once.go
 	replies    map[types.OpID]cachedReply // once.go (FIFO by replyOrder)
-	replyOrder []types.OpID
+	replyOrder OpRing
 	leases     *LeaseTable                        // lease.go
 	routes     map[routeKey]*simrt.Chan[wire.Msg] // routes.go
 

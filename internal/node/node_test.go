@@ -115,10 +115,10 @@ func TestCrashDiscardsVolatileState(t *testing.T) {
 		b.KV.Put("lost", []byte("x"))
 		b.Crash()
 		b.Reboot()
-		if _, ok := b.KV.Get("lost"); ok {
+		if _, _, ok := b.KV.Get("lost"); ok {
 			t.Error("unflushed key survived crash")
 		}
-		if v, ok := b.KV.Get("k"); !ok || string(v) != "v" {
+		if _, v, ok := b.KV.Get("k"); !ok || string(v) != "v" {
 			t.Error("durable key lost")
 		}
 		done = true

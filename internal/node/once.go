@@ -15,6 +15,28 @@ import (
 // replyCap bounds the reply cache.
 const replyCap = 8192
 
+// OpRing is a FIFO of operation ids bounded by the limit its caller passes:
+// a push into a full ring overwrites, and returns, the oldest id. It grows to
+// the limit once and is reused in place from then on. The reply cache and
+// SE's undo window evict through one each.
+type OpRing struct {
+	ids  []types.OpID
+	next int // the oldest id, once the ring is full
+}
+
+// Push appends op, evicting and returning the oldest id if the ring already
+// holds limit of them.
+func (r *OpRing) Push(op types.OpID, limit int) (evicted types.OpID, full bool) {
+	if len(r.ids) < limit {
+		r.ids = append(r.ids, op)
+		return types.OpID{}, false
+	}
+	evicted = r.ids[r.next]
+	r.ids[r.next] = op
+	r.next = (r.next + 1) % len(r.ids)
+	return evicted, true
+}
+
 // cachedReply is a finished operation's response as the cache keeps it: the
 // fields a SUBOP/OP response carries, not the whole message (the cache
 // holds replyCap of them per server and is rewritten once per operation).
@@ -49,11 +71,9 @@ func (b *Base) Executing(op types.OpID) bool { return b.executing[op] }
 // CacheReply retains op's final response m for duplicate requests.
 func (b *Base) CacheReply(op types.OpID, m wire.Msg) {
 	if _, exists := b.replies[op]; !exists {
-		if len(b.replyOrder) >= replyCap {
-			delete(b.replies, b.replyOrder[0])
-			b.replyOrder = b.replyOrder[1:]
+		if oldest, full := b.replyOrder.Push(op, replyCap); full {
+			delete(b.replies, oldest)
 		}
-		b.replyOrder = append(b.replyOrder, op)
 	}
 	b.replies[op] = cachedReply{typ: m.Type, ok: m.OK, epoch: m.Epoch, hint: m.Hint, err: m.Err, attr: m.Attr}
 }

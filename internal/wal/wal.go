@@ -116,11 +116,39 @@ type Stats struct {
 	GroupedReqs  uint64 // caller append requests coalesced by group commit
 }
 
-// flushReq is one caller batch parked in the group-commit flush window.
-type flushReq struct {
+// window is a group-commit flush window: a copy of the records of every
+// caller batch parked in it, in arrival order, their bytes, and the parked
+// callers, which done wakes in arrival order. The WAL keeps two and
+// alternates them — one fills while the flusher writes the other — so a
+// parked batch costs no allocation and the caller's records never leave its
+// stack.
+type window struct {
 	recs  []Record
-	total int64
-	done  *simrt.Signal
+	bytes int64
+	reqs  int          // caller batches parked
+	done  *simrt.Group // counts 1 while reqs > 0
+}
+
+// park adds one caller batch to the window and blocks the caller until the
+// window is released.
+func (win *window) park(p *simrt.Proc, recs []Record, total int64) {
+	if win.reqs == 0 {
+		win.done.Add(1)
+	}
+	win.recs = append(win.recs, recs...)
+	win.bytes += total
+	win.reqs++
+	win.done.Wait(p)
+}
+
+// release wakes the window's callers and empties it for reuse.
+func (win *window) release() {
+	if win.reqs == 0 {
+		return
+	}
+	win.done.Done()
+	clear(win.recs)
+	win.recs, win.bytes, win.reqs = win.recs[:0], 0, 0
 }
 
 // WAL is one server's operation log.
@@ -142,13 +170,14 @@ type WAL struct {
 	gen         uint64 // incarnation; bumped by Crash so in-flight writes from
 	// a dead incarnation stay discarded even after Reboot re-enables the log
 
-	// Group commit: when linger > 0, appends from concurrent Procs enqueue
-	// into window and a single flusher Proc writes them as one sequential
-	// disk request after the linger expires, waking every parked caller.
-	linger    time.Duration
-	window    []flushReq
-	winBytes  int64 // bytes parked in the window, counted by the space gate
-	flusherOn bool
+	// Group commit: when linger > 0, appends from concurrent Procs park in
+	// the open window (win; its bytes count against the space gate) and a
+	// single flusher Proc writes it as one sequential disk request after the
+	// linger expires, waking every parked caller. spare is the other window:
+	// the one being written, or empty.
+	linger     time.Duration
+	win, spare *window
+	flusherOn  bool
 
 	stats Stats
 }
@@ -156,7 +185,8 @@ type WAL struct {
 // New creates a WAL writing sequentially at disk offset base. maxBytes
 // limits live (un-pruned) record bytes; 0 means unlimited.
 func New(s *simrt.Sim, d *disk.Disk, base, maxBytes int64) *WAL {
-	return &WAL{sim: s, dsk: d, base: base, max: maxBytes, index: make(map[types.OpID]opEntry)}
+	return &WAL{sim: s, dsk: d, base: base, max: maxBytes, index: make(map[types.OpID]opEntry),
+		win: &window{done: simrt.NewGroup(s)}, spare: &window{done: simrt.NewGroup(s)}}
 }
 
 // SetFullHandler registers fn to be invoked (in simulation context, without
@@ -262,56 +292,42 @@ func (w *WAL) appendBatch(p *simrt.Proc, recs []Record, priority bool) {
 	w.stats.BytesWritten += total
 }
 
-// groupAppend parks the caller's batch in the flush window and blocks until
+// groupAppend parks the caller's batch in the open window and blocks until
 // the flusher has written it (or the server crashed with it in flight). The
 // first batch into an empty window spawns the flusher.
 func (w *WAL) groupAppend(p *simrt.Proc, recs []Record, total int64) {
-	done := new(simrt.Signal)
-	w.window = append(w.window, flushReq{recs: recs, total: total, done: done})
-	w.winBytes += total
 	if !w.flusherOn {
 		w.flusherOn = true
 		w.sim.Spawn("wal-flusher", w.flusher)
 	}
-	done.Wait(p)
+	w.win.park(p, recs, total)
 }
 
 // flusher is the single group-commit writer: sleep out the linger, then
-// drain the window in coalesced sequential writes. Batches that arrive while
-// a write is on the platter are picked up by the next loop iteration without
-// a fresh linger — they already waited their share. Exits when the window
-// drains; the next enqueue respawns it.
+// write the open window in coalesced sequential writes. Batches that arrive
+// while a write is on the platter fill the other window and are picked up by
+// the next loop iteration without a fresh linger — they already waited their
+// share. Exits when the window is empty; the next enqueue respawns it.
 func (w *WAL) flusher(p *simrt.Proc) {
 	p.Sleep(w.linger)
-	for len(w.window) > 0 {
-		batch := w.window
-		w.window = nil
-		var total int64
-		records := 0
-		for _, fr := range batch {
-			total += fr.total
-			records += len(fr.recs)
-		}
-		w.winBytes -= total
+	for w.win.reqs > 0 {
+		batch := w.win
+		w.win, w.spare = w.spare, batch
 		off := w.head
-		w.head += total
+		w.head += batch.bytes
 		gen := w.gen
-		w.dsk.Access(p, w.base+off, total, true)
+		w.dsk.Access(p, w.base+off, batch.bytes, true)
 		if !w.crashed && gen == w.gen {
-			for _, fr := range batch {
-				for i := range fr.recs {
-					w.admit(fr.recs[i], encodedSize(&fr.recs[i]))
-				}
+			for i := range batch.recs {
+				w.admit(batch.recs[i], encodedSize(&batch.recs[i]))
 			}
 			w.stats.Appends++
-			w.stats.Records += uint64(records)
-			w.stats.BytesWritten += total
+			w.stats.Records += uint64(len(batch.recs))
+			w.stats.BytesWritten += batch.bytes
 			w.stats.GroupFlushes++
-			w.stats.GroupedReqs += uint64(len(batch))
+			w.stats.GroupedReqs += uint64(batch.reqs)
 		}
-		for _, fr := range batch {
-			fr.done.Fire()
-		}
+		batch.release()
 	}
 	w.flusherOn = false
 }
@@ -327,7 +343,7 @@ func (w *WAL) waitForSpace(p *simrt.Proc, need int64) {
 	}
 	// A crash releases every waiter; its server is gone, so it must not
 	// queue up again behind the dead incarnation's log.
-	for gen := w.gen; gen == w.gen && w.live+w.winBytes+need > w.max; {
+	for gen := w.gen; gen == w.gen && w.live+w.win.bytes+need > w.max; {
 		w.stats.FullStalls++
 		ok := new(simrt.Signal)
 		w.waiters = append(w.waiters, fullWaiter{need: need, ok: ok})
@@ -389,7 +405,7 @@ func (w *WAL) wakeWaiters() {
 	}
 	remaining := w.waiters[:0]
 	for _, fw := range w.waiters {
-		if w.live+w.winBytes+fw.need <= w.max {
+		if w.live+w.win.bytes+fw.need <= w.max {
 			fw.ok.Fire()
 		} else {
 			remaining = append(remaining, fw)
@@ -410,11 +426,7 @@ func (w *WAL) Crash() {
 		fw.ok.Fire()
 	}
 	w.waiters = nil
-	for _, fr := range w.window {
-		fr.done.Fire()
-	}
-	w.window = nil
-	w.winBytes = 0
+	w.win.release()
 }
 
 // Reboot re-enables the log after Crash. The index still holds every record
