@@ -40,8 +40,8 @@ import (
 
 // serveSingle executes a single-server operation the way 2PC and CE both do
 // — synchronously through the database journal — and answers with reply
-// filled in. crashPoint names the step after the execution.
-func serveSingle(p *simrt.Proc, b *node.Base, op types.Op, reply wire.Msg, crashPoint string) {
+// filled in.
+func serveSingle(p *simrt.Proc, b *node.Base, op types.Op, reply wire.Msg) {
 	sub := types.SingleSubOp(op)
 	b.ExecCPU(p)
 	res := b.Shard.Exec(sub, b.NowNanos())
@@ -52,7 +52,7 @@ func serveSingle(p *simrt.Proc, b *node.Base, op types.Op, reply wire.Msg, crash
 	if res.OK && sub.Action.Mutating() {
 		b.KV.SyncKeys(p, res.Rows)
 	}
-	if b.CrashPoint(crashPoint, op.ID) {
+	if b.Crashed() {
 		return
 	}
 	if op.Kind.Mutating() {

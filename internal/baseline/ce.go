@@ -71,7 +71,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
 
 	if !op.Kind.CrossServer() {
-		serveSingle(p, s.Base, op, reply, "ce:after-exec")
+		serveSingle(p, s.Base, op, reply)
 		return
 	}
 

@@ -169,7 +169,7 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	if res.OK && mutating {
 		s.maybeRevoke(sub)
 		s.persist(p, sub.Op, sub, res)
-		if s.CrashPoint("se:after-persist", sub.Op) {
+		if s.Crashed() {
 			return
 		}
 		if sub.Kind.CrossServer() && sub.Role == types.RoleParticipant {
@@ -332,7 +332,7 @@ func (d *SEDriver) do(p *simrt.Proc, op types.Op) (types.Inode, error) {
 	defer d.host.Done(op.ID)
 
 	// Step 1: participant executes first.
-	m, _, ok := d.host.Call(p, d.retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
+	m, ok := d.host.Call(p, d.retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
 	if !ok {
 		return types.Inode{}, types.ErrTimeout
 	}
@@ -340,7 +340,7 @@ func (d *SEDriver) do(p *simrt.Proc, op types.Op) (types.Inode, error) {
 		return types.Inode{}, types.WireError(m.Err)
 	}
 	// Step 2: then the coordinator.
-	m, _, ok = d.host.Call(p, d.retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
+	m, ok = d.host.Call(p, d.retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
 	if !ok {
 		// The participant's half may be durable with no withdrawal possible:
 		// exactly SE's documented orphan window. Best-effort CLEAR.
@@ -372,7 +372,7 @@ func singleServer(pl namespace.Placement, op types.Op) types.NodeID {
 func localOpCall(p *simrt.Proc, host *node.Host, op types.Op, server types.NodeID, rp types.RetryPolicy) (types.Inode, error) {
 	route := host.Open(op.ID)
 	defer host.Done(op.ID)
-	m, _, ok := host.Call(p, rp, route, wire.Msg{Type: wire.MsgOpReq, To: server, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
+	m, ok := host.Call(p, rp, route, wire.Msg{Type: wire.MsgOpReq, To: server, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
 	if !ok {
 		return types.Inode{}, types.ErrTimeout
 	}

@@ -71,7 +71,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
 
 	if !op.Kind.CrossServer() {
-		serveSingle(p, s.Base, op, reply, "2pc:after-exec")
+		serveSingle(p, s.Base, op, reply)
 		return
 	}
 
@@ -121,7 +121,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		decType = wal.RecCommit
 	}
 	s.WAL.Append(p, wal.Record{Type: decType, Op: op.ID, Role: types.RoleCoordinator})
-	if s.CrashPoint("2pc:after-decision", op.ID) {
+	if s.Crashed() {
 		return
 	}
 
@@ -200,7 +200,7 @@ func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
 func (s *TwoPCServer) participantDecide(p *simrt.Proc, m *wire.Msg) {
 	commit := len(m.Decisions) > 0 && m.Decisions[0].Commit
 	s.applyDecision(p, m.Op, commit)
-	if s.CrashPoint("2pc:before-ack", m.Op) {
+	if s.Crashed() {
 		return
 	}
 	s.Send(wire.Msg{Type: wire.MsgAck, To: m.From, Op: m.Op})

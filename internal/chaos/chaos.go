@@ -294,11 +294,11 @@ func Run(cfg Config) *Report {
 		// points, and bring every crashed server back through recovery.
 		c.Net.HealAll()
 		c.Net.ClearFaults()
-		for i, b := range c.Bases {
-			b.SetCrashPoint(nil)
-			if b.Crashed() {
-				b.Reboot()
-				c.CxSrv[i].Recover(p)
+		for i, srv := range c.CxSrv {
+			srv.SetCrashPoint(nil)
+			if srv.Crashed() {
+				srv.Reboot()
+				srv.Recover(p)
 				rep.Reboots++
 				h.event(fmt.Sprintf("final reboot+recover s%d", i))
 			}

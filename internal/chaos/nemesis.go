@@ -88,6 +88,17 @@ func (n *nemesis) crashLeaseHolder(p *simrt.Proc) {
 	n.cycleOn(p, srv, false, fmt.Sprintf(" holding %d leases", held))
 }
 
+// crashPoints are the steps the nemesis arms: those of the step list that
+// carry its mark, in list order.
+var crashPoints = func() (marked []core.Step) {
+	for st := range core.NumSteps {
+		if st.Nemesis() {
+			marked = append(marked, st)
+		}
+	}
+	return marked
+}()
+
 // crashCycle crashes one random server — directly, or by arming a protocol
 // crash-point and waiting for live traffic to trip it — then reboots it and
 // runs §V recovery.
@@ -104,30 +115,30 @@ func (n *nemesis) cycleOn(p *simrt.Proc, srv int, viaPoint bool, note string) {
 	h := n.h
 	h.busy[srv] = true
 	defer func() { h.busy[srv] = false }()
-	base := h.c.Bases[srv]
+	cx := h.c.CxSrv[srv]
 
 	if viaPoint {
-		point := core.CrashPoints[n.rng.Intn(len(core.CrashPoints))]
+		point := crashPoints[n.rng.Intn(len(crashPoints))]
 		armed := p.Now()
-		base.SetCrashPoint(func(pt string, _ types.OpID) bool { return pt == point })
-		for p.Now()-armed < 150*time.Millisecond && !base.Crashed() {
+		cx.SetCrashPoint(func(st core.Step, _ types.OpID) bool { return st == point })
+		for p.Now()-armed < 150*time.Millisecond && !cx.Crashed() {
 			p.Sleep(5 * time.Millisecond)
 		}
-		base.SetCrashPoint(nil)
-		if !base.Crashed() {
+		cx.SetCrashPoint(nil)
+		if !cx.Crashed() {
 			return // no operation reached the armed point; nothing happened
 		}
 		h.rep.CrashPointsFired++
 		h.event(fmt.Sprintf("crash-point %s fired on s%d", point, srv))
 	} else {
-		base.Crash()
+		cx.Crash()
 		h.rep.Crashes++
 		h.event(fmt.Sprintf("crash s%d%s", srv, note))
 	}
 
 	p.Sleep(time.Duration(5+n.rng.Intn(25)) * time.Millisecond)
-	base.Reboot()
-	h.c.CxSrv[srv].Recover(p)
+	cx.Reboot()
+	cx.Recover(p)
 	h.rep.Reboots++
 	h.event(fmt.Sprintf("reboot+recover s%d", srv))
 }

@@ -103,7 +103,7 @@ func (c *Cache) Lookup(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, 
 	}
 	route := host.Open(op.ID)
 	defer host.Done(op.ID)
-	m, _, ok := host.Call(p, retry, route, wire.Msg{Type: wire.MsgLookupReq, To: server, Op: op.ID,
+	m, ok := host.Call(p, retry, route, wire.Msg{Type: wire.MsgLookupReq, To: server, Op: op.ID,
 		Dir: op.Parent, Path: op.Name, ReplyProc: op.ID.Proc})
 	if !ok {
 		return types.Inode{}, 0, false, types.ErrTimeout

@@ -161,7 +161,7 @@ func (d *Driver) doSingle(p *simrt.Proc, op types.Op) (types.Inode, error) {
 func (d *Driver) roundTrip(p *simrt.Proc, req wire.Msg) (types.Inode, error) {
 	route := d.host.Open(req.Op)
 	defer d.host.Done(req.Op)
-	m, _, ok := d.host.Call(p, d.retry, route, req)
+	m, ok := d.host.Call(p, d.retry, route, req)
 	if !ok {
 		return types.Inode{}, types.ErrTimeout
 	}

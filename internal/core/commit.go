@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
@@ -184,17 +183,13 @@ func (s *Server) runCommit(p *simrt.Proc, req kickReq) {
 	}
 	if req.lazy {
 		s.stats.LazyBatches++
+		if s.step(StepLazyBatch, types.NilOp, 0, func() string { return fmt.Sprintf("batch=%d flush=%d", targets, len(s.flushQ)) }) {
+			return
+		}
 	} else {
 		s.stats.ImmediateCommits++
-	}
-	if s.cfg.Obs.TraceOn() {
-		now := s.Sim.Now()
-		if req.lazy {
-			s.cfg.Obs.Emit(now, int(s.ID), types.NilOp, obs.PhaseCommitLazy,
-				fmt.Sprintf("batch=%d flush=%d", targets, len(s.flushQ)))
-		} else {
-			s.cfg.Obs.Emit(now, int(s.ID), groups[0][0].id(), obs.PhaseCommitImmediate,
-				fmt.Sprintf("batch=%d", targets))
+		if s.step(StepImmediateBatch, groups[0][0].id(), 0, func() string { return fmt.Sprintf("batch=%d", targets) }) {
+			return
 		}
 	}
 	boot := s.Boot()
@@ -238,12 +233,14 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 		ready = append(ready, fe)
 		rows = append(rows, fe.rows...)
 	}
-	if !s.KV.FlushKeys(p, rows) || s.Gone(boot) {
+	if s.step(StepWriteBackBefore, types.NilOp, 0, nil) || !s.KV.FlushKeys(p, rows) ||
+		s.Gone(boot) || s.step(StepWriteBackSettled, types.NilOp, 0, nil) {
 		return
 	}
 	for _, fe := range ready {
 		s.WAL.Prune(fe.id)
 	}
+	s.step(StepWriteBackAfterPrune, types.NilOp, 0, nil)
 }
 
 // groupCommit runs the commitment phase (§III.B steps 3-7) for a batch of
@@ -267,7 +264,7 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 	// Step 3: VOTE (retried until the participant answers — it may be
 	// rebooting).
 	votes := s.rpcVotes(p, boot, part, ids, enforce)
-	if s.CrashPoint(CPCommitAfterVote, ids[0]) || s.Gone(boot) {
+	if s.step(StepCommitAfterVote, ids[0], 0, nil) || s.Gone(boot) {
 		return
 	}
 
@@ -280,20 +277,20 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 		recs[i] = s.decide(co, decisions[i].Commit)
 	}
 	s.WAL.AppendBatchPriority(p, recs)
-	if s.CrashPoint(CPCommitAfterDecision, ids[0]) || s.Gone(boot) {
+	if s.step(StepCommitAfterDecision, ids[0], 0, nil) || s.Gone(boot) {
 		return
 	}
 
 	// Step 5-6: COMMIT-REQ/ABORT-REQ, await ACK (retried).
 	s.rpcAck(p, boot, part, ids, decisions)
-	if s.CrashPoint(CPCommitBeforeComplete, ids[0]) || s.Gone(boot) {
+	if s.step(StepCommitBeforeComplete, ids[0], 0, nil) || s.Gone(boot) {
 		return
 	}
 
 	// Step 7: Complete-Records, release followers, answer ALL-NO for aborted
 	// operations.
 	s.complete(p, ids)
-	if s.Gone(boot) {
+	if s.Gone(boot) || s.step(StepCommitAfterComplete, ids[0], 0, nil) {
 		return
 	}
 	for _, co := range cops {
@@ -344,7 +341,7 @@ func (s *Server) rpcAck(p *simrt.Proc, boot uint64, part types.NodeID, ids []typ
 	defer done()
 	for {
 		s.Send(wire.Msg{Type: wire.MsgCommitReq, To: part, Ops: ids, Decisions: decisions})
-		if len(ids) > 0 && s.CrashPoint(CPCommitMidFanout, ids[0]) {
+		if len(ids) > 0 && s.step(StepCommitMidFanout, ids[0], 0, nil) {
 			return // decision sent, ACK never collected
 		}
 		m, ok := ch.RecvTimeout(p, s.cfg.RetryInterval)
@@ -466,7 +463,7 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	if len(m.Decisions) > 0 {
 		cpOp = m.Decisions[0].Op
 	}
-	if s.CrashPoint(CPPartBeforeAck, cpOp) || s.Gone(boot) {
+	if s.step(StepPartBeforeAck, cpOp, 0, nil) || s.Gone(boot) {
 		return
 	}
 	// The ACK tells the coordinator the abort has been applied here, and it

@@ -39,7 +39,9 @@
 // (optable.go), and the entry's phase changes in five transitions only —
 // register, take, invalidate, decide, finish — one per durable record of
 // §III.B; the handlers in exec.go, commit.go, rename.go and recovery.go look
-// an operation up once and act on its phase.
+// an operation up once and act on its phase. Every named instant of the
+// protocol is one entry of the step list (steps.go) and one call at its site,
+// which is both its trace event and its crash-point.
 //
 // Where this departs from the paper's text — completion driven by
 // invalidation notices and execution epochs rather than hint equality alone,
@@ -93,9 +95,8 @@ type Config struct {
 	// client lookup requests. 0 disables the leased read path: LookupReq is
 	// still answered, but without a lease, so clients cannot cache.
 	LeaseTTL time.Duration
-	// Obs receives protocol-phase trace events and latency samples. Nil
-	// (the default) disables all recording at the cost of one pointer
-	// check per site — the hot path is unaffected.
+	// Obs receives the protocol's trace events (steps.go); nil, the
+	// default, records nothing.
 	Obs *obs.Observer
 }
 
@@ -185,6 +186,8 @@ type Server struct {
 
 	recovering bool
 	lastArrive time.Duration // most recent sub-op arrival, for the idle trigger
+
+	crashAt func(Step, types.OpID) bool // the crash hook (steps.go)
 
 	stats Stats
 }
@@ -373,8 +376,8 @@ func (s *Server) handle(p *simrt.Proc, m *wire.Msg) {
 	case wire.MsgOpReq:
 		s.handleLocalOp(p, m)
 	case wire.MsgLCom:
-		if s.cfg.Obs.TraceOn() {
-			s.cfg.Obs.Emit(s.Sim.Now(), int(s.ID), m.Op, obs.PhaseLCom, "")
+		if s.step(StepLCom, m.Op, 0, nil) {
+			return
 		}
 		s.requestCommit(m.Op, true, m.Peer)
 	case wire.MsgConflictNotify:

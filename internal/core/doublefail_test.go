@@ -34,9 +34,9 @@ func TestDoubleFailureCoordinatorThenParticipant(t *testing.T) {
 		// Arm the coordinator-side crash before issuing the operation: the
 		// point only fires inside a commitment, after the Commit-Record is
 		// durable and before the COMMIT-REQ leaves.
-		for _, b := range c.Bases {
-			b.SetCrashPoint(func(point string, _ types.OpID) bool {
-				return point == core.CPCommitAfterDecision
+		for _, srv := range c.CxSrv {
+			srv.SetCrashPoint(func(st core.Step, _ types.OpID) bool {
+				return st == core.StepCommitAfterDecision
 			})
 		}
 		ino, name := crossCreate(t, p, c, pr, types.RootInode, "dbl")
@@ -52,8 +52,8 @@ func TestDoubleFailureCoordinatorThenParticipant(t *testing.T) {
 			}
 			p.Sleep(time.Millisecond)
 		}
-		for _, b := range c.Bases {
-			b.SetCrashPoint(nil)
+		for _, srv := range c.CxSrv {
+			srv.SetCrashPoint(nil)
 		}
 
 		// Second failure: the participant dies while the coordinator is

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cxfs/internal/namespace"
-	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
@@ -105,9 +104,8 @@ func (s *Server) logResults(p *simrt.Proc, boot uint64, recs []wal.Record) bool 
 // launches an immediate commitment for that operation (§III.C step 2).
 func (s *Server) block(m *wire.Msg, holder types.OpID, epoch uint32) {
 	s.stats.Conflicts++
-	if s.cfg.Obs.TraceOn() {
-		s.cfg.Obs.Emit(s.Sim.Now(), int(s.ID), m.Sub.Op, obs.PhaseConflictOrdered,
-			"behind "+holder.String())
+	if s.step(StepConflictBeforePark, m.Sub.Op, 0, func() string { return "behind " + holder.String() }) {
+		return
 	}
 	s.park(&blockedReq{msg: *m, holder: holder, epoch: epoch})
 	s.requestCommit(holder, false, -1)
@@ -130,10 +128,6 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, hint types.OpID, epoch ui
 		return
 	}
 	res := s.Shard.Exec(sub, s.NowNanos())
-	if s.cfg.Obs.TraceOn() {
-		s.cfg.Obs.Span(execStart, s.Sim.Now()-execStart, int(s.ID), sub.Op,
-			obs.PhaseExec, sub.Kind.String()+"/"+sub.Role.String())
-	}
 	cross := sub.Kind.CrossServer()
 
 	// The object becomes active the moment the execution lands in memory —
@@ -145,7 +139,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, hint types.OpID, epoch ui
 	if cross && res.OK {
 		s.hold(sub)
 	}
-	if s.CrashPoint(CPExecProvisional, sub.Op) {
+	if s.step(StepExecProvisional, sub.Op, execStart, func() string { return sub.Kind.String() + "/" + sub.Role.String() }) {
 		return
 	}
 
@@ -156,12 +150,8 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, hint types.OpID, epoch ui
 			rec.Peer, rec.HasPeer = m.Peer, true
 		}
 		appendStart := s.Sim.Now()
-		if !s.logResults(p, boot, []wal.Record{rec}) || s.CrashPoint(CPExecAppend, sub.Op) {
+		if !s.logResults(p, boot, []wal.Record{rec}) || s.step(StepExecAppend, sub.Op, appendStart, func() string { return "result-record" }) {
 			return
-		}
-		if s.cfg.Obs.TraceOn() {
-			s.cfg.Obs.Span(appendStart, s.Sim.Now()-appendStart, int(s.ID), sub.Op,
-				obs.PhaseAppend, "result-record")
 		}
 	}
 
@@ -210,19 +200,15 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, hint types.OpID, epoch ui
 	if (cross || sub.Action.Mutating()) && s.underPressure() {
 		s.pressureRound()
 	}
-	if s.cfg.Obs.TraceOn() {
-		detail := "yes"
-		if !res.OK {
-			detail = "no"
-		}
-		s.cfg.Obs.Emit(s.Sim.Now(), int(s.ID), sub.Op, obs.PhaseReply, detail)
-	}
-	if s.CrashPoint(CPExecBeforeReply, sub.Op) {
+	if s.step(StepExecBeforeReply, sub.Op, 0, func() string { return yesNo[res.OK] }) {
 		return
 	}
 	s.Send(reply)
-	s.CrashPoint(CPExecAfterReply, sub.Op)
+	s.step(StepExecAfterReply, sub.Op, 0, nil)
 }
+
+// yesNo is a reply event's detail.
+var yesNo = map[bool]string{true: "yes", false: "no"}
 
 // heldBy returns the pending operation of another process that holds the
 // sub-op's object active, if one does: the conflict of §III.C.

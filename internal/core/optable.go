@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cxfs/internal/namespace"
-	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
@@ -338,8 +337,8 @@ func (s *Server) addIdle(st *opState) {
 	s.idleCoord[st.peer] = append(s.idleCoord[st.peer], st)
 }
 
-// dropIdle removes one entry from the index (an invalidated execution, or a
-// single target of the no-piggyback ablation).
+// dropIdle removes one entry from the index: a single target of the
+// no-piggyback ablation.
 func (s *Server) dropIdle(st *opState) {
 	list := s.idleCoord[st.peer]
 	if i := slices.Index(list, st); i >= 0 {
@@ -401,24 +400,23 @@ func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID
 		return false
 	}
 	e := st.execution
+	// invalidate is only reached from the Enforce branch of vote resolution,
+	// so it marks the disordered-conflict path of §III.C.
+	if s.step(StepInvalidateEnforced, victim, 0, func() string { return "enforced after " + afterOp.String() }) {
+		return false
+	}
+	// The victim is a participant half, never in the idle index nor counted
+	// in PendingOps: it holds the inode a parked participant sub-op wants
+	// (DESIGN.md §5 item 14).
 	st.phase = phaseNone
-	if st.coordinator() {
-		s.dropIdle(st)
-		s.coordPending--
-	}
 	s.stats.Invalidations++
-	if s.cfg.Obs.TraceOn() {
-		// invalidate is only reached from the Enforce branch of vote
-		// resolution, so it marks the disordered-conflict path of §III.C.
-		now := s.Sim.Now()
-		s.cfg.Obs.Emit(now, int(s.ID), victim, obs.PhaseConflictDisordered,
-			"enforced after "+afterOp.String())
-		s.cfg.Obs.Emit(now, int(s.ID), victim, obs.PhaseInvalidate, e.sub.Kind.String())
-	}
 	s.Shard.ApplyUndo(e.undo)
 	s.releaseKeys(e.sub, victim)
+	if s.step(StepInvalidateAfterUndo, victim, 0, func() string { return e.sub.Kind.String() }) {
+		return false
+	}
 	s.WAL.AppendBatchPriority(p, []wal.Record{{Type: wal.RecInvalidate, Op: victim, Role: e.sub.Role}})
-	if s.CrashPoint(CPInvalidateMid, victim) {
+	if s.step(StepInvalidateMid, victim, 0, nil) {
 		return false
 	}
 	newEpoch := e.epoch + 1

@@ -195,7 +195,7 @@ func TestEveryEndingLeavesTheSameState(t *testing.T) {
 				t.Fatalf("create: %v", err)
 			}
 			s := r.srv[0]
-			s.SetCrashPoint(func(point string, _ types.OpID) bool { return point == CPCommitAfterDecision })
+			s.SetCrashPoint(func(st Step, _ types.OpID) bool { return st == StepCommitAfterDecision })
 			s.KickCommit()
 			if !await(p, s.Crashed) {
 				t.Fatal("the coordinator never reached its decision")

@@ -1,0 +1,112 @@
+package core
+
+import (
+	"time"
+
+	"cxfs/internal/obs"
+	"cxfs/internal/types"
+)
+
+// Step is one named instant of the protocol on a Cx server, an entry of the
+// step list below. A step site makes one call, Server.step, which is both the
+// step's trace event and its crash-point: the instant after the named action
+// has taken effect and before the next one, where a crash leaves exactly the
+// partial state (the comment beside each step) §V recovery must repair.
+// DESIGN.md §5 prints the list; a test renders it and compares.
+type Step uint8
+
+const (
+	StepExecProvisional      Step = iota // sub-op executed in memory, its object active; no Result-Record
+	StepExecAppend                       // Result-Record durable; execution not registered, no reply
+	StepExecBeforeReply                  // execution registered pending; reply built, not sent
+	StepExecAfterReply                   // reply sent: the client may complete the operation while this server is down
+	StepLCom                             // a client's L-COM in; no commitment requested
+	StepLazyBatch                        // a trigger-launched batch has taken its targets; no VOTE sent
+	StepImmediateBatch                   // a conflict-, L-COM- or recovery-launched batch has taken its targets; no VOTE sent
+	StepCommitAfterVote                  // the coordinator holds the participant's votes; nothing decided
+	StepCommitAfterDecision              // the coordinator's Commit/Abort-Records durable; no COMMIT-REQ sent
+	StepCommitMidFanout                  // COMMIT-REQ sent, ACK not received
+	StepCommitBeforeComplete             // the participant has ACKed; no Complete-Record
+	StepPartBeforeAck                    // participant: Commit/Abort-Records durable; no ACK sent, executions not finished
+	StepCommitAfterComplete              // Complete-Records durable; operations not finished, no ALL-NO sent
+	StepConflictBeforePark               // a sub-op found its object active; not parked, no commitment requested
+	StepInvalidateEnforced               // the VOTE's Enforce set puts a parked sub-op first; nothing undone
+	StepInvalidateAfterUndo              // execution rolled back in memory, object released; no Invalidate-Record
+	StepInvalidateMid                    // Invalidate-Record durable; no invalidation notice, request not re-queued
+	StepWriteBackBefore                  // a lazy batch has taken the flush queue; no page submitted
+	StepWriteBackSettled                 // the batch's pages durable; its operations' log records not pruned
+	StepWriteBackAfterPrune              // the written-back operations' log records pruned
+	NumSteps                             // the list's length, not a step
+)
+
+// stepDef is one entry of the list: the printed name, the op-table
+// transition the step belongs to, what is durable from it on, the paper's
+// step, the trace event it emits, and its flags.
+type stepDef struct {
+	name, transition, record, paper string
+	phase                           obs.Phase
+	flags                           uint8
+}
+
+const noEvent obs.Phase = 255 // the phase of a step that emits no trace event
+
+const (
+	span    = 1 << iota // the event is a span from the call's start, not an instant
+	nemesis             // the chaos nemesis arms it: the ten steps it has always drawn from, in this order
+)
+
+var steps = [NumSteps]stepDef{
+	StepExecProvisional:      {"exec:after-provisional", "—", "—", "§III.B 2", obs.PhaseExec, span | nemesis},
+	StepExecAppend:           {"exec:after-append", "register", "Result-Record", "§III.B 2", obs.PhaseAppend, span | nemesis},
+	StepExecBeforeReply:      {"exec:before-reply", "register", "—", "§III.B 2", obs.PhaseReply, nemesis},
+	StepExecAfterReply:       {"exec:after-reply", "—", "—", "§III.B 2", noEvent, nemesis},
+	StepLCom:                 {"lcom:received", "—", "—", "§III.B 2b", obs.PhaseLCom, 0},
+	StepLazyBatch:            {"commit:lazy-batch", "take", "—", "§IV.A", obs.PhaseCommitLazy, 0},
+	StepImmediateBatch:       {"commit:immediate-batch", "take", "—", "§III.C 2", obs.PhaseCommitImmediate, 0},
+	StepCommitAfterVote:      {"commit:after-vote", "take", "—", "§III.B 3–4", noEvent, nemesis},
+	StepCommitAfterDecision:  {"commit:after-decision", "decide", "Commit- or Abort-Record", "§III.B 5", noEvent, nemesis},
+	StepCommitMidFanout:      {"commit:mid-fanout", "decide", "—", "§III.B 5–6", noEvent, nemesis},
+	StepCommitBeforeComplete: {"commit:before-complete", "complete", "—", "§III.B 7", noEvent, nemesis},
+	StepPartBeforeAck:        {"part:before-ack", "decide", "Commit- or Abort-Record", "§III.B 6", noEvent, nemesis},
+	StepCommitAfterComplete:  {"commit:after-complete", "complete", "Complete-Record", "§III.B 7", noEvent, 0},
+	StepConflictBeforePark:   {"conflict:before-park", "—", "—", "§III.C 2", obs.PhaseConflictOrdered, 0},
+	StepInvalidateEnforced:   {"invalidate:enforced", "invalidate", "—", "§III.C 4", obs.PhaseConflictDisordered, 0},
+	StepInvalidateAfterUndo:  {"invalidate:after-undo", "invalidate", "—", "§III.C 4", obs.PhaseInvalidate, 0},
+	StepInvalidateMid:        {"invalidate:mid", "invalidate", "Invalidate-Record", "§III.C 4", noEvent, nemesis},
+	StepWriteBackBefore:      {"writeback:before", "—", "—", "§IV.C.1", noEvent, 0},
+	StepWriteBackSettled:     {"writeback:settled", "—", "database pages", "§IV.C.1", noEvent, 0},
+	StepWriteBackAfterPrune:  {"writeback:after-prune", "—", "records pruned", "§III.D", noEvent, 0},
+}
+
+func (st Step) String() string { return steps[st].name }
+
+// Nemesis reports whether the chaos nemesis arms st. Its draw, and so every
+// chaos fingerprint, depends on exactly these steps in this order.
+func (st Step) Nemesis() bool { return steps[st].flags&nemesis != 0 }
+
+// SetCrashPoint installs (nil removes) the crash hook, asked at every step
+// whether the server crashes right there; tests and the chaos nemesis use it
+// to reproduce partial failures deterministically.
+func (s *Server) SetCrashPoint(fn func(Step, types.OpID) bool) { s.crashAt = fn }
+
+// step is the server reaching st for op: st's trace event if it has one and
+// the observer traces (a span from start, or an instant; detail, nil for
+// none, is evaluated only then), then the crash hook's chance. It reports
+// whether the server is down, so each step site also silences a handler
+// after a concurrent crash.
+func (s *Server) step(st Step, op types.OpID, start time.Duration, detail func() string) bool {
+	if d := &steps[st]; d.phase != noEvent && s.cfg.Obs.TraceOn() {
+		now, text := s.Sim.Now(), ""
+		if d.flags&span == 0 {
+			start = now
+		}
+		if detail != nil {
+			text = detail()
+		}
+		s.cfg.Obs.Span(start, now-start, int(s.ID), op, d.phase, text)
+	}
+	if s.crashAt != nil && !s.Crashed() && s.crashAt(st, op) {
+		s.Crash()
+	}
+	return s.Crashed()
+}

@@ -10,6 +10,7 @@ import (
 	"cxfs/internal/chaos"
 	"cxfs/internal/cluster"
 	"cxfs/internal/metarates"
+	"cxfs/internal/obs"
 )
 
 // golden is what one fixed run must reproduce bit for bit: the virtual
@@ -50,6 +51,25 @@ func metaratesGolden() golden {
 	return golden{c.Sim.Now(), c.Net.Stats().Messages, c.Sim.EventsRun(), digest(res)}
 }
 
+// tracedGolden is the s3d/cx replay with the protocol trace on, then the
+// disorder experiment into the same observer. The run must be the untraced
+// one (clock, messages, kernel events: tracing changes nothing it observes),
+// and the digest covers every event's time, duration, server, operation,
+// phase and detail — pinned before one step list took over the server's
+// hand-written trace calls.
+func tracedGolden() golden {
+	o := obs.New(obs.Options{Trace: true, TraceCap: 1 << 20})
+	cfg := Config{Scale: 0.02, Servers: 8, Seed: 1, Obs: o}
+	_, c := cfg.replay("s3d", cluster.ProtoCx, nil, 0)
+	c.Shutdown()
+	Disorder(cfg)
+	h := fnv.New64a()
+	for _, ev := range o.Events() {
+		fmt.Fprintf(h, "%d %d %d %v %s %s\n", ev.T, ev.Dur, ev.Node, ev.Op, ev.Phase, ev.Detail)
+	}
+	return golden{c.Sim.Now(), c.Net.Stats().Messages, c.Sim.EventsRun(), fmt.Sprintf("%016x", h.Sum64())}
+}
+
 func chaosGolden(cfg chaos.Config) func() golden {
 	return func() golden {
 		rep := chaos.Run(cfg)
@@ -75,6 +95,7 @@ func TestGoldenRuns(t *testing.T) {
 		want golden
 	}{
 		{"s3d/cx", replayGolden(cluster.ProtoCx), golden{1074147404, 42285, 177038, "5df2f9027a81265f"}},
+		{"s3d/cx/traced+disorder", tracedGolden, golden{1074147404, 42285, 177038, "68444ffb8b8eb086"}},
 		{"s3d/se", replayGolden(cluster.ProtoSE), golden{1513573425, 41862, 207144, "f69da3b7256bdfd4"}},
 		{"s3d/se-batched", replayGolden(cluster.ProtoSEBatched), golden{1418742223, 41864, 179986, "8e6f6b023d3cfad2"}},
 		{"s3d/2pc", replayGolden(cluster.Proto2PC), golden{10453539005, 54824, 325395, "1309b7599a1867e9"}},

@@ -266,22 +266,10 @@ func recoveryRun(cfg Config, targetBytes int64) time.Duration {
 	return recovery
 }
 
-// Fig4 returns the operation-mix distribution of each workload.
+// Fig4 returns the operation-mix distribution of each workload: the share
+// of each operation kind in its generated trace. It is the one rendering of
+// Figure 4.
 func Fig4(cfg Config) Result {
-	var traces []*trace.Trace
-	for _, p := range trace.Profiles() {
-		traces = append(traces, trace.Generate(p, cfg.Scale, cfg.Seed))
-	}
-	tbl := DistributionTable(traces)
-	return Result{Table: tbl, Claims: []Claim{
-		bound(len(tbl.Rows) == len(paperTotalOps), "Figure 4: every trace of Table II has a generator",
-			"%d of %d", len(tbl.Rows), len(paperTotalOps)),
-	}}
-}
-
-// DistributionTable renders Figure 4, the share of each operation kind, for
-// the given traces; `cxtrace -dist` prints it for one trace or a saved one.
-func DistributionTable(traces []*trace.Trace) *stats.Table {
 	kinds := []types.OpKind{types.OpCreate, types.OpRemove, types.OpMkdir, types.OpRmdir,
 		types.OpLink, types.OpUnlink, types.OpStat, types.OpLookup, types.OpSetAttr}
 	header := []string{"Trace", "Ops"}
@@ -289,7 +277,8 @@ func DistributionTable(traces []*trace.Trace) *stats.Table {
 		header = append(header, k.String())
 	}
 	tbl := stats.NewTable("Figure 4: metadata operation distribution", header...)
-	for _, tr := range traces {
+	for _, p := range trace.Profiles() {
+		tr := trace.Generate(p, cfg.Scale, cfg.Seed)
 		dist := tr.Distribution()
 		cells := []any{tr.Profile.Name, tr.Total}
 		for _, k := range kinds {
@@ -297,7 +286,10 @@ func DistributionTable(traces []*trace.Trace) *stats.Table {
 		}
 		tbl.Add(cells...)
 	}
-	return tbl
+	return Result{Table: tbl, Claims: []Claim{
+		bound(len(tbl.Rows) == len(paperTotalOps), "Figure 4: every trace of Table II has a generator",
+			"%d of %d", len(tbl.Rows), len(paperTotalOps)),
+	}}
 }
 
 // Fig5Row is one workload's replay-time comparison.

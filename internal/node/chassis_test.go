@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cxfs/internal/simrt"
+	"cxfs/internal/transport"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
 )
@@ -238,19 +239,30 @@ func echo(s *simrt.Sim, b *Base, delay time.Duration, served *int) {
 	})
 }
 
+// sends counts the requests h puts on the network.
+func sends(net *transport.Net, h *Host) *int {
+	n := new(int)
+	net.SetTap(func(m wire.Msg) {
+		if m.From == h.ID && m.Type == wire.MsgOpReq {
+			*n++
+		}
+	})
+	return n
+}
+
 func TestCallDiscardsStraysWithoutUsingAnAttempt(t *testing.T) {
-	s, _, b, h := build(t)
-	served := 0
+	s, net, b, h := build(t)
+	served, sent := 0, sends(net, h)
 	echo(s, b, time.Millisecond, &served)
 	s.Spawn("client", func(p *simrt.Proc) {
 		defer s.Stop()
 		for _, rp := range []types.RetryPolicy{{}, {Timeout: 10 * time.Millisecond, Attempts: 2}} {
-			id := opID(uint64(served + 1))
+			id, before := opID(uint64(served+1)), *sent
 			route := h.Open(id)
-			m, retries, ok := h.Call(p, rp, route, wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id})
+			m, ok := h.Call(p, rp, route, wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id})
 			h.Done(id)
-			if !ok || m.From != 0 || !m.OK || retries != 0 {
-				t.Errorf("policy %+v: reply from=%v ok=%v retries=%d, want the addressed server's, no retry", rp, m.From, ok, retries)
+			if n := *sent - before; !ok || m.From != 0 || !m.OK || n != 1 {
+				t.Errorf("policy %+v: reply from=%v ok=%v after %d sends, want the addressed server's after one", rp, m.From, ok, n)
 			}
 		}
 	})
@@ -262,27 +274,27 @@ func TestCallDiscardsStraysWithoutUsingAnAttempt(t *testing.T) {
 }
 
 func TestCallRetriesThenGivesUp(t *testing.T) {
-	s, _, b, h := build(t)
-	served := 0
+	s, net, b, h := build(t)
+	served, sent := 0, sends(net, h)
 	echo(s, b, 25*time.Millisecond, &served) // slower than the first two waits
 	var elapsed time.Duration
 	s.Spawn("client", func(p *simrt.Proc) {
 		defer s.Stop()
 		rp := types.RetryPolicy{Timeout: 10 * time.Millisecond, MaxTimeout: 10 * time.Millisecond, Attempts: 4}
 		route := h.Open(opID(1))
-		m, retries, ok := h.Call(p, rp, route, wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(1)})
+		m, ok := h.Call(p, rp, route, wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(1)})
 		h.Done(opID(1))
-		if !ok || !m.OK || retries != 2 {
-			t.Errorf("ok=%v retries=%d, want the reply during the third attempt (2 retries)", ok, retries)
+		if !ok || !m.OK || *sent != 3 {
+			t.Errorf("ok=%v after %d sends, want the reply during the third attempt", ok, *sent)
 		}
 		b.Crash()
 		start := p.Now()
 		route = h.Open(opID(2))
-		_, retries, ok = h.Call(p, rp, route, wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(2)})
+		_, ok = h.Call(p, rp, route, wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(2)})
 		h.Done(opID(2))
 		elapsed = p.Now() - start
-		if ok || retries != 3 {
-			t.Errorf("ok=%v retries=%d against a dead server, want false after 3 retries", ok, retries)
+		if ok || *sent != 7 {
+			t.Errorf("ok=%v after %d sends in all against a dead server, want false after 4 more", ok, *sent)
 		}
 	})
 	s.RunUntil(time.Minute)

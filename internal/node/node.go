@@ -93,7 +93,6 @@ type Base struct {
 	crashed       bool
 	boot          uint64 // incarnation number, bumped at every Reboot
 	needsRecovery bool
-	crashFn       CrashPointFn
 	// procNames holds the debug name of the handler proc spawned per
 	// message, by message type, built once instead of per message.
 	procNames [wire.NumMsgTypes]string
@@ -110,34 +109,6 @@ type Base struct {
 	routes     map[routeKey]*simrt.Chan[wire.Msg] // routes.go
 
 	stats Stats
-}
-
-// CrashPointFn decides whether the server should crash at a named protocol
-// step. It is consulted on every CrashPoint call with the point's name and
-// the operation being processed; returning true crashes the server at
-// exactly that step. Tests install one with SetCrashPoint to reproduce
-// partial-failure states deterministically.
-type CrashPointFn func(point string, op types.OpID) bool
-
-// SetCrashPoint installs (or, with nil, removes) the crash-point hook.
-func (b *Base) SetCrashPoint(fn CrashPointFn) { b.crashFn = fn }
-
-// CrashPoint gives the installed hook a chance to crash the server at the
-// named protocol step, then reports whether the server is (now) crashed.
-// Protocol code calls it at each phase boundary:
-//
-//	if s.CrashPoint("exec:after-append", op) {
-//	    return // crashed mid-protocol; recovery takes over after reboot
-//	}
-//
-// With no hook installed it reduces to the plain Crashed() check, so the
-// call sites double as the "silence in-flight handlers after a concurrent
-// whole-node crash" guards.
-func (b *Base) CrashPoint(point string, op types.OpID) bool {
-	if b.crashFn != nil && !b.crashed && b.crashFn(point, op) {
-		b.Crash()
-	}
-	return b.crashed
 }
 
 // NewBase builds a server's hardware and registers its inbox.
@@ -419,15 +390,15 @@ func (h *Host) Send(m wire.Msg) {
 // Call sends req and awaits, on route, the reply from the node it is
 // addressed to, retransmitting per rp; strays from another node (late
 // duplicates of the operation's other leg under faults) are discarded
-// without using up an attempt. retries counts the retransmissions made;
-// ok is false when the attempt budget ran out and the outcome is unknown.
-// The zero policy sends once and blocks until the reply comes.
-func (h *Host) Call(p *simrt.Proc, rp types.RetryPolicy, route *Route, req wire.Msg) (reply wire.Msg, retries int, ok bool) {
+// without using up an attempt. ok is false when the attempt budget ran out
+// and the outcome is unknown. The zero policy sends once and blocks until the
+// reply comes.
+func (h *Host) Call(p *simrt.Proc, rp types.RetryPolicy, route *Route, req wire.Msg) (reply wire.Msg, ok bool) {
 	if !rp.Enabled() {
 		h.Send(req)
 		for {
 			if reply = route.Recv(p); reply.From == req.To {
-				return reply, 0, true
+				return reply, true
 			}
 		}
 	}
@@ -440,9 +411,9 @@ func (h *Host) Call(p *simrt.Proc, rp types.RetryPolicy, route *Route, req wire.
 				break
 			}
 			if m.From == req.To {
-				return m, attempt, true
+				return m, true
 			}
 		}
 	}
-	return wire.Msg{}, rp.MaxAttempts() - 1, false
+	return wire.Msg{}, false
 }

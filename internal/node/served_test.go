@@ -174,7 +174,7 @@ func TestHandlerOwnsItsMessageUntilItReturns(t *testing.T) {
 	})
 	call := func(p *simrt.Proc, seq uint64) {
 		route := h.Open(opID(seq))
-		if m, _, _ := h.Call(p, types.RetryPolicy{}, route, wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(seq)}); m.Op != opID(seq) || !m.OK {
+		if m, _ := h.Call(p, types.RetryPolicy{}, route, wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(seq)}); m.Op != opID(seq) || !m.OK {
 			t.Errorf("call %d got the reply %+v", seq, m)
 		}
 		h.Done(opID(seq))

@@ -290,9 +290,7 @@ func (o *Observer) RecordOp(kind types.OpKind, proto string, out Outcome, op typ
 // OpIssued marks a client handing operation op to its protocol driver at t.
 // Nil-safe; no-op unless tracing.
 func (o *Observer) OpIssued(t time.Duration, node int, op types.OpID, kind types.OpKind) {
-	if o.TraceOn() {
-		o.Emit(t, node, op, PhaseIssue, kind.String())
-	}
+	o.Emit(t, node, op, PhaseIssue, kind.String())
 }
 
 // OpDone records the client-observed latency of the operation issued at
@@ -311,10 +309,7 @@ func (o *Observer) OpDone(proto string, node int, op types.OpID, kind types.OpKi
 
 // Emit records one instant event. Nil-safe; no-op unless tracing.
 func (o *Observer) Emit(t time.Duration, node int, op types.OpID, ph Phase, detail string) {
-	if o == nil || !o.opts.Trace {
-		return
-	}
-	o.push(Event{T: t, Run: o.run, Node: node, Op: op, Phase: ph, Detail: detail})
+	o.Span(t, 0, node, op, ph, detail)
 }
 
 // Span records one duration event. Nil-safe; no-op unless tracing.
