@@ -19,12 +19,15 @@
 //     executes locally under journaling, and the updated objects migrate
 //     back.
 //
-// Each protocol provides a Server (embedding node.Base) and a Driver with
-// the same Do signature as the Cx driver, so the cluster layer and the
-// harness treat all four interchangeably. Everything that is not protocol —
-// at-most-once execution of retried requests, the lease service, reply
-// routes between servers, the retrying client RPC — is the chassis's
-// (internal/node), the same code Cx runs on.
+// Each protocol provides a Server (embedding node.Base); SE also provides
+// its client's path for an operation whose two halves live on two servers
+// (SerialPath), the one thing its client does differently from Cx's. The
+// client is internal/core's Driver under every protocol: with no such path
+// it sends the whole operation to the coordinator, which is the client of
+// 2PC and CE. Everything that is not protocol — at-most-once execution of
+// retried requests, the lease service, reply routes between servers, the
+// retrying client RPC — is the chassis's (internal/node), the same code Cx
+// runs on.
 package baseline
 
 import (
@@ -32,69 +35,54 @@ import (
 
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
-	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
 )
 
-// serveSingle executes a single-server operation the way 2PC and CE both do
-// — synchronously through the database journal — and answers with reply
-// filled in.
-func serveSingle(p *simrt.Proc, b *node.Base, op types.Op, reply wire.Msg) {
-	sub := types.SingleSubOp(op)
+// serveSingle executes a read or single-server update the way 2PC and CE
+// both do — synchronously through the database journal — and answers it.
+func serveSingle(p *simrt.Proc, b *node.Base, m *wire.Msg) {
+	sub := m.Sub
+	mutating := sub.Action.Mutating()
+	if mutating {
+		if !b.Begin(sub.Op, m.From) {
+			return
+		}
+		defer b.End(sub.Op)
+	}
 	b.ExecCPU(p)
 	res := b.Shard.Exec(sub, b.NowNanos())
-	reply.OK, reply.Attr = res.OK, res.Inode
+	reply := wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op, OK: res.OK, Attr: res.Inode}
 	if res.Err != nil {
 		reply.Err = res.Err.Error()
 	}
-	if res.OK && sub.Action.Mutating() {
+	if res.OK && mutating {
 		b.KV.SyncKeys(p, res.Rows)
 	}
 	if b.Crashed() {
 		return
 	}
-	if op.Kind.Mutating() {
-		b.CacheReply(op.ID, reply)
+	if mutating {
+		b.CacheReply(sub.Op, reply)
 	}
 	b.Send(reply)
 }
 
-// CoordDriver is the client of the coordinator-driven protocols, 2PC and
-// CE: one request to the operation's coordinator, one response when it has
-// fully committed or aborted.
-type CoordDriver struct {
-	host  *node.Host
-	pl    namespace.Placement
-	retry types.RetryPolicy
-	obsv  *obs.Observer
-	proto string
-}
-
-// NewCoordDriver builds a 2PC/CE driver bound to a client host.
-func NewCoordDriver(host *node.Host, pl namespace.Placement) *CoordDriver {
-	return &CoordDriver{host: host, pl: pl}
-}
-
-// SetRetry installs the per-RPC timeout/retry policy (zero disables).
-func (d *CoordDriver) SetRetry(rp types.RetryPolicy) { d.retry = rp }
-
-// SetObserver attaches the observability layer; client-observed latencies
-// are recorded under proto. Nil (the default) records nothing.
-func (d *CoordDriver) SetObserver(o *obs.Observer, proto string) { d.obsv, d.proto = o, proto }
-
-// Do executes one metadata operation through the coordinator.
-func (d *CoordDriver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	start, self := d.host.Sim.Now(), int(d.host.ID)
-	d.obsv.OpIssued(start, self, op.ID, op.Kind)
-	server := d.pl.CoordinatorFor(op.Parent, op.Name)
-	if !op.Kind.CrossServer() {
-		server = singleServer(d.pl, op)
+// servedAside answers the whole-operation requests every baseline serves
+// the same way, and reports whether m was one: a readdir from this server's
+// partition, and a rename — which no baseline implements, as the paper leaves
+// it out (§II.A) — with ErrNotSupported.
+func servedAside(b *node.Base, m *wire.Msg) bool {
+	switch m.FullOp.Kind {
+	case types.OpReaddir:
+		b.ServeReaddir(m)
+	case types.OpRename:
+		b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, Err: types.ErrNotSupported.Error()})
+	default:
+		return false
 	}
-	ino, err := localOpCall(p, d.host, op, server, d.retry)
-	d.obsv.OpDone(d.proto, self, op.ID, op.Kind, start, d.host.Sim.Now(), err, false)
-	return ino, err
+	return true
 }
 
 // pendingExec is what a server keeps of a successful participant execution

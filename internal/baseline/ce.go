@@ -44,6 +44,8 @@ func (s *CEServer) Start() {
 
 func (s *CEServer) handle(p *simrt.Proc, m *wire.Msg) {
 	switch m.Type {
+	case wire.MsgSubOpReq:
+		serveSingle(p, s.Base, m)
 	case wire.MsgOpReq:
 		s.coordinate(p, m)
 	case wire.MsgMigrateReq:
@@ -57,23 +59,15 @@ func (s *CEServer) handle(p *simrt.Proc, m *wire.Msg) {
 
 // coordinate migrates, executes locally, migrates back, responds.
 func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
+	if servedAside(s.Base, m) {
+		return
+	}
 	op := m.FullOp
-	if op.Kind == types.OpReaddir {
-		s.ServeReaddir(m)
+	if !s.Begin(op.ID, m.From) {
 		return
 	}
-	if op.Kind.Mutating() {
-		if !s.Begin(op.ID, m.From) {
-			return
-		}
-		defer s.End(op.ID)
-	}
+	defer s.End(op.ID)
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
-
-	if !op.Kind.CrossServer() {
-		serveSingle(p, s.Base, op, reply)
-		return
-	}
 
 	cSub, pSub := types.Split(op)
 	part := s.pl.ParticipantFor(op.Ino)

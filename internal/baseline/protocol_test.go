@@ -47,7 +47,7 @@ func TestSEClearCompensatesParticipant(t *testing.T) {
 		// Sabotage the coordinator so the second (entry) sub-op fails
 		// after the participant's inode add succeeded.
 		c.Bases[coord].Shard.SeedDentry(types.RootInode, name, 99999)
-		_, err := pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
+		_, err := pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
 			Parent: types.RootInode, Name: name, Ino: ino, Type: types.FileRegular})
 		if !errors.Is(err, types.ErrExists) {
 			t.Errorf("expected EEXIST, got %v", err)
@@ -111,7 +111,7 @@ func TestTwoPCAbortRollsBackParticipant(t *testing.T) {
 		pr := c.Proc(0)
 		name, ino, coord, part := crossPlacement(c, pr, "abort")
 		c.Bases[coord].Shard.SeedDentry(types.RootInode, name, 99999)
-		_, err := pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
+		_, err := pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
 			Parent: types.RootInode, Name: name, Ino: ino, Type: types.FileRegular})
 		if err == nil {
 			t.Error("sabotaged create succeeded")
@@ -121,7 +121,7 @@ func TestTwoPCAbortRollsBackParticipant(t *testing.T) {
 		}
 		// Locks must be free: the same name must be usable immediately.
 		ino2 := pr.AllocInode()
-		if _, err := pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
+		if _, err := pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
 			Parent: types.RootInode, Name: name + "x", Ino: ino2, Type: types.FileRegular}); err != nil {
 			t.Errorf("follow-up create: %v", err)
 		}
@@ -141,7 +141,7 @@ func TestCEMigrationBracketsExecution(t *testing.T) {
 	c.Sim.Spawn("t", func(p *simrt.Proc) {
 		pr := c.Proc(0)
 		name, ino, coord, part := crossPlacement(c, pr, "mig")
-		if _, err := pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
+		if _, err := pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
 			Parent: types.RootInode, Name: name, Ino: ino, Type: types.FileRegular}); err != nil {
 			t.Fatalf("create: %v", err)
 		}
@@ -266,7 +266,7 @@ func TestCEAckNotImpersonatedByDuplicateMigrateResp(t *testing.T) {
 			pr := c.Proc(0)
 			name, ino, coord, part := crossPlacement(c, pr, "dup")
 			c.Net.SetLinkFaults(coord, part, transport.Faults{DupProb: 1, DelayMax: 11 * time.Millisecond})
-			if _, err := pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
+			if _, err := pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
 				Parent: types.RootInode, Name: name, Ino: ino, Type: types.FileRegular}); err != nil {
 				t.Errorf("seed %d: create: %v", seed, err)
 			}
@@ -320,5 +320,56 @@ func TestSingleServerPathsUnderEveryBaseline(t *testing.T) {
 		if granted := c.Counters().Node.LeasesGranted; (granted > 0) != (proto == cluster.ProtoSE || proto == cluster.ProtoSEBatched) {
 			t.Errorf("%s: %d leases granted", proto, granted)
 		}
+	}
+}
+
+// TestRenameRefusedByEveryBaseline: no baseline implements rename, so each
+// answers one with ErrNotSupported — whether its two halves live on two
+// servers or on one — and leaves the source entry where it was; Cx renames.
+func TestRenameRefusedByEveryBaseline(t *testing.T) {
+	for _, proto := range cluster.Protocols {
+		c := buildProto(proto)
+		renamed := 0
+		c.Sim.Spawn("t", func(p *simrt.Proc) {
+			defer c.Sim.Stop()
+			pr := c.Proc(0)
+			tried := map[bool]bool{} // by whether the halves live on two servers
+			for try := 0; len(tried) < 2; try++ {
+				name := fmt.Sprintf("ren-%d", try)
+				ino, err := pr.Create(p, types.RootInode, name)
+				if err != nil {
+					t.Errorf("%s: create %q: %v", proto, name, err)
+					return
+				}
+				cross := c.Placement.CoordinatorFor(types.RootInode, name) != c.Placement.ParticipantFor(ino)
+				if tried[cross] {
+					continue
+				}
+				tried[cross] = true
+				err = pr.Rename(p, types.RootInode, name, ino, types.RootInode, name+"-new")
+				at := name
+				if proto == cluster.ProtoCx {
+					if err != nil {
+						t.Errorf("cx: rename (cross=%v): %v", cross, err)
+					}
+					at = name + "-new"
+				} else if !errors.Is(err, types.ErrNotSupported) {
+					t.Errorf("%s: rename (cross=%v): %v, want ErrNotSupported", proto, cross, err)
+				}
+				if in, err := pr.Lookup(p, types.RootInode, at); err != nil || in.Ino != ino {
+					t.Errorf("%s: lookup %q after the rename: ino=%d err=%v, want %d", proto, at, in.Ino, err, ino)
+				}
+				renamed++
+			}
+			c.Quiesce(p)
+		})
+		c.Sim.RunUntil(time.Hour)
+		if renamed != 2 {
+			t.Errorf("%s: %d of 2 renames returned", proto, renamed)
+		}
+		if bad := c.CheckInvariants(); len(bad) != 0 {
+			t.Errorf("%s: invariants: %v", proto, bad)
+		}
+		c.Shutdown()
 	}
 }

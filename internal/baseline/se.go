@@ -2,13 +2,10 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"cxfs/internal/core"
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
-	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
@@ -212,197 +209,75 @@ func (s *SEServer) handleClear(p *simrt.Proc, m *wire.Msg) {
 	s.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, OK: true})
 }
 
-// handleLocalOp executes a colocated cross-server op or a single-server
-// update locally.
+// handleLocalOp executes a colocated cross-server op locally.
 func (s *SEServer) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
-	op := m.FullOp
-	if op.Kind == types.OpReaddir {
-		s.ServeReaddir(m)
+	if servedAside(s.Base, m) {
 		return
 	}
-	if op.Kind.Mutating() {
-		if !s.Begin(op.ID, m.From) {
-			return
-		}
-		defer s.End(op.ID)
+	op := m.FullOp
+	if !s.Begin(op.ID, m.From) {
+		return
 	}
+	defer s.End(op.ID)
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
 	s.ExecCPU(p)
-	if op.Kind.CrossServer() {
-		cSub, pSub := types.Split(op)
-		resP := s.Shard.Exec(pSub, s.NowNanos())
-		if !resP.OK {
-			reply.OK, reply.Err = false, resP.Err.Error()
-			s.Send(reply)
-			return
-		}
-		resC := s.Shard.Exec(cSub, s.NowNanos())
-		if !resC.OK {
-			s.Shard.ApplyUndo(resP.Undo)
-			reply.OK, reply.Err = false, resC.Err.Error()
-			s.Send(reply)
-			return
-		}
-		s.maybeRevoke(cSub)
-		s.persist(p, op.ID, pSub, resP)
-		if s.Crashed() {
-			return
-		}
-		s.persist(p, op.ID, cSub, resC)
-	} else {
-		sub := types.SingleSubOp(op)
-		res := s.Shard.Exec(sub, s.NowNanos())
-		reply.OK, reply.Attr = res.OK, res.Inode
-		if res.Err != nil {
-			reply.Err = res.Err.Error()
-		}
-		if res.OK && sub.Action.Mutating() {
-			s.maybeRevoke(sub)
-			s.persist(p, op.ID, sub, res)
-		}
+	cSub, pSub := types.Split(op)
+	resP := s.Shard.Exec(pSub, s.NowNanos())
+	if !resP.OK {
+		reply.OK, reply.Err = false, resP.Err.Error()
+		s.Send(reply)
+		return
 	}
+	resC := s.Shard.Exec(cSub, s.NowNanos())
+	if !resC.OK {
+		s.Shard.ApplyUndo(resP.Undo)
+		reply.OK, reply.Err = false, resC.Err.Error()
+		s.Send(reply)
+		return
+	}
+	s.maybeRevoke(cSub)
+	s.persist(p, op.ID, pSub, resP)
 	if s.Crashed() {
 		return
 	}
-	if op.Kind.Mutating() {
-		s.CacheReply(op.ID, reply)
+	s.persist(p, op.ID, cSub, resC)
+	if s.Crashed() {
+		return
 	}
+	s.CacheReply(op.ID, reply)
 	s.Send(reply)
 }
 
-// SEDriver is the client side of Serial Execution: participant first, then
-// coordinator, compensating with CLEAR on a late failure (§II.B, Fig 1b).
-type SEDriver struct {
-	host  *node.Host
-	pl    namespace.Placement
-	retry types.RetryPolicy
-	cache *core.Cache
-	obsv  *obs.Observer
-	proto string
-}
-
-// NewSEDriver builds an SE driver bound to a client host.
-func NewSEDriver(host *node.Host, pl namespace.Placement) *SEDriver {
-	return &SEDriver{host: host, pl: pl}
-}
-
-// SetRetry installs the per-RPC timeout/retry policy (zero = block forever).
-func (d *SEDriver) SetRetry(rp types.RetryPolicy) { d.retry = rp }
-
-// SetObserver attaches the observability layer; client-observed latencies
-// are recorded under proto. Nil (the default) records nothing.
-func (d *SEDriver) SetObserver(o *obs.Observer, proto string) { d.obsv, d.proto = o, proto }
-
-// SetCache attaches a leased metadata cache (core's, already attached to
-// the host).
-func (d *SEDriver) SetCache(c *core.Cache) { d.cache = c }
-
-// Do executes one metadata operation serially.
-func (d *SEDriver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	start, self := d.host.Sim.Now(), int(d.host.ID)
-	d.obsv.OpIssued(start, self, op.ID, op.Kind)
-	ino, err := d.do(p, op)
-	d.obsv.OpDone(d.proto, self, op.ID, op.Kind, start, d.host.Sim.Now(), err, false)
-	return ino, err
-}
-
-func (d *SEDriver) do(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	if d.cache != nil {
-		if op.Kind == types.OpLookup {
-			attr, _, _, err := d.cache.Lookup(p, d.host, d.retry, d.pl.CoordinatorFor(op.Parent, op.Name), op)
-			return attr, err
-		}
-		if op.Kind.Mutating() {
-			d.cache.Invalidate(op.Parent, op.Name)
-			if op.Kind == types.OpRename {
-				d.cache.Invalidate(op.NewParent, op.NewName)
-			}
-		}
-	}
-	if !op.Kind.CrossServer() {
-		return localOpCall(p, d.host, op, singleServer(d.pl, op), d.retry)
-	}
-	coord := d.pl.CoordinatorFor(op.Parent, op.Name)
-	part := d.pl.ParticipantFor(op.Ino)
-	if coord == part {
-		return localOpCall(p, d.host, op, coord, d.retry)
-	}
+// SerialPath is SE's client path for an operation whose two halves live on
+// two servers (§II.B, Figure 1b; a core.CrossPath): the participant's sub-op
+// first, then the coordinator's, compensating with CLEAR on a late failure.
+func SerialPath(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, op types.Op,
+	coord, part types.NodeID) (types.Inode, bool, error) {
 	cSub, pSub := types.Split(op)
-	route := d.host.Open(op.ID)
-	defer d.host.Done(op.ID)
+	route := host.Open(op.ID)
+	defer host.Done(op.ID)
 
 	// Step 1: participant executes first.
-	m, ok := d.host.Call(p, d.retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
+	m, ok := host.Call(p, retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
 	if !ok {
-		return types.Inode{}, types.ErrTimeout
+		return types.Inode{}, false, types.ErrTimeout
 	}
 	if !m.OK {
-		return types.Inode{}, types.WireError(m.Err)
+		return types.Inode{}, false, types.WireError(m.Err)
 	}
 	// Step 2: then the coordinator.
-	m, ok = d.host.Call(p, d.retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
+	m, ok = host.Call(p, retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
 	if !ok {
 		// The participant's half may be durable with no withdrawal possible:
 		// exactly SE's documented orphan window. Best-effort CLEAR.
-		d.host.Call(p, d.retry, route, wire.Msg{Type: wire.MsgClear, To: part, Op: op.ID, ReplyProc: op.ID.Proc})
-		return types.Inode{}, types.ErrTimeout
+		host.Call(p, retry, route, wire.Msg{Type: wire.MsgClear, To: part, Op: op.ID, ReplyProc: op.ID.Proc})
+		return types.Inode{}, false, types.ErrTimeout
 	}
 	if m.OK {
-		return m.Attr, nil
+		return m.Attr, false, nil
 	}
 	// Compensate: CLEAR the participant's execution.
 	err := types.WireError(m.Err)
-	d.host.Call(p, d.retry, route, wire.Msg{Type: wire.MsgClear, To: part, Op: op.ID, ReplyProc: op.ID.Proc})
-	return types.Inode{}, err
-}
-
-// Shared client helpers -----------------------------------------------------
-
-// singleServer is the owner a read or single-server update is routed to as
-// an OpReq (SE, 2PC, and CE all use the plain local path for these).
-func singleServer(pl namespace.Placement, op types.Op) types.NodeID {
-	if op.Kind == types.OpLookup {
-		return pl.CoordinatorFor(op.Parent, op.Name)
-	}
-	return pl.ParticipantFor(op.Ino)
-}
-
-// localOpCall sends a whole op to one server and awaits the response,
-// retransmitting per the retry policy.
-func localOpCall(p *simrt.Proc, host *node.Host, op types.Op, server types.NodeID, rp types.RetryPolicy) (types.Inode, error) {
-	route := host.Open(op.ID)
-	defer host.Done(op.ID)
-	m, ok := host.Call(p, rp, route, wire.Msg{Type: wire.MsgOpReq, To: server, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
-	if !ok {
-		return types.Inode{}, types.ErrTimeout
-	}
-	if m.OK {
-		return m.Attr, nil
-	}
-	return types.Inode{}, types.WireError(m.Err)
-}
-
-// Readdir fans the listing out to every server and unions the partitions;
-// shared by every protocol driver.
-func Readdir(p *simrt.Proc, host *node.Host, servers int, id types.OpID, dir types.InodeID) ([]namespace.DirEntry, error) {
-	route := host.Open(id)
-	defer host.Done(id)
-	op := types.Op{ID: id, Kind: types.OpReaddir, Parent: dir}
-	for srv := 0; srv < servers; srv++ {
-		host.Send(wire.Msg{Type: wire.MsgOpReq, To: types.NodeID(srv), Op: id, FullOp: op, ReplyProc: id.Proc})
-	}
-	var out []namespace.DirEntry
-	for got := 0; got < servers; got++ {
-		m := route.Recv(p)
-		if !m.OK {
-			return nil, types.WireError(m.Err)
-		}
-		for _, r := range m.Rows {
-			if ino, ok := namespace.DentryIno(r.Val); ok {
-				out = append(out, namespace.DirEntry{Name: r.Key, Ino: ino})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	host.Call(p, retry, route, wire.Msg{Type: wire.MsgClear, To: part, Op: op.ID, ReplyProc: op.ID.Proc})
+	return types.Inode{}, false, err
 }

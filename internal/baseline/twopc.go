@@ -44,6 +44,8 @@ func (s *TwoPCServer) Start() {
 
 func (s *TwoPCServer) handle(p *simrt.Proc, m *wire.Msg) {
 	switch m.Type {
+	case wire.MsgSubOpReq:
+		serveSingle(p, s.Base, m)
 	case wire.MsgOpReq:
 		s.coordinate(p, m)
 	case wire.MsgVote:
@@ -57,23 +59,15 @@ func (s *TwoPCServer) handle(p *simrt.Proc, m *wire.Msg) {
 
 // coordinate runs the whole transaction for one client operation.
 func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
+	if servedAside(s.Base, m) {
+		return
+	}
 	op := m.FullOp
-	if op.Kind == types.OpReaddir {
-		s.ServeReaddir(m)
-		return
+	if !s.Begin(op.ID, m.From) {
+		return // a transaction still running (or queued on locks), or finished
 	}
-	if op.Kind.Mutating() {
-		if !s.Begin(op.ID, m.From) {
-			return // a transaction still running (or queued on locks), or finished
-		}
-		defer s.End(op.ID)
-	}
+	defer s.End(op.ID)
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
-
-	if !op.Kind.CrossServer() {
-		serveSingle(p, s.Base, op, reply)
-		return
-	}
 
 	cSub, pSub := types.Split(op)
 	part := s.pl.ParticipantFor(op.Ino)
@@ -85,10 +79,14 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 
 	// Phase 1: VOTE the participant (remote) or execute its sub-op here.
 	var partOK bool
+	var partErr string // the participant's NO, the outcome when this side succeeds
 	if local {
 		s.ExecCPU(p)
 		resP := s.Shard.Exec(pSub, s.NowNanos())
 		partOK = resP.OK
+		if resP.Err != nil {
+			partErr = resP.Err.Error()
+		}
 		if resP.OK {
 			s.prepared[op.ID] = pendingExec{undo: resP.Undo, rows: resP.Rows}
 			s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant,
@@ -97,7 +95,8 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	} else {
 		ch, done := s.Await(wire.MsgVoteResp, op.ID, false)
 		s.Send(wire.Msg{Type: wire.MsgVote, To: part, Op: op.ID, Sub: pSub, ReplyProc: m.ReplyProc})
-		partOK = ch.Recv(p).OK
+		vote := ch.Recv(p)
+		partOK, partErr = vote.OK, vote.Err
 		done()
 	}
 	if s.Crashed() {
@@ -153,9 +152,12 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 
 	if !commit {
 		reply.OK = false
-		if resC.Err != nil {
+		switch {
+		case resC.Err != nil:
 			reply.Err = resC.Err.Error()
-		} else {
+		case partErr != "":
+			reply.Err = partErr
+		default:
 			reply.Err = types.ErrAborted.Error()
 		}
 	} else {

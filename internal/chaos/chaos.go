@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"cxfs/internal/cluster"
-	"cxfs/internal/core"
 	"cxfs/internal/model"
 	"cxfs/internal/simrt"
 	"cxfs/internal/transport"
@@ -244,13 +243,11 @@ func Run(cfg Config) *Report {
 		opts.Hardware.LogMaxBytes = cfg.LogMaxBytes
 	}
 	c := cluster.MustNew(opts)
-	if cfg.CacheTTL > 0 && cfg.Pipeline > 1 {
-		// Pipelined lookups need the per-op disposition log; the serial
-		// workers read LastLookup immediately after each call instead.
+	if cfg.CacheTTL > 0 {
+		// Every worker takes each lookup's cache disposition from the
+		// driver's per-op log.
 		for w := 0; w < cfg.Workers; w++ {
-			if d, ok := c.Proc(w).Driver().(*core.Driver); ok {
-				d.TrackLookups()
-			}
+			c.Proc(w).Driver().TrackLookups()
 		}
 	}
 

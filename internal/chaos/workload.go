@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"cxfs/internal/cluster"
 	"cxfs/internal/core"
 	"cxfs/internal/model"
 	"cxfs/internal/simrt"
@@ -137,6 +138,16 @@ func (h *harness) foldLookup(w int, e *entry, in types.Inode, err error,
 	}
 }
 
+// lookup resolves name under the root as process pr's next operation, with
+// the cache disposition the driver logged for it (false/0 when the cache is
+// off or the lookup went to the server).
+func lookup(p *simrt.Proc, pr *cluster.Process, name string) (in types.Inode, cached bool, grant time.Duration, err error) {
+	d, id := pr.Driver(), pr.NextID()
+	in, err = d.Do(p, types.Op{ID: id, Kind: types.OpLookup, Parent: types.RootInode, Name: name})
+	cached, grant, _ = d.TakeLookup(id)
+	return in, cached, grant, err
+}
+
 // worker returns the proc body of one workload process: a randomized
 // create/remove/lookup mix over private names (some containing spaces, to
 // exercise the invariant checker's name parsing), with every outcome folded
@@ -145,7 +156,6 @@ func (h *harness) worker(w int) func(*simrt.Proc) {
 	return func(p *simrt.Proc) {
 		defer h.group.Done()
 		pr := h.c.Proc(w)
-		drv, _ := pr.Driver().(*core.Driver)
 		rng := rand.New(rand.NewSource(h.cfg.Seed*1000003 + int64(w)))
 		var live []*entry // entries currently in stExists
 
@@ -193,8 +203,7 @@ func (h *harness) worker(w int) func(*simrt.Proc) {
 					continue
 				}
 				e := known[rng.Intn(len(known))]
-				in, err := pr.Lookup(p, types.RootInode, e.name)
-				cached, grant := drv.LastLookup()
+				in, cached, grant, err := lookup(p, pr, e.name)
 				h.foldLookup(w, e, in, err, issued, cached, grant)
 			}
 		}
@@ -234,7 +243,6 @@ func (h *harness) stormWorker(w int) func(*simrt.Proc) {
 	return func(p *simrt.Proc) {
 		defer h.group.Done()
 		pr := h.c.Proc(w)
-		drv, _ := pr.Driver().(*core.Driver)
 		rng := rand.New(rand.NewSource(h.cfg.Seed*1000003 + int64(w)))
 		var live []*entry
 
@@ -278,8 +286,7 @@ func (h *harness) stormWorker(w int) func(*simrt.Proc) {
 					continue
 				}
 				e := h.entries[w2][rng.Intn(len(h.entries[w2]))]
-				in, err := pr.Lookup(p, types.RootInode, e.name)
-				cached, grant := drv.LastLookup()
+				in, cached, grant, err := lookup(p, pr, e.name)
 				h.recordForeignLookup(w, e.name, in, err, issued, cached, grant)
 			default:
 				// Stat-storm on the worker's own names, read-your-writes
@@ -294,8 +301,7 @@ func (h *harness) stormWorker(w int) func(*simrt.Proc) {
 					continue
 				}
 				e := known[rng.Intn(len(known))]
-				in, err := pr.Lookup(p, types.RootInode, e.name)
-				cached, grant := drv.LastLookup()
+				in, cached, grant, err := lookup(p, pr, e.name)
 				h.foldLookup(w, e, in, err, issued, cached, grant)
 			}
 		}
@@ -312,7 +318,6 @@ func (h *harness) pipelinedWorker(w int) func(*simrt.Proc) {
 	return func(p *simrt.Proc) {
 		defer h.group.Done()
 		pr := h.c.Proc(w)
-		drv, _ := pr.Driver().(*core.Driver)
 		pipe := pr.NewPipeline(h.cfg.Pipeline)
 		rng := rand.New(rand.NewSource(h.cfg.Seed*1000003 + int64(w)))
 		var live []*entry             // entries currently in stExists
@@ -337,9 +342,7 @@ func (h *harness) pipelinedWorker(w int) func(*simrt.Proc) {
 						live = append(live, e)
 					}
 				case types.OpLookup:
-					// LastLookup is racy under pipelining; the per-op log
-					// (TrackLookups) carries the cache disposition instead.
-					cached, grant, _ := drv.TakeLookup(pe.Op.ID)
+					cached, grant, _ := pr.Driver().TakeLookup(pe.Op.ID)
 					h.foldLookup(w, e, pe.Attr, pe.Err, issued, cached, grant)
 				}
 			}
@@ -426,7 +429,7 @@ func (h *harness) verify(p *simrt.Proc) {
 	for w := range h.entries {
 		pr := h.c.Proc(w)
 		for _, e := range h.entries[w] {
-			in, err := pr.Lookup(p, types.RootInode, e.name)
+			in, _, _, err := lookup(p, pr, e.name)
 			found := err == nil
 			if found {
 				h.rep.Final[e.name] = in.Ino

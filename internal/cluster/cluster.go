@@ -1,6 +1,6 @@
 // Package cluster assembles a complete simulated deployment — N metadata
 // servers, M client hosts with P processes each, one network — for any of
-// the four protocols, mirroring the paper's testbed (§IV.B: clients are 4x
+// the five protocols, mirroring the paper's testbed (§IV.B: clients are 4x
 // the servers, 8 processes per client).
 //
 // It also provides the pieces every experiment needs: per-process operation
@@ -57,11 +57,6 @@ func (p Protocol) Valid() bool {
 	return false
 }
 
-// Driver is the client-side face of a protocol.
-type Driver interface {
-	Do(p *simrt.Proc, op types.Op) (types.Inode, error)
-}
-
 // Options configures a cluster.
 type Options struct {
 	Servers      int
@@ -93,8 +88,8 @@ type Options struct {
 	// leases of this TTL on lookup responses, and every driver resolves
 	// cached paths locally until the lease lapses, a revocation lands, or
 	// the grantor's boot epoch moves. 0 (the default) disables caching and
-	// leasing entirely. Applies to ProtoCx and the SE baselines (2PC/CE
-	// have no lookup fast path).
+	// leasing entirely. Caches attach under ProtoCx and the SE baselines
+	// only, because only their servers grant leases.
 	CacheTTL time.Duration
 }
 
@@ -122,8 +117,8 @@ type Cluster struct {
 	Bases   []*node.Base
 	CxSrv   []*core.Server // non-nil only under ProtoCx
 	Hosts   []*node.Host
-	drivers []Driver      // one per host
-	caches  []*core.Cache // one per host when Opts.CacheTTL > 0
+	drivers []*core.Driver // one per host
+	caches  []*core.Cache  // one per host when leases are on
 	procs   []*Process
 }
 
@@ -208,38 +203,32 @@ func New(opts Options) (*Cluster, error) {
 		c.Bases[rootSrv].KV.FlushDirty(p)
 	})
 
+	// The protocols' clients differ only in how an operation whose two halves
+	// live on two servers is driven; 2PC and CE send it to the coordinator,
+	// whose servers grant no leases either.
+	var cross core.CrossPath
+	leases := opts.CacheTTL > 0
+	switch opts.Protocol {
+	case ProtoCx:
+		cross = core.ConcurrentPath
+	case ProtoSE, ProtoSEBatched:
+		cross = baseline.SerialPath
+	default:
+		leases = false
+	}
 	for i := 0; i < opts.ClientHosts; i++ {
 		host := node.NewHost(sim, net, c.hostID(i))
 		c.Hosts = append(c.Hosts, host)
-		newCache := func() *core.Cache {
+		d := core.NewDriver(host, pl, cross)
+		d.SetObserver(opts.Obs, string(opts.Protocol))
+		d.SetRetry(opts.Retry)
+		if leases {
 			cc := core.NewCache(0) // core.DefaultCacheCap
 			cc.Attach(host)
 			c.caches = append(c.caches, cc)
-			return cc
+			d.SetCache(cc)
 		}
-		switch opts.Protocol {
-		case ProtoCx:
-			d := core.NewDriver(host, pl)
-			d.SetObserver(opts.Obs, string(opts.Protocol))
-			d.SetRetry(opts.Retry)
-			if opts.CacheTTL > 0 {
-				d.SetCache(newCache())
-			}
-			c.drivers = append(c.drivers, d)
-		case ProtoSE, ProtoSEBatched:
-			d := baseline.NewSEDriver(host, pl)
-			d.SetObserver(opts.Obs, string(opts.Protocol))
-			d.SetRetry(opts.Retry)
-			if opts.CacheTTL > 0 {
-				d.SetCache(newCache())
-			}
-			c.drivers = append(c.drivers, d)
-		case Proto2PC, ProtoCE:
-			d := baseline.NewCoordDriver(host, pl)
-			d.SetObserver(opts.Obs, string(opts.Protocol))
-			d.SetRetry(opts.Retry)
-			c.drivers = append(c.drivers, d)
-		}
+		c.drivers = append(c.drivers, d)
 	}
 	for h := 0; h < opts.ClientHosts; h++ {
 		for i := 0; i < opts.ProcsPerHost; i++ {
@@ -279,7 +268,7 @@ func (c *Cluster) Shutdown() { c.Sim.Shutdown() }
 type Process struct {
 	ID      types.ProcID
 	cluster *Cluster
-	driver  Driver
+	driver  *core.Driver
 	alloc   *namespace.InodeAlloc
 	seq     uint64
 	rngInit bool
@@ -307,15 +296,9 @@ func (pr *Process) AllocInode() types.InodeID {
 	return pr.alloc.Next(srv)
 }
 
-// Do issues a fully-formed operation.
-func (pr *Process) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	return pr.driver.Do(p, op)
-}
-
 // NewPipeline builds a pipelined dispatcher of the given depth over this
-// process's protocol driver: up to depth operations in flight at once, each
-// with the driver's full per-op retry/timeout behavior. Works for every
-// protocol (the baselines satisfy the same Doer contract as Cx).
+// process's driver: up to depth operations in flight at once, each with the
+// driver's full per-op retry/timeout behavior, under every protocol.
 func (pr *Process) NewPipeline(depth int) *core.Pipeline {
 	return core.NewPipeline(pr.cluster.Sim, pr.driver, depth)
 }
@@ -366,13 +349,12 @@ func (pr *Process) Unlink(p *simrt.Proc, dir types.InodeID, name string, ino typ
 
 // Readdir lists directory dir by querying every server's partition.
 func (pr *Process) Readdir(p *simrt.Proc, dir types.InodeID) ([]namespace.DirEntry, error) {
-	host := pr.cluster.Hosts[int(pr.ID.Client)-pr.cluster.Opts.Servers]
-	return baseline.Readdir(p, host, pr.cluster.Opts.Servers, pr.NextID(), dir)
+	return pr.driver.Readdir(p, pr.NextID(), dir)
 }
 
 // Rename moves (dir, name, ino) to (newDir, newName). Under Cx this runs
 // as the eager two-server transaction of the rename extension; the
-// baselines route it through their coordinator paths.
+// baselines implement no rename and answer types.ErrNotSupported.
 func (pr *Process) Rename(p *simrt.Proc, dir types.InodeID, name string, ino types.InodeID, newDir types.InodeID, newName string) error {
 	_, err := pr.driver.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpRename,
 		Parent: dir, Name: name, Ino: ino, NewParent: newDir, NewName: newName})
@@ -395,9 +377,9 @@ func (pr *Process) SetAttr(p *simrt.Proc, ino types.InodeID) error {
 	return err
 }
 
-// Driver returns the protocol driver backing this process (chaos harnesses
-// type-assert it for cache introspection such as LastLookup).
-func (pr *Process) Driver() Driver { return pr.driver }
+// Driver returns the client driver backing this process, under every
+// protocol (harnesses read its cache and its per-op lookup dispositions).
+func (pr *Process) Driver() *core.Driver { return pr.driver }
 
 // FlushCaches drops every driver's cached entries (counters survive), so a
 // verification pass reads settled server state instead of leases.

@@ -310,7 +310,7 @@ func TestCxConflictForcesImmediateCommit(t *testing.T) {
 			if c.Placement.CoordinatorFor(types.RootInode, name) == c.Placement.ParticipantFor(ino) {
 				continue
 			}
-			if _, err := pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
+			if _, err := pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
 				Parent: types.RootInode, Name: name, Ino: ino, Type: types.FileRegular}); err != nil {
 				t.Errorf("create: %v", err)
 			}

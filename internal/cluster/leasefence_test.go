@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"cxfs/internal/core"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 )
@@ -30,10 +29,19 @@ func TestLeaseEpochFenceAcrossRecovery(t *testing.T) {
 	c.Sim.Spawn("t", func(p *simrt.Proc) {
 		defer c.Sim.Stop()
 		prA, prB := c.Proc(0), c.Proc(1)
-		drvA, _ := prA.Driver().(*core.Driver)
-		if drvA == nil || drvA.Cache() == nil {
+		drvA := prA.Driver()
+		if drvA.Cache() == nil {
 			t.Error("proc 0 has no leased cache under CacheTTL")
 			return
+		}
+		drvA.TrackLookups()
+		// cachedLookupA resolves name as A's next operation and reports
+		// whether the cache served it.
+		cachedLookupA := func(name string) (types.Inode, bool, error) {
+			id := prA.NextID()
+			in, err := drvA.Do(p, types.Op{ID: id, Kind: types.OpLookup, Parent: types.RootInode, Name: name})
+			cached, _, _ := drvA.TakeLookup(id)
+			return in, cached, err
 		}
 
 		// A creates and caches a name; remember its coordinator.
@@ -44,16 +52,12 @@ func TestLeaseEpochFenceAcrossRecovery(t *testing.T) {
 			t.Errorf("create %q: %v", name, err)
 			return
 		}
-		if _, err := prA.Lookup(p, types.RootInode, name); err != nil {
+		if _, _, err := cachedLookupA(name); err != nil {
 			t.Errorf("warming lookup: %v", err)
 			return
 		}
-		if in, err := prA.Lookup(p, types.RootInode, name); err != nil || in.Ino != ino {
-			t.Errorf("cached lookup: ino=%v err=%v, want %v", in.Ino, err, ino)
-			return
-		}
-		if cached, _ := drvA.LastLookup(); !cached {
-			t.Error("second lookup did not hit the cache")
+		if in, cached, err := cachedLookupA(name); err != nil || in.Ino != ino || !cached {
+			t.Errorf("cached lookup: ino=%v cached=%v err=%v, want %v from the cache", in.Ino, cached, err, ino)
 			return
 		}
 		if c.LeasesOutstanding(int(srv)) == 0 {
@@ -89,15 +93,15 @@ func TestLeaseEpochFenceAcrossRecovery(t *testing.T) {
 				break
 			}
 		}
-		if _, err := prA.Lookup(p, types.RootInode, other); !errors.Is(err, types.ErrNotFound) {
+		if _, _, err := cachedLookupA(other); !errors.Is(err, types.ErrNotFound) {
 			t.Errorf("lookup %q: err=%v, want ErrNotFound", other, err)
 		}
 
 		// A's lease on the removed name is still within TTL but stamped by
 		// the dead incarnation: the fence must force a server round-trip,
 		// which sees the remove.
-		in, err := prA.Lookup(p, types.RootInode, name)
-		if cached, _ := drvA.LastLookup(); cached {
+		in, cached, err := cachedLookupA(name)
+		if cached {
 			t.Errorf("stale read served from a pre-crash lease: ino=%v err=%v", in.Ino, err)
 		}
 		if !errors.Is(err, types.ErrNotFound) {

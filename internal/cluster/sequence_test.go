@@ -67,7 +67,7 @@ func runSequence(t *testing.T, proto Protocol, quiesce bool) []string {
 				seq = append(seq, s)
 			}
 		})
-		if _, err := pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
+		if _, err := pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
 			Parent: types.RootInode, Name: name, Ino: ino, Type: types.FileRegular}); err != nil {
 			t.Errorf("%v create: %v", proto, err)
 		}
@@ -204,7 +204,7 @@ func TestFig2bCxDisagreementSequence(t *testing.T) {
 			}
 			seq = append(seq, classify(m, client, coord, part))
 		})
-		pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
+		pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
 			Parent: types.RootInode, Name: name, Ino: ino, Type: types.FileRegular})
 		c.Net.SetTap(nil)
 		done = true

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"cxfs/internal/node"
-	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
 )
@@ -86,30 +85,6 @@ func (c *Cache) Attach(host *node.Host) {
 		}
 		return false
 	})
-}
-
-// Lookup resolves the lookup op through the cache: locally while a lease
-// covers the entry (cached is true), otherwise by one LookupReq round trip
-// to server — the entry's owner under the caller's protocol — whose grant
-// fills the cache. grant is the issue time of the request backing the
-// answer (for the staleness oracle); err is ErrTimeout when no reply came.
-func (c *Cache) Lookup(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, server types.NodeID, op types.Op) (attr types.Inode, grant time.Duration, cached bool, err error) {
-	issued := host.Sim.Now()
-	if attr, found, grant, ok := c.Get(issued, op.Parent, op.Name); ok {
-		if !found {
-			return types.Inode{}, grant, true, types.ErrNotFound
-		}
-		return attr, grant, true, nil
-	}
-	route := host.Open(op.ID)
-	defer host.Done(op.ID)
-	m, ok := host.Call(p, retry, route, wire.Msg{Type: wire.MsgLookupReq, To: server, Op: op.ID,
-		Dir: op.Parent, Path: op.Name, ReplyProc: op.ID.Proc})
-	if !ok {
-		return types.Inode{}, 0, false, types.ErrTimeout
-	}
-	c.Put(issued, host.Sim.Now(), m)
-	return m.Attr, issued, false, errFrom(m)
 }
 
 // Stats returns a snapshot of the counters.

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"sort"
 	"time"
 
 	"cxfs/internal/namespace"
@@ -12,32 +12,40 @@ import (
 	"cxfs/internal/wire"
 )
 
-// Driver is the Cx client-side protocol: it assigns the sub-operations of a
-// cross-server operation to both servers concurrently (§III.B step 1),
-// collects YES/NO responses with conflict hints and execution epochs, and
-// launches an immediate commitment with L-COM when the responses disagree.
+// Driver is the client under every protocol: it issues one process's
+// operations and blocks until each is complete from the process's
+// perspective. What the protocols share it does once — the observer wrap, the
+// retry policy, the leased read path, read-your-writes invalidation, reads and
+// single-server updates as one sub-op to their owner, and colocated operations
+// and renames as one whole-op request to the coordinator. The paper's
+// approaches differ only in how an operation whose two halves live on two
+// servers is driven (§II.B, Figure 1), and that is the Driver's CrossPath.
 type Driver struct {
-	host *node.Host
-	pl   namespace.Placement
+	host  *node.Host
+	pl    namespace.Placement
+	cross CrossPath
 
 	obsv  *obs.Observer
 	proto string
 	retry types.RetryPolicy
 
-	// cache, when attached, serves lookups locally under lease (the leased
-	// read path). lastCached/lastGrant describe the most recent lookup —
-	// read by harnesses immediately after Do returns, which is safe because
-	// the cooperative scheduler cannot interleave another process between
-	// doLookup's return and the caller's next statement.
-	cache      *Cache
-	lastCached bool
-	lastGrant  time.Duration
-	lookupLog  map[types.OpID]lookupRec // per-op dispositions (TrackLookups)
+	cache     *Cache                   // serves lookups locally under lease, when attached
+	lookupLog map[types.OpID]lookupRec // per-op dispositions (TrackLookups)
 }
 
-// NewDriver builds a Cx driver bound to a client host.
-func NewDriver(host *node.Host, pl namespace.Placement) *Driver {
-	return &Driver{host: host, pl: pl}
+// A CrossPath drives an operation whose two halves live on two servers —
+// coord holds its entry, part its inode — through host under the retry
+// policy, and reports whether the operation went through conflict machinery.
+// Cx ships both sub-ops at once (ConcurrentPath); SE runs them one after the
+// other (baseline.SerialPath). A Driver without one sends such an operation
+// whole to its coordinator, as 2PC and CE do.
+type CrossPath func(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, op types.Op,
+	coord, part types.NodeID) (ino types.Inode, conflicted bool, err error)
+
+// NewDriver builds the client of one host; cross is the protocol's path for
+// an operation whose two halves live on two servers (nil: the coordinator's).
+func NewDriver(host *node.Host, pl namespace.Placement, cross CrossPath) *Driver {
+	return &Driver{host: host, pl: pl, cross: cross}
 }
 
 // SetObserver attaches the observability layer; client-observed latencies
@@ -58,15 +66,7 @@ func (d *Driver) SetCache(c *Cache) { d.cache = c }
 // Cache returns the attached cache (nil when caching is off).
 func (d *Driver) Cache() *Cache { return d.cache }
 
-// LastLookup reports whether this driver's most recent lookup was served
-// from the cache, and the lease grant timestamp backing it. Only meaningful
-// when read immediately after the Lookup returns (see the field comment).
-func (d *Driver) LastLookup() (cached bool, grant time.Duration) {
-	return d.lastCached, d.lastGrant
-}
-
-// lookupRec is one completed lookup's cache disposition, kept per-op for
-// pipelined harnesses (where LastLookup races between in-flight lookups).
+// lookupRec is one completed lookup's cache disposition.
 type lookupRec struct {
 	cached bool
 	grant  time.Duration
@@ -81,8 +81,9 @@ func (d *Driver) TrackLookups() {
 	}
 }
 
-// TakeLookup pops the recorded cache disposition of lookup id. ok is false
-// when the lookup never resolved (timeout) or tracking is off.
+// TakeLookup pops the recorded cache disposition of lookup id: whether the
+// cache served it, and the lease grant timestamp backing the answer. ok is
+// false when the lookup timed out, no cache is attached, or tracking is off.
 func (d *Driver) TakeLookup(id types.OpID) (cached bool, grant time.Duration, ok bool) {
 	r, ok := d.lookupLog[id]
 	if ok {
@@ -127,20 +128,19 @@ func (d *Driver) do(p *simrt.Proc, op types.Op, conflicted *bool) (types.Inode, 
 			}
 		}
 	}
-	if op.Kind == types.OpRename {
-		// Rename runs as an eager transaction coordinated by the source
-		// entry's owner (extension; see internal/core/rename.go).
-		return d.doLocal(p, op, d.pl.CoordinatorFor(op.Parent, op.Name))
-	}
 	if !op.Kind.CrossServer() {
 		return d.doSingle(p, op)
 	}
 	coord := d.pl.CoordinatorFor(op.Parent, op.Name)
-	part := d.pl.ParticipantFor(op.Ino)
-	if coord == part {
-		return d.doLocal(p, op, coord)
+	// A rename is one request to the source entry's owner under every
+	// protocol: Cx runs it as an eager transaction (extension; see
+	// internal/core/rename.go), the baselines refuse it.
+	if part := d.pl.ParticipantFor(op.Ino); part != coord && d.cross != nil && op.Kind != types.OpRename {
+		ino, c, err := d.cross(p, d.host, d.retry, op, coord, part)
+		*conflicted = c
+		return ino, err
 	}
-	return d.doCross(p, op, coord, part, conflicted)
+	return d.roundTrip(p, wire.Msg{Type: wire.MsgOpReq, To: coord, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
 }
 
 // doSingle routes a read or single-server update to its owner.
@@ -169,22 +169,58 @@ func (d *Driver) roundTrip(p *simrt.Proc, req wire.Msg) (types.Inode, error) {
 }
 
 // doLookup is the leased read path: the cache serves (Parent, Name) while a
-// valid lease covers it, and otherwise asks the dentry's coordinator and
-// installs the granted lease.
+// valid lease covers it, and otherwise the dentry's coordinator answers and
+// its grant fills the cache. The disposition — served locally or not, and the
+// issue time of the request backing the answer (for the staleness oracle) —
+// goes to the lookup log when tracking is on.
 func (d *Driver) doLookup(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	attr, grant, cached, err := d.cache.Lookup(p, d.host, d.retry,
-		d.pl.CoordinatorFor(op.Parent, op.Name), op)
-	d.lastCached, d.lastGrant = cached, grant
-	if d.lookupLog != nil && !errors.Is(err, types.ErrTimeout) {
+	issued := d.host.Sim.Now()
+	attr, found, grant, cached := d.cache.Get(issued, op.Parent, op.Name)
+	var err error
+	switch {
+	case cached && !found:
+		attr, err = types.Inode{}, types.ErrNotFound
+	case !cached:
+		route := d.host.Open(op.ID)
+		defer d.host.Done(op.ID)
+		m, ok := d.host.Call(p, d.retry, route, wire.Msg{Type: wire.MsgLookupReq,
+			To: d.pl.CoordinatorFor(op.Parent, op.Name), Op: op.ID,
+			Dir: op.Parent, Path: op.Name, ReplyProc: op.ID.Proc})
+		if !ok {
+			return types.Inode{}, types.ErrTimeout
+		}
+		d.cache.Put(issued, d.host.Sim.Now(), m)
+		attr, grant, err = m.Attr, issued, errFrom(m)
+	}
+	if d.lookupLog != nil {
 		d.lookupLog[op.ID] = lookupRec{cached: cached, grant: grant}
 	}
 	return attr, err
 }
 
-// doLocal routes a colocated cross-server operation as one local
-// transaction.
-func (d *Driver) doLocal(p *simrt.Proc, op types.Op, server types.NodeID) (types.Inode, error) {
-	return d.roundTrip(p, wire.Msg{Type: wire.MsgOpReq, To: server, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
+// Readdir lists directory dir by querying every server's partition under
+// operation id and unioning the answers.
+func (d *Driver) Readdir(p *simrt.Proc, id types.OpID, dir types.InodeID) ([]namespace.DirEntry, error) {
+	route := d.host.Open(id)
+	defer d.host.Done(id)
+	op := types.Op{ID: id, Kind: types.OpReaddir, Parent: dir}
+	for srv := 0; srv < d.pl.Servers; srv++ {
+		d.host.Send(wire.Msg{Type: wire.MsgOpReq, To: types.NodeID(srv), Op: id, FullOp: op, ReplyProc: id.Proc})
+	}
+	var out []namespace.DirEntry
+	for got := 0; got < d.pl.Servers; got++ {
+		m := route.Recv(p)
+		if !m.OK {
+			return nil, types.WireError(m.Err)
+		}
+		for _, r := range m.Rows {
+			if ino, ok := namespace.DentryIno(r.Val); ok {
+				out = append(out, namespace.DirEntry{Name: r.Key, Ino: ino})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out, nil
 }
 
 // respState tracks the freshest response from one server.
@@ -198,20 +234,21 @@ type respState struct {
 	voided bool // invalidation notice received for this epoch; await re-exec
 }
 
-// doCross is the concurrent-execution path (§III.B): both sub-ops ship at
-// once; the operation completes when the freshest response from each server
-// is in hand (no invalidation outstanding) and the answers agree — or after
-// an L-COM/ALL-NO round when they do not.
-func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, conflicted *bool) (types.Inode, error) {
+// ConcurrentPath is Cx's CrossPath, the concurrent-execution path (§III.B):
+// both sub-ops ship at once; the operation completes when the freshest
+// response from each server is in hand (no invalidation outstanding) and the
+// answers agree — or after an L-COM/ALL-NO round when they do not.
+func ConcurrentPath(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, op types.Op,
+	coord, part types.NodeID) (ino types.Inode, conflicted bool, err error) {
 	cSub, pSub := types.Split(op)
-	route := d.host.Open(op.ID)
-	defer d.host.Done(op.ID)
+	route := host.Open(op.ID)
+	defer host.Done(op.ID)
 
 	sendCoord := func() {
-		d.host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
+		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
 	}
 	sendPart := func() {
-		d.host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
+		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
 	}
 	sendCoord()
 	sendPart()
@@ -221,13 +258,13 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 	attempt := 0
 	for {
 		var m wire.Msg
-		if d.retry.Enabled() {
+		if retry.Enabled() {
 			var got bool
-			m, got = route.RecvTimeout(p, d.retry.WaitFor(attempt))
+			m, got = route.RecvTimeout(p, retry.WaitFor(attempt))
 			if !got {
 				attempt++
-				if attempt >= d.retry.MaxAttempts() {
-					return types.Inode{}, types.ErrTimeout
+				if attempt >= retry.MaxAttempts() {
+					return types.Inode{}, conflicted, types.ErrTimeout
 				}
 				// Retransmit whatever is still outstanding; servers answer
 				// duplicates from their pending state or reply cache.
@@ -238,7 +275,7 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 					sendPart()
 				}
 				if lcomSent {
-					d.host.Send(wire.Msg{Type: wire.MsgLCom, To: coord, Op: op.ID, Peer: part, ReplyProc: op.ID.Proc})
+					host.Send(wire.Msg{Type: wire.MsgLCom, To: coord, Op: op.ID, Peer: part, ReplyProc: op.ID.Proc})
 				}
 				continue
 			}
@@ -250,12 +287,12 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 		case wire.MsgAllNo:
 			// 7b: every successful execution was aborted.
 			if rc.have && !rc.ok && rc.err != "" && rc.err != types.ErrInvalidated.Error() {
-				return types.Inode{}, types.WireError(rc.err)
+				return types.Inode{}, conflicted, types.WireError(rc.err)
 			}
 			if rp.have && !rp.ok && rp.err != "" && rp.err != types.ErrInvalidated.Error() {
-				return types.Inode{}, types.WireError(rp.err)
+				return types.Inode{}, conflicted, types.WireError(rp.err)
 			}
-			return types.Inode{}, types.ErrAborted
+			return types.Inode{}, conflicted, types.ErrAborted
 		case wire.MsgSubOpResp:
 			st := &rc
 			if m.From == part {
@@ -264,8 +301,8 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 			st.absorb(m)
 			// Any invalidation notice or re-executed (epoch > 1) response
 			// means this operation went through conflict machinery.
-			if conflicted != nil && (st.voided || st.epoch > 1) {
-				*conflicted = true
+			if st.voided || st.epoch > 1 {
+				conflicted = true
 			}
 		}
 		if !rc.have || !rp.have || rc.voided || rp.voided || lcomSent {
@@ -273,21 +310,19 @@ func (d *Driver) doCross(p *simrt.Proc, op types.Op, coord, part types.NodeID, c
 		}
 		switch {
 		case rc.ok && rp.ok:
-			return rc.attr, nil
+			return rc.attr, conflicted, nil
 		case !rc.ok && !rp.ok:
 			// Agreement on failure: complete, commitment happens lazily.
 			if rc.err != "" {
-				return types.Inode{}, types.WireError(rc.err)
+				return types.Inode{}, conflicted, types.WireError(rc.err)
 			}
-			return types.Inode{}, types.WireError(rp.err)
+			return types.Inode{}, conflicted, types.WireError(rp.err)
 		default:
 			// Disagreement: ask the coordinator for an immediate
 			// commitment; ALL-NO completes the operation (§III.B step 2b).
 			lcomSent = true
-			if conflicted != nil {
-				*conflicted = true
-			}
-			d.host.Send(wire.Msg{Type: wire.MsgLCom, To: coord, Op: op.ID, Peer: part, ReplyProc: op.ID.Proc})
+			conflicted = true
+			host.Send(wire.Msg{Type: wire.MsgLCom, To: coord, Op: op.ID, Peer: part, ReplyProc: op.ID.Proc})
 		}
 	}
 }

@@ -38,7 +38,7 @@ func crossCreate(t *testing.T, p *simrt.Proc, c *cluster.Cluster, pr *cluster.Pr
 		if c.Placement.CoordinatorFor(dir, name) == c.Placement.ParticipantFor(ino) {
 			continue
 		}
-		if _, err := pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
+		if _, err := pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
 			Parent: dir, Name: name, Ino: ino, Type: types.FileRegular}); err != nil {
 			t.Errorf("crossCreate: %v", err)
 		}
@@ -90,7 +90,7 @@ func TestDisagreementTriggersLComAndAllNo(t *testing.T) {
 				break
 			}
 		}
-		_, err := pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
+		_, err := pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
 			Parent: types.RootInode, Name: name, Ino: ino, Type: types.FileRegular})
 		if err == nil {
 			t.Error("create should have failed")
@@ -500,7 +500,7 @@ func TestTombstoneRejectsLateSubOp(t *testing.T) {
 		}
 		id := pr.NextID()
 		op := types.Op{ID: id, Kind: types.OpCreate, Parent: types.RootInode, Name: name, Ino: ino, Type: types.FileRegular}
-		if _, err := pr.Do(p, op); err == nil {
+		if _, err := pr.Driver().Do(p, op); err == nil {
 			t.Error("sabotaged create succeeded")
 		}
 		// Replay the participant's sub-op after the abort.

@@ -108,7 +108,7 @@ func TestDuplicateOfAbortedOpAnsweredAborted(t *testing.T) {
 		id := pr.NextID()
 		op := types.Op{ID: id, Kind: types.OpCreate, Parent: types.RootInode,
 			Name: name, Ino: ino, Type: types.FileRegular}
-		if _, err := pr.Do(p, op); err == nil {
+		if _, err := pr.Driver().Do(p, op); err == nil {
 			t.Fatal("sabotaged create succeeded")
 		}
 		// Retry the participant sub-op of the aborted op.

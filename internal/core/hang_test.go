@@ -41,7 +41,7 @@ func droppedReplyRun(t *testing.T, retry types.RetryPolicy, healAt time.Duration
 		part := c.Placement.ParticipantFor(ino)
 		c.Net.SetLinkFaults(part, host.ID, transport.Faults{DropProb: 1.0})
 		c.Sim.SpawnAfter(healAt, "heal", func(*simrt.Proc) { c.Net.ClearFaults() })
-		_, opErr = pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
+		_, opErr = pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
 			Parent: types.RootInode, Name: name, Ino: ino, Type: types.FileRegular})
 		completed = true
 		c.Sim.Stop()

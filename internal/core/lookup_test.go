@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cxfs/internal/cluster"
-	"cxfs/internal/core"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 )
@@ -34,12 +33,20 @@ func TestLeasedLookupPath(t *testing.T) {
 	c.Sim.Spawn("t", func(p *simrt.Proc) {
 		defer c.Sim.Stop()
 		prA, prB := c.Proc(0), c.Proc(1)
-		drvA, _ := prA.Driver().(*core.Driver)
-		if drvA == nil || drvA.Cache() == nil {
+		drvA := prA.Driver()
+		if drvA.Cache() == nil {
 			t.Error("no leased cache attached under CacheTTL")
 			return
 		}
 		drvA.TrackLookups()
+		// lookupA resolves name as A's next operation and takes the cache
+		// disposition the driver logged for it.
+		lookupA := func(name string) (in types.Inode, cached bool, grant time.Duration, err error) {
+			id := prA.NextID()
+			in, err = drvA.Do(p, types.Op{ID: id, Kind: types.OpLookup, Parent: types.RootInode, Name: name})
+			cached, grant, _ = drvA.TakeLookup(id)
+			return in, cached, grant, err
+		}
 
 		const name = "leased"
 		srv := c.Placement.CoordinatorFor(types.RootInode, name)
@@ -49,19 +56,21 @@ func TestLeasedLookupPath(t *testing.T) {
 			return
 		}
 		// A's own create invalidated any cached entry, so this is a miss…
-		if in, err := prA.Lookup(p, types.RootInode, name); err != nil || in.Ino != ino {
+		in, cached, _, err := lookupA(name)
+		if err != nil || in.Ino != ino {
 			t.Errorf("miss lookup: ino=%v err=%v, want %v", in.Ino, err, ino)
 			return
 		}
-		if cached, _ := drvA.LastLookup(); cached {
+		if cached {
 			t.Error("first lookup claimed a cache hit")
 		}
 		// …and this one a hit served under the lease.
-		if in, err := prA.Lookup(p, types.RootInode, name); err != nil || in.Ino != ino {
+		in, cached, grant, err := lookupA(name)
+		if err != nil || in.Ino != ino {
 			t.Errorf("hit lookup: ino=%v err=%v, want %v", in.Ino, err, ino)
 			return
 		}
-		if cached, grant := drvA.LastLookup(); !cached || grant == 0 {
+		if !cached || grant == 0 {
 			t.Errorf("repeat lookup not served from cache (cached=%v grant=%v)", cached, grant)
 		}
 		if c.LeasesOutstanding(int(srv)) == 0 {
@@ -75,19 +84,16 @@ func TestLeasedLookupPath(t *testing.T) {
 			return
 		}
 		c.Quiesce(p)
-		in, err := prA.Lookup(p, types.RootInode, name)
-		if cached, _ := drvA.LastLookup(); cached {
+		in, cached, _, err = lookupA(name)
+		if cached {
 			t.Errorf("post-revocation lookup served stale from cache: ino=%v err=%v", in.Ino, err)
 		}
 		if !errors.Is(err, types.ErrNotFound) {
 			t.Errorf("post-remove lookup: ino=%v err=%v, want ErrNotFound", in.Ino, err)
 		}
 		// The negative result is leased too.
-		if _, err := prA.Lookup(p, types.RootInode, name); !errors.Is(err, types.ErrNotFound) {
-			t.Errorf("cached negative lookup: err=%v, want ErrNotFound", err)
-		}
-		if cached, _ := drvA.LastLookup(); !cached {
-			t.Error("negative repeat lookup not served from cache")
+		if _, cached, _, err := lookupA(name); !errors.Is(err, types.ErrNotFound) || !cached {
+			t.Errorf("negative repeat lookup: cached=%v err=%v, want a cached ErrNotFound", cached, err)
 		}
 
 		st := drvA.Cache().Stats()
@@ -114,8 +120,8 @@ func TestLeasedLookupPath(t *testing.T) {
 	}
 }
 
-// TestTrackedLookupDispositions covers the per-op disposition log used by
-// pipelined harnesses, where LastLookup would race between in-flight ops.
+// TestTrackedLookupDispositions covers the per-op disposition log: each
+// lookup's entry is its own, and taking it pops it.
 func TestTrackedLookupDispositions(t *testing.T) {
 	c := leasedCluster(2, 1)
 	defer c.Shutdown()
@@ -123,7 +129,7 @@ func TestTrackedLookupDispositions(t *testing.T) {
 	c.Sim.Spawn("t", func(p *simrt.Proc) {
 		defer c.Sim.Stop()
 		pr := c.Proc(0)
-		drv, _ := pr.Driver().(*core.Driver)
+		drv := pr.Driver()
 		drv.TrackLookups()
 
 		if _, err := pr.Create(p, types.RootInode, "tracked"); err != nil {
@@ -131,7 +137,7 @@ func TestTrackedLookupDispositions(t *testing.T) {
 			return
 		}
 		lookup := func(id types.OpID) error {
-			_, err := pr.Do(p, types.Op{ID: id, Kind: types.OpLookup,
+			_, err := drv.Do(p, types.Op{ID: id, Kind: types.OpLookup,
 				Parent: types.RootInode, Name: "tracked"})
 			return err
 		}

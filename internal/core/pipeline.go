@@ -5,9 +5,9 @@ import (
 	"cxfs/internal/types"
 )
 
-// Doer is any client-side protocol driver: the Cx Driver or a baseline
-// (SE/CE/2PC). Pipelining sits above this interface, so every protocol gets
-// the same dispatch mode and the comparison stays fair.
+// Doer is what a Pipeline dispatches through: the Driver, under any
+// protocol, or a decorator of it. Pipelining sits above this interface, so
+// every protocol gets the same dispatch mode and the comparison stays fair.
 type Doer interface {
 	Do(p *simrt.Proc, op types.Op) (types.Inode, error)
 }

@@ -44,7 +44,7 @@ func newRig(logMax int64, cfg Config) *rig {
 		r.srv[i].Start()
 	}
 	r.host = node.NewHost(r.sim, r.net, 2)
-	r.drv = NewDriver(r.host, r.pl)
+	r.drv = NewDriver(r.host, r.pl, ConcurrentPath)
 	r.inos = namespace.NewInodeAlloc(r.pl, 1<<32)
 	return r
 }

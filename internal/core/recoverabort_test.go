@@ -109,7 +109,7 @@ func TestAbortOfRecoveredInsertCompensatesParentCount(t *testing.T) {
 func TestAbortOfRecoveredRemoveCompensatesParentCount(t *testing.T) {
 	runRecoverAbort(t, func(p *simrt.Proc, c *cluster.Cluster, pr *cluster.Process) {
 		d, name, ino := dirWithEntryServer(t, p, c, pr)
-		if _, err := pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
+		if _, err := pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
 			Parent: d, Name: name, Ino: ino, Type: types.FileRegular}); err != nil {
 			t.Fatal(err)
 		}

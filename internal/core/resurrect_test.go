@@ -90,7 +90,7 @@ func TestRecoveryKeepsValidResultAlongsideTombstonePath(t *testing.T) {
 				break
 			}
 		}
-		if _, err := pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
+		if _, err := pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
 			Parent: types.RootInode, Name: name, Ino: ino, Type: types.FileRegular}); err != nil {
 			t.Fatalf("create: %v", err)
 		}

@@ -71,7 +71,7 @@ func crashAtStep(t *testing.T, step core.Step) {
 			for j := 0; j < 12; j++ {
 				name := fmt.Sprintf("st-%d-%d", w, j)
 				ino := crossIno(c, pr, name)
-				if _, err := pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate, Parent: types.RootInode,
+				if _, err := pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate, Parent: types.RootInode,
 					Name: name, Ino: ino, Type: types.FileRegular}); err != nil {
 					continue
 				}
@@ -80,7 +80,7 @@ func crashAtStep(t *testing.T, step core.Step) {
 				case 1: // another process reads the pending entry: an ordered conflict
 					reader.Lookup(p, types.RootInode, name)
 				case 2: // the name again: the coordinator says no, the participant yes
-					pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate, Parent: types.RootInode,
+					pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate, Parent: types.RootInode,
 						Name: name, Ino: crossIno(c, pr, name), Type: types.FileRegular})
 				case 3:
 					if pr.Remove(p, types.RootInode, name, ino) == nil {

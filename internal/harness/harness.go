@@ -250,7 +250,7 @@ func recoveryRun(cfg Config, targetBytes int64) time.Duration {
 				c.Placement.ParticipantFor(ino) == 0 {
 				continue
 			}
-			if _, err := pr.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
+			if _, err := pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
 				Parent: types.RootInode, Name: name, Ino: ino, Type: types.FileRegular}); err != nil {
 				panic(err)
 			}

@@ -4,11 +4,12 @@
 // shard), the served inbox, crash/reboot plumbing, at-most-once execution for
 // retried requests (once.go), the lease service behind the leased read path
 // (lease.go) and the routes server-to-server replies come back on
-// (routes.go). Host is the client side: it routes server responses back to
-// the issuing process and owns the one retrying RPC (Call).
+// (routes.go). Host is the client machine: it routes server responses back
+// to the issuing process and owns the one retrying RPC (Call). The client on
+// top of it is internal/core's Driver under every protocol.
 //
-// A protocol (internal/core for Cx, internal/baseline for SE/2PC/CE) embeds
-// Base and registers a message handler. The inbox is served, not looped
+// A protocol's server (internal/core for Cx, internal/baseline for
+// SE/2PC/CE) embeds Base and registers a message handler. The inbox is served, not looped
 // over by a Proc: an arrival holds it for the receive-side CPU charge, then
 // a Proc is spawned for the message — so a handler blocked on the disk or on
 // a peer never stalls the server — and the next arrival is taken. The

@@ -285,6 +285,9 @@ var (
 	// executed (and even committed) on the servers. Callers must not treat
 	// it as a definite failure.
 	ErrTimeout = errors.New("operation timed out (outcome unknown)")
+	// ErrNotSupported reports an operation the protocol does not implement:
+	// rename under the baselines, which the paper leaves out (§II.A).
+	ErrNotSupported = errors.New("operation not supported")
 )
 
 // WireError maps the error text of a failed response back to the sentinel
@@ -295,7 +298,7 @@ func WireError(msg string) error {
 		return ErrAborted
 	}
 	for _, known := range []error{ErrExists, ErrNotFound, ErrNotEmpty,
-		ErrNotDir, ErrIsDir, ErrAborted, ErrInvalidated} {
+		ErrNotDir, ErrIsDir, ErrAborted, ErrInvalidated, ErrNotSupported} {
 		if strings.HasSuffix(msg, known.Error()) {
 			return fmt.Errorf("%s: %w", msg, known)
 		}
