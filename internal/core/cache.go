@@ -24,9 +24,7 @@ import (
 // The lookup fast path (Get) is allocation-free: struct map keys, no
 // per-hit bookkeeping beyond counter increments.
 type Cache struct {
-	cap     int
-	entries map[cacheKey]*cacheEntry
-	order   []cacheKey              // FIFO for capacity eviction
+	entries *node.FIFOMap[cacheKey, cacheEntry]
 	epochs  map[types.NodeID]uint64 // highest lease epoch seen per server
 
 	stats CacheStats
@@ -67,8 +65,7 @@ func NewCache(capacity int) *Cache {
 		capacity = DefaultCacheCap
 	}
 	return &Cache{
-		cap:     capacity,
-		entries: make(map[cacheKey]*cacheEntry),
+		entries: node.NewFIFOMap[cacheKey, cacheEntry](capacity),
 		epochs:  make(map[types.NodeID]uint64),
 	}
 }
@@ -91,14 +88,15 @@ func (c *Cache) Attach(host *node.Host) {
 func (c *Cache) Stats() CacheStats { return c.stats }
 
 // Len returns the live entry count (expired entries included until touched).
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return c.entries.Len() }
 
 // Get serves (dir, name) from the cache if a valid lease covers it. The
 // third return is the entry's grant timestamp (for the staleness oracle);
 // the last reports whether the cache answered at all. Expired and
 // epoch-fenced entries are dropped on access.
 func (c *Cache) Get(now time.Duration, dir types.InodeID, name string) (types.Inode, bool, time.Duration, bool) {
-	e := c.entries[cacheKey{dir: dir, name: name}]
+	k := cacheKey{dir: dir, name: name}
+	e := c.entries.Get(k)
 	if e == nil {
 		c.stats.Misses++
 		return types.Inode{}, false, 0, false
@@ -106,13 +104,13 @@ func (c *Cache) Get(now time.Duration, dir types.InodeID, name string) (types.In
 	if e.epoch < c.epochs[e.server] {
 		// Granted by a previous incarnation of the server: recovery wiped
 		// its lease table, so no revocation will ever arrive for this entry.
-		c.drop(cacheKey{dir: dir, name: name})
+		c.entries.Delete(k)
 		c.stats.EpochFences++
 		c.stats.Misses++
 		return types.Inode{}, false, 0, false
 	}
 	if now >= e.expire {
-		c.drop(cacheKey{dir: dir, name: name})
+		c.entries.Delete(k)
 		c.stats.Expirations++
 		c.stats.Misses++
 		return types.Inode{}, false, 0, false
@@ -133,18 +131,9 @@ func (c *Cache) Put(issued, now time.Duration, m wire.Msg) {
 		return // stale grant from before the server's last observed reboot
 	}
 	c.noteEpoch(m.From, m.LeaseEpoch)
-	k := cacheKey{dir: m.Dir, name: m.Path}
-	e := c.entries[k]
-	if e == nil {
-		if len(c.order) >= c.cap {
-			drop := c.order[0]
-			c.order = c.order[1:]
-			delete(c.entries, drop)
-			c.stats.Evictions++
-		}
-		e = &cacheEntry{}
-		c.entries[k] = e
-		c.order = append(c.order, k)
+	e, evicted := c.entries.Insert(cacheKey{dir: m.Dir, name: m.Path})
+	if evicted {
+		c.stats.Evictions++
 	}
 	*e = cacheEntry{attr: m.Attr, found: m.OK, server: m.From,
 		epoch: m.LeaseEpoch, expire: now + m.LeaseTTL, grant: issued}
@@ -154,9 +143,7 @@ func (c *Cache) Put(issued, now time.Duration, m wire.Msg) {
 // it dispatches any of its own mutations naming the entry, preserving
 // read-your-writes regardless of revocation delivery.
 func (c *Cache) Invalidate(dir types.InodeID, name string) {
-	k := cacheKey{dir: dir, name: name}
-	if c.entries[k] != nil {
-		c.drop(k)
+	if _, ok := c.entries.Delete(cacheKey{dir: dir, name: name}); ok {
 		c.stats.Invalidations++
 	}
 }
@@ -167,9 +154,7 @@ func (c *Cache) Invalidate(dir types.InodeID, name string) {
 // with the old lease table.
 func (c *Cache) Revoke(dir types.InodeID, name string, server types.NodeID, epoch uint64) {
 	c.noteEpoch(server, epoch)
-	k := cacheKey{dir: dir, name: name}
-	if c.entries[k] != nil {
-		c.drop(k)
+	if _, ok := c.entries.Delete(cacheKey{dir: dir, name: name}); ok {
 		c.stats.Revocations++
 	}
 }
@@ -187,17 +172,4 @@ func (c *Cache) noteEpoch(server types.NodeID, epoch uint64) {
 
 // Flush drops every entry (verification harnesses call it so final reads
 // hit the servers). Counters and known epochs survive.
-func (c *Cache) Flush() {
-	c.entries = make(map[cacheKey]*cacheEntry)
-	c.order = nil
-}
-
-func (c *Cache) drop(k cacheKey) {
-	delete(c.entries, k)
-	for i, ok := range c.order {
-		if ok == k {
-			c.order = append(c.order[:i:i], c.order[i+1:]...)
-			break
-		}
-	}
-}
+func (c *Cache) Flush() { c.entries.Reset() }

@@ -177,3 +177,71 @@ func TestCacheFlushAndObserver(t *testing.T) {
 		t.Errorf("stats hits=%d misses=%d after Flush, want 1/1", st.Hits, st.Misses)
 	}
 }
+
+// TestCacheRemovalIsO1 pins dropping an entry from a full-size cache at zero
+// allocations, through Invalidate and through Revoke (each used to copy the
+// remaining insertion order), and a Put of a new key at capacity at one.
+func TestCacheRemovalIsO1(t *testing.T) {
+	c := NewCache(0)
+	names := make([]string, DefaultCacheCap+400)
+	for i := range names {
+		names[i] = fmt.Sprint("f", i)
+	}
+	for i := range DefaultCacheCap {
+		c.Put(0, 0, grantMsg(0, types.RootInode, names[i], types.InodeID(10+i), true, 1, time.Hour))
+	}
+	i := DefaultCacheCap / 2
+	for _, drop := range []struct {
+		name string
+		f    func(string)
+	}{
+		{"Invalidate", func(n string) { c.Invalidate(types.RootInode, n) }},
+		{"Revoke", func(n string) { c.Revoke(types.RootInode, n, 0, 1) }},
+	} {
+		before := c.Len()
+		allocs := testing.AllocsPerRun(100, func() {
+			drop.f(names[i])
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s from the middle allocates %.1f times, want 0", drop.name, allocs)
+		}
+		if c.Len() != before-101 {
+			t.Errorf("%s: len %d, want %d", drop.name, c.Len(), before-101)
+		}
+	}
+	for i := range 202 { // refill to capacity
+		c.Put(0, 0, grantMsg(0, types.RootInode, names[DefaultCacheCap+i], 1, true, 1, time.Hour))
+	}
+	i = DefaultCacheCap + 202
+	allocs := testing.AllocsPerRun(50, func() {
+		c.Put(0, 0, grantMsg(0, types.RootInode, names[i], 1, true, 1, time.Hour))
+		i++
+	})
+	if allocs > 1 {
+		t.Errorf("Put of a new key at capacity allocates %.1f times, want at most 1", allocs)
+	}
+	if c.Len() != DefaultCacheCap || c.Stats().Evictions != 51 {
+		t.Errorf("len %d evictions %d, want %d and 51", c.Len(), c.Stats().Evictions, DefaultCacheCap)
+	}
+}
+
+// TestCacheEvictionOrder: after a removal from the middle, refilling to
+// capacity evicts the oldest remaining entry, and a re-put key sits at the
+// back.
+func TestCacheEvictionOrder(t *testing.T) {
+	c := NewCache(3)
+	put := func(name string) { c.Put(0, 0, grantMsg(0, types.RootInode, name, 7, true, 1, time.Hour)) }
+	put("a")
+	put("b")
+	put("c")
+	c.Invalidate(types.RootInode, "b")
+	put("b") // back in: newest
+	put("d") // evicts a
+	put("e") // evicts c, the oldest remaining
+	for name, want := range map[string]bool{"a": false, "c": false, "b": true, "d": true, "e": true} {
+		if _, _, _, ok := c.Get(1, types.RootInode, name); ok != want {
+			t.Errorf("%s served=%v, want %v", name, ok, want)
+		}
+	}
+}

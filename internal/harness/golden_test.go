@@ -174,34 +174,55 @@ var raceEnabled bool
 // log appends stayed on the stack, the same input allocated 8.73 per op under
 // cx and 6.39 under se (measured on that parent); the ceiling is this tree's
 // measurement plus a small margin, and at most 0.6 of the parent's.
+//
+// The home2 row replays with the leased client cache on and pins bytes
+// (MemStats.TotalAlloc) per op instead: every mutation there revokes leases
+// and invalidates cache entries. Before the lease table and the cache removed
+// a key in O(1), each removal re-copied the table's whole insertion order,
+// and the same input allocated 2,167 B per op (measured on that parent); the
+// ceiling is this tree's measurement plus a margin, and at most 0.8 of the
+// parent's.
 func TestAllocsPerOp(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes the count")
 	}
+	cached := func(o *cluster.Options) { o.CacheTTL = time.Second }
 	for _, tc := range []struct {
-		proto           cluster.Protocol
-		ceiling, parent float64
+		name     string
+		workload string
+		proto    cluster.Protocol
+		scale    float64
+		mutate   func(*cluster.Options)
+		bytes    bool // pin TotalAlloc per op, not Mallocs
+		ceiling  float64
+		parent   float64
+		share    float64 // the most of parent allowed
 	}{
-		{cluster.ProtoCx, 4.8, 8.73},
-		{cluster.ProtoSE, 3.4, 6.39},
+		{"cx", "s3d", cluster.ProtoCx, 0.02, nil, false, 4.8, 8.73, 0.6},
+		{"se", "s3d", cluster.ProtoSE, 0.02, nil, false, 3.4, 6.39, 0.6},
+		{"home2-cached-bytes", "home2", cluster.ProtoCx, 0.04, cached, true, 1700, 2167, 0.8},
 	} {
-		// Not parallel: Mallocs counts the whole process.
-		t.Run(string(tc.proto), func(t *testing.T) {
+		// Not parallel: MemStats counts the whole process.
+		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			res, c := Config{Scale: 0.02, Servers: 8, Seed: 1}.replay("s3d", tc.proto, nil, 0)
+			res, c := Config{Scale: tc.scale, Servers: 8, Seed: 1}.replay(tc.workload, tc.proto, tc.mutate, 0)
 			runtime.ReadMemStats(&after)
 			c.Shutdown()
-			if res.Ops != 14496 {
+			if tc.workload == "s3d" && res.Ops != 14496 {
 				t.Fatalf("replayed %d ops, want the golden input's 14496", res.Ops)
 			}
-			perOp := float64(after.Mallocs-before.Mallocs) / float64(res.Ops)
-			t.Logf("%s: %.3f allocations per op", tc.proto, perOp)
-			if perOp > tc.ceiling {
-				t.Errorf("%.3f allocations per op, pinned at most %.2f", perOp, tc.ceiling)
+			what, n := "allocations", after.Mallocs-before.Mallocs
+			if tc.bytes {
+				what, n = "bytes", after.TotalAlloc-before.TotalAlloc
 			}
-			if limit := 0.6 * tc.parent; perOp > limit {
-				t.Errorf("%.3f allocations per op, want at most %.2f (0.6 of the parent's %.2f)", perOp, limit, tc.parent)
+			perOp := float64(n) / float64(res.Ops)
+			t.Logf("%s: %.3f %s per op over %d ops", tc.name, perOp, what, res.Ops)
+			if perOp > tc.ceiling {
+				t.Errorf("%.3f %s per op, pinned at most %.2f", perOp, what, tc.ceiling)
+			}
+			if limit := tc.share * tc.parent; perOp > limit {
+				t.Errorf("%.3f %s per op, want at most %.2f (%.1f of the parent's %.2f)", perOp, what, limit, tc.share, tc.parent)
 			}
 		})
 	}

@@ -40,30 +40,17 @@ type leaseEntry struct {
 // LeaseTable tracks which clients hold read leases on a server's directory
 // entries.
 type LeaseTable struct {
-	cap     int
-	entries map[leaseKey]*leaseEntry
-	order   []leaseKey // FIFO for capacity eviction
+	entries *FIFOMap[leaseKey, leaseEntry]
 }
 
 // NewLeaseTable builds a lease table bounded at capacity entries.
 func NewLeaseTable(capacity int) *LeaseTable {
-	return &LeaseTable{cap: capacity, entries: make(map[leaseKey]*leaseEntry)}
+	return &LeaseTable{entries: NewFIFOMap[leaseKey, leaseEntry](capacity)}
 }
 
 // Grant records that client holds a lease on (dir, name) until now+ttl.
 func (t *LeaseTable) Grant(dir types.InodeID, name string, client types.NodeID, now time.Duration, ttl time.Duration) {
-	k := leaseKey{dir: dir, name: name}
-	e := t.entries[k]
-	if e == nil {
-		if len(t.order) >= t.cap {
-			drop := t.order[0]
-			t.order = t.order[1:]
-			delete(t.entries, drop)
-		}
-		e = &leaseEntry{}
-		t.entries[k] = e
-		t.order = append(t.order, k)
-	}
+	e, _ := t.entries.Insert(leaseKey{dir: dir, name: name})
 	held := false
 	for _, h := range e.holders {
 		if h == client {
@@ -83,25 +70,14 @@ func (t *LeaseTable) Grant(dir types.InodeID, name string, client types.NodeID, 
 // need a revocation notice. Expired grants are returned too — notifying a
 // client whose lease already lapsed is harmless.
 func (t *LeaseTable) Revoke(dir types.InodeID, name string) []types.NodeID {
-	k := leaseKey{dir: dir, name: name}
-	e := t.entries[k]
-	if e == nil {
-		return nil
-	}
-	delete(t.entries, k)
-	for i, ok := range t.order {
-		if ok == k {
-			t.order = append(t.order[:i:i], t.order[i+1:]...)
-			break
-		}
-	}
+	e, _ := t.entries.Delete(leaseKey{dir: dir, name: name})
 	return e.holders
 }
 
 // Outstanding returns how many entries currently carry unexpired leases.
 func (t *LeaseTable) Outstanding(now time.Duration) int {
 	n := 0
-	for _, e := range t.entries {
+	for _, e := range t.entries.All() {
 		if e.expire > now {
 			n++
 		}
@@ -111,10 +87,7 @@ func (t *LeaseTable) Outstanding(now time.Duration) int {
 
 // Reset wipes the table (crash recovery: the new incarnation grants with a
 // higher lease epoch, and old grants die by epoch fence or TTL).
-func (t *LeaseTable) Reset() {
-	t.entries = make(map[leaseKey]*leaseEntry)
-	t.order = nil
-}
+func (t *LeaseTable) Reset() { t.entries.Reset() }
 
 // leaseEpoch is the epoch stamped on this incarnation's grants and
 // revocations. Boot()+1 keeps epoch 0 meaning "no lease" on the wire.

@@ -61,7 +61,7 @@ type Replayer struct {
 
 	dirs   map[int]types.InodeID
 	files  map[int]fileBinding
-	recent []recentCreate // ring of the newest creations, for injection
+	recent ring[recentCreate] // the newest creations, for injection
 }
 
 // recentCreate remembers who created a file, so injected reads target
@@ -102,6 +102,7 @@ func (r *Replayer) Run() Result {
 	}
 	r.dirs = make(map[int]types.InodeID)
 	r.files = make(map[int]fileBinding)
+	r.recent = newRing[recentCreate](64)
 
 	res := Result{Workload: t.Profile.Name, Protocol: c.Opts.Protocol, Ops: t.Total}
 	// Static directories are those referenced before any MkdirOwn could
@@ -166,10 +167,7 @@ func (r *Replayer) playOne(p *simrt.Proc, pr *cluster.Process, rec Rec, res *Res
 		ino, err = pr.Create(p, dir, name)
 		if err == nil {
 			r.files[rec.File] = fileBinding{dir: dir, name: name, ino: ino}
-			r.recent = append(r.recent, recentCreate{id: rec.File, proc: rec.Proc})
-			if len(r.recent) > 64 {
-				r.recent = r.recent[1:]
-			}
+			r.recent.push(recentCreate{id: rec.File, proc: rec.Proc})
 		}
 	case RemoveOwn:
 		if fb, have := r.files[rec.File]; have {
@@ -231,8 +229,8 @@ func (r *Replayer) playOne(p *simrt.Proc, pr *cluster.Process, rec Rec, res *Res
 // file — the Figure 8 conflict injector ("we injected some lookup requests
 // to add some immediate commitments").
 func (r *Replayer) injectSharedRead(p *simrt.Proc, pr *cluster.Process, self int, res *Result) {
-	for i := len(r.recent) - 1; i >= 0; i-- {
-		rc := r.recent[i]
+	for i := range r.recent.len() {
+		rc := r.recent.newest(i)
 		if rc.proc == self {
 			continue
 		}

@@ -216,15 +216,15 @@ func Generate(p Profile, scale float64, seed int64) *Trace {
 	}
 
 	type procState struct {
-		live      []int // live own files (symbolic ids)
-		dirs      []int // live own subdirectories
-		recent    []int // most recent creations, for shared reads
-		nlinked   []int // own files with an extra link
+		live      []int     // live own files (symbolic ids)
+		dirs      []int     // live own subdirectories
+		recent    ring[int] // most recent creations, for shared reads
+		nlinked   []int     // own files with an extra link
 		linkedSet map[int]bool
 	}
 	states := make([]*procState, p.Procs)
 	for i := range states {
-		states[i] = &procState{linkedSet: make(map[int]bool)}
+		states[i] = &procState{linkedSet: make(map[int]bool), recent: newRing[int](32)}
 	}
 	perProc := make([][]Rec, p.Procs)
 	nextFile := 0
@@ -252,12 +252,11 @@ func Generate(p Profile, scale float64, seed int64) *Trace {
 			}
 		case StatShared, LookupShared:
 			other := (pi + 1 + rng.Intn(p.Procs-1)) % p.Procs
-			if len(states[other].recent) == 0 {
+			if rs := &states[other].recent; rs.len() == 0 {
 				k = CreateOwn
 			} else {
-				rs := states[other].recent
-				idx := len(rs) - 1 - rng.Intn(min(p.SharedRecency, len(rs)))
-				perProc[pi] = append(perProc[pi], Rec{Proc: pi, Kind: k, File: rs[idx], Dir: procDir[other]})
+				file := rs.newest(rng.Intn(min(p.SharedRecency, rs.len())))
+				perProc[pi] = append(perProc[pi], Rec{Proc: pi, Kind: k, File: file, Dir: procDir[other]})
 				continue
 			}
 		}
@@ -267,10 +266,7 @@ func Generate(p Profile, scale float64, seed int64) *Trace {
 			rec.File = nextFile
 			nextFile++
 			st.live = append(st.live, rec.File)
-			st.recent = append(st.recent, rec.File)
-			if len(st.recent) > 32 {
-				st.recent = st.recent[1:]
-			}
+			st.recent.push(rec.File)
 		case RemoveOwn:
 			i := rng.Intn(len(st.live))
 			rec.File = st.live[i]
