@@ -64,7 +64,7 @@ func serveSingle(p *simrt.Proc, b *node.Base, m *wire.Msg) {
 		return
 	}
 	if mutating {
-		b.CacheReply(sub.Op, reply)
+		b.CacheReply(sub.Op, &reply)
 	}
 	b.Send(reply)
 }

@@ -153,7 +153,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	} else {
 		reply.Attr = resC.Inode
 	}
-	s.CacheReply(op.ID, reply)
+	s.CacheReply(op.ID, &reply)
 	s.Send(reply)
 }
 

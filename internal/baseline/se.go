@@ -6,6 +6,7 @@ import (
 
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
+	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
@@ -27,7 +28,7 @@ type SEServer struct {
 	// oldest entries are discarded — exactly the window in which a crashed
 	// client leaves orphans (§II.B's acknowledged weakness of SE).
 	pendingUndo map[types.OpID]pendingExec
-	undoOrder   node.OpRing
+	undoOrder   seg.Ring[types.OpID]
 
 	// localOps await the batched flush (batched mode only).
 	localOps []localFlush
@@ -178,13 +179,13 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 		reply.Err = res.Err.Error()
 	}
 	if mutating {
-		s.CacheReply(sub.Op, reply)
+		s.CacheReply(sub.Op, &reply)
 	}
 	s.Send(reply)
 }
 
 func (s *SEServer) retainUndo(id types.OpID, e pendingExec) {
-	if oldest, full := s.undoOrder.Push(id, seUndoCap); full {
+	if _, oldest, full := s.undoOrder.Push(id, seUndoCap); full {
 		delete(s.pendingUndo, oldest)
 	}
 	s.pendingUndo[id] = e
@@ -244,7 +245,7 @@ func (s *SEServer) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	if s.Crashed() {
 		return
 	}
-	s.CacheReply(op.ID, reply)
+	s.CacheReply(op.ID, &reply)
 	s.Send(reply)
 }
 

@@ -163,7 +163,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	} else {
 		reply.Attr = resC.Inode
 	}
-	s.CacheReply(op.ID, reply)
+	s.CacheReply(op.ID, &reply)
 	s.Send(reply)
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
-	"cxfs/internal/wal"
 	"cxfs/internal/wire"
 )
 
@@ -222,8 +221,8 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 		return
 	}
 	ops := s.flushQ
-	s.flushQ = nil
-	var rows []string
+	s.flushQ, s.flushSpare = s.flushSpare[:0], nil
+	rows := s.flushRows[:0]
 	ready := ops[:0]
 	for _, fe := range ops {
 		if len(s.unlogged) > 0 && slices.ContainsFunc(fe.rows, func(r string) bool { return s.unlogged[r] > 0 }) {
@@ -233,6 +232,7 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 		ready = append(ready, fe)
 		rows = append(rows, fe.rows...)
 	}
+	s.flushRows = rows
 	if s.step(StepWriteBackBefore, types.NilOp, 0, nil) || !s.KV.FlushKeys(p, rows) ||
 		s.Gone(boot) || s.step(StepWriteBackSettled, types.NilOp, 0, nil) {
 		return
@@ -240,6 +240,9 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 	for _, fe := range ready {
 		s.WAL.Prune(fe.id)
 	}
+	clear(rows)
+	clear(ops)
+	s.flushSpare = ops[:0]
 	s.step(StepWriteBackAfterPrune, types.NilOp, 0, nil)
 }
 
@@ -270,13 +273,13 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 
 	// Step 5: decide, log Commit/Abort-Records in one batched append, roll
 	// back aborted local executions.
-	recs := make([]wal.Record, len(cops))
+	recs := s.takeRecs()
 	decisions := make([]wire.Decision, len(cops))
 	for i, co := range cops {
 		decisions[i] = wire.Decision{Op: co.id(), Commit: votes[co.id()] && co.ok}
-		recs[i] = s.decide(co, decisions[i].Commit)
+		recs = append(recs, s.decide(co, decisions[i].Commit))
 	}
-	s.WAL.AppendBatchPriority(p, recs)
+	s.logBatch(p, recs)
 	if s.step(StepCommitAfterDecision, ids[0], 0, nil) || s.Gone(boot) {
 		return
 	}
@@ -436,7 +439,7 @@ func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce 
 // decisions for operations already finished here are re-ACKed blindly.
 func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	boot := s.Boot()
-	recs := make([]wal.Record, 0, len(m.Decisions))
+	recs := s.takeRecs()
 	done := make([]*opState, 0, len(m.Decisions)) // the executions this request finishes
 	var inflight []types.OpID                     // aborted ops whose sub-op is mid-execution here
 	for _, d := range m.Decisions {
@@ -458,7 +461,7 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 		recs = append(recs, s.decide(st, d.Commit))
 		done = append(done, st)
 	}
-	s.WAL.AppendBatchPriority(p, recs)
+	s.logBatch(p, recs)
 	cpOp := m.Op
 	if len(m.Decisions) > 0 {
 		cpOp = m.Decisions[0].Op

@@ -57,6 +57,7 @@ import (
 	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
+	"cxfs/internal/wal"
 	"cxfs/internal/wire"
 )
 
@@ -169,7 +170,15 @@ type Server struct {
 	// coordinators.
 	unnamedParts []types.OpID
 
-	flushQ []flushEntry
+	// flushQ is double-buffered: a write-back drains one buffer while
+	// completions queue in the other (flushSpare, empty, between batches).
+	// flushRows is the write-back's row list. Only the commit daemon drains,
+	// so one of each serves every batch.
+	flushQ, flushSpare []flushEntry
+	flushRows          []string
+	// recBufs are record batches' buffers, free for the next batch; each
+	// commit-group proc and COMMIT-REQ handler takes one of its own.
+	recBufs [][]wal.Record
 	// unlogged counts, per row, the executions that have written the row's
 	// volatile image but whose Result-Record is not durable yet. Write-back
 	// leaves such rows (and the log records of every operation waiting on

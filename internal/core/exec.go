@@ -348,7 +348,7 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	s.flushQ = append(s.flushQ, flushEntry{id: op.ID, rows: append(append([]string(nil), resC.Rows...), resP.Rows...)})
 	// Durable state was created: retries must get this reply back, not a
 	// re-execution (which would wrongly fail, e.g. with ErrExists).
-	s.CacheReply(op.ID, reply)
+	s.CacheReply(op.ID, &reply)
 	if s.underPressure() {
 		s.pressureRound()
 	}

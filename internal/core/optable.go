@@ -456,11 +456,34 @@ func (s *Server) rollBack(e *execution) wal.Record {
 // complete appends the Complete-Records of decided operations whose
 // participant has acknowledged the decision (§III.B step 7).
 func (s *Server) complete(p *simrt.Proc, ids []types.OpID) {
-	recs := make([]wal.Record, len(ids))
-	for i, id := range ids {
-		recs[i] = wal.Record{Type: wal.RecComplete, Op: id, Role: types.RoleCoordinator}
+	recs := s.takeRecs()
+	for _, id := range ids {
+		recs = append(recs, wal.Record{Type: wal.RecComplete, Op: id, Role: types.RoleCoordinator})
 	}
+	s.logBatch(p, recs)
+}
+
+// takeRecs returns an empty buffer for a batch of records, from the free list
+// when it holds one.
+func (s *Server) takeRecs() []wal.Record {
+	k := len(s.recBufs)
+	if k == 0 {
+		return nil
+	}
+	recs := s.recBufs[k-1]
+	s.recBufs = s.recBufs[:k-1]
+	return recs
+}
+
+// logBatch appends a batch built in a buffer from takeRecs and puts the
+// buffer back on the free list: the log has read the records by the time
+// the append returns, crashed or not.
+func (s *Server) logBatch(p *simrt.Proc, recs []wal.Record) {
 	s.WAL.AppendBatchPriority(p, recs)
+	if cap(recs) > 0 {
+		clear(recs)
+		s.recBufs = append(s.recBufs, recs[:0])
+	}
 }
 
 // finish is a decided operation ending here — on the participant once its
@@ -477,7 +500,7 @@ func (s *Server) finish(st *opState, reply wire.Msg) {
 		}
 	}
 	st.phase = phaseNone
-	s.CacheReply(st.id(), reply)
+	s.CacheReply(st.id(), &reply)
 	s.completeOp(st, st.sub, st.rows)
 }
 

@@ -19,14 +19,14 @@ import (
 	"cxfs/internal/wire"
 )
 
-// rig is two Cx servers and one client host on a fault-free network.
-// Every operation it issues is coordinated by server 0 with server 1 as
-// participant, and no two touch the same object, so the only C-NOTIFYs are
-// the ones log pressure sends.
+// rig is two Cx servers (or more, newRigOf) and one client host on a
+// fault-free network. Every operation it issues is coordinated by server 0
+// with server 1 as participant, and no two touch the same object, so the only
+// C-NOTIFYs are the ones log pressure sends.
 type rig struct {
 	sim   *simrt.Sim
 	net   *transport.Net
-	srv   [2]*Server
+	srv   []*Server
 	host  *node.Host
 	drv   *Driver
 	pl    namespace.Placement
@@ -34,8 +34,10 @@ type rig struct {
 	inos  *namespace.InodeAlloc
 }
 
-func newRig(logMax int64, cfg Config) *rig {
-	r := &rig{sim: simrt.New(1), pl: namespace.Placement{Servers: 2}}
+func newRig(logMax int64, cfg Config) *rig { return newRigOf(2, logMax, cfg) }
+
+func newRigOf(servers int, logMax int64, cfg Config) *rig {
+	r := &rig{sim: simrt.New(1), pl: namespace.Placement{Servers: servers}, srv: make([]*Server, servers)}
 	r.net = transport.New(r.sim, transport.DefaultParams())
 	hw := node.DefaultHardware()
 	hw.LogMaxBytes = logMax
@@ -43,7 +45,7 @@ func newRig(logMax int64, cfg Config) *rig {
 		r.srv[i] = NewServer(node.NewBase(r.sim, r.net, types.NodeID(i), hw), r.pl, cfg)
 		r.srv[i].Start()
 	}
-	r.host = node.NewHost(r.sim, r.net, 2)
+	r.host = node.NewHost(r.sim, r.net, types.NodeID(servers))
 	r.drv = NewDriver(r.host, r.pl, ConcurrentPath)
 	r.inos = namespace.NewInodeAlloc(r.pl, 1<<32)
 	return r
@@ -56,7 +58,7 @@ func (r *rig) create(proc int32, seq uint64) types.Op {
 		r.names++
 		name := fmt.Sprintf("p%d", r.names)
 		if r.pl.CoordinatorFor(types.RootInode, name) == 0 {
-			return types.Op{ID: types.OpID{Proc: types.ProcID{Client: 2, Index: proc}, Seq: seq},
+			return types.Op{ID: types.OpID{Proc: types.ProcID{Client: r.host.ID, Index: proc}, Seq: seq},
 				Kind: types.OpCreate, Parent: types.RootInode, Name: name,
 				Ino: r.inos.Next(1), Type: types.FileRegular}
 		}

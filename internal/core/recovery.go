@@ -145,7 +145,8 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			}
 			// Retried requests for this op must see its sealed outcome, not
 			// a fresh execution.
-			s.CacheReply(id, sealedReply(id, st.committed))
+			sealed := sealedReply(id, st.committed)
+			s.CacheReply(id, &sealed)
 			if !st.completed && coord != nil && !participated {
 				// The coordinator's decision, not known to have reached the
 				// participant.

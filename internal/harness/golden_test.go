@@ -175,13 +175,18 @@ var raceEnabled bool
 // cx and 6.39 under se (measured on that parent); the ceiling is this tree's
 // measurement plus a small margin, and at most 0.6 of the parent's.
 //
-// The home2 row replays with the leased client cache on and pins bytes
-// (MemStats.TotalAlloc) per op instead: every mutation there revokes leases
-// and invalidates cache entries. Before the lease table and the cache removed
-// a key in O(1), each removal re-copied the table's whole insertion order,
-// and the same input allocated 2,167 B per op (measured on that parent); the
-// ceiling is this tree's measurement plus a margin, and at most 0.8 of the
-// parent's.
+// The -bytes rows pin bytes (MemStats.TotalAlloc) per op instead. The home2
+// row replays with the leased client cache on: every mutation there revokes
+// leases and invalidates cache entries. Before the lease table and the cache
+// removed a key in O(1), each removal re-copied the table's whole insertion
+// order, and the same input allocated 2,167 B per op (measured on that
+// parent); at most 0.8 of that. The cx-bytes and se-bytes rows are the golden
+// s3d input again. Before the server kept its log records in reused segments,
+// its replies in a ring indexed by position and its commit-path buffers
+// across batches, the same inputs allocated 3,437 B per op under cx and
+// 1,130 B under se (medians of three runs on that parent; home2 1,421 B);
+// cx-bytes may take at most 0.75 of that, se-bytes no more than it. Every
+// ceiling is this tree's measurement plus a margin.
 func TestAllocsPerOp(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes the count")
@@ -200,7 +205,9 @@ func TestAllocsPerOp(t *testing.T) {
 	}{
 		{"cx", "s3d", cluster.ProtoCx, 0.02, nil, false, 4.8, 8.73, 0.6},
 		{"se", "s3d", cluster.ProtoSE, 0.02, nil, false, 3.4, 6.39, 0.6},
-		{"home2-cached-bytes", "home2", cluster.ProtoCx, 0.04, cached, true, 1700, 2167, 0.8},
+		{"home2-cached-bytes", "home2", cluster.ProtoCx, 0.04, cached, true, 920, 2167, 0.8},
+		{"cx-bytes", "s3d", cluster.ProtoCx, 0.02, nil, true, 2400, 3437, 0.75},
+		{"se-bytes", "s3d", cluster.ProtoSE, 0.02, nil, true, 950, 1130, 1.0},
 	} {
 		// Not parallel: MemStats counts the whole process.
 		t.Run(tc.name, func(t *testing.T) {

@@ -126,6 +126,10 @@ type Store struct {
 	journalTail int64
 	syncMu      *simrt.Mutex
 
+	// spare holds FlushKeys' capture lists between write-backs: each call in
+	// flight holds one of its own until its writes settle.
+	spare [][]pageWrite
+
 	stats Stats
 }
 
@@ -311,7 +315,7 @@ func (st *Store) FlushDirty(p *simrt.Proc) int {
 // rows counts as written, and the caller must not prune the log records
 // that can still redo them.
 func (st *Store) FlushKeys(p *simrt.Proc, keys []string) bool {
-	var writes []pageWrite // allocated at the first row that needs the disk
+	var writes []pageWrite // taken at the first row that needs the disk
 	for _, k := range keys {
 		r := st.rows[k]
 		if !r.dirty {
@@ -326,13 +330,14 @@ func (st *Store) FlushKeys(p *simrt.Proc, keys []string) bool {
 			continue
 		}
 		if writes == nil {
-			writes = make([]pageWrite, 0, len(keys))
+			writes = st.takeSpare(len(keys))
 		}
 		writes = append(writes, pageWrite{key: r.key, val: r.val, present: r.live, page: r.page})
 	}
 	if len(writes) == 0 {
 		return true
 	}
+	defer st.putSpare(writes)
 	gen := st.gen
 	st.inflight++
 	pages := st.writePages(p, writes)
@@ -343,6 +348,25 @@ func (st *Store) FlushKeys(p *simrt.Proc, keys []string) bool {
 	st.stats.FlushRows += uint64(len(writes))
 	st.stats.FlushPages += pages
 	return true
+}
+
+// takeSpare returns an empty capture list: a spare one if there is one, else
+// a new one with room for n writes.
+func (st *Store) takeSpare(n int) []pageWrite {
+	k := len(st.spare)
+	if k == 0 {
+		return make([]pageWrite, 0, n)
+	}
+	w := st.spare[k-1]
+	st.spare = st.spare[:k-1]
+	return w
+}
+
+// putSpare keeps a capture list whose writes have settled for the next
+// write-back.
+func (st *Store) putSpare(w []pageWrite) {
+	clear(w)
+	st.spare = append(st.spare, w[:0])
 }
 
 // writePages is the one in-place write path: it writes the distinct pages of

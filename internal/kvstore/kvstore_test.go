@@ -778,6 +778,57 @@ func TestFlushInFlightAcrossCrashSettlesNothing(t *testing.T) {
 	}
 }
 
+// Two write-backs on the disk at once each hold a capture list of their own
+// (the lists are kept for reuse between write-backs): each settles exactly
+// the rows it was given, as it captured them, and a crash while both are in
+// flight settles neither.
+func TestOverlappingFlushesSettleTheirOwnRows(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		withStore(t, func(p *simrt.Proc, st *Store) {
+			for _, k := range []string{"a1", "a2", "b1", "b2"} {
+				st.Put(k, []byte("old"))
+			}
+			st.FlushKeys(p, []string{"a1", "a2"}) // leaves a spare list behind
+			st.FlushKeys(p, []string{"b1", "b2"})
+			for _, k := range []string{"a1", "a2", "b1", "b2"} {
+				st.Put(k, []byte("new "+k))
+			}
+			var settledB bool
+			g := simrt.NewGroup(st.sim)
+			g.Add(1)
+			st.sim.Spawn("second", func(sp *simrt.Proc) {
+				sp.Sleep(time.Microsecond) // the first write-back is on the disk
+				settledB = st.FlushKeys(sp, []string{"b1", "b2", "never-written"})
+				g.Done()
+			})
+			if crash {
+				st.sim.Spawn("nemesis", func(np *simrt.Proc) {
+					np.Sleep(2 * time.Microsecond) // both are on the disk
+					st.Crash()
+				})
+			}
+			settledA := st.FlushKeys(p, []string{"a1", "a2"})
+			g.Wait(p)
+			d := st.DurableSnapshot()
+			for _, k := range []string{"a1", "a2", "b1", "b2"} {
+				want := "new " + k
+				if crash {
+					want = "old"
+				}
+				if string(d[k]) != want {
+					t.Errorf("crash=%v: durable %s=%q, want %q", crash, k, d[k], want)
+				}
+			}
+			if settledA == crash || settledB == crash {
+				t.Errorf("crash=%v: write-backs report settled=%v and %v", crash, settledA, settledB)
+			}
+			if !crash && st.DirtyCount() != 0 {
+				t.Errorf("%d rows still dirty after both write-backs settled", st.DirtyCount())
+			}
+		})
+	}
+}
+
 // The synchronous path captures at submission too: the journal record holds
 // what the transaction wrote, not what a later one put in the row.
 func TestSyncKeysSettlesCapturedValue(t *testing.T) {

@@ -62,7 +62,7 @@ func TestBeginDropsDuplicateOfExecutingOp(t *testing.T) {
 func TestFinishedOpIsReplayedToTheRequester(t *testing.T) {
 	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, sent *[]wire.Msg) {
 		b.Begin(opID(1), 100)
-		b.CacheReply(opID(1), wire.Msg{Type: wire.MsgSubOpResp, To: 100, Op: opID(1),
+		b.CacheReply(opID(1), &wire.Msg{Type: wire.MsgSubOpResp, To: 100, Op: opID(1),
 			OK: false, Err: "entry exists", Epoch: 2, Hint: opID(9), Attr: types.Inode{Ino: 7}})
 		b.End(opID(1))
 		if b.Begin(opID(1), 101) {
@@ -84,46 +84,82 @@ func TestFinishedOpIsReplayedToTheRequester(t *testing.T) {
 	})
 }
 
+// replayed returns the reply b replays for op, and false if it has none
+// cached.
+func replayed(b *Base, sent *[]wire.Msg, op types.OpID) (wire.Msg, bool) {
+	*sent = (*sent)[:0]
+	if !b.ReplayCached(op, 100) || len(*sent) != 1 {
+		return wire.Msg{}, false
+	}
+	return (*sent)[0], true
+}
+
 func TestReplyCacheIsFIFOAtTheCap(t *testing.T) {
-	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, _ *[]wire.Msg) {
+	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, sent *[]wire.Msg) {
+		yes := &wire.Msg{Type: wire.MsgOpResp, OK: true}
 		for seq := uint64(1); seq <= replyCap; seq++ {
-			b.CacheReply(opID(seq), wire.Msg{Type: wire.MsgOpResp, OK: true})
+			b.CacheReply(opID(seq), yes)
 		}
-		// Overwriting an entry (an abort superseding the recorded response)
-		// takes no new slot and does not renew its turn.
-		b.CacheReply(opID(1), wire.Msg{Type: wire.MsgOpResp, OK: false})
-		if len(b.replyOrder.ids) != replyCap || len(b.replies) != replyCap {
-			t.Errorf("cache holds %d/%d entries after an overwrite, want %d", len(b.replies), len(b.replyOrder.ids), replyCap)
+		// Caching an op again (an abort superseding the recorded response)
+		// replaces its reply, takes no new slot and keeps its turn.
+		b.CacheReply(opID(1), &wire.Msg{Type: wire.MsgOpResp, OK: false, Epoch: 2})
+		if m, ok := replayed(b, sent, opID(1)); !ok || m.OK || m.Epoch != 2 {
+			t.Errorf("re-cached op replays %+v (cached=%v), want the superseding reply", m, ok)
 		}
-		if r := b.replies[opID(1)]; r.ok {
-			t.Error("overwrite kept the old reply")
+		for seq := uint64(2); seq <= replyCap; seq++ {
+			if _, ok := replayed(b, sent, opID(seq)); !ok {
+				t.Fatalf("op %d lost before the cache reached its cap", seq)
+			}
 		}
-		b.CacheReply(opID(replyCap+1), wire.Msg{Type: wire.MsgOpResp, OK: true})
-		if b.ReplayCached(opID(1), 100) {
-			t.Error("oldest entry survived eviction at the cap")
+		b.CacheReply(opID(replyCap+1), yes)
+		if _, ok := replayed(b, sent, opID(1)); ok {
+			t.Error("the re-cached oldest entry survived eviction at the cap")
 		}
 		for seq := uint64(2); seq <= replyCap+1; seq++ {
-			if !b.ReplayCached(opID(seq), 100) {
+			if _, ok := replayed(b, sent, opID(seq)); !ok {
 				t.Fatalf("eviction dropped op %d as well as the oldest entry", seq)
 			}
 		}
-		// Once around the ring again: the evictions stay oldest first.
+		// Once around the ring again, re-caching every op on the way: the
+		// evictions stay oldest first.
 		for seq := uint64(replyCap + 2); seq <= 2*replyCap+1; seq++ {
-			b.CacheReply(opID(seq), wire.Msg{Type: wire.MsgOpResp, OK: true})
-			if b.ReplayCached(opID(seq-replyCap), 100) || !b.ReplayCached(opID(seq-replyCap+1), 100) {
+			b.CacheReply(opID(seq-1), yes)
+			b.CacheReply(opID(seq), yes)
+			_, evicted := replayed(b, sent, opID(seq-replyCap))
+			_, kept := replayed(b, sent, opID(seq-replyCap+1))
+			if evicted || !kept {
 				t.Fatalf("insert %d did not evict exactly op %d", seq, seq-replyCap)
 			}
 		}
-		if len(b.replies) != replyCap {
-			t.Errorf("cache holds %d entries, want %d", len(b.replies), replyCap)
+		if m, ok := replayed(b, sent, opID(2*replyCap+1)); !ok || !m.OK || m.Type != wire.MsgOpResp || m.Op != opID(2*replyCap+1) {
+			t.Errorf("newest entry replays %+v (cached=%v)", m, ok)
+		}
+	})
+}
+
+// The reply cache is rewritten once per operation a server finishes: once
+// it is full, caching a reply evicts one in place and allocates nothing.
+func TestCacheReplyIntoAFullCacheAllocatesNothing(t *testing.T) {
+	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, _ *[]wire.Msg) {
+		m := &wire.Msg{Type: wire.MsgSubOpResp, OK: false, Err: "entry exists", Epoch: 1, Attr: types.Inode{Ino: 7}}
+		seq := uint64(0)
+		cache := func() {
+			seq++
+			b.CacheReply(opID(seq), m)
+		}
+		for seq < 4*replyCap { // full, and the index churned to its working size
+			cache()
+		}
+		if a := testing.AllocsPerRun(replyCap, cache); a != 0 {
+			t.Errorf("CacheReply into a full cache allocates %.2f objects, want 0", a)
 		}
 	})
 }
 
 func TestForgetClientsKeepsTheReplyCache(t *testing.T) {
-	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, _ *[]wire.Msg) {
+	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, sent *[]wire.Msg) {
 		b.Begin(opID(1), 100)
-		b.CacheReply(opID(2), wire.Msg{Type: wire.MsgOpResp, OK: true})
+		b.CacheReply(opID(2), &wire.Msg{Type: wire.MsgOpResp, OK: true, Attr: types.Inode{Ino: 5}})
 		b.AnswerLookup(&wire.Msg{From: 100, Op: opID(3), Dir: types.RootInode, Path: "f"}, time.Second)
 		b.Crash()
 		b.Reboot()
@@ -131,8 +167,13 @@ func TestForgetClientsKeepsTheReplyCache(t *testing.T) {
 		if b.Executing(opID(1)) || b.LeasesOutstanding() != 0 {
 			t.Error("executing marks or leases survived ForgetClients")
 		}
-		if !b.ReplayCached(opID(2), 100) {
-			t.Error("the reply cache must survive a crash (DESIGN.md §5)")
+		// A retry of the finished op is answered from the cache, not executed.
+		*sent = (*sent)[:0]
+		if b.Begin(opID(2), 101) {
+			t.Error("a finished op was admitted again after ForgetClients (DESIGN.md §5: the reply cache survives a crash)")
+		}
+		if len(*sent) != 1 || (*sent)[0].To != 101 || !(*sent)[0].OK || (*sent)[0].Attr.Ino != 5 {
+			t.Errorf("retry after ForgetClients answered with %+v, want the cached reply", *sent)
 		}
 	})
 }

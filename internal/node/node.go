@@ -2,9 +2,11 @@
 // and the baselines differ in their protocol and in nothing else. Base is
 // the server side: the simulated hardware (disk, log, database, namespace
 // shard), the served inbox, crash/reboot plumbing, at-most-once execution for
-// retried requests (once.go), the lease service behind the leased read path
-// (lease.go) and the routes server-to-server replies come back on
-// (routes.go). Host is the client machine: it routes server responses back
+// retried requests (once.go: executing marks, and a reply cache of the last
+// replyCap finished operations, kept in a ring that overwrites its oldest
+// reply in place and indexed by ring position), the lease service behind the
+// leased read path (lease.go) and the routes server-to-server replies come
+// back on (routes.go). Host is the client machine: it routes server responses back
 // to the issuing process and owns the one retrying RPC (Call). The client on
 // top of it is internal/core's Driver under every protocol.
 //
@@ -27,6 +29,7 @@ import (
 	"cxfs/internal/disk"
 	"cxfs/internal/kvstore"
 	"cxfs/internal/namespace"
+	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/transport"
 	"cxfs/internal/types"
@@ -103,11 +106,13 @@ type Base struct {
 	accepted func()
 	handle   func(*simrt.Proc, *transport.Packet)
 
-	executing  map[types.OpID]bool        // once.go
-	replies    map[types.OpID]cachedReply // once.go (FIFO by replyOrder)
-	replyOrder OpRing
-	leases     *LeaseTable                        // lease.go
-	routes     map[routeKey]*simrt.Chan[wire.Msg] // routes.go
+	executing map[types.OpID]bool // once.go
+	// The reply cache (once.go): the replies in a FIFO ring, and each cached
+	// op's position in it.
+	replies seg.Ring[cachedReply]
+	replyAt map[types.OpID]int32
+	leases  *LeaseTable                        // lease.go
+	routes  map[routeKey]*simrt.Chan[wire.Msg] // routes.go
 
 	stats Stats
 }
@@ -126,7 +131,7 @@ func NewBase(s *simrt.Sim, net *transport.Net, id types.NodeID, hw HardwareParam
 		inbox: net.Register(id),
 
 		executing: make(map[types.OpID]bool),
-		replies:   make(map[types.OpID]cachedReply),
+		replyAt:   make(map[types.OpID]int32),
 		leases:    NewLeaseTable(leaseTableCap),
 		routes:    make(map[routeKey]*simrt.Chan[wire.Msg]),
 	}

@@ -15,32 +15,12 @@ import (
 // replyCap bounds the reply cache.
 const replyCap = 8192
 
-// OpRing is a FIFO of operation ids bounded by the limit its caller passes:
-// a push into a full ring overwrites, and returns, the oldest id. It grows to
-// the limit once and is reused in place from then on. The reply cache and
-// SE's undo window evict through one each.
-type OpRing struct {
-	ids  []types.OpID
-	next int // the oldest id, once the ring is full
-}
-
-// Push appends op, evicting and returning the oldest id if the ring already
-// holds limit of them.
-func (r *OpRing) Push(op types.OpID, limit int) (evicted types.OpID, full bool) {
-	if len(r.ids) < limit {
-		r.ids = append(r.ids, op)
-		return types.OpID{}, false
-	}
-	evicted = r.ids[r.next]
-	r.ids[r.next] = op
-	r.next = (r.next + 1) % len(r.ids)
-	return evicted, true
-}
-
 // cachedReply is a finished operation's response as the cache keeps it: the
-// fields a SUBOP/OP response carries, not the whole message (the cache
-// holds replyCap of them per server and is rewritten once per operation).
+// fields a SUBOP/OP response carries, not the whole message (the cache holds
+// replyCap of them per server and is rewritten once per operation), and the
+// operation, so an eviction can drop its index entry.
 type cachedReply struct {
+	op    types.OpID
 	typ   wire.MsgType
 	ok    bool
 	epoch uint32
@@ -68,21 +48,28 @@ func (b *Base) End(op types.OpID) { delete(b.executing, op) }
 // Executing reports whether a request for op is between Begin and End.
 func (b *Base) Executing(op types.OpID) bool { return b.executing[op] }
 
-// CacheReply retains op's final response m for duplicate requests.
-func (b *Base) CacheReply(op types.OpID, m wire.Msg) {
-	if _, exists := b.replies[op]; !exists {
-		if oldest, full := b.replyOrder.Push(op, replyCap); full {
-			delete(b.replies, oldest)
-		}
+// CacheReply retains op's final response m for duplicate requests. An op
+// cached again (an abort superseding the recorded response) keeps its place
+// in the eviction order.
+func (b *Base) CacheReply(op types.OpID, m *wire.Msg) {
+	r := cachedReply{op: op, typ: m.Type, ok: m.OK, epoch: m.Epoch, hint: m.Hint, err: m.Err, attr: m.Attr}
+	if pos, ok := b.replyAt[op]; ok {
+		*b.replies.At(int(pos)) = r
+		return
 	}
-	b.replies[op] = cachedReply{typ: m.Type, ok: m.OK, epoch: m.Epoch, hint: m.Hint, err: m.Err, attr: m.Attr}
+	pos, oldest, full := b.replies.Push(r, replyCap)
+	if full {
+		delete(b.replyAt, oldest.op)
+	}
+	b.replyAt[op] = int32(pos)
 }
 
 // ReplayCached answers a duplicate request for a finished operation from
 // the reply cache, addressed to node to, and reports whether it could.
 func (b *Base) ReplayCached(op types.OpID, to types.NodeID) bool {
-	r, ok := b.replies[op]
+	pos, ok := b.replyAt[op]
 	if ok {
+		r := b.replies.At(int(pos))
 		b.Send(wire.Msg{Type: r.typ, To: to, Op: op, OK: r.ok, Err: r.err,
 			Hint: r.hint, Epoch: r.epoch, Attr: r.attr})
 	}

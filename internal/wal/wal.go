@@ -25,6 +25,13 @@
 // request between executing it and logging it (Cx) waits with AwaitSpace
 // before it executes and then appends ungated. Pruning drops all records of
 // an operation once its terminal record is durable.
+//
+// In memory the log is its index — per operation, its live bytes and which
+// record types it holds — and, for the recovery scan, the durable records in
+// append order. Those live in fixed-size segments (internal/seg) that a prune
+// compacts in place once pruned operations' records exceed a quarter of the
+// live ones, and that later appends refill: the view is bounded by the live
+// records, and a log churning at a steady size allocates no records.
 package wal
 
 import (
@@ -32,6 +39,7 @@ import (
 	"time"
 
 	"cxfs/internal/disk"
+	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 )
@@ -93,8 +101,9 @@ func (r Record) String() string {
 // opEntry is the per-operation index entry, held by value in the index: an
 // op with no entry reads as the zero entry, and a new op costs no allocation.
 type opEntry struct {
-	bytes int64 // live bytes this op holds in the log
-	types uint8 // bitmask of record types present
+	bytes int64  // live bytes this op holds in the log
+	types uint8  // bitmask of record types present
+	recs  uint32 // records this op holds in the log
 }
 
 func bit(t RecType) uint8 { return 1 << uint(t) }
@@ -158,10 +167,16 @@ type WAL struct {
 	base int64 // disk offset of the log region
 	max  int64 // upper limit on live bytes (0 = unlimited)
 
-	head    int64 // next append offset relative to base
-	live    int64 // bytes of un-pruned records
-	index   map[types.OpID]opEntry
-	ordered []Record // durable records in append order, minus pruned ops
+	head  int64 // next append offset relative to base
+	live  int64 // bytes of un-pruned records
+	index map[types.OpID]opEntry
+	// ordered is the durable records in append order, for RecoverScan: the
+	// live ones, and a pruned op's until the next compaction. liveRecs
+	// counts the live ones; Prune compacts once the rest exceed a quarter of
+	// them, so the view holds at most 1.25 times the live records plus one
+	// segment, and it reuses the segments compaction empties.
+	ordered  seg.Seq[Record]
+	liveRecs int
 
 	waiters     []fullWaiter
 	fullHandler func()
@@ -366,9 +381,11 @@ func (w *WAL) admit(rec Record, size int64) {
 	e := w.index[rec.Op]
 	e.bytes += size
 	e.types |= bit(rec.Type)
+	e.recs++
 	w.index[rec.Op] = e
 	w.live += size
-	w.ordered = append(w.ordered, rec)
+	w.liveRecs++
+	w.ordered.Append(rec)
 }
 
 // Prune removes all records of op from the log, freeing space and waking
@@ -381,22 +398,24 @@ func (w *WAL) Prune(op types.OpID) {
 		return
 	}
 	w.live -= e.bytes
+	w.liveRecs -= int(e.recs)
 	delete(w.index, op)
 	w.stats.Pruned++
 	if w.pruneHook != nil {
 		w.pruneHook(op, e.bytes)
 	}
-	// Compact the ordered view lazily: drop records whose op left the index.
-	if len(w.ordered) > 0 && len(w.index)*4 < len(w.ordered) {
-		kept := w.ordered[:0]
-		for _, r := range w.ordered {
-			if _, ok := w.index[r.Op]; ok {
-				kept = append(kept, r)
-			}
-		}
-		w.ordered = kept
+	if dead := w.ordered.Len() - w.liveRecs; 4*dead > w.liveRecs {
+		w.compact()
 	}
 	w.wakeWaiters()
+}
+
+// compact drops the records of pruned ops from the ordered view, in place.
+func (w *WAL) compact() {
+	w.ordered.Compact(func(r *Record) bool {
+		_, ok := w.index[r.Op]
+		return ok
+	})
 }
 
 func (w *WAL) wakeWaiters() {
@@ -446,21 +465,16 @@ func (w *WAL) LiveOps() []types.OpID {
 // read cost) and returns the surviving records in append order. Called by a
 // rebooted server to rebuild protocol state.
 func (w *WAL) RecoverScan(p *simrt.Proc) []Record {
-	// Drop records of pruned ops before returning.
-	kept := make([]Record, 0, len(w.ordered))
+	w.compact()
+	out := make([]Record, w.ordered.Len())
 	var liveBytes int64
-	for _, r := range w.ordered {
-		if _, ok := w.index[r.Op]; ok {
-			kept = append(kept, r)
-			liveBytes += encodedSize(&r)
-		}
+	for i := range out {
+		out[i] = *w.ordered.At(i)
+		liveBytes += encodedSize(&out[i])
 	}
-	w.ordered = kept
 	if liveBytes > 0 {
 		w.dsk.Access(p, w.base, liveBytes, false)
 	}
-	out := make([]Record, len(kept))
-	copy(out, kept)
 	return out
 }
 
