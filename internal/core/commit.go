@@ -79,10 +79,13 @@ func (s *Server) answerAborted(op types.OpID, lcom bool, part types.NodeID) {
 func (s *Server) expireWantCommit() {
 	now := s.Sim.Now()
 	for _, st := range s.inOrder(func(st *opState) bool { return st.wanted && now-st.wantAt > s.cfg.VoteWait }) {
+		// The entry says nothing once the demand is dropped: a generation of
+		// abort marks ending inside markAborted recycles it.
+		id, lcom, part := st.id(), st.lcom, st.wantPart
 		st.wanted = false
-		s.markAborted(st.id())
+		s.markAborted(id)
 		s.stats.OpsAborted++
-		s.answerAborted(st.id(), st.lcom, st.wantPart)
+		s.answerAborted(id, lcom, part)
 	}
 }
 
@@ -249,7 +252,9 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 // groupCommit runs the commitment phase (§III.B steps 3-7) for a batch of
 // operations sharing one participant. boot is the coordinator incarnation
 // this batch belongs to: a crash+reboot mid-phase orphans the proc, and it
-// must stop touching the rebuilt state (recovery re-drives the batch).
+// must stop touching the rebuilt state (recovery re-drives the batch). The
+// round holds its entries across every park, so it touches cops[i] only while
+// it is still the entry of ids[i].
 func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops []*opState) {
 	ids := make([]types.OpID, len(cops))
 	var enforce []types.OpID
@@ -276,8 +281,11 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 	recs := s.takeRecs()
 	decisions := make([]wire.Decision, len(cops))
 	for i, co := range cops {
-		decisions[i] = wire.Decision{Op: co.id(), Commit: votes[co.id()] && co.ok}
-		recs = append(recs, s.decide(co, decisions[i].Commit))
+		decisions[i] = wire.Decision{Op: ids[i]}
+		if co.id() == ids[i] {
+			decisions[i].Commit = votes[ids[i]] && co.ok
+			recs = append(recs, s.decide(co, decisions[i].Commit))
+		}
 	}
 	s.logBatch(p, recs)
 	if s.step(StepCommitAfterDecision, ids[0], 0, nil) || s.Gone(boot) {
@@ -296,13 +304,16 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 	if s.Gone(boot) || s.step(StepCommitAfterComplete, ids[0], 0, nil) {
 		return
 	}
-	for _, co := range cops {
+	for i, co := range cops {
+		if co.id() != ids[i] {
+			continue
+		}
 		s.finish(co, co.finalReply())
-		if !co.commit {
+		if !decisions[i].Commit {
 			// 7b: ALL-NO tells the process every successful execution was
 			// aborted. Sent on every abort so an L-COM racing a lazy batch
 			// still gets its answer; completed clients drop it.
-			s.Send(wire.Msg{Type: wire.MsgAllNo, To: co.id().Proc.Client, Op: co.id()})
+			s.Send(wire.Msg{Type: wire.MsgAllNo, To: ids[i].Proc.Client, Op: ids[i]})
 		}
 	}
 }
@@ -402,21 +413,23 @@ func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce 
 			}
 			return false
 		}
-		if br := s.parkedReq(id); br != nil {
-			holder := br.holder
+		if st != nil && st.parked != nil {
+			br, holder := st.parked, st.parked.holder
 			if slices.Contains(enforce, holder) && s.invalidate(p, holder, id) {
 				// Disordered conflict: the coordinator ordered id before
 				// holder, but we executed holder first. It is invalidated;
-				// execute id now (§III.C step 4).
+				// execute id now (§III.C step 4). st is held across the
+				// invalidation's append: the execution registers in it only
+				// if it is still id's.
 				if s.Gone(boot) {
 					return false
 				}
 				s.unpark(br)
-				s.execSubOp(p, &br.msg, types.NilOp, br.epoch)
+				s.execParked(p, br, st, types.NilOp)
 				if s.Gone(boot) {
 					return false
 				}
-				s.settle(id)
+				s.settle(s.ops[id])
 				continue
 			}
 			// Ordered conflict: commit the holder first, then id executes
@@ -436,30 +449,42 @@ func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce 
 // handleCommitReq applies the coordinator's decisions (§III.B step 6):
 // Commit/Abort-Records land in one batched append, aborted executions roll
 // back, the batch's rows flush together, and followers release. Idempotent:
-// decisions for operations already finished here are re-ACKed blindly.
+// decisions for operations already finished here are re-ACKed blindly, and a
+// decision another copy of the request has made is not made again.
 func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	boot := s.Boot()
 	recs := s.takeRecs()
-	done := make([]*opState, 0, len(m.Decisions)) // the executions this request finishes
-	var inflight []types.OpID                     // aborted ops whose sub-op is mid-execution here
+	// done is the executions this request decides and finishes, with their
+	// operations: the entries are held across the append.
+	type decided struct {
+		st *opState
+		op types.OpID
+	}
+	done := make([]decided, 0, len(m.Decisions))
+	var inflight []types.OpID // aborted ops whose sub-op is mid-execution here
+	var others []types.OpID   // ops another copy of this request decided, not yet finished
 	for _, d := range m.Decisions {
-		st := s.pending(d.Op)
-		if st == nil {
-			if !d.Commit {
-				// Abort for an operation we never executed (vote timeout or
-				// in-flight sub-op): poison it and cancel any blocked copy.
-				s.markAborted(d.Op)
-				if br := s.parkedReq(d.Op); br != nil {
-					s.unpark(br)
-				}
-				if s.Executing(d.Op) {
-					inflight = append(inflight, d.Op)
-				}
+		switch st := s.ops[d.Op]; {
+		case st != nil && (st.phase == phasePending || st.phase == phaseCommitting):
+			recs = append(recs, s.decide(st, d.Commit))
+			done = append(done, decided{st, d.Op})
+		case st != nil && st.phase == phaseDecided:
+			// A duplicate of this request (retransmitted, or copied by the
+			// network) decided it and is inside its append. Deciding again
+			// would log the decision twice, roll an abort back twice and
+			// finish the execution twice.
+			others = append(others, d.Op)
+		case !d.Commit:
+			// Abort for an operation we never executed (vote timeout or
+			// in-flight sub-op): poison it and cancel any blocked copy.
+			s.markAborted(d.Op)
+			if br := s.parkedReq(d.Op); br != nil {
+				s.unpark(br)
 			}
-			continue
+			if s.Executing(d.Op) {
+				inflight = append(inflight, d.Op)
+			}
 		}
-		recs = append(recs, s.decide(st, d.Commit))
-		done = append(done, st)
 	}
 	s.logBatch(p, recs)
 	cpOp := m.Op
@@ -483,10 +508,22 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 			}
 		}
 	}
-	for _, st := range done {
+	// Likewise an execution the duplicate decided: the ACK waits until the
+	// duplicate has finished it.
+	for _, op := range others {
+		for s.pending(op) != nil {
+			s.await(p, op, false, s.cfg.RetryInterval)
+			if s.Gone(boot) {
+				return
+			}
+		}
+	}
+	for _, d := range done {
 		// A Commit/Abort-Record on the participant ends the operation
 		// (§III.A): followers release immediately.
-		s.finish(st, st.finalReply())
+		if d.st.id() == d.op {
+			s.finish(d.st, d.st.finalReply())
+		}
 	}
 	s.Send(wire.Msg{Type: wire.MsgAck, To: m.From, Op: m.Op, Ops: m.Ops})
 	// The decisions turned log records nothing here could free into

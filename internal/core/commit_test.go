@@ -4,9 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"cxfs/internal/namespace"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
+	"cxfs/internal/wire"
 )
 
 // A batch commits each participant's operations in a round of their own,
@@ -71,4 +73,67 @@ func TestConcurrentRoundsLogTheirOwnRecords(t *testing.T) {
 	if maxHolding < 2 {
 		t.Errorf("at most %d round held a record buffer at once, want both rounds in flight together", maxHolding)
 	}
+}
+
+// A COMMIT-REQ delivered twice, the second copy while the first is inside its
+// Abort-Record append, decides the execution once: one Abort-Record, one
+// rollback, one finish, and both copies ACKed only after it. The execution is
+// a rename's destination insert, whose rollback also takes back the entry it
+// added to its directory's count; a second rollback took it back twice.
+func TestDuplicateCommitReqDecidesOnce(t *testing.T) {
+	r := newRig(1<<20, Config{Timeout: time.Hour})
+	r.run(t, func(p *simrt.Proc) {
+		s := r.srv[1]
+		const dir = types.InodeID(4242)
+		s.Shard.SeedInode(namespace.Inode{Ino: dir, Type: types.FileDir, Nlink: 2, Size: 5})
+		entries := func() uint64 { in, _ := s.Shard.GetInode(dir); return in.Size }
+		id := types.OpID{Proc: types.ProcID{Client: r.host.ID}, Seq: 1}
+		dst := types.SubOp{Op: id, Kind: types.OpRename, Role: types.RoleParticipant,
+			Action: types.ActInsertEntry, Parent: dir, Name: "moved", Ino: 77}
+		r.srv[0].Send(wire.Msg{Type: wire.MsgVote, To: 1, Op: id, Sub: dst, Peer: 0, ReplyProc: id.Proc})
+		if !await(p, func() bool { return s.pending(id) != nil }) || entries() != 6 {
+			t.Fatalf("the destination insert did not register (%s, %d entries)", s.DebugOp(id), entries())
+		}
+		var acks []time.Duration
+		r.net.SetTap(func(m wire.Msg) {
+			if m.Type == wire.MsgAck && m.From == 1 {
+				acks = append(acks, r.sim.Now())
+			}
+		})
+		records := s.WAL.Stats().Records
+		abort := wire.Msg{Type: wire.MsgCommitReq, To: 1, Op: id, Decisions: []wire.Decision{{Op: id}}}
+		r.srv[0].Send(abort)
+		if !await(p, func() bool { st := s.ops[id]; return st != nil && st.phase == phaseDecided }) {
+			t.Fatal("the first copy never decided")
+		}
+		handled := s.Base.Stats().MsgsHandled
+		r.srv[0].Send(abort)
+		await(p, func() bool { return s.Base.Stats().MsgsHandled > handled })
+		if st := s.ops[id]; st == nil || st.phase != phaseDecided {
+			t.Fatal("the second copy arrived after the first copy's append: the test is vacuous")
+		}
+		p.Sleep(100 * time.Millisecond)
+		r.net.SetTap(nil)
+		if n := entries(); n != 5 {
+			t.Errorf("the directory counts %d entries after the abort, want 5: the rollback ran %d times", n, 6-n)
+		}
+		if n := s.WAL.Stats().Records - records; n != 1 {
+			t.Errorf("%d Abort-Records logged, want 1", n)
+		}
+		if len(acks) != 2 || acks[1] != acks[0] {
+			t.Errorf("ACKs sent at %v, want two, the second with the first copy's, after its finish", acks)
+		}
+		n := 0
+		for _, fe := range s.flushQ {
+			if fe.id == id {
+				n++
+			}
+		}
+		if n != 1 || s.DebugOp(id) != "tombstoned" {
+			t.Errorf("the execution finished %d times (%s), want once", n, s.DebugOp(id))
+		}
+		if bad := s.CheckState(); len(bad) != 0 {
+			t.Error(bad)
+		}
+	})
 }

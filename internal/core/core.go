@@ -39,7 +39,9 @@
 // (optable.go), and the entry's phase changes in five transitions only —
 // register, take, invalidate, decide, finish — one per durable record of
 // §III.B; the handlers in exec.go, commit.go, rename.go and recovery.go look
-// an operation up once and act on its phase. Every named instant of the
+// an operation up once and act on its phase. Entries are recycled through a
+// per-server free list, so a handler that holds one across a park touches it
+// only while its ID is still the operation's. Every named instant of the
 // protocol is one entry of the step list (steps.go) and one call at its site,
 // which is both its trace event and its crash-point.
 //
@@ -156,11 +158,12 @@ type Server struct {
 	pl  namespace.Placement
 
 	// ops is the op table (optable.go): what this server knows about each
-	// operation. The four fields after it are derived from it and maintained
+	// operation. The four fields after free are derived from it and maintained
 	// by its transitions only.
 	ops          map[types.OpID]*opState
-	coordPending int // coordinator executions in the table
-	abortMarks   int // entries carrying the abort mark
+	free         []*opState // entries deleted from the table, emptied, for newEntry
+	coordPending int        // coordinator executions in the table
+	abortMarks   int        // entries carrying the abort mark
 	// idleCoord indexes the pending coordinator executions no batch has taken
 	// yet, by participant and in registration order, so a batch collects its
 	// targets without scanning (and sorting) the whole table.

@@ -23,12 +23,19 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 			return
 		}
 	}
-	// Duplicate suppression: a retried request for an operation still
-	// pending here (or recently completed) is answered from the recorded
-	// response, never re-executed.
-	if s.ReplayCached(sub.Op, m.From) {
+	// Duplicate suppression: a retried request for an operation that finished
+	// here is answered from the reply cache, and a duplicate delivery
+	// (network dup, or a retransmission racing the original) while the first
+	// copy is still executing is dropped — it registers only after its
+	// Result-Record append, so the op table cannot catch that window, and the
+	// active-object check below exempts same-process ops. Either way the
+	// sub-op is never applied twice.
+	if !s.Begin(sub.Op, m.From) {
 		return
 	}
+	defer s.End(sub.Op)
+	// One probe of the op table: the entry found here is the one the
+	// execution registers in, unless it is recycled meanwhile (execSubOp).
 	st := s.ops[sub.Op]
 	switch {
 	case st == nil:
@@ -39,17 +46,7 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 		return
 	case st.parked != nil:
 		return // original request is parked; its response will come
-	}
-	if s.Executing(sub.Op) {
-		// A duplicate delivery (network dup, or a retransmission racing the
-		// original) while the first copy is still executing: it registers
-		// only after its Result-Record append, so no guard above catches this
-		// window, and the active-object check below exempts same-process
-		// ops. Drop the copy — the original answers — or the sub-op would be
-		// applied twice.
-		return
-	}
-	if st != nil && st.aborted {
+	case st.aborted:
 		// The operation was aborted before this sub-op arrived (immediate
 		// commitment raced the request). Refuse execution.
 		s.Send(wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op, OK: false,
@@ -60,7 +57,7 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 		s.block(m, holder, 1)
 		return
 	}
-	s.execSubOp(p, m, types.NilOp, 1)
+	s.execSubOp(p, m, st, types.NilOp, 1)
 }
 
 // admit holds a new arrival while the log is at its limit and reports
@@ -112,13 +109,11 @@ func (s *Server) block(m *wire.Msg, holder types.OpID, epoch uint32) {
 }
 
 // execSubOp executes one sub-op, logs it, registers pending state, and
-// replies with the conflict hint and execution epoch.
-func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, hint types.OpID, epoch uint32) {
+// replies with the conflict hint and execution epoch. The caller has admitted
+// the request (Begin) and ends it; st is the operation's entry as the caller
+// found it, nil if it had none.
+func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.OpID, epoch uint32) {
 	sub := m.Sub
-	if !s.Begin(sub.Op, m.From) {
-		return // a copy of this sub-op is already mid-execution
-	}
-	defer s.End(sub.Op)
 	boot := s.Boot()
 	execStart := s.Sim.Now()
 	s.ExecCPU(p)
@@ -155,7 +150,13 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, hint types.OpID, epoch ui
 		}
 	}
 
-	if cross && s.isAborted(sub.Op) {
+	if cross && (st == nil || st.id() != sub.Op) {
+		// The entry the arrival found was held across the parks above, and is
+		// the operation's only while its ID says so; one the operation got
+		// meanwhile (a demand, a waiter, an abort mark) is read here, once.
+		st = s.ops[sub.Op]
+	}
+	if cross && st != nil && st.aborted {
 		// The operation was aborted while this execution was in flight —
 		// typically a vote handler timed out waiting for this very sub-op,
 		// mid-append, and promised NO to the coordinator. Honor the promise,
@@ -164,7 +165,6 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, hint types.OpID, epoch ui
 		// agrees (and the records prune), and answer aborted.
 		rec := s.rollBack(&execution{sub: sub, undo: res.Undo})
 		s.releaseKeys(sub, sub.Op)
-		st := s.entry(sub.Op)
 		s.release(st) // the object is free again: nothing waits for the Abort-Record
 		s.WAL.AppendBatchPriority(p, []wal.Record{rec})
 		s.flushQ = append(s.flushQ, flushEntry{id: sub.Op, rows: res.Rows})
@@ -175,7 +175,9 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, hint types.OpID, epoch ui
 			OK: false, Err: types.ErrAborted.Error(), Epoch: epoch})
 		// An abort decision may be holding its ACK for this rollback.
 		s.End(sub.Op)
-		st.fire(true)
+		if st := s.ops[sub.Op]; st != nil {
+			st.fire(true)
+		}
 		return
 	}
 
@@ -190,7 +192,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, hint types.OpID, epoch ui
 		// for duplicate suppression. A conflicting request may have demanded
 		// the commitment while the Result-Record append was in flight (the
 		// object was already active): register replays it.
-		s.register(execution{sub: sub, ok: res.OK, undo: res.Undo, rows: res.Rows,
+		s.register(st, execution{sub: sub, ok: res.OK, undo: res.Undo, rows: res.Rows,
 			peer: m.Peer, epoch: epoch,
 			replied: true, hint: hint, errStr: reply.Err, attr: res.Inode}, phasePending)
 	case sub.Action.Mutating():
@@ -248,8 +250,9 @@ func (s *Server) redispatch(p *simrt.Proc, br *blockedReq, released types.OpID) 
 	sub := br.msg.Sub
 	// The entry the parked request kept for its execution: gone again if
 	// none follows.
-	defer s.settle(sub.Op)
-	if s.isAborted(sub.Op) {
+	defer func() { s.settle(s.ops[sub.Op]) }()
+	st := s.ops[sub.Op]
+	if st != nil && st.aborted {
 		return // its operation was aborted while it was parked
 	}
 	if holder, held := s.heldBy(sub); held {
@@ -268,7 +271,17 @@ func (s *Server) redispatch(p *simrt.Proc, br *blockedReq, released types.OpID) 
 		s.handleLookup(p, &br.msg)
 		return
 	}
-	s.execSubOp(p, &br.msg, released, br.epoch)
+	s.execParked(p, br, st, released)
+}
+
+// execParked executes a sub-op request taken out of a queue, once the chassis
+// admits it: not if a copy of it executes, or its operation finished, meanwhile.
+func (s *Server) execParked(p *simrt.Proc, br *blockedReq, st *opState, hint types.OpID) {
+	if !s.Begin(br.msg.Sub.Op, br.msg.From) {
+		return
+	}
+	defer s.End(br.msg.Sub.Op)
+	s.execSubOp(p, &br.msg, st, hint, br.epoch)
 }
 
 // handleLocalOp executes an operation whose coordinator and participant
@@ -291,7 +304,7 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	if !s.admit(p) { // the log-limit hold, as in handleSubOp
 		return
 	}
-	if s.parkedReq(op.ID) != nil || s.pending(op.ID) != nil || !s.Begin(op.ID, m.From) {
+	if st := s.ops[op.ID]; st != nil && (st.parked != nil || st.phase != phaseNone) || !s.Begin(op.ID, m.From) {
 		return
 	}
 	defer s.End(op.ID)

@@ -22,6 +22,12 @@ import (
 // tabulates phase × event → record written → next phase. An entry that says
 // nothing any more is deleted (settle), so the table holds the operations in
 // motion plus a bounded generation of abort marks.
+//
+// Entries are recycled: a deleted entry is emptied onto the server's free list
+// and newEntry hands it to the next operation. A proc that holds an entry
+// across a park therefore holds the operation's entry only while the entry's
+// ID still reads as that operation (st.id() == op): an emptied entry reads the
+// nil ID, a reused one another operation's.
 
 // phase is where an operation's execution stands on this server.
 type phase uint8
@@ -61,9 +67,9 @@ type execution struct {
 	replied bool
 }
 
-// opState is one entry of the op table: the one heap object a pending
-// execution costs, kept within the 288-byte size class (TestOpStateSize) by
-// threading the two wait lists through their elements.
+// opState is one entry of the op table. The two wait lists are threaded
+// through their elements, so an entry is the only object the table keeps per
+// operation, and entries come from the free list (newEntry).
 type opState struct {
 	execution // valid while phase != phaseNone; sub.Op is the entry's key always
 
@@ -158,11 +164,38 @@ type opSignal struct {
 func (s *Server) entry(op types.OpID) *opState {
 	st := s.ops[op]
 	if st == nil {
-		st = &opState{}
-		st.sub.Op = op
-		s.ops[op] = st
+		st = s.newEntry(op)
 	}
 	return st
+}
+
+// entryBlock is how many entries newEntry makes at once, in one allocation,
+// when the free list is empty: the table grows a block at a time.
+const entryBlock = 64
+
+// newEntry files an empty entry for op, which has none, in the table. It
+// comes off the free list, which a fresh block refills when it is empty: the
+// one place opStates are made.
+func (s *Server) newEntry(op types.OpID) *opState {
+	if len(s.free) == 0 {
+		block := make([]opState, entryBlock)
+		for i := range block {
+			s.free = append(s.free, &block[len(block)-1-i])
+		}
+	}
+	k := len(s.free)
+	st := s.free[k-1]
+	s.free = s.free[:k-1]
+	st.sub.Op = op
+	s.ops[op] = st
+	return st
+}
+
+// drop deletes an entry from the table and puts it on the free list, emptied.
+func (s *Server) drop(st *opState) {
+	delete(s.ops, st.id())
+	*st = opState{}
+	s.free = append(s.free, st)
 }
 
 // pending returns op's entry if an execution of it awaits its commitment
@@ -205,10 +238,10 @@ func (s *Server) inOrder(pick func(*opState) bool) []*opState {
 	return sel
 }
 
-// settle deletes op's entry once it says nothing.
-func (s *Server) settle(op types.OpID) {
-	if st := s.ops[op]; st != nil && st.idle() {
-		delete(s.ops, op)
+// settle deletes an entry of the table (nil: none) once it says nothing.
+func (s *Server) settle(st *opState) {
+	if st != nil && st.idle() {
+		s.drop(st)
 	}
 }
 
@@ -221,9 +254,9 @@ func (s *Server) markAborted(op types.OpID) {
 		// Bounded memory: drop the whole generation. A lost mark matters only
 		// for a message still in flight, which the cap makes wildly improbable,
 		// and then costs an orphaned row: the exposure SE has by design.
-		for id, st := range s.ops {
+		for _, st := range s.ops {
 			if st.aborted = false; st.idle() {
-				delete(s.ops, id)
+				s.drop(st)
 			}
 		}
 		s.abortMarks = 0
@@ -243,7 +276,7 @@ func (s *Server) wipe() {
 		st.cut(true)
 		*st = opState{aborted: st.aborted, sigs: st.sigs}
 		if st.sub.Op = id; st.idle() {
-			delete(s.ops, id)
+			s.drop(st)
 		}
 	}
 	s.coordPending, s.idleCoord, s.unnamedParts = 0, nil, nil
@@ -268,7 +301,7 @@ func (s *Server) await(p *simrt.Proc, op types.OpID, arrival bool, d time.Durati
 				break
 			}
 		}
-		s.settle(op)
+		s.settle(st)
 	}
 	return false
 }
@@ -321,7 +354,7 @@ func (s *Server) unpark(br *blockedReq) {
 				break
 			}
 		}
-		s.settle(br.holder)
+		s.settle(h)
 	}
 	if st := s.ops[br.msg.Sub.Op]; st != nil && st.parked == br {
 		st.parked = nil
@@ -356,9 +389,12 @@ func (s *Server) takeIdle(part types.NodeID) []*opState {
 // register is an execution's Result-Record having become durable: it is
 // pending (rename's eager round: committing from the start) and indexed for
 // the round that will take it, a commitment demanded while it was in flight
-// is replayed, and vote handlers waiting for it to arrive wake.
-func (s *Server) register(e execution, ph phase) *opState {
-	st := s.entry(e.sub.Op)
+// is replayed, and vote handlers waiting for it to arrive wake. st is the
+// operation's entry, nil if it has none.
+func (s *Server) register(st *opState, e execution, ph phase) *opState {
+	if st == nil {
+		st = s.newEntry(e.sub.Op)
+	}
 	st.execution, st.phase, st.since, st.named = e, ph, s.Sim.Now(), false
 	idle := ph == phasePending && st.coordinator()
 	switch {
@@ -532,7 +568,7 @@ func (s *Server) release(st *opState) {
 	}
 	st.fire(false)
 	st.wanted = false
-	s.settle(op)
+	s.settle(st)
 }
 
 // DebugOp reports an op's state on this server (diagnostics).
@@ -556,8 +592,11 @@ func (s *Server) DebugOp(op types.OpID) string {
 // not yet committing coordinator executions, each once, and PendingOps counts
 // the coordinator executions in the table; nothing is parked behind an op
 // neither pending nor executing; an op's request is parked or executed, not
-// both; no entry is empty. For a settled server (after quiesce or recovery):
-// mid-transition an entry may legitimately be between two of these.
+// both; no entry is empty. The free list holds each entry once, emptied, and
+// none that the table or the idle index still reaches (followers and holders
+// reach their entries by operation, through the table). For a settled server
+// (after quiesce or recovery): mid-transition an entry may legitimately be
+// between two of these.
 func (s *Server) CheckState() []string {
 	var bad []string
 	fail := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
@@ -566,6 +605,16 @@ func (s *Server) CheckState() []string {
 		if !live(holder) {
 			fail("active object %v is held by %v, neither pending nor executing (%s)", key, holder, s.DebugOp(holder))
 		}
+	}
+	free := make(map[*opState]bool, len(s.free))
+	for _, st := range s.free {
+		switch {
+		case free[st]:
+			fail("an entry is on the free list twice")
+		case st.id() != types.NilOp || !st.idle():
+			fail("a free entry holds %v (%s)", st.id(), st.phase)
+		}
+		free[st] = true
 	}
 	indexed := make(map[*opState]int)
 	for _, list := range s.idleCoord {
@@ -581,6 +630,8 @@ func (s *Server) CheckState() []string {
 			coord++
 		}
 		switch idle := st.phase == phasePending && st.coordinator(); {
+		case free[st]:
+			fail("the entry of %v is on the free list", id)
 		case st.id() != id:
 			fail("entry of %v is filed under %v", st.id(), id)
 		case st.idle():
@@ -596,6 +647,10 @@ func (s *Server) CheckState() []string {
 		}
 	}
 	for st := range indexed {
+		if free[st] {
+			fail("the idle index lists an entry on the free list")
+			continue
+		}
 		fail("the idle index lists %v, which is not in the table", st.id())
 	}
 	if coord != s.coordPending {

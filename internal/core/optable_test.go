@@ -1,6 +1,6 @@
 // In-package tests of the op table: what every ending of an operation leaves
-// behind, the wait signals a timed-out wait takes back, the size of an entry,
-// and what CheckState notices.
+// behind, the wait signals a timed-out wait takes back, entries recycled
+// through the free list, and what CheckState notices.
 package core
 
 import (
@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
@@ -240,12 +239,87 @@ func TestTimedOutVoteLeavesNoSignal(t *testing.T) {
 	})
 }
 
-// A pending execution costs one heap object, no larger than the parent's
-// pendingExec-in-a-coordOp (264 bytes, size class 288).
-func TestOpStateSize(t *testing.T) {
-	if n := unsafe.Sizeof(opState{}); n > 288 {
-		t.Errorf("opState is %d bytes: past the 288-byte size class a pending execution allocated before the op table", n)
-	}
+// An operation's entry comes off the free list once the server is warm:
+// 10,000 register→finish cycles, each a participant execution committed and
+// ended, make no entry — each cycle takes the one the previous cycle freed.
+func TestOpTableEntriesAreRecycled(t *testing.T) {
+	r := newRig(1<<20, Config{Timeout: time.Hour})
+	r.run(t, func(p *simrt.Proc) {
+		op := r.create(0, 1)
+		if _, err := r.drv.Do(p, op); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		r.srv[0].KickCommit()
+		p.Sleep(200 * time.Millisecond)
+		s := r.srv[1]
+		warm := make(map[*opState]bool)
+		for _, st := range s.free {
+			warm[st] = true
+		}
+		if len(warm) == 0 {
+			t.Fatal("the finished create left no entry on the free list")
+		}
+		made := 0
+		for seq := uint64(1); seq <= 10_000; seq++ {
+			id := types.OpID{Proc: types.ProcID{Client: 7}, Seq: seq}
+			st := s.register(nil, execution{sub: types.SubOp{Op: id, Role: types.RoleParticipant}, ok: true, epoch: 1}, phaseCommitting)
+			if !warm[st] {
+				made++
+			}
+			s.decide(st, true)
+			s.finish(st, st.finalReply())
+			if st.id() != types.NilOp || s.ops[id] != nil {
+				t.Fatalf("cycle %d: the finished entry was not emptied and freed", seq)
+			}
+		}
+		if made != 0 {
+			t.Errorf("10,000 register→finish cycles made %d entries, want 0", made)
+		}
+		s.flushQ = s.flushQ[:0]
+		if bad := s.CheckState(); len(bad) != 0 {
+			t.Error(bad)
+		}
+	})
+}
+
+// An execution holds the entry its arrival found across its Result-Record
+// append, and registers in it only if it is still the operation's. Here the
+// entry is recycled meanwhile: the operation's abort mark is dropped with its
+// generation, the emptied entry goes to the operation marked next, and the
+// execution must register in an entry of its own, not in that one.
+func TestExecutionRechecksItsEntryAfterTheAppend(t *testing.T) {
+	r := newRig(1<<20, Config{Timeout: time.Hour})
+	r.run(t, func(p *simrt.Proc) {
+		s := r.srv[1]
+		op := r.create(0, 1)
+		s.requestCommit(op.ID, false, -1) // a demand before arrival: the entry exists
+		held := s.ops[op.ID]
+		r.host.Send(subOpReq(op, types.RoleParticipant))
+		p.Sleep(200 * time.Microsecond)
+		if !s.Executing(op.ID) || s.pending(op.ID) != nil {
+			t.Fatal("the execution is not inside its append: the test is vacuous")
+		}
+		// The demand expires into an abort mark, and the mark's generation
+		// ends when the next operation is marked.
+		held.wantAt -= s.cfg.VoteWait + time.Second
+		s.expireWantCommit()
+		s.abortMarks = abortMarkCap
+		other := types.OpID{Proc: types.ProcID{Client: 9}, Seq: 1}
+		s.markAborted(other)
+		if s.ops[other] != held || s.ops[op.ID] != nil {
+			t.Fatal("the held entry was not recycled to the next operation: the test is vacuous")
+		}
+		p.Sleep(50 * time.Millisecond)
+		if st := s.ops[other]; st != held || st.id() != other || !st.aborted || st.phase != phaseNone {
+			t.Errorf("the execution registered in the recycled entry of %v: %s", other, s.DebugOp(other))
+		}
+		if st := s.pending(op.ID); st == nil || st == held {
+			t.Errorf("the execution did not register in an entry of its own: %s", s.DebugOp(op.ID))
+		}
+		if bad := s.CheckState(); len(bad) != 0 {
+			t.Error(bad)
+		}
+	})
 }
 
 // CheckState notices the table and its accelerators disagreeing.
@@ -277,7 +351,14 @@ func TestCheckStateNoticesDisagreement(t *testing.T) {
 		st.phase = phasePending
 		s.entry(types.OpID{Seq: 99})
 		expect("entry nobody settled", "empty")
-		s.settle(types.OpID{Seq: 99})
+		s.settle(s.ops[types.OpID{Seq: 99}])
+		k := len(s.free)
+		s.free = append(s.free, s.free[k-1])
+		expect("entry freed twice", "on the free list twice")
+		s.free = append(s.free[:k], st)
+		expect("entry freed while the table holds it", "is on the free list")
+		expect("entry freed while the idle index lists it", "a free entry holds")
+		s.free = s.free[:k]
 		if bad := s.CheckState(); len(bad) != 0 {
 			t.Errorf("restored state: %v", bad)
 		}

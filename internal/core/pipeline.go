@@ -104,7 +104,8 @@ func (pl *Pipeline) harvest(pe *Pending) {
 }
 
 // Poll returns every operation that completed since the last Poll/Drain,
-// in completion order, without blocking.
+// in completion order, without blocking. The slice is the pipeline's own
+// buffer: it is valid until the next Submit, Poll or Drain, which reuse it.
 func (pl *Pipeline) Poll() []*Pending {
 	for {
 		pe, ok := pl.compc.TryRecv()
@@ -117,7 +118,7 @@ func (pl *Pipeline) Poll() []*Pending {
 }
 
 // Drain blocks until every in-flight operation completes and returns the
-// accumulated completions in completion order.
+// accumulated completions in completion order, in the buffer Poll uses.
 func (pl *Pipeline) Drain(p *simrt.Proc) []*Pending {
 	for pl.inflight > 0 {
 		pl.harvest(pl.compc.Recv(p))
@@ -125,8 +126,9 @@ func (pl *Pipeline) Drain(p *simrt.Proc) []*Pending {
 	return pl.take()
 }
 
+// take hands out the completions and empties the buffer for the next ones.
 func (pl *Pipeline) take() []*Pending {
 	out := pl.ready
-	pl.ready = nil
+	pl.ready = pl.ready[:0]
 	return out
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -164,6 +165,45 @@ func TestPipelineErrorsStayPerOp(t *testing.T) {
 			}
 		}
 	})
+}
+
+// In steady state a Submit allocates its Pending and nothing else, and Poll
+// and Drain allocate nothing: they hand out the pipeline's own completion
+// buffer, which the next call reuses (a fresh slice per Poll costs about one
+// allocation per op under the Metarates mix).
+func TestPipelineAllocatesOnlyPendings(t *testing.T) {
+	d := &fakeDoer{delay: func(op types.Op) time.Duration { return time.Duration(1+op.ID.Seq%3) * time.Millisecond }}
+	s := simrt.New(1)
+	defer s.Shutdown()
+	pl := core.NewPipeline(s, d, 8)
+	var submitted, harvested uint64
+	s.Spawn("driver", func(p *simrt.Proc) {
+		for seq := uint64(1); ; seq++ {
+			pl.Submit(p, pipeOp(seq))
+			submitted++
+			harvested += uint64(len(pl.Poll()))
+			if seq%100 == 0 {
+				harvested += uint64(len(pl.Drain(p)))
+			}
+		}
+	})
+	s.RunUntil(time.Second) // the buffers reach their steady size
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ops, done := submitted, harvested
+	s.RunUntil(2 * time.Second)
+	runtime.ReadMemStats(&after)
+	ops, done = submitted-ops, harvested-done
+	if ops < 1000 || done < ops-8 {
+		t.Fatalf("%d ops submitted and %d harvested in the measured second: the test is vacuous", ops, done)
+	}
+	// MemStats counts the whole process: the test runner reporting a previous
+	// run, or the runtime starting a thread, allocates a few objects of its own
+	// meanwhile.
+	const others = 32
+	if n := after.Mallocs - before.Mallocs; n > ops+others {
+		t.Errorf("%d allocations for %d ops: more than one Pending each", n, ops)
+	}
 }
 
 func TestPipelineDeterministicCompletionOrder(t *testing.T) {

@@ -186,7 +186,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 		} else {
 			undecidedPart = append(undecidedPart, id)
 		}
-		s.register(e, phasePending)
+		s.register(s.ops[id], e, phasePending)
 	}
 
 	// Rebuild complete: the server may answer the recovery dialogue

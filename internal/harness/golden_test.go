@@ -42,10 +42,16 @@ func replayGolden(proto cluster.Protocol) func() golden {
 	}
 }
 
-func metaratesGolden() golden {
+// metaratesCluster is the shape of the benchmark's metarates_update_gcpipe
+// workload: 4 servers, 16 hosts of 2 processes, a 1 ms group-commit linger.
+func metaratesCluster() *cluster.Cluster {
 	o := cluster.DefaultOptions(4, cluster.ProtoCx)
 	o.ClientHosts, o.ProcsPerHost, o.Seed, o.GroupLinger = 16, 2, 1, time.Millisecond
-	c := cluster.MustNew(o)
+	return cluster.MustNew(o)
+}
+
+func metaratesGolden() golden {
+	c := metaratesCluster()
 	defer c.Shutdown()
 	res := metarates.Run(c, metarates.Config{Mix: metarates.UpdateDominated, OpsPerProc: 40, Pipeline: 8})
 	return golden{c.Sim.Now(), c.Net.Stats().Messages, c.Sim.EventsRun(), digest(res)}
@@ -88,6 +94,13 @@ func chaosGolden(cfg chaos.Config) func() golden {
 // clock, events and digest (a checkpoint falls inside its 10 s window),
 // messages unchanged. The chaos rows moved in all four: shorter write-backs
 // shift every later crash, retry and timeout of the schedule.
+//
+// Three chaos rows (seed1/pipeline8, seed34/pipeline8, seed5/smalllog) were
+// re-pinned once more, for one cause: a COMMIT-REQ whose duplicate arrives
+// while the first copy is inside its Commit/Abort-Record append no longer
+// decides and finishes the execution a second time; the duplicate waits for
+// the first copy's finish and then ACKs. Those three runs deliver such
+// duplicates, so the ACKs, and everything after them, come earlier.
 func TestGoldenRuns(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -102,10 +115,10 @@ func TestGoldenRuns(t *testing.T) {
 		{"s3d/ce", replayGolden(cluster.ProtoCE), golden{4863579474, 54830, 278052, "ab332feb79b56ed2"}},
 		{"metarates/gc+pipeline", metaratesGolden, golden{536672284, 4274, 18141, "242edcf7f8594532"}},
 		{"chaos/seed1", chaosGolden(chaos.Config{Seed: 1}), golden{1067119840, 1999, 8514, "0151d935ae01d3e3"}},
-		{"chaos/seed1/pipeline8", chaosGolden(chaos.Config{Seed: 1, Pipeline: 8}), golden{1817255793, 9233, 43252, "ec8b8dd69f6b070b"}},
+		{"chaos/seed1/pipeline8", chaosGolden(chaos.Config{Seed: 1, Pipeline: 8}), golden{1827255700, 9236, 43482, "8c5b95bd4167705d"}},
 		{"chaos/seed34", chaosGolden(chaos.Config{Seed: 34}), golden{1025580009, 2001, 8670, "a7fec9ccd09028a6"}},
-		{"chaos/seed34/pipeline8", chaosGolden(chaos.Config{Seed: 34, Pipeline: 8}), golden{2213118316, 10259, 47639, "1ace7b356e7c0aca"}},
-		{"chaos/seed5/smalllog", chaosGolden(chaos.Config{Seed: 5, Pipeline: 4, LogMaxBytes: 2 << 10}), golden{1685988005, 6969, 32731, "e46c9220d8cde4d3"}},
+		{"chaos/seed34/pipeline8", chaosGolden(chaos.Config{Seed: 34, Pipeline: 8}), golden{2104516540, 10153, 47442, "2cefffdaacff8ea9"}},
+		{"chaos/seed5/smalllog", chaosGolden(chaos.Config{Seed: 5, Pipeline: 4, LogMaxBytes: 2 << 10}), golden{1805019181, 7021, 32892, "831a05c2270c27d6"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -169,67 +182,93 @@ var raceEnabled bool
 // input: runtime.MemStats.Mallocs across one replay — trace generation,
 // cluster build and the 14,496 ops — over the op count. It is a host number
 // like resumes, not part of the model, and repeats to within a few hundred
-// allocations (map iteration order moves some). Before row keys were the
-// store's own, an execution described its write in one object and one-record
-// log appends stayed on the stack, the same input allocated 8.73 per op under
-// cx and 6.39 under se (measured on that parent); the ceiling is this tree's
-// measurement plus a small margin, and at most 0.6 of the parent's.
+// allocations (map iteration order moves some). se is pinned where row keys
+// became the store's own (parent 6.39, at most 0.6 of it). Before a server
+// kept its op-table entries on a free list, refilled a block at a time, the
+// same input allocated 4.60 per op under cx (one heap entry per registered
+// execution); at most 0.85 of that.
 //
 // The -bytes rows pin bytes (MemStats.TotalAlloc) per op instead. The home2
 // row replays with the leased client cache on: every mutation there revokes
-// leases and invalidates cache entries. Before the lease table and the cache
-// removed a key in O(1), each removal re-copied the table's whole insertion
-// order, and the same input allocated 2,167 B per op (measured on that
-// parent); at most 0.8 of that. The cx-bytes and se-bytes rows are the golden
-// s3d input again. Before the server kept its log records in reused segments,
-// its replies in a ring indexed by position and its commit-path buffers
-// across batches, the same inputs allocated 3,437 B per op under cx and
-// 1,130 B under se (medians of three runs on that parent; home2 1,421 B);
-// cx-bytes may take at most 0.75 of that, se-bytes no more than it. Every
-// ceiling is this tree's measurement plus a margin.
+// leases and invalidates cache entries. The cx-bytes and se-bytes rows are the
+// golden s3d input again; se-bytes is pinned where log records, replies and
+// commit-path buffers became reused (parent 1,130 B). The metarates row is the
+// benchmark's update-dominated gc+pipeline shape (metaratesCluster, 8 ops in
+// flight per process) and measures steady state: the bytes a run of 2,500 ops
+// per process allocates beyond a run of 1,000, over the 48,000 ops between
+// them, so cluster build and the tables' growth to their peak cancel. Before
+// op-table entries were recycled, the log index's entries kept in a reused
+// slab, executing marks and cached replies in one index and the pipeline's
+// completion buffer reused, the same inputs allocated 860 B per op (home2),
+// 2,240 B (cx-bytes) and 913 B (metarates), medians of three runs on that
+// parent; home2 may take at most 0.93 of that, cx-bytes no more than it,
+// metarates at most 0.7. Every ceiling is this tree's measurement plus a
+// margin.
 func TestAllocsPerOp(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes the count")
 	}
+	// A run returns its ops and its cluster, for Shutdown once measured.
+	type run func() (int, *cluster.Cluster)
+	replay := func(workload string, proto cluster.Protocol, scale float64, mutate func(*cluster.Options)) run {
+		return func() (int, *cluster.Cluster) {
+			res, c := Config{Scale: scale, Servers: 8, Seed: 1}.replay(workload, proto, mutate, 0)
+			return res.Ops, c
+		}
+	}
+	mr := func(opsPerProc int) run {
+		return func() (int, *cluster.Cluster) {
+			c := metaratesCluster()
+			res := metarates.Run(c, metarates.Config{Mix: metarates.UpdateDominated, OpsPerProc: opsPerProc, Pipeline: 8})
+			return res.Ops, c
+		}
+	}
 	cached := func(o *cluster.Options) { o.CacheTTL = time.Second }
+	const golden = 14496 // the golden s3d input's ops
 	for _, tc := range []struct {
-		name     string
-		workload string
-		proto    cluster.Protocol
-		scale    float64
-		mutate   func(*cluster.Options)
-		bytes    bool // pin TotalAlloc per op, not Mallocs
-		ceiling  float64
-		parent   float64
-		share    float64 // the most of parent allowed
+		name    string
+		runs    []run // one run, or two: the second's excess over the first is measured
+		wantOps int   // the first run's op count, if pinned
+		bytes   bool  // pin TotalAlloc per op, not Mallocs
+		ceiling float64
+		parent  float64
+		share   float64 // the most of parent allowed
 	}{
-		{"cx", "s3d", cluster.ProtoCx, 0.02, nil, false, 4.8, 8.73, 0.6},
-		{"se", "s3d", cluster.ProtoSE, 0.02, nil, false, 3.4, 6.39, 0.6},
-		{"home2-cached-bytes", "home2", cluster.ProtoCx, 0.04, cached, true, 920, 2167, 0.8},
-		{"cx-bytes", "s3d", cluster.ProtoCx, 0.02, nil, true, 2400, 3437, 0.75},
-		{"se-bytes", "s3d", cluster.ProtoSE, 0.02, nil, true, 950, 1130, 1.0},
+		{"cx", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, false, 3.85, 4.60, 0.85},
+		{"se", []run{replay("s3d", cluster.ProtoSE, 0.02, nil)}, golden, false, 3.4, 6.39, 0.6},
+		{"home2-cached-bytes", []run{replay("home2", cluster.ProtoCx, 0.04, cached)}, 0, true, 800, 860, 0.93},
+		{"cx-bytes", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, true, 2240, 2240, 1.0},
+		{"se-bytes", []run{replay("s3d", cluster.ProtoSE, 0.02, nil)}, golden, true, 950, 1130, 1.0},
+		{"metarates-gcpipe-bytes", []run{mr(1000), mr(2500)}, 0, true, 620, 913, 0.7},
 	} {
 		// Not parallel: MemStats counts the whole process.
 		t.Run(tc.name, func(t *testing.T) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			res, c := Config{Scale: tc.scale, Servers: 8, Seed: 1}.replay(tc.workload, tc.proto, tc.mutate, 0)
-			runtime.ReadMemStats(&after)
-			c.Shutdown()
-			if tc.workload == "s3d" && res.Ops != 14496 {
-				t.Fatalf("replayed %d ops, want the golden input's 14496", res.Ops)
+			var n, ops [2]float64
+			for i, r := range tc.runs {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				k, c := r()
+				runtime.ReadMemStats(&after)
+				c.Shutdown()
+				if i == 0 && tc.wantOps != 0 && k != tc.wantOps {
+					t.Fatalf("replayed %d ops, want the golden input's %d", k, tc.wantOps)
+				}
+				n[i], ops[i] = float64(after.Mallocs-before.Mallocs), float64(k)
+				if tc.bytes {
+					n[i] = float64(after.TotalAlloc - before.TotalAlloc)
+				}
 			}
-			what, n := "allocations", after.Mallocs-before.Mallocs
-			if tc.bytes {
-				what, n = "bytes", after.TotalAlloc-before.TotalAlloc
+			what := map[bool]string{false: "allocations", true: "bytes"}[tc.bytes]
+			perOp := (n[1] - n[0]) / (ops[1] - ops[0])
+			if len(tc.runs) == 1 {
+				perOp = n[0] / ops[0]
 			}
-			perOp := float64(n) / float64(res.Ops)
-			t.Logf("%s: %.3f %s per op over %d ops", tc.name, perOp, what, res.Ops)
+			t.Logf("%s: %.3f %s per op", tc.name, perOp, what)
 			if perOp > tc.ceiling {
 				t.Errorf("%.3f %s per op, pinned at most %.2f", perOp, what, tc.ceiling)
 			}
 			if limit := tc.share * tc.parent; perOp > limit {
-				t.Errorf("%.3f %s per op, want at most %.2f (%.1f of the parent's %.2f)", perOp, what, limit, tc.share, tc.parent)
+				t.Errorf("%.3f %s per op, want at most %.2f (%.2f of the parent's %.2f)", perOp, what, limit, tc.share, tc.parent)
 			}
 		})
 	}

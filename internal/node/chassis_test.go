@@ -64,6 +64,9 @@ func TestFinishedOpIsReplayedToTheRequester(t *testing.T) {
 		b.Begin(opID(1), 100)
 		b.CacheReply(opID(1), &wire.Msg{Type: wire.MsgSubOpResp, To: 100, Op: opID(1),
 			OK: false, Err: "entry exists", Epoch: 2, Hint: opID(9), Attr: types.Inode{Ino: 7}})
+		if b.Executing(opID(1)) {
+			t.Error("an op with its reply cached still reads as executing")
+		}
 		b.End(opID(1))
 		if b.Begin(opID(1), 101) {
 			t.Error("request for a finished op admitted")

@@ -2,9 +2,10 @@
 // and the baselines differ in their protocol and in nothing else. Base is
 // the server side: the simulated hardware (disk, log, database, namespace
 // shard), the served inbox, crash/reboot plumbing, at-most-once execution for
-// retried requests (once.go: executing marks, and a reply cache of the last
-// replyCap finished operations, kept in a ring that overwrites its oldest
-// reply in place and indexed by ring position), the lease service behind the
+// retried requests (once.go: a reply cache of the last replyCap finished
+// operations, kept in a ring that overwrites its oldest reply in place, and
+// one index that holds each executing operation's mark and each cached
+// operation's ring position, probed once per call), the lease service behind the
 // leased read path (lease.go) and the routes server-to-server replies come
 // back on (routes.go). Host is the client machine: it routes server responses back
 // to the issuing process and owns the one retrying RPC (Call). The client on
@@ -106,11 +107,10 @@ type Base struct {
 	accepted func()
 	handle   func(*simrt.Proc, *transport.Packet)
 
-	executing map[types.OpID]bool // once.go
-	// The reply cache (once.go): the replies in a FIFO ring, and each cached
-	// op's position in it.
+	// At-most-once execution (once.go): the cached replies in a FIFO ring, and
+	// one index of every operation executing or cached here.
 	replies seg.Ring[cachedReply]
-	replyAt map[types.OpID]int32
+	once    map[types.OpID]int32
 	leases  *LeaseTable                        // lease.go
 	routes  map[routeKey]*simrt.Chan[wire.Msg] // routes.go
 
@@ -130,10 +130,9 @@ func NewBase(s *simrt.Sim, net *transport.Net, id types.NodeID, hw HardwareParam
 		HW:    hw,
 		inbox: net.Register(id),
 
-		executing: make(map[types.OpID]bool),
-		replyAt:   make(map[types.OpID]int32),
-		leases:    NewLeaseTable(leaseTableCap),
-		routes:    make(map[routeKey]*simrt.Chan[wire.Msg]),
+		once:   make(map[types.OpID]int32),
+		leases: NewLeaseTable(leaseTableCap),
+		routes: make(map[routeKey]*simrt.Chan[wire.Msg]),
 	}
 	for t := range b.procNames {
 		b.procNames[t] = fmt.Sprintf("server%d/%v", id, wire.MsgType(t))
@@ -259,7 +258,11 @@ func (b *Base) Reboot() {
 // — which requests were executing, who holds which lease — for a protocol
 // whose recovery rebuilds its state from the log. The reply cache stays.
 func (b *Base) ForgetClients() {
-	b.executing = make(map[types.OpID]bool)
+	for op, pos := range b.once {
+		if pos == executing {
+			delete(b.once, op)
+		}
+	}
 	b.leases.Reset()
 }
 

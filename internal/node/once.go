@@ -11,9 +11,19 @@ import (
 // never re-executed. The protocols add only what they alone know (Cx: its
 // op table — pending executions, parked requests, abort marks). The cache is
 // not wiped by Crash; see DESIGN.md §5.
+//
+// One index serves both: it maps an operation to the ring position of its
+// cached reply, or to executing while a request for it is between Begin and
+// End and no reply is cached. A cached reply supersedes the mark: the
+// operation is over, and a request copy still on its way to End changes
+// nothing. Each call below looks the operation up once.
 
 // replyCap bounds the reply cache.
 const replyCap = 8192
+
+// executing is the index's value for an operation being executed, with no
+// reply cached.
+const executing int32 = -1
 
 // cachedReply is a finished operation's response as the cache keeps it: the
 // fields a SUBOP/OP response carries, not the whole message (the cache holds
@@ -34,44 +44,58 @@ type cachedReply struct {
 // or of one still executing, dropped. After true, call End when the
 // execution is over.
 func (b *Base) Begin(op types.OpID, from types.NodeID) bool {
-	if b.ReplayCached(op, from) || b.executing[op] {
-		return false
+	switch pos, ok := b.once[op]; {
+	case !ok:
+		b.once[op] = executing
+		return true
+	case pos != executing:
+		b.replay(pos, op, from)
 	}
-	b.executing[op] = true
-	return true
+	return false
 }
 
 // End clears op's executing mark. Without a CacheReply before it (a crash
 // mid-execution, a parked request), a retry executes again.
-func (b *Base) End(op types.OpID) { delete(b.executing, op) }
+func (b *Base) End(op types.OpID) {
+	if b.once[op] == executing {
+		delete(b.once, op)
+	}
+}
 
-// Executing reports whether a request for op is between Begin and End.
-func (b *Base) Executing(op types.OpID) bool { return b.executing[op] }
+// Executing reports whether a request for op is between Begin and End, with
+// no reply cached yet.
+func (b *Base) Executing(op types.OpID) bool { return b.once[op] == executing }
 
 // CacheReply retains op's final response m for duplicate requests. An op
 // cached again (an abort superseding the recorded response) keeps its place
 // in the eviction order.
 func (b *Base) CacheReply(op types.OpID, m *wire.Msg) {
 	r := cachedReply{op: op, typ: m.Type, ok: m.OK, epoch: m.Epoch, hint: m.Hint, err: m.Err, attr: m.Attr}
-	if pos, ok := b.replyAt[op]; ok {
+	if pos, ok := b.once[op]; ok && pos != executing {
 		*b.replies.At(int(pos)) = r
 		return
 	}
 	pos, oldest, full := b.replies.Push(r, replyCap)
 	if full {
-		delete(b.replyAt, oldest.op)
+		delete(b.once, oldest.op)
 	}
-	b.replyAt[op] = int32(pos)
+	b.once[op] = int32(pos)
 }
 
 // ReplayCached answers a duplicate request for a finished operation from
 // the reply cache, addressed to node to, and reports whether it could.
 func (b *Base) ReplayCached(op types.OpID, to types.NodeID) bool {
-	pos, ok := b.replyAt[op]
-	if ok {
-		r := b.replies.At(int(pos))
-		b.Send(wire.Msg{Type: r.typ, To: to, Op: op, OK: r.ok, Err: r.err,
-			Hint: r.hint, Epoch: r.epoch, Attr: r.attr})
+	pos, ok := b.once[op]
+	if !ok || pos == executing {
+		return false
 	}
-	return ok
+	b.replay(pos, op, to)
+	return true
+}
+
+// replay sends the reply cached at ring position pos, for op, to node to.
+func (b *Base) replay(pos int32, op types.OpID, to types.NodeID) {
+	r := b.replies.At(int(pos))
+	b.Send(wire.Msg{Type: r.typ, To: to, Op: op, OK: r.ok, Err: r.err,
+		Hint: r.hint, Epoch: r.epoch, Attr: r.attr})
 }

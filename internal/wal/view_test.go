@@ -46,6 +46,50 @@ func (m *viewModel) scan() []Record {
 	return out
 }
 
+// handleErrs checks the index entries' slab against the index and the view:
+// each record in the view carries the handle the index holds for its op, or,
+// for a pruned op, a pruned entry's; an entry counts exactly the view records
+// that carry its handle; a released handle is empty, released once, and
+// carried by no record and no index entry.
+func handleErrs(w *WAL) []string {
+	var bad []string
+	free := make(map[int32]bool)
+	for _, h := range w.freeEntries {
+		if free[h] {
+			bad = append(bad, fmt.Sprintf("handle %d released twice", h))
+		}
+		if *w.entries.At(int(h)) != (opEntry{}) {
+			bad = append(bad, fmt.Sprintf("released handle %d holds %+v", h, *w.entries.At(int(h))))
+		}
+		free[h] = true
+	}
+	carried := make(map[int32]uint32)
+	for i := 0; i < w.ordered.Len(); i++ {
+		r := w.ordered.At(i)
+		carried[r.entry]++
+		idx, live := w.index[r.Op]
+		switch {
+		case free[r.entry]:
+			bad = append(bad, fmt.Sprintf("a record of %v carries released handle %d", r.Op, r.entry))
+		case live && idx != r.entry:
+			bad = append(bad, fmt.Sprintf("a record of %v carries handle %d, the index %d", r.Op, r.entry, idx))
+		case !live && !w.entries.At(int(r.entry)).pruned:
+			bad = append(bad, fmt.Sprintf("a record of pruned %v carries live handle %d", r.Op, r.entry))
+		}
+	}
+	for h, n := range carried {
+		if e := w.entries.At(int(h)); e.recs != n {
+			bad = append(bad, fmt.Sprintf("entry %d counts %d records, the view holds %d", h, e.recs, n))
+		}
+	}
+	for op, h := range w.index {
+		if free[h] || w.entries.At(int(h)).pruned {
+			bad = append(bad, fmt.Sprintf("the index files %v under released or pruned handle %d", op, h))
+		}
+	}
+	return bad
+}
+
 // TestRecordViewMatchesModel runs random sequences of appends (one record,
 // or a batch), prunes, crashes (idle, or overtaking an append in flight)
 // followed by a reboot, and recovery scans against viewModel, and compares
@@ -53,7 +97,8 @@ func (m *viewModel) scan() []Record {
 // grow, shrink and regrow the live set across several segments, so records
 // cross segment boundaries in both directions when the view compacts. Half
 // the seeds go through the group-commit window. As the protocols do, an op is
-// never logged again once pruned.
+// never logged again once pruned. Every 25 steps handleErrs checks the index
+// entries' handles, which compaction releases and new ops reuse across it all.
 func TestRecordViewMatchesModel(t *testing.T) {
 	seeds := int64(6)
 	if testing.Short() {
@@ -99,6 +144,12 @@ func TestRecordViewMatchesModel(t *testing.T) {
 					t.Errorf("seed %d step %d: LiveBytes=%d, model %d", seed, step, got, want)
 					return false
 				}
+				if step%25 == 0 {
+					if bad := handleErrs(w); len(bad) > 0 {
+						t.Errorf("seed %d step %d: %v", seed, step, bad)
+						return false
+					}
+				}
 				return true
 			}
 			const steps = 6000
@@ -138,6 +189,12 @@ func TestRecordViewMatchesModel(t *testing.T) {
 			}
 			if got, want := w.RecoverScan(p), m.scan(); !reflect.DeepEqual(got, want) {
 				t.Errorf("seed %d: final RecoverScan differs from the model (%d vs %d records)", seed, len(got), len(want))
+			}
+			if bad := handleErrs(w); len(bad) > 0 {
+				t.Errorf("seed %d: %v", seed, bad)
+			}
+			if n := w.entries.Len(); uint64(n) >= next {
+				t.Errorf("seed %d: %d entries made for %d ops: no handle was reused", seed, n, next)
 			}
 		})
 		if scans == 0 {
@@ -179,9 +236,9 @@ func TestRecordViewAllocationStaysBounded(t *testing.T) {
 		}
 	})
 	index := measureChurn(peakOps, func(*simrt.Sim) func(*simrt.Proc, uint64) {
-		m := make(map[types.OpID]opEntry)
+		m := make(map[types.OpID]int32)
 		return func(_ *simrt.Proc, seq uint64) {
-			m[opID(seq)] = opEntry{bytes: 1, types: 1, recs: 1}
+			m[opID(seq)] = int32(seq)
 			if seq > peakOps {
 				delete(m, opID(seq-peakOps))
 			}

@@ -31,7 +31,11 @@
 // append order. Those live in fixed-size segments (internal/seg) that a prune
 // compacts in place once pruned operations' records exceed a quarter of the
 // live ones, and that later appends refill: the view is bounded by the live
-// records, and a log churning at a steady size allocates no records.
+// records, and a log churning at a steady size allocates no records. The
+// index entries live in a segmented slab too, and each record in the view
+// carries its entry's slab handle: an append looks its operation up once, and
+// compaction tells a pruned operation's records by that handle, without a
+// lookup. A handle is reused once compaction has dropped its last record.
 package wal
 
 import (
@@ -98,12 +102,23 @@ func (r Record) String() string {
 	return fmt.Sprintf("%s %s %s ok=%v", r.Type, r.Op, r.Role, r.OK)
 }
 
-// opEntry is the per-operation index entry, held by value in the index: an
-// op with no entry reads as the zero entry, and a new op costs no allocation.
+// opEntry is the per-operation index entry. Entries live by value in a slab
+// (WAL.entries) and are named by their position there, a handle: the index
+// maps an operation to its entry's handle, and every record in the view
+// carries its entry's. A pruned entry leaves the index at once but stays in
+// the slab, marked, until compaction has dropped its last record from the
+// view; only then does its handle go on the free list for a later operation.
 type opEntry struct {
-	bytes int64  // live bytes this op holds in the log
-	types uint8  // bitmask of record types present
-	recs  uint32 // records this op holds in the log
+	bytes  int64  // live bytes this op holds in the log
+	recs   uint32 // records this op holds in the view
+	types  uint8  // bitmask of record types present
+	pruned bool
+}
+
+// viewRec is a record in the view, with its operation's entry handle.
+type viewRec struct {
+	Record
+	entry int32
 }
 
 func bit(t RecType) uint8 { return 1 << uint(t) }
@@ -167,15 +182,19 @@ type WAL struct {
 	base int64 // disk offset of the log region
 	max  int64 // upper limit on live bytes (0 = unlimited)
 
-	head  int64 // next append offset relative to base
-	live  int64 // bytes of un-pruned records
-	index map[types.OpID]opEntry
+	head int64 // next append offset relative to base
+	live int64 // bytes of un-pruned records
+	// index maps each live op to its entry's handle in entries; freeEntries
+	// holds the handles compaction has released.
+	index       map[types.OpID]int32
+	entries     seg.Seq[opEntry]
+	freeEntries []int32
 	// ordered is the durable records in append order, for RecoverScan: the
 	// live ones, and a pruned op's until the next compaction. liveRecs
 	// counts the live ones; Prune compacts once the rest exceed a quarter of
 	// them, so the view holds at most 1.25 times the live records plus one
 	// segment, and it reuses the segments compaction empties.
-	ordered  seg.Seq[Record]
+	ordered  seg.Seq[viewRec]
 	liveRecs int
 
 	waiters     []fullWaiter
@@ -200,7 +219,7 @@ type WAL struct {
 // New creates a WAL writing sequentially at disk offset base. maxBytes
 // limits live (un-pruned) record bytes; 0 means unlimited.
 func New(s *simrt.Sim, d *disk.Disk, base, maxBytes int64) *WAL {
-	return &WAL{sim: s, dsk: d, base: base, max: maxBytes, index: make(map[types.OpID]opEntry),
+	return &WAL{sim: s, dsk: d, base: base, max: maxBytes, index: make(map[types.OpID]int32),
 		win: &window{done: simrt.NewGroup(s)}, spare: &window{done: simrt.NewGroup(s)}}
 }
 
@@ -237,12 +256,16 @@ func (w *WAL) LiveBytes() int64 { return w.live }
 
 // OpBytes returns the live bytes attributed to one operation.
 func (w *WAL) OpBytes(op types.OpID) int64 {
-	return w.index[op].bytes
+	if h, ok := w.index[op]; ok {
+		return w.entries.At(int(h)).bytes
+	}
+	return 0
 }
 
 // Has reports whether the log holds a record of type t for op.
 func (w *WAL) Has(op types.OpID, t RecType) bool {
-	return w.index[op].types&bit(t) != 0
+	h, ok := w.index[op]
+	return ok && w.entries.At(int(h)).types&bit(t) != 0
 }
 
 // Append synchronously writes one record, blocking until durable. If the
@@ -378,14 +401,30 @@ func (w *WAL) AwaitSpace(p *simrt.Proc) { w.waitForSpace(p, 1) }
 
 // admit updates the index for a durable record.
 func (w *WAL) admit(rec Record, size int64) {
-	e := w.index[rec.Op]
+	h, ok := w.index[rec.Op]
+	if !ok {
+		h = w.newEntry()
+		w.index[rec.Op] = h
+	}
+	e := w.entries.At(int(h))
 	e.bytes += size
 	e.types |= bit(rec.Type)
 	e.recs++
-	w.index[rec.Op] = e
 	w.live += size
 	w.liveRecs++
-	w.ordered.Append(rec)
+	w.ordered.Append(viewRec{rec, h})
+}
+
+// newEntry returns the handle of an empty entry, reusing a released one when
+// there is one.
+func (w *WAL) newEntry() int32 {
+	if k := len(w.freeEntries); k > 0 {
+		h := w.freeEntries[k-1]
+		w.freeEntries = w.freeEntries[:k-1]
+		return h
+	}
+	w.entries.Append(opEntry{})
+	return int32(w.entries.Len() - 1)
 }
 
 // Prune removes all records of op from the log, freeing space and waking
@@ -393,13 +432,15 @@ func (w *WAL) admit(rec Record, size int64) {
 // whose terminal record (Complete on the coordinator, Commit/Abort on the
 // participant) is durable; that discipline lives in the protocol layer.
 func (w *WAL) Prune(op types.OpID) {
-	e, ok := w.index[op]
+	h, ok := w.index[op]
 	if !ok {
 		return
 	}
+	delete(w.index, op)
+	e := w.entries.At(int(h))
+	e.pruned = true
 	w.live -= e.bytes
 	w.liveRecs -= int(e.recs)
-	delete(w.index, op)
 	w.stats.Pruned++
 	if w.pruneHook != nil {
 		w.pruneHook(op, e.bytes)
@@ -410,11 +451,20 @@ func (w *WAL) Prune(op types.OpID) {
 	w.wakeWaiters()
 }
 
-// compact drops the records of pruned ops from the ordered view, in place.
+// compact drops the records of pruned ops from the ordered view, in place,
+// reading each record's entry through its handle. An entry whose last record
+// it drops is released.
 func (w *WAL) compact() {
-	w.ordered.Compact(func(r *Record) bool {
-		_, ok := w.index[r.Op]
-		return ok
+	w.ordered.Compact(func(r *viewRec) bool {
+		e := w.entries.At(int(r.entry))
+		if !e.pruned {
+			return true
+		}
+		if e.recs--; e.recs == 0 {
+			*e = opEntry{}
+			w.freeEntries = append(w.freeEntries, r.entry)
+		}
+		return false
 	})
 }
 
@@ -469,7 +519,7 @@ func (w *WAL) RecoverScan(p *simrt.Proc) []Record {
 	out := make([]Record, w.ordered.Len())
 	var liveBytes int64
 	for i := range out {
-		out[i] = *w.ordered.At(i)
+		out[i] = w.ordered.At(i).Record
 		liveBytes += encodedSize(&out[i])
 	}
 	if liveBytes > 0 {
