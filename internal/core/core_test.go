@@ -245,6 +245,15 @@ func TestConcurrentContendersOnOneObjectSerialize(t *testing.T) {
 	if bad := c.CheckInvariants(); len(bad) != 0 {
 		t.Errorf("invariants: %v", bad)
 	}
+	// The contenders serialized through the conflict machinery, not by luck
+	// of arrival times.
+	var conflicts uint64
+	for _, srv := range c.CxSrv {
+		conflicts += srv.Stats().Conflicts
+	}
+	if conflicts == 0 {
+		t.Error("no contender conflicted")
+	}
 }
 
 // --- Client failure -------------------------------------------------------
