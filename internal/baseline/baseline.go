@@ -33,6 +33,7 @@ package baseline
 import (
 	"sort"
 
+	"cxfs/internal/kvstore"
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
 	"cxfs/internal/simrt"
@@ -58,7 +59,7 @@ func serveSingle(p *simrt.Proc, b *node.Base, m *wire.Msg) {
 		reply.Err = res.Err.Error()
 	}
 	if res.OK && mutating {
-		b.KV.SyncKeys(p, res.Rows)
+		b.KV.SyncRows(p, res.Rows)
 	}
 	if b.Crashed() {
 		return
@@ -92,7 +93,7 @@ func servedAside(b *node.Base, m *wire.Msg) bool {
 // running the sub-op locally, holds them itself).
 type pendingExec struct {
 	undo namespace.Undo
-	rows []string
+	rows []kvstore.Ref
 	keys []types.ObjKey
 }
 

@@ -3,6 +3,7 @@ package baseline
 import (
 	"time"
 
+	"cxfs/internal/kvstore"
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
 	"cxfs/internal/simrt"
@@ -117,7 +118,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 			return
 		}
 		// The coordinator's own rows persist synchronously.
-		s.KV.SyncKeys(p, resC.Rows)
+		s.KV.SyncRows(p, resC.Rows)
 		if s.Crashed() {
 			return
 		}
@@ -189,16 +190,17 @@ func (s *CEServer) copyRows(keys []string) []types.RowImage {
 // reinstallRows takes the updated rows back, persists them synchronously,
 // and unlocks.
 func (s *CEServer) reinstallRows(p *simrt.Proc, m *wire.Msg) {
-	var dirty []string
+	dirty := make([]kvstore.Ref, 0, len(m.Rows))
 	for _, r := range m.Rows {
+		row := s.KV.Find(r.Key)
 		if r.Val == nil {
-			s.KV.Delete(r.Key)
+			row = s.KV.DeleteAt(row, r.Key)
 		} else {
-			s.KV.Put(r.Key, r.Val)
+			row, _ = s.KV.PutAt(row, r.Key, r.Val)
 		}
-		dirty = append(dirty, r.Key)
+		dirty = append(dirty, kvstore.Ref{Key: s.KV.Key(row), Row: row})
 	}
-	s.KV.SyncKeys(p, dirty)
+	s.KV.SyncRows(p, dirty)
 	if s.Crashed() {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"cxfs/internal/kvstore"
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
 	"cxfs/internal/seg"
@@ -40,7 +41,7 @@ type SEServer struct {
 
 type localFlush struct {
 	id   types.OpID
-	rows []string
+	rows []kvstore.Ref
 }
 
 const seUndoCap = 4096
@@ -91,11 +92,11 @@ func (s *SEServer) flushLocal(p *simrt.Proc) {
 	}
 	ops := s.localOps
 	s.localOps = nil
-	var rows []string
+	var rows []kvstore.Ref
 	for _, lo := range ops {
 		rows = append(rows, lo.rows...)
 	}
-	s.KV.FlushKeys(p, rows)
+	s.KV.FlushRows(p, rows)
 	if s.Crashed() {
 		return
 	}
@@ -142,7 +143,7 @@ func (s *SEServer) maybeRevoke(sub types.SubOp) {
 // log record and defers the database write to the flush daemon.
 func (s *SEServer) persist(p *simrt.Proc, id types.OpID, sub types.SubOp, res namespace.Result) {
 	if !s.batched {
-		s.KV.SyncKeys(p, res.Rows)
+		s.KV.SyncRows(p, res.Rows)
 		return
 	}
 	s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: id, Role: sub.Role,
@@ -199,7 +200,7 @@ func (s *SEServer) handleClear(p *simrt.Proc, m *wire.Msg) {
 		delete(s.pendingUndo, m.Op)
 		s.Shard.ApplyUndo(e.undo)
 		if !s.batched {
-			s.KV.SyncKeys(p, e.rows)
+			s.KV.SyncRows(p, e.rows)
 		} else {
 			s.localOps = append(s.localOps, localFlush{id: m.Op, rows: e.rows})
 		}

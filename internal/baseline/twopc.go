@@ -142,7 +142,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		if !commit {
 			s.Shard.ApplyUndo(resC.Undo)
 		}
-		s.KV.SyncKeys(p, resC.Rows)
+		s.KV.SyncRows(p, resC.Rows)
 	}
 	s.WAL.Append(p, wal.Record{Type: wal.RecComplete, Op: op.ID, Role: types.RoleCoordinator})
 	if s.Crashed() {
@@ -219,7 +219,7 @@ func (s *TwoPCServer) applyDecision(p *simrt.Proc, id types.OpID, commit bool) {
 		decType = wal.RecAbort
 		s.Shard.ApplyUndo(pe.undo)
 	}
-	s.KV.SyncKeys(p, pe.rows)
+	s.KV.SyncRows(p, pe.rows)
 	if s.Crashed() {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"cxfs/internal/kvstore"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
@@ -228,7 +229,7 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 	rows := s.flushRows[:0]
 	ready := ops[:0]
 	for _, fe := range ops {
-		if len(s.unlogged) > 0 && slices.ContainsFunc(fe.rows, func(r string) bool { return s.unlogged[r] > 0 }) {
+		if s.pinned(fe.rows) {
 			s.flushQ = append(s.flushQ, fe)
 			continue
 		}
@@ -236,7 +237,7 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 		rows = append(rows, fe.rows...)
 	}
 	s.flushRows = rows
-	if s.step(StepWriteBackBefore, types.NilOp, 0, nil) || !s.KV.FlushKeys(p, rows) ||
+	if s.step(StepWriteBackBefore, types.NilOp, 0, nil) || !s.KV.FlushRows(p, rows) ||
 		s.Gone(boot) || s.step(StepWriteBackSettled, types.NilOp, 0, nil) {
 		return
 	}
@@ -247,6 +248,17 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 	clear(ops)
 	s.flushSpare = ops[:0]
 	s.step(StepWriteBackAfterPrune, types.NilOp, 0, nil)
+}
+
+// pinned reports whether an execution whose Result-Record is not durable yet
+// has written any of rows (logResults).
+func (s *Server) pinned(rows []kvstore.Ref) bool {
+	for _, row := range rows {
+		if s.KV.Pinned(row) {
+			return true
+		}
+	}
+	return false
 }
 
 // groupCommit runs the commitment phase (§III.B steps 3-7) for a batch of
@@ -425,7 +437,7 @@ func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce 
 					return false
 				}
 				s.unpark(br)
-				s.execParked(p, br, st, types.NilOp)
+				s.execParked(p, br, st, types.NilOp, kvstore.Probe{})
 				if s.Gone(boot) {
 					return false
 				}

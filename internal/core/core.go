@@ -54,6 +54,7 @@ package core
 import (
 	"time"
 
+	"cxfs/internal/kvstore"
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
 	"cxfs/internal/obs"
@@ -141,7 +142,7 @@ type Stats struct {
 // individual log writes, never an individual database flush.
 type flushEntry struct {
 	id   types.OpID
-	rows []string
+	rows []kvstore.Ref
 }
 
 // kickReq asks the commit daemon to run. The daemon merges every request
@@ -178,18 +179,16 @@ type Server struct {
 	// flushRows is the write-back's row list. Only the commit daemon drains,
 	// so one of each serves every batch.
 	flushQ, flushSpare []flushEntry
-	flushRows          []string
+	flushRows          []kvstore.Ref
 	// recBufs are record batches' buffers, free for the next batch; each
 	// commit-group proc and COMMIT-REQ handler takes one of its own.
 	recBufs [][]wal.Record
-	// unlogged counts, per row, the executions that have written the row's
-	// volatile image but whose Result-Record is not durable yet. Write-back
-	// leaves such rows (and the log records of every operation waiting on
-	// them) for the next batch: a page must never land ahead of the record
-	// that can undo it.
-	unlogged map[string]int
 
-	active map[types.ObjKey]types.OpID // executed-pending op holding each object
+	// What this server knows per object is kept on the object's row in the
+	// store, not here: the executed-pending operation holding it active is
+	// the row's lock (hold, releaseKeys), and an execution that has written
+	// it but whose Result-Record is not durable yet is a pin on it
+	// (logResults), which write-back reads (drainFlushQ).
 
 	kick *simrt.Chan[kickReq]
 	// lazyQueued is set while a lazy kick sits in the queue the daemon has
@@ -215,13 +214,11 @@ func NewServer(base *node.Base, pl namespace.Placement, cfg Config) *Server {
 		cfg.RetryInterval = def.RetryInterval
 	}
 	return &Server{
-		Base:     base,
-		cfg:      cfg,
-		pl:       pl,
-		ops:      make(map[types.OpID]*opState),
-		active:   make(map[types.ObjKey]types.OpID),
-		unlogged: make(map[string]int),
-		kick:     simrt.NewChan[kickReq](base.Sim),
+		Base: base,
+		cfg:  cfg,
+		pl:   pl,
+		ops:  make(map[types.OpID]*opState),
+		kick: simrt.NewChan[kickReq](base.Sim),
 	}
 }
 
@@ -242,7 +239,7 @@ func (s *Server) ValidBytes() int64 { return s.WAL.LiveBytes() }
 
 // ActiveObjects returns how many objects are currently active (held by
 // executed-but-uncommitted operations); zero after quiescence.
-func (s *Server) ActiveObjects() int { return len(s.active) }
+func (s *Server) ActiveObjects() int { return s.KV.Locked() }
 
 // nudgeStaleParts sends C-NOTIFY to the coordinator of every
 // not-yet-committing participant execution older than age.

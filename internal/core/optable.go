@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"cxfs/internal/kvstore"
 	"cxfs/internal/namespace"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
@@ -53,7 +54,7 @@ func (ph phase) String() string { return [...]string{"none", "pending", "committ
 type execution struct {
 	sub  types.SubOp
 	undo namespace.Undo
-	rows []string
+	rows []kvstore.Ref // the object's row first: its lock is the object's activity
 
 	// The recorded response, for duplicate suppression; a recovery-rebuilt
 	// execution has none (replied is false).
@@ -447,7 +448,7 @@ func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID
 	st.phase = phaseNone
 	s.stats.Invalidations++
 	s.Shard.ApplyUndo(e.undo)
-	s.releaseKeys(e.sub, victim)
+	s.releaseKeys(e.rows, victim)
 	if s.step(StepInvalidateAfterUndo, victim, 0, func() string { return e.sub.Kind.String() }) {
 		return false
 	}
@@ -537,7 +538,7 @@ func (s *Server) finish(st *opState, reply wire.Msg) {
 	}
 	st.phase = phaseNone
 	s.CacheReply(st.id(), &reply)
-	s.completeOp(st, st.sub, st.rows)
+	s.completeOp(st, st.rows)
 }
 
 // completeOp is the end of one execution on this server: the object becomes
@@ -545,8 +546,8 @@ func (s *Server) finish(st *opState, reply wire.Msg) {
 // flush queue (database write-back is deferred: the records are durable, the
 // pages drain with the next lazy batch and the log records prune only after
 // that flush), and whoever waits on the operation moves on.
-func (s *Server) completeOp(st *opState, sub types.SubOp, rows []string) {
-	s.releaseKeys(sub, st.id())
+func (s *Server) completeOp(st *opState, rows []kvstore.Ref) {
+	s.releaseKeys(rows, st.id())
 	s.flushQ = append(s.flushQ, flushEntry{id: st.id(), rows: rows})
 	s.release(st)
 }
@@ -601,11 +602,11 @@ func (s *Server) CheckState() []string {
 	var bad []string
 	fail := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
 	live := func(op types.OpID) bool { return s.pending(op) != nil || s.Executing(op) }
-	for key, holder := range s.active {
+	s.KV.Locks(func(row string, holder types.OpID) {
 		if !live(holder) {
-			fail("active object %v is held by %v, neither pending nor executing (%s)", key, holder, s.DebugOp(holder))
+			fail("active object %s is held by %v, neither pending nor executing (%s)", row, holder, s.DebugOp(holder))
 		}
-	}
+	})
 	free := make(map[*opState]bool, len(s.free))
 	for _, st := range s.free {
 		switch {

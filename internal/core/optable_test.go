@@ -37,11 +37,11 @@ func (r *rig) ended(t *testing.T, p *simrt.Proc, what string, srv *Server, op ty
 	if got := srv.DebugOp(op); got != want {
 		t.Errorf("%s: server %d says %q of %v, want %q", what, srv.ID, got, op, want)
 	}
-	for key, holder := range srv.active {
+	srv.KV.Locks(func(row string, holder types.OpID) {
 		if holder == op {
-			t.Errorf("%s: server %d still holds %v active", what, srv.ID, key)
+			t.Errorf("%s: server %d still holds %s active", what, srv.ID, row)
 		}
-	}
+	})
 	if retry.Type != 0 {
 		var answers []wire.Msg
 		r.net.SetTap(func(m wire.Msg) {

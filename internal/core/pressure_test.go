@@ -262,7 +262,8 @@ func TestWriteBackDefersRowsWithUnloggedWrites(t *testing.T) {
 		}
 		row := namespace.RowKey(types.ObjKey{Kind: types.ObjDentry, Dir: op.Parent, Name: op.Name})
 		// A same-process follower has rewritten the dentry and is mid-append.
-		s.unlogged[row]++
+		pin := s.KV.Find(row)
+		s.KV.Pin(pin)
 		s.KickCommit()
 		await(p, func() bool { return s.coordPending == 0 && s.stats.LazyBatches > 0 })
 		p.Sleep(100 * time.Millisecond)
@@ -274,7 +275,7 @@ func TestWriteBackDefersRowsWithUnloggedWrites(t *testing.T) {
 		if _, ok := s.KV.DurableSnapshot()[row]; ok {
 			t.Error("page landed ahead of the Result-Record of the execution that wrote it")
 		}
-		delete(s.unlogged, row)
+		s.KV.Unpin(pin)
 		s.KickCommit()
 		await(p, func() bool { return len(s.flushQ) == 0 })
 		p.Sleep(100 * time.Millisecond)

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"cxfs/internal/kvstore"
 	"cxfs/internal/namespace"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
@@ -47,8 +48,6 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	// Discard volatile protocol state from before the crash: the rebuilt
 	// truth comes from the log.
 	s.wipe()
-	s.active = make(map[types.ObjKey]types.OpID)
-	s.unlogged = make(map[string]int)
 	s.flushQ = nil
 	// So are its executing marks and the leases it granted: the lease table
 	// starts empty, and this incarnation's grants carry a higher lease
@@ -173,13 +172,13 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 		// the execution itself would have left: the record's before-image,
 		// the parent compensation its action implies.
 		e := execution{sub: last.Sub, ok: last.OK, peer: s.peerOf(last), epoch: 1}
-		if last.OK {
+		if last.OK && len(last.After) > 0 {
 			s.Shard.InstallImages(last.After)
 			e.undo = namespace.UndoOf(last.Sub, last.Before)
 			for _, img := range last.After {
-				e.rows = append(e.rows, img.Key)
+				e.rows = append(e.rows, kvstore.Ref{Key: img.Key, Row: s.KV.Find(img.Key)})
 			}
-			s.hold(last.Sub)
+			s.hold(last.Sub, e.rows[0].Row)
 		}
 		if last.Role == types.RoleCoordinator {
 			undecidedCoord = append(undecidedCoord, id)

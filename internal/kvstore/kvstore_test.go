@@ -12,6 +12,7 @@ import (
 
 	"cxfs/internal/disk"
 	"cxfs/internal/simrt"
+	"cxfs/internal/types"
 )
 
 // withStore runs fn in a simulation with one store and returns the virtual
@@ -66,7 +67,7 @@ func TestSyncWriteAdvancesDurableImage(t *testing.T) {
 		if d := st.DurableSnapshot(); len(d) != 0 {
 			t.Error("durable image advanced before any write")
 		}
-		st.SyncKeys(p, []string{"k"})
+		syncKeys(st, p, []string{"k"})
 		d := st.DurableSnapshot()
 		if string(d["k"]) != "v" {
 			t.Errorf("durable image = %v", d)
@@ -80,7 +81,7 @@ func TestSyncWriteAdvancesDurableImage(t *testing.T) {
 func TestCrashRevertsToDurable(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
 		st.Put("stable", []byte("s"))
-		st.SyncKeys(p, []string{"stable"})
+		syncKeys(st, p, []string{"stable"})
 		st.Put("volatile", []byte("v"))
 		st.Crash()
 		st.Recover()
@@ -96,7 +97,7 @@ func TestCrashRevertsToDurable(t *testing.T) {
 func TestCrashRevertsDeletes(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
 		st.Put("k", []byte("v"))
-		st.SyncKeys(p, []string{"k"})
+		syncKeys(st, p, []string{"k"})
 		st.Delete("k") // not flushed
 		st.Crash()
 		st.Recover()
@@ -142,7 +143,7 @@ func TestBatchedFlushFasterThanSyncWrites(t *testing.T) {
 	sync := withStore(t, func(p *simrt.Proc, st *Store) {
 		for _, k := range keys {
 			st.Put(k, []byte("x"))
-			st.SyncKeys(p, []string{k})
+			syncKeys(st, p, []string{k})
 		}
 	})
 	// Sequential slot allocation means even sync writes are sequential here;
@@ -166,15 +167,32 @@ func putRows(st *Store, prefix string, n int) []string {
 
 const rowsPerPage = PageSize / (8 + 8 + rowOverhead)
 
+// syncKeys journals the rows of keys: SyncRows by key.
+func syncKeys(st *Store, p *simrt.Proc, keys []string) {
+	rows := make([]Ref, len(keys))
+	for i, k := range keys {
+		rows[i] = Ref{Key: k, Row: NoRow}
+	}
+	st.SyncRows(p, rows)
+}
+
+// rec returns a copy of key's record (the zero record if the store holds none).
+func (st *Store) rec(key string) record {
+	if h := st.Find(key); h != NoRow {
+		return *st.at(h)
+	}
+	return record{}
+}
+
 func TestRowsPackIntoLeafPagesByFootprint(t *testing.T) {
 	withDisk(t, func(p *simrt.Proc, st *Store, d *disk.Disk) {
 		const n = 1000
 		keys := putRows(st, "k", n)
 		wantPages := (n*(8+8+rowOverhead) + PageSize - 1) / PageSize
-		if got := st.rows[keys[n-1]].page + 1; got != int64(wantPages) {
+		if got := st.rec(keys[n-1]).page + 1; got != int64(wantPages) {
 			t.Errorf("%d rows of 32 bytes occupy %d pages, want %d", n, got, wantPages)
 		}
-		if st.rows[keys[rowsPerPage-1]].page != 0 || st.rows[keys[rowsPerPage]].page != 1 {
+		if st.rec(keys[rowsPerPage-1]).page != 0 || st.rec(keys[rowsPerPage]).page != 1 {
 			t.Error("a page holds exactly the rows that fit in it, in first-write order")
 		}
 		// All of them dirty: one request covering the run of pages, and the
@@ -232,7 +250,7 @@ func TestFlushAbsorbsRowsAtTheirDurableState(t *testing.T) {
 		if ks := st.Stats(); ks.Absorbed != 2 || ks.FlushRows != 1 || st.DirtyCount() != 0 {
 			t.Errorf("stats %+v dirty=%d, want 2 rows absorbed and 1 written", ks, st.DirtyCount())
 		}
-		if _, placed := st.rows["short-lived"]; placed {
+		if st.Find("short-lived") != NoRow {
 			t.Error("a row that never became durable kept its placement")
 		}
 	})
@@ -274,34 +292,34 @@ func TestPlacementDroppedOnceDeletionSettles(t *testing.T) {
 			st.Delete(k)
 			st.FlushKeys(p, []string{k})
 		}
-		if len(st.rows) != 1 {
-			t.Errorf("%d placements after 1e5 create/remove cycles, want the 1 live row", len(st.rows))
+		if len(st.index) != 1 {
+			t.Errorf("%d placements after 1e5 create/remove cycles, want the 1 live row", len(st.index))
 		}
 		// The synchronous path owes a page write until the checkpoint.
 		for i := 0; i < 100; i++ {
 			k := fmt.Sprintf("s%06d", i)
 			st.Put(k, []byte("inode"))
-			st.SyncKeys(p, []string{k})
+			syncKeys(st, p, []string{k})
 			st.Delete(k)
-			st.SyncKeys(p, []string{k})
+			syncKeys(st, p, []string{k})
 		}
-		if len(st.rows) != 101 {
-			t.Errorf("%d placements before the checkpoint, want 101", len(st.rows))
+		if len(st.index) != 101 {
+			t.Errorf("%d placements before the checkpoint, want 101", len(st.index))
 		}
 		st.Checkpoint(p)
-		if len(st.rows) != 1 {
-			t.Errorf("%d placements after the checkpoint, want 1", len(st.rows))
+		if len(st.index) != 1 {
+			t.Errorf("%d placements after the checkpoint, want 1", len(st.index))
 		}
 		// A name created again joins the open page; a crash takes the
 		// placement of a row that never became durable with it.
 		st.Put("f000000", []byte("inode"))
-		if st.rows["f000000"].page != st.next {
+		if st.rec("f000000").page != st.next {
 			t.Error("re-created row was not placed in the open page")
 		}
 		st.Crash()
 		st.Recover()
-		if _, _, live := st.Get("parent"); !live || len(st.rows) != 1 {
-			t.Errorf("%d placements after a crash, want the 1 durable row", len(st.rows))
+		if _, _, live := st.Get("parent"); !live || len(st.index) != 1 {
+			t.Errorf("%d placements after a crash, want the 1 durable row", len(st.index))
 		}
 	})
 }
@@ -339,7 +357,7 @@ func TestCheckpointAndFlushWriteTheSamePages(t *testing.T) {
 	}
 	flush := measure(func(p *simrt.Proc, st *Store, keys []string) { st.FlushKeys(p, keys) })
 	ckpt := measure(func(p *simrt.Proc, st *Store, keys []string) {
-		st.SyncKeys(p, keys)
+		syncKeys(st, p, keys)
 		st.Checkpoint(p)
 	})
 	ckpt.requests, ckpt.passes, ckpt.bytes = ckpt.requests-1, ckpt.passes-1, ckpt.bytes-18*JournalRecBytes // the journal append
@@ -347,7 +365,7 @@ func TestCheckpointAndFlushWriteTheSamePages(t *testing.T) {
 		t.Errorf("flush cost %+v, want %+v", flush, want)
 	}
 	if flush != ckpt {
-		t.Errorf("FlushKeys cost %+v, SyncKeys+Checkpoint cost %+v for the same rows", flush, ckpt)
+		t.Errorf("FlushKeys cost %+v, SyncRows+Checkpoint cost %+v for the same rows", flush, ckpt)
 	}
 }
 
@@ -372,11 +390,11 @@ func TestFlushKeysSubset(t *testing.T) {
 func TestSlotAllocationStableAcrossRewrites(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
 		st.Put("k", []byte("1"))
-		first := st.rows["k"].page
+		first := st.rec("k").page
 		st.Put("k", []byte("2"))
 		st.Delete("k")
 		st.Put("k", []byte("3"))
-		if st.rows["k"].page != first {
+		if st.rec("k").page != first {
 			t.Error("key changed page slot across rewrites")
 		}
 	})
@@ -397,24 +415,36 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 // random sequence of every operation that moves a row between the images,
 // run against a reference that keeps the two images, the dirty and
 // checkpoint-owed sets and the placements as the separate maps the store used
-// to be. After every step the store must answer exactly as the reference
-// does, place every row where the reference does, and hold a record only for
-// a row that something still needs.
+// to be, keyed by string. After every step the store must answer exactly as
+// the reference does, place every row where the reference does, and hold a
+// record only for a row that something still needs.
+//
+// Half the writes and write-backs go through handles: a write through the
+// handle Find returns, a write-back through the handles the interpreter
+// remembers from earlier Finds, which the drops and re-filings in between
+// leave stale at random. Locks and pins come and go on held rows, so records
+// are kept past their row and their slots reused late; a write-back through a
+// stale handle must still write exactly the key's own row, and a lock only
+// its holder releases.
 func TestQuickVolatileSemantics(t *testing.T) {
 	type step struct {
 		Op   uint8
 		Key  uint8
 		Val  uint8
-		Mask uint16 // the keys a FlushKeys / SyncKeys step names; bit 8: each of them twice
+		Mask uint16 // the keys a FlushKeys / SyncRows step names; bit 8: each of them twice
 	}
 	const nkeys = 8
 	keyOf := func(i int) string { return fmt.Sprintf("k%d", i) }
+	stale := 0 // write-backs through a handle whose record has gone, its slot perhaps another key's
 	f := func(steps []step) bool {
 		ok := true
 		withStore(t, func(p *simrt.Proc, st *Store) {
 			mem, dur, dirty := map[string][]byte{}, map[string][]byte{}, map[string]bool{}
 			owed := map[string]bool{} // journaled rows the next checkpoint writes in place
 			slots, next, fill := map[string]int64{}, int64(0), 0
+			handles := map[string]Row{}                           // the last handle Find gave for each key, perhaps stale
+			locked, pinned := map[string]bool{}, map[string]int{} // held by lockOp; pins taken
+			lockOp, other := types.OpID{Seq: 1}, types.OpID{Seq: 2}
 			place := func(k string, valLen int) { // first write of a row the table does not hold
 				if _, placed := slots[k]; placed {
 					return
@@ -459,13 +489,27 @@ func TestQuickVolatileSemantics(t *testing.T) {
 						delete(slots, k)
 					}
 				}
-				if len(st.rows) != len(slots) || st.next != next || st.fill != fill {
-					t.Errorf("%s: %d records, open page %d filled to %d; want %d, %d, %d",
-						when, len(st.rows), st.next, st.fill, len(slots), next, fill)
+				records := len(slots) // and a record is kept while locked or pinned
+				for k := range st.index {
+					if _, placed := slots[k]; !placed && (locked[k] || pinned[k] > 0) {
+						records++
+					}
 				}
-				for k, r := range st.rows {
-					if page, placed := slots[k]; !placed || r.page != page {
-						t.Errorf("%s: record of %s on page %d, want %d (needed: %v)", when, k, r.page, page, placed)
+				if len(st.index) != records || st.next != next || st.fill != fill {
+					t.Errorf("%s: %d records, open page %d filled to %d; want %d, %d, %d",
+						when, len(st.index), st.next, st.fill, records, next, fill)
+				}
+				if st.Locked() != len(locked) {
+					t.Errorf("%s: %d rows locked, want %d", when, st.Locked(), len(locked))
+				}
+				for k, h := range st.index {
+					r := st.at(h)
+					if holder, isLocked := st.Holder(h); isLocked != locked[k] || isLocked && holder != lockOp || (r.pins > 0) != (pinned[k] > 0) {
+						t.Errorf("%s: record of %s locked by %v (%v), %d pins; want locked %v, %d pins", when, k, holder, isLocked, r.pins, locked[k], pinned[k])
+					}
+					page, placed := slots[k]
+					if placed != r.holds() || placed && r.page != page {
+						t.Errorf("%s: record of %s on page %d (holds its row: %v), want %d (placed: %v)", when, k, r.page, r.holds(), page, placed)
 					}
 					if r.live != (r.val != nil) || r.durable != (r.dur != nil) || r.dirty != dirty[k] || r.owed != owed[k] {
 						t.Errorf("%s: record of %s is %+v; want dirty=%v owed=%v and flags that agree with the values",
@@ -488,19 +532,40 @@ func TestQuickVolatileSemantics(t *testing.T) {
 					named = append(named, named...)
 				}
 				// Half the steps write a row, a quarter write back or journal.
-				switch [12]int{0, 0, 0, 0, 1, 1, 2, 2, 3, 4, 5, 6}[sp.Op%12] {
+				switch [16]int{0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 4, 5, 6, 7, 8}[sp.Op%16] {
 				case 0:
 					v := bytes.Repeat([]byte{sp.Val}, 1+3*int(sp.Val)) // up to a fifth of a page
-					st.Put(k, v)
+					if sp.Val%2 == 0 {
+						st.Put(k, v)
+					} else {
+						handles[k], _ = st.PutAt(st.Find(k), k, v)
+					}
 					mem[k], dirty[k] = v, true
 					place(k, len(v))
 				case 1:
-					st.Delete(k)
+					if sp.Val%2 == 0 {
+						st.Delete(k)
+					} else {
+						handles[k] = st.DeleteAt(st.Find(k), k)
+					}
 					delete(mem, k)
 					dirty[k] = true
 					place(k, 0)
 				case 2:
-					if !st.FlushKeys(p, named) {
+					settled := false
+					if sp.Val%2 == 0 {
+						settled = st.FlushKeys(p, named)
+					} else {
+						refs := make([]Ref, len(named))
+						for i, k := range named {
+							refs[i] = Ref{Key: k, Row: handles[k]} // NoRow if never found
+							if h := refs[i].Row; h != NoRow && st.resolve(refs[i]) != h {
+								stale++
+							}
+						}
+						settled = st.FlushRows(p, refs)
+					}
+					if !settled {
 						t.Error("FlushKeys did not settle with no crash")
 					}
 					for _, k := range named {
@@ -509,7 +574,7 @@ func TestQuickVolatileSemantics(t *testing.T) {
 						}
 					}
 				case 3:
-					st.SyncKeys(p, named)
+					syncKeys(st, p, named)
 					settle(named)
 					for _, k := range named {
 						owed[k] = true
@@ -526,6 +591,8 @@ func TestQuickVolatileSemantics(t *testing.T) {
 					}
 					st.Recover()
 					mem, dirty = map[string][]byte{}, map[string]bool{}
+					clear(locked) // volatile
+					clear(pinned)
 					for k, v := range dur {
 						mem[k] = v
 					}
@@ -534,14 +601,45 @@ func TestQuickVolatileSemantics(t *testing.T) {
 					delete(mem, k)
 					delete(dur, k)
 					delete(dirty, k)
+				case 7: // lock a held row, or release it: by its holder through the remembered handle, or by another op
+					switch h := st.Find(k); {
+					case locked[k] && sp.Val%3 == 0:
+						st.Unlock(Ref{Key: k, Row: h}, other) // not the holder: the lock stays
+					case locked[k]:
+						st.Unlock(Ref{Key: k, Row: handles[k]}, lockOp)
+						delete(locked, k)
+					case h != NoRow:
+						st.Lock(h, lockOp)
+						locked[k], handles[k] = true, h
+					}
+				case 8: // pin a held row, or take a pin back
+					switch h := st.Find(k); {
+					case pinned[k] > 0 && sp.Val%2 == 0:
+						st.Unpin(h)
+						pinned[k]--
+					case h != NoRow:
+						st.Pin(h)
+						pinned[k]++
+					}
 				}
 				check(fmt.Sprintf("step %d (%+v)", step, sp))
 				if !ok {
 					return
 				}
 			}
-			// Quiescence: everything written back, every checkpoint paid. The
-			// durable image is the volatile one and the table is exactly it.
+			// Quiescence: locks and pins let go, everything written back, every
+			// checkpoint paid. The durable image is the volatile one and the
+			// table is exactly it.
+			for k := range locked {
+				st.Unlock(Ref{Key: k, Row: handles[k]}, lockOp)
+			}
+			for k, n := range pinned {
+				for ; n > 0; n-- {
+					st.Unpin(st.Find(k))
+				}
+			}
+			clear(locked)
+			clear(pinned)
 			st.FlushDirty(p)
 			st.Checkpoint(p)
 			for k := range dirty {
@@ -549,8 +647,8 @@ func TestQuickVolatileSemantics(t *testing.T) {
 			}
 			clear(owed)
 			check("quiescence")
-			if len(st.rows) != len(mem) || !reflect.DeepEqual(mem, dur) {
-				t.Errorf("quiescence: %d records for %d rows (durable %d)", len(st.rows), len(mem), len(dur))
+			if len(st.index) != len(mem) || !reflect.DeepEqual(mem, dur) {
+				t.Errorf("quiescence: %d records for %d rows (durable %d)", len(st.index), len(mem), len(dur))
 				ok = false
 			}
 		})
@@ -558,6 +656,9 @@ func TestQuickVolatileSemantics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+	if stale == 0 {
+		t.Error("no write-back went through a stale handle")
 	}
 }
 
@@ -611,7 +712,7 @@ func TestCheckpointWritesJournaledPages(t *testing.T) {
 	s.Spawn("driver", func(p *simrt.Proc) {
 		st.Put("a", []byte("1"))
 		st.Put("b", []byte("2"))
-		st.SyncKeys(p, []string{"a", "b"}) // journal append; pages pending
+		syncKeys(st, p, []string{"a", "b"}) // journal append; pages pending
 		wrote = st.Checkpoint(p)
 		if st.Checkpoint(p) != 0 {
 			t.Error("second checkpoint found pending pages")
@@ -635,7 +736,7 @@ func TestStartCheckpointerDrainsPeriodically(t *testing.T) {
 	st.StartCheckpointer(10 * time.Millisecond)
 	s.Spawn("driver", func(p *simrt.Proc) {
 		st.Put("x", []byte("1"))
-		st.SyncKeys(p, []string{"x"})
+		syncKeys(st, p, []string{"x"})
 		p.Sleep(50 * time.Millisecond)
 		if n := st.Checkpoint(p); n != 0 {
 			t.Errorf("checkpointer left %d pages", n)
@@ -647,7 +748,7 @@ func TestStartCheckpointerDrainsPeriodically(t *testing.T) {
 }
 
 func TestSyncKeysSerializesThroughDBThread(t *testing.T) {
-	// Two concurrent SyncKeys callers must serialize their commit-path CPU
+	// Two concurrent SyncRows callers must serialize their commit-path CPU
 	// (the Trove single DB thread), so the total is at least 2x the
 	// per-commit overhead.
 	s := simrt.New(1)
@@ -660,7 +761,7 @@ func TestSyncKeysSerializesThroughDBThread(t *testing.T) {
 		s.Spawn("w", func(p *simrt.Proc) {
 			k := fmt.Sprintf("k%d", i)
 			st.Put(k, []byte("v"))
-			st.SyncKeys(p, []string{k})
+			syncKeys(st, p, []string{k})
 			g.Done()
 		})
 	}
@@ -838,7 +939,7 @@ func TestSyncKeysSettlesCapturedValue(t *testing.T) {
 			wp.Sleep(SyncCommitCPU + time.Microsecond) // past the DB thread, journal write in flight
 			st.Put("k", []byte("txn2"))
 		})
-		st.SyncKeys(p, []string{"k"})
+		syncKeys(st, p, []string{"k"})
 		if d := st.DurableSnapshot(); string(d["k"]) != "txn1" {
 			t.Errorf("durable k=%q, want the value the synced transaction wrote", d["k"])
 		}
@@ -848,14 +949,18 @@ func TestSyncKeysSettlesCapturedValue(t *testing.T) {
 	})
 }
 
-// The key Get hands out for a held row is the table's own string — the one
-// the row was first written under, not the string looked up — and equals the
-// key looked up: through rewrites and a deletion under equal strings of
-// their own, a flush, a row placed afresh when its journal write settles
-// after a Forget, a Crash and Recover, and a Forget that keeps the record.
+// The key Get hands out for a held row is the table's own string — the copy
+// the store made when the row was first written, not the string looked up —
+// and equals the key looked up: through rewrites and a deletion under equal
+// strings of their own, a flush, a row placed afresh when its journal write
+// settles after a Forget, a Crash and Recover, and a Forget that keeps the
+// record.
 func TestGetReturnsTheTablesOwnKey(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		key := strings.Clone("d/1/f")
+		first := []byte("d/1/f")
+		st.Put(unsafe.String(&first[0], len(first)), []byte("1"))
+		copy(first, "xxxxx") // the store kept a copy, not the caller's bytes
+		key, _, _ := st.Get("d/1/f")
 		same := func() string { return strings.Clone(key) }
 		check := func(stage string) {
 			t.Helper()
@@ -865,7 +970,6 @@ func TestGetReturnsTheTablesOwnKey(t *testing.T) {
 					stage, own, unsafe.StringData(own), key, unsafe.StringData(key))
 			}
 		}
-		st.Put(key, []byte("1"))
 		check("put")
 		st.Put(same(), []byte("2"))
 		check("rewrite")
@@ -879,7 +983,7 @@ func TestGetReturnsTheTablesOwnKey(t *testing.T) {
 			wp.Sleep(SyncCommitCPU + time.Microsecond) // captured, journal write in flight
 			st.Forget(same())
 		})
-		st.SyncKeys(p, []string{same()})
+		syncKeys(st, p, []string{same()})
 		if d := st.DurableSnapshot(); string(d[key]) != "4" {
 			t.Fatalf("row not re-placed by the settling journal write: durable %q", d)
 		}
@@ -904,6 +1008,111 @@ func TestFlushKeysOfCleanRowsAllocatesNothing(t *testing.T) {
 		keys := []string{"a", "b", "never-written"}
 		if a := testing.AllocsPerRun(100, func() { st.FlushKeys(p, keys) }); a != 0 {
 			t.Errorf("all-clean flush allocates %.1f objects, want 0", a)
+		}
+	})
+}
+
+// A checkpoint writes from the list of rows it owes into a capture list kept
+// between checkpoints: in steady state it allocates only the disk request of
+// each run of pages it writes — no pass over the table, no fresh list.
+func TestCheckpointAllocatesOnlyItsDiskRequests(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		putRows(st, "k", 2*rowsPerPage) // rows that owe nothing, two full pages
+		rows := make([]Ref, 4)          // one page, one run
+		for i := range rows {
+			h, _ := st.PutAt(NoRow, fmt.Sprintf("j%d", i), []byte("v"))
+			rows[i] = Ref{Key: st.Key(h), Row: h}
+		}
+		cycle := func() {
+			st.SyncRows(p, rows)
+			if n := st.Checkpoint(p); n != len(rows) {
+				t.Fatalf("checkpoint wrote %d rows, want the %d journaled", n, len(rows))
+			}
+		}
+		cycle()
+		if a := testing.AllocsPerRun(50, cycle); a > 1 {
+			t.Errorf("a checkpoint of one run of pages allocates %.1f objects, want at most its disk request", a)
+		}
+	})
+}
+
+// A handle can outlive its record: a write-back through it writes the key's
+// own row — found again wherever it is, if it exists — and never the row of
+// a key that took the record's slot since.
+func TestStaleHandleWritesOnlyItsKeysRow(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		h, _ := st.PutAt(NoRow, "a", []byte("1"))
+		stale := Ref{Key: st.Key(h), Row: h}
+		st.FlushRows(p, []Ref{stale})
+		st.Delete("a")
+		st.FlushRows(p, []Ref{stale}) // the deletion is durable: the record goes
+		if st.Find("a") != NoRow {
+			t.Fatal("a row gone for good kept its record")
+		}
+		if hb, _ := st.PutAt(NoRow, "b", []byte("2")); hb != h {
+			t.Fatalf("b filed in slot %d, want the freed slot %d", hb, h)
+		}
+		st.Lock(h, types.OpID{Seq: 7})
+		st.Pin(h)
+		if st.FlushRows(p, []Ref{stale}); st.DirtyCount() != 1 {
+			t.Error("a write-back through a's stale handle wrote b, which took its slot")
+		}
+		if st.Unlock(stale, types.OpID{Seq: 7}); st.Locked() != 1 || st.Pinned(stale) {
+			t.Error("a's stale handle reached b's lock or pin")
+		}
+		ha, _ := st.PutAt(NoRow, "a", []byte("3"))
+		st.SyncRows(p, []Ref{stale})
+		st.FlushRows(p, []Ref{stale})
+		d := st.DurableSnapshot()
+		if _, ok := d["b"]; ok || string(d["a"]) != "3" || ha == h {
+			t.Errorf("write-backs through a's stale handle left a=%q (slot %d, was %d), b durable: %v", d["a"], ha, h, ok)
+		}
+	})
+}
+
+// A lock is released by its holder only, and a locked or pinned record is
+// kept after its row is gone for good — created and removed between two
+// write-backs, absorbed — while the row itself loses its placement: written
+// again, it is placed afresh. A crash forgets locks and pins.
+func TestLockedOrPinnedRecordOutlivesItsRow(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		a, b := types.OpID{Seq: 1}, types.OpID{Seq: 2}
+		h, _ := st.PutAt(NoRow, "x", []byte("1"))
+		st.Lock(h, a)
+		st.Unlock(Ref{Key: "x", Row: h}, b)
+		if holder, held := st.Holder(h); !held || holder != a {
+			t.Fatalf("x held by %v (%v) after another op's unlock, want %v", holder, held, a)
+		}
+		st.Delete("x")
+		st.FlushKeys(p, []string{"x"}) // absorbed: never durable
+		if st.Find("x") != h || st.Locked() != 1 {
+			t.Fatal("an absorbing write-back dropped a locked record")
+		}
+		if r := st.rec("x"); r.holds() {
+			t.Error("a locked record still holds a row that is gone for good")
+		}
+		st.Put("y", make([]byte, PageSize/2))
+		fill := st.fill
+		st.Put("x", []byte("2"))
+		if r := st.rec("x"); r.page != st.next || st.fill != fill+len("x2")+rowOverhead {
+			t.Errorf("x written again kept page %d; want it placed afresh in the open page %d", r.page, st.next)
+		}
+		st.Pin(h)
+		st.Delete("x")
+		st.FlushKeys(p, []string{"x"})
+		st.Unlock(Ref{Key: "x", Row: h}, a)
+		if st.Find("x") != h || !st.Pinned(Ref{Key: "x", Row: h}) {
+			t.Fatal("a pinned record went with its lock")
+		}
+		if st.Unpin(h); st.Find("x") != NoRow {
+			t.Error("a record kept only by its pin stayed after the pin")
+		}
+		st.Lock(st.Find("y"), a)
+		st.Pin(st.Find("y"))
+		st.Crash()
+		st.Recover()
+		if st.Locked() != 0 || st.Pinned(Ref{Key: "y", Row: NoRow}) || st.Find("y") != NoRow {
+			t.Error("a crash kept a lock, a pin, or the record of a row never durable")
 		}
 	})
 }

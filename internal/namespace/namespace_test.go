@@ -304,8 +304,8 @@ func TestRowKeyMatchesExecRows(t *testing.T) {
 		t.Fatal(res.Err)
 	}
 	want := RowKey(types.InodeKey(77))
-	if len(res.Rows) != 1 || res.Rows[0] != want {
-		t.Errorf("rows=%v, want [%s]", res.Rows, want)
+	if len(res.Rows) != 1 || res.Rows[0] != (kvstore.Ref{Key: want, Row: sh.find(types.InodeKey(77))}) {
+		t.Errorf("rows=%v, want [%s] with its handle", res.Rows, want)
 	}
 }
 
@@ -382,7 +382,7 @@ func TestUndoHelpers(t *testing.T) {
 	if res.Undo.Empty() {
 		t.Error("mutating op produced empty undo")
 	}
-	if len(res.Rows) != 2 || res.Rows[0] != "d/1/u" || res.Rows[1] != "i/1" { // dentry row, then the parent's
+	if len(res.Rows) != 2 || res.Rows[0].Key != "d/1/u" || res.Rows[1].Key != "i/1" { // dentry row, then the parent's
 		t.Errorf("rows=%v", res.Rows)
 	}
 	sh.ApplyUndo(Undo{}) // the undo of a read or a failed execution: nothing happens
@@ -619,19 +619,19 @@ func TestExecKeysAgreeWithRowKey(t *testing.T) {
 			after := sh.Store().Snapshot()
 			obj, _ := m.Key()
 			k := RowKey(obj)
-			want := Result{OK: true, Freed: m.Action == types.ActDecLink && after[k] == nil, Rows: []string{k},
+			want := Result{OK: true, Freed: m.Action == types.ActDecLink && after[k] == nil, Rows: []kvstore.Ref{{Key: k, Row: sh.find(obj)}},
 				Before: []types.RowImage{{Key: k, Val: before[k]}}, After: []types.RowImage{{Key: k, Val: after[k]}}}
 			want.Undo.before = want.Before[0]
 			if bump := parentBump(m.Action); withParent && bump != 0 {
-				want.Rows = append(want.Rows, RowKey(types.InodeKey(m.Parent)))
+				want.Rows = append(want.Rows, kvstore.Ref{Key: RowKey(types.InodeKey(m.Parent)), Row: sh.find(types.InodeKey(m.Parent))})
 				want.Undo.dir, want.Undo.delta = m.Parent, -bump
 			}
 			if !reflect.DeepEqual(res, want) {
 				t.Errorf("%v parent=%v:\n got %+v\nwant %+v", m, withParent, res, want)
 			}
 			for _, row := range res.Rows {
-				if own, _, _ := sh.Store().Get(row); unsafe.StringData(own) != unsafe.StringData(row) {
-					t.Errorf("%v parent=%v: row %q is not the store's own key", m, withParent, row)
+				if own := sh.Store().Key(row.Row); unsafe.StringData(own) != unsafe.StringData(row.Key) {
+					t.Errorf("%v parent=%v: row %q is not the store's own key", m, withParent, row.Key)
 				}
 			}
 			done()

@@ -38,6 +38,83 @@ func TestEventHeapOrder(t *testing.T) {
 	}
 }
 
+// Events due at the instant they are scheduled at skip the heap and queue in
+// a FIFO beside it. Random mixes of what the primitives schedule — Sleep(0),
+// After(0) and sends (due now, or earlier and clamped), timed receives'
+// timers and later events — must pop in exactly the order one heap of all of
+// them gives, with the clock moving as the dispatcher moves it.
+func TestDueNowFIFOPopsInHeapOrder(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New(seed)
+		s.horizon = -1 // as in Run
+		var ref eventHeap
+		schedule := func(at time.Duration, e event) {
+			s.schedule(at, e)
+			ref.push(event{at: max(at, s.now), seq: s.seq})
+		}
+		pops, fifo := 0, 0
+		pop := func() {
+			e, heap := s.runnable()
+			if !heap {
+				fifo++
+			}
+			got, want := s.pop(heap), ref.pop()
+			if e == nil || got.at != want.at || got.seq != want.seq {
+				t.Fatalf("seed %d, pop %d: (%v,%d), want (%v,%d)", seed, pops, got.at, got.seq, want.at, want.seq)
+			}
+			s.now = got.at
+			pops++
+		}
+		for i := 0; i < 2000; i++ {
+			switch r := rng.Intn(20); {
+			case r < 7: // Sleep(0), After(0), a send readying a receiver
+				schedule(s.now, event{})
+			case r < 8: // a deadline already past: clamped to now
+				schedule(s.now-time.Duration(rng.Intn(5)), event{})
+			case r < 11: // a timed receive's timer
+				schedule(s.now+time.Duration(1+rng.Intn(20)), event{timed: 1})
+			case r < 14: // a later Sleep or After
+				schedule(s.now+time.Duration(1+rng.Intn(50)), event{})
+			default:
+				if len(ref) > 0 {
+					pop()
+				}
+			}
+			if s.queued() != len(ref) {
+				t.Fatalf("seed %d: %d events queued, the reference holds %d", seed, s.queued(), len(ref))
+			}
+		}
+		for len(ref) > 0 {
+			pop()
+		}
+		if e, _ := s.runnable(); e != nil || fifo == 0 || fifo == pops {
+			t.Fatalf("seed %d: %d of %d pops from the FIFO, and something left (%v): both queues must be exercised", seed, fifo, pops, e != nil)
+		}
+	}
+}
+
+// An instant that never runs dry — each event due now schedules another — keeps
+// the FIFO as large as what is outstanding, not as long as the instant.
+func TestDueNowFIFOStaysBoundedWithinAnInstant(t *testing.T) {
+	s := New(1)
+	s.horizon = -1
+	for i := 0; i < 4; i++ {
+		s.schedule(s.now, event{})
+	}
+	for i := 0; i < 10000; i++ {
+		e, heap := s.runnable()
+		if e == nil || heap {
+			t.Fatal("the FIFO ran dry")
+		}
+		s.pop(heap)
+		s.schedule(s.now, event{})
+	}
+	if s.queued() != 4 || cap(s.due) > 16 {
+		t.Errorf("%d events queued in a FIFO of capacity %d, want 4 in a small one", s.queued(), cap(s.due))
+	}
+}
+
 // TestScheduleSteadyStateNoAlloc measures the schedule+dispatch cycle with a
 // pre-built closure: after warm-up, the event machinery itself must be
 // allocation-free (events live by value in the heap's backing array).

@@ -318,9 +318,9 @@ func TestServeMatchesAReceiverProc(t *testing.T) {
 		}
 		s.Spawn("send", func(p *Proc) {
 			for i := 0; i < 20; i++ {
-				queued := len(s.events)
+				queued := s.queued()
 				c.Send(i) // a burst of 1-3 per instant
-				if c.held && len(s.events) != queued {
+				if c.held && s.queued() != queued {
 					t.Errorf("Send %d while held scheduled an event", i)
 				}
 				if i%3 != 1 {

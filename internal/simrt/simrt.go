@@ -26,6 +26,11 @@
 // timed receive" — so blocking primitives schedule without allocating a
 // closure. Their order is the order of the (at, seq) keys, handed out at
 // schedule time; who pops an event has no influence on the simulation.
+// About half of all events are due at the instant they are scheduled at (a
+// Proc readied by a send, a spawn, a Yield); those skip the heap and queue in
+// a FIFO beside it, which is the same order by construction: a heap event due
+// now was scheduled before this instant began, so its seq is lower than any
+// FIFO event's, and the clock advances only once the FIFO is empty.
 //
 // Workers. A Proc is carried by a worker: one coroutine. When a body returns
 // the worker goes onto the Sim's idle list and the next Spawn reuses it,
@@ -121,9 +126,14 @@ func (h *eventHeap) pop() event {
 // between or after runs) or from within a Proc or scheduled event, which
 // the dispatcher serializes.
 type Sim struct {
-	now     time.Duration
-	seq     uint64
-	events  eventHeap
+	now    time.Duration
+	seq    uint64
+	events eventHeap // events due after the instant they were scheduled at
+	// due holds, from dueHead on, the events scheduled for the instant they
+	// were scheduled at, in seq order; it is empty whenever the clock moves.
+	due     []event
+	dueHead int
+
 	horizon time.Duration // of the run in progress (RunUntil sets it); < 0 means none
 	stopped bool
 	killed  bool
@@ -160,13 +170,51 @@ func (s *Sim) Resumes() uint64 { return s.resumes }
 // schedule enqueues e at absolute virtual time at, behind everything
 // already scheduled for that instant.
 func (s *Sim) schedule(at time.Duration, e event) {
-	if at < s.now {
-		at = s.now
-	}
 	s.seq++
+	if at <= s.now {
+		if len(s.due) == cap(s.due) && s.dueHead > 0 {
+			// Full, with popped events at the front: move the queue down
+			// rather than grow it past what is outstanding.
+			n := copy(s.due, s.due[s.dueHead:])
+			clear(s.due[n:])
+			s.due, s.dueHead = s.due[:n], 0
+		}
+		e.at, e.seq = s.now, s.seq
+		s.due = append(s.due, e)
+		return
+	}
 	e.at, e.seq = at, s.seq
 	s.events.push(e)
 }
+
+// head returns the event to run next (nil if none) and whether it is the
+// heap's: the heap's top if it precedes the FIFO's head, which it does
+// exactly when it is due now.
+func (s *Sim) head() (e *event, heap bool) {
+	if len(s.events) > 0 && (s.dueHead == len(s.due) || s.events[0].before(&s.due[s.dueHead])) {
+		return &s.events[0], true
+	}
+	if s.dueHead < len(s.due) {
+		return &s.due[s.dueHead], false
+	}
+	return nil, false
+}
+
+// pop removes the event head returned.
+func (s *Sim) pop(heap bool) event {
+	if heap {
+		return s.events.pop()
+	}
+	e := s.due[s.dueHead]
+	s.due[s.dueHead] = event{} // drop the references
+	if s.dueHead++; s.dueHead == len(s.due) {
+		s.due, s.dueHead = s.due[:0], 0
+	}
+	return e
+}
+
+// queued returns how many events are scheduled.
+func (s *Sim) queued() int { return len(s.events) + len(s.due) - s.dueHead }
 
 // ready schedules p to resume at the current virtual time, after the event
 // in progress and everything already queued for this instant.
@@ -270,13 +318,11 @@ func (p *Proc) park() {
 	}
 	// The next event is this Proc's own plain resume: take it here and save
 	// the round trip through the dispatcher.
-	if s.runnable() {
-		if e := &s.events[0]; e.proc == p && e.timed == 0 {
-			s.now = e.at
-			s.eventsRun++
-			s.events.pop()
-			return
-		}
+	if e, heap := s.runnable(); e != nil && e.proc == p && e.timed == 0 {
+		s.now = e.at
+		s.eventsRun++
+		s.pop(heap)
+		return
 	}
 	p.parked = true
 	if !p.yield(struct{}{}) {
@@ -310,8 +356,8 @@ func (s *Sim) Run() time.Duration {
 // horizon still run.
 func (s *Sim) RunUntil(horizon time.Duration) time.Duration {
 	s.horizon = horizon
-	for s.runnable() {
-		e := s.events.pop()
+	for next, heap := s.runnable(); next != nil; next, heap = s.runnable() {
+		e := s.pop(heap)
 		s.now = e.at
 		s.eventsRun++
 		if e.fn != nil {
@@ -333,15 +379,23 @@ func (s *Sim) RunUntil(horizon time.Duration) time.Duration {
 		s.resumes++
 		p.next()
 	}
-	if !s.stopped && len(s.events) > 0 {
+	if !s.stopped && s.queued() > 0 {
 		s.now = horizon // the next event lies beyond it
 	}
 	return s.now
 }
 
-// runnable reports whether the run in progress may take the next event.
-func (s *Sim) runnable() bool {
-	return !s.stopped && len(s.events) > 0 && (s.horizon < 0 || s.events[0].at <= s.horizon)
+// runnable returns the next event if the run in progress may take it (nil
+// if not), and whether it is the heap's.
+func (s *Sim) runnable() (*event, bool) {
+	if s.stopped {
+		return nil, false
+	}
+	e, heap := s.head()
+	if e == nil || s.horizon >= 0 && e.at > s.horizon {
+		return nil, false
+	}
+	return e, heap
 }
 
 // Stop makes Run return after the currently executing event completes. It
