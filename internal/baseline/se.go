@@ -33,10 +33,6 @@ type SEServer struct {
 
 	// localOps await the batched flush (batched mode only).
 	localOps []localFlush
-
-	// leaseTTL enables the leased read path (optional, so the stat-storm
-	// experiment can compare cache on/off across protocols).
-	leaseTTL time.Duration
 }
 
 type localFlush struct {
@@ -58,11 +54,6 @@ func NewSEServer(base *node.Base, pl namespace.Placement, batched bool) *SEServe
 		pendingUndo: make(map[types.OpID]pendingExec),
 	}
 }
-
-// SetLeaseTTL enables the leased read path: lookup replies carry a lease of
-// this duration and mutations revoke. 0 (the default) answers lookups
-// without a lease.
-func (s *SEServer) SetLeaseTTL(ttl time.Duration) { s.leaseTTL = ttl }
 
 // Start serves the inbox and launches the write-back daemon: the batched
 // flush daemon in OFS-batched mode, or the database checkpointer in plain
@@ -126,7 +117,7 @@ func (s *SEServer) handleLookup(p *simrt.Proc, m *wire.Msg) {
 	if s.Crashed() {
 		return
 	}
-	s.AnswerLookup(m, s.leaseTTL)
+	s.AnswerLookup(m)
 }
 
 // maybeRevoke fires the lease revocation when an executed sub-op mutated a

@@ -41,9 +41,9 @@ type Config struct {
 	Seed         int64         // simulation + nemesis + workload seed
 	Duration     time.Duration // nemesis active window (default 1.5s)
 	FaultRate    float64       // scales link-fault probabilities (default 1.0)
-	// Pipeline > 1 switches every worker to pipelined dispatch: up to that
+	// Pipeline is the depth of every worker's core.Pipeline: up to that
 	// many operations in flight per process, with per-name sequencing
-	// preserved so the oracle stays valid. <= 1 keeps the classic
+	// preserved so the oracle stays valid. <= 1 is depth 1, the classic
 	// one-op-at-a-time loop.
 	Pipeline int
 	// GroupLinger > 0 enables cross-proc WAL group commit on every server
@@ -57,7 +57,8 @@ type Config struct {
 	// StatStorm switches every worker to the read-dominant stat-storm mix:
 	// a trickle of creates/removes under a storm of own-name and cross-worker
 	// lookups, while the nemesis preferentially kills the server holding the
-	// most leases. Implies the one-op-at-a-time loop (Pipeline is ignored).
+	// most leases. Every worker's pipeline then has depth 1, the
+	// one-op-at-a-time loop; Pipeline only scales the default op budget.
 	StatStorm bool
 	// LogMaxBytes > 0 shrinks every server's operation log to this many
 	// bytes (the default is the paper's 1 MB, which a chaos run never comes
@@ -81,9 +82,7 @@ func (c Config) withDefaults() Config {
 		// (first event ~25ms in) gets a real window. Scale the default
 		// budget by the depth so fault exposure stays comparable; an
 		// explicit OpsPerWorker is always honored as given.
-		if c.Pipeline > 1 {
-			c.OpsPerWorker *= c.Pipeline
-		}
+		c.OpsPerWorker *= max(1, c.Pipeline)
 	}
 	if c.Duration <= 0 {
 		c.Duration = 1500 * time.Millisecond
@@ -268,14 +267,7 @@ func Run(cfg Config) *Report {
 
 	h.group.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
-		body := h.worker(w)
-		switch {
-		case cfg.StatStorm:
-			body = h.stormWorker(w)
-		case cfg.Pipeline > 1:
-			body = h.pipelinedWorker(w)
-		}
-		c.Sim.Spawn(fmt.Sprintf("chaos/worker%d", w), body)
+		c.Sim.Spawn(fmt.Sprintf("chaos/worker%d", w), h.worker(w))
 	}
 
 	nem := &nemesis{h: h, rng: rand.New(rand.NewSource(cfg.Seed ^ 0x6e656d6573697321))}

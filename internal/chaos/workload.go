@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
-	"cxfs/internal/cluster"
 	"cxfs/internal/core"
 	"cxfs/internal/model"
 	"cxfs/internal/simrt"
@@ -27,390 +25,247 @@ type entry struct {
 }
 
 const (
-	stFresh   uint8 = iota // create not yet resolved (pipelined in-flight)
+	stFresh   uint8 = iota // create in flight, not yet resolved
 	stAbsent               // definitely not in the namespace
 	stExists               // definitely present, pointing at entry.ino
 	stUnknown              // a timed-out operation's outcome is undecided
 )
 
+// flight is what a worker keeps of one submitted operation: the oracle
+// entry it targets, and whether that entry is another worker's (a
+// stat-storm read, which only the history and the counters see).
+type flight struct {
+	e       *entry
+	foreign bool
+}
+
 // recordOp appends one client observation to the report's history, which
-// the model oracle replays after the run. in matters only for lookups.
-// issued is the virtual time the operation was dispatched; the observation
-// time is now. Lookups served from the client cache additionally carry their
-// lease grant stamp for the staleness-bound oracle.
-func (h *harness) recordOp(w int, kind types.OpKind, e *entry, err error, in types.Inode,
-	issued time.Duration, cached bool, grant time.Duration) {
-	o := model.Op{Worker: w, Kind: kind, Name: e.name, Ino: e.ino,
-		Outcome: model.Classify(err),
-		Issued:  issued, At: h.c.Sim.Now(), Cached: cached, Grant: grant}
-	if kind == types.OpLookup && err == nil {
-		o.Found = true
-		o.SawIno = in.Ino
+// the model oracle replays after the run: issued when pe went to the
+// driver, observed now. A lookup carries the cache disposition the driver
+// logged for it (false/0 when the cache is off or the lookup went to the
+// server): served from the client cache, it carries its lease grant stamp
+// for the staleness-bound oracle.
+func (h *harness) recordOp(w int, f flight, pe *core.Pending) {
+	o := model.Op{Worker: w, Kind: pe.Op.Kind, Name: f.e.name,
+		Outcome: model.Classify(pe.Err), Issued: pe.Issued, At: h.c.Sim.Now()}
+	if !f.foreign {
+		o.Ino = f.e.ino
 	}
+	if pe.Op.Kind == types.OpLookup {
+		o.Cached, o.Grant, _ = h.c.Proc(w).Driver().TakeLookup(pe.Op.ID)
+		if pe.Err == nil {
+			o.Found, o.SawIno = true, pe.Attr.Ino
+		}
+	}
+	h.rep.Ops++
 	h.rep.History = append(h.rep.History, o)
 }
 
-// foldCreate folds one create/mkdir outcome into the oracle, counters, and
-// history. It reports whether the entry is now live (definitely exists).
-func (h *harness) foldCreate(w int, e *entry, err error, issued time.Duration) bool {
-	kind := types.OpCreate
-	if e.dir {
-		kind = types.OpMkdir
-	}
-	h.rep.Ops++
-	h.recordOp(w, kind, e, err, types.Inode{}, issued, false, 0)
-	switch {
-	case err == nil:
-		e.state = stExists
-		h.rep.OK++
-		return true
-	case errors.Is(err, types.ErrTimeout):
-		e.state = stUnknown
-		h.rep.Unknown++
-	case errors.Is(err, types.ErrExists):
-		// The name was never used before: nothing may already hold it.
-		h.violate("worker %d: create %q reported exists on a fresh name", w, e.name)
-		e.state = stUnknown
-		h.rep.Failed++
-	default:
-		// A definite abort must leave no residue.
-		e.state = stAbsent
-		h.rep.Failed++
+// fold folds one completed operation into the history, the counters and,
+// for the worker's own names, the oracle. It reports whether the entry is
+// live afterwards: a create definitely succeeded, or a remove definitely
+// aborted.
+func (h *harness) fold(w int, f flight, pe *core.Pending) bool {
+	h.recordOp(w, f, pe)
+	e, err := f.e, pe.Err
+	switch pe.Op.Kind {
+	case types.OpCreate, types.OpMkdir:
+		switch {
+		case err == nil:
+			e.state = stExists
+			h.rep.OK++
+			return true
+		case errors.Is(err, types.ErrTimeout):
+			e.state = stUnknown
+			h.rep.Unknown++
+		case errors.Is(err, types.ErrExists):
+			// The name was never used before: nothing may already hold it.
+			h.violate("worker %d: create %q reported exists on a fresh name", w, e.name)
+			e.state = stUnknown
+			h.rep.Failed++
+		default:
+			// A definite abort must leave no residue.
+			e.state = stAbsent
+			h.rep.Failed++
+		}
+	case types.OpRemove, types.OpRmdir:
+		switch {
+		case err == nil:
+			e.state = stAbsent
+			h.rep.OK++
+		case errors.Is(err, types.ErrTimeout):
+			e.state = stUnknown
+			h.rep.Unknown++
+		case errors.Is(err, types.ErrNotFound):
+			// The previous operation on this name definitely succeeded, so
+			// the entry must be there.
+			h.violate("worker %d: remove %q reported not-found on a committed entry", w, e.name)
+			e.state = stUnknown
+			h.rep.Failed++
+		default:
+			// Aborted: the entry survives.
+			h.rep.Failed++
+			return true
+		}
+	case types.OpLookup:
+		// A read-your-writes check on an own name with a known state, or a
+		// read of a foreign one, which only the history and counters see.
+		switch {
+		case errors.Is(err, types.ErrTimeout):
+			// No information; the name's oracle state is untouched.
+			h.rep.Unknown++
+		case err == nil:
+			h.rep.OK++
+			switch {
+			case f.foreign:
+			case e.state == stAbsent:
+				h.violate("worker %d: lookup %q found a removed entry (ino %d)", w, e.name, pe.Attr.Ino)
+			case pe.Attr.Ino != e.ino:
+				h.violate("worker %d: lookup %q -> ino %d, want %d", w, e.name, pe.Attr.Ino, e.ino)
+			}
+		case errors.Is(err, types.ErrNotFound):
+			h.rep.OK++
+			if !f.foreign && e.state == stExists {
+				h.violate("worker %d: lookup %q lost a committed entry", w, e.name)
+			}
+		default:
+			h.rep.Failed++
+		}
 	}
 	return false
 }
 
-// foldRemove folds one remove/rmdir outcome. It reports whether the entry
-// survives (a definite abort leaves it in the namespace).
-func (h *harness) foldRemove(w int, e *entry, err error, issued time.Duration) bool {
-	kind := types.OpRemove
-	if e.dir {
-		kind = types.OpRmdir
-	}
-	h.rep.Ops++
-	h.recordOp(w, kind, e, err, types.Inode{}, issued, false, 0)
-	switch {
-	case err == nil:
-		e.state = stAbsent
-		h.rep.OK++
-	case errors.Is(err, types.ErrTimeout):
-		e.state = stUnknown
-		h.rep.Unknown++
-	case errors.Is(err, types.ErrNotFound):
-		// The previous operation on this name definitely succeeded, so the
-		// entry must be there.
-		h.violate("worker %d: remove %q reported not-found on a committed entry", w, e.name)
-		e.state = stUnknown
-		h.rep.Failed++
-	default:
-		// Aborted: the entry survives.
-		h.rep.Failed++
-		return true
-	}
-	return false
-}
-
-// foldLookup folds one read-your-writes check on a name with a known state.
-// cached/grant describe the cache disposition of the lookup (false/0 when
-// the cache is off or the lookup went to the server).
-func (h *harness) foldLookup(w int, e *entry, in types.Inode, err error,
-	issued time.Duration, cached bool, grant time.Duration) {
-	h.rep.Ops++
-	h.recordOp(w, types.OpLookup, e, err, in, issued, cached, grant)
-	switch {
-	case errors.Is(err, types.ErrTimeout):
-		// No information; the name's oracle state is untouched.
-		h.rep.Unknown++
-	case err == nil:
-		h.rep.OK++
-		if e.state == stAbsent {
-			h.violate("worker %d: lookup %q found a removed entry (ino %d)", w, e.name, in.Ino)
-		} else if in.Ino != e.ino {
-			h.violate("worker %d: lookup %q -> ino %d, want %d", w, e.name, in.Ino, e.ino)
-		}
-	case errors.Is(err, types.ErrNotFound):
-		h.rep.OK++
-		if e.state == stExists {
-			h.violate("worker %d: lookup %q lost a committed entry", w, e.name)
-		}
-	default:
-		h.rep.Failed++
-	}
-}
-
-// lookup resolves name under the root as process pr's next operation, with
-// the cache disposition the driver logged for it (false/0 when the cache is
-// off or the lookup went to the server).
-func lookup(p *simrt.Proc, pr *cluster.Process, name string) (in types.Inode, cached bool, grant time.Duration, err error) {
-	d, id := pr.Driver(), pr.NextID()
-	in, err = d.Do(p, types.Op{ID: id, Kind: types.OpLookup, Parent: types.RootInode, Name: name})
-	cached, grant, _ = d.TakeLookup(id)
-	return in, cached, grant, err
-}
-
-// worker returns the proc body of one workload process: a randomized
-// create/remove/lookup mix over private names (some containing spaces, to
-// exercise the invariant checker's name parsing), with every outcome folded
-// into the oracle. One op at a time — the paper's process-centric model.
+// worker returns the proc body of one workload process: a randomized mix
+// over private names (some containing spaces, to exercise the invariant
+// checker's name parsing), every operation sent through the process's
+// core.Pipeline and every outcome folded into the oracle.
+//
+// The pipeline's depth picks the dispatch mode. Depth 1, the default and
+// always under StatStorm, is one op at a time: the paper's process-centric
+// model. Deeper, up to Pipeline ops are in flight, and the oracle stays
+// valid by per-name sequencing: a name with an op in flight is never
+// targeted again until that op's outcome has been folded, so each name
+// still sees a strictly sequential history. Creates use fresh names and are
+// always safe.
+//
+// The default mix creates, removes a live entry, or reads back one of the
+// worker's own names. The stat-storm mix keeps a trickle of creates and
+// removes under a storm of reads of the worker's own names and of everyone
+// else's: with leases on, most reads are served from the cache while the
+// nemesis kills the lease-granting servers mid-grant, and the
+// staleness-bound oracle audits every cached observation in the history.
 func (h *harness) worker(w int) func(*simrt.Proc) {
 	return func(p *simrt.Proc) {
 		defer h.group.Done()
 		pr := h.c.Proc(w)
-		rng := rand.New(rand.NewSource(h.cfg.Seed*1000003 + int64(w)))
-		var live []*entry // entries currently in stExists
-
-		for i := 0; i < h.cfg.OpsPerWorker; i++ {
-			r := rng.Float64()
-			issued := p.Now()
-			switch {
-			case r < 0.55 || len(live) == 0:
-				// Create a fresh file or directory under root. The space in
-				// the name is deliberate.
-				e := &entry{name: fmt.Sprintf("w%d f%d", w, i), dir: rng.Float64() < 0.25}
-				h.entries[w] = append(h.entries[w], e)
-				var err error
-				if e.dir {
-					e.ino, err = pr.Mkdir(p, types.RootInode, e.name)
-				} else {
-					e.ino, err = pr.Create(p, types.RootInode, e.name)
-				}
-				if h.foldCreate(w, e, err, issued) {
-					live = append(live, e)
-				}
-			case r < 0.85:
-				// Remove an entry the oracle knows exists.
-				k := rng.Intn(len(live))
-				e := live[k]
-				live = append(live[:k], live[k+1:]...)
-				var err error
-				if e.dir {
-					err = pr.Rmdir(p, types.RootInode, e.name, e.ino)
-				} else {
-					err = pr.Remove(p, types.RootInode, e.name, e.ino)
-				}
-				if h.foldRemove(w, e, err, issued) {
-					live = append(live, e)
-				}
-			default:
-				// Live read-your-writes check on a name with a known state.
-				var known []*entry
-				for _, e := range h.entries[w] {
-					if e.state == stExists || e.state == stAbsent {
-						known = append(known, e)
-					}
-				}
-				if len(known) == 0 {
-					continue
-				}
-				e := known[rng.Intn(len(known))]
-				in, cached, grant, err := lookup(p, pr, e.name)
-				h.foldLookup(w, e, in, err, issued, cached, grant)
-			}
+		depth := h.cfg.Pipeline
+		if h.cfg.StatStorm {
+			depth = 1
 		}
-	}
-}
-
-// recordForeignLookup folds a cross-worker read: the reader has no oracle
-// state for someone else's name, so only the history (for the staleness
-// oracle, which keys names globally) and the counters are updated.
-func (h *harness) recordForeignLookup(w int, name string, in types.Inode, err error,
-	issued time.Duration, cached bool, grant time.Duration) {
-	h.rep.Ops++
-	o := model.Op{Worker: w, Kind: types.OpLookup, Name: name,
-		Outcome: model.Classify(err),
-		Issued:  issued, At: h.c.Sim.Now(), Cached: cached, Grant: grant}
-	switch o.Outcome {
-	case model.OK:
-		o.Found, o.SawIno = true, in.Ino
-		h.rep.OK++
-	case model.FailedNotFound:
-		h.rep.OK++
-	case model.Unknown:
-		h.rep.Unknown++
-	default:
-		h.rep.Failed++
-	}
-	h.rep.History = append(h.rep.History, o)
-}
-
-// stormWorker is the stat-storm workload: a small mutating stream under a
-// dominant read mix — repeated lookups of the worker's own names plus
-// cross-worker stat traffic on everyone else's. With leases on, most reads
-// are served from the cache while the nemesis kills the lease-granting
-// servers mid-grant; the staleness-bound oracle then audits every cached
-// observation in the history.
-func (h *harness) stormWorker(w int) func(*simrt.Proc) {
-	return func(p *simrt.Proc) {
-		defer h.group.Done()
-		pr := h.c.Proc(w)
-		rng := rand.New(rand.NewSource(h.cfg.Seed*1000003 + int64(w)))
-		var live []*entry
-
-		for i := 0; i < h.cfg.OpsPerWorker; i++ {
-			r := rng.Float64()
-			issued := p.Now()
-			switch {
-			case r < 0.12 || len(h.entries[w]) == 0:
-				// Keep a trickle of creates so there is something to read and
-				// leases keep getting granted on fresh names.
-				e := &entry{name: fmt.Sprintf("w%d f%d", w, i), dir: rng.Float64() < 0.15}
-				h.entries[w] = append(h.entries[w], e)
-				var err error
-				if e.dir {
-					e.ino, err = pr.Mkdir(p, types.RootInode, e.name)
-				} else {
-					e.ino, err = pr.Create(p, types.RootInode, e.name)
-				}
-				if h.foldCreate(w, e, err, issued) {
-					live = append(live, e)
-				}
-			case r < 0.20 && len(live) > 0:
-				// ... and of removes, so revocations fire against held leases.
-				k := rng.Intn(len(live))
-				e := live[k]
-				live = append(live[:k], live[k+1:]...)
-				var err error
-				if e.dir {
-					err = pr.Rmdir(p, types.RootInode, e.name, e.ino)
-				} else {
-					err = pr.Remove(p, types.RootInode, e.name, e.ino)
-				}
-				if h.foldRemove(w, e, err, issued) {
-					live = append(live, e)
-				}
-			case r < 0.55:
-				// Stat-storm on a foreign worker's namespace: cached reads of
-				// names someone else is concurrently mutating.
-				w2 := rng.Intn(len(h.entries))
-				if w2 == w || len(h.entries[w2]) == 0 {
-					continue
-				}
-				e := h.entries[w2][rng.Intn(len(h.entries[w2]))]
-				in, cached, grant, err := lookup(p, pr, e.name)
-				h.recordForeignLookup(w, e.name, in, err, issued, cached, grant)
-			default:
-				// Stat-storm on the worker's own names, read-your-writes
-				// checked against the oracle.
-				var known []*entry
-				for _, e := range h.entries[w] {
-					if e.state == stExists || e.state == stAbsent {
-						known = append(known, e)
-					}
-				}
-				if len(known) == 0 {
-					continue
-				}
-				e := known[rng.Intn(len(known))]
-				in, cached, grant, err := lookup(p, pr, e.name)
-				h.foldLookup(w, e, in, err, issued, cached, grant)
-			}
-		}
-	}
-}
-
-// pipelinedWorker is the worker body when cfg.Pipeline > 1: up to Pipeline
-// operations in flight through core.Pipeline. Oracle validity is preserved
-// by per-name sequencing — a name with an operation in flight is never
-// targeted again until that operation's outcome has been folded, so each
-// name still sees a strictly sequential history. Creates always use fresh
-// names and are therefore always safe to pipeline.
-func (h *harness) pipelinedWorker(w int) func(*simrt.Proc) {
-	return func(p *simrt.Proc) {
-		defer h.group.Done()
-		pr := h.c.Proc(w)
-		pipe := pr.NewPipeline(h.cfg.Pipeline)
+		pipe := pr.NewPipeline(depth)
 		rng := rand.New(rand.NewSource(h.cfg.Seed*1000003 + int64(w)))
 		var live []*entry             // entries currently in stExists
 		busy := make(map[string]bool) // names with an op in flight
-		owner := make(map[*core.Pending]*entry)
-		issuedAt := make(map[*core.Pending]time.Duration)
+		inflight := make(map[*core.Pending]flight)
 
+		submit := func(f flight, op types.Op) {
+			op.ID, op.Parent = pr.NextID(), types.RootInode
+			busy[f.e.name] = true
+			inflight[pipe.Submit(p, op)] = f
+		}
 		harvest := func(done []*core.Pending) {
 			for _, pe := range done {
-				e := owner[pe]
-				issued := issuedAt[pe]
-				delete(owner, pe)
-				delete(issuedAt, pe)
-				delete(busy, e.name)
-				switch pe.Op.Kind {
-				case types.OpCreate, types.OpMkdir:
-					if h.foldCreate(w, e, pe.Err, issued) {
-						live = append(live, e)
-					}
-				case types.OpRemove, types.OpRmdir:
-					if h.foldRemove(w, e, pe.Err, issued) {
-						live = append(live, e)
-					}
-				case types.OpLookup:
-					cached, grant, _ := pr.Driver().TakeLookup(pe.Op.ID)
-					h.foldLookup(w, e, pe.Attr, pe.Err, issued, cached, grant)
+				f := inflight[pe]
+				delete(inflight, pe)
+				delete(busy, f.e.name)
+				if h.fold(w, f, pe) {
+					live = append(live, f.e)
 				}
 			}
 		}
-		submitCreate := func(i int) {
-			e := &entry{name: fmt.Sprintf("w%d f%d", w, i), dir: rng.Float64() < 0.25,
-				state: stFresh}
+		// create makes a fresh file or directory under root. The space in
+		// the name is deliberate.
+		create := func(i int, dirShare float64) {
+			e := &entry{name: fmt.Sprintf("w%d f%d", w, i), dir: rng.Float64() < dirShare}
 			h.entries[w] = append(h.entries[w], e)
 			e.ino = pr.AllocInode()
-			kind, ft := types.OpCreate, types.FileRegular
+			op := types.Op{Kind: types.OpCreate, Name: e.name, Ino: e.ino, Type: types.FileRegular}
 			if e.dir {
-				kind, ft = types.OpMkdir, types.FileDir
+				op.Kind, op.Type = types.OpMkdir, types.FileDir
 			}
-			busy[e.name] = true
-			pe := pipe.Submit(p, types.Op{ID: pr.NextID(), Kind: kind,
-				Parent: types.RootInode, Name: e.name, Ino: e.ino, Type: ft})
-			owner[pe], issuedAt[pe] = e, p.Now()
+			submit(flight{e: e}, op)
 		}
-		// idle returns the entries of es with no op in flight on them.
-		idle := func(es []*entry) []*entry {
-			var out []*entry
-			for _, e := range es {
-				if !busy[e.name] {
-					out = append(out, e)
+		// remove removes one of cand, the live entries with no op in flight.
+		remove := func(cand []*entry) {
+			e := cand[rng.Intn(len(cand))]
+			for k := range live {
+				if live[k] == e {
+					live = append(live[:k], live[k+1:]...)
+					break
 				}
 			}
-			return out
+			op := types.Op{Kind: types.OpRemove, Name: e.name, Ino: e.ino}
+			if e.dir {
+				op.Kind = types.OpRmdir
+			}
+			submit(flight{e: e}, op)
+		}
+		// lookupOwn reads back one of the worker's names that has a known
+		// state and no op in flight; false when there is none.
+		lookupOwn := func() bool {
+			var known []*entry
+			for _, e := range h.entries[w] {
+				if (e.state == stExists || e.state == stAbsent) && !busy[e.name] {
+					known = append(known, e)
+				}
+			}
+			if len(known) == 0 {
+				return false
+			}
+			e := known[rng.Intn(len(known))]
+			submit(flight{e: e}, types.Op{Kind: types.OpLookup, Name: e.name})
+			return true
 		}
 
 		for i := 0; i < h.cfg.OpsPerWorker; i++ {
 			harvest(pipe.Poll())
 			r := rng.Float64()
+			var cand []*entry
+			for _, e := range live {
+				if !busy[e.name] {
+					cand = append(cand, e)
+				}
+			}
+			if h.cfg.StatStorm {
+				switch {
+				case r < 0.12 || len(h.entries[w]) == 0:
+					create(i, 0.15)
+				case r < 0.20 && len(cand) > 0:
+					remove(cand)
+				case r < 0.55:
+					// Reads of a foreign worker's names, which that worker
+					// is concurrently mutating.
+					if w2 := rng.Intn(len(h.entries)); w2 != w && len(h.entries[w2]) > 0 {
+						e := h.entries[w2][rng.Intn(len(h.entries[w2]))]
+						submit(flight{e: e, foreign: true}, types.Op{Kind: types.OpLookup, Name: e.name})
+					}
+				default:
+					lookupOwn()
+				}
+				continue
+			}
 			switch {
-			case r < 0.55 || len(idle(live)) == 0:
-				submitCreate(i)
+			case r < 0.55 || len(cand) == 0:
+				create(i, 0.25)
 			case r < 0.85:
-				cand := idle(live)
-				e := cand[rng.Intn(len(cand))]
-				for k := range live {
-					if live[k] == e {
-						live = append(live[:k], live[k+1:]...)
-						break
-					}
-				}
-				kind := types.OpRemove
-				if e.dir {
-					kind = types.OpRmdir
-				}
-				busy[e.name] = true
-				pe := pipe.Submit(p, types.Op{ID: pr.NextID(), Kind: kind,
-					Parent: types.RootInode, Name: e.name, Ino: e.ino})
-				owner[pe], issuedAt[pe] = e, p.Now()
+				remove(cand)
 			default:
-				var known []*entry
-				for _, e := range h.entries[w] {
-					if (e.state == stExists || e.state == stAbsent) && !busy[e.name] {
-						known = append(known, e)
-					}
+				// With no own name in a known state, the closed loop skips
+				// the draw and a pipeline creates instead, to keep its op
+				// count. The chaos fingerprints pin that difference.
+				if !lookupOwn() && depth > 1 {
+					create(i, 0.25)
 				}
-				if len(known) == 0 {
-					submitCreate(i) // keep the op count
-					continue
-				}
-				e := known[rng.Intn(len(known))]
-				busy[e.name] = true
-				pe := pipe.Submit(p, types.Op{ID: pr.NextID(), Kind: types.OpLookup,
-					Parent: types.RootInode, Name: e.name})
-				owner[pe], issuedAt[pe] = e, p.Now()
 			}
 		}
 		harvest(pipe.Drain(p))
@@ -429,7 +284,7 @@ func (h *harness) verify(p *simrt.Proc) {
 	for w := range h.entries {
 		pr := h.c.Proc(w)
 		for _, e := range h.entries[w] {
-			in, _, _, err := lookup(p, pr, e.name)
+			in, err := pr.Lookup(p, types.RootInode, e.name)
 			found := err == nil
 			if found {
 				h.rep.Final[e.name] = in.Ino

@@ -160,7 +160,6 @@ func New(opts Options) (*Cluster, error) {
 		opts.ProcsPerHost = 8
 	}
 	opts.Cx.Obs = opts.Obs
-	opts.Cx.LeaseTTL = opts.CacheTTL
 	opts.Obs.BeginRun(string(opts.Protocol))
 	sim := simrt.New(opts.Seed)
 	net := transport.New(sim, opts.Net)
@@ -169,6 +168,7 @@ func New(opts Options) (*Cluster, error) {
 
 	for i := 0; i < opts.Servers; i++ {
 		base := node.NewBase(sim, net, types.NodeID(i), opts.Hardware)
+		base.LeaseTTL = opts.CacheTTL // read by the Cx and SE servers' lookups
 		c.Bases = append(c.Bases, base)
 		if opts.GroupLinger > 0 {
 			base.WAL.SetGroupCommit(opts.GroupLinger)
@@ -187,7 +187,6 @@ func New(opts Options) (*Cluster, error) {
 			c.CxSrv = append(c.CxSrv, srv)
 		case ProtoSE, ProtoSEBatched:
 			srv := baseline.NewSEServer(base, pl, opts.Protocol == ProtoSEBatched)
-			srv.SetLeaseTTL(opts.CacheTTL)
 			srv.Start()
 		case Proto2PC:
 			baseline.NewTwoPCServer(base, pl).Start()
@@ -296,9 +295,11 @@ func (pr *Process) AllocInode() types.InodeID {
 	return pr.alloc.Next(srv)
 }
 
-// NewPipeline builds a pipelined dispatcher of the given depth over this
-// process's driver: up to depth operations in flight at once, each with the
-// driver's full per-op retry/timeout behavior, under every protocol.
+// NewPipeline builds a dispatcher of the given depth over this process's
+// driver, under every protocol: depth 1 (or less) is the closed loop, each
+// operation run in the submitting proc; deeper, up to depth operations are
+// in flight at once. Each has the driver's full per-op retry/timeout
+// behavior.
 func (pr *Process) NewPipeline(depth int) *core.Pipeline {
 	return core.NewPipeline(pr.cluster.Sim, pr.driver, depth)
 }

@@ -124,7 +124,10 @@ func TestConflictDuringChargeAfterReleaseIsCaught(t *testing.T) {
 func TestLookupDuringChargeLeasesNoProvisionalValue(t *testing.T) {
 	for _, gap := range []time.Duration{0, 5 * time.Microsecond, 12 * time.Microsecond, 20 * time.Microsecond} {
 		t.Run(fmt.Sprint(gap), func(t *testing.T) {
-			r := newRig(1<<20, Config{Timeout: time.Hour, LeaseTTL: time.Second})
+			r := newRig(1<<20, Config{Timeout: time.Hour})
+			for _, s := range r.srv {
+				s.LeaseTTL = time.Second
+			}
 			r.run(t, func(p *simrt.Proc) {
 				c := r.create(0, 1)
 				r.srv[1].Shard.SeedInode(types.Inode{Ino: c.Ino, Type: types.FileRegular, Nlink: 1})

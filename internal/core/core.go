@@ -95,10 +95,6 @@ type Config struct {
 	// cost dominates small backlogs (5KB of valid records still takes 3s),
 	// which is what makes Table V sublinear.
 	RecoveryFreeze time.Duration
-	// LeaseTTL is the validity window stamped on read leases granted to
-	// client lookup requests. 0 disables the leased read path: LookupReq is
-	// still answered, but without a lease, so clients cannot cache.
-	LeaseTTL time.Duration
 	// Obs receives the protocol's trace events (steps.go); nil, the
 	// default, records nothing.
 	Obs *obs.Observer

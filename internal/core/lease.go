@@ -37,5 +37,5 @@ func (s *Server) handleLookup(p *simrt.Proc, m *wire.Msg) {
 		return
 	}
 	s.stats.Lookups++
-	s.AnswerLookup(m, s.cfg.LeaseTTL)
+	s.AnswerLookup(m)
 }

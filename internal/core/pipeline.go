@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 )
@@ -12,25 +14,33 @@ type Doer interface {
 	Do(p *simrt.Proc, op types.Op) (types.Inode, error)
 }
 
-// Pending is one pipelined operation: its request, and — once Done reports
-// true — its outcome. The per-op retry/timeout policy of the underlying
-// driver applies unchanged; a Pending can therefore complete with
-// types.ErrTimeout like a synchronous call would.
+// Pending is one submitted operation: its request, the virtual time it
+// went to the driver, and — once Done reports true — its outcome. The
+// per-op retry/timeout policy of the underlying driver applies unchanged; a
+// Pending can therefore complete with types.ErrTimeout like a synchronous
+// call would.
 type Pending struct {
-	Op   types.Op
-	Attr types.Inode
-	Err  error
-	done bool
+	Op types.Op
+	// Issued is the instant the op went to the driver: that of the Submit
+	// call at depth 1, and above it the instant Submit returned, after any
+	// wait for a free slot.
+	Issued time.Duration
+	Attr   types.Inode
+	Err    error
+	done   bool
 }
 
 // Done reports whether the operation has completed. The outcome fields are
 // only meaningful afterwards.
 func (pe *Pending) Done() bool { return pe.done }
 
-// Pipeline issues up to depth operations concurrently on behalf of one
-// client process — the pipelined dispatch mode. Each submitted operation
-// runs the driver's full Do path (retries and timeouts intact) in its own
-// Proc; Submit applies backpressure once depth operations are in flight.
+// Pipeline issues up to depth operations on behalf of one client process.
+// Depth 1 is the closed loop of the paper's process-centric clients: Submit
+// runs the operation in the submitting Proc and returns it Done, so the run
+// is the one direct driver calls would make. Above depth 1 it is the
+// pipelined dispatch mode: each submitted operation runs the driver's full
+// Do path (retries and timeouts intact) in its own Proc, and Submit applies
+// backpressure once depth operations are in flight.
 //
 // A Pipeline belongs to a single submitting Proc: Submit, Poll, and Drain
 // must all be called from that Proc. Completions are harvested in
@@ -53,7 +63,7 @@ type Pipeline struct {
 }
 
 // NewPipeline builds a pipeline of the given depth over a driver. Depth
-// values below 1 are clamped to 1 (synchronous dispatch, one op in flight).
+// values below 1 are clamped to 1, the closed loop.
 func NewPipeline(sim *simrt.Sim, d Doer, depth int) *Pipeline {
 	if depth < 1 {
 		depth = 1
@@ -69,14 +79,21 @@ func (pl *Pipeline) Depth() int { return pl.depth }
 // InFlight returns how many submitted operations have not completed yet.
 func (pl *Pipeline) InFlight() int { return pl.inflight }
 
-// Submit issues op down the pipeline, blocking only while the pipeline is
-// at depth (harvesting completions while it waits). The returned Pending is
-// live: poll Done, or collect it later via Poll/Drain.
+// Submit issues op down the pipeline. At depth 1 it runs op to completion
+// in p. Above, it blocks only while the pipeline is at depth (harvesting
+// completions while it waits), and the returned Pending is live: poll Done,
+// or collect it later via Poll/Drain. Either way the op is collected once,
+// by the next Poll or Drain.
 func (pl *Pipeline) Submit(p *simrt.Proc, op types.Op) *Pending {
 	for pl.inflight >= pl.depth {
 		pl.harvest(pl.compc.Recv(p))
 	}
-	pe := &Pending{Op: op}
+	pe := &Pending{Op: op, Issued: p.Now()}
+	if pl.depth == 1 {
+		pl.do(p, pe)
+		pl.ready = append(pl.ready, pe)
+		return pe
+	}
 	pl.inflight++
 	pl.starting = append(pl.starting, pe)
 	pl.sim.Spawn("pipeline-op", pl.body)
@@ -93,9 +110,14 @@ func (pl *Pipeline) run(wp *simrt.Proc) {
 	if pl.started++; pl.started == len(pl.starting) {
 		pl.starting, pl.started = pl.starting[:0], 0
 	}
-	pe.Attr, pe.Err = pl.d.Do(wp, pe.Op)
-	pe.done = true
+	pl.do(wp, pe)
 	pl.compc.Send(pe)
+}
+
+// do runs pe's operation through the driver in p.
+func (pl *Pipeline) do(p *simrt.Proc, pe *Pending) {
+	pe.Attr, pe.Err = pl.d.Do(p, pe.Op)
+	pe.done = true
 }
 
 func (pl *Pipeline) harvest(pe *Pending) {

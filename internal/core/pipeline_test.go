@@ -124,6 +124,75 @@ func TestPipelineDepthClampedToOne(t *testing.T) {
 	}
 }
 
+// procDoer is a fakeDoer that also records the proc each op ran in.
+type procDoer struct {
+	fakeDoer
+	ran []*simrt.Proc
+}
+
+func (d *procDoer) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
+	d.ran = append(d.ran, p)
+	return d.fakeDoer.Do(p, op)
+}
+
+// Depth 1 is the closed loop: Submit runs the op in the submitting proc and
+// returns it done, dispatching exactly the events a direct Do would, and
+// Issued is the instant the op went to the driver.
+func TestPipelineDepthOneIsTheClosedLoop(t *testing.T) {
+	delay := func(types.Op) time.Duration { return 3 * time.Millisecond }
+	events := func(fn func(s *simrt.Sim, p *simrt.Proc)) uint64 {
+		s := simrt.New(1)
+		defer s.Shutdown()
+		s.Spawn("driver", func(p *simrt.Proc) { fn(s, p) })
+		s.RunUntil(time.Hour)
+		return s.EventsRun()
+	}
+
+	d := &procDoer{fakeDoer: fakeDoer{delay: delay}}
+	piped := events(func(s *simrt.Sim, p *simrt.Proc) {
+		pl := core.NewPipeline(s, d, 1)
+		p.Sleep(time.Millisecond)
+		pe := pl.Submit(p, pipeOp(1))
+		if !pe.Done() {
+			t.Fatal("depth-1 Submit returned an op still in flight")
+		}
+		if len(d.ran) != 1 || d.ran[0] != p {
+			t.Errorf("the doer ran in %v, want the submitting proc %p", d.ran, p)
+		}
+		if pe.Issued != time.Millisecond {
+			t.Errorf("Issued %v, want the submit instant %v", pe.Issued, time.Millisecond)
+		}
+		if got := pl.Poll(); len(got) != 1 || got[0] != pe {
+			t.Errorf("first Poll returned %v, want the op once", got)
+		}
+		if got := pl.Poll(); len(got) != 0 {
+			t.Errorf("second Poll returned %d ops, want none", len(got))
+		}
+	})
+	direct := events(func(_ *simrt.Sim, p *simrt.Proc) {
+		p.Sleep(time.Millisecond)
+		(&fakeDoer{delay: delay}).Do(p, pipeOp(1))
+	})
+	if piped != direct {
+		t.Errorf("depth-1 Submit ran %d events, a direct Do %d", piped, direct)
+	}
+
+	// Above depth 1 the op goes to the driver when a slot frees up: the fifth
+	// submit at depth 4 waits for the first completion, at 3 ms.
+	withPipeline(t, 1, &fakeDoer{delay: delay}, 4, func(p *simrt.Proc, pl *core.Pipeline) {
+		for i := 1; i <= 4; i++ {
+			if pe := pl.Submit(p, pipeOp(uint64(i))); pe.Issued != 0 {
+				t.Errorf("op %d: Issued %v with a slot free, want 0", i, pe.Issued)
+			}
+		}
+		pe := pl.Submit(p, pipeOp(5))
+		if pe.Issued != p.Now() || pe.Issued != 3*time.Millisecond {
+			t.Errorf("op 5: Issued %v, Submit returned at %v; want both 3ms", pe.Issued, p.Now())
+		}
+		pl.Drain(p)
+	})
+}
+
 func TestPipelinePollIsNonBlocking(t *testing.T) {
 	d := &fakeDoer{delay: func(types.Op) time.Duration { return time.Second }}
 	withPipeline(t, 1, d, 2, func(p *simrt.Proc, pl *core.Pipeline) {

@@ -54,12 +54,12 @@ type Config struct {
 	// starts (the paper fills 40,000 files per server so servers run at
 	// steady state; scale to taste).
 	Prepopulate int
-	// Pipeline is the per-process in-flight operation limit. Values <= 1
-	// keep the classic closed loop (one op at a time per process); higher
-	// values dispatch up to Pipeline operations concurrently through
-	// core.Pipeline, with per-op ordering preserved on every file a process
-	// owns (a file is only stat'd or removed after its create completed,
-	// and never removed while a stat on it is in flight).
+	// Pipeline is the depth of every process's core.Pipeline, its in-flight
+	// operation limit. Values <= 1 are depth 1, the classic closed loop (one
+	// op at a time per process); higher values dispatch up to Pipeline
+	// operations concurrently, with per-op ordering preserved on every file
+	// a process owns (a file is only stat'd or removed after its create
+	// completed, and never removed while a stat on it is in flight).
 	Pipeline int
 }
 
@@ -110,11 +110,7 @@ func Run(c *cluster.Cluster, cfg Config) Result {
 			pg.Wait(p)
 		}
 	}, nProcs, func(p *simrt.Proc, i int) {
-		if cfg.Pipeline > 1 {
-			res.Errors += pipelinedWorker(p, c, c.Proc(i), &dirIno, cfg, i)
-		} else {
-			res.Errors += sequentialWorker(p, c, c.Proc(i), &dirIno, cfg, i)
-		}
+		res.Errors += pipelinedWorker(p, c, c.Proc(i), &dirIno, cfg, i)
 	})
 
 	res.Elapsed = win.End.Sub(win.Start).At
@@ -131,48 +127,14 @@ type ownFile struct {
 	ino  types.InodeID
 }
 
-// sequentialWorker is the classic closed loop: one op at a time. Returns the
-// error count.
-func sequentialWorker(p *simrt.Proc, c *cluster.Cluster, pr *cluster.Process, dirIno *types.InodeID, cfg Config, id int) int {
-	errors := 0
-	var files []ownFile
-	next := 0
-	rng := c.Sim.Rand()
-	for op := 0; op < cfg.OpsPerProc; op++ {
-		if rng.Float64() < cfg.Mix.UpdateShare || len(files) == 0 {
-			// Update: alternate create and remove to hold the working set
-			// steady, like Metarates' create/utime phases.
-			if len(files) < 8 || rng.Intn(2) == 0 {
-				name := fmt.Sprintf("m.%d.%d", id, next)
-				next++
-				ino, err := pr.Create(p, *dirIno, name)
-				if err != nil {
-					errors++
-					continue
-				}
-				files = append(files, ownFile{name, ino})
-			} else {
-				f := files[0]
-				files = files[1:]
-				if err := pr.Remove(p, *dirIno, f.name, f.ino); err != nil {
-					errors++
-				}
-			}
-		} else {
-			f := files[rng.Intn(len(files))]
-			if _, err := pr.Stat(p, f.ino); err != nil {
-				errors++
-			}
-		}
-	}
-	return errors
-}
-
-// pipelinedWorker keeps up to cfg.Pipeline operations in flight. The
-// working set only admits files whose create has completed, a file with a
-// stat in flight is never removed, and removed files leave the set at
-// submission — so each file still sees a sequential create → (stats) →
-// remove history and the op stream stays oracle-checkable.
+// pipelinedWorker is the one worker body: it keeps up to cfg.Pipeline
+// operations in flight, one at a time at depth 1 (the closed loop). Updates
+// alternate create and remove to hold the working set steady, like
+// Metarates' create/utime phases. The working set only admits files whose
+// create has completed, a file with a stat in flight is never removed, and
+// removed files leave the set at submission — so each file still sees a
+// sequential create → (stats) → remove history and the op stream stays
+// oracle-checkable. Returns the error count.
 func pipelinedWorker(p *simrt.Proc, c *cluster.Cluster, pr *cluster.Process, dirIno *types.InodeID, cfg Config, id int) int {
 	errors := 0
 	pipe := pr.NewPipeline(cfg.Pipeline)

@@ -163,7 +163,8 @@ func TestForgetClientsKeepsTheReplyCache(t *testing.T) {
 	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, sent *[]wire.Msg) {
 		b.Begin(opID(1), 100)
 		b.CacheReply(opID(2), &wire.Msg{Type: wire.MsgOpResp, OK: true, Attr: types.Inode{Ino: 5}})
-		b.AnswerLookup(&wire.Msg{From: 100, Op: opID(3), Dir: types.RootInode, Path: "f"}, time.Second)
+		b.LeaseTTL = time.Second
+		b.AnswerLookup(&wire.Msg{From: 100, Op: opID(3), Dir: types.RootInode, Path: "f"})
 		b.Crash()
 		b.Reboot()
 		b.ForgetClients()
@@ -186,10 +187,12 @@ func TestAnswerLookupLeasesAndRevokeNotifiesInGrantOrder(t *testing.T) {
 		b.Shard.SeedDentry(types.RootInode, "f", 42)
 		ttl := 50 * time.Millisecond
 
-		b.AnswerLookup(&wire.Msg{From: 102, Op: opID(1), Dir: types.RootInode, Path: "f"}, ttl)
-		b.AnswerLookup(&wire.Msg{From: 101, Op: opID(2), Dir: types.RootInode, Path: "f"}, ttl)
-		b.AnswerLookup(&wire.Msg{From: 101, Op: opID(3), Dir: types.RootInode, Path: "gone"}, ttl) // negative
-		b.AnswerLookup(&wire.Msg{From: 103, Op: opID(4), Dir: types.RootInode, Path: "f"}, 0)      // no lease
+		b.LeaseTTL = ttl
+		b.AnswerLookup(&wire.Msg{From: 102, Op: opID(1), Dir: types.RootInode, Path: "f"})
+		b.AnswerLookup(&wire.Msg{From: 101, Op: opID(2), Dir: types.RootInode, Path: "f"})
+		b.AnswerLookup(&wire.Msg{From: 101, Op: opID(3), Dir: types.RootInode, Path: "gone"}) // negative
+		b.LeaseTTL = 0
+		b.AnswerLookup(&wire.Msg{From: 103, Op: opID(4), Dir: types.RootInode, Path: "f"}) // no lease
 		r := *sent
 		if len(r) != 4 {
 			t.Errorf("%d replies, want 4", len(r))

@@ -94,21 +94,21 @@ func (t *LeaseTable) Reset() { t.entries.Reset() }
 func (b *Base) leaseEpoch() uint64 { return b.boot + 1 }
 
 // AnswerLookup resolves the LookupReq m against the local shard and answers
-// with the inode plus, when ttl > 0, a lease of that duration. Negative
-// results are leased too (the client may cache the absence). What must come
-// first — the execution charge, Cx's wait behind an active object — is the
-// protocol's business.
-func (b *Base) AnswerLookup(m *wire.Msg, ttl time.Duration) {
+// with the inode plus, when b.LeaseTTL > 0, a lease of that duration.
+// Negative results are leased too (the client may cache the absence). What
+// must come first — the execution charge, Cx's wait behind an active object
+// — is the protocol's business.
+func (b *Base) AnswerLookup(m *wire.Msg) {
 	in, found := b.Shard.ResolveEntry(m.Dir, m.Path)
 	reply := wire.Msg{Type: wire.MsgLookupResp, To: m.From, Op: m.Op,
 		OK: found, Dir: m.Dir, Path: m.Path, Attr: in}
 	if !found {
 		reply.Err = types.ErrNotFound.Error()
 	}
-	if ttl > 0 {
+	if b.LeaseTTL > 0 {
 		reply.LeaseEpoch = b.leaseEpoch()
-		reply.LeaseTTL = ttl
-		b.leases.Grant(m.Dir, m.Path, m.From, b.Sim.Now(), ttl)
+		reply.LeaseTTL = b.LeaseTTL
+		b.leases.Grant(m.Dir, m.Path, m.From, b.Sim.Now(), b.LeaseTTL)
 		b.stats.LeasesGranted++
 	}
 	b.Send(reply)

@@ -92,7 +92,12 @@ type Base struct {
 	KV    *kvstore.Store
 	Shard *namespace.Shard
 
-	HW            HardwareParams
+	HW HardwareParams
+	// LeaseTTL is the validity window AnswerLookup stamps on the read leases
+	// it grants. 0, the default, answers lookups without a lease, so clients
+	// cannot cache.
+	LeaseTTL time.Duration
+
 	inbox         *simrt.Chan[*transport.Packet]
 	handler       Handler
 	crashed       bool

@@ -274,9 +274,6 @@ func NewGroup(s *Sim) *Group { return &Group{sim: s} }
 // Add increments the counter by n.
 func (g *Group) Add(n int) { g.count += n }
 
-// Count returns the current counter value.
-func (g *Group) Count() int { return g.count }
-
 // Done decrements the counter, waking all waiters when it reaches zero.
 func (g *Group) Done() {
 	g.count--

@@ -249,9 +249,6 @@ type Proc struct {
 // Name returns the Proc's debug name.
 func (p *Proc) Name() string { return p.name }
 
-// Sim returns the simulation the Proc belongs to.
-func (p *Proc) Sim() *Sim { return p.sim }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.sim.now }
 

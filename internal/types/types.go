@@ -271,12 +271,6 @@ var (
 	// ErrAborted reports that a cross-server operation was aborted because
 	// one of its sub-operations failed (the paper's ALL-NO outcome).
 	ErrAborted = errors.New("operation aborted")
-	// ErrServerDown reports that a request reached a crashed server.
-	ErrServerDown = errors.New("server down")
-	// ErrLogFull reports that a server's operation log hit its upper limit
-	// and the request had to wait for pruning (surfaced only by tests; the
-	// protocol blocks rather than failing).
-	ErrLogFull = errors.New("operation log full")
 	// ErrInvalidated reports a sub-op response superseded by invalidation
 	// during disordered-conflict handling.
 	ErrInvalidated = errors.New("execution invalidated")
