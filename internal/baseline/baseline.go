@@ -59,7 +59,7 @@ func serveSingle(p *simrt.Proc, b *node.Base, m *wire.Msg) {
 		reply.Err = res.Err.Error()
 	}
 	if res.OK && mutating {
-		b.KV.SyncRows(p, res.Rows)
+		b.KV.SyncRows(p, res.Rows.All())
 	}
 	if b.Crashed() {
 		return
@@ -88,13 +88,12 @@ func servedAside(b *node.Base, m *wire.Msg) bool {
 
 // pendingExec is what a server keeps of a successful participant execution
 // it may have to take back — SE until the CLEAR window closes, 2PC until the
-// decision: the undo, the rows to persist again either way (those the
-// execution wrote) and, in 2PC, the locks it holds (none when the coordinator,
-// running the sub-op locally, holds them itself).
+// decision: the undo and the rows to persist again either way (those the
+// execution wrote), by value. Kept in a map (2PC's prepared), a value of at
+// most 128 bytes stays inline; a larger one Go boxes, one allocation each.
 type pendingExec struct {
 	undo namespace.Undo
-	rows []kvstore.Ref
-	keys []types.ObjKey
+	rows kvstore.Refs
 }
 
 // lockKeys lists the objects a 2PC or CE coordinator locks for a transaction:

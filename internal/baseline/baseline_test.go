@@ -3,6 +3,7 @@ package baseline
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"cxfs/internal/namespace"
 	"cxfs/internal/simrt"
@@ -136,21 +137,35 @@ func TestSEUndoWindowIsFIFOAtTheCap(t *testing.T) {
 	for seq := 1; seq <= seUndoCap+1; seq++ {
 		s.retainUndo(op(seq), pendingExec{})
 	}
-	if _, ok := s.pendingUndo[op(1)]; ok {
+	if _, ok := s.undoAt[op(1)]; ok {
 		t.Error("oldest execution survived eviction at the cap")
 	}
 	for seq := 2; seq <= seUndoCap+1; seq++ {
-		if _, ok := s.pendingUndo[op(seq)]; !ok {
+		if _, ok := s.undoAt[op(seq)]; !ok {
 			t.Fatalf("eviction dropped op %d as well as the oldest", seq)
 		}
 	}
 	for seq := seUndoCap + 2; seq <= 2*seUndoCap+1; seq++ {
 		s.retainUndo(op(seq), pendingExec{})
-		if _, ok := s.pendingUndo[op(seq-seUndoCap)]; ok {
+		if _, ok := s.undoAt[op(seq-seUndoCap)]; ok {
 			t.Fatalf("insert %d did not evict op %d", seq, seq-seUndoCap)
 		}
 	}
-	if len(s.pendingUndo) != seUndoCap {
-		t.Errorf("window holds %d executions, want %d", len(s.pendingUndo), seUndoCap)
+	if len(s.undoAt) != seUndoCap {
+		t.Errorf("window holds %d executions, want %d", len(s.undoAt), seUndoCap)
+	}
+}
+
+// Go boxes a map value larger than 128 bytes: one allocation per insert. The
+// executions the baselines keep per operation in maps stay inline.
+func TestPendingExecutionsStayInlineInTheirMaps(t *testing.T) {
+	var se SEServer
+	var tp TwoPCServer
+	var op types.OpID
+	if n := unsafe.Sizeof(se.undoAt[op]); n > 128 {
+		t.Errorf("SEServer.undoAt values are %d bytes, want at most 128", n)
+	}
+	if n := unsafe.Sizeof(tp.prepared[op]); n > 128 {
+		t.Errorf("TwoPCServer.prepared values are %d bytes, want at most 128", n)
 	}
 }

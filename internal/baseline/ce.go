@@ -109,16 +109,18 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	}
 	ok := resP.OK && resC.OK
 	if ok {
+		beforeC, afterC := resC.Images()
+		beforeP, afterP := resP.Images()
 		s.WAL.AppendBatch(p, []wal.Record{
-			{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator, OK: true, Sub: cSub, Before: resC.Before, After: resC.After},
-			{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant, OK: true, Sub: pSub, Before: resP.Before, After: resP.After},
+			{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator, OK: true, Sub: cSub, Before: beforeC, After: afterC},
+			{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant, OK: true, Sub: pSub, Before: beforeP, After: afterP},
 			{Type: wal.RecCommit, Op: op.ID, Role: types.RoleCoordinator},
 		})
 		if s.Crashed() {
 			return
 		}
 		// The coordinator's own rows persist synchronously.
-		s.KV.SyncRows(p, resC.Rows)
+		s.KV.SyncRows(p, resC.Rows.All())
 		if s.Crashed() {
 			return
 		}

@@ -24,12 +24,13 @@ type SEServer struct {
 	pl      namespace.Placement
 	batched bool
 
-	// pendingUndo retains the participant executions a CLEAR may still take
-	// back. SE has no protocol completion signal, so the set is bounded:
-	// oldest entries are discarded — exactly the window in which a crashed
-	// client leaves orphans (§II.B's acknowledged weakness of SE).
-	pendingUndo map[types.OpID]pendingExec
-	undoOrder   seg.Ring[types.OpID]
+	// undos retains the participant executions a CLEAR may still take back,
+	// by value, and undoAt finds each by its position there. SE has no
+	// protocol completion signal, so the set is bounded: oldest entries are
+	// discarded — exactly the window in which a crashed client leaves orphans
+	// (§II.B's acknowledged weakness of SE).
+	undos  seg.Ring[retained]
+	undoAt map[types.OpID]int32
 
 	// localOps await the batched flush (batched mode only).
 	localOps []localFlush
@@ -37,7 +38,13 @@ type SEServer struct {
 
 type localFlush struct {
 	id   types.OpID
-	rows []kvstore.Ref
+	rows kvstore.Refs
+}
+
+// retained is a participant execution in the undo window, with its operation.
+type retained struct {
+	op types.OpID
+	pendingExec
 }
 
 const seUndoCap = 4096
@@ -51,7 +58,7 @@ const seFlushPeriod = 10 * time.Second
 func NewSEServer(base *node.Base, pl namespace.Placement, batched bool) *SEServer {
 	return &SEServer{
 		Base: base, pl: pl, batched: batched,
-		pendingUndo: make(map[types.OpID]pendingExec),
+		undoAt: make(map[types.OpID]int32),
 	}
 }
 
@@ -85,7 +92,7 @@ func (s *SEServer) flushLocal(p *simrt.Proc) {
 	s.localOps = nil
 	var rows []kvstore.Ref
 	for _, lo := range ops {
-		rows = append(rows, lo.rows...)
+		rows = append(rows, lo.rows.All()...)
 	}
 	s.KV.FlushRows(p, rows)
 	if s.Crashed() {
@@ -134,11 +141,12 @@ func (s *SEServer) maybeRevoke(sub types.SubOp) {
 // log record and defers the database write to the flush daemon.
 func (s *SEServer) persist(p *simrt.Proc, id types.OpID, sub types.SubOp, res namespace.Result) {
 	if !s.batched {
-		s.KV.SyncRows(p, res.Rows)
+		s.KV.SyncRows(p, res.Rows.All())
 		return
 	}
+	before, after := res.Images()
 	s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: id, Role: sub.Role,
-		OK: true, Sub: sub, Before: res.Before, After: res.After})
+		OK: true, Sub: sub, Before: before, After: after})
 	if s.Crashed() {
 		return
 	}
@@ -176,22 +184,28 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	s.Send(reply)
 }
 
+// retainUndo keeps e in the undo window, evicting the oldest execution at
+// seUndoCap (taken back or not: a slot keeps its operation till then).
 func (s *SEServer) retainUndo(id types.OpID, e pendingExec) {
-	if _, oldest, full := s.undoOrder.Push(id, seUndoCap); full {
-		delete(s.pendingUndo, oldest)
+	pos, oldest, full := s.undos.Push(retained{id, e}, seUndoCap)
+	if full {
+		delete(s.undoAt, oldest.op)
 	}
-	s.pendingUndo[id] = e
+	s.undoAt[id] = int32(pos)
 }
 
 // handleClear compensates a participant sub-op whose coordinator-side
 // failed (§II.B: "the process withdraws the former sub-ops by sending a
 // CLEAR message").
 func (s *SEServer) handleClear(p *simrt.Proc, m *wire.Msg) {
-	if e, ok := s.pendingUndo[m.Op]; ok {
-		delete(s.pendingUndo, m.Op)
+	if pos, ok := s.undoAt[m.Op]; ok {
+		delete(s.undoAt, m.Op)
+		slot := s.undos.At(int(pos))
+		e := slot.pendingExec
+		slot.pendingExec = pendingExec{}
 		s.Shard.ApplyUndo(e.undo)
 		if !s.batched {
-			s.KV.SyncRows(p, e.rows)
+			s.KV.SyncRows(p, e.rows.All())
 		} else {
 			s.localOps = append(s.localOps, localFlush{id: m.Op, rows: e.rows})
 		}

@@ -23,7 +23,15 @@ type TwoPCServer struct {
 	locks *lockTable
 
 	// Participant-side pending executions awaiting the decision.
-	prepared map[types.OpID]pendingExec
+	prepared map[types.OpID]preparedExec
+}
+
+// preparedExec is a participant execution awaiting the decision, with the
+// locks it holds (none when the coordinator, running the sub-op locally,
+// holds them itself).
+type preparedExec struct {
+	pendingExec
+	keys []types.ObjKey
 }
 
 // NewTwoPCServer builds a 2PC server.
@@ -31,7 +39,7 @@ func NewTwoPCServer(base *node.Base, pl namespace.Placement) *TwoPCServer {
 	return &TwoPCServer{
 		Base: base, pl: pl,
 		locks:    newLockTable(),
-		prepared: make(map[types.OpID]pendingExec),
+		prepared: make(map[types.OpID]preparedExec),
 	}
 }
 
@@ -88,9 +96,10 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 			partErr = resP.Err.Error()
 		}
 		if resP.OK {
-			s.prepared[op.ID] = pendingExec{undo: resP.Undo, rows: resP.Rows}
+			s.prepared[op.ID] = preparedExec{pendingExec: pendingExec{undo: resP.Undo, rows: resP.Rows}}
+			before, after := resP.Images()
 			s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant,
-				OK: true, Sub: pSub, Before: resP.Before, After: resP.After})
+				OK: true, Sub: pSub, Before: before, After: after})
 		}
 	} else {
 		ch, done := s.Await(wire.MsgVoteResp, op.ID, false)
@@ -106,8 +115,9 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	// Coordinator executes its own sub-op and logs the result.
 	s.ExecCPU(p)
 	resC := s.Shard.Exec(cSub, s.NowNanos())
+	before, after := resC.Images()
 	s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator,
-		OK: resC.OK, Sub: cSub, Before: resC.Before, After: resC.After})
+		OK: resC.OK, Sub: cSub, Before: before, After: after})
 	if s.Crashed() {
 		return
 	}
@@ -142,7 +152,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		if !commit {
 			s.Shard.ApplyUndo(resC.Undo)
 		}
-		s.KV.SyncRows(p, resC.Rows)
+		s.KV.SyncRows(p, resC.Rows.All())
 	}
 	s.WAL.Append(p, wal.Record{Type: wal.RecComplete, Op: op.ID, Role: types.RoleCoordinator})
 	if s.Crashed() {
@@ -182,9 +192,10 @@ func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
 	s.ExecCPU(p)
 	res := s.Shard.Exec(sub, s.NowNanos())
 	if res.OK {
-		s.prepared[m.Op] = pendingExec{undo: res.Undo, rows: res.Rows, keys: keys}
+		s.prepared[m.Op] = preparedExec{pendingExec{undo: res.Undo, rows: res.Rows}, keys}
+		before, after := res.Images()
 		s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: m.Op, Role: types.RoleParticipant,
-			OK: true, Sub: sub, Before: res.Before, After: res.After})
+			OK: true, Sub: sub, Before: before, After: after})
 	} else {
 		s.locks.release(keys)
 	}
@@ -219,7 +230,7 @@ func (s *TwoPCServer) applyDecision(p *simrt.Proc, id types.OpID, commit bool) {
 		decType = wal.RecAbort
 		s.Shard.ApplyUndo(pe.undo)
 	}
-	s.KV.SyncRows(p, pe.rows)
+	s.KV.SyncRows(p, pe.rows.All())
 	if s.Crashed() {
 		return
 	}

@@ -229,12 +229,12 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 	rows := s.flushRows[:0]
 	ready := ops[:0]
 	for _, fe := range ops {
-		if s.pinned(fe.rows) {
+		if s.pinned(&fe) {
 			s.flushQ = append(s.flushQ, fe)
 			continue
 		}
 		ready = append(ready, fe)
-		rows = append(rows, fe.rows...)
+		rows = append(append(rows, fe.rows[0].All()...), fe.rows[1].All()...)
 	}
 	s.flushRows = rows
 	if s.step(StepWriteBackBefore, types.NilOp, 0, nil) || !s.KV.FlushRows(p, rows) ||
@@ -251,11 +251,13 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 }
 
 // pinned reports whether an execution whose Result-Record is not durable yet
-// has written any of rows (logResults).
-func (s *Server) pinned(rows []kvstore.Ref) bool {
-	for _, row := range rows {
-		if s.KV.Pinned(row) {
-			return true
+// has written any of fe's rows (logResults).
+func (s *Server) pinned(fe *flushEntry) bool {
+	for i := range fe.rows {
+		for _, row := range fe.rows[i].All() {
+			if s.KV.Pinned(row) {
+				return true
+			}
 		}
 	}
 	return false

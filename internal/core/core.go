@@ -138,7 +138,7 @@ type Stats struct {
 // individual log writes, never an individual database flush.
 type flushEntry struct {
 	id   types.OpID
-	rows []kvstore.Ref
+	rows [2]kvstore.Refs // the rows of the execution here; a colocated operation's two halves, one each
 }
 
 // kickReq asks the commit daemon to run. The daemon merges every request

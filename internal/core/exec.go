@@ -97,7 +97,7 @@ func (s *Server) logResults(p *simrt.Proc, boot uint64, recs []wal.Record, rows 
 // the log — or kvstore.NoRow if it wrote nothing. The commutative parent
 // counter that rides along has no image: fsck recomputes it.
 func written(res *namespace.Result) kvstore.Row {
-	if len(res.Rows) == 0 {
+	if res.Rows[0].Key == "" {
 		return kvstore.NoRow
 	}
 	return res.Rows[0].Row
@@ -166,8 +166,9 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 	}
 
 	if cross || sub.Action.Mutating() {
+		before, after := res.Images()
 		rec := wal.Record{Type: wal.RecResult, Op: sub.Op, Role: sub.Role,
-			OK: res.OK, Sub: sub, Before: res.Before, After: res.After}
+			OK: res.OK, Sub: sub, Before: before, After: after}
 		if cross {
 			rec.Peer, rec.HasPeer = m.Peer, true
 		}
@@ -194,7 +195,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 		s.releaseKeys(res.Rows, sub.Op)
 		s.release(st) // the object is free again: nothing waits for the Abort-Record
 		s.WAL.AppendBatchPriority(p, []wal.Record{rec})
-		s.flushQ = append(s.flushQ, flushEntry{id: sub.Op, rows: res.Rows})
+		s.flushQ = append(s.flushQ, flushEntry{id: sub.Op, rows: [2]kvstore.Refs{res.Rows}})
 		if s.Crashed() {
 			return
 		}
@@ -224,7 +225,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 			replied: true, hint: hint, errStr: reply.Err, attr: res.Inode}, phasePending)
 	case sub.Action.Mutating():
 		// Single-server update: logged above, flushed by the next batch.
-		s.flushQ = append(s.flushQ, flushEntry{id: sub.Op, rows: res.Rows})
+		s.flushQ = append(s.flushQ, flushEntry{id: sub.Op, rows: [2]kvstore.Refs{res.Rows}})
 	}
 	if (cross || sub.Action.Mutating()) && s.underPressure() {
 		s.pressureRound()
@@ -271,8 +272,8 @@ func (s *Server) hold(sub types.SubOp, row kvstore.Row) {
 
 // releaseKeys unlocks the object row of an execution of op (the first of the
 // rows it wrote), if op still holds it.
-func (s *Server) releaseKeys(rows []kvstore.Ref, op types.OpID) {
-	if len(rows) > 0 {
+func (s *Server) releaseKeys(rows kvstore.Refs, op types.OpID) {
+	if rows[0].Key != "" {
 		s.KV.Unlock(rows[0], op)
 	}
 }
@@ -390,15 +391,16 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	case types.ActInsertEntry, types.ActRemoveEntry:
 		s.RevokeLeases(cSub.Parent, cSub.Name, op.ID)
 	}
+	beforeC, afterC := resC.Images()
+	beforeP, afterP := resP.Images()
 	if !s.logResults(p, boot, []wal.Record{
-		{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator, OK: true, Sub: cSub, Before: resC.Before, After: resC.After},
-		{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant, OK: true, Sub: pSub, Before: resP.Before, After: resP.After},
+		{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator, OK: true, Sub: cSub, Before: beforeC, After: afterC},
+		{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant, OK: true, Sub: pSub, Before: beforeP, After: afterP},
 		commitRecord(op.ID, types.RoleCoordinator),
 	}, written(&resC), written(&resP)) {
 		return
 	}
-	rows := append(append(make([]kvstore.Ref, 0, len(resC.Rows)+len(resP.Rows)), resC.Rows...), resP.Rows...)
-	s.flushQ = append(s.flushQ, flushEntry{id: op.ID, rows: rows})
+	s.flushQ = append(s.flushQ, flushEntry{id: op.ID, rows: [2]kvstore.Refs{resC.Rows, resP.Rows}})
 	// Durable state was created: retries must get this reply back, not a
 	// re-execution (which would wrongly fail, e.g. with ErrExists).
 	s.CacheReply(op.ID, &reply)

@@ -54,7 +54,7 @@ func (ph phase) String() string { return [...]string{"none", "pending", "committ
 type execution struct {
 	sub  types.SubOp
 	undo namespace.Undo
-	rows []kvstore.Ref // the object's row first: its lock is the object's activity
+	rows kvstore.Refs // the object's row first: its lock is the object's activity
 
 	// The recorded response, for duplicate suppression; a recovery-rebuilt
 	// execution has none (replied is false).
@@ -546,9 +546,9 @@ func (s *Server) finish(st *opState, reply wire.Msg) {
 // flush queue (database write-back is deferred: the records are durable, the
 // pages drain with the next lazy batch and the log records prune only after
 // that flush), and whoever waits on the operation moves on.
-func (s *Server) completeOp(st *opState, rows []kvstore.Ref) {
+func (s *Server) completeOp(st *opState, rows kvstore.Refs) {
 	s.releaseKeys(rows, st.id())
-	s.flushQ = append(s.flushQ, flushEntry{id: st.id(), rows: rows})
+	s.flushQ = append(s.flushQ, flushEntry{id: st.id(), rows: [2]kvstore.Refs{rows}})
 	s.release(st)
 }
 

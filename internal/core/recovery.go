@@ -176,7 +176,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			s.Shard.InstallImages(last.After)
 			e.undo = namespace.UndoOf(last.Sub, last.Before)
 			for _, img := range last.After {
-				e.rows = append(e.rows, kvstore.Ref{Key: img.Key, Row: s.KV.Find(img.Key)})
+				e.rows.Add(kvstore.Ref{Key: img.Key, Row: s.KV.Find(img.Key)})
 			}
 			s.hold(last.Sub, e.rows[0].Row)
 		}

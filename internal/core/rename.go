@@ -73,8 +73,9 @@ func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 		return
 	}
 	s.hold(srcSub, written(&resSrc))
+	before, after := resSrc.Images()
 	if !s.logResults(p, boot, []wal.Record{{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator,
-		OK: true, Sub: srcSub, Before: resSrc.Before, After: resSrc.After, Peer: dst, HasPeer: true}}, written(&resSrc)) {
+		OK: true, Sub: srcSub, Before: before, After: after, Peer: dst, HasPeer: true}}, written(&resSrc)) {
 		return
 	}
 	// Register as a committing coordinator op so C-NOTIFY/L-COM find it and
@@ -210,8 +211,9 @@ func (s *Server) renameExecInsert(p *simrt.Proc, boot uint64, dstSub types.SubOp
 		return false, res.Err.Error()
 	}
 	s.hold(dstSub, written(&res))
+	before, after := res.Images()
 	if !s.logResults(p, boot, []wal.Record{{Type: wal.RecResult, Op: dstSub.Op, Role: types.RoleParticipant,
-		OK: true, Sub: dstSub, Before: res.Before, After: res.After, Peer: coordNode, HasPeer: true}}, written(&res)) {
+		OK: true, Sub: dstSub, Before: before, After: after, Peer: coordNode, HasPeer: true}}, written(&res)) {
 		return false, ""
 	}
 	if coordNode != s.ID {

@@ -199,28 +199,29 @@ var raceEnabled bool
 // input: runtime.MemStats.Mallocs across one replay — trace generation,
 // cluster build and the 14,496 ops — over the op count. It is a host number
 // like resumes, not part of the model, and repeats to within a few hundred
-// allocations (map iteration order moves some). se is pinned where row keys
-// became the store's own (parent 6.39, at most 0.6 of it). Before a server
-// kept its op-table entries on a free list, refilled a block at a time, the
-// same input allocated 4.60 per op under cx (one heap entry per registered
-// execution); at most 0.85 of that.
+// allocations (map iteration order moves some). Both rows are pinned where
+// an execution's Result became a value on its caller's stack, which the log
+// copies the images of instead of keeping (parent 3.01 under cx, 2.58 under
+// se: one heap object describing each write, and under se one boxed undo
+// entry per retained execution); at most 0.65 of that.
 //
 // The -bytes rows pin bytes (MemStats.TotalAlloc) per op instead. The home2
 // row replays with the leased client cache on: every mutation there revokes
 // leases and invalidates cache entries. The cx-bytes and se-bytes rows are the
-// golden s3d input again; se-bytes is pinned where log records, replies and
-// commit-path buffers became reused (parent 1,130 B). The metarates row is the
-// benchmark's update-dominated gc+pipeline shape (metaratesCluster, 8 ops in
-// flight per process) and measures steady state: the bytes a run of 2,500 ops
-// per process allocates beyond a run of 1,000, over the 48,000 ops between
-// them, so cluster build and the tables' growth to their peak cancel. Before
-// op-table entries were recycled, the log index's entries kept in a reused
-// slab, executing marks and cached replies in one index and the pipeline's
-// completion buffer reused, the same inputs allocated 860 B per op (home2),
-// 2,240 B (cx-bytes) and 913 B (metarates), medians of three runs on that
-// parent; home2 may take at most 0.93 of that, cx-bytes no more than it,
-// metarates at most 0.7. Every ceiling is this tree's measurement plus a
-// margin.
+// golden s3d input again; se-bytes is pinned where SE's undo window came to
+// keep its executions by value in a reused ring (parent 828 B, at most 0.85
+// of it). The metarates row is the benchmark's update-dominated gc+pipeline
+// shape (metaratesCluster, 8 ops in flight per process) and measures steady
+// state: the bytes a run of 2,500 ops per process allocates beyond a run of
+// 1,000, over the 48,000 ops between them, so cluster build and the tables'
+// growth to their peak cancel; it is pinned where the Result moved to the
+// stack (parent 551 B, at most 0.75 of it). Before op-table entries were
+// recycled, the log index's entries kept in a reused slab, executing marks
+// and cached replies in one index and the pipeline's completion buffer
+// reused, the same inputs allocated 860 B per op (home2) and 2,240 B
+// (cx-bytes), medians of three runs on that parent; home2 may take at most
+// 0.93 of that, cx-bytes no more than it. Every ceiling is a measurement
+// plus a margin.
 func TestAllocsPerOp(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes the count")
@@ -251,12 +252,12 @@ func TestAllocsPerOp(t *testing.T) {
 		parent  float64
 		share   float64 // the most of parent allowed
 	}{
-		{"cx", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, false, 3.85, 4.60, 0.85},
-		{"se", []run{replay("s3d", cluster.ProtoSE, 0.02, nil)}, golden, false, 3.4, 6.39, 0.6},
+		{"cx", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, false, 1.95, 3.01, 0.65},
+		{"se", []run{replay("s3d", cluster.ProtoSE, 0.02, nil)}, golden, false, 1.6, 2.58, 0.65},
 		{"home2-cached-bytes", []run{replay("home2", cluster.ProtoCx, 0.04, cached)}, 0, true, 800, 860, 0.93},
 		{"cx-bytes", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, true, 2240, 2240, 1.0},
-		{"se-bytes", []run{replay("s3d", cluster.ProtoSE, 0.02, nil)}, golden, true, 950, 1130, 1.0},
-		{"metarates-gcpipe-bytes", []run{mr(1000), mr(2500)}, 0, true, 620, 913, 0.7},
+		{"se-bytes", []run{replay("s3d", cluster.ProtoSE, 0.02, nil)}, golden, true, 700, 828, 0.85},
+		{"metarates-gcpipe-bytes", []run{mr(1000), mr(2500)}, 0, true, 400, 551, 0.75},
 	} {
 		// Not parallel: MemStats counts the whole process.
 		t.Run(tc.name, func(t *testing.T) {

@@ -130,6 +130,32 @@ type Ref struct {
 	Row Row
 }
 
+// Refs is the rows one execution wrote, by value and in the order written:
+// its object's row, then the parent inode's if the execution bumped one. A
+// Ref without a key is no row, so the zero Refs is empty and a Refs costs no
+// allocation wherever it is kept.
+type Refs [2]Ref
+
+// Add appends ref, which must have a key; a Refs holds two.
+func (rs *Refs) Add(ref Ref) {
+	for i := range rs {
+		if rs[i].Key == "" {
+			rs[i] = ref
+			return
+		}
+	}
+	panic("kvstore: Refs holds two rows")
+}
+
+// All returns the rows held, as a slice of rs.
+func (rs *Refs) All() []Ref {
+	n := 0
+	for n < len(rs) && rs[n].Key != "" {
+		n++
+	}
+	return rs[:n]
+}
+
 // A Probe is what Find found for a key — the handle of its record, or NoRow —
 // stamped so that Current can tell later, without probing again, whether
 // Find would still find that: each record keeps the number it was filed

@@ -19,8 +19,8 @@
 // probed once: Probe builds the object's key on its stack and probes the
 // store (the protocol layer's conflict check reads the row's lock from it),
 // and ExecRow takes the row it found, reads and writes it by handle, and
-// returns the row's images before and after, in one object with the rows it
-// wrote — as kvstore.Refs, handle and key, which is how write-back and
+// returns, by value in its Result, the row's images before and after and the
+// rows it wrote — a kvstore.Refs, handle and key, which is how write-back and
 // journaling reach them again. Exec probes and executes in one call; only
 // the parent inode a directory-entry action bumps costs a second probe.
 //
@@ -233,21 +233,35 @@ func UndoOf(sub types.SubOp, before []types.RowImage) Undo {
 	return Undo{before: before[0], dir: sub.Parent, delta: -parentBump(sub.Action)}
 }
 
-// Result is the outcome of executing a sub-operation.
+// Result is the outcome of executing a sub-operation. It describes a write
+// by value — one image each side, at most two rows — so it lives wherever
+// its caller keeps it, on the stack for the protocols, and costs no
+// allocation of its own.
 type Result struct {
 	OK    bool
-	Err   error         // why the sub-op failed (nil when OK)
-	Inode Inode         // stat/lookup payload
-	Rows  []kvstore.Ref // rows written (for persistence): the row, then the parent inode's if bumped
-	Undo  Undo          // runtime rollback (empty for reads)
-	Freed bool          // DecLink dropped nlink to zero and freed the inode
+	Err   error        // why the sub-op failed (nil when OK)
+	Inode Inode        // stat/lookup payload
+	Rows  kvstore.Refs // rows written (for persistence): the row, then the parent inode's if bumped
+	Undo  Undo         // runtime rollback (empty for reads)
+	Freed bool         // DecLink dropped nlink to zero and freed the inode
 
 	// Before and After are the images of the row the sub-op wrote (the
-	// targeted dentry or inode; not the commutative parent counter), one
-	// each. They travel in the Result-Record so crash recovery can redo a
-	// commit or undo an abort idempotently by installing images.
-	Before []types.RowImage
-	After  []types.RowImage
+	// targeted dentry or inode; not the commutative parent counter); Key ""
+	// means it wrote none, as in Undo. They travel in the Result-Record so
+	// crash recovery can redo a commit or undo an abort idempotently by
+	// installing images.
+	Before types.RowImage
+	After  types.RowImage
+}
+
+// Images returns the write's images as a Result-Record carries them: one
+// before and one after, or none for an execution that wrote nothing. The
+// slices are r's own fields; the log copies what it keeps of them.
+func (r *Result) Images() (before, after []types.RowImage) {
+	if r.Before.Key == "" {
+		return nil, nil
+	}
+	return unsafe.Slice(&r.Before, 1), unsafe.Slice(&r.After, 1)
 }
 
 // Shard is one server's namespace partition.
@@ -417,44 +431,24 @@ func (sh *Shard) ExecRow(sub types.SubOp, row kvstore.Row, now uint64) Result {
 	if bump != 0 {
 		parent = sh.find(types.InodeKey(sub.Parent))
 	}
-	imgs, rows := newWrite(parent != kvstore.NoRow)
+	var after []byte
 	if val == nil {
 		row = sh.kv.DeleteAt(row, newKey)
 	} else {
-		row, imgs[1].Val = sh.kv.PutAt(row, newKey, val)
+		row, after = sh.kv.PutAt(row, newKey, val)
 	}
 	key := sh.kv.Key(row)
-	imgs[0], imgs[1].Key, rows[0] = types.RowImage{Key: key, Val: old}, key, kvstore.Ref{Key: key, Row: row}
-	res := Result{OK: true, Freed: freed, Rows: rows,
-		Before: imgs[:1:1], After: imgs[1:], Undo: Undo{before: imgs[0]}}
+	res := Result{OK: true, Freed: freed,
+		Before: types.RowImage{Key: key, Val: old}, After: types.RowImage{Key: key, Val: after}}
+	res.Rows.Add(kvstore.Ref{Key: key, Row: row})
+	res.Undo.before = res.Before
 	if bump != 0 {
 		if prow, held := sh.bumpParent(parent, bump, now, true); held {
-			res.Rows = append(res.Rows, prow)
+			res.Rows.Add(prow)
 			res.Undo.dir, res.Undo.delta = sub.Parent, -bump
 		}
 	}
 	return res
-}
-
-// newWrite allocates what ExecRow describes a write in, in one object: the
-// row's images before and after, and the rows written — the row, then, if
-// parent, room for the parent inode's, should it be bumped. Result's Before,
-// After and Rows are its slices. Most writes bump no parent here (an inode's,
-// or an entry's whose directory inode lives elsewhere), and without the room
-// the object is a size class smaller.
-func newWrite(parent bool) (imgs []types.RowImage, rows []kvstore.Ref) {
-	if parent {
-		w := new(struct {
-			imgs [2]types.RowImage
-			rows [2]kvstore.Ref
-		})
-		return w.imgs[:], w.rows[:1]
-	}
-	w := new(struct {
-		imgs [2]types.RowImage
-		rows [1]kvstore.Ref
-	})
-	return w.imgs[:], w.rows[:]
 }
 
 // bumpParent adds delta to the entry count of a directory if this shard

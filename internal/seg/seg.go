@@ -2,14 +2,16 @@
 // and reused: growing never moves or copies what is held, and shrinking
 // keeps the emptied segments for the values that come next, so a structure
 // that churns at a steady size allocates nothing once it has reached it. The
-// users are a server's operation-log view (Seq, in internal/wal) and its reply
-// cache and SE's undo window (Ring, in internal/node and internal/baseline);
-// wal cannot import node, so the store is a package of its own.
+// users are a server's operation-log view and index slab and its store's row
+// slab (Seq, in internal/wal and internal/kvstore) and its reply cache and
+// SE's undo window (Ring, in internal/node and internal/baseline); wal cannot
+// import node, so the store is a package of its own. The log keeps its
+// records' bytes in chunks of its own, reused the same way.
 package seg
 
 // A segment holds segLen values: 1,024 grows an 8,192-entry ring in eight
-// allocations and keeps a log view's segment (1,024 records of 152 bytes)
-// under a fifth of a megabyte.
+// allocations and keeps a log view's segment (1,024 records of 32 bytes of
+// scalars; the bytes themselves are in the log's chunks) at 32 KiB.
 const (
 	segShift = 10
 	segLen   = 1 << segShift

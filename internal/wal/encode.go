@@ -116,11 +116,17 @@ func takeImages(buf []byte, pos int) ([]types.RowImage, int, error) {
 	return imgs, pos, nil
 }
 
-// encode serializes rec.
+// encode serializes rec into a new buffer.
 func encode(rec *Record) []byte {
-	size := encodedSize(rec)
-	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(size-2))
+	return appendRecord(make([]byte, 0, encodedSize(rec)), rec)
+}
+
+// appendRecord appends the encoding of rec, encodedSize(rec) bytes, to buf.
+// The log encodes into room it already holds (its image, a window's buffer),
+// so this allocates only when buf must grow.
+func appendRecord(buf []byte, rec *Record) []byte {
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(encodedSize(rec)-2))
 	buf = append(buf, byte(rec.Type), byte(rec.Role))
 	var flags byte
 	if rec.OK {
@@ -147,9 +153,8 @@ func encode(rec *Record) []byte {
 		buf = putImages(buf, rec.After)
 	}
 	h := fnv.New32a()
-	h.Write(buf[2:])
-	buf = binary.LittleEndian.AppendUint32(buf, h.Sum32())
-	return buf
+	h.Write(buf[start+2:])
+	return binary.LittleEndian.AppendUint32(buf, h.Sum32())
 }
 
 // decode parses one record, verifying length and checksum.

@@ -15,7 +15,7 @@ func Encode(rec Record) []byte { return encode(&rec) }
 func EncodeAll(recs []Record) []byte {
 	var buf []byte
 	for i := range recs {
-		buf = append(buf, encode(&recs[i])...)
+		buf = appendRecord(buf, &recs[i])
 	}
 	return buf
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,14 +68,14 @@ func handleErrs(w *WAL) []string {
 	for i := 0; i < w.ordered.Len(); i++ {
 		r := w.ordered.At(i)
 		carried[r.entry]++
-		idx, live := w.index[r.Op]
+		idx, live := w.index[r.op]
 		switch {
 		case free[r.entry]:
-			bad = append(bad, fmt.Sprintf("a record of %v carries released handle %d", r.Op, r.entry))
+			bad = append(bad, fmt.Sprintf("a record of %v carries released handle %d", r.op, r.entry))
 		case live && idx != r.entry:
-			bad = append(bad, fmt.Sprintf("a record of %v carries handle %d, the index %d", r.Op, r.entry, idx))
+			bad = append(bad, fmt.Sprintf("a record of %v carries handle %d, the index %d", r.op, r.entry, idx))
 		case !live && !w.entries.At(int(r.entry)).pruned:
-			bad = append(bad, fmt.Sprintf("a record of pruned %v carries live handle %d", r.Op, r.entry))
+			bad = append(bad, fmt.Sprintf("a record of pruned %v carries live handle %d", r.op, r.entry))
 		}
 	}
 	for h, n := range carried {
@@ -94,11 +95,17 @@ func handleErrs(w *WAL) []string {
 // or a batch), prunes, crashes (idle, or overtaking an append in flight)
 // followed by a reboot, and recovery scans against viewModel, and compares
 // every scan record by record and the live bytes after every step. Phases
-// grow, shrink and regrow the live set across several segments, so records
-// cross segment boundaries in both directions when the view compacts. Half
-// the seeds go through the group-commit window. As the protocols do, an op is
-// never logged again once pruned. Every 25 steps handleErrs checks the index
-// entries' handles, which compaction releases and new ops reuse across it all.
+// grow, shrink and regrow the live set across several segments and chunks,
+// so records cross segment and chunk boundaries in both directions when the
+// view compacts. Half the seeds go through the group-commit window. As the
+// protocols do, an op is never logged again once pruned. Every 25 steps
+// handleErrs checks the index entries' handles, which compaction releases and
+// new ops reuse across it all.
+//
+// A scan decodes what the log encoded, so the records drawn take every shape
+// a producer writes (randomRecord), and each one's images are the appender's
+// own, overwritten once the append returns: the log must keep the bytes, not
+// the caller's slices.
 func TestRecordViewMatchesModel(t *testing.T) {
 	seeds := int64(6)
 	if testing.Short() {
@@ -119,11 +126,10 @@ func TestRecordViewMatchesModel(t *testing.T) {
 				if len(ops) == 0 || rng.Intn(3) == 0 {
 					next++
 					ops = append(ops, opID(next))
-					return resultRec(next, fmt.Sprintf("f%d", rng.Intn(1000)))
+					return randomRecord(rng, RecResult, opID(next))
 				}
 				op := ops[rng.Intn(len(ops))]
-				return Record{Type: []RecType{RecCommit, RecAbort, RecComplete, RecInvalidate}[rng.Intn(4)],
-					Op: op, Role: types.Role(rng.Intn(2))}
+				return randomRecord(rng, []RecType{RecCommit, RecAbort, RecComplete, RecInvalidate}[rng.Intn(4)], op)
 			}
 			log := func(recs []Record, crash bool) {
 				if crash {
@@ -132,12 +138,25 @@ func TestRecordViewMatchesModel(t *testing.T) {
 						w.Crash()
 					})
 				}
+				// The model keeps its own copy; the log gets the appender's,
+				// whose value bytes are scribbled over once it returns.
+				kept := make([]Record, len(recs))
+				for i, r := range recs {
+					kept[i] = cloneRecord(r)
+				}
 				w.AppendBatch(p, recs)
+				for _, r := range recs {
+					for _, img := range append(r.Before, r.After...) {
+						for i := range img.Val {
+							img.Val[i] ^= 0xff
+						}
+					}
+				}
 				if crash {
 					w.Reboot()
 					return // in flight when the server died: not durable
 				}
-				m.add(recs)
+				m.add(kept)
 			}
 			check := func(step int) bool {
 				if got, want := w.LiveBytes(), m.live; got != want {
@@ -203,14 +222,32 @@ func TestRecordViewMatchesModel(t *testing.T) {
 	}
 }
 
+// An image that does not decode is a bug in the log, not a condition
+// recovery can handle: RecoverScan panics and names the record's operation.
+func TestRecoverScanPanicsNamingTheOpOfAnUndecodableImage(t *testing.T) {
+	withWAL(t, 0, func(p *simrt.Proc, w *WAL) {
+		w.Append(p, resultRec(1, "a"))
+		w.Append(p, resultRec(2, "b"))
+		r := w.ordered.At(1)
+		w.img.at(r.pos, r.size)[r.size-1] ^= 1 // the checksum's last byte
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, opID(2).String()) {
+				t.Errorf("RecoverScan over a corrupted image: %q, want a panic naming %v", msg, opID(2))
+			}
+		}()
+		w.RecoverScan(p)
+	})
+}
+
 // TestRecordViewAllocationStaysBounded grows the log to a peak live set of ops, then
 // churns ten times as many ops through it at that size: each step logs a new
 // op's Result-Record, an older op's Commit-Record and a still older one's
 // Complete-Record, and prunes the oldest. What the record view allocates over
 // both phases must stay within 1.5 times the heap it holds at the peak: it
-// reuses the segments its compactions empty and never holds more than 1.25
-// times the live records plus a segment. The one slice it replaced regrew by a
-// quarter at a time, to four times the live ops' records.
+// reuses the segments and byte chunks its compactions empty and never holds
+// more than 1.25 times the live records plus a segment and a chunk. The one
+// slice it replaced regrew by a quarter at a time, to four times the live
+// ops' records.
 //
 // The index beside the view is a Go map, whose churn is the runtime's (it
 // rebuilds a table once deletions have filled it with tombstones): the same
@@ -251,6 +288,66 @@ func TestRecordViewAllocationStaysBounded(t *testing.T) {
 		t.Errorf("the record view allocated %d B growing to and churning at a %d B footprint, want at most 1.5x",
 			allocated, footprint)
 	}
+}
+
+// randomRecord draws a record of type typ for op in any shape a producer
+// writes: either role, with or without a peer, and for a Result-Record a
+// sub-op that failed (no images) or one that wrote a row — absent before
+// (nil value) or present, and after with a value or emptied to an empty
+// non-nil one — now and then with a second image pair, as a batch of both
+// halves of a colocated operation could carry.
+func randomRecord(rng *rand.Rand, typ RecType, op types.OpID) Record {
+	rec := Record{Type: typ, Op: op, Role: types.Role(rng.Intn(2))}
+	if rng.Intn(2) == 0 {
+		rec.Peer, rec.HasPeer = types.NodeID(rng.Intn(64)), true
+	}
+	if typ != RecResult {
+		return rec
+	}
+	rec.Sub = types.SubOp{Op: op, Kind: types.OpKind(rng.Intn(8)), Role: rec.Role,
+		Action: types.SubOpAction(rng.Intn(8)), Parent: types.InodeID(rng.Int63()),
+		Name: fmt.Sprintf("f%d", rng.Intn(1000)), Ino: types.InodeID(rng.Int63()), Type: types.FileType(rng.Intn(3))}
+	if rec.OK = rng.Intn(5) != 0; !rec.OK {
+		return rec // a failed sub-op: nothing written, no images
+	}
+	for n := 1 + rng.Intn(4)/3; n > 0; n-- {
+		key := fmt.Sprintf("d/%d/%s", rec.Sub.Parent, rec.Sub.Name)
+		before := types.RowImage{Key: key}
+		if rng.Intn(2) == 0 {
+			before.Val = randomBytes(rng, 1+rng.Intn(40))
+		}
+		after := types.RowImage{Key: key, Val: []byte{}}
+		if rng.Intn(3) != 0 {
+			after.Val = randomBytes(rng, 1+rng.Intn(40))
+		}
+		rec.Before, rec.After = append(rec.Before, before), append(rec.After, after)
+	}
+	return rec
+}
+
+func randomBytes(rng *rand.Rand, n int) []byte {
+	b := make([]byte, n)
+	rng.Read(b)
+	return b
+}
+
+// cloneRecord copies rec's images, keeping nil and empty values apart.
+func cloneRecord(rec Record) Record {
+	clone := func(imgs []types.RowImage) []types.RowImage {
+		if imgs == nil {
+			return nil
+		}
+		out := make([]types.RowImage, len(imgs))
+		for i, img := range imgs {
+			out[i] = types.RowImage{Key: img.Key}
+			if img.Val != nil {
+				out[i].Val = append([]byte{}, img.Val...)
+			}
+		}
+		return out
+	}
+	rec.Before, rec.After = clone(rec.Before), clone(rec.After)
+	return rec
 }
 
 type churnCost struct {

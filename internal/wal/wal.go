@@ -28,14 +28,22 @@
 //
 // In memory the log is its index — per operation, its live bytes and which
 // record types it holds — and, for the recovery scan, the durable records in
-// append order. Those live in fixed-size segments (internal/seg) that a prune
-// compacts in place once pruned operations' records exceed a quarter of the
-// live ones, and that later appends refill: the view is bounded by the live
-// records, and a log churning at a steady size allocates no records. The
-// index entries live in a segmented slab too, and each record in the view
-// carries its entry's slab handle: an append looks its operation up once, and
-// compaction tells a pruned operation's records by that handle, without a
-// lookup. A handle is reused once compaction has dropped its last record.
+// append order. The log keeps a record as its on-disk encoding, byte for byte
+// (the image, in fixed chunks), and beside it only scalars: its operation,
+// where its bytes are, how many, and its index entry's handle (the view, in
+// fixed-size segments of internal/seg). A record is encoded once, straight
+// into the image on the direct path and into the group-commit window's buffer
+// while it waits there; Append reads the caller's Record and keeps none of
+// its pointers, so a caller's images may live on its stack. RecoverScan
+// decodes the image, so recovery reads back exactly what was written. A prune
+// compacts the view and the image in place once pruned operations' records
+// exceed a quarter of the live ones, and later appends refill the segments
+// and chunks it empties: both are bounded by the live records, and a log
+// churning at a steady size allocates nothing. The index entries live in a
+// segmented slab too, and each record in the view carries its entry's slab
+// handle: an append looks its operation up once, and compaction tells a
+// pruned operation's records by that handle, without a lookup. A handle is
+// reused once compaction has dropped its last record.
 package wal
 
 import (
@@ -77,9 +85,11 @@ func (t RecType) String() string {
 	return fmt.Sprintf("rectype(%d)", uint8(t))
 }
 
-// Record is one log record. Only Result records carry a sub-op payload and
-// row images; the images let recovery redo a committed operation (install
-// After) or undo an aborted one (install Before) idempotently.
+// Record is one log record as its producers write it and recovery reads it
+// back. Only Result records carry a sub-op payload and row images; the images
+// let recovery redo a committed operation (install After) or undo an aborted
+// one (install Before) idempotently. The log keeps a record's encoding, never
+// the Record: its slices may point anywhere, the caller's stack included.
 type Record struct {
 	Type   RecType
 	Op     types.OpID
@@ -115,9 +125,12 @@ type opEntry struct {
 	pruned bool
 }
 
-// viewRec is a record in the view, with its operation's entry handle.
+// viewRec is a record in the view: its operation, where its encoding is in
+// the image and how long it is, and its operation's entry handle.
 type viewRec struct {
-	Record
+	op    types.OpID
+	pos   uint32
+	size  uint32
 	entry int32
 }
 
@@ -140,30 +153,45 @@ type Stats struct {
 	GroupedReqs  uint64 // caller append requests coalesced by group commit
 }
 
-// window is a group-commit flush window: a copy of the records of every
-// caller batch parked in it, in arrival order, their bytes, and the parked
-// callers, which done wakes in arrival order. The WAL keeps two and
-// alternates them — one fills while the flusher writes the other — so a
-// parked batch costs no allocation and the caller's records never leave its
-// stack.
+// window is a group-commit flush window: the encodings of the records of
+// every caller batch parked in it, in arrival order, what admitting each one
+// needs (its operation, type and size), and the parked callers, which done
+// wakes in arrival order. The WAL keeps two and alternates them — one fills
+// while the flusher writes the other — so a parked batch costs no allocation
+// once the buffers have grown, and the caller's records never leave its
+// stack: they are encoded as they park.
 type window struct {
-	recs  []Record
-	bytes int64
-	reqs  int          // caller batches parked
-	done  *simrt.Group // counts 1 while reqs > 0
+	buf  []byte
+	recs []winRec
+	reqs int          // caller batches parked
+	done *simrt.Group // counts 1 while reqs > 0
 }
 
-// park adds one caller batch to the window and blocks the caller until the
-// window is released.
-func (win *window) park(p *simrt.Proc, recs []Record, total int64) {
+// winRec is a record parked in a window; its bytes follow the previous
+// record's in the window's buffer.
+type winRec struct {
+	op   types.OpID
+	typ  RecType
+	size uint32
+}
+
+// park encodes one caller batch into the window and blocks the caller until
+// the window is released.
+func (win *window) park(p *simrt.Proc, recs []Record) {
 	if win.reqs == 0 {
 		win.done.Add(1)
 	}
-	win.recs = append(win.recs, recs...)
-	win.bytes += total
+	for i := range recs {
+		n := len(win.buf)
+		win.buf = appendRecord(win.buf, &recs[i])
+		win.recs = append(win.recs, winRec{op: recs[i].Op, typ: recs[i].Type, size: uint32(len(win.buf) - n)})
+	}
 	win.reqs++
 	win.done.Wait(p)
 }
+
+// bytes is the size of the records parked in the window.
+func (win *window) bytes() int64 { return int64(len(win.buf)) }
 
 // release wakes the window's callers and empties it for reuse.
 func (win *window) release() {
@@ -171,8 +199,7 @@ func (win *window) release() {
 		return
 	}
 	win.done.Done()
-	clear(win.recs)
-	win.recs, win.bytes, win.reqs = win.recs[:0], 0, 0
+	win.buf, win.recs, win.reqs = win.buf[:0], win.recs[:0], 0
 }
 
 // WAL is one server's operation log.
@@ -190,11 +217,14 @@ type WAL struct {
 	entries     seg.Seq[opEntry]
 	freeEntries []int32
 	// ordered is the durable records in append order, for RecoverScan: the
-	// live ones, and a pruned op's until the next compaction. liveRecs
-	// counts the live ones; Prune compacts once the rest exceed a quarter of
-	// them, so the view holds at most 1.25 times the live records plus one
-	// segment, and it reuses the segments compaction empties.
+	// live ones, and a pruned op's until the next compaction; img holds their
+	// encodings in the same order. liveRecs counts the live ones; Prune
+	// compacts once the rest exceed a quarter of them, so the view and the
+	// image hold at most 1.25 times the live records plus a segment and a
+	// chunk (and the chunk tails no record fitted in), and they reuse the
+	// segments and chunks compaction empties.
 	ordered  seg.Seq[viewRec]
+	img      image
 	liveRecs int
 
 	waiters     []fullWaiter
@@ -269,15 +299,18 @@ func (w *WAL) Has(op types.OpID, t RecType) bool {
 }
 
 // Append synchronously writes one record, blocking until durable. If the
-// log is at its limit the call stalls until pruning frees space.
+// log is at its limit the call stalls until pruning frees space. The log
+// keeps the record's encoding, never rec's slices: the caller may reuse or
+// overwrite its images as soon as the call returns.
 func (w *WAL) Append(p *simrt.Proc, rec Record) {
 	w.AppendBatch(p, []Record{rec})
 }
 
 // AppendBatch synchronously writes several records as one sequential disk
-// request — the batched commitment path. Appends on a crashed log are
-// silently discarded: the in-flight handler that issued them died with the
-// server and its records must not appear durable.
+// request — the batched commitment path. Like Append, it keeps nothing of
+// recs. Appends on a crashed log are silently discarded: the in-flight
+// handler that issued them died with the server and its records must not
+// appear durable.
 func (w *WAL) AppendBatch(p *simrt.Proc, recs []Record) {
 	w.appendBatch(p, recs, false)
 }
@@ -307,7 +340,7 @@ func (w *WAL) appendBatch(p *simrt.Proc, recs []Record, priority bool) {
 		}
 	}
 	if w.linger > 0 {
-		w.groupAppend(p, recs, total)
+		w.groupAppend(p, recs)
 		return
 	}
 	// Reserve the offset range before blocking on the disk so concurrent
@@ -323,7 +356,11 @@ func (w *WAL) appendBatch(p *simrt.Proc, recs []Record, priority bool) {
 		return
 	}
 	for i := range recs {
-		w.admit(recs[i], encodedSize(&recs[i]))
+		rec := &recs[i]
+		room := w.admit(rec.Op, rec.Type, encodedSize(rec))
+		if n := len(appendRecord(room[:0], rec)); n != len(room) {
+			panic(fmt.Sprintf("wal: a %v record of %v encodes to %d bytes, sized %d", rec.Type, rec.Op, n, len(room)))
+		}
 	}
 	w.stats.Appends++
 	w.stats.Records += uint64(len(recs))
@@ -333,12 +370,12 @@ func (w *WAL) appendBatch(p *simrt.Proc, recs []Record, priority bool) {
 // groupAppend parks the caller's batch in the open window and blocks until
 // the flusher has written it (or the server crashed with it in flight). The
 // first batch into an empty window spawns the flusher.
-func (w *WAL) groupAppend(p *simrt.Proc, recs []Record, total int64) {
+func (w *WAL) groupAppend(p *simrt.Proc, recs []Record) {
 	if !w.flusherOn {
 		w.flusherOn = true
 		w.sim.Spawn("wal-flusher", w.flusher)
 	}
-	w.win.park(p, recs, total)
+	w.win.park(p, recs)
 }
 
 // flusher is the single group-commit writer: sleep out the linger, then
@@ -351,17 +388,20 @@ func (w *WAL) flusher(p *simrt.Proc) {
 	for w.win.reqs > 0 {
 		batch := w.win
 		w.win, w.spare = w.spare, batch
+		size := batch.bytes()
 		off := w.head
-		w.head += batch.bytes
+		w.head += size
 		gen := w.gen
-		w.dsk.Access(p, w.base+off, batch.bytes, true)
+		w.dsk.Access(p, w.base+off, size, true)
 		if !w.crashed && gen == w.gen {
-			for i := range batch.recs {
-				w.admit(batch.recs[i], encodedSize(&batch.recs[i]))
+			from := batch.buf
+			for _, r := range batch.recs {
+				copy(w.admit(r.op, r.typ, int64(r.size)), from[:r.size])
+				from = from[r.size:]
 			}
 			w.stats.Appends++
 			w.stats.Records += uint64(len(batch.recs))
-			w.stats.BytesWritten += batch.bytes
+			w.stats.BytesWritten += size
 			w.stats.GroupFlushes++
 			w.stats.GroupedReqs += uint64(batch.reqs)
 		}
@@ -381,7 +421,7 @@ func (w *WAL) waitForSpace(p *simrt.Proc, need int64) {
 	}
 	// A crash releases every waiter; its server is gone, so it must not
 	// queue up again behind the dead incarnation's log.
-	for gen := w.gen; gen == w.gen && w.live+w.win.bytes+need > w.max; {
+	for gen := w.gen; gen == w.gen && w.live+w.win.bytes()+need > w.max; {
 		w.stats.FullStalls++
 		ok := new(simrt.Signal)
 		w.waiters = append(w.waiters, fullWaiter{need: need, ok: ok})
@@ -399,20 +439,23 @@ func (w *WAL) waitForSpace(p *simrt.Proc, need int64) {
 // log, and when the server crashes while the caller waits.
 func (w *WAL) AwaitSpace(p *simrt.Proc) { w.waitForSpace(p, 1) }
 
-// admit updates the index for a durable record.
-func (w *WAL) admit(rec Record, size int64) {
-	h, ok := w.index[rec.Op]
+// admit indexes a durable record of op, of type typ and size bytes, adds it
+// to the view, and returns the room in the image its encoding goes to.
+func (w *WAL) admit(op types.OpID, typ RecType, size int64) []byte {
+	h, ok := w.index[op]
 	if !ok {
 		h = w.newEntry()
-		w.index[rec.Op] = h
+		w.index[op] = h
 	}
 	e := w.entries.At(int(h))
 	e.bytes += size
-	e.types |= bit(rec.Type)
+	e.types |= bit(typ)
 	e.recs++
 	w.live += size
 	w.liveRecs++
-	w.ordered.Append(viewRec{rec, h})
+	pos, room := w.img.alloc(op, size)
+	w.ordered.Append(viewRec{op: op, pos: pos, size: uint32(size), entry: h})
+	return room
 }
 
 // newEntry returns the handle of an empty entry, reusing a released one when
@@ -452,12 +495,15 @@ func (w *WAL) Prune(op types.OpID) {
 }
 
 // compact drops the records of pruned ops from the ordered view, in place,
-// reading each record's entry through its handle. An entry whose last record
+// reading each record's entry through its handle, and moves the encodings of
+// the records it keeps to the front of the image. An entry whose last record
 // it drops is released.
 func (w *WAL) compact() {
+	c := compactor{im: &w.img}
 	w.ordered.Compact(func(r *viewRec) bool {
 		e := w.entries.At(int(r.entry))
 		if !e.pruned {
+			c.keep(&r.pos, r.size)
 			return true
 		}
 		if e.recs--; e.recs == 0 {
@@ -466,6 +512,7 @@ func (w *WAL) compact() {
 		}
 		return false
 	})
+	c.done()
 }
 
 func (w *WAL) wakeWaiters() {
@@ -474,7 +521,7 @@ func (w *WAL) wakeWaiters() {
 	}
 	remaining := w.waiters[:0]
 	for _, fw := range w.waiters {
-		if w.live+w.win.bytes+fw.need <= w.max {
+		if w.live+w.win.bytes()+fw.need <= w.max {
 			fw.ok.Fire()
 		} else {
 			remaining = append(remaining, fw)
@@ -512,15 +559,22 @@ func (w *WAL) LiveOps() []types.OpID {
 }
 
 // RecoverScan reads the whole live log sequentially from disk (paying the
-// read cost) and returns the surviving records in append order. Called by a
-// rebooted server to rebuild protocol state.
+// read cost) and returns the surviving records in append order, decoded from
+// their encodings in the image. Called by a rebooted server to rebuild
+// protocol state. A record that fails to decode is a bug in the log, not a
+// condition recovery can handle: it panics, naming the record's operation.
 func (w *WAL) RecoverScan(p *simrt.Proc) []Record {
 	w.compact()
 	out := make([]Record, w.ordered.Len())
 	var liveBytes int64
 	for i := range out {
-		out[i] = w.ordered.At(i).Record
-		liveBytes += encodedSize(&out[i])
+		r := w.ordered.At(i)
+		rec, err := decode(w.img.at(r.pos, r.size))
+		if err != nil {
+			panic(fmt.Sprintf("wal: the image of a record of %v does not decode: %v", r.op, err))
+		}
+		out[i] = rec
+		liveBytes += int64(r.size)
 	}
 	if liveBytes > 0 {
 		w.dsk.Access(p, w.base, liveBytes, false)
@@ -533,7 +587,8 @@ func (w *WAL) RecoverScan(p *simrt.Proc) []Record {
 func EncodedSize(rec Record) int64 { return encodedSize(&rec) }
 
 // RoundTrip encodes and decodes a record, verifying the codec; used by
-// tests and by the recovery path's integrity check.
+// tests. The recovery path does not need it: RecoverScan decodes the
+// encodings the log keeps.
 func RoundTrip(rec Record) (Record, error) {
 	buf := encode(&rec)
 	return decode(buf)

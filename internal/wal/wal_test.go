@@ -408,20 +408,30 @@ func TestStringersAndSyncDelay(t *testing.T) {
 }
 
 // TestAppendFreshOpWarmNoAlloc pins what one logged op costs the heap once
-// the log is warm: its index entry lives by value in the map and the disk
-// request comes from the disk's free list, so appending the first record of
-// a new op and pruning it later allocates nothing.
+// the log is warm: its index entry lives by value in a reused slab, its
+// record's encoding in the image's reused chunks, and the disk request comes
+// from the disk's free list, so appending the first record of a new op and
+// pruning it later allocates nothing. The record is a Result-Record whose
+// images live in a local array of the appending proc, as a protocol's come
+// from the Result on its stack: the log keeps their bytes, not the slices, so
+// the array stays on the stack too. (A log that kept the Record moved it to
+// the heap, one object per append.)
 func TestAppendFreshOpWarmNoAlloc(t *testing.T) {
 	s := simrt.New(1)
 	defer s.Shutdown()
 	w := New(s, disk.New(s, "d", disk.DefaultParams()), 0, 1<<20)
 	seq := uint64(0)
 	s.Spawn("appender", func(p *simrt.Proc) {
-		recs := make([]Record, 1)
 		for {
 			seq++
-			recs[0] = resultRec(seq, "f")
-			w.AppendBatchPriority(p, recs)
+			var val [8]byte
+			val[0] = byte(seq)
+			var imgs [2]types.RowImage
+			imgs[0] = types.RowImage{Key: "d/7/f"}
+			imgs[1] = types.RowImage{Key: "d/7/f", Val: val[:]}
+			rec := resultRec(seq, "f")
+			rec.Before, rec.After = imgs[:1], imgs[1:]
+			w.AppendBatchPriority(p, []Record{rec})
 			if seq > 8 {
 				w.Prune(opID(seq - 8)) // eight ops stay live
 			}
