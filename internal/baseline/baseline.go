@@ -89,8 +89,8 @@ func servedAside(b *node.Base, m *wire.Msg) bool {
 // pendingExec is what a server keeps of a successful participant execution
 // it may have to take back — SE until the CLEAR window closes, 2PC until the
 // decision: the undo and the rows to persist again either way (those the
-// execution wrote), by value. Kept in a map (2PC's prepared), a value of at
-// most 128 bytes stays inline; a larger one Go boxes, one allocation each.
+// execution wrote), by value. 2PC's prepared index holds one in each of its
+// slots, filled or not, so it is kept to at most 128 bytes.
 type pendingExec struct {
 	undo namespace.Undo
 	rows kvstore.Refs

@@ -137,35 +137,40 @@ func TestSEUndoWindowIsFIFOAtTheCap(t *testing.T) {
 	for seq := 1; seq <= seUndoCap+1; seq++ {
 		s.retainUndo(op(seq), pendingExec{})
 	}
-	if _, ok := s.undoAt[op(1)]; ok {
+	if _, ok := s.undoAt.Get(op(1)); ok {
 		t.Error("oldest execution survived eviction at the cap")
 	}
 	for seq := 2; seq <= seUndoCap+1; seq++ {
-		if _, ok := s.undoAt[op(seq)]; !ok {
+		if _, ok := s.undoAt.Get(op(seq)); !ok {
 			t.Fatalf("eviction dropped op %d as well as the oldest", seq)
 		}
 	}
 	for seq := seUndoCap + 2; seq <= 2*seUndoCap+1; seq++ {
 		s.retainUndo(op(seq), pendingExec{})
-		if _, ok := s.undoAt[op(seq-seUndoCap)]; ok {
+		if _, ok := s.undoAt.Get(op(seq - seUndoCap)); ok {
 			t.Fatalf("insert %d did not evict op %d", seq, seq-seUndoCap)
 		}
 	}
-	if len(s.undoAt) != seUndoCap {
-		t.Errorf("window holds %d executions, want %d", len(s.undoAt), seUndoCap)
+	if s.undoAt.Len() != seUndoCap {
+		t.Errorf("window holds %d executions, want %d", s.undoAt.Len(), seUndoCap)
 	}
 }
 
-// Go boxes a map value larger than 128 bytes: one allocation per insert. The
-// executions the baselines keep per operation in maps stay inline.
-func TestPendingExecutionsStayInlineInTheirMaps(t *testing.T) {
+// An index keeps its values inline in every slot, filled or not, so a table
+// of executions pays an execution's size per slot. SE's window keeps its
+// executions by value in its ring, and its index holds their positions only;
+// a 2PC participant's prepared executions, a handful in flight, stay within
+// the 128 bytes Go kept inline as map values.
+func TestPendingExecutionsStayInlineInTheirIndexes(t *testing.T) {
 	var se SEServer
 	var tp TwoPCServer
 	var op types.OpID
-	if n := unsafe.Sizeof(se.undoAt[op]); n > 128 {
-		t.Errorf("SEServer.undoAt values are %d bytes, want at most 128", n)
+	pos, _ := se.undoAt.Get(op)
+	if n := unsafe.Sizeof(op) + unsafe.Sizeof(pos); n > 20 {
+		t.Errorf("SEServer.undoAt slots are %d bytes, want at most 20: a ring position", n)
 	}
-	if n := unsafe.Sizeof(tp.prepared[op]); n > 128 {
-		t.Errorf("TwoPCServer.prepared values are %d bytes, want at most 128", n)
+	pe, _ := tp.prepared.Get(op)
+	if n := unsafe.Sizeof(op) + unsafe.Sizeof(pe); n > 16+128 {
+		t.Errorf("TwoPCServer.prepared slots are %d bytes, want at most 144", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"cxfs/internal/kvstore"
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
+	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
@@ -24,15 +25,14 @@ type CEServer struct {
 	pl    namespace.Placement
 	locks *lockTable
 
-	migrated map[types.OpID][]types.ObjKey // participant: keys lent out
+	migrated seg.Index[[]types.ObjKey] // participant: keys lent out
 }
 
 // NewCEServer builds a CE server.
 func NewCEServer(base *node.Base, pl namespace.Placement) *CEServer {
 	return &CEServer{
 		Base: base, pl: pl,
-		locks:    newLockTable(),
-		migrated: make(map[types.OpID][]types.ObjKey),
+		locks: newLockTable(),
 	}
 }
 
@@ -163,7 +163,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 // lendRows ships the requested rows to the coordinator and locks them here
 // until they come back.
 func (s *CEServer) lendRows(p *simrt.Proc, m *wire.Msg) {
-	if _, lent := s.migrated[m.Op]; lent {
+	if _, lent := s.migrated.Get(m.Op); lent {
 		// Retransmitted MigrateReq: the rows are already lent out; resend the
 		// current copies without re-acquiring the locks the loan holds.
 		s.Send(wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: s.copyRows(m.Keys)})
@@ -173,7 +173,7 @@ func (s *CEServer) lendRows(p *simrt.Proc, m *wire.Msg) {
 	// lock a synthetic per-row key derived from each string.
 	objKeys := rowLockKeys(m.Keys)
 	s.locks.acquire(p, objKeys)
-	s.migrated[m.Op] = objKeys
+	s.migrated.Put(m.Op, objKeys)
 	s.Send(wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: s.copyRows(m.Keys)})
 }
 
@@ -206,8 +206,7 @@ func (s *CEServer) reinstallRows(p *simrt.Proc, m *wire.Msg) {
 	if s.Crashed() {
 		return
 	}
-	if keys, ok := s.migrated[m.Op]; ok {
-		delete(s.migrated, m.Op)
+	if keys, ok := s.migrated.Delete(m.Op); ok {
 		s.locks.release(keys)
 	}
 	s.Send(wire.Msg{Type: wire.MsgMigrateAck, To: m.From, Op: m.Op})

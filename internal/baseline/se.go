@@ -30,7 +30,7 @@ type SEServer struct {
 	// discarded — exactly the window in which a crashed client leaves orphans
 	// (§II.B's acknowledged weakness of SE).
 	undos  seg.Ring[retained]
-	undoAt map[types.OpID]int32
+	undoAt seg.Index[int32]
 
 	// localOps await the batched flush (batched mode only).
 	localOps []localFlush
@@ -58,7 +58,6 @@ const seFlushPeriod = 10 * time.Second
 func NewSEServer(base *node.Base, pl namespace.Placement, batched bool) *SEServer {
 	return &SEServer{
 		Base: base, pl: pl, batched: batched,
-		undoAt: make(map[types.OpID]int32),
 	}
 }
 
@@ -189,17 +188,16 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 func (s *SEServer) retainUndo(id types.OpID, e pendingExec) {
 	pos, oldest, full := s.undos.Push(retained{id, e}, seUndoCap)
 	if full {
-		delete(s.undoAt, oldest.op)
+		s.undoAt.Delete(oldest.op)
 	}
-	s.undoAt[id] = int32(pos)
+	s.undoAt.Put(id, int32(pos))
 }
 
 // handleClear compensates a participant sub-op whose coordinator-side
 // failed (§II.B: "the process withdraws the former sub-ops by sending a
 // CLEAR message").
 func (s *SEServer) handleClear(p *simrt.Proc, m *wire.Msg) {
-	if pos, ok := s.undoAt[m.Op]; ok {
-		delete(s.undoAt, m.Op)
+	if pos, ok := s.undoAt.Delete(m.Op); ok {
 		slot := s.undos.At(int(pos))
 		e := slot.pendingExec
 		slot.pendingExec = pendingExec{}

@@ -5,6 +5,7 @@ import (
 
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
+	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
@@ -23,7 +24,7 @@ type TwoPCServer struct {
 	locks *lockTable
 
 	// Participant-side pending executions awaiting the decision.
-	prepared map[types.OpID]preparedExec
+	prepared seg.Index[preparedExec]
 }
 
 // preparedExec is a participant execution awaiting the decision, with the
@@ -38,8 +39,7 @@ type preparedExec struct {
 func NewTwoPCServer(base *node.Base, pl namespace.Placement) *TwoPCServer {
 	return &TwoPCServer{
 		Base: base, pl: pl,
-		locks:    newLockTable(),
-		prepared: make(map[types.OpID]preparedExec),
+		locks: newLockTable(),
 	}
 }
 
@@ -96,7 +96,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 			partErr = resP.Err.Error()
 		}
 		if resP.OK {
-			s.prepared[op.ID] = preparedExec{pendingExec: pendingExec{undo: resP.Undo, rows: resP.Rows}}
+			s.prepared.Put(op.ID, preparedExec{pendingExec: pendingExec{undo: resP.Undo, rows: resP.Rows}})
 			before, after := resP.Images()
 			s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant,
 				OK: true, Sub: pSub, Before: before, After: after})
@@ -179,7 +179,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 
 // participantVote executes the assigned sub-op, logs, and votes (phase 1).
 func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
-	if _, pending := s.prepared[m.Op]; pending {
+	if _, pending := s.prepared.Get(m.Op); pending {
 		// Retransmitted VOTE: answer from the pending execution (only a
 		// successful one is kept) instead of re-acquiring locks it holds.
 		s.Send(wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, OK: true})
@@ -192,7 +192,7 @@ func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
 	s.ExecCPU(p)
 	res := s.Shard.Exec(sub, s.NowNanos())
 	if res.OK {
-		s.prepared[m.Op] = preparedExec{pendingExec{undo: res.Undo, rows: res.Rows}, keys}
+		s.prepared.Put(m.Op, preparedExec{pendingExec{undo: res.Undo, rows: res.Rows}, keys})
 		before, after := res.Images()
 		s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: m.Op, Role: types.RoleParticipant,
 			OK: true, Sub: sub, Before: before, After: after})
@@ -220,11 +220,10 @@ func (s *TwoPCServer) participantDecide(p *simrt.Proc, m *wire.Msg) {
 }
 
 func (s *TwoPCServer) applyDecision(p *simrt.Proc, id types.OpID, commit bool) {
-	pe, pending := s.prepared[id]
+	pe, pending := s.prepared.Delete(id)
 	if !pending {
 		return
 	}
-	delete(s.prepared, id)
 	decType := wal.RecCommit
 	if !commit {
 		decType = wal.RecAbort

@@ -7,6 +7,7 @@ import (
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
 	"cxfs/internal/obs"
+	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
@@ -29,8 +30,8 @@ type Driver struct {
 	proto string
 	retry types.RetryPolicy
 
-	cache     *Cache                   // serves lookups locally under lease, when attached
-	lookupLog map[types.OpID]lookupRec // per-op dispositions (TrackLookups)
+	cache     *Cache                // serves lookups locally under lease, when attached
+	lookupLog *seg.Index[lookupRec] // per-op dispositions (TrackLookups)
 }
 
 // A CrossPath drives an operation whose two halves live on two servers —
@@ -77,7 +78,7 @@ type lookupRec struct {
 // drain every entry should enable it (the log grows until taken).
 func (d *Driver) TrackLookups() {
 	if d.lookupLog == nil {
-		d.lookupLog = make(map[types.OpID]lookupRec)
+		d.lookupLog = new(seg.Index[lookupRec])
 	}
 }
 
@@ -85,10 +86,10 @@ func (d *Driver) TrackLookups() {
 // cache served it, and the lease grant timestamp backing the answer. ok is
 // false when the lookup timed out, no cache is attached, or tracking is off.
 func (d *Driver) TakeLookup(id types.OpID) (cached bool, grant time.Duration, ok bool) {
-	r, ok := d.lookupLog[id]
-	if ok {
-		delete(d.lookupLog, id)
+	if d.lookupLog == nil {
+		return false, 0, false
 	}
+	r, ok := d.lookupLog.Delete(id)
 	return r.cached, r.grant, ok
 }
 
@@ -193,7 +194,7 @@ func (d *Driver) doLookup(p *simrt.Proc, op types.Op) (types.Inode, error) {
 		attr, grant, err = m.Attr, issued, errFrom(m)
 	}
 	if d.lookupLog != nil {
-		d.lookupLog[op.ID] = lookupRec{cached: cached, grant: grant}
+		d.lookupLog.Put(op.ID, lookupRec{cached: cached, grant: grant})
 	}
 	return attr, err
 }

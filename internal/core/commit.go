@@ -20,7 +20,7 @@ import (
 // as Peer; -1 otherwise), so a request for an operation this server aborted,
 // or never learns about and presumes aborted, can be answered there as well.
 func (s *Server) requestCommit(op types.OpID, lcom bool, part types.NodeID) {
-	st := s.ops[op]
+	st := s.find(op)
 	switch {
 	case st != nil && st.phase != phaseNone:
 		st.lcom = st.lcom || lcom
@@ -164,7 +164,7 @@ func (s *Server) runCommit(p *simrt.Proc, req kickReq) {
 		}
 	default:
 		for _, id := range req.ops {
-			co := s.ops[id]
+			co := s.find(id)
 			if co == nil || co.phase != phasePending || !co.coordinator() {
 				continue
 			}
@@ -409,7 +409,7 @@ func (s *Server) handleVote(p *simrt.Proc, m *wire.Msg) {
 func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce []types.OpID) bool {
 	deadline := s.Sim.Now() + s.cfg.VoteWait
 	for {
-		st := s.ops[id]
+		st := s.find(id)
 		switch {
 		case st == nil:
 		case st.phase != phaseNone:
@@ -443,7 +443,7 @@ func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce 
 				if s.Gone(boot) {
 					return false
 				}
-				s.settle(s.ops[id])
+				s.settle(s.find(id))
 				continue
 			}
 			// Ordered conflict: commit the holder first, then id executes
@@ -478,7 +478,7 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	var inflight []types.OpID // aborted ops whose sub-op is mid-execution here
 	var others []types.OpID   // ops another copy of this request decided, not yet finished
 	for _, d := range m.Decisions {
-		switch st := s.ops[d.Op]; {
+		switch st := s.find(d.Op); {
 		case st != nil && (st.phase == phasePending || st.phase == phaseCommitting):
 			recs = append(recs, s.decide(st, d.Commit))
 			done = append(done, decided{st, d.Op})

@@ -103,13 +103,13 @@ func TestDuplicateCommitReqDecidesOnce(t *testing.T) {
 		records := s.WAL.Stats().Records
 		abort := wire.Msg{Type: wire.MsgCommitReq, To: 1, Op: id, Decisions: []wire.Decision{{Op: id}}}
 		r.srv[0].Send(abort)
-		if !await(p, func() bool { st := s.ops[id]; return st != nil && st.phase == phaseDecided }) {
+		if !await(p, func() bool { st := s.find(id); return st != nil && st.phase == phaseDecided }) {
 			t.Fatal("the first copy never decided")
 		}
 		handled := s.Base.Stats().MsgsHandled
 		r.srv[0].Send(abort)
 		await(p, func() bool { return s.Base.Stats().MsgsHandled > handled })
-		if st := s.ops[id]; st == nil || st.phase != phaseDecided {
+		if st := s.find(id); st == nil || st.phase != phaseDecided {
 			t.Fatal("the second copy arrived after the first copy's append: the test is vacuous")
 		}
 		p.Sleep(100 * time.Millisecond)

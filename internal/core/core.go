@@ -58,6 +58,7 @@ import (
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
 	"cxfs/internal/obs"
+	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
@@ -157,7 +158,7 @@ type Server struct {
 	// ops is the op table (optable.go): what this server knows about each
 	// operation. The four fields after free are derived from it and maintained
 	// by its transitions only.
-	ops          map[types.OpID]*opState
+	ops          seg.Index[*opState]
 	free         []*opState // entries deleted from the table, emptied, for newEntry
 	coordPending int        // coordinator executions in the table
 	abortMarks   int        // entries carrying the abort mark
@@ -213,7 +214,6 @@ func NewServer(base *node.Base, pl namespace.Placement, cfg Config) *Server {
 		Base: base,
 		cfg:  cfg,
 		pl:   pl,
-		ops:  make(map[types.OpID]*opState),
 		kick: simrt.NewChan[kickReq](base.Sim),
 	}
 }
@@ -292,7 +292,7 @@ func (s *Server) pressureRound() {
 	byCoord := make(map[types.NodeID][]types.OpID)
 	var order []types.NodeID
 	for _, id := range s.unnamedParts {
-		st := s.ops[id]
+		st := s.find(id)
 		if st == nil || st.phase != phasePending || st.coordinator() || st.named {
 			continue
 		}

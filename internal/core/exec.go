@@ -37,7 +37,7 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	defer s.End(sub.Op)
 	// One probe of the op table: the entry found here is the one the
 	// execution registers in, unless it is recycled meanwhile (execSubOp).
-	st := s.ops[sub.Op]
+	st := s.find(sub.Op)
 	switch {
 	case st == nil:
 	case st.phase != phaseNone:
@@ -182,7 +182,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 		// The entry the arrival found was held across the parks above, and is
 		// the operation's only while its ID says so; one the operation got
 		// meanwhile (a demand, a waiter, an abort mark) is read here, once.
-		st = s.ops[sub.Op]
+		st = s.find(sub.Op)
 	}
 	if cross && st != nil && st.aborted {
 		// The operation was aborted while this execution was in flight —
@@ -203,7 +203,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 			OK: false, Err: types.ErrAborted.Error(), Epoch: epoch})
 		// An abort decision may be holding its ACK for this rollback.
 		s.End(sub.Op)
-		if st := s.ops[sub.Op]; st != nil {
+		if st := s.find(sub.Op); st != nil {
 			st.fire(true)
 		}
 		return
@@ -288,8 +288,8 @@ func (s *Server) redispatch(p *simrt.Proc, br *blockedReq, released types.OpID) 
 	sub := br.msg.Sub
 	// The entry the parked request kept for its execution: gone again if
 	// none follows.
-	defer func() { s.settle(s.ops[sub.Op]) }()
-	st := s.ops[sub.Op]
+	defer func() { s.settle(s.find(sub.Op)) }()
+	st := s.find(sub.Op)
 	if st != nil && st.aborted {
 		return // its operation was aborted while it was parked
 	}
@@ -343,7 +343,7 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	if !s.admit(p) { // the log-limit hold, as in handleSubOp
 		return
 	}
-	if st := s.ops[op.ID]; st != nil && (st.parked != nil || st.phase != phaseNone) || !s.Begin(op.ID, m.From) {
+	if st := s.find(op.ID); st != nil && (st.parked != nil || st.phase != phaseNone) || !s.Begin(op.ID, m.From) {
 		return
 	}
 	defer s.End(op.ID)

@@ -161,9 +161,15 @@ type opSignal struct {
 	next    *opSignal
 }
 
+// find returns op's entry, nil if it has none.
+func (s *Server) find(op types.OpID) *opState {
+	st, _ := s.ops.Get(op)
+	return st
+}
+
 // entry returns op's entry, creating it.
 func (s *Server) entry(op types.OpID) *opState {
-	st := s.ops[op]
+	st := s.find(op)
 	if st == nil {
 		st = s.newEntry(op)
 	}
@@ -188,13 +194,18 @@ func (s *Server) newEntry(op types.OpID) *opState {
 	st := s.free[k-1]
 	s.free = s.free[:k-1]
 	st.sub.Op = op
-	s.ops[op] = st
+	s.ops.Put(op, st)
 	return st
 }
 
-// drop deletes an entry from the table and puts it on the free list, emptied.
+// drop deletes an entry from the table and frees it.
 func (s *Server) drop(st *opState) {
-	delete(s.ops, st.id())
+	s.ops.Delete(st.id())
+	s.recycle(st)
+}
+
+// recycle puts an entry the table no longer files on the free list, emptied.
+func (s *Server) recycle(st *opState) {
 	*st = opState{}
 	s.free = append(s.free, st)
 }
@@ -202,7 +213,7 @@ func (s *Server) drop(st *opState) {
 // pending returns op's entry if an execution of it awaits its commitment
 // here, nil otherwise.
 func (s *Server) pending(op types.OpID) *opState {
-	if st := s.ops[op]; st != nil && st.phase != phaseNone {
+	if st := s.find(op); st != nil && st.phase != phaseNone {
 		return st
 	}
 	return nil
@@ -210,7 +221,7 @@ func (s *Server) pending(op types.OpID) *opState {
 
 // parkedReq returns op's parked request, if it has one.
 func (s *Server) parkedReq(op types.OpID) *blockedReq {
-	if st := s.ops[op]; st != nil {
+	if st := s.find(op); st != nil {
 		return st.parked
 	}
 	return nil
@@ -221,16 +232,16 @@ func (s *Server) isAborted(op types.OpID) bool {
 	if s.abortMarks == 0 {
 		return false
 	}
-	st := s.ops[op]
+	st := s.find(op)
 	return st != nil && st.aborted
 }
 
 // inOrder returns the entries pick selects, in operation order: whatever is
-// done to them sends messages, and map iteration order must not leak into
-// the message sequence (seed-exact replay depends on it).
+// done to them sends messages, whose order must not depend on where the
+// table happens to file each entry.
 func (s *Server) inOrder(pick func(*opState) bool) []*opState {
 	var sel []*opState
-	for _, st := range s.ops {
+	for _, st := range s.ops.All() {
 		if pick(st) {
 			sel = append(sel, st)
 		}
@@ -255,11 +266,13 @@ func (s *Server) markAborted(op types.OpID) {
 		// Bounded memory: drop the whole generation. A lost mark matters only
 		// for a message still in flight, which the cap makes wildly improbable,
 		// and then costs an orphaned row: the exposure SE has by design.
-		for _, st := range s.ops {
-			if st.aborted = false; st.idle() {
-				s.drop(st)
+		s.ops.DeleteFunc(func(_ types.OpID, st *opState) bool {
+			if st.aborted = false; !st.idle() {
+				return false
 			}
-		}
+			s.recycle(st)
+			return true
+		})
 		s.abortMarks = 0
 	}
 	if st := s.entry(op); !st.aborted {
@@ -273,13 +286,15 @@ func (s *Server) markAborted(op types.OpID) {
 // incarnation are gone (clients must reissue). The abort marks survive, and
 // the completion waits of procs that have yet to notice they are dead.
 func (s *Server) wipe() {
-	for id, st := range s.ops {
+	s.ops.DeleteFunc(func(id types.OpID, st *opState) bool {
 		st.cut(true)
 		*st = opState{aborted: st.aborted, sigs: st.sigs}
-		if st.sub.Op = id; st.idle() {
-			s.drop(st)
+		if st.sub.Op = id; !st.idle() {
+			return false
 		}
-	}
+		s.recycle(st)
+		return true
+	})
 	s.coordPending, s.idleCoord, s.unnamedParts = 0, nil, nil
 }
 
@@ -295,7 +310,7 @@ func (s *Server) await(p *simrt.Proc, op types.OpID, arrival bool, d time.Durati
 	if _, ok := w.ch.RecvTimeout(p, d); ok {
 		return true
 	}
-	if st := s.ops[op]; st != nil {
+	if st := s.find(op); st != nil {
 		for pp := &st.sigs; *pp != nil; pp = &(*pp).next {
 			if *pp == w {
 				*pp = w.next
@@ -348,7 +363,7 @@ func (s *Server) park(br *blockedReq) {
 // unpark takes a parked request out of its holder's queue. Its own entry
 // stays for the execution (or abort mark) that follows.
 func (s *Server) unpark(br *blockedReq) {
-	if h := s.ops[br.holder]; h != nil {
+	if h := s.find(br.holder); h != nil {
 		for pp := &h.followers; *pp != nil; pp = &(*pp).next {
 			if *pp == br {
 				*pp, br.next = br.next, nil
@@ -357,7 +372,7 @@ func (s *Server) unpark(br *blockedReq) {
 		}
 		s.settle(h)
 	}
-	if st := s.ops[br.msg.Sub.Op]; st != nil && st.parked == br {
+	if st := s.find(br.msg.Sub.Op); st != nil && st.parked == br {
 		st.parked = nil
 	}
 }
@@ -432,7 +447,7 @@ func (st *opState) take() {
 // its client is notified that the earlier response is void, and the sub-op
 // re-queues behind afterOp with a bumped epoch.
 func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID) bool {
-	st := s.ops[victim]
+	st := s.find(victim)
 	if st == nil || st.phase != phasePending {
 		return false
 	}
@@ -560,7 +575,7 @@ func (s *Server) release(st *opState) {
 	for st.followers != nil {
 		br := st.followers
 		st.followers, br.next = br.next, nil
-		if fst := s.ops[br.msg.Sub.Op]; fst != nil && fst.parked == br {
+		if fst := s.find(br.msg.Sub.Op); fst != nil && fst.parked == br {
 			fst.parked = nil
 		}
 		s.Sim.Spawn("cx/redispatch", func(p *simrt.Proc) {
@@ -574,7 +589,7 @@ func (s *Server) release(st *opState) {
 
 // DebugOp reports an op's state on this server (diagnostics).
 func (s *Server) DebugOp(op types.OpID) string {
-	st := s.ops[op]
+	st := s.find(op)
 	switch {
 	case st == nil:
 	case st.phase != phaseNone:
@@ -624,7 +639,7 @@ func (s *Server) CheckState() []string {
 		}
 	}
 	coord := 0
-	for id, st := range s.ops {
+	for id, st := range s.ops.All() {
 		n := indexed[st]
 		delete(indexed, st)
 		if st.phase != phaseNone && st.coordinator() {

@@ -228,7 +228,7 @@ func TestTimedOutVoteLeavesNoSignal(t *testing.T) {
 		if s.stats.VoteTimeouts != 1 || s.DebugOp(lost) != "tombstoned" {
 			t.Fatalf("the vote did not time out: %d timeouts, op %s", s.stats.VoteTimeouts, s.DebugOp(lost))
 		}
-		for id, st := range s.ops {
+		for id, st := range s.ops.All() {
 			if st.sigs != nil {
 				t.Errorf("server still holds a wait signal for %v", id)
 			}
@@ -268,7 +268,7 @@ func TestOpTableEntriesAreRecycled(t *testing.T) {
 			}
 			s.decide(st, true)
 			s.finish(st, st.finalReply())
-			if st.id() != types.NilOp || s.ops[id] != nil {
+			if st.id() != types.NilOp || s.find(id) != nil {
 				t.Fatalf("cycle %d: the finished entry was not emptied and freed", seq)
 			}
 		}
@@ -293,7 +293,7 @@ func TestExecutionRechecksItsEntryAfterTheAppend(t *testing.T) {
 		s := r.srv[1]
 		op := r.create(0, 1)
 		s.requestCommit(op.ID, false, -1) // a demand before arrival: the entry exists
-		held := s.ops[op.ID]
+		held := s.find(op.ID)
 		r.host.Send(subOpReq(op, types.RoleParticipant))
 		p.Sleep(200 * time.Microsecond)
 		if !s.Executing(op.ID) || s.pending(op.ID) != nil {
@@ -306,11 +306,11 @@ func TestExecutionRechecksItsEntryAfterTheAppend(t *testing.T) {
 		s.abortMarks = abortMarkCap
 		other := types.OpID{Proc: types.ProcID{Client: 9}, Seq: 1}
 		s.markAborted(other)
-		if s.ops[other] != held || s.ops[op.ID] != nil {
+		if s.find(other) != held || s.find(op.ID) != nil {
 			t.Fatal("the held entry was not recycled to the next operation: the test is vacuous")
 		}
 		p.Sleep(50 * time.Millisecond)
-		if st := s.ops[other]; st != held || st.id() != other || !st.aborted || st.phase != phaseNone {
+		if st := s.find(other); st != held || st.id() != other || !st.aborted || st.phase != phaseNone {
 			t.Errorf("the execution registered in the recycled entry of %v: %s", other, s.DebugOp(other))
 		}
 		if st := s.pending(op.ID); st == nil || st == held {
@@ -351,7 +351,7 @@ func TestCheckStateNoticesDisagreement(t *testing.T) {
 		st.phase = phasePending
 		s.entry(types.OpID{Seq: 99})
 		expect("entry nobody settled", "empty")
-		s.settle(s.ops[types.OpID{Seq: 99}])
+		s.settle(s.find(types.OpID{Seq: 99}))
 		k := len(s.free)
 		s.free = append(s.free, s.free[k-1])
 		expect("entry freed twice", "on the free list twice")

@@ -19,6 +19,11 @@ type Doer interface {
 // per-op retry/timeout policy of the underlying driver applies unchanged; a
 // Pending can therefore complete with types.ErrTimeout like a synchronous
 // call would.
+//
+// Pendings are recycled. One is the caller's from the Submit that returns
+// it until the Poll or Drain after the one that hands it out: that call
+// empties it and puts it back on the pipeline's free list, for a later
+// Submit. Copy out whatever outlives it at harvest.
 type Pending struct {
 	Op types.Op
 	// Issued is the instant the op went to the driver: that of the Submit
@@ -45,18 +50,21 @@ func (pe *Pending) Done() bool { return pe.done }
 // A Pipeline belongs to a single submitting Proc: Submit, Poll, and Drain
 // must all be called from that Proc. Completions are harvested in
 // completion order, which is deterministic under the simulation's seed.
+// At a steady depth it allocates nothing: a Submit takes a Pending the
+// pipeline has handed out before and got back (see Pending).
 type Pipeline struct {
 	sim      *simrt.Sim
 	d        Doer
 	depth    int
 	inflight int
 	compc    *simrt.Chan[*Pending]
-	ready    []*Pending
+	ready    []*Pending // completed, not yet handed out
+	out      []*Pending // what the last Poll or Drain handed out
+	free     []*Pending // emptied, for Submit
 
 	// starting holds the submitted operations whose procs have not started
-	// yet, oldest at started; body, bound once, is every such proc's body.
-	// A Submit therefore allocates its Pending and nothing else: no closure
-	// per op carries the Pending to its proc.
+	// yet, oldest at started; body, bound once, is every such proc's body,
+	// so no closure per op carries the Pending to its proc.
 	starting []*Pending
 	started  int
 	body     func(*simrt.Proc)
@@ -88,7 +96,13 @@ func (pl *Pipeline) Submit(p *simrt.Proc, op types.Op) *Pending {
 	for pl.inflight >= pl.depth {
 		pl.harvest(pl.compc.Recv(p))
 	}
-	pe := &Pending{Op: op, Issued: p.Now()}
+	var pe *Pending
+	if k := len(pl.free); k > 0 {
+		pe, pl.free = pl.free[k-1], pl.free[:k-1]
+	} else {
+		pe = new(Pending)
+	}
+	pe.Op, pe.Issued = op, p.Now()
 	if pl.depth == 1 {
 		pl.do(p, pe)
 		pl.ready = append(pl.ready, pe)
@@ -127,7 +141,8 @@ func (pl *Pipeline) harvest(pe *Pending) {
 
 // Poll returns every operation that completed since the last Poll/Drain,
 // in completion order, without blocking. The slice is the pipeline's own
-// buffer: it is valid until the next Submit, Poll or Drain, which reuse it.
+// buffer, and it and its Pendings are valid until the next Poll or Drain,
+// which reuses them all.
 func (pl *Pipeline) Poll() []*Pending {
 	for {
 		pe, ok := pl.compc.TryRecv()
@@ -148,9 +163,13 @@ func (pl *Pipeline) Drain(p *simrt.Proc) []*Pending {
 	return pl.take()
 }
 
-// take hands out the completions and empties the buffer for the next ones.
+// take takes back what the last Poll or Drain handed out, emptied onto the
+// free list, and hands out the completions since, in the other buffer.
 func (pl *Pipeline) take() []*Pending {
-	out := pl.ready
-	pl.ready = pl.ready[:0]
-	return out
+	for _, pe := range pl.out {
+		*pe = Pending{}
+		pl.free = append(pl.free, pe)
+	}
+	pl.out, pl.ready = pl.ready, pl.out[:0]
+	return pl.out
 }

@@ -236,43 +236,101 @@ func TestPipelineErrorsStayPerOp(t *testing.T) {
 	})
 }
 
-// In steady state a Submit allocates its Pending and nothing else, and Poll
-// and Drain allocate nothing: they hand out the pipeline's own completion
-// buffer, which the next call reuses (a fresh slice per Poll costs about one
-// allocation per op under the Metarates mix).
-func TestPipelineAllocatesOnlyPendings(t *testing.T) {
-	d := &fakeDoer{delay: func(op types.Op) time.Duration { return time.Duration(1+op.ID.Seq%3) * time.Millisecond }}
-	s := simrt.New(1)
-	defer s.Shutdown()
-	pl := core.NewPipeline(s, d, 8)
-	var submitted, harvested uint64
-	s.Spawn("driver", func(p *simrt.Proc) {
-		for seq := uint64(1); ; seq++ {
-			pl.Submit(p, pipeOp(seq))
-			submitted++
-			harvested += uint64(len(pl.Poll()))
-			if seq%100 == 0 {
-				harvested += uint64(len(pl.Drain(p)))
+// In steady state a Submit+Poll cycle allocates nothing, at depth 1 and
+// above: Submit takes a Pending handed out and given back before, Poll and
+// Drain hand out the pipeline's own buffers, and a proc per op above depth 1
+// comes from the scheduler's pool.
+func TestPipelineSteadyStateAllocatesNothing(t *testing.T) {
+	for _, depth := range []int{1, 8} {
+		d := &fakeDoer{delay: func(op types.Op) time.Duration { return time.Duration(1+op.ID.Seq%3) * time.Millisecond }}
+		s := simrt.New(1)
+		pl := core.NewPipeline(s, d, depth)
+		var submitted, harvested uint64
+		s.Spawn("driver", func(p *simrt.Proc) {
+			for seq := uint64(1); ; seq++ {
+				pl.Submit(p, pipeOp(seq))
+				submitted++
+				harvested += uint64(len(pl.Poll()))
+				if seq%100 == 0 {
+					harvested += uint64(len(pl.Drain(p)))
+				}
+			}
+		})
+		s.RunUntil(time.Second) // the buffers and the free list reach their steady size
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ops, done := submitted, harvested
+		s.RunUntil(5 * time.Second)
+		runtime.ReadMemStats(&after)
+		s.Shutdown()
+		ops, done = submitted-ops, harvested-done
+		if ops < 1000 || done < ops-uint64(depth) {
+			t.Fatalf("depth %d: %d ops submitted and %d harvested in the measured window: the test is vacuous", depth, ops, done)
+		}
+		// MemStats counts the whole process: the test runner reporting a
+		// previous run, or the runtime starting a thread, allocates a few
+		// objects of its own meanwhile.
+		const others = 32
+		if n := after.Mallocs - before.Mallocs; n > others {
+			t.Errorf("depth %d: %d allocations for %d ops, want none", depth, n, ops)
+		}
+	}
+}
+
+// A Submit never returns a Pending the caller still holds: neither one in
+// flight or completed and not yet handed out, nor one the last Poll or
+// Drain handed out. Those keep their operation and outcome until the next
+// Poll or Drain.
+func TestPipelineRecyclesOnlyHarvestedPendings(t *testing.T) {
+	d := &fakeDoer{delay: func(op types.Op) time.Duration { return time.Duration(1+op.ID.Seq*7%5) * time.Millisecond }}
+	withPipeline(t, 1, d, 8, func(p *simrt.Proc, pl *core.Pipeline) {
+		held := make(map[*core.Pending]uint64) // submitted, not handed out yet
+		last := make(map[*core.Pending]uint64) // handed out by the last Poll or Drain
+		seen := make(map[*core.Pending]bool)
+		reused := 0
+		harvest := func(got []*core.Pending) {
+			clear(last)
+			for _, pe := range got {
+				seq, ok := held[pe]
+				if !ok || pe.Op.ID.Seq != seq || !pe.Done() || pe.Attr.Ino != pe.Op.Ino {
+					t.Fatalf("handed out %p for op %d, which was submitted as op %d (held %v)", pe, pe.Op.ID.Seq, seq, ok)
+				}
+				delete(held, pe)
+				last[pe] = seq
 			}
 		}
+		for seq := uint64(1); seq <= 2000; seq++ {
+			pe := pl.Submit(p, pipeOp(seq))
+			if _, ok := held[pe]; ok {
+				t.Fatalf("op %d was given the Pending of an op still held", seq)
+			}
+			if _, ok := last[pe]; ok {
+				t.Fatalf("op %d was given a Pending the last Poll or Drain handed out", seq)
+			}
+			for pe, seq := range last {
+				if pe.Op.ID.Seq != seq || !pe.Done() {
+					t.Fatalf("op %d was overwritten before the next Poll or Drain", seq)
+				}
+			}
+			if seen[pe] {
+				reused++
+			}
+			seen[pe], held[pe] = true, seq
+			if seq%3 == 0 {
+				harvest(pl.Poll())
+			}
+			if seq%250 == 0 {
+				harvest(pl.Drain(p))
+			}
+		}
+		harvest(pl.Drain(p))
+		if len(held) != 0 {
+			t.Errorf("%d ops never handed out", len(held))
+		}
+		if reused < 1900 || len(seen) > 32 {
+			t.Errorf("2000 ops used %d Pendings, %d of them recycled: the test is vacuous", len(seen), reused)
+		}
 	})
-	s.RunUntil(time.Second) // the buffers reach their steady size
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	ops, done := submitted, harvested
-	s.RunUntil(2 * time.Second)
-	runtime.ReadMemStats(&after)
-	ops, done = submitted-ops, harvested-done
-	if ops < 1000 || done < ops-8 {
-		t.Fatalf("%d ops submitted and %d harvested in the measured second: the test is vacuous", ops, done)
-	}
-	// MemStats counts the whole process: the test runner reporting a previous
-	// run, or the runtime starting a thread, allocates a few objects of its own
-	// meanwhile.
-	const others = 32
-	if n := after.Mallocs - before.Mallocs; n > ops+others {
-		t.Errorf("%d allocations for %d ops: more than one Pending each", n, ops)
-	}
 }
 
 func TestPipelineDeterministicCompletionOrder(t *testing.T) {

@@ -185,7 +185,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 		} else {
 			undecidedPart = append(undecidedPart, id)
 		}
-		s.register(s.ops[id], e, phasePending)
+		s.register(s.find(id), e, phasePending)
 	}
 
 	// Rebuild complete: the server may answer the recovery dialogue

@@ -80,7 +80,7 @@ func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 	}
 	// Register as a committing coordinator op so C-NOTIFY/L-COM find it and
 	// the lazy daemon leaves it alone.
-	co := s.register(s.ops[op.ID], execution{sub: srcSub, ok: true, undo: resSrc.Undo,
+	co := s.register(s.find(op.ID), execution{sub: srcSub, ok: true, undo: resSrc.Undo,
 		rows: resSrc.Rows, peer: dst, epoch: 1}, phaseCommitting)
 
 	var dstOK bool
@@ -217,7 +217,7 @@ func (s *Server) renameExecInsert(p *simrt.Proc, boot uint64, dstSub types.SubOp
 		return false, ""
 	}
 	if coordNode != s.ID {
-		s.register(s.ops[dstSub.Op], execution{sub: dstSub, ok: true, undo: res.Undo, rows: res.Rows,
+		s.register(s.find(dstSub.Op), execution{sub: dstSub, ok: true, undo: res.Undo, rows: res.Rows,
 			peer: coordNode, epoch: 1}, phaseCommitting)
 		return true, ""
 	}

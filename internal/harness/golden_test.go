@@ -199,7 +199,7 @@ var raceEnabled bool
 // input: runtime.MemStats.Mallocs across one replay — trace generation,
 // cluster build and the 14,496 ops — over the op count. It is a host number
 // like resumes, not part of the model, and repeats to within a few hundred
-// allocations (map iteration order moves some). Both rows are pinned where
+// allocations (the iteration order of the maps left moves some). Both rows are pinned where
 // an execution's Result became a value on its caller's stack, which the log
 // copies the images of instead of keeping (parent 3.01 under cx, 2.58 under
 // se: one heap object describing each write, and under se one boxed undo
@@ -214,8 +214,9 @@ var raceEnabled bool
 // shape (metaratesCluster, 8 ops in flight per process) and measures steady
 // state: the bytes a run of 2,500 ops per process allocates beyond a run of
 // 1,000, over the 48,000 ops between them, so cluster build and the tables'
-// growth to their peak cancel; it is pinned where the Result moved to the
-// stack (parent 551 B, at most 0.75 of it). Before op-table entries were
+// growth to their peak cancel; it is pinned where the pipeline came to
+// recycle its Pendings and the op-ID tables became seg.Indexes (parent
+// 360 B, at most 0.6 of it). Before op-table entries were
 // recycled, the log index's entries kept in a reused slab, executing marks
 // and cached replies in one index and the pipeline's completion buffer
 // reused, the same inputs allocated 860 B per op (home2) and 2,240 B
@@ -257,7 +258,7 @@ func TestAllocsPerOp(t *testing.T) {
 		{"home2-cached-bytes", []run{replay("home2", cluster.ProtoCx, 0.04, cached)}, 0, true, 800, 860, 0.93},
 		{"cx-bytes", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, true, 2240, 2240, 1.0},
 		{"se-bytes", []run{replay("s3d", cluster.ProtoSE, 0.02, nil)}, golden, true, 700, 828, 0.85},
-		{"metarates-gcpipe-bytes", []run{mr(1000), mr(2500)}, 0, true, 400, 551, 0.75},
+		{"metarates-gcpipe-bytes", []run{mr(1000), mr(2500)}, 0, true, 200, 360, 0.6},
 	} {
 		// Not parallel: MemStats counts the whole process.
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,11 +6,15 @@ import "iter"
 // order: adding a new key to a full map first removes the oldest live key.
 // Its entries are linked oldest to newest, so Delete unlinks a key in O(1)
 // and eviction reuses the victim's node: neither scans the table or copies
-// it. The server's lease table and the client's leased cache both use it.
+// it. A deleted key's node is emptied onto a free list for the next Insert,
+// so a map churning below its capacity allocates no nodes, and an empty free
+// list is refilled nodeBlock nodes at a time, up to the capacity. The
+// server's lease table and the client's leased cache both use it.
 type FIFOMap[K comparable, V any] struct {
 	cap            int
 	nodes          map[K]*fifoNode[K, V]
 	oldest, newest *fifoNode[K, V]
+	free           *fifoNode[K, V] // deleted nodes, emptied, linked by next
 }
 
 type fifoNode[K comparable, V any] struct {
@@ -51,7 +55,11 @@ func (m *FIFOMap[K, V]) Insert(k K) (v *V, evicted bool) {
 		*n = fifoNode[K, V]{}
 		evicted = true
 	} else {
-		n = &fifoNode[K, V]{}
+		if m.free == nil {
+			m.refill()
+		}
+		n = m.free
+		m.free, n.next = n.next, nil
 	}
 	n.key = k
 	n.prev = m.newest
@@ -66,7 +74,9 @@ func (m *FIFOMap[K, V]) Insert(k K) (v *V, evicted bool) {
 }
 
 // Delete removes k and returns the value it held; ok is false if k was
-// absent. Inserted again, k becomes the newest key.
+// absent. Inserted again, k becomes the newest key. The node is emptied as
+// it goes on the free list, so nothing the returned value refers to (a
+// slice's array) is shared with a key inserted later.
 func (m *FIFOMap[K, V]) Delete(k K) (v V, ok bool) {
 	n := m.nodes[k]
 	if n == nil {
@@ -74,7 +84,23 @@ func (m *FIFOMap[K, V]) Delete(k K) (v V, ok bool) {
 	}
 	delete(m.nodes, k)
 	m.unlink(n)
-	return n.val, true
+	v = n.val
+	*n = fifoNode[K, V]{next: m.free}
+	m.free = n
+	return v, true
+}
+
+// nodeBlock is how many nodes refill makes at once, in one allocation.
+const nodeBlock = 64
+
+// refill puts a block of new nodes on the empty free list, as many as the
+// map may still add, up to nodeBlock.
+func (m *FIFOMap[K, V]) refill() {
+	block := make([]fifoNode[K, V], min(nodeBlock, m.cap-len(m.nodes)))
+	for i := range block {
+		block[i].next = m.free
+		m.free = &block[i]
+	}
 }
 
 func (m *FIFOMap[K, V]) unlink(n *fifoNode[K, V]) {

@@ -63,3 +63,30 @@ func TestFIFOMapOrderAndEviction(t *testing.T) {
 		t.Errorf("order after Reset %v, want [5]", got)
 	}
 }
+
+// Keys inserted and deleted below capacity reuse the deleted keys' nodes:
+// once the key table has settled, the churn allocates nothing.
+func TestFIFOMapChurnBelowCapacityAllocatesNothing(t *testing.T) {
+	const live, keys = 64, 1024
+	m := NewFIFOMap[int, string](2 * live)
+	k := 0
+	step := func() {
+		v, _ := m.Insert(k % keys)
+		*v = "v"
+		if k >= live {
+			if _, ok := m.Delete((k - live) % keys); !ok {
+				t.Fatalf("key %d missing", (k-live)%keys)
+			}
+		}
+		k++
+	}
+	for k < 10*keys {
+		step()
+	}
+	if n := testing.AllocsPerRun(10*keys, step); n != 0 {
+		t.Errorf("%.2f allocations per insert and delete, want 0", n)
+	}
+	if m.Len() != live {
+		t.Errorf("%d keys held, want %d", m.Len(), live)
+	}
+}

@@ -138,3 +138,24 @@ func TestLeaseTableEvictionOrder(t *testing.T) {
 		t.Errorf("re-granted key1: holders %v, want [5 4] (grant order, kept at the back)", h)
 	}
 }
+
+// Revoke hands back the revoked entry's holders, which its caller fans out
+// after the table has moved on: grants that reuse the entry's node, for the
+// same name or another, must leave the returned slice as it was.
+func TestLeaseTableRevokedHoldersOutliveLaterGrants(t *testing.T) {
+	lt := NewLeaseTable(8)
+	ttl := 40 * time.Millisecond
+	lt.Grant(types.RootInode, "f", 3, 0, ttl)
+	lt.Grant(types.RootInode, "f", 4, 0, ttl)
+	holders := lt.Revoke(types.RootInode, "f")
+	for i, name := range []string{"g", "f", "h"} {
+		lt.Grant(types.RootInode, name, types.NodeID(10+i), 0, ttl)
+		lt.Grant(types.RootInode, name, types.NodeID(20+i), 0, ttl)
+	}
+	if !slices.Equal(holders, []types.NodeID{3, 4}) {
+		t.Errorf("revoked holders became %v after later grants, want [3 4]", holders)
+	}
+	if got := lt.Revoke(types.RootInode, "g"); !slices.Equal(got, []types.NodeID{10, 20}) {
+		t.Errorf("holders of a name granted on a reused node: %v, want [10 20]", got)
+	}
+}

@@ -115,7 +115,7 @@ type Base struct {
 	// At-most-once execution (once.go): the cached replies in a FIFO ring, and
 	// one index of every operation executing or cached here.
 	replies seg.Ring[cachedReply]
-	once    map[types.OpID]int32
+	once    seg.Index[int32]
 	leases  *LeaseTable                        // lease.go
 	routes  map[routeKey]*simrt.Chan[wire.Msg] // routes.go
 
@@ -135,7 +135,6 @@ func NewBase(s *simrt.Sim, net *transport.Net, id types.NodeID, hw HardwareParam
 		HW:    hw,
 		inbox: net.Register(id),
 
-		once:   make(map[types.OpID]int32),
 		leases: NewLeaseTable(leaseTableCap),
 		routes: make(map[routeKey]*simrt.Chan[wire.Msg]),
 	}
@@ -263,11 +262,7 @@ func (b *Base) Reboot() {
 // — which requests were executing, who holds which lease — for a protocol
 // whose recovery rebuilds its state from the log. The reply cache stays.
 func (b *Base) ForgetClients() {
-	for op, pos := range b.once {
-		if pos == executing {
-			delete(b.once, op)
-		}
-	}
+	b.once.DeleteFunc(func(_ types.OpID, pos int32) bool { return pos == executing })
 	b.leases.Reset()
 }
 
@@ -306,7 +301,7 @@ type Host struct {
 	Sim *simrt.Sim
 	Net *transport.Net
 
-	routes map[types.OpID]*Route
+	routes seg.Index[*Route]
 	idle   []*Route // closed routes, emptied, for the next Open
 	notify func(*wire.Msg) bool
 }
@@ -342,14 +337,14 @@ func (r *Route) RecvTimeout(p *simrt.Proc, d time.Duration) (wire.Msg, bool) {
 // blocks, so it needs no Proc: the inbox serves each message straight to
 // dispatch.
 func NewHost(s *simrt.Sim, net *transport.Net, id types.NodeID) *Host {
-	h := &Host{ID: id, Sim: s, Net: net, routes: make(map[types.OpID]*Route)}
+	h := &Host{ID: id, Sim: s, Net: net}
 	net.Register(id).Serve(h.dispatch)
 	return h
 }
 
 func (h *Host) dispatch(pk *transport.Packet) {
 	if h.notify == nil || !h.notify(&pk.Msg) {
-		if r, ok := h.routes[pk.Op]; ok {
+		if r, ok := h.routes.Get(pk.Op); ok {
 			r.ch().Send(pk)
 			return
 		}
@@ -377,18 +372,17 @@ func (h *Host) Open(op types.OpID) *Route {
 	} else {
 		r = (*Route)(simrt.NewChan[*transport.Packet](h.Sim))
 	}
-	h.routes[op] = r
+	h.routes.Put(op, r)
 	return r
 }
 
 // Done removes the route for op. The channel must not be used afterwards:
 // it is emptied of unread duplicates and handed to a later Open.
 func (h *Host) Done(op types.OpID) {
-	r, ok := h.routes[op]
+	r, ok := h.routes.Delete(op)
 	if !ok {
 		return
 	}
-	delete(h.routes, op)
 	for r.ch().Len() > 0 {
 		take(r.ch().TryRecv())
 	}

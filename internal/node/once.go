@@ -44,9 +44,9 @@ type cachedReply struct {
 // or of one still executing, dropped. After true, call End when the
 // execution is over.
 func (b *Base) Begin(op types.OpID, from types.NodeID) bool {
-	switch pos, ok := b.once[op]; {
+	switch pos, ok := b.once.Get(op); {
 	case !ok:
-		b.once[op] = executing
+		b.once.Put(op, executing)
 		return true
 	case pos != executing:
 		b.replay(pos, op, from)
@@ -57,35 +57,38 @@ func (b *Base) Begin(op types.OpID, from types.NodeID) bool {
 // End clears op's executing mark. Without a CacheReply before it (a crash
 // mid-execution, a parked request), a retry executes again.
 func (b *Base) End(op types.OpID) {
-	if b.once[op] == executing {
-		delete(b.once, op)
+	if pos, _ := b.once.Get(op); pos == executing {
+		b.once.Delete(op)
 	}
 }
 
 // Executing reports whether a request for op is between Begin and End, with
 // no reply cached yet.
-func (b *Base) Executing(op types.OpID) bool { return b.once[op] == executing }
+func (b *Base) Executing(op types.OpID) bool {
+	pos, ok := b.once.Get(op)
+	return ok && pos == executing
+}
 
 // CacheReply retains op's final response m for duplicate requests. An op
 // cached again (an abort superseding the recorded response) keeps its place
 // in the eviction order.
 func (b *Base) CacheReply(op types.OpID, m *wire.Msg) {
 	r := cachedReply{op: op, typ: m.Type, ok: m.OK, epoch: m.Epoch, hint: m.Hint, err: m.Err, attr: m.Attr}
-	if pos, ok := b.once[op]; ok && pos != executing {
+	if pos, ok := b.once.Get(op); ok && pos != executing {
 		*b.replies.At(int(pos)) = r
 		return
 	}
 	pos, oldest, full := b.replies.Push(r, replyCap)
 	if full {
-		delete(b.once, oldest.op)
+		b.once.Delete(oldest.op)
 	}
-	b.once[op] = int32(pos)
+	b.once.Put(op, int32(pos))
 }
 
 // ReplayCached answers a duplicate request for a finished operation from
 // the reply cache, addressed to node to, and reports whether it could.
 func (b *Base) ReplayCached(op types.OpID, to types.NodeID) bool {
-	pos, ok := b.once[op]
+	pos, ok := b.once.Get(op)
 	if !ok || pos == executing {
 		return false
 	}

@@ -1,0 +1,173 @@
+package seg
+
+import (
+	"math/rand"
+	"testing"
+
+	"cxfs/internal/types"
+)
+
+func opKey(client, index int32, seq uint64) types.OpID {
+	return types.OpID{Proc: types.ProcID{Client: types.NodeID(client), Index: index}, Seq: seq}
+}
+
+// checkIndex compares x with the model and checks the invariant backward
+// shift keeps: no empty slot lies between a key's home and its slot.
+func checkIndex(t *testing.T, x *Index[int], model map[types.OpID]int) {
+	t.Helper()
+	if x.Len() != len(model) {
+		t.Fatalf("Len %d, model holds %d", x.Len(), len(model))
+	}
+	for k, want := range model {
+		if v, ok := x.Get(k); !ok || v != want {
+			t.Fatalf("Get(%v) = %d, %v; model %d", k, v, ok, want)
+		}
+	}
+	n, mask := 0, len(x.keys)-1
+	for j, k := range x.keys {
+		if k == types.NilOp {
+			continue
+		}
+		n++
+		for i := int(hash(k)) & mask; i != j; i = (i + 1) & mask {
+			if x.keys[i] == types.NilOp {
+				t.Fatalf("%v sits at %d behind empty slot %d of its run", k, j, i)
+			}
+		}
+	}
+	if n != len(model) {
+		t.Fatalf("%d slots hold keys, model holds %d", n, len(model))
+	}
+	seen := 0
+	for k, v := range x.All() {
+		if model[k] != v {
+			t.Fatalf("All yields %v=%d, model %d", k, v, model[k])
+		}
+		seen++
+	}
+	if seen != len(model) {
+		t.Fatalf("All yields %d keys, model holds %d", seen, len(model))
+	}
+}
+
+// Random gets, puts, deletes and DeleteFuncs against a Go map, over a key
+// set small enough to collide and re-insert, half of it drawn from keys
+// whose home is one of a 64-slot table's last three slots, so probe runs
+// wrap past the end of the array and deletions shift keys back across it.
+func TestIndexMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var keys []types.OpID
+	for seq := uint64(1); len(keys) < 48; seq++ {
+		k := opKey(3, int32(seq%5), seq)
+		if len(keys) < 24 || int(hash(k))&63 >= 61 {
+			keys = append(keys, k)
+		}
+	}
+	var x Index[int]
+	model := make(map[types.OpID]int)
+	wrapped := false
+	for step := 0; step < 20000; step++ {
+		k := keys[rng.Intn(len(keys))]
+		switch r := rng.Intn(20); {
+		case r < 9:
+			x.Put(k, step)
+			model[k] = step
+		case r < 16:
+			v, ok := x.Delete(k)
+			want, had := model[k]
+			if ok != had || v != want {
+				t.Fatalf("step %d: Delete(%v) = %d, %v; model %d, %v", step, k, v, ok, want, had)
+			}
+			delete(model, k)
+		case r < 19:
+			_, had := model[k]
+			if _, ok := x.Get(k); ok != had {
+				t.Fatalf("step %d: Get(%v) reports %v", step, k, ok)
+			}
+		default:
+			odd := rng.Intn(2)
+			visits := make(map[types.OpID]int)
+			x.DeleteFunc(func(k types.OpID, v int) bool {
+				visits[k]++
+				if model[k] != v {
+					t.Fatalf("step %d: DeleteFunc sees %v=%d, model %d", step, k, v, model[k])
+				}
+				return v%2 == odd
+			})
+			for k, v := range model {
+				if visits[k] != 1 {
+					t.Fatalf("step %d: DeleteFunc saw %v %d times", step, k, visits[k])
+				}
+				if v%2 == odd {
+					delete(model, k)
+				}
+			}
+		}
+		checkIndex(t, &x, model)
+		mask := len(x.keys) - 1
+		for j, k := range x.keys {
+			if k != types.NilOp && int(hash(k))&mask > j {
+				wrapped = true
+			}
+		}
+	}
+	if !wrapped {
+		t.Error("no probe run ever wrapped past the end: the test is vacuous")
+	}
+	if len(x.keys) != 64 {
+		t.Errorf("capacity %d for at most 48 keys, want 64", len(x.keys))
+	}
+}
+
+// The nil ID marks an empty slot: it is never a key.
+func TestIndexRefusesTheNilOp(t *testing.T) {
+	var x Index[int]
+	x.Put(opKey(1, 0, 1), 1)
+	if _, ok := x.Get(types.NilOp); ok {
+		t.Error("Get reports the nil ID held")
+	}
+	if _, ok := x.Delete(types.NilOp); ok || x.Len() != 1 {
+		t.Error("Delete of the nil ID removed something")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Put of the nil ID did not panic")
+		}
+	}()
+	x.Put(types.NilOp, 2)
+}
+
+// Fresh IDs in, the oldest out, at a steady live count: the way a server's
+// tables churn. Once the index has grown to the live count it allocates
+// nothing, and its capacity stays where the fill left it however many IDs
+// pass through.
+func TestIndexSteadyChurnAllocatesNothingAndStaysBounded(t *testing.T) {
+	const live = 3000
+	var x Index[*int]
+	v := new(int)
+	seq := uint64(0)
+	step := func() {
+		seq++
+		x.Put(opKey(int32(seq%7), int32(seq%3), seq), v)
+		if seq > live {
+			old := seq - live
+			if _, ok := x.Delete(opKey(int32(old%7), int32(old%3), old)); !ok {
+				t.Fatalf("op %d missing", old)
+			}
+		}
+	}
+	for seq < live {
+		step()
+	}
+	filled := len(x.keys)
+	if filled != 4096 {
+		t.Errorf("capacity %d for %d keys, want 4096", filled, live)
+	}
+	if n := testing.AllocsPerRun(200*live, step); n != 0 {
+		t.Errorf("%.2f allocations per churn step, want 0", n)
+	}
+	if len(x.keys) != filled || x.Len() != live {
+		t.Errorf("after %d churned IDs: capacity %d (filled at %d), %d keys (want %d)",
+			seq, len(x.keys), filled, x.Len(), live)
+	}
+}

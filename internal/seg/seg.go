@@ -6,7 +6,9 @@
 // slab (Seq, in internal/wal and internal/kvstore) and its reply cache and
 // SE's undo window (Ring, in internal/node and internal/baseline); wal cannot
 // import node, so the store is a package of its own. The log keeps its
-// records' bytes in chunks of its own, reused the same way.
+// records' bytes in chunks of its own, reused the same way. Index, the one
+// table keyed by operation ID, churns in place the same way once it has
+// grown to its peak (index.go).
 package seg
 
 // A segment holds segLen values: 1,024 grows an 8,192-entry ring in eight

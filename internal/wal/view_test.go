@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cxfs/internal/disk"
+	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 )
@@ -68,7 +69,7 @@ func handleErrs(w *WAL) []string {
 	for i := 0; i < w.ordered.Len(); i++ {
 		r := w.ordered.At(i)
 		carried[r.entry]++
-		idx, live := w.index[r.op]
+		idx, live := w.index.Get(r.op)
 		switch {
 		case free[r.entry]:
 			bad = append(bad, fmt.Sprintf("a record of %v carries released handle %d", r.op, r.entry))
@@ -83,7 +84,7 @@ func handleErrs(w *WAL) []string {
 			bad = append(bad, fmt.Sprintf("entry %d counts %d records, the view holds %d", h, e.recs, n))
 		}
 	}
-	for op, h := range w.index {
+	for op, h := range w.index.All() {
 		if free[h] || w.entries.At(int(h)).pruned {
 			bad = append(bad, fmt.Sprintf("the index files %v under released or pruned handle %d", op, h))
 		}
@@ -249,10 +250,9 @@ func TestRecoverScanPanicsNamingTheOpOfAnUndecodableImage(t *testing.T) {
 // slice it replaced regrew by a quarter at a time, to four times the live
 // ops' records.
 //
-// The index beside the view is a Go map, whose churn is the runtime's (it
-// rebuilds a table once deletions have filled it with tombstones): the same
-// inserts and deletes on a bare map of the index's type measure its share,
-// which the test takes off both sides.
+// The op index beside the view is a seg.Index, whose growth to the peak is
+// its own: the same inserts and deletes on a bare index of the log's type
+// measure its share, which the test takes off both sides.
 func TestRecordViewAllocationStaysBounded(t *testing.T) {
 	const peakOps, commitLag, completeLag = 4096, 64, 128
 	logged := measureChurn(peakOps, func(s *simrt.Sim) func(p *simrt.Proc, seq uint64) {
@@ -273,11 +273,11 @@ func TestRecordViewAllocationStaysBounded(t *testing.T) {
 		}
 	})
 	index := measureChurn(peakOps, func(*simrt.Sim) func(*simrt.Proc, uint64) {
-		m := make(map[types.OpID]int32)
+		var x seg.Index[int32]
 		return func(_ *simrt.Proc, seq uint64) {
-			m[opID(seq)] = int32(seq)
+			x.Put(opID(seq), int32(seq))
 			if seq > peakOps {
-				delete(m, opID(seq-peakOps))
+				x.Delete(opID(seq - peakOps))
 			}
 		}
 	})

@@ -213,7 +213,7 @@ type WAL struct {
 	live int64 // bytes of un-pruned records
 	// index maps each live op to its entry's handle in entries; freeEntries
 	// holds the handles compaction has released.
-	index       map[types.OpID]int32
+	index       seg.Index[int32]
 	entries     seg.Seq[opEntry]
 	freeEntries []int32
 	// ordered is the durable records in append order, for RecoverScan: the
@@ -249,7 +249,7 @@ type WAL struct {
 // New creates a WAL writing sequentially at disk offset base. maxBytes
 // limits live (un-pruned) record bytes; 0 means unlimited.
 func New(s *simrt.Sim, d *disk.Disk, base, maxBytes int64) *WAL {
-	return &WAL{sim: s, dsk: d, base: base, max: maxBytes, index: make(map[types.OpID]int32),
+	return &WAL{sim: s, dsk: d, base: base, max: maxBytes,
 		win: &window{done: simrt.NewGroup(s)}, spare: &window{done: simrt.NewGroup(s)}}
 }
 
@@ -286,7 +286,7 @@ func (w *WAL) LiveBytes() int64 { return w.live }
 
 // OpBytes returns the live bytes attributed to one operation.
 func (w *WAL) OpBytes(op types.OpID) int64 {
-	if h, ok := w.index[op]; ok {
+	if h, ok := w.index.Get(op); ok {
 		return w.entries.At(int(h)).bytes
 	}
 	return 0
@@ -294,7 +294,7 @@ func (w *WAL) OpBytes(op types.OpID) int64 {
 
 // Has reports whether the log holds a record of type t for op.
 func (w *WAL) Has(op types.OpID, t RecType) bool {
-	h, ok := w.index[op]
+	h, ok := w.index.Get(op)
 	return ok && w.entries.At(int(h)).types&bit(t) != 0
 }
 
@@ -442,10 +442,10 @@ func (w *WAL) AwaitSpace(p *simrt.Proc) { w.waitForSpace(p, 1) }
 // admit indexes a durable record of op, of type typ and size bytes, adds it
 // to the view, and returns the room in the image its encoding goes to.
 func (w *WAL) admit(op types.OpID, typ RecType, size int64) []byte {
-	h, ok := w.index[op]
+	h, ok := w.index.Get(op)
 	if !ok {
 		h = w.newEntry()
-		w.index[op] = h
+		w.index.Put(op, h)
 	}
 	e := w.entries.At(int(h))
 	e.bytes += size
@@ -475,11 +475,10 @@ func (w *WAL) newEntry() int32 {
 // whose terminal record (Complete on the coordinator, Commit/Abort on the
 // participant) is durable; that discipline lives in the protocol layer.
 func (w *WAL) Prune(op types.OpID) {
-	h, ok := w.index[op]
+	h, ok := w.index.Delete(op)
 	if !ok {
 		return
 	}
-	delete(w.index, op)
 	e := w.entries.At(int(h))
 	e.pruned = true
 	w.live -= e.bytes
@@ -551,8 +550,8 @@ func (w *WAL) Reboot() { w.crashed = false }
 
 // LiveOps returns the OpIDs with live records, in no particular order.
 func (w *WAL) LiveOps() []types.OpID {
-	ops := make([]types.OpID, 0, len(w.index))
-	for op := range w.index {
+	ops := make([]types.OpID, 0, w.index.Len())
+	for op := range w.index.All() {
 		ops = append(ops, op)
 	}
 	return ops
@@ -596,7 +595,7 @@ func RoundTrip(rec Record) (Record, error) {
 
 // String renders WAL state for debugging.
 func (w *WAL) String() string {
-	return fmt.Sprintf("wal{head=%d live=%d ops=%d}", w.head, w.live, len(w.index))
+	return fmt.Sprintf("wal{head=%d live=%d ops=%d}", w.head, w.live, w.index.Len())
 }
 
 // SyncDelay estimates the cost of one small sequential append under the
