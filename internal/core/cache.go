@@ -159,11 +159,8 @@ func (c *Cache) Revoke(dir types.InodeID, name string, server types.NodeID, epoc
 	}
 }
 
-// NoteEpoch records a server's lease epoch observed out of band (e.g. a
-// grant on another code path); entries stamped with older epochs stop being
-// servable.
-func (c *Cache) NoteEpoch(server types.NodeID, epoch uint64) { c.noteEpoch(server, epoch) }
-
+// noteEpoch records a server's lease epoch; entries stamped with older
+// epochs stop being servable.
 func (c *Cache) noteEpoch(server types.NodeID, epoch uint64) {
 	if epoch > c.epochs[server] {
 		c.epochs[server] = epoch

@@ -128,11 +128,11 @@ func TestCacheEpochFence(t *testing.T) {
 	if _, _, _, ok := c.Get(1, types.RootInode, "g"); ok {
 		t.Error("stale-epoch grant was cached")
 	}
-	// NoteEpoch alone fences too (epoch observed out of band).
+	// noteEpoch alone fences too (epoch observed out of band).
 	c.Put(0, 0, grantMsg(3, types.RootInode, "h", 9, true, 2, time.Hour))
-	c.NoteEpoch(3, 5)
+	c.noteEpoch(3, 5)
 	if _, _, _, ok := c.Get(1, types.RootInode, "h"); ok {
-		t.Error("entry served after NoteEpoch advanced the incarnation")
+		t.Error("entry served after noteEpoch advanced the incarnation")
 	}
 }
 

@@ -108,17 +108,97 @@ func (o Op) String() string {
 		int64(o.Issued), int64(o.At), o.Cached, int64(o.Grant))
 }
 
-// name-state of the sequential model.
+// Name is the sequential model of one name: where it stands after every
+// observation folded in so far, and the inode its create bound it to. The
+// zero Name is one no create has resolved yet.
+type Name struct {
+	Ino   types.InodeID
+	state uint8
+}
+
+// name states of the sequential model.
 const (
-	stFresh   uint8 = iota // never targeted by a create
+	stFresh   uint8 = iota // never targeted by a create, or its create unresolved
 	stAbsent               // definitely not in the namespace
-	stExists               // definitely present, bound to its ino
+	stExists               // definitely present, bound to Ino
 	stUnknown              // a timed-out operation's outcome is undecided
 )
 
-type nameState struct {
-	state uint8
-	ino   types.InodeID
+// Exists reports whether the name is definitely present, bound to Ino.
+func (n *Name) Exists() bool { return n.state == stExists }
+
+// Known reports whether the name is definitely present or definitely absent.
+func (n *Name) Known() bool { return n.state == stExists || n.state == stAbsent }
+
+// Apply folds one client observation of the name into the model and returns
+// what it violates, or "" when the sequential model explains it.
+func (n *Name) Apply(o Op) string {
+	switch o.Kind {
+	case types.OpCreate, types.OpMkdir:
+		if n.state != stFresh {
+			return "name reused: " + o.String()
+		}
+		n.Ino = o.Ino
+		switch o.Outcome {
+		case OK:
+			n.state = stExists
+		case Unknown:
+			n.state = stUnknown
+		case FailedExists:
+			// Names are never reused, so nothing can already hold one.
+			n.state = stUnknown
+			return "create on a fresh name observed 'exists': " + o.String()
+		default:
+			// Definite failure: all-or-nothing demands no residue.
+			n.state = stAbsent
+		}
+	case types.OpRemove, types.OpRmdir:
+		if n.state != stExists {
+			return fmt.Sprintf("remove issued on a name not known to exist (state %d): %s", n.state, o)
+		}
+		switch o.Outcome {
+		case OK:
+			n.state = stAbsent
+		case Unknown:
+			n.state = stUnknown
+		case FailedNotFound:
+			// The create definitely succeeded; the entry must be there.
+			n.state = stUnknown
+			return "remove observed 'not found' on a committed entry: " + o.String()
+		}
+		// Any other failure is a definite abort: the entry survives untouched.
+	case types.OpLookup:
+		found := o.Outcome == OK && o.Found
+		switch {
+		case o.Outcome != OK && o.Outcome != FailedNotFound:
+			// No information.
+		case found && n.state == stAbsent:
+			return "lookup found a name the model says is absent: " + o.String()
+		case found && n.state != stFresh && o.SawIno != n.Ino:
+			return fmt.Sprintf("lookup resolved to foreign ino (want %d): %s", n.Ino, o)
+		case !found && n.state == stExists:
+			return "lookup lost a committed entry: " + o.String()
+		}
+	}
+	// Stat/SetAttr and friends: no name-level effect.
+	return ""
+}
+
+// Settled judges where the name ended up once the run settled: found says
+// it resolved, to ino. It returns what that violates, or "" when the
+// sequential model can reach that state.
+func (n *Name) Settled(ino types.InodeID, found bool) string {
+	switch {
+	case n.state == stExists && !found:
+		return "committed entry is gone"
+	case n.state == stExists && ino != n.Ino:
+		return fmt.Sprintf("entry -> ino %d, model says %d", ino, n.Ino)
+	case n.state == stAbsent && found:
+		return fmt.Sprintf("absent entry left residue (ino %d)", ino)
+	case n.state == stUnknown && found && ino != n.Ino:
+		return fmt.Sprintf("unknown-outcome entry -> foreign ino %d (model allows absent or %d)", ino, n.Ino)
+	}
+	return ""
 }
 
 type nameKey struct {
@@ -126,118 +206,53 @@ type nameKey struct {
 	name   string
 }
 
-// Check replays hist against the sequential model and then compares the
-// model's reachable final states against final — the settled namespace
-// after heal/recover/quiesce, as a name → inode map. It returns the list
-// of violations (empty = the distributed run is explainable by the
-// sequential model).
+// Check replays hist through one Name per (worker, name) and then asks each
+// where it settled in final — the settled namespace after
+// heal/recover/quiesce, as a name → inode map. It returns the list of
+// violations (empty = the distributed run is explainable by the sequential
+// model).
 //
 // hist must be in per-name causal order; interleaving between names is
 // irrelevant because names are process-private. final must cover exactly
 // the names the history targeted (extra names are not checked).
 func Check(hist []Op, final map[string]types.InodeID) []string {
 	var bad []string
-	violate := func(format string, args ...any) {
-		bad = append(bad, fmt.Sprintf(format, args...))
-	}
-	states := make(map[nameKey]*nameState)
-	at := func(o Op) *nameState {
-		k := nameKey{o.Worker, o.Name}
-		ns, ok := states[k]
-		if !ok {
-			ns = &nameState{state: stFresh}
-			states[k] = ns
-		}
-		return ns
-	}
-
+	names := make(map[nameKey]*Name)
 	for i, o := range hist {
-		ns := at(o)
-		switch o.Kind {
-		case types.OpCreate, types.OpMkdir:
-			if ns.state != stFresh {
-				violate("history[%d]: name reused: %s", i, o)
-				continue
-			}
-			ns.ino = o.Ino
-			switch o.Outcome {
-			case OK:
-				ns.state = stExists
-			case Unknown:
-				ns.state = stUnknown
-			case FailedExists:
-				// Names are never reused, so nothing can already hold one.
-				violate("history[%d]: create on a fresh name observed 'exists': %s", i, o)
-				ns.state = stUnknown
-			default:
-				// Definite failure: all-or-nothing demands no residue.
-				ns.state = stAbsent
-			}
-		case types.OpRemove, types.OpRmdir:
-			if ns.state != stExists {
-				violate("history[%d]: remove issued on a name not known to exist (state %d): %s", i, ns.state, o)
-				continue
-			}
-			switch o.Outcome {
-			case OK:
-				ns.state = stAbsent
-			case Unknown:
-				ns.state = stUnknown
-			case FailedNotFound:
-				// The create definitely succeeded; the entry must be there.
-				violate("history[%d]: remove observed 'not found' on a committed entry: %s", i, o)
-				ns.state = stUnknown
-			default:
-				// Definite abort: the entry survives untouched.
-			}
-		case types.OpLookup:
-			switch o.Outcome {
-			case Unknown, Failed:
-				// No information.
-			case OK:
-				if o.Found {
-					if ns.state == stAbsent {
-						violate("history[%d]: lookup found a name the model says is absent: %s", i, o)
-					} else if o.SawIno != ns.ino && ns.state != stFresh {
-						violate("history[%d]: lookup resolved to foreign ino (want %d): %s", i, ns.ino, o)
-					}
-				} else {
-					if ns.state == stExists {
-						violate("history[%d]: lookup lost a committed entry: %s", i, o)
-					}
-				}
-			case FailedNotFound:
-				if ns.state == stExists {
-					violate("history[%d]: lookup lost a committed entry: %s", i, o)
-				}
-			}
-		default:
-			// Stat/SetAttr and friends: no name-level effect.
+		k := nameKey{o.Worker, o.Name}
+		n := names[k]
+		if n == nil {
+			n = new(Name)
+			names[k] = n
+		}
+		if v := n.Apply(o); v != "" {
+			bad = append(bad, fmt.Sprintf("history[%d]: %s", i, v))
 		}
 	}
-
-	// Final-state equivalence: every name must have settled into a state
-	// the sequential model can reach.
-	for k, ns := range states {
+	for k, n := range names {
 		ino, found := final[k.name]
-		switch ns.state {
-		case stExists:
-			if !found {
-				bad = append(bad, fmt.Sprintf("final: committed entry %q (worker %d) is gone", k.name, k.worker))
-			} else if ino != ns.ino {
-				bad = append(bad, fmt.Sprintf("final: entry %q -> ino %d, model says %d", k.name, ino, ns.ino))
-			}
-		case stAbsent:
-			if found {
-				bad = append(bad, fmt.Sprintf("final: absent entry %q left residue (ino %d)", k.name, ino))
-			}
-		case stUnknown:
-			if found && ino != ns.ino {
-				bad = append(bad, fmt.Sprintf("final: unknown-outcome entry %q -> foreign ino %d (model allows absent or %d)", k.name, ino, ns.ino))
-			}
+		if v := n.Settled(ino, found); v != "" {
+			bad = append(bad, fmt.Sprintf("final: %q (worker %d): %s", k.name, k.worker, v))
 		}
 	}
 	return bad
+}
+
+// Tally counts a history's operations by what each told its client: ok is
+// a definite answer (a lookup's definite miss included), failed a definite
+// failure, unknown a timeout.
+func Tally(hist []Op) (ok, failed, unknown uint64) {
+	for _, o := range hist {
+		switch {
+		case o.Outcome == OK, o.Outcome == FailedNotFound && o.Kind == types.OpLookup:
+			ok++
+		case o.Outcome == Unknown:
+			unknown++
+		default:
+			failed++
+		}
+	}
+	return ok, failed, unknown
 }
 
 // CheckStalenessBound verifies the leased-cache guarantee over a history:
