@@ -33,8 +33,6 @@ package baseline
 import (
 	"sort"
 
-	"cxfs/internal/kvstore"
-	"cxfs/internal/namespace"
 	"cxfs/internal/node"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
@@ -84,16 +82,6 @@ func servedAside(b *node.Base, m *wire.Msg) bool {
 		return false
 	}
 	return true
-}
-
-// pendingExec is what a server keeps of a successful participant execution
-// it may have to take back — SE until the CLEAR window closes, 2PC until the
-// decision: the undo and the rows to persist again either way (those the
-// execution wrote), by value. 2PC's prepared index holds one in each of its
-// slots, filled or not, so it is kept to at most 128 bytes.
-type pendingExec struct {
-	undo namespace.Undo
-	rows kvstore.Refs
 }
 
 // lockKeys lists the objects a 2PC or CE coordinator locks for a transaction:

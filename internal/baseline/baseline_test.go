@@ -135,7 +135,7 @@ func TestSEUndoWindowIsFIFOAtTheCap(t *testing.T) {
 	s := NewSEServer(nil, namespace.Placement{Servers: 1}, false)
 	op := func(seq int) types.OpID { return types.OpID{Proc: types.ProcID{Client: 7}, Seq: uint64(seq)} }
 	for seq := 1; seq <= seUndoCap+1; seq++ {
-		s.retainUndo(op(seq), pendingExec{})
+		s.retainUndo(op(seq), namespace.Written{})
 	}
 	if _, ok := s.undoAt.Get(op(1)); ok {
 		t.Error("oldest execution survived eviction at the cap")
@@ -146,7 +146,7 @@ func TestSEUndoWindowIsFIFOAtTheCap(t *testing.T) {
 		}
 	}
 	for seq := seUndoCap + 2; seq <= 2*seUndoCap+1; seq++ {
-		s.retainUndo(op(seq), pendingExec{})
+		s.retainUndo(op(seq), namespace.Written{})
 		if _, ok := s.undoAt.Get(op(seq - seUndoCap)); ok {
 			t.Fatalf("insert %d did not evict op %d", seq, seq-seUndoCap)
 		}

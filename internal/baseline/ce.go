@@ -80,7 +80,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 
 	// Migrate the participant's rows here.
 	pKey, _ := pSub.Key()
-	partRows := []string{namespace.RowKey(pKey)}
+	partRows := []types.ObjKey{pKey}
 	if !local {
 		ch, done := s.Await(wire.MsgMigrateResp, op.ID, false)
 		s.Send(wire.Msg{Type: wire.MsgMigrateReq, To: part, Op: op.ID, Keys: partRows})
@@ -89,9 +89,9 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		if s.Crashed() {
 			return
 		}
-		for _, r := range mr.Rows {
-			if r.Val != nil {
-				s.KV.Put(r.Key, r.Val)
+		for i := range mr.Rows {
+			if r := &mr.Rows[i]; r.Val.Present() {
+				s.KV.PutAt(s.KV.Find(r.Key), r.Key, r.Val.Bytes())
 			}
 		}
 	}
@@ -104,7 +104,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	if resP.OK {
 		resC = s.Shard.Exec(cSub, s.NowNanos())
 		if !resC.OK {
-			s.Shard.ApplyUndo(resP.Undo)
+			s.Shard.ApplyUndo(resP.Undo())
 		}
 	}
 	ok := resP.OK && resC.OK
@@ -112,8 +112,8 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		beforeC, afterC := resC.Images()
 		beforeP, afterP := resP.Images()
 		s.WAL.AppendBatch(p, []wal.Record{
-			{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator, OK: true, Sub: cSub, Before: beforeC, After: afterC},
-			{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant, OK: true, Sub: pSub, Before: beforeP, After: afterP},
+			{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator, OK: true, Sub: cSub, Pre: beforeC, Post: afterC},
+			{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant, OK: true, Sub: pSub, Pre: beforeP, Post: afterP},
 			{Type: wal.RecCommit, Op: op.ID, Role: types.RoleCoordinator},
 		})
 		if s.Crashed() {
@@ -169,8 +169,6 @@ func (s *CEServer) lendRows(p *simrt.Proc, m *wire.Msg) {
 		s.Send(wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: s.copyRows(m.Keys)})
 		return
 	}
-	// Row-key strings are what travel; the lock table works on ObjKeys, so
-	// lock a synthetic per-row key derived from each string.
 	objKeys := rowLockKeys(m.Keys)
 	s.locks.acquire(p, objKeys)
 	s.migrated.Put(m.Op, objKeys)
@@ -178,13 +176,11 @@ func (s *CEServer) lendRows(p *simrt.Proc, m *wire.Msg) {
 }
 
 // copyRows reads the rows named keys out of the database as they travel in
-// a migration: the image of each (stored values are never modified, so the
-// store's own slice is one), nil for an absent row.
-func (s *CEServer) copyRows(keys []string) []types.RowImage {
-	rows := make([]types.RowImage, 0, len(keys))
+// a migration: the image of each, its value absent for an absent row.
+func (s *CEServer) copyRows(keys []types.ObjKey) []types.Row {
+	rows := make([]types.Row, 0, len(keys))
 	for _, key := range keys {
-		_, val, _ := s.KV.Get(key)
-		rows = append(rows, types.RowImage{Key: key, Val: val})
+		rows = append(rows, types.Row{Key: key, Val: s.KV.Value(s.KV.Find(key))})
 	}
 	return rows
 }
@@ -193,14 +189,15 @@ func (s *CEServer) copyRows(keys []string) []types.RowImage {
 // and unlocks.
 func (s *CEServer) reinstallRows(p *simrt.Proc, m *wire.Msg) {
 	dirty := make([]kvstore.Ref, 0, len(m.Rows))
-	for _, r := range m.Rows {
+	for i := range m.Rows {
+		r := &m.Rows[i]
 		row := s.KV.Find(r.Key)
-		if r.Val == nil {
+		if !r.Val.Present() {
 			row = s.KV.DeleteAt(row, r.Key)
 		} else {
-			row, _ = s.KV.PutAt(row, r.Key, r.Val)
+			row, _ = s.KV.PutAt(row, r.Key, r.Val.Bytes())
 		}
-		dirty = append(dirty, kvstore.Ref{Key: s.KV.Key(row), Row: row})
+		dirty = append(dirty, kvstore.Ref{Key: r.Key, Row: row})
 	}
 	s.KV.SyncRows(p, dirty)
 	if s.Crashed() {
@@ -212,11 +209,13 @@ func (s *CEServer) reinstallRows(p *simrt.Proc, m *wire.Msg) {
 	s.Send(wire.Msg{Type: wire.MsgMigrateAck, To: m.From, Op: m.Op})
 }
 
-// rowLockKeys adapts row-key strings to lock-table keys.
-func rowLockKeys(rows []string) []types.ObjKey {
+// rowLockKeys returns the lock-table keys of lent rows: one per row, named by
+// the row key's text, so a loan never shares a lock with the objects this
+// server's own operations lock.
+func rowLockKeys(rows []types.ObjKey) []types.ObjKey {
 	out := make([]types.ObjKey, 0, len(rows))
 	for _, r := range rows {
-		out = append(out, types.ObjKey{Kind: types.ObjInode, Name: r})
+		out = append(out, types.ObjKey{Kind: types.ObjInode, Name: string(r.AppendText(nil))})
 	}
 	return out
 }

@@ -41,10 +41,11 @@ type localFlush struct {
 	rows kvstore.Refs
 }
 
-// retained is a participant execution in the undo window, with its operation.
+// retained is a participant execution in the undo window, with its
+// operation: what it wrote, by value.
 type retained struct {
 	op types.OpID
-	pendingExec
+	namespace.Written
 }
 
 const seUndoCap = 4096
@@ -145,7 +146,7 @@ func (s *SEServer) persist(p *simrt.Proc, id types.OpID, sub types.SubOp, res na
 	}
 	before, after := res.Images()
 	s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: id, Role: sub.Role,
-		OK: true, Sub: sub, Before: before, After: after})
+		OK: true, Sub: sub, Pre: before, Post: after})
 	if s.Crashed() {
 		return
 	}
@@ -170,7 +171,7 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 			return
 		}
 		if sub.Kind.CrossServer() && sub.Role == types.RoleParticipant {
-			s.retainUndo(sub.Op, pendingExec{undo: res.Undo, rows: res.Rows})
+			s.retainUndo(sub.Op, res.Written())
 		}
 	}
 	reply := wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op, OK: res.OK, Attr: res.Inode, Epoch: 1}
@@ -185,7 +186,7 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 
 // retainUndo keeps e in the undo window, evicting the oldest execution at
 // seUndoCap (taken back or not: a slot keeps its operation till then).
-func (s *SEServer) retainUndo(id types.OpID, e pendingExec) {
+func (s *SEServer) retainUndo(id types.OpID, e namespace.Written) {
 	pos, oldest, full := s.undos.Push(retained{id, e}, seUndoCap)
 	if full {
 		s.undoAt.Delete(oldest.op)
@@ -199,13 +200,13 @@ func (s *SEServer) retainUndo(id types.OpID, e pendingExec) {
 func (s *SEServer) handleClear(p *simrt.Proc, m *wire.Msg) {
 	if pos, ok := s.undoAt.Delete(m.Op); ok {
 		slot := s.undos.At(int(pos))
-		e := slot.pendingExec
-		slot.pendingExec = pendingExec{}
-		s.Shard.ApplyUndo(e.undo)
-		if !s.batched {
-			s.KV.SyncRows(p, e.rows.All())
+		e := slot.Written
+		slot.Written = namespace.Written{}
+		s.Shard.ApplyUndo(e.Undo())
+		if rows := e.Rows(); !s.batched {
+			s.KV.SyncRows(p, rows.All())
 		} else {
-			s.localOps = append(s.localOps, localFlush{id: m.Op, rows: e.rows})
+			s.localOps = append(s.localOps, localFlush{id: m.Op, rows: rows})
 		}
 		if s.Crashed() {
 			return
@@ -235,7 +236,7 @@ func (s *SEServer) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	}
 	resC := s.Shard.Exec(cSub, s.NowNanos())
 	if !resC.OK {
-		s.Shard.ApplyUndo(resP.Undo)
+		s.Shard.ApplyUndo(resP.Undo())
 		reply.OK, reply.Err = false, resC.Err.Error()
 		s.Send(reply)
 		return

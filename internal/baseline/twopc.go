@@ -27,12 +27,14 @@ type TwoPCServer struct {
 	prepared seg.Index[preparedExec]
 }
 
-// preparedExec is a participant execution awaiting the decision, with the
-// locks it holds (none when the coordinator, running the sub-op locally,
-// holds them itself).
+// preparedExec is a participant execution awaiting the decision: what it
+// wrote, and whether it holds its object's lock (not when the coordinator,
+// running the sub-op locally, holds it itself). The index holds one in each
+// of its slots, filled or not, so it is kept within the 128 bytes Go kept
+// inline as map values.
 type preparedExec struct {
-	pendingExec
-	keys []types.ObjKey
+	namespace.Written
+	locked bool
 }
 
 // NewTwoPCServer builds a 2PC server.
@@ -96,10 +98,10 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 			partErr = resP.Err.Error()
 		}
 		if resP.OK {
-			s.prepared.Put(op.ID, preparedExec{pendingExec: pendingExec{undo: resP.Undo, rows: resP.Rows}})
+			s.prepared.Put(op.ID, preparedExec{Written: resP.Written()})
 			before, after := resP.Images()
 			s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant,
-				OK: true, Sub: pSub, Before: before, After: after})
+				OK: true, Sub: pSub, Pre: before, Post: after})
 		}
 	} else {
 		ch, done := s.Await(wire.MsgVoteResp, op.ID, false)
@@ -117,7 +119,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	resC := s.Shard.Exec(cSub, s.NowNanos())
 	before, after := resC.Images()
 	s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator,
-		OK: resC.OK, Sub: cSub, Before: before, After: after})
+		OK: resC.OK, Sub: cSub, Pre: before, Post: after})
 	if s.Crashed() {
 		return
 	}
@@ -150,7 +152,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	// Apply the coordinator's side synchronously.
 	if resC.OK {
 		if !commit {
-			s.Shard.ApplyUndo(resC.Undo)
+			s.Shard.ApplyUndo(resC.Undo())
 		}
 		s.KV.SyncRows(p, resC.Rows.All())
 	}
@@ -192,10 +194,10 @@ func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
 	s.ExecCPU(p)
 	res := s.Shard.Exec(sub, s.NowNanos())
 	if res.OK {
-		s.prepared.Put(m.Op, preparedExec{pendingExec{undo: res.Undo, rows: res.Rows}, keys})
+		s.prepared.Put(m.Op, preparedExec{res.Written(), true})
 		before, after := res.Images()
 		s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: m.Op, Role: types.RoleParticipant,
-			OK: true, Sub: sub, Before: before, After: after})
+			OK: true, Sub: sub, Pre: before, Post: after})
 	} else {
 		s.locks.release(keys)
 	}
@@ -227,13 +229,16 @@ func (s *TwoPCServer) applyDecision(p *simrt.Proc, id types.OpID, commit bool) {
 	decType := wal.RecCommit
 	if !commit {
 		decType = wal.RecAbort
-		s.Shard.ApplyUndo(pe.undo)
+		s.Shard.ApplyUndo(pe.Undo())
 	}
-	s.KV.SyncRows(p, pe.rows.All())
+	rows := pe.Rows()
+	s.KV.SyncRows(p, rows.All())
 	if s.Crashed() {
 		return
 	}
 	s.WAL.Append(p, wal.Record{Type: decType, Op: id, Role: types.RoleParticipant})
 	s.WAL.Prune(id)
-	s.locks.release(pe.keys)
+	if pe.locked {
+		s.locks.release([]types.ObjKey{rows[0].Key}) // the sub-op's object: the row it wrote
+	}
 }

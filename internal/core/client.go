@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -103,7 +104,8 @@ func errFrom(m wire.Msg) error {
 
 // Do executes one metadata operation and blocks until it is complete from
 // the process's perspective. The returned inode carries stat/lookup
-// payloads.
+// payloads. An operation naming an entry longer than types.MaxName fails
+// with types.ErrNameTooLong before anything is sent.
 func (d *Driver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
 	start, self := d.host.Sim.Now(), int(d.host.ID)
 	d.obsv.OpIssued(start, self, op.ID, op.Kind)
@@ -114,6 +116,9 @@ func (d *Driver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
 }
 
 func (d *Driver) do(p *simrt.Proc, op types.Op, conflicted *bool) (types.Inode, error) {
+	if n := max(len(op.Name), len(op.NewName)); n > types.MaxName {
+		return types.Inode{}, fmt.Errorf("%v: a %d-byte name: %w", op.Kind, n, types.ErrNameTooLong)
+	}
 	if d.cache != nil {
 		if op.Kind == types.OpLookup {
 			return d.doLookup(p, op)
@@ -214,11 +219,7 @@ func (d *Driver) Readdir(p *simrt.Proc, id types.OpID, dir types.InodeID) ([]nam
 		if !m.OK {
 			return nil, types.WireError(m.Err)
 		}
-		for _, r := range m.Rows {
-			if ino, ok := namespace.DentryIno(r.Val); ok {
-				out = append(out, namespace.DirEntry{Name: r.Key, Ino: ino})
-			}
-		}
+		out = append(out, m.Entries...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil

@@ -181,12 +181,12 @@ func (s *Server) runCommit(p *simrt.Proc, req kickReq) {
 			take(s.takeIdle(co.peer))
 		}
 	}
-	if targets == 0 && !(req.lazy && len(s.flushQ) > 0) {
+	if targets == 0 && !(req.lazy && s.flushQ.Len() > 0) {
 		return
 	}
 	if req.lazy {
 		s.stats.LazyBatches++
-		if s.step(StepLazyBatch, types.NilOp, 0, func() string { return fmt.Sprintf("batch=%d flush=%d", targets, len(s.flushQ)) }) {
+		if s.step(StepLazyBatch, types.NilOp, 0, func() string { return fmt.Sprintf("batch=%d flush=%d", targets, s.flushQ.Len()) }) {
 			return
 		}
 	} else {
@@ -219,34 +219,34 @@ func (s *Server) runCommit(p *simrt.Proc, req kickReq) {
 // a row that an execution in flight has written, but not yet logged, stays
 // queued for the next batch together with its records: writing that page
 // now would put the unlogged execution on disk with nothing to undo it.
-// A write-back that a crash interrupts settled no page and prunes nothing.
+// A write-back that a crash interrupts settled no page and prunes nothing
+// (recovery empties the queue).
 func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
-	if len(s.flushQ) == 0 || s.Gone(boot) {
+	n := s.flushQ.Len()
+	if n == 0 || s.Gone(boot) {
 		return
 	}
-	ops := s.flushQ
-	s.flushQ, s.flushSpare = s.flushSpare[:0], nil
 	rows := s.flushRows[:0]
-	ready := ops[:0]
-	for _, fe := range ops {
-		if s.pinned(&fe) {
-			s.flushQ = append(s.flushQ, fe)
-			continue
+	for i := 0; i < n; i++ {
+		fe := s.flushQ.At(i)
+		if fe.ready = !s.pinned(fe); fe.ready {
+			rows = append(append(rows, fe.rows[0].All()...), fe.rows[1].All()...)
 		}
-		ready = append(ready, fe)
-		rows = append(append(rows, fe.rows[0].All()...), fe.rows[1].All()...)
 	}
 	s.flushRows = rows
 	if s.step(StepWriteBackBefore, types.NilOp, 0, nil) || !s.KV.FlushRows(p, rows) ||
 		s.Gone(boot) || s.step(StepWriteBackSettled, types.NilOp, 0, nil) {
 		return
 	}
-	for _, fe := range ready {
-		s.WAL.Prune(fe.id)
+	for i := 0; i < n; i++ {
+		if fe := s.flushQ.At(i); fe.ready {
+			s.WAL.Prune(fe.id)
+		}
 	}
 	clear(rows)
-	clear(ops)
-	s.flushSpare = ops[:0]
+	// The pinned entries stay queued, and the completions that queued
+	// meanwhile behind them, in order.
+	s.flushQ.Compact(func(fe *flushEntry) bool { return !fe.ready })
 	s.step(StepWriteBackAfterPrune, types.NilOp, 0, nil)
 }
 

@@ -124,8 +124,8 @@ func TestDuplicateCommitReqDecidesOnce(t *testing.T) {
 			t.Errorf("ACKs sent at %v, want two, the second with the first copy's, after its finish", acks)
 		}
 		n := 0
-		for _, fe := range s.flushQ {
-			if fe.id == id {
+		for i := 0; i < s.flushQ.Len(); i++ {
+			if s.flushQ.At(i).id == id {
 				n++
 			}
 		}

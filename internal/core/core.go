@@ -138,8 +138,9 @@ type Stats struct {
 // commitments only queue here — per §IV.C.2, they cost messages and
 // individual log writes, never an individual database flush.
 type flushEntry struct {
-	id   types.OpID
-	rows [2]kvstore.Refs // the rows of the execution here; a colocated operation's two halves, one each
+	id    types.OpID
+	rows  [2]kvstore.Refs // the rows of the execution here; a colocated operation's two halves, one each
+	ready bool            // in the write-back under way: no unlogged execution pinned its rows
 }
 
 // kickReq asks the commit daemon to run. The daemon merges every request
@@ -171,12 +172,13 @@ type Server struct {
 	// coordinators.
 	unnamedParts []types.OpID
 
-	// flushQ is double-buffered: a write-back drains one buffer while
-	// completions queue in the other (flushSpare, empty, between batches).
-	// flushRows is the write-back's row list. Only the commit daemon drains,
-	// so one of each serves every batch.
-	flushQ, flushSpare []flushEntry
-	flushRows          []kvstore.Ref
+	// flushQ is the flush queue, in completion order: a write-back takes the
+	// entries queued when it starts, completions meanwhile queue behind them,
+	// and it compacts the queue in place when done. flushRows is the
+	// write-back's row list. Only the commit daemon drains, so one of each
+	// serves every batch.
+	flushQ    seg.Seq[flushEntry]
+	flushRows []kvstore.Ref
 	// recBufs are record batches' buffers, free for the next batch; each
 	// commit-group proc and COMMIT-REQ handler takes one of its own.
 	recBufs [][]wal.Record
@@ -351,7 +353,7 @@ func (s *Server) idleDaemon(p *simrt.Proc) {
 	for {
 		p.Sleep(period / 2)
 		busy := s.Sim.Now()-s.lastArrive < period
-		if work := s.coordPending > 0 || len(s.flushQ) > 0; work && !busy && !s.Crashed() && !s.recovering {
+		if work := s.coordPending > 0 || s.flushQ.Len() > 0; work && !busy && !s.Crashed() && !s.recovering {
 			s.KickCommit()
 		}
 	}

@@ -97,7 +97,7 @@ func (s *Server) logResults(p *simrt.Proc, boot uint64, recs []wal.Record, rows 
 // the log — or kvstore.NoRow if it wrote nothing. The commutative parent
 // counter that rides along has no image: fsck recomputes it.
 func written(res *namespace.Result) kvstore.Row {
-	if res.Rows[0].Key == "" {
+	if res.Rows[0].Key.Kind == 0 {
 		return kvstore.NoRow
 	}
 	return res.Rows[0].Row
@@ -168,7 +168,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 	if cross || sub.Action.Mutating() {
 		before, after := res.Images()
 		rec := wal.Record{Type: wal.RecResult, Op: sub.Op, Role: sub.Role,
-			OK: res.OK, Sub: sub, Before: before, After: after}
+			OK: res.OK, Sub: sub, Pre: before, Post: after}
 		if cross {
 			rec.Peer, rec.HasPeer = m.Peer, true
 		}
@@ -191,11 +191,11 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 		// or the client could complete an operation the cluster has already
 		// aborted: undo the effects, seal the abort in the log so recovery
 		// agrees (and the records prune), and answer aborted.
-		rec := s.rollBack(&execution{sub: sub, undo: res.Undo})
+		rec := s.rollBack(&execution{sub: sub, undo: res.Undo()})
 		s.releaseKeys(res.Rows, sub.Op)
 		s.release(st) // the object is free again: nothing waits for the Abort-Record
 		s.WAL.AppendBatchPriority(p, []wal.Record{rec})
-		s.flushQ = append(s.flushQ, flushEntry{id: sub.Op, rows: [2]kvstore.Refs{res.Rows}})
+		s.flushQ.Append(flushEntry{id: sub.Op, rows: [2]kvstore.Refs{res.Rows}})
 		if s.Crashed() {
 			return
 		}
@@ -220,12 +220,12 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 		// for duplicate suppression. A conflicting request may have demanded
 		// the commitment while the Result-Record append was in flight (the
 		// object was already active): register replays it.
-		s.register(st, execution{sub: sub, ok: res.OK, undo: res.Undo, rows: res.Rows,
+		s.register(st, execution{sub: sub, ok: res.OK, undo: res.Undo(), rows: res.Rows,
 			peer: m.Peer, epoch: epoch,
 			replied: true, hint: hint, errStr: reply.Err, attr: res.Inode}, phasePending)
 	case sub.Action.Mutating():
 		// Single-server update: logged above, flushed by the next batch.
-		s.flushQ = append(s.flushQ, flushEntry{id: sub.Op, rows: [2]kvstore.Refs{res.Rows}})
+		s.flushQ.Append(flushEntry{id: sub.Op, rows: [2]kvstore.Refs{res.Rows}})
 	}
 	if (cross || sub.Action.Mutating()) && s.underPressure() {
 		s.pressureRound()
@@ -273,7 +273,7 @@ func (s *Server) hold(sub types.SubOp, row kvstore.Row) {
 // releaseKeys unlocks the object row of an execution of op (the first of the
 // rows it wrote), if op still holds it.
 func (s *Server) releaseKeys(rows kvstore.Refs, op types.OpID) {
-	if rows[0].Key != "" {
+	if rows[0].Key.Kind != 0 {
 		s.KV.Unlock(rows[0], op)
 	}
 }
@@ -372,7 +372,7 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	if resC.OK {
 		resP = s.Shard.ExecRow(pSub, seen[1].Row, s.NowNanos())
 		if !resP.OK {
-			s.Shard.ApplyUndo(resC.Undo)
+			s.Shard.ApplyUndo(resC.Undo())
 		}
 	}
 	if !resC.OK || !resP.OK {
@@ -394,13 +394,13 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	beforeC, afterC := resC.Images()
 	beforeP, afterP := resP.Images()
 	if !s.logResults(p, boot, []wal.Record{
-		{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator, OK: true, Sub: cSub, Before: beforeC, After: afterC},
-		{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant, OK: true, Sub: pSub, Before: beforeP, After: afterP},
+		{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator, OK: true, Sub: cSub, Pre: beforeC, Post: afterC},
+		{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant, OK: true, Sub: pSub, Pre: beforeP, Post: afterP},
 		commitRecord(op.ID, types.RoleCoordinator),
 	}, written(&resC), written(&resP)) {
 		return
 	}
-	s.flushQ = append(s.flushQ, flushEntry{id: op.ID, rows: [2]kvstore.Refs{resC.Rows, resP.Rows}})
+	s.flushQ.Append(flushEntry{id: op.ID, rows: [2]kvstore.Refs{resC.Rows, resP.Rows}})
 	// Durable state was created: retries must get this reply back, not a
 	// re-execution (which would wrongly fail, e.g. with ErrExists).
 	s.CacheReply(op.ID, &reply)

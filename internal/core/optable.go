@@ -563,7 +563,7 @@ func (s *Server) finish(st *opState, reply wire.Msg) {
 // that flush), and whoever waits on the operation moves on.
 func (s *Server) completeOp(st *opState, rows kvstore.Refs) {
 	s.releaseKeys(rows, st.id())
-	s.flushQ = append(s.flushQ, flushEntry{id: st.id(), rows: [2]kvstore.Refs{rows}})
+	s.flushQ.Append(flushEntry{id: st.id(), rows: [2]kvstore.Refs{rows}})
 	s.release(st)
 }
 
@@ -617,7 +617,7 @@ func (s *Server) CheckState() []string {
 	var bad []string
 	fail := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
 	live := func(op types.OpID) bool { return s.pending(op) != nil || s.Executing(op) }
-	s.KV.Locks(func(row string, holder types.OpID) {
+	s.KV.Locks(func(row types.ObjKey, holder types.OpID) {
 		if !live(holder) {
 			fail("active object %s is held by %v, neither pending nor executing (%s)", row, holder, s.DebugOp(holder))
 		}

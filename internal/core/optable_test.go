@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
@@ -37,7 +38,7 @@ func (r *rig) ended(t *testing.T, p *simrt.Proc, what string, srv *Server, op ty
 	if got := srv.DebugOp(op); got != want {
 		t.Errorf("%s: server %d says %q of %v, want %q", what, srv.ID, got, op, want)
 	}
-	srv.KV.Locks(func(row string, holder types.OpID) {
+	srv.KV.Locks(func(row types.ObjKey, holder types.OpID) {
 		if holder == op {
 			t.Errorf("%s: server %d still holds %s active", what, srv.ID, row)
 		}
@@ -275,7 +276,7 @@ func TestOpTableEntriesAreRecycled(t *testing.T) {
 		if made != 0 {
 			t.Errorf("10,000 register→finish cycles made %d entries, want 0", made)
 		}
-		s.flushQ = s.flushQ[:0]
+		s.flushQ = seg.Seq[flushEntry]{}
 		if bad := s.CheckState(); len(bad) != 0 {
 			t.Error(bad)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"cxfs/internal/kvstore"
 	"cxfs/internal/namespace"
+	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
@@ -48,7 +49,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	// Discard volatile protocol state from before the crash: the rebuilt
 	// truth comes from the log.
 	s.wipe()
-	s.flushQ = nil
+	s.flushQ = seg.Seq[flushEntry]{}
 	// So are its executing marks and the leases it granted: the lease table
 	// starts empty, and this incarnation's grants carry a higher lease
 	// epoch, so clients fence out anything stamped before the crash.
@@ -137,9 +138,9 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 					continue
 				}
 				if st.committed {
-					s.Shard.InstallImages(r.After)
+					s.Shard.InstallImages(r.Post)
 				} else {
-					s.Shard.InstallImages(r.Before)
+					s.Shard.InstallImages(r.Pre)
 				}
 			}
 			// Retried requests for this op must see its sealed outcome, not
@@ -172,10 +173,10 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 		// the execution itself would have left: the record's before-image,
 		// the parent compensation its action implies.
 		e := execution{sub: last.Sub, ok: last.OK, peer: s.peerOf(last), epoch: 1}
-		if last.OK && len(last.After) > 0 {
-			s.Shard.InstallImages(last.After)
-			e.undo = namespace.UndoOf(last.Sub, last.Before)
-			for _, img := range last.After {
+		if last.OK && len(last.Post) > 0 {
+			s.Shard.InstallImages(last.Post)
+			e.undo = namespace.UndoOf(last.Sub, last.Pre)
+			for _, img := range last.Post {
 				e.rows.Add(kvstore.Ref{Key: img.Key, Row: s.KV.Find(img.Key)})
 			}
 			s.hold(last.Sub, e.rows[0].Row)

@@ -75,12 +75,12 @@ func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 	s.hold(srcSub, written(&resSrc))
 	before, after := resSrc.Images()
 	if !s.logResults(p, boot, []wal.Record{{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator,
-		OK: true, Sub: srcSub, Before: before, After: after, Peer: dst, HasPeer: true}}, written(&resSrc)) {
+		OK: true, Sub: srcSub, Pre: before, Post: after, Peer: dst, HasPeer: true}}, written(&resSrc)) {
 		return
 	}
 	// Register as a committing coordinator op so C-NOTIFY/L-COM find it and
 	// the lazy daemon leaves it alone.
-	co := s.register(s.find(op.ID), execution{sub: srcSub, ok: true, undo: resSrc.Undo,
+	co := s.register(s.find(op.ID), execution{sub: srcSub, ok: true, undo: resSrc.Undo(),
 		rows: resSrc.Rows, peer: dst, epoch: 1}, phaseCommitting)
 
 	var dstOK bool
@@ -213,11 +213,11 @@ func (s *Server) renameExecInsert(p *simrt.Proc, boot uint64, dstSub types.SubOp
 	s.hold(dstSub, written(&res))
 	before, after := res.Images()
 	if !s.logResults(p, boot, []wal.Record{{Type: wal.RecResult, Op: dstSub.Op, Role: types.RoleParticipant,
-		OK: true, Sub: dstSub, Before: before, After: after, Peer: coordNode, HasPeer: true}}, written(&res)) {
+		OK: true, Sub: dstSub, Pre: before, Post: after, Peer: coordNode, HasPeer: true}}, written(&res)) {
 		return false, ""
 	}
 	if coordNode != s.ID {
-		s.register(s.find(dstSub.Op), execution{sub: dstSub, ok: true, undo: res.Undo, rows: res.Rows,
+		s.register(s.find(dstSub.Op), execution{sub: dstSub, ok: true, undo: res.Undo(), rows: res.Rows,
 			peer: coordNode, epoch: 1}, phaseCommitting)
 		return true, ""
 	}

@@ -45,7 +45,7 @@ func TestRecoveryNeverResurrectsInvalidatedResult(t *testing.T) {
 		base.Reboot()
 		srv.Recover(p)
 
-		if _, _, ok := base.KV.Get(sentinel); ok {
+		if base.KV.Get(sentinel).Present() {
 			t.Error("recovery installed the after-image of an invalidated result")
 		}
 		if srv.PendingOps() != 0 {

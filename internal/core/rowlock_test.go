@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"cxfs/internal/namespace"
+	"cxfs/internal/kvstore"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 )
@@ -29,8 +29,8 @@ func TestLockedRowSurvivesAnAbsorbingFlush(t *testing.T) {
 		if _, err := r.drv.Do(p, rm); err != nil {
 			t.Fatalf("remove by the creator's process: %v", err)
 		}
-		row := namespace.RowKey(types.DentryKey(x.Parent, x.Name))
-		s.KV.FlushKeys(p, []string{row})
+		row := types.DentryKey(x.Parent, x.Name)
+		s.KV.FlushRows(p, []kvstore.Ref{{Key: row, Row: kvstore.NoRow}})
 		if ks := s.KV.Stats(); ks.Absorbed == 0 {
 			t.Fatal("the write-back did not absorb the created-and-removed entry")
 		}

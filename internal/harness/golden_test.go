@@ -199,30 +199,34 @@ var raceEnabled bool
 // input: runtime.MemStats.Mallocs across one replay — trace generation,
 // cluster build and the 14,496 ops — over the op count. It is a host number
 // like resumes, not part of the model, and repeats to within a few hundred
-// allocations (the iteration order of the maps left moves some). Both rows are pinned where
-// an execution's Result became a value on its caller's stack, which the log
-// copies the images of instead of keeping (parent 3.01 under cx, 2.58 under
-// se: one heap object describing each write, and under se one boxed undo
-// entry per retained execution); at most 0.65 of that.
+// allocations (the iteration order of the maps left moves some). Both rows
+// are pinned where a row became a value — a typed key and inline values in
+// its store record, so writing one, a new one included, allocates nothing
+// (parent 1.87 under cx, 1.51 under se: a new row's key and first value in
+// one object, every rewrite a fresh copy of its value); at most 0.6 of that.
+// Before that, an execution's Result became a value on its caller's stack
+// (its parent 3.01 and 2.58).
 //
 // The -bytes rows pin bytes (MemStats.TotalAlloc) per op instead. The home2
 // row replays with the leased client cache on: every mutation there revokes
 // leases and invalidates cache entries. The cx-bytes and se-bytes rows are the
-// golden s3d input again; se-bytes is pinned where SE's undo window came to
-// keep its executions by value in a reused ring (parent 828 B, at most 0.85
-// of it). The metarates row is the benchmark's update-dominated gc+pipeline
-// shape (metaratesCluster, 8 ops in flight per process) and measures steady
-// state: the bytes a run of 2,500 ops per process allocates beyond a run of
-// 1,000, over the 48,000 ops between them, so cluster build and the tables'
-// growth to their peak cancel; it is pinned where the pipeline came to
-// recycle its Pendings and the op-ID tables became seg.Indexes (parent
-// 360 B, at most 0.6 of it). Before op-table entries were
-// recycled, the log index's entries kept in a reused slab, executing marks
-// and cached replies in one index and the pipeline's completion buffer
-// reused, the same inputs allocated 860 B per op (home2) and 2,240 B
-// (cx-bytes), medians of three runs on that parent; home2 may take at most
-// 0.93 of that, cx-bytes no more than it. Every ceiling is a measurement
-// plus a margin.
+// golden s3d input again, the whole run: a row's record in the slab is larger
+// than it was beside its separate key and value objects, and the per-op
+// tables that hold rows by value (op-table entries, the flush queue's
+// segments, capture lists) grow to their peak inside this short run, so
+// cx-bytes rose from 2,042 B to 2,206 B when rows became values, within the
+// ceiling of 2,240 B it had: the 2,240 B per op (cx-bytes) and 860 B (home2)
+// the same inputs allocated before op-table entries were recycled, the log
+// index's entries kept in a reused slab, executing marks and cached replies
+// in one index and the pipeline's completion buffer reused. se-bytes is
+// pinned where SE's undo window came to keep its executions by value in a
+// reused ring (parent 828 B, at most 0.85 of it). The metarates row is the
+// benchmark's update-dominated gc+pipeline shape (metaratesCluster, 8 ops in
+// flight per process) and measures steady state: the bytes a run of 2,500 ops
+// per process allocates beyond a run of 1,000, over the 48,000 ops between
+// them, so cluster build and the tables' growth to their peak cancel; it is
+// pinned where rows became values (parent 180 B, at most 0.85 of it). Every
+// ceiling is a measurement plus a margin.
 func TestAllocsPerOp(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes the count")
@@ -253,12 +257,12 @@ func TestAllocsPerOp(t *testing.T) {
 		parent  float64
 		share   float64 // the most of parent allowed
 	}{
-		{"cx", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, false, 1.95, 3.01, 0.65},
-		{"se", []run{replay("s3d", cluster.ProtoSE, 0.02, nil)}, golden, false, 1.6, 2.58, 0.65},
-		{"home2-cached-bytes", []run{replay("home2", cluster.ProtoCx, 0.04, cached)}, 0, true, 800, 860, 0.93},
+		{"cx", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, false, 1.12, 1.87, 0.6},
+		{"se", []run{replay("s3d", cluster.ProtoSE, 0.02, nil)}, golden, false, 0.76, 1.51, 0.6},
+		{"home2-cached-bytes", []run{replay("home2", cluster.ProtoCx, 0.04, cached)}, 0, true, 740, 860, 0.93},
 		{"cx-bytes", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, true, 2240, 2240, 1.0},
-		{"se-bytes", []run{replay("s3d", cluster.ProtoSE, 0.02, nil)}, golden, true, 700, 828, 0.85},
-		{"metarates-gcpipe-bytes", []run{mr(1000), mr(2500)}, 0, true, 200, 360, 0.6},
+		{"se-bytes", []run{replay("s3d", cluster.ProtoSE, 0.02, nil)}, golden, true, 665, 828, 0.85},
+		{"metarates-gcpipe-bytes", []run{mr(1000), mr(2500)}, 0, true, 150, 180, 0.85},
 	} {
 		// Not parallel: MemStats counts the whole process.
 		t.Run(tc.name, func(t *testing.T) {

@@ -48,12 +48,16 @@
 // never drops a locked or pinned record, so a caller may hold those handles
 // across parks.
 //
-// The record also holds the table's own copy of the row's key, which Get and
-// Key hand out. The store never retains a key it is given: it copies the key
-// of a row it files, in one allocation with the row's first value. So a
-// caller builds keys anywhere (the namespace builds them on its stack), a
-// row's key is allocated once, when the row is first written, and every
-// image, row list and page write of it shares the table's string.
+// A row is a value. Its key is the types.ObjKey its sub-ops name, and both
+// of its values are held inline in its record (types.Val, at most
+// types.RowVal bytes), so writing a row copies bytes into the record and
+// allocates nothing, a new row included; the key index (index.go) holds
+// handles, not keys. Everything the store hands out — a value, an image, a
+// page write's capture — is a copy, so nothing outside the record aliases
+// it. A dentry's key keeps the name string it was filed with, which is the
+// request's own. The store builds no key text: it counts a key's text bytes
+// for the row's page footprint, and only Put, Get and FlushKeys, which take
+// keys as text, parse it.
 //
 // A page write carries the row as it was when the write was submitted: a
 // row rewritten while the disk works stays dirty for the next flush, and a
@@ -63,13 +67,10 @@
 package kvstore
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
-	"unsafe"
 
 	"cxfs/internal/disk"
 	"cxfs/internal/seg"
@@ -126,7 +127,7 @@ const NoRow Row = -1
 // its records: the store uses the handle while the record there is still the
 // key's, and otherwise finds the key's record again.
 type Ref struct {
-	Key string
+	Key types.ObjKey
 	Row Row
 }
 
@@ -139,7 +140,7 @@ type Refs [2]Ref
 // Add appends ref, which must have a key; a Refs holds two.
 func (rs *Refs) Add(ref Ref) {
 	for i := range rs {
-		if rs[i].Key == "" {
+		if rs[i].Key.Kind == 0 {
 			rs[i] = ref
 			return
 		}
@@ -150,7 +151,7 @@ func (rs *Refs) Add(ref Ref) {
 // All returns the rows held, as a slice of rs.
 func (rs *Refs) All() []Ref {
 	n := 0
-	for n < len(rs) && rs[n].Key != "" {
+	for n < len(rs) && rs[n].Key.Kind != 0 {
 		n++
 	}
 	return rs[:n]
@@ -167,25 +168,28 @@ type Probe struct {
 }
 
 // record is everything the store knows about one row. A record exists while
-// it is needed.
+// it is needed. Its size is pinned (TestRecordSize): the slab holds one per
+// row.
 type record struct {
-	key      string     // the table's own copy of the key, handed out by Get and Key
-	val, dur []byte     // volatile and durable values; nil unless live / durable
-	page     int64      // leaf page, assigned at first write and kept while the record holds the row
-	holder   types.OpID // the lock's holder; types.NilOp: not locked
-	pins     int32
-	filed    uint32 // the store's filing count when the record was filed (never 0)
-	live     bool   // in the volatile image
-	durable  bool   // in the image implied by completed writes
-	dirty    bool   // volatile change not yet written
-	owed     bool   // journaled; the checkpointer owes the in-place page write
+	key    types.ObjKey
+	holder types.OpID // the lock's holder; types.NilOp: not locked
+	pins   int32
+	filed  uint32 // the store's filing count when the record was filed (never 0)
+	page   int64  // leaf page, assigned at first write and kept while the record holds the row
+	tag    uint32 // hashKey(key): the record's place in the index
+	dirty  bool   // volatile change not yet written
+	owed   bool   // journaled; the checkpointer owes the in-place page write
+	// val is the row in the volatile image, dur in the image implied by
+	// completed writes; absent where the row is not. They come last, after
+	// what a probe and a write-back read of every record they pass.
+	val, dur types.Val
 }
 
 // holds reports whether the record holds its row: an image, or a write
 // owed. A row that is gone for good — deleted, the deletion durable, no page
 // write owed — loses its placement with it, and is placed afresh if it is
 // written again, whether or not a lock or pin has kept its record meanwhile.
-func (r *record) holds() bool { return r.live || r.durable || r.dirty || r.owed }
+func (r *record) holds() bool { return r.val.Present() || r.dur.Present() || r.dirty || r.owed }
 
 // needed reports whether anything still needs the record: its row, a lock or
 // a pin. An empty slot needs nothing.
@@ -199,7 +203,7 @@ type Store struct {
 
 	// index maps each key the store holds a record of to the record's handle
 	// in slab; free holds the handles of dropped records.
-	index map[string]Row
+	index index
 	slab  seg.Seq[record]
 	free  []Row
 	next  int64 // the open page, which rows first written now join
@@ -236,7 +240,7 @@ type Store struct {
 // New creates a store whose pages live at disk offset base; the transaction
 // journal of the synchronous write path lives at base/2.
 func New(s *simrt.Sim, d *disk.Disk, base int64) *Store {
-	return &Store{sim: s, dsk: d, base: base, index: make(map[string]Row), syncMu: simrt.NewMutex(s)}
+	return &Store{sim: s, dsk: d, base: base, syncMu: simrt.NewMutex(s)}
 }
 
 // Stats returns a snapshot of accumulated counters.
@@ -244,19 +248,8 @@ func (st *Store) Stats() Stats { return st.stats }
 
 func (st *Store) at(h Row) *record { return st.slab.At(int(h)) }
 
-// Find returns the handle of key's record, NoRow if the store holds none
-// (a deleted row whose deletion is not durable yet is still held). It is the
-// one probe of the key index; Find does not retain key, so a caller may look
-// up a key built in a buffer of its own.
-func (st *Store) Find(key string) Row {
-	if h, ok := st.index[key]; ok {
-		return h
-	}
-	return NoRow
-}
-
 // Probe is Find, stamped (see Probe).
-func (st *Store) Probe(key string) Probe {
+func (st *Store) Probe(key types.ObjKey) Probe {
 	if h := st.Find(key); h != NoRow {
 		return Probe{Row: h, stamp: st.at(h).filed}
 	}
@@ -280,90 +273,93 @@ func (st *Store) Current(pr Probe) bool {
 // still ref.Key's, else whatever Find says of the key now.
 func (st *Store) resolve(ref Ref) Row {
 	if uint(ref.Row) < uint(st.slab.Len()) {
-		if r := st.at(ref.Row); r.key == ref.Key && r.needed() {
+		if r := st.at(ref.Row); sameKey(&r.key, &ref.Key) && r.needed() {
 			return ref.Row
 		}
 	}
 	return st.Find(ref.Key)
 }
 
-// Key returns the table's own copy of row h's key ("" for NoRow).
-func (st *Store) Key(h Row) string {
+// Key returns row h's key (the zero key for NoRow).
+func (st *Store) Key(h Row) types.ObjKey {
 	if h == NoRow {
-		return ""
+		return types.ObjKey{}
 	}
 	return st.at(h).key
 }
 
-// Value returns row h's volatile value and whether the row is live (nil,
-// false for NoRow). The database cache is assumed warm (the paper sizes
+// Value returns a copy of row h's volatile value, absent if the row is not
+// live (or h is NoRow). The database cache is assumed warm (the paper sizes
 // workloads so metadata fits server memory), so reads cost no disk time.
-// The value is the store's own and is never modified (a write installs a
-// fresh copy): holding it is holding the row's image.
-func (st *Store) Value(h Row) (val []byte, live bool) {
+func (st *Store) Value(h Row) types.Val {
 	st.stats.Gets++
 	if h == NoRow {
-		return nil, false
+		return types.Val{}
 	}
-	r := st.at(h)
-	return r.val, r.live
+	return st.at(h).val
 }
 
-// Get returns the volatile value for key, and own, the store's own copy of
-// the key, if the table holds a record of the row ("" if not): Find, Key and
-// Value in one call.
-func (st *Store) Get(key string) (own string, val []byte, ok bool) {
-	h := st.Find(key)
-	val, ok = st.Value(h)
-	return st.Key(h), val, ok
-}
-
-// PutAt stores a copy of val as row h's volatile value, marks the row dirty,
-// and returns the row's handle and the copy — the image of the row as
-// written. For NoRow it files a new record under a copy of key, which
-// becomes the table's key and shares one allocation with the first value;
-// otherwise key is not read. PutAt does not retain key.
-func (st *Store) PutAt(h Row, key string, val []byte) (Row, []byte) {
+// PutAt copies val into row h's record as its volatile value, marks the row
+// dirty, and returns the row's handle and the value as written. For NoRow it
+// files a new record under key; otherwise key is not read. It allocates
+// nothing once the slab and index have room. A value longer than
+// types.RowVal is a bug, and panics naming its key.
+func (st *Store) PutAt(h Row, key types.ObjKey, val []byte) (Row, types.Val) {
+	v, ok := types.ValOf(val)
+	if !ok {
+		if h != NoRow {
+			key = st.at(h).key
+		}
+		panic(fmt.Sprintf("kvstore: a %d-byte value for %v exceeds %d bytes", len(val), key, types.RowVal))
+	}
 	st.stats.Puts++
-	var buf []byte
 	if h == NoRow {
-		buf = make([]byte, len(key)+len(val))
-		h = st.file(unsafe.String(unsafe.SliceData(buf), copy(buf, key)))
-		buf = buf[len(key):len(buf):len(buf)]
-	} else {
-		buf = make([]byte, len(val))
+		h = st.file(key)
 	}
-	copy(buf, val)
-	r := st.place(h, len(val))
-	r.val, r.live, r.dirty = buf, true, true
-	return h, r.val
-}
-
-// Put is PutAt for the row of key.
-func (st *Store) Put(key string, val []byte) []byte {
-	_, v := st.PutAt(st.Find(key), key, val)
-	return v
+	r := st.place(h, v.Len())
+	r.val, r.dirty = v, true
+	return h, v
 }
 
 // DeleteAt removes row h from the volatile image and marks it dirty (a
 // deletion still rewrites the page holding the row), and returns its handle;
-// NoRow files a new record under a copy of key, as PutAt.
-func (st *Store) DeleteAt(h Row, key string) Row {
+// NoRow files a new record under key, as PutAt.
+func (st *Store) DeleteAt(h Row, key types.ObjKey) Row {
 	st.stats.Deletes++
 	if h == NoRow {
-		h = st.file(strings.Clone(key))
+		h = st.file(key)
 	}
 	r := st.place(h, 0)
-	r.val, r.live, r.dirty = nil, false, true
+	r.val, r.dirty = types.Val{}, true
 	return h
 }
 
-// Delete is DeleteAt for the row of key.
-func (st *Store) Delete(key string) { st.DeleteAt(st.Find(key), key) }
+// Put, Get and FlushKeys name rows by their keys' text (types.ParseObjKey),
+// for a caller that holds keys only as text — the benchmark's store probe.
+// Text that is no key is a bug, and panics.
 
-// file files an empty record under key, which the store holds none of and
-// which the record keeps as the table's own, in a free slot or a new one.
-func (st *Store) file(key string) Row {
+// Put is PutAt for the row whose key's text is key.
+func (st *Store) Put(key string, val []byte) types.Val {
+	k := mustParse(key)
+	_, v := st.PutAt(st.Find(k), k, val)
+	return v
+}
+
+// Get returns the volatile value of the row whose key's text is key.
+func (st *Store) Get(key string) types.Val { return st.Value(st.Find(mustParse(key))) }
+
+// mustParse returns the key whose text is text.
+func mustParse(text string) types.ObjKey {
+	k, err := types.ParseObjKey(text)
+	if err != nil {
+		panic("kvstore: " + err.Error())
+	}
+	return k
+}
+
+// file files an empty record under key, which the store holds none of, in a
+// free slot or a new one.
+func (st *Store) file(key types.ObjKey) Row {
 	var h Row
 	if k := len(st.free); k > 0 {
 		h = st.free[k-1]
@@ -375,8 +371,9 @@ func (st *Store) file(key string) Row {
 	if st.filed++; st.filed == 0 {
 		st.filed++
 	}
-	*st.at(h) = record{key: key, filed: st.filed}
-	st.index[key] = h
+	r := st.at(h) // empty: zero from the slab or from keep
+	r.key, r.tag, r.filed = key, hashKey(key), st.filed
+	st.index.insert(r.tag, h)
 	return h
 }
 
@@ -388,7 +385,7 @@ func (st *Store) file(key string) Row {
 func (st *Store) place(h Row, vlen int) *record {
 	r := st.at(h)
 	if !r.holds() {
-		size := len(r.key) + vlen + rowOverhead
+		size := r.key.TextLen() + vlen + rowOverhead
 		if st.fill > 0 && st.fill+size > PageSize {
 			st.next++
 			st.fill = 0
@@ -408,7 +405,7 @@ func (st *Store) keep(h Row) {
 	if r.needed() {
 		return
 	}
-	delete(st.index, r.key)
+	st.index.remove(r.tag, h)
 	*r = record{}
 	st.free = append(st.free, h)
 }
@@ -446,7 +443,7 @@ func (st *Store) Unlock(ref Ref, op types.OpID) {
 }
 
 // Locks calls fn with the key and holder of every locked row.
-func (st *Store) Locks(fn func(key string, holder types.OpID)) {
+func (st *Store) Locks(fn func(key types.ObjKey, holder types.OpID)) {
 	for i := 0; i < st.slab.Len() && st.locked > 0; i++ {
 		if r := st.slab.At(i); r.holder != types.NilOp {
 			fn(r.key, r.holder)
@@ -515,7 +512,7 @@ func (st *Store) SyncRows(p *simrt.Proc, rows []Ref) {
 		pw := pageWrite{key: ref.Key, row: h}
 		if h != NoRow {
 			r := st.at(h)
-			pw.key, pw.val, pw.present = r.key, r.val, r.live
+			pw.key, pw.val = r.key, r.val
 		}
 		writes = append(writes, pw)
 	}
@@ -593,11 +590,11 @@ func (st *Store) FlushDirty(p *simrt.Proc) int {
 	return len(rows)
 }
 
-// FlushKeys is FlushRows for the rows of keys.
+// FlushKeys is FlushRows for the rows whose keys' texts are keys.
 func (st *Store) FlushKeys(p *simrt.Proc, keys []string) bool {
 	var writes []pageWrite // taken at the first row that needs the disk
 	for _, k := range keys {
-		writes = st.capture(writes, Ref{Key: k, Row: NoRow}, len(keys))
+		writes = st.capture(writes, Ref{Key: mustParse(k), Row: NoRow}, len(keys))
 	}
 	return st.writeBack(p, writes)
 }
@@ -632,7 +629,7 @@ func (st *Store) capture(writes []pageWrite, ref Ref, n int) []pageWrite {
 	}
 	// With a write in flight the durable image may be about to change under
 	// the comparison; such a row takes the disk path.
-	if st.inflight == 0 && r.live == r.durable && bytes.Equal(r.val, r.dur) {
+	if st.inflight == 0 && r.val == r.dur {
 		r.dirty = false
 		st.stats.Absorbed++
 		st.keep(h)
@@ -641,7 +638,7 @@ func (st *Store) capture(writes []pageWrite, ref Ref, n int) []pageWrite {
 	if writes == nil {
 		writes = st.takeSpare(n)
 	}
-	return append(writes, pageWrite{key: r.key, row: h, val: r.val, present: r.live, page: r.page})
+	return append(writes, pageWrite{key: r.key, row: h, val: r.val, page: r.page})
 }
 
 // writeBack writes a capture list in place and settles it.
@@ -705,16 +702,12 @@ func (st *Store) writePages(p *simrt.Proc, rows []pageWrite) (pages uint64) {
 }
 
 // pageWrite is one row as a write captured it at submission: its key and
-// handle (a Ref, laid out flat) and its value. Row values are never modified
-// in place (a write installs a fresh copy), so holding the slice is holding
-// the value; the key is the table's own, so a row placed afresh when the
-// write settles keeps the key it had.
+// handle (a Ref, laid out flat) and a copy of its value (absent: deleted).
 type pageWrite struct {
-	key     string
-	val     []byte
-	page    int64 // the row's leaf page; in-place writes only
-	row     Row
-	present bool
+	key  types.ObjKey
+	page int64 // the row's leaf page; in-place writes only
+	row  Row
+	val  types.Val
 }
 
 func (pw *pageWrite) ref() Ref { return Ref{Key: pw.key, Row: pw.row} }
@@ -733,16 +726,16 @@ func (st *Store) settle(gen uint64, writes []pageWrite, journaled bool) bool {
 	for _, pw := range writes {
 		h := st.resolve(pw.ref())
 		if h == NoRow || !st.at(h).holds() {
-			if !pw.present && !journaled {
+			if !pw.val.Present() && !journaled {
 				continue // gone for good meanwhile: named twice in this write, or by an overlapping one
 			}
 			if h == NoRow {
-				h = st.file(pw.key) // the table's own key still
+				h = st.file(pw.key)
 			}
 		}
-		r := st.place(h, len(pw.val))
-		r.dur, r.durable = pw.val, pw.present
-		if r.live == pw.present && bytes.Equal(r.val, pw.val) {
+		r := st.place(h, pw.val.Len())
+		r.dur = pw.val
+		if r.val == pw.val {
 			r.dirty = false
 		}
 		if journaled && !r.owed {
@@ -762,7 +755,7 @@ func (st *Store) Crash() {
 	st.locked, st.pinned = 0, 0
 	for i := 0; i < st.slab.Len(); i++ {
 		if r := st.slab.At(i); r.needed() {
-			r.val, r.live, r.dirty, r.holder, r.pins = nil, false, false, types.NilOp, 0
+			r.val, r.dirty, r.holder, r.pins = types.Val{}, false, types.NilOp, 0
 			st.keep(Row(i))
 		}
 	}
@@ -772,27 +765,27 @@ func (st *Store) Crash() {
 func (st *Store) Recover() {
 	for i := 0; i < st.slab.Len(); i++ {
 		r := st.slab.At(i)
-		r.val, r.live = r.dur, r.durable
+		r.val = r.dur
 	}
 }
 
 // Snapshot returns a copy of the volatile image; invariant checkers use it
 // to compare cross-server state after quiescence.
-func (st *Store) Snapshot() map[string][]byte {
-	out := make(map[string][]byte)
-	st.Range(func(k string, v []byte) bool {
-		out[k] = bytes.Clone(v)
+func (st *Store) Snapshot() map[types.ObjKey]types.Val {
+	out := make(map[types.ObjKey]types.Val)
+	st.Range(func(k types.ObjKey, v types.Val) bool {
+		out[k] = v
 		return true
 	})
 	return out
 }
 
 // DurableSnapshot returns a copy of the durable image.
-func (st *Store) DurableSnapshot() map[string][]byte {
-	out := make(map[string][]byte)
+func (st *Store) DurableSnapshot() map[types.ObjKey]types.Val {
+	out := make(map[types.ObjKey]types.Val)
 	for i := 0; i < st.slab.Len(); i++ {
-		if r := st.slab.At(i); r.durable {
-			out[r.key] = bytes.Clone(r.dur)
+		if r := st.slab.At(i); r.dur.Present() {
+			out[r.key] = r.dur
 		}
 	}
 	return out
@@ -801,20 +794,20 @@ func (st *Store) DurableSnapshot() map[string][]byte {
 // Forget drops a key from both images without scheduling a disk write — used
 // by CE when a migrated row returns to its home server and the temporary
 // local copy must vanish without becoming durable here.
-func (st *Store) Forget(key string) {
+func (st *Store) Forget(key types.ObjKey) {
 	if h := st.Find(key); h != NoRow {
 		r := st.at(h)
-		r.val, r.dur, r.live, r.durable, r.dirty = nil, nil, false, false, false
+		r.val, r.dur, r.dirty = types.Val{}, types.Val{}, false
 		st.keep(h)
 	}
 }
 
-// Range calls fn for every volatile row until fn returns false, in the
-// order the records sit in the slab, which says nothing about the keys:
-// callers needing an order must sort.
-func (st *Store) Range(fn func(key string, val []byte) bool) {
+// Range calls fn with a copy of every volatile row until fn returns false,
+// in the order the records sit in the slab, which says nothing about the
+// keys: callers needing an order must sort.
+func (st *Store) Range(fn func(key types.ObjKey, val types.Val) bool) {
 	for i := 0; i < st.slab.Len(); i++ {
-		if r := st.slab.At(i); r.live && !fn(r.key, r.val) {
+		if r := st.slab.At(i); r.val.Present() && !fn(r.key, r.val) {
 			return
 		}
 	}
@@ -824,7 +817,7 @@ func (st *Store) Range(fn func(key string, val []byte) bool) {
 func (st *Store) Len() int {
 	n := 0
 	for i := 0; i < st.slab.Len(); i++ {
-		if st.slab.At(i).live {
+		if st.slab.At(i).val.Present() {
 			n++
 		}
 	}

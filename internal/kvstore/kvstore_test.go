@@ -37,14 +37,47 @@ func withDisk(t *testing.T, fn func(p *simrt.Proc, st *Store, d *disk.Disk)) tim
 	return end
 }
 
+// dk is the key of the test row named name: the entry name of directory 1,
+// whose key's text is "d/1/" followed by the name.
+func dk(name string) types.ObjKey { return types.DentryKey(1, name) }
+
+// put, get, del and flushKeys are PutAt, Value, DeleteAt and FlushRows for
+// the test rows of names.
+func (st *Store) put(name string, val []byte) {
+	st.PutAt(st.Find(dk(name)), dk(name), val)
+}
+
+func (st *Store) get(name string) ([]byte, bool) {
+	v := st.Value(st.Find(dk(name)))
+	return v.Bytes(), v.Present()
+}
+
+func (st *Store) del(name string) { st.DeleteAt(st.Find(dk(name)), dk(name)) }
+
+func (st *Store) flushKeys(p *simrt.Proc, names []string) bool {
+	return st.FlushRows(p, refs(names))
+}
+
+// refs names the test rows of names by key alone.
+func refs(names []string) []Ref {
+	rows := make([]Ref, len(names))
+	for i, n := range names {
+		rows[i] = Ref{Key: dk(n), Row: NoRow}
+	}
+	return rows
+}
+
+// str is a value's bytes as a string.
+func str(v types.Val) string { return string(v.Bytes()) }
+
 func TestPutGetDelete(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		st.Put("a", []byte("1"))
-		if _, v, ok := st.Get("a"); !ok || string(v) != "1" {
+		st.put("a", []byte("1"))
+		if v, ok := st.get("a"); !ok || string(v) != "1" {
 			t.Errorf("Get(a)=%q,%v", v, ok)
 		}
-		st.Delete("a")
-		if _, _, ok := st.Get("a"); ok {
+		st.del("a")
+		if _, ok := st.get("a"); ok {
 			t.Error("deleted key still present")
 		}
 	})
@@ -53,9 +86,9 @@ func TestPutGetDelete(t *testing.T) {
 func TestPutCopiesValue(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
 		buf := []byte("abc")
-		st.Put("k", buf)
+		st.put("k", buf)
 		buf[0] = 'X'
-		if _, v, _ := st.Get("k"); string(v) != "abc" {
+		if v, _ := st.get("k"); string(v) != "abc" {
 			t.Errorf("store aliased caller buffer: %q", v)
 		}
 	})
@@ -63,13 +96,13 @@ func TestPutCopiesValue(t *testing.T) {
 
 func TestSyncWriteAdvancesDurableImage(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		st.Put("k", []byte("v"))
+		st.put("k", []byte("v"))
 		if d := st.DurableSnapshot(); len(d) != 0 {
 			t.Error("durable image advanced before any write")
 		}
 		syncKeys(st, p, []string{"k"})
 		d := st.DurableSnapshot()
-		if string(d["k"]) != "v" {
+		if str(d[dk("k")]) != "v" {
 			t.Errorf("durable image = %v", d)
 		}
 		if st.DirtyCount() != 0 {
@@ -80,15 +113,15 @@ func TestSyncWriteAdvancesDurableImage(t *testing.T) {
 
 func TestCrashRevertsToDurable(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		st.Put("stable", []byte("s"))
+		st.put("stable", []byte("s"))
 		syncKeys(st, p, []string{"stable"})
-		st.Put("volatile", []byte("v"))
+		st.put("volatile", []byte("v"))
 		st.Crash()
 		st.Recover()
-		if _, _, ok := st.Get("volatile"); ok {
+		if _, ok := st.get("volatile"); ok {
 			t.Error("unsynced key survived crash")
 		}
-		if _, v, ok := st.Get("stable"); !ok || string(v) != "s" {
+		if v, ok := st.get("stable"); !ok || string(v) != "s" {
 			t.Errorf("synced key lost: %q %v", v, ok)
 		}
 	})
@@ -96,12 +129,12 @@ func TestCrashRevertsToDurable(t *testing.T) {
 
 func TestCrashRevertsDeletes(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		st.Put("k", []byte("v"))
+		st.put("k", []byte("v"))
 		syncKeys(st, p, []string{"k"})
-		st.Delete("k") // not flushed
+		st.del("k") // not flushed
 		st.Crash()
 		st.Recover()
-		if _, v, ok := st.Get("k"); !ok || string(v) != "v" {
+		if v, ok := st.get("k"); !ok || string(v) != "v" {
 			t.Error("unsynced delete should revert on crash")
 		}
 	})
@@ -110,7 +143,7 @@ func TestCrashRevertsDeletes(t *testing.T) {
 func TestFlushDirtyWritesAllAndSettles(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
 		for i := 0; i < 20; i++ {
-			st.Put(fmt.Sprintf("k%02d", i), []byte{byte(i)})
+			st.put(fmt.Sprintf("k%02d", i), []byte{byte(i)})
 		}
 		n := st.FlushDirty(p)
 		if n != 20 {
@@ -136,13 +169,13 @@ func TestBatchedFlushFasterThanSyncWrites(t *testing.T) {
 	}
 	batched := withStore(t, func(p *simrt.Proc, st *Store) {
 		for _, k := range keys {
-			st.Put(k, []byte("x"))
+			st.put(k, []byte("x"))
 		}
 		st.FlushDirty(p)
 	})
 	sync := withStore(t, func(p *simrt.Proc, st *Store) {
 		for _, k := range keys {
-			st.Put(k, []byte("x"))
+			st.put(k, []byte("x"))
 			syncKeys(st, p, []string{k})
 		}
 	})
@@ -154,31 +187,27 @@ func TestBatchedFlushFasterThanSyncWrites(t *testing.T) {
 	}
 }
 
-// putRows writes n rows of a 32-byte footprint (8-byte key, 8-byte value,
-// rowOverhead), 128 to a page, and returns their keys in placement order.
+// putRows writes n rows of a 36-byte footprint (a 12-byte key text, an
+// 8-byte value, rowOverhead), 113 to a page, and returns their names in
+// placement order.
 func putRows(st *Store, prefix string, n int) []string {
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("%s%07d", prefix, i)
-		st.Put(keys[i], make([]byte, 8))
+		st.put(keys[i], make([]byte, 8))
 	}
 	return keys
 }
 
-const rowsPerPage = PageSize / (8 + 8 + rowOverhead)
+const rowsPerPage = PageSize / (12 + 8 + rowOverhead)
 
-// syncKeys journals the rows of keys: SyncRows by key.
-func syncKeys(st *Store, p *simrt.Proc, keys []string) {
-	rows := make([]Ref, len(keys))
-	for i, k := range keys {
-		rows[i] = Ref{Key: k, Row: NoRow}
-	}
-	st.SyncRows(p, rows)
-}
+// syncKeys journals the rows of names: SyncRows by key.
+func syncKeys(st *Store, p *simrt.Proc, names []string) { st.SyncRows(p, refs(names)) }
 
-// rec returns a copy of key's record (the zero record if the store holds none).
-func (st *Store) rec(key string) record {
-	if h := st.Find(key); h != NoRow {
+// rec returns a copy of the record of the row named name (the zero record if
+// the store holds none).
+func (st *Store) rec(name string) record {
+	if h := st.Find(dk(name)); h != NoRow {
 		return *st.at(h)
 	}
 	return record{}
@@ -188,9 +217,9 @@ func TestRowsPackIntoLeafPagesByFootprint(t *testing.T) {
 	withDisk(t, func(p *simrt.Proc, st *Store, d *disk.Disk) {
 		const n = 1000
 		keys := putRows(st, "k", n)
-		wantPages := (n*(8+8+rowOverhead) + PageSize - 1) / PageSize
+		wantPages := (n + rowsPerPage - 1) / rowsPerPage
 		if got := st.rec(keys[n-1]).page + 1; got != int64(wantPages) {
-			t.Errorf("%d rows of 32 bytes occupy %d pages, want %d", n, got, wantPages)
+			t.Errorf("%d rows of 36 bytes occupy %d pages, want %d", n, got, wantPages)
 		}
 		if st.rec(keys[rowsPerPage-1]).page != 0 || st.rec(keys[rowsPerPage]).page != 1 {
 			t.Error("a page holds exactly the rows that fit in it, in first-write order")
@@ -215,7 +244,7 @@ func TestDirtyRowsOfOnePageCostOneRequest(t *testing.T) {
 		st.FlushDirty(p)
 		before := d.Stats()
 		for _, k := range keys[rowsPerPage+5 : rowsPerPage+45] { // 40 rows of page 1
-			st.Put(k, []byte("changed!"))
+			st.put(k, []byte("changed!"))
 		}
 		st.FlushDirty(p)
 		ds := d.Stats()
@@ -223,7 +252,7 @@ func TestDirtyRowsOfOnePageCostOneRequest(t *testing.T) {
 			t.Errorf("40 dirty rows of one page: %d requests moving %d bytes, want 1 of %d",
 				ds.Requests-before.Requests, ds.BytesMoved-before.BytesMoved, PageSize)
 		}
-		if d := st.DurableSnapshot(); string(d[keys[rowsPerPage+5]]) != "changed!" || len(d[keys[0]]) != 8 {
+		if d := st.DurableSnapshot(); str(d[dk(keys[rowsPerPage+5])]) != "changed!" || d[dk(keys[0])].Len() != 8 {
 			t.Error("durable image after the page write is not the rows written")
 		}
 	})
@@ -233,16 +262,16 @@ func TestDirtyRowsOfOnePageCostOneRequest(t *testing.T) {
 // removed between two flushes, or rewritten to the image the disk holds.
 func TestFlushAbsorbsRowsAtTheirDurableState(t *testing.T) {
 	withDisk(t, func(p *simrt.Proc, st *Store, d *disk.Disk) {
-		st.Put("short-lived", []byte("x"))
-		st.Delete("short-lived")
-		if !st.FlushKeys(p, []string{"short-lived"}) || st.DirtyCount() != 0 {
+		st.put("short-lived", []byte("x"))
+		st.del("short-lived")
+		if !st.flushKeys(p, []string{"short-lived"}) || st.DirtyCount() != 0 {
 			t.Errorf("absorbed flush: dirty=%d", st.DirtyCount())
 		}
-		st.Put("kept", []byte("v"))
+		st.put("kept", []byte("v"))
 		st.FlushDirty(p)
 		before := d.Stats().Requests
-		st.Put("kept", []byte("w"))
-		st.Put("kept", []byte("v"))
+		st.put("kept", []byte("w"))
+		st.put("kept", []byte("v"))
 		st.FlushDirty(p)
 		if got := d.Stats().Requests; got != 1 || before != 1 {
 			t.Errorf("%d disk requests, want only the one that made \"kept\" durable", got)
@@ -250,7 +279,7 @@ func TestFlushAbsorbsRowsAtTheirDurableState(t *testing.T) {
 		if ks := st.Stats(); ks.Absorbed != 2 || ks.FlushRows != 1 || st.DirtyCount() != 0 {
 			t.Errorf("stats %+v dirty=%d, want 2 rows absorbed and 1 written", ks, st.DirtyCount())
 		}
-		if st.Find("short-lived") != NoRow {
+		if st.Find(dk("short-lived")) != NoRow {
 			t.Error("a row that never became durable kept its placement")
 		}
 	})
@@ -260,22 +289,22 @@ func TestFlushAbsorbsRowsAtTheirDurableState(t *testing.T) {
 // about to change: a row with one takes the disk path, behind it.
 func TestFlushDoesNotAbsorbUnderAWriteInFlight(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		st.Put("k", []byte("v0"))
+		st.put("k", []byte("v0"))
 		st.FlushDirty(p)
-		st.Put("k", []byte("v1"))
+		st.put("k", []byte("v1"))
 		g := simrt.NewGroup(st.sim)
 		g.Add(1)
 		st.sim.Spawn("second", func(sp *simrt.Proc) {
 			sp.Sleep(time.Microsecond) // v1 is on its way to the disk
-			st.Put("k", []byte("v0"))
-			st.FlushKeys(sp, []string{"k"})
+			st.put("k", []byte("v0"))
+			st.flushKeys(sp, []string{"k"})
 			g.Done()
 		})
-		st.FlushKeys(p, []string{"k"})
+		st.flushKeys(p, []string{"k"})
 		g.Wait(p)
-		if d := st.DurableSnapshot(); string(d["k"]) != "v0" || st.DirtyCount() != 0 {
+		if d := st.DurableSnapshot(); str(d[dk("k")]) != "v0" || st.DirtyCount() != 0 {
 			t.Errorf("durable k=%q dirty=%d: the flush of v0 was absorbed against an image v1 then replaced",
-				d["k"], st.DirtyCount())
+				str(d[dk("k")]), st.DirtyCount())
 		}
 	})
 }
@@ -283,43 +312,43 @@ func TestFlushDoesNotAbsorbUnderAWriteInFlight(t *testing.T) {
 // The placement table holds live rows, not every name ever written.
 func TestPlacementDroppedOnceDeletionSettles(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		st.Put("parent", []byte("dir"))
+		st.put("parent", []byte("dir"))
 		for i := 0; i < 100000; i++ {
 			k := fmt.Sprintf("f%06d", i)
-			st.Put(k, []byte("inode"))
-			st.Put("parent", []byte{byte(i)})
-			st.FlushKeys(p, []string{k, "parent"})
-			st.Delete(k)
-			st.FlushKeys(p, []string{k})
+			st.put(k, []byte("inode"))
+			st.put("parent", []byte{byte(i)})
+			st.flushKeys(p, []string{k, "parent"})
+			st.del(k)
+			st.flushKeys(p, []string{k})
 		}
-		if len(st.index) != 1 {
-			t.Errorf("%d placements after 1e5 create/remove cycles, want the 1 live row", len(st.index))
+		if st.index.n != 1 {
+			t.Errorf("%d placements after 1e5 create/remove cycles, want the 1 live row", st.index.n)
 		}
 		// The synchronous path owes a page write until the checkpoint.
 		for i := 0; i < 100; i++ {
 			k := fmt.Sprintf("s%06d", i)
-			st.Put(k, []byte("inode"))
+			st.put(k, []byte("inode"))
 			syncKeys(st, p, []string{k})
-			st.Delete(k)
+			st.del(k)
 			syncKeys(st, p, []string{k})
 		}
-		if len(st.index) != 101 {
-			t.Errorf("%d placements before the checkpoint, want 101", len(st.index))
+		if st.index.n != 101 {
+			t.Errorf("%d placements before the checkpoint, want 101", st.index.n)
 		}
 		st.Checkpoint(p)
-		if len(st.index) != 1 {
-			t.Errorf("%d placements after the checkpoint, want 1", len(st.index))
+		if st.index.n != 1 {
+			t.Errorf("%d placements after the checkpoint, want 1", st.index.n)
 		}
 		// A name created again joins the open page; a crash takes the
 		// placement of a row that never became durable with it.
-		st.Put("f000000", []byte("inode"))
+		st.put("f000000", []byte("inode"))
 		if st.rec("f000000").page != st.next {
 			t.Error("re-created row was not placed in the open page")
 		}
 		st.Crash()
 		st.Recover()
-		if _, _, live := st.Get("parent"); !live || len(st.index) != 1 {
-			t.Errorf("%d placements after a crash, want the 1 durable row", len(st.index))
+		if _, live := st.get("parent"); !live || st.index.n != 1 {
+			t.Errorf("%d placements after a crash, want the 1 durable row", st.index.n)
 		}
 	})
 }
@@ -342,7 +371,7 @@ func TestCheckpointAndFlushWriteTheSamePages(t *testing.T) {
 			var keys []string
 			for _, pg := range []int{3, 4, 5, 100, 250, 251} {
 				for _, k := range all[pg*rowsPerPage+7:][:3] {
-					st.Put(k, []byte("changed!"))
+					st.put(k, []byte("changed!"))
 					keys = append(keys, k)
 				}
 			}
@@ -355,7 +384,7 @@ func TestCheckpointAndFlushWriteTheSamePages(t *testing.T) {
 		})
 		return c
 	}
-	flush := measure(func(p *simrt.Proc, st *Store, keys []string) { st.FlushKeys(p, keys) })
+	flush := measure(func(p *simrt.Proc, st *Store, keys []string) { st.flushKeys(p, keys) })
 	ckpt := measure(func(p *simrt.Proc, st *Store, keys []string) {
 		syncKeys(st, p, keys)
 		st.Checkpoint(p)
@@ -369,31 +398,44 @@ func TestCheckpointAndFlushWriteTheSamePages(t *testing.T) {
 	}
 }
 
+// FlushKeys, Put and Get name rows by their keys' text.
 func TestFlushKeysSubset(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		st.Put("a", []byte("1"))
-		st.Put("b", []byte("2"))
-		st.FlushKeys(p, []string{"a", "never-written"})
+		st.Put("d/1/a", []byte("1"))
+		if v := st.Put("d/1/b", []byte("2")); str(v) != "2" || str(st.Get("d/1/b")) != "2" || st.Get("i/7").Present() {
+			t.Errorf("Put returned %q; Get of d/1/b gave %q", str(v), str(st.Get("d/1/b")))
+		}
+		st.FlushKeys(p, []string{"d/1/a", "d/1/never-written"})
 		if st.DirtyCount() != 1 {
 			t.Errorf("dirty=%d, want 1 (only b left)", st.DirtyCount())
 		}
 		d := st.DurableSnapshot()
-		if string(d["a"]) != "1" {
+		if str(d[dk("a")]) != "1" {
 			t.Error("a not durable")
 		}
-		if _, ok := d["b"]; ok {
+		if _, ok := d[dk("b")]; ok {
 			t.Error("b became durable without flush")
+		}
+		for _, bad := range []string{"a", "d/01/a", "i/", "d/1"} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("FlushKeys of %q, which is no key's text, did not panic", bad)
+					}
+				}()
+				st.FlushKeys(p, []string{bad})
+			}()
 		}
 	})
 }
 
 func TestSlotAllocationStableAcrossRewrites(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		st.Put("k", []byte("1"))
+		st.put("k", []byte("1"))
 		first := st.rec("k").page
-		st.Put("k", []byte("2"))
-		st.Delete("k")
-		st.Put("k", []byte("3"))
+		st.put("k", []byte("2"))
+		st.del("k")
+		st.put("k", []byte("3"))
 		if st.rec("k").page != first {
 			t.Error("key changed page slot across rewrites")
 		}
@@ -402,10 +444,13 @@ func TestSlotAllocationStableAcrossRewrites(t *testing.T) {
 
 func TestSnapshotIsDeepCopy(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		st.Put("k", []byte("abc"))
+		st.put("k", []byte("abc"))
 		snap := st.Snapshot()
-		snap["k"][0] = 'Z'
-		if _, v, _ := st.Get("k"); string(v) != "abc" {
+		v := snap[dk("k")]
+		v.Bytes()[0] = 'Z'
+		snap[dk("k")] = v
+		st.put("k", []byte("abd"))
+		if got, _ := st.get("k"); string(got) != "abd" || str(snap[dk("k")]) != "Zbc" {
 			t.Error("snapshot aliases store memory")
 		}
 	})
@@ -434,7 +479,9 @@ func TestQuickVolatileSemantics(t *testing.T) {
 		Mask uint16 // the keys a FlushKeys / SyncRows step names; bit 8: each of them twice
 	}
 	const nkeys = 8
-	keyOf := func(i int) string { return fmt.Sprintf("k%d", i) }
+	// Names of 1 to 421 bytes give rows of a tenth of a page: the open page
+	// fills and turns over within a run.
+	keyOf := func(i int) string { return strings.Repeat(string(rune('a'+i)), 1+60*i) }
 	stale := 0 // write-backs through a handle whose record has gone, its slot perhaps another key's
 	f := func(steps []step) bool {
 		ok := true
@@ -449,7 +496,7 @@ func TestQuickVolatileSemantics(t *testing.T) {
 				if _, placed := slots[k]; placed {
 					return
 				}
-				size := len(k) + valLen + rowOverhead
+				size := dk(k).TextLen() + valLen + rowOverhead
 				if fill > 0 && fill+size > PageSize {
 					next, fill = next+1, 0
 				}
@@ -468,7 +515,7 @@ func TestQuickVolatileSemantics(t *testing.T) {
 			}
 			check := func(when string) {
 				for i := 0; i < nkeys; i++ {
-					_, v, live := st.Get(keyOf(i))
+					v, live := st.get(keyOf(i))
 					if w, wlive := mem[keyOf(i)]; live != wlive || !bytes.Equal(v, w) {
 						t.Errorf("%s: Get(%s) = %v,%v, want %v,%v", when, keyOf(i), v, live, w, wlive)
 					}
@@ -476,10 +523,10 @@ func TestQuickVolatileSemantics(t *testing.T) {
 				if st.Len() != len(mem) || st.DirtyCount() != len(dirty) {
 					t.Errorf("%s: Len=%d DirtyCount=%d, want %d and %d", when, st.Len(), st.DirtyCount(), len(mem), len(dirty))
 				}
-				if snap := st.Snapshot(); !reflect.DeepEqual(snap, mem) {
+				if snap := st.Snapshot(); !reflect.DeepEqual(snap, image(mem)) {
 					t.Errorf("%s: Snapshot %v, want %v", when, snap, mem)
 				}
-				if snap := st.DurableSnapshot(); !reflect.DeepEqual(snap, dur) {
+				if snap := st.DurableSnapshot(); !reflect.DeepEqual(snap, image(dur)) {
 					t.Errorf("%s: DurableSnapshot %v, want %v", when, snap, dur)
 				}
 				for k := range slots { // gone for good: the placement goes too
@@ -490,19 +537,20 @@ func TestQuickVolatileSemantics(t *testing.T) {
 					}
 				}
 				records := len(slots) // and a record is kept while locked or pinned
-				for k := range st.index {
+				indexed := st.indexed()
+				for k := range indexed {
 					if _, placed := slots[k]; !placed && (locked[k] || pinned[k] > 0) {
 						records++
 					}
 				}
-				if len(st.index) != records || st.next != next || st.fill != fill {
-					t.Errorf("%s: %d records, open page %d filled to %d; want %d, %d, %d",
-						when, len(st.index), st.next, st.fill, records, next, fill)
+				if len(indexed) != records || st.index.n != records || st.next != next || st.fill != fill {
+					t.Errorf("%s: %d records (%d indexed), open page %d filled to %d; want %d, %d, %d",
+						when, len(indexed), st.index.n, st.next, st.fill, records, next, fill)
 				}
 				if st.Locked() != len(locked) {
 					t.Errorf("%s: %d rows locked, want %d", when, st.Locked(), len(locked))
 				}
-				for k, h := range st.index {
+				for k, h := range indexed {
 					r := st.at(h)
 					if holder, isLocked := st.Holder(h); isLocked != locked[k] || isLocked && holder != lockOp || (r.pins > 0) != (pinned[k] > 0) {
 						t.Errorf("%s: record of %s locked by %v (%v), %d pins; want locked %v, %d pins", when, k, holder, isLocked, r.pins, locked[k], pinned[k])
@@ -511,9 +559,8 @@ func TestQuickVolatileSemantics(t *testing.T) {
 					if placed != r.holds() || placed && r.page != page {
 						t.Errorf("%s: record of %s on page %d (holds its row: %v), want %d (placed: %v)", when, k, r.page, r.holds(), page, placed)
 					}
-					if r.live != (r.val != nil) || r.durable != (r.dur != nil) || r.dirty != dirty[k] || r.owed != owed[k] {
-						t.Errorf("%s: record of %s is %+v; want dirty=%v owed=%v and flags that agree with the values",
-							when, k, r, dirty[k], owed[k])
+					if r.key != dk(k) || r.tag != hashKey(r.key) || r.dirty != dirty[k] || r.owed != owed[k] {
+						t.Errorf("%s: record of %s is %+v; want dirty=%v owed=%v", when, k, r, dirty[k], owed[k])
 					}
 				}
 				ok = ok && !t.Failed()
@@ -534,19 +581,19 @@ func TestQuickVolatileSemantics(t *testing.T) {
 				// Half the steps write a row, a quarter write back or journal.
 				switch [16]int{0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 4, 5, 6, 7, 8}[sp.Op%16] {
 				case 0:
-					v := bytes.Repeat([]byte{sp.Val}, 1+3*int(sp.Val)) // up to a fifth of a page
+					v := bytes.Repeat([]byte{sp.Val}, 1+int(sp.Val)%types.RowVal)
 					if sp.Val%2 == 0 {
-						st.Put(k, v)
+						st.put(k, v)
 					} else {
-						handles[k], _ = st.PutAt(st.Find(k), k, v)
+						handles[k], _ = st.PutAt(st.Find(dk(k)), dk(k), v)
 					}
 					mem[k], dirty[k] = v, true
 					place(k, len(v))
 				case 1:
 					if sp.Val%2 == 0 {
-						st.Delete(k)
+						st.del(k)
 					} else {
-						handles[k] = st.DeleteAt(st.Find(k), k)
+						handles[k] = st.DeleteAt(st.Find(dk(k)), dk(k))
 					}
 					delete(mem, k)
 					dirty[k] = true
@@ -554,11 +601,11 @@ func TestQuickVolatileSemantics(t *testing.T) {
 				case 2:
 					settled := false
 					if sp.Val%2 == 0 {
-						settled = st.FlushKeys(p, named)
+						settled = st.flushKeys(p, named)
 					} else {
 						refs := make([]Ref, len(named))
 						for i, k := range named {
-							refs[i] = Ref{Key: k, Row: handles[k]} // NoRow if never found
+							refs[i] = Ref{Key: dk(k), Row: handles[k]} // NoRow if never found
 							if h := refs[i].Row; h != NoRow && st.resolve(refs[i]) != h {
 								stale++
 							}
@@ -566,7 +613,7 @@ func TestQuickVolatileSemantics(t *testing.T) {
 						settled = st.FlushRows(p, refs)
 					}
 					if !settled {
-						t.Error("FlushKeys did not settle with no crash")
+						t.Error("a write-back did not settle with no crash")
 					}
 					for _, k := range named {
 						if dirty[k] {
@@ -597,23 +644,23 @@ func TestQuickVolatileSemantics(t *testing.T) {
 						mem[k] = v
 					}
 				case 6:
-					st.Forget(k)
+					st.Forget(dk(k))
 					delete(mem, k)
 					delete(dur, k)
 					delete(dirty, k)
 				case 7: // lock a held row, or release it: by its holder through the remembered handle, or by another op
-					switch h := st.Find(k); {
+					switch h := st.Find(dk(k)); {
 					case locked[k] && sp.Val%3 == 0:
-						st.Unlock(Ref{Key: k, Row: h}, other) // not the holder: the lock stays
+						st.Unlock(Ref{Key: dk(k), Row: h}, other) // not the holder: the lock stays
 					case locked[k]:
-						st.Unlock(Ref{Key: k, Row: handles[k]}, lockOp)
+						st.Unlock(Ref{Key: dk(k), Row: handles[k]}, lockOp)
 						delete(locked, k)
 					case h != NoRow:
 						st.Lock(h, lockOp)
 						locked[k], handles[k] = true, h
 					}
 				case 8: // pin a held row, or take a pin back
-					switch h := st.Find(k); {
+					switch h := st.Find(dk(k)); {
 					case pinned[k] > 0 && sp.Val%2 == 0:
 						st.Unpin(h)
 						pinned[k]--
@@ -631,11 +678,11 @@ func TestQuickVolatileSemantics(t *testing.T) {
 			// checkpoint paid. The durable image is the volatile one and the
 			// table is exactly it.
 			for k := range locked {
-				st.Unlock(Ref{Key: k, Row: handles[k]}, lockOp)
+				st.Unlock(Ref{Key: dk(k), Row: handles[k]}, lockOp)
 			}
 			for k, n := range pinned {
 				for ; n > 0; n-- {
-					st.Unpin(st.Find(k))
+					st.Unpin(st.Find(dk(k)))
 				}
 			}
 			clear(locked)
@@ -647,8 +694,8 @@ func TestQuickVolatileSemantics(t *testing.T) {
 			}
 			clear(owed)
 			check("quiescence")
-			if len(st.index) != len(mem) || !reflect.DeepEqual(mem, dur) {
-				t.Errorf("quiescence: %d records for %d rows (durable %d)", len(st.index), len(mem), len(dur))
+			if st.index.n != len(mem) || !reflect.DeepEqual(mem, dur) {
+				t.Errorf("quiescence: %d records for %d rows (durable %d)", st.index.n, len(mem), len(dur))
 				ok = false
 			}
 		})
@@ -662,6 +709,27 @@ func TestQuickVolatileSemantics(t *testing.T) {
 	}
 }
 
+// image is the store image of a reference keyed by test row name.
+func image(m map[string][]byte) map[types.ObjKey]types.Val {
+	out := make(map[types.ObjKey]types.Val, len(m))
+	for name, b := range m {
+		out[dk(name)], _ = types.ValOf(b)
+	}
+	return out
+}
+
+// indexed returns the handle of every record the index reaches, by the name
+// of its test row.
+func (st *Store) indexed() map[string]Row {
+	out := make(map[string]Row)
+	for _, s := range st.index.slots {
+		if s.ref != 0 {
+			out[st.at(Row(s.ref-1)).key.Name] = Row(s.ref - 1)
+		}
+	}
+	return out
+}
+
 // TestImageLifeCycle drives the full volatile/durable life cycle of a
 // store's worth of rows: write, flush, overwrite and delete, crash, recover.
 func TestImageLifeCycle(t *testing.T) {
@@ -669,7 +737,7 @@ func TestImageLifeCycle(t *testing.T) {
 		keys := make([]string, 64)
 		for i := range keys {
 			keys[i] = fmt.Sprintf("d/%d/f%02d", i%4, i)
-			st.Put(keys[i], []byte{byte(i)})
+			st.put(keys[i], []byte{byte(i)})
 		}
 		if st.Len() != 64 || st.DirtyCount() != 64 {
 			t.Fatalf("Len=%d Dirty=%d, want 64/64", st.Len(), st.DirtyCount())
@@ -681,14 +749,14 @@ func TestImageLifeCycle(t *testing.T) {
 			t.Fatalf("dirty after flush: %d", st.DirtyCount())
 		}
 		// Post-flush mutations must vanish on crash, then recover durably.
-		st.Put(keys[0], []byte{0xFF})
-		st.Delete(keys[1])
+		st.put(keys[0], []byte{0xFF})
+		st.del(keys[1])
 		st.Crash()
 		st.Recover()
-		if _, v, ok := st.Get(keys[0]); !ok || v[0] != 0 {
+		if v, ok := st.get(keys[0]); !ok || v[0] != 0 {
 			t.Errorf("key %q after crash = %v,%v; want durable image {0}", keys[0], v, ok)
 		}
-		if _, _, ok := st.Get(keys[1]); !ok {
+		if _, ok := st.get(keys[1]); !ok {
 			t.Errorf("key %q lost: delete was volatile and must not survive crash", keys[1])
 		}
 		snap := st.Snapshot()
@@ -697,7 +765,7 @@ func TestImageLifeCycle(t *testing.T) {
 			t.Errorf("snapshots sized %d/%d, want 64/64", len(snap), len(dur))
 		}
 		for k, v := range snap {
-			if string(dur[k]) != string(v) {
+			if dur[k] != v {
 				t.Errorf("volatile and durable disagree on %q after recover", k)
 			}
 		}
@@ -710,8 +778,8 @@ func TestCheckpointWritesJournaledPages(t *testing.T) {
 	st := New(s, d, 1<<30)
 	var wrote int
 	s.Spawn("driver", func(p *simrt.Proc) {
-		st.Put("a", []byte("1"))
-		st.Put("b", []byte("2"))
+		st.put("a", []byte("1"))
+		st.put("b", []byte("2"))
 		syncKeys(st, p, []string{"a", "b"}) // journal append; pages pending
 		wrote = st.Checkpoint(p)
 		if st.Checkpoint(p) != 0 {
@@ -735,7 +803,7 @@ func TestStartCheckpointerDrainsPeriodically(t *testing.T) {
 	st := New(s, d, 1<<30)
 	st.StartCheckpointer(10 * time.Millisecond)
 	s.Spawn("driver", func(p *simrt.Proc) {
-		st.Put("x", []byte("1"))
+		st.put("x", []byte("1"))
 		syncKeys(st, p, []string{"x"})
 		p.Sleep(50 * time.Millisecond)
 		if n := st.Checkpoint(p); n != 0 {
@@ -760,7 +828,7 @@ func TestSyncKeysSerializesThroughDBThread(t *testing.T) {
 		i := i
 		s.Spawn("w", func(p *simrt.Proc) {
 			k := fmt.Sprintf("k%d", i)
-			st.Put(k, []byte("v"))
+			st.put(k, []byte("v"))
 			syncKeys(st, p, []string{k})
 			g.Done()
 		})
@@ -776,13 +844,13 @@ func TestSyncKeysSerializesThroughDBThread(t *testing.T) {
 
 func TestForgetRemovesAllImages(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		st.Put("k", []byte("v"))
+		st.put("k", []byte("v"))
 		st.FlushDirty(p)
-		st.Forget("k")
-		if _, _, ok := st.Get("k"); ok {
+		st.Forget(dk("k"))
+		if _, ok := st.get("k"); ok {
 			t.Error("volatile survived Forget")
 		}
-		if _, ok := st.DurableSnapshot()["k"]; ok {
+		if _, ok := st.DurableSnapshot()[dk("k")]; ok {
 			t.Error("durable survived Forget")
 		}
 		if st.DirtyCount() != 0 {
@@ -794,15 +862,15 @@ func TestForgetRemovesAllImages(t *testing.T) {
 func TestRangeVisitsAllRows(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
 		for i := 0; i < 5; i++ {
-			st.Put(fmt.Sprintf("r%d", i), []byte{byte(i)})
+			st.put(fmt.Sprintf("r%d", i), []byte{byte(i)})
 		}
 		seen := 0
-		st.Range(func(k string, v []byte) bool { seen++; return true })
+		st.Range(func(types.ObjKey, types.Val) bool { seen++; return true })
 		if seen != 5 {
 			t.Errorf("visited %d", seen)
 		}
 		seen = 0
-		st.Range(func(k string, v []byte) bool { seen++; return false })
+		st.Range(func(types.ObjKey, types.Val) bool { seen++; return false })
 		if seen != 1 {
 			t.Errorf("early stop visited %d", seen)
 		}
@@ -819,26 +887,26 @@ func TestRangeVisitsAllRows(t *testing.T) {
 // caller may not have made durable yet — stays dirty for the next flush.
 func TestFlushWritesRowAsCapturedAtSubmission(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		st.Put("k", []byte("old"))
-		st.Put("gone", []byte("x"))
+		st.put("k", []byte("old"))
+		st.put("gone", []byte("x"))
 		st.sim.Spawn("writer", func(wp *simrt.Proc) {
 			wp.Sleep(time.Microsecond) // the pages are submitted, not yet written
-			st.Put("k", []byte("new"))
-			st.Delete("gone")
+			st.put("k", []byte("new"))
+			st.del("gone")
 		})
-		if !st.FlushKeys(p, []string{"k", "gone"}) {
+		if !st.flushKeys(p, []string{"k", "gone"}) {
 			t.Fatal("flush without a crash reported unsettled")
 		}
 		d := st.DurableSnapshot()
-		if string(d["k"]) != "old" || string(d["gone"]) != "x" {
+		if str(d[dk("k")]) != "old" || str(d[dk("gone")]) != "x" {
 			t.Errorf("durable image %q holds values written after submission", d)
 		}
 		if st.DirtyCount() != 2 {
 			t.Errorf("dirty=%d, want both rewritten rows still dirty", st.DirtyCount())
 		}
-		st.FlushKeys(p, []string{"k", "gone"})
+		st.flushKeys(p, []string{"k", "gone"})
 		d = st.DurableSnapshot()
-		if _, ok := d["gone"]; string(d["k"]) != "new" || ok {
+		if _, ok := d[dk("gone")]; str(d[dk("k")]) != "new" || ok {
 			t.Errorf("second flush left durable image %q", d)
 		}
 		if st.DirtyCount() != 0 {
@@ -853,11 +921,11 @@ func TestFlushWritesRowAsCapturedAtSubmission(t *testing.T) {
 func TestFlushInFlightAcrossCrashSettlesNothing(t *testing.T) {
 	for _, reboot := range []bool{false, true} {
 		withStore(t, func(p *simrt.Proc, st *Store) {
-			st.Put("a", []byte("1"))
-			st.Put("b", []byte("1"))
+			st.put("a", []byte("1"))
+			st.put("b", []byte("1"))
 			st.FlushDirty(p)
-			st.Put("a", []byte("2"))
-			st.Delete("b")
+			st.put("a", []byte("2"))
+			st.del("b")
 			st.sim.Spawn("nemesis", func(np *simrt.Proc) {
 				np.Sleep(time.Microsecond)
 				st.Crash()
@@ -865,11 +933,11 @@ func TestFlushInFlightAcrossCrashSettlesNothing(t *testing.T) {
 					st.Recover()
 				}
 			})
-			if st.FlushKeys(p, []string{"a", "b"}) {
+			if st.flushKeys(p, []string{"a", "b"}) {
 				t.Errorf("reboot=%v: write-back overtaken by a crash reported settled", reboot)
 			}
 			d := st.DurableSnapshot()
-			if string(d["a"]) != "1" || string(d["b"]) != "1" {
+			if str(d[dk("a")]) != "1" || str(d[dk("b")]) != "1" {
 				t.Errorf("reboot=%v: durable image %q changed by a write-back that crashed in flight", reboot, d)
 			}
 			if ks := st.Stats(); ks.FlushRows != 2 || ks.FlushPages != 1 {
@@ -887,19 +955,19 @@ func TestOverlappingFlushesSettleTheirOwnRows(t *testing.T) {
 	for _, crash := range []bool{false, true} {
 		withStore(t, func(p *simrt.Proc, st *Store) {
 			for _, k := range []string{"a1", "a2", "b1", "b2"} {
-				st.Put(k, []byte("old"))
+				st.put(k, []byte("old"))
 			}
-			st.FlushKeys(p, []string{"a1", "a2"}) // leaves a spare list behind
-			st.FlushKeys(p, []string{"b1", "b2"})
+			st.flushKeys(p, []string{"a1", "a2"}) // leaves a spare list behind
+			st.flushKeys(p, []string{"b1", "b2"})
 			for _, k := range []string{"a1", "a2", "b1", "b2"} {
-				st.Put(k, []byte("new "+k))
+				st.put(k, []byte("new "+k))
 			}
 			var settledB bool
 			g := simrt.NewGroup(st.sim)
 			g.Add(1)
 			st.sim.Spawn("second", func(sp *simrt.Proc) {
 				sp.Sleep(time.Microsecond) // the first write-back is on the disk
-				settledB = st.FlushKeys(sp, []string{"b1", "b2", "never-written"})
+				settledB = st.flushKeys(sp, []string{"b1", "b2", "never-written"})
 				g.Done()
 			})
 			if crash {
@@ -908,7 +976,7 @@ func TestOverlappingFlushesSettleTheirOwnRows(t *testing.T) {
 					st.Crash()
 				})
 			}
-			settledA := st.FlushKeys(p, []string{"a1", "a2"})
+			settledA := st.flushKeys(p, []string{"a1", "a2"})
 			g.Wait(p)
 			d := st.DurableSnapshot()
 			for _, k := range []string{"a1", "a2", "b1", "b2"} {
@@ -916,8 +984,8 @@ func TestOverlappingFlushesSettleTheirOwnRows(t *testing.T) {
 				if crash {
 					want = "old"
 				}
-				if string(d[k]) != want {
-					t.Errorf("crash=%v: durable %s=%q, want %q", crash, k, d[k], want)
+				if str(d[dk(k)]) != want {
+					t.Errorf("crash=%v: durable %s=%q, want %q", crash, k, str(d[dk(k)]), want)
 				}
 			}
 			if settledA == crash || settledB == crash {
@@ -934,14 +1002,14 @@ func TestOverlappingFlushesSettleTheirOwnRows(t *testing.T) {
 // what the transaction wrote, not what a later one put in the row.
 func TestSyncKeysSettlesCapturedValue(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		st.Put("k", []byte("txn1"))
+		st.put("k", []byte("txn1"))
 		st.sim.Spawn("writer", func(wp *simrt.Proc) {
 			wp.Sleep(SyncCommitCPU + time.Microsecond) // past the DB thread, journal write in flight
-			st.Put("k", []byte("txn2"))
+			st.put("k", []byte("txn2"))
 		})
 		syncKeys(st, p, []string{"k"})
-		if d := st.DurableSnapshot(); string(d["k"]) != "txn1" {
-			t.Errorf("durable k=%q, want the value the synced transaction wrote", d["k"])
+		if d := st.DurableSnapshot(); str(d[dk("k")]) != "txn1" {
+			t.Errorf("durable k=%q, want the value the synced transaction wrote", d[dk("k")])
 		}
 		if st.DirtyCount() != 1 {
 			t.Error("row rewritten during the journal write lost its dirty mark")
@@ -949,43 +1017,41 @@ func TestSyncKeysSettlesCapturedValue(t *testing.T) {
 	})
 }
 
-// The key Get hands out for a held row is the table's own string — the copy
-// the store made when the row was first written, not the string looked up —
-// and equals the key looked up: through rewrites and a deletion under equal
-// strings of their own, a flush, a row placed afresh when its journal write
-// settles after a Forget, a Crash and Recover, and a Forget that keeps the
-// record.
+// The key the store hands out for a held row is the one the row was filed
+// under, its name the filing caller's own string — the store neither copies
+// nor rebuilds it — and equals the key looked up: through rewrites and a
+// deletion under equal strings of other callers, a flush, a row placed afresh
+// when its journal write settles after a Forget, a Crash and Recover, and a
+// Forget that keeps the record.
 func TestGetReturnsTheTablesOwnKey(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		first := []byte("d/1/f")
-		st.Put(unsafe.String(&first[0], len(first)), []byte("1"))
-		copy(first, "xxxxx") // the store kept a copy, not the caller's bytes
-		key, _, _ := st.Get("d/1/f")
-		same := func() string { return strings.Clone(key) }
+		filed := types.DentryKey(1, strings.Clone("f"))
+		h, _ := st.PutAt(NoRow, filed, []byte("1"))
+		same := func() types.ObjKey { return types.DentryKey(1, strings.Clone("f")) }
 		check := func(stage string) {
 			t.Helper()
-			own, _, _ := st.Get(same())
-			if own != key || unsafe.StringData(own) != unsafe.StringData(key) {
-				t.Errorf("%s: Get returned %q at %p, want the table's %q at %p",
-					stage, own, unsafe.StringData(own), key, unsafe.StringData(key))
+			own := st.Key(st.Find(same()))
+			if own != filed || unsafe.StringData(own.Name) != unsafe.StringData(filed.Name) {
+				t.Errorf("%s: Key returned %v at %p, want the filed %v at %p",
+					stage, own, unsafe.StringData(own.Name), filed, unsafe.StringData(filed.Name))
 			}
 		}
 		check("put")
-		st.Put(same(), []byte("2"))
+		st.PutAt(st.Find(same()), same(), []byte("2"))
 		check("rewrite")
-		st.Delete(same())
+		st.DeleteAt(st.Find(same()), same())
 		check("delete")
-		st.Put(same(), []byte("3"))
-		st.FlushKeys(p, []string{same()})
+		st.PutAt(st.Find(same()), same(), []byte("3"))
+		st.FlushRows(p, []Ref{{Key: same(), Row: h}})
 		check("flush")
-		st.Put(same(), []byte("4"))
+		st.PutAt(st.Find(same()), same(), []byte("4"))
 		st.sim.Spawn("forgetter", func(wp *simrt.Proc) {
 			wp.Sleep(SyncCommitCPU + time.Microsecond) // captured, journal write in flight
 			st.Forget(same())
 		})
-		syncKeys(st, p, []string{same()})
-		if d := st.DurableSnapshot(); string(d[key]) != "4" {
-			t.Fatalf("row not re-placed by the settling journal write: durable %q", d)
+		st.SyncRows(p, []Ref{{Key: same(), Row: h}})
+		if d := st.DurableSnapshot(); str(d[filed]) != "4" {
+			t.Fatalf("row not re-placed by the settling journal write: durable %v", d)
 		}
 		check("re-placed in settle")
 		st.Crash()
@@ -993,21 +1059,139 @@ func TestGetReturnsTheTablesOwnKey(t *testing.T) {
 		check("crash+recover")
 		st.Forget(same()) // owed a checkpoint: the record stays
 		check("forget")
-		if own, _, ok := st.Get("d/1/other"); own != "" || ok {
-			t.Errorf("a row never written has key %q", own)
+		if own := st.Key(st.Find(dk("other"))); own != (types.ObjKey{}) {
+			t.Errorf("a row never written has key %v", own)
 		}
 	})
 }
 
-// A write-back of rows that are all clean — or not held — costs nothing.
+// A write-back of rows that are all clean — or not held — costs nothing,
+// named by key text or by key.
 func TestFlushKeysOfCleanRowsAllocatesNothing(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		st.Put("a", []byte("1"))
-		st.Put("b", []byte("2"))
+		st.put("a", []byte("1"))
+		st.put("b", []byte("2"))
 		st.FlushDirty(p)
-		keys := []string{"a", "b", "never-written"}
-		if a := testing.AllocsPerRun(100, func() { st.FlushKeys(p, keys) }); a != 0 {
+		texts := []string{"d/1/a", "d/1/b", "d/1/never-written"}
+		if a := testing.AllocsPerRun(100, func() { st.FlushKeys(p, texts) }); a != 0 {
 			t.Errorf("all-clean flush allocates %.1f objects, want 0", a)
+		}
+		rows := refs([]string{"a", "b", "never-written"})
+		if a := testing.AllocsPerRun(100, func() { st.FlushRows(p, rows) }); a != 0 {
+			t.Errorf("all-clean flush by key allocates %.1f objects, want 0", a)
+		}
+	})
+}
+
+// A row is a value: writing one copies its key and value into the record
+// and allocates nothing — a new row, a rewrite or a deletion — once the slab
+// and the index have room, and neither does reading it back.
+func TestPutAtAndDeleteAtAllocateNothing(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		const n = 1000
+		keys := make([]types.ObjKey, n)
+		for i := range keys {
+			keys[i] = types.DentryKey(1, fmt.Sprintf("file-%04d", i))
+		}
+		val := make([]byte, types.RowVal)
+		cycle := func() { // every row new, rewritten, deleted, then gone for good
+			for _, k := range keys {
+				h, _ := st.PutAt(st.Find(k), k, val)
+				st.PutAt(h, k, val[:8])
+				if !st.Value(h).Present() {
+					t.Fatal("a row written is not live")
+				}
+				st.DeleteAt(h, k)
+			}
+			st.FlushDirty(p) // absorbed: never durable, so every record goes
+		}
+		cycle() // warms the slab, the index and the flush's capture list
+		if a := testing.AllocsPerRun(5, func() {
+			for _, k := range keys {
+				h, _ := st.PutAt(st.Find(k), k, val)
+				st.PutAt(h, k, val[:8])
+				st.DeleteAt(h, k)
+			}
+		}); a != 0 {
+			t.Errorf("%d new rows written, rewritten and deleted allocate %.1f objects, want 0", n, a)
+		}
+		st.FlushDirty(p)
+		if st.index.n != 0 || st.Len() != 0 {
+			t.Fatalf("%d records indexed after every row went, want 0", st.index.n)
+		}
+		if a := testing.AllocsPerRun(5, func() {
+			for _, k := range keys {
+				h := st.DeleteAt(st.Find(k), k) // a deletion of a row not held files a record
+				st.PutAt(h, k, val)
+			}
+		}); a != 0 {
+			t.Errorf("%d deletions filing new records allocate %.1f objects, want 0", n, a)
+		}
+	})
+}
+
+// A value longer than the inline room is a bug: it panics naming its key,
+// and files nothing.
+func TestPutAtPanicsOnAValueOverRowVal(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `dentry(1,"big")`) {
+				t.Errorf("panic %v, want one naming the key", r)
+			}
+			if st.Find(dk("big")) != NoRow {
+				t.Error("a refused write filed a record")
+			}
+		}()
+		st.put("big", make([]byte, types.RowVal+1))
+	})
+}
+
+// TestRecordSize pins the slab's per-row cost — the key, two inline values,
+// and the scalars — and what a write-back captures of a row and the index
+// holds.
+func TestRecordSize(t *testing.T) {
+	if got, want := unsafe.Sizeof(record{}), uintptr(160); got != want {
+		t.Errorf("a record is %d bytes, want %d", got, want)
+	}
+	if got, want := unsafe.Sizeof(pageWrite{}), uintptr(96); got != want {
+		t.Errorf("a captured page write is %d bytes, want %d", got, want)
+	}
+	if got, want := unsafe.Sizeof(slot{}), uintptr(8); got != want {
+		t.Errorf("an index slot is %d bytes, want %d", got, want)
+	}
+}
+
+// The index is an open-addressing table: a key is found wherever its probe
+// sequence put it, through growth and through deletions that shift later
+// slots back, under a hash that puts many keys in one place.
+func TestIndexFindsEveryKeyThroughChurn(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		live := map[types.ObjKey]Row{}
+		for i := 0; i < 20000; i++ {
+			k := types.InodeKey(types.InodeID(i % 3000))
+			if i%5 == 4 {
+				k = types.DentryKey(types.InodeID(i%7), fmt.Sprint(i%2000))
+			}
+			if h, ok := live[k]; ok && i%3 == 0 {
+				st.Forget(k)
+				delete(live, k)
+				if st.Find(k) != NoRow {
+					t.Fatalf("step %d: %v found after it went (handle %d)", i, k, h)
+				}
+				continue
+			}
+			h, _ := st.PutAt(st.Find(k), k, []byte{byte(i)})
+			live[k] = h
+			if i%1000 == 0 {
+				for k, h := range live {
+					if got := st.Find(k); got != h {
+						t.Fatalf("step %d: Find(%v) = %d, want %d", i, k, got, h)
+					}
+				}
+			}
+		}
+		if st.index.n != len(live) || st.Len() != len(live) {
+			t.Errorf("%d indexed, %d live, want %d", st.index.n, st.Len(), len(live))
 		}
 	})
 }
@@ -1020,8 +1204,9 @@ func TestCheckpointAllocatesOnlyItsDiskRequests(t *testing.T) {
 		putRows(st, "k", 2*rowsPerPage) // rows that owe nothing, two full pages
 		rows := make([]Ref, 4)          // one page, one run
 		for i := range rows {
-			h, _ := st.PutAt(NoRow, fmt.Sprintf("j%d", i), []byte("v"))
-			rows[i] = Ref{Key: st.Key(h), Row: h}
+			k := dk(fmt.Sprintf("j%d", i))
+			h, _ := st.PutAt(NoRow, k, []byte("v"))
+			rows[i] = Ref{Key: k, Row: h}
 		}
 		cycle := func() {
 			st.SyncRows(p, rows)
@@ -1041,15 +1226,15 @@ func TestCheckpointAllocatesOnlyItsDiskRequests(t *testing.T) {
 // a key that took the record's slot since.
 func TestStaleHandleWritesOnlyItsKeysRow(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
-		h, _ := st.PutAt(NoRow, "a", []byte("1"))
-		stale := Ref{Key: st.Key(h), Row: h}
+		h, _ := st.PutAt(NoRow, dk("a"), []byte("1"))
+		stale := Ref{Key: dk("a"), Row: h}
 		st.FlushRows(p, []Ref{stale})
-		st.Delete("a")
+		st.del("a")
 		st.FlushRows(p, []Ref{stale}) // the deletion is durable: the record goes
-		if st.Find("a") != NoRow {
+		if st.Find(dk("a")) != NoRow {
 			t.Fatal("a row gone for good kept its record")
 		}
-		if hb, _ := st.PutAt(NoRow, "b", []byte("2")); hb != h {
+		if hb, _ := st.PutAt(NoRow, dk("b"), []byte("2")); hb != h {
 			t.Fatalf("b filed in slot %d, want the freed slot %d", hb, h)
 		}
 		st.Lock(h, types.OpID{Seq: 7})
@@ -1060,12 +1245,12 @@ func TestStaleHandleWritesOnlyItsKeysRow(t *testing.T) {
 		if st.Unlock(stale, types.OpID{Seq: 7}); st.Locked() != 1 || st.Pinned(stale) {
 			t.Error("a's stale handle reached b's lock or pin")
 		}
-		ha, _ := st.PutAt(NoRow, "a", []byte("3"))
+		ha, _ := st.PutAt(NoRow, dk("a"), []byte("3"))
 		st.SyncRows(p, []Ref{stale})
 		st.FlushRows(p, []Ref{stale})
 		d := st.DurableSnapshot()
-		if _, ok := d["b"]; ok || string(d["a"]) != "3" || ha == h {
-			t.Errorf("write-backs through a's stale handle left a=%q (slot %d, was %d), b durable: %v", d["a"], ha, h, ok)
+		if _, ok := d[dk("b")]; ok || str(d[dk("a")]) != "3" || ha == h {
+			t.Errorf("write-backs through a's stale handle left a=%q (slot %d, was %d), b durable: %v", str(d[dk("a")]), ha, h, ok)
 		}
 	})
 }
@@ -1077,41 +1262,45 @@ func TestStaleHandleWritesOnlyItsKeysRow(t *testing.T) {
 func TestLockedOrPinnedRecordOutlivesItsRow(t *testing.T) {
 	withStore(t, func(p *simrt.Proc, st *Store) {
 		a, b := types.OpID{Seq: 1}, types.OpID{Seq: 2}
-		h, _ := st.PutAt(NoRow, "x", []byte("1"))
+		x := dk("x")
+		h, _ := st.PutAt(NoRow, x, []byte("1"))
 		st.Lock(h, a)
-		st.Unlock(Ref{Key: "x", Row: h}, b)
+		st.Unlock(Ref{Key: x, Row: h}, b)
 		if holder, held := st.Holder(h); !held || holder != a {
 			t.Fatalf("x held by %v (%v) after another op's unlock, want %v", holder, held, a)
 		}
-		st.Delete("x")
-		st.FlushKeys(p, []string{"x"}) // absorbed: never durable
-		if st.Find("x") != h || st.Locked() != 1 {
+		st.del("x")
+		st.flushKeys(p, []string{"x"}) // absorbed: never durable
+		if st.Find(x) != h || st.Locked() != 1 {
 			t.Fatal("an absorbing write-back dropped a locked record")
 		}
 		if r := st.rec("x"); r.holds() {
 			t.Error("a locked record still holds a row that is gone for good")
 		}
-		st.Put("y", make([]byte, PageSize/2))
+		for i := 0; i < 50; i++ { // over half a page
+			st.put(fmt.Sprintf("y%02d", i), make([]byte, types.RowVal))
+		}
 		fill := st.fill
-		st.Put("x", []byte("2"))
-		if r := st.rec("x"); r.page != st.next || st.fill != fill+len("x2")+rowOverhead {
+		st.put("x", []byte("2"))
+		if r := st.rec("x"); r.page != st.next || st.fill != fill+x.TextLen()+1+rowOverhead {
 			t.Errorf("x written again kept page %d; want it placed afresh in the open page %d", r.page, st.next)
 		}
 		st.Pin(h)
-		st.Delete("x")
-		st.FlushKeys(p, []string{"x"})
-		st.Unlock(Ref{Key: "x", Row: h}, a)
-		if st.Find("x") != h || !st.Pinned(Ref{Key: "x", Row: h}) {
+		st.del("x")
+		st.flushKeys(p, []string{"x"})
+		st.Unlock(Ref{Key: x, Row: h}, a)
+		if st.Find(x) != h || !st.Pinned(Ref{Key: x, Row: h}) {
 			t.Fatal("a pinned record went with its lock")
 		}
-		if st.Unpin(h); st.Find("x") != NoRow {
+		if st.Unpin(h); st.Find(x) != NoRow {
 			t.Error("a record kept only by its pin stayed after the pin")
 		}
-		st.Lock(st.Find("y"), a)
-		st.Pin(st.Find("y"))
+		y := dk("y00")
+		st.Lock(st.Find(y), a)
+		st.Pin(st.Find(y))
 		st.Crash()
 		st.Recover()
-		if st.Locked() != 0 || st.Pinned(Ref{Key: "y", Row: NoRow}) || st.Find("y") != NoRow {
+		if st.Locked() != 0 || st.Pinned(Ref{Key: y, Row: NoRow}) || st.Find(y) != NoRow {
 			t.Error("a crash kept a lock, a pin, or the record of a row never durable")
 		}
 	})

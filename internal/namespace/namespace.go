@@ -10,28 +10,28 @@
 // (the paper's Metarates setup exploits exactly this), and an operation is
 // cross-server whenever the two placements land on different servers.
 //
-// The package owns the row format — how a dentry and an inode are keyed and
-// encoded in the store — and nothing outside it parses a row: Walk decodes a
+// The package owns the row format — how a dentry and an inode are encoded
+// in the store — and nothing outside it parses a row value: Walk decodes a
 // shard for whoever needs to see all of it, AppendIno/DentryIno are the
-// dentry value as it also travels in a readdir reply.
+// dentry value. A row's key is the object's types.ObjKey itself: a dentry
+// row keeps the request's own name string, so creating a name costs the
+// store nothing, and the key's text form is built only where its bytes are
+// counted or written.
 //
 // Every sub-op has one object (types.SubOp.Key), so one row, and the row is
-// probed once: Probe builds the object's key on its stack and probes the
-// store (the protocol layer's conflict check reads the row's lock from it),
-// and ExecRow takes the row it found, reads and writes it by handle, and
-// returns, by value in its Result, the row's images before and after and the
-// rows it wrote — a kvstore.Refs, handle and key, which is how write-back and
-// journaling reach them again. Exec probes and executes in one call; only
-// the parent inode a directory-entry action bumps costs a second probe.
+// probed once: Probe probes the store for the object's key (the protocol
+// layer's conflict check reads the row's lock from it), and ExecRow takes the
+// row it found, reads and writes it by handle, and returns, by value in its
+// Result, the row's images before and after and the rows it wrote — a
+// kvstore.Refs, handle and key, which is how write-back and journaling reach
+// them again. Exec probes and executes in one call; only the parent inode a
+// directory-entry action bumps costs a second probe.
 //
-// Values and keys are the store's own — values are never modified in place,
-// a write installs a fresh copy, and the store hands back the table's copy
-// of a held row's key — so holding an image is holding the row as it was,
-// and only a row new to the store pays for its key, which the store copies
-// off the stack with the row's first value. The same before-image is the
-// Undo, which every rollback applies: the Cx abort and invalidation paths,
-// SE's CLEAR, 2PC's abort, and (rebuilt from the Result-Record by UndoOf) an
-// abort after crash recovery.
+// A row is a value: an image (types.Row) is a copy of the key and value, so
+// holding one is holding the row as it was, and executing a sub-op allocates
+// nothing. The before-image is the Undo, which every rollback applies: the
+// Cx abort and invalidation paths, SE's CLEAR, 2PC's abort, and (rebuilt
+// from the Result-Record by UndoOf) an abort after crash recovery.
 package namespace
 
 import (
@@ -39,8 +39,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strconv"
-	"strings"
 	"unsafe"
 
 	"cxfs/internal/kvstore"
@@ -140,58 +138,15 @@ func DentryIno(val []byte) (types.InodeID, bool) {
 	return types.InodeID(binary.LittleEndian.Uint64(val)), true
 }
 
-// Row keys. Dentries ("d/<dir>/<name>") and inodes ("i/<ino>") share the
-// store with distinct prefixes. appendRow builds one into a buffer the
-// caller chooses, with strconv appends rather than fmt.Sprintf: it runs on
-// every sub-op and lookup. find, Probe and ExecRow build it on the stack:
-// the store looks keys up as they stand and copies only the key of a row it
-// files.
-func appendRow(buf []byte, k types.ObjKey) []byte {
-	switch k.Kind {
-	case types.ObjDentry:
-		buf = append(buf, 'd', '/')
-		buf = strconv.AppendUint(buf, uint64(k.Dir), 10)
-		buf = append(buf, '/')
-		return append(buf, k.Name...)
-	case types.ObjInode:
-		buf = append(buf, 'i', '/')
-		return strconv.AppendUint(buf, uint64(k.Ino), 10)
-	}
-	panic("namespace: RowKey on invalid ObjKey")
-}
+// Probe probes the store for object k's row (kvstore.Probe): the one probe
+// of a sub-op's object, which the protocol layer makes when the request
+// arrives and, if the answer is still current, need not make again when it
+// executes.
+func (sh *Shard) Probe(k types.ObjKey) kvstore.Probe { return sh.kv.Probe(k) }
 
-// keyBuf is the stack room for a row key: an inode key always fits, a dentry
-// key whenever its name is up to 40 bytes; a longer one spills to the heap.
-const keyBuf = 64
-
-// RowKey returns the kvstore row key for an object key, as a new string.
-func RowKey(k types.ObjKey) string {
-	var buf [keyBuf]byte
-	return string(appendRow(buf[:0], k))
-}
-
-// find returns the store's row of object k, kvstore.NoRow if the store holds
-// no record of it. The key is built on the stack and looked up as it stands —
-// the store does not retain it — so find allocates nothing.
-func (sh *Shard) find(k types.ObjKey) kvstore.Row {
-	var buf [keyBuf]byte
-	b := appendRow(buf[:0], k)
-	return sh.kv.Find(unsafe.String(unsafe.SliceData(b), len(b)))
-}
-
-// Probe is find, stamped (kvstore.Probe): the one probe of a sub-op's
-// object, which the protocol layer makes when the request arrives and, if the
-// answer is still current, need not make again when it executes.
-func (sh *Shard) Probe(k types.ObjKey) kvstore.Probe {
-	var buf [keyBuf]byte
-	b := appendRow(buf[:0], k)
-	return sh.kv.Probe(unsafe.String(unsafe.SliceData(b), len(b)))
-}
-
-// lookup reads the row of object k: its value and whether it is live.
-func (sh *Shard) lookup(k types.ObjKey) (val []byte, ok bool) {
-	return sh.kv.Value(sh.find(k))
-}
+// lookup reads the row of object k: a copy of its value, absent if the row
+// is not live.
+func (sh *Shard) lookup(k types.ObjKey) types.Val { return sh.kv.Value(sh.kv.Find(k)) }
 
 // Undo rolls back one sub-operation. The one row it wrote (the dentry or
 // inode it targets) is restored from its before-image; the parent-inode
@@ -200,13 +155,13 @@ func (sh *Shard) lookup(k types.ObjKey) (val []byte, ok bool) {
 // same directory update it commutatively and a before-image would clobber
 // their effects. The zero Undo (a read, a failed execution) restores nothing.
 type Undo struct {
-	before types.RowImage // Key "" = nothing to restore
-	dir    types.InodeID  // the parent directory whose entry count moved
-	delta  int64          // what to add to it to take that back; 0 = nothing
+	before types.Row     // Key.Kind 0 = nothing to restore
+	dir    types.InodeID // the parent directory whose entry count moved
+	delta  int64         // what to add to it to take that back; 0 = nothing
 }
 
 // Empty reports whether the undo has nothing to restore.
-func (u Undo) Empty() bool { return u.before.Key == "" }
+func (u Undo) Empty() bool { return u.before.Key.Kind == 0 }
 
 // parentBump is what an action adds to the entry count of the directory it
 // works in.
@@ -226,7 +181,7 @@ func parentBump(a types.SubOpAction) int64 {
 // only if the shard held the parent inode when the sub-op ran; this one
 // whenever it holds it at rollback, which is the same shard unless the
 // directory itself came or went in between.)
-func UndoOf(sub types.SubOp, before []types.RowImage) Undo {
+func UndoOf(sub types.SubOp, before []types.Row) Undo {
 	if len(before) == 0 {
 		return Undo{}
 	}
@@ -242,26 +197,63 @@ type Result struct {
 	Err   error        // why the sub-op failed (nil when OK)
 	Inode Inode        // stat/lookup payload
 	Rows  kvstore.Refs // rows written (for persistence): the row, then the parent inode's if bumped
-	Undo  Undo         // runtime rollback (empty for reads)
 	Freed bool         // DecLink dropped nlink to zero and freed the inode
 
 	// Before and After are the images of the row the sub-op wrote (the
-	// targeted dentry or inode; not the commutative parent counter); Key ""
-	// means it wrote none, as in Undo. They travel in the Result-Record so
-	// crash recovery can redo a commit or undo an abort idempotently by
+	// targeted dentry or inode; not the commutative parent counter); a zero
+	// Key means it wrote none, as in Undo. They travel in the Result-Record
+	// so crash recovery can redo a commit or undo an abort idempotently by
 	// installing images.
-	Before types.RowImage
-	After  types.RowImage
+	Before types.Row
+	After  types.Row
+
+	// dir and delta are the parent compensation of the undo (see Undo).
+	dir   types.InodeID
+	delta int64
 }
+
+// Undo returns the execution's runtime rollback: its before-image and the
+// parent compensation (empty for reads and failures).
+func (r *Result) Undo() Undo { return Undo{before: r.Before, dir: r.dir, delta: r.delta} }
 
 // Images returns the write's images as a Result-Record carries them: one
 // before and one after, or none for an execution that wrote nothing. The
 // slices are r's own fields; the log copies what it keeps of them.
-func (r *Result) Images() (before, after []types.RowImage) {
-	if r.Before.Key == "" {
+func (r *Result) Images() (before, after []types.Row) {
+	if r.Before.Key.Kind == 0 {
 		return nil, nil
 	}
 	return unsafe.Slice(&r.Before, 1), unsafe.Slice(&r.After, 1)
+}
+
+// Written is what an execution wrote, as a protocol keeps it to take back or
+// persist again later: its undo and the handles of the rows it wrote, whose
+// keys the undo names — the object's row is the one its before-image is of,
+// the parent inode's the directory it compensates. So it holds a Result's
+// Undo and Rows in 112 bytes where the two side by side take 200.
+type Written struct {
+	undo Undo
+	rows [2]kvstore.Row
+}
+
+// Written returns what r wrote.
+func (r *Result) Written() Written {
+	return Written{undo: r.Undo(), rows: [2]kvstore.Row{r.Rows[0].Row, r.Rows[1].Row}}
+}
+
+// Undo returns the undo of the execution.
+func (w *Written) Undo() Undo { return w.undo }
+
+// Rows returns the rows the execution wrote, as its Result's Rows.
+func (w *Written) Rows() kvstore.Refs {
+	var rs kvstore.Refs
+	if !w.undo.Empty() {
+		rs[0] = kvstore.Ref{Key: w.undo.before.Key, Row: w.rows[0]}
+	}
+	if w.undo.delta != 0 {
+		rs[1] = kvstore.Ref{Key: types.InodeKey(w.undo.dir), Row: w.rows[1]}
+	}
+	return rs
 }
 
 // Shard is one server's namespace partition.
@@ -282,27 +274,32 @@ func (sh *Shard) InitRoot() {
 
 // SeedInode force-installs an inode row (test and trace-bootstrap helper).
 func (sh *Shard) SeedInode(in Inode) {
-	sh.kv.Put(RowKey(types.InodeKey(in.Ino)), appendInode(nil, in))
+	var buf [inodeLen]byte
+	sh.put(types.InodeKey(in.Ino), appendInode(buf[:0], in))
 }
 
 // SeedDentry force-installs a directory entry (test and bootstrap helper).
 func (sh *Shard) SeedDentry(dir types.InodeID, name string, ino types.InodeID) {
-	sh.kv.Put(RowKey(types.DentryKey(dir, name)), AppendIno(nil, ino))
+	var buf [8]byte
+	sh.put(types.DentryKey(dir, name), AppendIno(buf[:0], ino))
 }
+
+// put writes val as the row of k.
+func (sh *Shard) put(k types.ObjKey, val []byte) { sh.kv.PutAt(sh.kv.Find(k), k, val) }
 
 // GetInode reads an inode row.
 func (sh *Shard) GetInode(ino types.InodeID) (Inode, bool) {
-	raw, ok := sh.lookup(types.InodeKey(ino))
-	if !ok {
+	raw := sh.lookup(types.InodeKey(ino))
+	if !raw.Present() {
 		return Inode{}, false
 	}
-	return decodeInode(raw), true
+	return decodeInode(raw.Bytes()), true
 }
 
 // LookupEntry resolves (dir, name) to an inode number.
 func (sh *Shard) LookupEntry(dir types.InodeID, name string) (types.InodeID, bool) {
-	raw, _ := sh.lookup(types.DentryKey(dir, name))
-	return DentryIno(raw)
+	raw := sh.lookup(types.DentryKey(dir, name))
+	return DentryIno(raw.Bytes())
 }
 
 // ResolveEntry resolves (dir, name) to the full inode for the leased read
@@ -328,7 +325,7 @@ func (sh *Shard) Exec(sub types.SubOp, now uint64) Result {
 	if !ok {
 		return Result{Err: fmt.Errorf("namespace: unknown action %v", sub.Action)}
 	}
-	return sh.ExecRow(sub, sh.find(obj), now)
+	return sh.ExecRow(sub, sh.kv.Find(obj), now)
 }
 
 // ExecRow applies one sub-operation to the volatile image, given row, the
@@ -344,13 +341,14 @@ func (sh *Shard) ExecRow(sub types.SubOp, row kvstore.Row, now uint64) Result {
 	if !ok {
 		return Result{Err: fmt.Errorf("namespace: unknown action %v", sub.Action)}
 	}
-	old, exists := sh.kv.Value(row)
+	old := sh.kv.Value(row)
+	exists := old.Present()
 	var in Inode
 	if exists && obj.Kind == types.ObjInode {
-		in = decodeInode(old)
+		in = decodeInode(old.Bytes())
 	}
 	var (
-		buf   [inodeLen]byte // the new value is encoded here; Put copies it
+		buf   [inodeLen]byte // the new value is encoded here; PutAt copies it
 		val   []byte         // what the row becomes; nil = deleted
 		freed bool
 	)
@@ -359,7 +357,7 @@ func (sh *Shard) ExecRow(sub types.SubOp, row kvstore.Row, now uint64) Result {
 		if !exists {
 			return Result{Err: fmt.Errorf("lookup %s: %w", sub.Name, types.ErrNotFound)}
 		}
-		ino, _ := DentryIno(old)
+		ino, _ := DentryIno(old.Bytes())
 		return Result{OK: true, Inode: Inode{Ino: ino}}
 	case types.ActReadInode:
 		if !exists {
@@ -418,52 +416,39 @@ func (sh *Shard) ExecRow(sub types.SubOp, row kvstore.Row, now uint64) Result {
 		val = appendInode(buf[:0], in)
 	}
 
-	// A row the store does not hold yet is filed under a copy of its key,
-	// which is built here on the stack.
-	var kb [keyBuf]byte
-	var newKey string
-	if row == kvstore.NoRow {
-		b := appendRow(kb[:0], obj)
-		newKey = unsafe.String(unsafe.SliceData(b), len(b))
-	}
-	// "and update parent inode", undone by compensation, not before-image.
-	parent, bump := kvstore.NoRow, parentBump(sub.Action)
-	if bump != 0 {
-		parent = sh.find(types.InodeKey(sub.Parent))
-	}
-	var after []byte
+	var after types.Val
 	if val == nil {
-		row = sh.kv.DeleteAt(row, newKey)
+		row = sh.kv.DeleteAt(row, obj)
 	} else {
-		row, after = sh.kv.PutAt(row, newKey, val)
+		row, after = sh.kv.PutAt(row, obj, val)
 	}
-	key := sh.kv.Key(row)
 	res := Result{OK: true, Freed: freed,
-		Before: types.RowImage{Key: key, Val: old}, After: types.RowImage{Key: key, Val: after}}
-	res.Rows.Add(kvstore.Ref{Key: key, Row: row})
-	res.Undo.before = res.Before
-	if bump != 0 {
-		if prow, held := sh.bumpParent(parent, bump, now, true); held {
-			res.Rows.Add(prow)
-			res.Undo.dir, res.Undo.delta = sub.Parent, -bump
+		Before: types.Row{Key: obj, Val: old}, After: types.Row{Key: obj, Val: after}}
+	res.Rows.Add(kvstore.Ref{Key: obj, Row: row})
+	// "and update parent inode", undone by compensation, not before-image.
+	if bump := parentBump(sub.Action); bump != 0 {
+		if ref, held := sh.bumpParent(sub.Parent, bump, now, true); held {
+			res.Rows.Add(ref)
+			res.dir, res.delta = sub.Parent, -bump
 		}
 	}
 	return res
 }
 
-// bumpParent adds delta to the entry count of a directory if this shard
-// holds its inode, whose row (find) is row, and reports the inode's row and
-// whether it did. Large striped directories keep the inode on another
-// server; the paper folds the update into the coordinator sub-op, so it
-// applies only where the inode is. An execution also stamps mtime; a
-// rollback's compensation does not (it takes back a count, not the fact that
-// the directory was touched).
-func (sh *Shard) bumpParent(row kvstore.Row, delta int64, now uint64, exec bool) (kvstore.Ref, bool) {
-	raw, held := sh.kv.Value(row)
-	if !held {
+// bumpParent adds delta to the entry count of directory dir if this shard
+// holds its inode, and reports the inode's row and whether it did. Large
+// striped directories keep the inode on another server; the paper folds the
+// update into the coordinator sub-op, so it applies only where the inode is.
+// An execution also stamps mtime; a rollback's compensation does not (it
+// takes back a count, not the fact that the directory was touched).
+func (sh *Shard) bumpParent(dir types.InodeID, delta int64, now uint64, exec bool) (kvstore.Ref, bool) {
+	key := types.InodeKey(dir)
+	row := sh.kv.Find(key)
+	raw := sh.kv.Value(row)
+	if !raw.Present() {
 		return kvstore.Ref{}, false
 	}
-	parent := decodeInode(raw)
+	parent := decodeInode(raw.Bytes())
 	if exec {
 		parent.Mtime = now
 	}
@@ -473,55 +458,55 @@ func (sh *Shard) bumpParent(row kvstore.Row, delta int64, now uint64, exec bool)
 		parent.Size = uint64(int64(parent.Size) + delta)
 	}
 	var buf [inodeLen]byte
-	sh.kv.PutAt(row, "", appendInode(buf[:0], parent))
-	return kvstore.Ref{Key: sh.kv.Key(row), Row: row}, true
+	sh.kv.PutAt(row, key, appendInode(buf[:0], parent))
+	return kvstore.Ref{Key: key, Row: row}, true
 }
 
 // ApplyUndo restores the before-image captured by a prior Exec and applies
 // the compensating parent adjustment, if the parent inode is (still) here.
 func (sh *Shard) ApplyUndo(u Undo) {
-	sh.InstallImages([]types.RowImage{u.before})
+	sh.install(&u.before)
 	if u.delta != 0 {
-		sh.bumpParent(sh.find(types.InodeKey(u.dir)), u.delta, 0, false)
+		sh.bumpParent(u.dir, u.delta, 0, false)
 	}
 }
 
-// InstallImages force-installs row images (an image without a key is no
-// image); recovery redo/undo path.
-func (sh *Shard) InstallImages(imgs []types.RowImage) {
-	for _, img := range imgs {
-		switch {
-		case img.Key == "":
-		case img.Val == nil:
-			sh.kv.Delete(img.Key)
-		default:
-			sh.kv.Put(img.Key, img.Val)
-		}
+// InstallImages force-installs row images; recovery redo/undo path.
+func (sh *Shard) InstallImages(imgs []types.Row) {
+	for i := range imgs {
+		sh.install(&imgs[i])
+	}
+}
+
+// install force-installs one image (a zero key is no image).
+func (sh *Shard) install(img *types.Row) {
+	switch {
+	case img.Key.Kind == 0:
+	case !img.Val.Present():
+		sh.kv.DeleteAt(sh.kv.Find(img.Key), img.Key)
+	default:
+		sh.put(img.Key, img.Val.Bytes())
 	}
 }
 
 // DirEntry is one readdir result.
-type DirEntry struct {
-	Name string
-	Ino  types.InodeID
-}
+type DirEntry = types.DirEntry
 
 // Walk decodes every row of the shard, calling dentry for each directory
 // entry with its directory, and inode (if not nil) for each inode. It is the
 // one parser of stored rows. Iteration order is the store's, i.e.
 // unspecified; callers needing determinism must sort.
 func (sh *Shard) Walk(dentry func(dir types.InodeID, e DirEntry), inode func(Inode)) {
-	sh.kv.Range(func(key string, val []byte) bool {
-		// "d/<dir>/<name>": split on the first two slashes only — a name may
-		// itself contain slashes or spaces, and must not be truncated.
-		if rest, ok := strings.CutPrefix(key, "d/"); ok {
-			dirStr, name, _ := strings.Cut(rest, "/")
-			dir, err := strconv.ParseUint(dirStr, 10, 64)
-			if ino, ok := DentryIno(val); ok && err == nil {
-				dentry(types.InodeID(dir), DirEntry{Name: name, Ino: ino})
+	sh.kv.Range(func(key types.ObjKey, val types.Val) bool {
+		switch key.Kind {
+		case types.ObjDentry:
+			if ino, ok := DentryIno(val.Bytes()); ok {
+				dentry(key.Dir, DirEntry{Name: key.Name, Ino: ino})
 			}
-		} else if strings.HasPrefix(key, "i/") && inode != nil {
-			inode(decodeInode(val))
+		case types.ObjInode:
+			if inode != nil {
+				inode(decodeInode(val.Bytes()))
+			}
 		}
 		return true
 	})

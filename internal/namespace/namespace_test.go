@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -90,7 +89,7 @@ func TestUndoRestoresExactState(t *testing.T) {
 	if !res.OK {
 		t.Fatal(res.Err)
 	}
-	sh.ApplyUndo(res.Undo)
+	sh.ApplyUndo(res.Undo())
 	after := sh.Store().Snapshot()
 	if len(after) != len(before) {
 		t.Fatalf("row count changed: %d -> %d", len(before), len(after))
@@ -118,7 +117,7 @@ func TestUndoCompensationPreservesConcurrentParentUpdates(t *testing.T) {
 	if !res1.OK || !res2.OK {
 		t.Fatal(res1.Err, res2.Err)
 	}
-	sh.ApplyUndo(res1.Undo)
+	sh.ApplyUndo(res1.Undo())
 	root, _ := sh.GetInode(types.RootInode)
 	if root.Size != 1 {
 		t.Errorf("parent size=%d after undoing first insert, want 1 (second insert preserved)", root.Size)
@@ -142,7 +141,7 @@ func TestUndoRestoresDeletedRow(t *testing.T) {
 	if _, ok := sh.GetInode(10); ok {
 		t.Fatal("inode not freed")
 	}
-	sh.ApplyUndo(res.Undo)
+	sh.ApplyUndo(res.Undo())
 	in, ok := sh.GetInode(10)
 	if !ok || in.Nlink != 1 {
 		t.Errorf("undo did not restore inode: %+v %v", in, ok)
@@ -212,7 +211,7 @@ func TestStatAndLookup(t *testing.T) {
 	if !res.OK || res.Inode.Ino != 10 {
 		t.Errorf("lookup: %+v", res)
 	}
-	if !res.Undo.Empty() {
+	if !res.Undo().Empty() {
 		t.Error("read produced an undo")
 	}
 }
@@ -303,9 +302,9 @@ func TestRowKeyMatchesExecRows(t *testing.T) {
 	if !res.OK {
 		t.Fatal(res.Err)
 	}
-	want := RowKey(types.InodeKey(77))
-	if rows := res.Rows.All(); len(rows) != 1 || rows[0] != (kvstore.Ref{Key: want, Row: sh.find(types.InodeKey(77))}) {
-		t.Errorf("rows=%v, want [%s] with its handle", res.Rows, want)
+	want := types.InodeKey(77)
+	if rows := res.Rows.All(); len(rows) != 1 || rows[0] != (kvstore.Ref{Key: want, Row: sh.kv.Find(want)}) {
+		t.Errorf("rows=%v, want [%v] with its handle", res.Rows, want)
 	}
 }
 
@@ -371,8 +370,12 @@ func TestInstallImagesRedoAndUndo(t *testing.T) {
 	if ino, ok := sh.LookupEntry(types.RootInode, "img"); !ok || ino != 10 {
 		t.Errorf("after-image install: %d %v", ino, ok)
 	}
-	// Empty keys are skipped.
-	sh.InstallImages([]types.RowImage{{Key: "", Val: []byte("junk")}})
+	// Zero keys are skipped.
+	junk, _ := types.ValOf([]byte("junk"))
+	sh.InstallImages([]types.Row{{Val: junk}})
+	if sh.Store().Len() != 2 {
+		t.Errorf("an image without a key installed a row: %d rows", sh.Store().Len())
+	}
 }
 
 func TestUndoHelpers(t *testing.T) {
@@ -380,31 +383,16 @@ func TestUndoHelpers(t *testing.T) {
 	defer done()
 	sh.InitRoot()
 	res := sh.Exec(sub(types.OpCreate, types.ActInsertEntry, types.RootInode, "u", 10, 0), 0)
-	if res.Undo.Empty() {
+	if res.Undo().Empty() {
 		t.Error("mutating op produced empty undo")
 	}
-	if len(res.Rows.All()) != 2 || res.Rows[0].Key != "d/1/u" || res.Rows[1].Key != "i/1" { // dentry row, then the parent's
+	if len(res.Rows.All()) != 2 || res.Rows[0].Key != types.DentryKey(1, "u") || res.Rows[1].Key != types.InodeKey(1) { // dentry row, then the parent's
 		t.Errorf("rows=%v", res.Rows)
 	}
 	sh.ApplyUndo(Undo{}) // the undo of a read or a failed execution: nothing happens
 	if _, ok := sh.LookupEntry(types.RootInode, "u"); !ok {
 		t.Error("the empty undo removed a row")
 	}
-}
-
-func TestRowKeyBothKinds(t *testing.T) {
-	if RowKey(types.DentryKey(7, "f")) != "d/7/f" {
-		t.Errorf("dentry row key: %s", RowKey(types.DentryKey(7, "f")))
-	}
-	if RowKey(types.InodeKey(42)) != "i/42" {
-		t.Errorf("inode row key: %s", RowKey(types.InodeKey(42)))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid ObjKey did not panic")
-		}
-	}()
-	RowKey(types.ObjKey{})
 }
 
 func TestExecFailurePathsProduceNoImages(t *testing.T) {
@@ -417,41 +405,6 @@ func TestExecFailurePathsProduceNoImages(t *testing.T) {
 	res = sh.Exec(types.SubOp{Action: types.SubOpAction(99)}, 0)
 	if res.OK {
 		t.Error("unknown action succeeded")
-	}
-}
-
-// TestRowKeyBuilders pins the strconv-based key builder to the historical
-// Sprintf format: durable stores written by earlier versions must keep
-// resolving, so the key layout is a compatibility surface, not a detail.
-func TestRowKeyBuilders(t *testing.T) {
-	cases := []struct {
-		dir  types.InodeID
-		name string
-	}{
-		{0, ""}, {1, "f"}, {types.RootInode, "a b/c"}, {1<<63 + 7, "x"},
-		{1<<64 - 1, strings.Repeat("long-name-", 8)}, // past the stack buffer
-	}
-	for _, c := range cases {
-		if got, want := RowKey(types.DentryKey(c.dir, c.name)), fmt.Sprintf("d/%d/%s", uint64(c.dir), c.name); got != want {
-			t.Errorf("RowKey(dentry %d,%q) = %q, want %q", c.dir, c.name, got, want)
-		}
-	}
-	for _, ino := range []types.InodeID{0, 1, types.RootInode, 1<<64 - 1} {
-		if got, want := RowKey(types.InodeKey(ino)), fmt.Sprintf("i/%d", uint64(ino)); got != want {
-			t.Errorf("RowKey(inode %d) = %q, want %q", ino, got, want)
-		}
-	}
-}
-
-// TestRowKeySingleAlloc keeps the builder honest: a key is one string
-// allocation, built in a stack buffer. Sprintf paid several plus interface
-// boxing, and the builder before this one a heap buffer for a dentry key.
-func TestRowKeySingleAlloc(t *testing.T) {
-	if a := testing.AllocsPerRun(200, func() { _ = RowKey(types.DentryKey(12345, "file-0001")) }); a > 1 {
-		t.Errorf("a dentry key allocates %.1f objects, want <=1", a)
-	}
-	if a := testing.AllocsPerRun(200, func() { _ = RowKey(types.InodeKey(12345)) }); a > 1 {
-		t.Errorf("an inode key allocates %.1f objects, want <=1", a)
 	}
 }
 
@@ -482,7 +435,7 @@ func seedFor(sh *Shard, withParent bool) {
 // The undo a recovering server rebuilds from the Result-Record must put back
 // exactly what the live one does — the parent's entry count included: on twin
 // shards, with and without the parent inode, ApplyUndo(UndoOf(sub, Before))
-// and ApplyUndo(res.Undo) leave the same rows, and they are the rows from
+// and ApplyUndo(res.Undo()) leave the same rows, and they are the rows from
 // before the execution (but for the parent's mtime, which no undo restores).
 func TestRebuiltUndoAgreesWithLiveUndo(t *testing.T) {
 	for _, withParent := range []bool{true, false} {
@@ -498,7 +451,7 @@ func TestRebuiltUndoAgreesWithLiveUndo(t *testing.T) {
 			if parentBump(m.Action) != 0 && withParent != (len(resL.Rows.All()) == 2) {
 				t.Errorf("%v parent=%v: rows %v", m, withParent, resL.Rows)
 			}
-			live.ApplyUndo(resL.Undo)
+			live.ApplyUndo(resL.Undo())
 			before, _ := resR.Images()
 			rebuilt.ApplyUndo(UndoOf(m, before))
 			got, want := rebuilt.Store().Snapshot(), live.Store().Snapshot()
@@ -523,15 +476,14 @@ func TestRebuiltUndoAgreesWithLiveUndo(t *testing.T) {
 	}
 }
 
-// Images are the store's own slices, which is safe because the store never
-// modifies a value in place: whatever is later written to the row, an image
-// taken by Exec keeps the bytes it had.
+// Images are copies of the row: whatever is later written to the row, in
+// place in its record, an image taken by Exec keeps the bytes it had.
 func TestImagesUnchangedByLaterWrites(t *testing.T) {
 	sh, done := newShard(t)
 	defer done()
 	seedFor(sh, true)
 	type held struct {
-		img  types.RowImage
+		img  types.Row
 		want []byte
 	}
 	var imgs []held
@@ -548,27 +500,27 @@ func TestImagesUnchangedByLaterWrites(t *testing.T) {
 			if !res.OK {
 				t.Fatalf("%v: %v", m, res.Err)
 			}
-			for _, img := range []types.RowImage{res.Before, res.After} {
-				imgs = append(imgs, held{img, bytes.Clone(img.Val)})
+			for _, img := range []types.Row{res.Before, res.After} {
+				imgs = append(imgs, held{img, bytes.Clone(img.Val.Bytes())})
 			}
 		}
 	}
-	sh.Store().Delete("i/12")
+	sh.install(&types.Row{Key: types.InodeKey(12)})
 	for _, h := range imgs {
-		if !bytes.Equal(h.img.Val, h.want) || (h.img.Val == nil) != (h.want == nil) {
-			t.Errorf("image of %s changed under later writes: %v, was %v", h.img.Key, h.img.Val, h.want)
+		if got := h.img.Val.Bytes(); !bytes.Equal(got, h.want) || (got == nil) != (h.want == nil) {
+			t.Errorf("image of %v changed under later writes: %v, was %v", h.img.Key, got, h.want)
 		}
 	}
 }
 
-// TestExecAllocCeiling pins what an execution allocates: the stored copy of
-// each new value — the row's and the colocated parent inode's — and a key
-// only for a row the store does not hold yet; the Result describes the write
-// by value, so nothing else. Keys of held rows are the store's own, so a read
-// allocates nothing. The parent of this scheme measured 13 allocations for
-// insert+remove, 7 for add+dec and 5 for the reads: a fresh key string per
-// row touched, a separate image pair and row list per write; its successor,
-// one object per write holding images and rows, 5 and 3.
+// TestExecAllocCeiling pins what an execution allocates: nothing. A row is a
+// value — its key the object's, its value inline in its record — and the
+// Result describes the write by value, so a new row, a rewrite and a read
+// all run without a heap object. Earlier schemes measured 13 allocations for
+// insert+remove, 7 for add+dec and 5 for the reads (a fresh key string per
+// row touched, a separate image pair and row list per write); then 5, 3 and
+// 0 (one object per write holding images and rows); then 3, 1 and 0 (the
+// stored copy of each new value, a new row's key sharing its allocation).
 func TestExecAllocCeiling(t *testing.T) {
 	sh, done := newShard(t)
 	defer done()
@@ -579,8 +531,8 @@ func TestExecAllocCeiling(t *testing.T) {
 		if !sh.Exec(ins, 1).OK || !sh.Exec(rem, 2).OK {
 			t.Fatal("exec failed")
 		}
-	}); a > 3 {
-		t.Errorf("insert+remove of one entry under a colocated parent: %.0f allocs, want <= 3", a)
+	}); a != 0 {
+		t.Errorf("insert+remove of one entry under a colocated parent: %.0f allocs, want 0", a)
 	}
 	add := sub(types.OpCreate, types.ActAddInode, 0, "", 10, types.FileRegular)
 	dec := sub(types.OpRemove, types.ActDecLink, 0, "", 10, 0)
@@ -588,8 +540,8 @@ func TestExecAllocCeiling(t *testing.T) {
 		if !sh.Exec(add, 1).OK || !sh.Exec(dec, 2).OK {
 			t.Fatal("exec failed")
 		}
-	}); a > 1 {
-		t.Errorf("add-inode+dec-link: %.0f allocs, want <= 1", a)
+	}); a != 0 {
+		t.Errorf("add-inode+dec-link: %.0f allocs, want 0", a)
 	}
 	sh.SeedDentry(types.RootInode, "file-0002", 11)
 	stat := sub(types.OpStat, types.ActReadInode, 0, "", types.RootInode, 0)
@@ -607,11 +559,10 @@ func TestExecAllocCeiling(t *testing.T) {
 }
 
 // Every key an execution hands out — its rows, its images, its undo — is the
-// key RowKey builds, whichever way the execution came by it (the store's own
-// copy for a held row, a new string for a new one): for each mutating action,
-// with and without the parent inode on the shard, the Result equals one
-// assembled from RowKey strings and the store's snapshots around the
-// execution, and every row key is the store's own string.
+// row key of its object, the sub-op's own types.ObjKey: for each mutating
+// action, with and without the parent inode on the shard, the Result equals
+// one assembled from object keys and the store's snapshots around the
+// execution, and every row it names is filed under that key.
 func TestExecKeysAgreeWithRowKey(t *testing.T) {
 	for _, withParent := range []bool{true, false} {
 		for _, m := range mutations {
@@ -620,25 +571,50 @@ func TestExecKeysAgreeWithRowKey(t *testing.T) {
 			before := sh.Store().Snapshot()
 			res := sh.Exec(m, 9)
 			after := sh.Store().Snapshot()
-			obj, _ := m.Key()
-			k := RowKey(obj)
-			want := Result{OK: true, Freed: m.Action == types.ActDecLink && after[k] == nil, Rows: kvstore.Refs{{Key: k, Row: sh.find(obj)}},
-				Before: types.RowImage{Key: k, Val: before[k]}, After: types.RowImage{Key: k, Val: after[k]}}
-			want.Undo.before = want.Before
+			k, _ := m.Key()
+			want := Result{OK: true, Freed: m.Action == types.ActDecLink && !after[k].Present(), Rows: kvstore.Refs{{Key: k, Row: sh.kv.Find(k)}},
+				Before: types.Row{Key: k, Val: before[k]}, After: types.Row{Key: k, Val: after[k]}}
 			if bump := parentBump(m.Action); withParent && bump != 0 {
-				want.Rows[1] = kvstore.Ref{Key: RowKey(types.InodeKey(m.Parent)), Row: sh.find(types.InodeKey(m.Parent))}
-				want.Undo.dir, want.Undo.delta = m.Parent, -bump
+				want.Rows[1] = kvstore.Ref{Key: types.InodeKey(m.Parent), Row: sh.kv.Find(types.InodeKey(m.Parent))}
+				want.dir, want.delta = m.Parent, -bump
 			}
 			if !reflect.DeepEqual(res, want) {
 				t.Errorf("%v parent=%v:\n got %+v\nwant %+v", m, withParent, res, want)
 			}
 			for _, row := range res.Rows.All() {
-				if own := sh.Store().Key(row.Row); unsafe.StringData(own) != unsafe.StringData(row.Key) {
-					t.Errorf("%v parent=%v: row %q is not the store's own key", m, withParent, row.Key)
+				if own := sh.Store().Key(row.Row); own != row.Key {
+					t.Errorf("%v parent=%v: row %v is filed under %v", m, withParent, row.Key, own)
 				}
 			}
 			done()
 		}
+	}
+}
+
+// What an execution wrote, kept compactly, gives back its Result's undo and
+// rows exactly: for each mutating action, with and without the parent inode
+// on the shard, and for a failed execution.
+func TestWrittenKeepsUndoAndRows(t *testing.T) {
+	for _, withParent := range []bool{true, false} {
+		for _, m := range mutations {
+			sh, done := newShard(t)
+			seedFor(sh, withParent)
+			res := sh.Exec(m, 9)
+			w := res.Written()
+			if w.Undo() != res.Undo() || w.Rows() != res.Rows {
+				t.Errorf("%v parent=%v: kept undo %+v rows %+v, want %+v and %+v", m, withParent, w.Undo(), w.Rows(), res.Undo(), res.Rows)
+			}
+			done()
+		}
+	}
+	sh, done := newShard(t)
+	defer done()
+	res := sh.Exec(sub(types.OpRemove, types.ActRemoveEntry, 1, "nope", 0, 0), 0)
+	if w := res.Written(); !w.Undo().Empty() || w.Rows() != (kvstore.Refs{}) {
+		t.Errorf("a failed execution wrote %+v", w)
+	}
+	if n := unsafe.Sizeof(Written{}); n != 112 {
+		t.Errorf("Written is %d bytes, want 112", n)
 	}
 }
 
@@ -649,7 +625,6 @@ func TestWalkDecodesEveryRow(t *testing.T) {
 	defer done()
 	seedFor(sh, true)
 	sh.SeedDentry(7, "a b/c", 13)
-	sh.Store().Put("x/unknown", []byte("ignored"))
 	dents := map[string]types.InodeID{}
 	var inos []types.InodeID
 	sh.Walk(func(dir types.InodeID, e DirEntry) { dents[fmt.Sprintf("%d:%s", dir, e.Name)] = e.Ino },

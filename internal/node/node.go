@@ -285,12 +285,7 @@ func (b *Base) Gone(boot uint64) bool { return b.crashed || b.boot != boot }
 // uncommitted executions), matching OrangeFS semantics; the paper's
 // conflict machinery covers only per-object accesses.
 func (b *Base) ServeReaddir(m *wire.Msg) {
-	entries := b.Shard.ListDir(m.FullOp.Parent)
-	rows := make([]types.RowImage, 0, len(entries))
-	for _, e := range entries {
-		rows = append(rows, types.RowImage{Key: e.Name, Val: namespace.AppendIno(nil, e.Ino)})
-	}
-	b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, OK: true, Rows: rows})
+	b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, OK: true, Entries: b.Shard.ListDir(m.FullOp.Parent)})
 }
 
 // Host is a client machine: it owns the inbox for its node ID and routes

@@ -110,15 +110,15 @@ func TestCrashDiscardsVolatileState(t *testing.T) {
 	s, _, b, _ := build(t)
 	done := false
 	s.Spawn("driver", func(p *simrt.Proc) {
-		b.KV.Put("k", []byte("v"))
+		b.KV.Put("d/1/k", []byte("v"))
 		b.KV.FlushDirty(p)
-		b.KV.Put("lost", []byte("x"))
+		b.KV.Put("d/1/lost", []byte("x"))
 		b.Crash()
 		b.Reboot()
-		if _, _, ok := b.KV.Get("lost"); ok {
+		if b.KV.Get("d/1/lost").Present() {
 			t.Error("unflushed key survived crash")
 		}
-		if _, v, ok := b.KV.Get("k"); !ok || string(v) != "v" {
+		if v := b.KV.Get("d/1/k"); string(v.Bytes()) != "v" {
 			t.Error("durable key lost")
 		}
 		done = true

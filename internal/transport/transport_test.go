@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -215,7 +216,10 @@ func TestBigMessagePaysTransferTime(t *testing.T) {
 	s.Spawn("send", func(p *simrt.Proc) {
 		n.Send(wire.Msg{Type: wire.MsgAck, From: 0, To: 1})
 		p.Sleep(time.Second)
-		rows := []types.RowImage{{Key: "k", Val: make([]byte, 10<<20)}}
+		rows := make([]types.Row, 160) // 160 rows of 64 KB keys: 10 MB
+		for i := range rows {
+			rows[i].Key = types.DentryKey(1, strings.Repeat("k", 64000))
+		}
 		n.Send(wire.Msg{Type: wire.MsgMigrateResp, From: 0, To: 1, Rows: rows})
 	})
 	s.Run()

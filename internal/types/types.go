@@ -244,17 +244,6 @@ type Inode struct {
 	Mtime uint64
 }
 
-// RowImage is a point-in-time image of one database row: Val == nil means
-// the row is absent. Result-Records carry the before/after image of the row a
-// sub-operation wrote, so crash recovery can redo a committed operation or
-// undo an aborted one idempotently by installing images instead of
-// re-running non-idempotent logic. It is also the one {key, value} pair on
-// the wire: a migrated row (CE), a readdir entry (name, dentry value).
-type RowImage struct {
-	Key string
-	Val []byte // nil = row absent
-}
-
 // Errors shared across layers. Protocol code wraps these with context; tests
 // and the harness match them with errors.Is.
 var (
@@ -282,6 +271,9 @@ var (
 	// ErrNotSupported reports an operation the protocol does not implement:
 	// rename under the baselines, which the paper leaves out (§II.A).
 	ErrNotSupported = errors.New("operation not supported")
+	// ErrNameTooLong reports an operation naming an entry longer than
+	// MaxName bytes; the client refuses it before sending anything.
+	ErrNameTooLong = errors.New("file name too long")
 )
 
 // WireError maps the error text of a failed response back to the sentinel

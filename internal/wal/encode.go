@@ -25,7 +25,7 @@ import (
 //	u64  target inode
 //	u8   file type
 //	u16  name length, then name bytes
-//	u8   before-image count, then images (u16 key len, key, u32 val len+1, val)
+//	u8   before-image count, then images (u16 key len, key text, u32 val len+1, val)
 //	u8   after-image count, then images
 //	-- all records --
 //	u32  FNV-1a checksum of everything after the length field
@@ -49,36 +49,55 @@ func encodedSize(rec *Record) int64 {
 	if rec.Type == RecResult {
 		n += resultFixed + len(rec.Sub.Name)
 		n += 2 // image counts
+		for i := range rec.Pre {
+			n += imageSize(rec.Pre[i].Key.TextLen(), rec.Pre[i].Val.Len())
+		}
+		for i := range rec.Post {
+			n += imageSize(rec.Post[i].Key.TextLen(), rec.Post[i].Val.Len())
+		}
 		for _, img := range rec.Before {
-			n += 2 + len(img.Key) + 4 + len(img.Val)
+			n += imageSize(len(img.Key), len(img.Val))
 		}
 		for _, img := range rec.After {
-			n += 2 + len(img.Key) + 4 + len(img.Val)
+			n += imageSize(len(img.Key), len(img.Val))
 		}
 	}
 	return int64(n)
 }
 
-// putImages appends an image list: count byte, then per image a u16 key
-// length, the key, a u32 value length+1 (0 encodes the nil/absent image),
-// and the value bytes.
-func putImages(buf []byte, imgs []types.RowImage) []byte {
-	buf = append(buf, byte(len(imgs)))
-	for _, img := range imgs {
+// imageSize is the encoded size of an image whose key's text is keyLen bytes
+// and whose value is valLen.
+func imageSize(keyLen, valLen int) int { return 2 + keyLen + 4 + valLen }
+
+// putImages appends an image list, rows then texts: count byte, then per
+// image a u16 key length, the key's text, a u32 value length+1 (0 encodes
+// the absent image), and the value bytes.
+func putImages(buf []byte, rows []types.Row, texts []types.RowImage) []byte {
+	buf = append(buf, byte(len(rows)+len(texts)))
+	for i := range rows {
+		img := &rows[i]
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(img.Key.TextLen()))
+		buf = putVal(img.Key.AppendText(buf), img.Val.Bytes())
+	}
+	for _, img := range texts {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(img.Key)))
-		buf = append(buf, img.Key...)
-		if img.Val == nil {
-			buf = binary.LittleEndian.AppendUint32(buf, 0)
-			continue
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(img.Val))+1)
-		buf = append(buf, img.Val...)
+		buf = putVal(append(buf, img.Key...), img.Val)
 	}
 	return buf
 }
 
+// putVal appends an image's value: its length+1 (0: val is nil, absent) and
+// its bytes.
+func putVal(buf, val []byte) []byte {
+	if val == nil {
+		return binary.LittleEndian.AppendUint32(buf, 0)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val))+1)
+	return append(buf, val...)
+}
+
 // takeImages parses an image list written by putImages.
-func takeImages(buf []byte, pos int) ([]types.RowImage, int, error) {
+func takeImages(buf []byte, pos int) ([]types.Row, int, error) {
 	if pos >= len(buf) {
 		return nil, pos, fmt.Errorf("wal: image count truncated")
 	}
@@ -87,7 +106,7 @@ func takeImages(buf []byte, pos int) ([]types.RowImage, int, error) {
 	if n == 0 {
 		return nil, pos, nil
 	}
-	imgs := make([]types.RowImage, 0, n)
+	imgs := make([]types.Row, 0, n)
 	for i := 0; i < n; i++ {
 		if pos+2 > len(buf) {
 			return nil, pos, fmt.Errorf("wal: image key length truncated")
@@ -97,21 +116,26 @@ func takeImages(buf []byte, pos int) ([]types.RowImage, int, error) {
 		if pos+kl+4 > len(buf) {
 			return nil, pos, fmt.Errorf("wal: image key truncated")
 		}
-		key := string(buf[pos : pos+kl])
+		key, err := types.ParseObjKey(string(buf[pos : pos+kl]))
+		if err != nil {
+			return nil, pos, fmt.Errorf("wal: image key: %w", err)
+		}
 		pos += kl
 		vl := int(binary.LittleEndian.Uint32(buf[pos:]))
 		pos += 4
-		var val []byte
+		img := types.Row{Key: key}
 		if vl > 0 {
 			vl--
 			if pos+vl > len(buf) {
 				return nil, pos, fmt.Errorf("wal: image value truncated")
 			}
-			val = make([]byte, vl)
-			copy(val, buf[pos:pos+vl])
+			var ok bool
+			if img.Val, ok = types.ValOf(buf[pos : pos+vl]); !ok {
+				return nil, pos, fmt.Errorf("wal: image value of %d bytes exceeds %d", vl, types.RowVal)
+			}
 			pos += vl
 		}
-		imgs = append(imgs, types.RowImage{Key: key, Val: val})
+		imgs = append(imgs, img)
 	}
 	return imgs, pos, nil
 }
@@ -149,8 +173,8 @@ func appendRecord(buf []byte, rec *Record) []byte {
 		buf = append(buf, byte(rec.Sub.Type))
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(rec.Sub.Name)))
 		buf = append(buf, rec.Sub.Name...)
-		buf = putImages(buf, rec.Before)
-		buf = putImages(buf, rec.After)
+		buf = putImages(buf, rec.Pre, rec.Before)
+		buf = putImages(buf, rec.Post, rec.After)
 	}
 	h := fnv.New32a()
 	h.Write(buf[start+2:])
@@ -208,10 +232,10 @@ func decode(buf []byte) (Record, error) {
 		rec.Sub.Role = rec.Role
 		pos := nameStart + nameLen
 		var err error
-		if rec.Before, pos, err = takeImages(buf, pos); err != nil {
+		if rec.Pre, pos, err = takeImages(buf, pos); err != nil {
 			return rec, err
 		}
-		if rec.After, pos, err = takeImages(buf, pos); err != nil {
+		if rec.Post, pos, err = takeImages(buf, pos); err != nil {
 			return rec, err
 		}
 		if pos != len(buf)-checksumSize {

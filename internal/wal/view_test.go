@@ -147,9 +147,12 @@ func TestRecordViewMatchesModel(t *testing.T) {
 				}
 				w.AppendBatch(p, recs)
 				for _, r := range recs {
-					for _, img := range append(r.Before, r.After...) {
-						for i := range img.Val {
-							img.Val[i] ^= 0xff
+					for _, imgs := range [][]types.Row{r.Pre, r.Post} {
+						for j := range imgs {
+							b := imgs[j].Val.Bytes()
+							for i := range b {
+								b[i] ^= 0xff
+							}
 						}
 					}
 				}
@@ -311,16 +314,17 @@ func randomRecord(rng *rand.Rand, typ RecType, op types.OpID) Record {
 		return rec // a failed sub-op: nothing written, no images
 	}
 	for n := 1 + rng.Intn(4)/3; n > 0; n-- {
-		key := fmt.Sprintf("d/%d/%s", rec.Sub.Parent, rec.Sub.Name)
-		before := types.RowImage{Key: key}
+		key := types.DentryKey(rec.Sub.Parent, rec.Sub.Name)
+		before := types.Row{Key: key}
 		if rng.Intn(2) == 0 {
-			before.Val = randomBytes(rng, 1+rng.Intn(40))
+			before.Val, _ = types.ValOf(randomBytes(rng, 1+rng.Intn(types.RowVal)))
 		}
-		after := types.RowImage{Key: key, Val: []byte{}}
+		after := types.Row{Key: key}
+		after.Val, _ = types.ValOf(nil)
 		if rng.Intn(3) != 0 {
-			after.Val = randomBytes(rng, 1+rng.Intn(40))
+			after.Val, _ = types.ValOf(randomBytes(rng, 1+rng.Intn(types.RowVal)))
 		}
-		rec.Before, rec.After = append(rec.Before, before), append(rec.After, after)
+		rec.Pre, rec.Post = append(rec.Pre, before), append(rec.Post, after)
 	}
 	return rec
 }
@@ -331,22 +335,9 @@ func randomBytes(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-// cloneRecord copies rec's images, keeping nil and empty values apart.
+// cloneRecord copies rec's image lists.
 func cloneRecord(rec Record) Record {
-	clone := func(imgs []types.RowImage) []types.RowImage {
-		if imgs == nil {
-			return nil
-		}
-		out := make([]types.RowImage, len(imgs))
-		for i, img := range imgs {
-			out[i] = types.RowImage{Key: img.Key}
-			if img.Val != nil {
-				out[i].Val = append([]byte{}, img.Val...)
-			}
-		}
-		return out
-	}
-	rec.Before, rec.After = clone(rec.Before), clone(rec.After)
+	rec.Pre, rec.Post = slices.Clone(rec.Pre), slices.Clone(rec.Post)
 	return rec
 }
 

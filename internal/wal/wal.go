@@ -91,13 +91,20 @@ func (t RecType) String() string {
 // one (install Before) idempotently. The log keeps a record's encoding, never
 // the Record: its slices may point anywhere, the caller's stack included.
 type Record struct {
-	Type   RecType
-	Op     types.OpID
-	Role   types.Role
-	OK     bool             // Result: whether the sub-op succeeded
-	Sub    types.SubOp      // Result: the sub-op, for crash resumption
-	Before []types.RowImage // Result: primary-row images pre-execution
-	After  []types.RowImage // Result: primary-row images post-execution
+	Type RecType
+	Op   types.OpID
+	Role types.Role
+	OK   bool        // Result: whether the sub-op succeeded
+	Sub  types.SubOp // Result: the sub-op, for crash resumption
+	Pre  []types.Row // Result: primary-row images pre-execution
+	Post []types.Row // Result: primary-row images post-execution
+	// Before and After are more images, pre- and post-execution, in text
+	// form, for a producer that holds its rows' keys only as text. The log
+	// writes them after Pre's and Post's, byte for byte as it would write
+	// the same rows as types.Row, and reads every image back into Pre and
+	// Post.
+	Before []types.RowImage
+	After  []types.RowImage
 	// Peer is the other server of the operation (participant on the
 	// coordinator's records and vice versa), so recovery resumes the
 	// commitment with the right node without re-deriving placement —

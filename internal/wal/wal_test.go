@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"encoding/hex"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -371,25 +373,58 @@ func TestPeerFieldRoundTrips(t *testing.T) {
 	}
 }
 
+// Images round-trip as rows, the ones given in text form included: a
+// decoded record holds every image in Pre and Post, in the order written.
 func TestImagesRoundTripInRecords(t *testing.T) {
 	rec := resultRec(7, "imgs")
-	rec.Before = []types.RowImage{{Key: "d/1/x", Val: nil}, {Key: "i/9", Val: []byte{1, 2}}}
-	rec.After = []types.RowImage{{Key: "d/1/x", Val: []byte{9, 9, 9}}}
+	two, _ := types.ValOf([]byte{1, 2})
+	rec.Pre = []types.Row{{Key: types.DentryKey(1, "x")}, {Key: types.InodeKey(9), Val: two}}
+	rec.After = []types.RowImage{{Key: "d/1/x", Val: []byte{9, 9, 9}}, {Key: "i/9"}}
 	got, err := RoundTrip(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Before) != 2 || len(got.After) != 1 {
+	if len(got.Pre) != 2 || len(got.Post) != 2 || got.Before != nil || got.After != nil {
 		t.Fatalf("image counts: %+v", got)
 	}
-	if got.Before[0].Val != nil || string(got.Before[1].Val) != "\x01\x02" {
-		t.Errorf("before images mangled: %+v", got.Before)
+	if !reflect.DeepEqual(got.Pre, rec.Pre) {
+		t.Errorf("before images mangled: %+v", got.Pre)
 	}
-	if string(got.After[0].Val) != "\t\t\t" {
-		t.Errorf("after image mangled: %+v", got.After)
+	if nines, _ := types.ValOf([]byte{9, 9, 9}); got.Post[0] != (types.Row{Key: types.DentryKey(1, "x"), Val: nines}) ||
+		got.Post[1] != (types.Row{Key: types.InodeKey(9)}) {
+		t.Errorf("after images mangled: %+v", got.Post)
 	}
 	if EncodedSize(rec) != int64(len(encode(&rec))) {
 		t.Error("size mismatch with images")
+	}
+	bad := resultRec(8, "bad")
+	bad.After = []types.RowImage{{Key: "x/1"}}
+	if _, err := RoundTrip(bad); err == nil {
+		t.Error("an image whose key text is no key decoded")
+	}
+}
+
+// TestGoldenResultRecord pins the bytes of one Result-Record to what the log
+// wrote when rows were keyed by text: typed keys are written as their text,
+// so log bytes, and the disk time and log space they cost, are unchanged.
+func TestGoldenResultRecord(t *testing.T) {
+	op := types.OpID{Proc: types.ProcID{Client: 100, Index: 2}, Seq: 7}
+	key := types.DentryKey(1, "f0001")
+	after, _ := types.ValOf([]byte{5, 0, 0, 0, 0, 1, 0, 0})
+	rec := Record{Type: RecResult, Op: op, Role: types.RoleCoordinator, OK: true, Peer: 3, HasPeer: true,
+		Sub: types.SubOp{Op: op, Kind: types.OpCreate, Role: types.RoleCoordinator, Action: types.ActInsertEntry,
+			Parent: 1, Name: "f0001", Ino: 1<<40 + 5, Type: types.FileRegular},
+		Pre: []types.Row{{Key: key}}, Post: []types.Row{{Key: key, Val: after}}}
+	const want = "5d0001010364000000020000000700000000000000030000000101010000000000000005000000000100000105006630303031010900642f312f663030303100000000010900642f312f66303030310900000005000000000100001bcf07d5"
+	if got := hex.EncodeToString(encode(&rec)); got != want || EncodedSize(rec) != 95 {
+		t.Errorf("Result-Record of %d bytes\n got %s\nwant %s (95 bytes)", EncodedSize(rec), got, want)
+	}
+	text := rec
+	text.Pre, text.Post = nil, nil
+	text.Before = []types.RowImage{{Key: "d/1/f0001"}}
+	text.After = []types.RowImage{{Key: "d/1/f0001", Val: []byte{5, 0, 0, 0, 0, 1, 0, 0}}}
+	if got := hex.EncodeToString(encode(&text)); got != want {
+		t.Errorf("the same images in text form encode as\n%s", got)
 	}
 }
 
@@ -426,11 +461,12 @@ func TestAppendFreshOpWarmNoAlloc(t *testing.T) {
 			seq++
 			var val [8]byte
 			val[0] = byte(seq)
-			var imgs [2]types.RowImage
-			imgs[0] = types.RowImage{Key: "d/7/f"}
-			imgs[1] = types.RowImage{Key: "d/7/f", Val: val[:]}
+			var imgs [2]types.Row
+			imgs[0] = types.Row{Key: types.DentryKey(7, "f")}
+			imgs[1] = types.Row{Key: types.DentryKey(7, "f")}
+			imgs[1].Val, _ = types.ValOf(val[:])
 			rec := resultRec(seq, "f")
-			rec.Before, rec.After = imgs[:1], imgs[1:]
+			rec.Pre, rec.Post = imgs[:1], imgs[1:]
 			w.AppendBatchPriority(p, []Record{rec})
 			if seq > 8 {
 				w.Prune(opID(seq - 8)) // eight ops stay live

@@ -30,7 +30,7 @@ const (
 	// keys, error text).
 	MaxString = 1<<16 - 1
 	// MaxBatch bounds every batched repeated field (Ops, Enforce, Votes,
-	// Decisions, Rows, Keys).
+	// Decisions, Rows or Entries, Keys).
 	MaxBatch = 1<<16 - 1
 )
 
@@ -68,17 +68,28 @@ func Validate(m *Msg) error {
 	if len(m.Rows) > MaxBatch {
 		return fmt.Errorf("wire: %d rows exceed batch limit %d", len(m.Rows), MaxBatch)
 	}
+	if len(m.Entries) > MaxBatch {
+		return fmt.Errorf("wire: %d entries exceed batch limit %d", len(m.Entries), MaxBatch)
+	}
+	if (m.Type == MsgOpResp && len(m.Rows) > 0) || (m.Type != MsgOpResp && len(m.Entries) > 0) {
+		return fmt.Errorf("wire: a %v carries %d rows and %d entries", m.Type, len(m.Rows), len(m.Entries))
+	}
 	if len(m.Keys) > MaxBatch {
 		return fmt.Errorf("wire: %d keys exceed batch limit %d", len(m.Keys), MaxBatch)
 	}
 	for i := range m.Rows {
-		if len(m.Rows[i].Key) > MaxString {
-			return fmt.Errorf("wire: row key of %d bytes exceeds %d", len(m.Rows[i].Key), MaxString)
+		if n := m.Rows[i].Key.TextLen(); n > MaxString {
+			return fmt.Errorf("wire: row key of %d bytes exceeds %d", n, MaxString)
 		}
 	}
 	for i := range m.Keys {
-		if len(m.Keys[i]) > MaxString {
-			return fmt.Errorf("wire: key of %d bytes exceeds %d", len(m.Keys[i]), MaxString)
+		if n := m.Keys[i].TextLen(); n > MaxString {
+			return fmt.Errorf("wire: key of %d bytes exceeds %d", n, MaxString)
+		}
+	}
+	for i := range m.Entries {
+		if len(m.Entries[i].Name) > MaxString {
+			return fmt.Errorf("wire: entry name of %d bytes exceeds %d", len(m.Entries[i].Name), MaxString)
 		}
 	}
 	return nil
@@ -104,6 +115,12 @@ func (e *encoder) str(s string) {
 func (e *encoder) bytes(v []byte) {
 	e.u32(uint32(len(v)))
 	e.b = append(e.b, v...)
+}
+
+// key writes a row key as a string: its text form.
+func (e *encoder) key(k types.ObjKey) {
+	e.u16(uint16(k.TextLen()))
+	e.b = k.AppendText(e.b)
 }
 func (e *encoder) opID(id types.OpID) {
 	e.u32(uint32(id.Proc.Client))
@@ -194,6 +211,34 @@ func (d *decoder) bytes() []byte {
 	}
 	v := make([]byte, n)
 	copy(v, d.b[d.pos:d.pos+n])
+	d.pos += n
+	return v
+}
+
+// key reads a row key written as its text form.
+func (d *decoder) key() types.ObjKey {
+	text := d.str()
+	if d.err != nil {
+		return types.ObjKey{}
+	}
+	k, err := types.ParseObjKey(text)
+	if err != nil {
+		d.err = fmt.Errorf("wire: %w", err)
+	}
+	return k
+}
+
+// val reads a row value: present, as the codec writes no absent one.
+func (d *decoder) val() types.Val {
+	n := int(d.u32())
+	if d.err != nil || d.pos+n > len(d.b) {
+		d.fail("bytes")
+		return types.Val{}
+	}
+	v, ok := types.ValOf(d.b[d.pos : d.pos+n])
+	if !ok {
+		d.err = fmt.Errorf("wire: a row value of %d bytes exceeds %d", n, types.RowVal)
+	}
 	d.pos += n
 	return v
 }
@@ -301,14 +346,22 @@ func appendMsg(buf []byte, m *Msg) []byte {
 		e.opID(dc.Op)
 		e.boolean(dc.Commit)
 	}
-	e.u16(uint16(len(m.Rows)))
-	for _, r := range m.Rows {
-		e.str(r.Key)
-		e.bytes(r.Val)
+	// One section carries the rows, or a readdir reply's entries, each
+	// written as a row keyed by its name whose value is the 8-byte inode
+	// number (the dentry row's value).
+	e.u16(uint16(len(m.Rows) + len(m.Entries)))
+	for i := range m.Rows {
+		e.key(m.Rows[i].Key)
+		e.bytes(m.Rows[i].Val.Bytes())
+	}
+	for _, en := range m.Entries {
+		e.str(en.Name)
+		e.u32(8)
+		e.u64(uint64(en.Ino))
 	}
 	e.u16(uint16(len(m.Keys)))
 	for _, k := range m.Keys {
-		e.str(k)
+		e.key(k)
 	}
 	binary.LittleEndian.PutUint32(e.b[start:start+4], uint32(len(e.b)-start-4))
 	return e.b
@@ -395,17 +448,28 @@ func DecodeBody(body []byte) (Msg, error) {
 			m.Decisions[i].Commit = d.boolean()
 		}
 	}
-	if n := d.count(6); n > 0 { // min row: empty key (2) + empty val (4)
-		m.Rows = make([]types.RowImage, n)
+	if m.Type == MsgOpResp {
+		if n := d.count(14); n > 0 { // an entry: empty name (2) + value (4 + 8)
+			m.Entries = make([]types.DirEntry, n)
+			for i := range m.Entries {
+				m.Entries[i].Name = d.str()
+				if d.u32() != 8 {
+					d.fail("entry")
+				}
+				m.Entries[i].Ino = types.InodeID(d.u64())
+			}
+		}
+	} else if n := d.count(6); n > 0 { // min row: empty key (2) + empty val (4)
+		m.Rows = make([]types.Row, n)
 		for i := range m.Rows {
-			m.Rows[i].Key = d.str()
-			m.Rows[i].Val = d.bytes()
+			m.Rows[i].Key = d.key()
+			m.Rows[i].Val = d.val()
 		}
 	}
 	if n := d.count(2); n > 0 { // min key: empty string (2)
-		m.Keys = make([]string, n)
+		m.Keys = make([]types.ObjKey, n)
 		for i := range m.Keys {
-			m.Keys[i] = d.str()
+			m.Keys[i] = d.key()
 		}
 	}
 	if d.err != nil {
@@ -437,11 +501,14 @@ func Size(m *Msg) int64 {
 		2 + len(m.Votes)*17 +
 		2 + len(m.Decisions)*17 +
 		2 + 2 // rows, keys counts
-	for _, r := range m.Rows {
-		n += 2 + len(r.Key) + 4 + len(r.Val)
+	for i := range m.Rows {
+		n += 2 + m.Rows[i].Key.TextLen() + 4 + m.Rows[i].Val.Len()
 	}
-	for _, k := range m.Keys {
-		n += 2 + len(k)
+	for _, en := range m.Entries {
+		n += 2 + len(en.Name) + 4 + 8
+	}
+	for i := range m.Keys {
+		n += 2 + m.Keys[i].TextLen()
 	}
 	return int64(n)
 }

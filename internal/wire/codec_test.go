@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -49,9 +50,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Type: MsgVote, From: 0, To: 1, Ops: []types.OpID{{Seq: 1}, {Seq: 2}, {Seq: 3}}, Enforce: []types.OpID{{Seq: 9}}},
 		{Type: MsgVoteResp, From: 1, To: 0, Votes: []Vote{{Op: types.OpID{Seq: 1}, OK: true}, {Op: types.OpID{Seq: 2}}}},
 		{Type: MsgCommitReq, From: 0, To: 1, Decisions: []Decision{{Op: types.OpID{Seq: 9}, Commit: true}}},
-		{Type: MsgMigrateResp, From: 1, To: 0, Rows: []types.RowImage{{Key: "i/42", Val: []byte{1, 2, 3}}, {Key: "d/1/f", Val: nil}}},
-		{Type: MsgMigrateReq, From: 0, To: 1, Keys: []string{"i/42", "d/1/f"}},
+		{Type: MsgMigrateResp, From: 1, To: 0, Rows: []types.Row{{Key: types.InodeKey(42), Val: val(1, 2, 3)}, {Key: types.DentryKey(1, "f")}}},
+		{Type: MsgMigrateReq, From: 0, To: 1, Keys: []types.ObjKey{types.InodeKey(42), types.DentryKey(1, "f")}},
 		{Type: MsgOpResp, From: 0, To: 101, Err: "entry exists"},
+		{Type: MsgOpResp, From: 0, To: 101, OK: true, Entries: []types.DirEntry{{Name: "a b/c", Ino: 7}, {Name: "f", Ino: 1 << 40}}},
 		{Type: MsgLookupReq, From: 101, To: 0, Op: types.OpID{Seq: 5}, Dir: 9, Path: "checkpoint.000123"},
 		{Type: MsgLookupResp, From: 0, To: 101, Op: types.OpID{Seq: 5}, OK: true, Dir: 9,
 			Path: "checkpoint.000123", Attr: types.Inode{Ino: 5001, Type: types.FileRegular, Nlink: 1},
@@ -65,11 +67,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: decode: %v", m.Type, err)
 		}
-		// Normalize empty-vs-nil rows payload.
+		// The codec writes an absent row value as an empty one.
 		if len(got.Rows) == len(m.Rows) {
-			for i := range got.Rows {
-				if len(got.Rows[i].Val) == 0 && len(m.Rows[i].Val) == 0 {
-					got.Rows[i].Val, m.Rows[i].Val = nil, nil
+			for i := range m.Rows {
+				if !m.Rows[i].Val.Present() {
+					m.Rows[i].Val = val()
 				}
 			}
 		}
@@ -83,7 +85,9 @@ func TestSizeMatchesEncodedLength(t *testing.T) {
 	for _, m := range []Msg{
 		sampleMsg(),
 		{Type: MsgVote, Ops: make([]types.OpID, 100)},
-		{Type: MsgMigrateResp, Rows: []types.RowImage{{Key: "abc", Val: make([]byte, 37)}}},
+		{Type: MsgMigrateResp, Rows: []types.Row{{Key: types.DentryKey(1, "abc"), Val: val(make([]byte, 37)...)}}},
+		{Type: MsgMigrateReq, Keys: []types.ObjKey{types.InodeKey(1 << 63), types.DentryKey(9, "x")}},
+		{Type: MsgOpResp, Entries: []types.DirEntry{{Name: "f00000001", Ino: 3}, {Name: "", Ino: 4}}},
 		{},
 	} {
 		if got, want := Size(&m), int64(len(mustEncode(t, &m))); got != want {
@@ -115,8 +119,13 @@ func quickMsgValues(vals []reflect.Value, r *rand.Rand) {
 		m.Ops = append(m.Ops, types.OpID{Seq: r.Uint64()})
 		m.Votes = append(m.Votes, Vote{Op: types.OpID{Seq: r.Uint64()}, OK: r.Intn(2) == 0})
 		m.Decisions = append(m.Decisions, Decision{Op: types.OpID{Seq: r.Uint64()}, Commit: r.Intn(2) == 0})
-		m.Rows = append(m.Rows, types.RowImage{Key: randStr(r, 10), Val: []byte(randStr(r, 50))})
-		m.Keys = append(m.Keys, randStr(r, 10))
+		if m.Type == MsgOpResp {
+			m.Entries = append(m.Entries, types.DirEntry{Name: randStr(r, 10), Ino: types.InodeID(r.Uint64())})
+		} else {
+			m.Rows = append(m.Rows, types.Row{Key: types.DentryKey(types.InodeID(r.Uint64()), randStr(r, 10)),
+				Val: val([]byte(randStr(r, types.RowVal))...)})
+		}
+		m.Keys = append(m.Keys, types.InodeKey(types.InodeID(r.Uint64())))
 	}
 	vals[0] = reflect.ValueOf(m)
 }
@@ -136,7 +145,8 @@ func TestSizeMatchesEncodedLengthQuick(t *testing.T) {
 			return false
 		}
 		return got.Op == m.Op && got.Type == m.Type && got.Err == m.Err &&
-			len(got.Ops) == len(m.Ops) && len(got.Rows) == len(m.Rows)
+			len(got.Ops) == len(m.Ops) && reflect.DeepEqual(got.Rows, m.Rows) &&
+			reflect.DeepEqual(got.Keys, m.Keys) && reflect.DeepEqual(got.Entries, m.Entries)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
@@ -169,6 +179,12 @@ func TestEncodeToMatchesEncodeQuick(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// val is a present row value of the bytes b.
+func val(b ...byte) types.Val {
+	v, _ := types.ValOf(b)
+	return v
 }
 
 func randStr(r *rand.Rand, max int) string {
@@ -249,11 +265,16 @@ func TestEncodeLimitBoundaries(t *testing.T) {
 		"enforce":   {Type: MsgVote, Enforce: make([]types.OpID, MaxBatch+1)},
 		"votes":     {Type: MsgVoteResp, Votes: make([]Vote, MaxBatch+1)},
 		"decisions": {Type: MsgCommitReq, Decisions: make([]Decision, MaxBatch+1)},
-		"rows":      {Type: MsgMigrateResp, Rows: make([]types.RowImage, MaxBatch+1)},
-		"keys":      {Type: MsgMigrateReq, Keys: make([]string, MaxBatch+1)},
+		"rows":      {Type: MsgMigrateResp, Rows: make([]types.Row, MaxBatch+1)},
+		"keys":      {Type: MsgMigrateReq, Keys: make([]types.ObjKey, MaxBatch+1)},
+		"entries":   {Type: MsgOpResp, Entries: make([]types.DirEntry, MaxBatch+1)},
+		"entry":     {Type: MsgOpResp, Entries: []types.DirEntry{{Name: strings.Repeat("n", MaxString+1)}}},
+		"key":       {Type: MsgMigrateReq, Keys: []types.ObjKey{types.DentryKey(1, strings.Repeat("k", MaxString))}},
+		"rows-resp": {Type: MsgOpResp, Rows: []types.Row{{Key: types.InodeKey(1)}}},
+		"entry-mig": {Type: MsgMigrateResp, Entries: []types.DirEntry{{Name: "f"}}},
 		"err-text":  {Type: MsgOpResp, Err: strings.Repeat("e", MaxString+1)},
 		"path":      {Type: MsgLookupReq, Path: strings.Repeat("p", MaxString+1)},
-		"row-key":   {Type: MsgMigrateResp, Rows: []types.RowImage{{Key: strings.Repeat("k", MaxString+1)}}},
+		"row-key":   {Type: MsgMigrateResp, Rows: []types.Row{{Key: types.DentryKey(1, strings.Repeat("k", MaxString))}}},
 	} {
 		m := m
 		if _, err := Encode(&m); err == nil {
@@ -332,5 +353,34 @@ func TestEncodeToZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("EncodeTo into capacity allocates %.0f times per run; want 0", allocs)
+	}
+}
+
+// TestGoldenRowsAndEntries pins the bytes of a CE MIGRATE-RESP and of a
+// readdir reply to what the codec wrote when rows were keyed by text and a
+// readdir entry travelled as a row (its name, its 8-byte dentry value):
+// typed keys are written as their text, entries cost what those rows did,
+// and so message sizes — which the network charges — are unchanged.
+func TestGoldenRowsAndEntries(t *testing.T) {
+	inode := make([]byte, 37)
+	for i := range inode {
+		inode[i] = byte(i)
+	}
+	for _, c := range []struct {
+		m    Msg
+		size int64
+		hex  string
+	}{
+		{Msg{Type: MsgMigrateResp, From: 1, To: 0, Op: types.OpID{Proc: types.ProcID{Client: 100, Index: 2}, Seq: 7},
+			Rows: []types.Row{{Key: types.InodeKey(42), Val: val(inode...)}, {Key: types.DentryKey(1, "a b/c")}}}, 285,
+			"190100000e0100000000000000640000000200000007000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000002000400692f343225000000000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223240900642f312f6120622f63000000000000"},
+		{Msg{Type: MsgOpResp, From: 1, To: 101, Op: types.OpID{Seq: 9}, OK: true,
+			Entries: []types.DirEntry{{Name: "f0001", Ino: 42}, {Name: "a b/c", Ino: 1 << 40}}}, 261,
+			"010100000401000000650000000000000000000000090000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000020005006630303031080000002a0000000000000005006120622f630800000000000000000100000000"},
+	} {
+		b := mustEncode(t, &c.m)
+		if got := hex.EncodeToString(b); got != c.hex || Size(&c.m) != c.size {
+			t.Errorf("%v: %d bytes (Size %d)\n got %s\nwant %s (%d bytes)", c.m.Type, len(b), Size(&c.m), got, c.hex, c.size)
+		}
 	}
 }

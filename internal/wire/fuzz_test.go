@@ -30,6 +30,7 @@ func seedMsgs() []Msg {
 			Attr: types.Inode{Ino: 42, Type: types.FileRegular, Nlink: 1, Mtime: 5}},
 		{Type: MsgOpReq, From: 101, To: 0, Op: id(2), FullOp: full, Peer: 1},
 		{Type: MsgOpResp, From: 0, To: 101, Op: id(2), Err: "exists"},
+		{Type: MsgOpResp, From: 1, To: 101, Op: id(9), OK: true, Entries: []types.DirEntry{{Name: "f0001", Ino: 42}}},
 		{Type: MsgLCom, From: 101, To: 0, Op: id(3)},
 		{Type: MsgAllNo, From: 0, To: 101, Op: id(3)},
 		{Type: MsgClear, From: 0, To: 1, Op: id(4), Sub: sub},
@@ -38,9 +39,9 @@ func seedMsgs() []Msg {
 		{Type: MsgCommitReq, From: 0, To: 1, Decisions: []Decision{{Op: id(1), Commit: true}, {Op: id(2)}}},
 		{Type: MsgAck, From: 1, To: 0, Ops: []types.OpID{id(1)}},
 		{Type: MsgConflictNotify, From: 1, To: 0, Op: id(5), Hint: id(6)},
-		{Type: MsgMigrateReq, From: 0, To: 1, Keys: []string{"i/42", "d/1/f0001"}},
-		{Type: MsgMigrateResp, From: 1, To: 0, Rows: []types.RowImage{{Key: "i/42", Val: []byte{1, 2, 3}}}},
-		{Type: MsgMigrateBack, From: 0, To: 1, Rows: []types.RowImage{{Key: "i/42", Val: []byte{4}}}},
+		{Type: MsgMigrateReq, From: 0, To: 1, Keys: []types.ObjKey{types.InodeKey(42), types.DentryKey(1, "f0001")}},
+		{Type: MsgMigrateResp, From: 1, To: 0, Rows: []types.Row{{Key: types.InodeKey(42), Val: val(1, 2, 3)}}},
+		{Type: MsgMigrateBack, From: 0, To: 1, Rows: []types.Row{{Key: types.InodeKey(42), Val: val(4)}}},
 		{Type: MsgMigrateAck, From: 1, To: 0},
 		{Type: MsgPing, From: 0, To: 1},
 		{Type: MsgPong, From: 1, To: 0},

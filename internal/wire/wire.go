@@ -171,8 +171,9 @@ type Msg struct {
 	Enforce   []types.OpID
 	Votes     []Vote           // VOTE-RESP
 	Decisions []Decision       // COMMIT/ABORT-REQ
-	Rows      []types.RowImage // MIGRATE-RESP, MIGRATE-BACK (CE); readdir entries
-	Keys      []string         // MIGRATE-REQ
+	Rows      []types.Row      // MIGRATE-RESP, MIGRATE-BACK (CE)
+	Keys      []types.ObjKey   // MIGRATE-REQ
+	Entries   []types.DirEntry // a readdir reply (OP-RESP)
 }
 
 // String renders a message compactly for debugging.
