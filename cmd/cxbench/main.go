@@ -74,11 +74,12 @@ func main() {
 func realMain(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("cxbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	def := harness.DefaultConfig() // EXPERIMENTS.out is every experiment at these
 	var (
 		exp      = fs.String("exp", "all", "experiment id ("+strings.Join(harness.ExperimentIDs(), "|")+"|chaos|all)")
-		scale    = fs.Float64("scale", 0.004, "fraction of each paper trace's op count to replay, in (0,1]")
-		servers  = fs.Int("servers", 8, "metadata servers for trace-driven experiments, in [1,1024]")
-		seed     = fs.Int64("seed", 1, "simulation seed, >= 0")
+		scale    = fs.Float64("scale", def.Scale, "fraction of each paper trace's op count to replay, in (0,1]")
+		servers  = fs.Int("servers", def.Servers, "metadata servers for trace-driven experiments, in [1,1024]")
+		seed     = fs.Int64("seed", def.Seed, "simulation seed, >= 0")
 		hist     = fs.Bool("hist", false, "print per-operation latency quantiles (p50/p95/p99) after the experiments")
 		traceOut = fs.String("trace", "", "write protocol-phase events as Chrome trace_event JSON to this file")
 		duration = fs.Duration("duration", 1500*time.Millisecond, "chaos: nemesis active window")

@@ -136,7 +136,6 @@ func (fs *FS) Cluster() *cluster.Cluster { return fs.c }
 type Ctx struct {
 	p  *simrt.Proc
 	pr *cluster.Process
-	fs *FS
 }
 
 // Run executes body as application process 0 and drives the simulation
@@ -147,36 +146,17 @@ func (fs *FS) Run(body func(*Ctx)) {
 }
 
 // RunN executes body on n concurrent application processes (i = 0..n-1) and
-// settles the system afterwards.
+// settles the system afterwards. It is one cluster.Measure window with
+// nothing to set up: the workers start once earlier activity has settled.
 func (fs *FS) RunN(n int, body func(ctx *Ctx, i int)) {
 	if n > fs.c.NumProcs() {
 		n = fs.c.NumProcs()
 	}
-	g := simrt.NewGroup(fs.c.Sim)
-	g.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		pr := fs.c.Proc(i)
-		fs.c.Sim.Spawn("cxfs/app", func(p *simrt.Proc) {
-			body(&Ctx{p: p, pr: pr, fs: fs}, i)
-			g.Done()
-		})
-	}
-	fs.c.Sim.Spawn("cxfs/controller", func(p *simrt.Proc) {
-		g.Wait(p)
-		fs.elapsed = p.Now()
-		fs.c.Quiesce(p)
-		fs.c.Sim.Stop()
+	w := fs.c.Measure(func(*simrt.Proc) {}, n, func(p *simrt.Proc, i int) {
+		body(&Ctx{p: p, pr: fs.c.Proc(i)}, i)
 	})
-	fs.c.Sim.Run()
-	// Re-arm the stop latch so Run can be called again.
-	fs.rearm()
-}
-
-func (fs *FS) rearm() {
-	// The simulation's Stop flag is one-shot per Run; cluster.Cluster owns
-	// a Sim whose Stopped state resets on the next dispatch loop entry.
-	fs.c.Sim.Rearm()
+	fs.elapsed = w.End.Sub(w.Start).At
+	fs.c.Sim.Rearm() // so Run can be called again
 }
 
 // Elapsed returns the virtual time consumed by the last Run's workload

@@ -45,6 +45,19 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestElapsedIsEachRunsOwnTime: Elapsed is the virtual time the last Run's
+// workload took, not the clock at its end.
+func TestElapsedIsEachRunsOwnTime(t *testing.T) {
+	fs := cxfs.New(cxfs.Options{Servers: 4, Protocol: cxfs.Cx})
+	defer fs.Close()
+	for run := 1; run <= 2; run++ {
+		fs.Run(func(ctx *cxfs.Ctx) { ctx.Sleep(10 * time.Millisecond) })
+		if got := fs.Elapsed(); got != 10*time.Millisecond {
+			t.Errorf("run %d: Elapsed()=%v, want 10ms", run, got)
+		}
+	}
+}
+
 func TestRunNConcurrentProcesses(t *testing.T) {
 	fs := cxfs.New(cxfs.Options{Servers: 4, Protocol: cxfs.Cx})
 	defer fs.Close()

@@ -109,11 +109,12 @@ type Window struct {
 	Settled Counters // the final quiesce is over and the simulation stopped
 }
 
-// Measure runs one measured window on a freshly built cluster and drives
-// the simulation to its end. setup runs first, as one proc, and is
-// quiesced; then procs workers start together, worker i running work(p, i);
-// when the last returns the cluster is quiesced again. With sampling on in
-// Opts.Obs the resource sampler runs alongside.
+// Measure runs one measured window and drives the simulation to its end.
+// The cluster is freshly built, or re-armed (Sim.Rearm) after an earlier
+// Measure. setup runs first, as one proc, and is quiesced; then procs
+// workers start together, worker i running work(p, i); when the last
+// returns the cluster is quiesced again. With sampling on in Opts.Obs the
+// resource sampler runs alongside.
 func (c *Cluster) Measure(setup func(p *simrt.Proc), procs int, work func(p *simrt.Proc, i int)) Window {
 	var w Window
 	gate := simrt.NewChan[struct{}](c.Sim)

@@ -50,10 +50,6 @@ var (
 type Config struct {
 	Mix        Mix
 	OpsPerProc int
-	// Prepopulate creates this many files per process before measurement
-	// starts (the paper fills 40,000 files per server so servers run at
-	// steady state; scale to taste).
-	Prepopulate int
 	// Pipeline is the depth of every process's core.Pipeline, its in-flight
 	// operation limit. Values <= 1 are depth 1, the classic closed loop (one
 	// op at a time per process); higher values dispatch up to Pipeline
@@ -78,8 +74,7 @@ type Result struct {
 
 // Run executes the benchmark as one measured window (cluster.Measure) and
 // returns the result. The cluster must be freshly built: the shared
-// directory and the prepopulation are the window's setup, every process one
-// worker.
+// directory is the window's setup, every process one worker.
 func Run(c *cluster.Cluster, cfg Config) Result {
 	nProcs := c.NumProcs()
 	res := Result{
@@ -94,21 +89,6 @@ func Run(c *cluster.Cluster, cfg Config) Result {
 			panic(fmt.Sprintf("metarates: mkdir: %v", err))
 		}
 		dirIno = ino
-		if cfg.Prepopulate > 0 {
-			pg := simrt.NewGroup(c.Sim)
-			pg.Add(nProcs)
-			for i := 0; i < nProcs; i++ {
-				i := i
-				ppr := c.Proc(i)
-				c.Sim.Spawn("metarates/prefill", func(pp *simrt.Proc) {
-					for j := 0; j < cfg.Prepopulate; j++ {
-						ppr.Create(pp, dirIno, fmt.Sprintf("pre.%d.%d", i, j))
-					}
-					pg.Done()
-				})
-			}
-			pg.Wait(p)
-		}
 	}, nProcs, func(p *simrt.Proc, i int) {
 		res.Errors += pipelinedWorker(p, c, c.Proc(i), &dirIno, cfg, i)
 	})

@@ -91,20 +91,6 @@ func TestThroughputScalesWithServers(t *testing.T) {
 	}
 }
 
-func TestPrepopulateRunsOutsideMeasuredWindow(t *testing.T) {
-	cA := smallCluster(2, cluster.ProtoCx)
-	resA := Run(cA, Config{Mix: ReadDominated, OpsPerProc: 20})
-	cA.Shutdown()
-	cB := smallCluster(2, cluster.ProtoCx)
-	resB := Run(cB, Config{Mix: ReadDominated, OpsPerProc: 20, Prepopulate: 10})
-	cB.Shutdown()
-	// Throughput with prepopulation should be in the same ballpark — the
-	// prefill must not count into the measured window.
-	if resB.Throughput < resA.Throughput/3 {
-		t.Errorf("prepopulation leaked into measurement: %.0f vs %.0f", resB.Throughput, resA.Throughput)
-	}
-}
-
 func TestMixesDifferInMessageVolume(t *testing.T) {
 	cU := smallCluster(2, cluster.ProtoCx)
 	resU := Run(cU, Config{Mix: UpdateDominated, OpsPerProc: 30})

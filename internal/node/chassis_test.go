@@ -81,17 +81,21 @@ func TestFinishedOpIsReplayedToTheRequester(t *testing.T) {
 			got.OK != want.OK || got.Err != want.Err || got.Epoch != want.Epoch || got.Hint != want.Hint || got.Attr != want.Attr {
 			t.Errorf("replayed %+v, want %+v", got, want)
 		}
-		if b.ReplayCached(opID(2), 100) {
+		if _, ok := replayed(b, sent, opID(2)); ok {
 			t.Error("replayed a reply that was never cached")
 		}
 	})
 }
 
-// replayed returns the reply b replays for op, and false if it has none
-// cached.
+// replayed returns the reply b replays for a duplicate request for op, and
+// false if it has none cached (the request, admitted, is ended at once).
 func replayed(b *Base, sent *[]wire.Msg, op types.OpID) (wire.Msg, bool) {
 	*sent = (*sent)[:0]
-	if !b.ReplayCached(op, 100) || len(*sent) != 1 {
+	if b.Begin(op, 100) {
+		b.End(op)
+		return wire.Msg{}, false
+	}
+	if len(*sent) != 1 {
 		return wire.Msg{}, false
 	}
 	return (*sent)[0], true

@@ -161,10 +161,6 @@ func (b *Base) arrive(pk *transport.Packet) {
 		return
 	}
 	b.arrived = pk
-	if b.HW.CPUPerMsg == 0 {
-		b.accept()
-		return
-	}
 	b.inbox.Hold()
 	b.Sim.After(b.HW.CPUPerMsg, b.accepted)
 }
@@ -186,9 +182,7 @@ func (b *Base) accept() {
 		}
 		b.Sim.Spawn(name, pk.Body(b.handle))
 	}
-	if b.HW.CPUPerMsg > 0 {
-		b.inbox.Release() // what arrive held
-	}
+	b.inbox.Release() // what arrive held
 }
 
 // run is the handler proc's body; the record goes back to the pool when the

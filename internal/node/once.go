@@ -85,17 +85,6 @@ func (b *Base) CacheReply(op types.OpID, m *wire.Msg) {
 	b.once.Put(op, int32(pos))
 }
 
-// ReplayCached answers a duplicate request for a finished operation from
-// the reply cache, addressed to node to, and reports whether it could.
-func (b *Base) ReplayCached(op types.OpID, to types.NodeID) bool {
-	pos, ok := b.once.Get(op)
-	if !ok || pos == executing {
-		return false
-	}
-	b.replay(pos, op, to)
-	return true
-}
-
 // replay sends the reply cached at ring position pos, for op, to node to.
 func (b *Base) replay(pos int32, op types.OpID, to types.NodeID) {
 	r := b.replies.At(int(pos))

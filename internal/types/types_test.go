@@ -1,19 +1,22 @@
 package types
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestOpKindStringAndParseRoundTrip(t *testing.T) {
-	for k := OpCreate; int(k) <= NumOpKinds; k++ {
-		got, err := ParseOpKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseOpKind(%q) = %v, %v", k.String(), got, err)
+func TestOpKindStringNamesEveryKind(t *testing.T) {
+	seen := map[string]OpKind{}
+	for k := OpInvalid; k < opKindCount; k++ {
+		name := k.String()
+		if name == "" || strings.HasPrefix(name, "opkind(") {
+			t.Errorf("kind %d has no name: %q", uint8(k), name)
 		}
-	}
-	if _, err := ParseOpKind("bogus"); err == nil {
-		t.Error("bogus kind parsed")
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", uint8(prev), uint8(k), name)
+		}
+		seen[name] = k
 	}
 }
 

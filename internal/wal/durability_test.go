@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -9,87 +8,6 @@ import (
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 )
-
-// logImage builds the byte stream a coalesced group-commit write puts on the
-// platter for three Result records plus a Commit record.
-func logImage() ([]Record, []byte) {
-	recs := []Record{
-		resultRec(1, "alpha"),
-		resultRec(2, "beta"),
-		{Type: RecCommit, Op: opID(2), Role: types.RoleParticipant},
-		resultRec(3, "gamma"),
-	}
-	return recs, EncodeAll(recs)
-}
-
-func TestScanBytesCleanStream(t *testing.T) {
-	recs, buf := logImage()
-	got, err := ScanBytes(buf)
-	if err != nil {
-		t.Fatalf("clean stream: %v", err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("got %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i].Type != recs[i].Type || got[i].Op != recs[i].Op {
-			t.Errorf("record %d mangled: %v vs %v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestScanBytesTornFinalRecord(t *testing.T) {
-	recs, buf := logImage()
-	last := len(Encode(recs[len(recs)-1]))
-	// Tear the batch tail at every truncation point inside the final record:
-	// the intact prefix must always survive, the torn record never.
-	for cut := 1; cut < last; cut++ {
-		torn := buf[:len(buf)-cut]
-		got, err := ScanBytes(torn)
-		if err == nil {
-			t.Fatalf("cut=%d: torn tail scanned without error", cut)
-		}
-		if len(got) != len(recs)-1 {
-			t.Fatalf("cut=%d: got %d records, want %d (all but the torn one)", cut, len(got), len(recs)-1)
-		}
-	}
-}
-
-func TestScanBytesCorruptedChecksum(t *testing.T) {
-	recs, buf := logImage()
-	// Flip one byte inside the second record's payload.
-	off := len(Encode(recs[0])) + 10
-	corrupt := append([]byte(nil), buf...)
-	corrupt[off] ^= 0xFF
-	got, err := ScanBytes(corrupt)
-	if err == nil {
-		t.Fatal("corrupted record scanned without error")
-	}
-	if !strings.Contains(err.Error(), "checksum") && !strings.Contains(err.Error(), "truncated") && !strings.Contains(err.Error(), "stray") {
-		t.Errorf("unexpected error kind: %v", err)
-	}
-	if len(got) != 1 {
-		t.Errorf("got %d records before the corruption, want 1", len(got))
-	}
-	if got[0].Op != recs[0].Op {
-		t.Errorf("surviving record mangled: %v", got[0])
-	}
-}
-
-func TestScanBytesZeroFilledTail(t *testing.T) {
-	_, buf := logImage()
-	// A crash can leave preallocated zeros after the last durable record. A
-	// zero length prefix decodes as a short record and must stop the scan
-	// without dropping the durable prefix.
-	padded := append(append([]byte(nil), buf...), make([]byte, 64)...)
-	got, err := ScanBytes(padded)
-	if err == nil {
-		t.Fatal("zero tail scanned without error")
-	}
-	if len(got) != 4 {
-		t.Errorf("durable prefix lost: got %d records, want 4", len(got))
-	}
-}
 
 // TestRecoverAfterCrashMidGroupCommit drives the full WAL: a group-commit
 // flush is cut down by a crash, the server reboots, and the recovery scan
@@ -127,38 +45,6 @@ func TestRecoverAfterCrashMidGroupCommit(t *testing.T) {
 	for _, r := range recovered {
 		if r.Op.Seq != 1 {
 			t.Errorf("in-flight record resurrected by recovery: %v", r)
-		}
-	}
-}
-
-// TestRecoveryScanAllOrNothingPerRecord ties the byte-level guarantee to the
-// coalesced write: tearing a multi-record group-commit image at any byte
-// never yields a partially-decoded record, only whole records up to the tear.
-func TestRecoveryScanAllOrNothingPerRecord(t *testing.T) {
-	recs, buf := logImage()
-	bounds := make(map[int]int) // byte offset of each record boundary -> records before it
-	off := 0
-	for i, r := range recs {
-		bounds[off] = i
-		off += len(Encode(r))
-	}
-	bounds[off] = len(recs)
-	for cut := 0; cut <= len(buf); cut++ {
-		got, err := ScanBytes(buf[:cut])
-		if n, isBoundary := bounds[cut]; isBoundary {
-			if err != nil || len(got) != n {
-				t.Fatalf("cut at boundary %d: got %d records, err=%v", cut, len(got), err)
-			}
-			continue
-		}
-		if err == nil {
-			t.Fatalf("cut=%d mid-record scanned without error", cut)
-		}
-		// Whole records only: every returned record must round-trip equal.
-		for i, g := range got {
-			if g.Type != recs[i].Type || g.Op != recs[i].Op {
-				t.Fatalf("cut=%d returned a partial record at %d: %v", cut, i, g)
-			}
 		}
 	}
 }

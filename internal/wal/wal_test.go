@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/hex"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -280,16 +281,29 @@ func TestEncodeDecodeQuick(t *testing.T) {
 	}
 }
 
+// TestDecodeDetectsCorruption: decode takes a record whole or not at all.
+// A flipped body byte or checksum byte fails the checksum, a record cut at
+// any byte fails its length checks, and so does a zero-filled one.
 func TestDecodeDetectsCorruption(t *testing.T) {
 	rec := resultRec(1, "abc")
 	buf := encode(&rec)
-	buf[6] ^= 0xFF // flip a byte in the op ID
-	if _, err := decode(buf); err == nil {
-		t.Error("corrupted record decoded without error")
+	if got, err := decode(buf); err != nil || got.Op != rec.Op || got.Sub.Name != rec.Sub.Name {
+		t.Fatalf("intact record decoded as %v, %v", got, err)
 	}
-	short := buf[:4]
-	if _, err := decode(short); err == nil {
-		t.Error("truncated record decoded without error")
+	for _, off := range []int{6, len(buf) - 1} { // a byte of the op ID, of the checksum
+		bad := append([]byte(nil), buf...)
+		bad[off] ^= 0xFF
+		if _, err := decode(bad); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Errorf("byte %d flipped: err=%v, want a checksum mismatch", off, err)
+		}
+	}
+	for n := 0; n < len(buf); n++ {
+		if _, err := decode(buf[:n]); err == nil {
+			t.Errorf("record cut to %d of %d bytes decoded without error", n, len(buf))
+		}
+	}
+	if _, err := decode(make([]byte, len(buf))); err == nil {
+		t.Error("zero-filled record decoded without error")
 	}
 }
 
