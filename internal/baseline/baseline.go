@@ -25,7 +25,7 @@
 // client is internal/core's Driver under every protocol: with no such path
 // it sends the whole operation to the coordinator, which is the client of
 // 2PC and CE. Everything that is not protocol — at-most-once execution of
-// retried requests, the lease service, reply routes between servers, the
+// retried requests, the lease service, the server-to-server call, the
 // retrying client RPC — is the chassis's (internal/node), the same code Cx
 // runs on.
 package baseline

@@ -68,6 +68,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		return
 	}
 	defer s.End(op.ID)
+	boot := s.Boot()
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
 
 	cSub, pSub := types.Split(op)
@@ -82,10 +83,8 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	pKey, _ := pSub.Key()
 	partRows := []types.ObjKey{pKey}
 	if !local {
-		ch, done := s.Await(wire.MsgMigrateResp, op.ID, false)
-		s.Send(wire.Msg{Type: wire.MsgMigrateReq, To: part, Op: op.ID, Keys: partRows})
-		mr := ch.Recv(p)
-		done()
+		mr, _ := s.Call(p, boot, wire.Msg{Type: wire.MsgMigrateReq, To: part, Op: op.ID,
+			Keys: partRows}, 0, nil, nil)
 		if s.Crashed() {
 			return
 		}
@@ -134,10 +133,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		}
 		// Only the MIGRATE-ACK says the participant has the rows durable; a
 		// duplicated MIGRATE-RESP arriving meanwhile routes elsewhere.
-		ch, done := s.Await(wire.MsgMigrateAck, op.ID, false)
-		s.Send(wire.Msg{Type: wire.MsgMigrateBack, To: part, Op: op.ID, Rows: back})
-		ch.Recv(p)
-		done()
+		s.Call(p, boot, wire.Msg{Type: wire.MsgMigrateBack, To: part, Op: op.ID, Rows: back}, 0, nil, nil)
 		if s.Crashed() {
 			return
 		}

@@ -77,6 +77,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		return // a transaction still running (or queued on locks), or finished
 	}
 	defer s.End(op.ID)
+	boot := s.Boot()
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
 
 	cSub, pSub := types.Split(op)
@@ -104,11 +105,9 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 				OK: true, Sub: pSub, Pre: before, Post: after})
 		}
 	} else {
-		ch, done := s.Await(wire.MsgVoteResp, op.ID, false)
-		s.Send(wire.Msg{Type: wire.MsgVote, To: part, Op: op.ID, Sub: pSub, ReplyProc: m.ReplyProc})
-		vote := ch.Recv(p)
+		vote, _ := s.Call(p, boot, wire.Msg{Type: wire.MsgVote, To: part, Op: op.ID, Sub: pSub,
+			ReplyProc: m.ReplyProc}, 0, nil, nil)
 		partOK, partErr = vote.OK, vote.Err
-		done()
 	}
 	if s.Crashed() {
 		return
@@ -139,11 +138,8 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	if local {
 		s.applyDecision(p, op.ID, commit)
 	} else if partOK {
-		ch, done := s.Await(wire.MsgAck, op.ID, false)
-		s.Send(wire.Msg{Type: wire.MsgCommitReq, To: part, Op: op.ID,
-			Decisions: []wire.Decision{{Op: op.ID, Commit: commit}}})
-		ch.Recv(p)
-		done()
+		s.Call(p, boot, wire.Msg{Type: wire.MsgCommitReq, To: part, Op: op.ID,
+			Decisions: []wire.Decision{{Op: op.ID, Commit: commit}}}, 0, nil, nil)
 	}
 	if s.Crashed() {
 		return

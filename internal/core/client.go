@@ -205,21 +205,44 @@ func (d *Driver) doLookup(p *simrt.Proc, op types.Op) (types.Inode, error) {
 }
 
 // Readdir lists directory dir by querying every server's partition under
-// operation id and unioning the answers.
+// operation id and unioning the answers, one from each server: a duplicate
+// is dropped. Under the retry policy the servers that have not answered are
+// asked again on its schedule, and the listing fails with ErrTimeout once
+// the attempts run out; the zero policy asks once and waits.
 func (d *Driver) Readdir(p *simrt.Proc, id types.OpID, dir types.InodeID) ([]namespace.DirEntry, error) {
 	route := d.host.Open(id)
 	defer d.host.Done(id)
 	op := types.Op{ID: id, Kind: types.OpReaddir, Parent: dir}
-	for srv := 0; srv < d.pl.Servers; srv++ {
-		d.host.Send(wire.Msg{Type: wire.MsgOpReq, To: types.NodeID(srv), Op: id, FullOp: op, ReplyProc: id.Proc})
-	}
+	answered, left := make([]bool, d.pl.Servers), d.pl.Servers
 	var out []namespace.DirEntry
-	for got := 0; got < d.pl.Servers; got++ {
-		m := route.Recv(p)
-		if !m.OK {
-			return nil, types.WireError(m.Err)
+	for attempt := 0; left > 0; attempt++ {
+		if attempt == d.retry.MaxAttempts() {
+			return nil, types.ErrTimeout
 		}
-		out = append(out, m.Entries...)
+		for srv, done := range answered {
+			if !done {
+				d.host.Send(wire.Msg{Type: wire.MsgOpReq, To: types.NodeID(srv), Op: id, FullOp: op, ReplyProc: id.Proc})
+			}
+		}
+		deadline := p.Now() + d.retry.WaitFor(attempt)
+		for left > 0 {
+			m, got := wire.Msg{}, true
+			if d.retry.Enabled() {
+				m, got = route.RecvTimeout(p, deadline-p.Now())
+			} else {
+				m = route.Recv(p)
+			}
+			if !got {
+				break
+			}
+			if !m.OK {
+				return nil, types.WireError(m.Err)
+			}
+			if !answered[m.From] {
+				answered[m.From], left = true, left-1
+				out = append(out, m.Entries...)
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil

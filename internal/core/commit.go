@@ -61,7 +61,7 @@ func (s *Server) answerAborted(op types.OpID, lcom bool, part types.NodeID) {
 		}
 	case part < 0:
 		s.Send(wire.Msg{Type: wire.MsgAllNo, To: op.Proc.Client, Op: op})
-	case !s.Awaiting(wire.MsgAck, op, true): // else a retransmitted L-COM: the round is under way
+	case !s.Awaiting(&wire.Msg{Type: wire.MsgCommitReq, Ops: []types.OpID{op}}): // else a retransmitted L-COM: the round is under way
 		boot := s.Boot()
 		s.Sim.Spawn("cx/abort-lcom", func(p *simrt.Proc) {
 			s.rpcAck(p, boot, part, []types.OpID{op}, abort)
@@ -335,54 +335,36 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 // rpcVotes sends a batched VOTE and returns the participant's votes,
 // retrying across participant crashes.
 func (s *Server) rpcVotes(p *simrt.Proc, boot uint64, part types.NodeID, ids, enforce []types.OpID) map[types.OpID]bool {
-	ch, done := s.Await(wire.MsgVoteResp, ids[0], true)
-	defer done()
-	for {
-		s.Send(wire.Msg{Type: wire.MsgVote, To: part, Ops: ids, Enforce: enforce})
-		m, ok := ch.RecvTimeout(p, s.cfg.RetryInterval+s.cfg.VoteWait)
-		if s.Gone(boot) {
-			return nil
+	var votes map[types.OpID]bool
+	req := wire.Msg{Type: wire.MsgVote, To: part, Ops: ids, Enforce: enforce}
+	if _, ok := s.Call(p, boot, req, s.cfg.RetryInterval+s.cfg.VoteWait, nil, func(m wire.Msg) bool {
+		votes = make(map[types.OpID]bool, len(m.Votes))
+		for _, v := range m.Votes {
+			votes[v.Op] = v.OK
 		}
-		if ok {
-			votes := make(map[types.OpID]bool, len(m.Votes))
-			for _, v := range m.Votes {
-				votes[v.Op] = v.OK
-			}
-			// Replies route by their first op only, so a straggler answer to
-			// an earlier round that shared this round's head (a pre-crash
-			// batch the recovery re-drove with extra ops, say) can land here.
-			// Accept it only if it votes on this round's entire op set: a
-			// missing vote would otherwise read as NO and abort an operation
-			// the participant actually holds a YES execution for.
-			if !slices.ContainsFunc(ids, func(id types.OpID) bool { _, voted := votes[id]; return !voted }) {
-				return votes
-			}
-		}
+		// Replies route by their first op only, so a straggler answer to an
+		// earlier round that shared this round's head (a pre-crash batch the
+		// recovery re-drove with extra ops, say) can land here. Accept it
+		// only if it votes on this round's entire op set: a missing vote
+		// would otherwise read as NO and abort an operation the participant
+		// actually holds a YES execution for.
+		return !slices.ContainsFunc(ids, func(id types.OpID) bool { _, voted := votes[id]; return !voted })
+	}); !ok {
+		return nil
 	}
+	return votes
 }
 
 // rpcAck sends the batched COMMIT-REQ/ABORT-REQ and waits for the ACK,
 // retrying across participant crashes. The participant's handler is
 // idempotent.
 func (s *Server) rpcAck(p *simrt.Proc, boot uint64, part types.NodeID, ids []types.OpID, decisions []wire.Decision) {
-	ch, done := s.Await(wire.MsgAck, ids[0], true)
-	defer done()
-	for {
-		s.Send(wire.Msg{Type: wire.MsgCommitReq, To: part, Ops: ids, Decisions: decisions})
-		if len(ids) > 0 && s.step(StepCommitMidFanout, ids[0], 0, nil) {
-			return // decision sent, ACK never collected
-		}
-		m, ok := ch.RecvTimeout(p, s.cfg.RetryInterval)
-		if s.Gone(boot) {
-			return
-		}
+	s.Call(p, boot, wire.Msg{Type: wire.MsgCommitReq, To: part, Ops: ids, Decisions: decisions}, s.cfg.RetryInterval,
+		func() bool { return s.step(StepCommitMidFanout, ids[0], 0, nil) }, // decision sent, ACK never collected
 		// Same head-op routing hazard as rpcVotes: only an ACK echoing this
 		// round's exact op set confirms the participant applied these
 		// decisions; a stale ACK from an earlier round must not.
-		if ok && slices.Equal(m.Ops, ids) {
-			return
-		}
-	}
+		func(m wire.Msg) bool { return slices.Equal(m.Ops, ids) })
 }
 
 // handleVote answers a batched VOTE (§III.B step 4): each vote reflects the

@@ -31,9 +31,9 @@
 // This package is that protocol and nothing else. What any metadata server
 // or client needs whatever its protocol — hardware, served inbox, crash and
 // reboot, at-most-once execution of retried requests, the lease service,
-// reply routes between servers, the retrying client RPC — is the chassis in
-// internal/node, which the baselines run on unchanged; Cx adds to its
-// duplicate suppression only the checks against its own op table.
+// the server-to-server call (Base.Call), the retrying client RPC — is the
+// chassis in internal/node, which the baselines run on unchanged; Cx adds to
+// its duplicate suppression only the checks against its own op table.
 //
 // What the server knows about one operation is one entry of that table
 // (optable.go), and the entry's phase changes in five transitions only —

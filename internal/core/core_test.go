@@ -532,3 +532,52 @@ func TestTombstoneRejectsLateSubOp(t *testing.T) {
 		t.Fatal("hung")
 	}
 }
+
+// A single-server update (setattr) logs one Result-Record and nothing else:
+// it is final once logged, and the next lazy batch's write-back prunes it.
+// Recovery used to rebuild such a record as a pending coordinator execution
+// whose peer, found by placement, was the server itself, so its commitment
+// round waited on its own ACK and Recover never returned. Recovery redoes its
+// after-image and prunes it instead.
+func TestRecoveryRedoesASingleServerUpdate(t *testing.T) {
+	c := build(4, nil)
+	defer c.Shutdown()
+	var took time.Duration
+	c.Sim.Spawn("t", func(p *simrt.Proc) {
+		pr := c.Proc(0)
+		ino, _ := crossCreate(t, p, c, pr, types.RootInode, "sa")
+		c.Quiesce(p)
+		if err := pr.SetAttr(p, ino); err != nil {
+			t.Errorf("setattr: %v", err)
+		}
+		touched, err := pr.Stat(p, ino)
+		if err != nil {
+			t.Errorf("stat: %v", err)
+		}
+		victim := int(c.Placement.ParticipantFor(ino))
+		c.Bases[victim].Crash()
+		p.Sleep(10 * time.Millisecond)
+		c.Bases[victim].Reboot()
+		took = c.CxSrv[victim].Recover(p)
+		if n := c.CxSrv[victim].PendingOps(); n != 0 {
+			t.Errorf("%d operations pending after recovery, want 0", n)
+		}
+		if ops := c.Bases[victim].WAL.LiveOps(); len(ops) != 0 {
+			t.Errorf("log records of %v left after recovery, want none", ops)
+		}
+		if got, err := pr.Stat(p, ino); err != nil || got != touched {
+			t.Errorf("stat after recovery = %+v, %v; want the setattr's %+v", got, err, touched)
+		}
+		c.Sim.Stop()
+	})
+	c.Sim.RunUntil(10 * time.Minute)
+	if !c.Sim.Stopped() {
+		t.Fatal("Recover did not return within 10 virtual minutes")
+	}
+	if took > time.Second {
+		t.Errorf("recovery took %v, want well under a second", took)
+	}
+	if bad := c.CheckInvariants(); len(bad) != 0 {
+		t.Errorf("invariants: %v", bad)
+	}
+}

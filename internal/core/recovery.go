@@ -28,6 +28,8 @@ import (
 //   - Result-Record only (participant): redo from images, rebuild the
 //     pending entry, and nudge the coordinator with C-NOTIFY; its
 //     commitment (fresh or resumed) finishes the operation.
+//   - Result-Record only, of a single-server update: it was final once
+//     logged; redo from images and prune once the redo is flushed.
 //
 // A Result-Record followed by an Invalidate-Record with no newer Result
 // means the execution was rolled back before the crash: the operation is
@@ -111,7 +113,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 		participant types.NodeID
 	}
 	var resume []resumeDecided
-	var undecidedCoord, undecidedPart []types.OpID
+	var undecidedCoord, undecidedPart, redone []types.OpID
 
 	for _, id := range order {
 		st := states[id]
@@ -150,7 +152,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			if !st.completed && coord != nil && !participated {
 				// The coordinator's decision, not known to have reached the
 				// participant.
-				resume = append(resume, resumeDecided{id: id, committed: st.committed, participant: s.peerOf(coord)})
+				resume = append(resume, resumeDecided{id: id, committed: st.committed, participant: coord.Peer})
 			} else {
 				// Finished here: completed, a participant's durable decision,
 				// or a single-server transaction, whose decision is final.
@@ -169,10 +171,20 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			s.WAL.Prune(id)
 			continue
 		}
+		if !last.Sub.Kind.CrossServer() {
+			// A single-server update, final once logged: redo it, and prune
+			// its record once the redo is flushed below.
+			if last.OK {
+				s.Shard.InstallImages(last.Post)
+			}
+			redone = append(redone, id)
+			continue
+		}
 		// Redo the provisional execution and rebuild its entry with the undo
 		// the execution itself would have left: the record's before-image,
-		// the parent compensation its action implies.
-		e := execution{sub: last.Sub, ok: last.OK, peer: s.peerOf(last), epoch: 1}
+		// the parent compensation its action implies. Every record that
+		// reaches here, or is resumed above, names its peer.
+		e := execution{sub: last.Sub, ok: last.OK, peer: last.Peer, epoch: 1}
 		if last.OK && len(last.Post) > 0 {
 			s.Shard.InstallImages(last.Post)
 			e.undo = namespace.UndoOf(last.Sub, last.Pre)
@@ -196,8 +208,14 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	// Local consistency pass: directory entry counts are commutative and
 	// not image-protected; recompute them from the rows actually present.
 	s.Shard.Fsck()
-	// Persist everything redo installed.
+	// Persist everything redo installed; the single-server updates are then
+	// done with their records.
 	s.KV.FlushDirty(p)
+	if !s.Gone(boot) {
+		for _, id := range redone {
+			s.WAL.Prune(id)
+		}
+	}
 
 	// Resume decided coordinator operations: re-send the decision until the
 	// participant acknowledges, then complete.
@@ -243,18 +261,6 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	s.KV.FlushDirty(p)
 
 	return s.Sim.Now() - start
-}
-
-// peerOf returns the other server of the operation r is a Result-Record of:
-// the recorded one, or by placement where the record names none.
-func (s *Server) peerOf(r *wal.Record) types.NodeID {
-	switch {
-	case r.HasPeer:
-		return r.Peer
-	case r.Role == types.RoleCoordinator:
-		return s.pl.ParticipantFor(r.Sub.Ino)
-	}
-	return s.pl.CoordinatorFor(r.Sub.Parent, r.Sub.Name)
 }
 
 // opLess is a deterministic total order on OpIDs for recovery iteration.

@@ -88,7 +88,10 @@ func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 	if local {
 		dstOK, dstErr = s.renameExecInsert(p, boot, dstSub, s.ID)
 	} else {
-		dstOK, dstErr = s.renameRemoteInsert(p, boot, op, dstSub, dst)
+		// The VOTE round against the destination, retried across its crashes.
+		vote, _ := s.Call(p, boot, wire.Msg{Type: wire.MsgVote, To: dst, Op: op.ID, Sub: dstSub,
+			Peer: s.ID, ReplyProc: op.ID.Proc}, s.cfg.RetryInterval+s.cfg.VoteWait, nil, nil)
+		dstOK, dstErr = vote.OK, vote.Err
 	}
 	if s.Gone(boot) {
 		return
@@ -100,7 +103,8 @@ func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 	}
 	if !local {
 		// Deliver the decision until acknowledged.
-		s.renameDecision(p, boot, op.ID, dst, co.commit)
+		s.Call(p, boot, wire.Msg{Type: wire.MsgCommitReq, To: dst, Op: op.ID,
+			Decisions: []wire.Decision{{Op: op.ID, Commit: co.commit}}}, s.cfg.RetryInterval, nil, nil)
 		if s.Gone(boot) {
 			return
 		}
@@ -124,36 +128,6 @@ func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 	// re-execution.
 	s.finish(co, reply)
 	s.Send(reply)
-}
-
-// renameRemoteInsert drives the VOTE round against the destination server,
-// retrying across its crashes.
-func (s *Server) renameRemoteInsert(p *simrt.Proc, boot uint64, op types.Op, dstSub types.SubOp, dst types.NodeID) (bool, string) {
-	ch, done := s.Await(wire.MsgVoteResp, op.ID, false)
-	defer done()
-	for {
-		s.Send(wire.Msg{Type: wire.MsgVote, To: dst, Op: op.ID, Sub: dstSub,
-			Peer: s.ID, ReplyProc: op.ID.Proc})
-		if m, got := ch.RecvTimeout(p, s.cfg.RetryInterval+s.cfg.VoteWait); got {
-			return m.OK, m.Err
-		}
-		if s.Gone(boot) {
-			return false, ""
-		}
-	}
-}
-
-// renameDecision delivers the commit/abort to the destination until acked.
-func (s *Server) renameDecision(p *simrt.Proc, boot uint64, id types.OpID, dst types.NodeID, commit bool) {
-	ch, done := s.Await(wire.MsgAck, id, false)
-	defer done()
-	for {
-		s.Send(wire.Msg{Type: wire.MsgCommitReq, To: dst, Op: id,
-			Decisions: []wire.Decision{{Op: id, Commit: commit}}})
-		if _, got := ch.RecvTimeout(p, s.cfg.RetryInterval); got || s.Gone(boot) {
-			return
-		}
-	}
 }
 
 // handleRenameVote is the destination side: execute the insert (resolving

@@ -239,42 +239,149 @@ func TestAnswerLookupLeasesAndRevokeNotifiesInGrantOrder(t *testing.T) {
 	})
 }
 
+// calling runs req (addressed to node 101) as a Call of its own proc; the
+// answer it returns lands in *got, and *ended is set when it returns.
+func calling(b *Base, req wire.Msg, every time.Duration, sent func() bool, accept func(wire.Msg) bool,
+	got *wire.Msg, ended *bool) {
+	boot := b.Boot()
+	req.To = 101
+	b.Sim.Spawn("call", func(p *simrt.Proc) {
+		var ok bool
+		if *got, ok = b.Call(p, boot, req, every, sent, accept); !ok {
+			*got = wire.Msg{Err: "ended"}
+		}
+		*ended = true
+	})
+}
+
 func TestReplyRoutesAreTypedAndBatchedKeysDoNotCross(t *testing.T) {
 	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, _ *[]wire.Msg) {
 		op := opID(1)
-		resp, doneResp := b.Await(wire.MsgMigrateResp, op, false)
-		ack, doneAck := b.Await(wire.MsgMigrateAck, op, false)
-		round, doneRound := b.Await(wire.MsgAck, op, true)
-		single, doneSingle := b.Await(wire.MsgAck, op, false)
+		var resp, ack, ack2, round, single wire.Msg
+		var ended [5]bool
+		calling(b, wire.Msg{Type: wire.MsgMigrateReq, Op: op}, 0, nil, nil, &resp, &ended[0])
+		// The first MIGRATE-BACK call ends on its own at its resend, 1ms in,
+		// after the second has taken its route over.
+		sends := 0
+		calling(b, wire.Msg{Type: wire.MsgMigrateBack, Op: op}, time.Millisecond,
+			func() bool { sends++; return sends == 2 }, nil, &ack, &ended[1])
+		calling(b, wire.Msg{Type: wire.MsgCommitReq, Ops: []types.OpID{op, opID(2)}}, 0, nil, nil, &round, &ended[2])
+		calling(b, wire.Msg{Type: wire.MsgCommitReq, Op: op}, 0, nil, nil, &single, &ended[3])
+		p.Sleep(time.Microsecond)
+		calling(b, wire.Msg{Type: wire.MsgMigrateBack, Op: op}, 0, nil, nil, &ack2, &ended[4])
+		p.Sleep(time.Microsecond)
 
-		b.Deliver(&wire.Msg{Type: wire.MsgMigrateResp, Op: op})                              // to resp only
-		b.Deliver(&wire.Msg{Type: wire.MsgAck, Ops: []types.OpID{op, opID(2)}})              // to round only
-		b.Deliver(&wire.Msg{Type: wire.MsgAck, Op: op})                                      // to single only
-		b.Deliver(&wire.Msg{Type: wire.MsgVoteResp, Op: op})                                 // nobody awaits: dropped
-		b.Deliver(&wire.Msg{Type: wire.MsgAck, Op: opID(2), Ops: []types.OpID{opID(2), op}}) // keyed by its first op: dropped
-		if resp.Len() != 1 || ack.Len() != 0 || round.Len() != 1 || single.Len() != 1 {
-			t.Errorf("delivered resp=%d ack=%d round=%d single=%d, want 1 0 1 1",
-				resp.Len(), ack.Len(), round.Len(), single.Len())
+		if !b.Awaiting(&wire.Msg{Type: wire.MsgCommitReq, Ops: []types.OpID{op}}) ||
+			b.Awaiting(&wire.Msg{Type: wire.MsgVote, Ops: []types.OpID{op}}) {
+			t.Error("Awaiting disagrees with the calls under way")
 		}
-		if !b.Awaiting(wire.MsgAck, op, true) || b.Awaiting(wire.MsgVoteResp, op, true) {
-			t.Error("Awaiting disagrees with the registered routes")
+		b.Deliver(&wire.Msg{Type: wire.MsgMigrateResp, Op: op, Err: "resp"})                              // to resp only
+		b.Deliver(&wire.Msg{Type: wire.MsgAck, Ops: []types.OpID{op, opID(2)}, Err: "round"})             // to round only
+		b.Deliver(&wire.Msg{Type: wire.MsgAck, Op: op, Err: "single"})                                    // to single only
+		b.Deliver(&wire.Msg{Type: wire.MsgVoteResp, Op: op, Err: "vote"})                                 // nobody awaits: dropped
+		b.Deliver(&wire.Msg{Type: wire.MsgAck, Op: opID(2), Ops: []types.OpID{opID(2), op}, Err: "head"}) // keyed by its first op: dropped
+		p.Sleep(2 * time.Millisecond)
+		if resp.Err != "resp" || round.Err != "round" || single.Err != "single" {
+			t.Errorf("answers resp=%q round=%q single=%q, want each its own", resp.Err, round.Err, single.Err)
 		}
+		if ack.Err != "ended" || ended[4] {
+			t.Errorf("MIGRATE-BACK calls: first got %q, second ended=%v; want the first ended by its hook, the second waiting", ack.Err, ended[4])
+		}
+		// The first call's end must not have torn the take-over route down.
+		b.Deliver(&wire.Msg{Type: wire.MsgMigrateAck, Op: op, Err: "ack"})
+		p.Sleep(time.Microsecond)
+		if ack2.Err != "ack" {
+			t.Errorf("after a take-over the new call got %q, want the ack", ack2.Err)
+		}
+		if ended != [5]bool{true, true, true, true, true} || len(b.routes) != 0 {
+			t.Errorf("ended %v with %d routes left, want every call over and none", ended, len(b.routes))
+		}
+	})
+}
 
-		// A second Await on a key takes the route over; the first one's done
-		// must not tear the new route down.
-		ack2, doneAck2 := b.Await(wire.MsgMigrateAck, op, false)
-		doneAck()
-		b.Deliver(&wire.Msg{Type: wire.MsgMigrateAck, Op: op})
-		if ack.Len() != 0 || ack2.Len() != 1 {
-			t.Errorf("after a take-over old=%d new=%d, want 0 1", ack.Len(), ack2.Len())
+// countSent counts the messages of type typ in sent.
+func countSent(sent []wire.Msg, typ wire.MsgType) (n int) {
+	for _, m := range sent {
+		if m.Type == typ {
+			n++
 		}
-		doneAck2()
-		doneResp()
-		doneRound()
-		doneSingle()
-		b.Deliver(&wire.Msg{Type: wire.MsgMigrateAck, Op: op})
-		if ack2.Len() != 1 || len(b.routes) != 0 {
-			t.Errorf("a finished route still receives (len=%d) or is still registered (%d left)", ack2.Len(), len(b.routes))
+	}
+	return n
+}
+
+func TestServerCallResendsEveryIntervalUntilAccepted(t *testing.T) {
+	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, sent *[]wire.Msg) {
+		var got wire.Msg
+		var ended bool
+		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, 10*time.Millisecond, nil,
+			func(m wire.Msg) bool { return m.OK }, &got, &ended)
+		p.Sleep(35 * time.Millisecond) // sends at 0, 10, 20 and 30ms
+		if n := countSent(*sent, wire.MsgVote); n != 4 || ended {
+			t.Errorf("%d VOTEs in 35ms (ended=%v), want 4 and the call waiting", n, ended)
+		}
+		b.Deliver(&wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), OK: true})
+		p.Sleep(time.Microsecond)
+		if !ended || !got.OK || countSent(*sent, wire.MsgVote) != 4 {
+			t.Errorf("ended=%v ok=%v after %d VOTEs, want the answer taken after 4", ended, got.OK, countSent(*sent, wire.MsgVote))
+		}
+	})
+}
+
+func TestServerCallResendsAfterARefusedAnswer(t *testing.T) {
+	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, sent *[]wire.Msg) {
+		var got wire.Msg
+		var ended bool
+		calling(b, wire.Msg{Type: wire.MsgCommitReq, Ops: []types.OpID{opID(1), opID(2)}}, time.Hour, nil,
+			func(m wire.Msg) bool { return len(m.Ops) == 2 }, &got, &ended)
+		p.Sleep(time.Millisecond)
+		// A stale ACK to an earlier round with the same head: refused, and the
+		// request goes out again at once.
+		b.Deliver(&wire.Msg{Type: wire.MsgAck, Ops: []types.OpID{opID(1)}})
+		p.Sleep(time.Microsecond)
+		if n := countSent(*sent, wire.MsgCommitReq); n != 2 || ended {
+			t.Errorf("%d COMMIT-REQs (ended=%v) after a refused answer, want 2 and the call waiting", n, ended)
+		}
+		b.Deliver(&wire.Msg{Type: wire.MsgAck, Ops: []types.OpID{opID(1), opID(2)}})
+		p.Sleep(time.Microsecond)
+		if !ended || len(got.Ops) != 2 {
+			t.Errorf("ended=%v with %v, want the round's ACK", ended, got.Ops)
+		}
+	})
+}
+
+func TestServerCallEndsAcrossACrashAndReboot(t *testing.T) {
+	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, sent *[]wire.Msg) {
+		var timed, forever wire.Msg
+		var ended [2]bool
+		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, 10*time.Millisecond, nil, nil, &timed, &ended[0])
+		calling(b, wire.Msg{Type: wire.MsgMigrateReq, Op: opID(1)}, 0, nil, nil, &forever, &ended[1])
+		p.Sleep(5 * time.Millisecond)
+		b.Crash()
+		p.Sleep(time.Millisecond)
+		b.Reboot()
+		// The reply the old incarnation awaited arrives in the new one.
+		b.Deliver(&wire.Msg{Type: wire.MsgMigrateResp, Op: opID(1)})
+		p.Sleep(10 * time.Millisecond)
+		if timed.Err != "ended" || forever.Err != "ended" {
+			t.Errorf("calls across a reboot returned %+v and %+v, want both ended", timed, forever)
+		}
+		if n := countSent(*sent, wire.MsgVote); n != 1 {
+			t.Errorf("%d VOTEs, want the one before the crash", n)
+		}
+	})
+}
+
+func TestServerCallEndsWhenTheSendHookSaysSo(t *testing.T) {
+	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, sent *[]wire.Msg) {
+		var got wire.Msg
+		var ended bool
+		req := wire.Msg{Type: wire.MsgCommitReq, Ops: []types.OpID{opID(1)}}
+		hooked := 0
+		calling(b, req, time.Millisecond, func() bool { hooked++; return true }, nil, &got, &ended)
+		p.Sleep(5 * time.Millisecond)
+		if !ended || got.Err != "ended" || hooked != 1 || countSent(*sent, wire.MsgCommitReq) != 1 || b.Awaiting(&req) {
+			t.Errorf("ended=%v hooked=%d sent=%d awaiting=%v, want the call over after one send, its route gone",
+				ended, hooked, countSent(*sent, wire.MsgCommitReq), b.Awaiting(&req))
 		}
 	})
 }

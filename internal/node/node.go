@@ -6,8 +6,8 @@
 // operations, kept in a ring that overwrites its oldest reply in place, and
 // one index that holds each executing operation's mark and each cached
 // operation's ring position, probed once per call), the lease service behind the
-// leased read path (lease.go) and the routes server-to-server replies come
-// back on (routes.go). Host is the client machine: it routes server responses back
+// leased read path (lease.go) and the one server-to-server call, Call, with
+// the routes its answers come back on (routes.go). Host is the client machine: it routes server responses back
 // to the issuing process and owns the one retrying RPC (Call). The client on
 // top of it is internal/core's Driver under every protocol.
 //
