@@ -28,7 +28,7 @@ func (s *Server) requestCommit(op types.OpID, lcom bool, part types.NodeID) {
 			return // a round already has it
 		}
 		if st.coordinator() {
-			s.kick.Send(kickReq{ops: []types.OpID{op}})
+			s.kick.Send(kickReq{op: op})
 		} else {
 			s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: st.peer, Op: op})
 		}
@@ -93,7 +93,8 @@ func (s *Server) expireWantCommit() {
 // commitDaemon serializes commitment batches: it wakes on immediate kicks,
 // on the lazy triggers (timeout, threshold, idle, log pressure), and merges
 // every request queued at that moment into the one batch it then runs — a
-// burst of C-NOTIFYs is one batch, not one batch per message.
+// burst of C-NOTIFYs is one batch, not one batch per message. The merged
+// targets go in a buffer the daemon reuses from batch to batch.
 func (s *Server) commitDaemon(p *simrt.Proc) {
 	for {
 		req := kickReq{lazy: true} // the timeout trigger, unless a kick comes first
@@ -102,22 +103,22 @@ func (s *Server) commitDaemon(p *simrt.Proc) {
 		} else if r, got := s.kick.RecvTimeout(p, s.cfg.Timeout); got {
 			req = r
 		}
-		for {
-			more, ok := s.kick.TryRecv()
-			if !ok {
-				break
+		lazy, ops := req.lazy, s.kickOps[:0]
+		for ok := true; ok; req, ok = s.kick.TryRecv() {
+			lazy = lazy || req.lazy
+			if req.op != types.NilOp {
+				ops = append(ops, req.op)
 			}
-			req.lazy = req.lazy || more.lazy
-			req.ops = append(req.ops, more.ops...)
 		}
-		if req.lazy {
+		s.kickOps = ops
+		if lazy {
 			s.lazyQueued = false
 		}
 		if s.Crashed() {
 			continue
 		}
-		s.runCommit(p, req)
-		if req.lazy {
+		s.runCommit(p, lazy, ops)
+		if lazy {
 			// Housekeeping that rides the lazy tick: presume-abort orphaned
 			// commitment requests, and nudge coordinators of participant
 			// executions that have waited a full trigger period (their
@@ -140,13 +141,15 @@ func (s *Server) lazyPeriod() time.Duration {
 // runCommit executes one commitment batch: the targets, grouped by
 // participant, each group one VOTE / COMMIT-REQ / ACK round; a lazy batch
 // then writes back and prunes. A request that finds no target and (lazy) no
-// write-back to do is not a batch: it neither runs nor counts.
-func (s *Server) runCommit(p *simrt.Proc, req kickReq) {
+// write-back to do is not a batch: it neither runs nor counts. Only the
+// commit daemon runs batches, one at a time, so what a batch holds — its
+// groups with their procs' bodies, the wait for them — is the server's,
+// reused by the next batch.
+func (s *Server) runCommit(p *simrt.Proc, lazy bool, ops []types.OpID) {
 	// Groups form in ascending participant order (lazy) or request order
 	// (immediate), each in registration order, so a seed replays to the
 	// same message trace.
-	var groups [][]*opState
-	targets := 0
+	n, targets := 0, 0
 	take := func(cops []*opState) {
 		if len(cops) == 0 {
 			return
@@ -154,16 +157,21 @@ func (s *Server) runCommit(p *simrt.Proc, req kickReq) {
 		for _, co := range cops {
 			co.take()
 		}
-		groups = append(groups, cops)
+		if n == len(s.groups) {
+			s.groups = append(s.groups, s.newCommitGroup())
+		}
+		s.groups[n].part, s.groups[n].cops = cops[0].peer, cops
+		n++
 		targets += len(cops)
 	}
+	defer func() { s.endGroups(n) }()
 	switch {
-	case req.lazy:
+	case lazy:
 		for part := range s.idleCoord {
 			take(s.takeIdle(types.NodeID(part)))
 		}
 	default:
-		for _, id := range req.ops {
+		for _, id := range ops {
 			co := s.find(id)
 			if co == nil || co.phase != phasePending || !co.coordinator() {
 				continue
@@ -181,34 +189,67 @@ func (s *Server) runCommit(p *simrt.Proc, req kickReq) {
 			take(s.takeIdle(co.peer))
 		}
 	}
-	if targets == 0 && !(req.lazy && s.flushQ.Len() > 0) {
+	if targets == 0 && !(lazy && s.flushQ.Len() > 0) {
 		return
 	}
-	if req.lazy {
+	groups := s.groups[:n]
+	if lazy {
 		s.stats.LazyBatches++
 		if s.step(StepLazyBatch, types.NilOp, 0, func() string { return fmt.Sprintf("batch=%d flush=%d", targets, s.flushQ.Len()) }) {
 			return
 		}
 	} else {
 		s.stats.ImmediateCommits++
-		if s.step(StepImmediateBatch, groups[0][0].id(), 0, func() string { return fmt.Sprintf("batch=%d", targets) }) {
+		if s.step(StepImmediateBatch, groups[0].cops[0].id(), 0, func() string { return fmt.Sprintf("batch=%d", targets) }) {
 			return
 		}
 	}
 	boot := s.Boot()
-	g := simrt.NewGroup(s.Sim)
-	g.Add(len(groups))
-	for _, cops := range groups {
-		cops := cops
-		s.Sim.Spawn("cx/commit-group", func(gp *simrt.Proc) {
-			defer g.Done()
-			s.groupCommit(gp, boot, cops[0].peer, cops)
-		})
+	s.groupsDone.Add(len(groups))
+	for _, g := range groups {
+		g.boot = boot
+		s.Sim.Spawn("cx/commit-group", g.run)
 	}
-	g.Wait(p)
+	s.groupsDone.Wait(p)
 
-	if req.lazy {
+	if lazy {
 		s.drainFlushQ(p, boot)
+	}
+}
+
+// commitGroup is one participant group of a batch: its targets, taken from
+// the idle index, and the body of the proc that commits them, made once and
+// reused by the group at the same place in every later batch.
+type commitGroup struct {
+	part types.NodeID
+	cops []*opState
+	boot uint64
+	run  func(*simrt.Proc)
+}
+
+// newCommitGroup makes a group with its proc's body bound to it.
+func (s *Server) newCommitGroup() *commitGroup {
+	g := &commitGroup{}
+	g.run = func(p *simrt.Proc) {
+		defer s.groupsDone.Done()
+		s.groupCommit(p, g.boot, g.part, g.cops)
+	}
+	return g
+}
+
+// endGroups ends a batch of n groups: each group's list goes back to its
+// participant emptied, as the spare the next takeIdle of it indexes in
+// (the larger, if one is there already).
+func (s *Server) endGroups(n int) {
+	for _, g := range s.groups[:n] {
+		clear(g.cops)
+		for int(g.part) >= len(s.idleSpare) {
+			s.idleSpare = append(s.idleSpare, nil)
+		}
+		if cap(g.cops) > cap(s.idleSpare[g.part]) {
+			s.idleSpare[g.part] = g.cops[:0]
+		}
+		g.cops = nil
 	}
 }
 
@@ -297,7 +338,7 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 	for i, co := range cops {
 		decisions[i] = wire.Decision{Op: ids[i]}
 		if co.id() == ids[i] {
-			decisions[i].Commit = votes[ids[i]] && co.ok
+			decisions[i].Commit = votes[i].OK && co.ok
 			recs = append(recs, s.decide(co, decisions[i].Commit))
 		}
 	}
@@ -332,27 +373,55 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 	}
 }
 
-// rpcVotes sends a batched VOTE and returns the participant's votes,
-// retrying across participant crashes.
-func (s *Server) rpcVotes(p *simrt.Proc, boot uint64, part types.NodeID, ids, enforce []types.OpID) map[types.OpID]bool {
-	var votes map[types.OpID]bool
+// rpcVotes sends a batched VOTE and returns the participant's votes, one
+// per op of ids and in its order, retrying across participant crashes.
+func (s *Server) rpcVotes(p *simrt.Proc, boot uint64, part types.NodeID, ids, enforce []types.OpID) []wire.Vote {
+	var votes []wire.Vote
 	req := wire.Msg{Type: wire.MsgVote, To: part, Ops: ids, Enforce: enforce}
 	if _, ok := s.Call(p, boot, req, s.cfg.RetryInterval+s.cfg.VoteWait, nil, func(m wire.Msg) bool {
-		votes = make(map[types.OpID]bool, len(m.Votes))
-		for _, v := range m.Votes {
-			votes[v.Op] = v.OK
-		}
-		// Replies route by their first op only, so a straggler answer to an
-		// earlier round that shared this round's head (a pre-crash batch the
-		// recovery re-drove with extra ops, say) can land here. Accept it
-		// only if it votes on this round's entire op set: a missing vote
-		// would otherwise read as NO and abort an operation the participant
-		// actually holds a YES execution for.
-		return !slices.ContainsFunc(ids, func(id types.OpID) bool { _, voted := votes[id]; return !voted })
+		votes = s.alignVotes(ids, m.Votes)
+		return votes != nil
 	}); !ok {
 		return nil
 	}
 	return votes
+}
+
+// alignVotes lines a VOTE-RESP's votes up with the round's ops ids: the
+// answer itself when it votes on ids in their order, as handleVote answers.
+// Replies route by their first op only, so a straggler answer to an earlier
+// round that shared this round's head (a pre-crash batch the recovery
+// re-drove with extra ops, say) can land here. It is accepted only if it
+// votes on this round's entire op set — a missing vote would otherwise read
+// as NO and abort an operation the participant actually holds a YES
+// execution for — and then each op takes the straggler's last vote on it,
+// lined up in the server's scratch, which the next straggler reuses. nil
+// refuses the answer.
+func (s *Server) alignVotes(ids []types.OpID, votes []wire.Vote) []wire.Vote {
+	aligned := len(votes) == len(ids)
+	for i := 0; aligned && i < len(ids); i++ {
+		aligned = votes[i].Op == ids[i]
+	}
+	if aligned {
+		return votes
+	}
+	last := &s.strayVotes
+	for i, v := range votes {
+		last.Put(v.Op, int32(i))
+	}
+	out := s.strayAligned[:0]
+	for _, id := range ids {
+		if i, voted := last.Get(id); voted {
+			out = append(out, votes[i])
+		}
+	}
+	for _, v := range votes {
+		last.Delete(v.Op)
+	}
+	if s.strayAligned = out; len(out) < len(ids) {
+		return nil
+	}
+	return out
 }
 
 // rpcAck sends the batched COMMIT-REQ/ABORT-REQ and waits for the ACK,
@@ -411,7 +480,11 @@ func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce 
 		}
 		if st != nil && st.parked != nil {
 			br, holder := st.parked, st.parked.holder
-			if slices.Contains(enforce, holder) && s.invalidate(p, holder, id) {
+			enforced := slices.Contains(enforce, holder)
+			if enforced {
+				br.kept = true // held across the invalidation's append
+			}
+			if enforced && s.invalidate(p, holder, id) {
 				// Disordered conflict: the coordinator ordered id before
 				// holder, but we executed holder first. It is invalidated;
 				// execute id now (§III.C step 4). st is held across the
@@ -452,11 +525,8 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	recs := s.takeRecs()
 	// done is the executions this request decides and finishes, with their
 	// operations: the entries are held across the append.
-	type decided struct {
-		st *opState
-		op types.OpID
-	}
-	done := make([]decided, 0, len(m.Decisions))
+	done := slices.Grow(s.takeDecided(), len(m.Decisions))
+	defer func() { s.putDecided(done) }()
 	var inflight []types.OpID // aborted ops whose sub-op is mid-execution here
 	var others []types.OpID   // ops another copy of this request decided, not yet finished
 	for _, d := range m.Decisions {
@@ -526,5 +596,32 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	// prunable ones: if the log is short of space, now a round can help.
 	if len(done) > 0 && s.underPressure() {
 		s.pressureRound()
+	}
+}
+
+// decided is an execution a COMMIT-REQ decides, with its operation: the
+// handler holds the entry across its append.
+type decided struct {
+	st *opState
+	op types.OpID
+}
+
+// takeDecided returns an empty list for a COMMIT-REQ handler's decided
+// executions, from the free list when it holds one; putDecided gives it back
+// emptied when the handler returns.
+func (s *Server) takeDecided() []decided {
+	k := len(s.decidedBufs)
+	if k == 0 {
+		return nil
+	}
+	done := s.decidedBufs[k-1]
+	s.decidedBufs = s.decidedBufs[:k-1]
+	return done
+}
+
+func (s *Server) putDecided(done []decided) {
+	if cap(done) > 0 {
+		clear(done)
+		s.decidedBufs = append(s.decidedBufs, done[:0])
 	}
 }

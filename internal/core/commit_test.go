@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -136,4 +137,99 @@ func TestDuplicateCommitReqDecidesOnce(t *testing.T) {
 			t.Error(bad)
 		}
 	})
+}
+
+// A lazy commitment round runs on the server's reused storage: once a few
+// rounds have warmed the cluster, a round over a batch of cross-server
+// creates — VOTE, decision append, COMMIT-REQ, ACK, Complete-Records and the
+// write-back, on both servers — allocates only the slices its messages carry
+// (the coordinator's ids and decisions, the participant's votes): at most
+// three for its one participant group.
+func TestLazyRoundAllocatesOnlyItsMessageSlices(t *testing.T) {
+	const batch, warm, measured = 16, 4, 4
+	r := newRig(1<<20, Config{Timeout: time.Hour})
+	coord := r.srv[0]
+	var allocs []uint64
+	r.run(t, func(p *simrt.Proc) {
+		seq := uint64(0)
+		part := r.srv[1]
+		committed := func() bool { return coord.coordPending == 0 && coord.flushQ.Len() == 0 }
+		written := func() bool { return part.flushQ.Len() == 0 }
+		var before, after runtime.MemStats
+		for round := 0; round < warm+measured; round++ {
+			for range batch {
+				seq++
+				if _, err := r.drv.Do(p, r.create(0, seq)); err != nil {
+					t.Errorf("create: %v", err)
+					return
+				}
+			}
+			if coord.coordPending != batch {
+				t.Errorf("round %d: %d operations pending, want the batch's %d", round, coord.coordPending, batch)
+				return
+			}
+			runtime.ReadMemStats(&before)
+			// The round, with the coordinator's write-back; then the
+			// participant's write-back of what the round decided there.
+			coord.KickCommit()
+			ok := await(p, committed)
+			part.KickCommit()
+			ok = ok && await(p, written)
+			runtime.ReadMemStats(&after)
+			if !ok {
+				t.Errorf("round %d never settled", round)
+				return
+			}
+			if round >= warm {
+				allocs = append(allocs, after.Mallocs-before.Mallocs)
+			}
+		}
+	})
+	t.Logf("allocations of the warm rounds: %v", allocs)
+	for i, n := range allocs {
+		if n > 3 {
+			t.Errorf("warm lazy round %d allocated %d objects, want at most 3 (its messages' slices)", i, n)
+		}
+	}
+}
+
+// A VOTE-RESP answering the round's ops in order is read in place. Any other
+// is a straggler from an earlier round with the same head: accepted only if
+// it votes on every op of this round, each op then taking its last vote.
+func TestAlignVotesKeepsTheStragglerRule(t *testing.T) {
+	s := newRig(1<<20, Config{}).srv[0]
+	op := func(seq uint64) types.OpID { return types.OpID{Proc: types.ProcID{Client: 9}, Seq: seq} }
+	ids := []types.OpID{op(1), op(2), op(3)}
+	vote := func(seq uint64, ok bool) wire.Vote { return wire.Vote{Op: op(seq), OK: ok} }
+	inOrder := []wire.Vote{vote(1, true), vote(2, false), vote(3, true)}
+	if got := s.alignVotes(ids, inOrder); len(got) != 3 || &got[0] != &inOrder[0] {
+		t.Errorf("an in-order answer was not read in place: %v", got)
+	}
+	for _, tc := range []struct {
+		name  string
+		votes []wire.Vote
+		want  []bool // nil: refused
+	}{
+		{"reordered with an extra op", []wire.Vote{vote(3, true), vote(4, true), vote(1, false), vote(2, true)}, []bool{false, true, true}},
+		{"a later vote on an op wins", []wire.Vote{vote(1, true), vote(2, true), vote(3, true), vote(1, false)}, []bool{false, true, true}},
+		{"an op of the round missing", []wire.Vote{vote(1, true), vote(3, true)}, nil},
+		{"the round's head only", []wire.Vote{vote(1, true)}, nil},
+	} {
+		got := s.alignVotes(ids, tc.votes)
+		if tc.want == nil {
+			if got != nil {
+				t.Errorf("%s: accepted as %v, want refused", tc.name, got)
+			}
+			continue
+		}
+		if len(got) != len(ids) {
+			t.Errorf("%s: %d votes, want %d", tc.name, len(got), len(ids))
+			continue
+		}
+		for i, v := range got {
+			if v.Op != ids[i] || v.OK != tc.want[i] {
+				t.Errorf("%s: vote %d is %v, want %v for %v", tc.name, i, v, tc.want[i], ids[i])
+			}
+		}
+	}
 }

@@ -52,6 +52,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"cxfs/internal/kvstore"
@@ -146,8 +147,8 @@ type flushEntry struct {
 // kickReq asks the commit daemon to run. The daemon merges every request
 // queued when it wakes into one batch.
 type kickReq struct {
-	ops  []types.OpID // immediate targets
-	lazy bool         // commit everything pending, write back, prune
+	op   types.OpID // an immediate target; NilOp for none
+	lazy bool       // commit everything pending, write back, prune
 }
 
 // Server is one Cx metadata server.
@@ -182,6 +183,19 @@ type Server struct {
 	// recBufs are record batches' buffers, free for the next batch; each
 	// commit-group proc and COMMIT-REQ handler takes one of its own.
 	recBufs [][]wal.Record
+	// decidedBufs are COMMIT-REQ handlers' lists of decided executions, free
+	// for the next handler (takeDecided).
+	decidedBufs [][]decided
+	// idleSpare holds, by participant, the emptied idle list a batch has given
+	// back, for takeIdle to index the participant's next executions in.
+	idleSpare [][]*opState
+	// freeBlocked are parked requests whose redispatch is over, emptied, for
+	// newBlocked.
+	freeBlocked []*blockedReq
+	// named and namedCoords are pressureRound's scratch: the executions it
+	// names, and their coordinators.
+	named       []namedPart
+	namedCoords []types.NodeID
 
 	// What this server knows per object is kept on the object's row in the
 	// store, not here: the executed-pending operation holding it active is
@@ -190,6 +204,17 @@ type Server struct {
 	// (logResults), which write-back reads (drainFlushQ).
 
 	kick *simrt.Chan[kickReq]
+	// kickOps is the immediate targets the daemon merged from the kicks its
+	// batch takes, reused by every batch.
+	kickOps []types.OpID
+	// groups and groupsDone are the running batch's participant groups and
+	// its wait for their procs (runCommit).
+	groups     []*commitGroup
+	groupsDone *simrt.Group
+	// strayVotes and strayAligned are alignVotes' scratch for a VOTE-RESP
+	// that does not answer its round in order.
+	strayVotes   seg.Index[int32]
+	strayAligned []wire.Vote
 	// lazyQueued is set while a lazy kick sits in the queue the daemon has
 	// not picked up: further lazy triggers coalesce into it.
 	lazyQueued bool
@@ -217,6 +242,8 @@ func NewServer(base *node.Base, pl namespace.Placement, cfg Config) *Server {
 		cfg:  cfg,
 		pl:   pl,
 		kick: simrt.NewChan[kickReq](base.Sim),
+
+		groupsDone: simrt.NewGroup(base.Sim),
 	}
 }
 
@@ -291,28 +318,49 @@ func (s *Server) pressureRound() {
 	if len(s.unnamedParts) == 0 {
 		return
 	}
-	byCoord := make(map[types.NodeID][]types.OpID)
-	var order []types.NodeID
+	// The named executions, with their coordinators in the order each first
+	// appears: one C-NOTIFY (or more, past wire.MaxBatch) per coordinator.
+	named, coords := s.named[:0], s.namedCoords[:0]
 	for _, id := range s.unnamedParts {
 		st := s.find(id)
 		if st == nil || st.phase != phasePending || st.coordinator() || st.named {
 			continue
 		}
 		st.named = true
-		if _, seen := byCoord[st.peer]; !seen {
-			order = append(order, st.peer)
+		if !slices.Contains(coords, st.peer) {
+			coords = append(coords, st.peer)
 		}
-		byCoord[st.peer] = append(byCoord[st.peer], id)
+		named = append(named, namedPart{st.peer, id})
 	}
 	s.unnamedParts = s.unnamedParts[:0]
-	for _, coord := range order {
-		ids := byCoord[coord]
+	for _, coord := range coords {
+		count := 0
+		for _, np := range named {
+			if np.coord == coord {
+				count++
+			}
+		}
+		ids := make([]types.OpID, 0, count) // the messages carry it
+		for _, np := range named {
+			if np.coord == coord {
+				ids = append(ids, np.id)
+			}
+		}
 		for len(ids) > 0 {
 			n := min(len(ids), wire.MaxBatch)
 			s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: coord, Ops: ids[:n]})
 			ids = ids[n:]
 		}
 	}
+	clear(named)
+	s.named, s.namedCoords = named[:0], coords[:0]
+}
+
+// namedPart is a participant execution a log-pressure round names to its
+// coordinator.
+type namedPart struct {
+	coord types.NodeID
+	id    types.OpID
 }
 
 // joinPressureRound answers a peer's log-pressure C-NOTIFY: the named

@@ -126,7 +126,9 @@ func (s *Server) block(m *wire.Msg, holder types.OpID, epoch uint32) {
 	if s.step(StepConflictBeforePark, m.Sub.Op, 0, func() string { return "behind " + holder.String() }) {
 		return
 	}
-	s.park(&blockedReq{msg: *m, holder: holder, epoch: epoch})
+	br := s.newBlocked()
+	br.msg, br.holder, br.epoch = *m, holder, epoch
+	s.park(br)
 	s.requestCommit(holder, false, -1)
 }
 
@@ -280,10 +282,10 @@ func (s *Server) releaseKeys(rows kvstore.Refs, op types.OpID) {
 
 // redispatch re-runs a released sub-op: it may conflict again with a newer
 // holder, be dead (its operation aborted meanwhile), or execute with the
-// released operation as its hint.
-func (s *Server) redispatch(p *simrt.Proc, br *blockedReq, released types.OpID) {
+// released operation as its hint. It reports whether it parked br again.
+func (s *Server) redispatch(p *simrt.Proc, br *blockedReq, released types.OpID) (parked bool) {
 	if s.Crashed() {
-		return
+		return false
 	}
 	sub := br.msg.Sub
 	// The entry the parked request kept for its execution: gone again if
@@ -291,26 +293,26 @@ func (s *Server) redispatch(p *simrt.Proc, br *blockedReq, released types.OpID) 
 	defer func() { s.settle(s.find(sub.Op)) }()
 	st := s.find(sub.Op)
 	if st != nil && st.aborted {
-		return // its operation was aborted while it was parked
+		return false // its operation was aborted while it was parked
 	}
 	seen, holder, held := s.heldBy(sub, kvstore.Probe{})
 	if held {
 		br.holder = holder
 		s.park(br)
 		s.requestCommit(holder, false, -1)
-		return
+		return true
 	}
-	if br.msg.Type == wire.MsgOpReq {
+	switch br.msg.Type {
+	case wire.MsgOpReq:
 		// A blocked colocated compound op re-runs through the local path.
 		s.handleLocalOp(p, &br.msg)
-		return
-	}
-	if br.msg.Type == wire.MsgLookupReq {
+	case wire.MsgLookupReq:
 		// A parked leased read re-resolves now that the holder committed.
 		s.handleLookup(p, &br.msg)
-		return
+	default:
+		s.execParked(p, br, st, released, seen)
 	}
-	s.execParked(p, br, st, released, seen)
+	return false
 }
 
 // execParked executes a sub-op request taken out of a queue, once the chassis

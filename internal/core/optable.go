@@ -145,12 +145,38 @@ func sealedReply(id types.OpID, committed bool) wire.Msg {
 	return m
 }
 
-// blockedReq is a sub-op parked behind an active object.
+// blockedReq is a sub-op parked behind an active object. Requests come from
+// the server's free list (newBlocked) and go back to it when the redispatch
+// their holder's release starts returns without parking them again.
 type blockedReq struct {
 	msg    wire.Msg
 	holder types.OpID // pending op whose commitment it awaits
 	epoch  uint32
 	next   *blockedReq // the holder's next follower
+
+	released types.OpID        // the holder whose release re-dispatches it
+	run      func(*simrt.Proc) // the redispatch proc's body, bound to this request once
+	// kept is set on a request a vote handler holds across a park
+	// (resolveVote): a redispatch it races with must not recycle it.
+	kept bool
+}
+
+// newBlocked returns an empty parked request from the free list, or a new
+// one.
+func (s *Server) newBlocked() *blockedReq {
+	if k := len(s.freeBlocked); k > 0 {
+		br := s.freeBlocked[k-1]
+		s.freeBlocked = s.freeBlocked[:k-1]
+		return br
+	}
+	br := &blockedReq{}
+	br.run = func(p *simrt.Proc) {
+		if !s.redispatch(p, br, br.released) && !br.kept {
+			*br = blockedReq{run: br.run}
+			s.freeBlocked = append(s.freeBlocked, br)
+		}
+	}
+	return br
 }
 
 // opSignal is one proc waiting on an operation: for its sub-op to show up
@@ -395,10 +421,19 @@ func (s *Server) dropIdle(st *opState) {
 	}
 }
 
-// takeIdle hands a batch every indexed entry bound for participant part.
+// takeIdle hands a batch every indexed entry bound for participant part,
+// and indexes part's next entries in the list an earlier batch gave back
+// (endGroups), if there is one.
 func (s *Server) takeIdle(part types.NodeID) []*opState {
 	list := s.idleCoord[part]
-	s.idleCoord[part] = nil
+	if len(list) == 0 {
+		return nil
+	}
+	var next []*opState
+	if int(part) < len(s.idleSpare) {
+		next, s.idleSpare[part] = s.idleSpare[part], nil
+	}
+	s.idleCoord[part] = next
 	return list
 }
 
@@ -476,7 +511,9 @@ func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID
 	// superseded response; a fresh response follows after re-execution.
 	s.Send(wire.Msg{Type: wire.MsgSubOpResp, To: victim.Proc.Client, Op: victim,
 		OK: false, Err: types.ErrInvalidated.Error(), Hint: afterOp, Epoch: newEpoch})
-	s.park(&blockedReq{msg: e.request(s.ID), holder: afterOp, epoch: newEpoch})
+	br := s.newBlocked()
+	br.msg, br.holder, br.epoch = e.request(s.ID), afterOp, newEpoch
+	s.park(br)
 	return true
 }
 
@@ -578,9 +615,8 @@ func (s *Server) release(st *opState) {
 		if fst := s.find(br.msg.Sub.Op); fst != nil && fst.parked == br {
 			fst.parked = nil
 		}
-		s.Sim.Spawn("cx/redispatch", func(p *simrt.Proc) {
-			s.redispatch(p, br, op)
-		})
+		br.released = op
+		s.Sim.Spawn("cx/redispatch", br.run)
 	}
 	st.fire(false)
 	st.wanted = false

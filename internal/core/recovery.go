@@ -233,8 +233,8 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	}
 
 	// Undecided coordinator operations: run an immediate commitment batch.
-	if len(undecidedCoord) > 0 {
-		s.kick.Send(kickReq{ops: undecidedCoord})
+	for _, id := range undecidedCoord {
+		s.kick.Send(kickReq{op: id})
 	}
 	// Undecided participant operations: nudge their coordinators.
 	for _, id := range undecidedPart {

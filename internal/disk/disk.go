@@ -78,6 +78,7 @@ type Request struct {
 	Size   int64
 	Write  bool
 	done   simrt.Signal
+	disk   *Disk // the disk whose free list it returns to after Wait
 }
 
 // Stats aggregates disk activity for the harness.
@@ -98,7 +99,7 @@ type Disk struct {
 
 	queue   []*Request
 	spare   []*Request            // the batch before last, emptied, for reuse
-	free    []*Request            // requests of finished Access calls, for reuse
+	free    []*Request            // requests whose Wait has returned, for reuse
 	pending *simrt.Chan[struct{}] // kicked when work arrives
 	head    int64                 // current head byte position
 
@@ -128,8 +129,24 @@ func (d *Disk) Access(p *simrt.Proc, offset, size int64, write bool) {
 	if size <= 0 {
 		return
 	}
-	// The request lives exactly as long as this call: serve does not touch
-	// it again after firing done, so it goes back on the free list here.
+	d.enqueue(d.request(offset, size, write)).Wait(p)
+}
+
+// Submit enqueues a request without waiting; its Wait returns once the access
+// completes. Used by batched writers that issue several requests and then
+// wait for all of them.
+func (d *Disk) Submit(offset, size int64, write bool) *Request {
+	req := d.request(offset, size, write)
+	if size <= 0 {
+		req.done.Fire()
+		return req
+	}
+	return d.enqueue(req)
+}
+
+// request returns a request for an access, from the free list when it holds
+// one.
+func (d *Disk) request(offset, size int64, write bool) *Request {
 	var req *Request
 	if k := len(d.free); k > 0 {
 		req = d.free[k-1]
@@ -137,31 +154,25 @@ func (d *Disk) Access(p *simrt.Proc, offset, size int64, write bool) {
 	} else {
 		req = new(Request)
 	}
-	*req = Request{Offset: offset, Size: size, Write: write}
-	d.enqueue(req)
-	req.done.Wait(p)
-	d.free = append(d.free, req)
+	*req = Request{Offset: offset, Size: size, Write: write, disk: d}
+	return req
 }
 
-// Submit enqueues a request without waiting. The returned signal fires
-// when the access completes. Used by batched writers that issue several
-// requests and then wait for all of them.
-func (d *Disk) Submit(offset, size int64, write bool) *simrt.Signal {
-	req := &Request{Offset: offset, Size: size, Write: write}
-	if size <= 0 {
-		req.done.Fire()
-	} else {
-		d.enqueue(req)
-	}
-	return &req.done
+// Wait parks p until the access completes. The request then goes back on
+// its disk's free list — serve does not touch it again after firing done —
+// and must not be used any more.
+func (r *Request) Wait(p *simrt.Proc) {
+	r.done.Wait(p)
+	r.disk.free = append(r.disk.free, r)
 }
 
-func (d *Disk) enqueue(req *Request) {
+func (d *Disk) enqueue(req *Request) *Request {
 	d.stats.Requests++
 	d.queue = append(d.queue, req)
 	if d.pending.Len() == 0 {
 		d.pending.Send(struct{}{})
 	}
+	return req
 }
 
 // serve is the disk process: drain the queue, sort, merge, service.

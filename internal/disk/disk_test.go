@@ -64,7 +64,7 @@ func TestElevatorMergesAdjacentQueuedWrites(t *testing.T) {
 	d, _ := runDisk(t, pp, func(p *simrt.Proc, d *Disk) {
 		base := pp.Capacity / 4
 		start := p.Now()
-		chans := make([]*simrt.Signal, n)
+		chans := make([]*Request, n)
 		for i := 0; i < n; i++ {
 			chans[i] = d.Submit(base+int64(i)*4096, 4096, true)
 		}
@@ -236,5 +236,37 @@ func TestAccessWarmNoAlloc(t *testing.T) {
 	}
 	if len(d.free) > 3 {
 		t.Errorf("free list holds %d requests for 3 concurrent callers", len(d.free))
+	}
+}
+
+// TestSubmitWarmNoAlloc pins the batched path the same way: a submitted
+// request goes back on the free list once its Wait returns, so a warm burst
+// of Submits, waited on together, allocates nothing.
+func TestSubmitWarmNoAlloc(t *testing.T) {
+	s := simrt.New(1)
+	defer s.Shutdown()
+	d := New(s, "t", DefaultParams())
+	done := 0
+	s.Spawn("writer", func(p *simrt.Proc) {
+		var reqs [4]*Request
+		for {
+			for i := range reqs {
+				reqs[i] = d.Submit(int64(i)<<20, 4096, true)
+			}
+			for _, r := range reqs {
+				r.Wait(p)
+				done++
+			}
+			p.Sleep(time.Second)
+		}
+	})
+	s.RunUntil(10 * time.Second)
+	before := done
+	allocs := testing.AllocsPerRun(100, func() { s.RunUntil(s.Now() + 10*time.Second) })
+	if allocs > 0 {
+		t.Errorf("ten warm bursts of 4 Submits allocate %.1f objects, want 0", allocs)
+	}
+	if done-before < 4*900 || len(d.free) > 4 {
+		t.Errorf("%d requests completed in the measured rounds, %d on the free list; want >= 3600 and at most 4", done-before, len(d.free))
 	}
 }

@@ -684,7 +684,7 @@ func (st *Store) putSpare(w []pageWrite) {
 // of them and returns the number of pages written.
 func (st *Store) writePages(p *simrt.Proc, rows []pageWrite) (pages uint64) {
 	slices.SortFunc(rows, func(a, b pageWrite) int { return cmp.Compare(a.page, b.page) })
-	var few [8]*simrt.Signal // a burst is a handful of runs
+	var few [8]*disk.Request // a burst is a handful of runs
 	done := few[:0]
 	for i := 0; i < len(rows); {
 		first, last := rows[i].page, rows[i].page

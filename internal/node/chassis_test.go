@@ -477,3 +477,60 @@ func TestCallWithZeroPolicyBlocks(t *testing.T) {
 		t.Error("Call returned without a reply under the zero policy")
 	}
 }
+
+// A Call's answer route comes from the free list finished Calls leave: once
+// one Call has run, a VOTE round trip to a peer allocates nothing.
+func TestServerCallWarmAllocatesNothing(t *testing.T) {
+	s, net, b, _ := build(t)
+	defer s.Shutdown()
+	peer := NewBase(s, net, 1, DefaultHardware())
+	peer.Start(func(p *simrt.Proc, m *wire.Msg) {
+		peer.Send(wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, OK: true})
+	})
+	b.Start(func(p *simrt.Proc, m *wire.Msg) { b.Deliver(m) })
+	calls := 0
+	s.Spawn("caller", func(p *simrt.Proc) {
+		for {
+			req := wire.Msg{Type: wire.MsgVote, To: 1, Op: opID(uint64(calls))}
+			if _, ok := b.Call(p, b.Boot(), req, time.Second, nil, nil); ok {
+				calls++
+			}
+		}
+	})
+	s.RunUntil(10 * time.Millisecond)
+	before := calls
+	if allocs := testing.AllocsPerRun(100, func() { s.RunUntil(s.Now() + 10*time.Millisecond) }); allocs != 0 {
+		t.Errorf("warm Calls allocate %.1f objects per 10ms, want 0", allocs)
+	}
+	if calls-before < 100 || len(b.routes) > 1 {
+		t.Errorf("%d calls in the measured runs and %d routes left, want >= 100 and at most 1", calls-before, len(b.routes))
+	}
+}
+
+// A second answer that lands on a Call's route after the first, before the
+// caller has woken to take it, stays with that Call: the next Call, which
+// reuses the route, sees only its own answer.
+func TestServerCallAllocFreeRouteReuseDropsLeftovers(t *testing.T) {
+	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, _ *[]wire.Msg) {
+		var first, second wire.Msg
+		var ended [2]bool
+		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, 0, nil, nil, &first, &ended[0])
+		p.Sleep(time.Microsecond)
+		b.Deliver(&wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), Err: "answer"})
+		b.Deliver(&wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), Err: "duplicate"})
+		p.Sleep(time.Microsecond)
+		if !ended[0] || first.Err != "answer" || len(b.idleRoutes) != 1 {
+			t.Errorf("first call ended=%v with %q, %d idle routes; want the answer and its route idle", ended[0], first.Err, len(b.idleRoutes))
+		}
+		// The same operation again: the key the duplicate was delivered under.
+		var seen []string
+		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, time.Millisecond, nil,
+			func(m wire.Msg) bool { seen = append(seen, m.Err); return true }, &second, &ended[1])
+		p.Sleep(1500 * time.Microsecond)
+		b.Deliver(&wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), Err: "second"})
+		p.Sleep(time.Microsecond)
+		if !ended[1] || second.Err != "second" || len(seen) != 1 {
+			t.Errorf("second call ended=%v with %q after seeing %q, want only its own answer", ended[1], second.Err, seen)
+		}
+	})
+}

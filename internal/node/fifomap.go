@@ -128,8 +128,14 @@ func (m *FIFOMap[K, V]) All() iter.Seq2[K, *V] {
 	}
 }
 
-// Reset removes every key.
+// Reset removes every key. Their nodes are emptied onto the free list, as
+// Delete's are, so refilling the map allocates none.
 func (m *FIFOMap[K, V]) Reset() {
+	for n := m.oldest; n != nil; {
+		next := n.next
+		*n = fifoNode[K, V]{next: m.free}
+		m.free, n = n, next
+	}
 	clear(m.nodes)
 	m.oldest, m.newest = nil, nil
 }

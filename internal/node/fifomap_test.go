@@ -90,3 +90,24 @@ func TestFIFOMapChurnBelowCapacityAllocatesNothing(t *testing.T) {
 		t.Errorf("%d keys held, want %d", m.Len(), live)
 	}
 }
+
+// Reset empties the map's nodes onto the free list: refilling it to
+// capacity afterwards allocates no node.
+func TestFIFOMapRefillAfterResetAllocatesNothing(t *testing.T) {
+	const capacity = 1024
+	m := NewFIFOMap[int, string](capacity)
+	fill := func() {
+		for k := range capacity {
+			*first(m.Insert(k)) = "v"
+		}
+	}
+	fill() // the nodes, and the key table at its peak
+	if allocs := testing.AllocsPerRun(10, func() { m.Reset(); fill() }); allocs != 0 {
+		t.Errorf("Reset and a refill of %d keys allocate %.1f times, want 0", capacity, allocs)
+	}
+	if got := fifoKeys(m); len(got) != capacity || got[0] != 0 || got[capacity-1] != capacity-1 {
+		t.Errorf("refilled map holds %d keys from %d, want %d in insertion order", len(got), got[0], capacity)
+	}
+}
+
+func first[A, B any](a A, _ B) A { return a }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"time"
 
 	"cxfs/internal/types"
@@ -30,17 +31,30 @@ type leaseKey struct {
 	name string
 }
 
+// leaseInline is how many holders a lease entry keeps in itself; a name
+// leased to more clients spills the rest to a slice.
+const leaseInline = 4
+
 type leaseEntry struct {
-	// holders is insertion-ordered so revocation fan-out is deterministic
-	// (map iteration order must never leak into the message sequence).
-	holders []types.NodeID
-	expire  time.Duration // sim time the newest grant lapses
+	// The holders are insertion-ordered so revocation fan-out is
+	// deterministic (map iteration order must never leak into the message
+	// sequence): inline[:n] first, then spill.
+	inline [leaseInline]types.NodeID
+	n      int
+	spill  []types.NodeID
+	expire time.Duration // sim time the newest grant lapses
+}
+
+// holds reports whether client is among e's holders.
+func (e *leaseEntry) holds(client types.NodeID) bool {
+	return slices.Contains(e.inline[:e.n], client) || slices.Contains(e.spill, client)
 }
 
 // LeaseTable tracks which clients hold read leases on a server's directory
 // entries.
 type LeaseTable struct {
 	entries *FIFOMap[leaseKey, leaseEntry]
+	revoked []types.NodeID // Revoke's result, reused by the next Revoke
 }
 
 // NewLeaseTable builds a lease table bounded at capacity entries.
@@ -51,15 +65,13 @@ func NewLeaseTable(capacity int) *LeaseTable {
 // Grant records that client holds a lease on (dir, name) until now+ttl.
 func (t *LeaseTable) Grant(dir types.InodeID, name string, client types.NodeID, now time.Duration, ttl time.Duration) {
 	e, _ := t.entries.Insert(leaseKey{dir: dir, name: name})
-	held := false
-	for _, h := range e.holders {
-		if h == client {
-			held = true
-			break
-		}
-	}
-	if !held {
-		e.holders = append(e.holders, client)
+	switch {
+	case e.holds(client):
+	case e.n < leaseInline:
+		e.inline[e.n] = client
+		e.n++
+	default:
+		e.spill = append(e.spill, client)
 	}
 	if exp := now + ttl; exp > e.expire {
 		e.expire = exp
@@ -67,11 +79,16 @@ func (t *LeaseTable) Grant(dir types.InodeID, name string, client types.NodeID, 
 }
 
 // Revoke forgets every lease on (dir, name) and returns the holders that
-// need a revocation notice. Expired grants are returned too — notifying a
-// client whose lease already lapsed is harmless.
+// need a revocation notice, in grant order, or nil if there are none.
+// Expired grants are returned too — notifying a client whose lease already
+// lapsed is harmless. The slice is the table's, valid until the next Revoke.
 func (t *LeaseTable) Revoke(dir types.InodeID, name string) []types.NodeID {
-	e, _ := t.entries.Delete(leaseKey{dir: dir, name: name})
-	return e.holders
+	e, ok := t.entries.Delete(leaseKey{dir: dir, name: name})
+	if !ok {
+		return nil
+	}
+	t.revoked = append(append(t.revoked[:0], e.inline[:e.n]...), e.spill...)
+	return t.revoked
 }
 
 // Outstanding returns how many entries currently carry unexpired leases.

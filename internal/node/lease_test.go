@@ -80,7 +80,8 @@ func fillLeases(n int) *LeaseTable {
 
 // TestLeaseTableRevokeIsO1 pins removal from a full-size table at zero
 // allocations (it used to copy the remaining insertion order, about 15 KB
-// per revocation) and a grant of a new key at capacity at one.
+// per revocation) and a grant of a new key at capacity at zero too: the
+// evicted key's node takes the new one, holders and all.
 func TestLeaseTableRevokeIsO1(t *testing.T) {
 	lt := fillLeases(leaseTableCap)
 	mid := make([]string, 0, 200)
@@ -106,8 +107,8 @@ func TestLeaseTableRevokeIsO1(t *testing.T) {
 		lt.Grant(types.RootInode, fresh[i], 4, 0, time.Second)
 		i++
 	})
-	if allocs > 1 {
-		t.Errorf("Grant of a new key at capacity allocates %.1f times, want at most 1", allocs)
+	if allocs != 0 {
+		t.Errorf("Grant of a new key at capacity allocates %.1f times, want 0", allocs)
 	}
 	if n := lt.entries.Len(); n != leaseTableCap {
 		t.Errorf("table holds %d keys, want the cap %d", n, leaseTableCap)
@@ -157,5 +158,26 @@ func TestLeaseTableRevokedHoldersOutliveLaterGrants(t *testing.T) {
 	}
 	if got := lt.Revoke(types.RootInode, "g"); !slices.Equal(got, []types.NodeID{10, 20}) {
 		t.Errorf("holders of a name granted on a reused node: %v, want [10 20]", got)
+	}
+}
+
+// A name leased to more clients than an entry keeps inline keeps the rest
+// beside it: every holder comes back once, in grant order, and a node that
+// held the overflow serves the next name with none of it.
+func TestLeaseTableHoldersPastTheInlineOnes(t *testing.T) {
+	lt := NewLeaseTable(8)
+	var want []types.NodeID
+	for c := types.NodeID(10); c < 10+2*leaseInline+1; c++ {
+		lt.Grant(types.RootInode, "f", c, 0, time.Second)
+		lt.Grant(types.RootInode, "f", 10, 0, time.Second) // repeat of the first holder
+		want = append(want, c)
+	}
+	lt.Grant(types.RootInode, "f", want[len(want)-1], 0, time.Second) // repeat of a spilled one
+	if got := lt.Revoke(types.RootInode, "f"); !slices.Equal(got, want) {
+		t.Errorf("holders %v, want %v in grant order", got, want)
+	}
+	lt.Grant(types.RootInode, "g", 5, 0, time.Second)
+	if got := lt.Revoke(types.RootInode, "g"); !slices.Equal(got, []types.NodeID{5}) {
+		t.Errorf("holders of a name granted after the overflow: %v, want [5]", got)
 	}
 }

@@ -118,6 +118,8 @@ type Base struct {
 	once    seg.Index[int32]
 	leases  *LeaseTable                        // lease.go
 	routes  map[routeKey]*simrt.Chan[wire.Msg] // routes.go
+	// idleRoutes are the channels of finished Calls, emptied, for the next.
+	idleRoutes []*simrt.Chan[wire.Msg]
 
 	stats Stats
 }

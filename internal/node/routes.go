@@ -52,13 +52,9 @@ var answers = [wire.NumMsgTypes]wire.MsgType{
 func (b *Base) Call(p *simrt.Proc, boot uint64, req wire.Msg, every time.Duration,
 	sent func() bool, accept func(wire.Msg) bool) (m wire.Msg, ok bool) {
 	k := keyOf(answers[req.Type], &req)
-	ch := simrt.NewChan[wire.Msg](b.Sim)
+	ch := b.openRoute()
 	b.routes[k] = ch
-	defer func() {
-		if b.routes[k] == ch {
-			delete(b.routes, k)
-		}
-	}()
+	defer b.closeRoute(k, ch)
 	for {
 		b.Send(req)
 		if sent != nil && sent() {
@@ -77,6 +73,31 @@ func (b *Base) Call(p *simrt.Proc, boot uint64, req wire.Msg, every time.Duratio
 			return m, true
 		}
 	}
+}
+
+// openRoute returns an empty channel for a Call's answers: one a finished
+// Call left on the free list, or a new one.
+func (b *Base) openRoute() *simrt.Chan[wire.Msg] {
+	k := len(b.idleRoutes)
+	if k == 0 {
+		return simrt.NewChan[wire.Msg](b.Sim)
+	}
+	ch := b.idleRoutes[k-1]
+	b.idleRoutes = b.idleRoutes[:k-1]
+	return ch
+}
+
+// closeRoute ends the Call that registered ch under k: the route comes off
+// the table unless a later Call took it over, and ch is emptied of answers
+// that arrived after the one taken, so none reaches the next Call it serves.
+func (b *Base) closeRoute(k routeKey, ch *simrt.Chan[wire.Msg]) {
+	if b.routes[k] == ch {
+		delete(b.routes, k)
+	}
+	for ch.Len() > 0 {
+		ch.TryRecv()
+	}
+	b.idleRoutes = append(b.idleRoutes, ch)
 }
 
 // Awaiting reports whether a Call of req is under way: a route for its
