@@ -142,10 +142,7 @@ func realMain(args []string, stdout, stderr io.Writer) (err error) {
 		}()
 	}
 
-	var obsv *obs.Observer
-	if *hist || *traceOut != "" {
-		obsv = obs.New(obs.Options{Hist: *hist, Trace: *traceOut != ""})
-	}
+	obsv := obs.New(obs.Options{Hist: *hist, Trace: *traceOut != ""})
 
 	cfg := harness.Config{Scale: *scale, Servers: *servers, Seed: *seed, Obs: obsv}
 	ccfg := chaos.Config{Seed: *seed, Duration: *duration, Pipeline: *pipeline, GroupLinger: *linger}

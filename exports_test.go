@@ -35,7 +35,6 @@ var callerless = map[string]string{
 	"kvstore.Store.DurableSnapshot": "test probe: the on-disk table the store and pressure tests compare",
 	"model.Check":                   "test oracle: model and chaos tests judge whole histories with it",
 	"namespace.Shard.Store":         "test probe: the namespace tests reach the shard's store",
-	"obs.Observer.Histogram":        "test probe: the observer's latency histogram",
 	"seg.Ring.Len":                  "test probe: the ring's eviction at its cap",
 	"simrt.Proc.Name":               "test probe: a reused worker takes its new body's name",
 	"simrt.Proc.Yield":              "bench probe, ROADMAP item 8",

@@ -139,7 +139,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		}
 	}
 	if ok {
-		s.WAL.Prune(op.ID)
+		s.Prune(op.ID)
 	}
 
 	if !ok {

@@ -99,7 +99,7 @@ func (s *SEServer) flushLocal(p *simrt.Proc) {
 		return
 	}
 	for _, lo := range ops {
-		s.WAL.Prune(lo.id)
+		s.Prune(lo.id)
 	}
 }
 

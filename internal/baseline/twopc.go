@@ -156,7 +156,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	if s.Crashed() {
 		return
 	}
-	s.WAL.Prune(op.ID)
+	s.Prune(op.ID)
 
 	if !commit {
 		reply.OK = false
@@ -233,7 +233,7 @@ func (s *TwoPCServer) applyDecision(p *simrt.Proc, id types.OpID, commit bool) {
 		return
 	}
 	s.WAL.Append(p, wal.Record{Type: decType, Op: id, Role: types.RoleParticipant})
-	s.WAL.Prune(id)
+	s.Prune(id)
 	if pe.locked {
 		s.locks.release([]types.ObjKey{rows[0].Key}) // the sub-op's object: the row it wrote
 	}

@@ -277,12 +277,12 @@ func Run(cfg Config) *Report {
 		for !nem.done {
 			p.Sleep(5 * time.Millisecond)
 		}
-		// Repair the world: heal every cut and fault window, disarm crash
-		// points, and bring every crashed server back through recovery.
+		// Repair the world: heal every cut and fault window and bring every
+		// crashed server back through recovery. The nemesis has disarmed its
+		// crash-point: it ends every cycle it starts.
 		c.Net.HealAll()
 		c.Net.ClearFaults()
 		for i, srv := range c.CxSrv {
-			srv.SetCrashPoint(nil)
 			if srv.Crashed() {
 				srv.Reboot()
 				srv.Recover(p)

@@ -120,11 +120,11 @@ func (n *nemesis) cycleOn(p *simrt.Proc, srv int, viaPoint bool, note string) {
 	if viaPoint {
 		point := crashPoints[n.rng.Intn(len(crashPoints))]
 		armed := p.Now()
-		cx.SetCrashPoint(func(st core.Step, _ types.OpID) bool { return st == point })
+		disarm := h.c.Events.Subscribe(cx.CrashAt(func(st core.Step, _ types.OpID) bool { return st == point }))
 		for p.Now()-armed < 150*time.Millisecond && !cx.Crashed() {
 			p.Sleep(5 * time.Millisecond)
 		}
-		cx.SetCrashPoint(nil)
+		disarm()
 		if !cx.Crashed() {
 			return // no operation reached the armed point; nothing happened
 		}

@@ -81,8 +81,8 @@ type Options struct {
 	// runs must set it; the servers' duplicate suppression makes the
 	// retransmissions at-most-once.
 	Retry types.RetryPolicy
-	// Obs attaches the observability layer to the servers, drivers, and
-	// WALs. Nil (the default) disables all recording.
+	// Obs subscribes the observability layer to the cluster's event stream
+	// (Cluster.Events). Nil (the default) disables all recording.
 	Obs *obs.Observer
 	// CacheTTL enables the leased client metadata cache: servers grant
 	// leases of this TTL on lookup responses, and every driver resolves
@@ -113,6 +113,10 @@ type Cluster struct {
 	Sim       *simrt.Sim
 	Net       *transport.Net
 	Placement namespace.Placement
+
+	// Events is the cluster's event stream: every server, log and client
+	// publishes on it, Opts.Obs is subscribed, and crash-points subscribe.
+	Events *obs.Stream
 
 	Bases   []*node.Base
 	CxSrv   []*core.Server // non-nil only under ProtoCx
@@ -159,26 +163,19 @@ func New(opts Options) (*Cluster, error) {
 	if opts.ProcsPerHost == 0 {
 		opts.ProcsPerHost = 8
 	}
-	opts.Cx.Obs = opts.Obs
 	opts.Obs.BeginRun(string(opts.Protocol))
 	sim := simrt.New(opts.Seed)
 	net := transport.New(sim, opts.Net)
 	pl := namespace.Placement{Servers: opts.Servers}
-	c := &Cluster{Opts: opts, Sim: sim, Net: net, Placement: pl}
+	c := &Cluster{Opts: opts, Sim: sim, Net: net, Placement: pl, Events: obs.NewStream(opts.Obs)}
 
 	for i := 0; i < opts.Servers; i++ {
 		base := node.NewBase(sim, net, types.NodeID(i), opts.Hardware)
 		base.LeaseTTL = opts.CacheTTL // read by the Cx and SE servers' lookups
+		base.Events = c.Events
 		c.Bases = append(c.Bases, base)
 		if opts.GroupLinger > 0 {
 			base.WAL.SetGroupCommit(opts.GroupLinger)
-		}
-		if opts.Obs.TraceOn() {
-			nodeID := int(base.ID)
-			base.WAL.SetPruneHook(func(op types.OpID, bytes int64) {
-				opts.Obs.Emit(sim.Now(), nodeID, op, obs.PhasePrune,
-					fmt.Sprintf("%dB", bytes))
-			})
 		}
 		switch opts.Protocol {
 		case ProtoCx:
@@ -217,9 +214,9 @@ func New(opts Options) (*Cluster, error) {
 	}
 	for i := 0; i < opts.ClientHosts; i++ {
 		host := node.NewHost(sim, net, c.hostID(i))
+		host.Events = c.Events
 		c.Hosts = append(c.Hosts, host)
 		d := core.NewDriver(host, pl, cross)
-		d.SetObserver(opts.Obs, string(opts.Protocol))
 		d.SetRetry(opts.Retry)
 		if leases {
 			cc := core.NewCache(0) // core.DefaultCacheCap

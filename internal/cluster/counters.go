@@ -124,7 +124,7 @@ func (c *Cluster) Measure(setup func(p *simrt.Proc), procs int, work func(p *sim
 	// Spawn order — sampler, setup, workers in index order, controller —
 	// fixes the events' tie-breaking sequence numbers: changing it changes
 	// every fingerprint.
-	if c.Opts.Obs.SamplingOn() {
+	if c.Opts.Obs.SampleInterval() > 0 {
 		c.Sim.Spawn("measure/sampler", c.sample)
 	}
 	c.Sim.Spawn("measure/setup", func(p *simrt.Proc) {

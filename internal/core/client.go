@@ -16,19 +16,18 @@ import (
 
 // Driver is the client under every protocol: it issues one process's
 // operations and blocks until each is complete from the process's
-// perspective. What the protocols share it does once — the observer wrap, the
-// retry policy, the leased read path, read-your-writes invalidation, reads and
-// single-server updates as one sub-op to their owner, and colocated operations
-// and renames as one whole-op request to the coordinator. The paper's
-// approaches differ only in how an operation whose two halves live on two
-// servers is driven (§II.B, Figure 1), and that is the Driver's CrossPath.
+// perspective. What the protocols share it does once — the issue and
+// completion events, the retry policy, the leased read path, read-your-writes
+// invalidation, reads and single-server updates as one sub-op to their owner,
+// and colocated operations and renames as one whole-op request to the
+// coordinator. The paper's approaches differ only in how an operation whose
+// two halves live on two servers is driven (§II.B, Figure 1), and that is the
+// Driver's CrossPath.
 type Driver struct {
 	host  *node.Host
 	pl    namespace.Placement
 	cross CrossPath
 
-	obsv  *obs.Observer
-	proto string
 	retry types.RetryPolicy
 
 	cache     *Cache                // serves lookups locally under lease, when attached
@@ -48,12 +47,6 @@ type CrossPath func(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, op 
 // an operation whose two halves live on two servers (nil: the coordinator's).
 func NewDriver(host *node.Host, pl namespace.Placement, cross CrossPath) *Driver {
 	return &Driver{host: host, pl: pl, cross: cross}
-}
-
-// SetObserver attaches the observability layer; client-observed latencies
-// are recorded under proto. Nil (the default) records nothing.
-func (d *Driver) SetObserver(o *obs.Observer, proto string) {
-	d.obsv, d.proto = o, proto
 }
 
 // SetRetry installs the per-RPC timeout/retry policy. The zero policy (the
@@ -107,15 +100,23 @@ func errFrom(m wire.Msg) error {
 // payloads. An operation naming an entry longer than types.MaxName fails
 // with types.ErrNameTooLong before anything is sent.
 func (d *Driver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	start, self := d.host.Sim.Now(), int(d.host.ID)
-	d.obsv.OpIssued(start, self, op.ID, op.Kind)
-	var conflicted bool
-	ino, err := d.do(p, op, &conflicted)
-	d.obsv.OpDone(d.proto, self, op.ID, op.Kind, start, d.host.Sim.Now(), err, conflicted)
+	events := d.host.Events
+	on := events.On()
+	ev := obs.Event{T: d.host.Sim.Now(), Node: int(d.host.ID), Op: op.ID, Phase: obs.PhaseIssue, Kind: op.Kind}
+	if on {
+		events.Publish(ev)
+	}
+	ino, err := d.do(p, op, &ev.Outcome)
+	if on {
+		if ev.Phase, ev.Dur = obs.PhaseOp, d.host.Sim.Now()-ev.T; err != nil {
+			ev.Outcome = obs.OutcomeAborted
+		}
+		events.Publish(ev)
+	}
 	return ino, err
 }
 
-func (d *Driver) do(p *simrt.Proc, op types.Op, conflicted *bool) (types.Inode, error) {
+func (d *Driver) do(p *simrt.Proc, op types.Op, out *obs.Outcome) (types.Inode, error) {
 	if n := max(len(op.Name), len(op.NewName)); n > types.MaxName {
 		return types.Inode{}, fmt.Errorf("%v: a %d-byte name: %w", op.Kind, n, types.ErrNameTooLong)
 	}
@@ -142,8 +143,10 @@ func (d *Driver) do(p *simrt.Proc, op types.Op, conflicted *bool) (types.Inode, 
 	// protocol: Cx runs it as an eager transaction (extension; see
 	// internal/core/rename.go), the baselines refuse it.
 	if part := d.pl.ParticipantFor(op.Ino); part != coord && d.cross != nil && op.Kind != types.OpRename {
-		ino, c, err := d.cross(p, d.host, d.retry, op, coord, part)
-		*conflicted = c
+		ino, conflicted, err := d.cross(p, d.host, d.retry, op, coord, part)
+		if conflicted {
+			*out = obs.OutcomeConflicted
+		}
 		return ino, err
 	}
 	return d.roundTrip(p, wire.Msg{Type: wire.MsgOpReq, To: coord, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})

@@ -281,7 +281,7 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 	}
 	for i := 0; i < n; i++ {
 		if fe := s.flushQ.At(i); fe.ready {
-			s.WAL.Prune(fe.id)
+			s.Prune(fe.id)
 		}
 	}
 	clear(rows)
@@ -308,8 +308,8 @@ func (s *Server) pinned(fe *flushEntry) bool {
 // operations sharing one participant. boot is the coordinator incarnation
 // this batch belongs to: a crash+reboot mid-phase orphans the proc, and it
 // must stop touching the rebuilt state (recovery re-drives the batch). The
-// round holds its entries across every park, so it touches cops[i] only while
-// it is still the entry of ids[i].
+// entries stay the round's across every park: a taken entry leaves the table
+// only through the round's own finish (DESIGN.md §5 item 20).
 func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops []*opState) {
 	ids := make([]types.OpID, len(cops))
 	var enforce []types.OpID
@@ -336,11 +336,8 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 	recs := s.takeRecs()
 	decisions := make([]wire.Decision, len(cops))
 	for i, co := range cops {
-		decisions[i] = wire.Decision{Op: ids[i]}
-		if co.id() == ids[i] {
-			decisions[i].Commit = votes[i].OK && co.ok
-			recs = append(recs, s.decide(co, decisions[i].Commit))
-		}
+		decisions[i] = wire.Decision{Op: ids[i], Commit: votes[i].OK && co.ok}
+		recs = append(recs, s.decide(co, decisions[i].Commit))
 	}
 	s.logBatch(p, recs)
 	if s.step(StepCommitAfterDecision, ids[0], 0, nil) || s.Gone(boot) {
@@ -360,9 +357,6 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 		return
 	}
 	for i, co := range cops {
-		if co.id() != ids[i] {
-			continue
-		}
 		s.finish(co, co.finalReply())
 		if !decisions[i].Commit {
 			// 7b: ALL-NO tells the process every successful execution was
@@ -523,8 +517,9 @@ func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce 
 func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	boot := s.Boot()
 	recs := s.takeRecs()
-	// done is the executions this request decides and finishes, with their
-	// operations: the entries are held across the append.
+	// done is the executions this request decides and finishes: the entries
+	// are held across the append, and only this handler ends them (DESIGN.md
+	// §5 item 20).
 	done := slices.Grow(s.takeDecided(), len(m.Decisions))
 	defer func() { s.putDecided(done) }()
 	var inflight []types.OpID // aborted ops whose sub-op is mid-execution here
@@ -533,7 +528,7 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 		switch st := s.find(d.Op); {
 		case st != nil && (st.phase == phasePending || st.phase == phaseCommitting):
 			recs = append(recs, s.decide(st, d.Commit))
-			done = append(done, decided{st, d.Op})
+			done = append(done, st)
 		case st != nil && st.phase == phaseDecided:
 			// A duplicate of this request (retransmitted, or copied by the
 			// network) decided it and is inside its append. Deciding again
@@ -584,12 +579,10 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 			}
 		}
 	}
-	for _, d := range done {
+	for _, st := range done {
 		// A Commit/Abort-Record on the participant ends the operation
 		// (§III.A): followers release immediately.
-		if d.st.id() == d.op {
-			s.finish(d.st, d.st.finalReply())
-		}
+		s.finish(st, st.finalReply())
 	}
 	s.Send(wire.Msg{Type: wire.MsgAck, To: m.From, Op: m.Op, Ops: m.Ops})
 	// The decisions turned log records nothing here could free into
@@ -599,17 +592,10 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	}
 }
 
-// decided is an execution a COMMIT-REQ decides, with its operation: the
-// handler holds the entry across its append.
-type decided struct {
-	st *opState
-	op types.OpID
-}
-
 // takeDecided returns an empty list for a COMMIT-REQ handler's decided
 // executions, from the free list when it holds one; putDecided gives it back
 // emptied when the handler returns.
-func (s *Server) takeDecided() []decided {
+func (s *Server) takeDecided() []*opState {
 	k := len(s.decidedBufs)
 	if k == 0 {
 		return nil
@@ -619,7 +605,7 @@ func (s *Server) takeDecided() []decided {
 	return done
 }
 
-func (s *Server) putDecided(done []decided) {
+func (s *Server) putDecided(done []*opState) {
 	if cap(done) > 0 {
 		clear(done)
 		s.decidedBufs = append(s.decidedBufs, done[:0])

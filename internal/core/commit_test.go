@@ -28,7 +28,7 @@ func TestConcurrentRoundsLogTheirOwnRecords(t *testing.T) {
 	// append returns, from their ACK until their Complete-Records' does — and
 	// the most at once.
 	holding, maxHolding, checked := 0, 0, 0
-	s.SetCrashPoint(func(st Step, _ types.OpID) bool {
+	s.Events.Subscribe(s.CrashAt(func(st Step, _ types.OpID) bool {
 		switch st {
 		case StepCommitAfterVote, StepCommitBeforeComplete:
 			holding++
@@ -47,7 +47,7 @@ func TestConcurrentRoundsLogTheirOwnRecords(t *testing.T) {
 			}
 		}
 		return false
-	})
+	}))
 	r.run(t, func(p *simrt.Proc) {
 		seq := uint64(0)
 		for round := 1; round <= 2; round++ {

@@ -41,9 +41,11 @@
 // §III.B; the handlers in exec.go, commit.go, rename.go and recovery.go look
 // an operation up once and act on its phase. Entries are recycled through a
 // per-server free list, so a handler that holds one across a park touches it
-// only while its ID is still the operation's. Every named instant of the
-// protocol is one entry of the step list (steps.go) and one call at its site,
-// which is both its trace event and its crash-point.
+// only while its ID is still the operation's — unless it has taken or decided
+// the entry, which then ends only by its own finish. Every named instant of
+// the protocol is one entry of the step list (steps.go) and one call at its
+// site, which publishes it on the cluster's event stream; who listens (the
+// trace, a crash-point) is not the protocol's business.
 //
 // Where this departs from the paper's text — completion driven by
 // invalidation notices and execution epochs rather than hint equality alone,
@@ -58,7 +60,6 @@ import (
 	"cxfs/internal/kvstore"
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
-	"cxfs/internal/obs"
 	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
@@ -97,9 +98,6 @@ type Config struct {
 	// cost dominates small backlogs (5KB of valid records still takes 3s),
 	// which is what makes Table V sublinear.
 	RecoveryFreeze time.Duration
-	// Obs receives the protocol's trace events (steps.go); nil, the
-	// default, records nothing.
-	Obs *obs.Observer
 }
 
 // DefaultConfig mirrors the paper's experimental defaults.
@@ -185,7 +183,7 @@ type Server struct {
 	recBufs [][]wal.Record
 	// decidedBufs are COMMIT-REQ handlers' lists of decided executions, free
 	// for the next handler (takeDecided).
-	decidedBufs [][]decided
+	decidedBufs [][]*opState
 	// idleSpare holds, by participant, the emptied idle list a batch has given
 	// back, for takeIdle to index the participant's next executions in.
 	idleSpare [][]*opState
@@ -221,8 +219,6 @@ type Server struct {
 
 	recovering bool
 	lastArrive time.Duration // most recent sub-op arrival, for the idle trigger
-
-	crashAt func(Step, types.OpID) bool // the crash hook (steps.go)
 
 	stats Stats
 }

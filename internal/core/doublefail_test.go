@@ -34,10 +34,11 @@ func TestDoubleFailureCoordinatorThenParticipant(t *testing.T) {
 		// Arm the coordinator-side crash before issuing the operation: the
 		// point only fires inside a commitment, after the Commit-Record is
 		// durable and before the COMMIT-REQ leaves.
+		var disarm []func()
 		for _, srv := range c.CxSrv {
-			srv.SetCrashPoint(func(st core.Step, _ types.OpID) bool {
+			disarm = append(disarm, c.Events.Subscribe(srv.CrashAt(func(st core.Step, _ types.OpID) bool {
 				return st == core.StepCommitAfterDecision
-			})
+			})))
 		}
 		ino, name := crossCreate(t, p, c, pr, types.RootInode, "dbl")
 		coord := c.Placement.CoordinatorFor(types.RootInode, name)
@@ -52,8 +53,8 @@ func TestDoubleFailureCoordinatorThenParticipant(t *testing.T) {
 			}
 			p.Sleep(time.Millisecond)
 		}
-		for _, srv := range c.CxSrv {
-			srv.SetCrashPoint(nil)
+		for _, cancel := range disarm {
+			cancel()
 		}
 
 		// Second failure: the participant dies while the coordinator is

@@ -195,12 +195,12 @@ func TestEveryEndingLeavesTheSameState(t *testing.T) {
 				t.Fatalf("create: %v", err)
 			}
 			s := r.srv[0]
-			s.SetCrashPoint(func(st Step, _ types.OpID) bool { return st == StepCommitAfterDecision })
+			disarm := s.Events.Subscribe(s.CrashAt(func(st Step, _ types.OpID) bool { return st == StepCommitAfterDecision }))
 			s.KickCommit()
 			if !await(p, s.Crashed) {
 				t.Fatal("the coordinator never reached its decision")
 			}
-			s.SetCrashPoint(nil)
+			disarm()
 			s.Reboot()
 			s.Recover(p)
 			r.ended(t, p, "resumed commit", s, op.ID, subOpReq(op, types.RoleCoordinator), true)

@@ -12,6 +12,7 @@ import (
 
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
+	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/transport"
 	"cxfs/internal/types"
@@ -20,9 +21,10 @@ import (
 )
 
 // rig is two Cx servers (or more, newRigOf) and one client host on a
-// fault-free network. Every operation it issues is coordinated by server 0
-// with server 1 as participant, and no two touch the same object, so the only
-// C-NOTIFYs are the ones log pressure sends.
+// fault-free network, publishing on one event stream. Every operation it
+// issues is coordinated by server 0 with server 1 as participant, and no two
+// touch the same object, so the only C-NOTIFYs are the ones log pressure
+// sends.
 type rig struct {
 	sim   *simrt.Sim
 	net   *transport.Net
@@ -39,13 +41,17 @@ func newRig(logMax int64, cfg Config) *rig { return newRigOf(2, logMax, cfg) }
 func newRigOf(servers int, logMax int64, cfg Config) *rig {
 	r := &rig{sim: simrt.New(1), pl: namespace.Placement{Servers: servers}, srv: make([]*Server, servers)}
 	r.net = transport.New(r.sim, transport.DefaultParams())
+	events := obs.NewStream(nil)
 	hw := node.DefaultHardware()
 	hw.LogMaxBytes = logMax
 	for i := range r.srv {
-		r.srv[i] = NewServer(node.NewBase(r.sim, r.net, types.NodeID(i), hw), r.pl, cfg)
+		base := node.NewBase(r.sim, r.net, types.NodeID(i), hw)
+		base.Events = events
+		r.srv[i] = NewServer(base, r.pl, cfg)
 		r.srv[i].Start()
 	}
 	r.host = node.NewHost(r.sim, r.net, types.NodeID(servers))
+	r.host.Events = events
 	r.drv = NewDriver(r.host, r.pl, ConcurrentPath)
 	r.inos = namespace.NewInodeAlloc(r.pl, 1<<32)
 	return r

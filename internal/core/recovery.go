@@ -156,7 +156,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			} else {
 				// Finished here: completed, a participant's durable decision,
 				// or a single-server transaction, whose decision is final.
-				s.WAL.Prune(id)
+				s.Prune(id)
 			}
 			continue
 		}
@@ -168,7 +168,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			// client will see the operation aborted by the coordinator's
 			// vote timeout. Poison locally.
 			s.markAborted(id)
-			s.WAL.Prune(id)
+			s.Prune(id)
 			continue
 		}
 		if !last.Sub.Kind.CrossServer() {
@@ -213,7 +213,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	s.KV.FlushDirty(p)
 	if !s.Gone(boot) {
 		for _, id := range redone {
-			s.WAL.Prune(id)
+			s.Prune(id)
 		}
 	}
 
@@ -223,7 +223,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 		decisions := []wire.Decision{{Op: r.id, Commit: r.committed}}
 		s.rpcAck(p, boot, r.participant, []types.OpID{r.id}, decisions)
 		s.complete(p, []types.OpID{r.id})
-		s.WAL.Prune(r.id)
+		s.Prune(r.id)
 		if r.committed {
 			s.stats.OpsCommitted++
 		} else {

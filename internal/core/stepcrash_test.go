@@ -42,13 +42,13 @@ func crashAtStep(t *testing.T, step core.Step) {
 
 	victim, recovered := -1, false
 	for i, srv := range c.CxSrv {
-		srv.SetCrashPoint(func(st core.Step, _ types.OpID) bool {
+		c.Events.Subscribe(srv.CrashAt(func(st core.Step, _ types.OpID) bool {
 			if st != step || victim >= 0 {
 				return false
 			}
 			victim = i
 			return true
-		})
+		}))
 	}
 	c.Sim.Spawn("rescuer", func(p *simrt.Proc) {
 		for victim < 0 {

@@ -8,11 +8,12 @@ import (
 )
 
 // Step is one named instant of the protocol on a Cx server, an entry of the
-// step list below. A step site makes one call, Server.step, which is both the
-// step's trace event and its crash-point: the instant after the named action
-// has taken effect and before the next one, where a crash leaves exactly the
-// partial state (the comment beside each step) §V recovery must repair.
-// DESIGN.md §5 prints the list; a test renders it and compares.
+// step list below. A step site makes one call, Server.step, which publishes
+// the step on the cluster's event stream, where the trace and crash-points
+// (CrashAt) listen: the instant after the named action has taken effect and
+// before the next one, where a crash leaves exactly the partial state (the
+// comment beside each step) §V recovery must repair. DESIGN.md §5 prints the
+// list; a test renders it and compares.
 type Step uint8
 
 const (
@@ -41,14 +42,12 @@ const (
 
 // stepDef is one entry of the list: the printed name, the op-table
 // transition the step belongs to, what is durable from it on, the paper's
-// step, the trace event it emits, and its flags.
+// step, the trace event it is (obs.PhaseNone: none), and its flags.
 type stepDef struct {
 	name, transition, record, paper string
 	phase                           obs.Phase
 	flags                           uint8
 }
-
-const noEvent obs.Phase = 255 // the phase of a step that emits no trace event
 
 const (
 	span    = 1 << iota // the event is a span from the call's start, not an instant
@@ -59,23 +58,23 @@ var steps = [NumSteps]stepDef{
 	StepExecProvisional:      {"exec:after-provisional", "—", "—", "§III.B 2", obs.PhaseExec, span | nemesis},
 	StepExecAppend:           {"exec:after-append", "register", "Result-Record", "§III.B 2", obs.PhaseAppend, span | nemesis},
 	StepExecBeforeReply:      {"exec:before-reply", "register", "—", "§III.B 2", obs.PhaseReply, nemesis},
-	StepExecAfterReply:       {"exec:after-reply", "—", "—", "§III.B 2", noEvent, nemesis},
+	StepExecAfterReply:       {"exec:after-reply", "—", "—", "§III.B 2", obs.PhaseNone, nemesis},
 	StepLCom:                 {"lcom:received", "—", "—", "§III.B 2b", obs.PhaseLCom, 0},
 	StepLazyBatch:            {"commit:lazy-batch", "take", "—", "§IV.A", obs.PhaseCommitLazy, 0},
 	StepImmediateBatch:       {"commit:immediate-batch", "take", "—", "§III.C 2", obs.PhaseCommitImmediate, 0},
-	StepCommitAfterVote:      {"commit:after-vote", "take", "—", "§III.B 3–4", noEvent, nemesis},
-	StepCommitAfterDecision:  {"commit:after-decision", "decide", "Commit- or Abort-Record", "§III.B 5", noEvent, nemesis},
-	StepCommitMidFanout:      {"commit:mid-fanout", "decide", "—", "§III.B 5–6", noEvent, nemesis},
-	StepCommitBeforeComplete: {"commit:before-complete", "complete", "—", "§III.B 7", noEvent, nemesis},
-	StepPartBeforeAck:        {"part:before-ack", "decide", "Commit- or Abort-Record", "§III.B 6", noEvent, nemesis},
-	StepCommitAfterComplete:  {"commit:after-complete", "complete", "Complete-Record", "§III.B 7", noEvent, 0},
+	StepCommitAfterVote:      {"commit:after-vote", "take", "—", "§III.B 3–4", obs.PhaseNone, nemesis},
+	StepCommitAfterDecision:  {"commit:after-decision", "decide", "Commit- or Abort-Record", "§III.B 5", obs.PhaseNone, nemesis},
+	StepCommitMidFanout:      {"commit:mid-fanout", "decide", "—", "§III.B 5–6", obs.PhaseNone, nemesis},
+	StepCommitBeforeComplete: {"commit:before-complete", "complete", "—", "§III.B 7", obs.PhaseNone, nemesis},
+	StepPartBeforeAck:        {"part:before-ack", "decide", "Commit- or Abort-Record", "§III.B 6", obs.PhaseNone, nemesis},
+	StepCommitAfterComplete:  {"commit:after-complete", "complete", "Complete-Record", "§III.B 7", obs.PhaseNone, 0},
 	StepConflictBeforePark:   {"conflict:before-park", "—", "—", "§III.C 2", obs.PhaseConflictOrdered, 0},
 	StepInvalidateEnforced:   {"invalidate:enforced", "invalidate", "—", "§III.C 4", obs.PhaseConflictDisordered, 0},
 	StepInvalidateAfterUndo:  {"invalidate:after-undo", "invalidate", "—", "§III.C 4", obs.PhaseInvalidate, 0},
-	StepInvalidateMid:        {"invalidate:mid", "invalidate", "Invalidate-Record", "§III.C 4", noEvent, nemesis},
-	StepWriteBackBefore:      {"writeback:before", "—", "—", "§IV.C.1", noEvent, 0},
-	StepWriteBackSettled:     {"writeback:settled", "—", "database pages", "§IV.C.1", noEvent, 0},
-	StepWriteBackAfterPrune:  {"writeback:after-prune", "—", "records pruned", "§III.D", noEvent, 0},
+	StepInvalidateMid:        {"invalidate:mid", "invalidate", "Invalidate-Record", "§III.C 4", obs.PhaseNone, nemesis},
+	StepWriteBackBefore:      {"writeback:before", "—", "—", "§IV.C.1", obs.PhaseNone, 0},
+	StepWriteBackSettled:     {"writeback:settled", "—", "database pages", "§IV.C.1", obs.PhaseNone, 0},
+	StepWriteBackAfterPrune:  {"writeback:after-prune", "—", "records pruned", "§III.D", obs.PhaseNone, 0},
 }
 
 func (st Step) String() string { return steps[st].name }
@@ -84,29 +83,34 @@ func (st Step) String() string { return steps[st].name }
 // chaos fingerprint, depends on exactly these steps in this order.
 func (st Step) Nemesis() bool { return steps[st].flags&nemesis != 0 }
 
-// SetCrashPoint installs (nil removes) the crash hook, asked at every step
-// whether the server crashes right there; tests and the chaos nemesis use it
-// to reproduce partial failures deterministically.
-func (s *Server) SetCrashPoint(fn func(Step, types.OpID) bool) { s.crashAt = fn }
-
-// step is the server reaching st for op: st's trace event if it has one and
-// the observer traces (a span from start, or an instant; detail, nil for
-// none, is evaluated only then), then the crash hook's chance. It reports
-// whether the server is down, so each step site also silences a handler
-// after a concurrent crash.
+// step is the server reaching st for op: when anyone listens, one event on
+// the cluster's stream — a span from start, or an instant — whose detail
+// (nil for none) is rendered only for a trace that keeps it. A crash-point
+// may take the server down meanwhile; step reports whether the server is
+// down, so each step site also silences a handler after a concurrent crash.
 func (s *Server) step(st Step, op types.OpID, start time.Duration, detail func() string) bool {
-	if d := &steps[st]; d.phase != noEvent && s.cfg.Obs.TraceOn() {
-		now, text := s.Sim.Now(), ""
+	if events := s.Events; events.On() {
+		d, now := &steps[st], s.Sim.Now()
 		if d.flags&span == 0 {
 			start = now
 		}
-		if detail != nil {
-			text = detail()
+		ev := obs.Event{T: start, Dur: now - start, Node: int(s.ID), Op: op, Phase: d.phase, Step: uint8(st) + 1}
+		if detail != nil && d.phase != obs.PhaseNone && events.Detailed() {
+			ev.Detail = detail()
 		}
-		s.cfg.Obs.Span(start, now-start, int(s.ID), op, d.phase, text)
-	}
-	if s.crashAt != nil && !s.Crashed() && s.crashAt(st, op) {
-		s.Crash()
+		events.Publish(ev)
 	}
 	return s.Crashed()
+}
+
+// CrashAt returns a crash-point: a subscriber to the cluster's stream that
+// crashes s, while it is up, at the first of its own steps that at accepts.
+// The crash-point tests and the chaos nemesis subscribe one to reproduce a
+// partial failure deterministically.
+func (s *Server) CrashAt(at func(Step, types.OpID) bool) func(obs.Event) {
+	return func(ev obs.Event) {
+		if ev.Step != 0 && ev.Node == int(s.ID) && !s.Crashed() && at(Step(ev.Step-1), ev.Op) {
+			s.Crash()
+		}
+	}
 }

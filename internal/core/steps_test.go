@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cxfs/internal/obs"
 	"cxfs/internal/types"
 )
 
@@ -18,7 +19,7 @@ func stepTable() string {
 	for st := range NumSteps {
 		d := steps[st]
 		event := "—"
-		if d.phase != noEvent {
+		if d.phase != obs.PhaseNone {
 			event = "`" + d.phase.String() + "`"
 			if d.flags&span != 0 {
 				event += " (span)"
@@ -90,5 +91,28 @@ func TestStepWithNothingAttachedAllocatesNothing(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Errorf("a pass over the %d steps allocates %.1f times, want 0", NumSteps, a)
+	}
+}
+
+// A crash-point on the stream costs a step nothing either: the step's event
+// is built on the stack and handed over, and its detail is never rendered,
+// since no trace keeps it.
+func TestStepWithACrashPointAllocatesNothing(t *testing.T) {
+	r := newRig(1<<20, Config{})
+	defer r.sim.Shutdown()
+	s, op, holder := r.srv[0], types.OpID{Seq: 1}, types.OpID{Seq: 2}
+	reached := 0
+	s.Events.Subscribe(s.CrashAt(func(Step, types.OpID) bool { reached++; return false }))
+	if a := testing.AllocsPerRun(1000, func() {
+		for st := range NumSteps {
+			if s.step(st, op, time.Millisecond, func() string { return "behind " + holder.String() }) {
+				t.Fatal("a crash-point that accepts no step crashed the server")
+			}
+		}
+	}); a != 0 {
+		t.Errorf("a pass over the %d steps with a crash-point allocates %.1f times, want 0", NumSteps, a)
+	}
+	if reached == 0 {
+		t.Error("the crash-point saw no step")
 	}
 }

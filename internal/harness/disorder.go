@@ -27,27 +27,22 @@ var ConflictPhases = []obs.Phase{
 // must invalidate its premature execution and re-execute after the enforced
 // predecessor commits. No trace of §IV reaches that path at the default
 // scale; this experiment does on every run, and counts the protocol phases
-// it went through. It records into the session's observer when that one
-// traces (`cxbench -trace` runs it last for that reason) and into one of its
-// own otherwise; the counts are this run's either way.
+// it went through, subscribed to the cluster's event stream. It records into
+// the session's observer only when that one traces (`cxbench -trace` runs it
+// last for that reason).
 func Disorder(cfg Config) Result {
-	o := cfg.Obs
-	if !o.TraceOn() {
-		o = obs.New(obs.Options{Trace: true})
-	}
-	before := make([]uint64, len(ConflictPhases))
-	for i, ph := range ConflictPhases {
-		before[i] = o.PhaseCount(ph)
-	}
-
 	cfg.Servers = 4
 	c := cfg.clusterFor(cluster.ProtoCx, func(co *cluster.Options) {
 		co.ClientHosts = 4
 		co.ProcsPerHost = 2
 		co.Cx.Timeout = time.Hour // never let a retry mask the disorder
-		co.Obs = o
+		if !co.Obs.TraceOn() {
+			co.Obs = nil
+		}
 	})
 	defer c.Shutdown()
+	count := map[obs.Phase]uint64{}
+	c.Events.Subscribe(func(ev obs.Event) { count[ev.Phase]++ })
 
 	settled := 0
 	c.Sim.Spawn("disorder", func(p *simrt.Proc) {
@@ -107,9 +102,7 @@ func Disorder(cfg Config) Result {
 
 	tbl := stats.NewTable("Extension: Figure 3b forced, an unlink and a link of one name in opposite orders at two servers",
 		"Phase", "Events")
-	count := map[obs.Phase]uint64{}
-	for i, ph := range ConflictPhases {
-		count[ph] = o.PhaseCount(ph) - before[i]
+	for _, ph := range ConflictPhases {
 		tbl.Add(ph.String(), count[ph])
 	}
 	bad := c.CheckInvariants()

@@ -30,6 +30,7 @@ import (
 	"cxfs/internal/disk"
 	"cxfs/internal/kvstore"
 	"cxfs/internal/namespace"
+	"cxfs/internal/obs"
 	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/transport"
@@ -92,7 +93,8 @@ type Base struct {
 	KV    *kvstore.Store
 	Shard *namespace.Shard
 
-	HW HardwareParams
+	HW     HardwareParams
+	Events *obs.Stream // the cluster's event stream, for steps and prunes (nil: none)
 	// LeaseTTL is the validity window AnswerLookup stamps on the read leases
 	// it grants. 0, the default, answers lookups without a lease, so clients
 	// cannot cache.
@@ -205,6 +207,18 @@ func (b *Base) Send(m wire.Msg) {
 	b.Net.Send(m)
 }
 
+// Prune discards op's log records (wal.WAL.Prune) and publishes the prune:
+// every protocol's log reaches the event stream here.
+func (b *Base) Prune(op types.OpID) {
+	if bytes := b.WAL.Prune(op); bytes > 0 && b.Events.On() {
+		ev := obs.Event{T: b.Sim.Now(), Node: int(b.ID), Op: op, Phase: obs.PhasePrune}
+		if b.Events.Detailed() {
+			ev.Detail = fmt.Sprintf("%dB", bytes)
+		}
+		b.Events.Publish(ev)
+	}
+}
+
 // NowNanos returns the virtual clock as the uint64 the namespace timestamps
 // use.
 func (b *Base) NowNanos() uint64 { return uint64(b.Sim.Now()) }
@@ -288,9 +302,10 @@ func (b *Base) ServeReaddir(m *wire.Msg) {
 // each inbound message to the process waiting on that operation. One Host
 // carries many application processes (the paper runs 8 per client).
 type Host struct {
-	ID  types.NodeID
-	Sim *simrt.Sim
-	Net *transport.Net
+	ID     types.NodeID
+	Sim    *simrt.Sim
+	Net    *transport.Net
+	Events *obs.Stream // the cluster's event stream, for operations (nil: none)
 
 	routes seg.Index[*Route]
 	idle   []*Route // closed routes, emptied, for the next Open

@@ -1,7 +1,8 @@
-// Package obs is the observability layer threaded through the protocol
-// engines: per-operation latency histograms keyed by op kind x protocol x
-// outcome, a protocol-phase event trace on virtual time, and periodic
-// time-series sampling of cluster resources.
+// Package obs is the observability layer: one stream of protocol events per
+// cluster, and its standard subscriber, the Observer, which keeps
+// per-operation latency histograms keyed by op kind x protocol x outcome, a
+// protocol-phase event trace on virtual time, and periodic time-series
+// sampling of cluster resources.
 //
 // The paper's evaluation is entirely about where time goes — sub-op
 // execution vs. synchronous log appends vs. deferred commitment (§IV) —
@@ -9,11 +10,13 @@
 // end-of-run counters. It keeps no counters of its own: how often a layer
 // did something is that layer's Stats, read through cluster.Counters.
 //
-// Every recording method is nil-safe: a nil *Observer is the disabled
-// default, and the hot path pays exactly one nil check. The simulation is
-// single-threaded (one runnable Proc at a time, with happens-before through
-// the scheduler handshake), so the Observer needs no locking; readers
-// consume it after the run completes.
+// Every instant a server, its log or a client reaches is one Event, published
+// on the cluster's Stream by one call, Publish; the Observer records through
+// its subscription only, beside subscribers such as crash-points. A Stream
+// nobody listens to costs an emitter one check, and a nil *Observer, the
+// disabled default, is safe to read. The simulation is single-threaded (one
+// runnable Proc at a time, with happens-before through the scheduler
+// handshake), so neither locks; readers consume the Observer after the run.
 package obs
 
 import (
@@ -46,6 +49,10 @@ const (
 	numPhases
 )
 
+// PhaseNone is the phase of an event the trace does not keep: a step that is
+// a crash-point only.
+const PhaseNone = numPhases
+
 var phaseNames = [...]string{
 	PhaseOp:                 "op",
 	PhaseIssue:              "issue",
@@ -77,7 +84,6 @@ const (
 	OutcomeComplete   Outcome = iota // completed cleanly
 	OutcomeConflicted                // completed, but saw conflict machinery
 	OutcomeAborted                   // failed (protocol abort or namespace error)
-	numOutcomes
 )
 
 var outcomeNames = [...]string{
@@ -160,7 +166,7 @@ func (h *Histogram) Mean() time.Duration {
 
 // Quantile estimates the q-th quantile (0..1) from the buckets. Exact
 // extremes are returned from Min/Max; interior quantiles are accurate to a
-// bucket (a factor of two on the log scale).
+// bucket (a factor of two on the log scale), and clamped to [Min, Max].
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h.Count == 0 {
 		return 0
@@ -179,21 +185,68 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	for i, n := range h.Buckets {
 		seen += n
 		if seen > rank {
-			return bucketMid(i)
+			return min(max(bucketMid(i), h.Min), h.Max)
 		}
 	}
 	return h.Max
 }
 
-// Event is one trace entry on virtual time. Dur is zero for instants.
+// Event is one protocol instant on virtual time, as an emitter publishes it
+// and the trace keeps it. Dur is zero for instants.
 type Event struct {
-	T      time.Duration
-	Dur    time.Duration
-	Run    int
-	Node   int
-	Op     types.OpID
-	Phase  Phase
-	Detail string
+	T     time.Duration
+	Dur   time.Duration
+	Run   int // the Observer stamps it
+	Node  int
+	Op    types.OpID
+	Phase Phase
+	Step  uint8 // a Cx server step's number plus one (core.Server.CrashAt); 0 for no step
+	// A client operation's (PhaseIssue, PhaseOp): its histogram's key.
+	Kind    types.OpKind
+	Outcome Outcome
+	Detail  string
+}
+
+// Stream is one cluster's subscriber list: Publish hands every event to each
+// subscriber, in the order they subscribed.
+type Stream struct {
+	subs   []*func(Event)
+	detail bool // a subscribed Observer traces: emitters render Detail
+}
+
+// NewStream returns a cluster's stream, with o subscribed when it keeps
+// histograms or a trace.
+func NewStream(o *Observer) *Stream {
+	s := &Stream{}
+	if o != nil && (o.opts.Hist || o.opts.Trace) {
+		s.Subscribe(o.record)
+		s.detail = o.opts.Trace
+	}
+	return s
+}
+
+// On reports whether anyone listens: emitters build events only then.
+func (s *Stream) On() bool { return s != nil && len(s.subs) > 0 }
+
+// Detailed reports whether the trace keeps Detail: emitters render it only then.
+func (s *Stream) Detailed() bool { return s != nil && s.detail }
+
+// Subscribe adds fn, which receives every event published from now on, and
+// returns the call that removes it.
+func (s *Stream) Subscribe(fn func(Event)) (cancel func()) {
+	sub := &fn
+	s.subs = append(s.subs, sub)
+	return func() {
+		// A copy: a subscriber may cancel while Publish walks the list.
+		s.subs = slices.DeleteFunc(slices.Clone(s.subs), func(f *func(Event)) bool { return f == sub })
+	}
+}
+
+// Publish hands ev to every subscriber: the one call every emitter makes.
+func (s *Stream) Publish(ev Event) {
+	for _, fn := range s.subs {
+		(*fn)(ev)
+	}
 }
 
 // Options configures an Observer.
@@ -225,8 +278,8 @@ type Observer struct {
 
 	series map[string]*stats.Series
 
-	run       int
-	runLabels []string
+	runLabels []string // a run's index is its label's place, from 1
+	label     string   // the current run's: a histogram's protocol
 }
 
 // New builds an Observer.
@@ -244,9 +297,6 @@ func New(o Options) *Observer {
 // TraceOn reports whether the event trace is enabled. Nil-safe.
 func (o *Observer) TraceOn() bool { return o != nil && o.opts.Trace }
 
-// SamplingOn reports whether resource sampling is enabled. Nil-safe.
-func (o *Observer) SamplingOn() bool { return o != nil && o.opts.SampleEvery > 0 }
-
 // SampleInterval returns the sampling period (0 when disabled). Nil-safe.
 func (o *Observer) SampleInterval() time.Duration {
 	if o == nil {
@@ -261,66 +311,32 @@ func (o *Observer) BeginRun(label string) int {
 	if o == nil {
 		return 0
 	}
-	o.runLabels = append(o.runLabels, label)
-	o.run = len(o.runLabels)
-	return o.run
+	o.runLabels, o.label = append(o.runLabels, label), label
+	return len(o.runLabels)
 }
 
-// RecordOp records one client-observed operation latency and, when tracing,
-// an operation span. Nil-safe.
-func (o *Observer) RecordOp(kind types.OpKind, proto string, out Outcome, op types.OpID, node int, start, dur time.Duration) {
-	if o == nil {
-		return
-	}
-	if o.opts.Hist {
-		k := Key{Kind: kind, Protocol: proto, Outcome: out}
-		h := o.hists[k]
-		if h == nil {
-			h = &Histogram{}
-			o.hists[k] = h
+// record is the Observer's subscription: a finished client operation's
+// latency into its histogram, under the run's label as protocol, and, when
+// tracing, every event that has a phase into the ring, the client's with
+// their detail rendered.
+func (o *Observer) record(ev Event) {
+	if ev.Phase == PhaseOp && o.opts.Hist {
+		k := Key{ev.Kind, o.label, ev.Outcome}
+		if o.hists[k] == nil {
+			o.hists[k] = &Histogram{}
 		}
-		h.Observe(dur)
+		o.hists[k].Observe(ev.Dur)
 	}
-	if o.opts.Trace {
-		o.push(Event{T: start, Dur: dur, Run: o.run, Node: node, Op: op,
-			Phase: PhaseOp, Detail: kind.String() + "/" + out.String()})
-	}
-}
-
-// OpIssued marks a client handing operation op to its protocol driver at t.
-// Nil-safe; no-op unless tracing.
-func (o *Observer) OpIssued(t time.Duration, node int, op types.OpID, kind types.OpKind) {
-	o.Emit(t, node, op, PhaseIssue, kind.String())
-}
-
-// OpDone records the client-observed latency of the operation issued at
-// start and finished at end, under the outcome err and conflicted (the
-// operation went through the protocol's conflict machinery) give. Nil-safe.
-func (o *Observer) OpDone(proto string, node int, op types.OpID, kind types.OpKind, start, end time.Duration, err error, conflicted bool) {
-	out := OutcomeComplete
-	switch {
-	case err != nil:
-		out = OutcomeAborted
-	case conflicted:
-		out = OutcomeConflicted
-	}
-	o.RecordOp(kind, proto, out, op, node, start, end-start)
-}
-
-// Emit records one instant event. Nil-safe; no-op unless tracing.
-func (o *Observer) Emit(t time.Duration, node int, op types.OpID, ph Phase, detail string) {
-	o.Span(t, 0, node, op, ph, detail)
-}
-
-// Span records one duration event. Nil-safe; no-op unless tracing.
-func (o *Observer) Span(start, dur time.Duration, node int, op types.OpID, ph Phase, detail string) {
-	if o == nil || !o.opts.Trace {
+	if !o.opts.Trace || ev.Phase == PhaseNone {
 		return
 	}
-	o.push(Event{T: start, Dur: dur, Run: o.run, Node: node, Op: op, Phase: ph, Detail: detail})
-}
-
-func (o *Observer) push(ev Event) {
+	switch ev.Phase {
+	case PhaseIssue:
+		ev.Detail = ev.Kind.String()
+	case PhaseOp:
+		ev.Detail = ev.Kind.String() + "/" + ev.Outcome.String()
+	}
+	ev.Run = len(o.runLabels)
 	o.phaseCount[ev.Phase]++
 	if len(o.ring) < o.opts.TraceCap {
 		o.ring = append(o.ring, ev)
@@ -384,14 +400,6 @@ func (o *Observer) PhaseCount(ph Phase) uint64 {
 		return 0
 	}
 	return o.phaseCount[ph]
-}
-
-// Histogram returns the histogram for one key (nil if never observed).
-func (o *Observer) Histogram(k Key) *Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.hists[k]
 }
 
 // Keys returns the recorded histogram keys sorted by protocol, kind,

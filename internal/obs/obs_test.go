@@ -14,14 +14,18 @@ import (
 func TestNilObserverIsSafe(t *testing.T) {
 	var o *Observer
 	// Every method on the nil default must be a harmless no-op — this is
-	// the contract that lets the engines call unconditionally.
-	if o.TraceOn() || o.SamplingOn() {
+	// the contract that lets the engines call unconditionally — and a stream
+	// built for it has nobody to publish to.
+	if o.TraceOn() || o.SampleInterval() != 0 {
 		t.Error("nil observer reports something enabled")
 	}
+	s := NewStream(o)
+	if s.On() || s.Detailed() {
+		t.Error("a stream of the nil observer has a listener")
+	}
 	o.BeginRun("x")
-	o.RecordOp(types.OpCreate, "cx", OutcomeComplete, types.OpID{}, 0, 0, time.Millisecond)
-	o.Emit(0, 0, types.OpID{}, PhaseExec, "")
-	o.Span(0, time.Millisecond, 0, types.OpID{}, PhaseExec, "")
+	s.Publish(Event{Phase: PhaseOp, Kind: types.OpCreate, Dur: time.Millisecond})
+	s.Publish(Event{Phase: PhaseExec})
 	o.Sample("s", 0, 1)
 	if o.Events() != nil || o.Dropped() != 0 || o.PhaseCount(PhaseExec) != 0 {
 		t.Error("nil observer retained data")
@@ -33,15 +37,13 @@ func TestNilObserverIsSafe(t *testing.T) {
 	if err := o.WriteChromeTrace(&buf); err != nil {
 		t.Errorf("nil WriteChromeTrace: %v", err)
 	}
-	// "Observer off" costs the engines nothing: no recording method
-	// allocates on the nil default.
+	// "Observer off" costs the engines nothing: neither the nil default
+	// nor publishing on its stream allocates.
 	if allocs := testing.AllocsPerRun(100, func() {
 		o.BeginRun("x")
-		o.RecordOp(types.OpCreate, "cx", OutcomeComplete, types.OpID{}, 0, 0, time.Millisecond)
-		o.OpIssued(0, 0, types.OpID{}, types.OpCreate)
-		o.OpDone("cx", 0, types.OpID{}, types.OpCreate, 0, time.Millisecond, nil, false)
-		o.Emit(0, 0, types.OpID{}, PhaseExec, "")
-		o.Span(0, time.Millisecond, 0, types.OpID{}, PhaseExec, "")
+		s.Publish(Event{Phase: PhaseIssue, Kind: types.OpCreate})
+		s.Publish(Event{Phase: PhaseOp, Kind: types.OpCreate, Dur: time.Millisecond})
+		s.Publish(Event{Phase: PhaseExec, Dur: time.Millisecond})
 		o.Sample("s", 0, 1)
 	}); allocs != 0 {
 		t.Errorf("recording on a nil observer allocates %.1f times per op, want 0", allocs)
@@ -77,6 +79,18 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := h.Mean(); got < 10*time.Millisecond || got > 12*time.Millisecond {
 		t.Errorf("mean=%v, want ~10.9ms", got)
 	}
+	// One observation: every quantile is that observation, not its bucket's
+	// midpoint (768µs for both of these, above the first and below the
+	// second).
+	for _, d := range []time.Duration{600 * time.Microsecond, time.Millisecond} {
+		one := &Histogram{}
+		one.Observe(d)
+		for _, q := range []float64{0.5, 0.95, 0.99} {
+			if got := one.Quantile(q); got != d {
+				t.Errorf("one observation of %v: quantile %.2f is %v", d, q, got)
+			}
+		}
+	}
 }
 
 func TestHistogramBucketBoundaries(t *testing.T) {
@@ -97,8 +111,9 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 func TestRingEvictionAndDropped(t *testing.T) {
 	o := New(Options{Trace: true, TraceCap: 4})
 	o.BeginRun("r")
+	s := NewStream(o)
 	for i := 0; i < 10; i++ {
-		o.Emit(time.Duration(i), 0, types.OpID{}, PhaseExec, "")
+		s.Publish(Event{T: time.Duration(i), Phase: PhaseExec})
 	}
 	evs := o.Events()
 	if len(evs) != 4 {
@@ -122,10 +137,14 @@ func TestRingEvictionAndDropped(t *testing.T) {
 func TestRecordOpFeedsHistAndTrace(t *testing.T) {
 	o := New(Options{Hist: true, Trace: true})
 	o.BeginRun("cx")
+	s := NewStream(o)
 	op := types.OpID{Seq: 7}
-	o.RecordOp(types.OpCreate, "cx", OutcomeConflicted, op, 3, time.Second, 5*time.Millisecond)
+	done := func(kind types.OpKind, out Outcome, dur time.Duration) {
+		s.Publish(Event{T: time.Second, Dur: dur, Node: 3, Op: op, Phase: PhaseOp, Kind: kind, Outcome: out})
+	}
+	done(types.OpCreate, OutcomeConflicted, 5*time.Millisecond)
 	k := Key{Kind: types.OpCreate, Protocol: "cx", Outcome: OutcomeConflicted}
-	h := o.Histogram(k)
+	h := o.hists[k]
 	if h == nil || h.Count != 1 {
 		t.Fatalf("histogram missing: %+v", h)
 	}
@@ -133,16 +152,17 @@ func TestRecordOpFeedsHistAndTrace(t *testing.T) {
 	if len(evs) != 1 || evs[0].Phase != PhaseOp || evs[0].Dur != 5*time.Millisecond || evs[0].Run != 1 {
 		t.Errorf("trace event: %+v", evs)
 	}
-	if !strings.Contains(evs[0].Detail, "conflicted") {
-		t.Errorf("detail %q lacks outcome", evs[0].Detail)
+	if evs[0].Detail != "create/conflicted" {
+		t.Errorf("detail %q, want kind/outcome", evs[0].Detail)
 	}
 	if got := o.HistTable().String(); !strings.Contains(got, "p99") || !strings.Contains(got, "conflicted") {
 		t.Errorf("hist table:\n%s", got)
 	}
 	// Tables list histograms by protocol, then kind, then outcome.
-	o.RecordOp(types.OpCreate, "cx", OutcomeComplete, op, 3, time.Second, time.Millisecond)
-	o.RecordOp(types.OpStat, "cx", OutcomeComplete, op, 3, time.Second, time.Millisecond)
-	o.RecordOp(types.OpStat, "2pc", OutcomeComplete, op, 3, time.Second, time.Millisecond)
+	done(types.OpCreate, OutcomeComplete, time.Millisecond)
+	done(types.OpStat, OutcomeComplete, time.Millisecond)
+	o.BeginRun("2pc")
+	done(types.OpStat, OutcomeComplete, time.Millisecond)
 	want := []Key{{types.OpStat, "2pc", OutcomeComplete}, {types.OpCreate, "cx", OutcomeComplete}, k, {types.OpStat, "cx", OutcomeComplete}}
 	if got := o.Keys(); !slices.Equal(got, want) {
 		t.Errorf("keys %v, want %v", got, want)
@@ -151,7 +171,7 @@ func TestRecordOpFeedsHistAndTrace(t *testing.T) {
 
 func TestSampling(t *testing.T) {
 	o := New(Options{SampleEvery: time.Second})
-	if !o.SamplingOn() || o.SampleInterval() != time.Second {
+	if o.SampleInterval() != time.Second {
 		t.Fatal("sampling not on")
 	}
 	o.Sample("wal-live-bytes", 0, 10)
@@ -169,9 +189,10 @@ func TestSampling(t *testing.T) {
 func TestWriteChromeTraceShape(t *testing.T) {
 	o := New(Options{Trace: true})
 	o.BeginRun("cx")
+	s := NewStream(o)
 	op := types.OpID{Seq: 1}
-	o.Span(time.Millisecond, 2*time.Millisecond, 4, op, PhaseExec, "create/coordinator")
-	o.Emit(3*time.Millisecond, 5, op, PhaseInvalidate, "link")
+	s.Publish(Event{T: time.Millisecond, Dur: 2 * time.Millisecond, Node: 4, Op: op, Phase: PhaseExec, Detail: "create/coordinator"})
+	s.Publish(Event{T: 3 * time.Millisecond, Node: 5, Op: op, Phase: PhaseInvalidate, Detail: "link"})
 	var buf bytes.Buffer
 	if err := o.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -196,15 +217,47 @@ func TestWriteChromeTraceShape(t *testing.T) {
 
 func TestBeginRunScopesEvents(t *testing.T) {
 	o := New(Options{Trace: true})
+	s := NewStream(o)
 	r1 := o.BeginRun("cx")
-	o.Emit(0, 0, types.OpID{}, PhaseExec, "")
+	s.Publish(Event{Phase: PhaseExec})
 	r2 := o.BeginRun("se")
-	o.Emit(0, 0, types.OpID{}, PhaseExec, "")
+	s.Publish(Event{Phase: PhaseExec})
 	if r1 != 1 || r2 != 2 {
 		t.Errorf("run indices %d,%d", r1, r2)
 	}
 	evs := o.Events()
 	if evs[0].Run != 1 || evs[1].Run != 2 {
 		t.Errorf("events not run-scoped: %+v", evs)
+	}
+}
+
+// A stream hands each event to its subscribers in the order they subscribed,
+// a subscriber may cancel itself while the event is being handed out, and
+// the trace keeps neither a crash-point-only event nor a detail it did not
+// ask for.
+func TestStreamSubscribers(t *testing.T) {
+	o := New(Options{Trace: true})
+	o.BeginRun("cx")
+	s := NewStream(o)
+	if !s.On() || !s.Detailed() {
+		t.Fatal("a tracing observer's stream is off")
+	}
+	var got []string
+	var cancelFirst func()
+	cancelFirst = s.Subscribe(func(ev Event) { got = append(got, "first"); cancelFirst() })
+	s.Subscribe(func(ev Event) { got = append(got, "second") })
+	s.Publish(Event{Phase: PhaseNone, Step: 1})
+	s.Publish(Event{Phase: PhaseExec, Step: 1})
+	if want := []string{"first", "second", "second"}; !slices.Equal(got, want) {
+		t.Errorf("subscribers called %v, want %v", got, want)
+	}
+	if evs := o.Events(); len(evs) != 1 || evs[0].Phase != PhaseExec || evs[0].Run != 1 {
+		t.Errorf("trace kept %+v, want the one exec event", evs)
+	}
+	if hist := NewStream(New(Options{Hist: true})); !hist.On() || hist.Detailed() {
+		t.Error("a histogram-only stream must listen without asking for detail")
+	}
+	if sampling := NewStream(New(Options{SampleEvery: time.Second})); sampling.On() {
+		t.Error("a sampling-only observer listens to the stream")
 	}
 }

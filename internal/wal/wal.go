@@ -236,7 +236,6 @@ type WAL struct {
 
 	waiters     []fullWaiter
 	fullHandler func()
-	pruneHook   func(op types.OpID, bytes int64)
 	crashed     bool
 	gen         uint64 // incarnation; bumped by Crash so in-flight writes from
 	// a dead incarnation stay discarded even after Reboot re-enables the log
@@ -264,11 +263,6 @@ func New(s *simrt.Sim, d *disk.Disk, base, maxBytes int64) *WAL {
 // blocking) whenever an appender or AwaitSpace caller must wait for space.
 // The Cx core uses it as the backstop that starts a log-pressure round.
 func (w *WAL) SetFullHandler(fn func()) { w.fullHandler = fn }
-
-// SetPruneHook registers fn to be invoked after each successful prune with
-// the op and the bytes it released. The cluster wires the observability
-// trace through it so the WAL stays free of higher-layer imports.
-func (w *WAL) SetPruneHook(fn func(op types.OpID, bytes int64)) { w.pruneHook = fn }
 
 // SetGroupCommit enables the cross-proc group-commit scheduler: concurrent
 // appenders park in a flush window for up to linger of virtual time and a
@@ -480,24 +474,24 @@ func (w *WAL) newEntry() int32 {
 // Prune removes all records of op from the log, freeing space and waking
 // stalled appenders whose need now fits. The caller must only prune an op
 // whose terminal record (Complete on the coordinator, Commit/Abort on the
-// participant) is durable; that discipline lives in the protocol layer.
-func (w *WAL) Prune(op types.OpID) {
+// participant) is durable; that discipline lives in the protocol layer. It
+// returns the bytes released, 0 if op had no records.
+func (w *WAL) Prune(op types.OpID) int64 {
 	h, ok := w.index.Delete(op)
 	if !ok {
-		return
+		return 0
 	}
 	e := w.entries.At(int(h))
 	e.pruned = true
 	w.live -= e.bytes
 	w.liveRecs -= int(e.recs)
 	w.stats.Pruned++
-	if w.pruneHook != nil {
-		w.pruneHook(op, e.bytes)
-	}
+	bytes := e.bytes
 	if dead := w.ordered.Len() - w.liveRecs; 4*dead > w.liveRecs {
 		w.compact()
 	}
 	w.wakeWaiters()
+	return bytes
 }
 
 // compact drops the records of pruned ops from the ordered view, in place,
