@@ -65,7 +65,7 @@ func serveSingle(p *simrt.Proc, b *node.Base, m *wire.Msg) {
 	if mutating {
 		b.CacheReply(sub.Op, &reply)
 	}
-	b.Send(reply)
+	b.Send(&reply)
 }
 
 // servedAside answers the whole-operation requests every baseline serves
@@ -77,7 +77,7 @@ func servedAside(b *node.Base, m *wire.Msg) bool {
 	case types.OpReaddir:
 		b.ServeReaddir(m)
 	case types.OpRename:
-		b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, Err: types.ErrNotSupported.Error()})
+		b.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, Err: types.ErrNotSupported.Error()})
 	default:
 		return false
 	}

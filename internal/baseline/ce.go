@@ -8,6 +8,7 @@ import (
 	"cxfs/internal/node"
 	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
+	"cxfs/internal/transport"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
 	"cxfs/internal/wire"
@@ -43,8 +44,8 @@ func (s *CEServer) Start() {
 	s.KV.StartCheckpointer(10 * time.Second)
 }
 
-func (s *CEServer) handle(p *simrt.Proc, m *wire.Msg) {
-	switch m.Type {
+func (s *CEServer) handle(p *simrt.Proc, pk *transport.Packet) {
+	switch m := &pk.Msg; m.Type {
 	case wire.MsgSubOpReq:
 		serveSingle(p, s.Base, m)
 	case wire.MsgOpReq:
@@ -52,7 +53,7 @@ func (s *CEServer) handle(p *simrt.Proc, m *wire.Msg) {
 	case wire.MsgMigrateReq:
 		s.lendRows(p, m)
 	case wire.MsgMigrateResp, wire.MsgMigrateAck:
-		s.Deliver(m)
+		s.Deliver(pk)
 	case wire.MsgMigrateBack:
 		s.reinstallRows(p, m)
 	}
@@ -83,15 +84,19 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	pKey, _ := pSub.Key()
 	partRows := []types.ObjKey{pKey}
 	if !local {
-		mr, _ := s.Call(p, boot, wire.Msg{Type: wire.MsgMigrateReq, To: part, Op: op.ID,
+		mr, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgMigrateReq, To: part, Op: op.ID,
 			Keys: partRows}, 0, nil, nil)
 		if s.Crashed() {
 			return
 		}
-		for i := range mr.Rows {
-			if r := &mr.Rows[i]; r.Val.Present() {
-				s.KV.PutAt(s.KV.Find(r.Key), r.Key, r.Val.Bytes())
+		if ok {
+			// The rows are read where they landed, in the answer's packet.
+			for i := range mr.Rows {
+				if r := &mr.Rows[i]; r.Val.Present() {
+					s.KV.PutAt(s.KV.Find(r.Key), r.Key, r.Val.Bytes())
+				}
 			}
+			mr.Release()
 		}
 	}
 
@@ -133,7 +138,9 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		}
 		// Only the MIGRATE-ACK says the participant has the rows durable; a
 		// duplicated MIGRATE-RESP arriving meanwhile routes elsewhere.
-		s.Call(p, boot, wire.Msg{Type: wire.MsgMigrateBack, To: part, Op: op.ID, Rows: back}, 0, nil, nil)
+		if ack, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgMigrateBack, To: part, Op: op.ID, Rows: back}, 0, nil, nil); ok {
+			ack.Release()
+		}
 		if s.Crashed() {
 			return
 		}
@@ -153,7 +160,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		reply.Attr = resC.Inode
 	}
 	s.CacheReply(op.ID, &reply)
-	s.Send(reply)
+	s.Send(&reply)
 }
 
 // lendRows ships the requested rows to the coordinator and locks them here
@@ -162,13 +169,13 @@ func (s *CEServer) lendRows(p *simrt.Proc, m *wire.Msg) {
 	if _, lent := s.migrated.Get(m.Op); lent {
 		// Retransmitted MigrateReq: the rows are already lent out; resend the
 		// current copies without re-acquiring the locks the loan holds.
-		s.Send(wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: s.copyRows(m.Keys)})
+		s.Send(&wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: s.copyRows(m.Keys)})
 		return
 	}
 	objKeys := rowLockKeys(m.Keys)
 	s.locks.acquire(p, objKeys)
 	s.migrated.Put(m.Op, objKeys)
-	s.Send(wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: s.copyRows(m.Keys)})
+	s.Send(&wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: s.copyRows(m.Keys)})
 }
 
 // copyRows reads the rows named keys out of the database as they travel in
@@ -202,7 +209,7 @@ func (s *CEServer) reinstallRows(p *simrt.Proc, m *wire.Msg) {
 	if keys, ok := s.migrated.Delete(m.Op); ok {
 		s.locks.release(keys)
 	}
-	s.Send(wire.Msg{Type: wire.MsgMigrateAck, To: m.From, Op: m.Op})
+	s.Send(&wire.Msg{Type: wire.MsgMigrateAck, To: m.From, Op: m.Op})
 }
 
 // rowLockKeys returns the lock-table keys of lent rows: one per row, named by

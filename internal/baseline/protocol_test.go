@@ -85,10 +85,12 @@ func TestSEClientCrashLeavesOrphan(t *testing.T) {
 		// The client executes only the participant step, then "crashes"
 		// (never contacts the coordinator, never sends CLEAR).
 		route := host.Open(op.ID)
-		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
-		if m := route.Recv(p); !m.OK {
+		host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
+		m := route.Recv(p)
+		if !m.OK {
 			t.Fatalf("participant step failed: %s", m.Err)
 		}
+		m.Release()
 		host.Done(op.ID)
 		p.Sleep(2 * time.Second) // nothing in SE will ever clean this up
 		if _, ok := c.Bases[part].Shard.GetInode(ino); !ok {

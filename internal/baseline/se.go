@@ -9,6 +9,7 @@ import (
 	"cxfs/internal/node"
 	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
+	"cxfs/internal/transport"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
 	"cxfs/internal/wire"
@@ -103,8 +104,8 @@ func (s *SEServer) flushLocal(p *simrt.Proc) {
 	}
 }
 
-func (s *SEServer) handle(p *simrt.Proc, m *wire.Msg) {
-	switch m.Type {
+func (s *SEServer) handle(p *simrt.Proc, pk *transport.Packet) {
+	switch m := &pk.Msg; m.Type {
 	case wire.MsgSubOpReq:
 		s.handleSubOp(p, m)
 	case wire.MsgOpReq:
@@ -181,7 +182,7 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	if mutating {
 		s.CacheReply(sub.Op, &reply)
 	}
-	s.Send(reply)
+	s.Send(&reply)
 }
 
 // retainUndo keeps e in the undo window, evicting the oldest execution at
@@ -212,7 +213,7 @@ func (s *SEServer) handleClear(p *simrt.Proc, m *wire.Msg) {
 			return
 		}
 	}
-	s.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, OK: true})
+	s.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, OK: true})
 }
 
 // handleLocalOp executes a colocated cross-server op locally.
@@ -231,14 +232,14 @@ func (s *SEServer) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	resP := s.Shard.Exec(pSub, s.NowNanos())
 	if !resP.OK {
 		reply.OK, reply.Err = false, resP.Err.Error()
-		s.Send(reply)
+		s.Send(&reply)
 		return
 	}
 	resC := s.Shard.Exec(cSub, s.NowNanos())
 	if !resC.OK {
 		s.Shard.ApplyUndo(resP.Undo())
 		reply.OK, reply.Err = false, resC.Err.Error()
-		s.Send(reply)
+		s.Send(&reply)
 		return
 	}
 	s.maybeRevoke(cSub)
@@ -251,7 +252,7 @@ func (s *SEServer) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 		return
 	}
 	s.CacheReply(op.ID, &reply)
-	s.Send(reply)
+	s.Send(&reply)
 }
 
 // SerialPath is SE's client path for an operation whose two halves live on
@@ -262,28 +263,36 @@ func SerialPath(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, op type
 	cSub, pSub := types.Split(op)
 	route := host.Open(op.ID)
 	defer host.Done(op.ID)
+	clearPart := func() {
+		if m, ok := host.Call(p, retry, route, &wire.Msg{Type: wire.MsgClear, To: part, Op: op.ID, ReplyProc: op.ID.Proc}); ok {
+			m.Release()
+		}
+	}
 
 	// Step 1: participant executes first.
-	m, ok := host.Call(p, retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
+	m, ok := host.Call(p, retry, route, &wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
 	if !ok {
 		return types.Inode{}, false, types.ErrTimeout
 	}
-	if !m.OK {
-		return types.Inode{}, false, types.WireError(m.Err)
+	partOK, partErr := m.OK, m.Err
+	m.Release()
+	if !partOK {
+		return types.Inode{}, false, types.WireError(partErr)
 	}
 	// Step 2: then the coordinator.
-	m, ok = host.Call(p, retry, route, wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
+	m, ok = host.Call(p, retry, route, &wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
 	if !ok {
 		// The participant's half may be durable with no withdrawal possible:
 		// exactly SE's documented orphan window. Best-effort CLEAR.
-		host.Call(p, retry, route, wire.Msg{Type: wire.MsgClear, To: part, Op: op.ID, ReplyProc: op.ID.Proc})
+		clearPart()
 		return types.Inode{}, false, types.ErrTimeout
 	}
-	if m.OK {
-		return m.Attr, false, nil
+	attr, coordOK, coordErr := m.Attr, m.OK, m.Err
+	m.Release()
+	if coordOK {
+		return attr, false, nil
 	}
 	// Compensate: CLEAR the participant's execution.
-	err := types.WireError(m.Err)
-	host.Call(p, retry, route, wire.Msg{Type: wire.MsgClear, To: part, Op: op.ID, ReplyProc: op.ID.Proc})
-	return types.Inode{}, false, err
+	clearPart()
+	return types.Inode{}, false, types.WireError(coordErr)
 }

@@ -7,6 +7,7 @@ import (
 	"cxfs/internal/node"
 	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
+	"cxfs/internal/transport"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
 	"cxfs/internal/wire"
@@ -52,8 +53,8 @@ func (s *TwoPCServer) Start() {
 	s.KV.StartCheckpointer(10 * time.Second)
 }
 
-func (s *TwoPCServer) handle(p *simrt.Proc, m *wire.Msg) {
-	switch m.Type {
+func (s *TwoPCServer) handle(p *simrt.Proc, pk *transport.Packet) {
+	switch m := &pk.Msg; m.Type {
 	case wire.MsgSubOpReq:
 		serveSingle(p, s.Base, m)
 	case wire.MsgOpReq:
@@ -63,7 +64,7 @@ func (s *TwoPCServer) handle(p *simrt.Proc, m *wire.Msg) {
 	case wire.MsgCommitReq:
 		s.participantDecide(p, m)
 	case wire.MsgVoteResp, wire.MsgAck:
-		s.Deliver(m)
+		s.Deliver(pk)
 	}
 }
 
@@ -105,9 +106,11 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 				OK: true, Sub: pSub, Pre: before, Post: after})
 		}
 	} else {
-		vote, _ := s.Call(p, boot, wire.Msg{Type: wire.MsgVote, To: part, Op: op.ID, Sub: pSub,
-			ReplyProc: m.ReplyProc}, 0, nil, nil)
-		partOK, partErr = vote.OK, vote.Err
+		if vote, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgVote, To: part, Op: op.ID, Sub: pSub,
+			ReplyProc: m.ReplyProc}, 0, nil, nil); ok {
+			partOK, partErr = vote.OK, vote.Err
+			vote.Release()
+		}
 	}
 	if s.Crashed() {
 		return
@@ -138,8 +141,10 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	if local {
 		s.applyDecision(p, op.ID, commit)
 	} else if partOK {
-		s.Call(p, boot, wire.Msg{Type: wire.MsgCommitReq, To: part, Op: op.ID,
-			Decisions: []wire.Decision{{Op: op.ID, Commit: commit}}}, 0, nil, nil)
+		if ack, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgCommitReq, To: part, Op: op.ID,
+			Decisions: []wire.Decision{{Op: op.ID, Commit: commit}}}, 0, nil, nil); ok {
+			ack.Release()
+		}
 	}
 	if s.Crashed() {
 		return
@@ -172,7 +177,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		reply.Attr = resC.Inode
 	}
 	s.CacheReply(op.ID, &reply)
-	s.Send(reply)
+	s.Send(&reply)
 }
 
 // participantVote executes the assigned sub-op, logs, and votes (phase 1).
@@ -180,7 +185,7 @@ func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
 	if _, pending := s.prepared.Get(m.Op); pending {
 		// Retransmitted VOTE: answer from the pending execution (only a
 		// successful one is kept) instead of re-acquiring locks it holds.
-		s.Send(wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, OK: true})
+		s.Send(&wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, OK: true})
 		return
 	}
 	sub := m.Sub
@@ -204,7 +209,7 @@ func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
 	if res.Err != nil {
 		reply.Err = res.Err.Error()
 	}
-	s.Send(reply)
+	s.Send(&reply)
 }
 
 // participantDecide applies the coordinator's decision (phase 2).
@@ -214,7 +219,7 @@ func (s *TwoPCServer) participantDecide(p *simrt.Proc, m *wire.Msg) {
 	if s.Crashed() {
 		return
 	}
-	s.Send(wire.Msg{Type: wire.MsgAck, To: m.From, Op: m.Op})
+	s.Send(&wire.Msg{Type: wire.MsgAck, To: m.From, Op: m.Op})
 }
 
 func (s *TwoPCServer) applyDecision(p *simrt.Proc, id types.OpID, commit bool) {

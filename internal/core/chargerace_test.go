@@ -139,8 +139,10 @@ func TestLookupDuringChargeLeasesNoProvisionalValue(t *testing.T) {
 				r.sim.Spawn("lookup", func(p *simrt.Proc) {
 					p.Sleep(gap)
 					route := r.host.Open(lookup)
-					reply, _ = r.host.Call(p, types.RetryPolicy{}, route, wire.Msg{Type: wire.MsgLookupReq, To: 0,
+					pk, _ := r.host.Call(p, types.RetryPolicy{}, route, &wire.Msg{Type: wire.MsgLookupReq, To: 0,
 						Op: lookup, Dir: c.Parent, Path: c.Name, ReplyProc: lookup.Proc})
+					reply = pk.Msg
+					pk.Release()
 					r.host.Done(lookup)
 					g.Done()
 				})

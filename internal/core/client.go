@@ -10,6 +10,7 @@ import (
 	"cxfs/internal/obs"
 	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
+	"cxfs/internal/transport"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
 )
@@ -88,7 +89,7 @@ func (d *Driver) TakeLookup(id types.OpID) (cached bool, grant time.Duration, ok
 }
 
 // errFrom converts a response's error string back into a typed error.
-func errFrom(m wire.Msg) error {
+func errFrom(m *wire.Msg) error {
 	if m.OK {
 		return nil
 	}
@@ -149,7 +150,7 @@ func (d *Driver) do(p *simrt.Proc, op types.Op, out *obs.Outcome) (types.Inode, 
 		}
 		return ino, err
 	}
-	return d.roundTrip(p, wire.Msg{Type: wire.MsgOpReq, To: coord, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
+	return d.roundTrip(p, &wire.Msg{Type: wire.MsgOpReq, To: coord, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
 }
 
 // doSingle routes a read or single-server update to its owner.
@@ -161,20 +162,21 @@ func (d *Driver) doSingle(p *simrt.Proc, op types.Op) (types.Inode, error) {
 	default: // stat, setattr live with the inode
 		target = d.pl.ParticipantFor(op.Ino)
 	}
-	return d.roundTrip(p, wire.Msg{Type: wire.MsgSubOpReq, To: target, Op: op.ID,
+	return d.roundTrip(p, &wire.Msg{Type: wire.MsgSubOpReq, To: target, Op: op.ID,
 		Sub: types.SingleSubOp(op), ReplyProc: op.ID.Proc})
 }
 
 // roundTrip runs an operation that is one request to one server: the
 // retrying call on the operation's own route, and the reply mapped back.
-func (d *Driver) roundTrip(p *simrt.Proc, req wire.Msg) (types.Inode, error) {
+func (d *Driver) roundTrip(p *simrt.Proc, req *wire.Msg) (types.Inode, error) {
 	route := d.host.Open(req.Op)
 	defer d.host.Done(req.Op)
-	m, ok := d.host.Call(p, d.retry, route, req)
+	reply, ok := d.host.Call(p, d.retry, route, req)
 	if !ok {
 		return types.Inode{}, types.ErrTimeout
 	}
-	return m.Attr, errFrom(m)
+	defer reply.Release()
+	return reply.Attr, errFrom(&reply.Msg)
 }
 
 // doLookup is the leased read path: the cache serves (Parent, Name) while a
@@ -192,14 +194,15 @@ func (d *Driver) doLookup(p *simrt.Proc, op types.Op) (types.Inode, error) {
 	case !cached:
 		route := d.host.Open(op.ID)
 		defer d.host.Done(op.ID)
-		m, ok := d.host.Call(p, d.retry, route, wire.Msg{Type: wire.MsgLookupReq,
+		reply, ok := d.host.Call(p, d.retry, route, &wire.Msg{Type: wire.MsgLookupReq,
 			To: d.pl.CoordinatorFor(op.Parent, op.Name), Op: op.ID,
 			Dir: op.Parent, Path: op.Name, ReplyProc: op.ID.Proc})
 		if !ok {
 			return types.Inode{}, types.ErrTimeout
 		}
-		d.cache.Put(issued, d.host.Sim.Now(), m)
-		attr, grant, err = m.Attr, issued, errFrom(m)
+		d.cache.Put(issued, d.host.Sim.Now(), reply.Msg)
+		attr, grant, err = reply.Attr, issued, errFrom(&reply.Msg)
+		reply.Release()
 	}
 	if d.lookupLog != nil {
 		d.lookupLog.Put(op.ID, lookupRec{cached: cached, grant: grant})
@@ -224,12 +227,13 @@ func (d *Driver) Readdir(p *simrt.Proc, id types.OpID, dir types.InodeID) ([]nam
 		}
 		for srv, done := range answered {
 			if !done {
-				d.host.Send(wire.Msg{Type: wire.MsgOpReq, To: types.NodeID(srv), Op: id, FullOp: op, ReplyProc: id.Proc})
+				d.host.Send(&wire.Msg{Type: wire.MsgOpReq, To: types.NodeID(srv), Op: id, FullOp: op, ReplyProc: id.Proc})
 			}
 		}
 		deadline := p.Now() + d.retry.WaitFor(attempt)
 		for left > 0 {
-			m, got := wire.Msg{}, true
+			var m *transport.Packet
+			got := true
 			if d.retry.Enabled() {
 				m, got = route.RecvTimeout(p, deadline-p.Now())
 			} else {
@@ -239,12 +243,15 @@ func (d *Driver) Readdir(p *simrt.Proc, id types.OpID, dir types.InodeID) ([]nam
 				break
 			}
 			if !m.OK {
-				return nil, types.WireError(m.Err)
+				err := types.WireError(m.Err)
+				m.Release()
+				return nil, err
 			}
 			if !answered[m.From] {
 				answered[m.From], left = true, left-1
-				out = append(out, m.Entries...)
+				out = append(out, m.Entries...) // copied out of the packet
 			}
+			m.Release()
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -273,10 +280,10 @@ func ConcurrentPath(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, op 
 	defer host.Done(op.ID)
 
 	sendCoord := func() {
-		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
+		host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
 	}
 	sendPart := func() {
-		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
+		host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
 	}
 	sendCoord()
 	sendPart()
@@ -285,7 +292,7 @@ func ConcurrentPath(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, op 
 	lcomSent := false
 	attempt := 0
 	for {
-		var m wire.Msg
+		var m *transport.Packet
 		if retry.Enabled() {
 			var got bool
 			m, got = route.RecvTimeout(p, retry.WaitFor(attempt))
@@ -303,7 +310,7 @@ func ConcurrentPath(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, op 
 					sendPart()
 				}
 				if lcomSent {
-					host.Send(wire.Msg{Type: wire.MsgLCom, To: coord, Op: op.ID, Peer: part, ReplyProc: op.ID.Proc})
+					host.Send(&wire.Msg{Type: wire.MsgLCom, To: coord, Op: op.ID, Peer: part, ReplyProc: op.ID.Proc})
 				}
 				continue
 			}
@@ -311,8 +318,21 @@ func ConcurrentPath(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, op 
 		} else {
 			m = route.Recv(p)
 		}
-		switch m.Type {
-		case wire.MsgAllNo:
+		typ := m.Type
+		if typ == wire.MsgSubOpResp {
+			st := &rc
+			if m.From == part {
+				st = &rp
+			}
+			st.absorb(&m.Msg)
+			// Any invalidation notice or re-executed (epoch > 1) response
+			// means this operation went through conflict machinery.
+			if st.voided || st.epoch > 1 {
+				conflicted = true
+			}
+		}
+		m.Release()
+		if typ == wire.MsgAllNo {
 			// 7b: every successful execution was aborted.
 			if rc.have && !rc.ok && rc.err != "" && rc.err != types.ErrInvalidated.Error() {
 				return types.Inode{}, conflicted, types.WireError(rc.err)
@@ -321,17 +341,6 @@ func ConcurrentPath(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, op 
 				return types.Inode{}, conflicted, types.WireError(rp.err)
 			}
 			return types.Inode{}, conflicted, types.ErrAborted
-		case wire.MsgSubOpResp:
-			st := &rc
-			if m.From == part {
-				st = &rp
-			}
-			st.absorb(m)
-			// Any invalidation notice or re-executed (epoch > 1) response
-			// means this operation went through conflict machinery.
-			if st.voided || st.epoch > 1 {
-				conflicted = true
-			}
 		}
 		if !rc.have || !rp.have || rc.voided || rp.voided || lcomSent {
 			continue
@@ -350,7 +359,7 @@ func ConcurrentPath(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, op 
 			// commitment; ALL-NO completes the operation (§III.B step 2b).
 			lcomSent = true
 			conflicted = true
-			host.Send(wire.Msg{Type: wire.MsgLCom, To: coord, Op: op.ID, Peer: part, ReplyProc: op.ID.Proc})
+			host.Send(&wire.Msg{Type: wire.MsgLCom, To: coord, Op: op.ID, Peer: part, ReplyProc: op.ID.Proc})
 		}
 	}
 }
@@ -358,7 +367,7 @@ func ConcurrentPath(p *simrt.Proc, host *node.Host, retry types.RetryPolicy, op 
 // absorb folds a response into the per-server state, honoring epochs: an
 // invalidation notice voids the state until the re-execution response (same
 // or higher epoch) arrives; stale lower-epoch responses are dropped.
-func (st *respState) absorb(m wire.Msg) {
+func (st *respState) absorb(m *wire.Msg) {
 	invalid := m.Err == types.ErrInvalidated.Error()
 	if st.have && m.Epoch < st.epoch {
 		return // stale

@@ -30,7 +30,7 @@ func (s *Server) requestCommit(op types.OpID, lcom bool, part types.NodeID) {
 		if st.coordinator() {
 			s.kick.Send(kickReq{op: op})
 		} else {
-			s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: st.peer, Op: op})
+			s.Send(&wire.Msg{Type: wire.MsgConflictNotify, To: st.peer, Op: op})
 		}
 	case st != nil && st.aborted:
 		s.answerAborted(op, lcom, part)
@@ -57,16 +57,16 @@ func (s *Server) answerAborted(op types.OpID, lcom bool, part types.NodeID) {
 	switch {
 	case !lcom:
 		if part >= 0 {
-			s.Send(wire.Msg{Type: wire.MsgCommitReq, To: part, Op: op, Decisions: abort})
+			s.Send(&wire.Msg{Type: wire.MsgCommitReq, To: part, Op: op, Decisions: abort})
 		}
 	case part < 0:
-		s.Send(wire.Msg{Type: wire.MsgAllNo, To: op.Proc.Client, Op: op})
+		s.Send(&wire.Msg{Type: wire.MsgAllNo, To: op.Proc.Client, Op: op})
 	case !s.Awaiting(&wire.Msg{Type: wire.MsgCommitReq, Ops: []types.OpID{op}}): // else a retransmitted L-COM: the round is under way
 		boot := s.Boot()
 		s.Sim.Spawn("cx/abort-lcom", func(p *simrt.Proc) {
 			s.rpcAck(p, boot, part, []types.OpID{op}, abort)
 			if !s.Gone(boot) {
-				s.Send(wire.Msg{Type: wire.MsgAllNo, To: op.Proc.Client, Op: op})
+				s.Send(&wire.Msg{Type: wire.MsgAllNo, To: op.Proc.Client, Op: op})
 			}
 		})
 	}
@@ -218,13 +218,18 @@ func (s *Server) runCommit(p *simrt.Proc, lazy bool, ops []types.OpID) {
 }
 
 // commitGroup is one participant group of a batch: its targets, taken from
-// the idle index, and the body of the proc that commits them, made once and
-// reused by the group at the same place in every later batch.
+// the idle index, the body of the proc that commits them, made once, and the
+// buffers its round's messages are built in. The group at the same place in
+// every later batch reuses all of it: Send copies what a message carries.
 type commitGroup struct {
 	part types.NodeID
 	cops []*opState
 	boot uint64
 	run  func(*simrt.Proc)
+	// ids and enforce are the round's VOTE payload, ids also its COMMIT-REQ's
+	// with decisions.
+	ids, enforce []types.OpID
+	decisions    []wire.Decision
 }
 
 // newCommitGroup makes a group with its proc's body bound to it.
@@ -232,7 +237,7 @@ func (s *Server) newCommitGroup() *commitGroup {
 	g := &commitGroup{}
 	g.run = func(p *simrt.Proc) {
 		defer s.groupsDone.Done()
-		s.groupCommit(p, g.boot, g.part, g.cops)
+		s.groupCommit(p, g)
 	}
 	return g
 }
@@ -304,17 +309,17 @@ func (s *Server) pinned(fe *flushEntry) bool {
 	return false
 }
 
-// groupCommit runs the commitment phase (§III.B steps 3-7) for a batch of
-// operations sharing one participant. boot is the coordinator incarnation
+// groupCommit runs the commitment phase (§III.B steps 3-7) for g's batch of
+// operations sharing one participant. g.boot is the coordinator incarnation
 // this batch belongs to: a crash+reboot mid-phase orphans the proc, and it
 // must stop touching the rebuilt state (recovery re-drives the batch). The
 // entries stay the round's across every park: a taken entry leaves the table
 // only through the round's own finish (DESIGN.md §5 item 20).
-func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops []*opState) {
-	ids := make([]types.OpID, len(cops))
-	var enforce []types.OpID
-	for i, co := range cops {
-		ids[i] = co.id()
+func (s *Server) groupCommit(p *simrt.Proc, g *commitGroup) {
+	boot, part, cops := g.boot, g.part, g.cops
+	ids, enforce := slices.Grow(g.ids[:0], len(cops)), g.enforce[:0]
+	for _, co := range cops {
+		ids = append(ids, co.id())
 		// The coordinator's execution order: every cross-server sub-op
 		// blocked here behind this operation follows it.
 		for br := co.followers; br != nil; br = br.next {
@@ -323,20 +328,21 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 			}
 		}
 	}
+	decisions := slices.Grow(g.decisions[:0], len(cops))[:len(cops)]
+	g.ids, g.enforce, g.decisions = ids, enforce, decisions
 
 	// Step 3: VOTE (retried until the participant answers — it may be
-	// rebooting).
-	votes := s.rpcVotes(p, boot, part, ids, enforce)
+	// rebooting); each op's vote lands in its decision.
+	s.rpcVotes(p, boot, part, ids, enforce, decisions)
 	if s.step(StepCommitAfterVote, ids[0], 0, nil) || s.Gone(boot) {
 		return
 	}
 
 	// Step 5: decide, log Commit/Abort-Records in one batched append, roll
 	// back aborted local executions.
-	recs := s.takeRecs()
-	decisions := make([]wire.Decision, len(cops))
+	recs := s.recBufs.Take()
 	for i, co := range cops {
-		decisions[i] = wire.Decision{Op: ids[i], Commit: votes[i].OK && co.ok}
+		decisions[i].Commit = decisions[i].Commit && co.ok
 		recs = append(recs, s.decide(co, decisions[i].Commit))
 	}
 	s.logBatch(p, recs)
@@ -362,23 +368,28 @@ func (s *Server) groupCommit(p *simrt.Proc, boot uint64, part types.NodeID, cops
 			// 7b: ALL-NO tells the process every successful execution was
 			// aborted. Sent on every abort so an L-COM racing a lazy batch
 			// still gets its answer; completed clients drop it.
-			s.Send(wire.Msg{Type: wire.MsgAllNo, To: ids[i].Proc.Client, Op: ids[i]})
+			s.Send(&wire.Msg{Type: wire.MsgAllNo, To: ids[i].Proc.Client, Op: ids[i]})
 		}
 	}
 }
 
-// rpcVotes sends a batched VOTE and returns the participant's votes, one
-// per op of ids and in its order, retrying across participant crashes.
-func (s *Server) rpcVotes(p *simrt.Proc, boot uint64, part types.NodeID, ids, enforce []types.OpID) []wire.Vote {
-	var votes []wire.Vote
+// rpcVotes sends a batched VOTE and sets decisions, one per op of ids and in
+// its order, to the participant's votes: Commit is the vote. It retries
+// across participant crashes, and leaves decisions as they were if the round
+// ends first.
+func (s *Server) rpcVotes(p *simrt.Proc, boot uint64, part types.NodeID, ids, enforce []types.OpID, decisions []wire.Decision) {
 	req := wire.Msg{Type: wire.MsgVote, To: part, Ops: ids, Enforce: enforce}
-	if _, ok := s.Call(p, boot, req, s.cfg.RetryInterval+s.cfg.VoteWait, nil, func(m wire.Msg) bool {
-		votes = s.alignVotes(ids, m.Votes)
+	// The answer is read in its packet, which goes back once the votes are
+	// copied out.
+	if answer, ok := s.Call(p, boot, &req, s.cfg.RetryInterval+s.cfg.VoteWait, nil, func(m *wire.Msg) bool {
+		votes := s.alignVotes(ids, m.Votes)
+		for i, v := range votes {
+			decisions[i] = wire.Decision{Op: ids[i], Commit: v.OK}
+		}
 		return votes != nil
-	}); !ok {
-		return nil
+	}); ok {
+		answer.Release()
 	}
-	return votes
 }
 
 // alignVotes lines a VOTE-RESP's votes up with the round's ops ids: the
@@ -422,12 +433,15 @@ func (s *Server) alignVotes(ids []types.OpID, votes []wire.Vote) []wire.Vote {
 // retrying across participant crashes. The participant's handler is
 // idempotent.
 func (s *Server) rpcAck(p *simrt.Proc, boot uint64, part types.NodeID, ids []types.OpID, decisions []wire.Decision) {
-	s.Call(p, boot, wire.Msg{Type: wire.MsgCommitReq, To: part, Ops: ids, Decisions: decisions}, s.cfg.RetryInterval,
+	ack, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgCommitReq, To: part, Ops: ids, Decisions: decisions}, s.cfg.RetryInterval,
 		func() bool { return s.step(StepCommitMidFanout, ids[0], 0, nil) }, // decision sent, ACK never collected
 		// Same head-op routing hazard as rpcVotes: only an ACK echoing this
 		// round's exact op set confirms the participant applied these
 		// decisions; a stale ACK from an earlier round must not.
-		func(m wire.Msg) bool { return slices.Equal(m.Ops, ids) })
+		func(m *wire.Msg) bool { return slices.Equal(m.Ops, ids) })
+	if ok {
+		ack.Release()
+	}
 }
 
 // handleVote answers a batched VOTE (§III.B step 4): each vote reflects the
@@ -435,14 +449,17 @@ func (s *Server) rpcAck(p *simrt.Proc, boot uint64, part types.NodeID, ids []typ
 // sub-ops first per the conflict rules.
 func (s *Server) handleVote(p *simrt.Proc, m *wire.Msg) {
 	boot := s.Boot()
-	votes := make([]wire.Vote, len(m.Ops))
-	for i, id := range m.Ops {
-		votes[i] = wire.Vote{Op: id, OK: s.resolveVote(p, boot, id, m.Enforce)}
+	// Several vote handlers park at once, so each answers from a buffer of
+	// its own off the free list; Send copies it, and it goes back.
+	votes := s.voteBufs.Fit(len(m.Ops))
+	defer func() { s.voteBufs.Put(votes) }()
+	for _, id := range m.Ops {
+		votes = append(votes, wire.Vote{Op: id, OK: s.resolveVote(p, boot, id, m.Enforce)})
 		if s.Gone(boot) {
 			return
 		}
 	}
-	s.Send(wire.Msg{Type: wire.MsgVoteResp, To: m.From, Ops: m.Ops, Votes: votes})
+	s.Send(&wire.Msg{Type: wire.MsgVoteResp, To: m.From, Ops: m.Ops, Votes: votes})
 }
 
 // resolveVote produces this server's YES/NO for one operation. The sub-op
@@ -516,12 +533,12 @@ func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce 
 // decision another copy of the request has made is not made again.
 func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	boot := s.Boot()
-	recs := s.takeRecs()
+	recs := s.recBufs.Take()
 	// done is the executions this request decides and finishes: the entries
 	// are held across the append, and only this handler ends them (DESIGN.md
 	// §5 item 20).
-	done := slices.Grow(s.takeDecided(), len(m.Decisions))
-	defer func() { s.putDecided(done) }()
+	done := s.decidedBufs.Fit(len(m.Decisions))
+	defer func() { s.decidedBufs.Put(done) }()
 	var inflight []types.OpID // aborted ops whose sub-op is mid-execution here
 	var others []types.OpID   // ops another copy of this request decided, not yet finished
 	for _, d := range m.Decisions {
@@ -584,30 +601,10 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 		// (§III.A): followers release immediately.
 		s.finish(st, st.finalReply())
 	}
-	s.Send(wire.Msg{Type: wire.MsgAck, To: m.From, Op: m.Op, Ops: m.Ops})
+	s.Send(&wire.Msg{Type: wire.MsgAck, To: m.From, Op: m.Op, Ops: m.Ops})
 	// The decisions turned log records nothing here could free into
 	// prunable ones: if the log is short of space, now a round can help.
 	if len(done) > 0 && s.underPressure() {
 		s.pressureRound()
-	}
-}
-
-// takeDecided returns an empty list for a COMMIT-REQ handler's decided
-// executions, from the free list when it holds one; putDecided gives it back
-// emptied when the handler returns.
-func (s *Server) takeDecided() []*opState {
-	k := len(s.decidedBufs)
-	if k == 0 {
-		return nil
-	}
-	done := s.decidedBufs[k-1]
-	s.decidedBufs = s.decidedBufs[:k-1]
-	return done
-}
-
-func (s *Server) putDecided(done []*opState) {
-	if cap(done) > 0 {
-		clear(done)
-		s.decidedBufs = append(s.decidedBufs, done[:0])
 	}
 }

@@ -91,7 +91,7 @@ func TestDuplicateCommitReqDecidesOnce(t *testing.T) {
 		id := types.OpID{Proc: types.ProcID{Client: r.host.ID}, Seq: 1}
 		dst := types.SubOp{Op: id, Kind: types.OpRename, Role: types.RoleParticipant,
 			Action: types.ActInsertEntry, Parent: dir, Name: "moved", Ino: 77}
-		r.srv[0].Send(wire.Msg{Type: wire.MsgVote, To: 1, Op: id, Sub: dst, Peer: 0, ReplyProc: id.Proc})
+		r.srv[0].Send(&wire.Msg{Type: wire.MsgVote, To: 1, Op: id, Sub: dst, Peer: 0, ReplyProc: id.Proc})
 		if !await(p, func() bool { return s.pending(id) != nil }) || entries() != 6 {
 			t.Fatalf("the destination insert did not register (%s, %d entries)", s.DebugOp(id), entries())
 		}
@@ -103,12 +103,12 @@ func TestDuplicateCommitReqDecidesOnce(t *testing.T) {
 		})
 		records := s.WAL.Stats().Records
 		abort := wire.Msg{Type: wire.MsgCommitReq, To: 1, Op: id, Decisions: []wire.Decision{{Op: id}}}
-		r.srv[0].Send(abort)
+		r.srv[0].Send(&abort)
 		if !await(p, func() bool { st := s.find(id); return st != nil && st.phase == phaseDecided }) {
 			t.Fatal("the first copy never decided")
 		}
 		handled := s.Base.Stats().MsgsHandled
-		r.srv[0].Send(abort)
+		r.srv[0].Send(&abort)
 		await(p, func() bool { return s.Base.Stats().MsgsHandled > handled })
 		if st := s.find(id); st == nil || st.phase != phaseDecided {
 			t.Fatal("the second copy arrived after the first copy's append: the test is vacuous")
@@ -142,9 +142,10 @@ func TestDuplicateCommitReqDecidesOnce(t *testing.T) {
 // A lazy commitment round runs on the server's reused storage: once a few
 // rounds have warmed the cluster, a round over a batch of cross-server
 // creates — VOTE, decision append, COMMIT-REQ, ACK, Complete-Records and the
-// write-back, on both servers — allocates only the slices its messages carry
-// (the coordinator's ids and decisions, the participant's votes): at most
-// three for its one participant group.
+// write-back, on both servers — allocates nothing. The slices its messages
+// carry (the coordinator's ids and decisions, the participant's votes) are
+// buffers the servers reuse, and the packets' copies of them come from the
+// network's free storage.
 func TestLazyRoundAllocatesOnlyItsMessageSlices(t *testing.T) {
 	const batch, warm, measured = 16, 4, 4
 	r := newRig(1<<20, Config{Timeout: time.Hour})
@@ -187,8 +188,8 @@ func TestLazyRoundAllocatesOnlyItsMessageSlices(t *testing.T) {
 	})
 	t.Logf("allocations of the warm rounds: %v", allocs)
 	for i, n := range allocs {
-		if n > 3 {
-			t.Errorf("warm lazy round %d allocated %d objects, want at most 3 (its messages' slices)", i, n)
+		if n > 0 {
+			t.Errorf("warm lazy round %d allocated %d objects, want 0", i, n)
 		}
 	}
 }

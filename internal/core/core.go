@@ -62,6 +62,7 @@ import (
 	"cxfs/internal/node"
 	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
+	"cxfs/internal/transport"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
 	"cxfs/internal/wire"
@@ -180,20 +181,22 @@ type Server struct {
 	flushRows []kvstore.Ref
 	// recBufs are record batches' buffers, free for the next batch; each
 	// commit-group proc and COMMIT-REQ handler takes one of its own.
-	recBufs [][]wal.Record
+	recBufs seg.Bufs[wal.Record]
 	// decidedBufs are COMMIT-REQ handlers' lists of decided executions, free
-	// for the next handler (takeDecided).
-	decidedBufs [][]*opState
+	// for the next handler.
+	decidedBufs seg.Bufs[*opState]
 	// idleSpare holds, by participant, the emptied idle list a batch has given
 	// back, for takeIdle to index the participant's next executions in.
 	idleSpare [][]*opState
 	// freeBlocked are parked requests whose redispatch is over, emptied, for
 	// newBlocked.
 	freeBlocked []*blockedReq
-	// named and namedCoords are pressureRound's scratch: the executions it
-	// names, and their coordinators.
+	// named, namedCoords and namedOps are pressureRound's scratch: the
+	// executions it names, their coordinators, and one coordinator's C-NOTIFY
+	// payload.
 	named       []namedPart
 	namedCoords []types.NodeID
+	namedOps    []types.OpID
 
 	// What this server knows per object is kept on the object's row in the
 	// store, not here: the executed-pending operation holding it active is
@@ -213,6 +216,8 @@ type Server struct {
 	// that does not answer its round in order.
 	strayVotes   seg.Index[int32]
 	strayAligned []wire.Vote
+	// voteBufs are VOTE handlers' answer buffers, free for the next handler.
+	voteBufs seg.Bufs[wire.Vote]
 	// lazyQueued is set while a lazy kick sits in the queue the daemon has
 	// not picked up: further lazy triggers coalesce into it.
 	lazyQueued bool
@@ -269,7 +274,7 @@ func (s *Server) nudgeStaleParts(age time.Duration) {
 	for _, st := range s.inOrder(func(st *opState) bool {
 		return st.phase == phasePending && !st.coordinator() && now-st.since > age
 	}) {
-		s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: st.peer, Op: st.id()})
+		s.Send(&wire.Msg{Type: wire.MsgConflictNotify, To: st.peer, Op: st.id()})
 	}
 }
 
@@ -329,27 +334,22 @@ func (s *Server) pressureRound() {
 		named = append(named, namedPart{st.peer, id})
 	}
 	s.unnamedParts = s.unnamedParts[:0]
+	ops := s.namedOps
 	for _, coord := range coords {
-		count := 0
+		ops = ops[:0]
 		for _, np := range named {
 			if np.coord == coord {
-				count++
+				ops = append(ops, np.id)
 			}
 		}
-		ids := make([]types.OpID, 0, count) // the messages carry it
-		for _, np := range named {
-			if np.coord == coord {
-				ids = append(ids, np.id)
-			}
-		}
-		for len(ids) > 0 {
-			n := min(len(ids), wire.MaxBatch)
-			s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: coord, Ops: ids[:n]})
-			ids = ids[n:]
+		for rest := ops; len(rest) > 0; {
+			n := min(len(rest), wire.MaxBatch)
+			s.Send(&wire.Msg{Type: wire.MsgConflictNotify, To: coord, Ops: rest[:n]})
+			rest = rest[n:]
 		}
 	}
 	clear(named)
-	s.named, s.namedCoords = named[:0], coords[:0]
+	s.named, s.namedCoords, s.namedOps = named[:0], coords[:0], ops[:0]
 }
 
 // namedPart is a participant execution a log-pressure round names to its
@@ -409,7 +409,8 @@ func (s *Server) idleDaemon(p *simrt.Proc) {
 // persisted — and keeps dropping *client* traffic until the whole §V
 // recovery finishes ("the whole file system stops responding new
 // requests"). Peers retry VOTE and COMMIT-REQ, so nothing is lost.
-func (s *Server) handle(p *simrt.Proc, m *wire.Msg) {
+func (s *Server) handle(p *simrt.Proc, pk *transport.Packet) {
+	m := &pk.Msg
 	if s.NeedsRecovery() {
 		return
 	}
@@ -448,6 +449,6 @@ func (s *Server) handle(p *simrt.Proc, m *wire.Msg) {
 	case wire.MsgVoteResp, wire.MsgAck:
 		// A batched round's reply echoes the round's op set and routes by its
 		// first; a rename's per-operation reply routes by its operation.
-		s.Deliver(m)
+		s.Deliver(pk)
 	}
 }

@@ -179,7 +179,7 @@ func TestConflictHintCarriedInResponses(t *testing.T) {
 		host := c.Hosts[len(c.Hosts)-1]
 		route := host.Open(idB)
 		defer host.Done(idB)
-		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: c.Placement.ParticipantFor(ino),
+		host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: c.Placement.ParticipantFor(ino),
 			Op: idB, Sub: types.SingleSubOp(types.Op{ID: idB, Kind: types.OpStat, Ino: ino}),
 			ReplyProc: idB.Proc})
 		m := route.Recv(p)
@@ -287,8 +287,8 @@ func TestClientCrashBeforeLComStillConverges(t *testing.T) {
 			Name: name, Ino: ino, Type: types.FileRegular}
 		cSub, pSub := types.Split(op)
 		host := c.Hosts[0]
-		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: id, Sub: cSub, Peer: part, ReplyProc: id.Proc})
-		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: id, Sub: pSub, Peer: coord, ReplyProc: id.Proc})
+		host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: id, Sub: cSub, Peer: part, ReplyProc: id.Proc})
+		host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: id, Sub: pSub, Peer: coord, ReplyProc: id.Proc})
 		// Client dies here: no response collection, no L-COM.
 		p.Sleep(2 * time.Second) // several lazy trigger periods
 		if _, ok := c.Bases[part].Shard.GetInode(ino); ok {
@@ -517,7 +517,7 @@ func TestTombstoneRejectsLateSubOp(t *testing.T) {
 		host := c.Hosts[0]
 		route := host.Open(id)
 		defer host.Done(id)
-		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: id, Sub: pSub, Peer: coord, ReplyProc: id.Proc})
+		host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: id, Sub: pSub, Peer: coord, ReplyProc: id.Proc})
 		m := route.Recv(p)
 		if m.OK {
 			t.Error("late sub-op of an aborted op executed")

@@ -29,7 +29,7 @@ func TestDuplicateSubOpWhilePendingIsSuppressed(t *testing.T) {
 		host := c.Hosts[0]
 		route := host.Open(op.ID)
 		defer host.Done(op.ID)
-		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
+		host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
 		m, ok := route.RecvTimeout(p, 5*time.Second)
 		if !ok {
 			t.Fatal("no duplicate response")
@@ -68,7 +68,7 @@ func TestDuplicateAfterCommitAnsweredFromCache(t *testing.T) {
 		host := c.Hosts[0]
 		route := host.Open(op.ID)
 		defer host.Done(op.ID)
-		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
+		host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: op.ID, Sub: pSub, Peer: coord, ReplyProc: op.ID.Proc})
 		m, ok := route.RecvTimeout(p, 5*time.Second)
 		if !ok {
 			t.Fatal("no response to post-commit duplicate")
@@ -116,7 +116,7 @@ func TestDuplicateOfAbortedOpAnsweredAborted(t *testing.T) {
 		host := c.Hosts[0]
 		route := host.Open(id)
 		defer host.Done(id)
-		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: id, Sub: pSub, Peer: coord, ReplyProc: id.Proc})
+		host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: id, Sub: pSub, Peer: coord, ReplyProc: id.Proc})
 		m, ok := route.RecvTimeout(p, 5*time.Second)
 		if !ok {
 			t.Fatal("no response")
@@ -170,16 +170,16 @@ func TestClientRetryAfterServerCrashSucceeds(t *testing.T) {
 		route := host.Open(id)
 		defer host.Done(id)
 		// First attempt: participant crashes immediately after receiving.
-		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: id, Sub: cSub, Peer: part, ReplyProc: id.Proc})
-		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: id, Sub: pSub, Peer: coord, ReplyProc: id.Proc})
+		host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: id, Sub: cSub, Peer: part, ReplyProc: id.Proc})
+		host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: id, Sub: pSub, Peer: coord, ReplyProc: id.Proc})
 		p.Sleep(200 * time.Microsecond)
 		c.Bases[part].Crash()
 		p.Sleep(50 * time.Millisecond)
 		c.Bases[part].Reboot()
 		c.CxSrv[part].Recover(p)
 		// Retry both sub-ops with the same operation ID.
-		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: id, Sub: cSub, Peer: part, ReplyProc: id.Proc})
-		host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: id, Sub: pSub, Peer: coord, ReplyProc: id.Proc})
+		host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: id, Sub: cSub, Peer: part, ReplyProc: id.Proc})
+		host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: id, Sub: pSub, Peer: coord, ReplyProc: id.Proc})
 		// Collect until both servers answered OK (dedupe may answer from
 		// records or fresh execution depending on what survived).
 		var okC, okP bool
@@ -258,8 +258,8 @@ func TestConflictDuringResultAppendWindow(t *testing.T) {
 		defer hostA.Done(id)
 		coord := c.Placement.CoordinatorFor(types.RootInode, name)
 		part := c.Placement.ParticipantFor(ino)
-		hostA.Send(wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: id, Sub: cSub, Peer: part, ReplyProc: id.Proc})
-		hostA.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: id, Sub: pSub, Peer: coord, ReplyProc: id.Proc})
+		hostA.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: id, Sub: cSub, Peer: part, ReplyProc: id.Proc})
+		hostA.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: id, Sub: pSub, Peer: coord, ReplyProc: id.Proc})
 		// ...and a stat from B timed to land inside the participant's
 		// Result-Record append window (the append takes ~2ms; the sub-op
 		// reaches the server after ~130µs).

@@ -42,7 +42,8 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	case st == nil:
 	case st.phase != phaseNone:
 		if st.replied { // recovery-rebuilt executions have no response yet
-			s.Send(st.reply())
+			reply := st.reply()
+			s.Send(&reply)
 		}
 		return
 	case st.parked != nil:
@@ -50,7 +51,7 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	case st.aborted:
 		// The operation was aborted before this sub-op arrived (immediate
 		// commitment raced the request). Refuse execution.
-		s.Send(wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op, OK: false,
+		s.Send(&wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op, OK: false,
 			Err: types.ErrAborted.Error(), Epoch: 1})
 		return
 	}
@@ -127,6 +128,8 @@ func (s *Server) block(m *wire.Msg, holder types.OpID, epoch uint32) {
 		return
 	}
 	br := s.newBlocked()
+	// The request outlives its packet. A SUBOP-REQ carries no batch slice,
+	// so the copy keeps nothing of the packet's storage.
 	br.msg, br.holder, br.epoch = *m, holder, epoch
 	s.park(br)
 	s.requestCommit(holder, false, -1)
@@ -201,7 +204,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 		if s.Crashed() {
 			return
 		}
-		s.Send(wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op,
+		s.Send(&wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op,
 			OK: false, Err: types.ErrAborted.Error(), Epoch: epoch})
 		// An abort decision may be holding its ACK for this rollback.
 		s.End(sub.Op)
@@ -235,7 +238,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 	if s.step(StepExecBeforeReply, sub.Op, 0, func() string { return yesNo[res.OK] }) {
 		return
 	}
-	s.Send(reply)
+	s.Send(&reply)
 	s.step(StepExecAfterReply, sub.Op, 0, nil)
 }
 
@@ -384,7 +387,7 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 		} else if resP.Err != nil {
 			reply.Err = resP.Err.Error()
 		}
-		s.Send(reply)
+		s.Send(&reply)
 		return
 	}
 	// The colocated path never marks objects active (it commits in one
@@ -409,7 +412,7 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	if s.underPressure() {
 		s.pressureRound()
 	}
-	s.Send(reply)
+	s.Send(&reply)
 }
 
 // parkLocalIfHeld is parkIfHeld for a colocated operation, whose two objects

@@ -509,7 +509,7 @@ func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID
 	newEpoch := e.epoch + 1
 	// Invalidation notice: the client must not complete the operation on the
 	// superseded response; a fresh response follows after re-execution.
-	s.Send(wire.Msg{Type: wire.MsgSubOpResp, To: victim.Proc.Client, Op: victim,
+	s.Send(&wire.Msg{Type: wire.MsgSubOpResp, To: victim.Proc.Client, Op: victim,
 		OK: false, Err: types.ErrInvalidated.Error(), Hint: afterOp, Epoch: newEpoch})
 	br := s.newBlocked()
 	br.msg, br.holder, br.epoch = e.request(s.ID), afterOp, newEpoch
@@ -545,34 +545,19 @@ func (s *Server) rollBack(e *execution) wal.Record {
 // complete appends the Complete-Records of decided operations whose
 // participant has acknowledged the decision (§III.B step 7).
 func (s *Server) complete(p *simrt.Proc, ids []types.OpID) {
-	recs := s.takeRecs()
+	recs := s.recBufs.Take()
 	for _, id := range ids {
 		recs = append(recs, wal.Record{Type: wal.RecComplete, Op: id, Role: types.RoleCoordinator})
 	}
 	s.logBatch(p, recs)
 }
 
-// takeRecs returns an empty buffer for a batch of records, from the free list
-// when it holds one.
-func (s *Server) takeRecs() []wal.Record {
-	k := len(s.recBufs)
-	if k == 0 {
-		return nil
-	}
-	recs := s.recBufs[k-1]
-	s.recBufs = s.recBufs[:k-1]
-	return recs
-}
-
-// logBatch appends a batch built in a buffer from takeRecs and puts the
+// logBatch appends a batch built in a buffer from recBufs and puts the
 // buffer back on the free list: the log has read the records by the time
 // the append returns, crashed or not.
 func (s *Server) logBatch(p *simrt.Proc, recs []wal.Record) {
 	s.WAL.AppendBatchPriority(p, recs)
-	if cap(recs) > 0 {
-		clear(recs)
-		s.recBufs = append(s.recBufs, recs[:0])
-	}
+	s.recBufs.Put(recs)
 }
 
 // finish is a decided operation ending here — on the participant once its

@@ -50,7 +50,7 @@ func (r *rig) ended(t *testing.T, p *simrt.Proc, what string, srv *Server, op ty
 				answers = append(answers, m)
 			}
 		})
-		r.host.Send(retry)
+		r.host.Send(&retry)
 		p.Sleep(10 * time.Millisecond)
 		r.net.SetTap(nil)
 		if len(answers) != 1 || answers[0].OK != committed {
@@ -137,12 +137,13 @@ func TestEveryEndingLeavesTheSameState(t *testing.T) {
 			// is inside its Result-Record append: once a YES, once a NO (the
 			// inode exists).
 			lateAbort := func(op types.Op) {
-				r.host.Send(subOpReq(op, types.RoleParticipant))
+				req := subOpReq(op, types.RoleParticipant)
+				r.host.Send(&req)
 				p.Sleep(200 * time.Microsecond)
 				if !r.srv[1].Executing(op.ID) || r.srv[1].pending(op.ID) != nil {
 					t.Fatal("the execution is not inside its append: the case is vacuous")
 				}
-				r.srv[0].Send(wire.Msg{Type: wire.MsgCommitReq, To: 1, Op: op.ID,
+				r.srv[0].Send(&wire.Msg{Type: wire.MsgCommitReq, To: 1, Op: op.ID,
 					Decisions: []wire.Decision{{Op: op.ID}}})
 				p.Sleep(50 * time.Millisecond)
 				r.ended(t, p, "late abort", r.srv[1], op.ID, subOpReq(op, types.RoleParticipant), false)
@@ -223,7 +224,7 @@ func TestTimedOutVoteLeavesNoSignal(t *testing.T) {
 	r := newRig(1<<20, Config{Timeout: time.Hour})
 	r.run(t, func(p *simrt.Proc) {
 		lost := r.create(0, 1).ID
-		r.srv[0].Send(wire.Msg{Type: wire.MsgVote, To: 1, Ops: []types.OpID{lost}})
+		r.srv[0].Send(&wire.Msg{Type: wire.MsgVote, To: 1, Ops: []types.OpID{lost}})
 		p.Sleep(DefaultConfig().VoteWait + time.Second)
 		s := r.srv[1]
 		if s.stats.VoteTimeouts != 1 || s.DebugOp(lost) != "tombstoned" {
@@ -295,7 +296,8 @@ func TestExecutionRechecksItsEntryAfterTheAppend(t *testing.T) {
 		op := r.create(0, 1)
 		s.requestCommit(op.ID, false, -1) // a demand before arrival: the entry exists
 		held := s.find(op.ID)
-		r.host.Send(subOpReq(op, types.RoleParticipant))
+		req := subOpReq(op, types.RoleParticipant)
+		r.host.Send(&req)
 		p.Sleep(200 * time.Microsecond)
 		if !s.Executing(op.ID) || s.pending(op.ID) != nil {
 			t.Fatal("the execution is not inside its append: the test is vacuous")
@@ -374,18 +376,20 @@ func TestLateAbortReleasesFollowers(t *testing.T) {
 	r := newRig(1<<20, Config{Timeout: time.Hour})
 	r.run(t, func(p *simrt.Proc) {
 		op := r.create(0, 1)
-		r.host.Send(subOpReq(op, types.RoleParticipant))
+		req := subOpReq(op, types.RoleParticipant)
+		r.host.Send(&req)
 		p.Sleep(200 * time.Microsecond)
 		// Another process links to the inode being created: parked behind it.
 		link := types.Op{ID: types.OpID{Proc: types.ProcID{Client: 2, Index: 1}, Seq: 1}, Kind: types.OpLink,
 			Parent: types.RootInode, Name: r.name(0), Ino: op.Ino}
-		r.host.Send(subOpReq(link, types.RoleParticipant))
+		req = subOpReq(link, types.RoleParticipant)
+		r.host.Send(&req)
 		p.Sleep(200 * time.Microsecond)
 		s := r.srv[1]
 		if !s.Executing(op.ID) || s.parkedReq(link.ID) == nil {
 			t.Fatal("no request parked behind an execution inside its append: the test is vacuous")
 		}
-		r.srv[0].Send(wire.Msg{Type: wire.MsgCommitReq, To: 1, Op: op.ID,
+		r.srv[0].Send(&wire.Msg{Type: wire.MsgCommitReq, To: 1, Op: op.ID,
 			Decisions: []wire.Decision{{Op: op.ID}}})
 		p.Sleep(50 * time.Millisecond)
 		if s.parkedReq(link.ID) != nil {

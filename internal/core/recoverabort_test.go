@@ -34,7 +34,7 @@ func halfOp(t *testing.T, p *simrt.Proc, c *cluster.Cluster, pr *cluster.Process
 	host := c.Hosts[int(pr.ID.Client)-c.Opts.Servers]
 	route := host.Open(op.ID)
 	defer host.Done(op.ID)
-	host.Send(wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
+	host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: op.ID, Sub: cSub, Peer: part, ReplyProc: op.ID.Proc})
 	if m := route.Recv(p); !m.OK {
 		t.Fatalf("coordinator half of %v: %s", op, m.Err)
 	}

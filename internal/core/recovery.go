@@ -239,7 +239,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	// Undecided participant operations: nudge their coordinators.
 	for _, id := range undecidedPart {
 		if st := s.pending(id); st != nil {
-			s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: st.peer, Op: id})
+			s.Send(&wire.Msg{Type: wire.MsgConflictNotify, To: st.peer, Op: id})
 		}
 	}
 	// Wait until every undecided operation's fate is sealed here. The commit
@@ -252,7 +252,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 		for s.pending(id) != nil {
 			if !s.await(p, id, false, s.lazyPeriod()) {
 				if st := s.pending(id); st != nil && st.phase == phasePending && !st.coordinator() {
-					s.Send(wire.Msg{Type: wire.MsgConflictNotify, To: st.peer, Op: id})
+					s.Send(&wire.Msg{Type: wire.MsgConflictNotify, To: st.peer, Op: id})
 				}
 			}
 		}

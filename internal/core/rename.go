@@ -38,7 +38,7 @@ func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 	reply := wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: op.ID, OK: true}
 	if s.isAborted(op.ID) {
 		reply.OK, reply.Err = false, types.ErrAborted.Error()
-		s.Send(reply)
+		s.Send(&reply)
 		return
 	}
 
@@ -69,7 +69,7 @@ func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 	resSrc := s.Shard.ExecRow(srcSub, seen.Row, s.NowNanos())
 	if !resSrc.OK {
 		reply.OK, reply.Err = false, resSrc.Err.Error()
-		s.Send(reply)
+		s.Send(&reply)
 		return
 	}
 	s.hold(srcSub, written(&resSrc))
@@ -89,9 +89,11 @@ func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 		dstOK, dstErr = s.renameExecInsert(p, boot, dstSub, s.ID)
 	} else {
 		// The VOTE round against the destination, retried across its crashes.
-		vote, _ := s.Call(p, boot, wire.Msg{Type: wire.MsgVote, To: dst, Op: op.ID, Sub: dstSub,
-			Peer: s.ID, ReplyProc: op.ID.Proc}, s.cfg.RetryInterval+s.cfg.VoteWait, nil, nil)
-		dstOK, dstErr = vote.OK, vote.Err
+		if vote, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgVote, To: dst, Op: op.ID, Sub: dstSub,
+			Peer: s.ID, ReplyProc: op.ID.Proc}, s.cfg.RetryInterval+s.cfg.VoteWait, nil, nil); ok {
+			dstOK, dstErr = vote.OK, vote.Err
+			vote.Release()
+		}
 	}
 	if s.Gone(boot) {
 		return
@@ -103,8 +105,10 @@ func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 	}
 	if !local {
 		// Deliver the decision until acknowledged.
-		s.Call(p, boot, wire.Msg{Type: wire.MsgCommitReq, To: dst, Op: op.ID,
-			Decisions: []wire.Decision{{Op: op.ID, Commit: co.commit}}}, s.cfg.RetryInterval, nil, nil)
+		if ack, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgCommitReq, To: dst, Op: op.ID,
+			Decisions: []wire.Decision{{Op: op.ID, Commit: co.commit}}}, s.cfg.RetryInterval, nil, nil); ok {
+			ack.Release()
+		}
 		if s.Gone(boot) {
 			return
 		}
@@ -127,7 +131,7 @@ func (s *Server) handleRename(p *simrt.Proc, m *wire.Msg) {
 	// The outcome is sealed: retried requests must see this reply, never a
 	// re-execution.
 	s.finish(co, reply)
-	s.Send(reply)
+	s.Send(&reply)
 }
 
 // handleRenameVote is the destination side: execute the insert (resolving
@@ -137,11 +141,11 @@ func (s *Server) handleRenameVote(p *simrt.Proc, m *wire.Msg) {
 	id := m.Op
 	if st := s.pending(id); st != nil {
 		// Retransmitted vote: answer from the existing execution.
-		s.Send(wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: id, OK: st.ok})
+		s.Send(&wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: id, OK: st.ok})
 		return
 	}
 	if s.isAborted(id) {
-		s.Send(wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: id, OK: false, Err: types.ErrAborted.Error()})
+		s.Send(&wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: id, OK: false, Err: types.ErrAborted.Error()})
 		return
 	}
 	boot := s.Boot()
@@ -149,7 +153,7 @@ func (s *Server) handleRenameVote(p *simrt.Proc, m *wire.Msg) {
 	if s.Gone(boot) {
 		return
 	}
-	s.Send(wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: id, OK: ok, Err: errStr})
+	s.Send(&wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: id, OK: ok, Err: errStr})
 }
 
 // renameExecInsert performs the destination insert with conflict

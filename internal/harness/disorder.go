@@ -76,11 +76,11 @@ func Disorder(cfg Config) Result {
 
 		// Force the disorder: the coordinator sees A then B, the participant
 		// B then A. Equal network latency preserves send order.
-		hostA.Send(wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: idA, Sub: cA, Peer: part, ReplyProc: idA.Proc})
-		hostB.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: idB, Sub: pB, Peer: coord, ReplyProc: idB.Proc})
+		hostA.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: idA, Sub: cA, Peer: part, ReplyProc: idA.Proc})
+		hostB.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: idB, Sub: pB, Peer: coord, ReplyProc: idB.Proc})
 		p.Sleep(time.Millisecond)
-		hostB.Send(wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: idB, Sub: cB, Peer: part, ReplyProc: idB.Proc})
-		hostA.Send(wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: idA, Sub: pA, Peer: coord, ReplyProc: idA.Proc})
+		hostB.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: coord, Op: idB, Sub: cB, Peer: part, ReplyProc: idB.Proc})
+		hostA.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: part, Op: idA, Sub: pA, Peer: coord, ReplyProc: idA.Proc})
 
 		// Drain both clients until their responses settle, then quiesce so
 		// the lazy commitment and the pruning run too.
@@ -125,21 +125,22 @@ func awaitSettled(p *simrt.Proc, route *node.Route, coord types.NodeID) bool {
 	var haveC, haveP, voidP bool
 	var epochP uint32
 	for {
-		m, got := route.RecvTimeout(p, 30*time.Second)
+		pk, got := route.RecvTimeout(p, 30*time.Second)
 		if !got {
 			return false
 		}
-		if m.Type == wire.MsgAllNo {
+		typ, from, epoch, voided := pk.Type, pk.From, pk.Epoch, pk.Err == types.ErrInvalidated.Error()
+		pk.Release()
+		if typ == wire.MsgAllNo {
 			return true
 		}
-		if m.Type != wire.MsgSubOpResp {
+		if typ != wire.MsgSubOpResp {
 			continue
 		}
-		if m.From == coord {
+		if from == coord {
 			haveC = true
-		} else if m.Epoch >= epochP {
-			epochP = m.Epoch
-			voidP = m.Err == types.ErrInvalidated.Error()
+		} else if epoch >= epochP {
+			epochP, voidP = epoch, voided
 			haveP = haveP || !voidP
 		}
 		if haveC && haveP && !voidP {

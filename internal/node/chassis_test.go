@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -239,19 +240,53 @@ func TestAnswerLookupLeasesAndRevokeNotifiesInGrantOrder(t *testing.T) {
 	})
 }
 
-// calling runs req (addressed to node 101) as a Call of its own proc; the
-// answer it returns lands in *got, and *ended is set when it returns.
-func calling(b *Base, req wire.Msg, every time.Duration, sent func() bool, accept func(wire.Msg) bool,
+// calling runs req (addressed to node 101) as a Call of its own proc; a copy
+// of the answer it returns lands in *got, and *ended is set when it returns.
+func calling(b *Base, req wire.Msg, every time.Duration, sent func() bool, accept func(*wire.Msg) bool,
 	got *wire.Msg, ended *bool) {
 	boot := b.Boot()
 	req.To = 101
 	b.Sim.Spawn("call", func(p *simrt.Proc) {
-		var ok bool
-		if *got, ok = b.Call(p, boot, req, every, sent, accept); !ok {
+		if pk, ok := b.Call(p, boot, &req, every, sent, accept); ok {
+			*got = pk.Msg
+			got.Ops = slices.Clone(pk.Ops)
+			pk.Release()
+		} else {
 			*got = wire.Msg{Err: "ended"}
 		}
 		*ended = true
 	})
+}
+
+// landed sends each of msgs from node 101 to node 103, which never reads its
+// inbox, and returns their packets once all have landed there: answers of
+// the test's own, for it to hand to Deliver as a handler would.
+func landed(p *simrt.Proc, b *Base, msgs ...wire.Msg) []*transport.Packet {
+	box := b.Net.Register(103)
+	for _, m := range msgs {
+		m.From, m.To = 101, 103
+		b.Net.Send(m)
+	}
+	for box.Len() < len(msgs) {
+		p.Sleep(time.Microsecond)
+	}
+	pks := make([]*transport.Packet, len(msgs))
+	for i := range pks {
+		pks[i], _ = box.TryRecv()
+	}
+	return pks
+}
+
+// deliver hands each of msgs to b.Deliver in a packet, all at one instant,
+// and releases those no Call took, as the chassis would.
+func deliver(p *simrt.Proc, b *Base, msgs ...wire.Msg) {
+	for _, pk := range landed(p, b, msgs...) {
+		b.Deliver(pk)
+		if b.delivered != pk {
+			pk.Release()
+		}
+		b.delivered = nil
+	}
 }
 
 func TestReplyRoutesAreTypedAndBatchedKeysDoNotCross(t *testing.T) {
@@ -275,11 +310,12 @@ func TestReplyRoutesAreTypedAndBatchedKeysDoNotCross(t *testing.T) {
 			b.Awaiting(&wire.Msg{Type: wire.MsgVote, Ops: []types.OpID{op}}) {
 			t.Error("Awaiting disagrees with the calls under way")
 		}
-		b.Deliver(&wire.Msg{Type: wire.MsgMigrateResp, Op: op, Err: "resp"})                              // to resp only
-		b.Deliver(&wire.Msg{Type: wire.MsgAck, Ops: []types.OpID{op, opID(2)}, Err: "round"})             // to round only
-		b.Deliver(&wire.Msg{Type: wire.MsgAck, Op: op, Err: "single"})                                    // to single only
-		b.Deliver(&wire.Msg{Type: wire.MsgVoteResp, Op: op, Err: "vote"})                                 // nobody awaits: dropped
-		b.Deliver(&wire.Msg{Type: wire.MsgAck, Op: opID(2), Ops: []types.OpID{opID(2), op}, Err: "head"}) // keyed by its first op: dropped
+		deliver(p, b,
+			wire.Msg{Type: wire.MsgMigrateResp, Op: op, Err: "resp"},                              // to resp only
+			wire.Msg{Type: wire.MsgAck, Ops: []types.OpID{op, opID(2)}, Err: "round"},             // to round only
+			wire.Msg{Type: wire.MsgAck, Op: op, Err: "single"},                                    // to single only
+			wire.Msg{Type: wire.MsgVoteResp, Op: op, Err: "vote"},                                 // nobody awaits: dropped
+			wire.Msg{Type: wire.MsgAck, Op: opID(2), Ops: []types.OpID{opID(2), op}, Err: "head"}) // keyed by its first op: dropped
 		p.Sleep(2 * time.Millisecond)
 		if resp.Err != "resp" || round.Err != "round" || single.Err != "single" {
 			t.Errorf("answers resp=%q round=%q single=%q, want each its own", resp.Err, round.Err, single.Err)
@@ -288,7 +324,7 @@ func TestReplyRoutesAreTypedAndBatchedKeysDoNotCross(t *testing.T) {
 			t.Errorf("MIGRATE-BACK calls: first got %q, second ended=%v; want the first ended by its hook, the second waiting", ack.Err, ended[4])
 		}
 		// The first call's end must not have torn the take-over route down.
-		b.Deliver(&wire.Msg{Type: wire.MsgMigrateAck, Op: op, Err: "ack"})
+		deliver(p, b, wire.Msg{Type: wire.MsgMigrateAck, Op: op, Err: "ack"})
 		p.Sleep(time.Microsecond)
 		if ack2.Err != "ack" {
 			t.Errorf("after a take-over the new call got %q, want the ack", ack2.Err)
@@ -314,12 +350,12 @@ func TestServerCallResendsEveryIntervalUntilAccepted(t *testing.T) {
 		var got wire.Msg
 		var ended bool
 		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, 10*time.Millisecond, nil,
-			func(m wire.Msg) bool { return m.OK }, &got, &ended)
+			func(m *wire.Msg) bool { return m.OK }, &got, &ended)
 		p.Sleep(35 * time.Millisecond) // sends at 0, 10, 20 and 30ms
 		if n := countSent(*sent, wire.MsgVote); n != 4 || ended {
 			t.Errorf("%d VOTEs in 35ms (ended=%v), want 4 and the call waiting", n, ended)
 		}
-		b.Deliver(&wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), OK: true})
+		deliver(p, b, wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), OK: true})
 		p.Sleep(time.Microsecond)
 		if !ended || !got.OK || countSent(*sent, wire.MsgVote) != 4 {
 			t.Errorf("ended=%v ok=%v after %d VOTEs, want the answer taken after 4", ended, got.OK, countSent(*sent, wire.MsgVote))
@@ -332,16 +368,16 @@ func TestServerCallResendsAfterARefusedAnswer(t *testing.T) {
 		var got wire.Msg
 		var ended bool
 		calling(b, wire.Msg{Type: wire.MsgCommitReq, Ops: []types.OpID{opID(1), opID(2)}}, time.Hour, nil,
-			func(m wire.Msg) bool { return len(m.Ops) == 2 }, &got, &ended)
+			func(m *wire.Msg) bool { return len(m.Ops) == 2 }, &got, &ended)
 		p.Sleep(time.Millisecond)
 		// A stale ACK to an earlier round with the same head: refused, and the
 		// request goes out again at once.
-		b.Deliver(&wire.Msg{Type: wire.MsgAck, Ops: []types.OpID{opID(1)}})
+		deliver(p, b, wire.Msg{Type: wire.MsgAck, Ops: []types.OpID{opID(1)}})
 		p.Sleep(time.Microsecond)
 		if n := countSent(*sent, wire.MsgCommitReq); n != 2 || ended {
 			t.Errorf("%d COMMIT-REQs (ended=%v) after a refused answer, want 2 and the call waiting", n, ended)
 		}
-		b.Deliver(&wire.Msg{Type: wire.MsgAck, Ops: []types.OpID{opID(1), opID(2)}})
+		deliver(p, b, wire.Msg{Type: wire.MsgAck, Ops: []types.OpID{opID(1), opID(2)}})
 		p.Sleep(time.Microsecond)
 		if !ended || len(got.Ops) != 2 {
 			t.Errorf("ended=%v with %v, want the round's ACK", ended, got.Ops)
@@ -360,7 +396,7 @@ func TestServerCallEndsAcrossACrashAndReboot(t *testing.T) {
 		p.Sleep(time.Millisecond)
 		b.Reboot()
 		// The reply the old incarnation awaited arrives in the new one.
-		b.Deliver(&wire.Msg{Type: wire.MsgMigrateResp, Op: opID(1)})
+		deliver(p, b, wire.Msg{Type: wire.MsgMigrateResp, Op: opID(1)})
 		p.Sleep(10 * time.Millisecond)
 		if timed.Err != "ended" || forever.Err != "ended" {
 			t.Errorf("calls across a reboot returned %+v and %+v, want both ended", timed, forever)
@@ -389,11 +425,12 @@ func TestServerCallEndsWhenTheSendHookSaysSo(t *testing.T) {
 // echo starts b answering every request after delay, from itself and —
 // first — with a stray copy from node 1.
 func echo(s *simrt.Sim, b *Base, delay time.Duration, served *int) {
-	b.Start(func(p *simrt.Proc, m *wire.Msg) {
+	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
+		m := &pk.Msg
 		*served++
 		p.Sleep(delay)
 		b.Net.Send(wire.Msg{Type: wire.MsgOpResp, From: 1, To: m.From, Op: m.Op})
-		b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, OK: true})
+		b.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, OK: true})
 	})
 }
 
@@ -417,10 +454,13 @@ func TestCallDiscardsStraysWithoutUsingAnAttempt(t *testing.T) {
 		for _, rp := range []types.RetryPolicy{{}, {Timeout: 10 * time.Millisecond, Attempts: 2}} {
 			id, before := opID(uint64(served+1)), *sent
 			route := h.Open(id)
-			m, ok := h.Call(p, rp, route, wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id})
+			m, ok := h.Call(p, rp, route, &wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id})
 			h.Done(id)
 			if n := *sent - before; !ok || m.From != 0 || !m.OK || n != 1 {
-				t.Errorf("policy %+v: reply from=%v ok=%v after %d sends, want the addressed server's after one", rp, m.From, ok, n)
+				t.Errorf("policy %+v: ok=%v after %d sends, want the addressed server's reply after one", rp, ok, n)
+			}
+			if ok {
+				m.Release()
 			}
 		}
 	})
@@ -440,15 +480,18 @@ func TestCallRetriesThenGivesUp(t *testing.T) {
 		defer s.Stop()
 		rp := types.RetryPolicy{Timeout: 10 * time.Millisecond, MaxTimeout: 10 * time.Millisecond, Attempts: 4}
 		route := h.Open(opID(1))
-		m, ok := h.Call(p, rp, route, wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(1)})
+		m, ok := h.Call(p, rp, route, &wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(1)})
 		h.Done(opID(1))
 		if !ok || !m.OK || *sent != 3 {
 			t.Errorf("ok=%v after %d sends, want the reply during the third attempt", ok, *sent)
 		}
+		if ok {
+			m.Release()
+		}
 		b.Crash()
 		start := p.Now()
 		route = h.Open(opID(2))
-		_, ok = h.Call(p, rp, route, wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(2)})
+		_, ok = h.Call(p, rp, route, &wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(2)})
 		h.Done(opID(2))
 		elapsed = p.Now() - start
 		if ok || *sent != 7 {
@@ -468,7 +511,7 @@ func TestCallWithZeroPolicyBlocks(t *testing.T) {
 	returned := false
 	s.Spawn("client", func(p *simrt.Proc) {
 		route := h.Open(opID(1))
-		h.Call(p, types.RetryPolicy{}, route, wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(1)})
+		h.Call(p, types.RetryPolicy{}, route, &wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(1)})
 		returned = true
 	})
 	s.RunUntil(time.Hour)
@@ -484,15 +527,17 @@ func TestServerCallWarmAllocatesNothing(t *testing.T) {
 	s, net, b, _ := build(t)
 	defer s.Shutdown()
 	peer := NewBase(s, net, 1, DefaultHardware())
-	peer.Start(func(p *simrt.Proc, m *wire.Msg) {
-		peer.Send(wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, OK: true})
+	peer.Start(func(p *simrt.Proc, pk *transport.Packet) {
+		m := &pk.Msg
+		peer.Send(&wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, OK: true})
 	})
-	b.Start(func(p *simrt.Proc, m *wire.Msg) { b.Deliver(m) })
+	b.Start(func(p *simrt.Proc, pk *transport.Packet) { b.Deliver(pk) })
 	calls := 0
 	s.Spawn("caller", func(p *simrt.Proc) {
 		for {
 			req := wire.Msg{Type: wire.MsgVote, To: 1, Op: opID(uint64(calls))}
-			if _, ok := b.Call(p, b.Boot(), req, time.Second, nil, nil); ok {
+			if answer, ok := b.Call(p, b.Boot(), &req, time.Second, nil, nil); ok {
+				answer.Release()
 				calls++
 			}
 		}
@@ -516,8 +561,8 @@ func TestServerCallAllocFreeRouteReuseDropsLeftovers(t *testing.T) {
 		var ended [2]bool
 		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, 0, nil, nil, &first, &ended[0])
 		p.Sleep(time.Microsecond)
-		b.Deliver(&wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), Err: "answer"})
-		b.Deliver(&wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), Err: "duplicate"})
+		deliver(p, b, wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), Err: "answer"},
+			wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), Err: "duplicate"})
 		p.Sleep(time.Microsecond)
 		if !ended[0] || first.Err != "answer" || len(b.idleRoutes) != 1 {
 			t.Errorf("first call ended=%v with %q, %d idle routes; want the answer and its route idle", ended[0], first.Err, len(b.idleRoutes))
@@ -525,9 +570,9 @@ func TestServerCallAllocFreeRouteReuseDropsLeftovers(t *testing.T) {
 		// The same operation again: the key the duplicate was delivered under.
 		var seen []string
 		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, time.Millisecond, nil,
-			func(m wire.Msg) bool { seen = append(seen, m.Err); return true }, &second, &ended[1])
+			func(m *wire.Msg) bool { seen = append(seen, m.Err); return true }, &second, &ended[1])
 		p.Sleep(1500 * time.Microsecond)
-		b.Deliver(&wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), Err: "second"})
+		deliver(p, b, wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), Err: "second"})
 		p.Sleep(time.Microsecond)
 		if !ended[1] || second.Err != "second" || len(seen) != 1 {
 			t.Errorf("second call ended=%v with %q after seeing %q, want only its own answer", ended[1], second.Err, seen)

@@ -128,7 +128,7 @@ func (b *Base) AnswerLookup(m *wire.Msg) {
 		b.leases.Grant(m.Dir, m.Path, m.From, b.Sim.Now(), b.LeaseTTL)
 		b.stats.LeasesGranted++
 	}
-	b.Send(reply)
+	b.Send(&reply)
 }
 
 // RevokeLeases notifies every lease holder of (dir, name), in grant order,
@@ -139,7 +139,7 @@ func (b *Base) AnswerLookup(m *wire.Msg) {
 func (b *Base) RevokeLeases(dir types.InodeID, name string, op types.OpID) {
 	for _, h := range b.leases.Revoke(dir, name) {
 		b.stats.LeaseRevocations++
-		b.Send(wire.Msg{Type: wire.MsgConflictNotify, To: h, Op: op,
+		b.Send(&wire.Msg{Type: wire.MsgConflictNotify, To: h, Op: op,
 			Dir: dir, Path: name, LeaseEpoch: b.leaseEpoch()})
 	}
 }

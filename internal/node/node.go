@@ -17,8 +17,11 @@
 // a Proc is spawned for the message — so a handler blocked on the disk or on
 // a peer never stalls the server — and the next arrival is taken. The
 // message travels in the network's one pooled record (transport.Packet) from
-// Net.Send to the handler's return and is handed down by pointer; a handler
-// that keeps it longer copies what it keeps. The simulation runtime
+// Net.Send to the handler's return and is handed down by pointer, batch
+// slices and all; a handler that keeps any of it longer copies what it
+// keeps. An answer to a Call (Deliver) travels on to the caller in its
+// record, which the caller releases, and a client's replies reach its
+// process the same way (Route). The simulation runtime
 // serializes all state access between blocking points, which mirrors a
 // coarse-grained-locked multithreaded server.
 package node
@@ -70,9 +73,10 @@ const (
 	dbBase  = 64 << 20
 )
 
-// Handler processes one inbound message in its own Proc. m is valid until
-// the handler returns.
-type Handler func(p *simrt.Proc, m *wire.Msg)
+// Handler processes one inbound message in its own Proc. The packet, and
+// every slice of its message, is valid until the handler returns, when the
+// chassis releases it — unless the handler handed it to a Call (Deliver).
+type Handler func(p *simrt.Proc, pk *transport.Packet)
 
 // Stats aggregates chassis-level activity.
 type Stats struct {
@@ -118,10 +122,13 @@ type Base struct {
 	// one index of every operation executing or cached here.
 	replies seg.Ring[cachedReply]
 	once    seg.Index[int32]
-	leases  *LeaseTable                        // lease.go
-	routes  map[routeKey]*simrt.Chan[wire.Msg] // routes.go
+	leases  *LeaseTable                                 // lease.go
+	routes  map[routeKey]*simrt.Chan[*transport.Packet] // routes.go
 	// idleRoutes are the channels of finished Calls, emptied, for the next.
-	idleRoutes []*simrt.Chan[wire.Msg]
+	idleRoutes []*simrt.Chan[*transport.Packet]
+	// delivered is the packet the running handler has just handed to a Call,
+	// which the chassis must not release when the handler returns.
+	delivered *transport.Packet
 
 	stats Stats
 }
@@ -140,7 +147,7 @@ func NewBase(s *simrt.Sim, net *transport.Net, id types.NodeID, hw HardwareParam
 		inbox: net.Register(id),
 
 		leases: NewLeaseTable(leaseTableCap),
-		routes: make(map[routeKey]*simrt.Chan[wire.Msg]),
+		routes: make(map[routeKey]*simrt.Chan[*transport.Packet]),
 	}
 	for t := range b.procNames {
 		b.procNames[t] = fmt.Sprintf("server%d/%v", id, wire.MsgType(t))
@@ -177,7 +184,7 @@ func (b *Base) accept() {
 	if pk.Type == wire.MsgPing {
 		// Liveness is answered by the chassis so the failure detector
 		// works identically under every protocol.
-		b.Send(wire.Msg{Type: wire.MsgPong, To: pk.From, Op: pk.Op})
+		b.Send(&wire.Msg{Type: wire.MsgPong, To: pk.From, Op: pk.Op})
 		pk.Release()
 	} else {
 		name := "server/invalid"
@@ -190,21 +197,25 @@ func (b *Base) accept() {
 }
 
 // run is the handler proc's body; the record goes back to the pool when the
-// handler returns.
+// handler returns, unless the handler delivered it to a Call.
 func (b *Base) run(p *simrt.Proc, pk *transport.Packet) {
 	if !b.crashed {
-		b.handler(p, &pk.Msg)
+		b.handler(p, pk)
 	}
-	pk.Release()
+	if b.delivered != pk {
+		pk.Release()
+	}
+	b.delivered = nil
 }
 
-// Send transmits m with From filled in; crashed servers send nothing.
-func (b *Base) Send(m wire.Msg) {
+// Send fills in m's From and transmits it; crashed servers send nothing.
+// The network copies m, so the caller may reuse it, and its slices, at once.
+func (b *Base) Send(m *wire.Msg) {
 	if b.crashed {
 		return
 	}
 	m.From = b.ID
-	b.Net.Send(m)
+	b.Net.Post(m)
 }
 
 // Prune discards op's log records (wal.WAL.Prune) and publishes the prune:
@@ -295,7 +306,7 @@ func (b *Base) Gone(boot uint64) bool { return b.crashed || b.boot != boot }
 // uncommitted executions), matching OrangeFS semantics; the paper's
 // conflict machinery covers only per-object accesses.
 func (b *Base) ServeReaddir(m *wire.Msg) {
-	b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, OK: true, Entries: b.Shard.ListDir(m.FullOp.Parent)})
+	b.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, OK: true, Entries: b.Shard.ListDir(m.FullOp.Parent)})
 }
 
 // Host is a client machine: it owns the inbox for its node ID and routes
@@ -313,30 +324,18 @@ type Host struct {
 }
 
 // Route is where one operation's replies arrive: the network's records
-// themselves, so a reply is copied once, out of its record, by the receive
-// that takes it.
+// themselves, so a reply is read where it landed, and never copied.
 type Route simrt.Chan[*transport.Packet]
 
 func (r *Route) ch() *simrt.Chan[*transport.Packet] { return (*simrt.Chan[*transport.Packet])(r) }
 
-// take copies the message out of a received record and releases the record.
-func take(pk *transport.Packet, ok bool) (m wire.Msg, _ bool) {
-	if ok {
-		m = pk.Msg
-		pk.Release()
-	}
-	return m, ok
-}
-
-// Recv returns the next reply, parking p until one arrives.
-func (r *Route) Recv(p *simrt.Proc) wire.Msg {
-	m, _ := take(r.ch().Recv(p), true)
-	return m
-}
+// Recv returns the next reply, parking p until one arrives. The caller owns
+// the packet and releases it once it has read the reply.
+func (r *Route) Recv(p *simrt.Proc) *transport.Packet { return r.ch().Recv(p) }
 
 // RecvTimeout is Recv with a deadline; ok is false if d passes with no reply.
-func (r *Route) RecvTimeout(p *simrt.Proc, d time.Duration) (wire.Msg, bool) {
-	return take(r.ch().RecvTimeout(p, d))
+func (r *Route) RecvTimeout(p *simrt.Proc, d time.Duration) (*transport.Packet, bool) {
+	return r.ch().RecvTimeout(p, d)
 }
 
 // NewHost builds a client host and starts its dispatcher. Dispatching never
@@ -390,44 +389,48 @@ func (h *Host) Done(op types.OpID) {
 		return
 	}
 	for r.ch().Len() > 0 {
-		take(r.ch().TryRecv())
+		pk, _ := r.ch().TryRecv()
+		pk.Release()
 	}
 	h.idle = append(h.idle, r)
 }
 
-// Send transmits m with From filled in.
-func (h *Host) Send(m wire.Msg) {
+// Send fills in m's From and transmits it. The network copies m.
+func (h *Host) Send(m *wire.Msg) {
 	m.From = h.ID
-	h.Net.Send(m)
+	h.Net.Post(m)
 }
 
 // Call sends req and awaits, on route, the reply from the node it is
 // addressed to, retransmitting per rp; strays from another node (late
-// duplicates of the operation's other leg under faults) are discarded
-// without using up an attempt. ok is false when the attempt budget ran out
-// and the outcome is unknown. The zero policy sends once and blocks until the
-// reply comes.
-func (h *Host) Call(p *simrt.Proc, rp types.RetryPolicy, route *Route, req wire.Msg) (reply wire.Msg, ok bool) {
+// duplicates of the operation's other leg under faults) are released
+// without using up an attempt. The caller owns the reply's packet and
+// releases it once read. ok is false, and the packet nil, when the attempt
+// budget ran out and the outcome is unknown. The zero policy sends once and
+// blocks until the reply comes.
+func (h *Host) Call(p *simrt.Proc, rp types.RetryPolicy, route *Route, req *wire.Msg) (reply *transport.Packet, ok bool) {
 	if !rp.Enabled() {
 		h.Send(req)
 		for {
 			if reply = route.Recv(p); reply.From == req.To {
 				return reply, true
 			}
+			reply.Release()
 		}
 	}
 	for attempt := 0; attempt < rp.MaxAttempts(); attempt++ {
 		h.Send(req)
 		deadline := p.Now() + rp.WaitFor(attempt)
 		for remaining := deadline - p.Now(); remaining > 0; remaining = deadline - p.Now() {
-			m, got := route.RecvTimeout(p, remaining)
+			pk, got := route.RecvTimeout(p, remaining)
 			if !got {
 				break
 			}
-			if m.From == req.To {
-				return m, true
+			if pk.From == req.To {
+				return pk, true
 			}
+			pk.Release()
 		}
 	}
-	return wire.Msg{}, false
+	return nil, false
 }

@@ -22,17 +22,18 @@ func build(t *testing.T) (*simrt.Sim, *transport.Net, *Base, *Host) {
 func TestInboxDispatchesToHandlerProc(t *testing.T) {
 	s, _, b, h := build(t)
 	var got []wire.MsgType
-	b.Start(func(p *simrt.Proc, m *wire.Msg) {
+	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
+		m := &pk.Msg
 		got = append(got, m.Type)
-		b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
+		b.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
 	})
 	var replied bool
 	s.Spawn("client", func(p *simrt.Proc) {
 		id := types.OpID{Proc: types.ProcID{Client: 100}, Seq: 1}
 		route := h.Open(id)
 		defer h.Done(id)
-		h.Send(wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id})
-		route.Recv(p)
+		h.Send(&wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id})
+		route.Recv(p).Release()
 		replied = true
 		s.Stop()
 	})
@@ -50,9 +51,10 @@ func TestHandlersRunConcurrently(t *testing.T) {
 	// Two slow handlers must overlap in virtual time: the inbox loop spawns
 	// a Proc per message rather than serializing.
 	s, _, b, h := build(t)
-	b.Start(func(p *simrt.Proc, m *wire.Msg) {
+	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
+		m := &pk.Msg
 		p.Sleep(10 * time.Millisecond)
-		b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
+		b.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
 	})
 	var elapsed time.Duration
 	s.Spawn("client", func(p *simrt.Proc) {
@@ -62,9 +64,9 @@ func TestHandlersRunConcurrently(t *testing.T) {
 		r1, r2 := h.Open(id1), h.Open(id2)
 		defer h.Done(id1)
 		defer h.Done(id2)
-		h.Send(wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id1})
-		h.Send(wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id2})
-		r1.Recv(p)
+		h.Send(&wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id1})
+		h.Send(&wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id2})
+		r1.Recv(p).Release()
 		r2.Recv(p)
 		elapsed = p.Now() - start
 		s.Stop()
@@ -78,8 +80,9 @@ func TestHandlersRunConcurrently(t *testing.T) {
 
 func TestCrashSilencesSendsAndDropsInbox(t *testing.T) {
 	s, _, b, h := build(t)
-	b.Start(func(p *simrt.Proc, m *wire.Msg) {
-		b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
+	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
+		m := &pk.Msg
+		b.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
 	})
 	var got int
 	s.Spawn("client", func(p *simrt.Proc) {
@@ -87,13 +90,13 @@ func TestCrashSilencesSendsAndDropsInbox(t *testing.T) {
 		route := h.Open(id)
 		defer h.Done(id)
 		b.Crash()
-		h.Send(wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id})
+		h.Send(&wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id})
 		if _, ok := route.RecvTimeout(p, 100*time.Millisecond); ok {
 			got++
 		}
 		// Reboot and retry: service resumes.
 		b.Reboot()
-		h.Send(wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id})
+		h.Send(&wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id})
 		if _, ok := route.RecvTimeout(p, 100*time.Millisecond); ok {
 			got += 10
 		}
@@ -133,21 +136,22 @@ func TestCrashDiscardsVolatileState(t *testing.T) {
 
 func TestHostDropsUnroutedResponses(t *testing.T) {
 	s, _, b, h := build(t)
-	b.Start(func(p *simrt.Proc, m *wire.Msg) {
-		b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
+	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
+		m := &pk.Msg
+		b.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
 	})
 	finished := false
 	s.Spawn("client", func(p *simrt.Proc) {
 		// Send with no route registered: the response must be dropped
 		// silently, not crash the dispatcher.
-		h.Send(wire.Msg{Type: wire.MsgOpReq, To: 0, Op: types.OpID{Seq: 77}})
+		h.Send(&wire.Msg{Type: wire.MsgOpReq, To: 0, Op: types.OpID{Seq: 77}})
 		p.Sleep(50 * time.Millisecond)
 		// Dispatcher still alive for routed traffic.
 		id := types.OpID{Proc: types.ProcID{Client: 100}, Seq: 78}
 		route := h.Open(id)
 		defer h.Done(id)
-		h.Send(wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id})
-		route.Recv(p)
+		h.Send(&wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id})
+		route.Recv(p).Release()
 		finished = true
 		s.Stop()
 	})
@@ -180,9 +184,10 @@ func TestExecCPUAdvancesTimeAndCounts(t *testing.T) {
 // up as the first reply of the next.
 func TestHostReusesRoutesClean(t *testing.T) {
 	s, _, b, h := build(t)
-	b.Start(func(p *simrt.Proc, m *wire.Msg) {
+	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
+		m := &pk.Msg
 		for i := 0; i < 2; i++ { // every request is answered twice
-			b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
+			b.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
 		}
 	})
 	var seen []types.OpID
@@ -192,8 +197,10 @@ func TestHostReusesRoutesClean(t *testing.T) {
 			id := types.OpID{Proc: types.ProcID{Client: 100}, Seq: seq}
 			route := h.Open(id)
 			routes = append(routes, route)
-			h.Send(wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id})
-			seen = append(seen, route.Recv(p).Op)
+			h.Send(&wire.Msg{Type: wire.MsgOpReq, To: 0, Op: id})
+			reply := route.Recv(p)
+			seen = append(seen, reply.Op)
+			reply.Release()
 			p.Sleep(time.Millisecond) // the duplicate lands in the route
 			h.Done(id)
 		}

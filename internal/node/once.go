@@ -88,6 +88,6 @@ func (b *Base) CacheReply(op types.OpID, m *wire.Msg) {
 // replay sends the reply cached at ring position pos, for op, to node to.
 func (b *Base) replay(pos int32, op types.OpID, to types.NodeID) {
 	r := b.replies.At(int(pos))
-	b.Send(wire.Msg{Type: r.typ, To: to, Op: op, OK: r.ok, Err: r.err,
+	b.Send(&wire.Msg{Type: r.typ, To: to, Op: op, OK: r.ok, Err: r.err,
 		Hint: r.hint, Epoch: r.epoch, Attr: r.attr})
 }

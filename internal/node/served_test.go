@@ -25,7 +25,8 @@ func TestServedInboxChargesCPUPerMessage(t *testing.T) {
 		at  time.Duration
 	}
 	var got []seen
-	b.Start(func(p *simrt.Proc, m *wire.Msg) {
+	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
+		m := &pk.Msg
 		got = append(got, seen{m.Op.Seq, p.Now()})
 		p.Sleep(time.Millisecond) // a slow handler does not hold the inbox
 	})
@@ -56,7 +57,8 @@ func TestCrashedServerDropsBufferedArrivals(t *testing.T) {
 	s, net, b, _ := build(t)
 	var handled []uint64
 	var at []time.Duration
-	b.Start(func(p *simrt.Proc, m *wire.Msg) {
+	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
+		m := &pk.Msg
 		handled = append(handled, m.Op.Seq)
 		at = append(at, p.Now())
 		if m.Op.Seq == 1 {
@@ -97,7 +99,7 @@ func TestCrashedServerDropsBufferedArrivals(t *testing.T) {
 // after the receive-side charge, with no handler proc.
 func TestPingIsAnsweredByTheChassis(t *testing.T) {
 	s, net, b, _ := build(t)
-	b.Start(func(p *simrt.Proc, m *wire.Msg) { t.Errorf("handler called for %v", m.Type) })
+	b.Start(func(p *simrt.Proc, pk *transport.Packet) { t.Errorf("handler called for %v", pk.Type) })
 	var pongs []wire.Msg
 	net.SetTap(func(m wire.Msg) {
 		if m.Type == wire.MsgPong {
@@ -132,7 +134,8 @@ func TestZeroCPUPerMsgHandlesInArrivalOrder(t *testing.T) {
 	net.Register(100)
 	var seqs []uint64
 	var at []time.Duration
-	b.Start(func(p *simrt.Proc, m *wire.Msg) {
+	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
+		m := &pk.Msg
 		seqs = append(seqs, m.Op.Seq)
 		at = append(at, p.Now())
 	})
@@ -161,7 +164,8 @@ func TestHandlerOwnsItsMessageUntilItReturns(t *testing.T) {
 	s, _, b, h := build(t)
 	records := map[*wire.Msg]int{} // every record a handler was given, by use count
 	var slow *wire.Msg
-	b.Start(func(p *simrt.Proc, m *wire.Msg) {
+	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
+		m := &pk.Msg
 		records[m]++
 		if m.Sub.Name == "slow" {
 			slow = m
@@ -170,19 +174,21 @@ func TestHandlerOwnsItsMessageUntilItReturns(t *testing.T) {
 				t.Errorf("after blocking, the slow handler reads %+v, not its own request", *m)
 			}
 		}
-		b.Send(wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, OK: true})
+		b.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, OK: true})
 	})
 	call := func(p *simrt.Proc, seq uint64) {
 		route := h.Open(opID(seq))
-		if m, _ := h.Call(p, types.RetryPolicy{}, route, wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(seq)}); m.Op != opID(seq) || !m.OK {
-			t.Errorf("call %d got the reply %+v", seq, m)
+		m, _ := h.Call(p, types.RetryPolicy{}, route, &wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(seq)})
+		if m.Op != opID(seq) || !m.OK {
+			t.Errorf("call %d got the reply %+v", seq, m.Msg)
 		}
+		m.Release()
 		h.Done(opID(seq))
 	}
 	quick := 0
 	s.Spawn("client", func(p *simrt.Proc) {
 		slowRoute := h.Open(opID(1))
-		h.Send(wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(1), Sub: types.SubOp{Name: "slow"}})
+		h.Send(&wire.Msg{Type: wire.MsgOpReq, To: 0, Op: opID(1), Sub: types.SubOp{Name: "slow"}})
 		for seq := uint64(2); seq <= 151; seq++ { // one after the other, all inside the slow handler's sleep
 			call(p, seq)
 			quick++
@@ -190,7 +196,7 @@ func TestHandlerOwnsItsMessageUntilItReturns(t *testing.T) {
 		if p.Now() >= time.Second {
 			t.Errorf("the quick calls took until %v; they must finish inside the slow handler's sleep", p.Now())
 		}
-		slowRoute.Recv(p)
+		slowRoute.Recv(p).Release()
 		h.Done(opID(1))
 		// Nothing is in flight: the slow handler has returned and its record
 		// is back in the pool, emptied.

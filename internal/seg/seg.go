@@ -8,7 +8,9 @@
 // import node, so the store is a package of its own. The log keeps its
 // records' bytes in chunks of its own, reused the same way. Index, the one
 // table keyed by operation ID, churns in place the same way once it has
-// grown to its peak (index.go).
+// grown to its peak (index.go). Bufs is a free list of slices for buffers
+// whose users come and go (bufs.go): the network's packet storage and the Cx
+// server's batch buffers.
 package seg
 
 // A segment holds segLen values: 1,024 grows an 8,192-entry ring in eight

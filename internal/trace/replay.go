@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"cxfs/internal/cluster"
@@ -62,6 +63,7 @@ type Replayer struct {
 	dirs   map[int]types.InodeID
 	files  map[int]fileBinding
 	recent ring[recentCreate] // the newest creations, for injection
+	names  nameArena
 }
 
 // recentCreate remembers who created a file, so injected reads target
@@ -71,23 +73,41 @@ type recentCreate struct {
 	proc int
 }
 
-// fileName renders the stable name of a symbolic file: "f%08d".
-func fileName(id int) string { return paddedName("f", id, 8) }
+// nameArena renders the replay's names into shared chunks of nameChunk
+// bytes: each name is a string into its chunk, so a chunk, not a name, is one
+// allocation (the replay makes a name per create, link and unlink). A
+// strings.Builder only ever appends, so a name it has handed out never
+// changes; a chunk lives as long as any of its names.
+type nameArena struct{ b strings.Builder }
 
-// dirName renders the stable name of a symbolic directory: "dir%05d".
-func dirName(id int) string { return paddedName("dir", id, 5) }
+const nameChunk = 4 << 10
 
-// paddedName is prefix followed by id (>= 0) zero-padded to width digits,
-// built with one allocation: the replay makes a name per create.
-func paddedName(prefix string, id, width int) string {
+// file renders the stable name of a symbolic file: "f%08d".
+func (a *nameArena) file(id int) string { return a.padded("f", id, 8, "") }
+
+// link renders the name of a symbolic file's hard link: "f%08d.ln".
+func (a *nameArena) link(id int) string { return a.padded("f", id, 8, ".ln") }
+
+// dir renders the stable name of a symbolic directory: "dir%05d".
+func (a *nameArena) dir(id int) string { return a.padded("dir", id, 5, "") }
+
+// padded is prefix, id (>= 0) zero-padded to width digits, and suffix.
+func (a *nameArena) padded(prefix string, id, width int, suffix string) string {
 	var digits [20]byte
 	d := strconv.AppendInt(digits[:0], int64(id), 10)
-	b := make([]byte, 0, 32)
-	b = append(b, prefix...)
-	for i := len(d); i < width; i++ {
-		b = append(b, '0')
+	n := len(prefix) + max(width, len(d)) + len(suffix)
+	if a.b.Cap()-a.b.Len() < n {
+		a.b.Reset() // the full chunk stays with the names in it
+		a.b.Grow(max(n, nameChunk))
 	}
-	return string(append(b, d...))
+	start := a.b.Len()
+	a.b.WriteString(prefix)
+	for i := len(d); i < width; i++ {
+		a.b.WriteByte('0')
+	}
+	a.b.Write(d)
+	a.b.WriteString(suffix)
+	return a.b.String()[start:]
 }
 
 // Run replays the trace as one measured window (cluster.Measure) and returns
@@ -116,7 +136,7 @@ func (r *Replayer) Run() Result {
 	win := c.Measure(func(p *simrt.Proc) {
 		pr := c.Proc(0)
 		for d := 0; d < static; d++ {
-			ino, err := pr.Mkdir(p, types.RootInode, dirName(d))
+			ino, err := pr.Mkdir(p, types.RootInode, r.names.dir(d))
 			if err != nil {
 				panic(fmt.Sprintf("trace setup mkdir: %v", err))
 			}
@@ -163,7 +183,7 @@ func (r *Replayer) playOne(p *simrt.Proc, pr *cluster.Process, rec Rec, res *Res
 	switch rec.Kind {
 	case CreateOwn:
 		var ino types.InodeID
-		name := fileName(rec.File)
+		name := r.names.file(rec.File)
 		ino, err = pr.Create(p, dir, name)
 		if err == nil {
 			r.files[rec.File] = fileBinding{dir: dir, name: name, ino: ino}
@@ -176,22 +196,22 @@ func (r *Replayer) playOne(p *simrt.Proc, pr *cluster.Process, rec Rec, res *Res
 		}
 	case MkdirOwn:
 		var ino types.InodeID
-		ino, err = pr.Mkdir(p, dir, dirName(rec.File))
+		ino, err = pr.Mkdir(p, dir, r.names.dir(rec.File))
 		if err == nil {
 			r.dirs[rec.File] = ino
 		}
 	case RmdirOwn:
 		if ino, have := r.dirs[rec.File]; have {
-			err = pr.Rmdir(p, dir, dirName(rec.File), ino)
+			err = pr.Rmdir(p, dir, r.names.dir(rec.File), ino)
 			delete(r.dirs, rec.File)
 		}
 	case LinkOwn:
 		if fb, have := r.files[rec.File]; have {
-			err = pr.Link(p, fb.dir, fb.name+".ln", fb.ino)
+			err = pr.Link(p, fb.dir, r.names.link(rec.File), fb.ino)
 		}
 	case UnlinkOwn:
 		if fb, have := r.files[rec.File]; have {
-			err = pr.Unlink(p, fb.dir, fb.name+".ln", fb.ino)
+			err = pr.Unlink(p, fb.dir, r.names.link(rec.File), fb.ino)
 		}
 	case StatOwn, SetAttrOwn:
 		if fb, have := r.files[rec.File]; have {

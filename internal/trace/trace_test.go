@@ -202,21 +202,33 @@ func TestInjectedConflictsIncreaseRatio(t *testing.T) {
 	}
 }
 
-// TestNameFormatPinned holds the strconv name builders to the Sprintf
-// formats they replaced (names are namespace row keys: a format drift would
-// move every placement), and to one allocation per name.
+// TestNameFormatPinned holds the name arena to the Sprintf formats it
+// replaced (names are namespace row keys: a format drift would move every
+// placement), to names that stay as rendered while later ones fill the
+// chunk, and to chunks rather than names as its allocations: a thousand
+// names cost at most three.
 func TestNameFormatPinned(t *testing.T) {
+	var a nameArena
+	var names, wants []string
 	for _, id := range []int{0, 1, 9, 10, 99999, 100000, 12345678, 99999999, 100000000, 1 << 40} {
-		if got, want := fileName(id), fmt.Sprintf("f%08d", id); got != want {
-			t.Errorf("fileName(%d) = %q, want %q", id, got, want)
-		}
-		if got, want := dirName(id), fmt.Sprintf("dir%05d", id); got != want {
-			t.Errorf("dirName(%d) = %q, want %q", id, got, want)
+		names = append(names, a.file(id), a.link(id), a.dir(id))
+		wants = append(wants, fmt.Sprintf("f%08d", id), fmt.Sprintf("f%08d.ln", id), fmt.Sprintf("dir%05d", id))
+	}
+	for range 1000 {
+		a.file(1234567) // fill the chunk and move on to later ones
+	}
+	for i, want := range wants {
+		if names[i] != want {
+			t.Errorf("name %d = %q, want %q", i, names[i], want)
 		}
 	}
 	var sink string
-	if n := testing.AllocsPerRun(100, func() { sink = fileName(1234567) }); n > 1 {
-		t.Errorf("fileName allocates %.0f objects, want 1 (the string)", n)
+	if n := testing.AllocsPerRun(1, func() {
+		for id := range 1000 {
+			sink = a.file(id)
+		}
+	}); n > 3 {
+		t.Errorf("a thousand names allocate %.0f objects, want at most 3 (their chunks)", n)
 	}
 	_ = sink
 }

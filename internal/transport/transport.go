@@ -20,11 +20,27 @@
 // for all links (SetDefaultFaults), and directed partitions cut a link
 // entirely (Partition/Heal). All randomness comes from the simulation's
 // seeded RNG, so a given seed reproduces the exact same loss pattern.
+//
+// A message in flight is a Packet, and the packet owns everything the
+// message carries. Send copies the message into it, the seven batch slices
+// (Ops, Enforce, Votes, Decisions, Rows, Keys, Entries) included, so a
+// sender may overwrite or reuse its own buffers as soon as Send returns; a
+// duplicated message is two packets with storage of their own. Whoever
+// takes a packet out of an inbox owns it and reads the message where it
+// landed, through the packet, until it calls Release (or hands the packet
+// on, and the new holder releases it). Release clears the slices' storage
+// and gives it to a later Send, so a receiver that keeps a field past its
+// release copies it first: a slice kept by reference reads zeroes, and then
+// another message's elements. The storage waits in free lists on the Net,
+// one per element type, so it is bounded by the batch messages in flight.
+// The tap (SetTap) sees the sender's message before the copy and must copy
+// what it keeps too.
 package transport
 
 import (
 	"time"
 
+	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
@@ -119,13 +135,24 @@ type Net struct {
 	cuts          map[link]bool
 
 	idle []*Packet // released records
+	// The batch slices' storage that released packets gave back, for the
+	// next Send's copies: one free list per element type.
+	opBufs    seg.Bufs[types.OpID]
+	voteBufs  seg.Bufs[wire.Vote]
+	decBufs   seg.Bufs[wire.Decision]
+	rowBufs   seg.Bufs[types.Row]
+	keyBufs   seg.Bufs[types.ObjKey]
+	entryBufs seg.Bufs[types.DirEntry]
 }
 
 // Packet is one message from Send to the end of its handling: Send makes the
 // only copy, the arrival event puts the record itself into the destination's
-// inbox, and whoever takes it out owns it until Release. Records are pooled
-// and carry their arrival callback and handler-proc body as method values
-// made once, so a message costs neither a closure nor a heap copy.
+// inbox, and whoever takes it out owns it until Release. The message's batch
+// slices are the packet's own storage, valid until Release too (see the
+// package comment for what a holder that keeps a field must copy). Records
+// are pooled and carry their arrival callback and handler-proc body as
+// method values made once, so a message costs neither a closure nor a heap
+// copy.
 type Packet struct {
 	wire.Msg
 	net    *Net
@@ -154,11 +181,31 @@ func (pk *Packet) Body(handle func(*simrt.Proc, *Packet)) func(*simrt.Proc) {
 
 func (pk *Packet) run(p *simrt.Proc) { pk.handle(p, pk) }
 
-// Release gives the record back to the pool. It is emptied first, so a
-// pointer kept past this call reads an empty message, not a later one.
+// Release gives the record and its batch slices' storage back to the
+// network. Both are emptied first, so a pointer kept past this call reads an
+// empty message, and a slice kept past it reads zeroes, until a later Send
+// reuses them.
 func (pk *Packet) Release() {
+	n := pk.net
+	n.opBufs.Put(pk.Ops)
+	n.opBufs.Put(pk.Enforce)
+	n.voteBufs.Put(pk.Votes)
+	n.decBufs.Put(pk.Decisions)
+	n.rowBufs.Put(pk.Rows)
+	n.keyBufs.Put(pk.Keys)
+	n.entryBufs.Put(pk.Entries)
 	pk.Msg, pk.box, pk.handle = wire.Msg{}, nil, nil
-	pk.net.idle = append(pk.net.idle, pk)
+	n.idle = append(n.idle, pk)
+}
+
+// clone returns a copy of src in storage from free, the smallest buffer it
+// fits in. An empty src is returned capped at zero: it carries nothing to
+// copy, and nothing can be appended into the sender's array through it.
+func clone[T any](free *seg.Bufs[T], src []T) []T {
+	if len(src) == 0 {
+		return src[:0:0]
+	}
+	return append(free.Fit(len(src)), src...)
 }
 
 // SetTap installs an observer invoked (synchronously, in simulation
@@ -245,8 +292,14 @@ func (n *Net) faultsFor(from, to types.NodeID) Faults {
 // Send transmits msg to msg.To after the modeled delay. It must be called
 // from inside the simulation. The sender's Proc is not blocked (the NIC
 // DMA's asynchronously); the CPU overhead is charged as added latency.
-func (n *Net) Send(msg wire.Msg) {
-	if err := wire.Validate(&msg); err != nil {
+func (n *Net) Send(msg wire.Msg) { n.Post(&msg) }
+
+// Post is Send of the message msg points to, which it reads without keeping:
+// the packet gets a copy of it, batch slices included, so the caller may
+// reuse msg as soon as Post returns. The chassis sends this way, so a
+// message is copied once on its way into its packet, not at every call.
+func (n *Net) Post(msg *wire.Msg) {
+	if err := wire.Validate(msg); err != nil {
 		// The message could not be framed on a real wire (name or batch over
 		// the u16 limits). Dropping it here keeps the simulation honest with
 		// the codec instead of delivering an unencodable message.
@@ -262,9 +315,9 @@ func (n *Net) Send(msg wire.Msg) {
 	}
 	n.stats.Messages++
 	if n.tap != nil {
-		n.tap(msg)
+		n.tap(*msg)
 	}
-	size := wire.Size(&msg)
+	size := wire.Size(msg)
 	n.stats.Bytes += size
 	if int(msg.Type) < len(n.stats.ByType) {
 		n.stats.ByType[msg.Type]++
@@ -289,18 +342,18 @@ func (n *Net) Send(msg wire.Msg) {
 			if f.DelayMax > 0 {
 				extra = time.Duration(rng.Int63n(int64(f.DelayMax)))
 			}
-			n.deliver(box, &msg, delay+extra)
+			n.deliver(box, msg, delay+extra)
 		}
 		if f.DelayProb > 0 && f.DelayMax > 0 && rng.Float64() < f.DelayProb {
 			n.stats.Delayed++
 			delay += time.Duration(rng.Int63n(int64(f.DelayMax)))
 		}
 	}
-	n.deliver(box, &msg, delay)
+	n.deliver(box, msg, delay)
 }
 
-// deliver schedules one copy of msg after delay, dropping it if the
-// destination is down at arrival time.
+// deliver schedules one copy of msg after delay, in a packet that owns its
+// batch slices, dropping it if the destination is down at arrival time.
 func (n *Net) deliver(box *simrt.Chan[*Packet], msg *wire.Msg, delay time.Duration) {
 	var pk *Packet
 	if k := len(n.idle); k > 0 {
@@ -311,5 +364,12 @@ func (n *Net) deliver(box *simrt.Chan[*Packet], msg *wire.Msg, delay time.Durati
 		pk.arrive, pk.body = pk.land, pk.run
 	}
 	pk.box, pk.Msg = box, *msg
+	pk.Ops = clone(&n.opBufs, msg.Ops)
+	pk.Enforce = clone(&n.opBufs, msg.Enforce)
+	pk.Votes = clone(&n.voteBufs, msg.Votes)
+	pk.Decisions = clone(&n.decBufs, msg.Decisions)
+	pk.Rows = clone(&n.rowBufs, msg.Rows)
+	pk.Keys = clone(&n.keyBufs, msg.Keys)
+	pk.Entries = clone(&n.entryBufs, msg.Entries)
 	n.sim.After(delay, pk.arrive)
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -333,5 +334,125 @@ func TestPacketIsOneRecordFromSendToRelease(t *testing.T) {
 	if box.Len() != 0 || len(n.idle) != 1 || n.idle[0] != first || n.Stats().DroppedDown != 1 {
 		t.Errorf("after landing on a dead NIC: inbox %d, pooled %d, DroppedDown %d; want 0, the same record, 1",
 			box.Len(), len(n.idle), n.Stats().DroppedDown)
+	}
+}
+
+// batchIDs returns n operation IDs numbered from first.
+func batchIDs(first, n uint64) []types.OpID {
+	ids := make([]types.OpID, n)
+	for i := range ids {
+		ids[i] = types.OpID{Seq: first + uint64(i)}
+	}
+	return ids
+}
+
+// TestSenderMayReuseItsBuffersOnceSendReturns pins the first half of the
+// lifetime rule: a packet owns copies of the batch slices, so a sender that
+// overwrites its buffers right after Send does not change what arrives.
+func TestSenderMayReuseItsBuffersOnceSendReturns(t *testing.T) {
+	s := simrt.New(1)
+	defer s.Shutdown()
+	n := New(s, DefaultParams())
+	box := n.Register(1)
+	ops := batchIDs(1, 3)
+	votes := []wire.Vote{{Op: ops[0], OK: true}, {Op: ops[1]}, {Op: ops[2], OK: true}}
+	n.Send(wire.Msg{Type: wire.MsgVoteResp, From: 0, To: 1, Ops: ops, Votes: votes})
+	copy(ops, batchIDs(100, 3))
+	clear(votes)
+	s.Run()
+	pk, ok := box.TryRecv()
+	if !ok {
+		t.Fatal("nothing arrived")
+	}
+	defer pk.Release()
+	want := batchIDs(1, 3)
+	for i := range want {
+		if pk.Ops[i] != want[i] || pk.Votes[i].Op != want[i] || pk.Votes[i].OK != (i != 1) {
+			t.Fatalf("arrived with Ops %v and Votes %v, want what was sent, not the sender's later writes", pk.Ops, pk.Votes)
+		}
+	}
+	if &pk.Ops[0] == &ops[0] || &pk.Votes[0] == &votes[0] {
+		t.Error("the packet reads the sender's own buffers")
+	}
+}
+
+// TestDuplicatesCarryStorageOfTheirOwn: a duplicated message is two packets,
+// each with a copy of the batch; releasing one leaves the other's intact.
+func TestDuplicatesCarryStorageOfTheirOwn(t *testing.T) {
+	s := simrt.New(1)
+	defer s.Shutdown()
+	n := New(s, DefaultParams())
+	box := n.Register(1)
+	n.SetLinkFaults(0, 1, Faults{DupProb: 1})
+	n.Send(wire.Msg{Type: wire.MsgCommitReq, From: 0, To: 1, Ops: batchIDs(1, 4),
+		Decisions: []wire.Decision{{Op: types.OpID{Seq: 1}, Commit: true}}})
+	s.Run()
+	if box.Len() != 2 || n.Stats().Duplicated != 1 {
+		t.Fatalf("%d copies arrived (%d duplicated), want 2 and 1", box.Len(), n.Stats().Duplicated)
+	}
+	a, _ := box.TryRecv()
+	b, _ := box.TryRecv()
+	if &a.Ops[0] == &b.Ops[0] || &a.Decisions[0] == &b.Decisions[0] {
+		t.Fatal("the two copies share their storage")
+	}
+	a.Release()
+	if want := batchIDs(1, 4); !slices.Equal(b.Ops, want) || !b.Decisions[0].Commit {
+		t.Errorf("after the first copy's release the second reads %v, %v; want its own batch", b.Ops, b.Decisions)
+	}
+	b.Release()
+}
+
+// TestReleaseClearsThePacketsStorage pins the second half of the rule: a
+// slice kept past Release reads zero IDs, not a later message's, until a
+// later Send takes the storage back; and that Send does take it.
+func TestReleaseClearsThePacketsStorage(t *testing.T) {
+	s := simrt.New(1)
+	defer s.Shutdown()
+	n := New(s, DefaultParams())
+	box := n.Register(1)
+	n.Send(wire.Msg{Type: wire.MsgAck, From: 0, To: 1, Ops: batchIDs(1, 8)})
+	s.Run()
+	pk, _ := box.TryRecv()
+	kept := pk.Ops
+	pk.Release()
+	for _, id := range kept {
+		if id != (types.OpID{}) {
+			t.Fatalf("a slice kept past Release reads %v, want zero IDs", kept)
+		}
+	}
+	n.Send(wire.Msg{Type: wire.MsgAck, From: 0, To: 1, Ops: batchIDs(50, 2)})
+	s.Run()
+	next, _ := box.TryRecv()
+	defer next.Release()
+	if &next.Ops[0] != &kept[0] {
+		t.Error("the next Send did not reuse the released storage")
+	}
+}
+
+// TestBatchSendFromWarmStorageAllocatesNothing: once the free lists hold
+// storage big enough, sending and releasing a batch message allocates
+// nothing, whatever order the sizes come in.
+func TestBatchSendFromWarmStorageAllocatesNothing(t *testing.T) {
+	s := simrt.New(1)
+	defer s.Shutdown()
+	n := New(s, DefaultParams())
+	box := n.Register(1)
+	s.Spawn("recv", func(p *simrt.Proc) {
+		for {
+			box.Recv(p).Release()
+		}
+	})
+	small := wire.Msg{Type: wire.MsgAck, From: 0, To: 1, Ops: batchIDs(1, 2)}
+	large := wire.Msg{Type: wire.MsgAck, From: 0, To: 1, Ops: batchIDs(1, 300)}
+	n.Send(large)
+	n.Send(small)
+	s.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		n.Send(small)
+		n.Send(large)
+		s.Run()
+	})
+	if allocs > 0 {
+		t.Errorf("batch sends from warm storage allocate %.1f objects per pair, want 0", allocs)
 	}
 }

@@ -80,8 +80,9 @@ type DirEntry struct {
 
 // The text form of a key is how a row is named wherever its bytes are
 // counted or written — a log record's images, a migrated row on the wire, a
-// row's footprint in its leaf page: "d/<dir>/<name>" for a dentry (the name
-// verbatim, slashes and all), "i/<ino>" for an inode, numbers in decimal.
+// row's footprint in its leaf page. A dentry's is the letter d, a slash, the
+// directory's number, a slash and the name verbatim (slashes and all); an
+// inode's is the letter i, a slash and its number; numbers are in decimal.
 
 // AppendText appends the key's text form to buf. It panics on a key of
 // neither kind.
