@@ -266,22 +266,33 @@ func (s *Server) endGroups(n int) {
 // queued for the next batch together with its records: writing that page
 // now would put the unlogged execution on disk with nothing to undo it.
 // A write-back that a crash interrupts settled no page and prunes nothing
-// (recovery empties the queue).
+// (recovery empties the queue). The rows are read where the queue keeps
+// them: the store captures them one at a time.
 func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 	n := s.flushQ.Len()
 	if n == 0 || s.Gone(boot) {
 		return
 	}
-	rows := s.flushRows[:0]
-	for i := 0; i < n; i++ {
+	rows := 0 // the ready entries' rows
+	for i, off := 0, 0; i < n; i++ {
 		fe := s.flushQ.At(i)
-		if fe.ready = !s.pinned(fe); fe.ready {
-			rows = append(append(rows, fe.rows[0].All()...), fe.rows[1].All()...)
+		if fe.ready = !s.pinned(off, fe.rows); fe.ready {
+			rows += int(fe.rows)
 		}
+		off += int(fe.rows)
 	}
-	s.flushRows = rows
-	if s.step(StepWriteBackBefore, types.NilOp, 0, nil) || !s.KV.FlushRows(p, rows) ||
-		s.Gone(boot) || s.step(StepWriteBackSettled, types.NilOp, 0, nil) {
+	if s.step(StepWriteBackBefore, types.NilOp, 0, nil) {
+		return
+	}
+	var wb kvstore.WriteBack
+	for i, off := 0, 0; i < n; i++ {
+		fe := s.flushQ.At(i)
+		for j := off; fe.ready && j < off+int(fe.rows); j++ {
+			s.KV.Capture(&wb, *s.flushRefs.At(j), rows)
+		}
+		off += int(fe.rows)
+	}
+	if !s.KV.Write(p, &wb) || s.Gone(boot) || s.step(StepWriteBackSettled, types.NilOp, 0, nil) {
 		return
 	}
 	for i := 0; i < n; i++ {
@@ -289,21 +300,28 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 			s.Prune(fe.id)
 		}
 	}
-	clear(rows)
-	// The pinned entries stay queued, and the completions that queued
-	// meanwhile behind them, in order.
+	// The pinned entries stay queued with their rows, and the completions
+	// that queued meanwhile behind them, in order: the rows first, each
+	// kept with its entry, then the entries.
+	e, left, keep := 0, 0, false
+	s.flushRefs.Compact(func(*kvstore.Ref) bool {
+		for ; left == 0; e++ {
+			fe := s.flushQ.At(e)
+			left, keep = int(fe.rows), !fe.ready
+		}
+		left--
+		return keep
+	})
 	s.flushQ.Compact(func(fe *flushEntry) bool { return !fe.ready })
 	s.step(StepWriteBackAfterPrune, types.NilOp, 0, nil)
 }
 
 // pinned reports whether an execution whose Result-Record is not durable yet
-// has written any of fe's rows (logResults).
-func (s *Server) pinned(fe *flushEntry) bool {
-	for i := range fe.rows {
-		for _, row := range fe.rows[i].All() {
-			if s.KV.Pinned(row) {
-				return true
-			}
+// has written any of the n queued rows from off (logResults).
+func (s *Server) pinned(off int, n int32) bool {
+	for j := off; j < off+int(n); j++ {
+		if s.KV.Pinned(*s.flushRefs.At(j)) {
+			return true
 		}
 	}
 	return false
@@ -340,7 +358,7 @@ func (s *Server) groupCommit(p *simrt.Proc, g *commitGroup) {
 
 	// Step 5: decide, log Commit/Abort-Records in one batched append, roll
 	// back aborted local executions.
-	recs := s.recBufs.Take()
+	recs := s.recBufs.Fit(len(cops))
 	for i, co := range cops {
 		decisions[i].Commit = decisions[i].Commit && co.ok
 		recs = append(recs, s.decide(co, decisions[i].Commit))
@@ -533,7 +551,7 @@ func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce 
 // decision another copy of the request has made is not made again.
 func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	boot := s.Boot()
-	recs := s.recBufs.Take()
+	recs := s.recBufs.Fit(len(m.Decisions))
 	// done is the executions this request decides and finishes: the entries
 	// are held across the append, and only this handler ends them (DESIGN.md
 	// §5 item 20).

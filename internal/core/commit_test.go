@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
+	"cxfs/internal/kvstore"
 	"cxfs/internal/namespace"
+	"cxfs/internal/obs"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
@@ -232,5 +236,132 @@ func TestAlignVotesKeepsTheStragglerRule(t *testing.T) {
 				t.Errorf("%s: vote %d is %v, want %v for %v", tc.name, i, v, tc.want[i], ids[i])
 			}
 		}
+	}
+}
+
+// A write-back reads the flush queue where it is and compacts it in place:
+// an entry it finds pinned — a colocated operation's four rows, pinned
+// entries between ready ones — stays queued with exactly its own rows, in
+// order, and so do the completions that queue while its pages are on the
+// disk, behind them; every other entry, one with no rows too, is written
+// back and pruned once.
+func TestWriteBackCompactsTheFlushQueueInPlace(t *testing.T) {
+	r := newRig(1<<20, Config{Timeout: time.Hour})
+	r.run(t, func(p *simrt.Proc) {
+		s := r.srv[0]
+		pruned := map[types.OpID]int{}
+		defer s.Events.Subscribe(func(ev obs.Event) {
+			if ev.Phase == obs.PhasePrune && ev.Node == int(s.ID) {
+				pruned[ev.Op]++
+			}
+		})()
+		type entry struct {
+			id   types.OpID
+			rows []kvstore.Ref
+		}
+		seq := uint64(0)
+		// queue writes n new rows for a new operation and queues it, in
+		// halves of two as a colocated operation queues; pin pins its last.
+		queue := func(n int, pin bool) entry {
+			seq++
+			e := entry{id: types.OpID{Proc: types.ProcID{Client: 9}, Seq: seq}}
+			var halves [2]kvstore.Refs
+			for i := 0; i < n; i++ {
+				key := types.DentryKey(types.RootInode, fmt.Sprintf("q%d-%d", seq, i))
+				h, _ := s.KV.PutAt(kvstore.NoRow, key, []byte("v"))
+				halves[i/2].Add(kvstore.Ref{Key: key, Row: h})
+				e.rows = append(e.rows, kvstore.Ref{Key: key, Row: h})
+			}
+			if pin {
+				s.KV.Pin(e.rows[n-1].Row)
+			}
+			s.queueFlush(e.id, halves[0], halves[1])
+			return e
+		}
+		logged := func(es ...entry) {
+			var recs []wal.Record
+			for _, e := range es {
+				recs = append(recs, wal.Record{Type: wal.RecComplete, Op: e.id, Role: types.RoleCoordinator})
+			}
+			s.WAL.AppendBatchPriority(p, recs)
+		}
+		drain := func(during func()) {
+			done := false
+			s.Sim.Spawn("drain", func(q *simrt.Proc) {
+				s.drainFlushQ(q, s.Boot())
+				done = true
+			})
+			p.Sleep(time.Microsecond)
+			if done {
+				t.Fatal("the write-back never waited for the disk: the test is vacuous")
+			}
+			during()
+			if !await(p, func() bool { return done }) {
+				t.Fatal("the write-back never ended")
+			}
+		}
+		// check compares the queue with want, entry by entry and row by row,
+		// and the prunes so far with the operations of gone.
+		check := func(when string, want []entry, gone ...entry) {
+			t.Helper()
+			if s.flushQ.Len() != len(want) {
+				t.Fatalf("%s: %d entries queued, want %d", when, s.flushQ.Len(), len(want))
+			}
+			off := 0
+			for i, e := range want {
+				fe := s.flushQ.At(i)
+				if fe.id != e.id || int(fe.rows) != len(e.rows) || fe.ready {
+					t.Errorf("%s: entry %d is %v with %d rows (ready %v), want %v with %d", when, i, fe.id, fe.rows, fe.ready, e.id, len(e.rows))
+				}
+				for j, ref := range e.rows {
+					if off+j < s.flushRefs.Len() && *s.flushRefs.At(off + j) != ref {
+						t.Errorf("%s: entry %d's row %d is %v, want %v", when, i, j, *s.flushRefs.At(off + j), ref)
+					}
+				}
+				off += len(e.rows)
+			}
+			if s.flushRefs.Len() != off {
+				t.Errorf("%s: %d rows queued, want %d", when, s.flushRefs.Len(), off)
+			}
+			durable := s.KV.DurableSnapshot()
+			for _, e := range gone {
+				if pruned[e.id] != 1 {
+					t.Errorf("%s: %v pruned %d times, want once", when, e.id, pruned[e.id])
+				}
+				for _, ref := range e.rows {
+					if _, ok := durable[ref.Key]; !ok {
+						t.Errorf("%s: %v's row %v not written back", when, e.id, ref.Key)
+					}
+				}
+			}
+			if len(pruned) != len(gone) {
+				t.Errorf("%s: %d operations pruned, want %d", when, len(pruned), len(gone))
+			}
+			if bad := s.CheckState(); len(bad) != 0 {
+				t.Errorf("%s: %v", when, bad)
+			}
+		}
+
+		a, colo, none := queue(1, false), queue(4, true), queue(0, false)
+		p2, b, p3, c := queue(1, true), queue(2, false), queue(1, true), queue(1, false)
+		logged(a, colo, none, p2, b, p3, c)
+		var late entry
+		drain(func() { late = queue(2, false) })
+		check("first write-back", []entry{colo, p2, p3, late}, a, none, b, c)
+		for _, e := range []entry{colo, p2, p3} {
+			s.KV.Unpin(e.rows[len(e.rows)-1].Row)
+		}
+		logged(late)
+		drain(func() {})
+		check("second write-back", nil, a, none, b, c, colo, p2, p3, late)
+	})
+}
+
+// TestFlushEntrySize pins a flush-queue entry, which every completed
+// execution queues: its operation, its row count and its mark. The rows are
+// in the queue's row list, as many as the execution wrote.
+func TestFlushEntrySize(t *testing.T) {
+	if got, want := unsafe.Sizeof(flushEntry{}), uintptr(24); got > want {
+		t.Errorf("a flush-queue entry is %d bytes, want at most %d", got, want)
 	}
 }

@@ -137,10 +137,15 @@ type Stats struct {
 // lazy batch: one merged flush, then the log records prune. Immediate
 // commitments only queue here — per §IV.C.2, they cost messages and
 // individual log writes, never an individual database flush.
+//
+// An entry holds only how many rows the execution wrote here (a colocated
+// operation's two halves, one after the other); the rows themselves are in
+// the queue's row list, in entry order, so an entry costs what its
+// execution wrote. Its size is pinned (TestFlushEntrySize).
 type flushEntry struct {
 	id    types.OpID
-	rows  [2]kvstore.Refs // the rows of the execution here; a colocated operation's two halves, one each
-	ready bool            // in the write-back under way: no unlogged execution pinned its rows
+	rows  int32 // the entry's rows, next in the queue's row list
+	ready bool  // in the write-back under way: no unlogged execution pinned its rows
 }
 
 // kickReq asks the commit daemon to run. The daemon merges every request
@@ -172,15 +177,17 @@ type Server struct {
 	// coordinators.
 	unnamedParts []types.OpID
 
-	// flushQ is the flush queue, in completion order: a write-back takes the
-	// entries queued when it starts, completions meanwhile queue behind them,
-	// and it compacts the queue in place when done. flushRows is the
-	// write-back's row list. Only the commit daemon drains, so one of each
-	// serves every batch.
+	// flushQ is the flush queue, in completion order, and flushRefs the rows
+	// its entries wrote, in the same order (queueFlush): a write-back takes
+	// the entries queued when it starts and reads their rows where they are,
+	// completions meanwhile queue behind them, and it compacts both in place
+	// when done. Only the commit daemon drains, so one queue serves every
+	// batch.
 	flushQ    seg.Seq[flushEntry]
-	flushRows []kvstore.Ref
+	flushRefs seg.Seq[kvstore.Ref]
 	// recBufs are record batches' buffers, free for the next batch; each
-	// commit-group proc and COMMIT-REQ handler takes one of its own.
+	// commit-group proc, COMMIT-REQ handler and Complete-Record append takes
+	// one of its own, best fit for its count.
 	recBufs seg.Bufs[wal.Record]
 	// decidedBufs are COMMIT-REQ handlers' lists of decided executions, free
 	// for the next handler.

@@ -200,7 +200,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 		s.releaseKeys(res.Rows, sub.Op)
 		s.release(st) // the object is free again: nothing waits for the Abort-Record
 		s.WAL.AppendBatchPriority(p, []wal.Record{rec})
-		s.flushQ.Append(flushEntry{id: sub.Op, rows: [2]kvstore.Refs{res.Rows}})
+		s.queueFlush(sub.Op, res.Rows)
 		if s.Crashed() {
 			return
 		}
@@ -230,7 +230,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 			replied: true, hint: hint, errStr: reply.Err, attr: res.Inode}, phasePending)
 	case sub.Action.Mutating():
 		// Single-server update: logged above, flushed by the next batch.
-		s.flushQ.Append(flushEntry{id: sub.Op, rows: [2]kvstore.Refs{res.Rows}})
+		s.queueFlush(sub.Op, res.Rows)
 	}
 	if (cross || sub.Action.Mutating()) && s.underPressure() {
 		s.pressureRound()
@@ -405,7 +405,7 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	}, written(&resC), written(&resP)) {
 		return
 	}
-	s.flushQ.Append(flushEntry{id: op.ID, rows: [2]kvstore.Refs{resC.Rows, resP.Rows}})
+	s.queueFlush(op.ID, resC.Rows, resP.Rows)
 	// Durable state was created: retries must get this reply back, not a
 	// re-execution (which would wrongly fail, e.g. with ErrExists).
 	s.CacheReply(op.ID, &reply)

@@ -545,11 +545,24 @@ func (s *Server) rollBack(e *execution) wal.Record {
 // complete appends the Complete-Records of decided operations whose
 // participant has acknowledged the decision (§III.B step 7).
 func (s *Server) complete(p *simrt.Proc, ids []types.OpID) {
-	recs := s.recBufs.Take()
+	recs := s.recBufs.Fit(len(ids))
 	for _, id := range ids {
 		recs = append(recs, wal.Record{Type: wal.RecComplete, Op: id, Role: types.RoleCoordinator})
 	}
 	s.logBatch(p, recs)
+}
+
+// queueFlush queues op's execution here for the next write-back with the
+// rows it wrote, in order: the entry, and its rows behind the queue's rows.
+func (s *Server) queueFlush(op types.OpID, written ...kvstore.Refs) {
+	n := 0
+	for i := range written {
+		for _, ref := range written[i].All() {
+			s.flushRefs.Append(ref)
+			n++
+		}
+	}
+	s.flushQ.Append(flushEntry{id: op, rows: int32(n)})
 }
 
 // logBatch appends a batch built in a buffer from recBufs and puts the
@@ -585,7 +598,7 @@ func (s *Server) finish(st *opState, reply wire.Msg) {
 // that flush), and whoever waits on the operation moves on.
 func (s *Server) completeOp(st *opState, rows kvstore.Refs) {
 	s.releaseKeys(rows, st.id())
-	s.flushQ.Append(flushEntry{id: st.id(), rows: [2]kvstore.Refs{rows}})
+	s.queueFlush(st.id(), rows)
 	s.release(st)
 }
 
@@ -692,6 +705,13 @@ func (s *Server) CheckState() []string {
 	}
 	if coord != s.coordPending {
 		fail("PendingOps counts %d coordinator executions, the table holds %d", s.coordPending, coord)
+	}
+	rows := 0
+	for i := 0; i < s.flushQ.Len(); i++ {
+		rows += int(s.flushQ.At(i).rows)
+	}
+	if rows != s.flushRefs.Len() {
+		fail("the flush queue's entries count %d rows, its row list holds %d", rows, s.flushRefs.Len())
 	}
 	sort.Strings(bad)
 	return bad

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cxfs/internal/kvstore"
 	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
@@ -277,7 +278,7 @@ func TestOpTableEntriesAreRecycled(t *testing.T) {
 		if made != 0 {
 			t.Errorf("10,000 register→finish cycles made %d entries, want 0", made)
 		}
-		s.flushQ = seg.Seq[flushEntry]{}
+		s.flushQ, s.flushRefs = seg.Seq[flushEntry]{}, seg.Seq[kvstore.Ref]{}
 		if bad := s.CheckState(); len(bad) != 0 {
 			t.Error(bad)
 		}

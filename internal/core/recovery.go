@@ -51,7 +51,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	// Discard volatile protocol state from before the crash: the rebuilt
 	// truth comes from the log.
 	s.wipe()
-	s.flushQ = seg.Seq[flushEntry]{}
+	s.flushQ, s.flushRefs = seg.Seq[flushEntry]{}, seg.Seq[kvstore.Ref]{}
 	// So are its executing marks and the leases it granted: the lease table
 	// starts empty, and this incarnation's grants carry a higher lease
 	// epoch, so clients fence out anything stamped before the crash.

@@ -231,8 +231,9 @@ type Store struct {
 	syncMu      *simrt.Mutex
 
 	// spare holds the capture lists of write-backs and checkpoints between
-	// uses: each call in flight holds one of its own until its writes settle.
-	spare [][]pageWrite
+	// uses: each call in flight holds one of its own, taken best fit for the
+	// rows it names, until its writes settle.
+	spare seg.Bufs[pageWrite]
 
 	stats Stats
 }
@@ -547,13 +548,14 @@ func (st *Store) Checkpoint(p *simrt.Proc) int {
 		return 0
 	}
 	st.owed, st.owedSpare = st.owedSpare[:0], nil // rows journaled meanwhile are owed to the next
-	writes := st.takeSpare(len(owed))
+	var wb WriteBack
 	for _, h := range owed {
 		r := st.at(h)
-		writes = append(writes, pageWrite{key: r.key, row: h, page: r.page})
+		st.add(&wb, pageWrite{key: r.key, row: h, page: r.page}, len(owed))
 		r.owed = false
 	}
 	st.owedSpare = owed[:0]
+	writes := wb.writes
 	st.stats.FlushPages += st.writePages(p, writes)
 	st.stats.FlushRows += uint64(len(writes))
 	for _, pw := range writes {
@@ -561,9 +563,8 @@ func (st *Store) Checkpoint(p *simrt.Proc) int {
 			st.keep(h)
 		}
 	}
-	n := len(writes)
-	st.putSpare(writes)
-	return n
+	st.spare.Put(writes)
+	return len(writes)
 }
 
 // DirtyCount returns the number of dirty rows awaiting flush.
@@ -580,52 +581,58 @@ func (st *Store) DirtyCount() int {
 // FlushDirty writes back every dirty row in one burst and returns how many
 // there were. This is the batched write-back path of OFS-batched and OFS-Cx.
 func (st *Store) FlushDirty(p *simrt.Proc) int {
-	var rows []Ref
+	n := st.DirtyCount()
+	var wb WriteBack
 	for i := 0; i < st.slab.Len(); i++ {
 		if r := st.slab.At(i); r.dirty {
-			rows = append(rows, Ref{Key: r.key, Row: Row(i)})
+			st.Capture(&wb, Ref{Key: r.key, Row: Row(i)}, n)
 		}
 	}
-	st.FlushRows(p, rows)
-	return len(rows)
+	st.Write(p, &wb)
+	return n
 }
 
 // FlushKeys is FlushRows for the rows whose keys' texts are keys.
 func (st *Store) FlushKeys(p *simrt.Proc, keys []string) bool {
-	var writes []pageWrite // taken at the first row that needs the disk
+	var wb WriteBack
 	for _, k := range keys {
-		writes = st.capture(writes, Ref{Key: mustParse(k), Row: NoRow}, len(keys))
+		st.Capture(&wb, Ref{Key: mustParse(k), Row: NoRow}, len(keys))
 	}
-	return st.writeBack(p, writes)
+	return st.Write(p, &wb)
 }
 
 // FlushRows writes back the dirty rows among rows, and only those (used when
 // a commitment flushes the objects of its batch rather than the whole
-// cache). A row whose volatile state is its durable state again — created
-// and removed since the last flush, or rewritten to the same image — is
-// absorbed: cleaned with no I/O. The rest are written as captured here and
-// settled when the disk is done. It reports whether the write-back settled:
-// false means the store crashed while the pages were in flight, none of the
-// rows counts as written, and the caller must not prune the log records
-// that can still redo them.
+// cache): Capture of each, then Write.
 func (st *Store) FlushRows(p *simrt.Proc, rows []Ref) bool {
-	var writes []pageWrite // taken at the first row that needs the disk
+	var wb WriteBack
 	for _, ref := range rows {
-		writes = st.capture(writes, ref, len(rows))
+		st.Capture(&wb, ref, len(rows))
 	}
-	return st.writeBack(p, writes)
+	return st.Write(p, &wb)
 }
 
-// capture adds ref's row to a write-back's capture list (taking one with room
-// for n at the first row that needs the disk) if it is dirty, or absorbs it.
-func (st *Store) capture(writes []pageWrite, ref Ref, n int) []pageWrite {
+// WriteBack is one write-back while it is captured and written: the rows
+// Capture found owed a page write, each as it was then. A caller that walks
+// its rows where they are kept names them one at a time, so no list of them
+// is built. The zero WriteBack is empty; its capture list is taken at the
+// first row that needs the disk, best fit for the rows the caller names, and
+// goes back once Write has settled it.
+type WriteBack struct{ writes []pageWrite }
+
+// Capture adds ref's row to wb if it is dirty, or absorbs it: a row whose
+// volatile state is its durable state again — created and removed since the
+// last flush, or rewritten to the same image — is cleaned with no I/O. n is
+// the most rows the caller names to wb, the room its capture list is taken
+// with.
+func (st *Store) Capture(wb *WriteBack, ref Ref, n int) {
 	h := st.resolve(ref)
 	if h == NoRow {
-		return writes
+		return
 	}
 	r := st.at(h)
 	if !r.dirty {
-		return writes
+		return
 	}
 	// With a write in flight the durable image may be about to change under
 	// the comparison; such a row takes the disk path.
@@ -633,20 +640,32 @@ func (st *Store) capture(writes []pageWrite, ref Ref, n int) []pageWrite {
 		r.dirty = false
 		st.stats.Absorbed++
 		st.keep(h)
-		return writes
+		return
 	}
-	if writes == nil {
-		writes = st.takeSpare(n)
-	}
-	return append(writes, pageWrite{key: r.key, row: h, val: r.val, page: r.page})
+	st.add(wb, pageWrite{key: r.key, row: h, val: r.val, page: r.page}, n)
 }
 
-// writeBack writes a capture list in place and settles it.
-func (st *Store) writeBack(p *simrt.Proc, writes []pageWrite) bool {
+// add appends pw to wb's capture list, taking one with room for n at the
+// first.
+func (st *Store) add(wb *WriteBack, pw pageWrite, n int) {
+	if wb.writes == nil {
+		wb.writes = st.spare.Fit(n)
+	}
+	wb.writes = append(wb.writes, pw)
+}
+
+// Write writes what wb captured in place, as captured, and settles it when
+// the disk is done; wb is empty again afterwards. It reports whether the
+// write-back settled: false means the store crashed while the pages were in
+// flight, none of the rows counts as written, and the caller must not prune
+// the log records that can still redo them.
+func (st *Store) Write(p *simrt.Proc, wb *WriteBack) bool {
+	writes := wb.writes
 	if len(writes) == 0 {
 		return true
 	}
-	defer st.putSpare(writes)
+	wb.writes = nil
+	defer st.spare.Put(writes)
 	gen := st.gen
 	st.inflight++
 	pages := st.writePages(p, writes)
@@ -657,25 +676,6 @@ func (st *Store) writeBack(p *simrt.Proc, writes []pageWrite) bool {
 	st.stats.FlushRows += uint64(len(writes))
 	st.stats.FlushPages += pages
 	return true
-}
-
-// takeSpare returns an empty capture list: a spare one if there is one, else
-// a new one with room for n writes.
-func (st *Store) takeSpare(n int) []pageWrite {
-	k := len(st.spare)
-	if k == 0 {
-		return make([]pageWrite, 0, n)
-	}
-	w := st.spare[k-1]
-	st.spare = st.spare[:k-1]
-	return w
-}
-
-// putSpare keeps a capture list whose writes have settled for the next
-// write-back.
-func (st *Store) putSpare(w []pageWrite) {
-	clear(w)
-	st.spare = append(st.spare, w[:0])
 }
 
 // writePages is the one in-place write path: it writes the distinct pages of

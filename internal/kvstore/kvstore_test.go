@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -1079,6 +1080,53 @@ func TestFlushKeysOfCleanRowsAllocatesNothing(t *testing.T) {
 		rows := refs([]string{"a", "b", "never-written"})
 		if a := testing.AllocsPerRun(100, func() { st.FlushRows(p, rows) }); a != 0 {
 			t.Errorf("all-clean flush by key allocates %.1f objects, want 0", a)
+		}
+	})
+}
+
+// Every write-back takes its capture list best fit off the lists earlier ones
+// put back: once a larger one has run, a smaller one — FlushRows,
+// FlushDirty, FlushKeys or Checkpoint — allocates nothing, not even the
+// first time. (The journal append that makes rows owed a checkpoint is no
+// write-back, and runs outside the measurement.)
+func TestSmallerWriteBackAllocatesNothing(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		names := make([]string, 64)
+		for i := range names {
+			names[i] = fmt.Sprintf("r%02d", i)
+		}
+		rows, texts := refs(names), make([]string, 8)
+		for i := range texts {
+			texts[i] = "d/1/" + names[i]
+		}
+		val := byte(0)
+		write := func(n int) {
+			val++
+			for _, name := range names[:n] {
+				st.put(name, []byte{val})
+			}
+		}
+		write(64)
+		st.FlushRows(p, rows)
+		st.SyncRows(p, rows)
+		st.Checkpoint(p)
+		st.SyncRows(p, rows[:8]) // journaled, for the checkpoint measured
+		var before, after runtime.MemStats
+		runtime.GC() // a collection starting inside the measurement would count its own
+		runtime.ReadMemStats(&before)
+		write(8)
+		st.FlushRows(p, rows[:8])
+		write(8)
+		st.FlushDirty(p)
+		write(8)
+		st.FlushKeys(p, texts)
+		st.Checkpoint(p)
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("write-backs of 8 rows after ones of 64 allocated %d objects, want 0", n)
+		}
+		if ks := st.Stats(); ks.Flushes != 4 || ks.FlushRows != 64+64+3*8+8 {
+			t.Errorf("%d write-backs of %d rows, want 4 of %d: the test is vacuous", ks.Flushes, ks.FlushRows, 64+64+3*8+8)
 		}
 	})
 }

@@ -9,19 +9,6 @@ import "math/bits"
 // empty and ready to use.
 type Bufs[T any] struct{ free [][]T }
 
-// Take returns an empty buffer, the one put back last, or nil if none is
-// free.
-func (f *Bufs[T]) Take() []T {
-	k := len(f.free)
-	if k == 0 {
-		return nil
-	}
-	b := f.free[k-1]
-	f.free[k-1] = nil
-	f.free = f.free[:k-1]
-	return b
-}
-
 // Fit returns an empty buffer with room for n: the smallest free one that
 // has it, so a small user leaves the large buffers to the large ones, or a
 // new one of the next power of two, so a user whose needs creep up finds
@@ -43,7 +30,7 @@ func (f *Bufs[T]) Fit(n int) []T {
 	return b
 }
 
-// Put clears b and keeps its storage for a later Take or Fit.
+// Put clears b and keeps its storage for a later Fit.
 func (f *Bufs[T]) Put(b []T) {
 	if cap(b) > 0 {
 		clear(b)
