@@ -195,53 +195,28 @@ func TestResumesPerOp(t *testing.T) {
 // raceEnabled is set by race_test.go in a -race build.
 var raceEnabled bool
 
-// TestAllocsPerOp pins the host's heap allocations per op on the golden s3d
-// input: runtime.MemStats.Mallocs across one replay — trace generation,
-// cluster build and the 14,496 ops — over the op count. It is a host number
-// like resumes, not part of the model, and repeats to within a few hundred
-// allocations (the iteration order of the maps left moves some). Both rows
-// are pinned where a row became a value — a typed key and inline values in
-// its store record, so writing one, a new one included, allocates nothing
-// (parent 1.87 under cx, 1.51 under se: a new row's key and first value in
-// one object, every rewrite a fresh copy of its value); at most 0.6 of that.
-// Before that, an execution's Result became a value on its caller's stack
-// (its parent 3.01 and 2.58). The ceilings were lowered (1.12 to 0.76 and 0.76
-// to 0.43) when the replay's names moved into shared chunks and a commitment
-// round's message slices into reused buffers (0.689 and 0.389 measured), and
-// cx's to 0.72 when the commitment path's batches came to be taken at their
-// size (0.653).
+// TestAllocsPerOp pins the host's heap allocations per op. A row of one run
+// measures runtime.MemStats.Mallocs (TotalAlloc in the -bytes rows) across
+// the whole run — trace generation, cluster build and the ops — over its op
+// count. The cx, se, cx-bytes and se-bytes rows replay the golden s3d input
+// under Cx and SE; home2-cached-bytes replays home2 with the leased client
+// cache on, where every mutation revokes leases and invalidates cache
+// entries. The metarates row is the benchmark's update-dominated gc+pipeline
+// shape (metaratesCluster, 8 ops in flight per process) in steady state: the
+// bytes a run of 2,500 ops per process allocates beyond a run of 1,000, over
+// the ops between them, so cluster build and the tables' growth to their
+// peak cancel. These are host numbers like resumes, not part of the model,
+// and repeat to within a few hundred allocations (the iteration order of the
+// maps left moves some).
 //
-// The -bytes rows pin bytes (MemStats.TotalAlloc) per op instead. The home2
-// row replays with the leased client cache on: every mutation there revokes
-// leases and invalidates cache entries. The cx-bytes and se-bytes rows are the
-// golden s3d input again, the whole run: a row's record in the slab is larger
-// than it was beside its separate key and value objects, and the per-op
-// tables that hold rows by value (op-table entries, the flush queue's
-// segments, capture lists) grow to their peak inside this short run, so
-// cx-bytes rose from 2,042 B to 2,206 B when rows became values, within the
-// ceiling of 2,240 B it had: the 2,240 B per op (cx-bytes) and 860 B (home2)
-// the same inputs allocated before op-table entries were recycled, the log
-// index's entries kept in a reused slab, executing marks and cached replies
-// in one index and the pipeline's completion buffer reused. Both ceilings
-// were lowered (2,240 B to 1,870 B, 740 B to 585 B) when the commitment
-// path's batches came to grow once: record batches and capture lists taken
-// best fit for their count, and a flush queue of 24-byte entries beside the
-// rows they wrote, read in place by the write-back (2,184 B to 1,700 B and
-// 673 B to 532 B measured). se-bytes is
-// pinned where SE's undo window came to keep its executions by value in a
-// reused ring (parent 828 B, at most 0.85 of it). The metarates row is the
-// benchmark's update-dominated gc+pipeline shape (metaratesCluster, 8 ops in
-// flight per process) and measures steady state: the bytes a run of 2,500 ops
-// per process allocates beyond a run of 1,000, over the 48,000 ops between
-// them, so cluster build and the tables' growth to their peak cancel; it is
-// pinned where rows became values (parent 180 B, at most 0.85 of it), and its
-// ceiling was lowered from 150 B to 48 B when a round's message slices moved
-// into reused buffers (43.9 B measured), and to 28 B when record batches came
-// to be taken at their size: a batch larger than the buffer handed to it had
-// regrown it, steady state or not (43.7 B to 21.7 B after the other rows; the
-// row repeated in one process, as -count=3 runs it, reads some 7 B more on
-// either side, 47.7 B and 25.4 B). Every ceiling is a measurement plus a
-// margin.
+// Every ceiling is a measurement plus a margin. A row must also stay under
+// share of parent: what its input allocated before the change the row was
+// first pinned for.
+//
+// Each row first runs its first input once, unmeasured. The first run of an
+// input in a process allocates runtime structures that later runs reuse;
+// without the warm-up a row would read by what the process ran before it.
+// With it, a row reads the same alone, after other rows or repeated.
 func TestAllocsPerOp(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes the count")
@@ -272,15 +247,17 @@ func TestAllocsPerOp(t *testing.T) {
 		parent  float64
 		share   float64 // the most of parent allowed
 	}{
-		{"cx", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, false, 0.72, 1.87, 0.6},
+		{"cx", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, false, 0.70, 1.87, 0.6},
 		{"se", []run{replay("s3d", cluster.ProtoSE, 0.02, nil)}, golden, false, 0.43, 1.51, 0.6},
-		{"home2-cached-bytes", []run{replay("home2", cluster.ProtoCx, 0.04, cached)}, 0, true, 585, 860, 0.93},
-		{"cx-bytes", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, true, 1870, 2240, 1.0},
+		{"home2-cached-bytes", []run{replay("home2", cluster.ProtoCx, 0.04, cached)}, 0, true, 581, 860, 0.93},
+		{"cx-bytes", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, true, 1850, 2240, 1.0},
 		{"se-bytes", []run{replay("s3d", cluster.ProtoSE, 0.02, nil)}, golden, true, 665, 828, 0.85},
 		{"metarates-gcpipe-bytes", []run{mr(1000), mr(2500)}, 0, true, 28, 180, 0.85},
 	} {
 		// Not parallel: MemStats counts the whole process.
 		t.Run(tc.name, func(t *testing.T) {
+			_, warm := tc.runs[0]() // unmeasured: see the doc comment
+			warm.Shutdown()
 			var n, ops [2]float64
 			for i, r := range tc.runs {
 				var before, after runtime.MemStats

@@ -178,22 +178,37 @@ type record struct {
 	page   int64  // leaf page, assigned at first write and kept while the record holds the row
 	tag    uint32 // hashKey(key): the record's place in the index
 	dirty  bool   // volatile change not yet written
-	owed   bool   // journaled; the checkpointer owes the in-place page write
+	owed   uint8  // pageOwed, plus writing once per checkpoint writing the page now
 	// val is the row in the volatile image, dur in the image implied by
 	// completed writes; absent where the row is not. They come last, after
 	// what a probe and a write-back read of every record they pass.
 	val, dur types.Val
 }
 
-// holds reports whether the record holds its row: an image, or a write
+// The marks of record.owed. pageOwed is set while the record's row is
+// journaled and the checkpointer owes its in-place page write. A checkpoint
+// takes that mark when it starts and adds writing until its pages are on the
+// disk: the record, whose handle the checkpoint holds, is kept until then.
+// writing is a count, so checkpoints that overlap each keep the record.
+const (
+	pageOwed uint8 = 1
+	writing  uint8 = 2
+)
+
+// holds reports whether the record holds its row: an image, or a page write
 // owed. A row that is gone for good — deleted, the deletion durable, no page
 // write owed — loses its placement with it, and is placed afresh if it is
-// written again, whether or not a lock or pin has kept its record meanwhile.
-func (r *record) holds() bool { return r.val.Present() || r.dur.Present() || r.dirty || r.owed }
+// written again, whether or not a lock, a pin or a checkpoint writing its page
+// has kept its record meanwhile.
+func (r *record) holds() bool {
+	return r.val.Present() || r.dur.Present() || r.dirty || r.owed&pageOwed != 0
+}
 
-// needed reports whether anything still needs the record: its row, a lock or
-// a pin. An empty slot needs nothing.
-func (r *record) needed() bool { return r.holds() || r.holder != types.NilOp || r.pins > 0 }
+// needed reports whether anything still needs the record: its row, a lock, a
+// pin or a checkpoint writing its page. An empty slot needs nothing.
+func (r *record) needed() bool {
+	return r.holds() || r.holder != types.NilOp || r.pins > 0 || r.owed >= writing
+}
 
 // Store is one server's metadata database.
 type Store struct {
@@ -212,9 +227,11 @@ type Store struct {
 	locked, pinned int    // records locked, records pinned
 	filed          uint32 // records filed, wrapping, skipping 0: the last one's stamp
 
-	// owed lists the records a checkpoint owes a page write, each once (an
-	// owed record is kept, so the handles stay valid); owedSpare is the other
-	// list, empty, between checkpoints.
+	// owed lists the records the next checkpoint owes a page write, each once
+	// (an owed record is kept, so the handles stay valid). A checkpoint takes
+	// the list, sorts it by page in place and writes from it, and the writing
+	// mark keeps its records until the pages are on the disk; owedSpare is the
+	// other list, empty, between checkpoints.
 	owed, owedSpare []Row
 
 	// gen is the incarnation of the volatile image, bumped by Crash: a page
@@ -230,9 +247,9 @@ type Store struct {
 	journalTail int64
 	syncMu      *simrt.Mutex
 
-	// spare holds the capture lists of write-backs and checkpoints between
-	// uses: each call in flight holds one of its own, taken best fit for the
-	// rows it names, until its writes settle.
+	// spare holds the capture lists of write-backs between uses: each
+	// write-back in flight holds one of its own, taken best fit for the rows
+	// it names, until its writes settle. A checkpoint captures nothing.
 	spare seg.Bufs[pageWrite]
 
 	stats Stats
@@ -539,32 +556,32 @@ func (st *Store) StartCheckpointer(interval time.Duration) {
 
 // Checkpoint writes the pages of all journaled-but-not-checkpointed rows in
 // place and returns how many rows that was. The rows are durable already
-// (SyncRows settled them): the checkpoint only pays the page writes. It
-// works from the owed list and a reused capture list, so a checkpoint costs
-// what it writes, not a pass over the table.
+// (SyncRows settled them): the checkpoint only pays the page writes, so it
+// has no value to capture. It sorts the owed list by page where it is and
+// writes from it, so a checkpoint costs what it writes, not a pass over the
+// table or a copy of its rows. Each record is marked writing until the pages
+// are on the disk, so the handles in the list stay its own through the wait
+// whatever is done to the rows meanwhile; a row journaled meanwhile is owed
+// to the next checkpoint.
 func (st *Store) Checkpoint(p *simrt.Proc) int {
 	owed := st.owed
 	if len(owed) == 0 {
 		return 0
 	}
-	st.owed, st.owedSpare = st.owedSpare[:0], nil // rows journaled meanwhile are owed to the next
-	var wb WriteBack
+	st.owed, st.owedSpare = st.owedSpare[:0], nil
 	for _, h := range owed {
 		r := st.at(h)
-		st.add(&wb, pageWrite{key: r.key, row: h, page: r.page}, len(owed))
-		r.owed = false
+		r.owed = r.owed&^pageOwed + writing
+	}
+	slices.SortFunc(owed, func(a, b Row) int { return cmp.Compare(st.at(a).page, st.at(b).page) })
+	st.stats.FlushPages += st.writePages(p, len(owed), func(i int) int64 { return st.at(owed[i]).page })
+	st.stats.FlushRows += uint64(len(owed))
+	for _, h := range owed {
+		st.at(h).owed -= writing
+		st.keep(h)
 	}
 	st.owedSpare = owed[:0]
-	writes := wb.writes
-	st.stats.FlushPages += st.writePages(p, writes)
-	st.stats.FlushRows += uint64(len(writes))
-	for _, pw := range writes {
-		if h := st.resolve(pw.ref()); h != NoRow {
-			st.keep(h)
-		}
-	}
-	st.spare.Put(writes)
-	return len(writes)
+	return len(owed)
 }
 
 // DirtyCount returns the number of dirty rows awaiting flush.
@@ -642,16 +659,10 @@ func (st *Store) Capture(wb *WriteBack, ref Ref, n int) {
 		st.keep(h)
 		return
 	}
-	st.add(wb, pageWrite{key: r.key, row: h, val: r.val, page: r.page}, n)
-}
-
-// add appends pw to wb's capture list, taking one with room for n at the
-// first.
-func (st *Store) add(wb *WriteBack, pw pageWrite, n int) {
 	if wb.writes == nil {
 		wb.writes = st.spare.Fit(n)
 	}
-	wb.writes = append(wb.writes, pw)
+	wb.writes = append(wb.writes, pageWrite{key: r.key, row: h, val: r.val, page: r.page})
 }
 
 // Write writes what wb captured in place, as captured, and settles it when
@@ -668,7 +679,8 @@ func (st *Store) Write(p *simrt.Proc, wb *WriteBack) bool {
 	defer st.spare.Put(writes)
 	gen := st.gen
 	st.inflight++
-	pages := st.writePages(p, writes)
+	slices.SortFunc(writes, func(a, b pageWrite) int { return cmp.Compare(a.page, b.page) })
+	pages := st.writePages(p, len(writes), func(i int) int64 { return writes[i].page })
 	if !st.settle(gen, writes, false) {
 		return false
 	}
@@ -678,22 +690,23 @@ func (st *Store) Write(p *simrt.Proc, wb *WriteBack) bool {
 	return true
 }
 
-// writePages is the one in-place write path: it writes the distinct pages of
-// rows in disk-layout order (which is also what makes the submission order
-// deterministic), one disk request per run of adjacent pages, waits for all
-// of them and returns the number of pages written.
-func (st *Store) writePages(p *simrt.Proc, rows []pageWrite) (pages uint64) {
-	slices.SortFunc(rows, func(a, b pageWrite) int { return cmp.Compare(a.page, b.page) })
+// writePages is the one in-place write path, of write-backs and checkpoints
+// alike: it writes the distinct pages of n rows, whose pages page(i) reads in
+// disk-layout order (the caller sorts its rows by page, which is also what
+// makes the submission order deterministic), one disk request per run of
+// adjacent pages, waits for all of them and returns the number of pages
+// written.
+func (st *Store) writePages(p *simrt.Proc, n int, page func(i int) int64) (pages uint64) {
 	var few [8]*disk.Request // a burst is a handful of runs
 	done := few[:0]
-	for i := 0; i < len(rows); {
-		first, last := rows[i].page, rows[i].page
-		for i++; i < len(rows) && rows[i].page <= last+1; i++ {
-			last = rows[i].page
+	for i := 0; i < n; {
+		first, last := page(i), page(i)
+		for i++; i < n && page(i) <= last+1; i++ {
+			last = page(i)
 		}
-		n := last - first + 1
-		done = append(done, st.dsk.Submit(st.base+first*PageSize, n*PageSize, true))
-		pages += uint64(n)
+		run := last - first + 1
+		done = append(done, st.dsk.Submit(st.base+first*PageSize, run*PageSize, true))
+		pages += uint64(run)
 	}
 	for _, d := range done {
 		d.Wait(p)
@@ -738,8 +751,8 @@ func (st *Store) settle(gen uint64, writes []pageWrite, journaled bool) bool {
 		if r.val == pw.val {
 			r.dirty = false
 		}
-		if journaled && !r.owed {
-			r.owed = true
+		if journaled && r.owed&pageOwed == 0 {
+			r.owed |= pageOwed
 			st.owed = append(st.owed, h)
 		}
 		st.keep(h)

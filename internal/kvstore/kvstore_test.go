@@ -493,6 +493,9 @@ func TestQuickVolatileSemantics(t *testing.T) {
 			handles := map[string]Row{}                           // the last handle Find gave for each key, perhaps stale
 			locked, pinned := map[string]bool{}, map[string]int{} // held by lockOp; pins taken
 			lockOp, other := types.OpID{Seq: 1}, types.OpID{Seq: 2}
+			// The rows that checkpoints in procs of their own are writing, and
+			// how many such checkpoints are running.
+			writing, running := map[string]int{}, 0
 			place := func(k string, valLen int) { // first write of a row the table does not hold
 				if _, placed := slots[k]; placed {
 					return
@@ -537,10 +540,10 @@ func TestQuickVolatileSemantics(t *testing.T) {
 						delete(slots, k)
 					}
 				}
-				records := len(slots) // and a record is kept while locked or pinned
+				records := len(slots) // and a record is kept while locked, pinned or its page is being written
 				indexed := st.indexed()
 				for k := range indexed {
-					if _, placed := slots[k]; !placed && (locked[k] || pinned[k] > 0) {
+					if _, placed := slots[k]; !placed && (locked[k] || pinned[k] > 0 || writing[k] > 0) {
 						records++
 					}
 				}
@@ -560,7 +563,7 @@ func TestQuickVolatileSemantics(t *testing.T) {
 					if placed != r.holds() || placed && r.page != page {
 						t.Errorf("%s: record of %s on page %d (holds its row: %v), want %d (placed: %v)", when, k, r.page, r.holds(), page, placed)
 					}
-					if r.key != dk(k) || r.tag != hashKey(r.key) || r.dirty != dirty[k] || r.owed != owed[k] {
+					if r.key != dk(k) || r.tag != hashKey(r.key) || r.dirty != dirty[k] || (r.owed&pageOwed != 0) != owed[k] {
 						t.Errorf("%s: record of %s is %+v; want dirty=%v owed=%v", when, k, r, dirty[k], owed[k])
 					}
 				}
@@ -579,8 +582,9 @@ func TestQuickVolatileSemantics(t *testing.T) {
 				if sp.Mask&(1<<nkeys) != 0 {
 					named = append(named, named...)
 				}
-				// Half the steps write a row, a quarter write back or journal.
-				switch [16]int{0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 4, 5, 6, 7, 8}[sp.Op%16] {
+				// About half the steps write a row, a quarter write back,
+				// journal or checkpoint.
+				switch [17]int{0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 4, 9, 5, 6, 7, 8}[sp.Op%17] {
 				case 0:
 					v := bytes.Repeat([]byte{sp.Val}, 1+int(sp.Val)%types.RowVal)
 					if sp.Val%2 == 0 {
@@ -632,6 +636,26 @@ func TestQuickVolatileSemantics(t *testing.T) {
 						t.Errorf("step %d: checkpoint wrote %d rows, want the %d journaled since the last", step, n, len(owed))
 					}
 					clear(owed)
+				case 9: // a checkpoint in a proc of its own: the steps after it interleave with its disk wait
+					var taken []string
+					for k := range owed {
+						taken = append(taken, k)
+						writing[k]++
+					}
+					clear(owed)
+					running++
+					st.sim.Spawn("checkpoint", func(p *simrt.Proc) {
+						if n := st.Checkpoint(p); n != len(taken) {
+							t.Errorf("step %d: checkpoint in its own proc wrote %d rows, want the %d journaled since the last", step, n, len(taken))
+						}
+						for _, k := range taken {
+							if writing[k]--; writing[k] == 0 {
+								delete(writing, k)
+							}
+						}
+						running--
+					})
+					p.Yield() // it takes the marks and submits its pages
 				case 5:
 					st.Crash()
 					if st.Len() != 0 || st.DirtyCount() != 0 {
@@ -688,6 +712,9 @@ func TestQuickVolatileSemantics(t *testing.T) {
 			}
 			clear(locked)
 			clear(pinned)
+			for running > 0 {
+				p.Sleep(time.Millisecond)
+			}
 			st.FlushDirty(p)
 			st.Checkpoint(p)
 			for k := range dirty {
@@ -1086,34 +1113,43 @@ func TestFlushKeysOfCleanRowsAllocatesNothing(t *testing.T) {
 
 // Every write-back takes its capture list best fit off the lists earlier ones
 // put back: once a larger one has run, a smaller one — FlushRows,
-// FlushDirty, FlushKeys or Checkpoint — allocates nothing, not even the
-// first time. (The journal append that makes rows owed a checkpoint is no
-// write-back, and runs outside the measurement.)
+// FlushDirty or FlushKeys — allocates nothing, not even the first time, and
+// neither does a Checkpoint, which captures nothing. (The journal append that
+// makes rows owed a checkpoint is no write-back, and runs outside the
+// measurement.)
 func TestSmallerWriteBackAllocatesNothing(t *testing.T) {
-	withStore(t, func(p *simrt.Proc, st *Store) {
-		names := make([]string, 64)
-		for i := range names {
-			names[i] = fmt.Sprintf("r%02d", i)
+	n, _ := quietMallocs(t, func() (objs, bytes uint64, quiet bool) {
+		withStore(t, func(p *simrt.Proc, st *Store) { objs, bytes, quiet = smallerWriteBacks(t, p, st) })
+		return objs, bytes, quiet
+	})
+	if n != 0 {
+		t.Errorf("write-backs of 8 rows after ones of 64 allocated %d objects, want 0", n)
+	}
+}
+
+// smallerWriteBacks runs write-backs of 64 rows, then measures ones of 8.
+func smallerWriteBacks(t *testing.T, p *simrt.Proc, st *Store) (objs, bytes uint64, quiet bool) {
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = fmt.Sprintf("r%02d", i)
+	}
+	rows, texts := refs(names), make([]string, 8)
+	for i := range texts {
+		texts[i] = "d/1/" + names[i]
+	}
+	val := byte(0)
+	write := func(n int) {
+		val++
+		for _, name := range names[:n] {
+			st.put(name, []byte{val})
 		}
-		rows, texts := refs(names), make([]string, 8)
-		for i := range texts {
-			texts[i] = "d/1/" + names[i]
-		}
-		val := byte(0)
-		write := func(n int) {
-			val++
-			for _, name := range names[:n] {
-				st.put(name, []byte{val})
-			}
-		}
-		write(64)
-		st.FlushRows(p, rows)
-		st.SyncRows(p, rows)
-		st.Checkpoint(p)
-		st.SyncRows(p, rows[:8]) // journaled, for the checkpoint measured
-		var before, after runtime.MemStats
-		runtime.GC() // a collection starting inside the measurement would count its own
-		runtime.ReadMemStats(&before)
+	}
+	write(64)
+	st.FlushRows(p, rows)
+	st.SyncRows(p, rows)
+	st.Checkpoint(p)
+	st.SyncRows(p, rows[:8]) // journaled, for the checkpoint measured
+	objs, bytes, quiet = mallocs(func() {
 		write(8)
 		st.FlushRows(p, rows[:8])
 		write(8)
@@ -1121,14 +1157,11 @@ func TestSmallerWriteBackAllocatesNothing(t *testing.T) {
 		write(8)
 		st.FlushKeys(p, texts)
 		st.Checkpoint(p)
-		runtime.ReadMemStats(&after)
-		if n := after.Mallocs - before.Mallocs; n != 0 {
-			t.Errorf("write-backs of 8 rows after ones of 64 allocated %d objects, want 0", n)
-		}
-		if ks := st.Stats(); ks.Flushes != 4 || ks.FlushRows != 64+64+3*8+8 {
-			t.Errorf("%d write-backs of %d rows, want 4 of %d: the test is vacuous", ks.Flushes, ks.FlushRows, 64+64+3*8+8)
-		}
 	})
+	if ks := st.Stats(); ks.Flushes != 4 || ks.FlushRows != 64+64+3*8+8 {
+		t.Errorf("%d write-backs of %d rows, want 4 of %d: the test is vacuous", ks.Flushes, ks.FlushRows, 64+64+3*8+8)
+	}
+	return objs, bytes, quiet
 }
 
 // A row is a value: writing one copies its key and value into the record
@@ -1244,10 +1277,32 @@ func TestIndexFindsEveryKeyThroughChurn(t *testing.T) {
 	})
 }
 
-// A checkpoint writes from the list of rows it owes into a capture list kept
-// between checkpoints: in steady state it allocates only the disk request of
-// each run of pages it writes — no pass over the table, no fresh list.
+// A checkpoint writes from the list of rows it owes, sorted where it is: the
+// rows are durable already, so it copies none of them. Even the first
+// checkpoint of a store, with nothing to reuse, allocates at most the disk
+// request of each run of pages it writes, however many rows it owes (a
+// capture list of 10,000 rows would be 16,384 copies of 96 bytes), and in
+// steady state it allocates at most that too — no pass over the table, no
+// fresh list.
 func TestCheckpointAllocatesOnlyItsDiskRequests(t *testing.T) {
+	const n = 10000
+	var reqs uint64
+	objs, bytes := quietMallocs(t, func() (objs, bytes uint64, quiet bool) {
+		withDisk(t, func(p *simrt.Proc, st *Store, d *disk.Disk) {
+			syncKeys(st, p, putRows(st, "k", n))
+			d0 := d.Stats()
+			var wrote int
+			objs, bytes, quiet = mallocs(func() { wrote = st.Checkpoint(p) })
+			if reqs = d.Stats().Requests - d0.Requests; wrote != n || reqs == 0 {
+				t.Fatalf("the checkpoint wrote %d rows in %d disk requests, want %d rows", wrote, reqs, n)
+			}
+		})
+		return objs, bytes, quiet
+	})
+	if objs > reqs || bytes > 1024*reqs {
+		t.Errorf("the first checkpoint of %d rows allocated %d objects (%d bytes), want at most its %d disk requests", n, objs, bytes, reqs)
+	}
+
 	withStore(t, func(p *simrt.Proc, st *Store) {
 		putRows(st, "k", 2*rowsPerPage) // rows that owe nothing, two full pages
 		rows := make([]Ref, 4)          // one page, one run
@@ -1267,6 +1322,152 @@ func TestCheckpointAllocatesOnlyItsDiskRequests(t *testing.T) {
 			t.Errorf("a checkpoint of one run of pages allocates %.1f objects, want at most its disk request", a)
 		}
 	})
+}
+
+// quietTries is how many measurements quietMallocs may take before a quiet
+// one.
+const quietTries = 10
+
+// quietMallocs takes measure, which builds a fresh store and measures it
+// with mallocs, until a measurement is quiet, and returns that one's count.
+func quietMallocs(t *testing.T, measure func() (objs, bytes uint64, quiet bool)) (objs, bytes uint64) {
+	t.Helper()
+	for range quietTries {
+		if objs, bytes, quiet := measure(); quiet {
+			return objs, bytes
+		}
+	}
+	t.Fatalf("the runtime allocated for itself during each of %d measurements", quietTries)
+	return 0, 0
+}
+
+// mallocs returns the heap objects and bytes fn allocates, read from
+// MemStats, and quiet: whether the runtime allocated nothing for itself
+// meanwhile. ReadMemStats stops and restarts the world, and the restart may
+// start an OS thread whose structures the runtime allocates on the heap
+// (runtime.allocm); the runtime's own goroutines allocate too (the scavenger
+// growing its timer heap). On a loaded host either can land inside a
+// measurement. A heap profile that samples every allocation shows them: a
+// measurement that is not quiet is no measurement of fn, and is taken again.
+// One that is counts every object MemStats does.
+func mallocs(fn func()) (objs, bytes uint64, quiet bool) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	var recs []runtime.MemProfileRecord
+	var before, after runtime.MemStats
+	runtime.GC() // a collection starting inside the measurement would count its own
+	own := runtimeOwn(&recs)
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	runtime.GC() // publishes the profile of the measurement
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, runtimeOwn(&recs) == own
+}
+
+// runtimeOwn counts the objects of the heap profile's records of allocations
+// the runtime makes for itself (see runtimeStack).
+func runtimeOwn(recs *[]runtime.MemProfileRecord) (objs int64) {
+	n, ok := runtime.MemProfile(*recs, true)
+	for !ok {
+		*recs = make([]runtime.MemProfileRecord, n+n/2)
+		n, ok = runtime.MemProfile(*recs, true)
+	}
+	for _, r := range (*recs)[:n] {
+		if runtimeStack(r.Stack()) {
+			objs += r.AllocObjects
+		}
+	}
+	return objs
+}
+
+// runtimeStack reports whether an allocation's stack is the runtime's own:
+// under runtime.allocm, or on a goroutine whose every frame, down to
+// runtime.goexit, is the runtime's. A stack that ends in the runtime short
+// of goexit (a call on the system stack, whose caller the profile does not
+// show, such as a goroutine's start) may be fn's, and is not.
+func runtimeStack(stk []uintptr) bool {
+	frames := runtime.CallersFrames(stk)
+	for {
+		f, more := frames.Next()
+		switch {
+		case f.Function == "runtime.allocm":
+			return true
+		case !strings.HasPrefix(f.Function, "runtime."):
+			return false
+		case !more:
+			return f.Function == "runtime.goexit"
+		}
+	}
+}
+
+// A checkpoint holds the handles of the rows it owes across its disk wait.
+// Whatever is done to a row meanwhile — its lock taken and released, or a
+// crash — its record is kept until the checkpoint is done with it, so the
+// checkpoint never drops a record twice or a slot another row has taken: new
+// rows afterwards get slots of their own, and the free list names each slot
+// once.
+func TestCheckpointKeepsTheRecordsItWrites(t *testing.T) {
+	for _, meddle := range []struct {
+		name string
+		fn   func(st *Store, h Row)
+	}{
+		{"lock and unlock", func(st *Store, h Row) {
+			op := types.OpID{Seq: 1}
+			st.Lock(h, op)
+			st.Unlock(Ref{Key: dk("x"), Row: h}, op)
+		}},
+		{"crash", func(st *Store, h Row) {
+			st.put("x", []byte("again")) // lost in the crash: never durable
+			st.Crash()
+			st.Recover()
+		}},
+	} {
+		t.Run(meddle.name, func(t *testing.T) {
+			withStore(t, func(p *simrt.Proc, st *Store) {
+				st.put("x", []byte("1"))
+				syncKeys(st, p, []string{"x"})
+				st.del("x")
+				syncKeys(st, p, []string{"x"}) // gone but for the page write owed
+				h := st.Find(dk("x"))
+				if r := st.rec("x"); h == NoRow || r.val.Present() || r.dur.Present() || r.dirty {
+					t.Fatalf("x is %+v, want a record kept by its owed page write alone", r)
+				}
+				done := false
+				st.sim.Spawn("checkpoint", func(p *simrt.Proc) {
+					if n := st.Checkpoint(p); n != 1 {
+						t.Errorf("checkpoint wrote %d rows, want 1", n)
+					}
+					done = true
+				})
+				p.Yield() // the checkpoint submits its page and waits for the disk
+				if done || st.Stats().FlushRows != 0 {
+					t.Fatal("the checkpoint did not wait for the disk")
+				}
+				meddle.fn(st, h)
+				if done {
+					t.Fatal("the checkpoint was done before the row was meddled with")
+				}
+				for !done {
+					p.Sleep(time.Millisecond)
+				}
+				hy, _ := st.PutAt(st.Find(dk("y")), dk("y"), []byte("y"))
+				hz, _ := st.PutAt(st.Find(dk("z")), dk("z"), []byte("z"))
+				if hy == hz || st.Find(dk("y")) != hy || st.Find(dk("z")) != hz || st.Find(dk("x")) != NoRow {
+					t.Errorf("y in slot %d, z in slot %d, x found in %d; want two slots of their own and no x", hy, hz, st.Find(dk("x")))
+				}
+				seen := map[Row]bool{}
+				for _, f := range st.free {
+					if seen[f] || f == hy || f == hz {
+						t.Errorf("slot %d is on the free list twice or in use: free list %v, y %d, z %d", f, st.free, hy, hz)
+					}
+					seen[f] = true
+				}
+				if n := len(st.indexed()); n != 2 || st.index.n != 2 {
+					t.Errorf("%d records indexed (%d counted), want y and z", n, st.index.n)
+				}
+			})
+		})
+	}
 }
 
 // A handle can outlive its record: a write-back through it writes the key's

@@ -40,7 +40,8 @@ func (r Result) ConflictRatio() float64 {
 	return float64(r.Conflicts) / float64(r.Ops)
 }
 
-// fileBinding maps a symbolic file to its runtime identity.
+// fileBinding maps a symbolic file to its runtime identity; the zero binding
+// (ino 0) is a file not bound: not created yet, its create failed, or removed.
 type fileBinding struct {
 	dir  types.InodeID
 	name string
@@ -60,8 +61,12 @@ type Replayer struct {
 	// diagnostics and the harness's latency breakdowns.
 	KindLat map[Kind][]time.Duration
 
-	dirs   map[int]types.InodeID
-	files  map[int]fileBinding
+	// dirs and files bind the trace's symbolic directories and files,
+	// indexed by their ids (below Trace.Dirs and Trace.Files). An unbound
+	// entry is zero, which no inode the cluster hands out is: RootInode is 1,
+	// and each process's namespace.InodeAlloc counts up from (1+index)<<32.
+	dirs   []types.InodeID
+	files  []fileBinding
 	recent ring[recentCreate] // the newest creations, for injection
 	names  nameArena
 }
@@ -120,8 +125,8 @@ func (r *Replayer) Run() Result {
 		panic(fmt.Sprintf("trace: %s needs %d processes, cluster has %d",
 			t.Profile.Name, t.Profile.Procs, c.NumProcs()))
 	}
-	r.dirs = make(map[int]types.InodeID)
-	r.files = make(map[int]fileBinding)
+	r.dirs = make([]types.InodeID, t.Dirs)
+	r.files = make([]fileBinding, t.Files)
 	r.recent = newRing[recentCreate](64)
 
 	res := Result{Workload: t.Profile.Name, Protocol: c.Opts.Protocol, Ops: t.Total}
@@ -174,8 +179,8 @@ func (r *Replayer) Run() Result {
 
 // playOne issues one trace record.
 func (r *Replayer) playOne(p *simrt.Proc, pr *cluster.Process, rec Rec, res *Result) {
-	dir, ok := r.dirs[rec.Dir]
-	if !ok {
+	dir := r.dirs[rec.Dir]
+	if dir == 0 {
 		res.Errors++ // directory never materialized (tolerated slip)
 		return
 	}
@@ -190,9 +195,9 @@ func (r *Replayer) playOne(p *simrt.Proc, pr *cluster.Process, rec Rec, res *Res
 			r.recent.push(recentCreate{id: rec.File, proc: rec.Proc})
 		}
 	case RemoveOwn:
-		if fb, have := r.files[rec.File]; have {
+		if fb := r.files[rec.File]; fb.ino != 0 {
 			err = pr.Remove(p, fb.dir, fb.name, fb.ino)
-			delete(r.files, rec.File)
+			r.files[rec.File] = fileBinding{}
 		}
 	case MkdirOwn:
 		var ino types.InodeID
@@ -201,20 +206,20 @@ func (r *Replayer) playOne(p *simrt.Proc, pr *cluster.Process, rec Rec, res *Res
 			r.dirs[rec.File] = ino
 		}
 	case RmdirOwn:
-		if ino, have := r.dirs[rec.File]; have {
+		if ino := r.dirs[rec.File]; ino != 0 {
 			err = pr.Rmdir(p, dir, r.names.dir(rec.File), ino)
-			delete(r.dirs, rec.File)
+			r.dirs[rec.File] = 0
 		}
 	case LinkOwn:
-		if fb, have := r.files[rec.File]; have {
+		if fb := r.files[rec.File]; fb.ino != 0 {
 			err = pr.Link(p, fb.dir, r.names.link(rec.File), fb.ino)
 		}
 	case UnlinkOwn:
-		if fb, have := r.files[rec.File]; have {
+		if fb := r.files[rec.File]; fb.ino != 0 {
 			err = pr.Unlink(p, fb.dir, r.names.link(rec.File), fb.ino)
 		}
 	case StatOwn, SetAttrOwn:
-		if fb, have := r.files[rec.File]; have {
+		if fb := r.files[rec.File]; fb.ino != 0 {
 			if rec.Kind == StatOwn {
 				_, err = pr.Stat(p, fb.ino)
 			} else {
@@ -222,18 +227,18 @@ func (r *Replayer) playOne(p *simrt.Proc, pr *cluster.Process, rec Rec, res *Res
 			}
 		}
 	case LookupOwn:
-		if fb, have := r.files[rec.File]; have {
+		if fb := r.files[rec.File]; fb.ino != 0 {
 			_, err = pr.Lookup(p, fb.dir, fb.name)
 		}
 	case StatShared:
-		if fb, have := r.files[rec.File]; have {
+		if fb := r.files[rec.File]; fb.ino != 0 {
 			if _, e := pr.Stat(p, fb.ino); e != nil {
 				res.Errors++ // the owner may have removed it; tolerated
 			}
 		}
 		return
 	case LookupShared:
-		if fb, have := r.files[rec.File]; have {
+		if fb := r.files[rec.File]; fb.ino != 0 {
 			if _, e := pr.Lookup(p, fb.dir, fb.name); e != nil {
 				res.Errors++
 			}
@@ -254,8 +259,8 @@ func (r *Replayer) injectSharedRead(p *simrt.Proc, pr *cluster.Process, self int
 		if rc.proc == self {
 			continue
 		}
-		fb, ok := r.files[rc.id]
-		if !ok {
+		fb := r.files[rc.id]
+		if fb.ino == 0 {
 			continue
 		}
 		if _, err := pr.Stat(p, fb.ino); err != nil {

@@ -167,8 +167,13 @@ type Trace struct {
 	Scale   float64
 	PerProc [][]Rec
 	Total   int
-	// Dirs is the number of symbolic directories referenced.
+	// Dirs is the number of symbolic directories referenced: every directory
+	// id a record names (Rec.Dir, and Rec.File of MkdirOwn and RmdirOwn) is
+	// below it.
 	Dirs int
+	// Files is the number of symbolic files created, one per CreateOwn
+	// record: every file id a record of another kind names is below it.
+	Files int
 }
 
 // Generate builds a synthetic trace at the given scale (1.0 = the paper's
@@ -302,8 +307,7 @@ func Generate(p Profile, scale float64, seed int64) *Trace {
 		perProc[pi] = append(perProc[pi], rec)
 	}
 
-	tr := &Trace{Profile: p, Scale: scale, PerProc: perProc, Total: total, Dirs: nextDir}
-	return tr
+	return &Trace{Profile: p, Scale: scale, PerProc: perProc, Total: total, Dirs: nextDir, Files: nextFile}
 }
 
 // OpKindOf maps a symbolic kind to the metadata operation it issues.

@@ -74,6 +74,38 @@ func TestAllProfilesGenerate(t *testing.T) {
 	}
 }
 
+// The replayer files its bindings by the trace's own numbers, in tables of
+// Trace.Dirs and Trace.Files entries: Files counts the CreateOwn records, and
+// every id a record names is below the count of its kind.
+func TestGenerateCountsWhatItNames(t *testing.T) {
+	for _, p := range Profiles() {
+		tr := Generate(p, scaleFor(p, 5000), 3)
+		creates := 0
+		for _, recs := range tr.PerProc {
+			for _, r := range recs {
+				if r.Dir < 0 || r.Dir >= tr.Dirs {
+					t.Fatalf("%s: %+v names directory %d, want it below Dirs %d", p.Name, r, r.Dir, tr.Dirs)
+				}
+				switch r.Kind {
+				case CreateOwn:
+					creates++
+				case MkdirOwn, RmdirOwn:
+					if r.File < 0 || r.File >= tr.Dirs {
+						t.Fatalf("%s: %+v names directory %d, want it below Dirs %d", p.Name, r, r.File, tr.Dirs)
+					}
+					continue
+				}
+				if r.File < 0 || r.File >= tr.Files {
+					t.Fatalf("%s: %+v names file %d, want it below Files %d", p.Name, r, r.File, tr.Files)
+				}
+			}
+		}
+		if creates == 0 || tr.Files != creates {
+			t.Errorf("%s: Files is %d, want the %d CreateOwn records", p.Name, tr.Files, creates)
+		}
+	}
+}
+
 func TestDistributionMatchesProfileShape(t *testing.T) {
 	p, _ := ProfileByName("home2")
 	tr := Generate(p, scaleFor(p, 20000), 1)
