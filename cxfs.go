@@ -210,13 +210,6 @@ func (c *Ctx) Unlink(dir InodeID, name string, ino InodeID) error {
 	return c.pr.Unlink(c.p, dir, name, ino)
 }
 
-// Rename moves a file to a new directory and/or name. Under the Cx protocol
-// it runs as an eager cross-server transaction per the rename extension;
-// the baselines implement no rename and return types.ErrNotSupported.
-func (c *Ctx) Rename(dir InodeID, name string, ino InodeID, newDir InodeID, newName string) error {
-	return c.pr.Rename(c.p, dir, name, ino, newDir, newName)
-}
-
 // DirEntry is one readdir result.
 type DirEntry = namespace.DirEntry
 

@@ -42,21 +42,16 @@ func main() {
 		if err := ctx.Unlink(dir, "hello-link.txt", ino); err != nil {
 			log.Fatalf("unlink: %v", err)
 		}
-		// Rename runs as an eager cross-server transaction (the operation
-		// the paper excludes from Cx's lazy path).
-		if err := ctx.Rename(dir, "hello.txt", ino, cxfs.Root, "promoted.txt"); err != nil {
-			log.Fatalf("rename: %v", err)
-		}
-		entries, err := ctx.Readdir(cxfs.Root)
+		entries, err := ctx.Readdir(dir)
 		if err != nil {
 			log.Fatalf("readdir: %v", err)
 		}
-		fmt.Printf("root now holds %d entries:", len(entries))
+		fmt.Printf("demo now holds %d entries:", len(entries))
 		for _, e := range entries {
 			fmt.Printf(" %s", e.Name)
 		}
 		fmt.Println()
-		if err := ctx.Remove(cxfs.Root, "promoted.txt", ino); err != nil {
+		if err := ctx.Remove(dir, "hello.txt", ino); err != nil {
 			log.Fatalf("remove: %v", err)
 		}
 		fmt.Printf("cleaned up (at virtual t=%v)\n", ctx.Now())

@@ -68,19 +68,14 @@ func serveSingle(p *simrt.Proc, b *node.Base, m *wire.Msg) {
 	b.Send(&reply)
 }
 
-// servedAside answers the whole-operation requests every baseline serves
-// the same way, and reports whether m was one: a readdir from this server's
-// partition, and a rename — which no baseline implements, as the paper leaves
-// it out (§II.A) — with ErrNotSupported.
+// servedAside answers the whole-operation request every baseline serves the
+// same way, a readdir from this server's partition, and reports whether m was
+// one.
 func servedAside(b *node.Base, m *wire.Msg) bool {
-	switch m.FullOp.Kind {
-	case types.OpReaddir:
-		b.ServeReaddir(m)
-	case types.OpRename:
-		b.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, Err: types.ErrNotSupported.Error()})
-	default:
+	if m.FullOp.Kind != types.OpReaddir {
 		return false
 	}
+	b.ServeReaddir(m)
 	return true
 }
 

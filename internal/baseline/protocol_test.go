@@ -324,54 +324,3 @@ func TestSingleServerPathsUnderEveryBaseline(t *testing.T) {
 		}
 	}
 }
-
-// TestRenameRefusedByEveryBaseline: no baseline implements rename, so each
-// answers one with ErrNotSupported — whether its two halves live on two
-// servers or on one — and leaves the source entry where it was; Cx renames.
-func TestRenameRefusedByEveryBaseline(t *testing.T) {
-	for _, proto := range cluster.Protocols {
-		c := buildProto(proto)
-		renamed := 0
-		c.Sim.Spawn("t", func(p *simrt.Proc) {
-			defer c.Sim.Stop()
-			pr := c.Proc(0)
-			tried := map[bool]bool{} // by whether the halves live on two servers
-			for try := 0; len(tried) < 2; try++ {
-				name := fmt.Sprintf("ren-%d", try)
-				ino, err := pr.Create(p, types.RootInode, name)
-				if err != nil {
-					t.Errorf("%s: create %q: %v", proto, name, err)
-					return
-				}
-				cross := c.Placement.CoordinatorFor(types.RootInode, name) != c.Placement.ParticipantFor(ino)
-				if tried[cross] {
-					continue
-				}
-				tried[cross] = true
-				err = pr.Rename(p, types.RootInode, name, ino, types.RootInode, name+"-new")
-				at := name
-				if proto == cluster.ProtoCx {
-					if err != nil {
-						t.Errorf("cx: rename (cross=%v): %v", cross, err)
-					}
-					at = name + "-new"
-				} else if !errors.Is(err, types.ErrNotSupported) {
-					t.Errorf("%s: rename (cross=%v): %v, want ErrNotSupported", proto, cross, err)
-				}
-				if in, err := pr.Lookup(p, types.RootInode, at); err != nil || in.Ino != ino {
-					t.Errorf("%s: lookup %q after the rename: ino=%d err=%v, want %d", proto, at, in.Ino, err, ino)
-				}
-				renamed++
-			}
-			c.Quiesce(p)
-		})
-		c.Sim.RunUntil(time.Hour)
-		if renamed != 2 {
-			t.Errorf("%s: %d of 2 renames returned", proto, renamed)
-		}
-		if bad := c.CheckInvariants(); len(bad) != 0 {
-			t.Errorf("%s: invariants: %v", proto, bad)
-		}
-		c.Shutdown()
-	}
-}

@@ -350,15 +350,6 @@ func (pr *Process) Readdir(p *simrt.Proc, dir types.InodeID) ([]namespace.DirEnt
 	return pr.driver.Readdir(p, pr.NextID(), dir)
 }
 
-// Rename moves (dir, name, ino) to (newDir, newName). Under Cx this runs
-// as the eager two-server transaction of the rename extension; the
-// baselines implement no rename and answer types.ErrNotSupported.
-func (pr *Process) Rename(p *simrt.Proc, dir types.InodeID, name string, ino types.InodeID, newDir types.InodeID, newName string) error {
-	_, err := pr.driver.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpRename,
-		Parent: dir, Name: name, Ino: ino, NewParent: newDir, NewName: newName})
-	return err
-}
-
 // Stat reads inode attributes.
 func (pr *Process) Stat(p *simrt.Proc, ino types.InodeID) (types.Inode, error) {
 	return pr.driver.Do(p, types.Op{ID: pr.NextID(), Kind: types.OpStat, Ino: ino})

@@ -16,7 +16,7 @@ import (
 
 // sentinels are the errors an outcome is told apart by, with errors.Is.
 var sentinels = []error{types.ErrExists, types.ErrNotFound, types.ErrNotEmpty,
-	types.ErrNotDir, types.ErrIsDir, types.ErrAborted, types.ErrNotSupported, types.ErrTimeout}
+	types.ErrNotDir, types.ErrIsDir, types.ErrAborted, types.ErrTimeout}
 
 // outcome renders what a client saw of one operation as its model class and
 // the sentinel it matches — never the error's text, which differs by protocol.
@@ -32,8 +32,8 @@ func outcome(err error) string {
 	return model.Classify(err).String()
 }
 
-// differentialScript is one process's fixed sequence of every op kind but
-// rename, definite failures included, each with the outcome it must have.
+// differentialScript is one process's fixed sequence of every op kind,
+// definite failures included, each with the outcome it must have.
 // note records one op; want is nil or the sentinel its error must match.
 func differentialScript(p *simrt.Proc, pr *Process, note func(what string, err, want error)) {
 	root := types.RootInode

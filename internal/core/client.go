@@ -20,10 +20,10 @@ import (
 // perspective. What the protocols share it does once — the issue and
 // completion events, the retry policy, the leased read path, read-your-writes
 // invalidation, reads and single-server updates as one sub-op to their owner,
-// and colocated operations and renames as one whole-op request to the
-// coordinator. The paper's approaches differ only in how an operation whose
-// two halves live on two servers is driven (§II.B, Figure 1), and that is the
-// Driver's CrossPath.
+// and colocated operations as one whole-op request to the coordinator. The
+// paper's approaches differ only in how an operation whose two halves live on
+// two servers is driven (§II.B, Figure 1), and that is the Driver's
+// CrossPath.
 type Driver struct {
 	host  *node.Host
 	pl    namespace.Placement
@@ -118,7 +118,7 @@ func (d *Driver) Do(p *simrt.Proc, op types.Op) (types.Inode, error) {
 }
 
 func (d *Driver) do(p *simrt.Proc, op types.Op, out *obs.Outcome) (types.Inode, error) {
-	if n := max(len(op.Name), len(op.NewName)); n > types.MaxName {
+	if n := len(op.Name); n > types.MaxName {
 		return types.Inode{}, fmt.Errorf("%v: a %d-byte name: %w", op.Kind, n, types.ErrNameTooLong)
 	}
 	if d.cache != nil {
@@ -126,24 +126,18 @@ func (d *Driver) do(p *simrt.Proc, op types.Op, out *obs.Outcome) (types.Inode, 
 			return d.doLookup(p, op)
 		}
 		if op.Kind.Mutating() {
-			// Read-your-writes: drop this client's cached view of every
-			// entry the mutation names BEFORE dispatching it. Done
-			// unconditionally (even if the op later fails or times out) —
-			// over-invalidation only costs a miss.
+			// Read-your-writes: drop this client's cached view of the entry
+			// the mutation names BEFORE dispatching it. Done unconditionally
+			// (even if the op later fails or times out) — over-invalidation
+			// only costs a miss.
 			d.cache.Invalidate(op.Parent, op.Name)
-			if op.Kind == types.OpRename {
-				d.cache.Invalidate(op.NewParent, op.NewName)
-			}
 		}
 	}
 	if !op.Kind.CrossServer() {
 		return d.doSingle(p, op)
 	}
 	coord := d.pl.CoordinatorFor(op.Parent, op.Name)
-	// A rename is one request to the source entry's owner under every
-	// protocol: Cx runs it as an eager transaction (extension; see
-	// internal/core/rename.go), the baselines refuse it.
-	if part := d.pl.ParticipantFor(op.Ino); part != coord && d.cross != nil && op.Kind != types.OpRename {
+	if part := d.pl.ParticipantFor(op.Ino); part != coord && d.cross != nil {
 		ino, conflicted, err := d.cross(p, d.host, d.retry, op, coord, part)
 		if conflicted {
 			*out = obs.OutcomeConflicted

@@ -83,21 +83,19 @@ func TestConcurrentRoundsLogTheirOwnRecords(t *testing.T) {
 // A COMMIT-REQ delivered twice, the second copy while the first is inside its
 // Abort-Record append, decides the execution once: one Abort-Record, one
 // rollback, one finish, and both copies ACKed only after it. The execution is
-// a rename's destination insert, whose rollback also takes back the entry it
-// added to its directory's count; a second rollback took it back twice.
+// a link's participant half, which raised the inode's link count.
 func TestDuplicateCommitReqDecidesOnce(t *testing.T) {
 	r := newRig(1<<20, Config{Timeout: time.Hour})
 	r.run(t, func(p *simrt.Proc) {
 		s := r.srv[1]
-		const dir = types.InodeID(4242)
-		s.Shard.SeedInode(namespace.Inode{Ino: dir, Type: types.FileDir, Nlink: 2, Size: 5})
-		entries := func() uint64 { in, _ := s.Shard.GetInode(dir); return in.Size }
+		const ino = types.InodeID(77)
+		s.Shard.SeedInode(namespace.Inode{Ino: ino, Type: types.FileRegular, Nlink: 1})
+		links := func() uint32 { in, _ := s.Shard.GetInode(ino); return in.Nlink }
 		id := types.OpID{Proc: types.ProcID{Client: r.host.ID}, Seq: 1}
-		dst := types.SubOp{Op: id, Kind: types.OpRename, Role: types.RoleParticipant,
-			Action: types.ActInsertEntry, Parent: dir, Name: "moved", Ino: 77}
-		r.srv[0].Send(&wire.Msg{Type: wire.MsgVote, To: 1, Op: id, Sub: dst, Peer: 0, ReplyProc: id.Proc})
-		if !await(p, func() bool { return s.pending(id) != nil }) || entries() != 6 {
-			t.Fatalf("the destination insert did not register (%s, %d entries)", s.DebugOp(id), entries())
+		_, pSub := types.Split(types.Op{ID: id, Kind: types.OpLink, Parent: types.RootInode, Name: "linked", Ino: ino})
+		r.host.Send(&wire.Msg{Type: wire.MsgSubOpReq, To: 1, Op: id, Sub: pSub, Peer: 0, ReplyProc: id.Proc})
+		if !await(p, func() bool { return s.pending(id) != nil }) || links() != 2 {
+			t.Fatalf("the participant half did not register (%s, %d links)", s.DebugOp(id), links())
 		}
 		var acks []time.Duration
 		r.net.SetTap(func(m wire.Msg) {
@@ -119,8 +117,8 @@ func TestDuplicateCommitReqDecidesOnce(t *testing.T) {
 		}
 		p.Sleep(100 * time.Millisecond)
 		r.net.SetTap(nil)
-		if n := entries(); n != 5 {
-			t.Errorf("the directory counts %d entries after the abort, want 5: the rollback ran %d times", n, 6-n)
+		if n := links(); n != 1 {
+			t.Errorf("the inode has %d links after the abort, want 1", n)
 		}
 		if n := s.WAL.Stats().Records - records; n != 1 {
 			t.Errorf("%d Abort-Records logged, want 1", n)

@@ -38,7 +38,7 @@
 // What the server knows about one operation is one entry of that table
 // (optable.go), and the entry's phase changes in five transitions only —
 // register, take, invalidate, decide, finish — one per durable record of
-// §III.B; the handlers in exec.go, commit.go, rename.go and recovery.go look
+// §III.B; the handlers in exec.go, commit.go and recovery.go look
 // an operation up once and act on its phase. Entries are recycled through a
 // per-server free list, so a handler that holds one across a park touches it
 // only while its ID is still the operation's — unless it has taken or decided
@@ -126,7 +126,6 @@ type Stats struct {
 	Invalidations     uint64
 	VoteTimeouts      uint64
 	LateInvalidations uint64 // invalidation notices for ops a client completed (must stay 0)
-	Renames           uint64 // committed rename transactions (extension)
 	Lookups           uint64 // LookupReq served (leased read path)
 	LeasesGranted     uint64 // read leases stamped on lookup replies (the chassis counts)
 	LeaseRevocations  uint64 // revocation notices sent to lease holders (the chassis counts)
@@ -446,16 +445,11 @@ func (s *Server) handle(p *simrt.Proc, pk *transport.Packet) {
 		}
 		s.requestCommit(m.Op, false, m.From)
 	case wire.MsgVote:
-		if len(m.Ops) == 0 && m.Sub.Action != types.ActNone {
-			s.handleRenameVote(p, m) // per-op 2PC vote (rename extension)
-			return
-		}
 		s.handleVote(p, m)
 	case wire.MsgCommitReq:
 		s.handleCommitReq(p, m)
 	case wire.MsgVoteResp, wire.MsgAck:
-		// A batched round's reply echoes the round's op set and routes by its
-		// first; a rename's per-operation reply routes by its operation.
+		// A round's reply echoes the round's op set and routes by its first.
 		s.Deliver(pk)
 	}
 }

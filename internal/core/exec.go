@@ -227,7 +227,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 		// object was already active): register replays it.
 		s.register(st, execution{sub: sub, ok: res.OK, undo: res.Undo(), rows: res.Rows,
 			peer: m.Peer, epoch: epoch,
-			replied: true, hint: hint, errStr: reply.Err, attr: res.Inode}, phasePending)
+			replied: true, hint: hint, errStr: reply.Err, attr: res.Inode})
 	case sub.Action.Mutating():
 		// Single-server update: logged above, flushed by the next batch.
 		s.queueFlush(sub.Op, res.Rows)
@@ -353,10 +353,6 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	}
 	defer s.End(op.ID)
 	boot := s.Boot()
-	if op.Kind == types.OpRename {
-		s.handleRename(p, m)
-		return
-	}
 	cSub, pSub := types.Split(op)
 	// Local conflict check still applies: this op must not read or
 	// overwrite another process's uncommitted objects.

@@ -253,15 +253,6 @@ func (s *Server) parkedReq(op types.OpID) *blockedReq {
 	return nil
 }
 
-// isAborted reports whether op carries the abort mark.
-func (s *Server) isAborted(op types.OpID) bool {
-	if s.abortMarks == 0 {
-		return false
-	}
-	st := s.find(op)
-	return st != nil && st.aborted
-}
-
 // inOrder returns the entries pick selects, in operation order: whatever is
 // done to them sends messages, whose order must not depend on where the
 // table happens to file each entry.
@@ -438,35 +429,30 @@ func (s *Server) takeIdle(part types.NodeID) []*opState {
 }
 
 // register is an execution's Result-Record having become durable: it is
-// pending (rename's eager round: committing from the start) and indexed for
-// the round that will take it, a commitment demanded while it was in flight
-// is replayed, and vote handlers waiting for it to arrive wake. st is the
-// operation's entry, nil if it has none.
-func (s *Server) register(st *opState, e execution, ph phase) *opState {
+// pending and indexed for the round that will take it, a commitment demanded
+// while it was in flight is replayed, and vote handlers waiting for it to
+// arrive wake. st is the operation's entry, nil if it has none.
+func (s *Server) register(st *opState, e execution) {
 	if st == nil {
 		st = s.newEntry(e.sub.Op)
 	}
-	st.execution, st.phase, st.since, st.named = e, ph, s.Sim.Now(), false
-	idle := ph == phasePending && st.coordinator()
-	switch {
-	case idle:
+	st.execution, st.phase, st.since, st.named = e, phasePending, s.Sim.Now(), false
+	coord := st.coordinator()
+	if coord {
 		s.addIdle(st)
-	case ph == phasePending:
-		s.unnamedParts = append(s.unnamedParts, st.id())
-	}
-	if st.coordinator() {
 		s.coordPending++
+	} else {
+		s.unnamedParts = append(s.unnamedParts, st.id())
 	}
 	switch {
 	case st.wanted:
 		st.wanted = false
 		s.requestCommit(st.id(), st.lcom, -1)
-	case idle && !s.recovering && s.cfg.Threshold > 0 && s.coordPending >= s.cfg.Threshold:
+	case coord && !s.recovering && s.cfg.Threshold > 0 && s.coordPending >= s.cfg.Threshold:
 		// Recovery launches the batch for what it rebuilds itself.
 		s.KickCommit()
 	}
 	st.fire(true)
-	return st
 }
 
 // take is a commitment round taking a pending execution (a batch forming on
@@ -588,17 +574,13 @@ func (s *Server) finish(st *opState, reply wire.Msg) {
 	}
 	st.phase = phaseNone
 	s.CacheReply(st.id(), &reply)
-	s.completeOp(st, st.rows)
-}
-
-// completeOp is the end of one execution on this server: the object becomes
-// inactive, the rows it wrote — as committed or as rolled back — join the
-// flush queue (database write-back is deferred: the records are durable, the
-// pages drain with the next lazy batch and the log records prune only after
-// that flush), and whoever waits on the operation moves on.
-func (s *Server) completeOp(st *opState, rows kvstore.Refs) {
-	s.releaseKeys(rows, st.id())
-	s.queueFlush(st.id(), rows)
+	// The object becomes inactive, the rows it wrote — as committed or as
+	// rolled back — join the flush queue (database write-back is deferred:
+	// the records are durable, the pages drain with the next lazy batch and
+	// the log records prune only after that flush), and whoever waits on the
+	// operation moves on.
+	s.releaseKeys(st.rows, st.id())
+	s.queueFlush(st.id(), st.rows)
 	s.release(st)
 }
 

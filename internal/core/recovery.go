@@ -198,7 +198,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 		} else {
 			undecidedPart = append(undecidedPart, id)
 		}
-		s.register(s.find(id), e, phasePending)
+		s.register(s.find(id), e)
 	}
 
 	// Rebuild complete: the server may answer the recovery dialogue

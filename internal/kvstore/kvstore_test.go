@@ -1118,17 +1118,15 @@ func TestFlushKeysOfCleanRowsAllocatesNothing(t *testing.T) {
 // makes rows owed a checkpoint is no write-back, and runs outside the
 // measurement.)
 func TestSmallerWriteBackAllocatesNothing(t *testing.T) {
-	n, _ := quietMallocs(t, func() (objs, bytes uint64, quiet bool) {
-		withStore(t, func(p *simrt.Proc, st *Store) { objs, bytes, quiet = smallerWriteBacks(t, p, st) })
-		return objs, bytes, quiet
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		if n, _ := smallerWriteBacks(t, p, st); n != 0 {
+			t.Errorf("write-backs of 8 rows after ones of 64 allocated %d objects, want 0", n)
+		}
 	})
-	if n != 0 {
-		t.Errorf("write-backs of 8 rows after ones of 64 allocated %d objects, want 0", n)
-	}
 }
 
 // smallerWriteBacks runs write-backs of 64 rows, then measures ones of 8.
-func smallerWriteBacks(t *testing.T, p *simrt.Proc, st *Store) (objs, bytes uint64, quiet bool) {
+func smallerWriteBacks(t *testing.T, p *simrt.Proc, st *Store) (objs, bytes int64) {
 	names := make([]string, 64)
 	for i := range names {
 		names[i] = fmt.Sprintf("r%02d", i)
@@ -1149,7 +1147,7 @@ func smallerWriteBacks(t *testing.T, p *simrt.Proc, st *Store) (objs, bytes uint
 	st.SyncRows(p, rows)
 	st.Checkpoint(p)
 	st.SyncRows(p, rows[:8]) // journaled, for the checkpoint measured
-	objs, bytes, quiet = mallocs(func() {
+	objs, bytes = mallocs(func() {
 		write(8)
 		st.FlushRows(p, rows[:8])
 		write(8)
@@ -1161,7 +1159,7 @@ func smallerWriteBacks(t *testing.T, p *simrt.Proc, st *Store) (objs, bytes uint
 	if ks := st.Stats(); ks.Flushes != 4 || ks.FlushRows != 64+64+3*8+8 {
 		t.Errorf("%d write-backs of %d rows, want 4 of %d: the test is vacuous", ks.Flushes, ks.FlushRows, 64+64+3*8+8)
 	}
-	return objs, bytes, quiet
+	return objs, bytes
 }
 
 // A row is a value: writing one copies its key and value into the record
@@ -1286,18 +1284,15 @@ func TestIndexFindsEveryKeyThroughChurn(t *testing.T) {
 // fresh list.
 func TestCheckpointAllocatesOnlyItsDiskRequests(t *testing.T) {
 	const n = 10000
-	var reqs uint64
-	objs, bytes := quietMallocs(t, func() (objs, bytes uint64, quiet bool) {
-		withDisk(t, func(p *simrt.Proc, st *Store, d *disk.Disk) {
-			syncKeys(st, p, putRows(st, "k", n))
-			d0 := d.Stats()
-			var wrote int
-			objs, bytes, quiet = mallocs(func() { wrote = st.Checkpoint(p) })
-			if reqs = d.Stats().Requests - d0.Requests; wrote != n || reqs == 0 {
-				t.Fatalf("the checkpoint wrote %d rows in %d disk requests, want %d rows", wrote, reqs, n)
-			}
-		})
-		return objs, bytes, quiet
+	var objs, bytes, reqs int64
+	withDisk(t, func(p *simrt.Proc, st *Store, d *disk.Disk) {
+		syncKeys(st, p, putRows(st, "k", n))
+		d0 := d.Stats()
+		var wrote int
+		objs, bytes = mallocs(func() { wrote = st.Checkpoint(p) })
+		if reqs = int64(d.Stats().Requests - d0.Requests); wrote != n || reqs == 0 {
+			t.Fatalf("the checkpoint wrote %d rows in %d disk requests, want %d rows", wrote, reqs, n)
+		}
 	})
 	if objs > reqs || bytes > 1024*reqs {
 		t.Errorf("the first checkpoint of %d rows allocated %d objects (%d bytes), want at most its %d disk requests", n, objs, bytes, reqs)
@@ -1324,78 +1319,52 @@ func TestCheckpointAllocatesOnlyItsDiskRequests(t *testing.T) {
 	})
 }
 
-// quietTries is how many measurements quietMallocs may take before a quiet
-// one.
-const quietTries = 10
-
-// quietMallocs takes measure, which builds a fresh store and measures it
-// with mallocs, until a measurement is quiet, and returns that one's count.
-func quietMallocs(t *testing.T, measure func() (objs, bytes uint64, quiet bool)) (objs, bytes uint64) {
-	t.Helper()
-	for range quietTries {
-		if objs, bytes, quiet := measure(); quiet {
-			return objs, bytes
-		}
-	}
-	t.Fatalf("the runtime allocated for itself during each of %d measurements", quietTries)
-	return 0, 0
-}
-
-// mallocs returns the heap objects and bytes fn allocates, read from
-// MemStats, and quiet: whether the runtime allocated nothing for itself
-// meanwhile. ReadMemStats stops and restarts the world, and the restart may
-// start an OS thread whose structures the runtime allocates on the heap
-// (runtime.allocm); the runtime's own goroutines allocate too (the scavenger
-// growing its timer heap). On a loaded host either can land inside a
-// measurement. A heap profile that samples every allocation shows them: a
-// measurement that is not quiet is no measurement of fn, and is taken again.
-// One that is counts every object MemStats does.
-func mallocs(fn func()) (objs, bytes uint64, quiet bool) {
+// mallocs returns the heap objects and bytes fn allocates, from a heap
+// profile that samples every allocation: the records whose stack passes
+// through fn. What the runtime allocates for itself meanwhile — an OS
+// thread's structures when a stop of the world ends (runtime.allocm), the
+// scavenger growing its timer heap — is on stacks of its own and counts for
+// nothing, so one measurement is exact. The records accumulate over the
+// process, so the count is the difference across fn.
+func mallocs(fn func()) (objs, bytes int64) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
+	name := runtime.FuncForPC(reflect.ValueOf(fn).Pointer()).Name()
 	var recs []runtime.MemProfileRecord
-	var before, after runtime.MemStats
-	runtime.GC() // a collection starting inside the measurement would count its own
-	own := runtimeOwn(&recs)
-	runtime.ReadMemStats(&before)
+	runtime.GC() // publishes the profile up to here
+	objs0, bytes0 := allocsUnder(name, &recs)
 	fn()
-	runtime.ReadMemStats(&after)
 	runtime.GC() // publishes the profile of the measurement
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, runtimeOwn(&recs) == own
+	objs, bytes = allocsUnder(name, &recs)
+	return objs - objs0, bytes - bytes0
 }
 
-// runtimeOwn counts the objects of the heap profile's records of allocations
-// the runtime makes for itself (see runtimeStack).
-func runtimeOwn(recs *[]runtime.MemProfileRecord) (objs int64) {
+// allocsUnder sums the objects and bytes of the heap profile's records
+// whose stack has a frame of the function named fn.
+func allocsUnder(fn string, recs *[]runtime.MemProfileRecord) (objs, bytes int64) {
 	n, ok := runtime.MemProfile(*recs, true)
 	for !ok {
 		*recs = make([]runtime.MemProfileRecord, n+n/2)
 		n, ok = runtime.MemProfile(*recs, true)
 	}
 	for _, r := range (*recs)[:n] {
-		if runtimeStack(r.Stack()) {
-			objs += r.AllocObjects
+		if passesThrough(r.Stack(), fn) {
+			objs, bytes = objs+r.AllocObjects, bytes+r.AllocBytes
 		}
 	}
-	return objs
+	return objs, bytes
 }
 
-// runtimeStack reports whether an allocation's stack is the runtime's own:
-// under runtime.allocm, or on a goroutine whose every frame, down to
-// runtime.goexit, is the runtime's. A stack that ends in the runtime short
-// of goexit (a call on the system stack, whose caller the profile does not
-// show, such as a goroutine's start) may be fn's, and is not.
-func runtimeStack(stk []uintptr) bool {
+// passesThrough reports whether stk has a frame of the function named fn.
+func passesThrough(stk []uintptr, fn string) bool {
 	frames := runtime.CallersFrames(stk)
 	for {
 		f, more := frames.Next()
-		switch {
-		case f.Function == "runtime.allocm":
+		if f.Function == fn {
 			return true
-		case !strings.HasPrefix(f.Function, "runtime."):
+		}
+		if !more {
 			return false
-		case !more:
-			return f.Function == "runtime.goexit"
 		}
 	}
 }
@@ -1551,6 +1520,100 @@ func TestLockedOrPinnedRecordOutlivesItsRow(t *testing.T) {
 		st.Recover()
 		if st.Locked() != 0 || st.Pinned(Ref{Key: y, Row: NoRow}) || st.Find(y) != NoRow {
 			t.Error("a crash kept a lock, a pin, or the record of a row never durable")
+		}
+	})
+}
+
+// A Refs fills in order and lists only what it holds; a third row does not
+// fit.
+func TestRefsAddAndAll(t *testing.T) {
+	var rs Refs
+	if n := len(rs.All()); n != 0 {
+		t.Errorf("the zero Refs lists %d rows", n)
+	}
+	a, b := Ref{Key: dk("a"), Row: 3}, Ref{Key: types.InodeKey(1), Row: 5}
+	rs.Add(a)
+	if got := rs.All(); len(got) != 1 || got[0] != a {
+		t.Errorf("one row added lists %v", got)
+	}
+	rs.Add(b)
+	if got := rs.All(); len(got) != 2 || got[0] != a || got[1] != b {
+		t.Errorf("two rows added list %v, want them in the order added", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a third row was added to a Refs")
+		}
+	}()
+	rs.Add(Ref{Key: dk("c")})
+}
+
+// A Probe stays current while Find would find the same: for a key with a
+// record, until that record goes (even if its slot is filed again, for the
+// same key); for a key with none, until the store files any record. The zero
+// Probe never is.
+func TestProbeIsCurrentUntilTheKeyIsFiledAgain(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		if st.Current(Probe{}) {
+			t.Error("the zero Probe is current")
+		}
+		st.put("a", []byte("1"))
+		had := st.Probe(dk("a"))
+		none := st.Probe(dk("b"))
+		if had.Row != st.Find(dk("a")) || had.Row == NoRow || none.Row != NoRow {
+			t.Fatalf("probes found %d and %d", had.Row, none.Row)
+		}
+		if !st.Current(had) || !st.Current(none) {
+			t.Error("a probe is not current before anything changed")
+		}
+		st.put("a", []byte("2")) // a rewrite keeps the record
+		if !st.Current(had) || !st.Current(none) {
+			t.Error("a rewrite of a row made a probe stale")
+		}
+		st.put("c", []byte("3")) // a record filed for another key
+		if !st.Current(had) || st.Current(none) {
+			t.Errorf("after another key was filed: current %v and %v, want true and false", st.Current(had), st.Current(none))
+		}
+		st.del("a")
+		st.FlushDirty(p) // never durable: the deletion absorbs, the record goes
+		st.put("a", []byte("4"))
+		if st.Find(dk("a")) != had.Row {
+			t.Fatal("the key was not filed again in its old slot: the test is vacuous")
+		}
+		if st.Current(had) {
+			t.Error("a probe of a record that went is current after the key was filed again")
+		}
+		if again := st.Probe(dk("a")); !st.Current(again) {
+			t.Error("a fresh probe is not current")
+		}
+	})
+}
+
+// Locks visits every locked row, with its holder, and no other; a row that
+// is not one has no holder.
+func TestLocksVisitsEveryLockedRow(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		for _, name := range []string{"a", "b", "c"} {
+			st.put(name, []byte(name))
+		}
+		opA, opC := types.OpID{Seq: 1}, types.OpID{Seq: 2}
+		st.Lock(st.Find(dk("a")), opA)
+		st.Lock(st.Find(dk("c")), opC)
+		locks := func() map[types.ObjKey]types.OpID {
+			seen := map[types.ObjKey]types.OpID{}
+			st.Locks(func(k types.ObjKey, op types.OpID) { seen[k] = op })
+			return seen
+		}
+		want := map[types.ObjKey]types.OpID{dk("a"): opA, dk("c"): opC}
+		if got := locks(); !reflect.DeepEqual(got, want) || st.Locked() != 2 {
+			t.Errorf("Locks visited %v (%d locked), want %v", got, st.Locked(), want)
+		}
+		st.Unlock(Ref{Key: dk("a"), Row: st.Find(dk("a"))}, opA)
+		if got := locks(); len(got) != 1 || got[dk("c")] != opC {
+			t.Errorf("after an unlock Locks visited %v, want only c's", got)
+		}
+		if op, ok := st.Holder(NoRow); ok || op != types.NilOp {
+			t.Errorf("NoRow has holder %v", op)
 		}
 	})
 }

@@ -21,10 +21,6 @@ type Op struct {
 
 	// Type is the inode type for create/mkdir.
 	Type FileType
-
-	// NewParent/NewName are the destination for rename.
-	NewParent InodeID
-	NewName   string
 }
 
 // String renders an Op compactly for logs.

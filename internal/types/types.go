@@ -58,9 +58,8 @@ func (o OpID) String() string {
 
 // OpKind enumerates the metadata operations handled by the system. The first
 // six are the cross-server operations of Table I; Stat and Lookup are
-// single-server reads; SetAttr is a single-server update; Rename is the
-// >2-server operation the paper excludes from Cx (we route it through a 2PC
-// fallback as a documented extension).
+// single-server reads; SetAttr is a single-server update. Rename, which the
+// paper leaves out of Cx (§II.A), is not served.
 type OpKind uint8
 
 const (
@@ -74,7 +73,7 @@ const (
 	OpStat
 	OpLookup
 	OpSetAttr
-	OpRename
+	_ // unused, so that OpReaddir and every later kind keep their encoded value
 	// OpReaddir lists a directory; because directories are striped, the
 	// client fans it out to every server and unions the partitions.
 	OpReaddir
@@ -92,13 +91,12 @@ var opKindNames = [...]string{
 	OpStat:    "stat",
 	OpLookup:  "lookup",
 	OpSetAttr: "setattr",
-	OpRename:  "rename",
 	OpReaddir: "readdir",
 }
 
 // String returns the lowercase name of the operation kind.
 func (k OpKind) String() string {
-	if int(k) < len(opKindNames) {
+	if int(k) < len(opKindNames) && opKindNames[k] != "" {
 		return opKindNames[k]
 	}
 	return fmt.Sprintf("opkind(%d)", uint8(k))
@@ -108,7 +106,7 @@ func (k OpKind) String() string {
 // servers (when the coordinator and participant placements differ).
 func (k OpKind) CrossServer() bool {
 	switch k {
-	case OpCreate, OpRemove, OpMkdir, OpRmdir, OpLink, OpUnlink, OpRename:
+	case OpCreate, OpRemove, OpMkdir, OpRmdir, OpLink, OpUnlink:
 		return true
 	}
 	return false
@@ -252,9 +250,6 @@ var (
 	// executed (and even committed) on the servers. Callers must not treat
 	// it as a definite failure.
 	ErrTimeout = errors.New("operation timed out (outcome unknown)")
-	// ErrNotSupported reports an operation the protocol does not implement:
-	// rename under the baselines, which the paper leaves out (§II.A).
-	ErrNotSupported = errors.New("operation not supported")
 	// ErrNameTooLong reports an operation naming an entry longer than
 	// MaxName bytes; the client refuses it before sending anything.
 	ErrNameTooLong = errors.New("file name too long")
@@ -268,7 +263,7 @@ func WireError(msg string) error {
 		return ErrAborted
 	}
 	for _, known := range []error{ErrExists, ErrNotFound, ErrNotEmpty,
-		ErrNotDir, ErrIsDir, ErrAborted, ErrInvalidated, ErrNotSupported} {
+		ErrNotDir, ErrIsDir, ErrAborted, ErrInvalidated} {
 		if strings.HasSuffix(msg, known.Error()) {
 			return fmt.Errorf("%s: %w", msg, known)
 		}

@@ -107,9 +107,7 @@ type Record struct {
 	After  []types.RowImage
 	// Peer is the other server of the operation (participant on the
 	// coordinator's records and vice versa), so recovery resumes the
-	// commitment with the right node without re-deriving placement —
-	// which is impossible for rename, whose destination entry server is
-	// not a function of the recorded sub-op.
+	// commitment with the right node without re-deriving placement.
 	Peer    types.NodeID
 	HasPeer bool
 }

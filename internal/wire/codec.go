@@ -44,9 +44,6 @@ func Validate(m *Msg) error {
 	if len(m.FullOp.Name) > MaxString {
 		return fmt.Errorf("wire: op name of %d bytes exceeds %d", len(m.FullOp.Name), MaxString)
 	}
-	if len(m.FullOp.NewName) > MaxString {
-		return fmt.Errorf("wire: op new-name of %d bytes exceeds %d", len(m.FullOp.NewName), MaxString)
-	}
 	if len(m.Err) > MaxString {
 		return fmt.Errorf("wire: error text of %d bytes exceeds %d", len(m.Err), MaxString)
 	}
@@ -148,8 +145,10 @@ func (e *encoder) op(o types.Op) {
 	e.str(o.Name)
 	e.u64(uint64(o.Ino))
 	e.u8(uint8(o.Type))
-	e.u64(uint64(o.NewParent))
-	e.str(o.NewName)
+	// Destination: the retired rename's, always empty. The field stays so that
+	// every frame keeps its size, and with it the modelled transfer time.
+	e.u64(0)
+	e.str("")
 }
 func (e *encoder) inode(in types.Inode) {
 	e.u64(uint64(in.Ino))
@@ -292,8 +291,8 @@ func (d *decoder) op() types.Op {
 	o.Name = d.str()
 	o.Ino = types.InodeID(d.u64())
 	o.Type = types.FileType(d.u8())
-	o.NewParent = types.InodeID(d.u64())
-	o.NewName = d.str()
+	d.u64() // destination (empty; see encoder.op)
+	d.str()
 	return o
 }
 func (d *decoder) inode() types.Inode {
@@ -490,7 +489,7 @@ func Size(m *Msg) int64 {
 		16 + // op id
 		8 + // reply proc
 		(16 + 1 + 1 + 1 + 8 + 2 + len(m.Sub.Name) + 8 + 1) + // sub-op
-		(16 + 1 + 8 + 2 + len(m.FullOp.Name) + 8 + 1 + 8 + 2 + len(m.FullOp.NewName)) + // full op
+		(16 + 1 + 8 + 2 + len(m.FullOp.Name) + 8 + 1 + 8 + 2) + // full op, its empty destination included
 		4 + 1 + // peer, ok
 		2 + len(m.Err) +
 		16 + 4 + // hint, epoch

@@ -106,8 +106,7 @@ func quickMsgValues(vals []reflect.Value, r *rand.Rand) {
 		Err:  randStr(r, 20),
 		Sub:  types.SubOp{Name: randStr(r, 40)},
 		FullOp: types.Op{
-			Name:    randStr(r, 30),
-			NewName: randStr(r, 30),
+			Name: randStr(r, 30),
 		},
 		Epoch:      r.Uint32(),
 		Dir:        types.InodeID(r.Uint64()),
@@ -381,6 +380,24 @@ func TestGoldenRowsAndEntries(t *testing.T) {
 		b := mustEncode(t, &c.m)
 		if got := hex.EncodeToString(b); got != c.hex || Size(&c.m) != c.size {
 			t.Errorf("%v: %d bytes (Size %d)\n got %s\nwant %s (%d bytes)", c.m.Type, len(b), Size(&c.m), got, c.hex, c.size)
+		}
+	}
+}
+
+// TestRequestFrameSizesPinned pins the size of a create's OP-REQ and of its
+// coordinator SUBOP-REQ. Every frame carries a full op, and the full op keeps
+// an empty 10-byte destination field, so that the network charges each
+// 2PC, CE and Cx message what it did before rename was dropped.
+func TestRequestFrameSizesPinned(t *testing.T) {
+	id := types.OpID{Proc: types.ProcID{Client: 101, Index: 2}, Seq: 7}
+	op := types.Op{ID: id, Kind: types.OpCreate, Parent: 1, Name: "f0001", Ino: 42, Type: types.FileRegular}
+	cSub, _ := types.Split(op)
+	for _, m := range []Msg{
+		{Type: MsgOpReq, From: 101, To: 0, Op: id, ReplyProc: id.Proc, FullOp: op},
+		{Type: MsgSubOpReq, From: 101, To: 0, Op: id, ReplyProc: id.Proc, Sub: cSub, Peer: 3},
+	} {
+		if got, n := Size(&m), len(mustEncode(t, &m)); got != 228 || n != 228 {
+			t.Errorf("%v: Size %d, %d bytes encoded, want 228", m.Type, got, n)
 		}
 	}
 }

@@ -20,8 +20,8 @@ func seedMsgs() []Msg {
 		Type: types.FileRegular,
 	}
 	full := types.Op{
-		ID: id(7), Kind: types.OpRename, Parent: 1, Name: "old", Ino: 42,
-		Type: types.FileRegular, NewParent: 2, NewName: "new",
+		ID: id(7), Kind: types.OpCreate, Parent: 1, Name: "f0001", Ino: 42,
+		Type: types.FileRegular,
 	}
 	return []Msg{
 		{Type: MsgInvalid},

@@ -62,7 +62,7 @@ const (
 	// Chassis-level liveness (answered by node.Base, not the protocol).
 	MsgPing
 	MsgPong
-	// Client read path with leases (extension; ROADMAP item 5).
+	// Client read path with leases (extension).
 	MsgLookupReq  // resolve (Dir, Path) -> inode, requesting a lease
 	MsgLookupResp // resolution result plus the granted lease (epoch/TTL)
 	msgTypeCount
