@@ -256,7 +256,6 @@ func (d *Driver) Readdir(p *simrt.Proc, id types.OpID, dir types.InodeID) ([]nam
 type respState struct {
 	have   bool
 	ok     bool
-	hint   types.OpID
 	epoch  uint32
 	err    string
 	attr   types.Inode
@@ -377,7 +376,6 @@ func (st *respState) absorb(m *wire.Msg) {
 	}
 	st.have = true
 	st.ok = m.OK
-	st.hint = m.Hint
 	st.epoch = m.Epoch
 	st.err = m.Err
 	st.attr = m.Attr

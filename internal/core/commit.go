@@ -501,40 +501,24 @@ func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce 
 		remaining := deadline - s.Sim.Now()
 		if remaining <= 0 {
 			s.stats.VoteTimeouts++
-			s.markAborted(id) // the sub-op must not execute after this NO
-			if br := s.parkedReq(id); br != nil {
-				s.unpark(br)
-			}
+			// The sub-op must not execute after this NO; a parked copy of it
+			// is dropped when its holder lets go.
+			s.markAborted(id)
 			return false
 		}
-		if st != nil && st.parked != nil {
-			br, holder := st.parked, st.parked.holder
-			enforced := slices.Contains(enforce, holder)
-			if enforced {
-				br.kept = true // held across the invalidation's append
-			}
-			if enforced && s.invalidate(p, holder, id) {
-				// Disordered conflict: the coordinator ordered id before
-				// holder, but we executed holder first. It is invalidated;
-				// execute id now (§III.C step 4). st is held across the
-				// invalidation's append: the execution registers in it only
-				// if it is still id's.
-				if s.Gone(boot) {
-					return false
-				}
-				s.unpark(br)
-				s.execParked(p, br, st, types.NilOp, kvstore.Probe{})
-				if s.Gone(boot) {
-					return false
-				}
-				s.settle(s.find(id))
-				continue
-			}
+		switch {
+		case st != nil && st.parked != nil && slices.Contains(enforce, st.parked.holder) && s.invalidate(p, st.parked.holder, id):
+			// Disordered conflict: the coordinator ordered id before the
+			// holder, but we executed the holder first. It is invalidated,
+			// and id's request re-dispatches ahead of it (§III.C step 4):
+			// wait for it to execute, as for an arrival.
+		case st != nil && st.parked != nil:
 			// Ordered conflict: commit the holder first, then id executes
-			// with holder as its hint (via the release path).
+			// with holder as its hint (via the holder's letGo).
+			holder := st.parked.holder
 			s.requestCommit(holder, false, -1)
 			s.await(p, holder, false, remaining)
-		} else {
+		default:
 			// Not arrived yet: wait for execution or timeout.
 			s.await(p, id, true, remaining)
 		}
@@ -572,11 +556,9 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 			others = append(others, d.Op)
 		case !d.Commit:
 			// Abort for an operation we never executed (vote timeout or
-			// in-flight sub-op): poison it and cancel any blocked copy.
+			// in-flight sub-op): poison it. A parked copy is dropped when
+			// its holder lets go.
 			s.markAborted(d.Op)
-			if br := s.parkedReq(d.Op); br != nil {
-				s.unpark(br)
-			}
 			if s.Executing(d.Op) {
 				inflight = append(inflight, d.Op)
 			}

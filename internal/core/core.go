@@ -48,7 +48,7 @@
 // trace, a crash-point) is not the protocol's business.
 //
 // Where this departs from the paper's text — completion driven by
-// invalidation notices and execution epochs rather than hint equality alone,
+// invalidation notices and execution epochs rather than hint equality,
 // bounded vote waits, abort marks, log-pressure rounds instead of waiting
 // for a full log — is listed with the reasons in DESIGN.md §5.
 package core
@@ -206,7 +206,7 @@ type Server struct {
 
 	// What this server knows per object is kept on the object's row in the
 	// store, not here: the executed-pending operation holding it active is
-	// the row's lock (hold, releaseKeys), and an execution that has written
+	// the row's lock (hold, letGo), and an execution that has written
 	// it but whose Result-Record is not durable yet is a pin on it
 	// (logResults), which write-back reads (drainFlushQ).
 

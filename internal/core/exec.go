@@ -46,14 +46,15 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 			s.Send(&reply)
 		}
 		return
-	case st.parked != nil:
-		return // original request is parked; its response will come
 	case st.aborted:
 		// The operation was aborted before this sub-op arrived (immediate
-		// commitment raced the request). Refuse execution.
+		// commitment raced the request), or while it was parked: its parked
+		// copy is dropped when its holder lets go. Refuse execution.
 		s.Send(&wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op, OK: false,
 			Err: types.ErrAborted.Error(), Epoch: 1})
 		return
+	case st.parked != nil:
+		return // original request is parked; its response will come
 	}
 	seen, parked := s.parkIfHeld(m, sub, 1, kvstore.Probe{})
 	if parked {
@@ -197,7 +198,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 		// aborted: undo the effects, seal the abort in the log so recovery
 		// agrees (and the records prune), and answer aborted.
 		rec := s.rollBack(&execution{sub: sub, undo: res.Undo()})
-		s.releaseKeys(res.Rows, sub.Op)
+		s.letGo(st, res.Rows)
 		s.release(st) // the object is free again: nothing waits for the Abort-Record
 		s.WAL.AppendBatchPriority(p, []wal.Record{rec})
 		s.queueFlush(sub.Op, res.Rows)
@@ -275,18 +276,10 @@ func (s *Server) hold(sub types.SubOp, row kvstore.Row) {
 	}
 }
 
-// releaseKeys unlocks the object row of an execution of op (the first of the
-// rows it wrote), if op still holds it.
-func (s *Server) releaseKeys(rows kvstore.Refs, op types.OpID) {
-	if rows[0].Key.Kind != 0 {
-		s.KV.Unlock(rows[0], op)
-	}
-}
-
 // redispatch re-runs a released sub-op: it may conflict again with a newer
 // holder, be dead (its operation aborted meanwhile), or execute with the
-// released operation as its hint. It reports whether it parked br again.
-func (s *Server) redispatch(p *simrt.Proc, br *blockedReq, released types.OpID) (parked bool) {
+// holder that let it go as its hint. It reports whether it parked br again.
+func (s *Server) redispatch(p *simrt.Proc, br *blockedReq) (parked bool) {
 	if s.Crashed() {
 		return false
 	}
@@ -313,19 +306,14 @@ func (s *Server) redispatch(p *simrt.Proc, br *blockedReq, released types.OpID) 
 		// A parked leased read re-resolves now that the holder committed.
 		s.handleLookup(p, &br.msg)
 	default:
-		s.execParked(p, br, st, released, seen)
+		// Once the chassis admits it: not if a copy of it executes, or its
+		// operation finished, meanwhile.
+		if s.Begin(sub.Op, br.msg.From) {
+			defer s.End(sub.Op)
+			s.execSubOp(p, &br.msg, st, br.holder, br.epoch, seen)
+		}
 	}
 	return false
-}
-
-// execParked executes a sub-op request taken out of a queue, once the chassis
-// admits it: not if a copy of it executes, or its operation finished, meanwhile.
-func (s *Server) execParked(p *simrt.Proc, br *blockedReq, st *opState, hint types.OpID, seen kvstore.Probe) {
-	if !s.Begin(br.msg.Sub.Op, br.msg.From) {
-		return
-	}
-	defer s.End(br.msg.Sub.Op)
-	s.execSubOp(p, &br.msg, st, hint, br.epoch, seen)
 }
 
 // handleLocalOp executes an operation whose coordinator and participant

@@ -147,18 +147,16 @@ func sealedReply(id types.OpID, committed bool) wire.Msg {
 
 // blockedReq is a sub-op parked behind an active object. Requests come from
 // the server's free list (newBlocked) and go back to it when the redispatch
-// their holder's release starts returns without parking them again.
+// their holder's letGo starts returns without parking them again.
 type blockedReq struct {
-	msg    wire.Msg
-	holder types.OpID // pending op whose commitment it awaits
+	msg wire.Msg
+	// holder is the op whose list it is on, and the conflict hint it
+	// re-executes with; nil for the request an invalidation sends first.
+	holder types.OpID
 	epoch  uint32
 	next   *blockedReq // the holder's next follower
 
-	released types.OpID        // the holder whose release re-dispatches it
-	run      func(*simrt.Proc) // the redispatch proc's body, bound to this request once
-	// kept is set on a request a vote handler holds across a park
-	// (resolveVote): a redispatch it races with must not recycle it.
-	kept bool
+	run func(*simrt.Proc) // the redispatch proc's body, bound to this request once
 }
 
 // newBlocked returns an empty parked request from the free list, or a new
@@ -171,7 +169,7 @@ func (s *Server) newBlocked() *blockedReq {
 	}
 	br := &blockedReq{}
 	br.run = func(p *simrt.Proc) {
-		if !s.redispatch(p, br, br.released) && !br.kept {
+		if !s.redispatch(p, br) {
 			*br = blockedReq{run: br.run}
 			s.freeBlocked = append(s.freeBlocked, br)
 		}
@@ -241,14 +239,6 @@ func (s *Server) recycle(st *opState) {
 func (s *Server) pending(op types.OpID) *opState {
 	if st := s.find(op); st != nil && st.phase != phaseNone {
 		return st
-	}
-	return nil
-}
-
-// parkedReq returns op's parked request, if it has one.
-func (s *Server) parkedReq(op types.OpID) *blockedReq {
-	if st := s.find(op); st != nil {
-		return st.parked
 	}
 	return nil
 }
@@ -377,23 +367,6 @@ func (s *Server) park(br *blockedReq) {
 	}
 }
 
-// unpark takes a parked request out of its holder's queue. Its own entry
-// stays for the execution (or abort mark) that follows.
-func (s *Server) unpark(br *blockedReq) {
-	if h := s.find(br.holder); h != nil {
-		for pp := &h.followers; *pp != nil; pp = &(*pp).next {
-			if *pp == br {
-				*pp, br.next = br.next, nil
-				break
-			}
-		}
-		s.settle(h)
-	}
-	if st := s.find(br.msg.Sub.Op); st != nil && st.parked == br {
-		st.parked = nil
-	}
-}
-
 // addIdle indexes a freshly registered, not yet committing coordinator
 // execution under its participant.
 func (s *Server) addIdle(st *opState) {
@@ -464,9 +437,11 @@ func (st *opState) take() {
 }
 
 // invalidate undoes an executed-but-uncommitted operation at this server
-// (§III.C step 4): its effects roll back, an Invalidate-Record is logged,
-// its client is notified that the earlier response is void, and the sub-op
-// re-queues behind afterOp with a bumped epoch.
+// (§III.C step 4): its effects roll back and it lets go of its object,
+// afterOp's request (parked behind it) re-dispatching ahead of its other
+// followers; an Invalidate-Record is logged, its client is notified that the
+// earlier response is void, and the sub-op re-queues behind afterOp with a
+// bumped epoch.
 func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID) bool {
 	st := s.find(victim)
 	if st == nil || st.phase != phasePending {
@@ -484,7 +459,18 @@ func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID
 	st.phase = phaseNone
 	s.stats.Invalidations++
 	s.Shard.ApplyUndo(e.undo)
-	s.releaseKeys(e.rows, victim)
+	if a := s.find(afterOp); a != nil && a.parked != nil && a.parked.holder == victim {
+		// The coordinator's order: afterOp executes first, with no hint.
+		br := a.parked
+		for pp := &st.followers; *pp != nil; pp = &(*pp).next {
+			if *pp == br {
+				*pp = br.next
+				break
+			}
+		}
+		br.holder, br.next, st.followers = types.NilOp, st.followers, br
+	}
+	s.letGo(st, e.rows)
 	if s.step(StepInvalidateAfterUndo, victim, 0, func() string { return e.sub.Kind.String() }) {
 		return false
 	}
@@ -579,25 +565,36 @@ func (s *Server) finish(st *opState, reply wire.Msg) {
 	// the records are durable, the pages drain with the next lazy batch and
 	// the log records prune only after that flush), and whoever waits on the
 	// operation moves on.
-	s.releaseKeys(st.rows, st.id())
+	s.letGo(st, st.rows)
 	s.queueFlush(st.id(), st.rows)
 	s.release(st)
 }
 
-// release lets go of what waits on an operation that holds nothing here any
-// more: blocked followers re-dispatch with op as their conflict hint, procs
-// parked on its completion wake, a demand for its commitment is moot.
-func (s *Server) release(st *opState) {
-	op := st.id()
+// letGo is an execution of st's operation letting go of its object: the
+// object row (the first of the rows it wrote) is unlocked, if the operation
+// still holds it, and the requests parked behind the operation re-dispatch in
+// the order they queued (arrival order, but for the request an invalidation
+// puts first), each with its holder as its conflict hint. Every holder that
+// ends (finish), is rolled back inside its append (execSubOp) or is
+// invalidated lets go here, and only here.
+func (s *Server) letGo(st *opState, rows kvstore.Refs) {
+	if rows[0].Key.Kind != 0 {
+		s.KV.Unlock(rows[0], st.id())
+	}
 	for st.followers != nil {
 		br := st.followers
 		st.followers, br.next = br.next, nil
 		if fst := s.find(br.msg.Sub.Op); fst != nil && fst.parked == br {
 			fst.parked = nil
 		}
-		br.released = op
 		s.Sim.Spawn("cx/redispatch", br.run)
 	}
+}
+
+// release lets go of what else waits on an operation that holds nothing here
+// any more: procs parked on its completion wake, a demand for its commitment
+// is moot.
+func (s *Server) release(st *opState) {
 	st.fire(false)
 	st.wanted = false
 	s.settle(st)

@@ -5,11 +5,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"cxfs/internal/kvstore"
+	"cxfs/internal/obs"
 	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
@@ -343,38 +345,93 @@ func TestCheckStateNoticesDisagreement(t *testing.T) {
 	})
 }
 
-// A request parked behind an execution that is aborted inside its
-// Result-Record append is released with it. (The late rollback used to free
-// the object and forget the queue: the follower stayed parked behind an
-// operation that no longer existed, until its own vote timed out.)
-func TestLateAbortReleasesFollowers(t *testing.T) {
-	r := newRig(1<<20, Config{Timeout: time.Hour})
-	r.run(t, func(p *simrt.Proc) {
-		op := r.create(0, 1)
-		req := subOpReq(op, types.RoleParticipant)
-		r.host.Send(&req)
-		p.Sleep(200 * time.Microsecond)
-		// Another process links to the inode being created: parked behind it.
-		link := types.Op{ID: types.OpID{Proc: types.ProcID{Client: 2, Index: 1}, Seq: 1}, Kind: types.OpLink,
-			Parent: types.RootInode, Name: r.name(0), Ino: op.Ino}
-		req = subOpReq(link, types.RoleParticipant)
-		r.host.Send(&req)
-		p.Sleep(200 * time.Microsecond)
-		s := r.srv[1]
-		if !s.Executing(op.ID) || s.parkedReq(link.ID) == nil {
-			t.Fatal("no request parked behind an execution inside its append: the test is vacuous")
-		}
-		r.srv[0].Send(&wire.Msg{Type: wire.MsgCommitReq, To: 1, Op: op.ID,
-			Decisions: []wire.Decision{{Op: op.ID}}})
-		p.Sleep(50 * time.Millisecond)
-		if s.parkedReq(link.ID) != nil {
-			t.Errorf("the follower is still parked behind the aborted %v", op.ID)
-		}
-		if st := s.pending(link.ID); st == nil || st.ok {
-			t.Errorf("the follower did not run against the rolled-back inode: %s", s.DebugOp(link.ID))
-		}
-		if bad := s.CheckState(); len(bad) != 0 {
-			t.Error(bad)
-		}
-	})
+// Every way a holder lets go of its object re-dispatches the requests parked
+// behind it: a commit that finishes it, an abort that lands inside its
+// Result-Record append, and an invalidation by an enforced VOTE (§III.C step
+// 4), where the request the coordinator ordered first executes before the
+// holder's other followers. The holder is a create whose participant half,
+// on server 1, holds its new inode; the followers link to that inode
+// (DESIGN.md §5 item 21).
+func TestEveryLetGoReleasesFollowers(t *testing.T) {
+	cases := []struct {
+		what string
+		// inAppend parks the followers while the holder is inside its
+		// Result-Record append, not once it is pending.
+		inAppend bool
+		// enforced parks a second follower, ordered first by a VOTE that
+		// enforces it, which is what lets go.
+		enforced bool
+		decision *wire.Decision // what lets go otherwise: a COMMIT-REQ with it
+		ran      bool           // the follower's execution succeeds
+	}{
+		{what: "commit, then finish", decision: &wire.Decision{Commit: true}, ran: true},
+		{what: "abort inside the Result-Record append", inAppend: true, decision: &wire.Decision{}},
+		{what: "invalidation by an enforced VOTE", enforced: true},
+	}
+	for _, c := range cases {
+		t.Run(c.what, func(t *testing.T) {
+			r := newRig(1<<20, Config{Timeout: time.Hour})
+			r.run(t, func(p *simrt.Proc) {
+				s := r.srv[1]
+				var execs []types.OpID
+				defer s.Events.Subscribe(func(ev obs.Event) {
+					if ev.Node == 1 && ev.Step == uint8(StepExecProvisional)+1 {
+						execs = append(execs, ev.Op)
+					}
+				})()
+				holder := r.create(0, 1)
+				req := subOpReq(holder, types.RoleParticipant)
+				r.host.Send(&req)
+				if c.inAppend {
+					p.Sleep(200 * time.Microsecond)
+				} else {
+					p.Sleep(20 * time.Millisecond)
+				}
+				// Other processes link to the inode being created: parked
+				// behind it, the enforced one first.
+				link := func(proc int32) types.Op {
+					op := types.Op{ID: types.OpID{Proc: types.ProcID{Client: 2, Index: proc}, Seq: 1}, Kind: types.OpLink,
+						Parent: types.RootInode, Name: r.name(0), Ino: holder.Ino}
+					req := subOpReq(op, types.RoleParticipant)
+					r.host.Send(&req)
+					p.Sleep(200 * time.Microsecond)
+					return op
+				}
+				var first types.Op
+				if c.enforced {
+					first = link(2)
+				}
+				follower := link(1)
+				parked := func(op types.Op) bool { st := s.find(op.ID); return st != nil && st.parked != nil }
+				if s.Executing(holder.ID) != c.inAppend || !parked(follower) || c.enforced && !parked(first) {
+					t.Fatal("the followers are not parked behind the holder as the case needs: the test is vacuous")
+				}
+				if c.enforced {
+					r.srv[0].Send(&wire.Msg{Type: wire.MsgVote, To: 1, Ops: []types.OpID{first.ID}, Enforce: []types.OpID{holder.ID}})
+				} else {
+					d := *c.decision
+					d.Op = holder.ID
+					r.srv[0].Send(&wire.Msg{Type: wire.MsgCommitReq, To: 1, Op: holder.ID, Decisions: []wire.Decision{d}})
+				}
+				p.Sleep(50 * time.Millisecond)
+				if parked(follower) {
+					t.Errorf("the follower is still parked behind %v (%s)", holder.ID, s.DebugOp(holder.ID))
+				}
+				if st := s.pending(follower.ID); st == nil || st.ok != c.ran {
+					t.Errorf("the follower did not run with OK=%v: %s", c.ran, s.DebugOp(follower.ID))
+				}
+				if c.enforced {
+					if i, j := slices.Index(execs, first.ID), slices.Index(execs, follower.ID); i < 0 || i > j {
+						t.Errorf("executions on server 1 %v: the enforced %v did not run before the follower %v", execs, first.ID, follower.ID)
+					}
+					if st := s.find(holder.ID); st == nil || st.parked == nil || st.parked.holder != first.ID {
+						t.Errorf("the invalidated holder is not parked behind the enforced %v: %s", first.ID, s.DebugOp(holder.ID))
+					}
+				}
+				if bad := s.CheckState(); len(bad) != 0 {
+					t.Error(bad)
+				}
+			})
+		})
+	}
 }

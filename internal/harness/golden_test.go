@@ -122,7 +122,13 @@ func TestGoldenRuns(t *testing.T) {
 		want golden
 	}{
 		{"s3d/cx", replayGolden(cluster.ProtoCx), golden{1074147404, 42285, 177038, "5df2f9027a81265f"}},
-		{"s3d/cx/traced+disorder", tracedGolden, golden{1074147404, 42285, 177038, "68444ffb8b8eb086"}},
+		// The digest was re-pinned once, for one cause: in the disorder
+		// experiment the enforced unlink re-dispatches when the invalidated
+		// link lets go of the inode, at its undo (2,152 µs), not after the
+		// Invalidate-Record append (4,152 µs); every later event of that run
+		// is 15 µs earlier. The replay's clock, messages and events did not
+		// move.
+		{"s3d/cx/traced+disorder", tracedGolden, golden{1074147404, 42285, 177038, "ef299dcee6b9b68f"}},
 		{"s3d/se", replayGolden(cluster.ProtoSE), golden{1513573425, 41862, 207144, "f69da3b7256bdfd4"}},
 		{"s3d/se-batched", replayGolden(cluster.ProtoSEBatched), golden{1418742223, 41864, 179986, "8e6f6b023d3cfad2"}},
 		{"s3d/2pc", replayGolden(cluster.Proto2PC), golden{10453539005, 54824, 325395, "1309b7599a1867e9"}},
