@@ -128,15 +128,6 @@ func (s *SEServer) handleLookup(p *simrt.Proc, m *wire.Msg) {
 	s.AnswerLookup(m)
 }
 
-// maybeRevoke fires the lease revocation when an executed sub-op mutated a
-// directory entry.
-func (s *SEServer) maybeRevoke(sub types.SubOp) {
-	switch sub.Action {
-	case types.ActInsertEntry, types.ActRemoveEntry:
-		s.RevokeLeases(sub.Parent, sub.Name, sub.Op)
-	}
-}
-
 // persist makes an execution durable per the server's mode: plain OFS
 // writes the rows synchronously into the database; OFS-batched appends a
 // log record and defers the database write to the flush daemon.
@@ -166,7 +157,7 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	s.ExecCPU(p)
 	res := s.Shard.Exec(sub, s.NowNanos())
 	if res.OK && mutating {
-		s.maybeRevoke(sub)
+		s.RevokeLeases(sub)
 		s.persist(p, sub.Op, sub, res)
 		if s.Crashed() {
 			return
@@ -178,6 +169,9 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	reply := wire.Msg{Type: wire.MsgSubOpResp, To: m.From, Op: sub.Op, OK: res.OK, Attr: res.Inode, Epoch: 1}
 	if res.Err != nil {
 		reply.Err = res.Err.Error()
+	}
+	if res.OK {
+		s.LeaseOn(&reply, sub) // the coordinator's: the entry it made is leased to the client
 	}
 	if mutating {
 		s.CacheReply(sub.Op, &reply)
@@ -242,7 +236,8 @@ func (s *SEServer) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 		s.Send(&reply)
 		return
 	}
-	s.maybeRevoke(cSub)
+	s.RevokeLeases(cSub)
+	s.LeaseOn(&reply, cSub)
 	s.persist(p, op.ID, pSub, resP)
 	if s.Crashed() {
 		return

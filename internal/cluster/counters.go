@@ -26,15 +26,16 @@ type Counters struct {
 	Resumes uint64        // of which switched to a proc (host cost, not model)
 	Net     transport.Stats
 	Node    node.Stats
-	Core    core.Stats // zero under the baselines
+	Host    node.HostStats // summed over the client hosts
+	Core    core.Stats     // zero under the baselines
 	Cache   core.CacheStats
 	WAL     wal.Stats
 	KV      kvstore.Stats
 	Disk    disk.Stats
 }
 
-// ServerCounters reads server i alone. At, Events, Resumes, Net and Cache
-// belong to no one server and stay zero.
+// ServerCounters reads server i alone. At, Events, Resumes, Net, Host and
+// Cache belong to no one server and stay zero.
 func (c *Cluster) ServerCounters(i int) Counters {
 	b := c.Bases[i]
 	out := Counters{Node: b.Stats(), WAL: b.WAL.Stats(), KV: b.KV.Stats(), Disk: b.Disk.Stats()}
@@ -45,12 +46,16 @@ func (c *Cluster) ServerCounters(i int) Counters {
 }
 
 // Counters reads the whole cluster: every server's counters summed, plus
-// the network, the client caches and the simulator's event count.
+// the network, the client hosts and their caches, and the simulator's event
+// count.
 func (c *Cluster) Counters() Counters {
 	out := Counters{At: c.Sim.Now(), Events: c.Sim.EventsRun(), Resumes: c.Sim.Resumes(),
 		Net: c.Net.Stats(), Cache: c.CacheStats()}
 	for i := range c.Bases {
 		accumulate(&out, c.ServerCounters(i), 1)
+	}
+	for _, h := range c.Hosts {
+		accumulate(&out.Host, h.Stats(), 1)
 	}
 	return out
 }

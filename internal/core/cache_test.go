@@ -245,3 +245,120 @@ func TestCacheEvictionOrder(t *testing.T) {
 		}
 	}
 }
+
+// replyMsg builds the reply to this client's mutation op that made (dir,
+// name): the lease the dentry server granted, and the inode a lookup would
+// return.
+func replyMsg(server types.NodeID, op types.OpID, ino types.InodeID, epoch uint64, ttl time.Duration) *wire.Msg {
+	return &wire.Msg{Type: wire.MsgSubOpResp, From: server, Op: op, OK: true,
+		Attr: types.Inode{Ino: ino}, LeaseEpoch: epoch, LeaseTTL: ttl}
+}
+
+// A mutation in flight keeps lookup answers for its entry out of the cache;
+// completed OK with a lease, it installs the binding its reply leased,
+// stamped with its issue time and anchored at the reply's receipt. A failed,
+// unleased or revoked one installs nothing, and neither does one whose entry
+// another of the client's mutations still has in flight.
+func TestCacheInstallsOwnMutation(t *testing.T) {
+	ttl := 40 * time.Millisecond
+	op := func(seq uint64) types.OpID { return types.OpID{Proc: types.ProcID{Client: 100}, Seq: seq} }
+
+	c := NewCache(8)
+	c.dispatch(op(1), types.RootInode, "f", 1*time.Millisecond)
+	c.Put(2*time.Millisecond, 3*time.Millisecond, grantMsg(0, types.RootInode, "f", 0, false, 1, ttl))
+	if c.Len() != 0 {
+		t.Error("a lookup answer was cached while the client's mutation of the entry was in flight")
+	}
+	c.leased(4*time.Millisecond, replyMsg(0, op(1), 7, 1, ttl))
+	c.complete(5*time.Millisecond, op(1), nil)
+	attr, found, grant, ok := c.Get(6*time.Millisecond, types.RootInode, "f")
+	if !ok || !found || attr.Ino != 7 || grant != 1*time.Millisecond {
+		t.Errorf("installed entry: ino=%v found=%v grant=%v ok=%v, want 7, found, the 1ms issue time", attr.Ino, found, grant, ok)
+	}
+	if _, _, _, ok := c.Get(4*time.Millisecond+ttl, types.RootInode, "f"); ok {
+		t.Error("installed entry served past the reply's receipt plus its TTL")
+	}
+	// An answer issued before the installed entry's grant stamp does not
+	// replace it.
+	c.dispatch(op(2), types.RootInode, "g", 10*time.Millisecond)
+	c.leased(11*time.Millisecond, replyMsg(0, op(2), 8, 1, ttl))
+	c.complete(12*time.Millisecond, op(2), nil)
+	c.Put(9*time.Millisecond, 13*time.Millisecond, grantMsg(0, types.RootInode, "g", 0, false, 1, ttl))
+	if attr, found, _, ok := c.Get(14*time.Millisecond, types.RootInode, "g"); !ok || !found || attr.Ino != 8 {
+		t.Errorf("an older lookup answer replaced the installed entry: ino=%v found=%v ok=%v", attr.Ino, found, ok)
+	}
+	if got := c.Stats().Installs; got != 2 {
+		t.Errorf("Installs=%d, want 2", got)
+	}
+
+	for _, tc := range []struct {
+		name string
+		run  func(c *Cache)
+	}{
+		{"failed", func(c *Cache) {
+			c.dispatch(op(3), types.RootInode, "h", 0)
+			c.leased(1, replyMsg(0, op(3), 9, 1, ttl))
+			c.complete(2, op(3), types.ErrExists)
+		}},
+		{"unleased", func(c *Cache) {
+			c.dispatch(op(3), types.RootInode, "h", 0)
+			c.complete(2, op(3), nil)
+		}},
+		{"revoked", func(c *Cache) {
+			c.dispatch(op(3), types.RootInode, "h", 0)
+			c.leased(1, replyMsg(0, op(3), 9, 1, ttl))
+			c.Revoke(types.RootInode, "h", 0, 1)
+			c.complete(2, op(3), nil)
+		}},
+		{"another in flight", func(c *Cache) {
+			c.dispatch(op(3), types.RootInode, "h", 0)
+			c.dispatch(op(4), types.RootInode, "h", 0)
+			c.leased(1, replyMsg(0, op(3), 9, 1, ttl))
+			c.complete(2, op(3), nil)
+		}},
+		{"fenced", func(c *Cache) {
+			c.dispatch(op(3), types.RootInode, "h", 0)
+			c.leased(1, replyMsg(0, op(3), 9, 1, ttl))
+			c.Revoke(types.RootInode, "other", 0, 2) // the server rebooted
+			c.complete(2, op(3), nil)
+		}},
+	} {
+		c := NewCache(8)
+		tc.run(c)
+		if _, _, _, ok := c.Get(3, types.RootInode, "h"); ok || c.Stats().Installs != 0 {
+			t.Errorf("%s mutation installed its entry", tc.name)
+		}
+	}
+}
+
+// A mutation that timed out may land later, and its server notifies every
+// holder of the entry but this client: any reply to it drops the entry it
+// names, whatever was cached since, and keeps a mutation of the entry now in
+// flight from installing its result. A reply to any other op drops nothing.
+func TestCacheLateReplyToAbandonedMutationDropsEntry(t *testing.T) {
+	ttl := time.Second
+	op := func(seq uint64) types.OpID { return types.OpID{Proc: types.ProcID{Client: 100}, Seq: seq} }
+	c := NewCache(8)
+	c.dispatch(op(1), types.RootInode, "f", 0)
+	c.complete(1, op(1), types.ErrTimeout)
+	c.Put(2, 3, grantMsg(0, types.RootInode, "f", 0, false, 1, ttl))
+	c.landed(op(2))
+	if _, _, _, ok := c.Get(4, types.RootInode, "f"); !ok {
+		t.Fatal("a reply to another op dropped the entry")
+	}
+	c.dispatch(op(3), types.RootInode, "f", 5)
+	c.leased(6, replyMsg(0, op(3), 7, 1, ttl))
+	c.landed(op(1))
+	c.complete(7, op(3), nil)
+	if _, _, _, ok := c.Get(8, types.RootInode, "f"); ok {
+		t.Error("the entry survived the late reply, or the mutation in flight installed its result")
+	}
+	c.Put(9, 10, grantMsg(0, types.RootInode, "f", 0, false, 1, ttl))
+	c.landed(op(1)) // a further reply: the op may have run again
+	if _, _, _, ok := c.Get(11, types.RootInode, "f"); ok {
+		t.Error("a second late reply to the abandoned mutation dropped nothing")
+	}
+	if st := c.Stats(); st.Invalidations != 2 || st.Installs != 0 {
+		t.Errorf("invalidations=%d installs=%d, want 2 and 0", st.Invalidations, st.Installs)
+	}
+}

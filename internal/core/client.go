@@ -127,12 +127,24 @@ func (d *Driver) do(p *simrt.Proc, op types.Op, out *obs.Outcome) (types.Inode, 
 		}
 		if op.Kind.Mutating() {
 			// Read-your-writes: drop this client's cached view of the entry
-			// the mutation names BEFORE dispatching it. Done unconditionally
-			// (even if the op later fails or times out) — over-invalidation
-			// only costs a miss.
+			// the mutation names BEFORE dispatching it, and cache nothing for
+			// it while the mutation is in flight. Done unconditionally (even
+			// if the op later fails or times out) — over-invalidation only
+			// costs a miss. A mutation that made the entry completes with the
+			// lease its reply carried, and the cache serves the binding.
 			d.cache.Invalidate(op.Parent, op.Name)
+			d.cache.dispatch(op.ID, op.Parent, op.Name, d.host.Sim.Now())
+			ino, err := d.dispatch(p, op, out)
+			d.cache.complete(d.host.Sim.Now(), op.ID, err)
+			return ino, err
 		}
 	}
+	return d.dispatch(p, op, out)
+}
+
+// dispatch sends op down its path: one sub-op to its owner, both halves
+// down the protocol's cross path, or the whole op to its coordinator.
+func (d *Driver) dispatch(p *simrt.Proc, op types.Op, out *obs.Outcome) (types.Inode, error) {
 	if !op.Kind.CrossServer() {
 		return d.doSingle(p, op)
 	}

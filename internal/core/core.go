@@ -119,16 +119,15 @@ type Stats struct {
 	// ran: each batch with at least one operation to commit or (lazy only)
 	// pages to write back counts exactly once, in whichever the daemon ran
 	// it as. A request that finds nothing to do counts in neither.
-	ImmediateCommits  uint64 // batches launched by a conflict, L-COM or recovery
-	LazyBatches       uint64 // batches launched by a trigger: timeout, threshold, idle, log pressure
-	OpsCommitted      uint64
-	OpsAborted        uint64
-	Invalidations     uint64
-	VoteTimeouts      uint64
-	LateInvalidations uint64 // invalidation notices for ops a client completed (must stay 0)
-	Lookups           uint64 // LookupReq served (leased read path)
-	LeasesGranted     uint64 // read leases stamped on lookup replies (the chassis counts)
-	LeaseRevocations  uint64 // revocation notices sent to lease holders (the chassis counts)
+	ImmediateCommits uint64 // batches launched by a conflict, L-COM or recovery
+	LazyBatches      uint64 // batches launched by a trigger: timeout, threshold, idle, log pressure
+	OpsCommitted     uint64
+	OpsAborted       uint64
+	Invalidations    uint64
+	VoteTimeouts     uint64
+	Lookups          uint64 // LookupReq served (leased read path)
+	LeasesGranted    uint64 // read leases granted (the chassis counts)
+	LeaseRevocations uint64 // revocation notices sent to lease holders (the chassis counts)
 }
 
 // flushEntry is an operation whose outcome is durable in the log but whose

@@ -233,11 +233,7 @@ func TestDisorderedStressManyRounds(t *testing.T) {
 	if bad := c.CheckInvariants(); len(bad) != 0 {
 		t.Errorf("invariants: %v", bad)
 	}
-	var lateInv uint64
-	for _, srv := range c.CxSrv {
-		lateInv += srv.Stats().LateInvalidations
-	}
-	if lateInv != 0 {
+	if lateInv := c.Counters().Host.LateInvalidations; lateInv != 0 {
 		t.Errorf("%d late invalidations (op completed then invalidated)", lateInv)
 	}
 }

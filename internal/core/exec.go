@@ -43,6 +43,9 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	case st.phase != phaseNone:
 		if st.replied { // recovery-rebuilt executions have no response yet
 			reply := st.reply()
+			if st.ok {
+				s.LeaseOn(&reply, st.sub)
+			}
 			s.Send(&reply)
 		}
 		return
@@ -220,6 +223,9 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 	if res.Err != nil {
 		reply.Err = res.Err.Error()
 	}
+	if cross && res.OK {
+		s.LeaseOn(&reply, sub) // the lease hold granted
+	}
 	switch {
 	case cross:
 		// The execution awaits its commitment; its entry records the response
@@ -228,7 +234,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 		// object was already active): register replays it.
 		s.register(st, execution{sub: sub, ok: res.OK, undo: res.Undo(), rows: res.Rows,
 			peer: m.Peer, epoch: epoch,
-			replied: true, hint: hint, errStr: reply.Err, attr: res.Inode})
+			replied: true, hint: hint, errStr: reply.Err, attr: reply.Attr})
 	case sub.Action.Mutating():
 		// Single-server update: logged above, flushed by the next batch.
 		s.queueFlush(sub.Op, res.Rows)
@@ -266,14 +272,12 @@ func (s *Server) heldBy(sub types.SubOp, seen kvstore.Probe) (pr kvstore.Probe, 
 
 // hold marks the sub-op's object active: its row, which the execution has
 // just written, is locked by the operation. A dentry becoming active also
-// revokes any read leases on it: the cached value may be stale the moment
-// this execution commits.
+// revokes any read leases on it, for the cached value may be stale the
+// moment this execution commits; one it inserts is leased to the
+// operation's client, whose reply carries the grant.
 func (s *Server) hold(sub types.SubOp, row kvstore.Row) {
 	s.KV.Lock(row, sub.Op)
-	switch sub.Action {
-	case types.ActInsertEntry, types.ActRemoveEntry:
-		s.RevokeLeases(sub.Parent, sub.Name, sub.Op)
-	}
+	s.RevokeLeases(sub)
 }
 
 // redispatch re-runs a released sub-op: it may conflict again with a newer
@@ -375,11 +379,10 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 		return
 	}
 	// The colocated path never marks objects active (it commits in one
-	// batched append below), but the dentry mutation still voids leases.
-	switch cSub.Action {
-	case types.ActInsertEntry, types.ActRemoveEntry:
-		s.RevokeLeases(cSub.Parent, cSub.Name, op.ID)
-	}
+	// batched append below), but the dentry mutation still voids leases,
+	// and a dentry it inserts is leased to the client through the reply.
+	s.RevokeLeases(cSub)
+	s.LeaseOn(&reply, cSub)
 	beforeC, afterC := resC.Images()
 	beforeP, afterP := resP.Images()
 	if !s.logResults(p, boot, []wal.Record{

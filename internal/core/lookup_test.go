@@ -2,36 +2,66 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"cxfs/internal/cluster"
 	"cxfs/internal/simrt"
+	"cxfs/internal/transport"
 	"cxfs/internal/types"
+	"cxfs/internal/wire"
 )
+
+// leasedCluster builds a cluster with the leased cache on and procs
+// processes per client host; processes on distinct hosts hold distinct
+// caches, and a mutation by one of a host's processes leases its result to
+// them all.
+func leasedCluster(servers, hosts, procs int) *cluster.Cluster {
+	o := cluster.DefaultOptions(servers, cluster.ProtoCx)
+	o.ClientHosts = hosts
+	o.ProcsPerHost = procs
+	o.CacheTTL = 10 * time.Second
+	return cluster.MustNew(o)
+}
+
+// lookupVia resolves name as pr's next operation and takes the cache
+// disposition its driver logged for it (the driver tracks lookups).
+func lookupVia(p *simrt.Proc, pr *cluster.Process, name string) (in types.Inode, cached bool, grant time.Duration, err error) {
+	id := pr.NextID()
+	in, err = pr.Driver().Do(p, types.Op{ID: id, Kind: types.OpLookup, Parent: types.RootInode, Name: name})
+	cached, grant, _ = pr.Driver().TakeLookup(id)
+	return in, cached, grant, err
+}
+
+// runLeased runs body as a proc of c, stops the simulation when it returns
+// and checks that it finished and left the namespace consistent.
+func runLeased(t *testing.T, c *cluster.Cluster, body func(p *simrt.Proc)) {
+	t.Helper()
+	c.Sim.Spawn("t", func(p *simrt.Proc) {
+		defer c.Sim.Stop()
+		body(p)
+		c.Quiesce(p)
+	})
+	deadline := time.Hour
+	if end := c.Sim.RunUntil(deadline); end >= deadline {
+		t.Fatal("scenario did not finish within the virtual deadline")
+	}
+	if bad := c.CheckInvariants(); len(bad) != 0 {
+		t.Errorf("invariants: %v", bad)
+	}
+}
 
 // TestLeasedLookupPath drives the whole read path in one scenario: a miss
 // resolves at the coordinator and grants a lease, the repeat lookup serves
 // from the client cache, a foreign mutation revokes the lease via the
 // piggybacked conflict notice, and the next lookup goes back to the server
-// and sees the new truth.
-// leasedCluster builds a cluster with the leased cache on and one process
-// per client host, so distinct procs hold distinct caches (a co-hosted
-// mutation would invalidate instead of exercising revocation).
-func leasedCluster(servers, hosts int) *cluster.Cluster {
-	o := cluster.DefaultOptions(servers, cluster.ProtoCx)
-	o.ClientHosts = hosts
-	o.ProcsPerHost = 1
-	o.CacheTTL = 10 * time.Second
-	return cluster.MustNew(o)
-}
-
+// and sees the new truth. The name is B's, so A's first lookup misses.
 func TestLeasedLookupPath(t *testing.T) {
-	c := leasedCluster(3, 2)
+	c := leasedCluster(3, 2, 1)
 	defer c.Shutdown()
 
-	c.Sim.Spawn("t", func(p *simrt.Proc) {
-		defer c.Sim.Stop()
+	runLeased(t, c, func(p *simrt.Proc) {
 		prA, prB := c.Proc(0), c.Proc(1)
 		drvA := prA.Driver()
 		if drvA.Cache() == nil {
@@ -39,23 +69,16 @@ func TestLeasedLookupPath(t *testing.T) {
 			return
 		}
 		drvA.TrackLookups()
-		// lookupA resolves name as A's next operation and takes the cache
-		// disposition the driver logged for it.
-		lookupA := func(name string) (in types.Inode, cached bool, grant time.Duration, err error) {
-			id := prA.NextID()
-			in, err = drvA.Do(p, types.Op{ID: id, Kind: types.OpLookup, Parent: types.RootInode, Name: name})
-			cached, grant, _ = drvA.TakeLookup(id)
-			return in, cached, grant, err
-		}
+		lookupA := func(name string) (types.Inode, bool, time.Duration, error) { return lookupVia(p, prA, name) }
 
 		const name = "leased"
 		srv := c.Placement.CoordinatorFor(types.RootInode, name)
-		ino, err := prA.Create(p, types.RootInode, name)
+		ino, err := prB.Create(p, types.RootInode, name)
 		if err != nil {
 			t.Errorf("create: %v", err)
 			return
 		}
-		// A's own create invalidated any cached entry, so this is a miss…
+		// A has never seen the name B made, so this is a miss…
 		in, cached, _, err := lookupA(name)
 		if err != nil || in.Ino != ino {
 			t.Errorf("miss lookup: ino=%v err=%v, want %v", in.Ino, err, ino)
@@ -109,30 +132,22 @@ func TestLeasedLookupPath(t *testing.T) {
 		if drvA.Cache().Len() != 0 {
 			t.Error("Flush left entries behind")
 		}
-		c.Quiesce(p)
 	})
-	deadline := time.Hour
-	if end := c.Sim.RunUntil(deadline); end >= deadline {
-		t.Fatal("scenario did not finish within the virtual deadline")
-	}
-	if bad := c.CheckInvariants(); len(bad) != 0 {
-		t.Errorf("invariants: %v", bad)
-	}
 }
 
 // TestTrackedLookupDispositions covers the per-op disposition log: each
-// lookup's entry is its own, and taking it pops it.
+// lookup's entry is its own, and taking it pops it. The name is another
+// host's, so the first lookup misses.
 func TestTrackedLookupDispositions(t *testing.T) {
-	c := leasedCluster(2, 1)
+	c := leasedCluster(2, 2, 1)
 	defer c.Shutdown()
 
-	c.Sim.Spawn("t", func(p *simrt.Proc) {
-		defer c.Sim.Stop()
+	runLeased(t, c, func(p *simrt.Proc) {
 		pr := c.Proc(0)
 		drv := pr.Driver()
 		drv.TrackLookups()
 
-		if _, err := pr.Create(p, types.RootInode, "tracked"); err != nil {
+		if _, err := c.Proc(1).Create(p, types.RootInode, "tracked"); err != nil {
 			t.Errorf("create: %v", err)
 			return
 		}
@@ -161,13 +176,304 @@ func TestTrackedLookupDispositions(t *testing.T) {
 		if _, _, ok := drv.TakeLookup(hitID); ok {
 			t.Error("TakeLookup served the same op twice")
 		}
-		c.Quiesce(p)
 	})
-	deadline := time.Hour
-	if end := c.Sim.RunUntil(deadline); end >= deadline {
-		t.Fatal("scenario did not finish within the virtual deadline")
-	}
-	if bad := c.CheckInvariants(); len(bad) != 0 {
-		t.Errorf("invariants: %v", bad)
-	}
+}
+
+// TestOwnCreateIsLeased: a host that creates a name is leased the binding
+// by the create's reply. Its next lookup of the name is a cache hit with the
+// new inode, and no LOOKUP-REQ goes out for it. The create sends the host
+// no revocation notice, though the host held a lease on the name's absence;
+// another host's later remove revokes the installed entry like any other.
+func TestOwnCreateIsLeased(t *testing.T) {
+	c := leasedCluster(3, 2, 1)
+	defer c.Shutdown()
+
+	runLeased(t, c, func(p *simrt.Proc) {
+		prA, prB := c.Proc(0), c.Proc(1)
+		drvA := prA.Driver()
+		drvA.TrackLookups()
+		const name = "mine"
+		if _, cached, _, err := lookupVia(p, prA, name); cached || !errors.Is(err, types.ErrNotFound) {
+			t.Errorf("first lookup: cached=%v err=%v, want a miss and ErrNotFound", cached, err)
+			return
+		}
+		issued := p.Now()
+		ino, err := prA.Create(p, types.RootInode, name)
+		if err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		before := c.Counters()
+		in, cached, grant, err := lookupVia(p, prA, name)
+		if err != nil || in.Ino != ino || !cached {
+			t.Errorf("lookup after the own create: ino=%v cached=%v err=%v, want %v from the cache", in.Ino, cached, err, ino)
+		}
+		if grant != issued {
+			t.Errorf("grant stamp %v, want the create's issue time %v", grant, issued)
+		}
+		if sent := c.Counters().Net.ByType[wire.MsgLookupReq] - before.Net.ByType[wire.MsgLookupReq]; sent != 0 {
+			t.Errorf("%d LOOKUP-REQs for a name the host just made, want 0", sent)
+		}
+		if st := drvA.Cache().Stats(); st.Installs != 1 || st.Revocations != 0 {
+			t.Errorf("installs=%d revocations=%d, want 1 and 0", st.Installs, st.Revocations)
+		}
+		if n := before.Node.LeaseRevocations; n != 0 {
+			t.Errorf("%d revocation notices for the host's own create, want 0", n)
+		}
+
+		if err := prB.Remove(p, types.RootInode, name, ino); err != nil {
+			t.Errorf("remove: %v", err)
+			return
+		}
+		c.Quiesce(p)
+		if st := drvA.Cache().Stats(); st.Revocations != 1 {
+			t.Errorf("B's remove revoked %d of A's entries, want 1", st.Revocations)
+		}
+		if in, cached, _, err := lookupVia(p, prA, name); cached || !errors.Is(err, types.ErrNotFound) {
+			t.Errorf("lookup after B's remove: ino=%v cached=%v err=%v, want a miss and ErrNotFound", in.Ino, cached, err)
+		}
+	})
+}
+
+// TestInflightMutationCachesNoLookupAnswer: while a host's create of a name
+// is in flight, a lookup answer for the name that reaches the host —
+// resolved before the create landed, so stale the moment it lands — is not
+// cached, for no revocation notice follows it. Once the create completes,
+// the host serves the binding it made.
+func TestInflightMutationCachesNoLookupAnswer(t *testing.T) {
+	c := leasedCluster(3, 1, 2)
+	defer c.Shutdown()
+
+	runLeased(t, c, func(p *simrt.Proc) {
+		creator, reader := c.Proc(0), c.Proc(1)
+		reader.Driver().TrackLookups()
+		const name = "racing"
+		var ino types.InodeID
+		created := simrt.NewChan[error](c.Sim)
+		done := false
+		c.Sim.Spawn("create", func(p *simrt.Proc) {
+			var err error
+			ino, err = creator.Create(p, types.RootInode, name)
+			done = true
+			created.Send(err)
+		})
+		// The lookup goes out first: the dentry's server answers it before
+		// the create executes there.
+		if _, cached, _, err := lookupVia(p, reader, name); cached || !errors.Is(err, types.ErrNotFound) {
+			t.Errorf("racing lookup: cached=%v err=%v, want a miss and ErrNotFound", cached, err)
+		}
+		if done {
+			t.Fatal("the create completed before the lookup answer: the scenario did not race")
+		}
+		if n := reader.Driver().Cache().Len(); n != 0 {
+			t.Errorf("%d entries cached while the host's create was in flight, want 0", n)
+		}
+		if err := created.Recv(p); err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		if in, cached, _, err := lookupVia(p, reader, name); err != nil || !cached || in.Ino != ino {
+			t.Errorf("lookup after the create: ino=%v cached=%v err=%v, want %v from the cache", in.Ino, cached, err, ino)
+		}
+	})
+}
+
+// TestInstalledEntryFencedByReboot: an entry installed by the host's own
+// create is stamped with the dentry server's lease epoch, so a reboot of
+// that server fences it out like a looked-up one, though no revocation can
+// reach the host once the lease table is gone.
+func TestInstalledEntryFencedByReboot(t *testing.T) {
+	c := leasedCluster(3, 2, 1)
+	defer c.Shutdown()
+
+	runLeased(t, c, func(p *simrt.Proc) {
+		prA, prB := c.Proc(0), c.Proc(1)
+		prA.Driver().TrackLookups()
+		const name = "fenced"
+		srv := c.Placement.CoordinatorFor(types.RootInode, name)
+		ino, err := prA.Create(p, types.RootInode, name)
+		if err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		if in, cached, _, err := lookupVia(p, prA, name); err != nil || !cached || in.Ino != ino {
+			t.Errorf("lookup after the own create: ino=%v cached=%v err=%v, want %v from the cache", in.Ino, cached, err, ino)
+			return
+		}
+
+		c.Quiesce(p)
+		base := c.Bases[srv]
+		base.Crash()
+		p.Sleep(10 * time.Millisecond)
+		base.Reboot()
+		c.CxSrv[srv].Recover(p)
+		if err := prB.Remove(p, types.RootInode, name, ino); err != nil {
+			t.Errorf("post-recovery remove: %v", err)
+			return
+		}
+		c.Quiesce(p)
+
+		// A observes the new incarnation's epoch on another name's answer.
+		other := ""
+		for try := 0; other == ""; try++ {
+			if cand := fmt.Sprintf("other-%d", try); c.Placement.CoordinatorFor(types.RootInode, cand) == srv {
+				other = cand
+			}
+		}
+		if _, _, _, err := lookupVia(p, prA, other); !errors.Is(err, types.ErrNotFound) {
+			t.Errorf("lookup %q: err=%v, want ErrNotFound", other, err)
+		}
+		if in, cached, _, err := lookupVia(p, prA, name); cached || !errors.Is(err, types.ErrNotFound) {
+			t.Errorf("lookup after the reboot and B's remove: ino=%v cached=%v err=%v, want a miss and ErrNotFound", in.Ino, cached, err)
+		}
+		if fences := prA.Driver().Cache().Stats().EpochFences; fences != 1 {
+			t.Errorf("EpochFences=%d, want 1", fences)
+		}
+	})
+}
+
+// TestDuplicateReplyAfterLapsedLeaseIsRevoked: the reply to a host's create
+// is lost, and the server's lease on the new entry lapses before the host's
+// retry. The duplicate reply leases the entry afresh, from its receipt, so
+// the host serves the name past the server's own grant; the server keeps the
+// lapsed grant all the same, and another host's remove still revokes it.
+func TestDuplicateReplyAfterLapsedLeaseIsRevoked(t *testing.T) {
+	o := cluster.DefaultOptions(3, cluster.ProtoCx)
+	o.ClientHosts = 2
+	o.ProcsPerHost = 1
+	o.CacheTTL = 100 * time.Millisecond
+	o.Retry = types.RetryPolicy{Timeout: 300 * time.Millisecond}
+	c := cluster.MustNew(o)
+	defer c.Shutdown()
+
+	runLeased(t, c, func(p *simrt.Proc) {
+		prA, prB := c.Proc(0), c.Proc(1)
+		prA.Driver().TrackLookups()
+		// A cross-server create, whose entry half's execution awaits its
+		// commitment when the retry comes: the duplicate gets the recorded
+		// reply, lease and all.
+		ino := prA.AllocInode()
+		name := ""
+		for try := 0; name == ""; try++ {
+			if cand := fmt.Sprintf("retried-%d", try); c.Placement.CoordinatorFor(types.RootInode, cand) != c.Placement.ParticipantFor(ino) {
+				name = cand
+			}
+		}
+		srv := c.Placement.CoordinatorFor(types.RootInode, name)
+		other := ""
+		for try := 0; other == ""; try++ {
+			if cand := fmt.Sprintf("other-%d", try); c.Placement.CoordinatorFor(types.RootInode, cand) == srv {
+				other = cand
+			}
+		}
+		c.Net.Partition(srv, c.Hosts[0].ID) // the create's entry reply is lost
+		created := simrt.NewChan[error](c.Sim)
+		c.Sim.Spawn("create", func(p *simrt.Proc) {
+			_, err := prA.Driver().Do(p, types.Op{ID: prA.NextID(), Kind: types.OpCreate,
+				Parent: types.RootInode, Name: name, Ino: ino, Type: types.FileRegular})
+			created.Send(err)
+		})
+		// Past the grant's TTL, a grant to another name comes in behind it.
+		p.Sleep(200 * time.Millisecond)
+		if _, err := prB.Driver().Do(p, types.Op{ID: prB.NextID(), Kind: types.OpLookup,
+			Parent: types.RootInode, Name: other}); !errors.Is(err, types.ErrNotFound) {
+			t.Errorf("lookup %q: err=%v, want ErrNotFound", other, err)
+		}
+		c.Net.Heal(srv, c.Hosts[0].ID)
+		if err := created.Recv(p); err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		if got := prA.Driver().Cache().Stats().Installs; got != 1 || c.Net.Stats().DroppedPartition == 0 {
+			t.Fatalf("installs=%d, dropped=%d: the duplicate reply did not lease the entry",
+				got, c.Net.Stats().DroppedPartition)
+		}
+		if err := prB.Remove(p, types.RootInode, name, ino); err != nil {
+			t.Errorf("remove: %v", err)
+			return
+		}
+		p.Sleep(5 * time.Millisecond)
+		if in, cached, _, err := lookupVia(p, prA, name); cached || !errors.Is(err, types.ErrNotFound) {
+			t.Errorf("lookup after B's remove: ino=%v cached=%v err=%v, want a miss and ErrNotFound", in.Ino, cached, err)
+		}
+	})
+}
+
+// TestTimedOutCreateLandingLateDropsEntry: a host gives up on a create
+// whose request is held up on the way to the entry's server, then looks the
+// name up and caches its absence. When the create lands, the server sends
+// the host no revocation notice, for the host issued it; the create's late
+// reply drops the cached absence instead, and the host's next lookup goes to
+// the server and finds the name.
+func TestTimedOutCreateLandingLateDropsEntry(t *testing.T) {
+	o := cluster.DefaultOptions(3, cluster.ProtoCx)
+	o.ClientHosts = 1
+	o.ProcsPerHost = 1
+	o.CacheTTL = 10 * time.Second
+	o.Retry = types.RetryPolicy{Timeout: 20 * time.Millisecond, Attempts: 2}
+	c := cluster.MustNew(o)
+	defer c.Shutdown()
+
+	runLeased(t, c, func(p *simrt.Proc) {
+		pr := c.Proc(0)
+		pr.Driver().TrackLookups()
+		const name = "late"
+		srv := c.Placement.CoordinatorFor(types.RootInode, name)
+		c.Net.SetLinkFaults(c.Hosts[0].ID, srv, transport.Faults{DelayProb: 1, DelayMax: time.Second})
+		if _, err := pr.Create(p, types.RootInode, name); !errors.Is(err, types.ErrTimeout) {
+			t.Fatalf("create: err=%v, want ErrTimeout: the scenario did not time out", err)
+		}
+		c.Net.ClearFaults()
+		for i, want := range []bool{false, true} {
+			if _, cached, _, err := lookupVia(p, pr, name); cached != want || !errors.Is(err, types.ErrNotFound) {
+				t.Fatalf("lookup %d before the create lands: cached=%v err=%v, want cached=%v and ErrNotFound", i, cached, err, want)
+			}
+		}
+		p.Sleep(2 * time.Second) // every copy of the create has landed
+		if in, cached, _, err := lookupVia(p, pr, name); cached || err != nil {
+			t.Errorf("lookup after the create landed: ino=%v cached=%v err=%v, want a miss that finds it", in.Ino, cached, err)
+		}
+		if n := c.Counters().Node.LeaseRevocations; n != 0 {
+			t.Errorf("%d revocation notices, want 0: the host issued the create", n)
+		}
+	})
+}
+
+// TestFailedCreateInstallsNothing: a create whose entry half succeeds and
+// whose inode half fails is aborted, though the entry half's reply carried
+// a lease; the client installs nothing, and its next lookup of the name goes
+// to the server and finds nothing there.
+func TestFailedCreateInstallsNothing(t *testing.T) {
+	c := leasedCluster(3, 1, 1)
+	defer c.Shutdown()
+
+	runLeased(t, c, func(p *simrt.Proc) {
+		pr := c.Proc(0)
+		pr.Driver().TrackLookups()
+		ino, err := pr.Create(p, types.RootInode, "first")
+		if err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		// A second name for the same inode, its entry on another server than
+		// the inode: the entry is inserted there, the inode's add fails.
+		name := ""
+		for try := 0; name == ""; try++ {
+			if cand := fmt.Sprintf("again-%d", try); c.Placement.CoordinatorFor(types.RootInode, cand) != c.Placement.ParticipantFor(ino) {
+				name = cand
+			}
+		}
+		_, err = pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate, Parent: types.RootInode,
+			Name: name, Ino: ino, Type: types.FileRegular})
+		if err == nil {
+			t.Error("a create of an existing inode succeeded")
+			return
+		}
+		if in, cached, _, err := lookupVia(p, pr, name); cached || !errors.Is(err, types.ErrNotFound) {
+			t.Errorf("lookup after the failed create: ino=%v cached=%v err=%v, want a miss and ErrNotFound", in.Ino, cached, err)
+		}
+		if got := pr.Driver().Cache().Stats().Installs; got != 1 {
+			t.Errorf("Installs=%d, want 1 (the first create only)", got)
+		}
+	})
 }

@@ -139,8 +139,15 @@ func TestGoldenRuns(t *testing.T) {
 		{"chaos/seed34", chaosGolden(chaos.Config{Seed: 34}), golden{1025580009, 2001, 8670, "a7fec9ccd09028a6"}},
 		{"chaos/seed34/pipeline8", chaosGolden(chaos.Config{Seed: 34, Pipeline: 8}), golden{2104516540, 10153, 47442, "2cefffdaacff8ea9"}},
 		{"chaos/seed5/smalllog", chaosGolden(chaos.Config{Seed: 5, Pipeline: 4, LogMaxBytes: 2 << 10}), golden{1805019181, 7021, 32892, "831a05c2270c27d6"}},
-		{"chaos/seed13/statstorm", chaosGolden(chaos.Config{Seed: 13, StatStorm: true, CacheTTL: 40 * time.Millisecond}), golden{664782384, 931, 3537, "891ae3d00b249c8b"}},
-		{"chaos/seed1/pipeline4/cache", chaosGolden(chaos.Config{Seed: 1, Pipeline: 4, CacheTTL: 40 * time.Millisecond}), golden{798874421, 4344, 20605, "bb2b4b727fb22dfe"}},
+		// The two rows with leases on were re-pinned once, for one cause: a
+		// mutation's own client is leased the entry it made by the reply
+		// instead of being sent a revocation notice, so it serves its own
+		// names without a lookup (DESIGN.md §5 item 22). Fewer lookups and
+		// notices: fewer messages and events, and a shorter run. A lapsed
+		// grant still stays in the server's lease table, so the entry's next
+		// mutation notifies its holder, as before.
+		{"chaos/seed13/statstorm", chaosGolden(chaos.Config{Seed: 13, StatStorm: true, CacheTTL: 40 * time.Millisecond}), golden{560665937, 813, 3146, "b83cddeda42e3368"}},
+		{"chaos/seed1/pipeline4/cache", chaosGolden(chaos.Config{Seed: 1, Pipeline: 4, CacheTTL: 40 * time.Millisecond}), golden{773418685, 4157, 19712, "5708543f3b095dc1"}},
 		{"metarates/closed-loop", metaratesClosedLoopGolden, golden{658013779, 4220, 18559, "2cff680c1525a4b8"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -24,10 +24,11 @@ type slot struct {
 	ref int32
 }
 
-// hashKey is the index's hash of a key. Every record keeps its key's, so the
+// HashKey is the index's hash of a key. Every record keeps its key's, so the
 // key is hashed once when the record is filed and once per Find. A name is
-// mixed in eight bytes at a time.
-func hashKey(k types.ObjKey) uint32 {
+// mixed in eight bytes at a time. It is unseeded; the lease table and the
+// client cache file their (dir, name) keys by it too (node.EntryKey).
+func HashKey(k types.ObjKey) uint32 {
 	const m = 0x9e3779b97f4a7c15
 	h := uint64(k.Kind)<<56 ^ uint64(k.Dir)*m ^ uint64(k.Ino) ^ uint64(len(k.Name))<<32
 	s := k.Name
@@ -68,7 +69,7 @@ func (st *Store) Find(key types.ObjKey) Row {
 	if ix.n == 0 {
 		return NoRow
 	}
-	tag := hashKey(key)
+	tag := HashKey(key)
 	mask := uint32(len(ix.slots) - 1)
 	for i := tag & mask; ; i = (i + 1) & mask {
 		s := ix.slots[i]

@@ -218,9 +218,12 @@ func TestAnswerLookupLeasesAndRevokeNotifiesInGrantOrder(t *testing.T) {
 		}
 
 		*sent = nil
-		b.RevokeLeases(types.RootInode, "f", opID(9))
-		b.RevokeLeases(types.RootInode, "f", opID(9))        // already revoked
-		b.RevokeLeases(types.RootInode, "unleased", opID(9)) // nobody to tell
+		remove := func(name string) types.SubOp {
+			return types.SubOp{Op: opID(9), Action: types.ActRemoveEntry, Parent: types.RootInode, Name: name}
+		}
+		b.RevokeLeases(remove("f"))
+		b.RevokeLeases(remove("f"))        // already revoked
+		b.RevokeLeases(remove("unleased")) // nobody to tell
 		r = *sent
 		if len(r) != 2 || r[0].To != 102 || r[1].To != 101 {
 			t.Errorf("revocations %+v, want one each to 102 then 101 (grant order; 103 holds no lease)", r)
@@ -236,6 +239,57 @@ func TestAnswerLookupLeasesAndRevokeNotifiesInGrantOrder(t *testing.T) {
 		p.Sleep(ttl)
 		if got := b.LeasesOutstanding(); got != 0 {
 			t.Errorf("LeasesOutstanding=%d after the TTL, want 0", got)
+		}
+	})
+}
+
+// A mutation that makes an entry notifies every lease holder but its own
+// client, and leases the entry to that client instead, through its reply; a
+// removal grants nothing, and neither does a server without a lease TTL.
+func TestMutatingClientIsLeasedNotNotified(t *testing.T) {
+	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, sent *[]wire.Msg) {
+		ttl := 50 * time.Millisecond
+		b.LeaseTTL = ttl
+		b.AnswerLookup(&wire.Msg{From: 102, Op: opID(1), Dir: types.RootInode, Path: "f"}) // negative
+		b.AnswerLookup(&wire.Msg{From: 101, Op: opID(2), Dir: types.RootInode, Path: "f"})
+		*sent = nil
+
+		create := types.SubOp{Op: types.OpID{Proc: types.ProcID{Client: 101}, Seq: 7},
+			Action: types.ActInsertEntry, Parent: types.RootInode, Name: "f", Ino: 42}
+		b.Shard.SeedDentry(types.RootInode, "f", 42) // what the execution wrote
+		b.RevokeLeases(create)
+		if r := *sent; len(r) != 1 || r[0].To != 102 || r[0].Type != wire.MsgConflictNotify {
+			t.Errorf("notices %+v, want one, to 102 only (101 made the entry)", r)
+		}
+		reply := wire.Msg{Type: wire.MsgSubOpResp, To: 101, Op: create.Op, OK: true}
+		b.LeaseOn(&reply, create)
+		if reply.LeaseEpoch != b.Boot()+1 || reply.LeaseTTL != ttl || reply.Attr.Ino != 42 {
+			t.Errorf("reply to the create: %+v, want the lease and inode 42", reply)
+		}
+		if st := b.Stats(); st.LeasesGranted != 3 || st.LeaseRevocations != 1 {
+			t.Errorf("granted=%d revoked=%d, want 3 and 1", st.LeasesGranted, st.LeaseRevocations)
+		}
+
+		// 103 removes the entry: the creator's lease is revoked like any other.
+		*sent = nil
+		remove := types.SubOp{Op: types.OpID{Proc: types.ProcID{Client: 103}, Seq: 1},
+			Action: types.ActRemoveEntry, Parent: types.RootInode, Name: "f"}
+		b.RevokeLeases(remove)
+		if r := *sent; len(r) != 1 || r[0].To != 101 {
+			t.Errorf("notices %+v, want one, to 101", r)
+		}
+		reply = wire.Msg{Type: wire.MsgSubOpResp, To: 103, Op: remove.Op, OK: true}
+		b.LeaseOn(&reply, remove)
+		if reply.LeaseEpoch != 0 || reply.LeaseTTL != 0 || b.LeasesOutstanding() != 0 {
+			t.Errorf("a removal leased something: reply %+v, %d outstanding", reply, b.LeasesOutstanding())
+		}
+
+		b.LeaseTTL = 0
+		b.RevokeLeases(create)
+		reply = wire.Msg{Type: wire.MsgSubOpResp, To: 101, Op: create.Op, OK: true}
+		b.LeaseOn(&reply, create)
+		if reply.LeaseEpoch != 0 || reply.Attr.Ino != 0 || b.LeasesOutstanding() != 0 {
+			t.Errorf("ttl 0 leased the create: reply %+v, %d outstanding", reply, b.LeasesOutstanding())
 		}
 	})
 }

@@ -1,57 +1,105 @@
 package node
 
-import "iter"
+import (
+	"iter"
 
-// FIFOMap is a map bounded at a fixed capacity that evicts in insertion
-// order: adding a new key to a full map first removes the oldest live key.
+	"cxfs/internal/seg"
+)
+
+// FIFOMap is a map bounded at a fixed capacity that evicts in push order:
+// adding a new key to a full map first removes the key pushed longest ago.
 // Its entries are linked oldest to newest, so Delete unlinks a key in O(1)
 // and eviction reuses the victim's node: neither scans the table or copies
-// it. A deleted key's node is emptied onto a free list for the next Insert,
+// it. A deleted key's node is emptied onto a free list for the next Push,
 // so a map churning below its capacity allocates no nodes, and an empty free
-// list is refilled nodeBlock nodes at a time, up to the capacity. The
-// server's lease table and the client's leased cache both use it.
-type FIFOMap[K comparable, V any] struct {
+// list is refilled nodeBlock nodes at a time, up to the capacity. The keys
+// are filed in a seg.Table, hashed by their own unseeded Hash, so a map
+// churning at a steady size allocates nothing at all; the zero key, which a
+// Table cannot hold, has a field of its own. The server's lease table and
+// the client's leased cache both use it.
+type FIFOMap[K seg.Key, V any] struct {
 	cap            int
-	nodes          map[K]*fifoNode[K, V]
+	index          seg.Table[K, *fifoNode[K, V]]
+	zero           *fifoNode[K, V] // the zero key's node, if it is held
 	oldest, newest *fifoNode[K, V]
 	free           *fifoNode[K, V] // deleted nodes, emptied, linked by next
 }
 
-type fifoNode[K comparable, V any] struct {
+type fifoNode[K seg.Key, V any] struct {
 	key        K
 	val        V
 	prev, next *fifoNode[K, V] // toward oldest, toward newest
 }
 
 // NewFIFOMap builds a FIFOMap holding at most capacity (> 0) keys.
-func NewFIFOMap[K comparable, V any](capacity int) *FIFOMap[K, V] {
-	return &FIFOMap[K, V]{cap: capacity, nodes: make(map[K]*fifoNode[K, V])}
+func NewFIFOMap[K seg.Key, V any](capacity int) *FIFOMap[K, V] {
+	return &FIFOMap[K, V]{cap: capacity}
 }
 
 // Len returns the number of keys held.
-func (m *FIFOMap[K, V]) Len() int { return len(m.nodes) }
+func (m *FIFOMap[K, V]) Len() int {
+	if m.zero != nil {
+		return m.index.Len() + 1
+	}
+	return m.index.Len()
+}
+
+// node returns k's node, or nil if k is absent.
+func (m *FIFOMap[K, V]) node(k K) *fifoNode[K, V] {
+	var zero K
+	if k == zero {
+		return m.zero
+	}
+	n, _ := m.index.Get(k)
+	return n
+}
+
+// take removes k's filing and returns its node, nil if k is absent.
+func (m *FIFOMap[K, V]) take(k K) (n *fifoNode[K, V]) {
+	var zero K
+	if k == zero {
+		n, m.zero = m.zero, nil
+		return n
+	}
+	n, _ = m.index.Delete(k)
+	return n
+}
 
 // Get returns k's value, or nil if k is absent. The pointer stays valid
 // until k leaves the map.
 func (m *FIFOMap[K, V]) Get(k K) *V {
-	if n := m.nodes[k]; n != nil {
+	if n := m.node(k); n != nil {
 		return &n.val
 	}
 	return nil
 }
 
-// Insert returns k's value, first adding k as the newest key with a zero
-// value if it is absent. evicted reports that the add removed the oldest key
-// to stay within capacity. A present key keeps its place in the order.
-func (m *FIFOMap[K, V]) Insert(k K) (v *V, evicted bool) {
-	if n := m.nodes[k]; n != nil {
+// Oldest returns the oldest key and its value; ok is false if the map is
+// empty.
+func (m *FIFOMap[K, V]) Oldest() (k K, v *V, ok bool) {
+	if m.oldest == nil {
+		return k, nil, false
+	}
+	return m.oldest.key, &m.oldest.val, true
+}
+
+// Push returns k's value and makes k the newest key, first adding it with
+// a zero value if it is absent, so the map runs in the order of each key's
+// last push. evicted reports that the add removed the oldest key to stay
+// within capacity.
+func (m *FIFOMap[K, V]) Push(k K) (v *V, evicted bool) {
+	if n := m.node(k); n != nil {
+		if n != m.newest {
+			m.unlink(n)
+			n.next = nil
+			m.link(n)
+		}
 		return &n.val, false
 	}
 	var n *fifoNode[K, V]
-	if len(m.nodes) >= m.cap {
-		n = m.oldest
+	if m.Len() >= m.cap {
+		n = m.take(m.oldest.key)
 		m.unlink(n)
-		delete(m.nodes, n.key)
 		*n = fifoNode[K, V]{}
 		evicted = true
 	} else {
@@ -62,27 +110,24 @@ func (m *FIFOMap[K, V]) Insert(k K) (v *V, evicted bool) {
 		m.free, n.next = n.next, nil
 	}
 	n.key = k
-	n.prev = m.newest
-	if m.newest != nil {
-		m.newest.next = n
+	m.link(n)
+	if k == *new(K) {
+		m.zero = n
 	} else {
-		m.oldest = n
+		m.index.Put(k, n)
 	}
-	m.newest = n
-	m.nodes[k] = n
 	return &n.val, evicted
 }
 
 // Delete removes k and returns the value it held; ok is false if k was
-// absent. Inserted again, k becomes the newest key. The node is emptied as
+// absent. Pushed again, k becomes the newest key. The node is emptied as
 // it goes on the free list, so nothing the returned value refers to (a
-// slice's array) is shared with a key inserted later.
+// slice's array) is shared with a key pushed later.
 func (m *FIFOMap[K, V]) Delete(k K) (v V, ok bool) {
-	n := m.nodes[k]
+	n := m.take(k)
 	if n == nil {
 		return v, false
 	}
-	delete(m.nodes, k)
 	m.unlink(n)
 	v = n.val
 	*n = fifoNode[K, V]{next: m.free}
@@ -96,11 +141,22 @@ const nodeBlock = 64
 // refill puts a block of new nodes on the empty free list, as many as the
 // map may still add, up to nodeBlock.
 func (m *FIFOMap[K, V]) refill() {
-	block := make([]fifoNode[K, V], min(nodeBlock, m.cap-len(m.nodes)))
+	block := make([]fifoNode[K, V], min(nodeBlock, m.cap-m.Len()))
 	for i := range block {
 		block[i].next = m.free
 		m.free = &block[i]
 	}
+}
+
+// link makes n, linked nowhere, the newest node.
+func (m *FIFOMap[K, V]) link(n *fifoNode[K, V]) {
+	n.prev = m.newest
+	if m.newest != nil {
+		m.newest.next = n
+	} else {
+		m.oldest = n
+	}
+	m.newest = n
 }
 
 func (m *FIFOMap[K, V]) unlink(n *fifoNode[K, V]) {
@@ -129,13 +185,14 @@ func (m *FIFOMap[K, V]) All() iter.Seq2[K, *V] {
 }
 
 // Reset removes every key. Their nodes are emptied onto the free list, as
-// Delete's are, so refilling the map allocates none.
+// Delete's are, and the index keeps its slots, so refilling the map
+// allocates nothing.
 func (m *FIFOMap[K, V]) Reset() {
 	for n := m.oldest; n != nil; {
 		next := n.next
 		*n = fifoNode[K, V]{next: m.free}
 		m.free, n = n, next
 	}
-	clear(m.nodes)
-	m.oldest, m.newest = nil, nil
+	m.index.Clear()
+	m.zero, m.oldest, m.newest = nil, nil, nil
 }

@@ -51,6 +51,19 @@ func TestLeaseTableOutstanding(t *testing.T) {
 	}
 }
 
+// A lapsed grant stays in the table until its entry is revoked: the client
+// anchors its TTL at the reply's receipt, later than the grant, so it may
+// still serve the entry, and a grant to another name must not forget it.
+func TestLeaseTableKeepsLapsedGrantsForRevocation(t *testing.T) {
+	lt := NewLeaseTable(8)
+	ttl := 40 * time.Millisecond
+	lt.Grant(types.RootInode, "a", 3, 0, ttl)
+	lt.Grant(types.RootInode, "b", 4, 100*time.Millisecond, ttl) // "a" lapsed at 40ms
+	if holders := lt.Revoke(types.RootInode, "a"); !slices.Equal(holders, []types.NodeID{3}) {
+		t.Errorf("holders of the lapsed grant %v, want [3]", holders)
+	}
+}
+
 func TestLeaseTableCapacityEviction(t *testing.T) {
 	lt := NewLeaseTable(2)
 	ttl := time.Second

@@ -82,7 +82,7 @@ type Handler func(p *simrt.Proc, pk *transport.Packet)
 type Stats struct {
 	MsgsHandled      uint64
 	SubOpsRun        uint64
-	LeasesGranted    uint64 // read leases stamped on lookup replies
+	LeasesGranted    uint64 // read leases granted: on lookup replies, and to a mutation's client on the entry it made
 	LeaseRevocations uint64 // revocation notices sent to lease holders
 }
 
@@ -321,7 +321,25 @@ type Host struct {
 	routes seg.Index[*Route]
 	idle   []*Route // closed routes, emptied, for the next Open
 	notify func(*wire.Msg) bool
+
+	stats HostStats
 }
+
+// HostStats counts what a client host's dispatcher sees.
+type HostStats struct {
+	// LateInvalidations counts invalidation notices (a SUBOP-RESP carrying
+	// types.ErrInvalidated) that arrived after their operation's route
+	// closed: the client had completed the operation, or given up on it. On
+	// a network that loses nothing it must stay 0 — a completed operation is
+	// never undone.
+	LateInvalidations uint64
+}
+
+// invalidated is the error string of an invalidation notice.
+var invalidated = types.ErrInvalidated.Error()
+
+// Stats returns the host's counters.
+func (h *Host) Stats() HostStats { return h.stats }
 
 // Route is where one operation's replies arrive: the network's records
 // themselves, so a reply is read where it landed, and never copied.
@@ -353,9 +371,12 @@ func (h *Host) dispatch(pk *transport.Packet) {
 			r.ch().Send(pk)
 			return
 		}
+		// Stale: the op already completed (e.g. a superseded
+		// pre-invalidation reply) and closed its route.
+		if pk.Type == wire.MsgSubOpResp && pk.Err == invalidated {
+			h.stats.LateInvalidations++
+		}
 	}
-	// Consumed by the hook, or stale: the op already completed (e.g. a
-	// superseded pre-invalidation reply) and closed its route.
 	pk.Release()
 }
 

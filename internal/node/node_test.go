@@ -162,6 +162,38 @@ func TestHostDropsUnroutedResponses(t *testing.T) {
 	}
 }
 
+// An invalidation notice for an operation whose route has closed is late:
+// the host counts it. One on an open route, and any other stale reply, is
+// not late.
+func TestHostCountsLateInvalidations(t *testing.T) {
+	s, _, b, h := build(t)
+	notice := func(seq uint64) *wire.Msg {
+		return &wire.Msg{Type: wire.MsgSubOpResp, To: h.ID, Op: types.OpID{Proc: types.ProcID{Client: 100}, Seq: seq},
+			Err: types.ErrInvalidated.Error(), Epoch: 1}
+	}
+	finished := false
+	s.Spawn("client", func(p *simrt.Proc) {
+		open := types.OpID{Proc: types.ProcID{Client: 100}, Seq: 2}
+		route := h.Open(open)
+		b.Send(notice(1)) // its operation completed: no route
+		b.Send(notice(2)) // on the open route
+		b.Send(&wire.Msg{Type: wire.MsgSubOpResp, To: h.ID, Op: types.OpID{Proc: types.ProcID{Client: 100}, Seq: 3}, OK: true})
+		route.Recv(p).Release()
+		h.Done(open)
+		p.Sleep(time.Millisecond)
+		finished = true
+		s.Stop()
+	})
+	s.RunUntil(time.Minute)
+	s.Shutdown()
+	if !finished {
+		t.Fatal("client did not finish")
+	}
+	if got := h.Stats().LateInvalidations; got != 1 {
+		t.Errorf("LateInvalidations=%d, want 1 (the notice with no route)", got)
+	}
+}
+
 func TestExecCPUAdvancesTimeAndCounts(t *testing.T) {
 	s, _, b, _ := build(t)
 	s.Spawn("p", func(p *simrt.Proc) {

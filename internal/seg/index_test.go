@@ -29,7 +29,7 @@ func checkIndex(t *testing.T, x *Index[int], model map[types.OpID]int) {
 			continue
 		}
 		n++
-		for i := int(hash(k)) & mask; i != j; i = (i + 1) & mask {
+		for i := int(k.Hash()) & mask; i != j; i = (i + 1) & mask {
 			if x.keys[i] == types.NilOp {
 				t.Fatalf("%v sits at %d behind empty slot %d of its run", k, j, i)
 			}
@@ -59,7 +59,7 @@ func TestIndexMatchesMap(t *testing.T) {
 	var keys []types.OpID
 	for seq := uint64(1); len(keys) < 48; seq++ {
 		k := opKey(3, int32(seq%5), seq)
-		if len(keys) < 24 || int(hash(k))&63 >= 61 {
+		if len(keys) < 24 || int(k.Hash())&63 >= 61 {
 			keys = append(keys, k)
 		}
 	}
@@ -106,7 +106,7 @@ func TestIndexMatchesMap(t *testing.T) {
 		checkIndex(t, &x, model)
 		mask := len(x.keys) - 1
 		for j, k := range x.keys {
-			if k != types.NilOp && int(hash(k))&mask > j {
+			if k != types.NilOp && int(k.Hash())&mask > j {
 				wrapped = true
 			}
 		}

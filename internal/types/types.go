@@ -47,6 +47,21 @@ var NilOp = OpID{}
 // IsNil reports whether the OpID is the null hint.
 func (o OpID) IsNil() bool { return o == NilOp }
 
+// Hash mixes the ID's three fields into a hash-table slot number's worth of
+// bits (seg.Table's key hash): the process's two halves and the sequence
+// number, spread by a golden-ratio multiply, through the MurmurHash3 64-bit
+// finalizer. It is unseeded.
+func (o OpID) Hash() uint64 {
+	h := uint64(uint32(o.Proc.Client))<<32 | uint64(uint32(o.Proc.Index))
+	h ^= o.Seq * 0x9e3779b97f4a7c15
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
 // String renders an OpID; the null hint prints as "[null]" to match the
 // paper's notation.
 func (o OpID) String() string {
