@@ -157,7 +157,7 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	s.ExecCPU(p)
 	res := s.Shard.Exec(sub, s.NowNanos())
 	if res.OK && mutating {
-		s.RevokeLeases(sub)
+		s.RevokeLeases(sub, res.Rows)
 		s.persist(p, sub.Op, sub, res)
 		if s.Crashed() {
 			return
@@ -171,7 +171,7 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 		reply.Err = res.Err.Error()
 	}
 	if res.OK {
-		s.LeaseOn(&reply, sub) // the coordinator's: the entry it made is leased to the client
+		s.LeaseOn(&reply, sub) // a stat's, or what the execution made
 	}
 	if mutating {
 		s.CacheReply(sub.Op, &reply)
@@ -197,7 +197,7 @@ func (s *SEServer) handleClear(p *simrt.Proc, m *wire.Msg) {
 		slot := s.undos.At(int(pos))
 		e := slot.Written
 		slot.Written = namespace.Written{}
-		s.Shard.ApplyUndo(e.Undo())
+		s.Restore(m.Op, e.Undo())
 		if rows := e.Rows(); !s.batched {
 			s.KV.SyncRows(p, rows.All())
 		} else {
@@ -236,8 +236,10 @@ func (s *SEServer) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 		s.Send(&reply)
 		return
 	}
-	s.RevokeLeases(cSub)
+	s.RevokeLeases(cSub, resC.Rows)
+	s.RevokeLeases(pSub, resP.Rows)
 	s.LeaseOn(&reply, cSub)
+	s.LeaseOn(&reply, pSub)
 	s.persist(p, op.ID, pSub, resP)
 	if s.Crashed() {
 		return

@@ -51,14 +51,14 @@ type Config struct {
 	// (see cluster.Options.GroupLinger).
 	GroupLinger time.Duration
 	// CacheTTL > 0 enables the leased client metadata cache on every driver
-	// (see cluster.Options.CacheTTL). Every lookup in the history is then
-	// stamped with its cache disposition and lease grant time, and verify
+	// (see cluster.Options.CacheTTL). Every lookup and stat in the history
+	// is then stamped with its cache disposition and lease grant time, and verify
 	// checks the history against model.CheckStalenessBound.
 	CacheTTL time.Duration
 	// StatStorm switches every worker to the read-dominant stat-storm mix:
 	// a trickle of creates/removes under a storm of own-name and cross-worker
-	// lookups, while the nemesis preferentially kills the server holding the
-	// most leases. Every worker's pipeline then has depth 1, the
+	// lookups and cross-worker stats, while the nemesis preferentially kills
+	// the server holding the most leases. Every worker's pipeline then has depth 1, the
 	// one-op-at-a-time loop; Pipeline only scales the default op budget.
 	StatStorm bool
 	// LogMaxBytes > 0 shrinks every server's operation log to this many

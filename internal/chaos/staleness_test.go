@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cxfs/internal/model"
+	"cxfs/internal/types"
 )
 
 // cacheTTL is the lease TTL every staleness suite runs with: long enough
@@ -87,5 +88,28 @@ func TestStatStormDeterminism(t *testing.T) {
 	if a.CacheHits != b.CacheHits || a.LeaseGrants != b.LeaseGrants {
 		t.Errorf("cache counters diverged: hits %d vs %d, grants %d vs %d",
 			a.CacheHits, b.CacheHits, a.LeaseGrants, b.LeaseGrants)
+	}
+}
+
+// TestStatStormCacheCountsEveryRead: the caches' hits and misses add up to
+// the lookups and stats of a stat-storm history, plus verify's one lookup
+// per name, which goes through the flushed caches too.
+func TestStatStormCacheCountsEveryRead(t *testing.T) {
+	rep := Run(Config{Seed: 13, StatStorm: true, CacheTTL: cacheTTL})
+	var reads, stats, names uint64
+	for _, o := range rep.History {
+		switch o.Kind {
+		case types.OpLookup:
+			reads++
+		case types.OpStat:
+			reads++
+			stats++
+		case types.OpCreate, types.OpMkdir:
+			names++
+		}
+	}
+	if stats == 0 || rep.CacheHits+rep.CacheMisses != reads+names {
+		t.Errorf("hits %d + misses %d, want the history's %d reads (%d of them stats) and verify's %d lookups",
+			rep.CacheHits, rep.CacheMisses, reads, stats, names)
 	}
 }

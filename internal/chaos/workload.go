@@ -28,9 +28,9 @@ type flight struct {
 }
 
 // recordOp appends one client observation to the report's history: issued
-// when pe went to the driver, observed now. A lookup carries the cache
-// disposition the driver logged for it (false/0 when the cache is off or
-// the lookup went to the server): served from the client cache, it carries
+// when pe went to the driver, observed now. A lookup or stat carries the
+// cache disposition the driver logged for it (false/0 when the cache is off
+// or the read went to the server): served from the client cache, it carries
 // its lease grant stamp for the staleness bound.
 func (h *harness) recordOp(w int, f flight, pe *core.Pending) model.Op {
 	o := model.Op{Worker: w, Kind: pe.Op.Kind, Name: f.e.name,
@@ -38,7 +38,7 @@ func (h *harness) recordOp(w int, f flight, pe *core.Pending) model.Op {
 	if !f.foreign {
 		o.Ino = f.e.Ino
 	}
-	if pe.Op.Kind == types.OpLookup {
+	if pe.Op.Kind == types.OpLookup || pe.Op.Kind == types.OpStat {
 		o.Cached, o.Grant, _ = h.c.Proc(w).Driver().TakeLookup(pe.Op.ID)
 		if pe.Err == nil {
 			o.Found, o.SawIno = true, pe.Attr.Ino
@@ -79,7 +79,8 @@ func (h *harness) fold(w int, f flight, pe *core.Pending) bool {
 // The default mix creates, removes a live entry, or reads back one of the
 // worker's own names. The stat-storm mix keeps a trickle of creates and
 // removes under a storm of reads of the worker's own names and of everyone
-// else's: with leases on, most reads are served from the cache while the
+// else's, the foreign ones lookups of the names and stats of their inodes:
+// with leases on, most reads are served from the cache while the
 // nemesis kills the lease-granting servers mid-grant, and the
 // staleness-bound oracle audits every cached observation in the history.
 func (h *harness) worker(w int) func(*simrt.Proc) {
@@ -172,10 +173,18 @@ func (h *harness) worker(w int) func(*simrt.Proc) {
 					remove(cand)
 				case r < 0.55:
 					// Reads of a foreign worker's names, which that worker
-					// is concurrently mutating.
+					// is concurrently mutating: in the band's lower part a
+					// stat of the inode of its newest name, the one most
+					// likely in flight, and above it a lookup of any name.
 					if w2 := rng.Intn(len(h.entries)); w2 != w && len(h.entries[w2]) > 0 {
-						e := h.entries[w2][rng.Intn(len(h.entries[w2]))]
-						submit(flight{e: e, foreign: true}, types.Op{Kind: types.OpLookup, Name: e.name})
+						es := h.entries[w2]
+						e := es[rng.Intn(len(es))]
+						op := types.Op{Kind: types.OpLookup, Name: e.name}
+						if r < 0.32 {
+							e = es[len(es)-1]
+							op = types.Op{Kind: types.OpStat, Ino: e.Ino}
+						}
+						submit(flight{e: e, foreign: true}, op)
 					}
 				default:
 					lookupOwn()

@@ -4,48 +4,54 @@ import (
 	"errors"
 	"time"
 
+	"cxfs/internal/namespace"
 	"cxfs/internal/node"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
 )
 
-// Cache is the client-side leased metadata cache: (dir, name) → inode
-// bindings (including negative entries) filled by MsgLookupResp grants and
-// by the replies to this client's own mutations that made an entry, and
-// served locally while the lease holds. An entry stops being servable when:
+// Cache is the client-side leased metadata cache, one table for both kinds
+// of object, keyed by types.ObjKey as the servers' lease tables are:
+// (dir, name) → inode bindings (including negative entries) filled by
+// MsgLookupResp grants, inode → attributes filled by the leased replies to
+// stats, and both filled by the replies to this client's own mutations that
+// made the object. An entry is served locally while its lease holds, and
+// stops being servable when:
 //
 //   - its TTL lapses (the hard staleness bound when messages are lost);
-//   - a revocation arrives (MsgConflictNotify with Path set) — the granting
-//     server saw another client's mutation touch the entry;
-//   - this client itself mutates the entry: the Driver drops it before
-//     dispatching any mutation that names it, and it is replaced by the
-//     mutation's result when it completes — the binding a create, mkdir or
-//     link made, leased by its reply — or stays dropped (a removal, a
-//     failure, a timeout);
+//   - a revocation arrives (MsgConflictNotify carrying a lease epoch) — the
+//     granting server saw an execution write the object's row;
+//   - this client itself mutates the object: the Driver drops every object
+//     a mutation names — its entry, its inode, its directory's inode —
+//     before dispatching it, and each is replaced by the mutation's result
+//     when it completes — the binding a create, mkdir or link made, the
+//     inode a create, mkdir or setattr made, leased by the reply of the
+//     server that holds it — or stays dropped (a removal, a failure, a
+//     timeout);
 //   - the granting server's lease epoch moves — any grant or revocation
 //     carrying a higher epoch for that server proves a reboot, and entries
 //     stamped by the old incarnation are fenced out lazily on access.
 //
-// While one of this client's mutations of an entry is in flight, nothing is
-// cached for the entry: no lookup answer, which may predate the mutation,
+// While one of this client's mutations of an object is in flight, nothing
+// is cached for the object: no read answer, which may predate the mutation,
 // and no other mutation's result. The server notifies every lease holder of
-// the entry but the mutating client, so the in-flight set is what stands in
-// for that notice. A mutation the client gave up on (ErrTimeout) may still
-// land later, after a lookup has cached the entry's old value; the server's
-// reply to it, sent as it lands, stands in for the notice then: any reply to
-// an abandoned mutation drops the entry it names.
+// the object but the mutating client, so the in-flight set is what stands
+// in for that notice. A mutation the client gave up on (ErrTimeout) may
+// still land later, after a read has cached an object's old value; the
+// server's reply to it, sent as it lands, stands in for the notice then:
+// any reply to an abandoned mutation drops the objects it names.
 //
-// The lookup fast path (Get) is allocation-free: struct keys in an
+// The read fast path (Get) is allocation-free: struct keys in an
 // open-addressing table, no per-hit bookkeeping beyond counter increments.
 type Cache struct {
-	entries *node.FIFOMap[node.EntryKey, cacheEntry]
+	entries *node.FIFOMap[types.ObjKey, cacheEntry]
 	epochs  []uint64 // highest lease epoch seen per server, by node ID
 	// inflight are this client's mutations between dispatch and completion:
 	// at most its processes times their pipeline depth.
 	inflight []mutation
 	// abandoned are this client's mutations that ended in ErrTimeout, by
-	// op, with the entry each names; nil until the first one.
-	abandoned *node.FIFOMap[types.OpID, node.EntryKey]
+	// op, with the objects each names; nil until the first one.
+	abandoned *node.FIFOMap[types.OpID, [3]types.ObjKey]
 
 	stats CacheStats
 }
@@ -59,23 +65,35 @@ type cacheEntry struct {
 	grant  time.Duration // issue time of the filling request (staleness oracle)
 }
 
-// mutation is one of this client's mutations in flight.
+// mutation is one of this client's mutations in flight, with the objects it
+// names: its sub-ops' objects, then its directory's inode, whose entry count
+// an insertion or removal bumps (a zero key: none).
 type mutation struct {
-	op  types.OpID
-	key node.EntryKey
-	// leased is the binding its reply leased, the entry the cache installs
-	// when the mutation completes: epoch 0 until a reply carries a lease.
+	op   types.OpID
+	objs [3]mutObj
+}
+
+// mutObj is one object a mutation names.
+type mutObj struct {
+	key types.ObjKey
+	// leased is the value its reply leased, the entry the cache installs
+	// when the mutation completes: epoch 0 until the reply of leased.server,
+	// the server that makes the object, carries a lease; that is noServer
+	// for an object the mutation makes nothing of.
 	leased cacheEntry
-	// revoked reports a revocation of the entry since the mutation was
-	// dispatched: another client's mutation touched it, and what the reply
+	// revoked reports a revocation of the object since the mutation was
+	// dispatched: another client's execution wrote it, and what the reply
 	// leased may be stale already.
 	revoked bool
 }
 
+// noServer is no server's ID: no reply's lease matches it.
+const noServer types.NodeID = -1
+
 // CacheStats counts cache events.
 type CacheStats struct {
-	Hits          uint64 // lookups served locally (positive or negative)
-	Misses        uint64 // lookups that went to the server
+	Hits          uint64 // lookups and stats served locally (positive or negative)
+	Misses        uint64 // lookups and stats that went to the server
 	Invalidations uint64 // entries dropped by this client's own mutations, or by a late reply to one it gave up on
 	Installs      uint64 // entries filled by the replies to this client's own mutations
 	Revocations   uint64 // entries dropped by server revocation notices
@@ -98,22 +116,23 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCap
 	}
-	return &Cache{entries: node.NewFIFOMap[node.EntryKey, cacheEntry](capacity)}
+	return &Cache{entries: node.NewFIFOMap[types.ObjKey, cacheEntry](capacity)}
 }
 
 // Attach installs the cache's hook on its client host, which sees every
-// inbound message before the per-op reply routes. MsgConflictNotify with a
-// Path is a lease revocation for this client, consumed there (it must never
-// leak into an op's reply channel when its ID collides with an open route).
-// Any other message carrying a lease is a reply to one of this client's
-// mutations that made an entry: the grant is noted, at its receipt, for the
-// mutation's completion, and the reply goes on to its route. A reply to a
-// mutation the client gave up on drops the entry that mutation names.
+// inbound message before the per-op reply routes. A MsgConflictNotify
+// carrying a lease epoch is a lease revocation for this client, consumed
+// there (it must never leak into an op's reply channel when its ID collides
+// with an open route). Any other message carrying a lease but a lookup's
+// answer may be a reply to one of this client's mutations that made an
+// object: the grant is noted, at its receipt, for the mutation's
+// completion, and the reply goes on to its route. A reply to a mutation the
+// client gave up on drops the objects that mutation names.
 func (c *Cache) Attach(host *node.Host) {
 	host.SetNotify(func(m *wire.Msg) bool {
 		switch {
-		case m.Type == wire.MsgConflictNotify && m.Path != "":
-			c.Revoke(m.Dir, m.Path, m.From, m.LeaseEpoch)
+		case m.Type == wire.MsgConflictNotify && m.LeaseEpoch != 0:
+			c.Revoke(node.LeaseKey(m), m.From, m.LeaseEpoch)
 			return true
 		case m.LeaseEpoch != 0 && m.Type != wire.MsgLookupResp:
 			c.leased(host.Sim.Now(), m)
@@ -131,12 +150,16 @@ func (c *Cache) Stats() CacheStats { return c.stats }
 // Len returns the live entry count (expired entries included until touched).
 func (c *Cache) Len() int { return c.entries.Len() }
 
-// Get serves (dir, name) from the cache if a valid lease covers it. The
-// third return is the entry's grant timestamp (for the staleness oracle);
-// the last reports whether the cache answered at all. Expired and
+// Get serves the entry (dir, name) from the cache if a valid lease covers
+// it. The third return is the entry's grant timestamp (for the staleness
+// oracle); the last reports whether the cache answered at all. Expired and
 // epoch-fenced entries are dropped on access.
 func (c *Cache) Get(now time.Duration, dir types.InodeID, name string) (types.Inode, bool, time.Duration, bool) {
-	k := node.EntryKey{Dir: dir, Name: name}
+	return c.get(now, types.DentryKey(dir, name))
+}
+
+// get is Get for any object k: an entry, or an inode.
+func (c *Cache) get(now time.Duration, k types.ObjKey) (types.Inode, bool, time.Duration, bool) {
 	e := c.entries.Get(k)
 	if e == nil {
 		c.stats.Misses++
@@ -160,12 +183,13 @@ func (c *Cache) Get(now time.Duration, dir types.InodeID, name string) (types.In
 	return e.attr, e.found, e.grant, true
 }
 
-// Put installs a lookup response carrying a lease. issued is the request's
-// issue time (recorded as the entry's grant stamp); now is the receive
-// time, which anchors the TTL. Grants from an older incarnation of the
-// server than one already seen are dropped, and so is an answer for an
-// entry this client is mutating, or one issued before the grant stamp of
-// the entry it would replace: it may predate that entry's value.
+// Put installs a read answer carrying a lease — a lookup's, or a stat's —
+// under the object it names (node.LeaseKey). issued is the request's issue
+// time (recorded as the entry's grant stamp); now is the receive time,
+// which anchors the TTL. Grants from an older incarnation of the server
+// than one already seen are dropped, and so is an answer for an object this
+// client is mutating, or one issued before the grant stamp of the entry it
+// would replace: it may predate that entry's value.
 func (c *Cache) Put(issued, now time.Duration, m wire.Msg) {
 	if m.LeaseEpoch == 0 {
 		return // no lease granted; nothing cachable
@@ -174,7 +198,7 @@ func (c *Cache) Put(issued, now time.Duration, m wire.Msg) {
 		return // stale grant from before the server's last observed reboot
 	}
 	c.noteEpoch(m.From, m.LeaseEpoch)
-	k := node.EntryKey{Dir: m.Dir, Name: m.Path}
+	k := node.LeaseKey(&m)
 	if c.mutating(k) {
 		return
 	}
@@ -188,7 +212,7 @@ func (c *Cache) Put(issued, now time.Duration, m wire.Msg) {
 // install puts e under k as the newest entry, first dropping lapsed
 // entries from the old end: the cache runs in the order of its installs,
 // which every entry's TTL follows closely.
-func (c *Cache) install(now time.Duration, k node.EntryKey, e cacheEntry) {
+func (c *Cache) install(now time.Duration, k types.ObjKey, e cacheEntry) {
 	for old, oe, ok := c.entries.Oldest(); ok && now >= oe.expire; old, oe, ok = c.entries.Oldest() {
 		c.entries.Delete(old)
 		c.stats.Expirations++
@@ -200,43 +224,67 @@ func (c *Cache) install(now time.Duration, k node.EntryKey, e cacheEntry) {
 	*slot = e
 }
 
-// Invalidate drops the entry for (dir, name) — called by the Driver before
-// it dispatches any of its own mutations naming the entry, preserving
-// read-your-writes regardless of revocation delivery.
-func (c *Cache) Invalidate(dir types.InodeID, name string) {
-	if _, ok := c.entries.Delete(node.EntryKey{Dir: dir, Name: name}); ok {
+// dispatch records that this client dispatches mutation op, placed by pl,
+// at issued, and drops every object it names, preserving read-your-writes
+// regardless of revocation delivery; complete completes it.
+func (c *Cache) dispatch(op types.Op, pl namespace.Placement, issued time.Duration) {
+	mu := mutation{op: op.ID}
+	if op.Kind.CrossServer() {
+		cSub, pSub := types.Split(op)
+		mu.objs[0] = named(cSub, pl.CoordinatorFor(op.Parent, op.Name), issued)
+		mu.objs[1] = named(pSub, pl.ParticipantFor(op.Ino), issued)
+		mu.objs[2] = mutObj{key: types.InodeKey(op.Parent), leased: cacheEntry{server: noServer}}
+	} else {
+		mu.objs[0] = named(types.SingleSubOp(op), pl.ParticipantFor(op.Ino), issued)
+	}
+	for i := range mu.objs {
+		if k := mu.objs[i].key; k.Kind != 0 {
+			c.invalidate(k)
+		}
+	}
+	c.inflight = append(c.inflight, mu)
+}
+
+// invalidate drops k's entry ahead of this client's own mutation of it.
+func (c *Cache) invalidate(k types.ObjKey) {
+	if _, ok := c.entries.Delete(k); ok {
 		c.stats.Invalidations++
 	}
 }
 
-// dispatch records that this client dispatches mutation op of (dir, name)
-// at issued, after invalidating the entry; complete completes it.
-func (c *Cache) dispatch(op types.OpID, dir types.InodeID, name string, issued time.Duration) {
-	c.inflight = append(c.inflight, mutation{op: op, key: node.EntryKey{Dir: dir, Name: name},
-		leased: cacheEntry{grant: issued}})
+// named is the object sub names, run by server at issued.
+func named(sub types.SubOp, server types.NodeID, issued time.Duration) mutObj {
+	k, _ := sub.Key()
+	if !sub.Action.Makes() {
+		server = noServer
+	}
+	return mutObj{key: k, leased: cacheEntry{server: server, grant: issued}}
 }
 
 // leased notes the lease a reply to one of this client's mutations carries,
-// received at now: the binding the mutation made, served until now + TTL.
-// The highest lease epoch's first grant stands.
+// received at now: the value the mutation made of each object its sender
+// makes, served until now + TTL. The highest lease epoch's first grant
+// stands.
 func (c *Cache) leased(now time.Duration, m *wire.Msg) {
 	for i := range c.inflight {
 		if mu := &c.inflight[i]; mu.op == m.Op {
-			if m.LeaseEpoch > mu.leased.epoch {
-				mu.leased = cacheEntry{attr: m.Attr, found: true, server: m.From,
-					epoch: m.LeaseEpoch, expire: now + m.LeaseTTL, grant: mu.leased.grant}
+			for j := range mu.objs {
+				if o := &mu.objs[j]; o.key.Kind != 0 && o.leased.server == m.From && m.LeaseEpoch > o.leased.epoch {
+					o.leased = cacheEntry{attr: m.Attr, found: true, server: m.From,
+						epoch: m.LeaseEpoch, expire: now + m.LeaseTTL, grant: o.leased.grant}
+				}
 			}
 			return
 		}
 	}
 }
 
-// complete completes mutation op at now with err. The binding its reply
-// leased is installed, stamped with the mutation's issue time, if it
-// succeeded, unless the lease is gone already — revoked meanwhile, fenced by
-// a newer incarnation of its server, lapsed — or another of this client's
-// mutations of the entry is still in flight. A mutation that timed out is
-// remembered as abandoned: it may land yet.
+// complete completes mutation op at now with err. The value its replies
+// leased of each object is installed, stamped with the mutation's issue
+// time, if it succeeded, unless the lease is gone already — revoked
+// meanwhile, fenced by a newer incarnation of its server, lapsed — or
+// another of this client's mutations of the object is still in flight. A
+// mutation that timed out is remembered as abandoned: it may land yet.
 func (c *Cache) complete(now time.Duration, op types.OpID, err error) {
 	i := 0
 	for i < len(c.inflight) && c.inflight[i].op != op {
@@ -252,60 +300,77 @@ func (c *Cache) complete(now time.Duration, op types.OpID, err error) {
 	c.inflight = c.inflight[:last]
 	if errors.Is(err, types.ErrTimeout) {
 		if c.abandoned == nil {
-			c.abandoned = node.NewFIFOMap[types.OpID, node.EntryKey](abandonedCap)
+			c.abandoned = node.NewFIFOMap[types.OpID, [3]types.ObjKey](abandonedCap)
 		}
-		k, _ := c.abandoned.Push(op)
-		*k = mu.key
+		ks, _ := c.abandoned.Push(op)
+		for j := range mu.objs {
+			ks[j] = mu.objs[j].key
+		}
 		return
 	}
-	e := mu.leased
-	if err != nil || e.epoch == 0 || mu.revoked || e.epoch < c.epoch(e.server) || now >= e.expire || c.mutating(mu.key) {
+	if err != nil {
 		return
 	}
-	c.noteEpoch(e.server, e.epoch)
-	c.install(now, mu.key, e)
-	c.stats.Installs++
+	for j := range mu.objs {
+		o := &mu.objs[j]
+		if e := o.leased; e.epoch != 0 && !o.revoked && e.epoch >= c.epoch(e.server) && now < e.expire && !c.mutating(o.key) {
+			c.noteEpoch(e.server, e.epoch)
+			c.install(now, o.key, e)
+			c.stats.Installs++
+		}
+	}
 }
 
 // mutating reports whether one of this client's mutations of k is in
 // flight.
-func (c *Cache) mutating(k node.EntryKey) bool {
+func (c *Cache) mutating(k types.ObjKey) bool {
 	for i := range c.inflight {
-		if c.inflight[i].key == k {
-			return true
+		for j := range c.inflight[i].objs {
+			if c.inflight[i].objs[j].key == k {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-// Revoke handles a server revocation notice: the entry dies, and the
-// notice's lease epoch advances the server's known incarnation so entries
-// granted before a crash are fenced even if their own revocations were lost
-// with the old lease table. A mutation of the entry in flight installs
-// nothing when it completes.
-func (c *Cache) Revoke(dir types.InodeID, name string, server types.NodeID, epoch uint64) {
+// Revoke handles a server revocation notice for object k: the entry dies,
+// and the notice's lease epoch advances the server's known incarnation so
+// entries granted before a crash are fenced even if their own revocations
+// were lost with the old lease table. A mutation of the object in flight
+// installs nothing of it when it completes.
+func (c *Cache) Revoke(k types.ObjKey, server types.NodeID, epoch uint64) {
 	c.noteEpoch(server, epoch)
-	if c.drop(node.EntryKey{Dir: dir, Name: name}) {
+	if c.drop(k) {
 		c.stats.Revocations++
 	}
 }
 
 // landed handles a message for op: if op is a mutation this client gave up
-// on, it has landed at a server, which notified every holder of its entry
-// but this client, so the entry is dropped as a revocation would drop it.
+// on, it has landed at its servers, which notified every holder of its
+// objects but this client, so they are dropped as a revocation would drop
+// them.
 func (c *Cache) landed(op types.OpID) {
-	if k := c.abandoned.Get(op); k != nil && c.drop(*k) {
-		c.stats.Invalidations++
+	ks := c.abandoned.Get(op)
+	if ks == nil {
+		return
+	}
+	for _, k := range ks {
+		if k.Kind != 0 && c.drop(k) {
+			c.stats.Invalidations++
+		}
 	}
 }
 
 // drop forgets k's entry, reporting whether one was cached, and keeps every
-// mutation of k in flight from installing its result: the entry has changed
-// since the mutation was dispatched.
-func (c *Cache) drop(k node.EntryKey) bool {
+// mutation of k in flight from installing its result: the object has
+// changed since the mutation was dispatched.
+func (c *Cache) drop(k types.ObjKey) bool {
 	for i := range c.inflight {
-		if c.inflight[i].key == k {
-			c.inflight[i].revoked = true
+		for j := range c.inflight[i].objs {
+			if o := &c.inflight[i].objs[j]; o.key == k {
+				o.revoked = true
+			}
 		}
 	}
 	_, ok := c.entries.Delete(k)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cxfs/internal/namespace"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
 )
@@ -75,11 +76,11 @@ func TestCacheCapacityEviction(t *testing.T) {
 func TestCacheInvalidateOwnMutation(t *testing.T) {
 	c := NewCache(8)
 	c.Put(0, 0, grantMsg(0, types.RootInode, "f", 7, true, 1, time.Second))
-	c.Invalidate(types.RootInode, "f")
+	c.invalidate(types.DentryKey(types.RootInode, "f"))
 	if _, _, _, ok := c.Get(1, types.RootInode, "f"); ok {
 		t.Error("invalidated entry still served")
 	}
-	c.Invalidate(types.RootInode, "absent")
+	c.invalidate(types.DentryKey(types.RootInode, "absent"))
 	if got := c.Stats().Invalidations; got != 1 {
 		t.Errorf("Invalidations=%d, want 1 (absent key must not count)", got)
 	}
@@ -88,7 +89,7 @@ func TestCacheInvalidateOwnMutation(t *testing.T) {
 func TestCacheRevokeOnHint(t *testing.T) {
 	c := NewCache(8)
 	c.Put(0, 0, grantMsg(3, types.RootInode, "f", 7, true, 1, time.Second))
-	c.Revoke(types.RootInode, "f", 3, 1)
+	c.Revoke(types.DentryKey(types.RootInode, "f"), 3, 1)
 	if _, _, _, ok := c.Get(1, types.RootInode, "f"); ok {
 		t.Error("revoked entry still served")
 	}
@@ -116,7 +117,7 @@ func TestCacheEpochFence(t *testing.T) {
 	c := NewCache(8)
 	c.Put(0, 0, grantMsg(3, types.RootInode, "f", 7, true, 1, time.Hour))
 	// A revocation for an unrelated name carries the post-reboot epoch.
-	c.Revoke(types.RootInode, "unrelated", 3, 2)
+	c.Revoke(types.DentryKey(types.RootInode, "unrelated"), 3, 2)
 	if _, _, _, ok := c.Get(1, types.RootInode, "f"); ok {
 		t.Error("entry from the dead incarnation served after the epoch moved")
 	}
@@ -179,7 +180,7 @@ func TestCacheFlushAndObserver(t *testing.T) {
 }
 
 // TestCacheRemovalIsO1 pins dropping an entry from a full-size cache at zero
-// allocations, through Invalidate and through Revoke (each used to copy the
+// allocations, through invalidate and through Revoke (each used to copy the
 // remaining insertion order), and a Put of a new key at capacity at one.
 func TestCacheRemovalIsO1(t *testing.T) {
 	c := NewCache(0)
@@ -195,8 +196,8 @@ func TestCacheRemovalIsO1(t *testing.T) {
 		name string
 		f    func(string)
 	}{
-		{"Invalidate", func(n string) { c.Invalidate(types.RootInode, n) }},
-		{"Revoke", func(n string) { c.Revoke(types.RootInode, n, 0, 1) }},
+		{"invalidate", func(n string) { c.invalidate(types.DentryKey(types.RootInode, n)) }},
+		{"Revoke", func(n string) { c.Revoke(types.DentryKey(types.RootInode, n), 0, 1) }},
 	} {
 		before := c.Len()
 		allocs := testing.AllocsPerRun(100, func() {
@@ -235,7 +236,7 @@ func TestCacheEvictionOrder(t *testing.T) {
 	put("a")
 	put("b")
 	put("c")
-	c.Invalidate(types.RootInode, "b")
+	c.invalidate(types.DentryKey(types.RootInode, "b"))
 	put("b") // back in: newest
 	put("d") // evicts a
 	put("e") // evicts c, the oldest remaining
@@ -244,6 +245,15 @@ func TestCacheEvictionOrder(t *testing.T) {
 			t.Errorf("%s served=%v, want %v", name, ok, want)
 		}
 	}
+}
+
+// onePl places every object on server 0.
+var onePl = namespace.Placement{Servers: 1}
+
+// link is this client's mutation op that makes the entry (root, name), and
+// no inode: a link of inode 7.
+func link(op types.OpID, name string) types.Op {
+	return types.Op{ID: op, Kind: types.OpLink, Parent: types.RootInode, Name: name, Ino: 7}
 }
 
 // replyMsg builds the reply to this client's mutation op that made (dir,
@@ -264,7 +274,7 @@ func TestCacheInstallsOwnMutation(t *testing.T) {
 	op := func(seq uint64) types.OpID { return types.OpID{Proc: types.ProcID{Client: 100}, Seq: seq} }
 
 	c := NewCache(8)
-	c.dispatch(op(1), types.RootInode, "f", 1*time.Millisecond)
+	c.dispatch(link(op(1), "f"), onePl, 1*time.Millisecond)
 	c.Put(2*time.Millisecond, 3*time.Millisecond, grantMsg(0, types.RootInode, "f", 0, false, 1, ttl))
 	if c.Len() != 0 {
 		t.Error("a lookup answer was cached while the client's mutation of the entry was in flight")
@@ -280,7 +290,7 @@ func TestCacheInstallsOwnMutation(t *testing.T) {
 	}
 	// An answer issued before the installed entry's grant stamp does not
 	// replace it.
-	c.dispatch(op(2), types.RootInode, "g", 10*time.Millisecond)
+	c.dispatch(link(op(2), "g"), onePl, 10*time.Millisecond)
 	c.leased(11*time.Millisecond, replyMsg(0, op(2), 8, 1, ttl))
 	c.complete(12*time.Millisecond, op(2), nil)
 	c.Put(9*time.Millisecond, 13*time.Millisecond, grantMsg(0, types.RootInode, "g", 0, false, 1, ttl))
@@ -296,30 +306,30 @@ func TestCacheInstallsOwnMutation(t *testing.T) {
 		run  func(c *Cache)
 	}{
 		{"failed", func(c *Cache) {
-			c.dispatch(op(3), types.RootInode, "h", 0)
+			c.dispatch(link(op(3), "h"), onePl, 0)
 			c.leased(1, replyMsg(0, op(3), 9, 1, ttl))
 			c.complete(2, op(3), types.ErrExists)
 		}},
 		{"unleased", func(c *Cache) {
-			c.dispatch(op(3), types.RootInode, "h", 0)
+			c.dispatch(link(op(3), "h"), onePl, 0)
 			c.complete(2, op(3), nil)
 		}},
 		{"revoked", func(c *Cache) {
-			c.dispatch(op(3), types.RootInode, "h", 0)
+			c.dispatch(link(op(3), "h"), onePl, 0)
 			c.leased(1, replyMsg(0, op(3), 9, 1, ttl))
-			c.Revoke(types.RootInode, "h", 0, 1)
+			c.Revoke(types.DentryKey(types.RootInode, "h"), 0, 1)
 			c.complete(2, op(3), nil)
 		}},
 		{"another in flight", func(c *Cache) {
-			c.dispatch(op(3), types.RootInode, "h", 0)
-			c.dispatch(op(4), types.RootInode, "h", 0)
+			c.dispatch(link(op(3), "h"), onePl, 0)
+			c.dispatch(link(op(4), "h"), onePl, 0)
 			c.leased(1, replyMsg(0, op(3), 9, 1, ttl))
 			c.complete(2, op(3), nil)
 		}},
 		{"fenced", func(c *Cache) {
-			c.dispatch(op(3), types.RootInode, "h", 0)
+			c.dispatch(link(op(3), "h"), onePl, 0)
 			c.leased(1, replyMsg(0, op(3), 9, 1, ttl))
-			c.Revoke(types.RootInode, "other", 0, 2) // the server rebooted
+			c.Revoke(types.DentryKey(types.RootInode, "other"), 0, 2) // the server rebooted
 			c.complete(2, op(3), nil)
 		}},
 	} {
@@ -339,14 +349,14 @@ func TestCacheLateReplyToAbandonedMutationDropsEntry(t *testing.T) {
 	ttl := time.Second
 	op := func(seq uint64) types.OpID { return types.OpID{Proc: types.ProcID{Client: 100}, Seq: seq} }
 	c := NewCache(8)
-	c.dispatch(op(1), types.RootInode, "f", 0)
+	c.dispatch(link(op(1), "f"), onePl, 0)
 	c.complete(1, op(1), types.ErrTimeout)
 	c.Put(2, 3, grantMsg(0, types.RootInode, "f", 0, false, 1, ttl))
 	c.landed(op(2))
 	if _, _, _, ok := c.Get(4, types.RootInode, "f"); !ok {
 		t.Fatal("a reply to another op dropped the entry")
 	}
-	c.dispatch(op(3), types.RootInode, "f", 5)
+	c.dispatch(link(op(3), "f"), onePl, 5)
 	c.leased(6, replyMsg(0, op(3), 7, 1, ttl))
 	c.landed(op(1))
 	c.complete(7, op(3), nil)

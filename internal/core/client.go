@@ -31,7 +31,7 @@ type Driver struct {
 
 	retry types.RetryPolicy
 
-	cache     *Cache                // serves lookups locally under lease, when attached
+	cache     *Cache                // serves lookups and stats locally under lease, when attached
 	lookupLog *seg.Index[lookupRec] // per-op dispositions (TrackLookups)
 }
 
@@ -62,24 +62,26 @@ func (d *Driver) SetCache(c *Cache) { d.cache = c }
 // Cache returns the attached cache (nil when caching is off).
 func (d *Driver) Cache() *Cache { return d.cache }
 
-// lookupRec is one completed lookup's cache disposition.
+// lookupRec is one completed read's cache disposition.
 type lookupRec struct {
 	cached bool
 	grant  time.Duration
 }
 
-// TrackLookups starts recording each completed lookup's cache disposition
-// keyed by operation ID, for harvesting with TakeLookup. Only harnesses that
-// drain every entry should enable it (the log grows until taken).
+// TrackLookups starts recording each completed lookup's and stat's cache
+// disposition keyed by operation ID, for harvesting with TakeLookup. Only
+// harnesses that drain every entry should enable it (the log grows until
+// taken).
 func (d *Driver) TrackLookups() {
 	if d.lookupLog == nil {
 		d.lookupLog = new(seg.Index[lookupRec])
 	}
 }
 
-// TakeLookup pops the recorded cache disposition of lookup id: whether the
-// cache served it, and the lease grant timestamp backing the answer. ok is
-// false when the lookup timed out, no cache is attached, or tracking is off.
+// TakeLookup pops the recorded cache disposition of lookup or stat id:
+// whether the cache served it, and the lease grant timestamp backing the
+// answer. ok is false when the read timed out, no cache is attached, or
+// tracking is off.
 func (d *Driver) TakeLookup(id types.OpID) (cached bool, grant time.Duration, ok bool) {
 	if d.lookupLog == nil {
 		return false, 0, false
@@ -122,18 +124,18 @@ func (d *Driver) do(p *simrt.Proc, op types.Op, out *obs.Outcome) (types.Inode, 
 		return types.Inode{}, fmt.Errorf("%v: a %d-byte name: %w", op.Kind, n, types.ErrNameTooLong)
 	}
 	if d.cache != nil {
-		if op.Kind == types.OpLookup {
-			return d.doLookup(p, op)
-		}
-		if op.Kind.Mutating() {
-			// Read-your-writes: drop this client's cached view of the entry
-			// the mutation names BEFORE dispatching it, and cache nothing for
-			// it while the mutation is in flight. Done unconditionally (even
-			// if the op later fails or times out) — over-invalidation only
-			// costs a miss. A mutation that made the entry completes with the
-			// lease its reply carried, and the cache serves the binding.
-			d.cache.Invalidate(op.Parent, op.Name)
-			d.cache.dispatch(op.ID, op.Parent, op.Name, d.host.Sim.Now())
+		switch {
+		case op.Kind == types.OpLookup, op.Kind == types.OpStat:
+			return d.doRead(p, op)
+		case op.Kind.Mutating():
+			// Read-your-writes: drop this client's cached view of every
+			// object the mutation names BEFORE dispatching it, and cache
+			// nothing for them while the mutation is in flight. Done
+			// unconditionally (even if the op later fails or times out) —
+			// over-invalidation only costs a miss. A mutation that made an
+			// object completes with the lease its reply carried, and the
+			// cache serves what it made.
+			d.cache.dispatch(op, d.pl, d.host.Sim.Now())
 			ino, err := d.dispatch(p, op, out)
 			d.cache.complete(d.host.Sim.Now(), op.ID, err)
 			return ino, err
@@ -185,24 +187,41 @@ func (d *Driver) roundTrip(p *simrt.Proc, req *wire.Msg) (types.Inode, error) {
 	return reply.Attr, errFrom(&reply.Msg)
 }
 
-// doLookup is the leased read path: the cache serves (Parent, Name) while a
-// valid lease covers it, and otherwise the dentry's coordinator answers and
-// its grant fills the cache. The disposition — served locally or not, and the
-// issue time of the request backing the answer (for the staleness oracle) —
-// goes to the lookup log when tracking is on.
-func (d *Driver) doLookup(p *simrt.Proc, op types.Op) (types.Inode, error) {
+// doRead is the leased read path: the cache serves a lookup's entry or a
+// stat's inode while a valid lease covers it, and otherwise the object's
+// server answers — the entry's coordinator a MsgLookupReq, the inode's
+// server the stat's sub-op — and its grant fills the cache. The
+// disposition — served locally or not, and the issue time of the request
+// backing the answer (for the staleness oracle) — goes to the read log when
+// tracking is on.
+func (d *Driver) doRead(p *simrt.Proc, op types.Op) (types.Inode, error) {
 	issued := d.host.Sim.Now()
-	attr, found, grant, cached := d.cache.Get(issued, op.Parent, op.Name)
+	var (
+		attr          types.Inode
+		found, cached bool
+		grant         time.Duration
+	)
+	if op.Kind == types.OpLookup {
+		attr, found, grant, cached = d.cache.Get(issued, op.Parent, op.Name)
+	} else {
+		attr, found, grant, cached = d.cache.get(issued, types.InodeKey(op.Ino))
+	}
 	var err error
 	switch {
 	case cached && !found:
 		attr, err = types.Inode{}, types.ErrNotFound
 	case !cached:
+		var req wire.Msg
+		if op.Kind == types.OpLookup {
+			req = wire.Msg{Type: wire.MsgLookupReq, To: d.pl.CoordinatorFor(op.Parent, op.Name), Op: op.ID,
+				Dir: op.Parent, Path: op.Name, ReplyProc: op.ID.Proc}
+		} else {
+			req = wire.Msg{Type: wire.MsgSubOpReq, To: d.pl.ParticipantFor(op.Ino), Op: op.ID,
+				Sub: types.SingleSubOp(op), ReplyProc: op.ID.Proc}
+		}
 		route := d.host.Open(op.ID)
 		defer d.host.Done(op.ID)
-		reply, ok := d.host.Call(p, d.retry, route, &wire.Msg{Type: wire.MsgLookupReq,
-			To: d.pl.CoordinatorFor(op.Parent, op.Name), Op: op.ID,
-			Dir: op.Parent, Path: op.Name, ReplyProc: op.ID.Proc})
+		reply, ok := d.host.Call(p, d.retry, route, &req)
 		if !ok {
 			return types.Inode{}, types.ErrTimeout
 		}

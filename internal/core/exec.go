@@ -166,10 +166,14 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 	// during the (milliseconds-long) log write still sees the conflict.
 	// The pending entry itself registers only after the record is durable,
 	// because votes must never report a result that could vanish in a
-	// crash.
+	// crash. The leases on the rows it wrote go at the same moment, for the
+	// cached values may be stale as soon as this execution commits; an
+	// object it made is leased to the operation's client, whose reply
+	// carries the grant.
 	if cross && res.OK {
-		s.hold(sub, written(&res))
+		s.KV.Lock(written(&res), sub.Op)
 	}
+	s.RevokeLeases(sub, res.Rows)
 	if s.step(StepExecProvisional, sub.Op, execStart, func() string { return sub.Kind.String() + "/" + sub.Role.String() }) {
 		return
 	}
@@ -223,8 +227,8 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 	if res.Err != nil {
 		reply.Err = res.Err.Error()
 	}
-	if cross && res.OK {
-		s.LeaseOn(&reply, sub) // the lease hold granted
+	if res.OK {
+		s.LeaseOn(&reply, sub)
 	}
 	switch {
 	case cross:
@@ -268,16 +272,6 @@ func (s *Server) heldBy(sub types.SubOp, seen kvstore.Probe) (pr kvstore.Probe, 
 	}
 	holder, held = s.KV.Holder(pr.Row)
 	return pr, holder, held && holder.Proc != sub.Op.Proc
-}
-
-// hold marks the sub-op's object active: its row, which the execution has
-// just written, is locked by the operation. A dentry becoming active also
-// revokes any read leases on it, for the cached value may be stale the
-// moment this execution commits; one it inserts is leased to the
-// operation's client, whose reply carries the grant.
-func (s *Server) hold(sub types.SubOp, row kvstore.Row) {
-	s.KV.Lock(row, sub.Op)
-	s.RevokeLeases(sub)
 }
 
 // redispatch re-runs a released sub-op: it may conflict again with a newer
@@ -379,10 +373,12 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 		return
 	}
 	// The colocated path never marks objects active (it commits in one
-	// batched append below), but the dentry mutation still voids leases,
-	// and a dentry it inserts is leased to the client through the reply.
-	s.RevokeLeases(cSub)
+	// batched append below), but its writes still void leases, and what it
+	// makes is leased to the client through the reply.
+	s.RevokeLeases(cSub, resC.Rows)
+	s.RevokeLeases(pSub, resP.Rows)
 	s.LeaseOn(&reply, cSub)
+	s.LeaseOn(&reply, pSub)
 	beforeC, afterC := resC.Images()
 	beforeP, afterP := resP.Images()
 	if !s.logResults(p, boot, []wal.Record{

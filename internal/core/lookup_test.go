@@ -214,8 +214,8 @@ func TestOwnCreateIsLeased(t *testing.T) {
 		if sent := c.Counters().Net.ByType[wire.MsgLookupReq] - before.Net.ByType[wire.MsgLookupReq]; sent != 0 {
 			t.Errorf("%d LOOKUP-REQs for a name the host just made, want 0", sent)
 		}
-		if st := drvA.Cache().Stats(); st.Installs != 1 || st.Revocations != 0 {
-			t.Errorf("installs=%d revocations=%d, want 1 and 0", st.Installs, st.Revocations)
+		if st := drvA.Cache().Stats(); st.Installs != 2 || st.Revocations != 0 {
+			t.Errorf("installs=%d revocations=%d, want 2 (the entry and its inode) and 0", st.Installs, st.Revocations)
 		}
 		if n := before.Node.LeaseRevocations; n != 0 {
 			t.Errorf("%d revocation notices for the host's own create, want 0", n)
@@ -226,8 +226,8 @@ func TestOwnCreateIsLeased(t *testing.T) {
 			return
 		}
 		c.Quiesce(p)
-		if st := drvA.Cache().Stats(); st.Revocations != 1 {
-			t.Errorf("B's remove revoked %d of A's entries, want 1", st.Revocations)
+		if st := drvA.Cache().Stats(); st.Revocations != 2 {
+			t.Errorf("B's remove revoked %d of A's entries, want 2 (the entry and its inode)", st.Revocations)
 		}
 		if in, cached, _, err := lookupVia(p, prA, name); cached || !errors.Is(err, types.ErrNotFound) {
 			t.Errorf("lookup after B's remove: ino=%v cached=%v err=%v, want a miss and ErrNotFound", in.Ino, cached, err)
@@ -472,8 +472,8 @@ func TestFailedCreateInstallsNothing(t *testing.T) {
 		if in, cached, _, err := lookupVia(p, pr, name); cached || !errors.Is(err, types.ErrNotFound) {
 			t.Errorf("lookup after the failed create: ino=%v cached=%v err=%v, want a miss and ErrNotFound", in.Ino, cached, err)
 		}
-		if got := pr.Driver().Cache().Stats().Installs; got != 1 {
-			t.Errorf("Installs=%d, want 1 (the first create only)", got)
+		if got := pr.Driver().Cache().Stats().Installs; got != 2 {
+			t.Errorf("Installs=%d, want 2 (the first create's entry and inode only)", got)
 		}
 	})
 }

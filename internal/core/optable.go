@@ -458,7 +458,7 @@ func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID
 	// (DESIGN.md §5 item 14).
 	st.phase = phaseNone
 	s.stats.Invalidations++
-	s.Shard.ApplyUndo(e.undo)
+	s.Restore(victim, e.undo)
 	if a := s.find(afterOp); a != nil && a.parked != nil && a.parked.holder == victim {
 		// The coordinator's order: afterOp executes first, with no hint.
 		br := a.parked
@@ -510,7 +510,7 @@ func commitRecord(op types.OpID, role types.Role) wal.Record {
 // rollBack takes an aborted execution's effects back and returns its
 // Abort-Record.
 func (s *Server) rollBack(e *execution) wal.Record {
-	s.Shard.ApplyUndo(e.undo)
+	s.Restore(e.sub.Op, e.undo)
 	return wal.Record{Type: wal.RecAbort, Op: e.sub.Op, Role: e.sub.Role}
 }
 

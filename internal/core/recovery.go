@@ -191,7 +191,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			for _, img := range last.Post {
 				e.rows.Add(kvstore.Ref{Key: img.Key, Row: s.KV.Find(img.Key)})
 			}
-			s.hold(last.Sub, e.rows[0].Row)
+			s.KV.Lock(e.rows[0].Row, last.Sub.Op)
 		}
 		if last.Role == types.RoleCoordinator {
 			undecidedCoord = append(undecidedCoord, id)

@@ -146,8 +146,18 @@ func TestGoldenRuns(t *testing.T) {
 		// notices: fewer messages and events, and a shorter run. A lapsed
 		// grant still stays in the server's lease table, so the entry's next
 		// mutation notifies its holder, as before.
-		{"chaos/seed13/statstorm", chaosGolden(chaos.Config{Seed: 13, StatStorm: true, CacheTTL: 40 * time.Millisecond}), golden{560665937, 813, 3146, "b83cddeda42e3368"}},
-		{"chaos/seed1/pipeline4/cache", chaosGolden(chaos.Config{Seed: 1, Pipeline: 4, CacheTTL: 40 * time.Millisecond}), golden{773418685, 4157, 19712, "5708543f3b095dc1"}},
+		//
+		// Both were re-pinned once more, for one cause: leases cover inodes as
+		// well as entries (DESIGN.md §5 item 23). A create's inode is leased
+		// to its client, and a write that restores a before-image — a
+		// rollback, an invalidation — revokes every holder, the operation's
+		// own client included, which it did not before: the rolled-back
+		// creates of the nemesis now send their clients notices, and the
+		// runs' schedules shift with them. The stat-storm row moved for that
+		// and for its mix, whose foreign-read band now stats the inode of
+		// another worker's newest name in its lower part.
+		{"chaos/seed13/statstorm", chaosGolden(chaos.Config{Seed: 13, StatStorm: true, CacheTTL: 40 * time.Millisecond}), golden{659566434, 915, 3484, "5807ac1e010f212b"}},
+		{"chaos/seed1/pipeline4/cache", chaosGolden(chaos.Config{Seed: 1, Pipeline: 4, CacheTTL: 40 * time.Millisecond}), golden{757242550, 4228, 19929, "f90df9d6dfd3695e"}},
 		{"metarates/closed-loop", metaratesClosedLoopGolden, golden{658013779, 4220, 18559, "2cff680c1525a4b8"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -213,8 +223,9 @@ var raceEnabled bool
 // the whole run — trace generation, cluster build and the ops — over its op
 // count. The cx, se, cx-bytes and se-bytes rows replay the golden s3d input
 // under Cx and SE; home2-cached-bytes replays home2 with the leased client
-// cache on, where every mutation revokes leases and invalidates cache
-// entries. The metarates row is the benchmark's update-dominated gc+pipeline
+// cache on, where lookups and stats are served under dentry and inode
+// leases, every row write revokes leases and every mutation invalidates
+// and reinstalls cache entries. The metarates row is the benchmark's update-dominated gc+pipeline
 // shape (metaratesCluster, 8 ops in flight per process) in steady state: the
 // bytes a run of 2,500 ops per process allocates beyond a run of 1,000, over
 // the ops between them, so cluster build and the tables' growth to their

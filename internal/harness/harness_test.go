@@ -9,6 +9,8 @@ import (
 
 	"cxfs/internal/cluster"
 	"cxfs/internal/obs"
+	"cxfs/internal/trace"
+	"cxfs/internal/types"
 )
 
 // tiny keeps the shape tests fast: they check what holds at any size, on
@@ -317,5 +319,28 @@ func TestDocsNameEveryExperiment(t *testing.T) {
 				t.Errorf("%s does not name experiment %q", path, id)
 			}
 		}
+	}
+}
+
+// TestCacheCountsEveryRead: on a small home2 replay with the leased cache
+// on, the caches' hits and misses add up to the lookups and stats the
+// drivers issued — every read asks its cache once, and nothing else does.
+func TestCacheCountsEveryRead(t *testing.T) {
+	prof, err := trace.ProfileByName("home2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Config{Servers: 8, Seed: 1}.clusterFor(cluster.ProtoCx, func(o *cluster.Options) { o.CacheTTL = time.Second })
+	defer c.Shutdown()
+	var reads uint64
+	c.Events.Subscribe(func(ev obs.Event) {
+		if ev.Phase == obs.PhaseIssue && (ev.Kind == types.OpLookup || ev.Kind == types.OpStat) {
+			reads++
+		}
+	})
+	(&trace.Replayer{Trace: trace.Generate(prof, 0.01, 1), C: c}).Run()
+	st := c.CacheStats()
+	if reads == 0 || st.Hits == 0 || st.Hits+st.Misses != reads {
+		t.Errorf("hits %d + misses %d, want the %d lookups and stats issued", st.Hits, st.Misses, reads)
 	}
 }

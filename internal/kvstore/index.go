@@ -1,14 +1,11 @@
 package kvstore
 
-import (
-	"math/bits"
-
-	"cxfs/internal/types"
-)
+import "cxfs/internal/types"
 
 // index maps the key of every record to the record's handle: an
 // open-addressing table of slots probed linearly from the key's hash, each
-// slot a hash tag and a handle. The key itself lives in the record, so a slot
+// slot a hash tag (the low 32 bits of types.ObjKey.Hash, which every record
+// keeps, so a key is hashed once when filed and once per Find) and a handle. The key itself lives in the record, so a slot
 // is 8 bytes whatever the key, and growing the table re-places slots by their
 // tags without reading a record. The table is never iterated: the slab's
 // order is the store's.
@@ -22,37 +19,6 @@ type index struct {
 type slot struct {
 	tag uint32
 	ref int32
-}
-
-// HashKey is the index's hash of a key. Every record keeps its key's, so the
-// key is hashed once when the record is filed and once per Find. A name is
-// mixed in eight bytes at a time. It is unseeded; the lease table and the
-// client cache file their (dir, name) keys by it too (node.EntryKey).
-func HashKey(k types.ObjKey) uint32 {
-	const m = 0x9e3779b97f4a7c15
-	h := uint64(k.Kind)<<56 ^ uint64(k.Dir)*m ^ uint64(k.Ino) ^ uint64(len(k.Name))<<32
-	s := k.Name
-	for ; len(s) >= 8; s = s[8:] {
-		h = bits.RotateLeft64(h^le64(s), 29) * m
-	}
-	var tail uint64
-	for i := 0; i < len(s); i++ {
-		tail |= uint64(s[i]) << (8 * i)
-	}
-	h ^= tail
-	h ^= h >> 33 // MurmurHash3's finalizer: every input bit reaches the low bits
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return uint32(h)
-}
-
-// le64 reads the first eight bytes of s as a little-endian word.
-func le64(s string) uint64 {
-	_ = s[7]
-	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // sameKey reports whether a and b are one key: == on ObjKey, cheapest
@@ -69,7 +35,7 @@ func (st *Store) Find(key types.ObjKey) Row {
 	if ix.n == 0 {
 		return NoRow
 	}
-	tag := HashKey(key)
+	tag := uint32(key.Hash())
 	mask := uint32(len(ix.slots) - 1)
 	for i := tag & mask; ; i = (i + 1) & mask {
 		s := ix.slots[i]

@@ -176,7 +176,7 @@ type record struct {
 	pins   int32
 	filed  uint32 // the store's filing count when the record was filed (never 0)
 	page   int64  // leaf page, assigned at first write and kept while the record holds the row
-	tag    uint32 // HashKey(key): the record's place in the index
+	tag    uint32 // the low bits of key.Hash(): the record's place in the index
 	dirty  bool   // volatile change not yet written
 	owed   uint8  // pageOwed, plus writing once per checkpoint writing the page now
 	// val is the row in the volatile image, dur in the image implied by
@@ -390,7 +390,7 @@ func (st *Store) file(key types.ObjKey) Row {
 		st.filed++
 	}
 	r := st.at(h) // empty: zero from the slab or from keep
-	r.key, r.tag, r.filed = key, HashKey(key), st.filed
+	r.key, r.tag, r.filed = key, uint32(key.Hash()), st.filed
 	st.index.insert(r.tag, h)
 	return h
 }

@@ -563,7 +563,7 @@ func TestQuickVolatileSemantics(t *testing.T) {
 					if placed != r.holds() || placed && r.page != page {
 						t.Errorf("%s: record of %s on page %d (holds its row: %v), want %d (placed: %v)", when, k, r.page, r.holds(), page, placed)
 					}
-					if r.key != dk(k) || r.tag != HashKey(r.key) || r.dirty != dirty[k] || (r.owed&pageOwed != 0) != owed[k] {
+					if r.key != dk(k) || r.tag != uint32(r.key.Hash()) || r.dirty != dirty[k] || (r.owed&pageOwed != 0) != owed[k] {
 						t.Errorf("%s: record of %s is %+v; want dirty=%v owed=%v", when, k, r, dirty[k], owed[k])
 					}
 				}

@@ -73,23 +73,23 @@ func Classify(err error) Outcome {
 }
 
 // Op is one client-observed operation in a history. Create/Mkdir and
-// Remove/Rmdir are the namespace-mutating kinds; Lookup carries what the
-// client saw (Found/SawIno). Other kinds (Stat, SetAttr) have no
-// name-level effect and are ignored by the replay.
+// Remove/Rmdir are the namespace-mutating kinds; Lookup and Stat carry what
+// the client saw (Found/SawIno). Reads and other kinds (SetAttr) have no
+// name-level effect on the replay; CheckStalenessBound judges cached reads.
 type Op struct {
 	Worker  int
 	Kind    types.OpKind
 	Name    string
 	Ino     types.InodeID
 	Outcome Outcome
-	// Lookup observations: Found says the lookup resolved, SawIno is the
-	// inode it resolved to.
+	// Read observations: Found says the lookup resolved, or the stat found
+	// its inode, and SawIno is the inode it saw.
 	Found  bool
 	SawIno types.InodeID
 
 	// Timing, for the leased-cache staleness bound. Issued is the virtual
 	// time the client dispatched the operation, At the time it observed the
-	// outcome. For lookups served from the client cache, Cached is true and
+	// outcome. For reads served from the client cache, Cached is true and
 	// Grant is the lease's timestamp — stamped at the *issue* of the
 	// request that filled the cache entry, a sound lower bound on the
 	// server-side grant instant (the server resolved strictly after the
@@ -267,16 +267,20 @@ func Tally(hist []Op) (ok, failed, unknown uint64) {
 // lease lapses or the revocation lands. What it forbids is a lease
 // reflecting state older than its own grant:
 //
-//   - a cached positive read whose name was definitely removed (outcome OK,
-//     observed at or before the grant timestamp);
-//   - a cached negative read whose name was definitely created before the
+//   - a cached positive lookup or stat whose name was definitely removed
+//     (outcome OK, observed at or before the grant timestamp) — a stat
+//     targets the inode the name's create bound;
+//   - a cached negative lookup whose name was definitely created before the
 //     grant, with no remove even issued by the time of the read;
-//   - a cached positive read resolving to a foreign inode (names are bound
-//     exactly once).
+//   - a cached positive lookup resolving to a foreign inode (names are
+//     bound exactly once);
+//   - a cached stat finding an inode that no create of its name bound,
+//     definitely (OK) or possibly (Unknown): the inode of a create that
+//     definitely failed never existed.
 //
 // Timestamps are client-side: a mutation's At is when the client observed
-// the outcome, which the server-side commit precedes; a lookup's Grant is
-// the cache-filling request's issue time, which the server-side grant
+// the outcome, which the server-side commit precedes; a cached read's Grant
+// is the cache-filling request's issue time, which the server-side grant
 // follows. Both inequalities point the safe direction, so the check is
 // sound under arbitrary message delays.
 func CheckStalenessBound(hist []Op) []string {
@@ -300,7 +304,7 @@ func CheckStalenessBound(hist []Op) []string {
 	}
 	var bad []string
 	for i, o := range hist {
-		if o.Kind != types.OpLookup || !o.Cached {
+		if o.Kind != types.OpLookup && o.Kind != types.OpStat || !o.Cached {
 			continue
 		}
 		if o.Outcome != OK && o.Outcome != FailedNotFound {
@@ -310,7 +314,7 @@ func CheckStalenessBound(hist []Op) []string {
 		var createdBefore, removedBefore bool // definitely committed by Grant
 		var removeIssuedByRead bool
 		var boundIno types.InodeID
-		var haveBound bool
+		var haveBound, sawBound bool // sawBound: a create that may have committed bound SawIno
 		for _, m := range muts[o.Name] {
 			if m.remove {
 				if m.issued <= o.At {
@@ -319,12 +323,15 @@ func CheckStalenessBound(hist []Op) []string {
 				if m.outcome == OK && m.at <= o.Grant {
 					removedBefore = true
 				}
-			} else {
-				if m.outcome == OK {
-					boundIno, haveBound = m.ino, true
-					if m.at <= o.Grant {
-						createdBefore = true
-					}
+				continue
+			}
+			if m.outcome == OK || m.outcome == Unknown {
+				sawBound = sawBound || m.ino == o.SawIno
+			}
+			if m.outcome == OK {
+				boundIno, haveBound = m.ino, true
+				if m.at <= o.Grant {
+					createdBefore = true
 				}
 			}
 		}
@@ -332,6 +339,11 @@ func CheckStalenessBound(hist []Op) []string {
 		case found && removedBefore:
 			bad = append(bad, fmt.Sprintf(
 				"staleness[%d]: cached read returned a name whose removal committed before the lease grant: %s", i, o))
+		case o.Kind == types.OpStat:
+			if found && !sawBound {
+				bad = append(bad, fmt.Sprintf(
+					"staleness[%d]: cached stat found an inode no create bound: %s", i, o))
+			}
 		case found && haveBound && o.SawIno != boundIno:
 			bad = append(bad, fmt.Sprintf(
 				"staleness[%d]: cached read resolved to foreign ino (name bound to %d): %s", i, boundIno, o))

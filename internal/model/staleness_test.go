@@ -103,8 +103,9 @@ func TestStalenessNegativeReadExcusedByIssuedRemove(t *testing.T) {
 	})
 }
 
-// Uncached lookups, non-lookup ops, and informationless outcomes are out of
-// the bound's scope no matter what they claim to have seen.
+// Uncached lookups, a cached stat that found nothing, and informationless
+// outcomes are out of the bound's scope no matter what they claim to have
+// seen.
 func TestStalenessIgnoresOutOfScopeOps(t *testing.T) {
 	uncached := cachedHit("a", 9, 40, 50)
 	uncached.Cached = false
@@ -128,4 +129,43 @@ func TestStalenessUnknownCreateBindsNothing(t *testing.T) {
 		cachedMiss("a", 20, 30),
 		cachedHit("a", 9, 20, 40),
 	})
+}
+
+func cachedStat(name string, saw types.InodeID, grant, at int) Op {
+	o := cachedHit(name, saw, grant, at)
+	o.Kind = types.OpStat
+	return o
+}
+
+// A cached stat is judged by the name whose inode it reads: granted within
+// the TTL window before the remove it is legal, granted after the remove
+// committed it is stale.
+func TestStalenessStatOfRemovedName(t *testing.T) {
+	sbWantClean(t, []Op{
+		sbCreate("a", 7, 0, 10, OK),
+		sbRemove("a", 40, 50, OK),
+		cachedStat("a", 7, 20, 60),
+	})
+	sbWantViolation(t, []Op{
+		sbCreate("a", 7, 0, 10, OK),
+		sbRemove("a", 20, 30, OK),
+		cachedStat("a", 7, 40, 50),
+	}, "removal committed before the lease grant")
+}
+
+// A cached stat may find only an inode a create bound, definitely or
+// possibly: the inode of a create that definitely failed never existed.
+func TestStalenessStatOfUnboundInode(t *testing.T) {
+	sbWantClean(t, []Op{
+		sbCreate("a", 7, 0, 10, Unknown),
+		cachedStat("a", 7, 20, 30),
+	})
+	sbWantViolation(t, []Op{
+		sbCreate("a", 7, 0, 10, Failed),
+		cachedStat("a", 7, 5, 30),
+	}, "no create bound")
+	sbWantViolation(t, []Op{
+		sbCreate("a", 7, 0, 10, OK),
+		cachedStat("a", 9, 20, 30),
+	}, "no create bound")
 }

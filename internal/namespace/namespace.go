@@ -163,6 +163,16 @@ type Undo struct {
 // Empty reports whether the undo has nothing to restore.
 func (u Undo) Empty() bool { return u.before.Key.Kind == 0 }
 
+// Keys returns the keys of the rows u restores: the object's, then the
+// directory inode's it compensates; a zero key for either it leaves alone.
+func (u Undo) Keys() [2]types.ObjKey {
+	ks := [2]types.ObjKey{u.before.Key}
+	if u.delta != 0 {
+		ks[1] = types.InodeKey(u.dir)
+	}
+	return ks
+}
+
 // parentBump is what an action adds to the entry count of the directory it
 // works in.
 func parentBump(a types.SubOpAction) int64 {

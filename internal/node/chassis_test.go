@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cxfs/internal/kvstore"
 	"cxfs/internal/simrt"
 	"cxfs/internal/transport"
 	"cxfs/internal/types"
@@ -218,12 +219,13 @@ func TestAnswerLookupLeasesAndRevokeNotifiesInGrantOrder(t *testing.T) {
 		}
 
 		*sent = nil
+		b.LeaseTTL = ttl
 		remove := func(name string) types.SubOp {
 			return types.SubOp{Op: opID(9), Action: types.ActRemoveEntry, Parent: types.RootInode, Name: name}
 		}
-		b.RevokeLeases(remove("f"))
-		b.RevokeLeases(remove("f"))        // already revoked
-		b.RevokeLeases(remove("unleased")) // nobody to tell
+		b.RevokeLeases(remove("f"), wrote(remove("f")))
+		b.RevokeLeases(remove("f"), wrote(remove("f")))               // already revoked
+		b.RevokeLeases(remove("unleased"), wrote(remove("unleased"))) // nobody to tell
 		r = *sent
 		if len(r) != 2 || r[0].To != 102 || r[1].To != 101 {
 			t.Errorf("revocations %+v, want one each to 102 then 101 (grant order; 103 holds no lease)", r)
@@ -257,7 +259,7 @@ func TestMutatingClientIsLeasedNotNotified(t *testing.T) {
 		create := types.SubOp{Op: types.OpID{Proc: types.ProcID{Client: 101}, Seq: 7},
 			Action: types.ActInsertEntry, Parent: types.RootInode, Name: "f", Ino: 42}
 		b.Shard.SeedDentry(types.RootInode, "f", 42) // what the execution wrote
-		b.RevokeLeases(create)
+		b.RevokeLeases(create, wrote(create))
 		if r := *sent; len(r) != 1 || r[0].To != 102 || r[0].Type != wire.MsgConflictNotify {
 			t.Errorf("notices %+v, want one, to 102 only (101 made the entry)", r)
 		}
@@ -274,7 +276,7 @@ func TestMutatingClientIsLeasedNotNotified(t *testing.T) {
 		*sent = nil
 		remove := types.SubOp{Op: types.OpID{Proc: types.ProcID{Client: 103}, Seq: 1},
 			Action: types.ActRemoveEntry, Parent: types.RootInode, Name: "f"}
-		b.RevokeLeases(remove)
+		b.RevokeLeases(remove, wrote(remove))
 		if r := *sent; len(r) != 1 || r[0].To != 101 {
 			t.Errorf("notices %+v, want one, to 101", r)
 		}
@@ -285,13 +287,59 @@ func TestMutatingClientIsLeasedNotNotified(t *testing.T) {
 		}
 
 		b.LeaseTTL = 0
-		b.RevokeLeases(create)
+		b.RevokeLeases(create, wrote(create))
 		reply = wire.Msg{Type: wire.MsgSubOpResp, To: 101, Op: create.Op, OK: true}
 		b.LeaseOn(&reply, create)
 		if reply.LeaseEpoch != 0 || reply.Attr.Ino != 0 || b.LeasesOutstanding() != 0 {
 			t.Errorf("ttl 0 leased the create: reply %+v, %d outstanding", reply, b.LeasesOutstanding())
 		}
 	})
+}
+
+// A stat's reply leases the inode as a lookup's leases the entry. A
+// setattr's write notifies every holder of the inode but its own client,
+// naming the inode by Attr.Ino with Dir 0, and leases the inode it made to
+// that client; the write's undo notifies every holder, that client
+// included, and restores the inode.
+func TestInodeLeasesRevokedByWritesAndRestores(t *testing.T) {
+	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, sent *[]wire.Msg) {
+		b.LeaseTTL = 50 * time.Millisecond
+		b.Shard.SeedInode(types.Inode{Ino: 42, Type: types.FileRegular, Nlink: 1})
+		before, _ := b.Shard.GetInode(42)
+		for _, client := range []types.NodeID{102, 101} {
+			reply := wire.Msg{Type: wire.MsgSubOpResp, To: client, OK: true, Attr: before}
+			b.LeaseOn(&reply, types.SubOp{Action: types.ActReadInode, Ino: 42})
+			if reply.LeaseEpoch != b.Boot()+1 || reply.LeaseTTL != b.LeaseTTL || reply.Attr != before {
+				t.Errorf("stat reply to %d: %+v, want the lease and the inode", client, reply)
+			}
+		}
+		touch := types.SubOp{Op: types.OpID{Proc: types.ProcID{Client: 101}, Seq: 1}, Action: types.ActTouchInode, Ino: 42}
+		res := b.Shard.Exec(touch, 5)
+		*sent = nil
+		b.RevokeLeases(touch, res.Rows)
+		if r := *sent; len(r) != 1 || r[0].To != 102 || LeaseKey(&r[0]) != types.InodeKey(42) {
+			t.Errorf("notices %+v, want one, to 102, naming inode 42", r)
+		}
+		reply := wire.Msg{Type: wire.MsgSubOpResp, To: 101, Op: touch.Op, OK: true}
+		b.LeaseOn(&reply, touch)
+		if after, _ := b.Shard.GetInode(42); reply.LeaseEpoch == 0 || reply.Attr != after || after.Mtime != 5 {
+			t.Errorf("reply to the setattr: %+v, want the lease and the inode it made", reply)
+		}
+		*sent = nil
+		b.Restore(touch.Op, res.Undo())
+		if r := *sent; len(r) != 1 || r[0].To != 101 || LeaseKey(&r[0]) != types.InodeKey(42) {
+			t.Errorf("notices %+v, want one, to 101, the setattr's own client", r)
+		}
+		if in, _ := b.Shard.GetInode(42); in != before {
+			t.Errorf("restored inode %+v, want %+v", in, before)
+		}
+	})
+}
+
+// wrote is what an execution of sub wrote: its object's row.
+func wrote(sub types.SubOp) kvstore.Refs {
+	k, _ := sub.Key()
+	return kvstore.Refs{{Key: k}}
 }
 
 // calling runs req (addressed to node 101) as a Call of its own proc; a copy

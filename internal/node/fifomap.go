@@ -12,15 +12,17 @@ import (
 // and eviction reuses the victim's node: neither scans the table or copies
 // it. A deleted key's node is emptied onto a free list for the next Push,
 // so a map churning below its capacity allocates no nodes, and an empty free
-// list is refilled nodeBlock nodes at a time, up to the capacity. The keys
-// are filed in a seg.Table, hashed by their own unseeded Hash, so a map
-// churning at a steady size allocates nothing at all; the zero key, which a
-// Table cannot hold, has a field of its own. The server's lease table and
-// the client's leased cache both use it.
+// list is refilled nodeBlock nodes at a time, up to the capacity. The nodes
+// are filed in a seg.Table by their keys' unseeded Hash, not by the keys
+// themselves: a slot is 16 bytes whatever the key, the key is kept once, in
+// its node, and growing the table hashes no key again. Nodes whose keys
+// share a hash are chained through twin, newest first, so a map churning at
+// a steady size allocates nothing at all. The server's lease table and the
+// client's leased cache both use it.
 type FIFOMap[K seg.Key, V any] struct {
 	cap            int
-	index          seg.Table[K, *fifoNode[K, V]]
-	zero           *fifoNode[K, V] // the zero key's node, if it is held
+	n              int
+	index          seg.Table[keyHash, *fifoNode[K, V]] // the newest node of each hash
 	oldest, newest *fifoNode[K, V]
 	free           *fifoNode[K, V] // deleted nodes, emptied, linked by next
 }
@@ -29,6 +31,21 @@ type fifoNode[K seg.Key, V any] struct {
 	key        K
 	val        V
 	prev, next *fifoNode[K, V] // toward oldest, toward newest
+	twin       *fifoNode[K, V] // the next older node whose key has the same hash
+}
+
+// keyHash is a key's hash as the index files it: never 0, which a Table
+// cannot hold.
+type keyHash uint64
+
+// Hash is the hash itself: it was mixed when it was made.
+func (h keyHash) Hash() uint64 { return uint64(h) }
+
+func hashOf[K seg.Key](k K) keyHash {
+	if h := k.Hash(); h != 0 {
+		return keyHash(h)
+	}
+	return 1
 }
 
 // NewFIFOMap builds a FIFOMap holding at most capacity (> 0) keys.
@@ -37,31 +54,37 @@ func NewFIFOMap[K seg.Key, V any](capacity int) *FIFOMap[K, V] {
 }
 
 // Len returns the number of keys held.
-func (m *FIFOMap[K, V]) Len() int {
-	if m.zero != nil {
-		return m.index.Len() + 1
-	}
-	return m.index.Len()
-}
+func (m *FIFOMap[K, V]) Len() int { return m.n }
 
 // node returns k's node, or nil if k is absent.
 func (m *FIFOMap[K, V]) node(k K) *fifoNode[K, V] {
-	var zero K
-	if k == zero {
-		return m.zero
+	n, _ := m.index.Get(hashOf(k))
+	for n != nil && n.key != k {
+		n = n.twin
 	}
-	n, _ := m.index.Get(k)
 	return n
 }
 
 // take removes k's filing and returns its node, nil if k is absent.
-func (m *FIFOMap[K, V]) take(k K) (n *fifoNode[K, V]) {
-	var zero K
-	if k == zero {
-		n, m.zero = m.zero, nil
-		return n
+func (m *FIFOMap[K, V]) take(k K) *fifoNode[K, V] {
+	h := hashOf(k)
+	head, _ := m.index.Get(h)
+	var prev *fifoNode[K, V]
+	n := head
+	for n != nil && n.key != k {
+		prev, n = n, n.twin
 	}
-	n, _ = m.index.Delete(k)
+	switch {
+	case n == nil:
+		return nil
+	case prev != nil:
+		prev.twin = n.twin
+	case n.twin != nil:
+		m.index.Put(h, n.twin)
+	default:
+		m.index.Delete(h)
+	}
+	m.n--
 	return n
 }
 
@@ -111,11 +134,10 @@ func (m *FIFOMap[K, V]) Push(k K) (v *V, evicted bool) {
 	}
 	n.key = k
 	m.link(n)
-	if k == *new(K) {
-		m.zero = n
-	} else {
-		m.index.Put(k, n)
-	}
+	h := hashOf(k)
+	n.twin, _ = m.index.Get(h)
+	m.index.Put(h, n)
+	m.n++
 	return &n.val, evicted
 }
 
@@ -194,5 +216,5 @@ func (m *FIFOMap[K, V]) Reset() {
 		m.free, n = n, next
 	}
 	m.index.Clear()
-	m.zero, m.oldest, m.newest = nil, nil, nil
+	m.n, m.oldest, m.newest = 0, nil, nil
 }

@@ -3,6 +3,8 @@ package node
 import (
 	"slices"
 	"testing"
+
+	"cxfs/internal/seg"
 )
 
 // ikey is an int key with a hash of its own.
@@ -10,8 +12,8 @@ type ikey int
 
 func (k ikey) Hash() uint64 { return uint64(k) * 0x9e3779b97f4a7c15 }
 
-func fifoKeys(m *FIFOMap[ikey, string]) []ikey {
-	var ks []ikey
+func fifoKeys[K seg.Key, V any](m *FIFOMap[K, V]) []K {
+	var ks []K
 	for k := range m.All() {
 		ks = append(ks, k)
 	}
@@ -147,3 +149,38 @@ func TestFIFOMapFillAllocatesNodeBlocksAndSlotDoublings(t *testing.T) {
 var filledMap *FIFOMap[ikey, string]
 
 func first[A, B any](a A, _ B) A { return a }
+
+// ckey is a key whose hash is its class: keys of one class share a hash.
+type ckey struct{ class, id int }
+
+func (k ckey) Hash() uint64 { return uint64(k.class) }
+
+// Keys that share a hash are told apart by the key itself: each is found,
+// deleted and evicted on its own, whether it is the newest of its hash or
+// an older one, and a hash of 0, which the index cannot hold, works too.
+func TestFIFOMapKeysSharingAHash(t *testing.T) {
+	m := NewFIFOMap[ckey, int](4)
+	keys := []ckey{{0, 1}, {0, 2}, {7, 1}, {7, 2}}
+	for i, k := range keys {
+		*first(m.Push(k)) = i
+	}
+	for i, k := range keys {
+		if v := m.Get(k); v == nil || *v != i {
+			t.Fatalf("key %v: %v, want %d", k, v, i)
+		}
+	}
+	if _, ok := m.Delete(ckey{7, 1}); !ok || m.Get(ckey{7, 1}) != nil || *m.Get(ckey{7, 2}) != 3 {
+		t.Error("deleting the older of two keys sharing a hash lost the other or kept it")
+	}
+	if _, ok := m.Delete(ckey{0, 2}); !ok || m.Get(ckey{0, 2}) != nil || *m.Get(ckey{0, 1}) != 0 {
+		t.Error("deleting the newer of two keys sharing a hash lost the other or kept it")
+	}
+	*first(m.Push(ckey{0, 3})) = 4
+	*first(m.Push(ckey{0, 4})) = 5
+	if _, evicted := m.Push(ckey{0, 5}); !evicted || m.Get(ckey{0, 1}) != nil || m.Len() != 4 {
+		t.Errorf("push at capacity: the oldest key, of a shared hash, is still held (len %d)", m.Len())
+	}
+	if got := fifoKeys(m); !slices.Equal(got, []ckey{{7, 2}, {0, 3}, {0, 4}, {0, 5}}) {
+		t.Errorf("order %v", got)
+	}
+}

@@ -5,43 +5,41 @@ import (
 	"time"
 
 	"cxfs/internal/kvstore"
+	"cxfs/internal/namespace"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
 )
 
-// The leased read path. A client resolves (dir, name) with MsgLookupReq;
-// the dentry's server answers from its shard and stamps a read lease: an
-// epoch tying the grant to this server incarnation and a TTL bounding how
-// long the client may serve the entry from cache. The server remembers the
-// grant in a LeaseTable and, whenever a mutation touches the entry,
-// piggybacks a revocation on the MsgConflictNotify vocabulary,
-// distinguished by a non-empty Path, to every holder but the mutating
-// operation's own client. That client learns the entry's new value from the
-// mutation's reply instead: a mutation that makes the entry leases it to the
-// client in the same step, and the reply to the entry's half carries the
-// grant (LeaseOn), so the client serves the name it made without a lookup.
+// The leased read path. A client reads an object — a directory entry by
+// MsgLookupReq, an inode by a stat's MsgSubOpReq — and the object's server
+// answers from its shard and stamps a read lease: an epoch tying the grant
+// to this server incarnation and a TTL bounding how long the client may
+// serve the object from cache. The server remembers the grant in a
+// LeaseTable under the object's types.ObjKey, the key §III.C conflicts on,
+// so one table holds dentry and inode leases alike. Whenever an execution
+// writes an object row — either half of an operation, a setattr, the parent
+// inode's entry count an insertion or removal bumps — the leases on that
+// row's key are revoked: a MsgConflictNotify carrying the lease epoch goes
+// to every holder but the operation's own client. That client learns the
+// object's new value from the mutation's reply instead: a mutation that
+// makes an entry or an inode (a create, a mkdir, a link's entry, a setattr)
+// leases it to the client in the same step, and the reply carries the grant
+// (LeaseOn), so the client serves what it made without a read. A write that
+// restores a before-image (Restore: Cx's rollback and invalidation, SE's
+// compensation) notifies every holder, the operation's own client included,
+// for that client may hold the value being taken back.
 // Correctness does not depend on revocation delivery: a lost revocation
-// only lets a client serve the entry until the TTL lapses, and the model
+// only lets a client serve the object until the TTL lapses, and the model
 // oracle's staleness bound (internal/model.CheckStalenessBound) permits
 // exactly that window. A rebooted server's grants carry a higher lease
-// epoch, so clients fence out entries granted by the previous incarnation.
-
-// EntryKey names the directory entry (Dir, Name) in the lease table and the
-// client cache.
-type EntryKey struct {
-	Dir  types.InodeID
-	Name string
-}
-
-// Hash is the key store's unseeded hash of the entry's dentry key.
-func (k EntryKey) Hash() uint64 { return uint64(kvstore.HashKey(types.DentryKey(k.Dir, k.Name))) }
+// epoch, so clients fence out objects granted by the previous incarnation.
 
 // leaseTableCap bounds the lease table. Eviction is silent (no revocation):
 // a client holding an evicted lease just loses revocation coverage and
 // falls back to the TTL bound, the same exposure as a lost message.
 const leaseTableCap = 8192
 
-// leaseInline is how many holders a lease entry keeps in itself; a name
+// leaseInline is how many holders a lease entry keeps in itself; an object
 // leased to more clients spills the rest to a slice.
 const leaseInline = 4
 
@@ -60,27 +58,26 @@ func (e *leaseEntry) holds(client types.NodeID) bool {
 	return slices.Contains(e.inline[:e.n], client) || slices.Contains(e.spill, client)
 }
 
-// LeaseTable tracks which clients hold read leases on a server's directory
-// entries.
+// LeaseTable tracks which clients hold read leases on a server's objects.
 type LeaseTable struct {
-	entries *FIFOMap[EntryKey, leaseEntry]
+	entries *FIFOMap[types.ObjKey, leaseEntry]
 	revoked []types.NodeID // Revoke's result, reused by the next Revoke
 }
 
 // NewLeaseTable builds a lease table bounded at capacity entries.
 func NewLeaseTable(capacity int) *LeaseTable {
-	return &LeaseTable{entries: NewFIFOMap[EntryKey, leaseEntry](capacity)}
+	return &LeaseTable{entries: NewFIFOMap[types.ObjKey, leaseEntry](capacity)}
 }
 
-// Grant records that client holds a lease on (dir, name) until now+ttl.
+// Grant records that client holds a lease on object k until now+ttl.
 // The entry becomes the table's newest, so the table runs oldest grant
 // first and the capacity bound evicts the entry granted longest ago. A
 // lapsed grant stays until a revocation or that bound takes it: a client
 // anchors its TTL at the reply's receipt, or at a duplicate reply's, so it
-// may still serve the entry after the server's own clock says the lease
-// lapsed, and the entry's next mutation must still notify it.
-func (t *LeaseTable) Grant(dir types.InodeID, name string, client types.NodeID, now time.Duration, ttl time.Duration) {
-	e, _ := t.entries.Push(EntryKey{Dir: dir, Name: name})
+// may still serve the object after the server's own clock says the lease
+// lapsed, and the object's next write must still notify it.
+func (t *LeaseTable) Grant(k types.ObjKey, client types.NodeID, now time.Duration, ttl time.Duration) {
+	e, _ := t.entries.Push(k)
 	switch {
 	case e.holds(client):
 	case e.n < leaseInline:
@@ -94,12 +91,12 @@ func (t *LeaseTable) Grant(dir types.InodeID, name string, client types.NodeID, 
 	}
 }
 
-// Revoke forgets every lease on (dir, name) and returns the holders that
+// Revoke forgets every lease on object k and returns the holders that
 // need a revocation notice, in grant order, or nil if there are none.
 // Expired grants are returned too — notifying a client whose lease already
 // lapsed is harmless. The slice is the table's, valid until the next Revoke.
-func (t *LeaseTable) Revoke(dir types.InodeID, name string) []types.NodeID {
-	e, ok := t.entries.Delete(EntryKey{Dir: dir, Name: name})
+func (t *LeaseTable) Revoke(k types.ObjKey) []types.NodeID {
+	e, ok := t.entries.Delete(k)
 	if !ok {
 		return nil
 	}
@@ -107,7 +104,7 @@ func (t *LeaseTable) Revoke(dir types.InodeID, name string) []types.NodeID {
 	return t.revoked
 }
 
-// Outstanding returns how many entries currently carry unexpired leases.
+// Outstanding returns how many objects currently carry unexpired leases.
 func (t *LeaseTable) Outstanding(now time.Duration) int {
 	n := 0
 	for _, e := range t.entries.All() {
@@ -141,58 +138,114 @@ func (b *Base) AnswerLookup(m *wire.Msg) {
 	if b.LeaseTTL > 0 {
 		reply.LeaseEpoch = b.leaseEpoch()
 		reply.LeaseTTL = b.LeaseTTL
-		b.leases.Grant(m.Dir, m.Path, m.From, b.Sim.Now(), b.LeaseTTL)
-		b.stats.LeasesGranted++
+		b.grant(types.DentryKey(m.Dir, m.Path), m.From)
 	}
 	b.Send(&reply)
 }
 
+// grant leases object k to client for b.LeaseTTL.
+func (b *Base) grant(k types.ObjKey, client types.NodeID) {
+	b.leases.Grant(k, client, b.Sim.Now(), b.LeaseTTL)
+	b.stats.LeasesGranted++
+}
+
 // RevokeLeases is the lease service's part in sub, an execution that has
-// just landed in the volatile image. Protocols call it at that moment —
-// under Cx before commitment — because the old value may be unservable the
-// instant the mutation becomes visible to anyone. If sub inserts or removes
-// a directory entry, every holder of a lease on the entry is notified, in
-// grant order, except the client that issued sub: it dropped the entry
-// before it sent the mutation, and the reply tells it the outcome — even a
-// client that has given up waiting for it, for the reply is sent as sub
-// lands, and the client drops the entry on any reply to a mutation it
-// abandoned (core.Cache). If sub
-// inserts the entry, that client is then granted a lease on it, as
-// AnswerLookup grants one; LeaseOn stamps the reply with it.
-func (b *Base) RevokeLeases(sub types.SubOp) {
-	switch sub.Action {
-	case types.ActInsertEntry, types.ActRemoveEntry:
-	default:
+// just written rows into the volatile image (none, for a read or a failed
+// execution). Protocols call it at that moment — under Cx before commitment
+// — because the old value may be unservable the instant the write becomes
+// visible to anyone. Every holder of a lease on a row's key is notified, in
+// grant order, except the client that issued sub: it dropped the objects
+// the operation names before it sent it, and the reply tells it the outcome
+// — even a client that has given up waiting for it, for the reply is sent
+// as sub lands, and the client drops those objects on any reply to a
+// mutation it abandoned (core.Cache). If sub makes its object, that client
+// is then granted a lease on it; LeaseOn stamps the reply with it.
+func (b *Base) RevokeLeases(sub types.SubOp, rows kvstore.Refs) {
+	if b.LeaseTTL == 0 {
 		return
 	}
 	client := sub.Op.Proc.Client
-	for _, h := range b.leases.Revoke(sub.Parent, sub.Name) {
-		if h == client {
+	for _, r := range rows.All() {
+		b.revoke(r.Key, sub.Op, client)
+	}
+	if k, ok := sub.Key(); ok && sub.Action.Makes() && rows[0].Key.Kind != 0 {
+		b.grant(k, client)
+	}
+}
+
+// Restore takes back an execution of op by its undo u, and revokes the
+// leases on the rows u restores. Every holder is notified, op's own client
+// included: a value a completed operation produced is never taken back,
+// but a client may have cached one it read from an execution that had not
+// completed, or that it abandoned.
+func (b *Base) Restore(op types.OpID, u namespace.Undo) {
+	b.Shard.ApplyUndo(u)
+	if b.LeaseTTL == 0 {
+		return
+	}
+	for _, k := range u.Keys() {
+		if k.Kind != 0 {
+			b.revoke(k, op, noClient)
+		}
+	}
+}
+
+// noClient is no client's ID: a revocation sparing it notifies every holder.
+const noClient types.NodeID = -1
+
+// revoke forgets every lease on k and notifies its holders but spared, in
+// grant order, that op wrote k. The notice names a dentry by Dir and Path,
+// an inode by Attr.Ino with Dir 0 (LeaseKey).
+func (b *Base) revoke(k types.ObjKey, op types.OpID, spared types.NodeID) {
+	for _, h := range b.leases.Revoke(k) {
+		if h == spared {
 			continue
 		}
 		b.stats.LeaseRevocations++
-		b.Send(&wire.Msg{Type: wire.MsgConflictNotify, To: h, Op: sub.Op,
-			Dir: sub.Parent, Path: sub.Name, LeaseEpoch: b.leaseEpoch()})
-	}
-	if sub.Action == types.ActInsertEntry && b.LeaseTTL > 0 {
-		b.leases.Grant(sub.Parent, sub.Name, client, b.Sim.Now(), b.LeaseTTL)
-		b.stats.LeasesGranted++
+		m := wire.Msg{Type: wire.MsgConflictNotify, To: h, Op: op, LeaseEpoch: b.leaseEpoch()}
+		if k.Kind == types.ObjDentry {
+			m.Dir, m.Path = k.Dir, k.Name
+		} else {
+			m.Attr.Ino = k.Ino
+		}
+		b.Send(&m)
 	}
 }
 
-// LeaseOn stamps m, the reply to sub, a successful execution RevokeLeases
-// has seen, with the lease RevokeLeases granted sub's client and the inode
-// AnswerLookup would resolve the entry to. A reply to anything but an
-// entry's insertion, or from a server that grants no leases, is left as it
-// is.
+// LeaseKey returns the object a lease message names: the entry (Dir, Path)
+// of a lookup's answer or a dentry's revocation, or, when Dir is 0, the
+// inode Attr.Ino of a stat's answer or an inode's revocation.
+func LeaseKey(m *wire.Msg) types.ObjKey {
+	if m.Dir == 0 {
+		return types.InodeKey(m.Attr.Ino)
+	}
+	return types.DentryKey(m.Dir, m.Path)
+}
+
+// LeaseOn stamps m, the reply to sub, a successful execution, with the
+// lease sub's client holds on what sub read or made, and the value it is
+// leased with. A stat is granted its lease here, as AnswerLookup grants one;
+// an execution that made its object was granted one by RevokeLeases, and m
+// takes the object's value: the inode an entry resolves to, or the inode
+// itself. A reply to anything else, or from a server that grants no leases,
+// is left as it is.
 func (b *Base) LeaseOn(m *wire.Msg, sub types.SubOp) {
-	if sub.Action != types.ActInsertEntry || b.LeaseTTL == 0 {
+	if b.LeaseTTL == 0 {
+		return
+	}
+	switch sub.Action {
+	case types.ActReadInode:
+		b.grant(types.InodeKey(sub.Ino), m.To)
+	case types.ActInsertEntry:
+		m.Attr, _ = b.Shard.ResolveEntry(sub.Parent, sub.Name)
+	case types.ActAddInode, types.ActTouchInode:
+		m.Attr, _ = b.Shard.GetInode(sub.Ino)
+	default:
 		return
 	}
 	m.LeaseEpoch, m.LeaseTTL = b.leaseEpoch(), b.LeaseTTL
-	m.Attr, _ = b.Shard.ResolveEntry(sub.Parent, sub.Name)
 }
 
-// LeasesOutstanding reports unexpired leased entries (the chaos nemesis
+// LeasesOutstanding reports unexpired leased objects (the chaos nemesis
 // targets the server holding the most).
 func (b *Base) LeasesOutstanding() int { return b.leases.Outstanding(b.Sim.Now()) }

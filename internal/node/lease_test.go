@@ -13,18 +13,18 @@ func TestLeaseTableGrantRevoke(t *testing.T) {
 	lt := NewLeaseTable(8)
 	now := 10 * time.Millisecond
 	ttl := 40 * time.Millisecond
-	lt.Grant(types.RootInode, "f", 3, now, ttl)
-	lt.Grant(types.RootInode, "f", 4, now, ttl)
-	lt.Grant(types.RootInode, "f", 3, now+time.Millisecond, ttl) // repeat holder
+	lt.Grant(types.DentryKey(types.RootInode, "f"), 3, now, ttl)
+	lt.Grant(types.DentryKey(types.RootInode, "f"), 4, now, ttl)
+	lt.Grant(types.DentryKey(types.RootInode, "f"), 3, now+time.Millisecond, ttl) // repeat holder
 
-	holders := lt.Revoke(types.RootInode, "f")
+	holders := lt.Revoke(types.DentryKey(types.RootInode, "f"))
 	if len(holders) != 2 || holders[0] != 3 || holders[1] != 4 {
 		t.Errorf("holders=%v, want [3 4] in grant order (no duplicate for the repeat grant)", holders)
 	}
-	if again := lt.Revoke(types.RootInode, "f"); again != nil {
+	if again := lt.Revoke(types.DentryKey(types.RootInode, "f")); again != nil {
 		t.Errorf("second revoke returned %v, want nil", again)
 	}
-	if got := lt.Revoke(types.RootInode, "never-leased"); got != nil {
+	if got := lt.Revoke(types.DentryKey(types.RootInode, "never-leased")); got != nil {
 		t.Errorf("revoking an unleased name returned %v", got)
 	}
 }
@@ -32,13 +32,13 @@ func TestLeaseTableGrantRevoke(t *testing.T) {
 func TestLeaseTableOutstanding(t *testing.T) {
 	lt := NewLeaseTable(8)
 	ttl := 40 * time.Millisecond
-	lt.Grant(types.RootInode, "a", 3, 0, ttl)
-	lt.Grant(types.RootInode, "b", 3, 20*time.Millisecond, ttl)
+	lt.Grant(types.DentryKey(types.RootInode, "a"), 3, 0, ttl)
+	lt.Grant(types.DentryKey(types.RootInode, "b"), 3, 20*time.Millisecond, ttl)
 	if got := lt.Outstanding(30 * time.Millisecond); got != 2 {
 		t.Errorf("Outstanding=%d before any expiry, want 2", got)
 	}
 	// "a" lapsed at 40ms; a repeat grant must have extended "b".
-	lt.Grant(types.RootInode, "b", 4, 50*time.Millisecond, ttl)
+	lt.Grant(types.DentryKey(types.RootInode, "b"), 4, 50*time.Millisecond, ttl)
 	if got := lt.Outstanding(70 * time.Millisecond); got != 1 {
 		t.Errorf("Outstanding=%d at 70ms, want 1 (only the re-granted entry)", got)
 	}
@@ -46,7 +46,7 @@ func TestLeaseTableOutstanding(t *testing.T) {
 	if got := lt.Outstanding(0); got != 0 {
 		t.Errorf("Outstanding=%d after Reset, want 0", got)
 	}
-	if holders := lt.Revoke(types.RootInode, "b"); holders != nil {
+	if holders := lt.Revoke(types.DentryKey(types.RootInode, "b")); holders != nil {
 		t.Errorf("Reset left holders behind: %v", holders)
 	}
 }
@@ -57,9 +57,9 @@ func TestLeaseTableOutstanding(t *testing.T) {
 func TestLeaseTableKeepsLapsedGrantsForRevocation(t *testing.T) {
 	lt := NewLeaseTable(8)
 	ttl := 40 * time.Millisecond
-	lt.Grant(types.RootInode, "a", 3, 0, ttl)
-	lt.Grant(types.RootInode, "b", 4, 100*time.Millisecond, ttl) // "a" lapsed at 40ms
-	if holders := lt.Revoke(types.RootInode, "a"); !slices.Equal(holders, []types.NodeID{3}) {
+	lt.Grant(types.DentryKey(types.RootInode, "a"), 3, 0, ttl)
+	lt.Grant(types.DentryKey(types.RootInode, "b"), 4, 100*time.Millisecond, ttl) // "a" lapsed at 40ms
+	if holders := lt.Revoke(types.DentryKey(types.RootInode, "a")); !slices.Equal(holders, []types.NodeID{3}) {
 		t.Errorf("holders of the lapsed grant %v, want [3]", holders)
 	}
 }
@@ -67,16 +67,16 @@ func TestLeaseTableKeepsLapsedGrantsForRevocation(t *testing.T) {
 func TestLeaseTableCapacityEviction(t *testing.T) {
 	lt := NewLeaseTable(2)
 	ttl := time.Second
-	lt.Grant(types.RootInode, "a", 3, 0, ttl)
-	lt.Grant(types.RootInode, "b", 3, 0, ttl)
-	lt.Grant(types.RootInode, "c", 3, 0, ttl) // evicts "a" silently
+	lt.Grant(types.DentryKey(types.RootInode, "a"), 3, 0, ttl)
+	lt.Grant(types.DentryKey(types.RootInode, "b"), 3, 0, ttl)
+	lt.Grant(types.DentryKey(types.RootInode, "c"), 3, 0, ttl) // evicts "a" silently
 	if got := lt.Outstanding(0); got != 2 {
 		t.Errorf("Outstanding=%d at cap 2, want 2", got)
 	}
-	if holders := lt.Revoke(types.RootInode, "a"); holders != nil {
+	if holders := lt.Revoke(types.DentryKey(types.RootInode, "a")); holders != nil {
 		t.Errorf("evicted entry still has holders: %v", holders)
 	}
-	if holders := lt.Revoke(types.RootInode, "c"); len(holders) != 1 {
+	if holders := lt.Revoke(types.DentryKey(types.RootInode, "c")); len(holders) != 1 {
 		t.Errorf("surviving entry lost its holder: %v", holders)
 	}
 }
@@ -86,7 +86,7 @@ func TestLeaseTableCapacityEviction(t *testing.T) {
 func fillLeases(n int) *LeaseTable {
 	lt := NewLeaseTable(n)
 	for i := range n {
-		lt.Grant(types.RootInode, fmt.Sprint("key", i), 3, 0, time.Second)
+		lt.Grant(types.DentryKey(types.RootInode, fmt.Sprint("key", i)), 3, 0, time.Second)
 	}
 	return lt
 }
@@ -103,7 +103,7 @@ func TestLeaseTableRevokeIsO1(t *testing.T) {
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		if lt.Revoke(types.RootInode, mid[i]) == nil {
+		if lt.Revoke(types.DentryKey(types.RootInode, mid[i])) == nil {
 			t.Fatalf("%s had no holders", mid[i])
 		}
 		i++
@@ -117,7 +117,7 @@ func TestLeaseTableRevokeIsO1(t *testing.T) {
 	}
 	i = 0
 	allocs = testing.AllocsPerRun(300, func() {
-		lt.Grant(types.RootInode, fresh[i], 4, 0, time.Second)
+		lt.Grant(types.DentryKey(types.RootInode, fresh[i]), 4, 0, time.Second)
 		i++
 	})
 	if allocs != 0 {
@@ -133,22 +133,22 @@ func TestLeaseTableRevokeIsO1(t *testing.T) {
 // key goes to the back; holders come back in grant order.
 func TestLeaseTableEvictionOrder(t *testing.T) {
 	lt := fillLeases(4) // key0..key3
-	lt.Revoke(types.RootInode, "key1")
-	lt.Grant(types.RootInode, "key1", 5, 0, time.Second) // re-granted: newest
-	lt.Grant(types.RootInode, "key1", 4, 0, time.Second)
-	lt.Grant(types.RootInode, "key4", 3, 0, time.Second) // evicts key0
-	if h := lt.Revoke(types.RootInode, "key0"); h != nil {
+	lt.Revoke(types.DentryKey(types.RootInode, "key1"))
+	lt.Grant(types.DentryKey(types.RootInode, "key1"), 5, 0, time.Second) // re-granted: newest
+	lt.Grant(types.DentryKey(types.RootInode, "key1"), 4, 0, time.Second)
+	lt.Grant(types.DentryKey(types.RootInode, "key4"), 3, 0, time.Second) // evicts key0
+	if h := lt.Revoke(types.DentryKey(types.RootInode, "key0")); h != nil {
 		t.Errorf("key0 survived as the oldest remaining key: %v", h)
 	}
-	lt.Grant(types.RootInode, "key5", 3, 0, time.Second) // evicts key2, not key1
-	lt.Grant(types.RootInode, "key6", 3, 0, time.Second) // evicts key3
-	if h := lt.Revoke(types.RootInode, "key2"); h != nil {
+	lt.Grant(types.DentryKey(types.RootInode, "key5"), 3, 0, time.Second) // evicts key2, not key1
+	lt.Grant(types.DentryKey(types.RootInode, "key6"), 3, 0, time.Second) // evicts key3
+	if h := lt.Revoke(types.DentryKey(types.RootInode, "key2")); h != nil {
 		t.Errorf("key2 survived: %v", h)
 	}
-	if h := lt.Revoke(types.RootInode, "key3"); h != nil {
+	if h := lt.Revoke(types.DentryKey(types.RootInode, "key3")); h != nil {
 		t.Errorf("key3 survived: %v", h)
 	}
-	if h := lt.Revoke(types.RootInode, "key1"); !slices.Equal(h, []types.NodeID{5, 4}) {
+	if h := lt.Revoke(types.DentryKey(types.RootInode, "key1")); !slices.Equal(h, []types.NodeID{5, 4}) {
 		t.Errorf("re-granted key1: holders %v, want [5 4] (grant order, kept at the back)", h)
 	}
 }
@@ -159,17 +159,17 @@ func TestLeaseTableEvictionOrder(t *testing.T) {
 func TestLeaseTableRevokedHoldersOutliveLaterGrants(t *testing.T) {
 	lt := NewLeaseTable(8)
 	ttl := 40 * time.Millisecond
-	lt.Grant(types.RootInode, "f", 3, 0, ttl)
-	lt.Grant(types.RootInode, "f", 4, 0, ttl)
-	holders := lt.Revoke(types.RootInode, "f")
+	lt.Grant(types.DentryKey(types.RootInode, "f"), 3, 0, ttl)
+	lt.Grant(types.DentryKey(types.RootInode, "f"), 4, 0, ttl)
+	holders := lt.Revoke(types.DentryKey(types.RootInode, "f"))
 	for i, name := range []string{"g", "f", "h"} {
-		lt.Grant(types.RootInode, name, types.NodeID(10+i), 0, ttl)
-		lt.Grant(types.RootInode, name, types.NodeID(20+i), 0, ttl)
+		lt.Grant(types.DentryKey(types.RootInode, name), types.NodeID(10+i), 0, ttl)
+		lt.Grant(types.DentryKey(types.RootInode, name), types.NodeID(20+i), 0, ttl)
 	}
 	if !slices.Equal(holders, []types.NodeID{3, 4}) {
 		t.Errorf("revoked holders became %v after later grants, want [3 4]", holders)
 	}
-	if got := lt.Revoke(types.RootInode, "g"); !slices.Equal(got, []types.NodeID{10, 20}) {
+	if got := lt.Revoke(types.DentryKey(types.RootInode, "g")); !slices.Equal(got, []types.NodeID{10, 20}) {
 		t.Errorf("holders of a name granted on a reused node: %v, want [10 20]", got)
 	}
 }
@@ -181,16 +181,16 @@ func TestLeaseTableHoldersPastTheInlineOnes(t *testing.T) {
 	lt := NewLeaseTable(8)
 	var want []types.NodeID
 	for c := types.NodeID(10); c < 10+2*leaseInline+1; c++ {
-		lt.Grant(types.RootInode, "f", c, 0, time.Second)
-		lt.Grant(types.RootInode, "f", 10, 0, time.Second) // repeat of the first holder
+		lt.Grant(types.DentryKey(types.RootInode, "f"), c, 0, time.Second)
+		lt.Grant(types.DentryKey(types.RootInode, "f"), 10, 0, time.Second) // repeat of the first holder
 		want = append(want, c)
 	}
-	lt.Grant(types.RootInode, "f", want[len(want)-1], 0, time.Second) // repeat of a spilled one
-	if got := lt.Revoke(types.RootInode, "f"); !slices.Equal(got, want) {
+	lt.Grant(types.DentryKey(types.RootInode, "f"), want[len(want)-1], 0, time.Second) // repeat of a spilled one
+	if got := lt.Revoke(types.DentryKey(types.RootInode, "f")); !slices.Equal(got, want) {
 		t.Errorf("holders %v, want %v in grant order", got, want)
 	}
-	lt.Grant(types.RootInode, "g", 5, 0, time.Second)
-	if got := lt.Revoke(types.RootInode, "g"); !slices.Equal(got, []types.NodeID{5}) {
+	lt.Grant(types.DentryKey(types.RootInode, "g"), 5, 0, time.Second)
+	if got := lt.Revoke(types.DentryKey(types.RootInode, "g")); !slices.Equal(got, []types.NodeID{5}) {
 		t.Errorf("holders of a name granted after the overflow: %v, want [5]", got)
 	}
 }

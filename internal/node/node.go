@@ -82,7 +82,7 @@ type Handler func(p *simrt.Proc, pk *transport.Packet)
 type Stats struct {
 	MsgsHandled      uint64
 	SubOpsRun        uint64
-	LeasesGranted    uint64 // read leases granted: on lookup replies, and to a mutation's client on the entry it made
+	LeasesGranted    uint64 // read leases granted: on lookup and stat replies, and to a mutation's client on the object it made
 	LeaseRevocations uint64 // revocation notices sent to lease holders
 }
 
@@ -99,9 +99,9 @@ type Base struct {
 
 	HW     HardwareParams
 	Events *obs.Stream // the cluster's event stream, for steps and prunes (nil: none)
-	// LeaseTTL is the validity window AnswerLookup stamps on the read leases
-	// it grants. 0, the default, answers lookups without a lease, so clients
-	// cannot cache.
+	// LeaseTTL is the validity window stamped on the read leases the server
+	// grants (lease.go). 0, the default, answers lookups and stats without a
+	// lease, so clients cannot cache.
 	LeaseTTL time.Duration
 
 	inbox         *simrt.Chan[*transport.Packet]

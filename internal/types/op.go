@@ -86,6 +86,14 @@ func (a SubOpAction) Mutating() bool {
 	return false
 }
 
+// Makes reports whether the action makes the object it names — inserts an
+// entry, adds an inode, or sets an inode's attributes — so that the value
+// it leaves is what the operation's client may serve: the server leases it
+// to that client through the reply.
+func (a SubOpAction) Makes() bool {
+	return a == ActInsertEntry || a == ActAddInode || a == ActTouchInode
+}
+
 // SubOp is the unit of execution on one server: the action, the operation it
 // belongs to, and the object parameters. A server executes a SubOp against
 // its namespace shard and reports success or failure.

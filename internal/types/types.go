@@ -12,6 +12,7 @@ package types
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 	"time"
 )
@@ -178,6 +179,37 @@ func DentryKey(dir InodeID, name string) ObjKey {
 // InodeKey builds the key of inode ino.
 func InodeKey(ino InodeID) ObjKey {
 	return ObjKey{Kind: ObjInode, Ino: ino}
+}
+
+// Hash is the key's unseeded hash: the key store's index files each record
+// by its low 32 bits, and the lease table and the client cache file their
+// keys by it (node.FIFOMap). A name is mixed in eight bytes at a time, and
+// MurmurHash3's finalizer carries every input bit to the low bits.
+func (k ObjKey) Hash() uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(k.Kind)<<56 ^ uint64(k.Dir)*m ^ uint64(k.Ino) ^ uint64(len(k.Name))<<32
+	s := k.Name
+	for ; len(s) >= 8; s = s[8:] {
+		h = bits.RotateLeft64(h^le64(s), 29) * m
+	}
+	var tail uint64
+	for i := 0; i < len(s); i++ {
+		tail |= uint64(s[i]) << (8 * i)
+	}
+	h ^= tail
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// le64 reads the first eight bytes of s as a little-endian word.
+func le64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // String renders an ObjKey.
