@@ -358,12 +358,11 @@ func (s *Server) groupCommit(p *simrt.Proc, g *commitGroup) {
 
 	// Step 5: decide, log Commit/Abort-Records in one batched append, roll
 	// back aborted local executions.
-	recs := s.recBufs.Fit(len(cops))
 	for i, co := range cops {
 		decisions[i].Commit = decisions[i].Commit && co.ok
-		recs = append(recs, s.decide(co, decisions[i].Commit))
+		s.decide(co, decisions[i].Commit)
 	}
-	s.logBatch(p, recs)
+	s.logDecided(p, types.RoleCoordinator, len(ids), func(i int) (types.OpID, bool) { return ids[i], decisions[i].Commit })
 	if s.step(StepCommitAfterDecision, ids[0], 0, nil) || s.Gone(boot) {
 		return
 	}
@@ -535,7 +534,6 @@ func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce 
 // decision another copy of the request has made is not made again.
 func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	boot := s.Boot()
-	recs := s.recBufs.Fit(len(m.Decisions))
 	// done is the executions this request decides and finishes: the entries
 	// are held across the append, and only this handler ends them (DESIGN.md
 	// §5 item 20).
@@ -546,7 +544,7 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	for _, d := range m.Decisions {
 		switch st := s.find(d.Op); {
 		case st != nil && (st.phase == phasePending || st.phase == phaseCommitting):
-			recs = append(recs, s.decide(st, d.Commit))
+			s.decide(st, d.Commit)
 			done = append(done, st)
 		case st != nil && st.phase == phaseDecided:
 			// A duplicate of this request (retransmitted, or copied by the
@@ -564,7 +562,7 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 			}
 		}
 	}
-	s.logBatch(p, recs)
+	s.logDecided(p, types.RoleParticipant, len(done), func(i int) (types.OpID, bool) { return done[i].id(), done[i].commit })
 	cpOp := m.Op
 	if len(m.Decisions) > 0 {
 		cpOp = m.Decisions[0].Op

@@ -18,17 +18,17 @@ import (
 
 // A batch commits each participant's operations in a round of their own,
 // and the rounds run concurrently, each appending its Commit- and then its
-// Complete-Records from a buffer off the server's free list. Two rounds in
-// flight at once, to two participants, must each log their own: every
-// operation's Commit- and Complete-Record exactly once. The first batch
-// leaves buffers on the free list, so both rounds of the second draw on it.
+// Complete-Records as the log reads them from the round's own lists. Two
+// rounds in flight at once, to two participants, must each log their own:
+// every operation's Commit- and Complete-Record exactly once. The first batch
+// leaves its groups behind, so both rounds of the second reuse their lists.
 func TestConcurrentRoundsLogTheirOwnRecords(t *testing.T) {
 	r := newRigOf(3, 1<<20, Config{Timeout: time.Hour})
 	s := r.srv[0]
 	coord := types.RoleCoordinator
 	var batch []types.OpID
 	resultBytes := make(map[types.OpID]int64)
-	// Rounds holding a record buffer — from their vote until their decision's
+	// Rounds with records to log — from their vote until their decision's
 	// append returns, from their ACK until their Complete-Records' does — and
 	// the most at once.
 	holding, maxHolding, checked := 0, 0, 0
@@ -76,7 +76,7 @@ func TestConcurrentRoundsLogTheirOwnRecords(t *testing.T) {
 		}
 	})
 	if maxHolding < 2 {
-		t.Errorf("at most %d round held a record buffer at once, want both rounds in flight together", maxHolding)
+		t.Errorf("at most %d round was logging at once, want both rounds in flight together", maxHolding)
 	}
 }
 
@@ -193,6 +193,59 @@ func TestLazyRoundAllocatesOnlyItsMessageSlices(t *testing.T) {
 		if n > 0 {
 			t.Errorf("warm lazy round %d allocated %d objects, want 0", i, n)
 		}
+	}
+}
+
+// A round logs its decisions from what it holds, so the first batch of N
+// decisions on a fresh server allocates no buffer of N records (a wal.Record
+// is 200 bytes): not the coordinator, which logs N Commit- and N
+// Complete-Records, nor the participant, which logs N Commit-Records. A round
+// of one operation first grows what any round needs once (the flush queue's
+// segments among it); the measured round then allocates only its batch's
+// buffers, none of them N × 200 bytes or more. MemStats counts them by size
+// class (N × 200 bytes is a small object, at most 32 KiB).
+func TestColdCommitBatchAllocatesNoRecordBuffer(t *testing.T) {
+	const batch = 64
+	if size := unsafe.Sizeof(wal.Record{}); size != 200 {
+		t.Fatalf("a wal.Record is %d bytes, the test sizes a buffer of them at 200", size)
+	}
+	r := newRig(1<<20, Config{Timeout: time.Hour})
+	coord, part := r.srv[0], r.srv[1]
+	large := func() (n uint64) { // allocations in the size classes that hold batch × 200 bytes or more
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		for _, c := range m.BySize {
+			if c.Size >= batch*200 {
+				n += c.Mallocs
+			}
+		}
+		return n
+	}
+	var got uint64
+	r.run(t, func(p *simrt.Proc) {
+		seq := uint64(0)
+		for _, n := range []int{1, batch} {
+			for range n {
+				seq++
+				if _, err := r.drv.Do(p, r.create(0, seq)); err != nil {
+					t.Errorf("create: %v", err)
+					return
+				}
+			}
+			before := large()
+			coord.KickCommit()
+			ok := await(p, func() bool { return coord.coordPending == 0 && coord.flushQ.Len() == 0 })
+			part.KickCommit()
+			ok = ok && await(p, func() bool { return part.flushQ.Len() == 0 })
+			got = large() - before
+			if !ok {
+				t.Errorf("the round of %d never settled", n)
+				return
+			}
+		}
+	})
+	if got > 0 {
+		t.Errorf("the first round of %d decisions made %d allocations of %d bytes or more, want none", batch, got, batch*200)
 	}
 }
 

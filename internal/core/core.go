@@ -64,7 +64,6 @@ import (
 	"cxfs/internal/simrt"
 	"cxfs/internal/transport"
 	"cxfs/internal/types"
-	"cxfs/internal/wal"
 	"cxfs/internal/wire"
 )
 
@@ -183,10 +182,6 @@ type Server struct {
 	// batch.
 	flushQ    seg.Seq[flushEntry]
 	flushRefs seg.Seq[kvstore.Ref]
-	// recBufs are record batches' buffers, free for the next batch; each
-	// commit-group proc, COMMIT-REQ handler and Complete-Record append takes
-	// one of its own, best fit for its count.
-	recBufs seg.Bufs[wal.Record]
 	// decidedBufs are COMMIT-REQ handlers' lists of decided executions, free
 	// for the next handler.
 	decidedBufs seg.Bufs[*opState]

@@ -204,10 +204,10 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 		// or the client could complete an operation the cluster has already
 		// aborted: undo the effects, seal the abort in the log so recovery
 		// agrees (and the records prune), and answer aborted.
-		rec := s.rollBack(&execution{sub: sub, undo: res.Undo()})
+		s.Restore(sub.Op, res.Undo())
 		s.letGo(st, res.Rows)
 		s.release(st) // the object is free again: nothing waits for the Abort-Record
-		s.WAL.AppendBatchPriority(p, []wal.Record{rec})
+		s.logDecided(p, sub.Role, 1, func(int) (types.OpID, bool) { return sub.Op, false })
 		s.queueFlush(sub.Op, res.Rows)
 		if s.Crashed() {
 			return

@@ -489,39 +489,42 @@ func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID
 	return true
 }
 
-// decide seals one execution's outcome (§III.B steps 5-6) and returns its
-// Commit- or Abort-Record, which the caller appends with the rest of its
-// round's. An aborted execution is rolled back and its operation marked.
-func (s *Server) decide(st *opState, commit bool) wal.Record {
+// decide seals one execution's outcome (§III.B steps 5-6): an aborted
+// execution is rolled back and its operation marked. The caller logs the
+// decision with the rest of its round's (logDecided).
+func (s *Server) decide(st *opState, commit bool) {
 	st.phase, st.commit = phaseDecided, commit
-	if commit {
-		return commitRecord(st.id(), st.sub.Role)
+	if !commit {
+		s.markAborted(st.id())
+		s.Restore(st.id(), st.undo)
 	}
-	s.markAborted(st.id())
-	return s.rollBack(&st.execution)
 }
 
-// commitRecord is the Commit-Record of op's half on this server: decide's,
-// or the one a colocated operation appends together with its Result-Records.
+// logDecided appends the Commit- or Abort-Records of n decided operations
+// whose halves here are of role, in one batch, the i-th by the operation and
+// commit bit at(i) reads from what the round holds: no round builds a record.
+func (s *Server) logDecided(p *simrt.Proc, role types.Role, n int, at func(i int) (types.OpID, bool)) {
+	s.WAL.AppendDecisions(p, &wal.Decisions{Role: role, N: n, At: func(i int) (types.OpID, wal.RecType) {
+		op, commit := at(i)
+		if commit {
+			return op, wal.RecCommit
+		}
+		return op, wal.RecAbort
+	}})
+}
+
+// commitRecord is the Commit-Record a colocated operation appends together
+// with its Result-Records.
 func commitRecord(op types.OpID, role types.Role) wal.Record {
 	return wal.Record{Type: wal.RecCommit, Op: op, Role: role}
-}
-
-// rollBack takes an aborted execution's effects back and returns its
-// Abort-Record.
-func (s *Server) rollBack(e *execution) wal.Record {
-	s.Restore(e.sub.Op, e.undo)
-	return wal.Record{Type: wal.RecAbort, Op: e.sub.Op, Role: e.sub.Role}
 }
 
 // complete appends the Complete-Records of decided operations whose
 // participant has acknowledged the decision (§III.B step 7).
 func (s *Server) complete(p *simrt.Proc, ids []types.OpID) {
-	recs := s.recBufs.Fit(len(ids))
-	for _, id := range ids {
-		recs = append(recs, wal.Record{Type: wal.RecComplete, Op: id, Role: types.RoleCoordinator})
-	}
-	s.logBatch(p, recs)
+	s.WAL.AppendDecisions(p, &wal.Decisions{Role: types.RoleCoordinator, N: len(ids), At: func(i int) (types.OpID, wal.RecType) {
+		return ids[i], wal.RecComplete
+	}})
 }
 
 // queueFlush queues op's execution here for the next write-back with the
@@ -535,14 +538,6 @@ func (s *Server) queueFlush(op types.OpID, written ...kvstore.Refs) {
 		}
 	}
 	s.flushQ.Append(flushEntry{id: op, rows: int32(n)})
-}
-
-// logBatch appends a batch built in a buffer from recBufs and puts the
-// buffer back on the free list: the log has read the records by the time
-// the append returns, crashed or not.
-func (s *Server) logBatch(p *simrt.Proc, recs []wal.Record) {
-	s.WAL.AppendBatchPriority(p, recs)
-	s.recBufs.Put(recs)
 }
 
 // finish is a decided operation ending here — on the participant once its

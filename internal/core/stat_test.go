@@ -8,6 +8,7 @@ import (
 
 	"cxfs/internal/cluster"
 	"cxfs/internal/core"
+	"cxfs/internal/model"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
@@ -487,4 +488,96 @@ func TestInflightMutationCachesNoStatAnswer(t *testing.T) {
 			t.Errorf("stat after the setattr: %+v cached=%v err=%v, want a hit with the server's %+v", in, cached, err, onServer(c, ino))
 		}
 	})
+}
+
+// TestCachedStatsMeetTheStalenessBound runs reads that
+// model.CheckStalenessBound judges, cached stats among them, over one host's
+// repeated stats of inodes another host changes. Host A stats B's inode of
+// "f" twice within its lease TTL, the second time from the cache, and once
+// more after B's setattr of it. Then B creates "f" again with a new inode,
+// which fails, for the name is taken, and A stats the new inode twice while
+// the create is in flight. Those stats wait behind B's create, which holds the
+// inode active, find nothing once the create is rolled back, and cache
+// nothing: the history meets the staleness bound. A stat that did not wait
+// would read the inode the create is about to roll back, and cache it: a
+// cached stat of an inode no create bound.
+func TestCachedStatsMeetTheStalenessBound(t *testing.T) {
+	c := leasedCluster(3, 2, 1)
+	defer c.Shutdown()
+	var hist []model.Op
+	runLeased(t, c, func(p *simrt.Proc) {
+		prA, prB := c.Proc(0), c.Proc(1)
+		prA.Driver().TrackLookups()
+		// do runs op as pr's next operation in proc q and records it, an
+		// operation on name, in the history as the chaos harness does.
+		do := func(q *simrt.Proc, w int, pr *cluster.Process, name string, op types.Op) model.Op {
+			op.ID, op.Parent = pr.NextID(), types.RootInode
+			issued := c.Sim.Now()
+			in, err := pr.Driver().Do(q, op)
+			o := model.Op{Worker: w, Kind: op.Kind, Name: name, Outcome: model.Classify(err), Issued: issued, At: c.Sim.Now()}
+			switch op.Kind {
+			case types.OpCreate:
+				o.Ino = op.Ino
+			case types.OpStat:
+				o.Cached, o.Grant, _ = pr.Driver().TakeLookup(op.ID)
+				o.Found, o.SawIno = err == nil, in.Ino
+			}
+			hist = append(hist, o)
+			return o
+		}
+		create := func(q *simrt.Proc, ino types.InodeID) model.Op {
+			return do(q, 1, prB, "f", types.Op{Kind: types.OpCreate, Name: "f", Ino: ino, Type: types.FileRegular})
+		}
+		stat := func(ino types.InodeID) model.Op { return do(p, 0, prA, "f", types.Op{Kind: types.OpStat, Ino: ino}) }
+
+		ino := prB.AllocInode()
+		if o := create(p, ino); o.Outcome != model.OK {
+			t.Fatalf("create: %v", o)
+		}
+		if first, second := stat(ino), stat(ino); first.Cached || !second.Cached || !second.Found {
+			t.Fatalf("stats of B's inode: %v, then %v; want a miss, then a hit", first, second)
+		}
+		do(p, 1, prB, "f", types.Op{Kind: types.OpSetAttr, Ino: ino})
+		c.Quiesce(p) // the revocation lands
+		if o := stat(ino); o.Cached || !o.Found {
+			t.Errorf("stat after B's setattr: %v, want a miss that finds the inode", o)
+		}
+
+		doomed := prB.AllocInode()
+		for c.Placement.ParticipantFor(doomed) == c.Placement.CoordinatorFor(types.RootInode, "f") {
+			doomed = prB.AllocInode()
+		}
+		var failed model.Op
+		done := false
+		c.Sim.Spawn("doomed create", func(q *simrt.Proc) {
+			failed, done = create(q, doomed), true
+		})
+		p.Sleep(time.Millisecond) // the inode is made, its Result-Record on the disk
+		for _, o := range []model.Op{stat(doomed), stat(doomed)} {
+			if o.Issued >= failed.At && done {
+				t.Errorf("stat %v was issued after B's create ended: the test is vacuous", o)
+			}
+			if o.Found || o.Cached {
+				t.Errorf("stat of the inode of B's failing create: %v, want a miss that finds nothing", o)
+			}
+		}
+		for !done {
+			p.Sleep(time.Millisecond)
+		}
+		if failed.Outcome != model.FailedExists {
+			t.Errorf("B's create of a taken name: %v, want it to fail as taken", failed)
+		}
+	})
+	cached := 0
+	for _, o := range hist {
+		if o.Kind == types.OpStat && o.Cached {
+			cached++
+		}
+	}
+	if cached == 0 {
+		t.Error("no cached stat in the history: the staleness bound judged none")
+	}
+	if bad := model.CheckStalenessBound(hist); len(bad) != 0 {
+		t.Errorf("staleness bound violated: %v", bad)
+	}
 }

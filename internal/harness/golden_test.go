@@ -273,8 +273,8 @@ func TestAllocsPerOp(t *testing.T) {
 	}{
 		{"cx", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, false, 0.70, 1.87, 0.6},
 		{"se", []run{replay("s3d", cluster.ProtoSE, 0.02, nil)}, golden, false, 0.43, 1.51, 0.6},
-		{"home2-cached-bytes", []run{replay("home2", cluster.ProtoCx, 0.04, cached)}, 0, true, 581, 860, 0.93},
-		{"cx-bytes", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, true, 1850, 2240, 1.0},
+		{"home2-cached-bytes", []run{replay("home2", cluster.ProtoCx, 0.04, cached)}, 0, true, 539, 860, 0.93},
+		{"cx-bytes", []run{replay("s3d", cluster.ProtoCx, 0.02, nil)}, golden, true, 1665, 2240, 1.0},
 		{"se-bytes", []run{replay("s3d", cluster.ProtoSE, 0.02, nil)}, golden, true, 665, 828, 0.85},
 		{"metarates-gcpipe-bytes", []run{mr(1000), mr(2500)}, 0, true, 28, 180, 0.85},
 	} {

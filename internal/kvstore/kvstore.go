@@ -61,7 +61,10 @@
 //
 // A page write carries the row as it was when the write was submitted: a
 // row rewritten while the disk works stays dirty for the next flush, and a
-// write-back that a crash overtakes leaves the durable image untouched. The
+// write-back that a crash overtakes leaves the durable image untouched. A
+// write-back captures a row as its handle, page and value, and a writing mark
+// keeps the record, and so the handle, the row's until the write settles; the
+// journal path marks nothing and finds its rows again by key. The
 // write-ahead rule itself — submit a row only once the log can undo what it
 // holds — is the protocol layer's to keep.
 package kvstore
@@ -186,10 +189,12 @@ type record struct {
 }
 
 // The marks of record.owed. pageOwed is set while the record's row is
-// journaled and the checkpointer owes its in-place page write. A checkpoint
-// takes that mark when it starts and adds writing until its pages are on the
-// disk: the record, whose handle the checkpoint holds, is kept until then.
-// writing is a count, so checkpoints that overlap each keep the record.
+// journaled and the checkpointer owes its in-place page write. A write in
+// place — a write-back or a checkpoint — adds writing from its submission
+// until its pages are on the disk: the record, whose handle the write holds,
+// is kept until then, and its slot serves no other row. writing is a count,
+// one for each write in place holding the record (hold), so overlapping
+// writes each keep it.
 const (
 	pageOwed uint8 = 1
 	writing  uint8 = 2
@@ -523,23 +528,37 @@ func (st *Store) SyncRows(p *simrt.Proc, rows []Ref) {
 	size := int64(len(rows)) * JournalRecBytes
 	off := st.base/2 + st.journalTail
 	st.journalTail += size
-	var few [4]pageWrite // a sub-op's rows: keep the capture off the heap
-	writes := few[:0]
+	var few [4]pageWrite // a sub-op's rows, and their keys: off the heap
+	var fewKeys [4]types.ObjKey
+	writes, keys := few[:0], fewKeys[:0]
 	for _, ref := range rows {
-		h := st.resolve(ref) // the DB thread parked: the handle may be stale
-		pw := pageWrite{key: ref.Key, row: h}
-		if h != NoRow {
-			r := st.at(h)
-			pw.key, pw.val = r.key, r.val
+		pw, key := pageWrite{row: st.resolve(ref)}, ref.Key // the DB thread parked: the handle may be stale
+		if pw.row != NoRow {
+			r := st.at(pw.row)
+			pw.val, key = r.val, r.key
 		}
-		writes = append(writes, pw)
+		writes, keys = append(writes, pw), append(keys, key)
 	}
 	gen := st.gen
 	st.inflight++
 	st.dsk.Access(p, off, size, true)
-	if st.settle(gen, writes, true) {
-		st.stats.SyncWrites += uint64(len(rows))
+	st.inflight--
+	if gen != st.gen {
+		return
 	}
+	// No writing mark: sub-ops journaling at once are unbounded. Each row's
+	// record is found again by key; one absent at capture is filed only now.
+	for i, pw := range writes {
+		h := st.resolve(Ref{Key: keys[i], Row: pw.row})
+		if h == NoRow {
+			h = st.file(keys[i])
+		}
+		if r := st.settle(h, pw.val); r.owed&pageOwed == 0 {
+			r.owed |= pageOwed
+			st.owed = append(st.owed, h)
+		}
+	}
+	st.stats.SyncWrites += uint64(len(rows))
 }
 
 // StartCheckpointer launches the periodic checkpoint daemon: every interval
@@ -570,8 +589,8 @@ func (st *Store) Checkpoint(p *simrt.Proc) int {
 	}
 	st.owed, st.owedSpare = st.owedSpare[:0], nil
 	for _, h := range owed {
-		r := st.at(h)
-		r.owed = r.owed&^pageOwed + writing
+		st.at(h).owed &^= pageOwed
+		st.hold(h)
 	}
 	slices.SortFunc(owed, func(a, b Row) int { return cmp.Compare(st.at(a).page, st.at(b).page) })
 	st.stats.FlushPages += st.writePages(p, len(owed), func(i int) int64 { return st.at(owed[i]).page })
@@ -630,11 +649,13 @@ func (st *Store) FlushRows(p *simrt.Proc, rows []Ref) bool {
 }
 
 // WriteBack is one write-back while it is captured and written: the rows
-// Capture found owed a page write, each as it was then. A caller that walks
-// its rows where they are kept names them one at a time, so no list of them
-// is built. The zero WriteBack is empty; its capture list is taken at the
-// first row that needs the disk, best fit for the rows the caller names, and
-// goes back once Write has settled it.
+// Capture found owed a page write, each as it was then, by handle. A caller
+// that walks its rows where they are kept names them one at a time, so no
+// list of them is built, and writes them with no park after the captures
+// (dirty marks keep the records until Write marks them writing). The zero
+// WriteBack is empty; its capture list is taken at the first row that needs
+// the disk, best fit for the rows the caller names, and goes back once Write
+// has settled it.
 type WriteBack struct{ writes []pageWrite }
 
 // Capture adds ref's row to wb if it is dirty, or absorbs it: a row whose
@@ -662,7 +683,7 @@ func (st *Store) Capture(wb *WriteBack, ref Ref, n int) {
 	if wb.writes == nil {
 		wb.writes = st.spare.Fit(n)
 	}
-	wb.writes = append(wb.writes, pageWrite{key: r.key, row: h, val: r.val, page: r.page})
+	wb.writes = append(wb.writes, pageWrite{row: h, val: r.val, page: r.page})
 }
 
 // Write writes what wb captured in place, as captured, and settles it when
@@ -677,15 +698,30 @@ func (st *Store) Write(p *simrt.Proc, wb *WriteBack) bool {
 	}
 	wb.writes = nil
 	defer st.spare.Put(writes)
+	rows := len(writes)
+	// A row named more than once was captured as the same write each time:
+	// it is written, held and settled once.
+	slices.SortFunc(writes, func(a, b pageWrite) int { return cmp.Or(cmp.Compare(a.page, b.page), cmp.Compare(a.row, b.row)) })
+	writes = slices.CompactFunc(writes, func(a, b pageWrite) bool { return a.row == b.row })
+	for _, pw := range writes {
+		st.hold(pw.row)
+	}
 	gen := st.gen
 	st.inflight++
-	slices.SortFunc(writes, func(a, b pageWrite) int { return cmp.Compare(a.page, b.page) })
 	pages := st.writePages(p, len(writes), func(i int) int64 { return writes[i].page })
-	if !st.settle(gen, writes, false) {
+	st.inflight--
+	for _, pw := range writes { // a deletion of a row gone for good meanwhile settles nothing
+		r := st.at(pw.row)
+		if r.owed -= writing; gen == st.gen && (r.holds() || pw.val.Present()) {
+			st.settle(pw.row, pw.val)
+		}
+		st.keep(pw.row)
+	}
+	if gen != st.gen {
 		return false
 	}
 	st.stats.Flushes++
-	st.stats.FlushRows += uint64(len(writes))
+	st.stats.FlushRows += uint64(rows)
 	st.stats.FlushPages += pages
 	return true
 }
@@ -714,50 +750,37 @@ func (st *Store) writePages(p *simrt.Proc, n int, page func(i int) int64) (pages
 	return pages
 }
 
-// pageWrite is one row as a write captured it at submission: its key and
-// handle (a Ref, laid out flat) and a copy of its value (absent: deleted).
+// pageWrite is one row as a write captured it at submission: its record's
+// handle, its leaf page (in-place writes only) and a copy of its value
+// (absent: deleted).
 type pageWrite struct {
-	key  types.ObjKey
-	page int64 // the row's leaf page; in-place writes only
+	page int64
 	row  Row
 	val  types.Val
 }
 
-func (pw *pageWrite) ref() Ref { return Ref{Key: pw.key, Row: pw.row} }
+// hold adds a writing mark to row h's record. Its holders are the write-backs
+// and checkpoints in flight, a handful, each holding a record once, so the
+// count never reaches its 127; a store asked for a 128th panics.
+func (st *Store) hold(h Row) {
+	r := st.at(h)
+	if r.owed > 255-writing {
+		panic(fmt.Sprintf("kvstore: %d writes in place hold %v", r.owed/writing, r.key))
+	}
+	r.owed += writing
+}
 
-// settle moves completed writes into the durable image, clears the dirty
-// mark of each row the volatile image has not changed since the write was
-// submitted, and lists the page write a journaled row is now owed. It settles
-// nothing, and says so, if the store crashed after submission: the volatile
-// image those pages came from is gone, and what the disk holds of them is
-// not to be trusted over the log.
-func (st *Store) settle(gen uint64, writes []pageWrite, journaled bool) bool {
-	st.inflight--
-	if gen != st.gen {
-		return false
+// settle moves a completed write of val to row h into the durable image,
+// placing the row if its record does not hold it any more, and clears the
+// dirty mark if the volatile image has not changed since the write was
+// submitted. It returns the record.
+func (st *Store) settle(h Row, val types.Val) *record {
+	r := st.place(h, val.Len())
+	r.dur = val
+	if r.val == val {
+		r.dirty = false
 	}
-	for _, pw := range writes {
-		h := st.resolve(pw.ref())
-		if h == NoRow || !st.at(h).holds() {
-			if !pw.val.Present() && !journaled {
-				continue // gone for good meanwhile: named twice in this write, or by an overlapping one
-			}
-			if h == NoRow {
-				h = st.file(pw.key)
-			}
-		}
-		r := st.place(h, pw.val.Len())
-		r.dur = pw.val
-		if r.val == pw.val {
-			r.dirty = false
-		}
-		if journaled && r.owed&pageOwed == 0 {
-			r.owed |= pageOwed
-			st.owed = append(st.owed, h)
-		}
-		st.keep(h)
-	}
-	return true
+	return r
 }
 
 // Crash discards the volatile image, simulating a server power loss: the

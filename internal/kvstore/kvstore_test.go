@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -1232,7 +1234,7 @@ func TestRecordSize(t *testing.T) {
 	if got, want := unsafe.Sizeof(record{}), uintptr(160); got != want {
 		t.Errorf("a record is %d bytes, want %d", got, want)
 	}
-	if got, want := unsafe.Sizeof(pageWrite{}), uintptr(96); got != want {
+	if got, want := unsafe.Sizeof(pageWrite{}), uintptr(56); got != want {
 		t.Errorf("a captured page write is %d bytes, want %d", got, want)
 	}
 	if got, want := unsafe.Sizeof(slot{}), uintptr(8); got != want {
@@ -1437,6 +1439,136 @@ func TestCheckpointKeepsTheRecordsItWrites(t *testing.T) {
 			})
 		})
 	}
+}
+
+// settled is what a test reads of the rows of names once a store's writes
+// have settled: their durable image, which are dirty and which are owed a
+// page write, each by name and sorted.
+func settled(st *Store, names ...string) string {
+	var dur, dirty, owed []string
+	named := func(k types.ObjKey) bool { return slices.Contains(names, k.Name) }
+	for k, v := range st.DurableSnapshot() {
+		if named(k) {
+			dur = append(dur, k.Name+"="+str(v))
+		}
+	}
+	for i := 0; i < st.slab.Len(); i++ {
+		if r := st.slab.At(i); r.dirty && named(r.key) {
+			dirty = append(dirty, r.key.Name)
+		}
+	}
+	for _, h := range st.owed {
+		if named(st.at(h).key) {
+			owed = append(owed, st.at(h).key.Name)
+		}
+	}
+	for _, l := range [][]string{dur, dirty, owed} {
+		sort.Strings(l)
+	}
+	return fmt.Sprintf("durable %v dirty %v owed %v", dur, dirty, owed)
+}
+
+// A write-back holds what it captured by handle, and its writing mark keeps
+// each record until the write settles. Here, while its pages are on the
+// disk, the captured row x is deleted, the deletion is made durable by a
+// second write-back that finishes first (the disk serves both in one pass,
+// the first write's other page last), and x is created again. x's record is
+// never dropped meanwhile: no other row takes its slot, and x is filed in it
+// again. The store settles as it did when a write-back held its rows by key
+// and filed a dropped one afresh — x durable at the value the first write
+// captured, x and y dirty, nothing owed.
+func TestWriteBackHoldsItsRowsByHandle(t *testing.T) {
+	withDisk(t, func(p *simrt.Proc, st *Store, d *disk.Disk) {
+		st.put("x", []byte("1"))
+		hx := st.Find(dk("x"))
+		putRows(st, "f", 70*rowsPerPage) // z's page is past the elevator's merge window from x's
+		st.put("z", []byte("1"))
+		st.sim.Spawn("busy", func(bp *simrt.Proc) { d.Access(bp, 0, 8<<20, true) }) // both write-backs queue behind it
+		done := false
+		st.sim.Spawn("write-back", func(wp *simrt.Proc) {
+			wp.Sleep(time.Microsecond)
+			st.flushKeys(wp, []string{"x", "z"})
+			done = true
+		})
+		p.Sleep(2 * time.Microsecond)
+		st.del("x")
+		st.flushKeys(p, []string{"x"})
+		if done || st.rec("x").dur.Present() {
+			t.Fatalf("the deletion did not settle first (write-back done %v, x durable %v): the test is vacuous", done, st.rec("x").dur.Present())
+		}
+		if st.Find(dk("x")) != hx {
+			t.Errorf("x, gone for good, lost the record the write-back holds (found %d, held %d)", st.Find(dk("x")), hx)
+		}
+		st.put("y", []byte("1"))
+		st.put("x", []byte("2"))
+		if hy, h := st.Find(dk("y")), st.Find(dk("x")); hy == hx || h != hx {
+			t.Errorf("y filed in slot %d, x in %d: the write-back holds slot %d for x", hy, h, hx)
+		}
+		for !done {
+			p.Sleep(time.Millisecond)
+		}
+		if got, want := settled(st, "x", "y", "z"), "durable [x=1 z=1] dirty [x y] owed []"; got != want {
+			t.Errorf("settled to %s, want %s", got, want)
+		}
+	})
+}
+
+// SyncRows journals a row absent at capture by its key, and files the row's
+// record only when the journal write settles: until then neither Find nor a
+// Probe taken before sees a record. It settles as before: no durable row,
+// nothing dirty, the row owed its page write.
+func TestSyncRowsJournalsAnAbsentRow(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		st.put("a", []byte("1"))
+		st.flushKeys(p, []string{"a"})
+		st.del("a")
+		st.flushKeys(p, []string{"a"}) // gone for good: the record goes
+		pr := st.Probe(dk("a"))
+		if pr.Row != NoRow {
+			t.Fatal("a row gone for good kept its record")
+		}
+		done := false
+		st.sim.Spawn("journal", func(sp *simrt.Proc) {
+			syncKeys(st, sp, []string{"a"})
+			done = true
+		})
+		p.Sleep(SyncCommitCPU + time.Microsecond) // captured, journal write in flight
+		if done {
+			t.Fatal("the journal write was not in flight: the test is vacuous")
+		}
+		if st.Find(dk("a")) != NoRow || !st.Current(pr) {
+			t.Error("a record was filed for the absent row before its journal write settled")
+		}
+		for !done {
+			p.Sleep(time.Millisecond)
+		}
+		if got, want := settled(st, "a"), "durable [] dirty [] owed [a]"; got != want {
+			t.Errorf("settled to %s, want %s", got, want)
+		}
+	})
+}
+
+// The writing count never wraps: a record, its page owed or not, holds up to
+// 127 writes in place, and a store asked for one more panics with the count
+// as it was.
+func TestWritingCountDoesNotOverflow(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		st.put("x", []byte("1"))
+		h := st.Find(dk("x"))
+		st.at(h).owed = pageOwed
+		for range 127 {
+			st.hold(h)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("a 128th write in place held the record")
+			}
+			if r := st.at(h); r.owed != pageOwed+127*writing {
+				t.Errorf("owed is %d after the refused hold, want %d", r.owed, pageOwed+127*writing)
+			}
+		}()
+		st.hold(h)
+	})
 }
 
 // A handle can outlive its record: a write-back through it writes the key's

@@ -34,7 +34,9 @@
 // fixed-size segments of internal/seg). A record is encoded once, straight
 // into the image on the direct path and into the group-commit window's buffer
 // while it waits there; Append reads the caller's Record and keeps none of
-// its pointers, so a caller's images may live on its stack. RecoverScan
+// its pointers, so a caller's images may live on its stack. A round's
+// decisions need no Record: AppendDecisions reads them from the round's own
+// lists (Decisions). RecoverScan
 // decodes the image, so recovery reads back exactly what was written. A prune
 // compacts the view and the image in place once pruned operations' records
 // exceed a quarter of the live ones, and later appends refill the segments
@@ -117,6 +119,28 @@ func (r Record) String() string {
 	return fmt.Sprintf("%s %s %s ok=%v", r.Type, r.Op, r.Role, r.OK)
 }
 
+// Decisions is a batch of decision records (Commit, Abort, Complete) as the
+// round that makes them holds them: N records of one Role, with Peer when
+// HasPeer, the i-th of the operation and type At(i) returns. Each is written
+// byte for byte as the Record of the same fields.
+type Decisions struct {
+	Role    types.Role
+	Peer    types.NodeID
+	HasPeer bool
+	N       int
+	At      func(i int) (types.OpID, RecType)
+}
+
+// record returns a batch's i-th record: recs', or dec's written into tmp.
+func record(recs []Record, dec *Decisions, i int, tmp *Record) *Record {
+	if dec == nil {
+		return &recs[i]
+	}
+	op, t := dec.At(i)
+	*tmp = Record{Type: t, Op: op, Role: dec.Role, Peer: dec.Peer, HasPeer: dec.HasPeer}
+	return tmp
+}
+
 // opEntry is the per-operation index entry. Entries live by value in a slab
 // (WAL.entries) and are named by their position there, a handle: the index
 // maps an operation to its entry's handle, and every record in the view
@@ -182,14 +206,15 @@ type winRec struct {
 
 // park encodes one caller batch into the window and blocks the caller until
 // the window is released.
-func (win *window) park(p *simrt.Proc, recs []Record) {
+func (win *window) park(p *simrt.Proc, n int, recs []Record, dec *Decisions) {
 	if win.reqs == 0 {
 		win.done.Add(1)
 	}
-	for i := range recs {
-		n := len(win.buf)
-		win.buf = appendRecord(win.buf, &recs[i])
-		win.recs = append(win.recs, winRec{op: recs[i].Op, typ: recs[i].Type, size: uint32(len(win.buf) - n)})
+	var tmp Record
+	for i := range n {
+		rec, k := record(recs, dec, i, &tmp), len(win.buf)
+		win.buf = appendRecord(win.buf, rec)
+		win.recs = append(win.recs, winRec{op: rec.Op, typ: rec.Type, size: uint32(len(win.buf) - k)})
 	}
 	win.reqs++
 	win.done.Wait(p)
@@ -311,7 +336,7 @@ func (w *WAL) Append(p *simrt.Proc, rec Record) {
 // handler that issued them died with the server and its records must not
 // appear durable.
 func (w *WAL) AppendBatch(p *simrt.Proc, recs []Record) {
-	w.appendBatch(p, recs, false)
+	w.appendBatch(p, len(recs), recs, nil, false)
 }
 
 // AppendBatchPriority is AppendBatch without the log-size gate. Commitment
@@ -320,17 +345,25 @@ func (w *WAL) AppendBatch(p *simrt.Proc, recs []Record) {
 // Only new-arrival sub-op requests are subject to the limit, per §III.D
 // ("a server must block the new-arrival sub-op requests").
 func (w *WAL) AppendBatchPriority(p *simrt.Proc, recs []Record) {
-	w.appendBatch(p, recs, true)
+	w.appendBatch(p, len(recs), recs, nil, true)
 }
 
-func (w *WAL) appendBatch(p *simrt.Proc, recs []Record, priority bool) {
-	if len(recs) == 0 || w.crashed {
+// AppendDecisions is AppendBatchPriority for a round's decision records,
+// read from d as they are encoded, until the call returns.
+func (w *WAL) AppendDecisions(p *simrt.Proc, d *Decisions) {
+	w.appendBatch(p, d.N, nil, d, true)
+}
+
+// appendBatch is the one append path: n records, recs or dec's (record).
+func (w *WAL) appendBatch(p *simrt.Proc, n int, recs []Record, dec *Decisions, priority bool) {
+	if n == 0 || w.crashed {
 		return
 	}
 	gen := w.gen
+	var tmp Record
 	var total int64
-	for i := range recs {
-		total += encodedSize(&recs[i])
+	for i := range n {
+		total += encodedSize(record(recs, dec, i, &tmp))
 	}
 	if !priority {
 		w.waitForSpace(p, total)
@@ -339,7 +372,7 @@ func (w *WAL) appendBatch(p *simrt.Proc, recs []Record, priority bool) {
 		}
 	}
 	if w.linger > 0 {
-		w.groupAppend(p, recs)
+		w.groupAppend(p, n, recs, dec)
 		return
 	}
 	// Reserve the offset range before blocking on the disk so concurrent
@@ -354,27 +387,27 @@ func (w *WAL) appendBatch(p *simrt.Proc, recs []Record, priority bool) {
 		// recovery has scanned it.
 		return
 	}
-	for i := range recs {
-		rec := &recs[i]
+	for i := range n {
+		rec := record(recs, dec, i, &tmp)
 		room := w.admit(rec.Op, rec.Type, encodedSize(rec))
-		if n := len(appendRecord(room[:0], rec)); n != len(room) {
-			panic(fmt.Sprintf("wal: a %v record of %v encodes to %d bytes, sized %d", rec.Type, rec.Op, n, len(room)))
+		if k := len(appendRecord(room[:0], rec)); k != len(room) {
+			panic(fmt.Sprintf("wal: a %v record of %v encodes to %d bytes, sized %d", rec.Type, rec.Op, k, len(room)))
 		}
 	}
 	w.stats.Appends++
-	w.stats.Records += uint64(len(recs))
+	w.stats.Records += uint64(n)
 	w.stats.BytesWritten += total
 }
 
 // groupAppend parks the caller's batch in the open window and blocks until
 // the flusher has written it (or the server crashed with it in flight). The
 // first batch into an empty window spawns the flusher.
-func (w *WAL) groupAppend(p *simrt.Proc, recs []Record) {
+func (w *WAL) groupAppend(p *simrt.Proc, n int, recs []Record, dec *Decisions) {
 	if !w.flusherOn {
 		w.flusherOn = true
 		w.sim.Spawn("wal-flusher", w.flusher)
 	}
-	w.win.park(p, recs)
+	w.win.park(p, n, recs, dec)
 }
 
 // flusher is the single group-commit writer: sleep out the linger, then

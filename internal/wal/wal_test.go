@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/hex"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -304,6 +306,51 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 	}
 	if _, err := decode(make([]byte, len(buf))); err == nil {
 		t.Error("zero-filled record decoded without error")
+	}
+}
+
+// A round's decisions reach the log as the records they stand for: on the
+// direct path and through a group-commit window, every Commit, Abort and
+// Complete decision, of a coordinator and of a participant, with a peer and
+// without, is appended byte for byte as appendRecord writes the same Record,
+// counts as many bytes, and RecoverScan reads it back as that Record.
+func TestDecisionsAppendAsTheirRecords(t *testing.T) {
+	kinds := []RecType{RecCommit, RecAbort, RecComplete}
+	for _, linger := range []time.Duration{0, 100 * time.Microsecond} {
+		for _, role := range []types.Role{types.RoleCoordinator, types.RoleParticipant} {
+			for _, peer := range []types.NodeID{-1, 3} {
+				d := Decisions{Role: role, N: len(kinds), At: func(i int) (types.OpID, RecType) { return opID(uint64(10 + i)), kinds[i] }}
+				if peer >= 0 {
+					d.Peer, d.HasPeer = peer, true
+				}
+				var want []Record
+				var wantBytes []byte
+				for i, typ := range kinds {
+					rec := Record{Type: typ, Op: opID(uint64(10 + i)), Role: role, Peer: d.Peer, HasPeer: d.HasPeer}
+					want = append(want, rec)
+					wantBytes = appendRecord(wantBytes, &rec)
+				}
+				name := fmt.Sprintf("linger=%v role=%v peer=%v", linger, role, d.HasPeer)
+				withWAL(t, 0, func(p *simrt.Proc, w *WAL) {
+					w.SetGroupCommit(linger)
+					w.AppendDecisions(p, &d)
+					var got []byte
+					for i := 0; i < w.ordered.Len(); i++ {
+						r := w.ordered.At(i)
+						got = append(got, w.img.at(r.pos, r.size)...)
+					}
+					if !bytes.Equal(got, wantBytes) {
+						t.Errorf("%s: appended\n%x\nwant\n%x", name, got, wantBytes)
+					}
+					if st := w.Stats(); st.Records != uint64(len(kinds)) || st.BytesWritten != int64(len(wantBytes)) || w.LiveBytes() != int64(len(wantBytes)) {
+						t.Errorf("%s: %d records, %d bytes written, %d live; want %d records of %d bytes", name, st.Records, st.BytesWritten, w.LiveBytes(), len(kinds), len(wantBytes))
+					}
+					if got := w.RecoverScan(p); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: recovered %+v, want %+v", name, got, want)
+					}
+				})
+			}
+		}
 	}
 }
 
