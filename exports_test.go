@@ -22,6 +22,7 @@ import (
 // or checks state no production path exposes; a bench probe is called by the
 // benchmark module, which this audit does not read.
 var callerless = map[string]string{
+	"core.Cache.Get":                "bench probe, ROADMAP item 8: the cache-hit probe (the driver reads the cache by object key)",
 	"core.Cache.Len":                "test probe: the lookup tests check the client cache emptied",
 	"core.Driver.Cache":             "test probe: the lease and lookup tests reach a client's cache",
 	"core.Pending.Done":             "test probe: the pipeline tests check each operation completed",

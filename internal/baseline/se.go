@@ -112,20 +112,7 @@ func (s *SEServer) handle(p *simrt.Proc, pk *transport.Packet) {
 		s.handleLocalOp(p, m)
 	case wire.MsgClear:
 		s.handleClear(p, m)
-	case wire.MsgLookupReq:
-		s.handleLookup(p, m)
 	}
-}
-
-// handleLookup serves the leased read path. SE executes serially and
-// persists before replying, so resolving straight from the shard is safe;
-// there is no active-object table to park behind.
-func (s *SEServer) handleLookup(p *simrt.Proc, m *wire.Msg) {
-	s.ExecCPU(p)
-	if s.Crashed() {
-		return
-	}
-	s.AnswerLookup(m)
 }
 
 // persist makes an execution durable per the server's mode: plain OFS
@@ -170,9 +157,7 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	if res.Err != nil {
 		reply.Err = res.Err.Error()
 	}
-	if res.OK {
-		s.LeaseOn(&reply, sub) // a stat's, or what the execution made
-	}
+	s.LeaseOn(&reply, sub) // a read's, or what the execution made
 	if mutating {
 		s.CacheReply(sub.Op, &reply)
 	}

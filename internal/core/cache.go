@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"cxfs/internal/namespace"
@@ -12,10 +13,12 @@ import (
 
 // Cache is the client-side leased metadata cache, one table for both kinds
 // of object, keyed by types.ObjKey as the servers' lease tables are:
-// (dir, name) → inode bindings (including negative entries) filled by
-// MsgLookupResp grants, inode → attributes filled by the leased replies to
-// stats, and both filled by the replies to this client's own mutations that
-// made the object. An entry is served locally while its lease holds, and
+// (dir, name) → inode bindings (including negative entries) filled by the
+// leased replies to lookups, inode → attributes filled by the leased replies
+// to stats, and both filled by the replies to this client's own mutations
+// that made the object. It sits in front of the one read path: a lookup or
+// stat it cannot serve is the read sub-op it would be without a cache
+// (Driver.doSingle). An entry is served locally while its lease holds, and
 // stops being servable when:
 //
 //   - its TTL lapses (the hard staleness bound when messages are lost);
@@ -39,19 +42,18 @@ import (
 // in for that notice. A mutation the client gave up on (ErrTimeout) may
 // still land later, after a read has cached an object's old value; the
 // server's reply to it, sent as it lands, stands in for the notice then:
-// any reply to an abandoned mutation drops the objects it names.
+// the mutation stays on the in-flight list, marked abandoned, and any reply
+// to it drops the objects it names.
 //
 // The read fast path (Get) is allocation-free: struct keys in an
 // open-addressing table, no per-hit bookkeeping beyond counter increments.
 type Cache struct {
 	entries *node.FIFOMap[types.ObjKey, cacheEntry]
 	epochs  []uint64 // highest lease epoch seen per server, by node ID
-	// inflight are this client's mutations between dispatch and completion:
-	// at most its processes times their pipeline depth.
+	// inflight are this client's mutations between dispatch and completion
+	// — at most its processes times their pipeline depth — and, in the
+	// order they ended, up to abandonedCap that ended in ErrTimeout.
 	inflight []mutation
-	// abandoned are this client's mutations that ended in ErrTimeout, by
-	// op, with the objects each names; nil until the first one.
-	abandoned *node.FIFOMap[types.OpID, [3]types.ObjKey]
 
 	stats CacheStats
 }
@@ -69,8 +71,9 @@ type cacheEntry struct {
 // names: its sub-ops' objects, then its directory's inode, whose entry count
 // an insertion or removal bumps (a zero key: none).
 type mutation struct {
-	op   types.OpID
-	objs [3]mutObj
+	op        types.OpID
+	abandoned bool // ended in ErrTimeout; it may land yet
+	objs      [3]mutObj
 }
 
 // mutObj is one object a mutation names.
@@ -78,13 +81,11 @@ type mutObj struct {
 	key types.ObjKey
 	// leased is the value its reply leased, the entry the cache installs
 	// when the mutation completes: epoch 0 until the reply of leased.server,
-	// the server that makes the object, carries a lease; that is noServer
-	// for an object the mutation makes nothing of.
+	// the server that makes the object, carries a lease. That is noServer
+	// for an object the mutation makes nothing of, and for one revoked
+	// since the mutation was dispatched: another client's execution wrote
+	// it, and what the reply leased may be stale already.
 	leased cacheEntry
-	// revoked reports a revocation of the object since the mutation was
-	// dispatched: another client's execution wrote it, and what the reply
-	// leased may be stale already.
-	revoked bool
 }
 
 // noServer is no server's ID: no reply's lease matches it.
@@ -105,9 +106,10 @@ type CacheStats struct {
 // DefaultCacheCap bounds the cache when the caller passes 0.
 const DefaultCacheCap = 4096
 
-// abandonedCap bounds the abandoned mutations a cache remembers. A late
-// reply to one forgotten past it drops nothing, and the entry falls back to
-// the TTL bound, the same exposure as a lost revocation notice.
+// abandonedCap bounds the abandoned mutations a cache remembers; the one
+// abandoned longest ago leaves first. A late reply to one forgotten past it
+// drops nothing, and the entry falls back to the TTL bound, the same
+// exposure as a lost revocation notice.
 const abandonedCap = 256
 
 // NewCache builds a leased metadata cache bounded at capacity entries
@@ -123,23 +125,15 @@ func NewCache(capacity int) *Cache {
 // inbound message before the per-op reply routes. A MsgConflictNotify
 // carrying a lease epoch is a lease revocation for this client, consumed
 // there (it must never leak into an op's reply channel when its ID collides
-// with an open route). Any other message carrying a lease but a lookup's
-// answer may be a reply to one of this client's mutations that made an
-// object: the grant is noted, at its receipt, for the mutation's
-// completion, and the reply goes on to its route. A reply to a mutation the
-// client gave up on drops the objects that mutation names.
+// with an open route). Any other message may be a reply to one of this
+// client's mutations (replied), and goes on to its route.
 func (c *Cache) Attach(host *node.Host) {
 	host.SetNotify(func(m *wire.Msg) bool {
-		switch {
-		case m.Type == wire.MsgConflictNotify && m.LeaseEpoch != 0:
+		if m.Type == wire.MsgConflictNotify && m.LeaseEpoch != 0 {
 			c.Revoke(node.LeaseKey(m), m.From, m.LeaseEpoch)
 			return true
-		case m.LeaseEpoch != 0 && m.Type != wire.MsgLookupResp:
-			c.leased(host.Sim.Now(), m)
 		}
-		if c.abandoned != nil {
-			c.landed(m.Op)
-		}
+		c.replied(host.Sim.Now(), m)
 		return false
 	})
 }
@@ -261,22 +255,41 @@ func named(sub types.SubOp, server types.NodeID, issued time.Duration) mutObj {
 	return mutObj{key: k, leased: cacheEntry{server: server, grant: issued}}
 }
 
-// leased notes the lease a reply to one of this client's mutations carries,
-// received at now: the value the mutation made of each object its sender
-// makes, served until now + TTL. The highest lease epoch's first grant
-// stands.
-func (c *Cache) leased(now time.Duration, m *wire.Msg) {
-	for i := range c.inflight {
-		if mu := &c.inflight[i]; mu.op == m.Op {
-			for j := range mu.objs {
-				if o := &mu.objs[j]; o.key.Kind != 0 && o.leased.server == m.From && m.LeaseEpoch > o.leased.epoch {
-					o.leased = cacheEntry{attr: m.Attr, found: true, server: m.From,
-						epoch: m.LeaseEpoch, expire: now + m.LeaseTTL, grant: o.leased.grant}
-				}
+// replied handles m, received at now, if it is a reply to one of this
+// client's mutations. One in flight notes the lease m carries: the value the
+// mutation made of each object its sender makes, served until now + TTL;
+// the highest lease epoch's first grant stands. One the client gave up on
+// has landed at its servers, which notified every holder of its objects but
+// this client, so they are dropped as a revocation would drop them.
+func (c *Cache) replied(now time.Duration, m *wire.Msg) {
+	i := c.find(m.Op)
+	if i < 0 {
+		return
+	}
+	mu := &c.inflight[i]
+	for j := range mu.objs {
+		o := &mu.objs[j]
+		switch {
+		case o.key.Kind == 0:
+		case mu.abandoned:
+			if c.drop(o.key) {
+				c.stats.Invalidations++
 			}
-			return
+		case o.leased.server == m.From && m.LeaseEpoch > o.leased.epoch:
+			o.leased = cacheEntry{attr: m.Attr, found: true, server: m.From,
+				epoch: m.LeaseEpoch, expire: now + m.LeaseTTL, grant: o.leased.grant}
 		}
 	}
+}
+
+// find returns the position of mutation op on the in-flight list, or -1.
+func (c *Cache) find(op types.OpID) int {
+	for i := range c.inflight {
+		if c.inflight[i].op == op {
+			return i
+		}
+	}
+	return -1
 }
 
 // complete completes mutation op at now with err. The value its replies
@@ -284,28 +297,17 @@ func (c *Cache) leased(now time.Duration, m *wire.Msg) {
 // time, if it succeeded, unless the lease is gone already — revoked
 // meanwhile, fenced by a newer incarnation of its server, lapsed — or
 // another of this client's mutations of the object is still in flight. A
-// mutation that timed out is remembered as abandoned: it may land yet.
+// mutation that timed out goes to the list's end, abandoned: it may land
+// yet.
 func (c *Cache) complete(now time.Duration, op types.OpID, err error) {
-	i := 0
-	for i < len(c.inflight) && c.inflight[i].op != op {
-		i++
-	}
-	if i == len(c.inflight) {
+	i := c.find(op)
+	if i < 0 {
 		return
 	}
 	mu := c.inflight[i]
-	last := len(c.inflight) - 1
-	c.inflight[i] = c.inflight[last]
-	c.inflight[last] = mutation{}
-	c.inflight = c.inflight[:last]
+	c.inflight = slices.Delete(c.inflight, i, i+1)
 	if errors.Is(err, types.ErrTimeout) {
-		if c.abandoned == nil {
-			c.abandoned = node.NewFIFOMap[types.OpID, [3]types.ObjKey](abandonedCap)
-		}
-		ks, _ := c.abandoned.Push(op)
-		for j := range mu.objs {
-			ks[j] = mu.objs[j].key
-		}
+		c.abandon(mu)
 		return
 	}
 	if err != nil {
@@ -313,7 +315,7 @@ func (c *Cache) complete(now time.Duration, op types.OpID, err error) {
 	}
 	for j := range mu.objs {
 		o := &mu.objs[j]
-		if e := o.leased; e.epoch != 0 && !o.revoked && e.epoch >= c.epoch(e.server) && now < e.expire && !c.mutating(o.key) {
+		if e := o.leased; e.epoch != 0 && e.epoch >= c.epoch(e.server) && now < e.expire && !c.mutating(o.key) {
 			c.noteEpoch(e.server, e.epoch)
 			c.install(now, o.key, e)
 			c.stats.Installs++
@@ -321,12 +323,30 @@ func (c *Cache) complete(now time.Duration, op types.OpID, err error) {
 	}
 }
 
+// abandon puts mu back on the in-flight list, abandoned, and forgets the
+// mutation abandoned longest ago past abandonedCap.
+func (c *Cache) abandon(mu mutation) {
+	mu.abandoned = true
+	c.inflight = append(c.inflight, mu)
+	n, oldest := 0, -1
+	for i := range c.inflight {
+		if c.inflight[i].abandoned {
+			if n++; oldest < 0 {
+				oldest = i
+			}
+		}
+	}
+	if n > abandonedCap {
+		c.inflight = slices.Delete(c.inflight, oldest, oldest+1)
+	}
+}
+
 // mutating reports whether one of this client's mutations of k is in
-// flight.
+// flight (an abandoned one is not).
 func (c *Cache) mutating(k types.ObjKey) bool {
 	for i := range c.inflight {
 		for j := range c.inflight[i].objs {
-			if c.inflight[i].objs[j].key == k {
+			if !c.inflight[i].abandoned && c.inflight[i].objs[j].key == k {
 				return true
 			}
 		}
@@ -346,22 +366,6 @@ func (c *Cache) Revoke(k types.ObjKey, server types.NodeID, epoch uint64) {
 	}
 }
 
-// landed handles a message for op: if op is a mutation this client gave up
-// on, it has landed at its servers, which notified every holder of its
-// objects but this client, so they are dropped as a revocation would drop
-// them.
-func (c *Cache) landed(op types.OpID) {
-	ks := c.abandoned.Get(op)
-	if ks == nil {
-		return
-	}
-	for _, k := range ks {
-		if k.Kind != 0 && c.drop(k) {
-			c.stats.Invalidations++
-		}
-	}
-}
-
 // drop forgets k's entry, reporting whether one was cached, and keeps every
 // mutation of k in flight from installing its result: the object has
 // changed since the mutation was dispatched.
@@ -369,7 +373,7 @@ func (c *Cache) drop(k types.ObjKey) bool {
 	for i := range c.inflight {
 		for j := range c.inflight[i].objs {
 			if o := &c.inflight[i].objs[j]; o.key == k {
-				o.revoked = true
+				o.leased = cacheEntry{server: noServer}
 			}
 		}
 	}

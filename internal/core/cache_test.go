@@ -10,11 +10,11 @@ import (
 	"cxfs/internal/wire"
 )
 
-// grantMsg builds the MsgLookupResp a server would send for (dir, name):
+// grantMsg builds the reply a server would send to a lookup of (dir, name):
 // found carries attr, a miss is a leased negative entry.
 func grantMsg(server types.NodeID, dir types.InodeID, name string, ino types.InodeID,
 	found bool, epoch uint64, ttl time.Duration) wire.Msg {
-	return wire.Msg{Type: wire.MsgLookupResp, From: server, OK: found,
+	return wire.Msg{Type: wire.MsgSubOpResp, From: server, OK: found,
 		Dir: dir, Path: name, Attr: types.Inode{Ino: ino, Nlink: 1},
 		LeaseEpoch: epoch, LeaseTTL: ttl}
 }
@@ -279,7 +279,7 @@ func TestCacheInstallsOwnMutation(t *testing.T) {
 	if c.Len() != 0 {
 		t.Error("a lookup answer was cached while the client's mutation of the entry was in flight")
 	}
-	c.leased(4*time.Millisecond, replyMsg(0, op(1), 7, 1, ttl))
+	c.replied(4*time.Millisecond, replyMsg(0, op(1), 7, 1, ttl))
 	c.complete(5*time.Millisecond, op(1), nil)
 	attr, found, grant, ok := c.Get(6*time.Millisecond, types.RootInode, "f")
 	if !ok || !found || attr.Ino != 7 || grant != 1*time.Millisecond {
@@ -291,7 +291,7 @@ func TestCacheInstallsOwnMutation(t *testing.T) {
 	// An answer issued before the installed entry's grant stamp does not
 	// replace it.
 	c.dispatch(link(op(2), "g"), onePl, 10*time.Millisecond)
-	c.leased(11*time.Millisecond, replyMsg(0, op(2), 8, 1, ttl))
+	c.replied(11*time.Millisecond, replyMsg(0, op(2), 8, 1, ttl))
 	c.complete(12*time.Millisecond, op(2), nil)
 	c.Put(9*time.Millisecond, 13*time.Millisecond, grantMsg(0, types.RootInode, "g", 0, false, 1, ttl))
 	if attr, found, _, ok := c.Get(14*time.Millisecond, types.RootInode, "g"); !ok || !found || attr.Ino != 8 {
@@ -307,7 +307,7 @@ func TestCacheInstallsOwnMutation(t *testing.T) {
 	}{
 		{"failed", func(c *Cache) {
 			c.dispatch(link(op(3), "h"), onePl, 0)
-			c.leased(1, replyMsg(0, op(3), 9, 1, ttl))
+			c.replied(1, replyMsg(0, op(3), 9, 1, ttl))
 			c.complete(2, op(3), types.ErrExists)
 		}},
 		{"unleased", func(c *Cache) {
@@ -316,19 +316,19 @@ func TestCacheInstallsOwnMutation(t *testing.T) {
 		}},
 		{"revoked", func(c *Cache) {
 			c.dispatch(link(op(3), "h"), onePl, 0)
-			c.leased(1, replyMsg(0, op(3), 9, 1, ttl))
+			c.replied(1, replyMsg(0, op(3), 9, 1, ttl))
 			c.Revoke(types.DentryKey(types.RootInode, "h"), 0, 1)
 			c.complete(2, op(3), nil)
 		}},
 		{"another in flight", func(c *Cache) {
 			c.dispatch(link(op(3), "h"), onePl, 0)
 			c.dispatch(link(op(4), "h"), onePl, 0)
-			c.leased(1, replyMsg(0, op(3), 9, 1, ttl))
+			c.replied(1, replyMsg(0, op(3), 9, 1, ttl))
 			c.complete(2, op(3), nil)
 		}},
 		{"fenced", func(c *Cache) {
 			c.dispatch(link(op(3), "h"), onePl, 0)
-			c.leased(1, replyMsg(0, op(3), 9, 1, ttl))
+			c.replied(1, replyMsg(0, op(3), 9, 1, ttl))
 			c.Revoke(types.DentryKey(types.RootInode, "other"), 0, 2) // the server rebooted
 			c.complete(2, op(3), nil)
 		}},
@@ -352,19 +352,19 @@ func TestCacheLateReplyToAbandonedMutationDropsEntry(t *testing.T) {
 	c.dispatch(link(op(1), "f"), onePl, 0)
 	c.complete(1, op(1), types.ErrTimeout)
 	c.Put(2, 3, grantMsg(0, types.RootInode, "f", 0, false, 1, ttl))
-	c.landed(op(2))
+	c.replied(0, &wire.Msg{Op: op(2)})
 	if _, _, _, ok := c.Get(4, types.RootInode, "f"); !ok {
 		t.Fatal("a reply to another op dropped the entry")
 	}
 	c.dispatch(link(op(3), "f"), onePl, 5)
-	c.leased(6, replyMsg(0, op(3), 7, 1, ttl))
-	c.landed(op(1))
+	c.replied(6, replyMsg(0, op(3), 7, 1, ttl))
+	c.replied(0, &wire.Msg{Op: op(1)})
 	c.complete(7, op(3), nil)
 	if _, _, _, ok := c.Get(8, types.RootInode, "f"); ok {
 		t.Error("the entry survived the late reply, or the mutation in flight installed its result")
 	}
 	c.Put(9, 10, grantMsg(0, types.RootInode, "f", 0, false, 1, ttl))
-	c.landed(op(1)) // a further reply: the op may have run again
+	c.replied(0, &wire.Msg{Op: op(1)}) // a further reply: the op may have run again
 	if _, _, _, ok := c.Get(11, types.RootInode, "f"); ok {
 		t.Error("a second late reply to the abandoned mutation dropped nothing")
 	}

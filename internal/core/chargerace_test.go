@@ -139,8 +139,9 @@ func TestLookupDuringChargeLeasesNoProvisionalValue(t *testing.T) {
 				r.sim.Spawn("lookup", func(p *simrt.Proc) {
 					p.Sleep(gap)
 					route := r.host.Open(lookup)
-					pk, _ := r.host.Call(p, types.RetryPolicy{}, route, &wire.Msg{Type: wire.MsgLookupReq, To: 0,
-						Op: lookup, Dir: c.Parent, Path: c.Name, ReplyProc: lookup.Proc})
+					sub := types.SingleSubOp(types.Op{ID: lookup, Kind: types.OpLookup, Parent: c.Parent, Name: c.Name})
+					pk, _ := r.host.Call(p, types.RetryPolicy{}, route, &wire.Msg{Type: wire.MsgSubOpReq, To: 0,
+						Op: lookup, Sub: sub, ReplyProc: lookup.Proc})
 					reply = pk.Msg
 					pk.Release()
 					r.host.Done(lookup)

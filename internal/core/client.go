@@ -123,23 +123,17 @@ func (d *Driver) do(p *simrt.Proc, op types.Op, out *obs.Outcome) (types.Inode, 
 	if n := len(op.Name); n > types.MaxName {
 		return types.Inode{}, fmt.Errorf("%v: a %d-byte name: %w", op.Kind, n, types.ErrNameTooLong)
 	}
-	if d.cache != nil {
-		switch {
-		case op.Kind == types.OpLookup, op.Kind == types.OpStat:
-			return d.doRead(p, op)
-		case op.Kind.Mutating():
-			// Read-your-writes: drop this client's cached view of every
-			// object the mutation names BEFORE dispatching it, and cache
-			// nothing for them while the mutation is in flight. Done
-			// unconditionally (even if the op later fails or times out) —
-			// over-invalidation only costs a miss. A mutation that made an
-			// object completes with the lease its reply carried, and the
-			// cache serves what it made.
-			d.cache.dispatch(op, d.pl, d.host.Sim.Now())
-			ino, err := d.dispatch(p, op, out)
-			d.cache.complete(d.host.Sim.Now(), op.ID, err)
-			return ino, err
-		}
+	if d.cache != nil && op.Kind.Mutating() {
+		// Read-your-writes: drop this client's cached view of every object
+		// the mutation names BEFORE dispatching it, and cache nothing for
+		// them while the mutation is in flight. Done unconditionally (even
+		// if the op later fails or times out) — over-invalidation only costs
+		// a miss. A mutation that made an object completes with the lease
+		// its reply carried, and the cache serves what it made.
+		d.cache.dispatch(op, d.pl, d.host.Sim.Now())
+		ino, err := d.dispatch(p, op, out)
+		d.cache.complete(d.host.Sim.Now(), op.ID, err)
+		return ino, err
 	}
 	return d.dispatch(p, op, out)
 }
@@ -158,25 +152,49 @@ func (d *Driver) dispatch(p *simrt.Proc, op types.Op, out *obs.Outcome) (types.I
 		}
 		return ino, err
 	}
-	return d.roundTrip(p, &wire.Msg{Type: wire.MsgOpReq, To: coord, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc})
+	return d.roundTrip(p, &wire.Msg{Type: wire.MsgOpReq, To: coord, Op: op.ID, FullOp: op, ReplyProc: op.ID.Proc}, nil)
 }
 
-// doSingle routes a read or single-server update to its owner.
+// doSingle routes a read or single-server update to its owner as one sub-op.
+// A read — a lookup's entry, a stat's inode — has the cache in front of it,
+// when one is attached: the cache serves the object while a valid lease
+// covers it, and otherwise the object's server answers and its grant fills
+// the cache. The disposition — served locally or not, and the issue time of
+// the request backing the answer (for the staleness oracle) — goes to the
+// read log when tracking is on.
 func (d *Driver) doSingle(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	var target types.NodeID
-	switch op.Kind {
-	case types.OpLookup:
+	target := d.pl.ParticipantFor(op.Ino) // stat, setattr live with the inode
+	if op.Kind == types.OpLookup {
 		target = d.pl.CoordinatorFor(op.Parent, op.Name)
-	default: // stat, setattr live with the inode
-		target = d.pl.ParticipantFor(op.Ino)
 	}
-	return d.roundTrip(p, &wire.Msg{Type: wire.MsgSubOpReq, To: target, Op: op.ID,
-		Sub: types.SingleSubOp(op), ReplyProc: op.ID.Proc})
+	req := wire.Msg{Type: wire.MsgSubOpReq, To: target, Op: op.ID, Sub: types.SingleSubOp(op), ReplyProc: op.ID.Proc}
+	if d.cache == nil || op.Kind.Mutating() {
+		return d.roundTrip(p, &req, nil)
+	}
+	issued := d.host.Sim.Now()
+	k, _ := req.Sub.Key()
+	attr, found, grant, cached := d.cache.get(issued, k)
+	var err error
+	switch {
+	case !cached:
+		if attr, err = d.roundTrip(p, &req, d.cache); err == types.ErrTimeout { // no reply: nothing to log
+			return attr, err
+		}
+		grant = issued
+	case !found:
+		attr, err = types.Inode{}, types.ErrNotFound
+	}
+	if d.lookupLog != nil {
+		d.lookupLog.Put(op.ID, lookupRec{cached: cached, grant: grant})
+	}
+	return attr, err
 }
 
 // roundTrip runs an operation that is one request to one server: the
-// retrying call on the operation's own route, and the reply mapped back.
-func (d *Driver) roundTrip(p *simrt.Proc, req *wire.Msg) (types.Inode, error) {
+// retrying call on the operation's own route, and the reply mapped back. A
+// read's reply fills cache (nil: none), as issued when the call began.
+func (d *Driver) roundTrip(p *simrt.Proc, req *wire.Msg, cache *Cache) (types.Inode, error) {
+	issued := d.host.Sim.Now()
 	route := d.host.Open(req.Op)
 	defer d.host.Done(req.Op)
 	reply, ok := d.host.Call(p, d.retry, route, req)
@@ -184,55 +202,10 @@ func (d *Driver) roundTrip(p *simrt.Proc, req *wire.Msg) (types.Inode, error) {
 		return types.Inode{}, types.ErrTimeout
 	}
 	defer reply.Release()
+	if cache != nil {
+		cache.Put(issued, d.host.Sim.Now(), reply.Msg)
+	}
 	return reply.Attr, errFrom(&reply.Msg)
-}
-
-// doRead is the leased read path: the cache serves a lookup's entry or a
-// stat's inode while a valid lease covers it, and otherwise the object's
-// server answers — the entry's coordinator a MsgLookupReq, the inode's
-// server the stat's sub-op — and its grant fills the cache. The
-// disposition — served locally or not, and the issue time of the request
-// backing the answer (for the staleness oracle) — goes to the read log when
-// tracking is on.
-func (d *Driver) doRead(p *simrt.Proc, op types.Op) (types.Inode, error) {
-	issued := d.host.Sim.Now()
-	var (
-		attr          types.Inode
-		found, cached bool
-		grant         time.Duration
-	)
-	if op.Kind == types.OpLookup {
-		attr, found, grant, cached = d.cache.Get(issued, op.Parent, op.Name)
-	} else {
-		attr, found, grant, cached = d.cache.get(issued, types.InodeKey(op.Ino))
-	}
-	var err error
-	switch {
-	case cached && !found:
-		attr, err = types.Inode{}, types.ErrNotFound
-	case !cached:
-		var req wire.Msg
-		if op.Kind == types.OpLookup {
-			req = wire.Msg{Type: wire.MsgLookupReq, To: d.pl.CoordinatorFor(op.Parent, op.Name), Op: op.ID,
-				Dir: op.Parent, Path: op.Name, ReplyProc: op.ID.Proc}
-		} else {
-			req = wire.Msg{Type: wire.MsgSubOpReq, To: d.pl.ParticipantFor(op.Ino), Op: op.ID,
-				Sub: types.SingleSubOp(op), ReplyProc: op.ID.Proc}
-		}
-		route := d.host.Open(op.ID)
-		defer d.host.Done(op.ID)
-		reply, ok := d.host.Call(p, d.retry, route, &req)
-		if !ok {
-			return types.Inode{}, types.ErrTimeout
-		}
-		d.cache.Put(issued, d.host.Sim.Now(), reply.Msg)
-		attr, grant, err = reply.Attr, issued, errFrom(&reply.Msg)
-		reply.Release()
-	}
-	if d.lookupLog != nil {
-		d.lookupLog.Put(op.ID, lookupRec{cached: cached, grant: grant})
-	}
-	return attr, err
 }
 
 // Readdir lists directory dir by querying every server's partition under

@@ -124,8 +124,7 @@ type Stats struct {
 	OpsAborted       uint64
 	Invalidations    uint64
 	VoteTimeouts     uint64
-	Lookups          uint64 // LookupReq served (leased read path)
-	LeasesGranted    uint64 // read leases granted (the chassis counts)
+	Lookups          uint64 // lookups executed: read sub-ops of an entry
 	LeaseRevocations uint64 // revocation notices sent to lease holders (the chassis counts)
 }
 
@@ -250,8 +249,8 @@ func NewServer(base *node.Base, pl namespace.Placement, cfg Config) *Server {
 
 // Stats returns a snapshot of protocol counters.
 func (s *Server) Stats() Stats {
-	st, chassis := s.stats, s.Base.Stats()
-	st.LeasesGranted, st.LeaseRevocations = chassis.LeasesGranted, chassis.LeaseRevocations
+	st := s.stats
+	st.LeaseRevocations = s.Base.Stats().LeaseRevocations
 	return st
 }
 
@@ -416,15 +415,13 @@ func (s *Server) handle(p *simrt.Proc, pk *transport.Packet) {
 	}
 	if s.recovering {
 		switch m.Type {
-		case wire.MsgSubOpReq, wire.MsgOpReq, wire.MsgLCom, wire.MsgLookupReq:
+		case wire.MsgSubOpReq, wire.MsgOpReq, wire.MsgLCom:
 			return
 		}
 	}
 	switch m.Type {
 	case wire.MsgSubOpReq:
 		s.handleSubOp(p, m)
-	case wire.MsgLookupReq:
-		s.handleLookup(p, m)
 	case wire.MsgOpReq:
 		s.handleLocalOp(p, m)
 	case wire.MsgLCom:

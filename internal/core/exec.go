@@ -43,9 +43,7 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	case st.phase != phaseNone:
 		if st.replied { // recovery-rebuilt executions have no response yet
 			reply := st.reply()
-			if st.ok {
-				s.LeaseOn(&reply, st.sub)
-			}
+			s.LeaseOn(&reply, st.sub)
 			s.Send(&reply)
 		}
 		return
@@ -158,6 +156,9 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 	if parked {
 		return
 	}
+	if sub.Action == types.ActReadEntry {
+		s.stats.Lookups++
+	}
 	res := s.Shard.ExecRow(sub, seen.Row, s.NowNanos())
 	cross := sub.Kind.CrossServer()
 
@@ -227,9 +228,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 	if res.Err != nil {
 		reply.Err = res.Err.Error()
 	}
-	if res.OK {
-		s.LeaseOn(&reply, sub)
-	}
+	s.LeaseOn(&reply, sub)
 	switch {
 	case cross:
 		// The execution awaits its commitment; its entry records the response
@@ -300,9 +299,6 @@ func (s *Server) redispatch(p *simrt.Proc, br *blockedReq) (parked bool) {
 	case wire.MsgOpReq:
 		// A blocked colocated compound op re-runs through the local path.
 		s.handleLocalOp(p, &br.msg)
-	case wire.MsgLookupReq:
-		// A parked leased read re-resolves now that the holder committed.
-		s.handleLookup(p, &br.msg)
 	default:
 		// Once the chassis admits it: not if a copy of it executes, or its
 		// operation finished, meanwhile.

@@ -181,7 +181,7 @@ func TestTrackedLookupDispositions(t *testing.T) {
 
 // TestOwnCreateIsLeased: a host that creates a name is leased the binding
 // by the create's reply. Its next lookup of the name is a cache hit with the
-// new inode, and no LOOKUP-REQ goes out for it. The create sends the host
+// new inode, and no request goes out for it. The create sends the host
 // no revocation notice, though the host held a lease on the name's absence;
 // another host's later remove revokes the installed entry like any other.
 func TestOwnCreateIsLeased(t *testing.T) {
@@ -211,8 +211,8 @@ func TestOwnCreateIsLeased(t *testing.T) {
 		if grant != issued {
 			t.Errorf("grant stamp %v, want the create's issue time %v", grant, issued)
 		}
-		if sent := c.Counters().Net.ByType[wire.MsgLookupReq] - before.Net.ByType[wire.MsgLookupReq]; sent != 0 {
-			t.Errorf("%d LOOKUP-REQs for a name the host just made, want 0", sent)
+		if sent := c.Counters().Net.ByType[wire.MsgSubOpReq] - before.Net.ByType[wire.MsgSubOpReq]; sent != 0 {
+			t.Errorf("%d SUBOP-REQs for a name the host just made, want 0", sent)
 		}
 		if st := drvA.Cache().Stats(); st.Installs != 2 || st.Revocations != 0 {
 			t.Errorf("installs=%d revocations=%d, want 2 (the entry and its inode) and 0", st.Installs, st.Revocations)
@@ -474,6 +474,133 @@ func TestFailedCreateInstallsNothing(t *testing.T) {
 		}
 		if got := pr.Driver().Cache().Stats().Installs; got != 2 {
 			t.Errorf("Installs=%d, want 2 (the first create's entry and inode only)", got)
+		}
+	})
+}
+
+// lookupReply is what a server's answer to a lookup says.
+type lookupReply struct {
+	typ  wire.MsgType
+	ok   bool
+	err  string
+	attr types.Inode
+}
+
+// TestLookupRepliesMatchWithAndWithoutCache runs one script under Cx and
+// SE, with the cache off and on: host B creates a name, host A looks it up,
+// looks up a missing name, B removes the name, and A looks it up again. A
+// lookup is served one way: every one that reaches a server draws the reply
+// it draws without the cache, and none travels as a LOOKUP-REQ.
+func TestLookupRepliesMatchWithAndWithoutCache(t *testing.T) {
+	for _, proto := range []cluster.Protocol{cluster.ProtoCx, cluster.ProtoSE} {
+		var runs [2]map[types.OpID]lookupReply
+		for i, ttl := range []time.Duration{0, time.Second} {
+			o := cluster.DefaultOptions(3, proto)
+			o.ClientHosts, o.ProcsPerHost, o.CacheTTL = 2, 1, ttl
+			c := cluster.MustNew(o)
+			replies := map[types.OpID]lookupReply{}
+			lookups := map[types.OpID]bool{}
+			c.Net.SetTap(func(m wire.Msg) {
+				if lookups[m.Op] && m.To == c.Hosts[0].ID {
+					replies[m.Op] = lookupReply{m.Type, m.OK, m.Err, m.Attr}
+				}
+			})
+			runLeased(t, c, func(p *simrt.Proc) {
+				prA, prB := c.Proc(0), c.Proc(1)
+				lookup := func(name string) (types.Inode, error) {
+					id := prA.NextID()
+					lookups[id] = true
+					return prA.Driver().Do(p, types.Op{ID: id, Kind: types.OpLookup, Parent: types.RootInode, Name: name})
+				}
+				ino, err := prB.Create(p, types.RootInode, "f")
+				if err != nil {
+					t.Errorf("%v ttl %v: create: %v", proto, ttl, err)
+					return
+				}
+				if in, err := lookup("f"); err != nil || in.Ino != ino {
+					t.Errorf("%v ttl %v: lookup: ino=%v err=%v, want %v", proto, ttl, in.Ino, err, ino)
+				}
+				if _, err := lookup("missing"); !errors.Is(err, types.ErrNotFound) {
+					t.Errorf("%v ttl %v: lookup of a missing name: err=%v, want ErrNotFound", proto, ttl, err)
+				}
+				if err := prB.Remove(p, types.RootInode, "f", ino); err != nil {
+					t.Errorf("%v ttl %v: remove: %v", proto, ttl, err)
+					return
+				}
+				c.Quiesce(p)
+				if _, err := lookup("f"); !errors.Is(err, types.ErrNotFound) {
+					t.Errorf("%v ttl %v: lookup after the remove: err=%v, want ErrNotFound", proto, ttl, err)
+				}
+			})
+			if n := c.Counters().Net.ByType[wire.MsgLookupReq]; n != 0 {
+				t.Errorf("%v ttl %v: %d LOOKUP-REQs, want 0", proto, ttl, n)
+			}
+			c.Shutdown()
+			runs[i] = replies
+		}
+		uncached, cached := runs[0], runs[1]
+		if len(uncached) != 3 || len(cached) != 3 {
+			t.Errorf("%v: %d lookups reached a server without the cache and %d with it, want 3 and 3", proto, len(uncached), len(cached))
+		}
+		for op, got := range cached {
+			if want := uncached[op]; got != want {
+				t.Errorf("%v: reply to lookup %v with the cache %+v, without %+v", proto, op, got, want)
+			}
+		}
+	}
+}
+
+// TestRetransmittedParkedLookupAnsweredOnce: a lookup parks behind another
+// host's pending create of its entry, and the client's retry policy sends it
+// again while it waits, so two copies park. When the create lets go of the
+// entry, the lookup is answered once, with one lease grant: the second copy
+// is a duplicate of the first, executing.
+func TestRetransmittedParkedLookupAnsweredOnce(t *testing.T) {
+	c := leasedCluster(3, 2, 1)
+	defer c.Shutdown()
+
+	runLeased(t, c, func(p *simrt.Proc) {
+		prA, prB := c.Proc(0), c.Proc(1)
+		ino := prB.AllocInode()
+		name := ""
+		for try := 0; name == ""; try++ {
+			if cand := fmt.Sprintf("parked-%d", try); c.Placement.CoordinatorFor(types.RootInode, cand) != c.Placement.ParticipantFor(ino) {
+				name = cand
+			}
+		}
+		srv := c.Placement.CoordinatorFor(types.RootInode, name)
+		if _, err := prB.Driver().Do(p, types.Op{ID: prB.NextID(), Kind: types.OpCreate,
+			Parent: types.RootInode, Name: name, Ino: ino, Type: types.FileRegular}); err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		// The create awaits its lazy commitment: its entry is active.
+		id := prA.NextID()
+		var requests, replies int
+		c.Net.SetTap(func(m wire.Msg) {
+			switch {
+			case m.Op != id:
+			case m.To == srv:
+				requests++
+			case m.From == srv:
+				replies++
+			}
+		})
+		granted := c.Bases[srv].Stats().LeasesGranted
+		prA.Driver().SetRetry(types.RetryPolicy{Timeout: 500 * time.Microsecond, MaxTimeout: time.Second, Attempts: 10})
+		in, err := prA.Driver().Do(p, types.Op{ID: id, Kind: types.OpLookup, Parent: types.RootInode, Name: name})
+		c.Net.SetTap(nil)
+		if err != nil || in.Ino != ino {
+			t.Errorf("lookup: ino=%v err=%v, want %v", in.Ino, err, ino)
+		}
+		if requests < 2 {
+			t.Fatalf("%d copies of the lookup sent: the scenario did not retransmit", requests)
+		}
+		if replies != 1 {
+			t.Errorf("%d copies of the lookup sent, %d answered, want 1", requests, replies)
+		}
+		if n := c.Bases[srv].Stats().LeasesGranted - granted; n != 1 {
+			t.Errorf("%d leases granted for the lookup, want 1", n)
 		}
 	})
 }

@@ -156,8 +156,16 @@ func TestGoldenRuns(t *testing.T) {
 		// runs' schedules shift with them. The stat-storm row moved for that
 		// and for its mix, whose foreign-read band now stats the inode of
 		// another worker's newest name in its lower part.
-		{"chaos/seed13/statstorm", chaosGolden(chaos.Config{Seed: 13, StatStorm: true, CacheTTL: 40 * time.Millisecond}), golden{659566434, 915, 3484, "5807ac1e010f212b"}},
-		{"chaos/seed1/pipeline4/cache", chaosGolden(chaos.Config{Seed: 1, Pipeline: 4, CacheTTL: 40 * time.Millisecond}), golden{757242550, 4228, 19929, "f90df9d6dfd3695e"}},
+		//
+		// Both were re-pinned a third time, in clock and digest only, for one
+		// cause: a lookup the cache cannot serve is the read sub-op it is
+		// without the cache (DESIGN.md §5 item 22), so a negative answer
+		// carries the sub-op's error text ("lookup NAME: not found"), a few
+		// bytes longer than the "not found" the leased lookup reply carried,
+		// and each such reply arrives a few nanoseconds later. Messages and
+		// events did not move.
+		{"chaos/seed13/statstorm", chaosGolden(chaos.Config{Seed: 13, StatStorm: true, CacheTTL: 40 * time.Millisecond}), golden{659566661, 915, 3484, "ae2dd322f5a7b758"}},
+		{"chaos/seed1/pipeline4/cache", chaosGolden(chaos.Config{Seed: 1, Pipeline: 4, CacheTTL: 40 * time.Millisecond}), golden{757245088, 4228, 19929, "24a588e7d9a92824"}},
 		{"metarates/closed-loop", metaratesClosedLoopGolden, golden{658013779, 4220, 18559, "2cff680c1525a4b8"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

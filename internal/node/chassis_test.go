@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"slices"
 	"testing"
 	"time"
@@ -170,7 +171,7 @@ func TestForgetClientsKeepsTheReplyCache(t *testing.T) {
 		b.Begin(opID(1), 100)
 		b.CacheReply(opID(2), &wire.Msg{Type: wire.MsgOpResp, OK: true, Attr: types.Inode{Ino: 5}})
 		b.LeaseTTL = time.Second
-		b.AnswerLookup(&wire.Msg{From: 100, Op: opID(3), Dir: types.RootInode, Path: "f"})
+		lookup(b, 100, opID(3), "f")
 		b.Crash()
 		b.Reboot()
 		b.ForgetClients()
@@ -188,30 +189,44 @@ func TestForgetClientsKeepsTheReplyCache(t *testing.T) {
 	})
 }
 
+// lookup answers client's read of the root's entry name under op as a
+// server does: the read sub-op's execution, its reply leased by LeaseOn.
+func lookup(b *Base, client types.NodeID, op types.OpID, name string) {
+	sub := types.SingleSubOp(types.Op{ID: op, Kind: types.OpLookup, Parent: types.RootInode, Name: name})
+	res := b.Shard.Exec(sub, 0)
+	reply := wire.Msg{Type: wire.MsgSubOpResp, To: client, Op: op, OK: res.OK, Attr: res.Inode, Epoch: 1}
+	if res.Err != nil {
+		reply.Err = res.Err.Error()
+	}
+	b.LeaseOn(&reply, sub)
+	b.Send(&reply)
+}
+
 func TestAnswerLookupLeasesAndRevokeNotifiesInGrantOrder(t *testing.T) {
 	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, sent *[]wire.Msg) {
 		b.Shard.SeedDentry(types.RootInode, "f", 42)
 		ttl := 50 * time.Millisecond
 
 		b.LeaseTTL = ttl
-		b.AnswerLookup(&wire.Msg{From: 102, Op: opID(1), Dir: types.RootInode, Path: "f"})
-		b.AnswerLookup(&wire.Msg{From: 101, Op: opID(2), Dir: types.RootInode, Path: "f"})
-		b.AnswerLookup(&wire.Msg{From: 101, Op: opID(3), Dir: types.RootInode, Path: "gone"}) // negative
+		lookup(b, 102, opID(1), "f")
+		lookup(b, 101, opID(2), "f")
+		lookup(b, 101, opID(3), "gone") // negative
 		b.LeaseTTL = 0
-		b.AnswerLookup(&wire.Msg{From: 103, Op: opID(4), Dir: types.RootInode, Path: "f"}) // no lease
+		lookup(b, 103, opID(4), "f") // no lease
 		r := *sent
 		if len(r) != 4 {
 			t.Errorf("%d replies, want 4", len(r))
 			return
 		}
-		if m := r[0]; m.Type != wire.MsgLookupResp || m.To != 102 || !m.OK || m.Attr.Ino != 42 ||
+		if m := r[0]; m.Type != wire.MsgSubOpResp || m.To != 102 || !m.OK || m.Attr.Ino != 42 ||
 			m.LeaseEpoch != b.Boot()+1 || m.LeaseTTL != ttl || m.Dir != types.RootInode || m.Path != "f" {
 			t.Errorf("positive grant: %+v", m)
 		}
-		if m := r[2]; m.OK || m.Err != types.ErrNotFound.Error() || m.LeaseEpoch == 0 || m.LeaseTTL != ttl {
+		if m := r[2]; m.OK || !errors.Is(types.WireError(m.Err), types.ErrNotFound) || m.LeaseEpoch == 0 || m.LeaseTTL != ttl ||
+			m.Dir != types.RootInode || m.Path != "gone" {
 			t.Errorf("a negative result must be leased too: %+v", m)
 		}
-		if m := r[3]; !m.OK || m.LeaseEpoch != 0 || m.LeaseTTL != 0 {
+		if m := r[3]; !m.OK || m.LeaseEpoch != 0 || m.LeaseTTL != 0 || m.Path != "" {
 			t.Errorf("ttl 0 must answer without a lease: %+v", m)
 		}
 		if got := b.LeasesOutstanding(); got != 2 {
@@ -252,8 +267,8 @@ func TestMutatingClientIsLeasedNotNotified(t *testing.T) {
 	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, sent *[]wire.Msg) {
 		ttl := 50 * time.Millisecond
 		b.LeaseTTL = ttl
-		b.AnswerLookup(&wire.Msg{From: 102, Op: opID(1), Dir: types.RootInode, Path: "f"}) // negative
-		b.AnswerLookup(&wire.Msg{From: 101, Op: opID(2), Dir: types.RootInode, Path: "f"})
+		lookup(b, 102, opID(1), "f") // negative
+		lookup(b, 101, opID(2), "f")
 		*sent = nil
 
 		create := types.SubOp{Op: types.OpID{Proc: types.ProcID{Client: 101}, Seq: 7},

@@ -10,24 +10,25 @@ import (
 	"cxfs/internal/wire"
 )
 
-// The leased read path. A client reads an object — a directory entry by
-// MsgLookupReq, an inode by a stat's MsgSubOpReq — and the object's server
-// answers from its shard and stamps a read lease: an epoch tying the grant
-// to this server incarnation and a TTL bounding how long the client may
-// serve the object from cache. The server remembers the grant in a
-// LeaseTable under the object's types.ObjKey, the key §III.C conflicts on,
-// so one table holds dentry and inode leases alike. Whenever an execution
-// writes an object row — either half of an operation, a setattr, the parent
-// inode's entry count an insertion or removal bumps — the leases on that
-// row's key are revoked: a MsgConflictNotify carrying the lease epoch goes
-// to every holder but the operation's own client. That client learns the
-// object's new value from the mutation's reply instead: a mutation that
-// makes an entry or an inode (a create, a mkdir, a link's entry, a setattr)
-// leases it to the client in the same step, and the reply carries the grant
-// (LeaseOn), so the client serves what it made without a read. A write that
-// restores a before-image (Restore: Cx's rollback and invalidation, SE's
-// compensation) notifies every holder, the operation's own client included,
-// for that client may hold the value being taken back.
+// The leased read path. A client reads an object — a directory entry by a
+// lookup's read sub-op, an inode by a stat's — and the object's server
+// answers from its shard and stamps the reply with a read lease (LeaseOn):
+// an epoch tying the grant to this server incarnation and a TTL bounding how
+// long the client may serve the object from cache; a lookup that found
+// nothing is leased too, for the client may cache the absence. The server
+// remembers the grant in a LeaseTable under the object's types.ObjKey, the
+// key §III.C conflicts on, so one table holds dentry and inode leases alike.
+// Whenever an execution writes an object row — either half of an operation,
+// a setattr, the parent inode's entry count an insertion or removal bumps —
+// the leases on that row's key are revoked: a MsgConflictNotify carrying the
+// lease epoch goes to every holder but the operation's own client. That
+// client learns the object's new value from the mutation's reply instead: a
+// mutation that makes an entry or an inode (a create, a mkdir, a link's
+// entry, a setattr) leases it to the client in the same step, and the reply
+// carries the grant (LeaseOn), so the client serves what it made without a
+// read. A write that restores a before-image (Restore: Cx's rollback and
+// invalidation, SE's compensation) notifies every holder, the operation's
+// own client included, for that client may hold the value being taken back.
 // Correctness does not depend on revocation delivery: a lost revocation
 // only lets a client serve the object until the TTL lapses, and the model
 // oracle's staleness bound (internal/model.CheckStalenessBound) permits
@@ -123,26 +124,6 @@ func (t *LeaseTable) Reset() { t.entries.Reset() }
 // revocations. Boot()+1 keeps epoch 0 meaning "no lease" on the wire.
 func (b *Base) leaseEpoch() uint64 { return b.boot + 1 }
 
-// AnswerLookup resolves the LookupReq m against the local shard and answers
-// with the inode plus, when b.LeaseTTL > 0, a lease of that duration.
-// Negative results are leased too (the client may cache the absence). What
-// must come first — the execution charge, Cx's wait behind an active object
-// — is the protocol's business.
-func (b *Base) AnswerLookup(m *wire.Msg) {
-	in, found := b.Shard.ResolveEntry(m.Dir, m.Path)
-	reply := wire.Msg{Type: wire.MsgLookupResp, To: m.From, Op: m.Op,
-		OK: found, Dir: m.Dir, Path: m.Path, Attr: in}
-	if !found {
-		reply.Err = types.ErrNotFound.Error()
-	}
-	if b.LeaseTTL > 0 {
-		reply.LeaseEpoch = b.leaseEpoch()
-		reply.LeaseTTL = b.LeaseTTL
-		b.grant(types.DentryKey(m.Dir, m.Path), m.From)
-	}
-	b.Send(&reply)
-}
-
 // grant leases object k to client for b.LeaseTTL.
 func (b *Base) grant(k types.ObjKey, client types.NodeID) {
 	b.leases.Grant(k, client, b.Sim.Now(), b.LeaseTTL)
@@ -222,18 +203,23 @@ func LeaseKey(m *wire.Msg) types.ObjKey {
 	return types.DentryKey(m.Dir, m.Path)
 }
 
-// LeaseOn stamps m, the reply to sub, a successful execution, with the
-// lease sub's client holds on what sub read or made, and the value it is
-// leased with. A stat is granted its lease here, as AnswerLookup grants one;
-// an execution that made its object was granted one by RevokeLeases, and m
-// takes the object's value: the inode an entry resolves to, or the inode
-// itself. A reply to anything else, or from a server that grants no leases,
-// is left as it is.
+// LeaseOn stamps m, the reply to sub, with the lease sub's client holds on
+// what sub read or made, and the value it is leased with. A read is granted
+// its lease here: a stat's inode, and a lookup's entry whether or not it was
+// found (the client may cache the absence), the reply echoing the entry in
+// Dir and Path (LeaseKey). An execution that made its object was granted
+// one by RevokeLeases, and m, if it succeeded, takes the object's value: the
+// inode an entry resolves to, or the inode itself. A reply to anything else,
+// a failed execution's but a lookup's, or one from a server that grants no
+// leases, is left as it is.
 func (b *Base) LeaseOn(m *wire.Msg, sub types.SubOp) {
-	if b.LeaseTTL == 0 {
+	if b.LeaseTTL == 0 || !m.OK && sub.Action != types.ActReadEntry {
 		return
 	}
 	switch sub.Action {
+	case types.ActReadEntry:
+		m.Dir, m.Path = sub.Parent, sub.Name
+		b.grant(types.DentryKey(sub.Parent, sub.Name), m.To)
 	case types.ActReadInode:
 		b.grant(types.InodeKey(sub.Ino), m.To)
 	case types.ActInsertEntry:

@@ -62,9 +62,11 @@ const (
 	// Chassis-level liveness (answered by node.Base, not the protocol).
 	MsgPing
 	MsgPong
-	// Client read path with leases (extension).
-	MsgLookupReq  // resolve (Dir, Path) -> inode, requesting a lease
-	MsgLookupResp // resolution result plus the granted lease (epoch/TTL)
+	// Never sent: a lookup is a read sub-op (SUBOP-REQ) with or without the
+	// client cache. Declared still because the benchmark counts the pair
+	// (its lookup messages per op, which read 0).
+	MsgLookupReq
+	MsgLookupResp
 	msgTypeCount
 )
 
@@ -148,9 +150,9 @@ type Msg struct {
 	Attr types.Inode
 
 	// Dir and Path name the directory entry of the leased read path: a
-	// LookupReq resolves (Dir, Path); the LookupResp and lease revocations
-	// (ConflictNotify with Path set) echo them so the client cache knows
-	// which entry the message is about.
+	// leased reply to a lookup's read sub-op and a lease revocation
+	// (ConflictNotify with Path set) carry them so the client cache knows
+	// which entry the message is about; Dir 0 names an inode by Attr.Ino.
 	Dir  types.InodeID
 	Path string
 	// LeaseEpoch fences a lease to the granting server's boot incarnation:
