@@ -85,7 +85,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	partRows := []types.ObjKey{pKey}
 	if !local {
 		mr, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgMigrateReq, To: part, Op: op.ID,
-			Keys: partRows}, 0, nil, nil)
+			Keys: partRows}, 0, nil)
 		if s.Crashed() {
 			return
 		}
@@ -138,7 +138,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		}
 		// Only the MIGRATE-ACK says the participant has the rows durable; a
 		// duplicated MIGRATE-RESP arriving meanwhile routes elsewhere.
-		if ack, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgMigrateBack, To: part, Op: op.ID, Rows: back}, 0, nil, nil); ok {
+		if ack, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgMigrateBack, To: part, Op: op.ID, Rows: back}, 0, nil); ok {
 			ack.Release()
 		}
 		if s.Crashed() {

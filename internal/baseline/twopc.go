@@ -107,7 +107,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		}
 	} else {
 		if vote, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgVote, To: part, Op: op.ID, Sub: pSub,
-			ReplyProc: m.ReplyProc}, 0, nil, nil); ok {
+			ReplyProc: m.ReplyProc}, 0, nil); ok {
 			partOK, partErr = vote.OK, vote.Err
 			vote.Release()
 		}
@@ -142,7 +142,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		s.applyDecision(p, op.ID, commit)
 	} else if partOK {
 		if ack, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgCommitReq, To: part, Op: op.ID,
-			Decisions: []wire.Decision{{Op: op.ID, Commit: commit}}}, 0, nil, nil); ok {
+			Decisions: []wire.Decision{{Op: op.ID, Commit: commit}}}, 0, nil); ok {
 			ack.Release()
 		}
 	}

@@ -52,19 +52,22 @@ func (s *Server) requestCommit(op types.OpID, lcom bool, part types.NodeID) {
 // until its attempt budget drains — but only once the participant has
 // acknowledged the abort: ALL-NO tells the process every execution is gone,
 // and its next operation on the same object must not meet a leftover one.
+// The L-COM's round is named by op, so a retransmitted L-COM finds it under
+// way; the bare notice is a round of its own, so that its ACK cannot end
+// that round.
 func (s *Server) answerAborted(op types.OpID, lcom bool, part types.NodeID) {
 	abort := []wire.Decision{{Op: op, Commit: false}}
 	switch {
 	case !lcom:
 		if part >= 0 {
-			s.Send(&wire.Msg{Type: wire.MsgCommitReq, To: part, Op: op, Decisions: abort})
+			s.Send(&wire.Msg{Type: wire.MsgCommitReq, To: part, Op: s.newRound(), Decisions: abort})
 		}
 	case part < 0:
 		s.Send(&wire.Msg{Type: wire.MsgAllNo, To: op.Proc.Client, Op: op})
-	case !s.Awaiting(&wire.Msg{Type: wire.MsgCommitReq, Ops: []types.OpID{op}}): // else a retransmitted L-COM: the round is under way
+	case !s.Awaiting(&wire.Msg{Type: wire.MsgCommitReq, Op: op}): // else a retransmitted L-COM: the round is under way
 		boot := s.Boot()
 		s.Sim.Spawn("cx/abort-lcom", func(p *simrt.Proc) {
-			s.rpcAck(p, boot, part, []types.OpID{op}, abort)
+			s.rpcAck(p, boot, part, op, []types.OpID{op}, abort)
 			if !s.Gone(boot) {
 				s.Send(&wire.Msg{Type: wire.MsgAllNo, To: op.Proc.Client, Op: op})
 			}
@@ -350,8 +353,10 @@ func (s *Server) groupCommit(p *simrt.Proc, g *commitGroup) {
 	g.ids, g.enforce, g.decisions = ids, enforce, decisions
 
 	// Step 3: VOTE (retried until the participant answers — it may be
-	// rebooting); each op's vote lands in its decision.
-	s.rpcVotes(p, boot, part, ids, enforce, decisions)
+	// rebooting); each op's vote lands in its decision. The round's name
+	// routes its answers back to it alone.
+	round := s.newRound()
+	s.rpcVotes(p, boot, part, round, ids, enforce, decisions)
 	if s.step(StepCommitAfterVote, ids[0], 0, nil) || s.Gone(boot) {
 		return
 	}
@@ -368,7 +373,7 @@ func (s *Server) groupCommit(p *simrt.Proc, g *commitGroup) {
 	}
 
 	// Step 5-6: COMMIT-REQ/ABORT-REQ, await ACK (retried).
-	s.rpcAck(p, boot, part, ids, decisions)
+	s.rpcAck(p, boot, part, round, ids, decisions)
 	if s.step(StepCommitBeforeComplete, ids[0], 0, nil) || s.Gone(boot) {
 		return
 	}
@@ -390,72 +395,36 @@ func (s *Server) groupCommit(p *simrt.Proc, g *commitGroup) {
 	}
 }
 
-// rpcVotes sends a batched VOTE and sets decisions, one per op of ids and in
-// its order, to the participant's votes: Commit is the vote. It retries
-// across participant crashes, and leaves decisions as they were if the round
-// ends first.
-func (s *Server) rpcVotes(p *simrt.Proc, boot uint64, part types.NodeID, ids, enforce []types.OpID, decisions []wire.Decision) {
-	req := wire.Msg{Type: wire.MsgVote, To: part, Ops: ids, Enforce: enforce}
+// rpcVotes sends round's batched VOTE and sets decisions, one per op of ids
+// and in its order, to the participant's votes, which answer ids in order:
+// Commit is the vote. It retries across participant crashes, and leaves
+// decisions as they were if the round ends first.
+func (s *Server) rpcVotes(p *simrt.Proc, boot uint64, part types.NodeID, round types.OpID, ids, enforce []types.OpID, decisions []wire.Decision) {
+	req := wire.Msg{Type: wire.MsgVote, To: part, Op: round, Ops: ids, Enforce: enforce}
 	// The answer is read in its packet, which goes back once the votes are
 	// copied out.
-	if answer, ok := s.Call(p, boot, &req, s.cfg.RetryInterval+s.cfg.VoteWait, nil, func(m *wire.Msg) bool {
-		votes := s.alignVotes(ids, m.Votes)
-		for i, v := range votes {
+	if answer, ok := s.Call(p, boot, &req, s.cfg.RetryInterval+s.cfg.VoteWait, nil); ok {
+		for i, v := range answer.Votes {
 			decisions[i] = wire.Decision{Op: ids[i], Commit: v.OK}
 		}
-		return votes != nil
-	}); ok {
 		answer.Release()
 	}
 }
 
-// alignVotes lines a VOTE-RESP's votes up with the round's ops ids: the
-// answer itself when it votes on ids in their order, as handleVote answers.
-// Replies route by their first op only, so a straggler answer to an earlier
-// round that shared this round's head (a pre-crash batch the recovery
-// re-drove with extra ops, say) can land here. It is accepted only if it
-// votes on this round's entire op set — a missing vote would otherwise read
-// as NO and abort an operation the participant actually holds a YES
-// execution for — and then each op takes the straggler's last vote on it,
-// lined up in the server's scratch, which the next straggler reuses. nil
-// refuses the answer.
-func (s *Server) alignVotes(ids []types.OpID, votes []wire.Vote) []wire.Vote {
-	aligned := len(votes) == len(ids)
-	for i := 0; aligned && i < len(ids); i++ {
-		aligned = votes[i].Op == ids[i]
-	}
-	if aligned {
-		return votes
-	}
-	last := &s.strayVotes
-	for i, v := range votes {
-		last.Put(v.Op, int32(i))
-	}
-	out := s.strayAligned[:0]
-	for _, id := range ids {
-		if i, voted := last.Get(id); voted {
-			out = append(out, votes[i])
-		}
-	}
-	for _, v := range votes {
-		last.Delete(v.Op)
-	}
-	if s.strayAligned = out; len(out) < len(ids) {
-		return nil
-	}
-	return out
+// newRound names a commitment round this server starts: an OpID no client
+// process has, for its Proc is this server and its incarnation, and which
+// no round of the server's, in this incarnation or another, had before.
+func (s *Server) newRound() types.OpID {
+	s.rounds++
+	return types.OpID{Proc: types.ProcID{Client: s.ID, Index: int32(s.Boot())}, Seq: s.rounds}
 }
 
-// rpcAck sends the batched COMMIT-REQ/ABORT-REQ and waits for the ACK,
+// rpcAck sends round's batched COMMIT-REQ/ABORT-REQ and waits for the ACK,
 // retrying across participant crashes. The participant's handler is
 // idempotent.
-func (s *Server) rpcAck(p *simrt.Proc, boot uint64, part types.NodeID, ids []types.OpID, decisions []wire.Decision) {
-	ack, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgCommitReq, To: part, Ops: ids, Decisions: decisions}, s.cfg.RetryInterval,
-		func() bool { return s.step(StepCommitMidFanout, ids[0], 0, nil) }, // decision sent, ACK never collected
-		// Same head-op routing hazard as rpcVotes: only an ACK echoing this
-		// round's exact op set confirms the participant applied these
-		// decisions; a stale ACK from an earlier round must not.
-		func(m *wire.Msg) bool { return slices.Equal(m.Ops, ids) })
+func (s *Server) rpcAck(p *simrt.Proc, boot uint64, part types.NodeID, round types.OpID, ids []types.OpID, decisions []wire.Decision) {
+	ack, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgCommitReq, To: part, Op: round, Ops: ids, Decisions: decisions}, s.cfg.RetryInterval,
+		func() bool { return s.step(StepCommitMidFanout, ids[0], 0, nil) }) // decision sent, ACK never collected
 	if ok {
 		ack.Release()
 	}
@@ -476,7 +445,7 @@ func (s *Server) handleVote(p *simrt.Proc, m *wire.Msg) {
 			return
 		}
 	}
-	s.Send(&wire.Msg{Type: wire.MsgVoteResp, To: m.From, Ops: m.Ops, Votes: votes})
+	s.Send(&wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, Ops: m.Ops, Votes: votes})
 }
 
 // resolveVote produces this server's YES/NO for one operation. The sub-op
@@ -563,11 +532,7 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 		}
 	}
 	s.logDecided(p, types.RoleParticipant, len(done), func(i int) (types.OpID, bool) { return done[i].id(), done[i].commit })
-	cpOp := m.Op
-	if len(m.Decisions) > 0 {
-		cpOp = m.Decisions[0].Op
-	}
-	if s.step(StepPartBeforeAck, cpOp, 0, nil) || s.Gone(boot) {
+	if s.step(StepPartBeforeAck, m.Decisions[0].Op, 0, nil) || s.Gone(boot) {
 		return
 	}
 	// The ACK tells the coordinator the abort has been applied here, and it

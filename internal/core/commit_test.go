@@ -249,47 +249,6 @@ func TestColdCommitBatchAllocatesNoRecordBuffer(t *testing.T) {
 	}
 }
 
-// A VOTE-RESP answering the round's ops in order is read in place. Any other
-// is a straggler from an earlier round with the same head: accepted only if
-// it votes on every op of this round, each op then taking its last vote.
-func TestAlignVotesKeepsTheStragglerRule(t *testing.T) {
-	s := newRig(1<<20, Config{}).srv[0]
-	op := func(seq uint64) types.OpID { return types.OpID{Proc: types.ProcID{Client: 9}, Seq: seq} }
-	ids := []types.OpID{op(1), op(2), op(3)}
-	vote := func(seq uint64, ok bool) wire.Vote { return wire.Vote{Op: op(seq), OK: ok} }
-	inOrder := []wire.Vote{vote(1, true), vote(2, false), vote(3, true)}
-	if got := s.alignVotes(ids, inOrder); len(got) != 3 || &got[0] != &inOrder[0] {
-		t.Errorf("an in-order answer was not read in place: %v", got)
-	}
-	for _, tc := range []struct {
-		name  string
-		votes []wire.Vote
-		want  []bool // nil: refused
-	}{
-		{"reordered with an extra op", []wire.Vote{vote(3, true), vote(4, true), vote(1, false), vote(2, true)}, []bool{false, true, true}},
-		{"a later vote on an op wins", []wire.Vote{vote(1, true), vote(2, true), vote(3, true), vote(1, false)}, []bool{false, true, true}},
-		{"an op of the round missing", []wire.Vote{vote(1, true), vote(3, true)}, nil},
-		{"the round's head only", []wire.Vote{vote(1, true)}, nil},
-	} {
-		got := s.alignVotes(ids, tc.votes)
-		if tc.want == nil {
-			if got != nil {
-				t.Errorf("%s: accepted as %v, want refused", tc.name, got)
-			}
-			continue
-		}
-		if len(got) != len(ids) {
-			t.Errorf("%s: %d votes, want %d", tc.name, len(got), len(ids))
-			continue
-		}
-		for i, v := range got {
-			if v.Op != ids[i] || v.OK != tc.want[i] {
-				t.Errorf("%s: vote %d is %v, want %v for %v", tc.name, i, v, tc.want[i], ids[i])
-			}
-		}
-	}
-}
-
 // A write-back reads the flush queue where it is and compacts it in place:
 // an entry it finds pinned — a colocated operation's four rows, pinned
 // entries between ready ones — stays queued with exactly its own rows, in

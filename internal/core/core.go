@@ -211,10 +211,8 @@ type Server struct {
 	// its wait for their procs (runCommit).
 	groups     []*commitGroup
 	groupsDone *simrt.Group
-	// strayVotes and strayAligned are alignVotes' scratch for a VOTE-RESP
-	// that does not answer its round in order.
-	strayVotes   seg.Index[int32]
-	strayAligned []wire.Vote
+	// rounds counts the commitment rounds the server has named (newRound).
+	rounds uint64
 	// voteBufs are VOTE handlers' answer buffers, free for the next handler.
 	voteBufs seg.Bufs[wire.Vote]
 	// lazyQueued is set while a lazy kick sits in the queue the daemon has
@@ -440,7 +438,7 @@ func (s *Server) handle(p *simrt.Proc, pk *transport.Packet) {
 	case wire.MsgCommitReq:
 		s.handleCommitReq(p, m)
 	case wire.MsgVoteResp, wire.MsgAck:
-		// A round's reply echoes the round's op set and routes by its first.
+		// A round's reply echoes the round's name.
 		s.Deliver(pk)
 	}
 }

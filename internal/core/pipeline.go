@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"cxfs/internal/simrt"
@@ -28,7 +29,7 @@ type Pending struct {
 	Op types.Op
 	// Issued is the instant the op went to the driver: that of the Submit
 	// call at depth 1, and above it the instant Submit returned, after any
-	// wait for a free slot.
+	// wait for a free slot and any hold behind an op on its objects.
 	Issued time.Duration
 	Attr   types.Inode
 	Err    error
@@ -45,7 +46,13 @@ func (pe *Pending) Done() bool { return pe.done }
 // is the one direct driver calls would make. Above depth 1 it is the
 // pipelined dispatch mode: each submitted operation runs the driver's full
 // Do path (retries and timeouts intact) in its own Proc, and Submit applies
-// backpressure once depth operations are in flight.
+// backpressure once depth operations are in flight. It also holds an
+// operation back while one of its own in flight names the same object, its
+// entry or its inode, and either of the two mutates: a server lets an
+// operation through an object that an earlier one of the same process holds
+// active (Server.heldBy), which is sound only if that one cannot still fail
+// and be rolled back over it (DESIGN.md §5 item 24). Reads beside reads do
+// not wait.
 //
 // A Pipeline belongs to a single submitting Proc: Submit, Poll, and Drain
 // must all be called from that Proc. Completions are harvested in
@@ -53,14 +60,14 @@ func (pe *Pending) Done() bool { return pe.done }
 // At a steady depth it allocates nothing: a Submit takes a Pending the
 // pipeline has handed out before and got back (see Pending).
 type Pipeline struct {
-	sim      *simrt.Sim
-	d        Doer
-	depth    int
-	inflight int
-	compc    *simrt.Chan[*Pending]
-	ready    []*Pending // completed, not yet handed out
-	out      []*Pending // what the last Poll or Drain handed out
-	free     []*Pending // emptied, for Submit
+	sim   *simrt.Sim
+	d     Doer
+	depth int
+	busy  []*Pending // submitted, not harvested yet
+	compc *simrt.Chan[*Pending]
+	ready []*Pending // completed, not yet handed out
+	out   []*Pending // what the last Poll or Drain handed out
+	free  []*Pending // emptied, for Submit
 
 	// starting holds the submitted operations whose procs have not started
 	// yet, oldest at started; body, bound once, is every such proc's body,
@@ -85,15 +92,15 @@ func NewPipeline(sim *simrt.Sim, d Doer, depth int) *Pipeline {
 func (pl *Pipeline) Depth() int { return pl.depth }
 
 // InFlight returns how many submitted operations have not completed yet.
-func (pl *Pipeline) InFlight() int { return pl.inflight }
+func (pl *Pipeline) InFlight() int { return len(pl.busy) }
 
 // Submit issues op down the pipeline. At depth 1 it runs op to completion
-// in p. Above, it blocks only while the pipeline is at depth (harvesting
-// completions while it waits), and the returned Pending is live: poll Done,
-// or collect it later via Poll/Drain. Either way the op is collected once,
-// by the next Poll or Drain.
+// in p. Above, it blocks only while the pipeline is at depth or op is held
+// (harvesting completions while it waits), and the returned Pending is
+// live: poll Done, or collect it later via Poll/Drain. Either way the op is
+// collected once, by the next Poll or Drain.
 func (pl *Pipeline) Submit(p *simrt.Proc, op types.Op) *Pending {
-	for pl.inflight >= pl.depth {
+	for len(pl.busy) >= pl.depth || pl.held(op) {
 		pl.harvest(pl.compc.Recv(p))
 	}
 	var pe *Pending
@@ -108,7 +115,7 @@ func (pl *Pipeline) Submit(p *simrt.Proc, op types.Op) *Pending {
 		pl.ready = append(pl.ready, pe)
 		return pe
 	}
-	pl.inflight++
+	pl.busy = append(pl.busy, pe)
 	pl.starting = append(pl.starting, pe)
 	pl.sim.Spawn("pipeline-op", pl.body)
 	return pe
@@ -134,8 +141,21 @@ func (pl *Pipeline) do(p *simrt.Proc, pe *Pending) {
 	pe.done = true
 }
 
+// held reports whether op must wait for an operation in flight: one that
+// names its entry or its inode, where either of the two mutates.
+func (pl *Pipeline) held(op types.Op) bool {
+	for _, f := range pl.busy {
+		if (op.Kind.Mutating() || f.Op.Kind.Mutating()) &&
+			(op.Name != "" && op.Parent == f.Op.Parent && op.Name == f.Op.Name || op.Ino != 0 && op.Ino == f.Op.Ino) {
+			return true
+		}
+	}
+	return false
+}
+
 func (pl *Pipeline) harvest(pe *Pending) {
-	pl.inflight--
+	i := slices.Index(pl.busy, pe)
+	pl.busy = slices.Delete(pl.busy, i, i+1)
 	pl.ready = append(pl.ready, pe)
 }
 
@@ -157,7 +177,7 @@ func (pl *Pipeline) Poll() []*Pending {
 // Drain blocks until every in-flight operation completes and returns the
 // accumulated completions in completion order, in the buffer Poll uses.
 func (pl *Pipeline) Drain(p *simrt.Proc) []*Pending {
-	for pl.inflight > 0 {
+	for len(pl.busy) > 0 {
 		pl.harvest(pl.compc.Recv(p))
 	}
 	return pl.take()

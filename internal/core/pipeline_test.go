@@ -85,6 +85,39 @@ func TestPipelineDepthBoundsInFlight(t *testing.T) {
 	}
 }
 
+// An operation waits in Submit while an operation of its own pipeline in
+// flight names the same object and either of the two mutates: a second link
+// of one inode goes to the driver only once the first link has completed,
+// and so does a stat behind it. A link of another inode does not wait, nor
+// do two stats of one inode.
+func TestPipelineHoldsAMutationsSuccessor(t *testing.T) {
+	d := &fakeDoer{delay: func(types.Op) time.Duration { return time.Millisecond }}
+	withPipeline(t, 1, d, 4, func(p *simrt.Proc, pl *core.Pipeline) {
+		op := func(seq uint64, kind types.OpKind, name string, ino types.InodeID) types.Op {
+			return types.Op{ID: types.OpID{Proc: types.ProcID{Client: 9}, Seq: seq}, Kind: kind,
+				Parent: types.RootInode, Name: name, Ino: ino}
+		}
+		first := pl.Submit(p, op(1, types.OpLink, "a", 42))
+		other := pl.Submit(p, op(2, types.OpLink, "c", 43))
+		if other.Issued != 0 || pl.InFlight() != 2 {
+			t.Errorf("a link of another inode went at %v with %d in flight, want at once beside the first", other.Issued, pl.InFlight())
+		}
+		second := pl.Submit(p, op(3, types.OpLink, "b", 42))
+		if !first.Done() || second.Issued != time.Millisecond {
+			t.Errorf("the second link of inode 42 went at %v (first done=%v), want at 1ms, after the first", second.Issued, first.Done())
+		}
+		stat := pl.Submit(p, op(4, types.OpStat, "", 42))
+		if !second.Done() || stat.Issued != 2*time.Millisecond {
+			t.Errorf("a stat of inode 42 went at %v (link done=%v), want at 2ms, after the link", stat.Issued, second.Done())
+		}
+		again := pl.Submit(p, op(5, types.OpStat, "", 42))
+		if again.Issued != stat.Issued || pl.InFlight() != 2 {
+			t.Errorf("a second stat went at %v with %d in flight, want beside the first, at %v", again.Issued, pl.InFlight(), stat.Issued)
+		}
+		pl.Drain(p)
+	})
+}
+
 func TestPipelineCompletionOrderFollowsLatency(t *testing.T) {
 	// Ops 1..3 with latencies 3ms, 1ms, 2ms: completion (and therefore
 	// Drain) order must be 2, 3, 1.

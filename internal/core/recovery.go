@@ -218,10 +218,11 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	}
 
 	// Resume decided coordinator operations: re-send the decision until the
-	// participant acknowledges, then complete.
+	// participant acknowledges, then complete. The round is named by its op,
+	// as an abort's L-COM round is (answerAborted).
 	for _, r := range resume {
 		decisions := []wire.Decision{{Op: r.id, Commit: r.committed}}
-		s.rpcAck(p, boot, r.participant, []types.OpID{r.id}, decisions)
+		s.rpcAck(p, boot, r.participant, r.id, []types.OpID{r.id}, decisions)
 		s.complete(p, []types.OpID{r.id})
 		s.Prune(r.id)
 		if r.committed {

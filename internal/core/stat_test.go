@@ -350,47 +350,65 @@ func TestCompensationRevokesEveryHolder(t *testing.T) {
 	})
 }
 
-// TestPipelineCachesNoRolledBackInode: a depth-4 pipeline stats the inode
-// of its own create, which is rolled back, for the name is taken. The
-// stats run behind nothing — the inode is their own process's — and may
-// read it while it exists, but none caches it, and once the create has
-// failed a stat finds nothing.
+// TestPipelineCachesNoRolledBackInode: one process's create is rolled back,
+// for the name is taken, while a second process on its host stats the new
+// inode through a depth-4 pipeline. Under SE, whose two halves are not
+// isolated, the stats read the inode while it exists; under Cx they wait
+// for the create's commitment. Either way none caches it, for the host's
+// create of it is in flight, and once the create has failed a stat finds
+// nothing.
 func TestPipelineCachesNoRolledBackInode(t *testing.T) {
-	c := leasedCluster(3, 1, 1)
-	defer c.Shutdown()
+	for _, proto := range []cluster.Protocol{cluster.ProtoCx, cluster.ProtoSE} {
+		t.Run(string(proto), func(t *testing.T) {
+			o := cluster.DefaultOptions(3, proto)
+			o.ClientHosts, o.ProcsPerHost = 1, 2
+			o.CacheTTL = 10 * time.Second
+			c := cluster.MustNew(o)
+			defer c.Shutdown()
+			runLeased(t, c, func(p *simrt.Proc) { pipelinedStatsOfRolledBackCreate(t, p, c, proto == cluster.ProtoSE) })
+		})
+	}
+}
 
-	runLeased(t, c, func(p *simrt.Proc) {
-		pr := c.Proc(0)
-		pr.Driver().TrackLookups()
-		if _, err := pr.Create(p, types.RootInode, "taken"); err != nil {
-			t.Errorf("create: %v", err)
-			return
+func pipelinedStatsOfRolledBackCreate(t *testing.T, p *simrt.Proc, c *cluster.Cluster, readsUncommitted bool) {
+	prA, prB := c.Proc(0), c.Proc(1)
+	prB.Driver().TrackLookups()
+	if _, err := prA.Create(p, types.RootInode, "taken"); err != nil {
+		t.Errorf("create: %v", err)
+		return
+	}
+	ino := prA.AllocInode()
+	for c.Placement.ParticipantFor(ino) == c.Placement.CoordinatorFor(types.RootInode, "taken") {
+		ino = prA.AllocInode()
+	}
+	pipeA, pipeB := prA.NewPipeline(4), prB.NewPipeline(4)
+	create := pipeA.Submit(p, types.Op{ID: prA.NextID(), Kind: types.OpCreate,
+		Parent: types.RootInode, Name: "taken", Ino: ino, Type: types.FileRegular})
+	var stats []*core.Pending
+	for range 9 {
+		stats = append(stats, pipeB.Submit(p, types.Op{ID: prB.NextID(), Kind: types.OpStat, Ino: ino}))
+	}
+	pipeA.Drain(p)
+	pipeB.Drain(p)
+	if create.Err == nil {
+		t.Fatal("the create of a taken name succeeded")
+	}
+	read := 0
+	for i, pe := range stats {
+		if pe.Err == nil {
+			read++
 		}
-		ino := pr.AllocInode()
-		for c.Placement.ParticipantFor(ino) == c.Placement.CoordinatorFor(types.RootInode, "taken") {
-			ino = pr.AllocInode()
+		if cached, _, _ := prB.Driver().TakeLookup(pe.Op.ID); cached {
+			t.Errorf("stat %d was served from the cache: %+v err=%v", i, pe.Attr, pe.Err)
 		}
-		pipe := pr.NewPipeline(4)
-		create := pipe.Submit(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,
-			Parent: types.RootInode, Name: "taken", Ino: ino, Type: types.FileRegular})
-		var stats []*core.Pending
-		for range 9 {
-			stats = append(stats, pipe.Submit(p, types.Op{ID: pr.NextID(), Kind: types.OpStat, Ino: ino}))
-		}
-		pipe.Drain(p)
-		if create.Err == nil {
-			t.Fatal("the create of a taken name succeeded")
-		}
-		for i, pe := range stats {
-			if cached, _, _ := pr.Driver().TakeLookup(pe.Op.ID); cached {
-				t.Errorf("stat %d was served from the cache: %+v err=%v", i, pe.Attr, pe.Err)
-			}
-		}
-		c.Quiesce(p)
-		if in, cached, err := statVia(p, pr, ino); cached || !errors.Is(err, types.ErrNotFound) {
-			t.Errorf("stat after the rollback: %+v cached=%v err=%v, want a miss and ErrNotFound", in, cached, err)
-		}
-	})
+	}
+	if readsUncommitted != (read > 0) {
+		t.Errorf("%d of the stats read the inode, want some only where the halves are not isolated (%v)", read, readsUncommitted)
+	}
+	c.Quiesce(p)
+	if in, cached, err := statVia(p, prB, ino); cached || !errors.Is(err, types.ErrNotFound) {
+		t.Errorf("stat after the rollback: %+v cached=%v err=%v, want a miss and ErrNotFound", in, cached, err)
+	}
 }
 
 // TestCachedStatFencedByReboot: a stat cached under the lease of the

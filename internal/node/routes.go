@@ -12,29 +12,25 @@ import (
 // Server-to-server calls: a proc that asks a peer something (VOTE,
 // COMMIT-REQ, a CE migration) does so with Call, which awaits the answer on
 // a route registered here, and the protocol's handler passes the answering
-// message types to Deliver. The answer travels in the packet it landed in,
-// from the handler to the caller, who reads it there and releases it.
+// message types to Deliver. Every request names what it asks about in Op —
+// an operation, or a commitment round, whose batch messages carry the
+// round's name there — and the answer echoes it, so an answer reaches only
+// the Call that asked. The answer travels in the packet it landed in, from
+// the handler to the caller, who reads it there and releases it.
 
-// routeKey names one awaited reply: its type, and the operation it answers —
-// for a batched round (the reply echoes the round's Ops) the round's first.
-// Keying a round by its peer instead would cross-wire two concurrent rounds
-// to one participant (Cx recovery's resume loop runs beside the commit
-// daemon). Typed keys keep a duplicated earlier reply from standing in for
-// a later one of the same operation.
+// routeKey names one awaited reply: its type, and the Op it answers, an
+// operation or a round. Keying a round by its peer instead would cross-wire
+// two concurrent rounds to one participant (Cx recovery's resume loop runs
+// beside the commit daemon). Typed keys keep a duplicated earlier reply from
+// standing in for a later one of the same operation.
 type routeKey struct {
-	typ     wire.MsgType
-	op      types.OpID
-	batched bool
+	typ wire.MsgType
+	op  types.OpID
 }
 
 // keyOf is the key of the reply of type typ to request m, or of reply m
 // itself when typ is its type.
-func keyOf(typ wire.MsgType, m *wire.Msg) routeKey {
-	if len(m.Ops) > 0 {
-		return routeKey{typ, m.Ops[0], true}
-	}
-	return routeKey{typ: typ, op: m.Op}
-}
+func keyOf(typ wire.MsgType, m *wire.Msg) routeKey { return routeKey{typ, m.Op} }
 
 // answers maps each request a server sends a peer to the type of its reply.
 var answers = [wire.NumMsgTypes]wire.MsgType{
@@ -42,19 +38,18 @@ var answers = [wire.NumMsgTypes]wire.MsgType{
 	wire.MsgMigrateReq: wire.MsgMigrateResp, wire.MsgMigrateBack: wire.MsgMigrateAck,
 }
 
-// Call sends req to a peer and returns the first answer accept takes (nil
-// takes any), in its packet: the caller reads the answer there and releases
-// it. The answer comes back on a route keyed by the request (answers),
-// registered for the length of the call; a second Call on the same key takes
-// the route over. The request goes out again whenever every passes with no
-// answer, and right after an answer accept refuses (and the call releases);
-// every = 0 sends it once and waits as long as it takes. sent, if not nil,
-// runs after each send, and ends the call when it reports true. After each
-// wake the call ends first if the server is Gone(boot), and only then looks
-// at what arrived. ok is false, and the packet nil, when the call ended
-// without an accepted answer.
+// Call sends req to a peer and returns the first answer, in its packet: the
+// caller reads the answer there and releases it. The answer comes back on a
+// route keyed by the request (answers), registered for the length of the
+// call; a second Call on the same key takes the route over. The request
+// goes out again whenever every passes with no answer; every = 0 sends it
+// once and waits as long as it takes. sent, if not nil, runs after each
+// send, and ends the call when it reports true. After each wake the call
+// ends first if the server is Gone(boot), and only then looks at what
+// arrived. ok is false, and the packet nil, when the call ended without an
+// answer.
 func (b *Base) Call(p *simrt.Proc, boot uint64, req *wire.Msg, every time.Duration,
-	sent func() bool, accept func(*wire.Msg) bool) (*transport.Packet, bool) {
+	sent func() bool) (*transport.Packet, bool) {
 	k := keyOf(answers[req.Type], req)
 	ch := b.openRoute()
 	b.routes[k] = ch
@@ -78,10 +73,7 @@ func (b *Base) Call(p *simrt.Proc, boot uint64, req *wire.Msg, every time.Durati
 			return nil, false
 		}
 		if got {
-			if accept == nil || accept(&pk.Msg) {
-				return pk, true
-			}
-			pk.Release()
+			return pk, true
 		}
 	}
 }

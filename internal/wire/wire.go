@@ -16,7 +16,7 @@
 // response was superseded by a disordered-conflict invalidation. VOTE,
 // COMMIT-REQ, ABORT-REQ, and ACK are batch messages: lazy commitment packs
 // many operations into each, which is where Cx's message overhead stays
-// under 4% (Table IV).
+// under 4% (Table IV). Each carries its round's name in Op.
 //
 // The remaining messages serve the baselines: OpReq/OpResp drive 2PC and CE
 // through the coordinator, Clear is SE's compensation message, and the
@@ -125,8 +125,8 @@ type Msg struct {
 	From types.NodeID
 	To   types.NodeID
 
-	// Op identifies the operation for single-op messages; ReplyProc is the
-	// issuing process for messages a server must answer to a client.
+	// Op identifies the operation of a single-op message, or the round of a
+	// batch one; ReplyProc is the process a server answers a client for.
 	Op        types.OpID
 	ReplyProc types.ProcID
 
