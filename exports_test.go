@@ -37,6 +37,7 @@ var callerless = map[string]string{
 	"model.Check":                   "test oracle: model and chaos tests judge whole histories with it",
 	"namespace.Shard.Store":         "test probe: the namespace tests reach the shard's store",
 	"seg.Ring.Len":                  "test probe: the ring's eviction at its cap",
+	"seg.Table.Len":                 "test probe: the size of SE's undo window",
 	"simrt.Proc.Name":               "test probe: a reused worker takes its new body's name",
 	"simrt.Proc.Yield":              "bench probe, ROADMAP item 8",
 	"trace.Trace.CrossServerShare":  "test probe: the profiles' cross-server shares keep the paper's order",
@@ -44,9 +45,6 @@ var callerless = map[string]string{
 	"transport.Net.SetLinkFaults":   "test probe: per-link duplication and delay for the fault tests",
 	"transport.Net.Partitioned":     "test probe: the partition state the fault tests set",
 	"wal.WAL.GroupLinger":           "test probe: the group-commit window as set",
-	"wal.WAL.OpBytes":               "test probe: an operation's live log bytes, for core's log-pressure tests",
-	"wal.WAL.Has":                   "test probe: whether an operation's records are live",
-	"wal.WAL.LiveOps":               "test probe: the operations with live records, for core's commit tests",
 	"wal.EncodedSize":               "test probe: a record's size on disk, for the log-limit tests",
 	"wal.RoundTrip":                 "test probe: a record through encode and decode",
 	"wal.SyncDelay":                 "test probe: the ceiling the group-commit timing tests allow",

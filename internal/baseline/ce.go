@@ -112,14 +112,17 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		}
 	}
 	ok := resP.OK && resC.OK
+	var log wal.Handle // the operation's log entry
 	if ok {
 		beforeC, afterC := resC.Images()
 		beforeP, afterP := resP.Images()
-		s.WAL.AppendBatch(p, []wal.Record{
+		recs := []wal.Record{
 			{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator, OK: true, Sub: cSub, Pre: beforeC, Post: afterC},
 			{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant, OK: true, Sub: pSub, Pre: beforeP, Post: afterP},
 			{Type: wal.RecCommit, Op: op.ID, Role: types.RoleCoordinator},
-		})
+		}
+		s.WAL.AppendBatch(p, recs)
+		log = recs[0].Entry
 		if s.Crashed() {
 			return
 		}
@@ -146,7 +149,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		}
 	}
 	if ok {
-		s.Prune(op.ID)
+		s.Prune(op.ID, log)
 	}
 
 	if !ok {

@@ -39,6 +39,7 @@ type SEServer struct {
 
 type localFlush struct {
 	id   types.OpID
+	log  wal.Handle // the execution's log entry; 0 for a CLEAR's rollback
 	rows kvstore.Refs
 }
 
@@ -100,7 +101,7 @@ func (s *SEServer) flushLocal(p *simrt.Proc) {
 		return
 	}
 	for _, lo := range ops {
-		s.Prune(lo.id)
+		s.Prune(lo.id, lo.log)
 	}
 }
 
@@ -124,12 +125,12 @@ func (s *SEServer) persist(p *simrt.Proc, id types.OpID, sub types.SubOp, res na
 		return
 	}
 	before, after := res.Images()
-	s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: id, Role: sub.Role,
+	h := s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: id, Role: sub.Role,
 		OK: true, Sub: sub, Pre: before, Post: after})
 	if s.Crashed() {
 		return
 	}
-	s.localOps = append(s.localOps, localFlush{id: id, rows: res.Rows})
+	s.localOps = append(s.localOps, localFlush{id: id, log: h, rows: res.Rows})
 }
 
 func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {

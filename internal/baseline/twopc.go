@@ -29,12 +29,13 @@ type TwoPCServer struct {
 }
 
 // preparedExec is a participant execution awaiting the decision: what it
-// wrote, and whether it holds its object's lock (not when the coordinator,
-// running the sub-op locally, holds it itself). The index holds one in each
-// of its slots, filled or not, so it is kept within the 128 bytes Go kept
-// inline as map values.
+// wrote, its log entry, and whether it holds its object's lock (not when the
+// coordinator, running the sub-op locally, holds it itself). The index holds
+// one in each of its slots, filled or not, so it is kept within the 128
+// bytes Go kept inline as map values.
 type preparedExec struct {
 	namespace.Written
+	log    wal.Handle
 	locked bool
 }
 
@@ -92,6 +93,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	// Phase 1: VOTE the participant (remote) or execute its sub-op here.
 	var partOK bool
 	var partErr string // the participant's NO, the outcome when this side succeeds
+	var log wal.Handle // the operation's log entry
 	if local {
 		s.ExecCPU(p)
 		resP := s.Shard.Exec(pSub, s.NowNanos())
@@ -100,10 +102,10 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 			partErr = resP.Err.Error()
 		}
 		if resP.OK {
-			s.prepared.Put(op.ID, preparedExec{Written: resP.Written()})
 			before, after := resP.Images()
-			s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant,
+			log = s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant,
 				OK: true, Sub: pSub, Pre: before, Post: after})
+			s.prepared.Put(op.ID, preparedExec{Written: resP.Written(), log: log})
 		}
 	} else {
 		if vote, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgVote, To: part, Op: op.ID, Sub: pSub,
@@ -120,7 +122,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	s.ExecCPU(p)
 	resC := s.Shard.Exec(cSub, s.NowNanos())
 	before, after := resC.Images()
-	s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator,
+	log = s.WAL.Append(p, wal.Record{Type: wal.RecResult, Entry: log, Op: op.ID, Role: types.RoleCoordinator,
 		OK: resC.OK, Sub: cSub, Pre: before, Post: after})
 	if s.Crashed() {
 		return
@@ -133,13 +135,15 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	if commit {
 		decType = wal.RecCommit
 	}
-	s.WAL.Append(p, wal.Record{Type: decType, Op: op.ID, Role: types.RoleCoordinator})
+	s.WAL.Append(p, wal.Record{Type: decType, Entry: log, Op: op.ID, Role: types.RoleCoordinator})
 	if s.Crashed() {
 		return
 	}
 
 	if local {
-		s.applyDecision(p, op.ID, commit)
+		if s.applyDecision(p, op.ID, commit) {
+			log = 0 // pruned with the participant's records: the Complete-Record starts anew
+		}
 	} else if partOK {
 		if ack, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgCommitReq, To: part, Op: op.ID,
 			Decisions: []wire.Decision{{Op: op.ID, Commit: commit}}}, 0, nil); ok {
@@ -157,11 +161,11 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		}
 		s.KV.SyncRows(p, resC.Rows.All())
 	}
-	s.WAL.Append(p, wal.Record{Type: wal.RecComplete, Op: op.ID, Role: types.RoleCoordinator})
+	log = s.WAL.Append(p, wal.Record{Type: wal.RecComplete, Entry: log, Op: op.ID, Role: types.RoleCoordinator})
 	if s.Crashed() {
 		return
 	}
-	s.Prune(op.ID)
+	s.Prune(op.ID, log)
 
 	if !commit {
 		reply.OK = false
@@ -195,10 +199,13 @@ func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
 	s.ExecCPU(p)
 	res := s.Shard.Exec(sub, s.NowNanos())
 	if res.OK {
-		s.prepared.Put(m.Op, preparedExec{res.Written(), true})
+		s.prepared.Put(m.Op, preparedExec{Written: res.Written(), locked: true})
 		before, after := res.Images()
-		s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: m.Op, Role: types.RoleParticipant,
+		h := s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: m.Op, Role: types.RoleParticipant,
 			OK: true, Sub: sub, Pre: before, Post: after})
+		if i, ok := s.prepared.Lookup(m.Op); ok {
+			s.prepared.Val(i).log = h
+		}
 	} else {
 		s.locks.release(keys)
 	}
@@ -222,10 +229,12 @@ func (s *TwoPCServer) participantDecide(p *simrt.Proc, m *wire.Msg) {
 	s.Send(&wire.Msg{Type: wire.MsgAck, To: m.From, Op: m.Op})
 }
 
-func (s *TwoPCServer) applyDecision(p *simrt.Proc, id types.OpID, commit bool) {
+// applyDecision applies the decision to id's prepared execution here, if it
+// has one, and reports whether it pruned the execution's records.
+func (s *TwoPCServer) applyDecision(p *simrt.Proc, id types.OpID, commit bool) bool {
 	pe, pending := s.prepared.Delete(id)
 	if !pending {
-		return
+		return false
 	}
 	decType := wal.RecCommit
 	if !commit {
@@ -235,11 +244,12 @@ func (s *TwoPCServer) applyDecision(p *simrt.Proc, id types.OpID, commit bool) {
 	rows := pe.Rows()
 	s.KV.SyncRows(p, rows.All())
 	if s.Crashed() {
-		return
+		return false
 	}
-	s.WAL.Append(p, wal.Record{Type: decType, Op: id, Role: types.RoleParticipant})
-	s.Prune(id)
+	s.WAL.Append(p, wal.Record{Type: decType, Entry: pe.log, Op: id, Role: types.RoleParticipant})
+	s.Prune(id, pe.log)
 	if pe.locked {
 		s.locks.release([]types.ObjKey{rows[0].Key}) // the sub-op's object: the row it wrote
 	}
+	return true
 }

@@ -8,6 +8,7 @@ import (
 	"cxfs/internal/kvstore"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
+	"cxfs/internal/wal"
 	"cxfs/internal/wire"
 )
 
@@ -300,7 +301,7 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 	}
 	for i := 0; i < n; i++ {
 		if fe := s.flushQ.At(i); fe.ready {
-			s.Prune(fe.id)
+			s.Prune(fe.id, fe.log)
 		}
 	}
 	// The pinned entries stay queued with their rows, and the completions
@@ -321,7 +322,7 @@ func (s *Server) drainFlushQ(p *simrt.Proc, boot uint64) {
 
 // pinned reports whether an execution whose Result-Record is not durable yet
 // has written any of the n queued rows from off (logResults).
-func (s *Server) pinned(off int, n int32) bool {
+func (s *Server) pinned(off int, n uint16) bool {
 	for j := off; j < off+int(n); j++ {
 		if s.KV.Pinned(*s.flushRefs.At(j)) {
 			return true
@@ -367,7 +368,9 @@ func (s *Server) groupCommit(p *simrt.Proc, g *commitGroup) {
 		decisions[i].Commit = decisions[i].Commit && co.ok
 		s.decide(co, decisions[i].Commit)
 	}
-	s.logDecided(p, types.RoleCoordinator, len(ids), func(i int) (types.OpID, bool) { return ids[i], decisions[i].Commit })
+	s.logDecided(p, types.RoleCoordinator, len(ids), func(i int) (types.OpID, bool, wal.Handle) {
+		return ids[i], decisions[i].Commit, cops[i].log
+	})
 	if s.step(StepCommitAfterDecision, ids[0], 0, nil) || s.Gone(boot) {
 		return
 	}
@@ -380,7 +383,7 @@ func (s *Server) groupCommit(p *simrt.Proc, g *commitGroup) {
 
 	// Step 7: Complete-Records, release followers, answer ALL-NO for aborted
 	// operations.
-	s.complete(p, ids)
+	s.complete(p, len(cops), func(i int) (types.OpID, wal.Handle) { return ids[i], cops[i].log })
 	if s.Gone(boot) || s.step(StepCommitAfterComplete, ids[0], 0, nil) {
 		return
 	}
@@ -531,7 +534,9 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 			}
 		}
 	}
-	s.logDecided(p, types.RoleParticipant, len(done), func(i int) (types.OpID, bool) { return done[i].id(), done[i].commit })
+	s.logDecided(p, types.RoleParticipant, len(done), func(i int) (types.OpID, bool, wal.Handle) {
+		return done[i].id(), done[i].commit, done[i].log
+	})
 	if s.step(StepPartBeforeAck, m.Decisions[0].Op, 0, nil) || s.Gone(boot) {
 		return
 	}

@@ -36,7 +36,9 @@
 // its duplicate suppression only the checks against its own op table.
 //
 // What the server knows about one operation is one entry of that table
-// (optable.go), and the entry's phase changes in five transitions only —
+// (optable.go), filed in the chassis's one op-ID index and holding the
+// handle of the operation's log entry. The entry's phase changes in five
+// transitions only —
 // register, take, invalidate, decide, finish — one per durable record of
 // §III.B; the handlers in exec.go, commit.go and recovery.go look
 // an operation up once and act on its phase. Entries are recycled through a
@@ -64,6 +66,7 @@ import (
 	"cxfs/internal/simrt"
 	"cxfs/internal/transport"
 	"cxfs/internal/types"
+	"cxfs/internal/wal"
 	"cxfs/internal/wire"
 )
 
@@ -140,8 +143,9 @@ type Stats struct {
 // execution wrote. Its size is pinned (TestFlushEntrySize).
 type flushEntry struct {
 	id    types.OpID
-	rows  int32 // the entry's rows, next in the queue's row list
-	ready bool  // in the write-back under way: no unlogged execution pinned its rows
+	log   wal.Handle // the operation's log entry, pruned after the write-back
+	rows  uint16     // the entry's rows, next in the queue's row list
+	ready bool       // in the write-back under way: no unlogged execution pinned its rows
 }
 
 // kickReq asks the commit daemon to run. The daemon merges every request
@@ -157,13 +161,13 @@ type Server struct {
 	cfg Config
 	pl  namespace.Placement
 
-	// ops is the op table (optable.go): what this server knows about each
-	// operation. The four fields after free are derived from it and maintained
-	// by its transitions only.
-	ops          seg.Index[*opState]
-	free         []*opState // entries deleted from the table, emptied, for newEntry
-	coordPending int        // coordinator executions in the table
-	abortMarks   int        // entries carrying the abort mark
+	// slab holds the op table's entries (optable.go): what this server knows
+	// about each operation, filed by the chassis's index. The four fields
+	// after it are derived from the table and maintained by its transitions
+	// only.
+	slab         entrySlab
+	coordPending int // coordinator executions in the table
+	abortMarks   int // entries carrying the abort mark
 	// idleCoord indexes the pending coordinator executions no batch has taken
 	// yet, by participant and in registration order, so a batch collects its
 	// targets without scanning (and sorting) the whole table.
@@ -235,7 +239,7 @@ func NewServer(base *node.Base, pl namespace.Placement, cfg Config) *Server {
 	if cfg.RetryInterval <= 0 {
 		cfg.RetryInterval = def.RetryInterval
 	}
-	return &Server{
+	s := &Server{
 		Base: base,
 		cfg:  cfg,
 		pl:   pl,
@@ -243,6 +247,8 @@ func NewServer(base *node.Base, pl namespace.Placement, cfg Config) *Server {
 
 		groupsDone: simrt.NewGroup(base.Sim),
 	}
+	base.SetEntries(&s.slab)
+	return s
 }
 
 // Stats returns a snapshot of protocol counters.

@@ -562,8 +562,8 @@ func TestRecoveryRedoesASingleServerUpdate(t *testing.T) {
 		if n := c.CxSrv[victim].PendingOps(); n != 0 {
 			t.Errorf("%d operations pending after recovery, want 0", n)
 		}
-		if ops := c.Bases[victim].WAL.LiveOps(); len(ops) != 0 {
-			t.Errorf("log records of %v left after recovery, want none", ops)
+		if recs := c.Bases[victim].WAL.Live(); len(recs) != 0 {
+			t.Errorf("log records of %v left after recovery, want none", recs[0].Op)
 		}
 		if got, err := pr.Stat(p, ino); err != nil || got != touched {
 			t.Errorf("stat after recovery = %+v, %v; want the setattr's %+v", got, err, touched)

@@ -3,6 +3,7 @@ package core
 import (
 	"cxfs/internal/kvstore"
 	"cxfs/internal/namespace"
+	"cxfs/internal/node"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
@@ -31,13 +32,17 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	// Result-Record append, so the op table cannot catch that window, and the
 	// active-object check below exempts same-process ops. Either way the
 	// sub-op is never applied twice.
-	if !s.Begin(sub.Op, m.From) {
+	h, ok := s.BeginEntry(sub.Op, m.From)
+	if !ok {
 		return
 	}
 	defer s.End(sub.Op)
-	// One probe of the op table: the entry found here is the one the
-	// execution registers in, unless it is recycled meanwhile (execSubOp).
-	st := s.find(sub.Op)
+	// The admission's probe found the entry too: the one the execution
+	// registers in, unless it is recycled meanwhile (execSubOp).
+	var st *opState
+	if h != node.NoEntry {
+		st = s.slab.at(h)
+	}
 	switch {
 	case st == nil:
 	case st.phase != phaseNone:
@@ -75,24 +80,25 @@ func (s *Server) admit(p *simrt.Proc) bool {
 }
 
 // logResults makes the Result-Records of an execution that has just written
-// the volatile image durable, and reports whether the server is still the
-// incarnation boot. The hold for log space happened before the execution
-// (admit), so the append is ungated; until it returns, rows — the rows the
-// records carry an after-image of (written) — are pinned, and write-back
-// leaves them alone: a page must never land ahead of the record that can
-// undo it. A crash drops the pins with the rest of the volatile image.
-func (s *Server) logResults(p *simrt.Proc, boot uint64, recs []wal.Record, rows ...kvstore.Row) bool {
+// the volatile image durable, and returns their log entry and whether the
+// server is still the incarnation boot. The hold for log space happened
+// before the execution (admit), so the append is ungated; until it returns,
+// rows — the rows the records carry an after-image of (written) — are
+// pinned, and write-back leaves them alone: a page must never land ahead of
+// the record that can undo it. A crash drops the pins with the rest of the
+// volatile image.
+func (s *Server) logResults(p *simrt.Proc, boot uint64, recs []wal.Record, rows ...kvstore.Row) (wal.Handle, bool) {
 	for _, row := range rows {
 		s.KV.Pin(row)
 	}
 	s.WAL.AppendBatchPriority(p, recs)
 	if s.Gone(boot) {
-		return false
+		return 0, false
 	}
 	for _, row := range rows {
 		s.KV.Unpin(row)
 	}
-	return true
+	return recs[0].Entry, true
 }
 
 // written returns the row an execution wrote its object into — the one row
@@ -179,6 +185,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 		return
 	}
 
+	var log wal.Handle // the operation's log entry
 	if cross || sub.Action.Mutating() {
 		before, after := res.Images()
 		rec := wal.Record{Type: wal.RecResult, Op: sub.Op, Role: sub.Role,
@@ -186,8 +193,12 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 		if cross {
 			rec.Peer, rec.HasPeer = m.Peer, true
 		}
+		if st != nil && st.id() == sub.Op {
+			rec.Entry = st.log // an invalidated execution's, if any
+		}
 		appendStart := s.Sim.Now()
-		if !s.logResults(p, boot, []wal.Record{rec}, written(&res)) || s.step(StepExecAppend, sub.Op, appendStart, func() string { return "result-record" }) {
+		var ok bool
+		if log, ok = s.logResults(p, boot, []wal.Record{rec}, written(&res)); !ok || s.step(StepExecAppend, sub.Op, appendStart, func() string { return "result-record" }) {
 			return
 		}
 	}
@@ -207,9 +218,10 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 		// agrees (and the records prune), and answer aborted.
 		s.Restore(sub.Op, res.Undo())
 		s.letGo(st, res.Rows)
+		st.log = 0    // the flush queue holds it from now on
 		s.release(st) // the object is free again: nothing waits for the Abort-Record
-		s.logDecided(p, sub.Role, 1, func(int) (types.OpID, bool) { return sub.Op, false })
-		s.queueFlush(sub.Op, res.Rows)
+		s.logDecided(p, sub.Role, 1, func(int) (types.OpID, bool, wal.Handle) { return sub.Op, false, log })
+		s.queueFlush(sub.Op, log, res.Rows)
 		if s.Crashed() {
 			return
 		}
@@ -236,11 +248,11 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 		// the commitment while the Result-Record append was in flight (the
 		// object was already active): register replays it.
 		s.register(st, execution{sub: sub, ok: res.OK, undo: res.Undo(), rows: res.Rows,
-			peer: m.Peer, epoch: epoch,
+			peer: m.Peer, epoch: epoch, log: log,
 			replied: true, hint: hint, errStr: reply.Err, attr: reply.Attr})
 	case sub.Action.Mutating():
 		// Single-server update: logged above, flushed by the next batch.
-		s.queueFlush(sub.Op, res.Rows)
+		s.queueFlush(sub.Op, log, res.Rows)
 	}
 	if (cross || sub.Action.Mutating()) && s.underPressure() {
 		s.pressureRound()
@@ -377,14 +389,15 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	s.LeaseOn(&reply, pSub)
 	beforeC, afterC := resC.Images()
 	beforeP, afterP := resP.Images()
-	if !s.logResults(p, boot, []wal.Record{
+	log, ok := s.logResults(p, boot, []wal.Record{
 		{Type: wal.RecResult, Op: op.ID, Role: types.RoleCoordinator, OK: true, Sub: cSub, Pre: beforeC, Post: afterC},
 		{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant, OK: true, Sub: pSub, Pre: beforeP, Post: afterP},
 		commitRecord(op.ID, types.RoleCoordinator),
-	}, written(&resC), written(&resP)) {
+	}, written(&resC), written(&resP))
+	if !ok {
 		return
 	}
-	s.queueFlush(op.ID, resC.Rows, resP.Rows)
+	s.queueFlush(op.ID, log, resC.Rows, resP.Rows)
 	// Durable state was created: retries must get this reply back, not a
 	// re-execution (which would wrongly fail, e.g. with ErrExists).
 	s.CacheReply(op.ID, &reply)

@@ -15,20 +15,23 @@ import (
 )
 
 // The op table: everything this server knows about one operation is one
-// entry of Server.ops — its execution and that execution's phase, what waits
-// on the operation (its own parked request, the requests parked behind it, a
-// commitment demanded before it executed, procs waiting for it to arrive or
-// to end) and the abort mark that outlives it. The phase changes in this
-// file only, in register, take, invalidate, decide and finish; DESIGN.md §5
-// tabulates phase × event → record written → next phase. An entry that says
-// nothing any more is deleted (settle), so the table holds the operations in
-// motion plus a bounded generation of abort marks.
+// entry of the table — its execution and that execution's phase, its log
+// entry's handle, what waits on the operation (its own parked request, the
+// requests parked behind it, a commitment demanded before it executed, procs
+// waiting for it to arrive or to end) and the abort mark that outlives it.
+// The phase changes in this file only, in register, take, invalidate, decide
+// and finish; DESIGN.md §5 tabulates phase × event → record written → next
+// phase. An entry that says nothing any more is deleted (settle), so the
+// table holds the operations in motion plus a bounded generation of abort
+// marks.
 //
-// Entries are recycled: a deleted entry is emptied onto the server's free list
-// and newEntry hands it to the next operation. A proc that holds an entry
-// across a park therefore holds the operation's entry only while the entry's
-// ID still reads as that operation (st.id() == op): an emptied entry reads the
-// nil ID, a reused one another operation's.
+// The entries live in a slab, by handle, and the chassis's one op-ID index
+// files them (node.Entries). Entries are recycled: a deleted entry is
+// emptied onto the slab's free list and handed to the next operation. A
+// proc that holds an entry across a park therefore holds the operation's
+// entry only while the entry's ID still reads as that operation
+// (st.id() == op): an emptied entry reads the nil ID, a reused one another
+// operation's.
 
 // phase is where an operation's execution stands on this server.
 type phase uint8
@@ -64,13 +67,14 @@ type execution struct {
 
 	peer    types.NodeID
 	epoch   uint32
+	log     wal.Handle // the operation's log entry, until finish queues it for its prune
 	ok      bool
 	replied bool
 }
 
 // opState is one entry of the op table. The two wait lists are threaded
 // through their elements, so an entry is the only object the table keeps per
-// operation, and entries come from the free list (newEntry).
+// operation, and entries come from the slab (entrySlab.Make).
 type opState struct {
 	execution // valid while phase != phaseNone; sub.Op is the entry's key always
 
@@ -82,6 +86,7 @@ type opState struct {
 	sigs      *opSignal   // procs waiting for this op to arrive or to end
 
 	wantPart types.NodeID // wanted: the op's participant, if a requester named it (-1 otherwise)
+	once     int32        // the chassis's word (node.Entries)
 	phase    phase
 	commit   bool // phaseDecided: the decision
 	named    bool // a log-pressure round has asked the coordinator to commit this execution
@@ -100,9 +105,10 @@ func (st *opState) id() types.OpID { return st.sub.Op }
 
 func (st *opState) coordinator() bool { return st.sub.Role == types.RoleCoordinator }
 
-// idle reports whether the entry says nothing any more.
+// idle reports whether the entry says nothing any more. A log entry says
+// something: an invalidated execution's records wait for their successor's.
 func (st *opState) idle() bool {
-	return st.phase == phaseNone && !st.aborted && !st.wanted &&
+	return st.phase == phaseNone && !st.aborted && !st.wanted && st.log == 0 &&
 		st.parked == nil && st.followers == nil && st.sigs == nil
 }
 
@@ -185,53 +191,69 @@ type opSignal struct {
 	next    *opSignal
 }
 
-// find returns op's entry, nil if it has none.
-func (s *Server) find(op types.OpID) *opState {
-	st, _ := s.ops.Get(op)
-	return st
-}
-
-// entry returns op's entry, creating it.
-func (s *Server) entry(op types.OpID) *opState {
-	st := s.find(op)
-	if st == nil {
-		st = s.newEntry(op)
-	}
-	return st
-}
-
-// entryBlock is how many entries newEntry makes at once, in one allocation,
-// when the free list is empty: the table grows a block at a time.
+// entryBlock is how many entries the slab makes at once, in one allocation,
+// when its free list is empty: the table grows a block at a time.
 const entryBlock = 64
 
-// newEntry files an empty entry for op, which has none, in the table. It
-// comes off the free list, which a fresh block refills when it is empty: the
-// one place opStates are made.
-func (s *Server) newEntry(op types.OpID) *opState {
-	if len(s.free) == 0 {
-		block := make([]opState, entryBlock)
-		for i := range block {
-			s.free = append(s.free, &block[len(block)-1-i])
+// entrySlab holds the op table's entries, entry h at
+// blocks[h/entryBlock][h%entryBlock], and the handles of the emptied ones.
+type entrySlab struct {
+	blocks []*[entryBlock]opState
+	free   []int32
+}
+
+// Make returns an empty entry off the free list, which a fresh block refills
+// when it is empty: the one place opStates are made.
+func (t *entrySlab) Make() int32 {
+	if len(t.free) == 0 {
+		t.blocks = append(t.blocks, new([entryBlock]opState))
+		for i := entryBlock - 1; i >= 0; i-- {
+			t.free = append(t.free, int32((len(t.blocks)-1)*entryBlock+i))
 		}
 	}
-	k := len(s.free)
-	st := s.free[k-1]
-	s.free = s.free[:k-1]
+	k := len(t.free)
+	h := t.free[k-1]
+	t.free = t.free[:k-1]
+	return h
+}
+
+func (t *entrySlab) Once(h int32) *int32 { return &t.at(h).once }
+
+func (t *entrySlab) at(h int32) *opState { return &t.blocks[h/entryBlock][h%entryBlock] }
+
+// each calls fn with every entry in use, by handle: those with an operation.
+func (t *entrySlab) each(fn func(h int32, st *opState)) {
+	for b, block := range t.blocks {
+		for i := range block {
+			if st := &block[i]; st.id() != types.NilOp {
+				fn(int32(b*entryBlock+i), st)
+			}
+		}
+	}
+}
+
+// find returns op's entry, nil if it has none: one probe.
+func (s *Server) find(op types.OpID) *opState {
+	if h, ok := s.Entry(op, false); ok {
+		return s.slab.at(h)
+	}
+	return nil
+}
+
+// entry returns op's entry, creating it: one probe.
+func (s *Server) entry(op types.OpID) *opState {
+	h, _ := s.Entry(op, true)
+	st := s.slab.at(h)
 	st.sub.Op = op
-	s.ops.Put(op, st)
 	return st
 }
 
-// drop deletes an entry from the table and frees it.
+// drop deletes an entry from the table and puts it on the free list,
+// emptied.
 func (s *Server) drop(st *opState) {
-	s.ops.Delete(st.id())
-	s.recycle(st)
-}
-
-// recycle puts an entry the table no longer files on the free list, emptied.
-func (s *Server) recycle(st *opState) {
+	h := s.DropEntry(st.id())
 	*st = opState{}
-	s.free = append(s.free, st)
+	s.slab.free = append(s.slab.free, h)
 }
 
 // pending returns op's entry if an execution of it awaits its commitment
@@ -248,11 +270,11 @@ func (s *Server) pending(op types.OpID) *opState {
 // table happens to file each entry.
 func (s *Server) inOrder(pick func(*opState) bool) []*opState {
 	var sel []*opState
-	for _, st := range s.ops.All() {
+	s.slab.each(func(_ int32, st *opState) {
 		if pick(st) {
 			sel = append(sel, st)
 		}
-	}
+	})
 	sort.Slice(sel, func(i, j int) bool { return opLess(sel[i].id(), sel[j].id()) })
 	return sel
 }
@@ -273,12 +295,9 @@ func (s *Server) markAborted(op types.OpID) {
 		// Bounded memory: drop the whole generation. A lost mark matters only
 		// for a message still in flight, which the cap makes wildly improbable,
 		// and then costs an orphaned row: the exposure SE has by design.
-		s.ops.DeleteFunc(func(_ types.OpID, st *opState) bool {
-			if st.aborted = false; !st.idle() {
-				return false
-			}
-			s.recycle(st)
-			return true
+		s.slab.each(func(_ int32, st *opState) {
+			st.aborted = false
+			s.settle(st)
 		})
 		s.abortMarks = 0
 	}
@@ -290,17 +309,16 @@ func (s *Server) markAborted(op types.OpID) {
 
 // wipe is what a crash does to the op table: the executions, parked
 // requests, followers, remembered demands and arrival waits of the previous
-// incarnation are gone (clients must reissue). The abort marks survive, and
-// the completion waits of procs that have yet to notice they are dead.
+// incarnation are gone (clients must reissue), and the log entries, which
+// recovery's scan finds again. The abort marks survive, the completion waits
+// of procs that have yet to notice they are dead, and the chassis's words.
 func (s *Server) wipe() {
-	s.ops.DeleteFunc(func(id types.OpID, st *opState) bool {
+	s.slab.each(func(_ int32, st *opState) {
+		id := st.id()
 		st.cut(true)
-		*st = opState{aborted: st.aborted, sigs: st.sigs}
-		if st.sub.Op = id; !st.idle() {
-			return false
-		}
-		s.recycle(st)
-		return true
+		*st = opState{aborted: st.aborted, sigs: st.sigs, once: st.once}
+		st.sub.Op = id
+		s.settle(st)
 	})
 	s.coordPending, s.idleCoord, s.unnamedParts = 0, nil, nil
 }
@@ -407,7 +425,7 @@ func (s *Server) takeIdle(part types.NodeID) []*opState {
 // arrive wake. st is the operation's entry, nil if it has none.
 func (s *Server) register(st *opState, e execution) {
 	if st == nil {
-		st = s.newEntry(e.sub.Op)
+		st = s.entry(e.sub.Op)
 	}
 	st.execution, st.phase, st.since, st.named = e, phasePending, s.Sim.Now(), false
 	coord := st.coordinator()
@@ -474,7 +492,7 @@ func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID
 	if s.step(StepInvalidateAfterUndo, victim, 0, func() string { return e.sub.Kind.String() }) {
 		return false
 	}
-	s.WAL.AppendBatchPriority(p, []wal.Record{{Type: wal.RecInvalidate, Op: victim, Role: e.sub.Role}})
+	s.WAL.AppendBatchPriority(p, []wal.Record{{Type: wal.RecInvalidate, Entry: e.log, Op: victim, Role: e.sub.Role}})
 	if s.step(StepInvalidateMid, victim, 0, nil) {
 		return false
 	}
@@ -501,15 +519,16 @@ func (s *Server) decide(st *opState, commit bool) {
 }
 
 // logDecided appends the Commit- or Abort-Records of n decided operations
-// whose halves here are of role, in one batch, the i-th by the operation and
-// commit bit at(i) reads from what the round holds: no round builds a record.
-func (s *Server) logDecided(p *simrt.Proc, role types.Role, n int, at func(i int) (types.OpID, bool)) {
-	s.WAL.AppendDecisions(p, &wal.Decisions{Role: role, N: n, At: func(i int) (types.OpID, wal.RecType) {
-		op, commit := at(i)
+// whose halves here are of role, in one batch, the i-th by the operation,
+// commit bit and log entry at(i) reads from the round: no round builds a
+// record.
+func (s *Server) logDecided(p *simrt.Proc, role types.Role, n int, at func(i int) (types.OpID, bool, wal.Handle)) {
+	s.WAL.AppendDecisions(p, &wal.Decisions{Role: role, N: n, At: func(i int) (types.OpID, wal.RecType, wal.Handle) {
+		op, commit, h := at(i)
 		if commit {
-			return op, wal.RecCommit
+			return op, wal.RecCommit, h
 		}
-		return op, wal.RecAbort
+		return op, wal.RecAbort, h
 	}})
 }
 
@@ -519,17 +538,19 @@ func commitRecord(op types.OpID, role types.Role) wal.Record {
 	return wal.Record{Type: wal.RecCommit, Op: op, Role: role}
 }
 
-// complete appends the Complete-Records of decided operations whose
-// participant has acknowledged the decision (§III.B step 7).
-func (s *Server) complete(p *simrt.Proc, ids []types.OpID) {
-	s.WAL.AppendDecisions(p, &wal.Decisions{Role: types.RoleCoordinator, N: len(ids), At: func(i int) (types.OpID, wal.RecType) {
-		return ids[i], wal.RecComplete
+// complete appends the Complete-Records of n decided operations whose
+// participant has acknowledged the decision (§III.B step 7), as logDecided.
+func (s *Server) complete(p *simrt.Proc, n int, at func(i int) (types.OpID, wal.Handle)) {
+	s.WAL.AppendDecisions(p, &wal.Decisions{Role: types.RoleCoordinator, N: n, At: func(i int) (types.OpID, wal.RecType, wal.Handle) {
+		op, h := at(i)
+		return op, wal.RecComplete, h
 	}})
 }
 
-// queueFlush queues op's execution here for the next write-back with the
-// rows it wrote, in order: the entry, and its rows behind the queue's rows.
-func (s *Server) queueFlush(op types.OpID, written ...kvstore.Refs) {
+// queueFlush queues op's execution here, logged in entry h, for the next
+// write-back with the rows it wrote, in order: the entry, and its rows
+// behind the queue's rows.
+func (s *Server) queueFlush(op types.OpID, h wal.Handle, written ...kvstore.Refs) {
 	n := 0
 	for i := range written {
 		for _, ref := range written[i].All() {
@@ -537,7 +558,7 @@ func (s *Server) queueFlush(op types.OpID, written ...kvstore.Refs) {
 			n++
 		}
 	}
-	s.flushQ.Append(flushEntry{id: op, rows: int32(n)})
+	s.flushQ.Append(flushEntry{id: op, log: h, rows: uint16(n)})
 }
 
 // finish is a decided operation ending here — on the participant once its
@@ -556,12 +577,13 @@ func (s *Server) finish(st *opState, reply wire.Msg) {
 	st.phase = phaseNone
 	s.CacheReply(st.id(), &reply)
 	// The object becomes inactive, the rows it wrote — as committed or as
-	// rolled back — join the flush queue (database write-back is deferred:
-	// the records are durable, the pages drain with the next lazy batch and
-	// the log records prune only after that flush), and whoever waits on the
-	// operation moves on.
+	// rolled back — join the flush queue with the log entry (database
+	// write-back is deferred: the records are durable, the pages drain with
+	// the next lazy batch and the log records prune only after that flush),
+	// and whoever waits on the operation moves on.
 	s.letGo(st, st.rows)
-	s.queueFlush(st.id(), st.rows)
+	s.queueFlush(st.id(), st.log, st.rows)
+	st.log = 0
 	s.release(st)
 }
 
@@ -630,15 +652,15 @@ func (s *Server) CheckState() []string {
 			fail("active object %s is held by %v, neither pending nor executing (%s)", row, holder, s.DebugOp(holder))
 		}
 	})
-	free := make(map[*opState]bool, len(s.free))
-	for _, st := range s.free {
-		switch {
+	free := make(map[*opState]bool, len(s.slab.free))
+	for _, h := range s.slab.free {
+		switch st := s.slab.at(h); {
 		case free[st]:
 			fail("an entry is on the free list twice")
-		case st.id() != types.NilOp || !st.idle():
+		case st.id() != types.NilOp || !st.idle() || st.once != 0:
 			fail("a free entry holds %v (%s)", st.id(), st.phase)
 		}
-		free[st] = true
+		free[s.slab.at(h)] = true
 	}
 	indexed := make(map[*opState]int)
 	for _, list := range s.idleCoord {
@@ -647,7 +669,11 @@ func (s *Server) CheckState() []string {
 		}
 	}
 	coord := 0
-	for id, st := range s.ops.All() {
+	s.slab.each(func(h int32, st *opState) {
+		id := st.id()
+		if filed, ok := s.Entry(id, false); !ok || filed != h {
+			fail("entry of %v is not filed under it", id)
+		}
 		n := indexed[st]
 		delete(indexed, st)
 		if st.phase != phaseNone && st.coordinator() {
@@ -656,8 +682,6 @@ func (s *Server) CheckState() []string {
 		switch idle := st.phase == phasePending && st.coordinator(); {
 		case free[st]:
 			fail("the entry of %v is on the free list", id)
-		case st.id() != id:
-			fail("entry of %v is filed under %v", st.id(), id)
 		case st.idle():
 			fail("entry of %v is empty", id)
 		case idle && n != 1, !idle && n != 0:
@@ -669,7 +693,7 @@ func (s *Server) CheckState() []string {
 		case st.parked != nil && !live(st.parked.holder):
 			fail("%v is parked behind %v, neither pending nor executing (%s)", id, st.parked.holder, s.DebugOp(st.parked.holder))
 		}
-	}
+	})
 	for st := range indexed {
 		if free[st] {
 			fail("the idle index lists an entry on the free list")

@@ -15,6 +15,7 @@ import (
 	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
+	"cxfs/internal/wal"
 	"cxfs/internal/wire"
 )
 
@@ -64,7 +65,7 @@ func (r *rig) ended(t *testing.T, p *simrt.Proc, what string, srv *Server, op ty
 		s.KickCommit()
 	}
 	p.Sleep(200 * time.Millisecond)
-	if n := srv.WAL.OpBytes(op); n != 0 {
+	if n := logBytes(srv.WAL, op); n != 0 {
 		t.Errorf("%s: server %d keeps %d log bytes of %v after a lazy batch", what, srv.ID, n, op)
 	}
 	for _, s := range r.srv {
@@ -205,11 +206,11 @@ func TestTimedOutVoteLeavesNoSignal(t *testing.T) {
 		if s.stats.VoteTimeouts != 1 || s.DebugOp(lost) != "tombstoned" {
 			t.Fatalf("the vote did not time out: %d timeouts, op %s", s.stats.VoteTimeouts, s.DebugOp(lost))
 		}
-		for id, st := range s.ops.All() {
+		s.slab.each(func(_ int32, st *opState) {
 			if st.sigs != nil {
-				t.Errorf("server still holds a wait signal for %v", id)
+				t.Errorf("server still holds a wait signal for %v", st.id())
 			}
-		}
+		})
 		if bad := s.CheckState(); len(bad) != 0 {
 			t.Error(bad)
 		}
@@ -230,8 +231,8 @@ func TestOpTableEntriesAreRecycled(t *testing.T) {
 		p.Sleep(200 * time.Millisecond)
 		s := r.srv[1]
 		warm := make(map[*opState]bool)
-		for _, st := range s.free {
-			warm[st] = true
+		for _, h := range s.slab.free {
+			warm[s.slab.at(h)] = true
 		}
 		if len(warm) == 0 {
 			t.Fatal("the finished create left no entry on the free list")
@@ -332,13 +333,14 @@ func TestCheckStateNoticesDisagreement(t *testing.T) {
 		s.entry(types.OpID{Seq: 99})
 		expect("entry nobody settled", "empty")
 		s.settle(s.find(types.OpID{Seq: 99}))
-		k := len(s.free)
-		s.free = append(s.free, s.free[k-1])
+		k := len(s.slab.free)
+		s.slab.free = append(s.slab.free, s.slab.free[k-1])
 		expect("entry freed twice", "on the free list twice")
-		s.free = append(s.free[:k], st)
+		h, _ := s.Entry(st.id(), false)
+		s.slab.free = append(s.slab.free[:k], h)
 		expect("entry freed while the table holds it", "is on the free list")
 		expect("entry freed while the idle index lists it", "a free entry holds")
-		s.free = s.free[:k]
+		s.slab.free = s.slab.free[:k]
 		if bad := s.CheckState(); len(bad) != 0 {
 			t.Errorf("restored state: %v", bad)
 		}
@@ -434,4 +436,55 @@ func TestEveryLetGoReleasesFollowers(t *testing.T) {
 			})
 		})
 	}
+}
+
+// Recovery rebuilds each undecided execution's entry with the log entry the
+// scan returned for its records, so that the decision it then logs and the
+// prune after its write-back reach those records: once the coordinator is
+// back and the operations commit, the participant's log is empty.
+func TestRecoveryRegistersTheScannedHandles(t *testing.T) {
+	r := newRig(1<<20, Config{Timeout: time.Hour})
+	r.run(t, func(p *simrt.Proc) {
+		var ops []types.Op
+		for i := uint64(1); i <= 3; i++ {
+			op := r.create(0, i)
+			if _, err := r.drv.Do(p, op); err != nil {
+				t.Fatalf("create: %v", err)
+			}
+			ops = append(ops, op)
+		}
+		coord, part := r.srv[0], r.srv[1]
+		coord.Crash() // the participant's recovery waits for it
+		part.Crash()
+		part.Reboot()
+		recovered := false
+		r.sim.Spawn("recover", func(q *simrt.Proc) { part.Recover(q); recovered = true })
+		if !await(p, func() bool { return part.pending(ops[len(ops)-1].ID) != nil }) {
+			t.Fatal("recovery never rebuilt the pending executions")
+		}
+		seen := make(map[wal.Handle]bool)
+		for _, op := range ops {
+			var scanned []wal.Handle
+			for _, rec := range part.WAL.Live() {
+				if rec.Op == op.ID && !slices.Contains(scanned, rec.Entry) {
+					scanned = append(scanned, rec.Entry)
+				}
+			}
+			st := part.pending(op.ID)
+			if len(scanned) != 1 || st == nil || st.log != scanned[0] || seen[st.log] {
+				t.Errorf("%v: rebuilt with log entry %v, its records are in %v", op.ID, st, scanned)
+				continue
+			}
+			seen[st.log] = true
+		}
+		coord.Reboot()
+		r.sim.Spawn("recover-coord", func(q *simrt.Proc) { coord.Recover(q) })
+		if !await(p, func() bool { return recovered }) {
+			t.Fatal("the participant's recovery never ended")
+		}
+		part.KickCommit()
+		if !await(p, func() bool { return len(liveOps(part.WAL)) == 0 }) {
+			t.Errorf("the participant's log still holds %v after the operations committed", liveOps(part.WAL))
+		}
+	})
 }

@@ -153,13 +153,17 @@ func TestPressureEpisodeSignalsOnce(t *testing.T) {
 }
 
 // fillLog appends un-prunable filler under op until the server's log is at
-// its limit, so the §III.D hold is closed until the test prunes op.
-func fillLog(p *simrt.Proc, s *Server, op types.OpID) {
+// its limit, so the §III.D hold is closed until the test prunes op's log
+// entry, which it returns.
+func fillLog(p *simrt.Proc, s *Server, op types.OpID) wal.Handle {
 	rec := wal.Record{Type: wal.RecResult, Op: op, Role: types.RoleCoordinator,
 		Sub: types.SubOp{Op: op, Name: "filler"}}
 	for s.WAL.LiveBytes() < s.WAL.MaxBytes() {
-		s.WAL.AppendBatchPriority(p, []wal.Record{rec})
+		recs := []wal.Record{rec}
+		s.WAL.AppendBatchPriority(p, recs)
+		rec.Entry = recs[0].Entry
 	}
+	return rec.Entry
 }
 
 // At the log limit a coordinator half waits before it executes — nothing it
@@ -170,7 +174,7 @@ func TestLogLimitHoldsArrivalsBeforeTheyExecute(t *testing.T) {
 	r := newRig(4<<10, Config{Timeout: time.Hour})
 	filler := types.OpID{Proc: types.ProcID{Client: 9}, Seq: 1}
 	r.run(t, func(p *simrt.Proc) {
-		fillLog(p, r.srv[0], filler)
+		fill := fillLog(p, r.srv[0], filler)
 		fillLog(p, r.srv[1], filler)
 		op := r.create(0, 1)
 		done := simrt.NewChan[error](r.sim)
@@ -191,7 +195,7 @@ func TestLogLimitHoldsArrivalsBeforeTheyExecute(t *testing.T) {
 		if r.srv[0].WAL.Stats().FullStalls == 0 {
 			t.Error("the hold was not counted as a full-log stall")
 		}
-		r.srv[0].WAL.Prune(filler)
+		r.srv[0].WAL.Prune(fill)
 		if err := done.Recv(p); err != nil {
 			t.Errorf("create after the hold: %v", err)
 		}
@@ -232,7 +236,7 @@ func TestWriteBackAcrossCrashPrunesNothing(t *testing.T) {
 			}
 			p.Sleep(time.Second) // the interrupted write-back returns from the disk
 			for _, op := range ops {
-				if !s.WAL.Has(op.ID, wal.RecComplete) {
+				if !logHas(s.WAL, op.ID, wal.RecComplete) {
 					t.Errorf("reboot=%v: %v pruned by a write-back that crashed in flight", reboot, op.ID)
 				}
 			}
@@ -248,7 +252,7 @@ func TestWriteBackAcrossCrashPrunesNothing(t *testing.T) {
 					t.Errorf("reboot=%v: committed create %q lost", reboot, op.Name)
 				}
 			}
-			if n := len(s.WAL.LiveOps()); n != 0 {
+			if n := len(liveOps(s.WAL)); n != 0 {
 				t.Errorf("reboot=%v: %d ops still in the log after recovery redid and flushed them", reboot, n)
 			}
 		})
@@ -273,9 +277,9 @@ func TestWriteBackDefersRowsWithUnloggedWrites(t *testing.T) {
 		s.KickCommit()
 		await(p, func() bool { return s.coordPending == 0 && s.stats.LazyBatches > 0 })
 		p.Sleep(100 * time.Millisecond)
-		if s.queued() != 1 || s.WAL.OpBytes(op.ID) == 0 {
+		if s.queued() != 1 || logBytes(s.WAL, op.ID) == 0 {
 			t.Errorf("operation with an unlogged row written back: flushQ=%d log bytes=%d",
-				s.queued(), s.WAL.OpBytes(op.ID))
+				s.queued(), logBytes(s.WAL, op.ID))
 			return
 		}
 		if _, ok := s.KV.DurableSnapshot()[row]; ok {
@@ -285,7 +289,7 @@ func TestWriteBackDefersRowsWithUnloggedWrites(t *testing.T) {
 		s.KickCommit()
 		await(p, func() bool { return s.flushQ.Len() == 0 })
 		p.Sleep(100 * time.Millisecond)
-		if _, ok := s.KV.DurableSnapshot()[row]; !ok || s.WAL.OpBytes(op.ID) != 0 {
+		if _, ok := s.KV.DurableSnapshot()[row]; !ok || logBytes(s.WAL, op.ID) != 0 {
 			t.Error("deferred operation not written back and pruned by the next batch")
 		}
 	})

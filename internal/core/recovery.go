@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -72,6 +73,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	}
 	type logged struct {
 		results   []result
+		entries   []wal.Handle // the log entries its records are filed under
 		decided   bool
 		committed bool
 		completed bool
@@ -85,6 +87,9 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			st = &logged{}
 			states[r.Op] = st
 			order = append(order, r.Op)
+		}
+		if !slices.Contains(st.entries, r.Entry) {
+			st.entries = append(st.entries, r.Entry)
 		}
 		switch r.Type {
 		case wal.RecResult:
@@ -114,6 +119,12 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	}
 	var resume []resumeDecided
 	var undecidedCoord, undecidedPart, redone []types.OpID
+	// prune prunes every log entry of an operation.
+	prune := func(id types.OpID) {
+		for _, h := range states[id].entries {
+			s.Prune(id, h)
+		}
+	}
 
 	for _, id := range order {
 		st := states[id]
@@ -156,7 +167,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			} else {
 				// Finished here: completed, a participant's durable decision,
 				// or a single-server transaction, whose decision is final.
-				s.Prune(id)
+				prune(id)
 			}
 			continue
 		}
@@ -168,7 +179,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 			// client will see the operation aborted by the coordinator's
 			// vote timeout. Poison locally.
 			s.markAborted(id)
-			s.Prune(id)
+			prune(id)
 			continue
 		}
 		if !last.Sub.Kind.CrossServer() {
@@ -184,7 +195,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 		// the execution itself would have left: the record's before-image,
 		// the parent compensation its action implies. Every record that
 		// reaches here, or is resumed above, names its peer.
-		e := execution{sub: last.Sub, ok: last.OK, peer: last.Peer, epoch: 1}
+		e := execution{sub: last.Sub, ok: last.OK, peer: last.Peer, epoch: 1, log: last.Entry}
 		if last.OK && len(last.Post) > 0 {
 			s.Shard.InstallImages(last.Post)
 			e.undo = namespace.UndoOf(last.Sub, last.Pre)
@@ -213,7 +224,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	s.KV.FlushDirty(p)
 	if !s.Gone(boot) {
 		for _, id := range redone {
-			s.Prune(id)
+			prune(id)
 		}
 	}
 
@@ -223,8 +234,8 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	for _, r := range resume {
 		decisions := []wire.Decision{{Op: r.id, Commit: r.committed}}
 		s.rpcAck(p, boot, r.participant, r.id, []types.OpID{r.id}, decisions)
-		s.complete(p, []types.OpID{r.id})
-		s.Prune(r.id)
+		s.complete(p, 1, func(int) (types.OpID, wal.Handle) { return r.id, states[r.id].entries[0] })
+		prune(r.id)
 		if r.committed {
 			s.stats.OpsCommitted++
 		} else {

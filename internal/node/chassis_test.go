@@ -148,14 +148,24 @@ func TestReplyCacheIsFIFOAtTheCap(t *testing.T) {
 }
 
 // The reply cache is rewritten once per operation a server finishes: once
-// it is full, caching a reply evicts one in place and allocates nothing.
+// it is full, caching a reply evicts one in place and allocates nothing,
+// whether the replies carry extra fields (an error and attributes, a hint)
+// or not, and when an abort supersedes a recorded reply.
 func TestCacheReplyIntoAFullCacheAllocatesNothing(t *testing.T) {
 	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, _ *[]wire.Msg) {
-		m := &wire.Msg{Type: wire.MsgSubOpResp, OK: false, Err: "entry exists", Epoch: 1, Attr: types.Inode{Ino: 7}}
+		replies := []wire.Msg{
+			{Type: wire.MsgSubOpResp, OK: false, Err: "entry exists", Epoch: 1, Attr: types.Inode{Ino: 7}},
+			{Type: wire.MsgSubOpResp, OK: true, Epoch: 1},
+			{Type: wire.MsgSubOpResp, OK: true, Epoch: 2, Hint: opID(3)},
+		}
+		superseding := &wire.Msg{Type: wire.MsgSubOpResp, Err: "aborted", Epoch: 2}
 		seq := uint64(0)
 		cache := func() {
 			seq++
-			b.CacheReply(opID(seq), m)
+			b.CacheReply(opID(seq), &replies[seq%3])
+			if seq%5 == 0 {
+				b.CacheReply(opID(seq-1), superseding)
+			}
 		}
 		for seq < 4*replyCap { // full, and the index churned to its working size
 			cache()

@@ -4,8 +4,8 @@
 // shard), the served inbox, crash/reboot plumbing, at-most-once execution for
 // retried requests (once.go: a reply cache of the last replyCap finished
 // operations, kept in a ring that overwrites its oldest reply in place, and
-// one index that holds each executing operation's mark and each cached
-// operation's ring position, probed once per call), the lease service behind the
+// the server's one op-ID index, which files each operation's executing mark,
+// cached reply and protocol entry), the lease service behind the
 // leased read path (lease.go) and the one server-to-server call, Call, with
 // the routes its answers come back on (routes.go). Host is the client machine: it routes server responses back
 // to the issuing process and owns the one retrying RPC (Call). The client on
@@ -84,6 +84,7 @@ type Stats struct {
 	SubOpsRun        uint64
 	LeasesGranted    uint64 // read leases granted: on lookup and stat replies, and to a mutation's client on the object it made
 	LeaseRevocations uint64 // revocation notices sent to lease holders
+	OpLookups        uint64 // probes of the server's op-ID index (once.go)
 }
 
 // Base is the protocol-independent part of a metadata server.
@@ -118,12 +119,15 @@ type Base struct {
 	accepted func()
 	handle   func(*simrt.Proc, *transport.Packet)
 
-	// At-most-once execution (once.go): the cached replies in a FIFO ring, and
-	// one index of every operation executing or cached here.
-	replies seg.Ring[cachedReply]
-	once    seg.Index[int32]
-	leases  *LeaseTable                                 // lease.go
-	routes  map[routeKey]*simrt.Chan[*transport.Packet] // routes.go
+	// At-most-once execution (once.go): the cached replies in a FIFO ring, the
+	// fields few carry beside it, and the server's one op-ID index.
+	replies    seg.Ring[cachedReply]
+	extras     seg.Seq[replyExtra]
+	freeExtras []int32
+	once       seg.Index[int32]
+	entries    Entries
+	leases     *LeaseTable                                 // lease.go
+	routes     map[routeKey]*simrt.Chan[*transport.Packet] // routes.go
 	// idleRoutes are the channels of finished Calls, emptied, for the next.
 	idleRoutes []*simrt.Chan[*transport.Packet]
 	// delivered is the packet the running handler has just handed to a Call,
@@ -156,7 +160,11 @@ func NewBase(s *simrt.Sim, net *transport.Net, id types.NodeID, hw HardwareParam
 }
 
 // Stats returns chassis counters.
-func (b *Base) Stats() Stats { return b.stats }
+func (b *Base) Stats() Stats {
+	st := b.stats
+	st.OpLookups = b.once.Finds()
+	return st
+}
 
 // Start begins serving the inbox with the given handler. Call once.
 func (b *Base) Start(h Handler) {
@@ -218,10 +226,10 @@ func (b *Base) Send(m *wire.Msg) {
 	b.Net.Post(m)
 }
 
-// Prune discards op's log records (wal.WAL.Prune) and publishes the prune:
-// every protocol's log reaches the event stream here.
-func (b *Base) Prune(op types.OpID) {
-	if bytes := b.WAL.Prune(op); bytes > 0 && b.Events.On() {
+// Prune discards op's log records, entry h's (wal.WAL.Prune), and publishes
+// the prune: every protocol's log reaches the event stream here.
+func (b *Base) Prune(op types.OpID, h wal.Handle) {
+	if bytes := b.WAL.Prune(h); bytes > 0 && b.Events.On() {
 		ev := obs.Event{T: b.Sim.Now(), Node: int(b.ID), Op: op, Phase: obs.PhasePrune}
 		if b.Events.Detailed() {
 			ev.Detail = fmt.Sprintf("%dB", bytes)
@@ -247,8 +255,8 @@ func (b *Base) Crashed() bool { return b.crashed }
 
 // Crash takes the server down: the network drops its traffic, in-flight
 // handlers are silenced (they can no longer send or persist), and the
-// volatile database image is discarded. Durable state — the log index and
-// the database's durable image — survives for Reboot.
+// volatile database image is discarded. Durable state — the log's entries
+// and the database's durable image — survives for Reboot.
 func (b *Base) Crash() {
 	b.crashed = true
 	b.needsRecovery = true
@@ -283,7 +291,12 @@ func (b *Base) Reboot() {
 // — which requests were executing, who holds which lease — for a protocol
 // whose recovery rebuilds its state from the log. The reply cache stays.
 func (b *Base) ForgetClients() {
-	b.once.DeleteFunc(func(_ types.OpID, pos int32) bool { return pos == executing })
+	b.once.DeleteFunc(func(_ types.OpID, v *int32) bool {
+		if w := b.word(v); *w == executing && w != v {
+			*w = 0
+		}
+		return *v == executing
+	})
 	b.leases.Reset()
 }
 

@@ -12,31 +12,70 @@ import (
 // op table — pending executions, parked requests, abort marks). The cache is
 // not wiped by Crash; see DESIGN.md §5.
 //
-// One index serves both: it maps an operation to the ring position of its
-// cached reply, or to executing while a request for it is between Begin and
-// End and no reply is cached. A cached reply supersedes the mark: the
-// operation is over, and a request copy still on its way to End changes
-// nothing. Each call below looks the operation up once.
+// The server has one op-ID index, and every operation it holds state for is
+// filed there once. The value says where the state lives: the ring position
+// of the operation's cached reply, the executing mark of a request between
+// Begin and End, or the protocol's entry for the operation (Entries), whose
+// word then holds the position or the mark. A cached reply supersedes
+// the mark: the operation is over, and a request copy still on its way to
+// End changes nothing. Each call below looks the operation up once, and a
+// handler that begins a request gets the operation's entry from the same
+// probe (BeginEntry).
+//
+// The ring keeps what every response carries in a record of 32 bytes; the
+// fields few carry (a conflict hint, an error, attributes) are kept beside
+// it, in a slab of their own, only for the replies that have them.
 
 // replyCap bounds the reply cache.
 const replyCap = 8192
 
-// executing is the index's value for an operation being executed, with no
-// reply cached.
+// An index value or entry's word is 0 (an entry's word, holding nothing),
+// executing, a reply's ring position plus one (> 0), or, in the index only,
+// entry h as -2-h (< executing).
 const executing int32 = -1
 
-// cachedReply is a finished operation's response as the cache keeps it: the
-// fields a SUBOP/OP response carries, not the whole message (the cache holds
-// replyCap of them per server and is rewritten once per operation), and the
-// operation, so an eviction can drop its index entry.
+// NoEntry is the entry of an operation that has none.
+const NoEntry int32 = -1
+
+func entryOf(v int32) int32 { return -2 - v }
+
+// Entries is where a protocol keeps its per-operation entries, by handle,
+// for the chassis's index to file them (SetEntries). An entry holds a word
+// for the chassis: what the index would hold for the operation without it.
+type Entries interface {
+	Make() int32         // an empty entry's handle; must not call the chassis
+	Once(h int32) *int32 // entry h's chassis word
+}
+
+// cachedReply is a finished operation's response as the ring keeps it: the
+// operation, so an eviction can find it in the index, what every response
+// carries, and extra, its replyExtra's handle plus one (0: none). Its size is
+// pinned (TestCachedReplySize).
 type cachedReply struct {
 	op    types.OpID
+	epoch uint32
+	extra int32
 	typ   wire.MsgType
 	ok    bool
-	epoch uint32
-	hint  types.OpID
-	err   string
-	attr  types.Inode
+}
+
+// replyExtra is what a cached response carries beyond cachedReply.
+type replyExtra struct {
+	hint types.OpID
+	err  string
+	attr types.Inode
+}
+
+// SetEntries gives the chassis the protocol's entries.
+func (b *Base) SetEntries(e Entries) { b.entries = e }
+
+// word returns where the state of the operation whose index value is *v
+// lives: v, or the word of the entry it names.
+func (b *Base) word(v *int32) *int32 {
+	if *v < executing {
+		return b.entries.Once(entryOf(*v))
+	}
+	return v
 }
 
 // Begin admits a request for op from node from: false means it is a
@@ -44,50 +83,127 @@ type cachedReply struct {
 // or of one still executing, dropped. After true, call End when the
 // execution is over.
 func (b *Base) Begin(op types.OpID, from types.NodeID) bool {
-	switch pos, ok := b.once.Get(op); {
-	case !ok:
-		b.once.Put(op, executing)
-		return true
-	case pos != executing:
-		b.replay(pos, op, from)
+	_, ok := b.BeginEntry(op, from)
+	return ok
+}
+
+// BeginEntry is Begin that also returns op's entry, NoEntry if it has none.
+func (b *Base) BeginEntry(op types.OpID, from types.NodeID) (h int32, ok bool) {
+	i, _ := b.once.Upsert(op, 0)
+	v, h := b.once.Val(i), NoEntry
+	if *v < executing {
+		h = entryOf(*v)
 	}
-	return false
+	switch w := b.word(v); {
+	case *w == 0:
+		*w = executing
+		return h, true
+	case *w > 0:
+		r := b.replies.At(int(*w - 1))
+		m := wire.Msg{Type: r.typ, To: from, Op: op, OK: r.ok, Epoch: r.epoch}
+		if r.extra != 0 {
+			x := b.extras.At(int(r.extra - 1))
+			m.Err, m.Hint, m.Attr = x.err, x.hint, x.attr
+		}
+		b.Send(&m)
+	}
+	return h, false
 }
 
 // End clears op's executing mark. Without a CacheReply before it (a crash
 // mid-execution, a parked request), a retry executes again.
 func (b *Base) End(op types.OpID) {
-	if pos, _ := b.once.Get(op); pos == executing {
-		b.once.Delete(op)
+	if i, ok := b.once.Lookup(op); ok && *b.word(b.once.Val(i)) == executing {
+		b.forget(i)
+	}
+}
+
+// forget clears what the index holds in slot i for the operation there,
+// keeping its entry, if it has one.
+func (b *Base) forget(i int) {
+	if v := b.once.Val(i); *v < executing {
+		*b.word(v) = 0
+	} else {
+		b.once.RemoveAt(i)
 	}
 }
 
 // Executing reports whether a request for op is between Begin and End, with
 // no reply cached yet.
 func (b *Base) Executing(op types.OpID) bool {
-	pos, ok := b.once.Get(op)
-	return ok && pos == executing
+	v, ok := b.once.Get(op)
+	return ok && *b.word(&v) == executing
 }
 
 // CacheReply retains op's final response m for duplicate requests. An op
 // cached again (an abort superseding the recorded response) keeps its place
 // in the eviction order.
 func (b *Base) CacheReply(op types.OpID, m *wire.Msg) {
-	r := cachedReply{op: op, typ: m.Type, ok: m.OK, epoch: m.Epoch, hint: m.Hint, err: m.Err, attr: m.Attr}
-	if pos, ok := b.once.Get(op); ok && pos != executing {
-		*b.replies.At(int(pos)) = r
+	r := cachedReply{op: op, typ: m.Type, ok: m.OK, epoch: m.Epoch}
+	if m.Hint != types.NilOp || m.Err != "" || m.Attr != (types.Inode{}) {
+		if k := len(b.freeExtras); k > 0 {
+			r.extra, b.freeExtras = b.freeExtras[k-1], b.freeExtras[:k-1]
+		} else {
+			b.extras.Append(replyExtra{})
+			r.extra = int32(b.extras.Len())
+		}
+		*b.extras.At(int(r.extra - 1)) = replyExtra{hint: m.Hint, err: m.Err, attr: m.Attr}
+	}
+	i, _ := b.once.Upsert(op, 0)
+	w := b.word(b.once.Val(i))
+	if *w > 0 {
+		slot := b.replies.At(int(*w - 1))
+		b.dropExtra(slot.extra)
+		*slot = r
 		return
 	}
-	pos, oldest, full := b.replies.Push(r, replyCap)
-	if full {
-		b.once.Delete(oldest.op)
+	pos, old, full := b.replies.Push(r, replyCap)
+	*w = int32(pos) + 1
+	if full { // the oldest reply is overwritten: forget it
+		b.dropExtra(old.extra)
+		if i, ok := b.once.Lookup(old.op); ok {
+			b.forget(i)
+		}
 	}
-	b.once.Put(op, int32(pos))
 }
 
-// replay sends the reply cached at ring position pos, for op, to node to.
-func (b *Base) replay(pos int32, op types.OpID, to types.NodeID) {
-	r := b.replies.At(int(pos))
-	b.Send(&wire.Msg{Type: r.typ, To: to, Op: op, OK: r.ok, Err: r.err,
-		Hint: r.hint, Epoch: r.epoch, Attr: r.attr})
+// dropExtra releases a reply's extra fields, if it has them.
+func (b *Base) dropExtra(extra int32) {
+	if extra != 0 {
+		*b.extras.At(int(extra - 1)) = replyExtra{}
+		b.freeExtras = append(b.freeExtras, extra)
+	}
+}
+
+// Entry returns op's entry. If op has none, ok is false, unless create is
+// set: then an entry is made (Entries.Make) and takes over what the index
+// held for op, its cached reply or its executing mark.
+func (b *Base) Entry(op types.OpID, create bool) (h int32, ok bool) {
+	var i int
+	if create {
+		i, _ = b.once.Upsert(op, 0)
+	} else if i, ok = b.once.Lookup(op); !ok {
+		return NoEntry, false
+	}
+	switch v := b.once.Val(i); {
+	case *v < executing:
+		return entryOf(*v), true
+	case create:
+		h = b.entries.Make()
+		*b.entries.Once(h), *v = *v, entryOf(h)
+		return h, true
+	}
+	return NoEntry, false
+}
+
+// DropEntry takes op's entry out of the index, which files what its word
+// holds for op from then on, and returns it to the protocol for reuse.
+func (b *Base) DropEntry(op types.OpID) (h int32) {
+	i, _ := b.once.Lookup(op)
+	v := b.once.Val(i)
+	h = entryOf(*v)
+	if *v = *b.entries.Once(h); *v == 0 {
+		b.once.RemoveAt(i)
+	}
+	return h
 }

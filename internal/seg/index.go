@@ -1,10 +1,6 @@
 package seg
 
-import (
-	"iter"
-
-	"cxfs/internal/types"
-)
+import "cxfs/internal/types"
 
 // Key is what a Table is keyed by: a comparable value with an unseeded hash,
 // a fixed function of the key, so a table's iteration order is a function of
@@ -28,29 +24,38 @@ type Key interface {
 // panics on it, and Get and Delete report it absent. The zero Table is empty
 // and ready to use.
 type Table[K Key, V any] struct {
-	keys []K // len 0 or a power of two; the zero key: empty
-	vals []V // vals[i] belongs to keys[i]
-	n    int
+	keys  []K // len 0 or a power of two; the zero key: empty
+	vals  []V // vals[i] belongs to keys[i]
+	n     int
+	finds uint64 // calls of find
 }
 
-// Index is the Table keyed by operation ID, for the tables a server and a
-// client keep per operation; types.NilOp is never a key.
+// Index is the Table keyed by operation ID: a server's one index of the
+// operations it holds state for (internal/node), a client's reply routes, a
+// baseline's own tables. types.NilOp is never a key.
 type Index[V any] = Table[types.OpID, V]
 
-// loadNum/loadDen is the most of its slots a Table fills: linear probing's
-// unsuccessful search runs about 8.5 slots at 3/4 and triples by 7/8.
-// minSlots is the capacity of the first allocation.
+// loadNum/loadDen is the most of its slots a Table fills: a server's op-ID
+// index holds a full reply cache of 8,192 operations beside those in motion,
+// 12,800 at the update-dominated Metarates peak, which 16,384 slots hold at
+// 7/8 but not at 3/4. (An unsuccessful search runs about 32 slots at 7/8, but
+// only just before a doubling.) minSlots is the first allocation's capacity.
 const (
-	loadNum, loadDen = 3, 4
+	loadNum, loadDen = 7, 8
 	minSlots         = 8
 )
 
 // Len returns the number of keys held.
 func (x *Table[K, V]) Len() int { return x.n }
 
+// Finds returns how many times the table was probed for a key: once a call,
+// twice for an insertion that grows it.
+func (x *Table[K, V]) Finds() uint64 { return x.finds }
+
 // find returns k's slot and true, or the empty slot that ends k's probe run
 // and false; -1 when nothing is allocated.
 func (x *Table[K, V]) find(k K) (int, bool) {
+	x.finds++
 	if len(x.keys) == 0 {
 		return -1, false
 	}
@@ -74,22 +79,37 @@ func (x *Table[K, V]) Get(k K) (v V, ok bool) {
 	return v, false
 }
 
-// Put sets k's value, adding k if it is absent.
-func (x *Table[K, V]) Put(k K, v V) {
+// Lookup returns k's slot, if k is held: a key looked up once is read,
+// written (Val) or removed (RemoveAt) there, until the table next changes.
+func (x *Table[K, V]) Lookup(k K) (slot int, ok bool) { return x.find(k) }
+
+// Upsert returns k's slot, as Lookup, adding k with value v if it is absent.
+func (x *Table[K, V]) Upsert(k K, v V) (slot int, added bool) {
 	var empty K
 	if k == empty {
-		panic("seg: Table.Put of the zero key")
+		panic("seg: Table.Upsert of the zero key")
 	}
 	i, ok := x.find(k)
-	if !ok {
-		if (x.n+1)*loadDen > len(x.keys)*loadNum {
-			x.grow()
-			i, _ = x.find(k)
-		}
-		x.keys[i] = k
-		x.n++
+	if ok {
+		return i, false
 	}
-	x.vals[i] = v
+	if (x.n+1)*loadDen > len(x.keys)*loadNum {
+		x.grow()
+		i, _ = x.find(k)
+	}
+	x.keys[i], x.vals[i] = k, v
+	x.n++
+	return i, true
+}
+
+// Val returns the value in a slot.
+func (x *Table[K, V]) Val(slot int) *V { return &x.vals[slot] }
+
+// Put sets k's value, adding k if it is absent.
+func (x *Table[K, V]) Put(k K, v V) {
+	if i, added := x.Upsert(k, v); !added {
+		x.vals[i] = v
+	}
 }
 
 // grow doubles the capacity (to minSlots from none) and refiles every key.
@@ -123,6 +143,9 @@ func (x *Table[K, V]) Delete(k K) (v V, ok bool) {
 	return v, true
 }
 
+// RemoveAt removes the key in a slot.
+func (x *Table[K, V]) RemoveAt(slot int) { x.remove(slot) }
+
 // remove empties slot i by backward shift: each later key of the probe run
 // that may sit at the hole (its home is not between the hole and itself)
 // moves into it, leaving its own slot as the next hole, until the run ends.
@@ -148,10 +171,11 @@ func (x *Table[K, V]) Clear() {
 	x.n = 0
 }
 
-// DeleteFunc removes every key for which del returns true. del must not
-// change the table; it sees every key held once. A deletion shifts later
-// keys back, so a plain range over All must not delete: this is the way.
-func (x *Table[K, V]) DeleteFunc(del func(K, V) bool) {
+// DeleteFunc removes every key for which del returns true. del sees every
+// key held once, with its value, which it may change in place, but must not
+// change the table. A deletion shifts later keys back, so a plain range over
+// All must not delete: this is the way.
+func (x *Table[K, V]) DeleteFunc(del func(K, *V) bool) {
 	if x.n == 0 {
 		return
 	}
@@ -167,21 +191,8 @@ func (x *Table[K, V]) DeleteFunc(del func(K, V) bool) {
 	mask := len(x.keys) - 1
 	for d := 1; d < len(x.keys); d++ {
 		i := (start + d) & mask
-		for x.keys[i] != empty && del(x.keys[i], x.vals[i]) {
+		for x.keys[i] != empty && del(x.keys[i], &x.vals[i]) {
 			x.remove(i)
-		}
-	}
-}
-
-// All yields every key and its value, in slot order. The table must not be
-// changed during the iteration (DeleteFunc deletes while iterating).
-func (x *Table[K, V]) All() iter.Seq2[K, V] {
-	return func(yield func(K, V) bool) {
-		var empty K
-		for i, k := range x.keys {
-			if k != empty && !yield(k, x.vals[i]) {
-				return
-			}
 		}
 	}
 }

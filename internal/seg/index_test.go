@@ -15,8 +15,8 @@ func opKey(client, index int32, seq uint64) types.OpID {
 // shift keeps: no empty slot lies between a key's home and its slot.
 func checkIndex(t *testing.T, x *Index[int], model map[types.OpID]int) {
 	t.Helper()
-	if x.Len() != len(model) {
-		t.Fatalf("Len %d, model holds %d", x.Len(), len(model))
+	if x.n != len(model) {
+		t.Fatalf("Len %d, model holds %d", x.n, len(model))
 	}
 	for k, want := range model {
 		if v, ok := x.Get(k); !ok || v != want {
@@ -29,6 +29,9 @@ func checkIndex(t *testing.T, x *Index[int], model map[types.OpID]int) {
 			continue
 		}
 		n++
+		if want, ok := model[k]; !ok || x.vals[j] != want {
+			t.Fatalf("slot %d holds %v=%d, model %d, %v", j, k, x.vals[j], want, ok)
+		}
 		for i := int(k.Hash()) & mask; i != j; i = (i + 1) & mask {
 			if x.keys[i] == types.NilOp {
 				t.Fatalf("%v sits at %d behind empty slot %d of its run", k, j, i)
@@ -37,16 +40,6 @@ func checkIndex(t *testing.T, x *Index[int], model map[types.OpID]int) {
 	}
 	if n != len(model) {
 		t.Fatalf("%d slots hold keys, model holds %d", n, len(model))
-	}
-	seen := 0
-	for k, v := range x.All() {
-		if model[k] != v {
-			t.Fatalf("All yields %v=%d, model %d", k, v, model[k])
-		}
-		seen++
-	}
-	if seen != len(model) {
-		t.Fatalf("All yields %d keys, model holds %d", seen, len(model))
 	}
 }
 
@@ -87,7 +80,8 @@ func TestIndexMatchesMap(t *testing.T) {
 		default:
 			odd := rng.Intn(2)
 			visits := make(map[types.OpID]int)
-			x.DeleteFunc(func(k types.OpID, v int) bool {
+			x.DeleteFunc(func(k types.OpID, pv *int) bool {
+				v := *pv
 				visits[k]++
 				if model[k] != v {
 					t.Fatalf("step %d: DeleteFunc sees %v=%d, model %d", step, k, v, model[k])
@@ -119,6 +113,46 @@ func TestIndexMatchesMap(t *testing.T) {
 	}
 }
 
+// Lookup and Upsert probe once, and the slot they return reads, rewrites and
+// removes the key's value with no further probe, as Get, Put and Delete
+// would, against a Go map.
+func TestIndexSlotsMatchMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var x Index[int]
+	model := make(map[types.OpID]int)
+	for step := 1; step < 20000; step++ {
+		k := opKey(1, int32(rng.Intn(3)), uint64(rng.Intn(200))+1)
+		finds, slots := x.Finds(), len(x.keys)
+		if rng.Intn(2) == 0 {
+			i, added := x.Upsert(k, step)
+			want, had := model[k]
+			if added == had || !added && *x.Val(i) != want || added && *x.Val(i) != step {
+				t.Fatalf("step %d: Upsert(%v) added %v, holds %d; model %d, %v", step, k, added, *x.Val(i), want, had)
+			}
+			*x.Val(i) = -step
+			model[k] = -step
+		} else {
+			i, ok := x.Lookup(k)
+			want, had := model[k]
+			if ok != had || ok && *x.Val(i) != want {
+				t.Fatalf("step %d: Lookup(%v) reports %v; model %d, %v", step, k, ok, want, had)
+			}
+			if ok && rng.Intn(2) == 0 {
+				x.RemoveAt(i)
+				delete(model, k)
+			}
+		}
+		// One probe, and one more when an insertion grows the table.
+		if n := x.Finds() - finds; n != 1 && (n != 2 || len(x.keys) == slots) {
+			t.Fatalf("step %d: %d probes for one key", step, n)
+		}
+		if step%97 == 0 {
+			checkIndex(t, &x, model)
+		}
+	}
+	checkIndex(t, &x, model)
+}
+
 // The nil ID marks an empty slot: it is never a key.
 func TestIndexRefusesTheNilOp(t *testing.T) {
 	var x Index[int]
@@ -126,7 +160,7 @@ func TestIndexRefusesTheNilOp(t *testing.T) {
 	if _, ok := x.Get(types.NilOp); ok {
 		t.Error("Get reports the nil ID held")
 	}
-	if _, ok := x.Delete(types.NilOp); ok || x.Len() != 1 {
+	if _, ok := x.Delete(types.NilOp); ok || x.n != 1 {
 		t.Error("Delete of the nil ID removed something")
 	}
 	defer func() {
@@ -166,8 +200,8 @@ func TestIndexSteadyChurnAllocatesNothingAndStaysBounded(t *testing.T) {
 	if n := testing.AllocsPerRun(200*live, step); n != 0 {
 		t.Errorf("%.2f allocations per churn step, want 0", n)
 	}
-	if len(x.keys) != filled || x.Len() != live {
+	if len(x.keys) != filled || x.n != live {
 		t.Errorf("after %d churned IDs: capacity %d (filled at %d), %d keys (want %d)",
-			seq, len(x.keys), filled, x.Len(), live)
+			seq, len(x.keys), filled, x.n, live)
 	}
 }

@@ -21,8 +21,8 @@ func TestOversizedBatchDoesNotDeadlock(t *testing.T) {
 	w := New(s, d, 0, max)
 	w.SetFullHandler(func() {
 		// Prune everything — still not enough room for the batch.
-		for _, op := range w.LiveOps() {
-			w.Prune(op)
+		for _, op := range liveOps(w) {
+			pruneOp(w, op)
 		}
 	})
 	done := false
@@ -36,7 +36,7 @@ func TestOversizedBatchDoesNotDeadlock(t *testing.T) {
 	if !done {
 		t.Fatal("oversized batch deadlocked the appender")
 	}
-	if !w.Has(opID(1), RecResult) {
+	if !has(w, opID(1), RecResult) {
 		t.Error("oversized batch not admitted")
 	}
 }
@@ -62,14 +62,14 @@ func burstNoDeadlock(t *testing.T, linger time.Duration) {
 		}
 		s.Spawn("commit-burst", func(p *simrt.Proc) {
 			w.AppendBatchPriority(p, []Record{
-				{Type: RecCommit, Op: opID(1), Role: types.RoleParticipant},
-				{Type: RecCommit, Op: opID(2), Role: types.RoleParticipant},
+				{Type: RecCommit, Entry: fill[0].Entry, Op: opID(1), Role: types.RoleParticipant},
+				{Type: RecCommit, Entry: fill[1].Entry, Op: opID(2), Role: types.RoleParticipant},
 			})
 			if w.LiveBytes() <= max {
 				t.Error("priority burst did not overshoot: scenario lost its bite")
 			}
-			w.Prune(opID(1))
-			w.Prune(opID(2))
+			w.Prune(fill[0].Entry)
+			w.Prune(fill[1].Entry)
 		})
 	})
 	done := false
@@ -85,10 +85,10 @@ func burstNoDeadlock(t *testing.T, linger time.Duration) {
 	if !done {
 		t.Fatal("commitment burst at a full log deadlocked the appender")
 	}
-	if !w.Has(opID(3), RecResult) {
+	if !has(w, opID(3), RecResult) {
 		t.Error("stalled append never admitted")
 	}
-	if w.Has(opID(1), RecResult) {
+	if has(w, opID(1), RecResult) {
 		t.Error("committed op not pruned")
 	}
 }

@@ -57,7 +57,7 @@ func TestGroupCommitCoalescesConcurrentAppends(t *testing.T) {
 		t.Errorf("GroupFlushes=%d GroupedReqs=%d, want 1 and %d", st.GroupFlushes, st.GroupedReqs, n)
 	}
 	for i := 0; i < n; i++ {
-		if !w.Has(procOp(types.NodeID(i), 1), RecResult) {
+		if !has(w, procOp(types.NodeID(i), 1), RecResult) {
 			t.Errorf("record of appender %d not admitted", i)
 		}
 	}
@@ -143,7 +143,7 @@ func TestGroupCommitCrashMidFlushDiscardsWindow(t *testing.T) {
 		t.Fatalf("only %d/4 appenders released after crash", released)
 	}
 	for i := 0; i < 4; i++ {
-		if w.Has(procOp(types.NodeID(i), 1), RecResult) {
+		if has(w, procOp(types.NodeID(i), 1), RecResult) {
 			t.Errorf("appender %d's record survived the crash", i)
 		}
 	}
@@ -151,7 +151,7 @@ func TestGroupCommitCrashMidFlushDiscardsWindow(t *testing.T) {
 	if st.Records != 1 {
 		t.Errorf("Records=%d, want 1 (only the post-reboot append)", st.Records)
 	}
-	if !w.Has(procOp(9, 9), RecResult) {
+	if !has(w, procOp(9, 9), RecResult) {
 		t.Error("post-reboot group append lost")
 	}
 }
@@ -175,7 +175,7 @@ func TestGroupCommitCrashWhileLingeringDiscardsWindow(t *testing.T) {
 	if !released {
 		t.Fatal("appender stuck after crash during linger")
 	}
-	if w.Has(procOp(1, 1), RecResult) {
+	if has(w, procOp(1, 1), RecResult) {
 		t.Error("lingering record became durable across a crash")
 	}
 }
@@ -253,8 +253,8 @@ func TestGroupCommitSpaceGateCountsWindowBytes(t *testing.T) {
 	}
 	s.Spawn("pruner", func(p *simrt.Proc) {
 		p.Sleep(20 * time.Millisecond)
-		w.Prune(procOp(1, 1))
-		w.Prune(procOp(2, 1))
+		pruneOp(w, procOp(1, 1))
+		pruneOp(w, procOp(2, 1))
 	})
 	s.Run()
 	s.Shutdown()

@@ -40,7 +40,7 @@ func TestRebootDoesNotResurrectInFlightAppend(t *testing.T) {
 	if len(scanned) != 0 {
 		t.Fatalf("recovery scanned %d records, want 0", len(scanned))
 	}
-	if w.Has(procOp(3, 1), RecResult) {
+	if has(w, procOp(3, 1), RecResult) {
 		t.Error("dead incarnation's in-flight append materialized after reboot")
 	}
 	if w.LiveBytes() != 0 {
@@ -74,11 +74,11 @@ func TestRebootDoesNotResurrectInFlightGroupFlush(t *testing.T) {
 	s.Run()
 	s.Shutdown()
 	for i := 0; i < 3; i++ {
-		if w.Has(procOp(types.NodeID(i), 1), RecResult) {
+		if has(w, procOp(types.NodeID(i), 1), RecResult) {
 			t.Errorf("appender %d's in-flight record materialized after reboot", i)
 		}
 	}
-	if !w.Has(procOp(9, 9), RecResult) {
+	if !has(w, procOp(9, 9), RecResult) {
 		t.Error("post-reboot group append lost")
 	}
 	if got := w.Stats().Records; got != 1 {

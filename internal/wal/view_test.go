@@ -11,14 +11,14 @@ import (
 	"time"
 
 	"cxfs/internal/disk"
-	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 )
 
 // viewModel is the reference for the log's record view: every durable record
-// in a plain slice, in append order, read through the index — what
-// RecoverScan returned when the view was one slice filtered at every scan.
+// in a plain slice, in append order, read through a map of the live ops —
+// what RecoverScan returned when the view was one slice filtered at every
+// scan.
 type viewModel struct {
 	recs  []Record
 	bytes map[types.OpID]int64 // live ops, and the bytes of their records
@@ -48,45 +48,45 @@ func (m *viewModel) scan() []Record {
 	return out
 }
 
-// handleErrs checks the index entries' slab against the index and the view:
-// each record in the view carries the handle the index holds for its op, or,
-// for a pruned op, a pruned entry's; an entry counts exactly the view records
-// that carry its handle; a released handle is empty, released once, and
-// carried by no record and no index entry.
-func handleErrs(w *WAL) []string {
+// handleErrs checks the entries' slab against the handles the appender holds
+// (held: each live op's) and the view: each record in the view carries the
+// handle held for its op, or, for a pruned op, a pruned entry's; an entry
+// counts exactly the view records that carry its handle; a released handle
+// is empty, released once, and carried by no record and held for no op.
+func handleErrs(w *WAL, held map[types.OpID]Handle) []string {
 	var bad []string
-	free := make(map[int32]bool)
+	free := make(map[Handle]bool)
 	for _, h := range w.freeEntries {
 		if free[h] {
 			bad = append(bad, fmt.Sprintf("handle %d released twice", h))
 		}
-		if *w.entries.At(int(h)) != (opEntry{}) {
-			bad = append(bad, fmt.Sprintf("released handle %d holds %+v", h, *w.entries.At(int(h))))
+		if *w.entries.At(int(h - 1)) != (opEntry{}) {
+			bad = append(bad, fmt.Sprintf("released handle %d holds %+v", h, *w.entries.At(int(h - 1))))
 		}
 		free[h] = true
 	}
-	carried := make(map[int32]uint32)
+	carried := make(map[Handle]uint32)
 	for i := 0; i < w.ordered.Len(); i++ {
 		r := w.ordered.At(i)
 		carried[r.entry]++
-		idx, live := w.index.Get(r.op)
+		h, live := held[r.op]
 		switch {
 		case free[r.entry]:
 			bad = append(bad, fmt.Sprintf("a record of %v carries released handle %d", r.op, r.entry))
-		case live && idx != r.entry:
-			bad = append(bad, fmt.Sprintf("a record of %v carries handle %d, the index %d", r.op, r.entry, idx))
-		case !live && !w.entries.At(int(r.entry)).pruned:
+		case live && h != r.entry:
+			bad = append(bad, fmt.Sprintf("a record of %v carries handle %d, the appender holds %d", r.op, r.entry, h))
+		case !live && !w.entries.At(int(r.entry-1)).pruned:
 			bad = append(bad, fmt.Sprintf("a record of pruned %v carries live handle %d", r.op, r.entry))
 		}
 	}
 	for h, n := range carried {
-		if e := w.entries.At(int(h)); e.recs != n {
+		if e := w.entries.At(int(h - 1)); e.recs != n {
 			bad = append(bad, fmt.Sprintf("entry %d counts %d records, the view holds %d", h, e.recs, n))
 		}
 	}
-	for op, h := range w.index.All() {
-		if free[h] || w.entries.At(int(h)).pruned {
-			bad = append(bad, fmt.Sprintf("the index files %v under released or pruned handle %d", op, h))
+	for op, h := range held {
+		if free[h] || w.entries.At(int(h-1)).pruned {
+			bad = append(bad, fmt.Sprintf("%v is held under released or pruned handle %d", op, h))
 		}
 	}
 	return bad
@@ -99,9 +99,12 @@ func handleErrs(w *WAL) []string {
 // grow, shrink and regrow the live set across several segments and chunks,
 // so records cross segment and chunk boundaries in both directions when the
 // view compacts. Half the seeds go through the group-commit window. As the
-// protocols do, an op is never logged again once pruned. Every 25 steps
-// handleErrs checks the index entries' handles, which compaction releases and
-// new ops reuse across it all.
+// protocols do, an op is never logged again once pruned, and its later
+// records and its prune name the entry its first durable record made (a
+// batch may carry an op's first record and a later one: both have Entry 0,
+// and the later joins the entry the first makes). Every 25 steps handleErrs
+// checks the entries' handles, which compaction releases and new ops reuse
+// across it all.
 //
 // A scan decodes what the log encoded, so the records drawn take every shape
 // a producer writes (randomRecord), and each one's images are the appender's
@@ -120,7 +123,8 @@ func TestRecordViewMatchesModel(t *testing.T) {
 				w.SetGroupCommit(100 * time.Microsecond)
 			}
 			m := &viewModel{bytes: make(map[types.OpID]int64)}
-			var ops []types.OpID // live ops, oldest first
+			held := make(map[types.OpID]Handle) // live ops' entries
+			var ops []types.OpID                // live ops, oldest first
 			next := uint64(0)
 			record := func() Record {
 				// A record of a new op, or a further record of a live one.
@@ -130,7 +134,9 @@ func TestRecordViewMatchesModel(t *testing.T) {
 					return randomRecord(rng, RecResult, opID(next))
 				}
 				op := ops[rng.Intn(len(ops))]
-				return randomRecord(rng, []RecType{RecCommit, RecAbort, RecComplete, RecInvalidate}[rng.Intn(4)], op)
+				rec := randomRecord(rng, []RecType{RecCommit, RecAbort, RecComplete, RecInvalidate}[rng.Intn(4)], op)
+				rec.Entry = held[op]
+				return rec
 			}
 			log := func(recs []Record, crash bool) {
 				if crash {
@@ -146,7 +152,14 @@ func TestRecordViewMatchesModel(t *testing.T) {
 					kept[i] = cloneRecord(r)
 				}
 				w.AppendBatch(p, recs)
-				for _, r := range recs {
+				for i, r := range recs {
+					if r.Entry == 0 && !crash {
+						t.Errorf("seed %d: a durable record of %v came back with no entry", seed, r.Op)
+					}
+					if _, ok := held[r.Op]; !ok && r.Entry != 0 {
+						held[r.Op] = r.Entry
+					}
+					kept[i].Entry = r.Entry
 					for _, imgs := range [][]types.Row{r.Pre, r.Post} {
 						for j := range imgs {
 							b := imgs[j].Val.Bytes()
@@ -158,6 +171,11 @@ func TestRecordViewMatchesModel(t *testing.T) {
 				}
 				if crash {
 					w.Reboot()
+					for _, r := range recs {
+						if r.Entry != held[r.Op] {
+							t.Errorf("seed %d: a discarded record of %v came back with entry %d, want %d", seed, r.Op, r.Entry, held[r.Op])
+						}
+					}
 					return // in flight when the server died: not durable
 				}
 				m.add(kept)
@@ -168,7 +186,7 @@ func TestRecordViewMatchesModel(t *testing.T) {
 					return false
 				}
 				if step%25 == 0 {
-					if bad := handleErrs(w); len(bad) > 0 {
+					if bad := handleErrs(w, held); len(bad) > 0 {
 						t.Errorf("seed %d step %d: %v", seed, step, bad)
 						return false
 					}
@@ -187,7 +205,10 @@ func TestRecordViewMatchesModel(t *testing.T) {
 					op := ops[i]
 					ops = slices.Delete(ops, i, i+1)
 					m.prune(op)
-					w.Prune(op)
+					if released := w.Prune(held[op]); held[op] == 0 && released != 0 {
+						t.Errorf("seed %d step %d: pruning no entry released %d bytes", seed, step, released)
+					}
+					delete(held, op)
 				case r < 97:
 					batch := make([]Record, 1+rng.Intn(4))
 					for i := range batch {
@@ -196,7 +217,9 @@ func TestRecordViewMatchesModel(t *testing.T) {
 					log(batch, rng.Intn(50) == 0)
 				case r < 98:
 					w.Crash()
-					w.Append(p, record()) // discarded: the server is down
+					if rec := record(); w.Append(p, rec) != rec.Entry {
+						t.Errorf("seed %d step %d: an append to a crashed log made an entry", seed, step)
+					}
 					w.Reboot()
 				default:
 					scans++
@@ -213,7 +236,7 @@ func TestRecordViewMatchesModel(t *testing.T) {
 			if got, want := w.RecoverScan(p), m.scan(); !reflect.DeepEqual(got, want) {
 				t.Errorf("seed %d: final RecoverScan differs from the model (%d vs %d records)", seed, len(got), len(want))
 			}
-			if bad := handleErrs(w); len(bad) > 0 {
+			if bad := handleErrs(w, held); len(bad) > 0 {
 				t.Errorf("seed %d: %v", seed, bad)
 			}
 			if n := w.entries.Len(); uint64(n) >= next {
@@ -251,42 +274,34 @@ func TestRecoverScanPanicsNamingTheOpOfAnUndecodableImage(t *testing.T) {
 // reuses the segments and byte chunks its compactions empty and never holds
 // more than 1.25 times the live records plus a segment and a chunk. The one
 // slice it replaced regrew by a quarter at a time, to four times the live
-// ops' records.
-//
-// The op index beside the view is a seg.Index, whose growth to the peak is
-// its own: the same inserts and deletes on a bare index of the log's type
-// measure its share, which the test takes off both sides.
+// ops' records. The log keeps no op index beside the view (it took the growth
+// of one off both sides when it did): the appender holds each op's handle,
+// here in a ring of the live ops' handles made with the log.
 func TestRecordViewAllocationStaysBounded(t *testing.T) {
 	const peakOps, commitLag, completeLag = 4096, 64, 128
 	logged := measureChurn(peakOps, func(s *simrt.Sim) func(p *simrt.Proc, seq uint64) {
 		w := New(s, disk.New(s, "d", disk.DefaultParams()), 0, 0)
 		recs := make([]Record, 0, 3)
+		held := make([]Handle, peakOps+1) // op seq's entry at seq % len
+		at := func(seq uint64) Handle { return held[seq%uint64(len(held))] }
 		return func(p *simrt.Proc, seq uint64) {
 			recs = append(recs[:0], resultRec(seq, "f"))
 			if seq > commitLag {
-				recs = append(recs, Record{Type: RecCommit, Op: opID(seq - commitLag), Role: types.RoleCoordinator})
+				recs = append(recs, Record{Type: RecCommit, Entry: at(seq - commitLag), Op: opID(seq - commitLag), Role: types.RoleCoordinator})
 			}
 			if seq > completeLag {
-				recs = append(recs, Record{Type: RecComplete, Op: opID(seq - completeLag), Role: types.RoleCoordinator})
+				recs = append(recs, Record{Type: RecComplete, Entry: at(seq - completeLag), Op: opID(seq - completeLag), Role: types.RoleCoordinator})
 			}
 			w.AppendBatchPriority(p, recs)
+			held[seq%uint64(len(held))] = recs[0].Entry
 			if seq > peakOps {
-				w.Prune(opID(seq - peakOps))
+				w.Prune(at(seq - peakOps))
 			}
 		}
 	})
-	index := measureChurn(peakOps, func(*simrt.Sim) func(*simrt.Proc, uint64) {
-		var x seg.Index[int32]
-		return func(_ *simrt.Proc, seq uint64) {
-			x.Put(opID(seq), int32(seq))
-			if seq > peakOps {
-				x.Delete(opID(seq - peakOps))
-			}
-		}
-	})
-	footprint, allocated := logged.footprint-index.footprint, logged.allocated-index.allocated
-	t.Logf("log: %+v; index alone: %+v; view: %d B held at the peak, %d B allocated (%.2fx)",
-		logged, index, footprint, allocated, float64(allocated)/float64(footprint))
+	footprint, allocated := logged.footprint, logged.allocated
+	t.Logf("view: %d B held at the peak, %d B allocated (%.2fx)",
+		footprint, allocated, float64(allocated)/float64(footprint))
 	if footprint <= 0 || 2*allocated > 3*footprint {
 		t.Errorf("the record view allocated %d B growing to and churning at a %d B footprint, want at most 1.5x",
 			allocated, footprint)

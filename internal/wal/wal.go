@@ -1,7 +1,6 @@
 // Package wal implements each metadata server's operation log for the Cx
 // protocol and its baselines: a log-structured, synchronously written record
-// stream with an in-memory index, as described in §III.A and §III.D of the
-// paper.
+// stream, as described in §III.A and §III.D of the paper.
 //
 // Record types follow the paper exactly:
 //
@@ -26,30 +25,33 @@
 // before it executes and then appends ungated. Pruning drops all records of
 // an operation once its terminal record is durable.
 //
-// In memory the log is its index — per operation, its live bytes and which
+// In memory the log is its entries — per operation, its live bytes and which
 // record types it holds — and, for the recovery scan, the durable records in
-// append order. The log keeps a record as its on-disk encoding, byte for byte
-// (the image, in fixed chunks), and beside it only scalars: its operation,
-// where its bytes are, how many, and its index entry's handle (the view, in
-// fixed-size segments of internal/seg). A record is encoded once, straight
-// into the image on the direct path and into the group-commit window's buffer
-// while it waits there; Append reads the caller's Record and keeps none of
-// its pointers, so a caller's images may live on its stack. A round's
-// decisions need no Record: AppendDecisions reads them from the round's own
-// lists (Decisions). RecoverScan
-// decodes the image, so recovery reads back exactly what was written. A prune
-// compacts the view and the image in place once pruned operations' records
-// exceed a quarter of the live ones, and later appends refill the segments
-// and chunks it empties: both are bounded by the live records, and a log
-// churning at a steady size allocates nothing. The index entries live in a
-// segmented slab too, and each record in the view carries its entry's slab
-// handle: an append looks its operation up once, and compaction tells a
-// pruned operation's records by that handle, without a lookup. A handle is
-// reused once compaction has dropped its last record.
+// append order. An operation's first append makes its entry and returns the
+// entry's handle (Handle); the caller keeps it with its own state for the
+// operation and names the entry by it in the operation's later records, its
+// decisions and its prune, so the log keeps no table of operations. The log
+// keeps a record as its on-disk encoding, byte for byte (the image, in fixed
+// chunks), and beside it only scalars: its operation, where its bytes are,
+// how many, and its entry's handle (the view, in fixed-size segments of
+// internal/seg). A record is encoded once, straight into the image on the
+// direct path and into the group-commit window's buffer while it waits
+// there; Append keeps none of the caller's pointers, so a caller's images may
+// live on its stack. A round's decisions need no Record: AppendDecisions
+// reads them from the round's own lists (Decisions). RecoverScan decodes the
+// image, so recovery reads back exactly what was written, each record with
+// its entry's handle. A prune compacts the view and the image in place once
+// pruned operations' records exceed a quarter of the live ones, and later
+// appends refill the segments and chunks it empties: both are bounded by the
+// live records, and a log churning at a steady size allocates nothing. The
+// entries live in a segmented slab too; compaction tells a pruned
+// operation's records by their handle, and releases the handle for reuse
+// with the last of them.
 package wal
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cxfs/internal/disk"
@@ -87,19 +89,24 @@ func (t RecType) String() string {
 	return fmt.Sprintf("rectype(%d)", uint8(t))
 }
 
+// Handle names an operation's entry in the log, from the append that makes
+// it until its prune; the zero Handle names none.
+type Handle int32
+
 // Record is one log record as its producers write it and recovery reads it
 // back. Only Result records carry a sub-op payload and row images; the images
 // let recovery redo a committed operation (install After) or undo an aborted
 // one (install Before) idempotently. The log keeps a record's encoding, never
 // the Record: its slices may point anywhere, the caller's stack included.
 type Record struct {
-	Type RecType
-	Op   types.OpID
-	Role types.Role
-	OK   bool        // Result: whether the sub-op succeeded
-	Sub  types.SubOp // Result: the sub-op, for crash resumption
-	Pre  []types.Row // Result: primary-row images pre-execution
-	Post []types.Row // Result: primary-row images post-execution
+	Type  RecType
+	Entry Handle // the operation's entry; 0 makes one (not encoded)
+	Op    types.OpID
+	Role  types.Role
+	OK    bool        // Result: whether the sub-op succeeded
+	Sub   types.SubOp // Result: the sub-op, for crash resumption
+	Pre   []types.Row // Result: primary-row images pre-execution
+	Post  []types.Row // Result: primary-row images post-execution
 	// Before and After are more images, pre- and post-execution, in text
 	// form, for a producer that holds its rows' keys only as text. The log
 	// writes them after Pre's and Post's, byte for byte as it would write
@@ -121,14 +128,14 @@ func (r Record) String() string {
 
 // Decisions is a batch of decision records (Commit, Abort, Complete) as the
 // round that makes them holds them: N records of one Role, with Peer when
-// HasPeer, the i-th of the operation and type At(i) returns. Each is written
-// byte for byte as the Record of the same fields.
+// HasPeer, the i-th of the operation, type and entry At(i) returns. Each is
+// written byte for byte as the Record of the same fields.
 type Decisions struct {
 	Role    types.Role
 	Peer    types.NodeID
 	HasPeer bool
 	N       int
-	At      func(i int) (types.OpID, RecType)
+	At      func(i int) (types.OpID, RecType, Handle)
 }
 
 // record returns a batch's i-th record: recs', or dec's written into tmp.
@@ -136,21 +143,18 @@ func record(recs []Record, dec *Decisions, i int, tmp *Record) *Record {
 	if dec == nil {
 		return &recs[i]
 	}
-	op, t := dec.At(i)
-	*tmp = Record{Type: t, Op: op, Role: dec.Role, Peer: dec.Peer, HasPeer: dec.HasPeer}
+	op, t, h := dec.At(i)
+	*tmp = Record{Type: t, Entry: h, Op: op, Role: dec.Role, Peer: dec.Peer, HasPeer: dec.HasPeer}
 	return tmp
 }
 
-// opEntry is the per-operation index entry. Entries live by value in a slab
-// (WAL.entries) and are named by their position there, a handle: the index
-// maps an operation to its entry's handle, and every record in the view
-// carries its entry's. A pruned entry leaves the index at once but stays in
-// the slab, marked, until compaction has dropped its last record from the
-// view; only then does its handle go on the free list for a later operation.
+// opEntry is an operation's entry, by value in a slab (WAL.entries) at its
+// handle minus one. A pruned entry stays there, marked, until compaction has
+// dropped its last record from the view; only then does its handle go on
+// the free list for a later operation.
 type opEntry struct {
 	bytes  int64  // live bytes this op holds in the log
 	recs   uint32 // records this op holds in the view
-	types  uint8  // bitmask of record types present
 	pruned bool
 }
 
@@ -160,10 +164,8 @@ type viewRec struct {
 	op    types.OpID
 	pos   uint32
 	size  uint32
-	entry int32
+	entry Handle
 }
-
-func bit(t RecType) uint8 { return 1 << uint(t) }
 
 // fullWaiter is an appender blocked on log space.
 type fullWaiter struct {
@@ -184,7 +186,7 @@ type Stats struct {
 
 // window is a group-commit flush window: the encodings of the records of
 // every caller batch parked in it, in arrival order, what admitting each one
-// needs (its operation, type and size), and the parked callers, which done
+// needs (its operation, size and entry), and the parked callers, which done
 // wakes in arrival order. The WAL keeps two and alternates them — one fills
 // while the flusher writes the other — so a parked batch costs no allocation
 // once the buffers have grown, and the caller's records never leave its
@@ -199,9 +201,9 @@ type window struct {
 // winRec is a record parked in a window; its bytes follow the previous
 // record's in the window's buffer.
 type winRec struct {
-	op   types.OpID
-	typ  RecType
-	size uint32
+	op    types.OpID
+	size  uint32
+	entry Handle
 }
 
 // park encodes one caller batch into the window and blocks the caller until
@@ -214,7 +216,7 @@ func (win *window) park(p *simrt.Proc, n int, recs []Record, dec *Decisions) {
 	for i := range n {
 		rec, k := record(recs, dec, i, &tmp), len(win.buf)
 		win.buf = appendRecord(win.buf, rec)
-		win.recs = append(win.recs, winRec{op: rec.Op, typ: rec.Type, size: uint32(len(win.buf) - k)})
+		win.recs = append(win.recs, winRec{op: rec.Op, size: uint32(len(win.buf) - k), entry: rec.Entry})
 	}
 	win.reqs++
 	win.done.Wait(p)
@@ -241,11 +243,10 @@ type WAL struct {
 
 	head int64 // next append offset relative to base
 	live int64 // bytes of un-pruned records
-	// index maps each live op to its entry's handle in entries; freeEntries
-	// holds the handles compaction has released.
-	index       seg.Index[int32]
+	// entries holds the operations' entries; freeEntries the handles
+	// compaction has released.
 	entries     seg.Seq[opEntry]
-	freeEntries []int32
+	freeEntries []Handle
 	// ordered is the durable records in append order, for RecoverScan: the
 	// live ones, and a pruned op's until the next compaction; img holds their
 	// encodings in the same order. liveRecs counts the live ones; Prune
@@ -308,33 +309,23 @@ func (w *WAL) Stats() Stats { return w.stats }
 // "valid-records size" when the caller prunes eagerly after commitment.
 func (w *WAL) LiveBytes() int64 { return w.live }
 
-// OpBytes returns the live bytes attributed to one operation.
-func (w *WAL) OpBytes(op types.OpID) int64 {
-	if h, ok := w.index.Get(op); ok {
-		return w.entries.At(int(h)).bytes
-	}
-	return 0
-}
-
-// Has reports whether the log holds a record of type t for op.
-func (w *WAL) Has(op types.OpID, t RecType) bool {
-	h, ok := w.index.Get(op)
-	return ok && w.entries.At(int(h)).types&bit(t) != 0
-}
-
-// Append synchronously writes one record, blocking until durable. If the
-// log is at its limit the call stalls until pruning frees space. The log
-// keeps the record's encoding, never rec's slices: the caller may reuse or
-// overwrite its images as soon as the call returns.
-func (w *WAL) Append(p *simrt.Proc, rec Record) {
-	w.AppendBatch(p, []Record{rec})
+// Append synchronously writes one record, blocking until durable, and
+// returns its entry (AppendBatch). If the log is at its limit the call
+// stalls until pruning frees space. The log keeps the record's encoding,
+// never rec's slices: the caller may reuse or overwrite its images as soon
+// as the call returns.
+func (w *WAL) Append(p *simrt.Proc, rec Record) Handle {
+	recs := [1]Record{rec}
+	w.appendBatch(p, 1, recs[:], nil, false)
+	return recs[0].Entry
 }
 
 // AppendBatch synchronously writes several records as one sequential disk
-// request — the batched commitment path. Like Append, it keeps nothing of
-// recs. Appends on a crashed log are silently discarded: the in-flight
-// handler that issued them died with the server and its records must not
-// appear durable.
+// request — the batched commitment path — and fills in each Entry 0 with the
+// entry it made (makeEntries). Like Append, it keeps nothing of recs.
+// Appends on a crashed log are silently discarded, with the entries they
+// made: the in-flight handler that issued them died with the server and its
+// records must not appear durable.
 func (w *WAL) AppendBatch(p *simrt.Proc, recs []Record) {
 	w.appendBatch(p, len(recs), recs, nil, false)
 }
@@ -371,8 +362,10 @@ func (w *WAL) appendBatch(p *simrt.Proc, n int, recs []Record, dec *Decisions, p
 			return
 		}
 	}
+	w.makeEntries(recs)
 	if w.linger > 0 {
 		w.groupAppend(p, n, recs, dec)
+		w.unmake(recs)
 		return
 	}
 	// Reserve the offset range before blocking on the disk so concurrent
@@ -385,11 +378,12 @@ func (w *WAL) appendBatch(p *simrt.Proc, n int, recs []Record, dec *Decisions, p
 		// holds even when the server already rebooted — a record from the
 		// dead incarnation must not materialize in the post-reboot log after
 		// recovery has scanned it.
+		w.unmake(recs)
 		return
 	}
 	for i := range n {
 		rec := record(recs, dec, i, &tmp)
-		room := w.admit(rec.Op, rec.Type, encodedSize(rec))
+		room := w.admit(rec.Op, rec.Entry, encodedSize(rec))
 		if k := len(appendRecord(room[:0], rec)); k != len(room) {
 			panic(fmt.Sprintf("wal: a %v record of %v encodes to %d bytes, sized %d", rec.Type, rec.Op, k, len(room)))
 		}
@@ -428,7 +422,7 @@ func (w *WAL) flusher(p *simrt.Proc) {
 		if !w.crashed && gen == w.gen {
 			from := batch.buf
 			for _, r := range batch.recs {
-				copy(w.admit(r.op, r.typ, int64(r.size)), from[:r.size])
+				copy(w.admit(r.op, r.entry, int64(r.size)), from[:r.size])
 				from = from[r.size:]
 			}
 			w.stats.Appends++
@@ -471,17 +465,40 @@ func (w *WAL) waitForSpace(p *simrt.Proc, need int64) {
 // log, and when the server crashes while the caller waits.
 func (w *WAL) AwaitSpace(p *simrt.Proc) { w.waitForSpace(p, 1) }
 
-// admit indexes a durable record of op, of type typ and size bytes, adds it
-// to the view, and returns the room in the image its encoding goes to.
-func (w *WAL) admit(op types.OpID, typ RecType, size int64) []byte {
-	h, ok := w.index.Get(op)
-	if !ok {
-		h = w.newEntry()
-		w.index.Put(op, h)
+// makeEntries gives each record in recs with Entry 0 an entry: the one an
+// earlier record of its operation in recs has, or a new one.
+func (w *WAL) makeEntries(recs []Record) {
+	for i := range recs {
+		for j := 0; j < i && recs[i].Entry == 0; j++ {
+			if recs[j].Op == recs[i].Op {
+				recs[i].Entry = recs[j].Entry
+			}
+		}
+		if recs[i].Entry == 0 {
+			recs[i].Entry = w.newEntry()
+		}
 	}
-	e := w.entries.At(int(h))
+}
+
+// unmake releases the entries makeEntries made for a discarded batch, the
+// ones that hold no record (an entry a caller names holds one), and sets
+// their records' Entry back to 0.
+func (w *WAL) unmake(recs []Record) {
+	for i := range recs {
+		if h := recs[i].Entry; w.entries.At(int(h-1)).recs == 0 {
+			if !slices.Contains(w.freeEntries, h) {
+				w.freeEntries = append(w.freeEntries, h)
+			}
+			recs[i].Entry = 0
+		}
+	}
+}
+
+// admit adds a durable record of op, entry h and size bytes to the entry
+// and the view, and returns the room in the image it is encoded to.
+func (w *WAL) admit(op types.OpID, h Handle, size int64) []byte {
+	e := w.entries.At(int(h - 1))
 	e.bytes += size
-	e.types |= bit(typ)
 	e.recs++
 	w.live += size
 	w.liveRecs++
@@ -492,27 +509,26 @@ func (w *WAL) admit(op types.OpID, typ RecType, size int64) []byte {
 
 // newEntry returns the handle of an empty entry, reusing a released one when
 // there is one.
-func (w *WAL) newEntry() int32 {
+func (w *WAL) newEntry() Handle {
 	if k := len(w.freeEntries); k > 0 {
 		h := w.freeEntries[k-1]
 		w.freeEntries = w.freeEntries[:k-1]
 		return h
 	}
 	w.entries.Append(opEntry{})
-	return int32(w.entries.Len() - 1)
+	return Handle(w.entries.Len())
 }
 
-// Prune removes all records of op from the log, freeing space and waking
-// stalled appenders whose need now fits. The caller must only prune an op
-// whose terminal record (Complete on the coordinator, Commit/Abort on the
-// participant) is durable; that discipline lives in the protocol layer. It
-// returns the bytes released, 0 if op had no records.
-func (w *WAL) Prune(op types.OpID) int64 {
-	h, ok := w.index.Delete(op)
-	if !ok {
+// Prune removes all records of entry h from the log, freeing space and
+// waking stalled appenders whose need now fits. The caller must only prune an
+// op whose terminal record (Complete on the coordinator, Commit/Abort on the
+// participant) is durable, and then drop h; that discipline lives in the
+// protocol layer. It returns the bytes released, 0 for the zero handle.
+func (w *WAL) Prune(h Handle) int64 {
+	if h == 0 {
 		return 0
 	}
-	e := w.entries.At(int(h))
+	e := w.entries.At(int(h - 1))
 	e.pruned = true
 	w.live -= e.bytes
 	w.liveRecs -= int(e.recs)
@@ -532,7 +548,7 @@ func (w *WAL) Prune(op types.OpID) int64 {
 func (w *WAL) compact() {
 	c := compactor{im: &w.img}
 	w.ordered.Compact(func(r *viewRec) bool {
-		e := w.entries.At(int(r.entry))
+		e := w.entries.At(int(r.entry - 1))
 		if !e.pruned {
 			c.keep(&r.pos, r.size)
 			return true
@@ -576,39 +592,39 @@ func (w *WAL) Crash() {
 	w.win.release()
 }
 
-// Reboot re-enables the log after Crash. The index still holds every record
+// Reboot re-enables the log after Crash. The entries still hold every record
 // that was durable at crash time.
 func (w *WAL) Reboot() { w.crashed = false }
 
-// LiveOps returns the OpIDs with live records, in no particular order.
-func (w *WAL) LiveOps() []types.OpID {
-	ops := make([]types.OpID, 0, w.index.Len())
-	for op := range w.index.All() {
-		ops = append(ops, op)
-	}
-	return ops
-}
-
-// RecoverScan reads the whole live log sequentially from disk (paying the
-// read cost) and returns the surviving records in append order, decoded from
-// their encodings in the image. Called by a rebooted server to rebuild
-// protocol state. A record that fails to decode is a bug in the log, not a
-// condition recovery can handle: it panics, naming the record's operation.
-func (w *WAL) RecoverScan(p *simrt.Proc) []Record {
-	w.compact()
-	out := make([]Record, w.ordered.Len())
-	var liveBytes int64
-	for i := range out {
+// Live returns the live records in append order, decoded from their
+// encodings, each with its entry: RecoverScan's records, without its disk
+// read. A record that fails to decode is a bug in the log, not a condition
+// recovery can handle: it panics, naming the record's operation.
+func (w *WAL) Live() []Record {
+	out := make([]Record, 0, w.liveRecs)
+	for i := 0; i < w.ordered.Len(); i++ {
 		r := w.ordered.At(i)
+		if w.entries.At(int(r.entry - 1)).pruned {
+			continue
+		}
 		rec, err := decode(w.img.at(r.pos, r.size))
 		if err != nil {
 			panic(fmt.Sprintf("wal: the image of a record of %v does not decode: %v", r.op, err))
 		}
-		out[i] = rec
-		liveBytes += int64(r.size)
+		rec.Entry = r.entry
+		out = append(out, rec)
 	}
-	if liveBytes > 0 {
-		w.dsk.Access(p, w.base, liveBytes, false)
+	return out
+}
+
+// RecoverScan reads the whole live log sequentially from disk (paying the
+// read cost) and returns the surviving records (Live), for a rebooted server
+// to rebuild its state from.
+func (w *WAL) RecoverScan(p *simrt.Proc) []Record {
+	w.compact()
+	out := w.Live()
+	if w.live > 0 {
+		w.dsk.Access(p, w.base, w.live, false)
 	}
 	return out
 }
@@ -627,7 +643,7 @@ func RoundTrip(rec Record) (Record, error) {
 
 // String renders WAL state for debugging.
 func (w *WAL) String() string {
-	return fmt.Sprintf("wal{head=%d live=%d ops=%d}", w.head, w.live, w.index.Len())
+	return fmt.Sprintf("wal{head=%d live=%d records=%d}", w.head, w.live, w.liveRecs)
 }
 
 // SyncDelay estimates the cost of one small sequential append under the

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -32,6 +33,60 @@ func resultRec(seq uint64, name string) Record {
 	}
 }
 
+// The helpers below probe the log by operation, as a test asks, by scanning
+// its view: the log itself reaches an operation's entry only by handle.
+
+// entriesOf returns the handles of op's live entries, in the order of their
+// first records in the view.
+func entriesOf(w *WAL, op types.OpID) []Handle {
+	var hs []Handle
+	for i := 0; i < w.ordered.Len(); i++ {
+		r := w.ordered.At(i)
+		if r.op == op && !w.entries.At(int(r.entry-1)).pruned && !slices.Contains(hs, r.entry) {
+			hs = append(hs, r.entry)
+		}
+	}
+	return hs
+}
+
+// has reports whether the log holds a live record of type t for op.
+func has(w *WAL, op types.OpID, t RecType) bool {
+	for _, r := range w.Live() {
+		if r.Op == op && r.Type == t {
+			return true
+		}
+	}
+	return false
+}
+
+// opBytes returns the live bytes op's records hold.
+func opBytes(w *WAL, op types.OpID) (n int64) {
+	for _, h := range entriesOf(w, op) {
+		n += w.entries.At(int(h - 1)).bytes
+	}
+	return n
+}
+
+// liveOps returns the operations with live records, in the order of their
+// first records in the view.
+func liveOps(w *WAL) []types.OpID {
+	var ops []types.OpID
+	for i := 0; i < w.ordered.Len(); i++ {
+		if r := w.ordered.At(i); !w.entries.At(int(r.entry-1)).pruned && !slices.Contains(ops, r.op) {
+			ops = append(ops, r.op)
+		}
+	}
+	return ops
+}
+
+// pruneOp prunes every live entry of op and returns the bytes released.
+func pruneOp(w *WAL, op types.OpID) (n int64) {
+	for _, h := range entriesOf(w, op) {
+		n += w.Prune(h)
+	}
+	return n
+}
+
 // withWAL runs fn in a simulation with one WAL on a default disk.
 func withWAL(t *testing.T, maxBytes int64, fn func(p *simrt.Proc, w *WAL)) time.Duration {
 	t.Helper()
@@ -51,10 +106,10 @@ func TestAppendIndexesRecord(t *testing.T) {
 	withWAL(t, 0, func(p *simrt.Proc, w *WAL) {
 		rec := resultRec(1, "f1")
 		w.Append(p, rec)
-		if !w.Has(opID(1), RecResult) {
+		if !has(w, opID(1), RecResult) {
 			t.Error("Result record not indexed")
 		}
-		if w.Has(opID(1), RecCommit) {
+		if has(w, opID(1), RecCommit) {
 			t.Error("phantom Commit record")
 		}
 		if w.LiveBytes() != EncodedSize(rec) {
@@ -64,15 +119,19 @@ func TestAppendIndexesRecord(t *testing.T) {
 }
 
 func TestAppendBatchCheaperThanIndividual(t *testing.T) {
-	recs := make([]Record, 50)
-	for i := range recs {
-		recs[i] = resultRec(uint64(i), "file")
+	// A batch gets its records' entries filled in, so each run has its own.
+	records := func() []Record {
+		recs := make([]Record, 50)
+		for i := range recs {
+			recs[i] = resultRec(uint64(i), "file")
+		}
+		return recs
 	}
 	batched := withWAL(t, 0, func(p *simrt.Proc, w *WAL) {
-		w.AppendBatch(p, recs)
+		w.AppendBatch(p, records())
 	})
 	individual := withWAL(t, 0, func(p *simrt.Proc, w *WAL) {
-		for _, r := range recs {
+		for _, r := range records() {
 			w.Append(p, r)
 		}
 	})
@@ -83,18 +142,18 @@ func TestAppendBatchCheaperThanIndividual(t *testing.T) {
 
 func TestPruneFreesSpace(t *testing.T) {
 	withWAL(t, 0, func(p *simrt.Proc, w *WAL) {
-		w.Append(p, resultRec(1, "a"))
-		w.Append(p, Record{Type: RecComplete, Op: opID(1), Role: types.RoleCoordinator})
+		h := w.Append(p, resultRec(1, "a"))
+		w.Append(p, Record{Type: RecComplete, Entry: h, Op: opID(1), Role: types.RoleCoordinator})
 		w.Append(p, resultRec(2, "b"))
 		before := w.LiveBytes()
-		w.Prune(opID(1))
+		w.Prune(h)
 		if w.LiveBytes() >= before {
 			t.Error("prune did not free space")
 		}
-		if w.OpBytes(opID(1)) != 0 {
+		if opBytes(w, opID(1)) != 0 {
 			t.Error("pruned op still has bytes")
 		}
-		if w.OpBytes(opID(2)) == 0 {
+		if opBytes(w, opID(2)) == 0 {
 			t.Error("unrelated op lost its bytes")
 		}
 	})
@@ -109,14 +168,15 @@ func TestFullLogBlocksUntilPrune(t *testing.T) {
 	var stalled bool
 	w.SetFullHandler(func() { stalled = true })
 	var secondDone time.Duration
+	var first Handle
 	s.Spawn("writer", func(p *simrt.Proc) {
-		w.Append(p, rec)
+		first = w.Append(p, rec)
 		w.Append(p, resultRec(2, "yyyy")) // must stall
 		secondDone = p.Now()
 	})
 	s.Spawn("pruner", func(p *simrt.Proc) {
 		p.Sleep(5 * time.Second)
-		w.Prune(opID(1))
+		w.Prune(first)
 	})
 	s.Run()
 	s.Shutdown()
@@ -143,23 +203,24 @@ func TestAwaitSpaceHoldsAtLimitUntilPruneOrCrash(t *testing.T) {
 		handlerCalls := 0
 		w.SetFullHandler(func() { handlerCalls++ })
 		var released time.Duration
+		recs := []Record{rec, resultRec(2, "yyyy")}
 		s.Spawn("arrival", func(p *simrt.Proc) {
 			w.AwaitSpace(p) // empty log: no wait
 			if p.Now() != 0 {
 				t.Error("AwaitSpace waited on an empty log")
 			}
-			w.AppendBatchPriority(p, []Record{rec, resultRec(2, "yyyy")}) // overshoots
+			w.AppendBatchPriority(p, recs) // overshoots
 			w.AwaitSpace(p)
 			released = p.Now()
 		})
 		s.Spawn("freer", func(p *simrt.Proc) {
 			p.Sleep(time.Second)
-			w.Prune(opID(2)) // back to exactly the limit: still closed
+			w.Prune(recs[1].Entry) // back to exactly the limit: still closed
 			p.Sleep(time.Second)
 			if crash {
 				w.Crash()
 			} else {
-				w.Prune(opID(1))
+				w.Prune(recs[0].Entry)
 			}
 		})
 		s.Run()
@@ -186,10 +247,10 @@ func TestUnlimitedLogNeverStalls(t *testing.T) {
 
 func TestRecoverScanReturnsLiveRecordsInOrder(t *testing.T) {
 	withWAL(t, 0, func(p *simrt.Proc, w *WAL) {
-		w.Append(p, resultRec(1, "a"))
-		w.Append(p, resultRec(2, "b"))
-		w.Append(p, Record{Type: RecCommit, Op: opID(2), Role: types.RoleParticipant})
-		w.Prune(opID(1))
+		h1 := w.Append(p, resultRec(1, "a"))
+		h2 := w.Append(p, resultRec(2, "b"))
+		w.Append(p, Record{Type: RecCommit, Entry: h2, Op: opID(2), Role: types.RoleParticipant})
+		w.Prune(h1)
 		recs := w.RecoverScan(p)
 		if len(recs) != 2 {
 			t.Fatalf("got %d records, want 2 (op1 pruned)", len(recs))
@@ -199,6 +260,9 @@ func TestRecoverScanReturnsLiveRecordsInOrder(t *testing.T) {
 		}
 		if recs[1].Type != RecCommit {
 			t.Errorf("recs[1]=%v", recs[1])
+		}
+		if recs[0].Entry != h2 || recs[1].Entry != h2 {
+			t.Errorf("scanned entries %d and %d, want op 2's %d", recs[0].Entry, recs[1].Entry, h2)
 		}
 	})
 }
@@ -220,10 +284,10 @@ func TestRecoverScanPaysReadCost(t *testing.T) {
 
 func TestLiveOps(t *testing.T) {
 	withWAL(t, 0, func(p *simrt.Proc, w *WAL) {
-		w.Append(p, resultRec(1, "a"))
+		h := w.Append(p, resultRec(1, "a"))
 		w.Append(p, resultRec(2, "b"))
-		w.Prune(opID(1))
-		ops := w.LiveOps()
+		w.Prune(h)
+		ops := liveOps(w)
 		if len(ops) != 1 || ops[0] != opID(2) {
 			t.Errorf("LiveOps=%v", ops)
 		}
@@ -319,7 +383,8 @@ func TestDecisionsAppendAsTheirRecords(t *testing.T) {
 	for _, linger := range []time.Duration{0, 100 * time.Microsecond} {
 		for _, role := range []types.Role{types.RoleCoordinator, types.RoleParticipant} {
 			for _, peer := range []types.NodeID{-1, 3} {
-				d := Decisions{Role: role, N: len(kinds), At: func(i int) (types.OpID, RecType) { return opID(uint64(10 + i)), kinds[i] }}
+				var hs [3]Handle // the operations' entries, made by their first records
+				d := Decisions{Role: role, N: len(kinds), At: func(i int) (types.OpID, RecType, Handle) { return opID(uint64(10 + i)), kinds[i], hs[i] }}
 				if peer >= 0 {
 					d.Peer, d.HasPeer = peer, true
 				}
@@ -333,6 +398,18 @@ func TestDecisionsAppendAsTheirRecords(t *testing.T) {
 				name := fmt.Sprintf("linger=%v role=%v peer=%v", linger, role, d.HasPeer)
 				withWAL(t, 0, func(p *simrt.Proc, w *WAL) {
 					w.SetGroupCommit(linger)
+					// Each operation's first record makes its entry; the
+					// decisions name it.
+					firsts := slices.Clone(want)
+					w.AppendBatchPriority(p, firsts)
+					wantBytes := wantBytes
+					for i := range hs {
+						hs[i], want[i].Entry = firsts[i].Entry, firsts[i].Entry
+					}
+					for i := len(firsts) - 1; i >= 0; i-- {
+						wantBytes = append(appendRecord(nil, &firsts[i]), wantBytes...)
+					}
+					want := append(firsts, want...)
 					w.AppendDecisions(p, &d)
 					var got []byte
 					for i := 0; i < w.ordered.Len(); i++ {
@@ -342,8 +419,8 @@ func TestDecisionsAppendAsTheirRecords(t *testing.T) {
 					if !bytes.Equal(got, wantBytes) {
 						t.Errorf("%s: appended\n%x\nwant\n%x", name, got, wantBytes)
 					}
-					if st := w.Stats(); st.Records != uint64(len(kinds)) || st.BytesWritten != int64(len(wantBytes)) || w.LiveBytes() != int64(len(wantBytes)) {
-						t.Errorf("%s: %d records, %d bytes written, %d live; want %d records of %d bytes", name, st.Records, st.BytesWritten, w.LiveBytes(), len(kinds), len(wantBytes))
+					if st := w.Stats(); st.Records != uint64(2*len(kinds)) || st.BytesWritten != int64(len(wantBytes)) || w.LiveBytes() != int64(len(wantBytes)) {
+						t.Errorf("%s: %d records, %d bytes written, %d live; want %d records of %d bytes", name, st.Records, st.BytesWritten, w.LiveBytes(), 2*len(kinds), len(wantBytes))
 					}
 					if got := w.RecoverScan(p); !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: recovered %+v, want %+v", name, got, want)
@@ -374,9 +451,9 @@ func TestAppendBatchPriorityIgnoresLimit(t *testing.T) {
 	w := New(s, d, 0, limit)
 	var done bool
 	s.Spawn("writer", func(p *simrt.Proc) {
-		w.Append(p, rec) // fills the log
+		h := w.Append(p, rec) // fills the log
 		// A priority append (commitment record) must not stall.
-		w.AppendBatchPriority(p, []Record{{Type: RecCommit, Op: opID(1), Role: types.RoleParticipant}})
+		w.AppendBatchPriority(p, []Record{{Type: RecCommit, Entry: h, Op: opID(1), Role: types.RoleParticipant}})
 		done = true
 		s.Stop()
 	})
@@ -409,10 +486,10 @@ func TestCrashDiscardsInFlightAppends(t *testing.T) {
 	})
 	s.RunUntil(time.Minute)
 	s.Shutdown()
-	if w.Has(opID(2), RecResult) {
+	if has(w, opID(2), RecResult) {
 		t.Error("crashed-period append became durable")
 	}
-	if !w.Has(opID(3), RecResult) {
+	if !has(w, opID(3), RecResult) {
 		t.Error("post-reboot append lost")
 	}
 }
@@ -504,10 +581,10 @@ func TestStringersAndSyncDelay(t *testing.T) {
 }
 
 // TestAppendFreshOpWarmNoAlloc pins what one logged op costs the heap once
-// the log is warm: its index entry lives by value in a reused slab, its
+// the log is warm: its entry lives by value in a reused slab, its
 // record's encoding in the image's reused chunks, and the disk request comes
 // from the disk's free list, so appending the first record of a new op and
-// pruning it later allocates nothing. The record is a Result-Record whose
+// pruning it later by its handle allocates nothing. The record is a Result-Record whose
 // images live in a local array of the appending proc, as a protocol's come
 // from the Result on its stack: the log keeps their bytes, not the slices, so
 // the array stays on the stack too. (A log that kept the Record moved it to
@@ -517,6 +594,7 @@ func TestAppendFreshOpWarmNoAlloc(t *testing.T) {
 	defer s.Shutdown()
 	w := New(s, disk.New(s, "d", disk.DefaultParams()), 0, 1<<20)
 	seq := uint64(0)
+	var hs [9]Handle // the last nine ops' entries, by seq % 9
 	s.Spawn("appender", func(p *simrt.Proc) {
 		for {
 			seq++
@@ -528,9 +606,11 @@ func TestAppendFreshOpWarmNoAlloc(t *testing.T) {
 			imgs[1].Val, _ = types.ValOf(val[:])
 			rec := resultRec(seq, "f")
 			rec.Pre, rec.Post = imgs[:1], imgs[1:]
-			w.AppendBatchPriority(p, []Record{rec})
+			recs := []Record{rec}
+			w.AppendBatchPriority(p, recs)
+			hs[seq%9] = recs[0].Entry
 			if seq > 8 {
-				w.Prune(opID(seq - 8)) // eight ops stay live
+				w.Prune(hs[(seq-8)%9]) // eight ops stay live
 			}
 			p.Sleep(time.Second)
 		}
@@ -542,7 +622,78 @@ func TestAppendFreshOpWarmNoAlloc(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("appending and pruning ten fresh ops allocates %.1f objects, want 0", allocs)
 	}
-	if seq-before < 900 || len(w.LiveOps()) != 8 {
-		t.Errorf("%d ops appended in the measured rounds, %d live; want >= 900 and 8", seq-before, len(w.LiveOps()))
+	if seq-before < 900 || len(liveOps(w)) != 8 {
+		t.Errorf("%d ops appended in the measured rounds, %d live; want >= 900 and 8", seq-before, len(liveOps(w)))
+	}
+}
+
+// An operation's first append makes its entry and returns the handle; the
+// operation's later records, in a batch or not, name it and land in it; a
+// batch's first record of a new operation and a later one with Entry 0
+// share one new entry; and a prune by handle releases that operation's
+// records and no other's. The handle goes back on the free list only when
+// compaction drops its last record, and a later operation's first append
+// then reuses it.
+func TestAppendByHandle(t *testing.T) {
+	withWAL(t, 0, func(p *simrt.Proc, w *WAL) {
+		h1 := w.Append(p, resultRec(1, "a"))
+		h2 := w.Append(p, resultRec(2, "b"))
+		if h1 == 0 || h2 == 0 || h1 == h2 {
+			t.Fatalf("first appends returned entries %d and %d", h1, h2)
+		}
+		if h := w.Append(p, Record{Type: RecCommit, Entry: h1, Op: opID(1), Role: types.RoleCoordinator}); h != h1 {
+			t.Errorf("a later record of op 1 came back in entry %d, want %d", h, h1)
+		}
+		batch := []Record{resultRec(3, "c"), {Type: RecCommit, Op: opID(3), Role: types.RoleCoordinator}, {Type: RecComplete, Entry: h2, Op: opID(2), Role: types.RoleCoordinator}}
+		w.AppendBatch(p, batch)
+		if h3 := batch[0].Entry; h3 == 0 || batch[1].Entry != h3 || h3 == h1 || h3 == h2 || batch[2].Entry != h2 {
+			t.Errorf("a batch's entries: %d, %d, %d; want a new one twice, then %d", batch[0].Entry, batch[1].Entry, batch[2].Entry, h2)
+		}
+		for _, r := range w.Live() {
+			if want := map[types.OpID]Handle{opID(1): h1, opID(2): h2, opID(3): batch[0].Entry}[r.Op]; r.Entry != want {
+				t.Errorf("a %v record of %v is in entry %d, want %d", r.Type, r.Op, r.Entry, want)
+			}
+		}
+		for seq := uint64(10); seq < 20; seq++ { // live records enough that one prune leaves the view be
+			w.Append(p, resultRec(seq, "x"))
+		}
+		want := opBytes(w, opID(1))
+		if got := w.Prune(h1); got != want || opBytes(w, opID(1)) != 0 || opBytes(w, opID(2)) == 0 {
+			t.Errorf("pruning entry %d released %d bytes, want op 1's %d and op 2's untouched", h1, got, want)
+		}
+		if slices.Contains(w.freeEntries, h1) {
+			t.Error("a pruned entry was released before compaction dropped its records")
+		}
+		// Prune enough that dead records exceed a quarter of the live ones:
+		// the view compacts, dropping op 1's records and releasing h1.
+		w.Prune(h2)
+		if !slices.Contains(w.freeEntries, h1) || !slices.Contains(w.freeEntries, h2) {
+			t.Fatalf("compaction dropped the pruned entries' records but released %v", w.freeEntries)
+		}
+		if h := w.Append(p, resultRec(4, "d")); h != h2 && h != h1 {
+			t.Errorf("a new op got entry %d, not a released one (%d or %d)", h, h1, h2)
+		}
+	})
+}
+
+// A first append the log discards — the server crashed while it was on the
+// disk or parked in the group-commit window — makes no entry: it returns
+// the zero handle, and the entry it took goes back on the free list.
+func TestDiscardedFirstAppendMakesNoEntry(t *testing.T) {
+	for _, linger := range []time.Duration{0, 100 * time.Microsecond} {
+		s := simrt.New(1)
+		w := New(s, disk.New(s, "d", disk.DefaultParams()), 0, 0)
+		w.SetGroupCommit(linger)
+		var got Handle = -1
+		s.Spawn("writer", func(p *simrt.Proc) { got = w.Append(p, resultRec(1, "a")) })
+		s.Spawn("crasher", func(p *simrt.Proc) {
+			p.Sleep(50 * time.Microsecond)
+			w.Crash()
+		})
+		s.Run()
+		s.Shutdown()
+		if got != 0 || w.entries.Len() != len(w.freeEntries) || len(w.Live()) != 0 {
+			t.Errorf("linger %v: the discarded append returned entry %d; %d entries made, %d free", linger, got, w.entries.Len(), len(w.freeEntries))
+		}
 	}
 }
