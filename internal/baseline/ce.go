@@ -59,13 +59,14 @@ func (s *CEServer) handle(p *simrt.Proc, pk *transport.Packet) {
 	}
 }
 
-// coordinate migrates, executes locally, migrates back, responds.
+// coordinate migrates, executes locally, migrates back, responds, once the
+// log admits the operation.
 func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	if servedAside(s.Base, m) {
 		return
 	}
 	op := m.FullOp
-	if !s.Begin(op.ID, m.From) {
+	if !s.Admit(p) || !s.Begin(op.ID, m.From) {
 		return
 	}
 	defer s.End(op.ID)

@@ -133,11 +133,14 @@ func (s *SEServer) persist(p *simrt.Proc, id types.OpID, sub types.SubOp, res na
 	s.localOps = append(s.localOps, localFlush{id: id, log: h, rows: res.Rows})
 }
 
+// handleSubOp executes one sub-op and answers it. A mutating one is a new
+// arrival the log may hold at its limit (node.Base.Admit); in plain mode the
+// log stays empty, so it never does.
 func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	sub := m.Sub
 	mutating := sub.Action.Mutating()
 	if mutating {
-		if !s.Begin(sub.Op, m.From) {
+		if !s.Admit(p) || !s.Begin(sub.Op, m.From) {
 			return
 		}
 		defer s.End(sub.Op)
@@ -196,13 +199,14 @@ func (s *SEServer) handleClear(p *simrt.Proc, m *wire.Msg) {
 	s.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op, OK: true})
 }
 
-// handleLocalOp executes a colocated cross-server op locally.
+// handleLocalOp executes a colocated cross-server op locally, once the log
+// admits it.
 func (s *SEServer) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	if servedAside(s.Base, m) {
 		return
 	}
 	op := m.FullOp
-	if !s.Begin(op.ID, m.From) {
+	if !s.Admit(p) || !s.Begin(op.ID, m.From) {
 		return
 	}
 	defer s.End(op.ID)

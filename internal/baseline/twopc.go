@@ -69,13 +69,15 @@ func (s *TwoPCServer) handle(p *simrt.Proc, pk *transport.Packet) {
 	}
 }
 
-// coordinate runs the whole transaction for one client operation.
+// coordinate runs the whole transaction for one client operation, once the
+// log admits it: its decision and Complete-Record, whose durability lets the
+// prune free space, are never held behind the limit.
 func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	if servedAside(s.Base, m) {
 		return
 	}
 	op := m.FullOp
-	if !s.Begin(op.ID, m.From) {
+	if !s.Admit(p) || !s.Begin(op.ID, m.From) {
 		return // a transaction still running (or queued on locks), or finished
 	}
 	defer s.End(op.ID)

@@ -332,7 +332,7 @@ func TestWriteBackCompactsTheFlushQueueInPlace(t *testing.T) {
 			for _, e := range es {
 				recs = append(recs, wal.Record{Type: wal.RecComplete, Op: e.id, Role: types.RoleCoordinator})
 			}
-			s.WAL.AppendBatchPriority(p, recs)
+			s.WAL.AppendBatch(p, recs)
 			for _, rec := range recs {
 				for i := 0; i < s.flushQ.Len(); i++ {
 					if fe := s.flushQ.At(i); fe.id == rec.Op {

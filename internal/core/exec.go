@@ -21,7 +21,7 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	// a participant half is never held, because the VOTE that frees the
 	// space may be waiting for exactly that half.
 	if sub.Role != types.RoleParticipant && (sub.Kind.CrossServer() || sub.Action.Mutating()) {
-		if !s.admit(p) {
+		if !s.Admit(p) {
 			return
 		}
 	}
@@ -69,20 +69,10 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	s.execSubOp(p, m, st, types.NilOp, 1, seen)
 }
 
-// admit holds a new arrival while the log is at its limit and reports
-// whether the server is still the incarnation that received it. The hold
-// comes before execution so that nothing a held request wrote can reach a
-// page ahead of its Result-Record.
-func (s *Server) admit(p *simrt.Proc) bool {
-	boot := s.Boot()
-	s.WAL.AwaitSpace(p)
-	return !s.Gone(boot)
-}
-
 // logResults makes the Result-Records of an execution that has just written
 // the volatile image durable, and returns their log entry and whether the
 // server is still the incarnation boot. The hold for log space happened
-// before the execution (admit), so the append is ungated; until it returns,
+// before the execution (Admit), so the append is ungated; until it returns,
 // rows — the rows the records carry an after-image of (written) — are
 // pinned, and write-back leaves them alone: a page must never land ahead of
 // the record that can undo it. A crash drops the pins with the rest of the
@@ -91,7 +81,7 @@ func (s *Server) logResults(p *simrt.Proc, boot uint64, recs []wal.Record, rows 
 	for _, row := range rows {
 		s.KV.Pin(row)
 	}
-	s.WAL.AppendBatchPriority(p, recs)
+	s.WAL.AppendBatch(p, recs)
 	if s.Gone(boot) {
 		return 0, false
 	}
@@ -339,7 +329,7 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	if !op.Kind.CrossServer() {
 		return // reads and single-server updates travel as SUBOP-REQ
 	}
-	if !s.admit(p) { // the log-limit hold, as in handleSubOp
+	if !s.Admit(p) { // the log-limit hold, as in handleSubOp
 		return
 	}
 	if st := s.find(op.ID); st != nil && (st.parked != nil || st.phase != phaseNone) || !s.Begin(op.ID, m.From) {

@@ -492,7 +492,7 @@ func (s *Server) invalidate(p *simrt.Proc, victim types.OpID, afterOp types.OpID
 	if s.step(StepInvalidateAfterUndo, victim, 0, func() string { return e.sub.Kind.String() }) {
 		return false
 	}
-	s.WAL.AppendBatchPriority(p, []wal.Record{{Type: wal.RecInvalidate, Entry: e.log, Op: victim, Role: e.sub.Role}})
+	s.WAL.AppendBatch(p, []wal.Record{{Type: wal.RecInvalidate, Entry: e.log, Op: victim, Role: e.sub.Role}})
 	if s.step(StepInvalidateMid, victim, 0, nil) {
 		return false
 	}

@@ -160,7 +160,7 @@ func fillLog(p *simrt.Proc, s *Server, op types.OpID) wal.Handle {
 		Sub: types.SubOp{Op: op, Name: "filler"}}
 	for s.WAL.LiveBytes() < s.WAL.MaxBytes() {
 		recs := []wal.Record{rec}
-		s.WAL.AppendBatchPriority(p, recs)
+		s.WAL.AppendBatch(p, recs)
 		rec.Entry = recs[0].Entry
 	}
 	return rec.Entry

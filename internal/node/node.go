@@ -1,7 +1,8 @@
 // Package node provides the chassis shared by every protocol, so that Cx
 // and the baselines differ in their protocol and in nothing else. Base is
 // the server side: the simulated hardware (disk, log, database, namespace
-// shard), the served inbox, crash/reboot plumbing, at-most-once execution for
+// shard), the served inbox, crash/reboot plumbing, the log's one gate for new
+// arrivals (Admit), at-most-once execution for
 // retried requests (once.go: a reply cache of the last replyCap finished
 // operations, kept in a ring that overwrites its oldest reply in place, and
 // the server's one op-ID index, which files each operation's executing mark,
@@ -311,6 +312,20 @@ func (b *Base) Boot() uint64 { return b.boot }
 // registering reply routes over) state from a previous incarnation corrupts
 // the rebuilt one.
 func (b *Base) Gone(boot uint64) bool { return b.crashed || b.boot != boot }
+
+// Admit is the log's one gate, under every protocol (§III.D: "a server
+// must block the new-arrival sub-op requests and perform pruning"): it holds
+// a new arrival while the log is at its limit (wal.WAL.AwaitSpace) and
+// reports whether the server is still the incarnation that received it. A
+// handler calls it once, before it executes anything, and appends ungated
+// after it. A participant's half (a Cx participant sub-op, a 2PC VOTE, a
+// CE migration) is never held: the coordinator that would free the space
+// may be waiting for exactly that half.
+func (b *Base) Admit(p *simrt.Proc) bool {
+	boot := b.boot
+	b.WAL.AwaitSpace(p)
+	return !b.Gone(boot)
+}
 
 // ServeReaddir answers a readdir request against this server's namespace
 // partition: directories are striped by entry hash, so each server returns

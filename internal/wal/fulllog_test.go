@@ -9,47 +9,58 @@ import (
 	"cxfs/internal/types"
 )
 
-// TestOversizedBatchDoesNotDeadlock pins the full-handler liveness fix: a
-// batch larger than the whole log can never fit, no matter how much the
-// full-handler prunes, so the gate must admit it with a transient overshoot
-// instead of parking the appender forever.
-func TestOversizedBatchDoesNotDeadlock(t *testing.T) {
+// A record larger than the whole log can never fit, no matter how much is
+// pruned, so nothing may wait for room for it: an admitted arrival appends
+// it past the limit at once, and the next arrival is held until it is
+// pruned (here by the full handler, as a protocol's commitment would).
+func TestOversizedRecordHoldsTheNextArrival(t *testing.T) {
 	rec := resultRec(1, "oversized-name-making-the-record-big")
 	max := EncodedSize(rec) / 2 // log smaller than one record
 	s := simrt.New(1)
 	d := disk.New(s, "d", disk.DefaultParams())
 	w := New(s, d, 0, max)
+	admitted := false
 	w.SetFullHandler(func() {
-		// Prune everything — still not enough room for the batch.
+		if !has(w, opID(1), RecResult) {
+			t.Error("the full handler ran before the oversized record was durable")
+		}
+		admitted = true
 		for _, op := range liveOps(w) {
 			pruneOp(w, op)
 		}
 	})
-	done := false
+	var held bool
 	s.Spawn("writer", func(p *simrt.Proc) {
+		w.AwaitSpace(p) // empty log: admitted
 		w.Append(p, rec)
-		done = true
+		held = w.LiveBytes() > max
+		w.AwaitSpace(p) // the next arrival: held until the prune
+		w.Append(p, resultRec(2, "next"))
 		s.Stop()
 	})
 	s.RunUntil(time.Minute)
 	s.Shutdown()
-	if !done {
-		t.Fatal("oversized batch deadlocked the appender")
+	if !held || !admitted {
+		t.Fatalf("oversized record appended past the limit: %v; next arrival held until the prune: %v", held, admitted)
 	}
-	if !has(w, opID(1), RecResult) {
-		t.Error("oversized batch not admitted")
+	if has(w, opID(1), RecResult) || !has(w, opID(2), RecResult) {
+		t.Error("the next arrival's record did not land after the oversized one was pruned")
+	}
+	if st := w.Stats(); st.FullStalls != 1 {
+		t.Errorf("%d stalls counted, want the next arrival's one", st.FullStalls)
 	}
 }
 
-// burstNoDeadlock fills the log with ops awaiting commitment and stalls a
-// new arrival; the full-handler then runs a commitment burst — priority
-// Commit records (which bypass the gate but still count toward live bytes,
-// overshooting the limit) followed by pruning. The stalled append must
-// complete. Exercised with and without group commit.
+// burstNoDeadlock fills the log with ops awaiting commitment and holds a
+// new arrival; the full-handler then runs a commitment burst — Commit
+// records, which wait for nothing but still count toward live bytes,
+// overshooting the limit — followed by pruning. The held arrival must then
+// be admitted and its append complete. Exercised with and without group
+// commit.
 func burstNoDeadlock(t *testing.T, linger time.Duration) {
 	t.Helper()
 	fill := []Record{resultRec(1, "fill-a"), resultRec(2, "fill-b")}
-	max := EncodedSize(fill[0]) + EncodedSize(fill[1]) + 4
+	max := EncodedSize(fill[0]) + EncodedSize(fill[1])
 	s := simrt.New(1)
 	d := disk.New(s, "d", disk.DefaultParams())
 	w := New(s, d, 0, max)
@@ -61,12 +72,12 @@ func burstNoDeadlock(t *testing.T, linger time.Duration) {
 			return // one commitment burst is in flight; it will free space
 		}
 		s.Spawn("commit-burst", func(p *simrt.Proc) {
-			w.AppendBatchPriority(p, []Record{
+			w.AppendBatch(p, []Record{
 				{Type: RecCommit, Entry: fill[0].Entry, Op: opID(1), Role: types.RoleParticipant},
 				{Type: RecCommit, Entry: fill[1].Entry, Op: opID(2), Role: types.RoleParticipant},
 			})
 			if w.LiveBytes() <= max {
-				t.Error("priority burst did not overshoot: scenario lost its bite")
+				t.Error("commitment burst did not overshoot: scenario lost its bite")
 			}
 			w.Prune(fill[0].Entry)
 			w.Prune(fill[1].Entry)
@@ -76,17 +87,21 @@ func burstNoDeadlock(t *testing.T, linger time.Duration) {
 	s.Spawn("writer", func(p *simrt.Proc) {
 		w.AppendBatch(p, fill[:1])
 		w.AppendBatch(p, fill[1:])
-		w.Append(p, resultRec(3, "newcomer")) // must stall, then complete
+		w.AwaitSpace(p) // the newcomer: must be held, then admitted
+		w.Append(p, resultRec(3, "newcomer"))
 		done = true
 		s.Stop()
 	})
 	s.RunUntil(time.Minute)
 	s.Shutdown()
 	if !done {
-		t.Fatal("commitment burst at a full log deadlocked the appender")
+		t.Fatal("commitment burst at a full log deadlocked the held arrival")
+	}
+	if bursts == 0 || w.Stats().FullStalls == 0 {
+		t.Error("the newcomer was never held: scenario lost its bite")
 	}
 	if !has(w, opID(3), RecResult) {
-		t.Error("stalled append never admitted")
+		t.Error("held arrival never admitted")
 	}
 	if has(w, opID(1), RecResult) {
 		t.Error("committed op not pruned")

@@ -235,9 +235,12 @@ func TestGroupCommitDeterministicStats(t *testing.T) {
 	}
 }
 
+// The gate counts the bytes parked in the group-commit window: with two
+// arrivals' records parked and none yet durable, a log with room for two is
+// full, and the third arrival is held until a prune.
 func TestGroupCommitSpaceGateCountsWindowBytes(t *testing.T) {
 	rec := procRec(1, 1)
-	limit := 2*EncodedSize(rec) + 8 // room for two records, not three
+	limit := 2 * EncodedSize(rec) // room for two records, not three
 	s := simrt.New(1)
 	d := disk.New(s, "d", disk.DefaultParams())
 	w := New(s, d, 0, limit)
@@ -247,6 +250,7 @@ func TestGroupCommitSpaceGateCountsWindowBytes(t *testing.T) {
 		i := i
 		client := types.NodeID(i + 1)
 		s.Spawn("appender", func(p *simrt.Proc) {
+			w.AwaitSpace(p)
 			w.Append(p, procRec(client, 1))
 			order = append(order, i)
 		})
@@ -262,6 +266,6 @@ func TestGroupCommitSpaceGateCountsWindowBytes(t *testing.T) {
 		t.Fatalf("only %d/3 appenders completed", len(order))
 	}
 	if w.Stats().FullStalls == 0 {
-		t.Error("third append squeezed past the gate: window bytes not counted")
+		t.Error("third arrival squeezed past the gate: window bytes not counted")
 	}
 }

@@ -292,7 +292,7 @@ func TestRecordViewAllocationStaysBounded(t *testing.T) {
 			if seq > completeLag {
 				recs = append(recs, Record{Type: RecComplete, Entry: at(seq - completeLag), Op: opID(seq - completeLag), Role: types.RoleCoordinator})
 			}
-			w.AppendBatchPriority(p, recs)
+			w.AppendBatch(p, recs)
 			held[seq%uint64(len(held))] = recs[0].Entry
 			if seq > peakOps {
 				w.Prune(at(seq - peakOps))

@@ -17,13 +17,13 @@
 // the sequential write. Batched appends serialize several records into one
 // disk request, which is where lazy commitment wins back log bandwidth.
 //
-// When the log reaches its upper limit, appends block until pruning frees
-// space (§III.D: "a server must block the new-arrival sub-op requests and
-// perform pruning"); a registered full-handler lets the protocol launch the
-// commitments that make pruning possible. A protocol that must not hold a
-// request between executing it and logging it (Cx) waits with AwaitSpace
-// before it executes and then appends ungated. Pruning drops all records of
-// an operation once its terminal record is durable.
+// When the log reaches its upper limit, new arrivals wait until pruning
+// frees space (§III.D: "a server must block the new-arrival sub-op requests
+// and perform pruning"): a server holds each in AwaitSpace before executing
+// it, and no append waits, so the records whose prune frees space are never
+// held. A registered full-handler lets the protocol launch the commitments
+// that make pruning possible. Pruning drops all records of an operation
+// once its terminal record is durable.
 //
 // In memory the log is its entries — per operation, its live bytes and which
 // record types it holds — and, for the recovery scan, the durable records in
@@ -167,19 +167,13 @@ type viewRec struct {
 	entry Handle
 }
 
-// fullWaiter is an appender blocked on log space.
-type fullWaiter struct {
-	need int64
-	ok   *simrt.Signal
-}
-
 // Stats aggregates WAL activity.
 type Stats struct {
 	Appends      uint64 // disk write operations (batches count once)
 	Records      uint64 // records appended
 	BytesWritten int64
 	Pruned       uint64 // records removed by pruning
-	FullStalls   uint64 // times an append had to wait for space
+	FullStalls   uint64 // times an arrival waited for space (AwaitSpace)
 	GroupFlushes uint64 // group-commit disk writes (subset of Appends)
 	GroupedReqs  uint64 // caller append requests coalesced by group commit
 }
@@ -258,7 +252,7 @@ type WAL struct {
 	img      image
 	liveRecs int
 
-	waiters     []fullWaiter
+	waiters     []*simrt.Signal // AwaitSpace callers held at the limit
 	fullHandler func()
 	crashed     bool
 	gen         uint64 // incarnation; bumped by Crash so in-flight writes from
@@ -284,7 +278,7 @@ func New(s *simrt.Sim, d *disk.Disk, base, maxBytes int64) *WAL {
 }
 
 // SetFullHandler registers fn to be invoked (in simulation context, without
-// blocking) whenever an appender or AwaitSpace caller must wait for space.
+// blocking) whenever an AwaitSpace caller must wait for space.
 // The Cx core uses it as the backstop that starts a log-pressure round.
 func (w *WAL) SetFullHandler(fn func()) { w.fullHandler = fn }
 
@@ -310,43 +304,35 @@ func (w *WAL) Stats() Stats { return w.stats }
 func (w *WAL) LiveBytes() int64 { return w.live }
 
 // Append synchronously writes one record, blocking until durable, and
-// returns its entry (AppendBatch). If the log is at its limit the call
-// stalls until pruning frees space. The log keeps the record's encoding,
-// never rec's slices: the caller may reuse or overwrite its images as soon
-// as the call returns.
+// returns its entry (AppendBatch). It never waits for log space: the hold at
+// the limit is on new arrivals, before they execute (AwaitSpace), so an
+// append may carry the log past its limit. The log keeps the record's
+// encoding, never rec's slices: the caller may reuse or overwrite its images
+// as soon as the call returns.
 func (w *WAL) Append(p *simrt.Proc, rec Record) Handle {
 	recs := [1]Record{rec}
-	w.appendBatch(p, 1, recs[:], nil, false)
+	w.appendBatch(p, 1, recs[:], nil)
 	return recs[0].Entry
 }
 
 // AppendBatch synchronously writes several records as one sequential disk
 // request — the batched commitment path — and fills in each Entry 0 with the
-// entry it made (makeEntries). Like Append, it keeps nothing of recs.
-// Appends on a crashed log are silently discarded, with the entries they
-// made: the in-flight handler that issued them died with the server and its
-// records must not appear durable.
+// entry it made (makeEntries). Like Append, it never waits for log space and
+// keeps nothing of recs. Appends on a crashed log are silently discarded,
+// with the entries they made: the in-flight handler that issued them died
+// with the server and its records must not appear durable.
 func (w *WAL) AppendBatch(p *simrt.Proc, recs []Record) {
-	w.appendBatch(p, len(recs), recs, nil, false)
+	w.appendBatch(p, len(recs), recs, nil)
 }
 
-// AppendBatchPriority is AppendBatch without the log-size gate. Commitment
-// and recovery records use it: they are the very records whose durability
-// lets pruning free space, so blocking them on a full log would deadlock.
-// Only new-arrival sub-op requests are subject to the limit, per §III.D
-// ("a server must block the new-arrival sub-op requests").
-func (w *WAL) AppendBatchPriority(p *simrt.Proc, recs []Record) {
-	w.appendBatch(p, len(recs), recs, nil, true)
-}
-
-// AppendDecisions is AppendBatchPriority for a round's decision records,
-// read from d as they are encoded, until the call returns.
+// AppendDecisions is AppendBatch for a round's decision records, read from d
+// as they are encoded, until the call returns.
 func (w *WAL) AppendDecisions(p *simrt.Proc, d *Decisions) {
-	w.appendBatch(p, d.N, nil, d, true)
+	w.appendBatch(p, d.N, nil, d)
 }
 
 // appendBatch is the one append path: n records, recs or dec's (record).
-func (w *WAL) appendBatch(p *simrt.Proc, n int, recs []Record, dec *Decisions, priority bool) {
+func (w *WAL) appendBatch(p *simrt.Proc, n int, recs []Record, dec *Decisions) {
 	if n == 0 || w.crashed {
 		return
 	}
@@ -355,12 +341,6 @@ func (w *WAL) appendBatch(p *simrt.Proc, n int, recs []Record, dec *Decisions, p
 	var total int64
 	for i := range n {
 		total += encodedSize(record(recs, dec, i, &tmp))
-	}
-	if !priority {
-		w.waitForSpace(p, total)
-		if w.crashed || gen != w.gen {
-			return
-		}
 	}
 	w.makeEntries(recs)
 	if w.linger > 0 {
@@ -436,34 +416,29 @@ func (w *WAL) flusher(p *simrt.Proc) {
 	w.flusherOn = false
 }
 
-// waitForSpace blocks until live + windowed + need fits under the limit.
-// A batch larger than the whole log can never fit no matter how much
-// pruning frees, so gating it would wedge the appender (and its server)
-// forever; such a batch is admitted with a transient overshoot instead —
-// the same overshoot priority appends are already allowed.
-func (w *WAL) waitForSpace(p *simrt.Proc, need int64) {
-	if w.max <= 0 || need > w.max {
-		return
-	}
+// full reports whether the log is at or over its limit, counting the bytes
+// parked in the group-commit window.
+func (w *WAL) full() bool { return w.max > 0 && w.live+w.win.bytes() >= w.max }
+
+// AwaitSpace is the log's one gate, the §III.D hold on new arrivals, taken
+// once per arrival before it executes: it blocks while the log is at or over
+// its limit, calling the full handler each time it holds. What an admitted
+// arrival appends may carry the log past its limit, even a record larger
+// than the whole log; the next arrival waits for the prune. Returns at once
+// on an unlimited log, and when the server crashes while the caller waits.
+func (w *WAL) AwaitSpace(p *simrt.Proc) {
 	// A crash releases every waiter; its server is gone, so it must not
 	// queue up again behind the dead incarnation's log.
-	for gen := w.gen; gen == w.gen && w.live+w.win.bytes()+need > w.max; {
+	for gen := w.gen; gen == w.gen && w.full(); {
 		w.stats.FullStalls++
 		ok := new(simrt.Signal)
-		w.waiters = append(w.waiters, fullWaiter{need: need, ok: ok})
+		w.waiters = append(w.waiters, ok)
 		if w.fullHandler != nil {
-			h := w.fullHandler
-			w.sim.After(0, h)
+			w.sim.After(0, w.fullHandler)
 		}
 		ok.Wait(p)
 	}
 }
-
-// AwaitSpace blocks while the log is at or over its limit: the §III.D hold
-// on new arrivals, for a caller that waits before it executes the request
-// and then appends with AppendBatchPriority. Returns at once on an unlimited
-// log, and when the server crashes while the caller waits.
-func (w *WAL) AwaitSpace(p *simrt.Proc) { w.waitForSpace(p, 1) }
 
 // makeEntries gives each record in recs with Entry 0 an entry: the one an
 // earlier record of its operation in recs has, or a new one.
@@ -520,10 +495,11 @@ func (w *WAL) newEntry() Handle {
 }
 
 // Prune removes all records of entry h from the log, freeing space and
-// waking stalled appenders whose need now fits. The caller must only prune an
-// op whose terminal record (Complete on the coordinator, Commit/Abort on the
-// participant) is durable, and then drop h; that discipline lives in the
-// protocol layer. It returns the bytes released, 0 for the zero handle.
+// waking the held arrivals once the log is under its limit. The caller must
+// only prune an op whose terminal record (Complete on the coordinator,
+// Commit/Abort on the participant) is durable, and then drop h; that
+// discipline lives in the protocol layer. It returns the bytes released, 0
+// for the zero handle.
 func (w *WAL) Prune(h Handle) int64 {
 	if h == 0 {
 		return 0
@@ -562,31 +538,27 @@ func (w *WAL) compact() {
 	c.done()
 }
 
+// wakeWaiters releases every held arrival once the log is under its limit.
 func (w *WAL) wakeWaiters() {
-	if w.max <= 0 {
+	if w.full() {
 		return
 	}
-	remaining := w.waiters[:0]
-	for _, fw := range w.waiters {
-		if w.live+w.win.bytes()+fw.need <= w.max {
-			fw.ok.Fire()
-		} else {
-			remaining = append(remaining, fw)
-		}
+	for _, ok := range w.waiters {
+		ok.Fire()
 	}
-	w.waiters = remaining
+	w.waiters = w.waiters[:0]
 }
 
 // Crash marks the log's server down: in-flight and future appends are
-// discarded (not durable) and stalled appenders are released into the void.
+// discarded (not durable) and held arrivals are released into the void.
 // Batches parked in the group-commit window die with the server: their
 // callers are released and the records never admitted. The flusher itself
 // wakes from its disk write, sees the crash, and exits without admitting.
 func (w *WAL) Crash() {
 	w.crashed = true
 	w.gen++
-	for _, fw := range w.waiters {
-		fw.ok.Fire()
+	for _, ok := range w.waiters {
+		ok.Fire()
 	}
 	w.waiters = nil
 	w.win.release()

@@ -159,9 +159,12 @@ func TestPruneFreesSpace(t *testing.T) {
 	})
 }
 
+// A new arrival at the full log is held in AwaitSpace until a prune frees
+// space: the full handler is called, the hold is counted, and the held
+// arrival's append lands only after the prune.
 func TestFullLogBlocksUntilPrune(t *testing.T) {
 	rec := resultRec(1, "xxxx")
-	limit := EncodedSize(rec) + 10 // room for exactly one result record
+	limit := EncodedSize(rec) // room for exactly one result record
 	s := simrt.New(1)
 	d := disk.New(s, "d", disk.DefaultParams())
 	w := New(s, d, 0, limit)
@@ -170,8 +173,10 @@ func TestFullLogBlocksUntilPrune(t *testing.T) {
 	var secondDone time.Duration
 	var first Handle
 	s.Spawn("writer", func(p *simrt.Proc) {
+		w.AwaitSpace(p) // empty log: admitted at once
 		first = w.Append(p, rec)
-		w.Append(p, resultRec(2, "yyyy")) // must stall
+		w.AwaitSpace(p) // the log is at its limit: must stall
+		w.Append(p, resultRec(2, "yyyy"))
 		secondDone = p.Now()
 	})
 	s.Spawn("pruner", func(p *simrt.Proc) {
@@ -209,7 +214,7 @@ func TestAwaitSpaceHoldsAtLimitUntilPruneOrCrash(t *testing.T) {
 			if p.Now() != 0 {
 				t.Error("AwaitSpace waited on an empty log")
 			}
-			w.AppendBatchPriority(p, recs) // overshoots
+			w.AppendBatch(p, recs) // overshoots: no append waits
 			w.AwaitSpace(p)
 			released = p.Now()
 		})
@@ -401,7 +406,7 @@ func TestDecisionsAppendAsTheirRecords(t *testing.T) {
 					// Each operation's first record makes its entry; the
 					// decisions name it.
 					firsts := slices.Clone(want)
-					w.AppendBatchPriority(p, firsts)
+					w.AppendBatch(p, firsts)
 					wantBytes := wantBytes
 					for i := range hs {
 						hs[i], want[i].Entry = firsts[i].Entry, firsts[i].Entry
@@ -443,27 +448,33 @@ func TestEncodedSizeMatchesEncodeLen(t *testing.T) {
 	}
 }
 
-func TestAppendBatchPriorityIgnoresLimit(t *testing.T) {
+// No append waits for log space, on the direct path or through a
+// group-commit window: Append, AppendBatch and AppendDecisions all land on
+// a log already past its limit, and none counts a stall. Only a new arrival
+// waits (AwaitSpace).
+func TestNoAppendWaitsForSpace(t *testing.T) {
 	rec := resultRec(1, "pppp")
-	limit := EncodedSize(rec) + 4
-	s := simrt.New(1)
-	d := disk.New(s, "d", disk.DefaultParams())
-	w := New(s, d, 0, limit)
-	var done bool
-	s.Spawn("writer", func(p *simrt.Proc) {
-		h := w.Append(p, rec) // fills the log
-		// A priority append (commitment record) must not stall.
-		w.AppendBatchPriority(p, []Record{{Type: RecCommit, Entry: h, Op: opID(1), Role: types.RoleParticipant}})
-		done = true
-		s.Stop()
-	})
-	s.RunUntil(time.Minute)
-	s.Shutdown()
-	if !done {
-		t.Fatal("priority append stalled on a full log")
-	}
-	if w.Stats().FullStalls != 0 {
-		t.Errorf("priority append counted a stall")
+	for _, linger := range []time.Duration{0, 100 * time.Microsecond} {
+		s := simrt.New(1)
+		w := New(s, disk.New(s, "d", disk.DefaultParams()), 0, EncodedSize(rec)/2)
+		w.SetGroupCommit(linger)
+		var done bool
+		s.Spawn("writer", func(p *simrt.Proc) {
+			h := w.Append(p, rec) // past the limit
+			w.AppendBatch(p, []Record{{Type: RecCommit, Entry: h, Op: opID(1), Role: types.RoleParticipant}})
+			w.AppendDecisions(p, &Decisions{Role: types.RoleParticipant, N: 1,
+				At: func(int) (types.OpID, RecType, Handle) { return opID(1), RecComplete, h }})
+			done = true
+			s.Stop()
+		})
+		s.RunUntil(time.Minute)
+		s.Shutdown()
+		if !done {
+			t.Fatalf("linger %v: an append stalled on a full log", linger)
+		}
+		if st := w.Stats(); st.FullStalls != 0 || st.Records != 3 {
+			t.Errorf("linger %v: %d records appended, %d stalls; want 3 and none", linger, st.Records, st.FullStalls)
+		}
 	}
 }
 
@@ -607,7 +618,7 @@ func TestAppendFreshOpWarmNoAlloc(t *testing.T) {
 			rec := resultRec(seq, "f")
 			rec.Pre, rec.Post = imgs[:1], imgs[1:]
 			recs := []Record{rec}
-			w.AppendBatchPriority(p, recs)
+			w.AppendBatch(p, recs)
 			hs[seq%9] = recs[0].Entry
 			if seq > 8 {
 				w.Prune(hs[(seq-8)%9]) // eight ops stay live
