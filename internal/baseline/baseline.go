@@ -25,14 +25,12 @@
 // client is internal/core's Driver under every protocol: with no such path
 // it sends the whole operation to the coordinator, which is the client of
 // 2PC and CE. Everything that is not protocol — at-most-once execution of
-// retried requests, the lease service, the server-to-server call, the
-// retrying client RPC — is the chassis's (internal/node), the same code Cx
-// runs on.
+// retried requests, the lease service, the object lock 2PC and CE take (on
+// the row, as Cx's), the server-to-server call, the retrying client RPC — is
+// the chassis's (internal/node), the same code Cx runs on.
 package baseline
 
 import (
-	"sort"
-
 	"cxfs/internal/node"
 	"cxfs/internal/simrt"
 	"cxfs/internal/types"
@@ -88,58 +86,4 @@ func lockKeys(cSub, pSub types.SubOp, local bool) []types.ObjKey {
 	}
 	pk, _ := pSub.Key()
 	return []types.ObjKey{ck, pk}
-}
-
-// lockTable serializes conflicting operations inside the 2PC and CE
-// servers (their correctness depends on exclusive access for the duration
-// of the transaction; Cx instead uses the active-object table).
-type lockTable struct {
-	held map[types.ObjKey]bool
-	q    map[types.ObjKey][]*simrt.Signal
-}
-
-func newLockTable() *lockTable {
-	return &lockTable{held: make(map[types.ObjKey]bool), q: make(map[types.ObjKey][]*simrt.Signal)}
-}
-
-// acquire takes all keys in a canonical order (avoiding deadlock between
-// two multi-key acquirers).
-func (lt *lockTable) acquire(p *simrt.Proc, keys []types.ObjKey) {
-	ordered := append([]types.ObjKey(nil), keys...)
-	sort.Slice(ordered, func(i, j int) bool { return objKeyLess(ordered[i], ordered[j]) })
-	for _, k := range ordered {
-		for lt.held[k] {
-			free := new(simrt.Signal)
-			lt.q[k] = append(lt.q[k], free)
-			free.Wait(p)
-		}
-		lt.held[k] = true
-	}
-}
-
-// release frees the keys, waking one waiter per key.
-func (lt *lockTable) release(keys []types.ObjKey) {
-	for _, k := range keys {
-		if !lt.held[k] {
-			continue
-		}
-		lt.held[k] = false
-		if ws := lt.q[k]; len(ws) > 0 {
-			lt.q[k] = ws[1:]
-			ws[0].Fire()
-		}
-	}
-}
-
-func objKeyLess(a, b types.ObjKey) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.Dir != b.Dir {
-		return a.Dir < b.Dir
-	}
-	if a.Name != b.Name {
-		return a.Name < b.Name
-	}
-	return a.Ino < b.Ino
 }

@@ -6,7 +6,6 @@ import (
 	"cxfs/internal/kvstore"
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
-	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/transport"
 	"cxfs/internal/types"
@@ -23,18 +22,12 @@ import (
 // extra migration round trips and the synchronous writes on both ends.
 type CEServer struct {
 	*node.Base
-	pl    namespace.Placement
-	locks *lockTable
-
-	migrated seg.Index[[]types.ObjKey] // participant: keys lent out
+	pl namespace.Placement
 }
 
 // NewCEServer builds a CE server.
 func NewCEServer(base *node.Base, pl namespace.Placement) *CEServer {
-	return &CEServer{
-		Base: base, pl: pl,
-		locks: newLockTable(),
-	}
+	return &CEServer{Base: base, pl: pl}
 }
 
 // Start serves the inbox and launches the database checkpointer (CE applies
@@ -78,8 +71,10 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	local := part == s.ID
 
 	keys := lockKeys(cSub, pSub, local)
-	s.locks.acquire(p, keys)
-	defer s.locks.release(keys)
+	if !s.Acquire(p, op.ID, keys) {
+		return
+	}
+	defer s.Release(op.ID, keys)
 
 	// Migrate the participant's rows here.
 	pKey, _ := pSub.Key()
@@ -167,18 +162,15 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	s.Send(&reply)
 }
 
-// lendRows ships the requested rows to the coordinator and locks them here
-// until they come back.
+// lendRows ships the requested rows to the coordinator and locks them here,
+// under the rows' own keys, until they come back: an operation of this
+// server's own on a lent object waits for its return.
 func (s *CEServer) lendRows(p *simrt.Proc, m *wire.Msg) {
-	if _, lent := s.migrated.Get(m.Op); lent {
-		// Retransmitted MigrateReq: the rows are already lent out; resend the
-		// current copies without re-acquiring the locks the loan holds.
-		s.Send(&wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: s.copyRows(m.Keys)})
+	// A retransmitted MigrateReq finds the locks its operation's own, takes
+	// them at once, and is sent the current copies again.
+	if !s.Acquire(p, m.Op, m.Keys) {
 		return
 	}
-	objKeys := rowLockKeys(m.Keys)
-	s.locks.acquire(p, objKeys)
-	s.migrated.Put(m.Op, objKeys)
 	s.Send(&wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: s.copyRows(m.Keys)})
 }
 
@@ -196,6 +188,7 @@ func (s *CEServer) copyRows(keys []types.ObjKey) []types.Row {
 // and unlocks.
 func (s *CEServer) reinstallRows(p *simrt.Proc, m *wire.Msg) {
 	dirty := make([]kvstore.Ref, 0, len(m.Rows))
+	keys := make([]types.ObjKey, 0, len(m.Rows))
 	for i := range m.Rows {
 		r := &m.Rows[i]
 		row := s.KV.Find(r.Key)
@@ -205,24 +198,12 @@ func (s *CEServer) reinstallRows(p *simrt.Proc, m *wire.Msg) {
 			row, _ = s.KV.PutAt(row, r.Key, r.Val.Bytes())
 		}
 		dirty = append(dirty, kvstore.Ref{Key: r.Key, Row: row})
+		keys = append(keys, r.Key)
 	}
 	s.KV.SyncRows(p, dirty)
 	if s.Crashed() {
 		return
 	}
-	if keys, ok := s.migrated.Delete(m.Op); ok {
-		s.locks.release(keys)
-	}
+	s.Release(m.Op, keys)
 	s.Send(&wire.Msg{Type: wire.MsgMigrateAck, To: m.From, Op: m.Op})
-}
-
-// rowLockKeys returns the lock-table keys of lent rows: one per row, named by
-// the row key's text, so a loan never shares a lock with the objects this
-// server's own operations lock.
-func rowLockKeys(rows []types.ObjKey) []types.ObjKey {
-	out := make([]types.ObjKey, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, types.ObjKey{Kind: types.ObjInode, Name: string(r.AppendText(nil))})
-	}
-	return out
 }

@@ -21,30 +21,23 @@ import (
 // and only then does the client get its response.
 type TwoPCServer struct {
 	*node.Base
-	pl    namespace.Placement
-	locks *lockTable
+	pl namespace.Placement
 
 	// Participant-side pending executions awaiting the decision.
 	prepared seg.Index[preparedExec]
 }
 
 // preparedExec is a participant execution awaiting the decision: what it
-// wrote, its log entry, and whether it holds its object's lock (not when the
-// coordinator, running the sub-op locally, holds it itself). The index holds
-// one in each of its slots, filled or not, so it is kept within the 128
-// bytes Go kept inline as map values.
+// wrote and its log entry. The index holds one in each of its slots, filled
+// or not, so it is kept within the 128 bytes Go kept inline as map values.
 type preparedExec struct {
 	namespace.Written
-	log    wal.Handle
-	locked bool
+	log wal.Handle
 }
 
 // NewTwoPCServer builds a 2PC server.
 func NewTwoPCServer(base *node.Base, pl namespace.Placement) *TwoPCServer {
-	return &TwoPCServer{
-		Base: base, pl: pl,
-		locks: newLockTable(),
-	}
+	return &TwoPCServer{Base: base, pl: pl}
 }
 
 // Start serves the inbox and launches the database checkpointer (2PC applies
@@ -89,8 +82,10 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	local := part == s.ID
 
 	keys := lockKeys(cSub, pSub, local)
-	s.locks.acquire(p, keys)
-	defer s.locks.release(keys)
+	if !s.Acquire(p, op.ID, keys) {
+		return
+	}
+	defer s.Release(op.ID, keys)
 
 	// Phase 1: VOTE the participant (remote) or execute its sub-op here.
 	var partOK bool
@@ -197,11 +192,13 @@ func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
 	sub := m.Sub
 	key, _ := sub.Key()
 	keys := []types.ObjKey{key}
-	s.locks.acquire(p, keys)
+	if !s.Acquire(p, m.Op, keys) {
+		return
+	}
 	s.ExecCPU(p)
 	res := s.Shard.Exec(sub, s.NowNanos())
 	if res.OK {
-		s.prepared.Put(m.Op, preparedExec{Written: res.Written(), locked: true})
+		s.prepared.Put(m.Op, preparedExec{Written: res.Written()})
 		before, after := res.Images()
 		h := s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: m.Op, Role: types.RoleParticipant,
 			OK: true, Sub: sub, Pre: before, Post: after})
@@ -209,7 +206,7 @@ func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
 			s.prepared.Val(i).log = h
 		}
 	} else {
-		s.locks.release(keys)
+		s.Release(m.Op, keys)
 	}
 	if s.Crashed() {
 		return
@@ -250,8 +247,6 @@ func (s *TwoPCServer) applyDecision(p *simrt.Proc, id types.OpID, commit bool) b
 	}
 	s.WAL.Append(p, wal.Record{Type: decType, Entry: pe.log, Op: id, Role: types.RoleParticipant})
 	s.Prune(id, pe.log)
-	if pe.locked {
-		s.locks.release([]types.ObjKey{rows[0].Key}) // the sub-op's object: the row it wrote
-	}
+	s.Release(id, []types.ObjKey{rows[0].Key}) // the sub-op's object: the row it wrote
 	return true
 }

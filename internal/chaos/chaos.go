@@ -14,7 +14,7 @@
 //     be in; with the leased cache on, no cached read is older than its
 //     lease grant (model.CheckStalenessBound); and
 //  2. the cluster invariants of Cluster.CheckInvariants (dentry/inode
-//     referential integrity, nlink counts, no leaked active objects).
+//     referential integrity, nlink counts, no leaked row locks).
 //
 // A Report carries the seed, the full nemesis schedule, the failure
 // detector's suspect/recover timeline, and any violations; Report.String

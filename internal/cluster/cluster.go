@@ -19,7 +19,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"cxfs/internal/baseline"
@@ -417,23 +417,20 @@ func (c *Cluster) Quiesce(p *simrt.Proc) {
 //  1. every dentry points at an inode that exists with nlink >= 1,
 //  2. every regular file's nlink equals the number of dentries referencing
 //     it (directories are checked for existence only), and
-//  3. no server still marks objects active, and every server's op table
-//     agrees with itself (core.Server.CheckState; Cx only).
+//  3. no server still holds a row lock, under any protocol (the object lock
+//     of node.Base.Acquire, and a Cx object's activity), and every server's
+//     op table agrees with itself (core.Server.CheckState; Cx only).
 //
 // It returns a list of violations (empty = consistent).
 func (c *Cluster) CheckInvariants() []string {
 	var bad []string
-	// Gather all dentries and inodes cluster-wide.
-	type dent struct {
-		dir  types.InodeID
-		name string
-		ino  types.InodeID
-	}
-	var dents []dent
+	// Gather all dentries, each as its key with the inode it names, and all
+	// inodes cluster-wide.
+	var dents []types.ObjKey
 	inodes := make(map[types.InodeID]types.Inode)
 	for _, b := range c.Bases {
 		b.Shard.Walk(func(dir types.InodeID, e namespace.DirEntry) {
-			dents = append(dents, dent{dir, e.Name, e.Ino})
+			dents = append(dents, types.ObjKey{Kind: types.ObjDentry, Dir: dir, Name: e.Name, Ino: e.Ino})
 		}, func(in types.Inode) {
 			// An inode counts as its placement server holds it, wherever a
 			// copy of the row was met.
@@ -445,25 +442,17 @@ func (c *Cluster) CheckInvariants() []string {
 	}
 	// Walk follows the store's order; sort the gathered dentries so violation
 	// output is deterministic.
-	sort.Slice(dents, func(i, j int) bool {
-		if dents[i].dir != dents[j].dir {
-			return dents[i].dir < dents[j].dir
-		}
-		if dents[i].name != dents[j].name {
-			return dents[i].name < dents[j].name
-		}
-		return dents[i].ino < dents[j].ino
-	})
+	slices.SortFunc(dents, types.ObjKey.Compare)
 	refs := make(map[types.InodeID]uint32)
 	for _, d := range dents {
-		refs[d.ino]++
-		in, ok := inodes[d.ino]
+		refs[d.Ino]++
+		in, ok := inodes[d.Ino]
 		if !ok {
-			bad = append(bad, fmt.Sprintf("dentry (%d,%q) -> missing inode %d", d.dir, d.name, d.ino))
+			bad = append(bad, fmt.Sprintf("dentry (%d,%q) -> missing inode %d", d.Dir, d.Name, d.Ino))
 			continue
 		}
 		if in.Nlink < 1 {
-			bad = append(bad, fmt.Sprintf("dentry (%d,%q) -> dead inode %d", d.dir, d.name, d.ino))
+			bad = append(bad, fmt.Sprintf("dentry (%d,%q) -> dead inode %d", d.Dir, d.Name, d.Ino))
 		}
 	}
 	// Report in sorted inode order so a run's violation list is
@@ -472,7 +461,7 @@ func (c *Cluster) CheckInvariants() []string {
 	for ino := range inodes {
 		inos = append(inos, ino)
 	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+	slices.Sort(inos)
 	for _, ino := range inos {
 		in := inodes[ino]
 		if in.Type == types.FileRegular && in.Nlink != refs[ino] {
@@ -482,10 +471,12 @@ func (c *Cluster) CheckInvariants() []string {
 			bad = append(bad, fmt.Sprintf("orphan inode %d (nlink=%d, no dentry)", ino, in.Nlink))
 		}
 	}
-	for i, srv := range c.CxSrv {
-		if n := srv.ActiveObjects(); n != 0 {
-			bad = append(bad, fmt.Sprintf("server %d still holds %d active objects", i, n))
+	for i, b := range c.Bases {
+		if n := b.KV.Locked(); n != 0 {
+			bad = append(bad, fmt.Sprintf("server %d: %d rows still locked", i, n))
 		}
+	}
+	for i, srv := range c.CxSrv {
 		for _, v := range srv.CheckState() {
 			bad = append(bad, fmt.Sprintf("server %d op table: %s", i, v))
 		}

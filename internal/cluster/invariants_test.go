@@ -36,3 +36,19 @@ func TestCheckInvariantsParsesSpaceContainingNames(t *testing.T) {
 		t.Errorf("violations = %q, want exactly [%q]", bad, want)
 	}
 }
+
+// A row lock left held on any server, under any protocol, is a violation:
+// every protocol's object lock is the row's holder mark.
+func TestCheckInvariantsReportsAHeldLockOnEveryServer(t *testing.T) {
+	for _, proto := range Protocols {
+		c := MustNew(smallOptions(proto))
+		last := len(c.Bases) - 1
+		c.Bases[last].KV.TryLock(types.DentryKey(types.RootInode, "held"), types.OpID{Seq: 1})
+		bad := c.CheckInvariants()
+		want := fmt.Sprintf("server %d: 1 rows still locked", last)
+		if len(bad) == 0 || bad[0] != want {
+			t.Errorf("%s: violations = %q, want %q first", proto, bad, want)
+		}
+		c.Shutdown()
+	}
+}

@@ -266,10 +266,6 @@ func (s *Server) PendingOps() int { return s.coordPending }
 // commitment — the paper's "valid-records size" (Figure 7b, Table V).
 func (s *Server) ValidBytes() int64 { return s.WAL.LiveBytes() }
 
-// ActiveObjects returns how many objects are currently active (held by
-// executed-but-uncommitted operations); zero after quiescence.
-func (s *Server) ActiveObjects() int { return s.KV.Locked() }
-
 // nudgeStaleParts sends C-NOTIFY to the coordinator of every
 // not-yet-committing participant execution older than age.
 func (s *Server) nudgeStaleParts(age time.Duration) {

@@ -52,7 +52,7 @@ func TestLockedRowSurvivesAnAbsorbingFlush(t *testing.T) {
 			if bad := srv.CheckState(); len(bad) != 0 {
 				t.Errorf("server %d: %v", srv.ID, bad)
 			}
-			if n := srv.ActiveObjects(); n != 0 {
+			if n := srv.KV.Locked(); n != 0 {
 				t.Errorf("server %d: %d rows still locked after the lazy batch", srv.ID, n)
 			}
 		}

@@ -42,11 +42,11 @@
 // was filed under, and the store counts the records it files (Current).
 //
 // A record carries two marks besides the images, for the layer above: a lock
-// holder and a pin count. What they mean is the caller's (the Cx server locks
-// the object of an uncommitted execution, and pins a row whose Result-Record
-// is not durable yet); the store only keeps them, forgets them in a crash, and
-// never drops a locked or pinned record, so a caller may hold those handles
-// across parks.
+// holder and a pin count. What they mean is the caller's (the lock is every
+// protocol's object lock, a Cx object's activity and node.Base.Acquire's; a Cx
+// server pins a row whose Result-Record is not durable yet); the store only
+// keeps them, forgets them in a crash, and never drops a locked or pinned
+// record, so a caller may hold those handles across parks.
 //
 // A row is a value. Its key is the types.ObjKey its sub-ops name, and both
 // of its values are held inline in its record (types.Val, at most
@@ -443,6 +443,21 @@ func (st *Store) Lock(h Row, op types.OpID) {
 	r.holder = op
 }
 
+// TryLock makes op the holder of key's row lock unless another operation
+// holds it, and reports whether op holds it now. A lock may come before its
+// row, as a create's does: a key the store holds nothing of gets a record,
+// kept while it is locked.
+func (st *Store) TryLock(key types.ObjKey, op types.OpID) bool {
+	h := st.Find(key)
+	if h == NoRow {
+		h = st.file(key)
+	} else if holder := st.at(h).holder; holder != types.NilOp && holder != op {
+		return false
+	}
+	st.Lock(h, op)
+	return true
+}
+
 // Holder returns the holder of row h's lock, if the row is locked (NoRow is
 // not).
 func (st *Store) Holder(h Row) (types.OpID, bool) {
@@ -453,16 +468,17 @@ func (st *Store) Holder(h Row) (types.OpID, bool) {
 	return op, op != types.NilOp
 }
 
-// Unlock releases ref's lock if op holds it; a lock another holder has taken
-// since stays.
-func (st *Store) Unlock(ref Ref, op types.OpID) {
+// Unlock releases ref's lock if op holds it, and reports whether it did; a
+// lock another holder has taken since stays.
+func (st *Store) Unlock(ref Ref, op types.OpID) bool {
 	h := st.resolve(ref)
 	if h == NoRow || op == types.NilOp || st.at(h).holder != op {
-		return
+		return false
 	}
 	st.at(h).holder = types.NilOp
 	st.locked--
 	st.keep(h)
+	return true
 }
 
 // Locks calls fn with the key and holder of every locked row.

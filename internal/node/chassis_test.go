@@ -693,3 +693,175 @@ func TestServerCallAllocFreeRouteReuseDropsLeftovers(t *testing.T) {
 		}
 	})
 }
+
+// lockRun runs procs on a server's chassis until they are all done, and
+// reports whether they were.
+func lockRun(t *testing.T, procs ...func(p *simrt.Proc, b *Base)) (*Base, bool) {
+	t.Helper()
+	s, _, b, _ := build(t)
+	g := simrt.NewGroup(s)
+	g.Add(len(procs))
+	for _, body := range procs {
+		s.Spawn("locker", func(p *simrt.Proc) {
+			body(p, b)
+			g.Done()
+		})
+	}
+	done := false
+	s.Spawn("ctl", func(p *simrt.Proc) { g.Wait(p); done = true; s.Stop() })
+	s.RunUntil(time.Minute)
+	s.Shutdown()
+	return b, done
+}
+
+func TestAcquireExcludes(t *testing.T) {
+	key := []types.ObjKey{types.InodeKey(1)}
+	inside, maxInside := 0, 0
+	procs := make([]func(*simrt.Proc, *Base), 5)
+	for i := range procs {
+		procs[i] = func(p *simrt.Proc, b *Base) {
+			b.Acquire(p, opID(uint64(i+1)), key)
+			inside++
+			maxInside = max(maxInside, inside)
+			p.Sleep(time.Millisecond)
+			inside--
+			b.Release(opID(uint64(i+1)), key)
+		}
+	}
+	b, done := lockRun(t, procs...)
+	if !done || maxInside != 1 {
+		t.Errorf("done=%v, max holders=%d, want 1", done, maxInside)
+	}
+	if n := b.KV.Locked(); n != 0 {
+		t.Errorf("%d rows locked after every holder released", n)
+	}
+}
+
+// Two procs acquiring overlapping key sets in opposite order must not
+// deadlock thanks to the canonical ordering.
+func TestAcquireMultiKeyNoDeadlock(t *testing.T) {
+	a, c := types.InodeKey(1), types.InodeKey(2)
+	locker := func(op types.OpID, keys []types.ObjKey) func(*simrt.Proc, *Base) {
+		return func(p *simrt.Proc, b *Base) {
+			for i := 0; i < 50; i++ {
+				b.Acquire(p, op, keys)
+				p.Sleep(10 * time.Microsecond)
+				b.Release(op, keys)
+			}
+		}
+	}
+	if _, done := lockRun(t, locker(opID(1), []types.ObjKey{a, c}), locker(opID(2), []types.ObjKey{c, a})); !done {
+		t.Fatal("deadlock in opposite-order multi-key acquisition")
+	}
+}
+
+func TestReleaseWakesOneInArrivalOrder(t *testing.T) {
+	key := []types.ObjKey{types.DentryKey(1, "x")}
+	var order []int
+	procs := []func(*simrt.Proc, *Base){func(p *simrt.Proc, b *Base) {
+		b.Acquire(p, opID(9), key)
+		p.Sleep(time.Millisecond)
+		b.Release(opID(9), key)
+	}}
+	for i := 1; i <= 3; i++ {
+		procs = append(procs, func(p *simrt.Proc, b *Base) {
+			p.Sleep(time.Duration(i) * time.Microsecond)
+			b.Acquire(p, opID(uint64(i)), key)
+			order = append(order, i)
+			b.Release(opID(uint64(i)), key)
+		})
+	}
+	if _, done := lockRun(t, procs...); !done || !slices.Equal(order, []int{1, 2, 3}) {
+		t.Errorf("done=%v, wake order=%v, want FIFO [1 2 3]", done, order)
+	}
+}
+
+func TestObjKeyCompareTotalOrder(t *testing.T) {
+	keys := []types.ObjKey{
+		types.InodeKey(5), types.InodeKey(2),
+		types.DentryKey(1, "b"), types.DentryKey(1, "a"), types.DentryKey(2, "a"),
+	}
+	for _, a := range keys {
+		if a.Compare(a) != 0 {
+			t.Errorf("%v is not equal to itself", a)
+		}
+		for _, b := range keys {
+			if a != b && (a.Compare(b) == 0 || a.Compare(b) == b.Compare(a)) {
+				t.Errorf("ordering not antisymmetric for %v, %v", a, b)
+			}
+		}
+	}
+}
+
+// A crash forgets every lock and wakes every waiter, which takes nothing.
+func TestCrashWakesEveryLockWaiter(t *testing.T) {
+	keys := []types.ObjKey{types.InodeKey(1), types.DentryKey(1, "x")}
+	var got []bool
+	procs := []func(*simrt.Proc, *Base){func(p *simrt.Proc, b *Base) {
+		b.Acquire(p, opID(9), keys)
+		p.Sleep(time.Millisecond)
+		b.Crash()
+		b.Reboot()
+	}}
+	for i := 1; i <= 3; i++ {
+		procs = append(procs, func(p *simrt.Proc, b *Base) {
+			p.Sleep(time.Duration(i) * time.Microsecond)
+			got = append(got, b.Acquire(p, opID(uint64(i)), keys[i%2:]))
+		})
+	}
+	b, done := lockRun(t, procs...)
+	if !done || !slices.Equal(got, []bool{false, false, false}) {
+		t.Errorf("done=%v, waiters' Acquire returned %v, want three false", done, got)
+	}
+	if n := b.KV.Locked(); n != 0 || len(b.lockWaits) != 0 {
+		t.Errorf("after the crash %d rows locked, %d keys with waiters", n, len(b.lockWaits))
+	}
+}
+
+// A lock may come before its row: locking a key the store holds nothing of
+// files a record for it, and the release drops it again. An operation that
+// asks again for a lock it holds takes it at once, and one release frees it.
+func TestLockingAnAbsentRowFilesARecordTheReleaseDrops(t *testing.T) {
+	key := types.DentryKey(1, "new")
+	lockRun(t, func(p *simrt.Proc, b *Base) {
+		b.Shard.InitRoot()
+		rows := b.KV.Len()
+		for range 2 { // the second time, op holds it already
+			b.Acquire(p, opID(1), []types.ObjKey{key})
+			if holder, held := b.KV.Holder(b.KV.Find(key)); !held || holder != opID(1) || b.KV.Len() != rows || b.KV.Locked() != 1 {
+				t.Errorf("held by %v (%v) with %d rows and %d locked, want %v with %d and 1", holder, held, b.KV.Len(), b.KV.Locked(), opID(1), rows)
+			}
+		}
+		b.Release(opID(1), []types.ObjKey{key})
+		if b.KV.Find(key) != kvstore.NoRow || b.KV.Len() != rows || b.KV.Locked() != 0 {
+			t.Errorf("after the release: record %v, %d rows (want %d), %d locked", b.KV.Find(key), b.KV.Len(), rows, b.KV.Locked())
+		}
+	})
+}
+
+// Release frees only what the operation holds: another holder's lock stays,
+// and its waiter stays parked.
+func TestReleaseOfAnotherHoldersLockLeavesIt(t *testing.T) {
+	obj := types.InodeKey(3)
+	key := []types.ObjKey{obj}
+	waited := false
+	lockRun(t, func(p *simrt.Proc, b *Base) {
+		b.Acquire(p, opID(1), key)
+		b.Sim.Spawn("waiter", func(p *simrt.Proc) {
+			b.Acquire(p, opID(3), key)
+			waited = true
+			b.Release(opID(3), key)
+		})
+		p.Sleep(time.Microsecond)
+		b.Release(opID(2), key)
+		p.Sleep(time.Millisecond)
+		if holder, held := b.KV.Holder(b.KV.Find(obj)); !held || holder != opID(1) || waited {
+			t.Errorf("held by %v (%v), waiter ran %v; want %v to hold it and the waiter parked", holder, held, waited, opID(1))
+		}
+		b.Release(opID(1), key)
+		p.Sleep(time.Microsecond)
+		if !waited || b.KV.Locked() != 0 {
+			t.Errorf("after the holder's release: waiter ran %v, %d locked", waited, b.KV.Locked())
+		}
+	})
+}

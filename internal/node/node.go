@@ -2,7 +2,8 @@
 // and the baselines differ in their protocol and in nothing else. Base is
 // the server side: the simulated hardware (disk, log, database, namespace
 // shard), the served inbox, crash/reboot plumbing, the log's one gate for new
-// arrivals (Admit), at-most-once execution for
+// arrivals (Admit), the object lock 2PC and CE wait on (lock.go: the row's
+// holder mark, which Cx's conflict rule reads), at-most-once execution for
 // retried requests (once.go: a reply cache of the last replyCap finished
 // operations, kept in a ring that overwrites its oldest reply in place, and
 // the server's one op-ID index, which files each operation's executing mark,
@@ -128,6 +129,7 @@ type Base struct {
 	once       seg.Index[int32]
 	entries    Entries
 	leases     *LeaseTable                                 // lease.go
+	lockWaits  []lockWait                                  // lock.go: handlers waiting for a lock, in arrival order
 	routes     map[routeKey]*simrt.Chan[*transport.Packet] // routes.go
 	// idleRoutes are the channels of finished Calls, emptied, for the next.
 	idleRoutes []*simrt.Chan[*transport.Packet]
@@ -256,14 +258,19 @@ func (b *Base) Crashed() bool { return b.crashed }
 
 // Crash takes the server down: the network drops its traffic, in-flight
 // handlers are silenced (they can no longer send or persist), and the
-// volatile database image is discarded. Durable state — the log's entries
-// and the database's durable image — survives for Reboot.
+// volatile database image is discarded with every lock, whose waiters wake
+// to find their incarnation gone. Durable state — the log's entries and the
+// database's durable image — survives for Reboot.
 func (b *Base) Crash() {
 	b.crashed = true
 	b.needsRecovery = true
 	b.Net.SetDown(b.ID, true)
 	b.KV.Crash()
 	b.WAL.Crash()
+	for _, w := range b.lockWaits {
+		w.free.Fire()
+	}
+	b.lockWaits = nil
 }
 
 // NeedsRecovery reports whether the server crashed and has not yet

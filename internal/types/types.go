@@ -10,6 +10,7 @@
 package types
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -162,8 +163,8 @@ func (k ObjKind) String() string {
 
 // ObjKey names one metadata object. For a dentry, Dir and Name identify the
 // entry and Ino is ignored; for an inode, Ino identifies it and Dir/Name are
-// zero. ObjKey is comparable and is the unit of conflict detection: the
-// active-object table in the Cx core maps ObjKey -> pending operation.
+// zero. ObjKey is comparable and is the unit of conflict detection and of
+// locking: the database row it names carries its object's lock.
 type ObjKey struct {
 	Kind ObjKind
 	Dir  InodeID // parent directory inode (dentry keys only)
@@ -179,6 +180,13 @@ func DentryKey(dir InodeID, name string) ObjKey {
 // InodeKey builds the key of inode ino.
 func InodeKey(ino InodeID) ObjKey {
 	return ObjKey{Kind: ObjInode, Ino: ino}
+}
+
+// Compare orders keys totally, by kind, directory, name and inode: the order
+// an operation takes several objects' locks in (node.Base.Acquire).
+func (k ObjKey) Compare(o ObjKey) int {
+	return cmp.Or(cmp.Compare(k.Kind, o.Kind), cmp.Compare(k.Dir, o.Dir),
+		cmp.Compare(k.Name, o.Name), cmp.Compare(k.Ino, o.Ino))
 }
 
 // Hash is the key's unseeded hash: the key store's index files each record
