@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,7 +19,23 @@ import (
 // CheckInvariants says after a quiesce (or, for a run that never finished,
 // at the horizon).
 func sharedInodeLoop(proto Protocol, servers, procs, pool, depth int, seed int64) (finished bool, bad []string) {
-	o := DefaultOptions(servers, proto)
+	r := sharedInodeRun(DefaultOptions(servers, proto), procs, pool, depth, seed)
+	return r.finished, r.bad
+}
+
+// loopRun is what one run of the shared-inode loop reports.
+type loopRun struct {
+	finished bool
+	bad      []string
+	ends     []time.Duration // when each process finished, by process
+	// voteTimeouts is Counters().Core.VoteTimeouts once the run stops: the
+	// Cx votes that the deadline, not an event, answered.
+	voteTimeouts uint64
+}
+
+// sharedInodeRun is sharedInodeLoop on a cluster built from o, with
+// o.ClientHosts, o.ProcsPerHost and o.Seed set from the arguments.
+func sharedInodeRun(o Options, procs, pool, depth int, seed int64) loopRun {
 	o.ClientHosts, o.ProcsPerHost, o.Seed = 1, procs, seed
 	c := MustNew(o)
 	defer c.Shutdown()
@@ -27,6 +44,7 @@ func sharedInodeLoop(proto Protocol, servers, procs, pool, depth int, seed int64
 	created.Add(1)
 	done := simrt.NewGroup(c.Sim)
 	done.Add(procs)
+	r := loopRun{ends: make([]time.Duration, procs)}
 	for i := 0; i < procs; i++ {
 		i, pr := i, c.Proc(i)
 		c.Sim.Spawn(fmt.Sprintf("app/%v", pr.ID), func(p *simrt.Proc) {
@@ -48,6 +66,7 @@ func sharedInodeLoop(proto Protocol, servers, procs, pool, depth int, seed int64
 				pipe.Submit(p, op)
 			}
 			pipe.Drain(p)
+			r.ends[i] = c.Sim.Now()
 		})
 	}
 	c.Sim.Spawn("controller", func(p *simrt.Proc) {
@@ -56,7 +75,8 @@ func sharedInodeLoop(proto Protocol, servers, procs, pool, depth int, seed int64
 		c.Sim.Stop()
 	})
 	c.Sim.RunUntil(600 * time.Second)
-	return c.Sim.Stopped(), c.CheckInvariants()
+	r.finished, r.bad, r.voteTimeouts = c.Sim.Stopped(), c.CheckInvariants(), c.Counters().Core.VoteTimeouts
+	return r
 }
 
 // Processes that link and unlink names to one inode, at depth 1 and with no
@@ -142,5 +162,58 @@ func TestSharedInodeAtomicEveryProtocol(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// Cx ends a contended run by events, not by its vote deadline (ROADMAP item
+// 23(i)). On the shared-inode loop at depth 1, no vote at 2 servers waits
+// for a commitment that only its own VOTE's sender could start after it:
+// none times out, and a run ends at the same instants, process by process,
+// with VoteWait cut from 2 s to 100 ms. Cx finishes no later than 2PC on the
+// same seeds. At 4 servers a cycle between two coordinators' rounds remains
+// (DESIGN.md §5 item 28): 4/6/2 states its vote timeouts, so that a change
+// in either direction fails. The shapes are servers / processes / name pool;
+// seeds 1–20, under -short 1–10.
+func TestContendedCxEndsByEvents(t *testing.T) {
+	seeds, at := int64(20), 0
+	if testing.Short() {
+		seeds, at = 10, 1
+	}
+	rows := []struct {
+		servers, procs, pool int
+		timeouts             [2]uint64 // the stated residual, at 20 seeds and at 10
+	}{
+		{2, 4, 1, [2]uint64{0, 0}},
+		{2, 4, 2, [2]uint64{0, 0}},
+		{4, 6, 2, [2]uint64{1, 1}}, // seed 8 (DESIGN.md §5 item 28)
+	}
+	for _, r := range rows {
+		t.Run(fmt.Sprintf("%d/%d/%d", r.servers, r.procs, r.pool), func(t *testing.T) {
+			var cx, twoPC time.Duration
+			timeouts := uint64(0)
+			for s := int64(1); s <= seeds; s++ {
+				run := sharedInodeRun(DefaultOptions(r.servers, ProtoCx), r.procs, r.pool, 1, s)
+				if !run.finished || len(run.bad) != 0 {
+					t.Errorf("seed %d: finished=%v, invariants: %v", s, run.finished, run.bad)
+				}
+				cx, timeouts = cx+slices.Max(run.ends), timeouts+run.voteTimeouts
+				twoPC += slices.Max(sharedInodeRun(DefaultOptions(r.servers, Proto2PC), r.procs, r.pool, 1, s).ends)
+				if r.servers > 2 {
+					continue
+				}
+				o := DefaultOptions(r.servers, ProtoCx)
+				o.Cx.VoteWait = 100 * time.Millisecond
+				if short := sharedInodeRun(o, r.procs, r.pool, 1, s); !slices.Equal(short.ends, run.ends) {
+					t.Errorf("seed %d: processes end at %v with VoteWait 100ms, at %v with the default", s, short.ends, run.ends)
+				}
+			}
+			t.Logf("mean end: cx %v, 2pc %v; cx vote timeouts %d", cx/time.Duration(seeds), twoPC/time.Duration(seeds), timeouts)
+			if cx > twoPC {
+				t.Errorf("Cx's mean end time %v is later than 2PC's %v", cx/time.Duration(seeds), twoPC/time.Duration(seeds))
+			}
+			if want := r.timeouts[at]; timeouts != want {
+				t.Errorf("%d vote timeouts over %d seeds, want the stated %d", timeouts, seeds, want)
+			}
+		})
 	}
 }

@@ -443,7 +443,7 @@ func (s *Server) handleVote(p *simrt.Proc, m *wire.Msg) {
 	votes := s.voteBufs.Fit(len(m.Ops))
 	defer func() { s.voteBufs.Put(votes) }()
 	for _, id := range m.Ops {
-		votes = append(votes, wire.Vote{Op: id, OK: s.resolveVote(p, boot, id, m.Enforce)})
+		votes = append(votes, wire.Vote{Op: id, OK: s.resolveVote(p, boot, id, m.From, m.Enforce)})
 		if s.Gone(boot) {
 			return
 		}
@@ -451,13 +451,15 @@ func (s *Server) handleVote(p *simrt.Proc, m *wire.Msg) {
 	s.Send(&wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, Ops: m.Ops, Votes: votes})
 }
 
-// resolveVote produces this server's YES/NO for one operation. The sub-op
-// may be executed (answer from its record), blocked behind another pending
-// operation (apply the ordered/disordered conflict rules), or still in
-// flight (wait for arrival). A bounded wait backstops pathological chains;
-// timing out votes NO, which is safe because an operation that has not
-// executed here cannot have been completed by its client.
-func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce []types.OpID) bool {
+// resolveVote produces this server's YES/NO for one operation of a VOTE
+// from coord. The sub-op may be executed (answer from its record), parked
+// behind another operation (apply the ordered/disordered conflict rules),
+// or still in flight; whatever it waits for, it waits on one operation here,
+// and never for a commitment coord can start only after this vote. A bounded
+// wait backstops faults; timing out votes NO, which is safe because an
+// operation that has not executed here cannot have been completed by its
+// client.
+func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, coord types.NodeID, enforce []types.OpID) bool {
 	deadline := s.Sim.Now() + s.cfg.VoteWait
 	for {
 		st := s.find(id)
@@ -477,22 +479,31 @@ func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce 
 			s.markAborted(id)
 			return false
 		}
-		switch {
-		case st != nil && st.parked != nil && slices.Contains(enforce, st.parked.holder) && s.invalidate(p, st.parked.holder, id):
-			// Disordered conflict: the coordinator ordered id before the
-			// holder, but we executed the holder first. It is invalidated,
-			// and id's request re-dispatches ahead of it (§III.C step 4):
-			// wait for it to execute, as for an arrival.
-		case st != nil && st.parked != nil:
-			// Ordered conflict: commit the holder first, then id executes
-			// with holder as its hint (via the holder's letGo).
+		wait := id // not arrived yet: wait for it to execute
+		if st != nil && st.parked != nil {
 			holder := st.parked.holder
-			s.requestCommit(holder, false, -1)
-			s.await(p, holder, false, remaining)
-		default:
-			// Not arrived yet: wait for execution or timeout.
-			s.await(p, id, true, remaining)
+			switch h := s.pending(holder); {
+			case slices.Contains(enforce, holder) && s.invalidate(p, holder, id):
+				// Disordered conflict: the coordinator ordered id before the
+				// holder, but we executed the holder first. It is invalidated,
+				// and id's request re-dispatches ahead of it (§III.C step 4):
+				// wait for it to execute, as for an arrival.
+			case h != nil && h.phase != phaseDecided && !h.coordinator() && h.peer == coord:
+				// The holder's commitment is a later batch of coord's, whose
+				// commit daemon runs one batch at a time: NO now, the NO the
+				// deadline would give. The parked copy is dropped when the
+				// holder lets go.
+				s.markAborted(id)
+				return false
+			default:
+				// Ordered conflict: the holder's commitment, demanded when id
+				// parked, lets id execute with the holder as its hint (the
+				// holder's letGo). The holder registering wakes this wait too,
+				// and the rules above are read again.
+				wait = holder
+			}
 		}
+		s.await(p, wait, remaining)
 		if s.Gone(boot) {
 			return false
 		}
@@ -511,8 +522,10 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	// §5 item 20).
 	done := s.decidedBufs.Fit(len(m.Decisions))
 	defer func() { s.decidedBufs.Put(done) }()
-	var inflight []types.OpID // aborted ops whose sub-op is mid-execution here
-	var others []types.OpID   // ops another copy of this request decided, not yet finished
+	// waits is the operations this request decides that must end here before
+	// the ACK: an aborted one whose sub-op is mid-execution here, or one
+	// another copy of this request decided and has not finished.
+	var waits []types.OpID
 	for _, d := range m.Decisions {
 		switch st := s.find(d.Op); {
 		case st != nil && (st.phase == phasePending || st.phase == phaseCommitting):
@@ -523,14 +536,14 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 			// network) decided it and is inside its append. Deciding again
 			// would log the decision twice, roll an abort back twice and
 			// finish the execution twice.
-			others = append(others, d.Op)
+			waits = append(waits, d.Op)
 		case !d.Commit:
 			// Abort for an operation we never executed (vote timeout or
 			// in-flight sub-op): poison it. A parked copy is dropped when
 			// its holder lets go.
 			s.markAborted(d.Op)
 			if s.Executing(d.Op) {
-				inflight = append(inflight, d.Op)
+				waits = append(waits, d.Op)
 			}
 		}
 	}
@@ -540,25 +553,16 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	if s.step(StepPartBeforeAck, m.Decisions[0].Op, 0, nil) || s.Gone(boot) {
 		return
 	}
-	// The ACK tells the coordinator the abort has been applied here, and it
-	// will answer its client ALL-NO on the strength of it. An execution of
-	// the aborted operation still inside its Result-Record append has not
-	// been rolled back yet (it does that itself when the append returns and
-	// it finds the abort mark): wait for it, or the client's next operation
-	// on the same object runs against the leftover.
-	for _, op := range inflight {
-		for s.Executing(op) {
-			s.await(p, op, true, s.cfg.RetryInterval)
-			if s.Gone(boot) {
-				return
-			}
-		}
-	}
-	// Likewise an execution the duplicate decided: the ACK waits until the
-	// duplicate has finished it.
-	for _, op := range others {
-		for s.pending(op) != nil {
-			s.await(p, op, false, s.cfg.RetryInterval)
+	// The ACK tells the coordinator the decision has been applied here, and it
+	// will answer its client ALL-NO on the strength of an abort. An execution
+	// of an aborted operation still inside its Result-Record append has not
+	// been rolled back yet (it does that itself when the append returns and it
+	// finds the abort mark), and an execution the duplicate decided is not
+	// finished yet: wait for both, or the client's next operation on the same
+	// object runs against the leftover.
+	for _, op := range waits {
+		for s.Executing(op) || s.pending(op) != nil {
+			s.await(p, op, s.cfg.RetryInterval)
 			if s.Gone(boot) {
 				return
 			}

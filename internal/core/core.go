@@ -85,7 +85,10 @@ type Config struct {
 	// workload would notice: the disk and network are quiet by definition.
 	IdleTrigger time.Duration
 	// VoteWait bounds how long a participant vote waits for a sub-op to
-	// arrive or a blocking commitment to finish before voting NO.
+	// arrive or a blocking commitment to finish before voting NO. It is a
+	// backstop for faults (a lost sub-op, a crashed peer): a vote never
+	// waits for a commitment its own VOTE's sender can start only after it
+	// (DESIGN.md §5 item 28).
 	VoteWait time.Duration
 	// RetryInterval paces VOTE/COMMIT-REQ retransmission to a crashed or
 	// slow peer.

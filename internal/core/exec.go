@@ -220,7 +220,7 @@ func (s *Server) execSubOp(p *simrt.Proc, m *wire.Msg, st *opState, hint types.O
 		// An abort decision may be holding its ACK for this rollback.
 		s.End(sub.Op)
 		if st := s.find(sub.Op); st != nil {
-			st.fire(true)
+			st.fire()
 		}
 		return
 	}
@@ -288,7 +288,10 @@ func (s *Server) redispatch(p *simrt.Proc, br *blockedReq) (parked bool) {
 	defer func() { s.settle(s.find(sub.Op)) }()
 	st := s.find(sub.Op)
 	if st != nil && st.aborted {
-		return false // its operation was aborted while it was parked
+		// Its operation was aborted while it was parked. What an invalidation
+		// queued behind it goes on without it.
+		s.letGo(st, kvstore.Refs{})
+		return false
 	}
 	seen, holder, held := s.heldBy(sub, kvstore.Probe{})
 	if held {

@@ -18,7 +18,7 @@ import (
 // entry of the table — its execution and that execution's phase, its log
 // entry's handle, what waits on the operation (its own parked request, the
 // requests parked behind it, a commitment demanded before it executed, procs
-// waiting for it to arrive or to end) and the abort mark that outlives it.
+// waiting for something to happen to it) and the abort mark that outlives it.
 // The phase changes in this file only, in register, take, invalidate, decide
 // and finish; DESIGN.md §5 tabulates phase × event → record written → next
 // phase. An entry that says nothing any more is deleted (settle), so the
@@ -83,7 +83,7 @@ type opState struct {
 
 	parked    *blockedReq // this op's own request, behind another op's object (cross-server only)
 	followers *blockedReq // requests parked behind this op, in arrival order
-	sigs      *opSignal   // procs waiting for this op to arrive or to end
+	sigs      *opSignal   // procs waiting for something to happen to this op here
 
 	wantPart types.NodeID // wanted: the op's participant, if a requester named it (-1 otherwise)
 	once     int32        // the chassis's word (node.Entries)
@@ -183,12 +183,12 @@ func (s *Server) newBlocked() *blockedReq {
 	return br
 }
 
-// opSignal is one proc waiting on an operation: for its sub-op to show up
-// here (arrival: it registers, parks or is refused), or for it to end here.
+// opSignal is one proc waiting on an operation for one thing: something
+// happened to it here — it registered, parked, was refused or rolled back,
+// or ended. The waiter re-reads the table when it wakes.
 type opSignal struct {
-	ch      *simrt.Chan[struct{}]
-	arrival bool
-	next    *opSignal
+	ch   *simrt.Chan[struct{}]
+	next *opSignal
 }
 
 // entryBlock is how many entries the slab makes at once, in one allocation,
@@ -308,14 +308,13 @@ func (s *Server) markAborted(op types.OpID) {
 }
 
 // wipe is what a crash does to the op table: the executions, parked
-// requests, followers, remembered demands and arrival waits of the previous
-// incarnation are gone (clients must reissue), and the log entries, which
-// recovery's scan finds again. The abort marks survive, the completion waits
-// of procs that have yet to notice they are dead, and the chassis's words.
+// requests, followers and remembered demands of the previous incarnation are
+// gone (clients must reissue), and the log entries, which recovery's scan
+// finds again. The abort marks survive, the waits of procs that have yet to
+// notice they are dead, and the chassis's words.
 func (s *Server) wipe() {
 	s.slab.each(func(_ int32, st *opState) {
 		id := st.id()
-		st.cut(true)
 		*st = opState{aborted: st.aborted, sigs: st.sigs, once: st.once}
 		st.sub.Op = id
 		s.settle(st)
@@ -323,10 +322,10 @@ func (s *Server) wipe() {
 	s.coordPending, s.idleCoord, s.unnamedParts = 0, nil, nil
 }
 
-// await parks p until op arrives (or, arrival false, ends) here or d passes,
-// and reports which. A wait that times out takes its signal back.
-func (s *Server) await(p *simrt.Proc, op types.OpID, arrival bool, d time.Duration) bool {
-	w := &opSignal{ch: simrt.NewChan[struct{}](s.Sim), arrival: arrival}
+// await parks p until something happens to op here or d passes, and
+// reports which. A wait that times out takes its signal back.
+func (s *Server) await(p *simrt.Proc, op types.OpID, d time.Duration) bool {
+	w := &opSignal{ch: simrt.NewChan[struct{}](s.Sim)}
 	tail := &s.entry(op).sigs
 	for *tail != nil {
 		tail = &(*tail).next
@@ -347,31 +346,17 @@ func (s *Server) await(p *simrt.Proc, op types.OpID, arrival bool, d time.Durati
 	return false
 }
 
-// fire wakes the procs waiting for the op's arrival (or end).
-func (st *opState) fire(arrival bool) {
-	for w := st.cut(arrival); w != nil; w = w.next {
+// fire wakes every proc waiting on the op, in the order they began to wait.
+func (st *opState) fire() {
+	w := st.sigs
+	for st.sigs = nil; w != nil; w = w.next {
 		w.ch.Send(struct{}{})
 	}
 }
 
-// cut takes the entry's arrival (or completion) signals off its list and
-// returns them, in order.
-func (st *opState) cut(arrival bool) (cut *opSignal) {
-	tail := &cut
-	for pp := &st.sigs; *pp != nil; {
-		if w := *pp; w.arrival == arrival {
-			*pp, w.next = w.next, nil
-			*tail, tail = w, &w.next
-		} else {
-			pp = &w.next
-		}
-	}
-	return cut
-}
-
 // park queues br behind its holder. A cross-server sub-op is from now on
-// found by its own operation too, and a vote handler waiting for it to
-// arrive wakes to apply the conflict rules instead of timing out.
+// found by its own operation too, and a vote handler waiting on it wakes to
+// apply the conflict rules.
 func (s *Server) park(br *blockedReq) {
 	tail := &s.entry(br.holder).followers
 	for *tail != nil {
@@ -381,7 +366,7 @@ func (s *Server) park(br *blockedReq) {
 	if sub := br.msg.Sub; sub.Kind.CrossServer() {
 		st := s.entry(sub.Op)
 		st.parked = br
-		st.fire(true)
+		st.fire()
 	}
 }
 
@@ -421,8 +406,9 @@ func (s *Server) takeIdle(part types.NodeID) []*opState {
 
 // register is an execution's Result-Record having become durable: it is
 // pending and indexed for the round that will take it, a commitment demanded
-// while it was in flight is replayed, and vote handlers waiting for it to
-// arrive wake. st is the operation's entry, nil if it has none.
+// while it was in flight is replayed, and the procs waiting on it wake: a
+// vote for it, or one for a sub-op parked behind it. st is the operation's
+// entry, nil if it has none.
 func (s *Server) register(st *opState, e execution) {
 	if st == nil {
 		st = s.entry(e.sub.Op)
@@ -443,7 +429,7 @@ func (s *Server) register(st *opState, e execution) {
 		// Recovery launches the batch for what it rebuilds itself.
 		s.KickCommit()
 	}
-	st.fire(true)
+	st.fire()
 }
 
 // take is a commitment round taking a pending execution (a batch forming on
@@ -612,7 +598,7 @@ func (s *Server) letGo(st *opState, rows kvstore.Refs) {
 // any more: procs parked on its completion wake, a demand for its commitment
 // is moot.
 func (s *Server) release(st *opState) {
-	st.fire(false)
+	st.fire()
 	st.wanted = false
 	s.settle(st)
 }

@@ -349,11 +349,12 @@ func TestCheckStateNoticesDisagreement(t *testing.T) {
 
 // Every way a holder lets go of its object re-dispatches the requests parked
 // behind it: a commit that finishes it, an abort that lands inside its
-// Result-Record append, and an invalidation by an enforced VOTE (§III.C step
-// 4), where the request the coordinator ordered first executes before the
-// holder's other followers. The holder is a create whose participant half,
-// on server 1, holds its new inode; the followers link to that inode
-// (DESIGN.md §5 item 21).
+// Result-Record append, an invalidation by an enforced VOTE (§III.C step 4),
+// where the request the coordinator ordered first executes before the
+// holder's other followers, and the abort of that request while it is parked
+// again, with the invalidated holder queued behind it. The holder is a
+// create whose participant half, on server 1, holds its new inode; the
+// followers link to that inode (DESIGN.md §5 item 21).
 func TestEveryLetGoReleasesFollowers(t *testing.T) {
 	cases := []struct {
 		what string
@@ -363,12 +364,18 @@ func TestEveryLetGoReleasesFollowers(t *testing.T) {
 		// enforced parks a second follower, ordered first by a VOTE that
 		// enforces it, which is what lets go.
 		enforced bool
+		// reparked has the holder's own process link to the inode once the
+		// followers have parked: that link executes and takes the object, so
+		// the requests the invalidation lets go park again behind it, and the
+		// enforced one is aborted there before the link commits.
+		reparked bool
 		decision *wire.Decision // what lets go otherwise: a COMMIT-REQ with it
 		ran      bool           // the follower's execution succeeds
 	}{
 		{what: "commit, then finish", decision: &wire.Decision{Commit: true}, ran: true},
 		{what: "abort inside the Result-Record append", inAppend: true, decision: &wire.Decision{}},
 		{what: "invalidation by an enforced VOTE", enforced: true},
+		{what: "abort of the enforced request parked again", enforced: true, reparked: true},
 	}
 	for _, c := range cases {
 		t.Run(c.what, func(t *testing.T) {
@@ -391,8 +398,8 @@ func TestEveryLetGoReleasesFollowers(t *testing.T) {
 				}
 				// Other processes link to the inode being created: parked
 				// behind it, the enforced one first.
-				link := func(proc int32) types.Op {
-					op := types.Op{ID: types.OpID{Proc: types.ProcID{Client: 2, Index: proc}, Seq: 1}, Kind: types.OpLink,
+				link := func(proc int32, seq uint64) types.Op {
+					op := types.Op{ID: types.OpID{Proc: types.ProcID{Client: 2, Index: proc}, Seq: seq}, Kind: types.OpLink,
 						Parent: types.RootInode, Name: r.name(0), Ino: holder.Ino}
 					req := subOpReq(op, types.RoleParticipant)
 					r.host.Send(&req)
@@ -401,28 +408,49 @@ func TestEveryLetGoReleasesFollowers(t *testing.T) {
 				}
 				var first types.Op
 				if c.enforced {
-					first = link(2)
+					first = link(2, 1)
 				}
-				follower := link(1)
+				follower := link(1, 1)
 				parked := func(op types.Op) bool { st := s.find(op.ID); return st != nil && st.parked != nil }
 				if s.Executing(holder.ID) != c.inAppend || !parked(follower) || c.enforced && !parked(first) {
 					t.Fatal("the followers are not parked behind the holder as the case needs: the test is vacuous")
 				}
+				var own types.Op
+				if c.reparked {
+					own = link(0, 2) // the holder's process: its execution is not held back
+					p.Sleep(20 * time.Millisecond)
+				}
 				if c.enforced {
 					r.srv[0].Send(&wire.Msg{Type: wire.MsgVote, To: 1, Ops: []types.OpID{first.ID}, Enforce: []types.OpID{holder.ID}})
-				} else {
+				}
+				switch {
+				case c.reparked:
+					p.Sleep(50 * time.Millisecond)
+					if st := s.find(holder.ID); !parked(first) || st == nil || st.parked == nil || st.parked.holder != first.ID {
+						t.Fatalf("the invalidated holder is not parked behind the enforced %v, parked again (%s): the test is vacuous", first.ID, s.DebugOp(first.ID))
+					}
+					for _, d := range []wire.Decision{{Op: first.ID}, {Op: own.ID, Commit: true}} {
+						r.srv[0].Send(&wire.Msg{Type: wire.MsgCommitReq, To: 1, Op: d.Op, Decisions: []wire.Decision{d}})
+						p.Sleep(10 * time.Millisecond)
+					}
+				case !c.enforced:
 					d := *c.decision
 					d.Op = holder.ID
 					r.srv[0].Send(&wire.Msg{Type: wire.MsgCommitReq, To: 1, Op: holder.ID, Decisions: []wire.Decision{d}})
 				}
 				p.Sleep(50 * time.Millisecond)
+				if c.reparked {
+					if st := s.pending(holder.ID); st == nil || !st.ok {
+						t.Errorf("the invalidated holder did not execute again once the enforced request was aborted: %s", s.DebugOp(holder.ID))
+					}
+				}
 				if parked(follower) {
 					t.Errorf("the follower is still parked behind %v (%s)", holder.ID, s.DebugOp(holder.ID))
 				}
 				if st := s.pending(follower.ID); st == nil || st.ok != c.ran {
 					t.Errorf("the follower did not run with OK=%v: %s", c.ran, s.DebugOp(follower.ID))
 				}
-				if c.enforced {
+				if c.enforced && !c.reparked {
 					if i, j := slices.Index(execs, first.ID), slices.Index(execs, follower.ID); i < 0 || i > j {
 						t.Errorf("executions on server 1 %v: the enforced %v did not run before the follower %v", execs, first.ID, follower.ID)
 					}

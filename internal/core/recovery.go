@@ -262,7 +262,7 @@ func (s *Server) Recover(p *simrt.Proc) time.Duration {
 	// link faults.
 	for _, id := range append(append([]types.OpID{}, undecidedCoord...), undecidedPart...) {
 		for s.pending(id) != nil {
-			if !s.await(p, id, false, s.lazyPeriod()) {
+			if !s.await(p, id, s.lazyPeriod()) {
 				if st := s.pending(id); st != nil && st.phase == phasePending && !st.coordinator() {
 					s.Send(&wire.Msg{Type: wire.MsgConflictNotify, To: st.peer, Op: id})
 				}
