@@ -59,7 +59,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		return
 	}
 	op := m.FullOp
-	if !s.Admit(p) || !s.Begin(op.ID, m.From) {
+	if !s.Admit(p, nil) || !s.Begin(op.ID, m.From) {
 		return
 	}
 	defer s.End(op.ID)

@@ -140,7 +140,7 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	sub := m.Sub
 	mutating := sub.Action.Mutating()
 	if mutating {
-		if !s.Admit(p) || !s.Begin(sub.Op, m.From) {
+		if !s.Admit(p, nil) || !s.Begin(sub.Op, m.From) {
 			return
 		}
 		defer s.End(sub.Op)
@@ -206,7 +206,7 @@ func (s *SEServer) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 		return
 	}
 	op := m.FullOp
-	if !s.Admit(p) || !s.Begin(op.ID, m.From) {
+	if !s.Admit(p, nil) || !s.Begin(op.ID, m.From) {
 		return
 	}
 	defer s.End(op.ID)

@@ -70,7 +70,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		return
 	}
 	op := m.FullOp
-	if !s.Admit(p) || !s.Begin(op.ID, m.From) {
+	if !s.Admit(p, nil) || !s.Begin(op.ID, m.From) {
 		return // a transaction still running (or queued on locks), or finished
 	}
 	defer s.End(op.ID)

@@ -16,10 +16,11 @@ import (
 // L-COM, or C-NOTIFY). If this server coordinates op, the commit daemon is
 // kicked; if it participates, the coordinator is notified; if op is not yet
 // known here (its sub-op is still in flight), the request is remembered and
-// replayed when the sub-op executes. part is the operation's participant
-// when the requester names it (a C-NOTIFY comes from it, an L-COM carries it
-// as Peer; -1 otherwise), so a request for an operation this server aborted,
-// or never learns about and presumes aborted, can be answered there as well.
+// replayed when the sub-op executes, which the log's gate then lets through
+// (admit). part is the operation's participant when the requester names it
+// (a C-NOTIFY comes from it, an L-COM carries it as Peer; -1 otherwise), so
+// a request for an operation this server aborted, or never learns about and
+// presumes aborted, can be answered there as well.
 func (s *Server) requestCommit(op types.OpID, lcom bool, part types.NodeID) {
 	st := s.find(op)
 	switch {
@@ -38,6 +39,7 @@ func (s *Server) requestCommit(op types.OpID, lcom bool, part types.NodeID) {
 	default:
 		if st = s.entry(op); !st.wanted {
 			st.wanted, st.wantAt, st.wantPart, st.lcom = true, s.Sim.Now(), part, lcom
+			s.WAL.Wake() // an arrival of op held at the gate may now pass (admit)
 			return
 		}
 		st.lcom = st.lcom || lcom

@@ -380,11 +380,6 @@ func (s *Server) joinPressureRound(m *wire.Msg) {
 // Start serves the inbox and launches the commitment trigger daemon.
 func (s *Server) Start() {
 	s.Base.Start(s.handle)
-	// The log is full and an arrival is parked: the same round a crossing
-	// of the pressure mark starts. A backstop — rounds normally keep the
-	// log under its limit — for the case where nothing appends (so nothing
-	// re-checks the mark) while arrivals wait.
-	s.WAL.SetFullHandler(s.pressureRound)
 	s.Sim.Spawn("cx/commitd", s.commitDaemon)
 	if s.cfg.IdleTrigger > 0 {
 		s.Sim.Spawn("cx/idled", s.idleDaemon)

@@ -19,9 +19,10 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	// §III.D: at the log limit new arrivals wait for pruning. They wait
 	// here, before anything has executed, and only the arrivals that can:
 	// a participant half is never held, because the VOTE that frees the
-	// space may be waiting for exactly that half.
+	// space may be waiting for exactly that half, and neither is a
+	// coordinator half whose commitment a peer has demanded (admit).
 	if sub.Role != types.RoleParticipant && (sub.Kind.CrossServer() || sub.Action.Mutating()) {
-		if !s.Admit(p) {
+		if !s.admit(p, sub.Op) {
 			return
 		}
 	}
@@ -67,6 +68,17 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 		return
 	}
 	s.execSubOp(p, m, st, types.NilOp, 1, seen)
+}
+
+// admit is the log's gate (node.Base.Admit) for an arrival of op. A full
+// log lets op through once its commitment is demanded (wanted): a C-NOTIFY
+// or an L-COM has come for it, so its other half has executed and waits for
+// it, and holding it would keep full the logs that its commitment frees.
+func (s *Server) admit(p *simrt.Proc, op types.OpID) bool {
+	return s.Admit(p, func() bool {
+		st := s.find(op)
+		return st != nil && st.wanted
+	})
 }
 
 // logResults makes the Result-Records of an execution that has just written
@@ -332,7 +344,7 @@ func (s *Server) handleLocalOp(p *simrt.Proc, m *wire.Msg) {
 	if !op.Kind.CrossServer() {
 		return // reads and single-server updates travel as SUBOP-REQ
 	}
-	if !s.Admit(p) { // the log-limit hold, as in handleSubOp
+	if !s.admit(p, op.ID) { // the log-limit hold, as in handleSubOp
 		return
 	}
 	if st := s.find(op.ID); st != nil && (st.parked != nil || st.phase != phaseNone) || !s.Begin(op.ID, m.From) {

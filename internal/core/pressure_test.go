@@ -169,40 +169,61 @@ func fillLog(p *simrt.Proc, s *Server, op types.OpID) wal.Handle {
 // At the log limit a coordinator half waits before it executes — nothing it
 // would write can then reach a page ahead of its Result-Record — while a
 // participant half is never held: the VOTE that frees log space may be
-// waiting for it.
+// waiting for it. The wait ends at the prune, or as soon as a peer demands
+// the operation's commitment: with both logs full, the participant's
+// pressure round sends the C-NOTIFY that lets the coordinator half through,
+// and it executes with its log still full.
 func TestLogLimitHoldsArrivalsBeforeTheyExecute(t *testing.T) {
-	r := newRig(4<<10, Config{Timeout: time.Hour})
-	filler := types.OpID{Proc: types.ProcID{Client: 9}, Seq: 1}
-	r.run(t, func(p *simrt.Proc) {
-		fill := fillLog(p, r.srv[0], filler)
-		fillLog(p, r.srv[1], filler)
-		op := r.create(0, 1)
-		done := simrt.NewChan[error](r.sim)
-		r.sim.Spawn("client", func(cp *simrt.Proc) {
-			_, err := r.drv.Do(cp, op)
-			done.Send(err)
+	for _, row := range []struct {
+		name            string
+		participantFull bool // the participant's log is full too: its pressure round demands the op
+	}{
+		{"undemanded", false},
+		{"demanded", true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			r := newRig(4<<10, Config{Timeout: time.Hour})
+			filler := types.OpID{Proc: types.ProcID{Client: 9}, Seq: 1}
+			r.run(t, func(p *simrt.Proc) {
+				fill := fillLog(p, r.srv[0], filler)
+				if row.participantFull {
+					fillLog(p, r.srv[1], filler)
+				}
+				op := r.create(0, 1)
+				done := simrt.NewChan[error](r.sim)
+				r.sim.Spawn("client", func(cp *simrt.Proc) {
+					_, err := r.drv.Do(cp, op)
+					done.Send(err)
+				})
+				p.Sleep(50 * time.Millisecond)
+				if r.srv[1].WAL.Stats().FullStalls != 0 {
+					t.Error("participant half was held at the log limit")
+				}
+				if st := r.srv[0].WAL.Stats().FullStalls; st != 1 {
+					t.Errorf("%d full-log stalls counted, want the coordinator half's one", st)
+				}
+				_, executed := r.srv[0].Shard.LookupEntry(op.Parent, op.Name)
+				if !row.participantFull {
+					if r.srv[1].pending(op.ID) == nil {
+						t.Error("participant half did not execute beside the held coordinator half")
+					}
+					if executed || r.srv[0].coordPending != 0 || done.Len() != 0 {
+						t.Error("coordinator half no peer waits for was not held at the log limit")
+					}
+					r.srv[0].WAL.Prune(fill)
+				} else if !executed || r.srv[0].WAL.LiveBytes() < r.srv[0].WAL.MaxBytes() {
+					t.Errorf("demanded coordinator half: executed %v, log full %v; want it let through at the full log",
+						executed, r.srv[0].WAL.LiveBytes() >= r.srv[0].WAL.MaxBytes())
+				}
+				if err := done.Recv(p); err != nil {
+					t.Errorf("create after the hold: %v", err)
+				}
+				if _, ok := r.srv[0].Shard.LookupEntry(op.Parent, op.Name); !ok {
+					t.Error("released coordinator half did not execute")
+				}
+			})
 		})
-		p.Sleep(50 * time.Millisecond)
-		if r.srv[1].pending(op.ID) == nil {
-			t.Error("participant half was held at the log limit")
-		}
-		if _, ok := r.srv[0].Shard.LookupEntry(op.Parent, op.Name); ok {
-			t.Error("coordinator half executed while the log was at its limit")
-		}
-		if r.srv[0].coordPending != 0 || done.Len() != 0 {
-			t.Error("coordinator half was not held at the log limit")
-		}
-		if r.srv[0].WAL.Stats().FullStalls == 0 {
-			t.Error("the hold was not counted as a full-log stall")
-		}
-		r.srv[0].WAL.Prune(fill)
-		if err := done.Recv(p); err != nil {
-			t.Errorf("create after the hold: %v", err)
-		}
-		if _, ok := r.srv[0].Shard.LookupEntry(op.Parent, op.Name); !ok {
-			t.Error("released coordinator half did not execute")
-		}
-	})
+	}
 }
 
 // A write-back in flight when the server crashes — or crashes and reboots

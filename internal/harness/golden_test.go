@@ -144,7 +144,14 @@ func TestGoldenRuns(t *testing.T) {
 		// Result-Record append now also wakes when that execution rolls back,
 		// finds it still executing, and waits again until it ends: one more
 		// send and one more resume. Clock, messages and digest did not move.
-		{"chaos/seed5/smalllog", chaosGolden(chaos.Config{Seed: 5, Pipeline: 4, LogMaxBytes: 2 << 10}), golden{1805019181, 7021, 32894, "831a05c2270c27d6"}},
+		//
+		// Re-pinned in all four once more, for one cause: the log's gate lets
+		// through a coordinator half whose commitment a peer has demanded
+		// (DESIGN.md §5 item 29), so fewer operations wait out a presumed
+		// abort at the 2 KB log: 666 of 720 return OK instead of 601, with
+		// fewer messages and events, and the run's schedule shifts (it ends
+		// 0.22 s later). 0 violations.
+		{"chaos/seed5/smalllog", chaosGolden(chaos.Config{Seed: 5, Pipeline: 4, LogMaxBytes: 2 << 10}), golden{2027494712, 6828, 32549, "1814a1dec2125273"}},
 		// The two rows with leases on were re-pinned once, for one cause: a
 		// mutation's own client is leased the entry it made by the reply
 		// instead of being sent a revocation notice, so it serves its own

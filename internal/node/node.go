@@ -322,15 +322,17 @@ func (b *Base) Gone(boot uint64) bool { return b.crashed || b.boot != boot }
 
 // Admit is the log's one gate, under every protocol (§III.D: "a server
 // must block the new-arrival sub-op requests and perform pruning"): it holds
-// a new arrival while the log is at its limit (wal.WAL.AwaitSpace) and
+// a new arrival while the log is at its limit, unless pass reports that a
+// peer already waits for it (wal.WAL.AwaitSpace; Cx's pass is "a peer has
+// demanded this operation's commitment", the baselines pass nil), and
 // reports whether the server is still the incarnation that received it. A
 // handler calls it once, before it executes anything, and appends ungated
 // after it. A participant's half (a Cx participant sub-op, a 2PC VOTE, a
 // CE migration) is never held: the coordinator that would free the space
 // may be waiting for exactly that half.
-func (b *Base) Admit(p *simrt.Proc) bool {
+func (b *Base) Admit(p *simrt.Proc, pass func() bool) bool {
 	boot := b.boot
-	b.WAL.AwaitSpace(p)
+	b.WAL.AwaitSpace(p, pass)
 	return !b.Gone(boot)
 }
 

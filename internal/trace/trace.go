@@ -364,10 +364,3 @@ func (t *Trace) CrossServerShare() float64 {
 	}
 	return float64(cross) / float64(t.Total)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

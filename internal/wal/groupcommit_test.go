@@ -250,7 +250,7 @@ func TestGroupCommitSpaceGateCountsWindowBytes(t *testing.T) {
 		i := i
 		client := types.NodeID(i + 1)
 		s.Spawn("appender", func(p *simrt.Proc) {
-			w.AwaitSpace(p)
+			w.AwaitSpace(p, nil)
 			w.Append(p, procRec(client, 1))
 			order = append(order, i)
 		})

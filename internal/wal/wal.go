@@ -21,9 +21,9 @@
 // frees space (§III.D: "a server must block the new-arrival sub-op requests
 // and perform pruning"): a server holds each in AwaitSpace before executing
 // it, and no append waits, so the records whose prune frees space are never
-// held. A registered full-handler lets the protocol launch the commitments
-// that make pruning possible. Pruning drops all records of an operation
-// once its terminal record is durable.
+// held; an arrival a peer already waits for passes (AwaitSpace's pass).
+// Pruning drops all records of an operation once its terminal record is
+// durable.
 //
 // In memory the log is its entries — per operation, its live bytes and which
 // record types it holds — and, for the recovery scan, the durable records in
@@ -173,7 +173,7 @@ type Stats struct {
 	Records      uint64 // records appended
 	BytesWritten int64
 	Pruned       uint64 // records removed by pruning
-	FullStalls   uint64 // times an arrival waited for space (AwaitSpace)
+	FullStalls   uint64 // arrivals held for space (AwaitSpace), each counted once
 	GroupFlushes uint64 // group-commit disk writes (subset of Appends)
 	GroupedReqs  uint64 // caller append requests coalesced by group commit
 }
@@ -252,10 +252,9 @@ type WAL struct {
 	img      image
 	liveRecs int
 
-	waiters     []*simrt.Signal // AwaitSpace callers held at the limit
-	fullHandler func()
-	crashed     bool
-	gen         uint64 // incarnation; bumped by Crash so in-flight writes from
+	waiters []*simrt.Signal // AwaitSpace callers held at the limit
+	crashed bool
+	gen     uint64 // incarnation; bumped by Crash so in-flight writes from
 	// a dead incarnation stay discarded even after Reboot re-enables the log
 
 	// Group commit: when linger > 0, appends from concurrent Procs park in
@@ -276,11 +275,6 @@ func New(s *simrt.Sim, d *disk.Disk, base, maxBytes int64) *WAL {
 	return &WAL{sim: s, dsk: d, base: base, max: maxBytes,
 		win: &window{done: simrt.NewGroup(s)}, spare: &window{done: simrt.NewGroup(s)}}
 }
-
-// SetFullHandler registers fn to be invoked (in simulation context, without
-// blocking) whenever an AwaitSpace caller must wait for space.
-// The Cx core uses it as the backstop that starts a log-pressure round.
-func (w *WAL) SetFullHandler(fn func()) { w.fullHandler = fn }
 
 // SetGroupCommit enables the cross-proc group-commit scheduler: concurrent
 // appenders park in a flush window for up to linger of virtual time and a
@@ -422,20 +416,22 @@ func (w *WAL) full() bool { return w.max > 0 && w.live+w.win.bytes() >= w.max }
 
 // AwaitSpace is the log's one gate, the §III.D hold on new arrivals, taken
 // once per arrival before it executes: it blocks while the log is at or over
-// its limit, calling the full handler each time it holds. What an admitted
-// arrival appends may carry the log past its limit, even a record larger
-// than the whole log; the next arrival waits for the prune. Returns at once
-// on an unlimited log, and when the server crashes while the caller waits.
-func (w *WAL) AwaitSpace(p *simrt.Proc) {
+// its limit, unless pass (nil: never; called, never kept) lets the arrival
+// through a full log, as a protocol's does for one a peer already waits for.
+// A held arrival re-reads both whenever Wake releases it, and counts as one
+// stall however often it does. What an admitted arrival appends may carry
+// the log past its limit, even a record larger than the whole log; the next
+// arrival waits for the prune. Returns at once on an unlimited log, and when
+// the server crashes while the caller waits.
+func (w *WAL) AwaitSpace(p *simrt.Proc, pass func() bool) {
 	// A crash releases every waiter; its server is gone, so it must not
 	// queue up again behind the dead incarnation's log.
-	for gen := w.gen; gen == w.gen && w.full(); {
-		w.stats.FullStalls++
+	for gen, held := w.gen, false; gen == w.gen && w.full() && (pass == nil || !pass()); held = true {
+		if !held {
+			w.stats.FullStalls++
+		}
 		ok := new(simrt.Signal)
 		w.waiters = append(w.waiters, ok)
-		if w.fullHandler != nil {
-			w.sim.After(0, w.fullHandler)
-		}
 		ok.Wait(p)
 	}
 }
@@ -513,7 +509,9 @@ func (w *WAL) Prune(h Handle) int64 {
 	if dead := w.ordered.Len() - w.liveRecs; 4*dead > w.liveRecs {
 		w.compact()
 	}
-	w.wakeWaiters()
+	if !w.full() {
+		w.Wake()
+	}
 	return bytes
 }
 
@@ -538,11 +536,11 @@ func (w *WAL) compact() {
 	c.done()
 }
 
-// wakeWaiters releases every held arrival once the log is under its limit.
-func (w *WAL) wakeWaiters() {
-	if w.full() {
-		return
-	}
+// Wake releases every held arrival to re-read AwaitSpace's conditions: a
+// prune calls it once the log is under its limit, and the protocol when an
+// arrival's pass may have turned true. An arrival that still may not go is
+// held again.
+func (w *WAL) Wake() {
 	for _, ok := range w.waiters {
 		ok.Fire()
 	}
@@ -557,10 +555,7 @@ func (w *WAL) wakeWaiters() {
 func (w *WAL) Crash() {
 	w.crashed = true
 	w.gen++
-	for _, ok := range w.waiters {
-		ok.Fire()
-	}
-	w.waiters = nil
+	w.Wake()
 	w.win.release()
 }
 

@@ -160,39 +160,35 @@ func TestPruneFreesSpace(t *testing.T) {
 }
 
 // A new arrival at the full log is held in AwaitSpace until a prune frees
-// space: the full handler is called, the hold is counted, and the held
-// arrival's append lands only after the prune.
+// space: the hold is counted, and the held arrival's append lands only after
+// the prune.
 func TestFullLogBlocksUntilPrune(t *testing.T) {
 	rec := resultRec(1, "xxxx")
 	limit := EncodedSize(rec) // room for exactly one result record
 	s := simrt.New(1)
 	d := disk.New(s, "d", disk.DefaultParams())
 	w := New(s, d, 0, limit)
-	var stalled bool
-	w.SetFullHandler(func() { stalled = true })
 	var secondDone time.Duration
 	var first Handle
 	s.Spawn("writer", func(p *simrt.Proc) {
-		w.AwaitSpace(p) // empty log: admitted at once
+		w.AwaitSpace(p, nil) // empty log: admitted at once
 		first = w.Append(p, rec)
-		w.AwaitSpace(p) // the log is at its limit: must stall
+		w.AwaitSpace(p, nil) // the log is at its limit: must stall
 		w.Append(p, resultRec(2, "yyyy"))
 		secondDone = p.Now()
 	})
 	s.Spawn("pruner", func(p *simrt.Proc) {
+		untilHeld(p, w)
 		p.Sleep(5 * time.Second)
 		w.Prune(first)
 	})
 	s.Run()
 	s.Shutdown()
-	if !stalled {
-		t.Error("full handler never invoked")
-	}
 	if secondDone < 5*time.Second {
 		t.Errorf("second append finished at %v, before prune at 5s", secondDone)
 	}
-	if st := w.Stats(); st.FullStalls == 0 {
-		t.Error("FullStalls not counted")
+	if st := w.Stats(); st.FullStalls != 1 {
+		t.Errorf("%d stalls counted, want the second arrival's one", st.FullStalls)
 	}
 }
 
@@ -205,21 +201,20 @@ func TestAwaitSpaceHoldsAtLimitUntilPruneOrCrash(t *testing.T) {
 	for _, crash := range []bool{false, true} {
 		s := simrt.New(1)
 		w := New(s, disk.New(s, "d", disk.DefaultParams()), 0, EncodedSize(rec))
-		handlerCalls := 0
-		w.SetFullHandler(func() { handlerCalls++ })
-		var released time.Duration
+		var held, released time.Duration
 		recs := []Record{rec, resultRec(2, "yyyy")}
 		s.Spawn("arrival", func(p *simrt.Proc) {
-			w.AwaitSpace(p) // empty log: no wait
+			w.AwaitSpace(p, nil) // empty log: no wait
 			if p.Now() != 0 {
 				t.Error("AwaitSpace waited on an empty log")
 			}
 			w.AppendBatch(p, recs) // overshoots: no append waits
-			w.AwaitSpace(p)
+			w.AwaitSpace(p, nil)
 			released = p.Now()
 		})
 		s.Spawn("freer", func(p *simrt.Proc) {
-			p.Sleep(time.Second)
+			untilHeld(p, w)
+			held = p.Now()
 			w.Prune(recs[1].Entry) // back to exactly the limit: still closed
 			p.Sleep(time.Second)
 			if crash {
@@ -230,11 +225,11 @@ func TestAwaitSpaceHoldsAtLimitUntilPruneOrCrash(t *testing.T) {
 		})
 		s.Run()
 		s.Shutdown()
-		if released != 2*time.Second {
-			t.Errorf("crash=%v: hold released at %v, want 2s", crash, released)
+		if released != held+time.Second {
+			t.Errorf("crash=%v: hold released at %v, want %v", crash, released, held+time.Second)
 		}
-		if handlerCalls == 0 || w.Stats().FullStalls == 0 {
-			t.Errorf("crash=%v: the hold neither called the full handler nor counted a stall", crash)
+		if st := w.Stats(); st.FullStalls != 1 {
+			t.Errorf("crash=%v: %d stalls counted, want the one hold's", crash, st.FullStalls)
 		}
 	}
 }
