@@ -25,13 +25,8 @@ type SEServer struct {
 	pl      namespace.Placement
 	batched bool
 
-	// undos retains the participant executions a CLEAR may still take back,
-	// by value, and undoAt finds each by its position there. SE has no
-	// protocol completion signal, so the set is bounded: oldest entries are
-	// discarded — exactly the window in which a crashed client leaves orphans
-	// (§II.B's acknowledged weakness of SE).
-	undos  seg.Ring[retained]
-	undoAt seg.Index[int32]
+	// undos retains the participant executions a CLEAR may still take back.
+	undos undoWindow
 
 	// localOps await the batched flush (batched mode only).
 	localOps []localFlush
@@ -43,14 +38,54 @@ type localFlush struct {
 	rows kvstore.Refs
 }
 
+// undoWindow keeps the participant executions a CLEAR may still take back,
+// by value. SE has no protocol completion signal, so the window is bounded:
+// at seUndoCap the oldest execution is discarded — exactly the window in
+// which a crashed client leaves orphans (§II.B's acknowledged weakness of
+// SE). The window is SE's node.Entries: an execution's handle is its
+// position, and the chassis's index files it under its operation, in the
+// slot the execution's executing mark and cached reply already have.
+type undoWindow struct {
+	slots seg.Seq[retained] // grows to seUndoCap, then reused in place
+	next  int32             // the oldest position, once the window is full
+}
+
 // retained is a participant execution in the undo window, with its
-// operation: what it wrote, by value.
+// operation (types.NilOp: the slot holds none) and the chassis's word: what
+// it wrote, by value.
 type retained struct {
 	op types.OpID
 	namespace.Written
+	once int32
 }
 
 const seUndoCap = 4096
+
+// Make returns the position the next execution takes: a new one until the
+// window holds seUndoCap, then the oldest, which retainUndo has emptied.
+func (w *undoWindow) Make() int32 {
+	if n := w.slots.Len(); n < seUndoCap {
+		w.slots.Append(retained{})
+		return int32(n)
+	}
+	h := w.next
+	w.next = (h + 1) % seUndoCap
+	return h
+}
+
+// Once returns execution h's chassis word.
+func (w *undoWindow) Once(h int32) *int32 { return &w.at(h).once }
+
+func (w *undoWindow) at(h int32) *retained { return w.slots.At(int(h)) }
+
+// oldest returns the slot the next Make takes over, nil while the window has
+// room.
+func (w *undoWindow) oldest() *retained {
+	if w.slots.Len() < seUndoCap {
+		return nil
+	}
+	return w.at(w.next)
+}
 
 // seFlushPeriod paces the write-back daemon: the batched flush of
 // OFS-batched, the database checkpointer of plain OFS. The paper's 10 s, the
@@ -59,9 +94,9 @@ const seFlushPeriod = 10 * time.Second
 
 // NewSEServer builds an SE server; batched selects OFS-batched behavior.
 func NewSEServer(base *node.Base, pl namespace.Placement, batched bool) *SEServer {
-	return &SEServer{
-		Base: base, pl: pl, batched: batched,
-	}
+	s := &SEServer{Base: base, pl: pl, batched: batched}
+	base.SetEntries(&s.undos)
+	return s
 }
 
 // Start serves the inbox and launches the write-back daemon: the batched
@@ -168,24 +203,27 @@ func (s *SEServer) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	s.Send(&reply)
 }
 
-// retainUndo keeps e in the undo window, evicting the oldest execution at
-// seUndoCap (taken back or not: a slot keeps its operation till then).
+// retainUndo keeps e in the undo window as id's entry, evicting the oldest
+// execution at seUndoCap. An operation executed again (its reply evicted, a
+// retry admitted) keeps its entry and its place, with what it wrote now.
 func (s *SEServer) retainUndo(id types.OpID, e namespace.Written) {
-	pos, oldest, full := s.undos.Push(retained{id, e}, seUndoCap)
-	if full {
-		s.undoAt.Delete(oldest.op)
+	if old := s.undos.oldest(); old != nil && old.op != types.NilOp {
+		s.DropEntry(old.op)
+		*old = retained{}
 	}
-	s.undoAt.Put(id, int32(pos))
+	h, _ := s.Entry(id, true)
+	u := s.undos.at(h)
+	u.op, u.Written = id, e
 }
 
 // handleClear compensates a participant sub-op whose coordinator-side
 // failed (§II.B: "the process withdraws the former sub-ops by sending a
 // CLEAR message").
 func (s *SEServer) handleClear(p *simrt.Proc, m *wire.Msg) {
-	if pos, ok := s.undoAt.Delete(m.Op); ok {
-		slot := s.undos.At(int(pos))
+	if h, ok := s.DropEntry(m.Op); ok {
+		slot := s.undos.at(h)
 		e := slot.Written
-		slot.Written = namespace.Written{}
+		*slot = retained{}
 		s.Restore(m.Op, e.Undo())
 		if rows := e.Rows(); !s.batched {
 			s.KV.SyncRows(p, rows.All())

@@ -5,7 +5,6 @@ import (
 
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
-	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
 	"cxfs/internal/transport"
 	"cxfs/internal/types"
@@ -23,21 +22,35 @@ type TwoPCServer struct {
 	*node.Base
 	pl namespace.Placement
 
-	// Participant-side pending executions awaiting the decision.
-	prepared seg.Index[preparedExec]
+	// prepared holds the participant executions awaiting their decision, one
+	// per operation, filed in the chassis's index (node.Entries).
+	prepared node.Slab[preparedExec, *preparedExec]
 }
 
 // preparedExec is a participant execution awaiting the decision: what it
-// wrote and its log entry. The index holds one in each of its slots, filled
-// or not, so it is kept within the 128 bytes Go kept inline as map values.
+// wrote, its log entry and the chassis's word.
 type preparedExec struct {
 	namespace.Written
-	log wal.Handle
+	log  wal.Handle
+	once int32
 }
+
+// Word is the entry's chassis word (node.Entries).
+func (pe *preparedExec) Word() *int32 { return &pe.once }
 
 // NewTwoPCServer builds a 2PC server.
 func NewTwoPCServer(base *node.Base, pl namespace.Placement) *TwoPCServer {
-	return &TwoPCServer{Base: base, pl: pl}
+	s := &TwoPCServer{Base: base, pl: pl}
+	base.SetEntries(&s.prepared)
+	return s
+}
+
+// prepare files id's prepared execution, which wrote w, and returns it.
+func (s *TwoPCServer) prepare(id types.OpID, w namespace.Written) *preparedExec {
+	h, _ := s.Entry(id, true)
+	pe := s.prepared.At(h)
+	pe.Written = w
+	return pe
 }
 
 // Start serves the inbox and launches the database checkpointer (2PC applies
@@ -102,7 +115,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 			before, after := resP.Images()
 			log = s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: op.ID, Role: types.RoleParticipant,
 				OK: true, Sub: pSub, Pre: before, Post: after})
-			s.prepared.Put(op.ID, preparedExec{Written: resP.Written(), log: log})
+			s.prepare(op.ID, resP.Written()).log = log
 		}
 	} else {
 		if vote, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgVote, To: part, Op: op.ID, Sub: pSub,
@@ -183,7 +196,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 
 // participantVote executes the assigned sub-op, logs, and votes (phase 1).
 func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
-	if _, pending := s.prepared.Get(m.Op); pending {
+	if _, pending := s.Entry(m.Op, false); pending {
 		// Retransmitted VOTE: answer from the pending execution (only a
 		// successful one is kept) instead of re-acquiring locks it holds.
 		s.Send(&wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, OK: true})
@@ -198,12 +211,12 @@ func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
 	s.ExecCPU(p)
 	res := s.Shard.Exec(sub, s.NowNanos())
 	if res.OK {
-		s.prepared.Put(m.Op, preparedExec{Written: res.Written()})
+		s.prepare(m.Op, res.Written())
 		before, after := res.Images()
-		h := s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: m.Op, Role: types.RoleParticipant,
+		log := s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: m.Op, Role: types.RoleParticipant,
 			OK: true, Sub: sub, Pre: before, Post: after})
-		if i, ok := s.prepared.Lookup(m.Op); ok {
-			s.prepared.Val(i).log = h
+		if h, ok := s.Entry(m.Op, false); ok { // still pending: no decision came during the append
+			s.prepared.At(h).log = log
 		}
 	} else {
 		s.Release(m.Op, keys)
@@ -231,10 +244,13 @@ func (s *TwoPCServer) participantDecide(p *simrt.Proc, m *wire.Msg) {
 // applyDecision applies the decision to id's prepared execution here, if it
 // has one, and reports whether it pruned the execution's records.
 func (s *TwoPCServer) applyDecision(p *simrt.Proc, id types.OpID, commit bool) bool {
-	pe, pending := s.prepared.Delete(id)
+	h, pending := s.DropEntry(id)
 	if !pending {
 		return false
 	}
+	pe := *s.prepared.At(h)
+	*s.prepared.At(h) = preparedExec{}
+	s.prepared.Recycle(h)
 	decType := wal.RecCommit
 	if !commit {
 		decType = wal.RecAbort

@@ -168,7 +168,7 @@ type Server struct {
 	// about each operation, filed by the chassis's index. The four fields
 	// after it are derived from the table and maintained by its transitions
 	// only.
-	slab         entrySlab
+	slab         node.Slab[opState, *opState]
 	coordPending int // coordinator executions in the table
 	abortMarks   int // entries carrying the abort mark
 	// idleCoord indexes the pending coordinator executions no batch has taken

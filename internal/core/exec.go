@@ -42,7 +42,7 @@ func (s *Server) handleSubOp(p *simrt.Proc, m *wire.Msg) {
 	// registers in, unless it is recycled meanwhile (execSubOp).
 	var st *opState
 	if h != node.NoEntry {
-		st = s.slab.at(h)
+		st = s.slab.At(h)
 	}
 	switch {
 	case st == nil:

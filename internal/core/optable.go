@@ -74,7 +74,7 @@ type execution struct {
 
 // opState is one entry of the op table. The two wait lists are threaded
 // through their elements, so an entry is the only object the table keeps per
-// operation, and entries come from the slab (entrySlab.Make).
+// operation, and entries come from the slab (node.Slab.Make).
 type opState struct {
 	execution // valid while phase != phaseNone; sub.Op is the entry's key always
 
@@ -191,43 +191,15 @@ type opSignal struct {
 	next *opSignal
 }
 
-// entryBlock is how many entries the slab makes at once, in one allocation,
-// when its free list is empty: the table grows a block at a time.
-const entryBlock = 64
+// Word is the entry's chassis word (node.Entries).
+func (st *opState) Word() *int32 { return &st.once }
 
-// entrySlab holds the op table's entries, entry h at
-// blocks[h/entryBlock][h%entryBlock], and the handles of the emptied ones.
-type entrySlab struct {
-	blocks []*[entryBlock]opState
-	free   []int32
-}
-
-// Make returns an empty entry off the free list, which a fresh block refills
-// when it is empty: the one place opStates are made.
-func (t *entrySlab) Make() int32 {
-	if len(t.free) == 0 {
-		t.blocks = append(t.blocks, new([entryBlock]opState))
-		for i := entryBlock - 1; i >= 0; i-- {
-			t.free = append(t.free, int32((len(t.blocks)-1)*entryBlock+i))
-		}
-	}
-	k := len(t.free)
-	h := t.free[k-1]
-	t.free = t.free[:k-1]
-	return h
-}
-
-func (t *entrySlab) Once(h int32) *int32 { return &t.at(h).once }
-
-func (t *entrySlab) at(h int32) *opState { return &t.blocks[h/entryBlock][h%entryBlock] }
-
-// each calls fn with every entry in use, by handle: those with an operation.
-func (t *entrySlab) each(fn func(h int32, st *opState)) {
-	for b, block := range t.blocks {
-		for i := range block {
-			if st := &block[i]; st.id() != types.NilOp {
-				fn(int32(b*entryBlock+i), st)
-			}
+// each calls fn with every entry of the table in use, by handle: those with
+// an operation.
+func (s *Server) each(fn func(h int32, st *opState)) {
+	for h := int32(0); h < s.slab.Len(); h++ {
+		if st := s.slab.At(h); st.id() != types.NilOp {
+			fn(h, st)
 		}
 	}
 }
@@ -235,7 +207,7 @@ func (t *entrySlab) each(fn func(h int32, st *opState)) {
 // find returns op's entry, nil if it has none: one probe.
 func (s *Server) find(op types.OpID) *opState {
 	if h, ok := s.Entry(op, false); ok {
-		return s.slab.at(h)
+		return s.slab.At(h)
 	}
 	return nil
 }
@@ -243,7 +215,7 @@ func (s *Server) find(op types.OpID) *opState {
 // entry returns op's entry, creating it: one probe.
 func (s *Server) entry(op types.OpID) *opState {
 	h, _ := s.Entry(op, true)
-	st := s.slab.at(h)
+	st := s.slab.At(h)
 	st.sub.Op = op
 	return st
 }
@@ -251,9 +223,9 @@ func (s *Server) entry(op types.OpID) *opState {
 // drop deletes an entry from the table and puts it on the free list,
 // emptied.
 func (s *Server) drop(st *opState) {
-	h := s.DropEntry(st.id())
+	h, _ := s.DropEntry(st.id())
 	*st = opState{}
-	s.slab.free = append(s.slab.free, h)
+	s.slab.Recycle(h)
 }
 
 // pending returns op's entry if an execution of it awaits its commitment
@@ -270,7 +242,7 @@ func (s *Server) pending(op types.OpID) *opState {
 // table happens to file each entry.
 func (s *Server) inOrder(pick func(*opState) bool) []*opState {
 	var sel []*opState
-	s.slab.each(func(_ int32, st *opState) {
+	s.each(func(_ int32, st *opState) {
 		if pick(st) {
 			sel = append(sel, st)
 		}
@@ -295,7 +267,7 @@ func (s *Server) markAborted(op types.OpID) {
 		// Bounded memory: drop the whole generation. A lost mark matters only
 		// for a message still in flight, which the cap makes wildly improbable,
 		// and then costs an orphaned row: the exposure SE has by design.
-		s.slab.each(func(_ int32, st *opState) {
+		s.each(func(_ int32, st *opState) {
 			st.aborted = false
 			s.settle(st)
 		})
@@ -313,7 +285,7 @@ func (s *Server) markAborted(op types.OpID) {
 // finds again. The abort marks survive, the waits of procs that have yet to
 // notice they are dead, and the chassis's words.
 func (s *Server) wipe() {
-	s.slab.each(func(_ int32, st *opState) {
+	s.each(func(_ int32, st *opState) {
 		id := st.id()
 		*st = opState{aborted: st.aborted, sigs: st.sigs, once: st.once}
 		st.sub.Op = id
@@ -638,15 +610,15 @@ func (s *Server) CheckState() []string {
 			fail("active object %s is held by %v, neither pending nor executing (%s)", row, holder, s.DebugOp(holder))
 		}
 	})
-	free := make(map[*opState]bool, len(s.slab.free))
-	for _, h := range s.slab.free {
-		switch st := s.slab.at(h); {
+	free := make(map[*opState]bool, len(s.slab.Spare()))
+	for _, h := range s.slab.Spare() {
+		switch st := s.slab.At(h); {
 		case free[st]:
 			fail("an entry is on the free list twice")
 		case st.id() != types.NilOp || !st.idle() || st.once != 0:
 			fail("a free entry holds %v (%s)", st.id(), st.phase)
 		}
-		free[s.slab.at(h)] = true
+		free[s.slab.At(h)] = true
 	}
 	indexed := make(map[*opState]int)
 	for _, list := range s.idleCoord {
@@ -655,7 +627,7 @@ func (s *Server) CheckState() []string {
 		}
 	}
 	coord := 0
-	s.slab.each(func(h int32, st *opState) {
+	s.each(func(h int32, st *opState) {
 		id := st.id()
 		if filed, ok := s.Entry(id, false); !ok || filed != h {
 			fail("entry of %v is not filed under it", id)

@@ -206,7 +206,7 @@ func TestTimedOutVoteLeavesNoSignal(t *testing.T) {
 		if s.stats.VoteTimeouts != 1 || s.DebugOp(lost) != "tombstoned" {
 			t.Fatalf("the vote did not time out: %d timeouts, op %s", s.stats.VoteTimeouts, s.DebugOp(lost))
 		}
-		s.slab.each(func(_ int32, st *opState) {
+		s.each(func(_ int32, st *opState) {
 			if st.sigs != nil {
 				t.Errorf("server still holds a wait signal for %v", st.id())
 			}
@@ -231,8 +231,8 @@ func TestOpTableEntriesAreRecycled(t *testing.T) {
 		p.Sleep(200 * time.Millisecond)
 		s := r.srv[1]
 		warm := make(map[*opState]bool)
-		for _, h := range s.slab.free {
-			warm[s.slab.at(h)] = true
+		for _, h := range s.slab.Spare() {
+			warm[s.slab.At(h)] = true
 		}
 		if len(warm) == 0 {
 			t.Fatal("the finished create left no entry on the free list")
@@ -333,14 +333,15 @@ func TestCheckStateNoticesDisagreement(t *testing.T) {
 		s.entry(types.OpID{Seq: 99})
 		expect("entry nobody settled", "empty")
 		s.settle(s.find(types.OpID{Seq: 99}))
-		k := len(s.slab.free)
-		s.slab.free = append(s.slab.free, s.slab.free[k-1])
+		spare := s.slab.Spare()
+		s.slab.Recycle(spare[len(spare)-1])
 		expect("entry freed twice", "on the free list twice")
+		s.slab.Make() // takes the duplicate back off
 		h, _ := s.Entry(st.id(), false)
-		s.slab.free = append(s.slab.free[:k], h)
+		s.slab.Recycle(h)
 		expect("entry freed while the table holds it", "is on the free list")
 		expect("entry freed while the idle index lists it", "a free entry holds")
-		s.slab.free = s.slab.free[:k]
+		s.slab.Make()
 		if bad := s.CheckState(); len(bad) != 0 {
 			t.Errorf("restored state: %v", bad)
 		}

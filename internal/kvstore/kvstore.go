@@ -232,12 +232,17 @@ type Store struct {
 	locked, pinned int    // records locked, records pinned
 	filed          uint32 // records filed, wrapping, skipping 0: the last one's stamp
 
-	// owed lists the records the next checkpoint owes a page write, each once
-	// (an owed record is kept, so the handles stay valid). A checkpoint takes
-	// the list, sorts it by page in place and writes from it, and the writing
-	// mark keeps its records until the pages are on the disk; owedSpare is the
-	// other list, empty, between checkpoints.
-	owed, owedSpare []Row
+	// owed lists, from owedFrom on, the records the next checkpoint owes a
+	// page write, each once (an owed record is kept, so the handles stay
+	// valid). A checkpoint takes that part of the list, sorts it by page in
+	// place and writes from it, and the writing mark keeps its records until
+	// the pages are on the disk; meanwhile the rows owed anew are appended
+	// behind it. Once no checkpoint is in flight (checkpoints), what they
+	// took is cut from the front. So the one list grows to the most ever owed
+	// at once and is reused from then on.
+	owed        []Row
+	owedFrom    int
+	checkpoints int
 
 	// gen is the incarnation of the volatile image, bumped by Crash: a page
 	// write submitted under an older gen settles nothing. inflight counts the
@@ -599,11 +604,12 @@ func (st *Store) StartCheckpointer(interval time.Duration) {
 // whatever is done to the rows meanwhile; a row journaled meanwhile is owed
 // to the next checkpoint.
 func (st *Store) Checkpoint(p *simrt.Proc) int {
-	owed := st.owed
+	owed := st.owed[st.owedFrom:]
 	if len(owed) == 0 {
 		return 0
 	}
-	st.owed, st.owedSpare = st.owedSpare[:0], nil
+	st.owedFrom = len(st.owed)
+	st.checkpoints++
 	for _, h := range owed {
 		st.at(h).owed &^= pageOwed
 		st.hold(h)
@@ -615,7 +621,10 @@ func (st *Store) Checkpoint(p *simrt.Proc) int {
 		st.at(h).owed -= writing
 		st.keep(h)
 	}
-	st.owedSpare = owed[:0]
+	if st.checkpoints--; st.checkpoints == 0 { // the rows owed meanwhile move to the front
+		n := copy(st.owed, st.owed[st.owedFrom:])
+		st.owed, st.owedFrom = st.owed[:n], 0
+	}
 	return len(owed)
 }
 

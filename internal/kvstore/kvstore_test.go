@@ -1457,7 +1457,7 @@ func settled(st *Store, names ...string) string {
 			dirty = append(dirty, r.key.Name)
 		}
 	}
-	for _, h := range st.owed {
+	for _, h := range st.owed[st.owedFrom:] {
 		if named(st.at(h).key) {
 			owed = append(owed, st.at(h).key.Name)
 		}
@@ -1746,6 +1746,37 @@ func TestLocksVisitsEveryLockedRow(t *testing.T) {
 		}
 		if op, ok := st.Holder(NoRow); ok || op != types.NilOp {
 			t.Errorf("NoRow has holder %v", op)
+		}
+	})
+}
+
+// The owed list is one list, reused: a checkpoint writes from its part of it
+// while the rows owed meanwhile are appended behind, and a second checkpoint
+// period that owes as many rows as the first keeps the list where the first
+// grew it, in place.
+func TestOwedListIsReusedAcrossCheckpoints(t *testing.T) {
+	withStore(t, func(p *simrt.Proc, st *Store) {
+		const rows = 3000
+		period := func(gen int) {
+			names := make([]string, rows)
+			for i := range names {
+				names[i] = fmt.Sprintf("r%d", i)
+				st.put(names[i], []byte{byte(gen)})
+			}
+			syncKeys(st, p, names)
+			if n := len(st.owed) - st.owedFrom; n != rows {
+				t.Fatalf("period %d: %d rows owed, want %d", gen, n, rows)
+			}
+			st.Checkpoint(p)
+		}
+		period(1)
+		grown := st.owed[:1]
+		period(2)
+		if len(st.owed) != 0 || st.owedFrom != 0 {
+			t.Errorf("after the checkpoint %d rows are listed from %d, want none", len(st.owed), st.owedFrom)
+		}
+		if cap(st.owed) != cap(grown) || &st.owed[:1][0] != &grown[0] {
+			t.Errorf("the second period grew the owed list again: capacity %d, was %d", cap(st.owed), cap(grown))
 		}
 	})
 }

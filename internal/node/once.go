@@ -9,11 +9,15 @@ import (
 // is executing is dropped (the original owns the eventual reply), and one
 // whose operation finished is answered from a bounded FIFO reply cache,
 // never re-executed. The protocols add only what they alone know (Cx: its
-// op table — pending executions, parked requests, abort marks). The cache is
-// not wiped by Crash; see DESIGN.md §5.
+// op table — pending executions, parked requests, abort marks; SE: the
+// participant executions a CLEAR may take back; 2PC: the participant
+// executions awaiting their decision). The cache is not wiped by Crash; see
+// DESIGN.md §5.
 //
-// The server has one op-ID index, and every operation it holds state for is
-// filed there once. The value says where the state lives: the ring position
+// The server has one op-ID index, under every protocol, and every operation
+// it holds state for is filed there once: a protocol keeps its
+// per-operation state as entries (Entries, slab.go) and keeps no op-ID table
+// of its own. The value says where the state lives: the ring position
 // of the operation's cached reply, the executing mark of a request between
 // Begin and End, or the protocol's entry for the operation (Entries), whose
 // word then holds the position or the mark. A cached reply supersedes
@@ -197,13 +201,20 @@ func (b *Base) Entry(op types.OpID, create bool) (h int32, ok bool) {
 }
 
 // DropEntry takes op's entry out of the index, which files what its word
-// holds for op from then on, and returns it to the protocol for reuse.
-func (b *Base) DropEntry(op types.OpID) (h int32) {
-	i, _ := b.once.Lookup(op)
+// holds for op from then on, and returns it to the protocol for reuse. ok is
+// false, and nothing changes, if op has no entry.
+func (b *Base) DropEntry(op types.OpID) (h int32, ok bool) {
+	i, ok := b.once.Lookup(op)
+	if !ok {
+		return NoEntry, false
+	}
 	v := b.once.Val(i)
+	if *v >= executing {
+		return NoEntry, false
+	}
 	h = entryOf(*v)
 	if *v = *b.entries.Once(h); *v == 0 {
 		b.once.RemoveAt(i)
 	}
-	return h
+	return h, true
 }

@@ -163,6 +163,9 @@ func TestEntriesShareTheIndex(t *testing.T) {
 		if _, ok := b.Entry(op, false); ok {
 			t.Error("the dropped entry is still filed")
 		}
+		if _, ok := b.DropEntry(op); ok {
+			t.Error("an op with no entry dropped one")
+		}
 		if got, ok := replayed(b, sent, op); !ok || got.Attr.Ino != 9 {
 			t.Errorf("after its entry went, the op replays %+v (%v), want its cached reply", got, ok)
 		}

@@ -31,8 +31,8 @@ type Table[K Key, V any] struct {
 }
 
 // Index is the Table keyed by operation ID: a server's one index of the
-// operations it holds state for (internal/node), a client's reply routes, a
-// baseline's own tables. types.NilOp is never a key.
+// operations it holds state for (internal/node), under every protocol, and a
+// client's reply routes. types.NilOp is never a key.
 type Index[V any] = Table[types.OpID, V]
 
 // loadNum/loadDen is the most of its slots a Table fills: a server's op-ID

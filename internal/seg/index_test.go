@@ -15,8 +15,8 @@ func opKey(client, index int32, seq uint64) types.OpID {
 // shift keeps: no empty slot lies between a key's home and its slot.
 func checkIndex(t *testing.T, x *Index[int], model map[types.OpID]int) {
 	t.Helper()
-	if x.n != len(model) {
-		t.Fatalf("Len %d, model holds %d", x.n, len(model))
+	if x.Len() != len(model) {
+		t.Fatalf("Len %d, model holds %d", x.Len(), len(model))
 	}
 	for k, want := range model {
 		if v, ok := x.Get(k); !ok || v != want {

@@ -3,15 +3,14 @@
 // keeps the emptied segments for the values that come next, so a structure
 // that churns at a steady size allocates nothing once it has reached it. The
 // users are a server's operation-log view and entry slab, its store's row
-// slab and the Cx server's flush queue, entries and rows side by side (Seq,
-// in internal/wal, internal/kvstore and internal/core) and its reply cache and
-// SE's undo window (Ring, in internal/node and internal/baseline); wal cannot
+// slab, the Cx server's flush queue, entries and rows side by side, and SE's
+// undo window (Seq, in internal/wal, internal/kvstore, internal/core and
+// internal/baseline) and its reply cache (Ring, in internal/node); wal cannot
 // import node, so the store is a package of its own. The log keeps its
 // records' bytes in chunks of its own, reused the same way. Table, the hash
 // table, churns in place the same way once it has grown to its peak
 // (index.go); Index, the Table keyed by operation ID, is a server's one
-// op-ID index, and the log and the Cx op table reach their entries by
-// handle. Bufs is a free list of slices for buffers whose users come and
+// op-ID index, and the log and the protocols reach their entries by handle. Bufs is a free list of slices for buffers whose users come and
 // go, each taken best fit for its size (bufs.go): the network's packet
 // storage, the Cx server's record batches, decided lists and vote answers,
 // and the store's write-back capture lists.

@@ -104,7 +104,9 @@ func (c *Chan[T]) popWaiter() *waiter[T] {
 func (c *Chan[T]) Send(v T) {
 	if w := c.popWaiter(); w != nil {
 		w.val, w.ok = v, true
-		w.proc.timedWait = nil
+		if w.proc.timedWait != nil {
+			c.sim.endTimedWait(w.proc)
+		}
 		c.sim.ready(w.proc)
 		return
 	}
@@ -185,7 +187,7 @@ func (c *Chan[T]) recv(p *Proc, timeout time.Duration) (T, bool) {
 		// event finds a different number, or none, and does nothing. Only a
 		// live deadline resumes the Proc.
 		p.timedSeq++
-		p.timedWait = w
+		p.timedWait, p.timedHeap = w, timeout > 0
 		c.sim.schedule(c.sim.now+timeout, event{proc: p, timed: p.timedSeq})
 	}
 	p.park()

@@ -121,6 +121,19 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// compact drops the stale timers and files the rest again, in place: they
+// pop in the (at, seq) order they had.
+func (h *eventHeap) compact() {
+	q := *h
+	*h = q[:0]
+	for i := range q { // a push writes only at or below the event read
+		if !stale(&q[i]) {
+			h.push(q[i])
+		}
+	}
+	clear(q[len(*h):]) // drop the references
+}
+
 // Sim is one simulation instance. It is not safe for concurrent use: all
 // API calls must come either from the goroutine that calls Run (before,
 // between or after runs) or from within a Proc or scheduled event, which
@@ -129,6 +142,9 @@ type Sim struct {
 	now    time.Duration
 	seq    uint64
 	events eventHeap // events due after the instant they were scheduled at
+	// dead counts the timers in events whose receive is over: once they are
+	// more than half of it, the heap drops them (endTimedWait).
+	dead int
 	// due holds, from dueHead on, the events scheduled for the instant they
 	// were scheduled at, in seq order; it is empty whenever the clock moves.
 	due     []event
@@ -241,9 +257,11 @@ type Proc struct {
 	// Proc, for its start); the dispatcher refuses to resume a Proc without it.
 	parked bool
 	// timedWait is the timed receive in progress, if any, and timedSeq its
-	// number; a timer event for any other number is stale.
+	// number; a timer event for any other number is stale. timedHeap says
+	// whether the timer is in the heap (not due at the instant it was set).
 	timedWait interface{ expire() }
 	timedSeq  uint64
+	timedHeap bool
 }
 
 // Name returns the Proc's debug name.
@@ -363,7 +381,10 @@ func (s *Sim) RunUntil(horizon time.Duration) time.Duration {
 		}
 		p := e.proc
 		if e.timed != 0 {
-			if p.timedWait == nil || p.timedSeq != e.timed {
+			if stale(&e) {
+				if heap {
+					s.dead--
+				}
 				continue // that receive is over; the timer is stale
 			}
 			p.timedWait.expire()
@@ -380,6 +401,27 @@ func (s *Sim) RunUntil(horizon time.Duration) time.Duration {
 		s.now = horizon // the next event lies beyond it
 	}
 	return s.now
+}
+
+// endTimedWait ends p's timed receive before its deadline: its timer, still
+// queued, is dead. Once dead timers are more than half of the heap, the heap
+// drops them, so a run whose receives mostly end early keeps a heap of about
+// its live events.
+func (s *Sim) endTimedWait(p *Proc) {
+	p.timedWait = nil
+	if !p.timedHeap {
+		return
+	}
+	if s.dead++; 2*s.dead > len(s.events) {
+		s.events.compact()
+		s.dead = 0
+	}
+}
+
+// stale reports whether e is the timer of a receive that is over. An event
+// with no proc is not.
+func stale(e *event) bool {
+	return e.timed != 0 && e.proc != nil && (e.proc.timedWait == nil || e.proc.timedSeq != e.timed)
 }
 
 // runnable returns the next event if the run in progress may take it (nil

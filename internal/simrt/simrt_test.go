@@ -1,6 +1,8 @@
 package simrt
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -221,9 +223,51 @@ func TestRecvTimeoutDeliveredBeatsTimer(t *testing.T) {
 	if !ok || v != 9 {
 		t.Errorf("got (%d,%v), want (9,true)", v, ok)
 	}
-	// The stale timer event must not disturb anything.
-	if s.Now() != 10*time.Second {
-		t.Errorf("end time %v, want 10s (stale timer still dispatched)", s.Now())
+	// The timer of a receive that is over leaves the heap with it: nothing
+	// is dispatched at 10s, and the run ends at the send.
+	if s.Now() != time.Second || len(s.events) != 0 {
+		t.Errorf("end time %v with %d events queued, want 1s and none (stale timer kept)", s.Now(), len(s.events))
+	}
+	s.Shutdown()
+}
+
+// A run whose timed receives all end early, each well before its deadline,
+// keeps a heap of about its live events: the dead timers leave it once they
+// are half of it. 64 receivers each wait 1,000 times with an hour's timeout
+// and are sent to after a millisecond; kept, the dead timers would be 64,000.
+func TestDeadTimersLeaveTheHeap(t *testing.T) {
+	const procs, rounds = 64, 1000
+	s := New(1)
+	chans := make([]*Chan[int], procs)
+	most := 0
+	for i := range chans {
+		chans[i] = NewChan[int](s)
+		s.Spawn("recv", func(p *Proc) {
+			for range rounds {
+				if _, ok := chans[i].RecvTimeout(p, time.Hour); !ok {
+					t.Error("a receive timed out")
+					return
+				}
+			}
+		})
+	}
+	s.Spawn("send", func(p *Proc) {
+		for range rounds {
+			p.Sleep(time.Millisecond)
+			for _, c := range chans {
+				c.Send(1)
+			}
+			most = max(most, len(s.events))
+		}
+	})
+	s.Run()
+	// Live: each receiver's timer and the sender's sleep; dead: at most as
+	// many as live, plus the one that tips the heap over half.
+	if limit := 2*(procs+1) + 1; most > limit {
+		t.Errorf("the heap held %d events, want at most %d for %d live", most, limit, procs+1)
+	}
+	if s.Now() != rounds*time.Millisecond {
+		t.Errorf("the run ended at %v, want %v: a dead timer was dispatched", s.Now(), rounds*time.Millisecond)
 	}
 	s.Shutdown()
 }
@@ -465,4 +509,41 @@ func TestYieldLetsPeersRun(t *testing.T) {
 		}
 	}
 	s.Shutdown()
+}
+
+// Compacting the heap drops exactly the dead timers and pops the rest in the
+// (at, seq) order they had: timers of receives that are over go, live timers,
+// plain events and timer events with no proc (as the kernel tests schedule
+// them) stay.
+func TestHeapCompactionKeepsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	over, live := &Proc{timedSeq: 2}, &Proc{timedSeq: 5, timedWait: &waiter[int]{}}
+	var h eventHeap
+	var want []event
+	for seq := uint64(1); seq <= 2000; seq++ {
+		e := event{at: time.Duration(rng.Intn(300)), seq: seq}
+		switch rng.Intn(4) {
+		case 0:
+			e.proc, e.timed = over, 1+uint64(rng.Intn(2)) // its receive is over: both numbers are stale
+		case 1:
+			e.proc, e.timed = live, 5
+		case 2:
+			e.timed = 1 // no proc
+		}
+		h.push(e)
+		if e.proc != over {
+			want = append(want, e)
+		}
+	}
+	over.timedWait = nil
+	h.compact()
+	sort.Slice(want, func(i, j int) bool { return want[i].before(&want[j]) })
+	if len(h) != len(want) {
+		t.Fatalf("%d events after compaction, want %d", len(h), len(want))
+	}
+	for i := range want {
+		if got := h.pop(); got.at != want[i].at || got.seq != want[i].seq || got.proc != want[i].proc {
+			t.Fatalf("pop %d = (%v,%d), want (%v,%d)", i, got.at, got.seq, want[i].at, want[i].seq)
+		}
+	}
 }

@@ -3,7 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 
 	"cxfs/internal/types"
 )
@@ -28,11 +28,16 @@ import (
 //	u8   before-image count, then images (u16 key len, key text, u32 val len+1, val)
 //	u8   after-image count, then images
 //	-- all records --
-//	u32  FNV-1a checksum of everything after the length field
+//	u32  CRC-32C (Castagnoli) checksum of everything after the length field
 //
 // The sizes matter twice: they are the disk-write sizes that the cost model
 // charges, and they are the paper's "valid-records size" unit (Figure 7b,
 // Table V).
+
+// castagnoli is the checksum's polynomial table: CRC-32C, which the
+// hash/crc32 package computes with the CPU's CRC instruction where there is
+// one.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 const (
 	headerSize   = 2 + 1 + 1 + 1 + 4 + 4 + 8
@@ -176,9 +181,7 @@ func appendRecord(buf []byte, rec *Record) []byte {
 		buf = putImages(buf, rec.Pre, rec.Before)
 		buf = putImages(buf, rec.Post, rec.After)
 	}
-	h := fnv.New32a()
-	h.Write(buf[start+2:])
-	return binary.LittleEndian.AppendUint32(buf, h.Sum32())
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start+2:], castagnoli))
 }
 
 // decode parses one record, verifying length and checksum.
@@ -193,9 +196,7 @@ func decode(buf []byte) (Record, error) {
 	}
 	body := buf[2 : len(buf)-checksumSize]
 	want := binary.LittleEndian.Uint32(buf[len(buf)-checksumSize:])
-	h := fnv.New32a()
-	h.Write(body)
-	if h.Sum32() != want {
+	if crc32.Checksum(body, castagnoli) != want {
 		return rec, fmt.Errorf("wal: checksum mismatch")
 	}
 	rec.Type = RecType(buf[2])

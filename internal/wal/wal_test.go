@@ -551,6 +551,7 @@ func TestImagesRoundTripInRecords(t *testing.T) {
 // TestGoldenResultRecord pins the bytes of one Result-Record to what the log
 // wrote when rows were keyed by text: typed keys are written as their text,
 // so log bytes, and the disk time and log space they cost, are unchanged.
+// The last 4 bytes are the record's CRC-32C.
 func TestGoldenResultRecord(t *testing.T) {
 	op := types.OpID{Proc: types.ProcID{Client: 100, Index: 2}, Seq: 7}
 	key := types.DentryKey(1, "f0001")
@@ -559,7 +560,7 @@ func TestGoldenResultRecord(t *testing.T) {
 		Sub: types.SubOp{Op: op, Kind: types.OpCreate, Role: types.RoleCoordinator, Action: types.ActInsertEntry,
 			Parent: 1, Name: "f0001", Ino: 1<<40 + 5, Type: types.FileRegular},
 		Pre: []types.Row{{Key: key}}, Post: []types.Row{{Key: key, Val: after}}}
-	const want = "5d0001010364000000020000000700000000000000030000000101010000000000000005000000000100000105006630303031010900642f312f663030303100000000010900642f312f66303030310900000005000000000100001bcf07d5"
+	const want = "5d0001010364000000020000000700000000000000030000000101010000000000000005000000000100000105006630303031010900642f312f663030303100000000010900642f312f66303030310900000005000000000100008a813cdc"
 	if got := hex.EncodeToString(encode(&rec)); got != want || EncodedSize(rec) != 95 {
 		t.Errorf("Result-Record of %d bytes\n got %s\nwant %s (95 bytes)", EncodedSize(rec), got, want)
 	}
