@@ -7,7 +7,6 @@ import (
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
 	"cxfs/internal/simrt"
-	"cxfs/internal/transport"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
 	"cxfs/internal/wire"
@@ -37,16 +36,14 @@ func (s *CEServer) Start() {
 	s.KV.StartCheckpointer(10 * time.Second)
 }
 
-func (s *CEServer) handle(p *simrt.Proc, pk *transport.Packet) {
-	switch m := &pk.Msg; m.Type {
+func (s *CEServer) handle(p *simrt.Proc, m *wire.Msg) {
+	switch m.Type {
 	case wire.MsgSubOpReq:
 		serveSingle(p, s.Base, m)
 	case wire.MsgOpReq:
 		s.coordinate(p, m)
 	case wire.MsgMigrateReq:
 		s.lendRows(p, m)
-	case wire.MsgMigrateResp, wire.MsgMigrateAck:
-		s.Deliver(pk)
 	case wire.MsgMigrateBack:
 		s.reinstallRows(p, m)
 	}

@@ -9,7 +9,6 @@ import (
 	"cxfs/internal/node"
 	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
-	"cxfs/internal/transport"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
 	"cxfs/internal/wire"
@@ -140,8 +139,8 @@ func (s *SEServer) flushLocal(p *simrt.Proc) {
 	}
 }
 
-func (s *SEServer) handle(p *simrt.Proc, pk *transport.Packet) {
-	switch m := &pk.Msg; m.Type {
+func (s *SEServer) handle(p *simrt.Proc, m *wire.Msg) {
+	switch m.Type {
 	case wire.MsgSubOpReq:
 		s.handleSubOp(p, m)
 	case wire.MsgOpReq:

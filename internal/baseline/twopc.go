@@ -6,7 +6,6 @@ import (
 	"cxfs/internal/namespace"
 	"cxfs/internal/node"
 	"cxfs/internal/simrt"
-	"cxfs/internal/transport"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
 	"cxfs/internal/wire"
@@ -60,8 +59,8 @@ func (s *TwoPCServer) Start() {
 	s.KV.StartCheckpointer(10 * time.Second)
 }
 
-func (s *TwoPCServer) handle(p *simrt.Proc, pk *transport.Packet) {
-	switch m := &pk.Msg; m.Type {
+func (s *TwoPCServer) handle(p *simrt.Proc, m *wire.Msg) {
+	switch m.Type {
 	case wire.MsgSubOpReq:
 		serveSingle(p, s.Base, m)
 	case wire.MsgOpReq:
@@ -70,8 +69,6 @@ func (s *TwoPCServer) handle(p *simrt.Proc, pk *transport.Packet) {
 		s.participantVote(p, m)
 	case wire.MsgCommitReq:
 		s.participantDecide(p, m)
-	case wire.MsgVoteResp, wire.MsgAck:
-		s.Deliver(pk)
 	}
 }
 

@@ -88,17 +88,6 @@ func (n *nemesis) crashLeaseHolder(p *simrt.Proc) {
 	n.cycleOn(p, srv, false, fmt.Sprintf(" holding %d leases", held))
 }
 
-// crashPoints are the steps the nemesis arms: those of the step list that
-// carry its mark, in list order.
-var crashPoints = func() (marked []core.Step) {
-	for st := range core.NumSteps {
-		if st.Nemesis() {
-			marked = append(marked, st)
-		}
-	}
-	return marked
-}()
-
 // crashCycle crashes one random server — directly, or by arming a protocol
 // crash-point and waiting for live traffic to trip it — then reboots it and
 // runs §V recovery.
@@ -118,7 +107,7 @@ func (n *nemesis) cycleOn(p *simrt.Proc, srv int, viaPoint bool, note string) {
 	cx := h.c.CxSrv[srv]
 
 	if viaPoint {
-		point := crashPoints[n.rng.Intn(len(crashPoints))]
+		point := core.Step(n.rng.Intn(int(core.NumSteps))) // any step of the list
 		armed := p.Now()
 		disarm := h.c.Events.Subscribe(cx.CrashAt(func(st core.Step, _ types.OpID) bool { return st == point }))
 		for p.Now()-armed < 150*time.Millisecond && !cx.Crashed() {

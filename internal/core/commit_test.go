@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -178,24 +180,62 @@ func TestDuplicateCommitReqDecidesOnce(t *testing.T) {
 	})
 }
 
+// internalMallocs returns how many heap objects this module's internal
+// packages have allocated, as of a GC it runs first: the sum over the heap
+// profile's records whose stack has a frame under cxfs/internal/ and none of
+// internalMallocs itself. The runtime's and the test framework's own
+// allocations have no such frame, so the difference of two readings counts
+// what the code under test allocated between them, exactly when every
+// allocation is profiled (runtime.MemProfileRate = 1).
+func internalMallocs(recs *[]runtime.MemProfileRecord) (objs int64) {
+	runtime.GC() // publishes the profile up to here
+	n, ok := runtime.MemProfile(*recs, true)
+	for !ok {
+		*recs = make([]runtime.MemProfileRecord, n+n/2)
+		n, ok = runtime.MemProfile(*recs, true)
+	}
+	self := runtime.FuncForPC(reflect.ValueOf(internalMallocs).Pointer()).Name()
+	for _, rec := range (*recs)[:n] {
+		internal, frames := false, runtime.CallersFrames(rec.Stack())
+		for {
+			f, more := frames.Next()
+			if f.Function == self {
+				internal = false
+				break
+			}
+			internal = internal || strings.HasPrefix(f.Function, "cxfs/internal/")
+			if !more {
+				break
+			}
+		}
+		if internal {
+			objs += rec.AllocObjects
+		}
+	}
+	return objs
+}
+
 // A lazy commitment round runs on the server's reused storage: once a few
 // rounds have warmed the cluster, a round over a batch of cross-server
 // creates — VOTE, decision append, COMMIT-REQ, ACK, Complete-Records and the
 // write-back, on both servers — allocates nothing. The slices its messages
 // carry (the coordinator's ids and decisions, the participant's votes) are
 // buffers the servers reuse, and the packets' copies of them come from the
-// network's free storage.
+// network's free storage. Only this module's allocations are counted
+// (internalMallocs), so one the runtime makes meanwhile does not fail it.
 func TestLazyRoundAllocatesOnlyItsMessageSlices(t *testing.T) {
 	const batch, warm, measured = 16, 4, 4
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
 	r := newRig(1<<20, Config{Timeout: time.Hour})
 	coord := r.srv[0]
-	var allocs []uint64
+	var allocs []int64
+	var recs []runtime.MemProfileRecord
 	r.run(t, func(p *simrt.Proc) {
 		seq := uint64(0)
 		part := r.srv[1]
 		committed := func() bool { return coord.coordPending == 0 && coord.flushQ.Len() == 0 }
 		written := func() bool { return part.flushQ.Len() == 0 }
-		var before, after runtime.MemStats
 		for round := 0; round < warm+measured; round++ {
 			for range batch {
 				seq++
@@ -208,20 +248,20 @@ func TestLazyRoundAllocatesOnlyItsMessageSlices(t *testing.T) {
 				t.Errorf("round %d: %d operations pending, want the batch's %d", round, coord.coordPending, batch)
 				return
 			}
-			runtime.ReadMemStats(&before)
+			before := internalMallocs(&recs)
 			// The round, with the coordinator's write-back; then the
 			// participant's write-back of what the round decided there.
 			coord.KickCommit()
 			ok := await(p, committed)
 			part.KickCommit()
 			ok = ok && await(p, written)
-			runtime.ReadMemStats(&after)
+			after := internalMallocs(&recs)
 			if !ok {
 				t.Errorf("round %d never settled", round)
 				return
 			}
 			if round >= warm {
-				allocs = append(allocs, after.Mallocs-before.Mallocs)
+				allocs = append(allocs, after-before)
 			}
 		}
 	})

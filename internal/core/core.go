@@ -64,7 +64,6 @@ import (
 	"cxfs/internal/node"
 	"cxfs/internal/seg"
 	"cxfs/internal/simrt"
-	"cxfs/internal/transport"
 	"cxfs/internal/types"
 	"cxfs/internal/wal"
 	"cxfs/internal/wire"
@@ -400,14 +399,13 @@ func (s *Server) idleDaemon(p *simrt.Proc) {
 	}
 }
 
-// handle dispatches one inbound message (runs in its own Proc). A rebooted
-// server drops *everything* until its log rebuild completes — critically,
+// handle dispatches one inbound request (runs in its own Proc). A rebooted
+// server drops *every request* until its log rebuild completes — critically,
 // a pre-rebuild participant must never blind-ACK a decision it has not
 // persisted — and keeps dropping *client* traffic until the whole §V
 // recovery finishes ("the whole file system stops responding new
 // requests"). Peers retry VOTE and COMMIT-REQ, so nothing is lost.
-func (s *Server) handle(p *simrt.Proc, pk *transport.Packet) {
-	m := &pk.Msg
+func (s *Server) handle(p *simrt.Proc, m *wire.Msg) {
 	if s.NeedsRecovery() {
 		return
 	}
@@ -437,8 +435,5 @@ func (s *Server) handle(p *simrt.Proc, pk *transport.Packet) {
 		s.handleVote(p, m)
 	case wire.MsgCommitReq:
 		s.handleCommitReq(p, m)
-	case wire.MsgVoteResp, wire.MsgAck:
-		// A round's reply echoes the round's name.
-		s.Deliver(pk)
 	}
 }

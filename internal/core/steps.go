@@ -42,46 +42,38 @@ const (
 
 // stepDef is one entry of the list: the printed name, the op-table
 // transition the step belongs to, what is durable from it on, the paper's
-// step, the trace event it is (obs.PhaseNone: none), and its flags.
+// step, the trace event it is (obs.PhaseNone: none), and whether that event
+// is a span from the call's start rather than an instant.
 type stepDef struct {
 	name, transition, record, paper string
 	phase                           obs.Phase
-	flags                           uint8
+	span                            bool
 }
 
-const (
-	span    = 1 << iota // the event is a span from the call's start, not an instant
-	nemesis             // the chaos nemesis arms it: the ten steps it has always drawn from, in this order
-)
-
 var steps = [NumSteps]stepDef{
-	StepExecProvisional:      {"exec:after-provisional", "—", "—", "§III.B 2", obs.PhaseExec, span | nemesis},
-	StepExecAppend:           {"exec:after-append", "register", "Result-Record", "§III.B 2", obs.PhaseAppend, span | nemesis},
-	StepExecBeforeReply:      {"exec:before-reply", "register", "—", "§III.B 2", obs.PhaseReply, nemesis},
-	StepExecAfterReply:       {"exec:after-reply", "—", "—", "§III.B 2", obs.PhaseNone, nemesis},
-	StepLCom:                 {"lcom:received", "—", "—", "§III.B 2b", obs.PhaseLCom, 0},
-	StepLazyBatch:            {"commit:lazy-batch", "take", "—", "§IV.A", obs.PhaseCommitLazy, 0},
-	StepImmediateBatch:       {"commit:immediate-batch", "take", "—", "§III.C 2", obs.PhaseCommitImmediate, 0},
-	StepCommitAfterVote:      {"commit:after-vote", "take", "—", "§III.B 3–4", obs.PhaseNone, nemesis},
-	StepCommitAfterDecision:  {"commit:after-decision", "decide", "Commit- or Abort-Record", "§III.B 5", obs.PhaseNone, nemesis},
-	StepCommitMidFanout:      {"commit:mid-fanout", "decide", "—", "§III.B 5–6", obs.PhaseNone, nemesis},
-	StepCommitBeforeComplete: {"commit:before-complete", "complete", "—", "§III.B 7", obs.PhaseNone, nemesis},
-	StepPartBeforeAck:        {"part:before-ack", "decide", "Commit- or Abort-Record", "§III.B 6", obs.PhaseNone, nemesis},
-	StepCommitAfterComplete:  {"commit:after-complete", "complete", "Complete-Record", "§III.B 7", obs.PhaseNone, 0},
-	StepConflictBeforePark:   {"conflict:before-park", "—", "—", "§III.C 2", obs.PhaseConflictOrdered, 0},
-	StepInvalidateEnforced:   {"invalidate:enforced", "invalidate", "—", "§III.C 4", obs.PhaseConflictDisordered, 0},
-	StepInvalidateAfterUndo:  {"invalidate:after-undo", "invalidate", "—", "§III.C 4", obs.PhaseInvalidate, 0},
-	StepInvalidateMid:        {"invalidate:mid", "invalidate", "Invalidate-Record", "§III.C 4", obs.PhaseNone, nemesis},
-	StepWriteBackBefore:      {"writeback:before", "—", "—", "§IV.C.1", obs.PhaseNone, 0},
-	StepWriteBackSettled:     {"writeback:settled", "—", "database pages", "§IV.C.1", obs.PhaseNone, 0},
-	StepWriteBackAfterPrune:  {"writeback:after-prune", "—", "records pruned", "§III.D", obs.PhaseNone, 0},
+	StepExecProvisional:      {"exec:after-provisional", "—", "—", "§III.B 2", obs.PhaseExec, true},
+	StepExecAppend:           {"exec:after-append", "register", "Result-Record", "§III.B 2", obs.PhaseAppend, true},
+	StepExecBeforeReply:      {"exec:before-reply", "register", "—", "§III.B 2", obs.PhaseReply, false},
+	StepExecAfterReply:       {"exec:after-reply", "—", "—", "§III.B 2", obs.PhaseNone, false},
+	StepLCom:                 {"lcom:received", "—", "—", "§III.B 2b", obs.PhaseLCom, false},
+	StepLazyBatch:            {"commit:lazy-batch", "take", "—", "§IV.A", obs.PhaseCommitLazy, false},
+	StepImmediateBatch:       {"commit:immediate-batch", "take", "—", "§III.C 2", obs.PhaseCommitImmediate, false},
+	StepCommitAfterVote:      {"commit:after-vote", "take", "—", "§III.B 3–4", obs.PhaseNone, false},
+	StepCommitAfterDecision:  {"commit:after-decision", "decide", "Commit- or Abort-Record", "§III.B 5", obs.PhaseNone, false},
+	StepCommitMidFanout:      {"commit:mid-fanout", "decide", "—", "§III.B 5–6", obs.PhaseNone, false},
+	StepCommitBeforeComplete: {"commit:before-complete", "complete", "—", "§III.B 7", obs.PhaseNone, false},
+	StepPartBeforeAck:        {"part:before-ack", "decide", "Commit- or Abort-Record", "§III.B 6", obs.PhaseNone, false},
+	StepCommitAfterComplete:  {"commit:after-complete", "complete", "Complete-Record", "§III.B 7", obs.PhaseNone, false},
+	StepConflictBeforePark:   {"conflict:before-park", "—", "—", "§III.C 2", obs.PhaseConflictOrdered, false},
+	StepInvalidateEnforced:   {"invalidate:enforced", "invalidate", "—", "§III.C 4", obs.PhaseConflictDisordered, false},
+	StepInvalidateAfterUndo:  {"invalidate:after-undo", "invalidate", "—", "§III.C 4", obs.PhaseInvalidate, false},
+	StepInvalidateMid:        {"invalidate:mid", "invalidate", "Invalidate-Record", "§III.C 4", obs.PhaseNone, false},
+	StepWriteBackBefore:      {"writeback:before", "—", "—", "§IV.C.1", obs.PhaseNone, false},
+	StepWriteBackSettled:     {"writeback:settled", "—", "database pages", "§IV.C.1", obs.PhaseNone, false},
+	StepWriteBackAfterPrune:  {"writeback:after-prune", "—", "records pruned", "§III.D", obs.PhaseNone, false},
 }
 
 func (st Step) String() string { return steps[st].name }
-
-// Nemesis reports whether the chaos nemesis arms st. Its draw, and so every
-// chaos fingerprint, depends on exactly these steps in this order.
-func (st Step) Nemesis() bool { return steps[st].flags&nemesis != 0 }
 
 // step is the server reaching st for op: when anyone listens, one event on
 // the cluster's stream — a span from start, or an instant — whose detail
@@ -91,7 +83,7 @@ func (st Step) Nemesis() bool { return steps[st].flags&nemesis != 0 }
 func (s *Server) step(st Step, op types.OpID, start time.Duration, detail func() string) bool {
 	if events := s.Events; events.On() {
 		d, now := &steps[st], s.Sim.Now()
-		if d.flags&span == 0 {
+		if !d.span {
 			start = now
 		}
 		ev := obs.Event{T: start, Dur: now - start, Node: int(s.ID), Op: op, Phase: d.phase, Step: uint8(st) + 1}

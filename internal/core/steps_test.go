@@ -14,22 +14,18 @@ import (
 // stepTable renders the step list as the Markdown table DESIGN.md §5 prints.
 func stepTable() string {
 	var b strings.Builder
-	b.WriteString("| step | transition | durable from here | paper | trace event | nemesis |\n")
-	b.WriteString("|---|---|---|---|---|---|\n")
+	b.WriteString("| step | transition | durable from here | paper | trace event |\n")
+	b.WriteString("|---|---|---|---|---|\n")
 	for st := range NumSteps {
 		d := steps[st]
 		event := "—"
 		if d.phase != obs.PhaseNone {
 			event = "`" + d.phase.String() + "`"
-			if d.flags&span != 0 {
+			if d.span {
 				event += " (span)"
 			}
 		}
-		armed := ""
-		if st.Nemesis() {
-			armed = "yes"
-		}
-		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s | %s |\n", d.name, d.transition, d.record, d.paper, event, armed)
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s |\n", d.name, d.transition, d.record, d.paper, event)
 	}
 	return b.String()
 }
@@ -54,26 +50,17 @@ func TestDesignPrintsTheStepList(t *testing.T) {
 	}
 }
 
-// Every step has a distinct name, and the nemesis draws from the ten steps
-// it has always drawn from, in the same order and under the same names: the
-// chaos schedule prints them and every chaos fingerprint hashes the schedule.
+// Every step has a distinct name: the chaos nemesis draws from the whole
+// list, its schedule prints the step it armed by name, and every chaos
+// fingerprint hashes the schedule.
 func TestStepNamesAndNemesisDraw(t *testing.T) {
 	seen := map[string]bool{}
-	var drawn []string
 	for st := range NumSteps {
 		if name := st.String(); name == "" || seen[name] {
 			t.Errorf("step %d is named %q", st, name)
 		} else {
 			seen[name] = true
 		}
-		if st.Nemesis() {
-			drawn = append(drawn, st.String())
-		}
-	}
-	want := "exec:after-provisional exec:after-append exec:before-reply exec:after-reply commit:after-vote " +
-		"commit:after-decision commit:mid-fanout commit:before-complete part:before-ack invalidate:mid"
-	if got := strings.Join(drawn, " "); got != want {
-		t.Errorf("the nemesis draws from\n %s\nwant\n %s", got, want)
 	}
 }
 

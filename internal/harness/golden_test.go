@@ -118,6 +118,19 @@ func chaosGolden(cfg chaos.Config) func() golden {
 // (retries answered, votes in); their clock, messages and digest did not
 // move, and no other row's events did.
 //
+// Thirteen rows' event counts were re-pinned once, for one cause: the
+// chassis hands a server's answer (VOTE-RESP, ACK, MIGRATE-RESP,
+// MIGRATE-ACK) to the Call awaiting it from the arrival event, where it
+// used to spawn a handler proc that delivered it. Every row that carries
+// such answers lost one event per answer; clock, messages and digest did
+// not move, and neither did s3d/se's or s3d/se-batched's events.
+//
+// Six chaos rows were then re-pinned in all four, for one cause: the
+// nemesis arms any step of the list, where it drew from ten marked ones
+// (DESIGN.md §5, the step list), so its crash-points and everything after
+// them move. chaos/seed1's draws land on the same steps of the wider list,
+// and it did not move.
+//
 // The last three rows cover what no other row ran: the chaos stat-storm
 // mix with leases on, a pipelined chaos run with leases on, and the
 // Metarates closed loop. They were pinned before the closed loop became a
@@ -128,23 +141,23 @@ func TestGoldenRuns(t *testing.T) {
 		run  func() golden
 		want golden
 	}{
-		{"s3d/cx", replayGolden(cluster.ProtoCx), golden{1074147404, 42285, 177038, "5df2f9027a81265f"}},
+		{"s3d/cx", replayGolden(cluster.ProtoCx), golden{1074147404, 42285, 176834, "5df2f9027a81265f"}},
 		// The digest was re-pinned once, for one cause: in the disorder
 		// experiment the enforced unlink re-dispatches when the invalidated
 		// link lets go of the inode, at its undo (2,152 µs), not after the
 		// Invalidate-Record append (4,152 µs); every later event of that run
 		// is 15 µs earlier. The replay's clock, messages and events did not
 		// move.
-		{"s3d/cx/traced+disorder", tracedGolden, golden{1074147404, 42285, 177038, "ef299dcee6b9b68f"}},
+		{"s3d/cx/traced+disorder", tracedGolden, golden{1074147404, 42285, 176834, "ef299dcee6b9b68f"}},
 		{"s3d/se", replayGolden(cluster.ProtoSE), golden{1513573425, 41862, 207144, "f69da3b7256bdfd4"}},
 		{"s3d/se-batched", replayGolden(cluster.ProtoSEBatched), golden{1418742223, 41864, 179986, "8e6f6b023d3cfad2"}},
-		{"s3d/2pc", replayGolden(cluster.Proto2PC), golden{10453539005, 54824, 325395, "1309b7599a1867e9"}},
-		{"s3d/ce", replayGolden(cluster.ProtoCE), golden{4863579474, 54830, 278052, "ab332feb79b56ed2"}},
-		{"metarates/gc+pipeline", metaratesGolden, golden{536672284, 4274, 18141, "242edcf7f8594532"}},
-		{"chaos/seed1", chaosGolden(chaos.Config{Seed: 1}), golden{1067119840, 1999, 8132, "0151d935ae01d3e3"}},
-		{"chaos/seed1/pipeline8", chaosGolden(chaos.Config{Seed: 1, Pipeline: 8}), golden{1827255700, 9236, 40744, "8c5b95bd4167705d"}},
-		{"chaos/seed34", chaosGolden(chaos.Config{Seed: 34}), golden{1025580009, 2001, 8254, "a7fec9ccd09028a6"}},
-		{"chaos/seed34/pipeline8", chaosGolden(chaos.Config{Seed: 34, Pipeline: 8}), golden{2104516540, 10153, 44374, "2cefffdaacff8ea9"}},
+		{"s3d/2pc", replayGolden(cluster.Proto2PC), golden{10453539005, 54824, 312431, "1309b7599a1867e9"}},
+		{"s3d/ce", replayGolden(cluster.ProtoCE), golden{4863579474, 54830, 265088, "ab332feb79b56ed2"}},
+		{"metarates/gc+pipeline", metaratesGolden, golden{536672284, 4274, 18115, "242edcf7f8594532"}},
+		{"chaos/seed1", chaosGolden(chaos.Config{Seed: 1}), golden{1067119840, 1999, 8002, "0151d935ae01d3e3"}},
+		{"chaos/seed1/pipeline8", chaosGolden(chaos.Config{Seed: 1, Pipeline: 8}), golden{1822256499, 9253, 40409, "5e35d52fe638a062"}},
+		{"chaos/seed34", chaosGolden(chaos.Config{Seed: 34}), golden{922936088, 1877, 7733, "5d14b49280234b3a"}},
+		{"chaos/seed34/pipeline8", chaosGolden(chaos.Config{Seed: 34, Pipeline: 8}), golden{1940526842, 9619, 41378, "bd57d6011b80bff6"}},
 		// Re-pinned in events only, for one cause: a proc waiting on an
 		// operation wakes at anything that happens to it (DESIGN.md §5 item
 		// 28). An ABORT-REQ whose ACK waits for an execution still inside its
@@ -158,7 +171,7 @@ func TestGoldenRuns(t *testing.T) {
 		// abort at the 2 KB log: 666 of 720 return OK instead of 601, with
 		// fewer messages and events, and the run's schedule shifts (it ends
 		// 0.22 s later). 0 violations.
-		{"chaos/seed5/smalllog", chaosGolden(chaos.Config{Seed: 5, Pipeline: 4, LogMaxBytes: 2 << 10}), golden{2027494712, 6828, 31005, "1814a1dec2125273"}},
+		{"chaos/seed5/smalllog", chaosGolden(chaos.Config{Seed: 5, Pipeline: 4, LogMaxBytes: 2 << 10}), golden{1777494712, 6601, 29753, "9e8bf867f5f3ed2f"}},
 		// The two rows with leases on were re-pinned once, for one cause: a
 		// mutation's own client is leased the entry it made by the reply
 		// instead of being sent a revocation notice, so it serves its own
@@ -184,9 +197,9 @@ func TestGoldenRuns(t *testing.T) {
 		// bytes longer than the "not found" the leased lookup reply carried,
 		// and each such reply arrives a few nanoseconds later. Messages and
 		// events did not move.
-		{"chaos/seed13/statstorm", chaosGolden(chaos.Config{Seed: 13, StatStorm: true, CacheTTL: 40 * time.Millisecond}), golden{659566661, 915, 3327, "ae2dd322f5a7b758"}},
-		{"chaos/seed1/pipeline4/cache", chaosGolden(chaos.Config{Seed: 1, Pipeline: 4, CacheTTL: 40 * time.Millisecond}), golden{757245088, 4228, 18577, "24a588e7d9a92824"}},
-		{"metarates/closed-loop", metaratesClosedLoopGolden, golden{658013779, 4220, 18559, "2cff680c1525a4b8"}},
+		{"chaos/seed13/statstorm", chaosGolden(chaos.Config{Seed: 13, StatStorm: true, CacheTTL: 40 * time.Millisecond}), golden{564418297, 848, 3115, "e3cd0ffadfabed6d"}},
+		{"chaos/seed1/pipeline4/cache", chaosGolden(chaos.Config{Seed: 1, Pipeline: 4, CacheTTL: 40 * time.Millisecond}), golden{1009857650, 4622, 20152, "92532f598affbdc4"}},
+		{"metarates/closed-loop", metaratesClosedLoopGolden, golden{658013779, 4220, 18533, "2cff680c1525a4b8"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -208,15 +221,21 @@ func TestGoldenRuns(t *testing.T) {
 // input resumed a proc 118,601 times under cx (8.18 per op; 2,400 of them
 // the baton's free self-resume, the rest channel hand-offs) and 146,975
 // times under se (10.14 per op; 6,455 free), counted with a scratch counter
-// in the old Sim.dispatch; the ceiling is 0.75 of that.
+// in the old Sim.dispatch; the ceiling is 0.75 of that. 2PC and CE were
+// pinned when the chassis began handing a server's answers to the awaiting
+// Call from the arrival event; before, a handler proc spawned per answer
+// delivered it, and the input resumed a proc 167,984 times under 2PC and
+// 127,026 times under CE (cx: 80,250), which is their ceiling.
 func TestResumesPerOp(t *testing.T) {
 	for _, tc := range []struct {
 		proto   cluster.Protocol
 		resumes uint64
-		parent  uint64
+		most    uint64
 	}{
-		{cluster.ProtoCx, 80250, 118601},
-		{cluster.ProtoSE, 105967, 146975},
+		{cluster.ProtoCx, 80046, 118601 * 3 / 4},
+		{cluster.ProtoSE, 105967, 146975 * 3 / 4},
+		{cluster.Proto2PC, 155021, 167984 - 1},
+		{cluster.ProtoCE, 114062, 127026 - 1},
 	} {
 		t.Run(string(tc.proto), func(t *testing.T) {
 			t.Parallel()
@@ -236,8 +255,8 @@ func TestResumesPerOp(t *testing.T) {
 			if got[0] != tc.resumes {
 				t.Errorf("%d resumes (%.2f per op), pinned at %d", got[0], float64(got[0])/14496, tc.resumes)
 			}
-			if limit := tc.parent * 3 / 4; got[0] > limit {
-				t.Errorf("%d resumes, want at most %d (0.75 of the channel kernel's %d)", got[0], limit, tc.parent)
+			if got[0] > tc.most {
+				t.Errorf("%d resumes, want at most %d", got[0], tc.most)
 			}
 		})
 	}

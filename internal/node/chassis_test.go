@@ -23,6 +23,7 @@ func opID(seq uint64) types.OpID {
 func tapped(t *testing.T, body func(p *simrt.Proc, b *Base, h *Host, sent *[]wire.Msg)) {
 	t.Helper()
 	s, net, b, h := build(t)
+	b.Start(func(p *simrt.Proc, m *wire.Msg) { t.Errorf("handler called for %v", m.Type) })
 	for id := types.NodeID(101); id <= 103; id++ {
 		net.Register(id)
 	}
@@ -384,34 +385,17 @@ func calling(b *Base, req wire.Msg, every time.Duration, sent func() bool, got *
 	})
 }
 
-// landed sends each of msgs from node 101 to node 103, which never reads its
-// inbox, and returns their packets once all have landed there: answers of
-// the test's own, for it to hand to Deliver as a handler would.
-func landed(p *simrt.Proc, b *Base, msgs ...wire.Msg) []*transport.Packet {
-	box := b.Net.Register(103)
+// deliver sends each of msgs from node 101 into b's own inbox, all at one
+// instant, and returns once the chassis has taken them all in: each answer
+// reaches the Call that awaits it, and the rest go back to the pool.
+func deliver(p *simrt.Proc, b *Base, msgs ...wire.Msg) {
+	want := b.Stats().MsgsHandled + uint64(len(msgs))
 	for _, m := range msgs {
-		m.From, m.To = 101, 103
+		m.From, m.To = 101, b.ID
 		b.Net.Send(m)
 	}
-	for box.Len() < len(msgs) {
+	for b.Stats().MsgsHandled < want {
 		p.Sleep(time.Microsecond)
-	}
-	pks := make([]*transport.Packet, len(msgs))
-	for i := range pks {
-		pks[i], _ = box.TryRecv()
-	}
-	return pks
-}
-
-// deliver hands each of msgs to b.Deliver in a packet, all at one instant,
-// and releases those no Call took, as the chassis would.
-func deliver(p *simrt.Proc, b *Base, msgs ...wire.Msg) {
-	for _, pk := range landed(p, b, msgs...) {
-		b.Deliver(pk)
-		if b.delivered != pk {
-			pk.Release()
-		}
-		b.delivered = nil
 	}
 }
 
@@ -468,8 +452,8 @@ func TestReplyRoutesAreTypedAndRoundsDoNotCross(t *testing.T) {
 		if ack2.Err != "ack" {
 			t.Errorf("after a take-over the new call got %q, want the ack", ack2.Err)
 		}
-		if ended != [5]bool{true, true, true, true, true} || len(b.routes) != 0 {
-			t.Errorf("ended %v with %d routes left, want every call over and none", ended, len(b.routes))
+		if ended != [5]bool{true, true, true, true, true} || b.keys.Len() != 0 {
+			t.Errorf("ended %v with %d routes left, want every call over and none", ended, b.keys.Len())
 		}
 	})
 }
@@ -538,11 +522,68 @@ func TestServerCallEndsWhenTheSendHookSaysSo(t *testing.T) {
 	})
 }
 
+// topRecord returns the record the network hands the next message: it
+// sends a probe to node 103, which never reads its inbox, and releases it,
+// so the probe's record is back on top of the pool, a stack.
+func topRecord(p *simrt.Proc, b *Base) *transport.Packet {
+	box := b.Net.Register(103)
+	b.Net.Send(wire.Msg{Type: wire.MsgPing, From: 101, To: 103})
+	for box.Len() == 0 {
+		p.Sleep(time.Microsecond)
+	}
+	pk, _ := box.TryRecv()
+	pk.Release()
+	return pk
+}
+
+// Answers are the chassis's: no handler sees any of the four answer types
+// (tapped's handler fails the test on any message). An answer nobody awaits,
+// and one that reaches a crashed server, go back to the network's pool; an
+// answer that reaches the rebooted server before its recovery is done ends
+// a Call from before the crash, through Gone.
+func TestAnswersAreRoutedByTheChassis(t *testing.T) {
+	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, _ *[]wire.Msg) {
+		for _, typ := range []wire.MsgType{wire.MsgVoteResp, wire.MsgAck, wire.MsgMigrateResp, wire.MsgMigrateAck} {
+			top := topRecord(p, b)
+			deliver(p, b, wire.Msg{Type: typ, Op: opID(1)})
+			if topRecord(p, b) != top {
+				t.Errorf("an unawaited %v was not released", typ)
+			}
+		}
+
+		var got wire.Msg
+		var ended bool
+		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(2)}, 0, nil, &got, &ended)
+		p.Sleep(time.Microsecond)
+		top, handled := topRecord(p, b), b.Stats().MsgsHandled
+		// The answer lands and is charged CPUPerMsg; the server crashes
+		// meanwhile.
+		cpu := b.HW.CPUPerMsg
+		b.HW.CPUPerMsg = time.Millisecond
+		b.Net.Send(wire.Msg{Type: wire.MsgVoteResp, From: 101, To: b.ID, Op: opID(2)})
+		p.Sleep(500 * time.Microsecond)
+		b.Crash()
+		p.Sleep(time.Millisecond)
+		b.HW.CPUPerMsg = cpu
+		if released := topRecord(p, b) == top; b.Stats().MsgsHandled != handled+1 || !released || ended {
+			t.Errorf("answer at a crashed server: handled %d, released %v, call ended %v; want it taken in, released, the call waiting",
+				b.Stats().MsgsHandled-handled, released, ended)
+		}
+
+		b.Reboot()
+		deliver(p, b, wire.Msg{Type: wire.MsgVoteResp, Op: opID(2), OK: true})
+		p.Sleep(time.Microsecond)
+		if !b.NeedsRecovery() || !ended || got.Err != "ended" || b.Awaiting(&wire.Msg{Type: wire.MsgVote, Op: opID(2)}) {
+			t.Errorf("answer during recovery: recovering %v, call ended %v with %+v; want the old call ended by Gone, its route closed",
+				b.NeedsRecovery(), ended, got)
+		}
+	})
+}
+
 // echo starts b answering every request after delay, from itself and —
 // first — with a stray copy from node 1.
 func echo(s *simrt.Sim, b *Base, delay time.Duration, served *int) {
-	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
-		m := &pk.Msg
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		*served++
 		p.Sleep(delay)
 		b.Net.Send(wire.Msg{Type: wire.MsgOpResp, From: 1, To: m.From, Op: m.Op})
@@ -643,11 +684,10 @@ func TestServerCallWarmAllocatesNothing(t *testing.T) {
 	s, net, b, _ := build(t)
 	defer s.Shutdown()
 	peer := NewBase(s, net, 1, DefaultHardware())
-	peer.Start(func(p *simrt.Proc, pk *transport.Packet) {
-		m := &pk.Msg
+	peer.Start(func(p *simrt.Proc, m *wire.Msg) {
 		peer.Send(&wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, OK: true})
 	})
-	b.Start(func(p *simrt.Proc, pk *transport.Packet) { b.Deliver(pk) })
+	b.Start(func(p *simrt.Proc, m *wire.Msg) { t.Errorf("handler called for %v", m.Type) })
 	calls := 0
 	s.Spawn("caller", func(p *simrt.Proc) {
 		for {
@@ -663,8 +703,8 @@ func TestServerCallWarmAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { s.RunUntil(s.Now() + 10*time.Millisecond) }); allocs != 0 {
 		t.Errorf("warm Calls allocate %.1f objects per 10ms, want 0", allocs)
 	}
-	if calls-before < 100 || len(b.routes) > 1 {
-		t.Errorf("%d calls in the measured runs and %d routes left, want >= 100 and at most 1", calls-before, len(b.routes))
+	if calls-before < 100 || b.keys.Len() > 1 {
+		t.Errorf("%d calls in the measured runs and %d routes left, want >= 100 and at most 1", calls-before, b.keys.Len())
 	}
 }
 
@@ -680,8 +720,8 @@ func TestServerCallAllocFreeRouteReuseDropsLeftovers(t *testing.T) {
 		deliver(p, b, wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), Err: "answer"},
 			wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), Err: "duplicate"})
 		p.Sleep(time.Microsecond)
-		if !ended[0] || first.Err != "answer" || len(b.idleRoutes) != 1 {
-			t.Errorf("first call ended=%v with %q, %d idle routes; want the answer and its route idle", ended[0], first.Err, len(b.idleRoutes))
+		if !ended[0] || first.Err != "answer" || len(b.free) != 1 {
+			t.Errorf("first call ended=%v with %q, %d idle routes; want the answer and its route idle", ended[0], first.Err, len(b.free))
 		}
 		// The same operation again: the key the duplicate was delivered under.
 		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, time.Millisecond, nil, &second, &ended[1])

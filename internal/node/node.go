@@ -8,24 +8,25 @@
 // operations, kept in a ring that overwrites its oldest reply in place, and
 // the server's one op-ID index, which files each operation's executing mark,
 // cached reply and protocol entry), the lease service behind the
-// leased read path (lease.go) and the one server-to-server call, Call, with
-// the routes its answers come back on (routes.go). Host is the client machine: it routes server responses back
-// to the issuing process and owns the one retrying RPC (Call). The client on
-// top of it is internal/core's Driver under every protocol.
+// leased read path (lease.go) and the one server-to-server call, Call.
+// Host is the client machine: it routes server responses back to the
+// issuing process and owns the one retrying RPC (Call). The client on top
+// of it is internal/core's Driver under every protocol. Both route the
+// answers their procs await in one route table type (routes.go).
 //
 // A protocol's server (internal/core for Cx, internal/baseline for
-// SE/2PC/CE) embeds Base and registers a message handler. The inbox is served, not looped
-// over by a Proc: an arrival holds it for the receive-side CPU charge, then
-// a Proc is spawned for the message — so a handler blocked on the disk or on
-// a peer never stalls the server — and the next arrival is taken. The
-// message travels in the network's one pooled record (transport.Packet) from
-// Net.Send to the handler's return and is handed down by pointer, batch
-// slices and all; a handler that keeps any of it longer copies what it
-// keeps. An answer to a Call (Deliver) travels on to the caller in its
-// record, which the caller releases, and a client's replies reach its
-// process the same way (Route). The simulation runtime
-// serializes all state access between blocking points, which mirrors a
-// coarse-grained-locked multithreaded server.
+// SE/2PC/CE) embeds Base and registers a message handler. The inbox is
+// served, not looped over by a Proc: an arrival holds it for the
+// receive-side CPU charge; then an answer to a Call is handed to the caller
+// from that event, and any other message gets a Proc of its own — so a
+// handler blocked on the disk or on a peer never stalls the server — and
+// the next arrival is taken. The message travels in the network's one
+// pooled record (transport.Packet) from Net.Send to the handler's return,
+// or to the caller's release of an answer; the handler is handed the
+// message by pointer, batch slices and all, and one that keeps any of it
+// longer copies what it keeps. The simulation runtime serializes all state
+// access between blocking points, which mirrors a coarse-grained-locked
+// multithreaded server.
 package node
 
 import (
@@ -75,10 +76,10 @@ const (
 	dbBase  = 64 << 20
 )
 
-// Handler processes one inbound message in its own Proc. The packet, and
-// every slice of its message, is valid until the handler returns, when the
-// chassis releases it — unless the handler handed it to a Call (Deliver).
-type Handler func(p *simrt.Proc, pk *transport.Packet)
+// Handler processes one inbound request in its own Proc. The message, and
+// every slice of it, is valid until the handler returns, when the chassis
+// releases its packet. Answers to a Call never reach it (routes.go).
+type Handler func(p *simrt.Proc, m *wire.Msg)
 
 // Stats aggregates chassis-level activity.
 type Stats struct {
@@ -128,14 +129,9 @@ type Base struct {
 	freeExtras []int32
 	once       seg.Index[int32]
 	entries    Entries
-	leases     *LeaseTable                                 // lease.go
-	lockWaits  []lockWait                                  // lock.go: handlers waiting for a lock, in arrival order
-	routes     map[routeKey]*simrt.Chan[*transport.Packet] // routes.go
-	// idleRoutes are the channels of finished Calls, emptied, for the next.
-	idleRoutes []*simrt.Chan[*transport.Packet]
-	// delivered is the packet the running handler has just handed to a Call,
-	// which the chassis must not release when the handler returns.
-	delivered *transport.Packet
+	leases     *LeaseTable // lease.go
+	lockWaits  []lockWait  // lock.go: handlers waiting for a lock, in arrival order
+	routeTable             // routes.go: the Calls awaiting answers
 
 	stats Stats
 }
@@ -153,8 +149,8 @@ func NewBase(s *simrt.Sim, net *transport.Net, id types.NodeID, hw HardwareParam
 		HW:    hw,
 		inbox: net.Register(id),
 
-		leases: NewLeaseTable(leaseTableCap),
-		routes: make(map[routeKey]*simrt.Chan[*transport.Packet]),
+		leases:     NewLeaseTable(leaseTableCap),
+		routeTable: routeTable{sim: s},
 	}
 	for t := range b.procNames {
 		b.procNames[t] = fmt.Sprintf("server%d/%v", id, wire.MsgType(t))
@@ -187,17 +183,24 @@ func (b *Base) arrive(pk *transport.Packet) {
 	b.Sim.After(b.HW.CPUPerMsg, b.accepted)
 }
 
-// accept gives the arrived message a handler proc of its own and takes the
-// next one.
+// accept routes the arrived answer to the Call awaiting it, or gives the
+// arrived request a handler proc of its own, and takes the next message.
 func (b *Base) accept() {
 	pk := b.arrived
 	b.stats.MsgsHandled++
-	if pk.Type == wire.MsgPing {
+	switch {
+	case pk.Type == wire.MsgPing:
 		// Liveness is answered by the chassis so the failure detector
 		// works identically under every protocol.
 		b.Send(&wire.Msg{Type: wire.MsgPong, To: pk.From, Op: pk.Op})
 		pk.Release()
-	} else {
+	case isAnswer[pk.Type]:
+		// Dropped at a crashed server, or when nobody awaits it: a
+		// duplicate, or an answer to a round that gave up.
+		if b.crashed || !b.deliver(routeKey{pk.Type, pk.Op}, pk) {
+			pk.Release()
+		}
+	default:
 		name := "server/invalid"
 		if int(pk.Type) < len(b.procNames) {
 			name = b.procNames[pk.Type]
@@ -208,15 +211,12 @@ func (b *Base) accept() {
 }
 
 // run is the handler proc's body; the record goes back to the pool when the
-// handler returns, unless the handler delivered it to a Call.
+// handler returns.
 func (b *Base) run(p *simrt.Proc, pk *transport.Packet) {
 	if !b.crashed {
-		b.handler(p, pk)
+		b.handler(p, &pk.Msg)
 	}
-	if b.delivered != pk {
-		pk.Release()
-	}
-	b.delivered = nil
+	pk.Release()
 }
 
 // Send fills in m's From and transmits it; crashed servers send nothing.
@@ -355,9 +355,8 @@ type Host struct {
 	Net    *transport.Net
 	Events *obs.Stream // the cluster's event stream, for operations (nil: none)
 
-	routes seg.Index[*Route]
-	idle   []*Route // closed routes, emptied, for the next Open
-	notify func(*wire.Msg) bool
+	routeTable // routes.go: each operation's replies, by operation
+	notify     func(*wire.Msg) bool
 
 	stats HostStats
 }
@@ -378,34 +377,18 @@ var invalidated = types.ErrInvalidated.Error()
 // Stats returns the host's counters.
 func (h *Host) Stats() HostStats { return h.stats }
 
-// Route is where one operation's replies arrive: the network's records
-// themselves, so a reply is read where it landed, and never copied.
-type Route simrt.Chan[*transport.Packet]
-
-func (r *Route) ch() *simrt.Chan[*transport.Packet] { return (*simrt.Chan[*transport.Packet])(r) }
-
-// Recv returns the next reply, parking p until one arrives. The caller owns
-// the packet and releases it once it has read the reply.
-func (r *Route) Recv(p *simrt.Proc) *transport.Packet { return r.ch().Recv(p) }
-
-// RecvTimeout is Recv with a deadline; ok is false if d passes with no reply.
-func (r *Route) RecvTimeout(p *simrt.Proc, d time.Duration) (*transport.Packet, bool) {
-	return r.ch().RecvTimeout(p, d)
-}
-
 // NewHost builds a client host and starts its dispatcher. Dispatching never
 // blocks, so it needs no Proc: the inbox serves each message straight to
 // dispatch.
 func NewHost(s *simrt.Sim, net *transport.Net, id types.NodeID) *Host {
-	h := &Host{ID: id, Sim: s, Net: net}
+	h := &Host{ID: id, Sim: s, Net: net, routeTable: routeTable{sim: s}}
 	net.Register(id).Serve(h.dispatch)
 	return h
 }
 
 func (h *Host) dispatch(pk *transport.Packet) {
 	if h.notify == nil || !h.notify(&pk.Msg) {
-		if r, ok := h.routes.Get(pk.Op); ok {
-			r.ch().Send(pk)
+		if h.deliver(routeKey{op: pk.Op}, pk) {
 			return
 		}
 		// Stale: the op already completed (e.g. a superseded
@@ -427,30 +410,14 @@ func (h *Host) SetNotify(fn func(*wire.Msg) bool) { h.notify = fn }
 
 // Open registers a response route for op and returns the channel its
 // messages arrive on. Close it with Done when the op completes.
-func (h *Host) Open(op types.OpID) *Route {
-	var r *Route
-	if k := len(h.idle); k > 0 {
-		r = h.idle[k-1]
-		h.idle = h.idle[:k-1]
-	} else {
-		r = (*Route)(simrt.NewChan[*transport.Packet](h.Sim))
-	}
-	h.routes.Put(op, r)
-	return r
-}
+func (h *Host) Open(op types.OpID) *Route { return h.open(routeKey{op: op}) }
 
 // Done removes the route for op. The channel must not be used afterwards:
 // it is emptied of unread duplicates and handed to a later Open.
 func (h *Host) Done(op types.OpID) {
-	r, ok := h.routes.Delete(op)
-	if !ok {
-		return
+	if r, ok := h.keys.Get(routeKey{op: op}); ok {
+		h.close(routeKey{op: op}, r)
 	}
-	for r.ch().Len() > 0 {
-		pk, _ := r.ch().TryRecv()
-		pk.Release()
-	}
-	h.idle = append(h.idle, r)
 }
 
 // Send fills in m's From and transmits it. The network copies m.

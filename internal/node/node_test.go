@@ -22,8 +22,7 @@ func build(t *testing.T) (*simrt.Sim, *transport.Net, *Base, *Host) {
 func TestInboxDispatchesToHandlerProc(t *testing.T) {
 	s, _, b, h := build(t)
 	var got []wire.MsgType
-	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
-		m := &pk.Msg
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		got = append(got, m.Type)
 		b.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
 	})
@@ -51,8 +50,7 @@ func TestHandlersRunConcurrently(t *testing.T) {
 	// Two slow handlers must overlap in virtual time: the inbox loop spawns
 	// a Proc per message rather than serializing.
 	s, _, b, h := build(t)
-	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
-		m := &pk.Msg
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		p.Sleep(10 * time.Millisecond)
 		b.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
 	})
@@ -80,8 +78,7 @@ func TestHandlersRunConcurrently(t *testing.T) {
 
 func TestCrashSilencesSendsAndDropsInbox(t *testing.T) {
 	s, _, b, h := build(t)
-	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
-		m := &pk.Msg
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		b.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
 	})
 	var got int
@@ -136,8 +133,7 @@ func TestCrashDiscardsVolatileState(t *testing.T) {
 
 func TestHostDropsUnroutedResponses(t *testing.T) {
 	s, _, b, h := build(t)
-	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
-		m := &pk.Msg
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		b.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
 	})
 	finished := false
@@ -216,8 +212,7 @@ func TestExecCPUAdvancesTimeAndCounts(t *testing.T) {
 // up as the first reply of the next.
 func TestHostReusesRoutesClean(t *testing.T) {
 	s, _, b, h := build(t)
-	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
-		m := &pk.Msg
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		for i := 0; i < 2; i++ { // every request is answered twice
 			b.Send(&wire.Msg{Type: wire.MsgOpResp, To: m.From, Op: m.Op})
 		}

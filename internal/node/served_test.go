@@ -25,8 +25,7 @@ func TestServedInboxChargesCPUPerMessage(t *testing.T) {
 		at  time.Duration
 	}
 	var got []seen
-	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
-		m := &pk.Msg
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		got = append(got, seen{m.Op.Seq, p.Now()})
 		p.Sleep(time.Millisecond) // a slow handler does not hold the inbox
 	})
@@ -57,8 +56,7 @@ func TestCrashedServerDropsBufferedArrivals(t *testing.T) {
 	s, net, b, _ := build(t)
 	var handled []uint64
 	var at []time.Duration
-	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
-		m := &pk.Msg
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		handled = append(handled, m.Op.Seq)
 		at = append(at, p.Now())
 		if m.Op.Seq == 1 {
@@ -99,7 +97,7 @@ func TestCrashedServerDropsBufferedArrivals(t *testing.T) {
 // after the receive-side charge, with no handler proc.
 func TestPingIsAnsweredByTheChassis(t *testing.T) {
 	s, net, b, _ := build(t)
-	b.Start(func(p *simrt.Proc, pk *transport.Packet) { t.Errorf("handler called for %v", pk.Type) })
+	b.Start(func(p *simrt.Proc, m *wire.Msg) { t.Errorf("handler called for %v", m.Type) })
 	var pongs []wire.Msg
 	net.SetTap(func(m wire.Msg) {
 		if m.Type == wire.MsgPong {
@@ -134,8 +132,7 @@ func TestZeroCPUPerMsgHandlesInArrivalOrder(t *testing.T) {
 	net.Register(100)
 	var seqs []uint64
 	var at []time.Duration
-	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
-		m := &pk.Msg
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		seqs = append(seqs, m.Op.Seq)
 		at = append(at, p.Now())
 	})
@@ -164,8 +161,7 @@ func TestHandlerOwnsItsMessageUntilItReturns(t *testing.T) {
 	s, _, b, h := build(t)
 	records := map[*wire.Msg]int{} // every record a handler was given, by use count
 	var slow *wire.Msg
-	b.Start(func(p *simrt.Proc, pk *transport.Packet) {
-		m := &pk.Msg
+	b.Start(func(p *simrt.Proc, m *wire.Msg) {
 		records[m]++
 		if m.Sub.Name == "slow" {
 			slow = m
