@@ -43,9 +43,9 @@ func (s *CEServer) handle(p *simrt.Proc, m *wire.Msg) {
 	case wire.MsgOpReq:
 		s.coordinate(p, m)
 	case wire.MsgMigrateReq:
-		s.lendRows(p, m)
+		s.ServeOnce(p, m, s.lendRows)
 	case wire.MsgMigrateBack:
-		s.reinstallRows(p, m)
+		s.ServeOnce(p, m, s.reinstallRows)
 	}
 }
 
@@ -78,7 +78,7 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 	partRows := []types.ObjKey{pKey}
 	if !local {
 		mr, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgMigrateReq, To: part, Op: op.ID,
-			Keys: partRows}, 0, nil)
+			Keys: partRows}, nil)
 		if s.Crashed() {
 			return
 		}
@@ -128,13 +128,13 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 
 	// Migrate the (possibly updated) rows back.
 	if !local {
-		back := s.copyRows(partRows)
+		back := s.CopyRows(partRows)
 		for _, key := range partRows {
 			s.KV.Forget(key) // the row goes home; drop the local copy
 		}
 		// Only the MIGRATE-ACK says the participant has the rows durable; a
 		// duplicated MIGRATE-RESP arriving meanwhile routes elsewhere.
-		if ack, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgMigrateBack, To: part, Op: op.ID, Rows: back}, 0, nil); ok {
+		if ack, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgMigrateBack, To: part, Op: op.ID, Rows: back}, nil); ok {
 			ack.Release()
 		}
 		if s.Crashed() {
@@ -162,28 +162,16 @@ func (s *CEServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 // lendRows ships the requested rows to the coordinator and locks them here,
 // under the rows' own keys, until they come back: an operation of this
 // server's own on a lent object waits for its return.
-func (s *CEServer) lendRows(p *simrt.Proc, m *wire.Msg) {
-	// A retransmitted MigrateReq finds the locks its operation's own, takes
-	// them at once, and is sent the current copies again.
+func (s *CEServer) lendRows(p *simrt.Proc, m *wire.Msg) (wire.Msg, bool) {
 	if !s.Acquire(p, m.Op, m.Keys) {
-		return
+		return wire.Msg{}, false // the server crashed
 	}
-	s.Send(&wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: s.copyRows(m.Keys)})
-}
-
-// copyRows reads the rows named keys out of the database as they travel in
-// a migration: the image of each, its value absent for an absent row.
-func (s *CEServer) copyRows(keys []types.ObjKey) []types.Row {
-	rows := make([]types.Row, 0, len(keys))
-	for _, key := range keys {
-		rows = append(rows, types.Row{Key: key, Val: s.KV.Value(s.KV.Find(key))})
-	}
-	return rows
+	return wire.Msg{Type: wire.MsgMigrateResp, To: m.From, Op: m.Op, Rows: s.CopyRows(m.Keys)}, true
 }
 
 // reinstallRows takes the updated rows back, persists them synchronously,
 // and unlocks.
-func (s *CEServer) reinstallRows(p *simrt.Proc, m *wire.Msg) {
+func (s *CEServer) reinstallRows(p *simrt.Proc, m *wire.Msg) (wire.Msg, bool) {
 	dirty := make([]kvstore.Ref, 0, len(m.Rows))
 	keys := make([]types.ObjKey, 0, len(m.Rows))
 	for i := range m.Rows {
@@ -199,8 +187,8 @@ func (s *CEServer) reinstallRows(p *simrt.Proc, m *wire.Msg) {
 	}
 	s.KV.SyncRows(p, dirty)
 	if s.Crashed() {
-		return
+		return wire.Msg{}, false
 	}
 	s.Release(m.Op, keys)
-	s.Send(&wire.Msg{Type: wire.MsgMigrateAck, To: m.From, Op: m.Op})
+	return wire.Msg{Type: wire.MsgMigrateAck, To: m.From, Op: m.Op}, true
 }

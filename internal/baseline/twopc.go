@@ -66,9 +66,9 @@ func (s *TwoPCServer) handle(p *simrt.Proc, m *wire.Msg) {
 	case wire.MsgOpReq:
 		s.coordinate(p, m)
 	case wire.MsgVote:
-		s.participantVote(p, m)
+		s.ServeOnce(p, m, s.participantVote)
 	case wire.MsgCommitReq:
-		s.participantDecide(p, m)
+		s.ServeOnce(p, m, s.participantDecide)
 	}
 }
 
@@ -116,7 +116,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		}
 	} else {
 		if vote, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgVote, To: part, Op: op.ID, Sub: pSub,
-			ReplyProc: m.ReplyProc}, 0, nil); ok {
+			ReplyProc: m.ReplyProc}, nil); ok {
 			partOK, partErr = vote.OK, vote.Err
 			vote.Release()
 		}
@@ -153,7 +153,7 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 		}
 	} else if partOK {
 		if ack, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgCommitReq, To: part, Op: op.ID,
-			Decisions: []wire.Decision{{Op: op.ID, Commit: commit}}}, 0, nil); ok {
+			Decisions: []wire.Decision{{Op: op.ID, Commit: commit}}}, nil); ok {
 			ack.Release()
 		}
 	}
@@ -192,50 +192,34 @@ func (s *TwoPCServer) coordinate(p *simrt.Proc, m *wire.Msg) {
 }
 
 // participantVote executes the assigned sub-op, logs, and votes (phase 1).
-func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) {
-	if _, pending := s.Entry(m.Op, false); pending {
-		// Retransmitted VOTE: answer from the pending execution (only a
-		// successful one is kept) instead of re-acquiring locks it holds.
-		s.Send(&wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, OK: true})
-		return
-	}
+func (s *TwoPCServer) participantVote(p *simrt.Proc, m *wire.Msg) (wire.Msg, bool) {
 	sub := m.Sub
 	key, _ := sub.Key()
 	keys := []types.ObjKey{key}
 	if !s.Acquire(p, m.Op, keys) {
-		return
+		return wire.Msg{}, false
 	}
 	s.ExecCPU(p)
 	res := s.Shard.Exec(sub, s.NowNanos())
 	if res.OK {
-		s.prepare(m.Op, res.Written())
+		pe := s.prepare(m.Op, res.Written())
 		before, after := res.Images()
-		log := s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: m.Op, Role: types.RoleParticipant,
+		pe.log = s.WAL.Append(p, wal.Record{Type: wal.RecResult, Op: m.Op, Role: types.RoleParticipant,
 			OK: true, Sub: sub, Pre: before, Post: after})
-		if h, ok := s.Entry(m.Op, false); ok { // still pending: no decision came during the append
-			s.prepared.At(h).log = log
-		}
 	} else {
 		s.Release(m.Op, keys)
-	}
-	if s.Crashed() {
-		return
 	}
 	reply := wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, OK: res.OK}
 	if res.Err != nil {
 		reply.Err = res.Err.Error()
 	}
-	s.Send(&reply)
+	return reply, true
 }
 
 // participantDecide applies the coordinator's decision (phase 2).
-func (s *TwoPCServer) participantDecide(p *simrt.Proc, m *wire.Msg) {
-	commit := len(m.Decisions) > 0 && m.Decisions[0].Commit
-	s.applyDecision(p, m.Op, commit)
-	if s.Crashed() {
-		return
-	}
-	s.Send(&wire.Msg{Type: wire.MsgAck, To: m.From, Op: m.Op})
+func (s *TwoPCServer) participantDecide(p *simrt.Proc, m *wire.Msg) (wire.Msg, bool) {
+	s.applyDecision(p, m.Op, len(m.Decisions) > 0 && m.Decisions[0].Commit)
+	return wire.Msg{Type: wire.MsgAck, To: m.From, Op: m.Op}, true
 }
 
 // applyDecision applies the decision to id's prepared execution here, if it

@@ -1,8 +1,8 @@
 // Package chaos is the fault-injection harness: it drives a randomized
-// workload against a Cx cluster while a nemesis process injects crashes,
-// reboots, protocol crash-points, directed partitions, and lossy-link
-// windows — all drawn from seeded RNGs inside the deterministic simulation,
-// so a failing run replays exactly from its seed.
+// workload against a Cx cluster (or a 2PC or CE one) while a nemesis process
+// injects crashes, reboots, protocol crash-points, directed partitions, and
+// lossy-link windows — all drawn from seeded RNGs inside the deterministic
+// simulation, so a failing run replays exactly from its seed.
 //
 // After the workload drains, the harness heals the network, recovers every
 // crashed server, quiesces, and verifies two things:
@@ -42,6 +42,12 @@ type Config struct {
 	OpsPerWorker int           // operations each worker issues (default 30)
 	Seed         int64         // simulation + nemesis + workload seed
 	Duration     time.Duration // nemesis active window (default 1.5s)
+	// Protocol is the cluster's protocol: Cx, the zero value, 2PC or CE.
+	// No baseline recovers from a crash (ROADMAP item 3(b)), so under 2PC
+	// and CE the nemesis cuts and degrades links where it would crash a
+	// server. SE and SE-batched lose updates under contention (DESIGN.md §5
+	// item 24) and are not run here.
+	Protocol cluster.Protocol
 	// Pipeline is the depth of every worker's core.Pipeline: up to that
 	// many operations in flight per process, with per-name sequencing
 	// preserved so the oracle stays valid. <= 1 is depth 1, the classic
@@ -87,6 +93,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 1500 * time.Millisecond
+	}
+	if c.Protocol == "" {
+		c.Protocol = cluster.ProtoCx
 	}
 	return c
 }
@@ -146,9 +155,10 @@ type Report struct {
 	// to reclaim its whole log. Not part of String or the fingerprint.
 	MinLogTurnover float64
 
-	// Events is how many events the simulation kernel dispatched. Not part
-	// of String or the fingerprint; the golden test pins it.
-	Events uint64
+	// Events is how many events the simulation kernel dispatched, and
+	// Resends how many requests servers sent a peer again (node.Stats). Not
+	// part of String or the fingerprint; the golden test pins them.
+	Events, Resends uint64
 }
 
 // Consistent reports whether the run completed with no violations.
@@ -221,7 +231,7 @@ func Run(cfg Config) *Report {
 	cfg = cfg.withDefaults()
 	rep := &Report{Seed: cfg.Seed}
 
-	opts := cluster.DefaultOptions(cfg.Servers, cluster.ProtoCx)
+	opts := cluster.DefaultOptions(cfg.Servers, cfg.Protocol)
 	opts.Seed = cfg.Seed
 	opts.ClientHosts = cfg.Workers
 	opts.ProcsPerHost = 1
@@ -229,7 +239,7 @@ func Run(cfg Config) *Report {
 	// many times inside the nemesis window.
 	opts.Cx.Timeout = 25 * time.Millisecond
 	opts.Cx.VoteWait = 15 * time.Millisecond
-	opts.Cx.RetryInterval = 10 * time.Millisecond
+	opts.ResendInterval = 10 * time.Millisecond
 	opts.Cx.RecoveryFreeze = 2 * time.Millisecond
 	// Client-side retry is mandatory here: without it a single dropped reply
 	// wedges a worker forever and the run can never drain.
@@ -307,7 +317,7 @@ func Run(cfg Config) *Report {
 	rep.Ops = uint64(len(rep.History))
 	rep.OK, rep.Failed, rep.Unknown = model.Tally(rep.History)
 	ct := c.Counters()
-	rep.Net, rep.Events = ct.Net, ct.Events
+	rep.Net, rep.Events, rep.Resends = ct.Net, ct.Events, ct.Node.Resends
 	rep.WALAppends, rep.WALGroupFlushes = ct.WAL.Appends, ct.WAL.GroupFlushes
 	rep.CacheHits, rep.CacheMisses = ct.Cache.Hits, ct.Cache.Misses
 	rep.LeaseGrants, rep.LeaseRevocations = ct.Node.LeasesGranted, ct.Node.LeaseRevocations

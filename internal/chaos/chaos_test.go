@@ -4,6 +4,8 @@ import (
 	"flag"
 	"testing"
 	"time"
+
+	"cxfs/internal/cluster"
 )
 
 var seedFlag = flag.Int64("chaos.seed", 0, "run the chaos smoke matrix starting at this extra seed")
@@ -67,5 +69,38 @@ func TestChaosInjectsRealFaults(t *testing.T) {
 	}
 	if dropped == 0 {
 		t.Error("no messages were dropped by faults across the seed matrix")
+	}
+}
+
+// TestChaosBaselines runs 2PC and CE under the nemesis, which cuts and
+// degrades links where it would crash a Cx server (no baseline recovers
+// from a crash): seeds 1–20 of each cell, closed loop and pipelined, on the
+// default log and on a 2 KB one. Every run must drain and verify clean; the
+// servers resend what a cut or lossy link lost, and answer each copy once.
+func TestChaosBaselines(t *testing.T) {
+	cells := map[string]Config{
+		"plain": {}, "pipeline4": {Pipeline: 4}, "smalllog": {LogMaxBytes: 2 << 10},
+		"pipeline4/smalllog": {Pipeline: 4, LogMaxBytes: 2 << 10},
+	}
+	for _, proto := range []cluster.Protocol{cluster.Proto2PC, cluster.ProtoCE} {
+		for name, cfg := range cells {
+			t.Run(string(proto)+"/"+name, func(t *testing.T) {
+				faults := 0
+				for seed := int64(1); seed <= 20; seed++ {
+					cfg.Seed, cfg.Protocol = seed, proto
+					rep := Run(cfg)
+					if !rep.Consistent() {
+						t.Errorf("seed %d inconsistent:\n%s", seed, rep)
+					}
+					faults += rep.Partitions + rep.FaultWindows
+					if rep.Crashes+rep.CrashPointsFired != 0 {
+						t.Errorf("seed %d: %d crashes under a protocol with no recovery", seed, rep.Crashes+rep.CrashPointsFired)
+					}
+				}
+				if faults == 0 {
+					t.Error("no partition or lossy-link window fired")
+				}
+			})
+		}
 	}
 }

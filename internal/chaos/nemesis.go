@@ -33,7 +33,14 @@ func (n *nemesis) run(p *simrt.Proc) {
 		if n.halt {
 			return
 		}
-		switch n.rng.Intn(10) {
+		draw := n.rng.Intn(10)
+		if h.c.CxSrv == nil && draw < 4 {
+			// A baseline has no recovery: a crash draw (0, 1) partitions a
+			// link instead (4), and a crash-point draw (2, 3) makes the
+			// links lossy (7).
+			draw = 4 + draw/2*3
+		}
+		switch draw {
 		case 0, 1:
 			if h.cfg.CacheTTL > 0 {
 				// Leases are live: aim the crash at the server with the most

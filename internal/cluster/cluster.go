@@ -84,6 +84,10 @@ type Options struct {
 	// Obs subscribes the observability layer to the cluster's event stream
 	// (Cluster.Events). Nil (the default) disables all recording.
 	Obs *obs.Observer
+	// ResendInterval is how long a server waits for a peer's answer before
+	// it sends its request again (node.Base.ResendInterval), under every
+	// protocol. 0 (the default) keeps the chassis's 3 s.
+	ResendInterval time.Duration
 	// CacheTTL enables the leased client metadata cache: servers grant
 	// leases of this TTL on lookup responses, and every driver resolves
 	// cached paths locally until the lease lapses, a revocation lands, or
@@ -172,6 +176,9 @@ func New(opts Options) (*Cluster, error) {
 	for i := 0; i < opts.Servers; i++ {
 		base := node.NewBase(sim, net, types.NodeID(i), opts.Hardware)
 		base.LeaseTTL = opts.CacheTTL // read by the Cx and SE servers' lookups
+		if opts.ResendInterval > 0 {
+			base.ResendInterval = opts.ResendInterval
+		}
 		base.Events = c.Events
 		c.Bases = append(c.Bases, base)
 		if opts.GroupLinger > 0 {

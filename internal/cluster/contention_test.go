@@ -31,6 +31,7 @@ type loopRun struct {
 	// voteTimeouts is Counters().Core.VoteTimeouts once the run stops: the
 	// Cx votes that the deadline, not an event, answered.
 	voteTimeouts uint64
+	resends      uint64 // Counters().Node.Resends: requests a server sent a peer again
 }
 
 // sharedInodeRun is sharedInodeLoop on a cluster built from o, with
@@ -75,7 +76,8 @@ func sharedInodeRun(o Options, procs, pool, depth int, seed int64) loopRun {
 		c.Sim.Stop()
 	})
 	c.Sim.RunUntil(600 * time.Second)
-	r.finished, r.bad, r.voteTimeouts = c.Sim.Stopped(), c.CheckInvariants(), c.Counters().Core.VoteTimeouts
+	ctr := c.Counters()
+	r.finished, r.bad, r.voteTimeouts, r.resends = c.Sim.Stopped(), c.CheckInvariants(), ctr.Core.VoteTimeouts, ctr.Node.Resends
 	return r
 }
 
@@ -148,7 +150,11 @@ func TestSharedInodeAtomicEveryProtocol(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%d/%d/%d/depth %d", proto, cl.servers, cl.procs, cl.pool, cl.depth), func(t *testing.T) {
 				broken := 0
 				for s := int64(1); s <= seeds; s++ {
-					finished, bad := sharedInodeLoop(proto, cl.servers, cl.procs, cl.pool, cl.depth, s)
+					r := sharedInodeRun(DefaultOptions(cl.servers, proto), cl.procs, cl.pool, cl.depth, s)
+					if r.resends != 0 {
+						t.Errorf("seed %d: %d requests resent to a peer with no fault", s, r.resends)
+					}
+					finished, bad := r.finished, r.bad
 					if finished && len(bad) == 0 {
 						continue
 					}

@@ -16,6 +16,7 @@ type smallLogRun struct {
 	stalls   uint64        // arrivals held for log space
 	end      time.Duration // the instant the last process finished
 	aborted  uint64        // operations Cx presumed aborted (Core.OpsAborted)
+	resends  uint64        // requests a server sent a peer again (Node.Resends)
 }
 
 // smallLogCreates runs 2 servers with 2 hosts of 4 processes each under
@@ -49,7 +50,7 @@ func smallLogCreates(proto Protocol, logMax int64, depth int, seed int64) (r sma
 	})
 	c.Sim.RunUntil(600 * time.Second)
 	ctr := c.Counters()
-	r.finished, r.bad, r.stalls, r.aborted = c.Sim.Stopped(), c.CheckInvariants(), ctr.WAL.FullStalls, ctr.Core.OpsAborted
+	r.finished, r.bad, r.stalls, r.aborted, r.resends = c.Sim.Stopped(), c.CheckInvariants(), ctr.WAL.FullStalls, ctr.Core.OpsAborted, ctr.Node.Resends
 	return r
 }
 
@@ -75,6 +76,9 @@ func TestSmallLogEveryProtocolFinishes(t *testing.T) {
 						r := smallLogCreates(proto, logMax, depth, seed)
 						if !r.finished || len(r.bad) != 0 {
 							t.Errorf("seed %d: finished=%v, invariants: %v", seed, r.finished, r.bad)
+						}
+						if r.resends != 0 {
+							t.Errorf("seed %d: %d requests resent to a peer with no fault", seed, r.resends)
 						}
 						if logMax == 2<<10 && depth > 1 && proto != ProtoSE && r.stalls == 0 {
 							t.Errorf("seed %d: no arrival waited for log space", seed)

@@ -408,7 +408,7 @@ func (s *Server) rpcVotes(p *simrt.Proc, boot uint64, part types.NodeID, round t
 	req := wire.Msg{Type: wire.MsgVote, To: part, Op: round, Ops: ids, Enforce: enforce}
 	// The answer is read in its packet, which goes back once the votes are
 	// copied out.
-	if answer, ok := s.Call(p, boot, &req, s.cfg.RetryInterval+s.cfg.VoteWait, nil); ok {
+	if answer, ok := s.Call(p, boot, &req, nil); ok {
 		for i, v := range answer.Votes {
 			decisions[i] = wire.Decision{Op: ids[i], Commit: v.OK}
 		}
@@ -428,7 +428,7 @@ func (s *Server) newRound() types.OpID {
 // retrying across participant crashes. The participant's handler is
 // idempotent.
 func (s *Server) rpcAck(p *simrt.Proc, boot uint64, part types.NodeID, round types.OpID, ids []types.OpID, decisions []wire.Decision) {
-	ack, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgCommitReq, To: part, Op: round, Ops: ids, Decisions: decisions}, s.cfg.RetryInterval,
+	ack, ok := s.Call(p, boot, &wire.Msg{Type: wire.MsgCommitReq, To: part, Op: round, Ops: ids, Decisions: decisions},
 		func() bool { return s.step(StepCommitMidFanout, ids[0], 0, nil) }) // decision sent, ACK never collected
 	if ok {
 		ack.Release()
@@ -564,7 +564,7 @@ func (s *Server) handleCommitReq(p *simrt.Proc, m *wire.Msg) {
 	// object runs against the leftover.
 	for _, op := range waits {
 		for s.Executing(op) || s.pending(op) != nil {
-			s.await(p, op, s.cfg.RetryInterval)
+			s.await(p, op, s.ResendInterval)
 			if s.Gone(boot) {
 				return
 			}

@@ -87,11 +87,9 @@ type Config struct {
 	// arrive or a blocking commitment to finish before voting NO. It is a
 	// backstop for faults (a lost sub-op, a crashed peer): a vote never
 	// waits for a commitment its own VOTE's sender can start only after it
-	// (DESIGN.md §5 item 28).
+	// (DESIGN.md §5 item 28). Kept below node.Base.ResendInterval, or a VOTE
+	// is resent while it is answered: expected, and harmless.
 	VoteWait time.Duration
-	// RetryInterval paces VOTE/COMMIT-REQ retransmission to a crashed or
-	// slow peer.
-	RetryInterval time.Duration
 	// NoPiggyback disables carrying other same-participant pending
 	// operations on an immediate commitment's round — an ablation knob for
 	// benchmarks; production keeps it off (piggybacking on).
@@ -111,7 +109,6 @@ func DefaultConfig() Config {
 		Timeout:        10 * time.Second,
 		Threshold:      0,
 		VoteWait:       2 * time.Second,
-		RetryInterval:  3 * time.Second,
 		RecoveryFreeze: 500 * time.Millisecond,
 	}
 }
@@ -233,13 +230,9 @@ type Server struct {
 
 // NewServer builds a Cx server on the given chassis.
 func NewServer(base *node.Base, pl namespace.Placement, cfg Config) *Server {
-	// A zero VoteWait or RetryInterval means the default, not "never".
-	def := DefaultConfig()
+	// A zero VoteWait means the default, not "never".
 	if cfg.VoteWait <= 0 {
-		cfg.VoteWait = def.VoteWait
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = def.RetryInterval
+		cfg.VoteWait = DefaultConfig().VoteWait
 	}
 	s := &Server{
 		Base: base,

@@ -418,7 +418,7 @@ func TestParticipantCrashDuringCommitmentRetries(t *testing.T) {
 	// must retry until the participant reboots and answers.
 	c := build(4, func(o *cluster.Options) {
 		o.Hardware.LogMaxBytes = 0
-		o.Cx.RetryInterval = 100 * time.Millisecond
+		o.ResendInterval = 100 * time.Millisecond
 		o.Cx.VoteWait = 100 * time.Millisecond
 	})
 	defer c.Shutdown()

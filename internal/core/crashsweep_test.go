@@ -50,7 +50,7 @@ func runCrashSweep(t *testing.T, crashAt time.Duration) {
 	o.ClientHosts = 4
 	o.ProcsPerHost = 2
 	o.Cx.Timeout = 30 * time.Millisecond // commitments fire during the sweep window
-	o.Cx.RetryInterval = 20 * time.Millisecond
+	o.ResendInterval = 20 * time.Millisecond
 	o.Cx.VoteWait = 20 * time.Millisecond
 	o.Cx.RecoveryFreeze = 5 * time.Millisecond
 	o.Hardware.LogMaxBytes = 0

@@ -141,7 +141,7 @@ func TestClientRetryAfterServerCrashSucceeds(t *testing.T) {
 	// the server recovers. Duplicate suppression plus recovery must yield
 	// exactly-once-visible semantics.
 	c := build(4, func(o *cluster.Options) {
-		o.Cx.RetryInterval = 100 * time.Millisecond
+		o.ResendInterval = 100 * time.Millisecond
 		o.Cx.VoteWait = 100 * time.Millisecond
 		o.Cx.RecoveryFreeze = 10 * time.Millisecond
 		o.Hardware.LogMaxBytes = 0

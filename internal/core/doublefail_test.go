@@ -22,7 +22,7 @@ func TestDoubleFailureCoordinatorThenParticipant(t *testing.T) {
 	o.ProcsPerHost = 2
 	o.Cx.Timeout = 30 * time.Millisecond // commitment fires promptly
 	o.Cx.VoteWait = 20 * time.Millisecond
-	o.Cx.RetryInterval = 10 * time.Millisecond
+	o.ResendInterval = 10 * time.Millisecond
 	o.Cx.RecoveryFreeze = 2 * time.Millisecond
 	o.Retry = types.RetryPolicy{Timeout: 50 * time.Millisecond, Attempts: 6}
 	c := cluster.MustNew(o)

@@ -33,7 +33,7 @@ func crashAtStep(t *testing.T, step core.Step) {
 	o := cluster.DefaultOptions(4, cluster.ProtoCx)
 	o.ClientHosts, o.ProcsPerHost = 4, 2
 	o.Cx.Timeout = 30 * time.Millisecond
-	o.Cx.RetryInterval = 20 * time.Millisecond
+	o.ResendInterval = 20 * time.Millisecond
 	o.Cx.VoteWait = 20 * time.Millisecond
 	o.Cx.RecoveryFreeze = 5 * time.Millisecond
 	o.Retry = types.RetryPolicy{Timeout: 50 * time.Millisecond, Attempts: 10}

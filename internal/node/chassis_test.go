@@ -368,13 +368,14 @@ func wrote(sub types.SubOp) kvstore.Refs {
 	return kvstore.Refs{{Key: k}}
 }
 
-// calling runs req (addressed to node 101) as a Call of its own proc; a copy
-// of the answer it returns lands in *got, and *ended is set when it returns.
-func calling(b *Base, req wire.Msg, every time.Duration, sent func() bool, got *wire.Msg, ended *bool) {
+// calling runs req (addressed to node 101) as a Call of its own proc, which
+// resends at b.ResendInterval; a copy of the answer it returns lands in
+// *got, and *ended is set when it returns.
+func calling(b *Base, req wire.Msg, sent func() bool, got *wire.Msg, ended *bool) {
 	boot := b.Boot()
 	req.To = 101
 	b.Sim.Spawn("call", func(p *simrt.Proc) {
-		if pk, ok := b.Call(p, boot, &req, every, sent); ok {
+		if pk, ok := b.Call(p, boot, &req, sent); ok {
 			*got = pk.Msg
 			got.Ops = slices.Clone(pk.Ops)
 			pk.Release()
@@ -411,16 +412,17 @@ func TestReplyRoutesAreTypedAndRoundsDoNotCross(t *testing.T) {
 		batch := []types.OpID{op, opID(2)}
 		var resp, ack, ack2, round, single wire.Msg
 		var ended [5]bool
-		calling(b, wire.Msg{Type: wire.MsgMigrateReq, Op: op}, 0, nil, &resp, &ended[0])
+		b.ResendInterval = time.Millisecond
+		calling(b, wire.Msg{Type: wire.MsgMigrateReq, Op: op}, nil, &resp, &ended[0])
 		// The first MIGRATE-BACK call ends on its own at its resend, 1ms in,
 		// after the second has taken its route over.
 		sends := 0
-		calling(b, wire.Msg{Type: wire.MsgMigrateBack, Op: op}, time.Millisecond,
+		calling(b, wire.Msg{Type: wire.MsgMigrateBack, Op: op},
 			func() bool { sends++; return sends == 2 }, &ack, &ended[1])
-		calling(b, wire.Msg{Type: wire.MsgCommitReq, Op: rnd, Ops: batch}, 0, nil, &round, &ended[2])
-		calling(b, wire.Msg{Type: wire.MsgCommitReq, Op: op}, 0, nil, &single, &ended[3])
+		calling(b, wire.Msg{Type: wire.MsgCommitReq, Op: rnd, Ops: batch}, nil, &round, &ended[2])
+		calling(b, wire.Msg{Type: wire.MsgCommitReq, Op: op}, nil, &single, &ended[3])
 		p.Sleep(time.Microsecond)
-		calling(b, wire.Msg{Type: wire.MsgMigrateBack, Op: op}, 0, nil, &ack2, &ended[4])
+		calling(b, wire.Msg{Type: wire.MsgMigrateBack, Op: op}, nil, &ack2, &ended[4])
 		p.Sleep(time.Microsecond)
 
 		if !b.Awaiting(&wire.Msg{Type: wire.MsgCommitReq, Op: rnd}) || !b.Awaiting(&wire.Msg{Type: wire.MsgCommitReq, Op: op}) ||
@@ -472,7 +474,8 @@ func TestServerCallResendsEveryIntervalUntilAccepted(t *testing.T) {
 	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, sent *[]wire.Msg) {
 		var got wire.Msg
 		var ended bool
-		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, 10*time.Millisecond, nil, &got, &ended)
+		b.ResendInterval = 10 * time.Millisecond
+		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, nil, &got, &ended)
 		p.Sleep(35 * time.Millisecond) // sends at 0, 10, 20 and 30ms
 		if n := countSent(*sent, wire.MsgVote); n != 4 || ended {
 			t.Errorf("%d VOTEs in 35ms (ended=%v), want 4 and the call waiting", n, ended)
@@ -482,6 +485,9 @@ func TestServerCallResendsEveryIntervalUntilAccepted(t *testing.T) {
 		if !ended || !got.OK || countSent(*sent, wire.MsgVote) != 4 {
 			t.Errorf("ended=%v ok=%v after %d VOTEs, want the answer taken after 4", ended, got.OK, countSent(*sent, wire.MsgVote))
 		}
+		if n := b.Stats().Resends; n != 3 {
+			t.Errorf("%d resends counted, want the 3 sends after the first", n)
+		}
 	})
 }
 
@@ -489,8 +495,9 @@ func TestServerCallEndsAcrossACrashAndReboot(t *testing.T) {
 	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, sent *[]wire.Msg) {
 		var timed, forever wire.Msg
 		var ended [2]bool
-		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, 10*time.Millisecond, nil, &timed, &ended[0])
-		calling(b, wire.Msg{Type: wire.MsgMigrateReq, Op: opID(1)}, 0, nil, &forever, &ended[1])
+		b.ResendInterval = 10 * time.Millisecond
+		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, nil, &timed, &ended[0])
+		calling(b, wire.Msg{Type: wire.MsgMigrateReq, Op: opID(1)}, nil, &forever, &ended[1])
 		p.Sleep(5 * time.Millisecond)
 		b.Crash()
 		p.Sleep(time.Millisecond)
@@ -513,7 +520,8 @@ func TestServerCallEndsWhenTheSendHookSaysSo(t *testing.T) {
 		var ended bool
 		req := wire.Msg{Type: wire.MsgCommitReq, Ops: []types.OpID{opID(1)}}
 		hooked := 0
-		calling(b, req, time.Millisecond, func() bool { hooked++; return true }, &got, &ended)
+		b.ResendInterval = time.Millisecond
+		calling(b, req, func() bool { hooked++; return true }, &got, &ended)
 		p.Sleep(5 * time.Millisecond)
 		if !ended || got.Err != "ended" || hooked != 1 || countSent(*sent, wire.MsgCommitReq) != 1 || b.Awaiting(&req) {
 			t.Errorf("ended=%v hooked=%d sent=%d awaiting=%v, want the call over after one send, its route gone",
@@ -553,7 +561,7 @@ func TestAnswersAreRoutedByTheChassis(t *testing.T) {
 
 		var got wire.Msg
 		var ended bool
-		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(2)}, 0, nil, &got, &ended)
+		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(2)}, nil, &got, &ended)
 		p.Sleep(time.Microsecond)
 		top, handled := topRecord(p, b), b.Stats().MsgsHandled
 		// The answer lands and is charged CPUPerMsg; the server crashes
@@ -692,7 +700,7 @@ func TestServerCallWarmAllocatesNothing(t *testing.T) {
 	s.Spawn("caller", func(p *simrt.Proc) {
 		for {
 			req := wire.Msg{Type: wire.MsgVote, To: 1, Op: opID(uint64(calls))}
-			if answer, ok := b.Call(p, b.Boot(), &req, time.Second, nil); ok {
+			if answer, ok := b.Call(p, b.Boot(), &req, nil); ok {
 				answer.Release()
 				calls++
 			}
@@ -715,7 +723,7 @@ func TestServerCallAllocFreeRouteReuseDropsLeftovers(t *testing.T) {
 	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, _ *[]wire.Msg) {
 		var first, second wire.Msg
 		var ended [2]bool
-		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, 0, nil, &first, &ended[0])
+		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, nil, &first, &ended[0])
 		p.Sleep(time.Microsecond)
 		deliver(p, b, wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), Err: "answer"},
 			wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), Err: "duplicate"})
@@ -724,7 +732,8 @@ func TestServerCallAllocFreeRouteReuseDropsLeftovers(t *testing.T) {
 			t.Errorf("first call ended=%v with %q, %d idle routes; want the answer and its route idle", ended[0], first.Err, len(b.free))
 		}
 		// The same operation again: the key the duplicate was delivered under.
-		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, time.Millisecond, nil, &second, &ended[1])
+		b.ResendInterval = time.Millisecond
+		calling(b, wire.Msg{Type: wire.MsgVote, Op: opID(1)}, nil, &second, &ended[1])
 		p.Sleep(1500 * time.Microsecond)
 		deliver(p, b, wire.Msg{Type: wire.MsgVoteResp, Op: opID(1), Err: "second"})
 		p.Sleep(time.Microsecond)

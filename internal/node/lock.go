@@ -55,3 +55,12 @@ func (b *Base) Release(op types.OpID, keys []types.ObjKey) {
 		}
 	}
 }
+
+// CopyRows reads the rows named keys out of the database as they stand: the
+// image of each, its value absent for an absent row (nil for no keys).
+func (b *Base) CopyRows(keys []types.ObjKey) (rows []types.Row) {
+	for _, key := range keys {
+		rows = append(rows, types.Row{Key: key, Val: b.KV.Value(b.KV.Find(key))})
+	}
+	return rows
+}

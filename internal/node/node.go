@@ -88,6 +88,7 @@ type Stats struct {
 	LeasesGranted    uint64 // read leases granted: on lookup and stat replies, and to a mutation's client on the object it made
 	LeaseRevocations uint64 // revocation notices sent to lease holders
 	OpLookups        uint64 // probes of the server's op-ID index (once.go)
+	Resends          uint64 // sends of a Call's request after its first (routes.go)
 }
 
 // Base is the protocol-independent part of a metadata server.
@@ -107,6 +108,9 @@ type Base struct {
 	// grants (lease.go). 0, the default, answers lookups and stats without a
 	// lease, so clients cannot cache.
 	LeaseTTL time.Duration
+	// ResendInterval is how long a Call waits for an answer before it sends
+	// its request again, under every protocol: 3 s unless the cluster sets it.
+	ResendInterval time.Duration
 
 	inbox         *simrt.Chan[*transport.Packet]
 	handler       Handler
@@ -149,8 +153,9 @@ func NewBase(s *simrt.Sim, net *transport.Net, id types.NodeID, hw HardwareParam
 		HW:    hw,
 		inbox: net.Register(id),
 
-		leases:     NewLeaseTable(leaseTableCap),
-		routeTable: routeTable{sim: s},
+		ResendInterval: 3 * time.Second,
+		leases:         NewLeaseTable(leaseTableCap),
+		routeTable:     routeTable{sim: s},
 	}
 	for t := range b.procNames {
 		b.procNames[t] = fmt.Sprintf("server%d/%v", id, wire.MsgType(t))

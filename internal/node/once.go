@@ -1,18 +1,18 @@
 package node
 
 import (
+	"cxfs/internal/simrt"
 	"cxfs/internal/types"
 	"cxfs/internal/wire"
 )
 
-// At-most-once execution for retrying clients: a request whose operation
-// is executing is dropped (the original owns the eventual reply), and one
-// whose operation finished is answered from a bounded FIFO reply cache,
-// never re-executed. The protocols add only what they alone know (Cx: its
-// op table — pending executions, parked requests, abort marks; SE: the
-// participant executions a CLEAR may take back; 2PC: the participant
-// executions awaiting their decision). The cache is not wiped by Crash; see
-// DESIGN.md §5.
+// At-most-once execution for retrying clients and resending peers: a
+// request whose operation is executing is dropped (the original owns the
+// eventual reply), and one whose operation finished is answered from a
+// bounded FIFO reply cache, never re-executed; a peer's, by the answer to
+// its own phase only (ServeOnce). No protocol keeps a dedupe rule of its
+// own: each files only its own state (Cx's op table, SE's undo window, 2PC's
+// prepared executions). The cache is not wiped by Crash; see DESIGN.md §5.
 //
 // The server has one op-ID index, under every protocol, and every operation
 // it holds state for is filed there once: a protocol keeps its
@@ -87,31 +87,57 @@ func (b *Base) word(v *int32) *int32 {
 // or of one still executing, dropped. After true, call End when the
 // execution is over.
 func (b *Base) Begin(op types.OpID, from types.NodeID) bool {
-	_, ok := b.BeginEntry(op, from)
+	_, ok := b.begin(op, from, 0, nil)
 	return ok
 }
 
 // BeginEntry is Begin that also returns op's entry, NoEntry if it has none.
 func (b *Base) BeginEntry(op types.OpID, from types.NodeID) (h int32, ok bool) {
+	return b.begin(op, from, 0, nil)
+}
+
+// ServeOnce runs exec once for a peer's request m, a phase of m.Op (follows),
+// and caches and sends the answer it returns, if any. A copy of m gets that
+// answer, or nothing while exec runs or once a later phase has begun. The
+// rows a request names (m.Keys: a CE lender's) are not cached: they stay
+// locked until the next phase, and a copy is sent them as they stand.
+func (b *Base) ServeOnce(p *simrt.Proc, m *wire.Msg, exec func(*simrt.Proc, *wire.Msg) (wire.Msg, bool)) {
+	if _, ok := b.begin(m.Op, m.From, m.Type, m.Keys); ok {
+		if answer, ok := exec(p, m); ok && !b.crashed {
+			b.CacheReply(m.Op, &answer)
+			b.Send(&answer)
+		}
+		b.End(m.Op)
+	}
+}
+
+// begin is Begin for a request of type req (0: a client's, which any reply
+// answers) naming the rows keys.
+func (b *Base) begin(op types.OpID, from types.NodeID, req wire.MsgType, keys []types.ObjKey) (h int32, ok bool) {
 	i, _ := b.once.Upsert(op, 0)
 	v, h := b.once.Val(i), NoEntry
 	if *v < executing {
 		h = entryOf(*v)
 	}
-	switch w := b.word(v); {
-	case *w == 0:
-		*w = executing
-		return h, true
-	case *w > 0:
-		r := b.replies.At(int(*w - 1))
-		m := wire.Msg{Type: r.typ, To: from, Op: op, OK: r.ok, Epoch: r.epoch}
-		if r.extra != 0 {
-			x := b.extras.At(int(r.extra - 1))
-			m.Err, m.Hint, m.Attr = x.err, x.hint, x.attr
+	w := b.word(v)
+	if *w > 0 {
+		switch r := b.replies.At(int(*w - 1)); {
+		case r.typ == answers[follows[req]]: // the phase before is over: its answer retires
+			b.dropExtra(r.extra)
+			r.extra, *w = 0, 0
+		case req == 0 || r.typ == answers[req]:
+			m := wire.Msg{Type: r.typ, To: from, Op: op, OK: r.ok, Epoch: r.epoch, Rows: b.CopyRows(keys)}
+			if r.extra != 0 {
+				x := b.extras.At(int(r.extra - 1))
+				m.Err, m.Hint, m.Attr = x.err, x.hint, x.attr
+			}
+			b.Send(&m)
 		}
-		b.Send(&m)
 	}
-	return h, false
+	if *w == 0 {
+		*w, ok = executing, true
+	}
+	return h, ok
 }
 
 // End clears op's executing mark. Without a CacheReply before it (a crash
@@ -163,9 +189,9 @@ func (b *Base) CacheReply(op types.OpID, m *wire.Msg) {
 	}
 	pos, old, full := b.replies.Push(r, replyCap)
 	*w = int32(pos) + 1
-	if full { // the oldest reply is overwritten: forget it
+	if full { // the oldest reply is overwritten: forget it, unless it retired
 		b.dropExtra(old.extra)
-		if i, ok := b.once.Lookup(old.op); ok {
+		if i, ok := b.once.Lookup(old.op); ok && old.op != op && *b.word(b.once.Val(i)) == int32(pos)+1 {
 			b.forget(i)
 		}
 	}

@@ -189,3 +189,61 @@ func TestEntriesShareTheIndex(t *testing.T) {
 		}
 	})
 }
+
+// A peer's request executes once per phase (ServeOnce): a copy of a phase
+// under way is dropped, a copy of an answered phase gets the cached answer,
+// with the rows it names as they stand (still lent), the next phase is admitted over the answer to the one
+// before, and a late copy of the earlier phase is dropped once the later one
+// is under way or answered. The retired answer's ring slot, evicted later,
+// forgets nothing of the operation.
+func TestPeerRequestPhasesExecuteOnce(t *testing.T) {
+	tapped(t, func(p *simrt.Proc, b *Base, _ *Host, sent *[]wire.Msg) {
+		op, key := opID(1), types.InodeKey(7)
+		_, val := b.KV.PutAt(b.KV.Find(key), key, []byte("lent"))
+		rows := []types.Row{{Key: key, Val: val}}
+		lend := &wire.Msg{Type: wire.MsgMigrateReq, From: 101, Op: op, Keys: []types.ObjKey{key}}
+		back := &wire.Msg{Type: wire.MsgMigrateBack, From: 101, Op: op}
+		admit := func(m *wire.Msg) bool {
+			_, ok := b.begin(m.Op, m.From, m.Type, m.Keys)
+			return ok
+		}
+		// answered reports whether m was refused with exactly one answer of
+		// type want (0: refused with none).
+		answered := func(m *wire.Msg, want wire.MsgType) bool {
+			*sent = (*sent)[:0]
+			if admit(m) {
+				return false
+			}
+			return want == 0 && len(*sent) == 0 || len(*sent) == 1 && (*sent)[0].Type == want
+		}
+		if !admit(lend) || !answered(lend, 0) {
+			t.Error("MIGRATE-REQ: the first copy refused, or the second admitted")
+		}
+		b.CacheReply(op, &wire.Msg{Type: wire.MsgMigrateResp, To: 101, Op: op, Rows: rows})
+		b.End(op)
+		if !answered(lend, wire.MsgMigrateResp) || !reflect.DeepEqual((*sent)[0].Rows, rows) {
+			t.Errorf("a copy of the answered MIGRATE-REQ got %+v, want the lent rows again", *sent)
+		}
+		*sent = (*sent)[:0]
+		if !admit(back) || len(*sent) != 0 {
+			t.Error("the MIGRATE-BACK after the answered MIGRATE-REQ was refused")
+		}
+		if !answered(back, 0) || !answered(lend, 0) {
+			t.Error("a copy of either phase was admitted, or answered, while the MIGRATE-BACK executes")
+		}
+		b.CacheReply(op, &wire.Msg{Type: wire.MsgMigrateAck, To: 101, Op: op})
+		b.End(op)
+		if !answered(lend, 0) || !answered(back, wire.MsgMigrateAck) {
+			t.Error("after the MIGRATE-ACK: a late MIGRATE-REQ was not dropped, or a MIGRATE-BACK copy not answered")
+		}
+		// The retired answer is the ring's oldest: the next reply past the
+		// cap evicts it, and the operation's ACK stays.
+		for seq := uint64(2); seq <= replyCap-1; seq++ {
+			b.CacheReply(opID(seq), &wire.Msg{Type: wire.MsgOpResp, OK: true})
+		}
+		b.CacheReply(opID(replyCap), &wire.Msg{Type: wire.MsgOpResp, OK: true})
+		if !answered(back, wire.MsgMigrateAck) {
+			t.Error("evicting the retired answer forgot the operation's ACK")
+		}
+	})
+}

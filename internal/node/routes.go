@@ -34,11 +34,13 @@ type routeKey struct {
 // Hash spreads the type over the operation's hash (seg.Key).
 func (k routeKey) Hash() uint64 { return k.op.Hash() ^ uint64(k.typ)*0x9e3779b97f4a7c15 }
 
-// answers maps each request a server sends a peer to the type of its reply.
+// answers maps each request a server sends a peer to the type of its reply,
+// and follows to the request of the same operation before it (ServeOnce).
 var answers = [wire.NumMsgTypes]wire.MsgType{
 	wire.MsgVote: wire.MsgVoteResp, wire.MsgCommitReq: wire.MsgAck,
 	wire.MsgMigrateReq: wire.MsgMigrateResp, wire.MsgMigrateBack: wire.MsgMigrateAck,
 }
+var follows = [wire.NumMsgTypes]wire.MsgType{wire.MsgCommitReq: wire.MsgVote, wire.MsgMigrateBack: wire.MsgMigrateReq}
 
 // isAnswer marks the reply types in answers, for every MsgType value.
 var isAnswer = [1 << 8]bool{wire.MsgVoteResp: true, wire.MsgAck: true, wire.MsgMigrateResp: true, wire.MsgMigrateAck: true}
@@ -107,28 +109,22 @@ func (t *routeTable) deliver(k routeKey, pk *transport.Packet) bool {
 // caller reads the answer there and releases it. The answer comes back on a
 // route keyed by the request (answers), open for the length of the call; a
 // second Call on the same key takes the route over. The request goes out
-// again whenever every passes with no answer; every = 0 sends it once and
-// waits as long as it takes. sent, if not nil, runs after each send, and
-// ends the call when it reports true. After each wake the call ends first
-// if the server is Gone(boot), and only then looks at what arrived. ok is
-// false, and the packet nil, when the call ended without an answer.
-func (b *Base) Call(p *simrt.Proc, boot uint64, req *wire.Msg, every time.Duration,
-	sent func() bool) (*transport.Packet, bool) {
+// again whenever ResendInterval passes with no answer, and the peer executes
+// no copy twice (Cx's handlers are idempotent, the baselines' run through
+// ServeOnce). sent, if not nil, runs after each send, and ends the call when
+// it reports true. After each wake the call ends first if the server is
+// Gone(boot), and only then looks at what arrived; ok is false, and the
+// packet nil, when the call ended without an answer.
+func (b *Base) Call(p *simrt.Proc, boot uint64, req *wire.Msg, sent func() bool) (*transport.Packet, bool) {
 	k := routeKey{answers[req.Type], req.Op}
 	r := b.open(k)
 	defer b.close(k, r)
-	for {
+	for ; ; b.stats.Resends++ {
 		b.Send(req)
 		if sent != nil && sent() {
 			return nil, false
 		}
-		var pk *transport.Packet
-		got := true
-		if every > 0 {
-			pk, got = r.RecvTimeout(p, every)
-		} else {
-			pk = r.Recv(p)
-		}
+		pk, got := r.RecvTimeout(p, b.ResendInterval)
 		if b.Gone(boot) {
 			if got {
 				pk.Release()
