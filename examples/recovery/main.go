@@ -28,16 +28,6 @@ func main() {
 	c := cluster.MustNew(o)
 	defer c.Shutdown()
 
-	// The failure-detection subsystem of §V: heartbeats every 20ms,
-	// suspicion after 60ms of silence.
-	det := cluster.NewFailureDetector(c, 20*time.Millisecond, 60*time.Millisecond)
-	det.OnSuspect = func(srv types.NodeID, at time.Duration) {
-		fmt.Printf("  [detector] server %v suspected at t=%v\n", srv, at.Round(time.Millisecond))
-	}
-	det.OnRecover = func(srv types.NodeID, at time.Duration) {
-		fmt.Printf("  [detector] server %v healthy again at t=%v\n", srv, at.Round(time.Millisecond))
-	}
-
 	type created struct {
 		name string
 		ino  types.InodeID
@@ -71,12 +61,10 @@ func main() {
 
 		fmt.Printf("\nphase 2: CRASH server %d at t=%v\n", victim, p.Now().Round(time.Millisecond))
 		c.Bases[victim].Crash()
-		// Wait for the failure detector to confirm the crash, as §V
-		// prescribes, before rebooting.
-		for !det.Suspected(types.NodeID(victim)) {
-			p.Sleep(10 * time.Millisecond)
-		}
 
+		// §V starts recovery once the failure detection subsystem confirms
+		// the crash; Recover charges that confirmation, with the cluster-wide
+		// freeze, as the fixed RecoveryFreeze.
 		fmt.Printf("phase 3: reboot and run the recovery protocol\n")
 		c.Bases[victim].Reboot()
 		d := c.CxSrv[victim].Recover(p)

@@ -41,6 +41,7 @@ var callerless = map[string]string{
 	"simrt.Proc.Name":               "test probe: a reused worker takes its new body's name",
 	"simrt.Proc.Yield":              "bench probe, ROADMAP item 8",
 	"trace.Trace.CrossServerShare":  "test probe: the profiles' cross-server shares keep the paper's order",
+	"transport.Net.Send":            "bench probe, ROADMAP item 8: the send probe (servers and hosts send through Post)",
 	"transport.Net.SetTap":          "bench probe, ROADMAP item 8; also the tests' message tap",
 	"transport.Net.SetLinkFaults":   "test probe: per-link duplication and delay for the fault tests",
 	"transport.Net.Partitioned":     "test probe: the partition state the fault tests set",

@@ -16,9 +16,9 @@
 //  2. the cluster invariants of Cluster.CheckInvariants (dentry/inode
 //     referential integrity, nlink counts, no leaked row locks).
 //
-// A Report carries the seed, the full nemesis schedule, the failure
-// detector's suspect/recover timeline, and any violations; Report.String
-// prints everything needed to replay the run.
+// A Report carries the seed, the full nemesis schedule, the cluster's
+// counters and any violations; Report.String prints everything needed to
+// replay the run.
 package chaos
 
 import (
@@ -31,7 +31,6 @@ import (
 	"cxfs/internal/cluster"
 	"cxfs/internal/model"
 	"cxfs/internal/simrt"
-	"cxfs/internal/transport"
 	"cxfs/internal/types"
 )
 
@@ -100,8 +99,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Event is one timestamped entry in the nemesis schedule or the failure
-// detector timeline.
+// Event is one timestamped entry in the nemesis schedule.
 type Event struct {
 	At   time.Duration
 	What string
@@ -121,13 +119,11 @@ type Report struct {
 	Partitions       int // directed partition windows
 	FaultWindows     int // lossy-link windows
 
-	Schedule       []Event // everything the nemesis did, in order
-	DetectorEvents []Event // failure-detector suspect/recover timeline
+	Schedule []Event // everything the nemesis did, in order
 
 	Violations []string // empty = consistent
 	Hung       bool     // the run never reached verification
 	Elapsed    time.Duration
-	Net        transport.Stats
 
 	// History is every client observation in completion order. Final is
 	// the settled namespace after heal+recover+quiesce; with History it is
@@ -135,30 +131,17 @@ type Report struct {
 	History []model.Op
 	Final   map[string]types.InodeID
 
-	// WAL activity summed over every server: Appends counts disk requests
-	// the WALs issued, GroupFlushes the subset that coalesced a group-commit
-	// window. With GroupLinger set, Appends dropping at equal op count is
-	// the group-commit win.
-	WALAppends      uint64
-	WALGroupFlushes uint64
-
-	// Leased-cache activity (all zero when CacheTTL is 0): client cache
-	// hits/misses summed over every driver, and lease grants/revocations
-	// summed over every server.
-	CacheHits        uint64
-	CacheMisses      uint64
-	LeaseGrants      uint64
-	LeaseRevocations uint64
+	// Counters is the cluster's reading at the end of the run. String
+	// prints its network tallies, the log's appends and group flushes, and
+	// the cache's hits and misses with the servers' lease grants and
+	// revocations (all zero when CacheTTL is 0); the golden test pins its
+	// messages, events and resends.
+	Counters cluster.Counters
 
 	// MinLogTurnover is the fewest log capacities any server wrote into its
 	// log (0 with an unlimited log): how often the least-loaded server had
 	// to reclaim its whole log. Not part of String or the fingerprint.
 	MinLogTurnover float64
-
-	// Events is how many events the simulation kernel dispatched, and
-	// Resends how many requests servers sent a peer again (node.Stats). Not
-	// part of String or the fingerprint; the golden test pins them.
-	Events, Resends uint64
 }
 
 // Consistent reports whether the run completed with no violations.
@@ -179,19 +162,16 @@ func (r *Report) String() string {
 		r.Seed, r.Elapsed, r.Ops, r.OK, r.Failed, r.Unknown)
 	fmt.Fprintf(&b, "  nemesis: crashes=%d crash-points=%d reboots=%d partitions=%d fault-windows=%d\n",
 		r.Crashes, r.CrashPointsFired, r.Reboots, r.Partitions, r.FaultWindows)
+	ct := &r.Counters
 	fmt.Fprintf(&b, "  net: msgs=%d dropped-fault=%d dropped-partition=%d dropped-down=%d dup=%d delayed=%d\n",
-		r.Net.Messages, r.Net.DroppedFault, r.Net.DroppedPartition,
-		r.Net.DroppedDown, r.Net.Duplicated, r.Net.Delayed)
+		ct.Net.Messages, ct.Net.DroppedFault, ct.Net.DroppedPartition,
+		ct.Net.DroppedDown, ct.Net.Duplicated, ct.Net.Delayed)
 	fmt.Fprintf(&b, "  history: ops=%d hash=%016x wal-appends=%d group-flushes=%d\n",
-		len(r.History), model.HistoryHash(r.History), r.WALAppends, r.WALGroupFlushes)
+		len(r.History), model.HistoryHash(r.History), ct.WAL.Appends, ct.WAL.GroupFlushes)
 	fmt.Fprintf(&b, "  cache: hits=%d misses=%d lease-grants=%d lease-revocations=%d\n",
-		r.CacheHits, r.CacheMisses, r.LeaseGrants, r.LeaseRevocations)
+		ct.Cache.Hits, ct.Cache.Misses, ct.Node.LeasesGranted, ct.Node.LeaseRevocations)
 	fmt.Fprintf(&b, "  schedule (%d events):\n", len(r.Schedule))
 	for _, e := range r.Schedule {
-		fmt.Fprintf(&b, "    %9v %s\n", e.At, e.What)
-	}
-	fmt.Fprintf(&b, "  detector (%d events):\n", len(r.DetectorEvents))
-	for _, e := range r.DetectorEvents {
 		fmt.Fprintf(&b, "    %9v %s\n", e.At, e.What)
 	}
 	if r.Hung {
@@ -265,14 +245,6 @@ func Run(cfg Config) *Report {
 		entries: make([][]*entry, cfg.Workers),
 	}
 
-	det := cluster.NewFailureDetector(c, 10*time.Millisecond, 30*time.Millisecond)
-	det.OnSuspect = func(srv types.NodeID, at time.Duration) {
-		rep.DetectorEvents = append(rep.DetectorEvents, Event{At: at, What: fmt.Sprintf("suspect s%d", srv)})
-	}
-	det.OnRecover = func(srv types.NodeID, at time.Duration) {
-		rep.DetectorEvents = append(rep.DetectorEvents, Event{At: at, What: fmt.Sprintf("recover s%d", srv)})
-	}
-
 	h.group.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		c.Sim.Spawn(fmt.Sprintf("chaos/worker%d", w), h.worker(w))
@@ -316,11 +288,7 @@ func Run(cfg Config) *Report {
 	}
 	rep.Ops = uint64(len(rep.History))
 	rep.OK, rep.Failed, rep.Unknown = model.Tally(rep.History)
-	ct := c.Counters()
-	rep.Net, rep.Events, rep.Resends = ct.Net, ct.Events, ct.Node.Resends
-	rep.WALAppends, rep.WALGroupFlushes = ct.WAL.Appends, ct.WAL.GroupFlushes
-	rep.CacheHits, rep.CacheMisses = ct.Cache.Hits, ct.Cache.Misses
-	rep.LeaseGrants, rep.LeaseRevocations = ct.Node.LeasesGranted, ct.Node.LeaseRevocations
+	rep.Counters = c.Counters()
 	for i, b := range c.Bases {
 		if max := b.WAL.MaxBytes(); max > 0 {
 			if t := float64(c.ServerCounters(i).WAL.BytesWritten) / float64(max); i == 0 || t < rep.MinLogTurnover {

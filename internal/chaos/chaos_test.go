@@ -53,7 +53,7 @@ func TestChaosInjectsRealFaults(t *testing.T) {
 		points += rep.CrashPointsFired
 		parts += rep.Partitions
 		windows += rep.FaultWindows
-		dropped += int(rep.Net.DroppedFault + rep.Net.DroppedPartition)
+		dropped += int(rep.Counters.Net.DroppedFault + rep.Counters.Net.DroppedPartition)
 	}
 	if crashes == 0 {
 		t.Error("no direct crashes fired across the seed matrix")

@@ -76,16 +76,16 @@ func TestDeterminismRegression(t *testing.T) {
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatalf("same seed+flags diverged:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
 	}
-	if a.WALAppends != b.WALAppends {
-		t.Errorf("WAL appends diverged: %d vs %d", a.WALAppends, b.WALAppends)
+	if a.Counters.WAL.Appends != b.Counters.WAL.Appends {
+		t.Errorf("WAL appends diverged: %d vs %d", a.Counters.WAL.Appends, b.Counters.WAL.Appends)
 	}
-	if a.WALAppends == 0 {
+	if a.Counters.WAL.Appends == 0 {
 		t.Error("no WAL appends recorded")
 	}
 	if model.HistoryHash(a.History) != model.HistoryHash(b.History) {
 		t.Errorf("history hash diverged")
 	}
-	if a.WALGroupFlushes == 0 {
+	if a.Counters.WAL.GroupFlushes == 0 {
 		t.Error("group commit enabled but no coalesced flushes recorded")
 	}
 }

@@ -34,8 +34,8 @@ func TestStalenessBoundMatrix(t *testing.T) {
 				t.Errorf("pipeline=%d seed %d: staleness bound violated:\n  %v\nreport:\n%s",
 					pipeline, seed, bad, rep)
 			}
-			cachedReads += rep.CacheHits
-			if rep.LeaseGrants == 0 {
+			cachedReads += rep.Counters.Cache.Hits
+			if rep.Counters.Node.LeasesGranted == 0 {
 				t.Errorf("pipeline=%d seed %d: cache on but no leases granted", pipeline, seed)
 			}
 		}
@@ -63,8 +63,8 @@ func TestStatStormChaos(t *testing.T) {
 		if bad := model.CheckStalenessBound(rep.History); len(bad) != 0 {
 			t.Errorf("seed %d: stale read under stat-storm:\n  %v\nreport:\n%s", seed, bad, rep)
 		}
-		hits += rep.CacheHits
-		revocations += rep.LeaseRevocations
+		hits += rep.Counters.Cache.Hits
+		revocations += rep.Counters.Node.LeaseRevocations
 	}
 	if hits == 0 {
 		t.Error("stat-storm produced no cache hits")
@@ -85,9 +85,9 @@ func TestStatStormDeterminism(t *testing.T) {
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatalf("same stat-storm seed diverged:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
 	}
-	if a.CacheHits != b.CacheHits || a.LeaseGrants != b.LeaseGrants {
+	if a.Counters.Cache.Hits != b.Counters.Cache.Hits || a.Counters.Node.LeasesGranted != b.Counters.Node.LeasesGranted {
 		t.Errorf("cache counters diverged: hits %d vs %d, grants %d vs %d",
-			a.CacheHits, b.CacheHits, a.LeaseGrants, b.LeaseGrants)
+			a.Counters.Cache.Hits, b.Counters.Cache.Hits, a.Counters.Node.LeasesGranted, b.Counters.Node.LeasesGranted)
 	}
 }
 
@@ -108,8 +108,8 @@ func TestStatStormCacheCountsEveryRead(t *testing.T) {
 			names++
 		}
 	}
-	if stats == 0 || rep.CacheHits+rep.CacheMisses != reads+names {
+	if stats == 0 || rep.Counters.Cache.Hits+rep.Counters.Cache.Misses != reads+names {
 		t.Errorf("hits %d + misses %d, want the history's %d reads (%d of them stats) and verify's %d lookups",
-			rep.CacheHits, rep.CacheMisses, reads, stats, names)
+			rep.Counters.Cache.Hits, rep.Counters.Cache.Misses, reads, stats, names)
 	}
 }

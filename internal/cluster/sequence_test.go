@@ -59,9 +59,6 @@ func runSequence(t *testing.T, proto Protocol, quiesce bool) []string {
 			}
 		}
 		c.Net.SetTap(func(m wire.Msg) {
-			if m.Type == wire.MsgPing || m.Type == wire.MsgPong {
-				return
-			}
 			s := classify(m, client, coord, part)
 			if !strings.Contains(s, "other") {
 				seq = append(seq, s)
@@ -199,9 +196,6 @@ func TestFig2bCxDisagreementSequence(t *testing.T) {
 			}
 		}
 		c.Net.SetTap(func(m wire.Msg) {
-			if m.Type == wire.MsgPing || m.Type == wire.MsgPong {
-				return
-			}
 			seq = append(seq, classify(m, client, coord, part))
 		})
 		pr.Driver().Do(p, types.Op{ID: pr.NextID(), Kind: types.OpCreate,

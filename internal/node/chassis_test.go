@@ -535,7 +535,7 @@ func TestServerCallEndsWhenTheSendHookSaysSo(t *testing.T) {
 // so the probe's record is back on top of the pool, a stack.
 func topRecord(p *simrt.Proc, b *Base) *transport.Packet {
 	box := b.Net.Register(103)
-	b.Net.Send(wire.Msg{Type: wire.MsgPing, From: 101, To: 103})
+	b.Net.Send(wire.Msg{Type: wire.MsgAck, From: 101, To: 103})
 	for box.Len() == 0 {
 		p.Sleep(time.Microsecond)
 	}

@@ -193,19 +193,13 @@ func (b *Base) arrive(pk *transport.Packet) {
 func (b *Base) accept() {
 	pk := b.arrived
 	b.stats.MsgsHandled++
-	switch {
-	case pk.Type == wire.MsgPing:
-		// Liveness is answered by the chassis so the failure detector
-		// works identically under every protocol.
-		b.Send(&wire.Msg{Type: wire.MsgPong, To: pk.From, Op: pk.Op})
-		pk.Release()
-	case isAnswer[pk.Type]:
+	if isAnswer[pk.Type] {
 		// Dropped at a crashed server, or when nobody awaits it: a
 		// duplicate, or an answer to a round that gave up.
 		if b.crashed || !b.deliver(routeKey{pk.Type, pk.Op}, pk) {
 			pk.Release()
 		}
-	default:
+	} else {
 		name := "server/invalid"
 		if int(pk.Type) < len(b.procNames) {
 			name = b.procNames[pk.Type]

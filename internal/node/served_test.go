@@ -93,33 +93,6 @@ func TestCrashedServerDropsBufferedArrivals(t *testing.T) {
 	}
 }
 
-// TestPingIsAnsweredByTheChassis: MsgPing gets its pong from the chassis
-// after the receive-side charge, with no handler proc.
-func TestPingIsAnsweredByTheChassis(t *testing.T) {
-	s, net, b, _ := build(t)
-	b.Start(func(p *simrt.Proc, m *wire.Msg) { t.Errorf("handler called for %v", m.Type) })
-	var pongs []wire.Msg
-	net.SetTap(func(m wire.Msg) {
-		if m.Type == wire.MsgPong {
-			pongs = append(pongs, m)
-		}
-	})
-	s.Run() // the disk's service proc starts and parks
-	before := s.Resumes()
-	net.Send(wire.Msg{Type: wire.MsgPing, From: 100, To: 0, Op: opID(7)})
-	s.Run()
-	s.Shutdown()
-	if len(pongs) != 1 || pongs[0].To != 100 || pongs[0].From != 0 || pongs[0].Op != opID(7) {
-		t.Errorf("pongs %+v, want one to node 100 echoing the ping's op", pongs)
-	}
-	if n := b.Stats().MsgsHandled; n != 1 {
-		t.Errorf("MsgsHandled=%d, want 1", n)
-	}
-	if n := s.Resumes() - before; n != 0 {
-		t.Errorf("%d proc resumes, want 0: a ping needs no proc", n)
-	}
-}
-
 // TestZeroCPUPerMsgHandlesInArrivalOrder: with no receive-side charge the
 // inbox is held for no virtual time, and every message of a burst is handled
 // at the instant it lands, in order.

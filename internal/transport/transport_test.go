@@ -249,7 +249,7 @@ func TestSendDropsUnencodableMessage(t *testing.T) {
 		bad := wire.Msg{Type: wire.MsgVote, From: 0, To: 1,
 			Ops: make([]types.OpID, wire.MaxBatch+1)}
 		n.Send(bad)
-		n.Send(wire.Msg{Type: wire.MsgPing, From: 0, To: 1})
+		n.Send(wire.Msg{Type: wire.MsgAck, From: 0, To: 1})
 		p.Sleep(time.Second)
 		s.Stop()
 	})
@@ -260,7 +260,7 @@ func TestSendDropsUnencodableMessage(t *testing.T) {
 		t.Errorf("DroppedInvalid = %d, want 1", st.DroppedInvalid)
 	}
 	if delivered != 1 {
-		t.Errorf("delivered %d messages, want only the valid ping", delivered)
+		t.Errorf("delivered %d messages, want only the valid ack", delivered)
 	}
 	if st.Messages != 1 {
 		t.Errorf("Messages = %d; invalid sends must not be counted as traffic", st.Messages)
@@ -308,11 +308,11 @@ func TestPacketIsOneRecordFromSendToRelease(t *testing.T) {
 	defer s.Shutdown()
 	n := New(s, DefaultParams())
 	box := n.Register(1)
-	n.Send(wire.Msg{Type: wire.MsgPing, From: 0, To: 1, Op: types.OpID{Seq: 7}})
+	n.Send(wire.Msg{Type: wire.MsgAck, From: 0, To: 1, Op: types.OpID{Seq: 7}})
 	s.Run()
 	first, ok := box.TryRecv()
-	if !ok || first.Type != wire.MsgPing || first.Op.Seq != 7 {
-		t.Fatalf("inbox holds %+v, %v; want the ping", first, ok)
+	if !ok || first.Type != wire.MsgAck || first.Op.Seq != 7 {
+		t.Fatalf("inbox holds %+v, %v; want the ack", first, ok)
 	}
 	var handled *Packet
 	s.Spawn("handler", first.Body(func(p *simrt.Proc, pk *Packet) { handled = pk }))
@@ -325,7 +325,7 @@ func TestPacketIsOneRecordFromSendToRelease(t *testing.T) {
 		t.Errorf("released record reads %+v with %d records pooled; want it empty and pooled", first.Msg, len(n.idle))
 	}
 
-	n.Send(wire.Msg{Type: wire.MsgPong, From: 0, To: 1})
+	n.Send(wire.Msg{Type: wire.MsgVoteResp, From: 0, To: 1})
 	if len(n.idle) != 0 {
 		t.Error("Send did not take the pooled record")
 	}

@@ -43,8 +43,8 @@ func seedMsgs() []Msg {
 		{Type: MsgMigrateResp, From: 1, To: 0, Rows: []types.Row{{Key: types.InodeKey(42), Val: val(1, 2, 3)}}},
 		{Type: MsgMigrateBack, From: 0, To: 1, Rows: []types.Row{{Key: types.InodeKey(42), Val: val(4)}}},
 		{Type: MsgMigrateAck, From: 1, To: 0},
-		{Type: MsgPing, From: 0, To: 1},
-		{Type: MsgPong, From: 1, To: 0},
+		{Type: MsgVote, From: 0, To: 1},
+		{Type: MsgAck, From: 1, To: 0},
 		{Type: MsgLookupReq, From: 101, To: 0, Op: id(8), ReplyProc: id(8).Proc, Dir: 1, Path: "f0001"},
 		{Type: MsgLookupResp, From: 0, To: 101, Op: id(8), OK: true, Dir: 1, Path: "f0001",
 			Attr:       types.Inode{Ino: 42, Type: types.FileRegular, Nlink: 1, Mtime: 5},

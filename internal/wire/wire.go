@@ -59,9 +59,6 @@ const (
 	MsgMigrateResp    // CE: object rows
 	MsgMigrateBack    // CE: return updated rows
 	MsgMigrateAck     // CE: rows reinstalled
-	// Chassis-level liveness (answered by node.Base, not the protocol).
-	MsgPing
-	MsgPong
 	// Never sent: a lookup is a read sub-op (SUBOP-REQ) with or without the
 	// client cache. Declared still because the benchmark counts the pair
 	// (its lookup messages per op, which read 0).
@@ -88,8 +85,6 @@ var msgTypeNames = [...]string{
 	MsgMigrateResp:    "MIGRATE-RESP",
 	MsgMigrateBack:    "MIGRATE-BACK",
 	MsgMigrateAck:     "MIGRATE-ACK",
-	MsgPing:           "PING",
-	MsgPong:           "PONG",
 	MsgLookupReq:      "LOOKUP-REQ",
 	MsgLookupResp:     "LOOKUP-RESP",
 }
