@@ -13,31 +13,32 @@ import (
 )
 
 // requestCommit launches an immediate commitment for op (conflict detection,
-// L-COM, or C-NOTIFY). If this server coordinates op, the commit daemon is
-// kicked; if it participates, the coordinator is notified; if op is not yet
-// known here (its sub-op is still in flight), the request is remembered and
-// replayed when the sub-op executes, which the log's gate then lets through
-// (admit). part is the operation's participant when the requester names it
-// (a C-NOTIFY comes from it, an L-COM carries it as Peer; -1 otherwise), so
-// a request for an operation this server aborted, or never learns about and
-// presumes aborted, can be answered there as well.
+// L-COM, or C-NOTIFY). A coordinator kicks its commit daemon, which takes the
+// kick after any round that has op; a participant notifies the coordinator.
+// An op that has not executed here is remembered and replayed when it does,
+// and the log's gate lets it through (admit); if it is parked, its holder's
+// commitment is demanded too. part is the operation's participant when the
+// requester names it (a C-NOTIFY comes from it, an L-COM carries it as Peer;
+// -1 otherwise), so a request for an operation this server aborted, or never
+// learns about and presumes aborted, can be answered there as well.
 func (s *Server) requestCommit(op types.OpID, lcom bool, part types.NodeID) {
 	st := s.find(op)
 	switch {
 	case st != nil && st.phase != phaseNone:
 		st.lcom = st.lcom || lcom
-		if st.phase != phasePending {
-			return // a round already has it
-		}
-		if st.coordinator() {
+		switch {
+		case st.coordinator():
 			s.kick.Send(kickReq{op: op})
-		} else {
+		case st.phase == phasePending:
 			s.Send(&wire.Msg{Type: wire.MsgConflictNotify, To: st.peer, Op: op})
 		}
 	case st != nil && st.aborted:
 		s.answerAborted(op, lcom, part)
 	default:
-		if st = s.entry(op); !st.wanted {
+		if st = s.entry(op); st.parked != nil {
+			s.requestCommit(st.parked.holder, false, -1)
+		}
+		if !st.wanted {
 			st.wanted, st.wantAt, st.wantPart, st.lcom = true, s.Sim.Now(), part, lcom
 			s.WAL.Wake() // an arrival of op held at the gate may now pass (admit)
 			return
@@ -82,10 +83,10 @@ func (s *Server) answerAborted(op types.OpID, lcom bool, part types.NodeID) {
 // operation never materialized here within VoteWait: the coordinator-side
 // execution died (with a crash or a dropped message), so the client cannot
 // have completed the operation, and both the requester and any future
-// arrival of the sub-op must see it aborted.
+// arrival of the sub-op must see it aborted. A parked sub-op has arrived.
 func (s *Server) expireWantCommit() {
 	now := s.Sim.Now()
-	for _, st := range s.inOrder(func(st *opState) bool { return st.wanted && now-st.wantAt > s.cfg.VoteWait }) {
+	for _, st := range s.inOrder(func(st *opState) bool { return st.wanted && st.parked == nil && now-st.wantAt > s.cfg.VoteWait }) {
 		// The entry says nothing once the demand is dropped: a generation of
 		// abort marks ending inside markAborted recycles it.
 		id, lcom, part := st.id(), st.lcom, st.wantPart
@@ -340,27 +341,25 @@ func (s *Server) pinned(off int, n uint16) bool {
 // entries stay the round's across every park: a taken entry leaves the table
 // only through the round's own finish (DESIGN.md §5 item 20).
 func (s *Server) groupCommit(p *simrt.Proc, g *commitGroup) {
-	boot, part, cops := g.boot, g.part, g.cops
-	ids, enforce := slices.Grow(g.ids[:0], len(cops)), g.enforce[:0]
-	for _, co := range cops {
-		ids = append(ids, co.id())
+	boot, part, n := g.boot, g.part, len(g.cops)
+	g.ids, g.enforce, g.decisions = slices.Grow(g.ids[:0], n), g.enforce[:0], slices.Grow(g.decisions[:0], n)[:n]
+	for _, co := range g.cops {
+		g.ids = append(g.ids, co.id())
 		// The coordinator's execution order: every cross-server sub-op
 		// blocked here behind this operation follows it.
 		for br := co.followers; br != nil; br = br.next {
 			if br.msg.Sub.Kind.CrossServer() {
-				enforce = append(enforce, br.msg.Sub.Op)
+				g.enforce = append(g.enforce, br.msg.Sub.Op)
 			}
 		}
 	}
-	decisions := slices.Grow(g.decisions[:0], len(cops))[:len(cops)]
-	g.ids, g.enforce, g.decisions = ids, enforce, decisions
 
-	// Step 3: VOTE (retried until the participant answers — it may be
-	// rebooting); each op's vote lands in its decision. The round's name
-	// routes its answers back to it alone.
-	round := s.newRound()
-	s.rpcVotes(p, boot, part, round, ids, enforce, decisions)
-	if s.step(StepCommitAfterVote, ids[0], 0, nil) || s.Gone(boot) {
+	// Step 3: VOTE; the ops voted YES or NO stay in the round (rpcVotes). The
+	// round's name routes its answers back to it alone.
+	round, first := s.newRound(), g.ids[0]
+	s.rpcVotes(p, g, round)
+	cops, ids, decisions := g.cops, g.ids, g.decisions
+	if s.step(StepCommitAfterVote, first, 0, nil) || s.Gone(boot) || len(cops) == 0 {
 		return
 	}
 
@@ -400,19 +399,23 @@ func (s *Server) groupCommit(p *simrt.Proc, g *commitGroup) {
 	}
 }
 
-// rpcVotes sends round's batched VOTE and sets decisions, one per op of ids
-// and in its order, to the participant's votes, which answer ids in order:
-// Commit is the vote. It retries across participant crashes, and leaves
-// decisions as they were if the round ends first.
-func (s *Server) rpcVotes(p *simrt.Proc, boot uint64, part types.NodeID, round types.OpID, ids, enforce []types.OpID, decisions []wire.Decision) {
-	req := wire.Msg{Type: wire.MsgVote, To: part, Op: round, Ops: ids, Enforce: enforce}
-	// The answer is read in its packet, which goes back once the votes are
-	// copied out.
-	if answer, ok := s.Call(p, boot, &req, nil); ok {
+// rpcVotes sends g's VOTE as round, retried across participant crashes, and
+// keeps in g, in order, the operations voted YES or NO, each decision's
+// Commit the vote; one voted "not yet" is pending again, in the idle index.
+// g stays as it was if the round ends first.
+func (s *Server) rpcVotes(p *simrt.Proc, g *commitGroup, round types.OpID) {
+	if answer, ok := s.Call(p, g.boot, &wire.Msg{Type: wire.MsgVote, To: g.part, Op: round, Ops: g.ids, Enforce: g.enforce}, nil); ok {
+		n := 0
 		for i, v := range answer.Votes {
-			decisions[i] = wire.Decision{Op: ids[i], Commit: v.OK}
+			if co := g.cops[i]; v.Verdict == wire.VoteNotYet {
+				s.addIdle(co)
+			} else {
+				g.cops[n], g.ids[n], g.decisions[n] = co, g.ids[i], wire.Decision{Op: g.ids[i], Commit: v.Verdict == wire.VoteYes}
+				n++
+			}
 		}
 		answer.Release()
+		g.cops, g.ids, g.decisions = g.cops[:n], g.ids[:n], g.decisions[:n]
 	}
 }
 
@@ -445,7 +448,7 @@ func (s *Server) handleVote(p *simrt.Proc, m *wire.Msg) {
 	votes := s.voteBufs.Fit(len(m.Ops))
 	defer func() { s.voteBufs.Put(votes) }()
 	for _, id := range m.Ops {
-		votes = append(votes, wire.Vote{Op: id, OK: s.resolveVote(p, boot, id, m.From, m.Enforce)})
+		votes = append(votes, wire.Vote{Op: id, Verdict: s.resolveVote(p, boot, id, m.Enforce)})
 		if s.Gone(boot) {
 			return
 		}
@@ -453,25 +456,31 @@ func (s *Server) handleVote(p *simrt.Proc, m *wire.Msg) {
 	s.Send(&wire.Msg{Type: wire.MsgVoteResp, To: m.From, Op: m.Op, Ops: m.Ops, Votes: votes})
 }
 
-// resolveVote produces this server's YES/NO for one operation of a VOTE
-// from coord. The sub-op may be executed (answer from its record), parked
-// behind another operation (apply the ordered/disordered conflict rules),
-// or still in flight; whatever it waits for, it waits on one operation here,
-// and never for a commitment coord can start only after this vote. A bounded
-// wait backstops faults; timing out votes NO, which is safe because an
-// operation that has not executed here cannot have been completed by its
-// client.
-func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, coord types.NodeID, enforce []types.OpID) bool {
-	deadline := s.Sim.Now() + s.cfg.VoteWait
-	for {
-		st := s.find(id)
-		switch {
+// resolveVote produces this server's verdict on one operation of a VOTE:
+// its executed sub-op's record, or NO if aborted. A sub-op parked behind an
+// operation the VOTE enforces invalidates that holder (§III.C step 4); any
+// other parked one is "not yet", and its request's next move re-demands the
+// commitment (redispatch; DESIGN.md §5 item 28). The only wait is for the
+// sub-op itself, bounded by VoteWait for faults: timing out votes NO, safe
+// because an operation not executed here cannot have completed at its client.
+func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, enforce []types.OpID) wire.Verdict {
+	for deadline := s.Sim.Now() + s.cfg.VoteWait; ; {
+		switch st := s.find(id); {
 		case st == nil:
 		case st.phase != phaseNone:
 			st.take()
-			return st.ok
+			if st.ok {
+				return wire.VoteYes
+			}
+			return wire.VoteNo
 		case st.aborted:
-			return false
+			return wire.VoteNo
+		case st.parked != nil && (!slices.Contains(enforce, st.parked.holder) || !s.invalidate(p, st.parked.holder, id)):
+			if s.Gone(boot) {
+				return wire.VoteNo
+			}
+			st.wanted = true
+			return wire.VoteNotYet
 		}
 		remaining := deadline - s.Sim.Now()
 		if remaining <= 0 {
@@ -479,35 +488,11 @@ func (s *Server) resolveVote(p *simrt.Proc, boot uint64, id types.OpID, coord ty
 			// The sub-op must not execute after this NO; a parked copy of it
 			// is dropped when its holder lets go.
 			s.markAborted(id)
-			return false
+			return wire.VoteNo
 		}
-		wait := id // not arrived yet: wait for it to execute
-		if st != nil && st.parked != nil {
-			holder := st.parked.holder
-			switch h := s.pending(holder); {
-			case slices.Contains(enforce, holder) && s.invalidate(p, holder, id):
-				// Disordered conflict: the coordinator ordered id before the
-				// holder, but we executed the holder first. It is invalidated,
-				// and id's request re-dispatches ahead of it (§III.C step 4):
-				// wait for it to execute, as for an arrival.
-			case h != nil && h.phase != phaseDecided && !h.coordinator() && h.peer == coord:
-				// The holder's commitment is a later batch of coord's, whose
-				// commit daemon runs one batch at a time: NO now, the NO the
-				// deadline would give. The parked copy is dropped when the
-				// holder lets go.
-				s.markAborted(id)
-				return false
-			default:
-				// Ordered conflict: the holder's commitment, demanded when id
-				// parked, lets id execute with the holder as its hint (the
-				// holder's letGo). The holder registering wakes this wait too,
-				// and the rules above are read again.
-				wait = holder
-			}
-		}
-		s.await(p, wait, remaining)
+		s.await(p, id, remaining)
 		if s.Gone(boot) {
-			return false
+			return wire.VoteNo
 		}
 	}
 }

@@ -36,11 +36,11 @@
 // its duplicate suppression only the checks against its own op table.
 //
 // What the server knows about one operation is one entry of that table
-// (optable.go), filed in the chassis's one op-ID index and holding the
-// handle of the operation's log entry. The entry's phase changes in five
-// transitions only —
-// register, take, invalidate, decide, finish — one per durable record of
-// §III.B; the handlers in exec.go, commit.go and recovery.go look
+// (optable.go), filed in the chassis's one op-ID index and holding the handle
+// of the operation's log entry. The entry's phase changes in six transitions
+// only — register, take, invalidate, decide, finish, one per durable record
+// of §III.B, and addIdle, a round giving back an operation its participant
+// voted "not yet" on; the handlers in exec.go, commit.go and recovery.go look
 // an operation up once and act on its phase. Entries are recycled through a
 // per-server free list, so a handler that holds one across a park touches it
 // only while its ID is still the operation's — unless it has taken or decided
@@ -83,10 +83,9 @@ type Config struct {
 	// idle time"). 0 disables it. Idle commitments cost nothing the
 	// workload would notice: the disk and network are quiet by definition.
 	IdleTrigger time.Duration
-	// VoteWait bounds how long a participant vote waits for a sub-op to
-	// arrive or a blocking commitment to finish before voting NO. It is a
-	// backstop for faults (a lost sub-op, a crashed peer): a vote never
-	// waits for a commitment its own VOTE's sender can start only after it
+	// VoteWait bounds how long a participant vote waits for its sub-op to
+	// arrive before voting NO: a backstop for faults only (a lost sub-op, a
+	// crashed peer), for a parked sub-op is voted "not yet" at once
 	// (DESIGN.md §5 item 28). Kept below node.Base.ResendInterval, or a VOTE
 	// is resent while it is answered: expected, and harmless.
 	VoteWait time.Duration

@@ -299,13 +299,22 @@ func (s *Server) redispatch(p *simrt.Proc, br *blockedReq) (parked bool) {
 	// none follows.
 	defer func() { s.settle(s.find(sub.Op)) }()
 	st := s.find(sub.Op)
+	if st != nil && st.parked == br {
+		st.parked = nil // until now, so that a vote finds it parked
+	}
 	if st != nil && st.aborted {
 		// Its operation was aborted while it was parked. What an invalidation
 		// queued behind it goes on without it.
 		s.letGo(st, kvstore.Refs{})
+		st.wanted = false
 		return false
 	}
 	seen, holder, held := s.heldBy(sub, kvstore.Probe{})
+	if st != nil && st.wanted && sub.Role == types.RoleParticipant {
+		// A vote said "not yet": the request moves, so its coordinator asks again.
+		s.Send(&wire.Msg{Type: wire.MsgConflictNotify, To: br.msg.Peer, Op: sub.Op})
+		st.wanted = held
+	}
 	if held {
 		br.holder = holder
 		s.park(br)

@@ -19,11 +19,11 @@ import (
 // entry's handle, what waits on the operation (its own parked request, the
 // requests parked behind it, a commitment demanded before it executed, procs
 // waiting for something to happen to it) and the abort mark that outlives it.
-// The phase changes in this file only, in register, take, invalidate, decide
-// and finish; DESIGN.md §5 tabulates phase × event → record written → next
-// phase. An entry that says nothing any more is deleted (settle), so the
-// table holds the operations in motion plus a bounded generation of abort
-// marks.
+// The phase changes in this file only, in register, take, addIdle (a round
+// giving back a "not yet"), invalidate, decide and finish; DESIGN.md §5
+// tabulates phase × event → record written → next phase. An entry that says
+// nothing any more is deleted (settle), so the table holds the operations in
+// motion plus a bounded generation of abort marks.
 //
 // The entries live in a slab, by handle, and the chassis's one op-ID index
 // files them (node.Entries). Entries are recycled: a deleted entry is
@@ -94,9 +94,9 @@ type opState struct {
 	// here any more. It outlives the execution and, like the reply cache, a
 	// crash (DESIGN.md §5 item 12); abortMarkCap bounds how many are kept.
 	aborted bool
-	// wanted remembers a commitment demand (C-NOTIFY/L-COM) for an op whose
-	// sub-op has not executed here yet: register replays it, and if the
-	// sub-op never comes expireWantCommit presumes the operation aborted.
+	// wanted remembers a commitment demand (C-NOTIFY/L-COM, or a vote's "not
+	// yet" for a parked sub-op) until the sub-op executes here (register,
+	// redispatch); expireWantCommit presumes aborted an op that never comes.
 	wanted bool
 	lcom   bool // a client asked for ALL-NO
 }
@@ -342,9 +342,11 @@ func (s *Server) park(br *blockedReq) {
 	}
 }
 
-// addIdle indexes a freshly registered, not yet committing coordinator
-// execution under its participant.
+// addIdle makes a coordinator execution pending and indexes it under its
+// participant for a round to take: freshly registered, or given back by a
+// round whose participant voted "not yet" on it (rpcVotes).
 func (s *Server) addIdle(st *opState) {
+	st.phase = phasePending
 	for int(st.peer) >= len(s.idleCoord) {
 		s.idleCoord = append(s.idleCoord, nil)
 	}
@@ -378,9 +380,8 @@ func (s *Server) takeIdle(part types.NodeID) []*opState {
 
 // register is an execution's Result-Record having become durable: it is
 // pending and indexed for the round that will take it, a commitment demanded
-// while it was in flight is replayed, and the procs waiting on it wake: a
-// vote for it, or one for a sub-op parked behind it. st is the operation's
-// entry, nil if it has none.
+// while it was in flight is replayed, and the procs waiting on it wake. st is
+// the operation's entry, nil if it has none.
 func (s *Server) register(st *opState, e execution) {
 	if st == nil {
 		st = s.entry(e.sub.Op)
@@ -559,9 +560,6 @@ func (s *Server) letGo(st *opState, rows kvstore.Refs) {
 	for st.followers != nil {
 		br := st.followers
 		st.followers, br.next = br.next, nil
-		if fst := s.find(br.msg.Sub.Op); fst != nil && fst.parked == br {
-			fst.parked = nil
-		}
 		s.Sim.Spawn("cx/redispatch", br.run)
 	}
 }

@@ -355,7 +355,7 @@ func TestSenderMayReuseItsBuffersOnceSendReturns(t *testing.T) {
 	n := New(s, DefaultParams())
 	box := n.Register(1)
 	ops := batchIDs(1, 3)
-	votes := []wire.Vote{{Op: ops[0], OK: true}, {Op: ops[1]}, {Op: ops[2], OK: true}}
+	votes := []wire.Vote{{Op: ops[0], Verdict: wire.VoteYes}, {Op: ops[1]}, {Op: ops[2], Verdict: wire.VoteNotYet}}
 	n.Send(wire.Msg{Type: wire.MsgVoteResp, From: 0, To: 1, Ops: ops, Votes: votes})
 	copy(ops, batchIDs(100, 3))
 	clear(votes)
@@ -367,7 +367,7 @@ func TestSenderMayReuseItsBuffersOnceSendReturns(t *testing.T) {
 	defer pk.Release()
 	want := batchIDs(1, 3)
 	for i := range want {
-		if pk.Ops[i] != want[i] || pk.Votes[i].Op != want[i] || pk.Votes[i].OK != (i != 1) {
+		if pk.Ops[i] != want[i] || pk.Votes[i].Op != want[i] || pk.Votes[i].Verdict != [...]wire.Verdict{wire.VoteYes, wire.VoteNo, wire.VoteNotYet}[i] {
 			t.Fatalf("arrived with Ops %v and Votes %v, want what was sent, not the sender's later writes", pk.Ops, pk.Votes)
 		}
 	}

@@ -18,7 +18,7 @@ func benchMsgs() []Msg {
 	}
 	resp := Msg{Type: MsgVoteResp, From: 1, To: 0, Votes: make([]Vote, 64)}
 	for i := range resp.Votes {
-		resp.Votes[i] = Vote{Op: types.OpID{Seq: uint64(i)}, OK: i%7 != 0}
+		resp.Votes[i] = Vote{Op: types.OpID{Seq: uint64(i)}, Verdict: Verdict(min(i%7, 1))}
 	}
 	return []Msg{sub, batch, resp}
 }

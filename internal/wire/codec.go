@@ -338,7 +338,7 @@ func appendMsg(buf []byte, m *Msg) []byte {
 	e.u16(uint16(len(m.Votes)))
 	for _, v := range m.Votes {
 		e.opID(v.Op)
-		e.boolean(v.OK)
+		e.u8(uint8(v.Verdict))
 	}
 	e.u16(uint16(len(m.Decisions)))
 	for _, dc := range m.Decisions {
@@ -437,7 +437,7 @@ func DecodeBody(body []byte) (Msg, error) {
 		m.Votes = make([]Vote, n)
 		for i := range m.Votes {
 			m.Votes[i].Op = d.opID()
-			m.Votes[i].OK = d.boolean()
+			m.Votes[i].Verdict = min(Verdict(d.u8()), VoteNotYet)
 		}
 	}
 	if n := d.count(17); n > 0 {

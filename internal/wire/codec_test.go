@@ -48,7 +48,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		sampleMsg(),
 		{Type: MsgLCom, From: 101, To: 0, Op: types.OpID{Seq: 1}},
 		{Type: MsgVote, From: 0, To: 1, Ops: []types.OpID{{Seq: 1}, {Seq: 2}, {Seq: 3}}, Enforce: []types.OpID{{Seq: 9}}},
-		{Type: MsgVoteResp, From: 1, To: 0, Votes: []Vote{{Op: types.OpID{Seq: 1}, OK: true}, {Op: types.OpID{Seq: 2}}}},
+		{Type: MsgVoteResp, From: 1, To: 0, Votes: []Vote{{Op: types.OpID{Seq: 1}, Verdict: VoteYes}, {Op: types.OpID{Seq: 2}}, {Op: types.OpID{Seq: 3}, Verdict: VoteNotYet}}},
 		{Type: MsgCommitReq, From: 0, To: 1, Decisions: []Decision{{Op: types.OpID{Seq: 9}, Commit: true}}},
 		{Type: MsgMigrateResp, From: 1, To: 0, Rows: []types.Row{{Key: types.InodeKey(42), Val: val(1, 2, 3)}, {Key: types.DentryKey(1, "f")}}},
 		{Type: MsgMigrateReq, From: 0, To: 1, Keys: []types.ObjKey{types.InodeKey(42), types.DentryKey(1, "f")}},
@@ -116,7 +116,7 @@ func quickMsgValues(vals []reflect.Value, r *rand.Rand) {
 	}
 	for i := 0; i < r.Intn(5); i++ {
 		m.Ops = append(m.Ops, types.OpID{Seq: r.Uint64()})
-		m.Votes = append(m.Votes, Vote{Op: types.OpID{Seq: r.Uint64()}, OK: r.Intn(2) == 0})
+		m.Votes = append(m.Votes, Vote{Op: types.OpID{Seq: r.Uint64()}, Verdict: Verdict(r.Intn(3))})
 		m.Decisions = append(m.Decisions, Decision{Op: types.OpID{Seq: r.Uint64()}, Commit: r.Intn(2) == 0})
 		if m.Type == MsgOpResp {
 			m.Entries = append(m.Entries, types.DirEntry{Name: randStr(r, 10), Ino: types.InodeID(r.Uint64())})
@@ -399,5 +399,37 @@ func TestRequestFrameSizesPinned(t *testing.T) {
 		if got, n := Size(&m), len(mustEncode(t, &m)); got != 228 || n != 228 {
 			t.Errorf("%v: Size %d, %d bytes encoded, want 228", m.Type, got, n)
 		}
+	}
+}
+
+// TestVoteVerdictsKeepTheirByte checks the three answers of a vote: each
+// round-trips, each is the one byte after its operation's ID, so a VOTE-RESP
+// costs 17 bytes per vote whatever the verdicts, and a byte past the last
+// verdict decodes as "not yet", which decides nothing.
+func TestVoteVerdictsKeepTheirByte(t *testing.T) {
+	empty := Size(&Msg{Type: MsgVoteResp})
+	for _, v := range []Verdict{VoteNo, VoteYes, VoteNotYet} {
+		for n := 1; n <= 3; n++ {
+			m := Msg{Type: MsgVoteResp, From: 1, To: 0, Votes: make([]Vote, n)}
+			for i := range m.Votes {
+				m.Votes[i] = Vote{Op: types.OpID{Seq: uint64(i + 1)}, Verdict: v}
+			}
+			buf := mustEncode(t, &m)
+			if got, want := Size(&m), empty+int64(17*n); got != want || int64(len(buf)) != want {
+				t.Errorf("%d votes %d: Size %d, %d bytes encoded, want %d", n, v, got, len(buf), want)
+			}
+			if last := buf[len(buf)-1-2-2-2]; last != byte(v) { // the decisions, rows and keys counts follow
+				t.Errorf("%d votes %d: last vote's byte is %d", n, v, last)
+			}
+			if got, err := Decode(buf); err != nil || !reflect.DeepEqual(got, m) {
+				t.Errorf("%d votes %d: decoded %+v (%v), want %+v", n, v, got, err, m)
+			}
+		}
+	}
+	m := Msg{Type: MsgVoteResp, Votes: []Vote{{Op: types.OpID{Seq: 1}, Verdict: VoteYes}}}
+	buf := mustEncode(t, &m)
+	buf[len(buf)-1-2-2-2] = 7
+	if got, err := Decode(buf); err != nil || got.Votes[0].Verdict != VoteNotYet {
+		t.Errorf("a vote byte of 7 decoded as %+v (%v), want not yet", got.Votes, err)
 	}
 }

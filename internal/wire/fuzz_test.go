@@ -35,7 +35,7 @@ func seedMsgs() []Msg {
 		{Type: MsgAllNo, From: 0, To: 101, Op: id(3)},
 		{Type: MsgClear, From: 0, To: 1, Op: id(4), Sub: sub},
 		{Type: MsgVote, From: 0, To: 1, Ops: []types.OpID{id(1), id(2)}, Enforce: []types.OpID{id(3)}},
-		{Type: MsgVoteResp, From: 1, To: 0, Votes: []Vote{{Op: id(1), OK: true}, {Op: id(2)}}},
+		{Type: MsgVoteResp, From: 1, To: 0, Votes: []Vote{{Op: id(1), Verdict: VoteYes}, {Op: id(2)}, {Op: id(3), Verdict: VoteNotYet}}},
 		{Type: MsgCommitReq, From: 0, To: 1, Decisions: []Decision{{Op: id(1), Commit: true}, {Op: id(2)}}},
 		{Type: MsgAck, From: 1, To: 0, Ops: []types.OpID{id(1)}},
 		{Type: MsgConflictNotify, From: 1, To: 0, Op: id(5), Hint: id(6)},

@@ -100,11 +100,22 @@ func (t MsgType) String() string {
 // NumMsgTypes is the count of valid message types.
 const NumMsgTypes = int(msgTypeCount)
 
-// Vote is one operation's YES/NO inside a batched VOTE-RESP.
+// Vote is one operation's answer inside a batched VOTE-RESP, in one encoded
+// byte (a byte past VoteNotYet decodes as VoteNotYet).
 type Vote struct {
-	Op types.OpID
-	OK bool
+	Op      types.OpID
+	Verdict Verdict
 }
+
+// A Verdict is NO, YES, or "not yet": the sub-op is parked behind another
+// operation, and the coordinator leaves the operation undecided.
+type Verdict uint8
+
+const (
+	VoteNo Verdict = iota
+	VoteYes
+	VoteNotYet
+)
 
 // Decision is one operation's commit-or-abort inside a batched COMMIT-REQ.
 type Decision struct {
